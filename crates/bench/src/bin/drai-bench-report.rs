@@ -282,8 +282,7 @@ fn bench_cache_warm(st: &CacheBenchState) -> Result<(), String> {
 /// short-circuits its channel hop (fast-path replay).
 struct StreamBenchState {
     cfg: climate::ClimateConfig,
-    plain_items: Vec<(usize, ClimateData)>,
-    cached_items: Vec<Member<ClimateData>>,
+    items: Vec<Member<ClimateData>>,
     exec: ExecutorConfig,
     warm_cache: Arc<StageCache>,
     warm_sink: Arc<dyn StorageSink>,
@@ -291,12 +290,8 @@ struct StreamBenchState {
 
 fn prepare_stream_bench(sz: &Sizes) -> Result<StreamBenchState, String> {
     let cfg = climate_cache_cfg(sz);
-    let plain_items: Vec<(usize, ClimateData)> = (0..sz.members)
-        .map(|m| (m, climate::member_input(&cfg, m)))
-        .collect();
-    let cached_items: Vec<Member<ClimateData>> = plain_items
-        .iter()
-        .map(|(m, d)| Member(*m, d.clone()))
+    let items: Vec<Member<ClimateData>> = (0..sz.members)
+        .map(|m| Member(m, climate::member_input(&cfg, m)))
         .collect();
     let exec = ExecutorConfig::for_host();
     let warm_cache = Arc::new(StageCache::new(Arc::new(MemSink::new()), 256 << 20));
@@ -309,12 +304,11 @@ fn prepare_stream_bench(sz: &Sizes) -> Result<StreamBenchState, String> {
         Arc::new(Ledger::new()),
         warm_cache.clone(),
     );
-    p.run_batch_streaming(cached_items.clone(), &exec)
+    p.run_batch_streaming(items.clone(), &exec)
         .map_err(|e| format!("{e}"))?;
     Ok(StreamBenchState {
         cfg,
-        plain_items,
-        cached_items,
+        items,
         exec,
         warm_cache,
         warm_sink,
@@ -324,7 +318,7 @@ fn prepare_stream_bench(sz: &Sizes) -> Result<StreamBenchState, String> {
 fn bench_stream_cold(st: &StreamBenchState) -> Result<(), String> {
     let p =
         climate::build_batch_pipeline(&st.cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-    p.run_batch_streaming(st.plain_items.clone(), &st.exec)
+    p.run_batch_streaming(st.items.clone(), &st.exec)
         .map_err(|e| format!("{e}"))?;
     Ok(())
 }
@@ -336,7 +330,7 @@ fn bench_stream_warm(st: &StreamBenchState) -> Result<(), String> {
         Arc::new(Ledger::new()),
         st.warm_cache.clone(),
     );
-    p.run_batch_streaming(st.cached_items.clone(), &st.exec)
+    p.run_batch_streaming(st.items.clone(), &st.exec)
         .map_err(|e| format!("{e}"))?;
     Ok(())
 }
@@ -344,8 +338,7 @@ fn bench_stream_warm(st: &StreamBenchState) -> Result<(), String> {
 fn bench_stream_rayon(st: &StreamBenchState) -> Result<(), String> {
     let p =
         climate::build_batch_pipeline(&st.cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-    p.run_batch(st.plain_items.clone())
-        .map_err(|e| format!("{e}"))?;
+    p.run_batch(st.items.clone()).map_err(|e| format!("{e}"))?;
     Ok(())
 }
 
@@ -729,10 +722,7 @@ fn parse_args() -> Result<Args, String> {
 fn run_monitor(args: &Args, pr: u64, sz: &Sizes, repo_root: &Path) -> Result<ExitCode, String> {
     use drai_core::executor::executor_health_spec;
     use drai_domains::service;
-    use drai_telemetry::monitor::{
-        MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
-    };
-    use std::time::Duration;
+    use drai_telemetry::monitor::MonitorReport;
 
     let registry = Registry::new();
     let scope = TraceContext::root(&registry).attach();
@@ -758,55 +748,41 @@ fn run_monitor(args: &Args, pr: u64, sz: &Sizes, repo_root: &Path) -> Result<Exi
     // members flowing through the streaming executor across all jobs.
     let jobs_per_tenant = 2usize;
     let total_items = (2 * jobs_per_tenant * sz.members) as u64;
-    let mut sampler = Sampler::new(
-        &registry,
-        Arc::new(WallMonitorClock::new()),
-        SamplerConfig {
-            capacity: 1024,
-            progress: Some(ProgressTarget {
-                counter: "executor.items_completed".to_string(),
-                total: total_items,
-            }),
-        },
-        spec,
-    );
-    if !args.smoke {
-        sampler = sampler.with_observer(|tick| {
-            if let Some(p) = tick.progress {
-                eprintln!("[sched-service] {}", p.render());
+    let progress = (!args.smoke).then_some("sched-service");
+    let (outcome, report) = drai_domains::monitored(total_items, spec, progress, || {
+        let started = Instant::now();
+        let mut handles = Vec::new();
+        for _ in 0..jobs_per_tenant {
+            for tenant in ["alpha", "beta"] {
+                let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+                let member_cfg = cfg.clone();
+                handles.push(
+                    service::submit_batch(
+                        &sched,
+                        tenant,
+                        "climate_batch",
+                        sz.members as u64,
+                        climate::build_batch_pipeline(&cfg, sink, Arc::new(Ledger::new())),
+                        sz.members,
+                        move |m| Ok(climate::member_input(&member_cfg, m)),
+                    )
+                    .map_err(|e| format!("{e}"))?,
+                );
             }
-        });
-    }
-    let handle = sampler.start(Duration::from_millis(5));
-
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for _ in 0..jobs_per_tenant {
-        for tenant in ["alpha", "beta"] {
-            handles.push(
-                service::submit_climate_batch(
-                    &sched,
-                    tenant,
-                    &cfg,
-                    Arc::new(MemSink::new()),
-                    sz.members,
-                )
-                .map_err(|e| format!("{e}"))?,
-            );
         }
-    }
-    let pool = sched.start_workers(2);
-    let jobs = handles.len();
-    for h in handles {
-        match h.wait() {
-            JobOutcome::Completed(_) => {}
-            other => return Err(format!("monitored job did not complete: {other:?}")),
+        let pool = sched.start_workers(2);
+        let jobs = handles.len();
+        for h in handles {
+            match h.wait() {
+                JobOutcome::Completed(_) => {}
+                other => return Err(format!("monitored job did not complete: {other:?}")),
+            }
         }
-    }
-    sched.shutdown();
-    pool.join();
-    let wall = started.elapsed();
-    let report = handle.stop();
+        sched.shutdown();
+        pool.join();
+        Ok((jobs, started.elapsed()))
+    });
+    let (jobs, wall) = outcome?;
     drop(scope);
     eprintln!(
         "  monitored scheduler run: {jobs} jobs x {} members, 2 tenants, {:.1} ms, {} samples",

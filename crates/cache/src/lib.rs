@@ -25,10 +25,10 @@
 //! retry/telemetry layers), tests use [`clock::LogicalClock`] so
 //! eviction order is deterministic.
 //!
-//! Pipelines opt in per stage through [`CachedPipelineExt`], which wraps
-//! a stage function exactly like `PipelineBuilder::retry_stage` wraps
-//! one for retries. Artifact types describe their exact byte form via
-//! [`CacheBytes`] (helpers in [`bytes`]).
+//! Pipelines opt in per stage through [`CachedPipelineExt`], which
+//! decorates a named stage of a built pipeline with a cache probe and a
+//! store-on-miss wrapper. Artifact types describe their exact byte
+//! form via [`CacheBytes`] (helpers in [`bytes`]).
 //!
 //! Telemetry: `cache.hits`, `cache.misses`, `cache.evictions`,
 //! `cache.quarantined` counters and `cache.get`/`cache.put` spans, all
@@ -42,8 +42,7 @@ pub mod bytes;
 pub mod clock;
 
 use clock::{CacheClock, WallClock};
-use drai_core::pipeline::{FastPath, PipelineBuilder, StageCounters};
-use drai_core::readiness::ProcessingStage;
+use drai_core::pipeline::{FastPath, Pipeline, StageCounters};
 use drai_io::checksum::{content_hash128, hash_hex};
 use drai_io::codec::{codec_for, CodecId};
 use drai_io::sink::StorageSink;
@@ -476,63 +475,45 @@ impl StageCache {
     }
 }
 
-/// Builder extension wiring a [`StageCache`] into pipeline stages —
-/// the cache-layer counterpart of `PipelineBuilder::retry_stage`.
-pub trait CachedPipelineExt<T> {
-    /// Add a stage whose output is memoized in `cache`. On a verified
-    /// hit the stage function never runs; its record/byte counters are
-    /// restored from the entry. On a miss (or quarantined corruption)
-    /// the function runs and its output is stored best-effort — a
-    /// failed cache write degrades to uncached behaviour, never to a
-    /// stage error.
+/// Decorators memoizing stages of an already-built [`Pipeline`] in a
+/// [`StageCache`]. The stage graph is declared once, uncached; caching
+/// is layered on by stage name through [`Pipeline::decorate_stage`],
+/// so a cached pipeline never restates the graph.
+pub trait CachedPipelineExt<T>: Sized {
+    /// Memoize `stage`'s output in `cache`. On a verified hit the stage
+    /// function never runs; its record/byte counters are restored from
+    /// the entry. On a miss (or quarantined corruption) the function
+    /// runs and its output is stored best-effort — a failed cache write
+    /// degrades to uncached behaviour, never to a stage error.
     ///
     /// `config_fp` must fingerprint every configuration input that
-    /// affects the stage's output (see [`config_fingerprint`]).
-    fn cached_stage(
-        self,
-        name: &str,
-        kind: ProcessingStage,
-        cache: Arc<StageCache>,
-        config_fp: Vec<u8>,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
-    ) -> Self;
+    /// affects the stage's output (see [`config_fingerprint`]). Panics
+    /// when the pipeline has no stage called `stage`.
+    fn cached(self, stage: &str, cache: Arc<StageCache>, config_fp: Vec<u8>) -> Self {
+        self.cached_with_check(stage, cache, config_fp, |_| true)
+    }
 
-    /// Like [`CachedPipelineExt::cached_stage`], with a semantic check
+    /// Like [`CachedPipelineExt::cached`], with a semantic check
     /// applied to each decoded hit: `check` returning false rejects the
     /// hit and recomputes. Used by stages whose output references
     /// external state (e.g. shard files that may have been deleted
     /// since the entry was written).
-    fn cached_stage_with_check(
+    fn cached_with_check(
         self,
-        name: &str,
-        kind: ProcessingStage,
+        stage: &str,
         cache: Arc<StageCache>,
         config_fp: Vec<u8>,
         check: impl Fn(&T) -> bool + Send + Sync + 'static,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
     ) -> Self;
 }
 
-impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for PipelineBuilder<T> {
-    fn cached_stage(
+impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T> {
+    fn cached_with_check(
         self,
-        name: &str,
-        kind: ProcessingStage,
-        cache: Arc<StageCache>,
-        config_fp: Vec<u8>,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
-    ) -> Self {
-        self.cached_stage_with_check(name, kind, cache, config_fp, |_| true, func)
-    }
-
-    fn cached_stage_with_check(
-        self,
-        name: &str,
-        kind: ProcessingStage,
+        stage: &str,
         cache: Arc<StageCache>,
         config_fp: Vec<u8>,
         check: impl Fn(&T) -> bool + Send + Sync + 'static,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
     ) -> Self {
         // The probe is the stage's *fast path*: sequential runs try it
         // immediately before the function, and the streaming executor
@@ -540,7 +521,7 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for PipelineBui
         // stage's channel hop entirely. Exactly one probe happens per
         // stage execution either way, so hit/miss counters are
         // identical across `run`, `run_batch` and streaming.
-        let probe_name = name.to_string();
+        let probe_name = stage.to_string();
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();
         let probe = move |input: T, counters: &mut StageCounters| {
@@ -560,23 +541,25 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for PipelineBui
             }
             FastPath::Miss(input)
         };
-        let stage_name = name.to_string();
-        let compute = move |input: T, counters: &mut StageCounters| {
-            // Recompute the key (the probe consumed its copy of the
-            // input bytes): the put must be keyed by the *input*, which
-            // `func` consumes.
-            let input_bytes = input.to_cache_bytes();
-            let key = CacheKey::compute(&stage_name, &input_bytes, &config_fp);
-            let output = func(input, counters)?;
-            let _ = cache.put(
-                &key,
-                &output.to_cache_bytes(),
-                counters.records,
-                counters.bytes,
-            );
-            Ok(output)
-        };
-        self.stage_with_fast_path(name, kind, probe, compute)
+        let stage_name = stage.to_string();
+        self.decorate_stage(stage, move |func| {
+            let compute = move |input: T, counters: &mut StageCounters| {
+                // Recompute the key (the probe consumed its copy of the
+                // input bytes): the put must be keyed by the *input*,
+                // which `func` consumes.
+                let input_bytes = input.to_cache_bytes();
+                let key = CacheKey::compute(&stage_name, &input_bytes, &config_fp);
+                let output = func(input, counters)?;
+                let _ = cache.put(
+                    &key,
+                    &output.to_cache_bytes(),
+                    counters.records,
+                    counters.bytes,
+                );
+                Ok(output)
+            };
+            (Arc::new(compute), Some(Arc::new(probe)))
+        })
     }
 }
 
@@ -584,7 +567,6 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for PipelineBui
 mod tests {
     use super::*;
     use clock::LogicalClock;
-    use drai_core::pipeline::Pipeline;
     use drai_core::readiness::ProcessingStage as S;
     use drai_io::sink::MemSink;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -787,19 +769,18 @@ mod tests {
         let calls = Arc::new(AtomicU32::new(0));
         let calls_in_stage = calls.clone();
         let pipeline: Pipeline<Vec<f64>> = Pipeline::builder("cache-unit")
-            .cached_stage(
+            .stage("double", S::Transform, move |v: Vec<f64>, c| {
+                calls_in_stage.fetch_add(1, Ordering::SeqCst);
+                c.records = v.len() as u64;
+                c.bytes = (v.len() * 8) as u64;
+                Ok(v.into_iter().map(|x| x * 2.0).collect())
+            })
+            .build()
+            .cached(
                 "double",
-                S::Transform,
                 cache.clone(),
                 config_fingerprint([("factor", "2".to_string())]),
-                move |v: Vec<f64>, c| {
-                    calls_in_stage.fetch_add(1, Ordering::SeqCst);
-                    c.records = v.len() as u64;
-                    c.bytes = (v.len() * 8) as u64;
-                    Ok(v.into_iter().map(|x| x * 2.0).collect())
-                },
-            )
-            .build();
+            );
         let ((), snap) = with_registry(|| {
             let cold = pipeline.run(vec![1.0, 2.0, 3.0]).unwrap();
             assert_eq!(cold.output, vec![2.0, 4.0, 6.0]);
@@ -821,14 +802,15 @@ mod tests {
         let cache = Arc::new(mem_cache(1 << 20));
         let build = |factor: f64, cache: Arc<StageCache>| -> Pipeline<Vec<f64>> {
             Pipeline::builder("cache-cfg")
-                .cached_stage(
+                .stage("scale", S::Transform, move |v: Vec<f64>, _| {
+                    Ok(v.into_iter().map(|x| x * factor).collect())
+                })
+                .build()
+                .cached(
                     "scale",
-                    S::Transform,
                     cache,
                     config_fingerprint([("factor", format!("{factor}"))]),
-                    move |v: Vec<f64>, _| Ok(v.into_iter().map(|x| x * factor).collect()),
                 )
-                .build()
         };
         let ((), snap) = with_registry(|| {
             let out2 = build(2.0, cache.clone()).run(vec![1.0]).unwrap().output;
@@ -846,18 +828,13 @@ mod tests {
         let calls = Arc::new(AtomicU32::new(0));
         let calls_in_stage = calls.clone();
         let pipeline: Pipeline<Vec<f64>> = Pipeline::builder("cache-check")
-            .cached_stage_with_check(
-                "picky",
-                S::Transform,
-                cache.clone(),
-                Vec::new(),
-                |_| false, // every hit is rejected
-                move |v: Vec<f64>, _| {
-                    calls_in_stage.fetch_add(1, Ordering::SeqCst);
-                    Ok(v)
-                },
-            )
-            .build();
+            .stage("picky", S::Transform, move |v: Vec<f64>, _| {
+                calls_in_stage.fetch_add(1, Ordering::SeqCst);
+                Ok(v)
+            })
+            .build()
+            // Every hit is rejected.
+            .cached_with_check("picky", cache.clone(), Vec::new(), |_| false);
         let ((), snap) = with_registry(|| {
             pipeline.run(vec![1.0]).unwrap();
             pipeline.run(vec![1.0]).unwrap();

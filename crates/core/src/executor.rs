@@ -23,9 +23,9 @@
 //! * a failed batch publishes no merged per-stage metrics;
 //! * an empty batch returns one zeroed [`StageMetrics`] per stage.
 //!
-//! Stages with a fast path ([`PipelineBuilder::stage_with_fast_path`],
-//! e.g. cache probes installed by `drai-cache`) are probed on the
-//! *sending* side: a hit short-circuits the stage's channel hop
+//! Stages with a fast path (installed through
+//! [`Pipeline::decorate_stage`], e.g. `drai-cache`'s probes) are probed
+//! on the *sending* side: a hit short-circuits the stage's channel hop
 //! entirely, so a fully-warm item can travel from the feeder to the
 //! output without ever being queued.
 //!
@@ -565,6 +565,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::FastFn;
     use crate::readiness::ProcessingStage as S;
     use drai_telemetry::{Registry, TraceContext};
 
@@ -731,6 +732,19 @@ mod tests {
         );
     }
 
+    /// A fast path for the `+ 100` memo stage that hits on multiples
+    /// of `n`.
+    fn memo_hits_on_multiples_of(n: u64) -> Arc<FastFn<u64>> {
+        Arc::new(move |x: u64, c: &mut StageCounters| {
+            if x % n == 0 {
+                c.records = 1;
+                FastPath::Hit(x + 100)
+            } else {
+                FastPath::Miss(x)
+            }
+        })
+    }
+
     #[test]
     fn fast_path_hits_short_circuit_channel_hops() {
         let p: Pipeline<u64> = Pipeline::builder("exec-fast")
@@ -738,23 +752,12 @@ mod tests {
                 c.records = 1;
                 Ok(x)
             })
-            .stage_with_fast_path(
-                "memo",
-                S::Transform,
-                |x, c| {
-                    if x % 2 == 0 {
-                        c.records = 1;
-                        FastPath::Hit(x + 100)
-                    } else {
-                        FastPath::Miss(x)
-                    }
-                },
-                |x, c| {
-                    c.records = 1;
-                    Ok(x + 100)
-                },
-            )
-            .build();
+            .stage("memo", S::Transform, |x, c| {
+                c.records = 1;
+                Ok(x + 100)
+            })
+            .build()
+            .decorate_stage("memo", |func| (func, Some(memo_hits_on_multiples_of(2))));
         let ((outputs, metrics), snap) = in_registry(|| {
             p.run_batch_streaming((0..10).collect(), &ExecutorConfig::default())
                 .unwrap()
@@ -790,24 +793,13 @@ mod tests {
                 c.records = 1;
                 Ok(x)
             })
-            .stage_with_fast_path(
-                "memo",
-                S::Transform,
-                |x, c| {
-                    if x % 3 == 0 {
-                        c.records = 1;
-                        FastPath::Hit(x + 100)
-                    } else {
-                        FastPath::Miss(x)
-                    }
-                },
-                move |x, c| {
-                    slow_calls.fetch_add(1, Ordering::SeqCst);
-                    c.records = 1;
-                    Ok(x + 100)
-                },
-            )
+            .stage("memo", S::Transform, move |x, c| {
+                slow_calls.fetch_add(1, Ordering::SeqCst);
+                c.records = 1;
+                Ok(x + 100)
+            })
             .build()
+            .decorate_stage("memo", |func| (func, Some(memo_hits_on_multiples_of(3))))
     }
 
     #[test]

@@ -31,8 +31,10 @@ pub struct StageCounters {
     pub bytes: u64,
 }
 
-type StageFn<T> = dyn Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync;
-type FastFn<T> = dyn Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync;
+/// A stage's transformation function.
+pub type StageFn<T> = dyn Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync;
+/// A stage's fast path (see [`FastPath`]).
+pub type FastFn<T> = dyn Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync;
 
 /// Outcome of a stage's optional *fast path* — a cheap pre-check that
 /// can produce the stage's output without running the full stage
@@ -123,27 +125,6 @@ impl<T> PipelineBuilder<T> {
             kind,
             func: Arc::new(func),
             fast: None,
-        });
-        self
-    }
-
-    /// Add a stage with a *fast path*: `fast` is tried first and may
-    /// produce the stage output outright ([`FastPath::Hit`]), in which
-    /// case `func` never runs. Used by the cache layer to probe for a
-    /// memoized result, and by the streaming executor to short-circuit
-    /// a stage's channel hop entirely on a hit.
-    pub fn stage_with_fast_path(
-        mut self,
-        name: &str,
-        kind: ProcessingStage,
-        fast: impl Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync + 'static,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
-    ) -> Self {
-        self.stages.push(StageDef {
-            name: name.to_string(),
-            kind,
-            func: Arc::new(func),
-            fast: Some(Arc::new(fast)),
         });
         self
     }
@@ -252,6 +233,36 @@ impl<T> Pipeline<T> {
     /// pipeline covers the canonical ingest→…→shard sequence).
     pub fn stage_kinds(&self) -> Vec<ProcessingStage> {
         self.stages.iter().map(|s| s.kind).collect()
+    }
+
+    /// Rewrap the named stage: `wrap` receives the stage's current
+    /// function and returns the one to run in its place, plus an
+    /// optional fast path to install. This is how behaviour is layered
+    /// onto a stage graph that is declared once — a cache probe, an
+    /// injected delay — instead of declaring the graph again per
+    /// variant. A wrapper that installs no fast path leaves an existing
+    /// one in place, so hits on it bypass the wrapper.
+    ///
+    /// Panics when the pipeline has no stage called `stage`: stage
+    /// names are literals, so a miss is a typo to fail on at
+    /// construction, not a condition to carry to run time.
+    pub fn decorate_stage(
+        mut self,
+        stage: &str,
+        wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
+    ) -> Self {
+        let def = self.stages.iter_mut().find(|s| s.name == stage);
+        assert!(
+            def.is_some(),
+            "pipeline {:?} has no stage named {stage:?}",
+            self.name
+        );
+        if let Some(def) = def {
+            let (func, fast) = wrap(def.func.clone());
+            def.func = func;
+            def.fast = fast.or(def.fast.take());
+        }
+        self
     }
 
     /// Run sequentially on one artifact, emitting one telemetry span
@@ -669,28 +680,48 @@ mod tests {
         let func_calls = Arc::new(AtomicU32::new(0));
         let calls = func_calls.clone();
         let p: Pipeline<i32> = Pipeline::builder("fastpath")
-            .stage_with_fast_path(
-                "memo",
-                S::Transform,
-                |x, c| {
+            .stage("memo", S::Transform, move |x, c| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                c.records = 1;
+                Ok(x * 10)
+            })
+            .build()
+            .decorate_stage("memo", |func| {
+                let fast = |x: i32, c: &mut StageCounters| {
                     if x % 2 == 0 {
                         c.records = 1;
                         FastPath::Hit(x * 10)
                     } else {
                         FastPath::Miss(x)
                     }
-                },
-                move |x, c| {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    c.records = 1;
-                    Ok(x * 10)
-                },
-            )
-            .build();
+                };
+                (func, Some(Arc::new(fast)))
+            });
         assert_eq!(p.run(4).unwrap().output, 40);
         assert_eq!(func_calls.load(Ordering::SeqCst), 0, "hit skips func");
         assert_eq!(p.run(3).unwrap().output, 30);
         assert_eq!(func_calls.load(Ordering::SeqCst), 1, "miss runs func");
+    }
+
+    #[test]
+    fn decorated_stage_runs_the_wrapper_around_the_original() {
+        let p = doubling_pipeline().decorate_stage("double", |func| {
+            let wrapped = move |v: Vec<f64>, c: &mut StageCounters| {
+                func(v, c).map(|out| out.into_iter().map(|x| x + 1.0).collect())
+            };
+            (Arc::new(wrapped), None)
+        });
+        let run = p.run(vec![1.0, 2.0]).unwrap();
+        assert_eq!(run.output, vec![3.0, 5.0]);
+        // The wrapped stage keeps its name, kind and counters.
+        assert_eq!(p.stage_names(), vec!["ingest", "double"]);
+        assert_eq!(run.stage("double").unwrap().throughput.bytes, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "no stage named \"tripple\"")]
+    fn decorating_an_unknown_stage_is_rejected() {
+        doubling_pipeline().decorate_stage("tripple", |func| (func, None));
     }
 
     #[test]

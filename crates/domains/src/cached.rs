@@ -1,9 +1,11 @@
-//! Cached variants of the domain pipelines: the same stage bodies as
-//! [`crate::climate`] / [`crate::materials`], but the expensive middle
-//! stages run through [`drai_cache::StageCache`] so a re-run over
+//! Caching for the domain pipelines: decorators that route the
+//! expensive stages of [`crate::climate`] / [`crate::materials`]
+//! pipelines through a [`drai_cache::StageCache`], so a re-run over
 //! unchanged inputs replays memoized results instead of recomputing
 //! (the "incremental reprocessing" need of §4 — pipelines are rerun
-//! every time normalization choices or grid targets change).
+//! every time normalization choices or grid targets change). The stage
+//! graphs themselves are declared once, in the domain modules; nothing
+//! here restates them.
 //!
 //! The [`drai_cache::CacheBytes`] impls here are the canonical binary
 //! encodings of the inter-stage artifacts. They are exact (f64/f32 bits
@@ -12,11 +14,11 @@
 //! tests and required for stable provenance digests.
 
 use crate::climate::{self, ClimateConfig, ClimateData};
-use crate::materials::{self, GraphSample, MaterialsConfig, MaterialsData};
+use crate::materials::{GraphSample, MaterialsConfig, MaterialsData};
+use crate::StageItem;
 use drai_cache::bytes::{ByteReader, ByteWriter};
 use drai_cache::{config_fingerprint, CacheBytes, CachedPipelineExt, StageCache};
 use drai_core::pipeline::Pipeline;
-use drai_core::readiness::ProcessingStage as S;
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
@@ -24,6 +26,8 @@ use drai_tensor::{LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+pub use crate::Member;
 
 fn method_tag(m: Method) -> u8 {
     match m {
@@ -244,108 +248,6 @@ impl CacheBytes for MaterialsData {
     }
 }
 
-/// Fingerprint of every `ClimateConfig` input that affects the regrid
-/// stage's output.
-pub fn climate_regrid_fingerprint(cfg: &ClimateConfig) -> Vec<u8> {
-    config_fingerprint([(
-        "dst_grid",
-        format!("{}x{}", cfg.dst_grid.nlat(), cfg.dst_grid.nlon()),
-    )])
-}
-
-/// Fingerprint of the climate normalize stage configuration.
-pub fn climate_normalize_fingerprint(_cfg: &ClimateConfig) -> Vec<u8> {
-    config_fingerprint([("method", "zscore".to_string())])
-}
-
-/// Fingerprint of every `ClimateConfig` input that affects sharding.
-pub fn climate_shard_fingerprint(cfg: &ClimateConfig) -> Vec<u8> {
-    config_fingerprint([
-        ("shard_bytes", format!("{}", cfg.shard_bytes)),
-        ("seed", format!("{}", cfg.seed)),
-        (
-            "fractions",
-            format!(
-                "{}/{}/{}",
-                cfg.fractions.train, cfg.fractions.validation, cfg.fractions.test
-            ),
-        ),
-    ])
-}
-
-/// Build the climate pipeline with the regrid, normalize and shard
-/// stages running through `cache`.
-///
-/// The shard stage's hit path additionally verifies that the shard
-/// blobs it originally wrote still exist in `sink` — a cache entry
-/// whose external artifacts were deleted is rejected and recomputed,
-/// not trusted.
-pub fn build_cached_climate_pipeline(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-    cache: Arc<StageCache>,
-) -> Pipeline<ClimateData> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_check = sink.clone();
-    let sink_shard = sink;
-
-    Pipeline::builder("climate")
-        .stage("validate", S::Ingest, climate::validate_stage)
-        .cached_stage(
-            "regrid",
-            S::Preprocess,
-            cache.clone(),
-            climate_regrid_fingerprint(cfg),
-            move |data: ClimateData, c| climate::regrid_stage(&cfg_regrid, &ledger_regrid, data, c),
-        )
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            climate_normalize_fingerprint(cfg),
-            move |data: ClimateData, c| climate::normalize_stage(&ledger_norm, data, c),
-        )
-        .cached_stage_with_check(
-            "shard",
-            S::Shard,
-            cache,
-            climate_shard_fingerprint(cfg),
-            move |_data: &ClimateData| {
-                sink_check
-                    .list()
-                    .map(|names| {
-                        names
-                            .iter()
-                            .any(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-                    })
-                    .unwrap_or(false)
-            },
-            move |data: ClimateData, c| {
-                climate::shard_stage(
-                    &cfg_shard,
-                    sink_shard.as_ref(),
-                    &ledger_shard,
-                    "climate",
-                    data,
-                    c,
-                )
-            },
-        )
-        .build()
-}
-
-/// A batch member flowing through a cached batch pipeline: the member
-/// id plus the inter-stage artifact. (A newtype rather than a tuple —
-/// tuples are foreign types, so `CacheBytes` cannot be implemented for
-/// them here.)
-#[derive(Clone)]
-pub struct Member<T>(pub usize, pub T);
-
 /// A batch member is cached as its member id followed by the inner
 /// artifact's canonical bytes, so each member keys its own cache
 /// entries (identical fields under different member ids never collide).
@@ -367,143 +269,114 @@ impl<T: CacheBytes> CacheBytes for Member<T> {
     }
 }
 
-/// Build the climate batch pipeline (`(member, data)` items, per-member
-/// shard prefixes) with the regrid, normalize and shard stages running
-/// through `cache`. Under the streaming executor a warm cache turns
-/// each cached stage's probe into a fast-path hit that skips the
-/// stage's channel hop entirely.
+/// Fingerprint of every `ClimateConfig` input that affects the regrid
+/// stage's output.
+pub fn climate_regrid_fingerprint(cfg: &ClimateConfig) -> Vec<u8> {
+    config_fingerprint([(
+        "dst_grid",
+        format!("{}x{}", cfg.dst_grid.nlat(), cfg.dst_grid.nlon()),
+    )])
+}
+
+/// True when `sink` holds at least one `.shard` blob directly under
+/// `prefix/` — not under a deeper prefix, so the member shards under
+/// `climate/m0/` never vouch for a single run's `climate/` entry.
+fn shards_exist(sink: &dyn StorageSink, prefix: &str) -> bool {
+    let dir = format!("{prefix}/");
+    sink.list().is_ok_and(|names| {
+        names.iter().any(|n| {
+            n.strip_prefix(&dir)
+                .is_some_and(|rest| !rest.contains('/') && rest.ends_with(".shard"))
+        })
+    })
+}
+
+/// Route a climate pipeline's regrid, normalize and shard stages
+/// through `cache`, whatever item it runs over. Each stage is keyed on
+/// the `ClimateConfig` inputs that affect its output.
+///
+/// The shard stage's hit path additionally verifies that shard blobs
+/// still exist in `sink` under the item's own prefix — a cache entry
+/// whose external artifacts were deleted is rejected and recomputed,
+/// not trusted. Under the streaming executor a warm cache turns each
+/// cached stage's probe into a fast-path hit that skips the stage's
+/// channel hop entirely.
+pub fn with_climate_cache<I>(
+    pipeline: Pipeline<I>,
+    cfg: &ClimateConfig,
+    sink: Arc<dyn StorageSink>,
+    cache: Arc<StageCache>,
+) -> Pipeline<I>
+where
+    I: StageItem<ClimateData> + CacheBytes + Send + Sync + 'static,
+{
+    let normalize_fp = config_fingerprint([("method", "zscore".to_string())]);
+    let shard_fp = config_fingerprint([
+        ("shard_bytes", format!("{}", cfg.shard_bytes)),
+        ("seed", format!("{}", cfg.seed)),
+        (
+            "fractions",
+            format!(
+                "{}/{}/{}",
+                cfg.fractions.train, cfg.fractions.validation, cfg.fractions.test
+            ),
+        ),
+    ]);
+    pipeline
+        .cached("regrid", cache.clone(), climate_regrid_fingerprint(cfg))
+        .cached("normalize", cache.clone(), normalize_fp)
+        .cached_with_check("shard", cache, shard_fp, move |item: &I| {
+            shards_exist(sink.as_ref(), &item.shard_prefix("climate"))
+        })
+}
+
+/// [`climate::build_pipeline`] under [`with_climate_cache`].
+pub fn build_cached_climate_pipeline(
+    cfg: &ClimateConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+    cache: Arc<StageCache>,
+) -> Pipeline<ClimateData> {
+    let pipeline = climate::build_pipeline(cfg, sink.clone(), ledger);
+    with_climate_cache(pipeline, cfg, sink, cache)
+}
+
+/// [`climate::build_batch_pipeline`] under [`with_climate_cache`].
 pub fn build_cached_climate_batch_pipeline(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
     cache: Arc<StageCache>,
 ) -> Pipeline<Member<ClimateData>> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_check = sink.clone();
-    let sink_shard = sink;
-
-    Pipeline::builder("climate-batch")
-        .stage(
-            "validate",
-            S::Ingest,
-            |Member(m, data): Member<ClimateData>, c| {
-                climate::validate_stage(data, c).map(|data| Member(m, data))
-            },
-        )
-        .cached_stage(
-            "regrid",
-            S::Preprocess,
-            cache.clone(),
-            climate_regrid_fingerprint(cfg),
-            move |Member(m, data), c| {
-                climate::regrid_stage(&cfg_regrid, &ledger_regrid, data, c)
-                    .map(|data| Member(m, data))
-            },
-        )
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            climate_normalize_fingerprint(cfg),
-            move |Member(m, data), c| {
-                climate::normalize_stage(&ledger_norm, data, c).map(|data| Member(m, data))
-            },
-        )
-        .cached_stage_with_check(
-            "shard",
-            S::Shard,
-            cache,
-            climate_shard_fingerprint(cfg),
-            move |Member(m, _data): &Member<ClimateData>| {
-                let prefix = format!("climate/m{m}/");
-                sink_check
-                    .list()
-                    .map(|names| {
-                        names
-                            .iter()
-                            .any(|n| n.starts_with(&prefix) && n.ends_with(".shard"))
-                    })
-                    .unwrap_or(false)
-            },
-            move |Member(m, data), c| {
-                climate::shard_stage(
-                    &cfg_shard,
-                    sink_shard.as_ref(),
-                    &ledger_shard,
-                    &format!("climate/m{m}"),
-                    data,
-                    c,
-                )
-                .map(|data| Member(m, data))
-            },
-        )
-        .build()
+    let pipeline = climate::build_batch_pipeline(cfg, sink.clone(), ledger);
+    with_climate_cache(pipeline, cfg, sink, cache)
 }
 
-/// Fingerprint of the materials normalize stage configuration.
-pub fn materials_normalize_fingerprint(_cfg: &MaterialsConfig) -> Vec<u8> {
-    config_fingerprint([("target", "energy_per_atom".to_string())])
-}
-
-/// Fingerprint of every `MaterialsConfig` input that affects encoding.
-pub fn materials_encode_fingerprint(cfg: &MaterialsConfig) -> Vec<u8> {
-    config_fingerprint([("cutoff", format!("{:.12e}", cfg.cutoff))])
-}
-
-/// Build the materials pipeline with the normalize and encode stages
-/// running through `cache`. The shard stage stays uncached: its output
-/// is the external BP/JSONL blobs, which must be (re)written every run.
-pub fn build_cached_materials_pipeline(
+/// Route a materials pipeline's normalize and encode stages through
+/// `cache`. The shard stage stays uncached: its output is the external
+/// BP/JSONL blobs, which must be (re)written every run.
+pub fn with_materials_cache<I>(
+    pipeline: Pipeline<I>,
     cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
     cache: Arc<StageCache>,
-) -> Pipeline<MaterialsData> {
-    let cfg_encode = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
-
-    Pipeline::builder("materials")
-        .stage("parse", S::Ingest, materials::parse_stage)
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            materials_normalize_fingerprint(cfg),
-            move |data: MaterialsData, c| materials::normalize_stage(&ledger_norm, data, c),
-        )
-        .cached_stage(
-            "encode",
-            S::Structure,
-            cache,
-            materials_encode_fingerprint(cfg),
-            move |data: MaterialsData, c| materials::encode_stage(&cfg_encode, data, c),
-        )
-        .stage("shard", S::Shard, move |data: MaterialsData, c| {
-            materials::shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                "materials",
-                data,
-                c,
-            )
-        })
-        .build()
+) -> Pipeline<I>
+where
+    I: StageItem<MaterialsData> + CacheBytes + Send + Sync + 'static,
+{
+    let normalize_fp = config_fingerprint([("target", "energy_per_atom".to_string())]);
+    let encode_fp = config_fingerprint([("cutoff", format!("{:.12e}", cfg.cutoff))]);
+    pipeline
+        .cached("normalize", cache.clone(), normalize_fp)
+        .cached("encode", cache, encode_fp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::materials;
     use drai_cache::clock::LogicalClock;
     use drai_formats::netcdf::NcFile;
     use drai_formats::xyz::parse_xyz;
-    use drai_io::checksum::content_hash128;
     use drai_io::sink::MemSink;
     use drai_telemetry::{Registry, TraceContext};
 
@@ -600,57 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_climate_pipeline_matches_plain_and_hits_warm() {
-        let reg = Registry::new();
-        let ((), snapshot) = run_in_registry(&reg, || {
-            let cfg = climate_cfg();
-            let input = climate_input(&cfg);
-
-            // Plain pipeline → reference output digest.
-            let plain_sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-            let plain_ledger = Arc::new(Ledger::new());
-            let plain = climate::build_pipeline(&cfg, plain_sink.clone(), plain_ledger.clone());
-            let plain_out = plain.run(input.clone()).expect("plain run").output;
-            let plain_digest = content_hash128(&plain_out.to_cache_bytes());
-
-            // Cached pipeline, cold then warm, against a fresh sink each
-            // run (the cache sink is separate and persists).
-            let cache_sink = Arc::new(MemSink::new());
-            let cache = test_cache(&cache_sink);
-            for pass in 0..2 {
-                let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-                let ledger = Arc::new(Ledger::new());
-                let p = build_cached_climate_pipeline(&cfg, sink.clone(), ledger, cache.clone());
-                let out = p.run(input.clone()).expect("cached run").output;
-                assert_eq!(
-                    content_hash128(&out.to_cache_bytes()),
-                    plain_digest,
-                    "pass {pass}: cached output differs from plain"
-                );
-                // Each pass gets a fresh output sink, so the shard hit's
-                // external check fails and the stage recomputes — shard
-                // blobs must appear in every pass's own sink.
-                let blobs = sink.list().expect("list");
-                assert!(
-                    blobs
-                        .iter()
-                        .any(|n| n.starts_with("climate/") && n.ends_with(".shard")),
-                    "pass {pass}: shard stage must write to its own sink"
-                );
-            }
-        });
-        let hits = snapshot.counters.get("cache.hits").copied().unwrap_or(0);
-        // Warm pass: regrid, normalize and shard all decode as hits
-        // (the shard hit is then rejected by the external check above).
-        assert_eq!(hits, 3, "counters: {:?}", snapshot.counters);
-        assert_eq!(
-            snapshot.counters.get("cache.misses").copied().unwrap_or(0),
-            3,
-            "cold pass misses all three cached stages"
-        );
-    }
-
-    #[test]
     fn cached_climate_shard_hit_accepted_when_blobs_exist() {
         let cfg = climate_cfg();
         let input = climate_input(&cfg);
@@ -690,37 +512,44 @@ mod tests {
         );
     }
 
+    /// Regression: the single-run shard check used to accept any
+    /// `climate/**.shard`, so once an ensemble had sharded under
+    /// `climate/m0/` a single run's entry was served although its own
+    /// `climate/*.shard` blobs were gone.
     #[test]
-    fn cached_materials_pipeline_matches_plain_and_hits_warm() {
-        let reg = Registry::new();
-        let ((), snapshot) = run_in_registry(&reg, || {
-            let cfg = materials_cfg();
+    fn cached_shard_hit_is_not_vouched_for_by_another_items_shards() {
+        let cfg = climate_cfg();
+        let input = climate::member_input(&cfg, 0);
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let single = |sink: &Arc<dyn StorageSink>| {
+            build_cached_climate_pipeline(
+                &cfg,
+                sink.clone(),
+                Arc::new(Ledger::new()),
+                cache.clone(),
+            )
+        };
+        single(&sink).run(input.clone()).expect("cold single run");
+        for name in sink.list().expect("list") {
+            sink.delete(&name).expect("delete single-run output");
+        }
+        build_cached_climate_batch_pipeline(
+            &cfg,
+            sink.clone(),
+            Arc::new(Ledger::new()),
+            cache.clone(),
+        )
+        .run(Member(0, input.clone()))
+        .expect("member run");
+        assert!(sink.exists("climate/m0/train-00000.shard"));
+        assert!(!sink.exists("climate/train-00000.shard"));
 
-            let plain_sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-            let plain_ledger = Arc::new(Ledger::new());
-            let plain = materials::build_pipeline(&cfg, plain_sink.clone(), plain_ledger.clone());
-            let plain_out = plain.run(materials_input(&cfg)).expect("plain run").output;
-            let plain_digest = content_hash128(&plain_out.to_cache_bytes());
-
-            let cache_sink = Arc::new(MemSink::new());
-            let cache = test_cache(&cache_sink);
-            for pass in 0..2 {
-                let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-                let ledger = Arc::new(Ledger::new());
-                let p = build_cached_materials_pipeline(&cfg, sink.clone(), ledger, cache.clone());
-                let out = p.run(materials_input(&cfg)).expect("cached run").output;
-                assert_eq!(
-                    content_hash128(&out.to_cache_bytes()),
-                    plain_digest,
-                    "pass {pass}: cached output differs from plain"
-                );
-            }
-        });
-        assert_eq!(
-            snapshot.counters.get("cache.hits").copied().unwrap_or(0),
-            2,
-            "normalize + encode hit on warm pass: {:?}",
-            snapshot.counters
+        single(&sink).run(input).expect("warm single run");
+        assert!(
+            sink.exists("climate/train-00000.shard"),
+            "the single run's shards must be rewritten: {:?}",
+            sink.list()
         );
     }
 

@@ -14,9 +14,9 @@
 //! 4. **shard** — split by timestep key, pack `[vars, lat, lon]` f32
 //!    tensors into NPY members of NPZ (STORE ZIP) shards.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, MonitorOptions};
+use crate::{DomainBatchRun, DomainError, DomainRun, Member, StageItem};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
+use drai_core::executor::ExecutorConfig;
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
@@ -26,7 +26,6 @@ use drai_io::parallel::prefetch_map;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::MonitorReport;
 use drai_tensor::stats::Welford;
 use drai_tensor::{LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
@@ -36,7 +35,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Variables in the synthetic CMIP-like set (ORBIT/ClimaX-style subset).
 pub const VARIABLES: [(&str, &str, bool); 4] = [
@@ -270,11 +268,8 @@ pub struct ClimateData {
 }
 
 /// Stage body: schema/shape validation — every variable complete on the
-/// grid. Shared by the plain and cached (`crate::cached`) builders.
-pub(crate) fn validate_stage(
-    data: ClimateData,
-    c: &mut StageCounters,
-) -> Result<ClimateData, String> {
+/// grid.
+fn validate_stage(data: ClimateData, c: &mut StageCounters) -> Result<ClimateData, String> {
     let expect = data.timesteps * data.grid.ncells();
     for (vi, f) in data.fields.iter().enumerate() {
         if f.len() != expect {
@@ -290,7 +285,7 @@ pub(crate) fn validate_stage(
 }
 
 /// Stage body: bilinear/conservative remap onto the target grid.
-pub(crate) fn regrid_stage(
+fn regrid_stage(
     cfg: &ClimateConfig,
     ledger: &Ledger,
     mut data: ClimateData,
@@ -336,7 +331,7 @@ pub(crate) fn regrid_stage(
 }
 
 /// Stage body: per-variable z-score via parallel Welford reduction.
-pub(crate) fn normalize_stage(
+fn normalize_stage(
     ledger: &Ledger,
     mut data: ClimateData,
     c: &mut StageCounters,
@@ -383,7 +378,7 @@ pub(crate) fn normalize_stage(
 /// Stage body: split by timestep key and pack NPZ shards — one NPZ
 /// record per timestep with `{var}.npy` members of `[lat,lon]` f32 (the
 /// ClimaX layout).
-pub(crate) fn shard_stage(
+fn shard_stage(
     cfg: &ClimateConfig,
     sink: &dyn StorageSink,
     ledger: &Ledger,
@@ -461,39 +456,48 @@ pub(crate) fn shard_stage(
     Ok(data)
 }
 
-/// Build the four-stage climate pipeline (stateless; shares the sink and
-/// ledger through `Arc`s).
-pub fn build_pipeline(
+/// The climate stage graph, declared once for whatever flows through
+/// it: a bare [`ClimateData`] (pipeline `climate`, shards under
+/// `climate/`) or a [`Member`] of an ensemble (pipeline
+/// `climate-batch`, shards under `climate/m<member>/` so members never
+/// collide). Stateless; shares the sink and ledger through `Arc`s.
+fn stage_graph<I: StageItem<ClimateData>>(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
-) -> Pipeline<ClimateData> {
+) -> Pipeline<I> {
     let cfg_regrid = cfg.clone();
     let cfg_shard = cfg.clone();
     let ledger_regrid = ledger.clone();
     let ledger_norm = ledger.clone();
     let ledger_shard = ledger;
-    let sink_shard = sink;
 
-    Pipeline::builder("climate")
-        .stage("validate", S::Ingest, validate_stage)
-        .stage("regrid", S::Preprocess, move |data: ClimateData, c| {
-            regrid_stage(&cfg_regrid, &ledger_regrid, data, c)
+    Pipeline::builder(&I::pipeline_name("climate"))
+        .stage("validate", S::Ingest, |item: I, c| {
+            item.try_map(|data| validate_stage(data, c))
         })
-        .stage("normalize", S::Transform, move |data: ClimateData, c| {
-            normalize_stage(&ledger_norm, data, c)
+        .stage("regrid", S::Preprocess, move |item: I, c| {
+            item.try_map(|data| regrid_stage(&cfg_regrid, &ledger_regrid, data, c))
         })
-        .stage("shard", S::Shard, move |data: ClimateData, c| {
-            shard_stage(
-                &cfg_shard,
-                sink_shard.as_ref(),
-                &ledger_shard,
-                "climate",
-                data,
-                c,
-            )
+        .stage("normalize", S::Transform, move |item: I, c| {
+            item.try_map(|data| normalize_stage(&ledger_norm, data, c))
+        })
+        .stage("shard", S::Shard, move |item: I, c| {
+            let prefix = item.shard_prefix("climate");
+            item.try_map(|data| {
+                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
+            })
         })
         .build()
+}
+
+/// Build the four-stage climate pipeline over one [`ClimateData`].
+pub fn build_pipeline(
+    cfg: &ClimateConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<ClimateData> {
+    stage_graph(cfg, sink, ledger)
 }
 
 /// One ensemble member's input fields, synthesized directly (no NetCDF
@@ -516,92 +520,14 @@ pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
     }
 }
 
-/// Build the climate pipeline over `(member, data)` items, for batch
-/// execution of a whole ensemble: the same stage bodies as
-/// [`build_pipeline`], with each member's shards written under
-/// `climate/m<member>/` so members never collide.
+/// Build the same pipeline over ensemble [`Member`]s, for batch
+/// execution of a whole ensemble.
 pub fn build_batch_pipeline(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
-) -> Pipeline<(usize, ClimateData)> {
-    batch_pipeline_with_lag(cfg, sink, ledger, None)
-}
-
-/// [`build_batch_pipeline`] with `delay` of artificial busy-work
-/// injected into the named stage (`validate`, `regrid`, `normalize`,
-/// or `shard`) on every item — a fault hook for exercising the monitor
-/// diagnosis: the slowed stage must surface as the bottleneck.
-pub fn build_batch_pipeline_slowed(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-    slow_stage: &str,
-    delay: Duration,
-) -> Pipeline<(usize, ClimateData)> {
-    batch_pipeline_with_lag(cfg, sink, ledger, Some((slow_stage.to_string(), delay)))
-}
-
-fn batch_pipeline_with_lag(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-    lag: Option<(String, Duration)>,
-) -> Pipeline<(usize, ClimateData)> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_shard = sink;
-    let stage_lag = |stage: &str| -> Option<Duration> {
-        lag.as_ref()
-            .filter(|(name, _)| name == stage)
-            .map(|(_, d)| *d)
-    };
-    let lag_validate = stage_lag("validate");
-    let lag_regrid = stage_lag("regrid");
-    let lag_normalize = stage_lag("normalize");
-    let lag_shard = stage_lag("shard");
-
-    Pipeline::builder("climate-batch")
-        .stage(
-            "validate",
-            S::Ingest,
-            move |(m, data): (usize, ClimateData), c| {
-                if let Some(d) = lag_validate {
-                    std::thread::sleep(d);
-                }
-                validate_stage(data, c).map(|data| (m, data))
-            },
-        )
-        .stage("regrid", S::Preprocess, move |(m, data), c| {
-            if let Some(d) = lag_regrid {
-                std::thread::sleep(d);
-            }
-            regrid_stage(&cfg_regrid, &ledger_regrid, data, c).map(|data| (m, data))
-        })
-        .stage("normalize", S::Transform, move |(m, data), c| {
-            if let Some(d) = lag_normalize {
-                std::thread::sleep(d);
-            }
-            normalize_stage(&ledger_norm, data, c).map(|data| (m, data))
-        })
-        .stage("shard", S::Shard, move |(m, data), c| {
-            if let Some(d) = lag_shard {
-                std::thread::sleep(d);
-            }
-            shard_stage(
-                &cfg_shard,
-                sink_shard.as_ref(),
-                &ledger_shard,
-                &format!("climate/m{m}"),
-                data,
-                c,
-            )
-            .map(|data| (m, data))
-        })
-        .build()
+) -> Pipeline<Member<ClimateData>> {
+    stage_graph(cfg, sink, ledger)
 }
 
 /// Run a whole climate ensemble through the streaming bounded-memory
@@ -614,51 +540,22 @@ pub fn run_streaming_batch(
     members: usize,
     exec: &ExecutorConfig,
 ) -> Result<DomainBatchRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.climate.run_batch");
-    let _in_run = run_span.enter();
-    let ledger = Arc::new(Ledger::new());
-    let pipeline = build_batch_pipeline(cfg, sink.clone(), ledger.clone());
-    let items: Vec<(usize, ClimateData)> =
-        (0..members).map(|m| (m, member_input(cfg, m))).collect();
-    let (_outputs, stages) = pipeline.run_batch_streaming(items, exec)?;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-        .collect();
-    run_span.add_items(members as u64);
-    Ok(DomainBatchRun {
+    crate::run_streaming_members(
+        "climate",
+        ".shard",
+        sink,
+        exec,
+        |sink, ledger| build_batch_pipeline(cfg, sink, ledger),
         members,
-        stages,
-        ledger,
-        shard_files,
-    })
+        |m| Ok(member_input(cfg, m)),
+    )
 }
 
-/// [`run_streaming_batch`] under a live monitor: a background sampler
-/// records executor time series at `mon.interval`, evaluates the
-/// default [`executor_health_spec`] rules, optionally prints live
-/// progress lines, and returns the [`MonitorReport`] (series, health
-/// events, backpressure diagnosis) next to the batch result.
-pub fn run_streaming_batch_monitored(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-    mon: &MonitorOptions,
-) -> Result<(DomainBatchRun, MonitorReport), DomainError> {
-    let spec = executor_health_spec(exec, 4);
-    crate::monitored_run("climate-batch", members as u64, mon, spec, || {
-        run_streaming_batch(cfg, sink, members, exec)
-    })
-}
-
-/// Run the complete climate archetype: generate raw NetCDF, execute the
-/// pipeline, and return the graded manifest.
 /// One prefetched raw variable: (blob name, raw bytes, decoded field).
 type ParsedVar = Result<(String, Vec<u8>, Vec<f64>), DomainError>;
 
+/// Run the complete climate archetype: generate raw NetCDF, execute the
+/// pipeline, and return the graded manifest.
 pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     let registry = drai_telemetry::Registry::current();
     let run_span = registry.span("domain.climate.run");
@@ -749,11 +646,7 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
     manifest.split_assigned = true;
     manifest.sharded = true;
 
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-        .collect();
+    let shard_files = crate::shard_files(sink.as_ref(), "climate/", ".shard")?;
 
     run_span.add_items(manifest.records);
     Ok(DomainRun {
@@ -956,26 +849,5 @@ mod tests {
         assert!(run.ledger.len() >= 3 * 3, "ledger has {}", run.ledger.len());
         // Member seeds differ, so member inputs differ.
         assert_ne!(member_input(&cfg, 0).fields, member_input(&cfg, 1).fields);
-    }
-
-    #[test]
-    fn streaming_batch_outputs_match_rayon_batch() {
-        let cfg = small_cfg();
-        let items = |n: usize| -> Vec<(usize, ClimateData)> {
-            (0..n).map(|m| (m, member_input(&cfg, m))).collect()
-        };
-        let s1: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let p1 = build_batch_pipeline(&cfg, s1, Arc::new(Ledger::new()));
-        let (streamed, _) = p1
-            .run_batch_streaming(items(3), &ExecutorConfig::default())
-            .unwrap();
-        let s2: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let p2 = build_batch_pipeline(&cfg, s2, Arc::new(Ledger::new()));
-        let (batched, _) = p2.run_batch(items(3)).unwrap();
-        assert_eq!(streamed.len(), batched.len());
-        for ((ma, a), (mb, b)) in streamed.iter().zip(&batched) {
-            assert_eq!(ma, mb, "member order preserved");
-            assert_eq!(a.fields, b.fields, "member {ma} fields differ");
-        }
     }
 }

@@ -16,9 +16,9 @@
 //! 4. **shard** — each graph becomes a BP process group; a JSONL sidecar
 //!    carries per-sample metadata, split by structure key.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, MonitorOptions};
+use crate::{DomainBatchRun, DomainError, DomainRun, Member, StageItem};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
+use drai_core::executor::ExecutorConfig;
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::bp::{BpVar, BpWriter, ProcessGroup};
@@ -26,7 +26,6 @@ use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
 use drai_io::json::Json;
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::MonitorReport;
 use drai_tensor::stats::Welford;
 use drai_tensor::Tensor;
 use drai_transform::split::{assign, Fractions, Split};
@@ -267,11 +266,7 @@ pub fn neighbor_pairs(positions: &[[f64; 3]], cutoff: f64) -> Vec<(usize, usize,
 }
 
 /// Stage body: validate parsed frames (atom counts, energies present).
-/// Shared by the plain and cached (`crate::cached`) builders.
-pub(crate) fn parse_stage(
-    data: MaterialsData,
-    c: &mut StageCounters,
-) -> Result<MaterialsData, String> {
+fn parse_stage(data: MaterialsData, c: &mut StageCounters) -> Result<MaterialsData, String> {
     for (i, f) in data.frames.iter().enumerate() {
         if f.atoms.is_empty() {
             return Err(format!("frame {i}: no atoms"));
@@ -290,7 +285,7 @@ pub(crate) fn parse_stage(
 }
 
 /// Stage body: per-atom energy statistics (parallel Welford merge).
-pub(crate) fn normalize_stage(
+fn normalize_stage(
     ledger: &Ledger,
     mut data: MaterialsData,
     c: &mut StageCounters,
@@ -322,7 +317,7 @@ pub(crate) fn normalize_stage(
 
 /// Stage body: cutoff-radius neighbor graphs (cell-list search), species
 /// one-hot node features, distance edge features.
-pub(crate) fn encode_stage(
+fn encode_stage(
     cfg: &MaterialsConfig,
     mut data: MaterialsData,
     c: &mut StageCounters,
@@ -387,7 +382,7 @@ pub(crate) fn encode_stage(
 }
 
 /// Stage body: BP writer per split + a JSONL sidecar of sample metadata.
-pub(crate) fn shard_stage(
+fn shard_stage(
     cfg: &MaterialsConfig,
     sink: &dyn StorageSink,
     ledger: &Ledger,
@@ -470,36 +465,46 @@ pub(crate) fn shard_stage(
     Ok(data)
 }
 
-/// Build the materials pipeline.
-pub fn build_pipeline(
+/// The materials stage graph, declared once for whatever flows through
+/// it: a bare [`MaterialsData`] (pipeline `materials`, BP + JSONL
+/// shards under `materials/`) or a batch [`Member`] (pipeline
+/// `materials-batch`, shards under `materials/m<member>/`).
+fn stage_graph<I: StageItem<MaterialsData>>(
     cfg: &MaterialsConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
-) -> Pipeline<MaterialsData> {
+) -> Pipeline<I> {
     let cfg_encode = cfg.clone();
     let cfg_shard = cfg.clone();
     let ledger_shard = ledger.clone();
     let ledger_norm = ledger;
 
-    Pipeline::builder("materials")
-        .stage("parse", S::Ingest, parse_stage)
-        .stage("normalize", S::Transform, move |data: MaterialsData, c| {
-            normalize_stage(&ledger_norm, data, c)
+    Pipeline::builder(&I::pipeline_name("materials"))
+        .stage("parse", S::Ingest, |item: I, c| {
+            item.try_map(|data| parse_stage(data, c))
         })
-        .stage("encode", S::Structure, move |data: MaterialsData, c| {
-            encode_stage(&cfg_encode, data, c)
+        .stage("normalize", S::Transform, move |item: I, c| {
+            item.try_map(|data| normalize_stage(&ledger_norm, data, c))
         })
-        .stage("shard", S::Shard, move |data: MaterialsData, c| {
-            shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                "materials",
-                data,
-                c,
-            )
+        .stage("encode", S::Structure, move |item: I, c| {
+            item.try_map(|data| encode_stage(&cfg_encode, data, c))
+        })
+        .stage("shard", S::Shard, move |item: I, c| {
+            let prefix = item.shard_prefix("materials");
+            item.try_map(|data| {
+                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
+            })
         })
         .build()
+}
+
+/// Build the materials pipeline over one [`MaterialsData`].
+pub fn build_pipeline(
+    cfg: &MaterialsConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<MaterialsData> {
+    stage_graph(cfg, sink, ledger)
 }
 
 /// One batch member's parsed input: generate and parse a member-seeded
@@ -521,43 +526,13 @@ pub fn member_input(cfg: &MaterialsConfig, member: usize) -> Result<MaterialsDat
     })
 }
 
-/// Build the materials pipeline over `(member, data)` items for batch
-/// execution: same stage bodies as [`build_pipeline`], with each
-/// member's BP + JSONL shards written under `materials/m<member>/`.
+/// Build the same pipeline over batch [`Member`]s.
 pub fn build_batch_pipeline(
     cfg: &MaterialsConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
-) -> Pipeline<(usize, MaterialsData)> {
-    let cfg_encode = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
-
-    Pipeline::builder("materials-batch")
-        .stage(
-            "parse",
-            S::Ingest,
-            |(m, data): (usize, MaterialsData), c| parse_stage(data, c).map(|data| (m, data)),
-        )
-        .stage("normalize", S::Transform, move |(m, data), c| {
-            normalize_stage(&ledger_norm, data, c).map(|data| (m, data))
-        })
-        .stage("encode", S::Structure, move |(m, data), c| {
-            encode_stage(&cfg_encode, data, c).map(|data| (m, data))
-        })
-        .stage("shard", S::Shard, move |(m, data), c| {
-            shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                &format!("materials/m{m}"),
-                data,
-                c,
-            )
-            .map(|data| (m, data))
-        })
-        .build()
+) -> Pipeline<Member<MaterialsData>> {
+    stage_graph(cfg, sink, ledger)
 }
 
 /// Run a batch of materials datasets through the streaming
@@ -570,46 +545,15 @@ pub fn run_streaming_batch(
     members: usize,
     exec: &ExecutorConfig,
 ) -> Result<DomainBatchRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.materials.run_batch");
-    let _in_run = run_span.enter();
-    let ledger = Arc::new(Ledger::new());
-    let pipeline = build_batch_pipeline(cfg, sink.clone(), ledger.clone());
-    let mut items = Vec::with_capacity(members);
-    for m in 0..members {
-        items.push((m, member_input(cfg, m)?));
-    }
-    let (_outputs, stages) = pipeline.run_batch_streaming(items, exec)?;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("materials/") && n.ends_with(".bp"))
-        .collect();
-    run_span.add_items(members as u64);
-    Ok(DomainBatchRun {
+    crate::run_streaming_members(
+        "materials",
+        ".bp",
+        sink,
+        exec,
+        |sink, ledger| build_batch_pipeline(cfg, sink, ledger),
         members,
-        stages,
-        ledger,
-        shard_files,
-    })
-}
-
-/// [`run_streaming_batch`] under a live monitor — same contract as
-/// [`crate::climate::run_streaming_batch_monitored`]: executor time
-/// series sampled at `mon.interval`, default
-/// [`executor_health_spec`] rules, optional live progress lines, and
-/// the [`MonitorReport`] returned next to the batch result.
-pub fn run_streaming_batch_monitored(
-    cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-    mon: &MonitorOptions,
-) -> Result<(DomainBatchRun, MonitorReport), DomainError> {
-    let spec = executor_health_spec(exec, 4);
-    crate::monitored_run("materials-batch", members as u64, mon, spec, || {
-        run_streaming_batch(cfg, sink, members, exec)
-    })
+        |m| member_input(cfg, m),
+    )
 }
 
 /// Run the complete materials archetype.
@@ -671,11 +615,7 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
     manifest.split_assigned = true;
     manifest.sharded = true;
 
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("materials/") && n.ends_with(".bp"))
-        .collect();
+    let shard_files = crate::shard_files(sink.as_ref(), "materials/", ".bp")?;
 
     run_span.add_items(manifest.records);
     Ok(DomainRun {
@@ -896,33 +836,5 @@ mod tests {
         let a = member_input(&cfg, 0).unwrap();
         let b = member_input(&cfg, 1).unwrap();
         assert_ne!(a.frames[0].atoms[0].position, b.frames[0].atoms[0].position);
-    }
-
-    #[test]
-    fn streaming_batch_monitored_records_executor_series() {
-        use drai_telemetry::{Registry, TraceContext};
-        let reg = Registry::new();
-        let _scope = TraceContext::root(&reg).attach();
-        let cfg = small_cfg();
-        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let mon = MonitorOptions {
-            interval: std::time::Duration::from_millis(1),
-            ..MonitorOptions::default()
-        };
-        let (run, report) =
-            run_streaming_batch_monitored(&cfg, sink, 3, &ExecutorConfig::default(), &mon).unwrap();
-        assert_eq!(run.members, 3);
-        // The closing sample guarantees the executor series exist even
-        // when the run beats the first interval.
-        assert!(report.ticks >= 1);
-        let done = report
-            .series_named("executor.items_completed")
-            .expect("live progress counter sampled");
-        assert_eq!(done.latest().unwrap().value, 3.0);
-        assert!(report.series_named("executor.queue_depth").is_some());
-        // Artifact round-trips through the JSONL schema.
-        let text = report.to_jsonl();
-        let parsed = drai_telemetry::monitor::MonitorReport::parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.to_jsonl(), text);
     }
 }

@@ -1,14 +1,16 @@
-//! Running the four archetypes as multi-tenant service jobs.
+//! Running the archetypes as multi-tenant service jobs.
 //!
 //! The paper's "shared facility" framing: preprocessing runs as a
 //! service many groups submit to, not a library one caller drives.
-//! These helpers wrap each archetype in a `drai_sched::JobSpec` — the
-//! cost estimate is the archetype's natural work unit (ensemble
-//! members, shots, patients, structures), the closure drives the
-//! streaming executor with the scheduler's `ExecutorConfig`, and
-//! batch archetypes thread the job's `CancelToken` into
-//! `run_batch_streaming_cancellable` so load shedding and handle
-//! cancellation drain cooperatively.
+//! Two helpers wrap any archetype in a `drai_sched::JobSpec`:
+//! [`submit_batch`] for the batch pipelines (climate, materials —
+//! plain or cached), whose closure drives the streaming executor with
+//! the scheduler's `ExecutorConfig` and threads the job's `CancelToken`
+//! into `run_batch_streaming_cancellable` so load shedding and handle
+//! cancellation drain cooperatively, and [`submit_run`] for the
+//! monolithic `run` entry points (fusion, bio). The caller states the
+//! cost in the archetype's natural work unit (ensemble members, shots,
+//! patients, structures).
 //!
 //! [`estimate_climate_batch_cost`] shows the cache-aware admission
 //! path: members whose regrid entry already exists in the
@@ -16,122 +18,64 @@
 //! read) are expected to fast-path through the chain, so they count a
 //! fraction of a cold member toward quotas and the in-flight gate.
 
-use crate::bio::{self, BioConfig};
-use crate::cached::{self, Member};
+use crate::cached;
 use crate::climate::{self, ClimateConfig};
-use crate::fusion::{self, FusionConfig};
-use crate::materials::{self, MaterialsConfig};
+use crate::{DomainError, DomainRun, Member};
 use drai_cache::{CacheBytes, CacheKey, StageCache};
+use drai_core::pipeline::Pipeline;
 use drai_core::StreamingBatchExt;
-use drai_io::sink::StorageSink;
-use drai_provenance::Ledger;
 use drai_sched::{JobHandle, JobOutput, JobSpec, Rejected, Scheduler};
-use std::sync::Arc;
 
-/// Submit a climate ensemble (`members` member-seeded inputs through
-/// the streaming `validate → regrid → normalize → shard` chain) as a
-/// job for `tenant`. Cost = `members`.
-pub fn submit_climate_batch(
+/// Submit a batch as a job for `tenant`: when dispatched, members
+/// `0..members` are made by `member_input` and streamed through
+/// `pipeline` (any batch pipeline — e.g.
+/// [`climate::build_batch_pipeline`],
+/// [`cached::build_cached_climate_batch_pipeline`]) under the job's
+/// executor configuration and cancel token. `cost` is what the job
+/// counts toward quotas — `members` for a cold batch.
+pub fn submit_batch<D: Send + 'static>(
     sched: &Scheduler,
     tenant: &str,
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
+    label: &str,
+    cost: u64,
+    pipeline: Pipeline<Member<D>>,
     members: usize,
+    member_input: impl Fn(usize) -> Result<D, DomainError> + Send + 'static,
 ) -> Result<JobHandle, Rejected> {
-    let cfg = cfg.clone();
-    let spec = JobSpec::new(tenant, "climate_batch", members as u64, move |ctx| {
-        let ledger = Arc::new(Ledger::new());
-        let pipeline = climate::build_batch_pipeline(&cfg, sink, ledger);
-        let items: Vec<(usize, climate::ClimateData)> = (0..members)
-            .map(|m| (m, climate::member_input(&cfg, m)))
-            .collect();
+    let detail = format!("{label}: {members} members");
+    let spec = JobSpec::new(tenant, label, cost, move |ctx| {
+        let items = crate::member_items(members, member_input).map_err(|e| e.to_string())?;
         pipeline
             .run_batch_streaming_cancellable(items, &ctx.exec, &ctx.cancel)
             .map_err(|e| e.to_string())?;
         Ok(JobOutput {
             items: members as u64,
-            detail: format!("climate ensemble: {members} members sharded"),
+            detail,
         })
     });
     sched.submit(spec)
 }
 
-/// Submit a materials batch (`members` member-seeded structure sets
-/// through `parse → normalize → encode → shard`) as a job for
-/// `tenant`. Cost = `members`.
-pub fn submit_materials_batch(
+/// Submit one monolithic archetype run (e.g. `|| fusion::run(&cfg,
+/// sink)`) as a job for `tenant`. The run cannot be interrupted, so
+/// cancellation is honoured at the dispatch boundary (a job cancelled
+/// while queued never starts).
+pub fn submit_run(
     sched: &Scheduler,
     tenant: &str,
-    cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
+    label: &str,
+    cost: u64,
+    run: impl FnOnce() -> Result<DomainRun, DomainError> + Send + 'static,
 ) -> Result<JobHandle, Rejected> {
-    let cfg = cfg.clone();
-    let spec = JobSpec::new(tenant, "materials_batch", members as u64, move |ctx| {
-        let ledger = Arc::new(Ledger::new());
-        let pipeline = materials::build_batch_pipeline(&cfg, sink, ledger);
-        let mut items = Vec::with_capacity(members);
-        for m in 0..members {
-            items.push((
-                m,
-                materials::member_input(&cfg, m).map_err(|e| e.to_string())?,
-            ));
-        }
-        pipeline
-            .run_batch_streaming_cancellable(items, &ctx.exec, &ctx.cancel)
-            .map_err(|e| e.to_string())?;
-        Ok(JobOutput {
-            items: members as u64,
-            detail: format!("materials batch: {members} members encoded"),
-        })
-    });
-    sched.submit(spec)
-}
-
-/// Submit one fusion shot-store extraction (`extract → align →
-/// normalize → shard`) as a job for `tenant`. Cost = shots. The run is
-/// monolithic, so cancellation is honoured at the dispatch boundary
-/// (a job cancelled while queued never starts).
-pub fn submit_fusion_run(
-    sched: &Scheduler,
-    tenant: &str,
-    cfg: &FusionConfig,
-    sink: Arc<dyn StorageSink>,
-) -> Result<JobHandle, Rejected> {
-    let cfg = cfg.clone();
-    let cost = cfg.shots as u64;
-    let spec = JobSpec::new(tenant, "fusion_run", cost, move |ctx| {
+    let detail = format!("{label}: cost {cost}");
+    let spec = JobSpec::new(tenant, label, cost, move |ctx| {
         if ctx.cancel.is_cancelled() {
             return Err("cancelled before start".to_string());
         }
-        let run = fusion::run(&cfg, sink).map_err(|e| e.to_string())?;
+        let run = run().map_err(|e| e.to_string())?;
         Ok(JobOutput {
             items: run.manifest.records,
-            detail: format!("fusion: {} shots windowed", cfg.shots),
-        })
-    });
-    sched.submit(spec)
-}
-
-/// Submit one bio/health cohort (`encode → anonymize → fuse →
-/// secure-shard`) as a job for `tenant`. Cost = patients. Monolithic
-/// run; cancellation is honoured at the dispatch boundary.
-pub fn submit_bio_run(
-    sched: &Scheduler,
-    tenant: &str,
-    cfg: &BioConfig,
-    sink: Arc<dyn StorageSink>,
-) -> Result<JobHandle, Rejected> {
-    let cfg = cfg.clone();
-    let cost = cfg.patients as u64;
-    let spec = JobSpec::new(tenant, "bio_run", cost, move |ctx| {
-        if ctx.cancel.is_cancelled() {
-            return Err("cancelled before start".to_string());
-        }
-        let run = bio::run(&cfg, sink).map_err(|e| e.to_string())?;
-        Ok(JobOutput {
-            items: run.manifest.records,
-            detail: format!("bio: {} patients fused", cfg.patients),
+            detail,
         })
     });
     sched.submit(spec)
@@ -140,9 +84,10 @@ pub fn submit_bio_run(
 /// Cache-aware cost estimate for a cached climate batch: a cold member
 /// costs 1, a member whose regrid entry is already present (checked
 /// with the O(1) [`StageCache::contains`] metadata probe against the
-/// exact key `cached_stage` will compute) is expected to fast-path and
-/// costs nothing. Clamped to ≥ 1 so a fully warm batch still passes
-/// admission as one cost unit. Returns `(estimated_cost, warm_members)`.
+/// exact key the cached `regrid` stage will compute) is expected to
+/// fast-path and costs nothing. Clamped to ≥ 1 so a fully warm batch
+/// still passes admission as one cost unit. Returns
+/// `(estimated_cost, warm_members)`.
 pub fn estimate_climate_batch_cost(
     cfg: &ClimateConfig,
     cache: &StageCache,
@@ -162,44 +107,18 @@ pub fn estimate_climate_batch_cost(
     (((members - warm) as u64).max(1), warm)
 }
 
-/// [`submit_climate_batch`] through the cached climate batch pipeline:
-/// the cost estimate shrinks by the members whose regrid entries are
-/// already warm (see [`estimate_climate_batch_cost`]), so a replayed
-/// ensemble consumes almost none of the tenant's quota.
-pub fn submit_climate_batch_cached(
-    sched: &Scheduler,
-    tenant: &str,
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    cache: Arc<StageCache>,
-    members: usize,
-) -> Result<JobHandle, Rejected> {
-    let (cost, _warm) = estimate_climate_batch_cost(cfg, &cache, members);
-    let cfg = cfg.clone();
-    let spec = JobSpec::new(tenant, "climate_batch_cached", cost, move |ctx| {
-        let ledger = Arc::new(Ledger::new());
-        let pipeline = cached::build_cached_climate_batch_pipeline(&cfg, sink, ledger, cache);
-        let items: Vec<Member<climate::ClimateData>> = (0..members)
-            .map(|m| Member(m, climate::member_input(&cfg, m)))
-            .collect();
-        pipeline
-            .run_batch_streaming_cancellable(items, &ctx.exec, &ctx.cancel)
-            .map_err(|e| e.to_string())?;
-        Ok(JobOutput {
-            items: members as u64,
-            detail: format!("cached climate ensemble: {members} members"),
-        })
-    });
-    sched.submit(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_io::sink::MemSink;
+    use crate::bio::{self, BioConfig};
+    use crate::fusion::{self, FusionConfig};
+    use crate::materials::{self, MaterialsConfig};
+    use drai_io::sink::{MemSink, StorageSink};
+    use drai_provenance::Ledger;
     use drai_sched::{JobOutcome, SchedulerConfig, TenantConfig};
     use drai_telemetry::monitor::ManualClock;
     use drai_telemetry::{Registry, TraceContext};
+    use std::sync::Arc;
 
     fn small_climate() -> ClimateConfig {
         ClimateConfig {
@@ -216,55 +135,82 @@ mod tests {
         ))
     }
 
+    /// A climate ensemble through the cached batch pipeline, costed by
+    /// [`estimate_climate_batch_cost`].
+    fn submit_cached_climate(
+        s: &Scheduler,
+        cfg: &ClimateConfig,
+        sink: Arc<dyn StorageSink>,
+        cache: Arc<StageCache>,
+        members: usize,
+    ) -> Result<JobHandle, Rejected> {
+        let (cost, _warm) = estimate_climate_batch_cost(cfg, &cache, members);
+        let pipeline =
+            cached::build_cached_climate_batch_pipeline(cfg, sink, Arc::new(Ledger::new()), cache);
+        let cfg = cfg.clone();
+        submit_batch(
+            s,
+            "lab",
+            "climate_batch_cached",
+            cost,
+            pipeline,
+            members,
+            move |m| Ok(climate::member_input(&cfg, m)),
+        )
+    }
+
     #[test]
     fn all_four_archetypes_run_as_jobs() {
         let reg = Registry::new();
         TraceContext::root(&reg).scope(|| {
             let s = sched();
-            let climate_h = submit_climate_batch(
+            let ledger = || Arc::new(Ledger::new());
+            let climate_cfg = small_climate();
+            let climate_h = submit_batch(
                 &s,
                 "climate_lab",
-                &small_climate(),
-                Arc::new(MemSink::new()),
+                "climate_batch",
                 2,
+                climate::build_batch_pipeline(&climate_cfg, Arc::new(MemSink::new()), ledger()),
+                2,
+                move |m| Ok(climate::member_input(&climate_cfg, m)),
             )
             .unwrap();
-            let materials_h = submit_materials_batch(
+            let materials_cfg = MaterialsConfig {
+                structures: 4,
+                cell_atoms: 2,
+                ..MaterialsConfig::default()
+            };
+            let materials_h = submit_batch(
                 &s,
                 "matsci",
-                &MaterialsConfig {
-                    structures: 4,
-                    cell_atoms: 2,
-                    ..MaterialsConfig::default()
-                },
-                Arc::new(MemSink::new()),
+                "materials_batch",
                 2,
+                materials::build_batch_pipeline(&materials_cfg, Arc::new(MemSink::new()), ledger()),
+                2,
+                move |m| materials::member_input(&materials_cfg, m),
             )
             .unwrap();
-            let fusion_h = submit_fusion_run(
-                &s,
-                "tokamak",
-                &FusionConfig {
-                    shots: 2,
-                    shot_seconds: 0.05,
-                    window_len: 16,
-                    window_stride: 16,
-                    ..FusionConfig::default()
-                },
-                Arc::new(MemSink::new()),
-            )
+            let fusion_cfg = FusionConfig {
+                shots: 2,
+                shot_seconds: 0.05,
+                window_len: 16,
+                window_stride: 16,
+                ..FusionConfig::default()
+            };
+            let fusion_h = submit_run(&s, "tokamak", "fusion_run", 2, move || {
+                fusion::run(&fusion_cfg, Arc::new(MemSink::new()))
+            })
             .unwrap();
-            let bio_h = submit_bio_run(
-                &s,
-                "clinic",
-                &BioConfig {
-                    patients: 4,
-                    tile_len: 32,
-                    k: 2,
-                    ..BioConfig::default()
-                },
-                Arc::new(MemSink::new()),
-            )
+            let bio_cfg = BioConfig {
+                patients: 4,
+                tile_len: 32,
+                k: 2,
+                ..BioConfig::default()
+            };
+            let bio_h = submit_run(&s, "clinic", "bio_run", 4, move || {
+                bio::run(&bio_cfg, Arc::new(MemSink::new()))
+            })
             .unwrap();
             let transcript = s.run_until_idle();
             assert_eq!(transcript.len(), 4);
@@ -291,9 +237,7 @@ mod tests {
 
             // Populate the cache by running the cached batch once.
             let s = sched();
-            let h =
-                submit_climate_batch_cached(&s, "lab", &cfg, sink.clone(), cache.clone(), members)
-                    .unwrap();
+            let h = submit_cached_climate(&s, &cfg, sink.clone(), cache.clone(), members).unwrap();
             s.run_until_idle();
             assert!(matches!(h.wait(), JobOutcome::Completed(_)));
 
@@ -316,17 +260,25 @@ mod tests {
 
             // Warm the cache first.
             let s0 = sched();
-            submit_climate_batch_cached(&s0, "lab", &cfg, sink.clone(), cache.clone(), members)
-                .unwrap();
+            submit_cached_climate(&s0, &cfg, sink.clone(), cache.clone(), members).unwrap();
             s0.run_until_idle();
 
             // A quota of 2 cost units rejects the cold submission (cost
             // 3) but admits the warm one (cost 1).
             let s = sched();
             s.register_tenant(TenantConfig::new("lab").cost_quota(2));
-            let cold = submit_climate_batch(&s, "lab", &cfg, sink.clone(), members);
+            let cold_cfg = cfg.clone();
+            let cold = submit_batch(
+                &s,
+                "lab",
+                "climate_batch",
+                members as u64,
+                climate::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new())),
+                members,
+                move |m| Ok(climate::member_input(&cold_cfg, m)),
+            );
             assert!(matches!(cold, Err(Rejected::QuotaExceeded { .. })));
-            let warm = submit_climate_batch_cached(&s, "lab", &cfg, sink, cache, members);
+            let warm = submit_cached_climate(&s, &cfg, sink, cache, members);
             assert!(warm.is_ok());
             s.run_until_idle();
         });

@@ -1,0 +1,145 @@
+//! Golden pins, recorded at the commit before the domain stage graphs
+//! were collapsed to one declaration each (ISSUE 12): the content hash
+//! of every blob a small climate and a small materials run shard, and
+//! the cache key the cached `regrid` stage computes for one ensemble
+//! member. A refactor of how the pipelines are *declared* must leave
+//! all of them unchanged — shard bytes are what downstream training
+//! reads, and a moved key would silently turn every cache entry written
+//! by an earlier build into a miss.
+
+use drai_cache::StageCache;
+use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+use drai_domains::cached::{self, Member};
+use drai_domains::climate::{self, ClimateConfig};
+use drai_domains::materials::{self, MaterialsConfig};
+use drai_io::checksum::{content_hash128, hash_hex};
+use drai_io::sink::{MemSink, StorageSink};
+use drai_provenance::Ledger;
+use drai_tensor::LatLonGrid;
+use std::sync::Arc;
+
+fn climate_cfg() -> ClimateConfig {
+    ClimateConfig {
+        src_grid: LatLonGrid::global(12, 24),
+        dst_grid: LatLonGrid::global(8, 16),
+        timesteps: 6,
+        seed: 7,
+        shard_bytes: 64 * 1024,
+        ..ClimateConfig::default()
+    }
+}
+
+fn materials_cfg() -> MaterialsConfig {
+    MaterialsConfig {
+        structures: 6,
+        cell_atoms: 2,
+        seed: 11,
+        ..MaterialsConfig::default()
+    }
+}
+
+/// `"<name> <content hash>"` of every blob under `prefix`, sorted by name.
+fn digests(sink: &MemSink, prefix: &str) -> Vec<String> {
+    let mut names: Vec<String> = sink
+        .list()
+        .expect("list")
+        .into_iter()
+        .filter(|n| n.starts_with(prefix))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let hash = hash_hex(&content_hash128(&sink.read_file(&n).expect("read")));
+            format!("{n} {hash}")
+        })
+        .collect()
+}
+
+#[test]
+fn climate_run_shards_match_golden() {
+    let sink = Arc::new(MemSink::new());
+    climate::run(&climate_cfg(), sink.clone()).expect("climate run");
+    assert_eq!(
+        digests(&sink, "climate/"),
+        &[
+            "climate/test-00000.shard aefc3763486c9f28152128cecb097050",
+            "climate/test.manifest.json 235423fea62a8546abb9eb70bb854824",
+            "climate/train-00000.shard 58a315a91978bb959728c2f6d30665e5",
+            "climate/train.manifest.json 9f1cdddc635219c30a84cc4a5beb7aae",
+            "climate/val-00000.shard 9d6d2bf624d0d47abd6ef2cd4311a3aa",
+            "climate/val.manifest.json 4da2ca721e1bf0e82a02002897ca8965",
+        ],
+    );
+}
+
+#[test]
+fn climate_streaming_batch_shards_match_golden() {
+    let sink = Arc::new(MemSink::new());
+    climate::run_streaming_batch(&climate_cfg(), sink.clone(), 2, &ExecutorConfig::default())
+        .expect("climate batch");
+    assert_eq!(
+        digests(&sink, "climate/"),
+        &[
+            "climate/m0/test-00000.shard aefc3763486c9f28152128cecb097050",
+            "climate/m0/test.manifest.json b2022c4a0ce24b8491f8801eb1996da9",
+            "climate/m0/train-00000.shard 58a315a91978bb959728c2f6d30665e5",
+            "climate/m0/train.manifest.json 78a45996c5ee720450c1ebb387d0e62f",
+            "climate/m0/val-00000.shard 9d6d2bf624d0d47abd6ef2cd4311a3aa",
+            "climate/m0/val.manifest.json f7e187049eee87b25b5f0505efb1511f",
+            "climate/m1/test-00000.shard fcc965f3e4c8266ed0193c95acd28839",
+            "climate/m1/test.manifest.json 950919dd74cc9a535088e6e762c418ee",
+            "climate/m1/train-00000.shard 330d46577c3d7bd917fe1fd1e960c895",
+            "climate/m1/train.manifest.json 1e312969cfbee1d8c8cf523bcb7a94e8",
+            "climate/m1/val-00000.shard 0d87ec3d05e0939b9f2f647d4de8cb16",
+            "climate/m1/val.manifest.json 392b932dd6b21b2c211ecd51fb68b825",
+        ],
+    );
+}
+
+#[test]
+fn materials_run_shards_match_golden() {
+    let sink = Arc::new(MemSink::new());
+    materials::run(&materials_cfg(), sink.clone()).expect("materials run");
+    assert_eq!(
+        digests(&sink, "materials/"),
+        &[
+            "materials/train.bp 1bd53fa7426f768e9d16fed9fa4dc597",
+            "materials/train.jsonl 247160f7659cff99a518f4a74bc3f0f2",
+            "materials/val.bp 7def9493a82e668f01513d8057f24360",
+            "materials/val.jsonl 73b369e60c15e870195a3399f0deb6ca",
+        ],
+    );
+}
+
+/// The key is read back from the blob name the cached stage stored its
+/// entry under, so this pins what the pipeline computes, not a
+/// re-derivation of it.
+#[test]
+fn cached_regrid_key_for_member_3_matches_golden() {
+    let cfg = climate_cfg();
+    let cache_sink = Arc::new(MemSink::new());
+    let cache = Arc::new(StageCache::new(cache_sink.clone(), 64 << 20));
+    let pipeline = cached::build_cached_climate_batch_pipeline(
+        &cfg,
+        Arc::new(MemSink::new()),
+        Arc::new(Ledger::new()),
+        cache,
+    );
+    pipeline
+        .run_batch_streaming(
+            vec![Member(3, climate::member_input(&cfg, 3))],
+            &ExecutorConfig::default(),
+        )
+        .expect("cold pass");
+    let regrid_entries: Vec<String> = cache_sink
+        .list()
+        .expect("list")
+        .into_iter()
+        .filter(|n| n.starts_with("cache/regrid/"))
+        .collect();
+    assert_eq!(
+        regrid_entries,
+        ["cache/regrid/8c491f6b09d04558cf6001f60fe710fa.entry"]
+    );
+}

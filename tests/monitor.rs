@@ -11,13 +11,12 @@
 //!   last `capacity` points, oldest-first, ticks strictly increasing.
 
 use drai::core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
-use drai::domains::climate;
+use drai::core::pipeline::StageCounters;
+use drai::domains::{climate, monitored, Member};
 use drai::io::fault::FaultConfig;
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
-use drai::telemetry::monitor::{
-    ManualClock, MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
-};
+use drai::telemetry::monitor::{ManualClock, MonitorReport, Sampler, SamplerConfig};
 use drai::telemetry::{Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
@@ -51,32 +50,26 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
     let cfg = small_cfg();
     let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
     let exec = ExecutorConfig::default();
-    let pipeline = climate::build_batch_pipeline_slowed(
-        &cfg,
-        sink,
-        Arc::new(Ledger::new()),
-        slow,
-        Duration::from_millis(12),
-    );
-    let items: Vec<(usize, climate::ClimateData)> = (0..members)
-        .map(|m| (m, climate::member_input(&cfg, m)))
+    // The slow-down is layered on from here: the library declares the
+    // stage graph once and carries no delay hook.
+    let lag = Duration::from_millis(12);
+    let pipeline = climate::build_batch_pipeline(&cfg, sink, Arc::new(Ledger::new()))
+        .decorate_stage(slow, |func| {
+            let slowed = move |item: Member<climate::ClimateData>, c: &mut StageCounters| {
+                std::thread::sleep(lag);
+                func(item, c)
+            };
+            (Arc::new(slowed), None)
+        });
+    let items: Vec<Member<climate::ClimateData>> = (0..members)
+        .map(|m| Member(m, climate::member_input(&cfg, m)))
         .collect();
 
-    let sampler = Sampler::new(
-        &registry,
-        Arc::new(WallMonitorClock::new()),
-        SamplerConfig {
-            capacity: 512,
-            progress: Some(ProgressTarget {
-                counter: "executor.items_completed".to_string(),
-                total: members as u64,
-            }),
-        },
-        executor_health_spec(&exec, STAGES.len()),
-    );
-    let handle = sampler.start(Duration::from_millis(1));
-    let (_outputs, _stages) = pipeline.run_batch_streaming(items, &exec).unwrap();
-    let report = handle.stop();
+    let spec = executor_health_spec(&exec, STAGES.len());
+    let (result, report) = monitored(members as u64, spec, None, || {
+        pipeline.run_batch_streaming(items, &exec)
+    });
+    result.unwrap();
     drop(scope);
 
     // The injected 12 ms/item lag dominates every other stage on this

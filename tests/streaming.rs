@@ -160,11 +160,9 @@ fn corrupting_cache_storage_cannot_alter_streamed_outputs() {
 
     let build = |cache: Arc<StageCache>| -> Pipeline<Vec<u8>> {
         Pipeline::builder("faulted")
-            .cached_stage(
+            .stage(
                 "scale",
                 S::Transform,
-                cache,
-                b"fp".to_vec(),
                 |mut v: Vec<u8>, c: &mut StageCounters| {
                     v.iter_mut().for_each(|b| *b = b.wrapping_mul(31));
                     c.records = 1;
@@ -173,6 +171,7 @@ fn corrupting_cache_storage_cannot_alter_streamed_outputs() {
                 },
             )
             .build()
+            .cached("scale", cache, b"fp".to_vec())
     };
     // 30% of cache writes land bit-flipped: warm reads must detect the
     // damage by digest, quarantine the entry and recompute.
