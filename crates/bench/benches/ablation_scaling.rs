@@ -1,14 +1,15 @@
 //! ABL-SCALE — parallel scaling of the preprocessing stages.
 //!
 //! §4's guiding principles call for "alignment with HPC infrastructure
-//! for parallel training". This bench sweeps rayon thread counts over the
-//! batch pipeline and the prefetching reader to show the scaling shape
+//! for parallel training". This bench sweeps worker counts over the
+//! batch executor and the prefetching reader to show the scaling shape
 //! (near-linear until memory-bandwidth/IO bound). The simulated
 //! stripe-count scaling (virtual time, not wall time) is produced by the
 //! `stripe_scaling` binary instead — criterion can only measure wall
 //! clocks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::Pipeline;
 use drai_core::readiness::ProcessingStage;
 use drai_io::parallel::prefetch_map;
@@ -50,10 +51,11 @@ fn bench_thread_scaling(c: &mut Criterion) {
     }
 
     for &nt in &threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(nt)
-            .build()
-            .expect("thread pool");
+        // One stage, so the executor's pool is exactly `nt` workers.
+        let exec = ExecutorConfig {
+            workers_per_stage: nt,
+            ..ExecutorConfig::default()
+        };
         let pipeline: Pipeline<Vec<f64>> = Pipeline::builder("scaling")
             .stage("normalize", ProcessingStage::Transform, |v: Vec<f64>, c| {
                 c.records = 1;
@@ -63,7 +65,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("pipeline-batch", nt), |b| {
             b.iter_batched(
                 || items.clone(),
-                |batch| pool.install(|| pipeline.run_batch(batch).unwrap()),
+                |batch| pipeline.run_batch_streaming(batch, &exec).unwrap(),
                 criterion::BatchSize::LargeInput,
             )
         });

@@ -274,12 +274,10 @@ fn bench_cache_warm(st: &CacheBenchState) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared state for the `stream_climate_batch_{cold,warm,rayon}` trio.
-/// `cold` and `rayon` run the *same* uncached batch pipeline over the
-/// same member-tagged ensemble — streaming executor vs `run_batch`'s
-/// whole-batch rayon path, the parity comparison. `warm` runs the
-/// cached batch pipeline against a primed cache, so every stage
-/// short-circuits its channel hop (fast-path replay).
+/// Shared state for the `stream_climate_batch_{cold,warm}` pair over
+/// one member-tagged ensemble on the streaming executor. `cold` runs
+/// the uncached batch pipeline; `warm` runs the cached batch pipeline
+/// against a primed cache, so every cached stage is a fast-path hit.
 struct StreamBenchState {
     cfg: climate::ClimateConfig,
     items: Vec<Member<ClimateData>>,
@@ -332,13 +330,6 @@ fn bench_stream_warm(st: &StreamBenchState) -> Result<(), String> {
     );
     p.run_batch_streaming(st.items.clone(), &st.exec)
         .map_err(|e| format!("{e}"))?;
-    Ok(())
-}
-
-fn bench_stream_rayon(st: &StreamBenchState) -> Result<(), String> {
-    let p =
-        climate::build_batch_pipeline(&st.cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-    p.run_batch(st.items.clone()).map_err(|e| format!("{e}"))?;
     Ok(())
 }
 
@@ -735,7 +726,7 @@ fn run_monitor(args: &Args, pr: u64, sz: &Sizes, repo_root: &Path) -> Result<Exi
 
     // One spec, two subsystems: executor backpressure rules plus the
     // scheduler's overload/stall rules.
-    let mut spec = executor_health_spec(&exec, 4);
+    let mut spec = executor_health_spec(&exec);
     for r in scheduler_health_spec(&scfg).rules() {
         spec = spec.rule(&r.name, &r.metric, r.cond);
     }
@@ -881,8 +872,7 @@ fn run() -> Result<ExitCode, String> {
     let warm_state = cache_state;
     let stream_state = Arc::new(prepare_stream_bench(&sz)?);
     let stream_cold = stream_state.clone();
-    let stream_warm = stream_state.clone();
-    let stream_rayon = stream_state;
+    let stream_warm = stream_state;
 
     let benches: Vec<(&str, BenchFn)> = vec![
         ("fig1_pipeline", Box::new(bench_fig1)),
@@ -905,10 +895,6 @@ fn run() -> Result<ExitCode, String> {
         (
             "stream_climate_batch_warm",
             Box::new(move |_: &Registry, _: &Sizes| bench_stream_warm(&stream_warm)),
-        ),
-        (
-            "stream_climate_batch_rayon",
-            Box::new(move |_: &Registry, _: &Sizes| bench_stream_rayon(&stream_rayon)),
         ),
         (
             "sched_fairness",

@@ -152,7 +152,7 @@ fn smoke_run_produces_report_and_trace_artifacts() {
     let report =
         Report::parse(&std::fs::read_to_string(dir.join("BENCH_8.json")).unwrap()).unwrap();
     assert_eq!(report.mode, "smoke");
-    assert_eq!(report.benches.len(), 15);
+    assert_eq!(report.benches.len(), 14);
     for b in &report.benches {
         assert!(b.wall_ns > 0, "{} has zero wall time", b.name);
         assert!(!b.stages.is_empty(), "{} has no stages", b.name);

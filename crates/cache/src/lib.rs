@@ -515,12 +515,11 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         config_fp: Vec<u8>,
         check: impl Fn(&T) -> bool + Send + Sync + 'static,
     ) -> Self {
-        // The probe is the stage's *fast path*: sequential runs try it
-        // immediately before the function, and the streaming executor
-        // probes it on the sending side of a channel so a hit skips the
-        // stage's channel hop entirely. Exactly one probe happens per
-        // stage execution either way, so hit/miss counters are
-        // identical across `run`, `run_batch` and streaming.
+        // The probe is the stage's *fast path*: `Pipeline::run` and the
+        // batch executor's workers both try it immediately before the
+        // function (through the one `execute_stage`), so exactly one
+        // probe happens per stage execution and hit/miss counters are
+        // identical across `run` and streaming.
         let probe_name = stage.to_string();
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();

@@ -1,56 +1,53 @@
-//! Streaming, bounded-memory batch executor.
+//! The batch engine: a bounded worker pool in which each worker
+//! follows one item through the whole pipeline.
 //!
-//! `Pipeline::run_batch` materializes every item and barriers on one
-//! rayon collect: stage work never overlaps *across* items and peak
-//! memory grows linearly with batch size. This module runs the same
-//! pipeline as a pipelined chain instead — one bounded channel per
-//! stage boundary, a small worker pool per stage — so item 7 can be
-//! sharding while item 9 is still regridding, and at most
-//! `O(channel_capacity × stages)` items are resident at once
+//! A pool of `workers_per_stage × stages` threads (capped at the batch
+//! size) shares the input iterator. Each worker takes the next
+//! `(index, item)`, carries it through **every** stage by calling
+//! [`Pipeline::execute_stage`] — the function `Pipeline::run` calls,
+//! fast path included — and hands the finished item to the collector
+//! over one bounded channel. Item 7 can be sharding while item 9 is
+//! still regridding, no stage is pinned to one thread, and at most
+//! `pool + channel_capacity` items sit between input and output
 //! regardless of batch size (the paper's Figure 1 streaming
 //! raw→AI-ready flow, rather than a batch barrier).
 //!
-//! Semantics match `run_batch`:
+//! The specification of a batch is "each item alone through
+//! `Pipeline::run`, in input order":
 //!
 //! * outputs preserve input order;
 //! * on failure the error of the *lowest input index* wins,
 //!   deterministically — after any failure, later-index items are
-//!   drained (received and dropped) so the chain never deadlocks,
-//!   while earlier-index items keep running in case one of them fails
-//!   with a smaller index;
-//! * a panic inside a stage is caught in the worker, the chain drains,
+//!   dropped without work, while earlier-index items keep running in
+//!   case one of them fails with a smaller index;
+//! * a panic inside a stage is caught in the worker, the pool drains,
 //!   and the panic resumes on the calling thread;
 //! * a failed batch publishes no merged per-stage metrics;
 //! * an empty batch returns one zeroed [`StageMetrics`] per stage.
 //!
-//! Stages with a fast path (installed through
-//! [`Pipeline::decorate_stage`], e.g. `drai-cache`'s probes) are probed
-//! on the *sending* side: a hit short-circuits the stage's channel hop
-//! entirely, so a fully-warm item can travel from the feeder to the
-//! output without ever being queued.
-//!
 //! Telemetry (registered in `drai_telemetry::METRIC_FAMILIES`):
-//! `executor.queue_depth` (gauge over all queued items; its high-water
-//! mark bounds resident items), `executor.stall_ns` (histogram of time
-//! producers spend blocked on a full downstream channel — the
-//! backpressure signal), `executor.<pipeline>.<stage>.inflight`
-//! (per-stage gauge of items inside the stage function),
-//! `executor.shortcircuits` (fast-path hits that skipped a hop),
-//! `executor.items_completed` (counter ticking live as items clear the
-//! whole chain — the progress signal the monitor sampler reads), and a
-//! `pipeline.<name>.run_streaming` span. Per-stage `.records`/`.bytes`
-//! counters and `.ns`/`.item_ns` histograms follow the `run_batch`
-//! contract.
+//! `executor.queue_depth` (gauge over finished items waiting for the
+//! collector), `executor.stall_ns` (histogram of time workers spend
+//! blocked on the full hand-off channel — the backpressure signal),
+//! `executor.<pipeline>.<stage>.inflight` (per-stage gauge of items
+//! inside the stage), `executor.items_completed` (counter ticking live
+//! as items reach the collector — the progress signal the monitor
+//! sampler reads), and a `pipeline.<name>.run_streaming` span. After a
+//! successful batch each stage publishes merged `.records`/`.bytes`
+//! counters, one `.ns` observation (the stage's batch wall-clock: last
+//! item out minus first item in, so it never exceeds the batch wall
+//! time regardless of parallelism) and one `.item_ns` observation per
+//! item (hits included).
 //!
 //! [`executor_health_spec`] packages these metrics into the default
 //! `drai_telemetry::monitor` health rules for a streaming run.
 
 use crate::metrics::Throughput;
-use crate::pipeline::{FastPath, Pipeline, StageCounters, StageDef, StageMetrics};
+use crate::pipeline::{Pipeline, StageCounters, StageDef, StageMetrics};
 use crate::CoreError;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 use drai_telemetry::monitor::{Condition, HealthSpec};
-use drai_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch, TraceContext};
+use drai_telemetry::{Gauge, Histogram, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -61,11 +58,12 @@ use std::time::Duration;
 /// Tuning knobs for [`StreamingBatchExt::run_batch_streaming`].
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Capacity of each inter-stage channel (clamped to ≥ 1). Peak
-    /// resident items are `O(channel_capacity × stages)`, independent
-    /// of batch size.
+    /// Capacity of the worker→collector hand-off channel (clamped to
+    /// ≥ 1). Items between input and output are bounded by the pool
+    /// size plus this, independent of batch size.
     pub channel_capacity: usize,
-    /// Worker threads per stage (clamped to ≥ 1).
+    /// Thread budget per pipeline stage (clamped to ≥ 1): the pool has
+    /// `workers_per_stage × stages` workers, capped at the batch size.
     pub workers_per_stage: usize,
 }
 
@@ -79,10 +77,11 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Tune for the current host. On a single hardware thread extra
-    /// stage workers only add context switches and deeper queues only
-    /// add resident items, so degrade toward a capacity-2, one-worker
-    /// chain; with real parallelism keep the default small pools.
+    /// Tune for the current host. With few hardware threads extra
+    /// workers only add context switches and a deeper hand-off only
+    /// adds resident items, so degrade toward a capacity-2,
+    /// one-worker-per-stage pool; with real parallelism keep the
+    /// default.
     pub fn for_host() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -98,23 +97,20 @@ impl ExecutorConfig {
     }
 }
 
-/// Default monitor health rules for a streaming run under `cfg` with
-/// `nstages` stages:
+/// Default monitor health rules for a streaming run under `cfg`:
 ///
 /// - `queue_saturated`: the `executor.queue_depth` window watermark
-///   reached every channel's capacity at once — the chain is fully
-///   backpressured end to end.
+///   reached the hand-off channel's capacity — workers are finishing
+///   items faster than the collector takes them.
 /// - `no_progress`: `executor.items_completed` went 8 consecutive
-///   samples without an item clearing the chain — a stall or livelock
-///   candidate at the sampling cadence.
-pub fn executor_health_spec(cfg: &ExecutorConfig, nstages: usize) -> HealthSpec {
-    let cap = cfg.channel_capacity.max(1);
-    let saturated = ((nstages + 1) * cap) as i64;
+///   samples without an item reaching the collector — a stall or
+///   livelock candidate at the sampling cadence.
+pub fn executor_health_spec(cfg: &ExecutorConfig) -> HealthSpec {
     HealthSpec::new()
         .rule(
             "queue_saturated",
             "executor.queue_depth",
-            Condition::GaugeAbove(saturated),
+            Condition::GaugeAbove(cfg.channel_capacity.max(1) as i64),
         )
         .rule(
             "no_progress",
@@ -125,10 +121,10 @@ pub fn executor_health_spec(cfg: &ExecutorConfig, nstages: usize) -> HealthSpec 
 
 /// Cooperative cancellation handle for a streaming run, shared between
 /// the caller (e.g. the `drai-sched` scheduler shedding a job) and the
-/// executor's feeder/workers. Firing it is a one-way latch: the feeder
-/// stops admitting new items, in-flight items drain without work, and
-/// the run returns a typed `batch cancelled` error instead of partial
-/// output — never a silent short batch.
+/// executor's workers. Firing it is a one-way latch: items not yet
+/// started are dropped, in-flight items stop at their next stage
+/// boundary, and the run returns a typed `batch cancelled` error
+/// instead of partial output — never a silent short batch.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     fired: Arc<AtomicBool>,
@@ -151,13 +147,13 @@ impl CancelToken {
     }
 }
 
-/// Streaming counterpart of `Pipeline::run_batch`.
+/// Batch execution of a [`Pipeline`].
 pub trait StreamingBatchExt<T> {
-    /// Run `items` through the pipeline as a pipelined chain over
-    /// bounded channels. Same outputs, ordering, error selection and
-    /// metrics contract as `run_batch`; memory bounded by
-    /// `cfg.channel_capacity` per stage boundary instead of by the
-    /// batch size.
+    /// Run `items` through the pipeline on the worker pool: the same
+    /// outputs, in input order, as running each item alone through
+    /// `Pipeline::run`, with the error selection and metrics contract
+    /// of the module docs; items in flight bounded by the pool plus
+    /// `cfg.channel_capacity` instead of by the batch size.
     fn run_batch_streaming(
         &self,
         items: Vec<T>,
@@ -165,7 +161,7 @@ pub trait StreamingBatchExt<T> {
     ) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError>;
 
     /// [`StreamingBatchExt::run_batch_streaming`] with a cooperative
-    /// [`CancelToken`]: when the token fires mid-run the chain drains
+    /// [`CancelToken`]: when the token fires mid-run the pool drains
     /// (never deadlocks), no merged metrics are published, and the
     /// result is a `CoreError::Stage` whose message is `batch
     /// cancelled` — unless a stage error/panic with some input index
@@ -176,12 +172,6 @@ pub trait StreamingBatchExt<T> {
         cfg: &ExecutorConfig,
         cancel: &CancelToken,
     ) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError>;
-}
-
-/// An item in flight, tagged with its input index.
-struct Msg<T> {
-    idx: usize,
-    item: T,
 }
 
 /// Why the batch must fail: the stage error or caught panic with the
@@ -241,20 +231,21 @@ impl StageAcc {
     }
 }
 
-/// Everything the feeder, stage workers and collector share by
-/// reference for the duration of one streaming run.
+/// Everything the pool's workers share by reference for the duration
+/// of one streaming run.
 struct ExecShared<'a, T> {
     stages: &'a [StageDef<T>],
+    /// The batch, handed out one `(index, item)` at a time.
+    input: Mutex<std::iter::Enumerate<std::vec::IntoIter<T>>>,
     accs: &'a [StageAcc],
     incident: &'a Mutex<Option<Incident>>,
     /// Lowest failing input index so far (`usize::MAX` = none). Items
-    /// with an index ≥ this are drained without work; items below it
+    /// with an index ≥ this are dropped without work; items below it
     /// keep running so a smaller-index failure can still surface.
     error_before: &'a AtomicUsize,
     epoch: Stopwatch,
     queue_depth: Arc<Gauge>,
     stall: Arc<Histogram>,
-    shortcircuits: Arc<Counter>,
     inflight: &'a [Arc<Gauge>],
     /// External cancellation latch (a fresh, never-fired token for
     /// plain streaming runs).
@@ -278,110 +269,64 @@ impl<T> ExecShared<'_, T> {
         }
     }
 
-    /// Probe fast paths from stage `k` onward: each hit absorbs its
-    /// counters into that stage's accumulators and skips the stage's
-    /// channel hop. Returns the stage the item must enter next
-    /// (`stages.len()` = done) or `None` when a probe panicked (the
-    /// incident is recorded).
-    fn advance(&self, mut k: usize, idx: usize, mut item: T) -> Option<(usize, T)> {
-        while k < self.stages.len() {
-            let Some(fast) = self.stages[k].fast.clone() else {
-                break;
-            };
-            let start_ns = self.epoch.elapsed_ns();
-            let mut counters = StageCounters::default();
-            let probed = catch_unwind(AssertUnwindSafe(|| fast(item, &mut counters)));
-            match probed {
-                Err(payload) => {
-                    self.record_incident(Incident::Panic {
-                        index: idx,
-                        payload,
-                    });
-                    return None;
-                }
-                Ok(FastPath::Hit(output)) => {
-                    self.accs[k].absorb(&counters, start_ns, self.epoch.elapsed_ns());
-                    self.shortcircuits.incr();
-                    item = output;
-                    k += 1;
-                }
-                Ok(FastPath::Miss(original)) => {
-                    item = original;
-                    break;
-                }
-            }
-        }
-        Some((k, item))
-    }
-
-    /// Send `msg` into the channel for stage `k` (relative to `txs`),
-    /// timing how long the send blocks on a full downstream channel.
-    fn forward(&self, txs: &[Sender<Msg<T>>], k: usize, msg: Msg<T>) {
-        let Some(tx) = txs.get(k) else {
-            return;
-        };
-        let wait = Stopwatch::start();
-        // A send error means every downstream receiver exited — only
-        // possible when the run is collapsing; dropping the item is
-        // correct (the incident that caused the collapse is recorded).
-        if tx.send(msg).is_ok() {
-            self.queue_depth.add(1);
-        }
-        self.stall.record(wait.elapsed_ns());
-    }
-
-    /// Feeder: push every input item into the front of the chain (or
-    /// further along, when leading fast paths hit).
-    fn feed(&self, items: Vec<T>, txs: Vec<Sender<Msg<T>>>) {
-        for (idx, item) in items.into_iter().enumerate() {
+    /// Carry item `idx` through every stage. `None` when the item was
+    /// cancelled at a stage boundary or failed (the incident is
+    /// recorded).
+    fn carry(&self, idx: usize, mut item: T) -> Option<T> {
+        for (s, stage) in self.stages.iter().enumerate() {
             if self.cancelled(idx) {
-                continue;
-            }
-            if let Some((k, item)) = self.advance(0, idx, item) {
-                self.forward(&txs, k, Msg { idx, item });
-            }
-        }
-    }
-
-    /// Worker for stage `s`: `txs` covers channels `s+1..=stages.len()`.
-    fn work(&self, s: usize, rx: Receiver<Msg<T>>, txs: Vec<Sender<Msg<T>>>) {
-        while let Ok(msg) = rx.recv() {
-            self.queue_depth.add(-1);
-            if self.cancelled(msg.idx) {
-                continue; // drain without work so upstream never blocks
+                return None;
             }
             let busy = self.inflight[s].inc_scope();
             let start_ns = self.epoch.elapsed_ns();
             let mut counters = StageCounters::default();
-            let func = self.stages[s].func.clone();
-            let item = msg.item;
-            let result = catch_unwind(AssertUnwindSafe(|| func(item, &mut counters)));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                Pipeline::execute_stage(stage, item, &mut counters)
+            }));
             let end_ns = self.epoch.elapsed_ns();
             drop(busy);
-            match result {
-                Err(payload) => self.record_incident(Incident::Panic {
-                    index: msg.idx,
-                    payload,
-                }),
-                Ok(Err(message)) => self.record_incident(Incident::Error {
-                    index: msg.idx,
-                    stage: self.stages[s].name.clone(),
-                    message,
-                }),
+            let incident = match result {
                 Ok(Ok(output)) => {
                     self.accs[s].absorb(&counters, start_ns, end_ns);
-                    if let Some((k, output)) = self.advance(s + 1, msg.idx, output) {
-                        self.forward(
-                            &txs,
-                            k - (s + 1),
-                            Msg {
-                                idx: msg.idx,
-                                item: output,
-                            },
-                        );
-                    }
+                    item = output;
+                    continue;
                 }
+                Ok(Err(message)) => Incident::Error {
+                    index: idx,
+                    stage: stage.name.clone(),
+                    message,
+                },
+                Err(payload) => Incident::Panic {
+                    index: idx,
+                    payload,
+                },
+            };
+            self.record_incident(incident);
+            return None;
+        }
+        Some(item)
+    }
+
+    /// Pool worker: take the next input item, carry it through the
+    /// pipeline, hand it to the collector; repeat until the input is
+    /// exhausted.
+    fn work(&self, tx: Sender<(usize, T)>) {
+        loop {
+            // The feed lock is a temporary, released before any stage
+            // runs or the hand-off blocks.
+            let Some((idx, item)) = self.input.lock().next() else {
+                return;
+            };
+            let Some(item) = self.carry(idx, item) else {
+                continue;
+            };
+            let wait = Stopwatch::start();
+            // A send error means the collector is gone — only possible
+            // when the run is collapsing; dropping the item is correct.
+            if tx.send((idx, item)).is_ok() {
+                self.queue_depth.add(1);
             }
+            self.stall.record(wait.elapsed_ns());
         }
     }
 }
@@ -415,8 +360,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             return Ok((Vec::new(), self.zeroed_metrics()));
         }
         let n = items.len();
-        let cap = cfg.channel_capacity.max(1);
-        let workers = cfg.workers_per_stage.max(1);
+        let pool = (cfg.workers_per_stage.max(1) * nstages).min(n);
 
         let inflight: Vec<Arc<Gauge>> = self
             .stages
@@ -428,28 +372,17 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         let error_before = AtomicUsize::new(usize::MAX);
         let shared = ExecShared {
             stages: &self.stages,
+            input: Mutex::new(items.into_iter().enumerate()),
             accs: &accs,
             incident: &incident,
             error_before: &error_before,
             epoch: Stopwatch::start(),
             queue_depth: registry.gauge("executor.queue_depth"),
             stall: registry.histogram("executor.stall_ns"),
-            shortcircuits: registry.counter("executor.shortcircuits"),
             inflight: &inflight,
             cancel,
         };
-
-        // Channel k feeds stage k; channel `nstages` is the output.
-        // Every producer that can skip ahead holds senders for all its
-        // downstream channels, so channel k disconnects exactly when
-        // the feeder and all workers of stages < k have finished.
-        let mut chans_tx: Vec<Sender<Msg<T>>> = Vec::with_capacity(nstages + 1);
-        let mut chans_rx: Vec<Receiver<Msg<T>>> = Vec::with_capacity(nstages + 1);
-        for _ in 0..=nstages {
-            let (tx, rx) = bounded(cap);
-            chans_tx.push(tx);
-            chans_rx.push(rx);
-        }
+        let (tx, rx) = bounded(cfg.channel_capacity.max(1));
         // Capture-and-attach: workers report into the caller's registry
         // and parent under the streaming span (same handoff as
         // `prefetch_map`).
@@ -459,41 +392,27 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         std::thread::scope(|scope| {
             let shared = &shared;
             let context = &context;
-            {
-                let txs = chans_tx.clone();
+            for _ in 0..pool {
+                let tx = tx.clone();
                 scope.spawn(move || {
                     let _attached = context.as_ref().map(TraceContext::attach);
-                    shared.feed(items, txs);
+                    shared.work(tx);
                 });
             }
-            for s in 0..nstages {
-                for _ in 0..workers {
-                    let rx = chans_rx[s].clone();
-                    let txs = chans_tx[s + 1..].to_vec();
-                    scope.spawn(move || {
-                        let _attached = context.as_ref().map(TraceContext::attach);
-                        shared.work(s, rx, txs);
-                    });
-                }
-            }
-            // Drop the construction-time handles: from here on, sender
-            // counts reflect only live producers, so disconnection
-            // cascades down the chain as each tier finishes.
-            let Some(out_rx) = chans_rx.pop() else {
-                return;
-            };
-            drop(chans_rx);
-            drop(chans_tx);
+            // Drop the construction-time handle: the channel
+            // disconnects, ending the collector loop, exactly when the
+            // last worker finishes.
+            drop(tx);
             // Live progress signal: unlike the per-stage counters
             // published after the batch completes, this counter ticks
-            // as each item clears the whole chain, so the monitor
+            // as each item reaches the collector, so the monitor
             // sampler can compute items/s and ETA mid-run.
             let completed = registry.counter("executor.items_completed");
-            while let Ok(msg) = out_rx.recv() {
+            while let Ok((idx, item)) = rx.recv() {
                 shared.queue_depth.add(-1);
                 completed.incr();
-                if let Some(slot) = slots.get_mut(msg.idx) {
-                    *slot = Some(msg.item);
+                if let Some(slot) = slots.get_mut(idx) {
+                    *slot = Some(item);
                 }
             }
         });
@@ -548,7 +467,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
                 bytes,
                 elapsed: Duration::from_nanos(wall_ns),
             };
-            let base = format!("pipeline.{}.{}", self.name, m.name);
+            let base = self.stage_metric(&m.name);
             registry.counter(&format!("{base}.records")).add(records);
             registry.counter(&format!("{base}.bytes")).add(bytes);
             registry.histogram(&format!("{base}.ns")).record(wall_ns);
@@ -565,7 +484,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FastFn;
+    use crate::pipeline::{FastFn, FastPath};
     use crate::readiness::ProcessingStage as S;
     use drai_telemetry::{Registry, TraceContext};
 
@@ -593,26 +512,46 @@ mod tests {
         (out, reg.snapshot())
     }
 
+    /// The specification of a batch: each item alone through
+    /// `Pipeline::run`, in input order. Returns the outputs and each
+    /// stage's summed `(records, bytes)`.
+    fn sequential(p: &Pipeline<u64>, items: &[u64]) -> (Vec<u64>, Vec<(u64, u64)>) {
+        let mut totals = vec![(0, 0); p.stages.len()];
+        let outputs = items
+            .iter()
+            .map(|&item| {
+                let run = p.run(item).unwrap();
+                for (total, stage) in totals.iter_mut().zip(&run.stages) {
+                    total.0 += stage.throughput.records;
+                    total.1 += stage.throughput.bytes;
+                }
+                run.output
+            })
+            .collect();
+        (outputs, totals)
+    }
+
     #[test]
-    fn streaming_matches_run_batch_outputs_and_counts() {
+    fn streaming_matches_sequential_run_outputs_and_counts() {
         let p = chain3();
         let items: Vec<u64> = (0..100).collect();
-        let (plain, plain_m) = p.run_batch(items.clone()).unwrap();
+        let (plain, plain_totals) = sequential(&p, &items);
         let ((streamed, stream_m), snap) = in_registry(|| {
             p.run_batch_streaming(items, &ExecutorConfig::default())
                 .unwrap()
         });
         assert_eq!(streamed, plain);
-        for (a, b) in plain_m.iter().zip(&stream_m) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.throughput.records, b.throughput.records);
-            assert_eq!(a.throughput.bytes, b.throughput.bytes);
+        for (total, m) in plain_totals.iter().zip(&stream_m) {
+            assert_eq!(*total, (m.throughput.records, m.throughput.bytes));
         }
         assert_eq!(snap.counters["pipeline.exec.b.records"], 100);
         assert_eq!(snap.counters["pipeline.exec.b.bytes"], 800);
         assert_eq!(snap.histograms["pipeline.exec.b.ns"].count, 1);
         assert_eq!(snap.histograms["pipeline.exec.b.item_ns"].count, 100);
         assert_eq!(snap.spans_named("pipeline.exec.run_streaming").len(), 1);
+        // Per-item stage spans are suppressed so large batches don't
+        // flood the span log.
+        assert!(snap.spans_named("pipeline.exec.b").is_empty());
         // The live progress counter ticked once per item.
         assert_eq!(snap.counters["executor.items_completed"], 100);
     }
@@ -623,29 +562,40 @@ mod tests {
             channel_capacity: 4,
             workers_per_stage: 2,
         };
-        let spec = executor_health_spec(&cfg, 3);
+        let spec = executor_health_spec(&cfg);
         let rules = spec.rules();
         assert_eq!(rules.len(), 2);
         assert_eq!(rules[0].name, "queue_saturated");
         assert_eq!(rules[0].metric, "executor.queue_depth");
-        // 4 channels (3 stages + output) × capacity 4.
-        assert_eq!(rules[0].cond, Condition::GaugeAbove(16));
+        // The one hand-off channel, full.
+        assert_eq!(rules[0].cond, Condition::GaugeAbove(4));
         assert_eq!(rules[1].name, "no_progress");
         assert_eq!(rules[1].metric, "executor.items_completed");
         assert_eq!(rules[1].cond, Condition::StallFor(8));
     }
 
     #[test]
-    fn empty_batch_returns_zeroed_metrics() {
-        let p = chain3();
-        let (outputs, metrics) = p
-            .run_batch_streaming(Vec::new(), &ExecutorConfig::default())
-            .unwrap();
+    fn empty_batch_returns_zeroed_metrics_and_does_no_work() {
+        let slow = Arc::new(AtomicU64::new(0));
+        let p = memo_pipeline(slow.clone());
+        let cfg = ExecutorConfig {
+            channel_capacity: 1,
+            workers_per_stage: 1,
+        };
+        let ((outputs, metrics), snap) =
+            in_registry(|| p.run_batch_streaming(Vec::new(), &cfg).unwrap());
         assert!(outputs.is_empty());
-        assert_eq!(metrics.len(), 3);
-        for m in &metrics {
+        // One zeroed entry per stage, so downstream code zipping merged
+        // metrics against stage lists never sees unequal lengths.
+        assert_eq!(metrics.len(), 2);
+        for (m, name) in metrics.iter().zip(["first", "memo"]) {
+            assert_eq!(m.name, name);
             assert_eq!(m.throughput.records, 0);
+            assert_eq!(m.throughput.bytes, 0);
+            assert_eq!(m.throughput.elapsed, Duration::ZERO);
         }
+        assert_eq!(slow.load(Ordering::SeqCst), 0);
+        assert!(!snap.counters.contains_key("executor.items_completed"));
     }
 
     #[test]
@@ -659,25 +609,80 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_high_water_is_bounded_by_capacity_not_batch() {
-        let p = chain3();
+    fn items_in_flight_are_bounded_by_pool_plus_capacity_not_batch() {
         let cfg = ExecutorConfig {
             channel_capacity: 2,
             workers_per_stage: 2,
         };
-        let items: Vec<u64> = (0..256).collect();
+        let entered = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        let (stage_entered, stage_peak) = (entered.clone(), peak.clone());
+        let p: Pipeline<u64> = Pipeline::builder("exec-bound")
+            .stage("enter", S::Ingest, move |x, _| {
+                // Items taken from the input and not yet collected. The
+                // count of collected items is read second, so a stale
+                // read can only under-count.
+                let taken = stage_entered.fetch_add(1, Ordering::SeqCst) + 1;
+                let collected = Registry::current()
+                    .counter("executor.items_completed")
+                    .get();
+                stage_peak.fetch_max(taken.saturating_sub(collected), Ordering::SeqCst);
+                Ok(x)
+            })
+            .stage("b", S::Transform, |x, _| Ok(x * 2))
+            .stage("c", S::Shard, |x, _| Ok(x + 3))
+            .build();
         let ((), snap) = in_registry(|| {
-            p.run_batch_streaming(items, &cfg).unwrap();
+            p.run_batch_streaming((0..256).collect(), &cfg).unwrap();
         });
-        let high_water = snap.gauges["executor.queue_depth"].max;
-        // 4 channels × capacity 2, plus one transient per producer
-        // between recv and gauge decrement — far below the batch size.
-        let bound = (4 * cfg.channel_capacity + 3 * cfg.workers_per_stage + 1) as i64;
+        assert_eq!(entered.load(Ordering::SeqCst), 256);
+        // One item per pool worker (2 × 3 stages), a full hand-off
+        // channel, and the one item the collector holds between its
+        // recv and its counter tick — far below the batch size.
+        let pool = 3 * cfg.workers_per_stage;
+        let in_flight = peak.load(Ordering::SeqCst);
         assert!(
-            high_water <= bound,
-            "queue depth {high_water} exceeds bound {bound}"
+            (1..=(pool + cfg.channel_capacity + 1) as u64).contains(&in_flight),
+            "{in_flight} items in flight"
         );
-        assert!(high_water >= 1, "gauge never moved");
+        let high_water = snap.gauges["executor.queue_depth"].max;
+        assert!(
+            (1..=cfg.channel_capacity as i64 + 1).contains(&high_water),
+            "queue depth high water {high_water}"
+        );
+    }
+
+    #[test]
+    fn stage_ns_never_exceeds_batch_wall_and_item_ns_counts_items() {
+        let p: Pipeline<u64> = Pipeline::builder("batch-wall")
+            .stage("spin", S::Transform, |x: u64, c| {
+                // Busy work so per-item elapsed is measurable: summed
+                // across parallel items it would exceed the batch wall.
+                let mut acc = x;
+                for i in 0..200_000u64 {
+                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+                }
+                c.records = 1;
+                Ok(acc)
+            })
+            .build();
+        let wall = Stopwatch::start();
+        let (result, snap) =
+            in_registry(|| p.run_batch_streaming((0..32).collect(), &ExecutorConfig::default()));
+        let wall_ns = wall.elapsed_ns();
+        result.unwrap();
+        // `.ns` records the stage's batch wall-clock, which can never
+        // exceed the wall time of the whole call.
+        let ns = &snap.histograms["pipeline.batch-wall.spin.ns"];
+        assert_eq!(ns.count, 1);
+        assert!(
+            ns.max <= wall_ns,
+            "stage wall {} > batch wall {wall_ns}",
+            ns.max
+        );
+        // Per-item latency lands in `.item_ns`: one observation per item.
+        let item = &snap.histograms["pipeline.batch-wall.spin.item_ns"];
+        assert_eq!(item.count, 32);
     }
 
     #[test]
@@ -732,43 +737,6 @@ mod tests {
         );
     }
 
-    /// A fast path for the `+ 100` memo stage that hits on multiples
-    /// of `n`.
-    fn memo_hits_on_multiples_of(n: u64) -> Arc<FastFn<u64>> {
-        Arc::new(move |x: u64, c: &mut StageCounters| {
-            if x % n == 0 {
-                c.records = 1;
-                FastPath::Hit(x + 100)
-            } else {
-                FastPath::Miss(x)
-            }
-        })
-    }
-
-    #[test]
-    fn fast_path_hits_short_circuit_channel_hops() {
-        let p: Pipeline<u64> = Pipeline::builder("exec-fast")
-            .stage("first", S::Ingest, |x, c| {
-                c.records = 1;
-                Ok(x)
-            })
-            .stage("memo", S::Transform, |x, c| {
-                c.records = 1;
-                Ok(x + 100)
-            })
-            .build()
-            .decorate_stage("memo", |func| (func, Some(memo_hits_on_multiples_of(2))));
-        let ((outputs, metrics), snap) = in_registry(|| {
-            p.run_batch_streaming((0..10).collect(), &ExecutorConfig::default())
-                .unwrap()
-        });
-        assert_eq!(outputs, (100..110).collect::<Vec<u64>>());
-        // Every item is accounted to the memo stage whether it hit or
-        // missed.
-        assert_eq!(metrics[1].throughput.records, 10);
-        assert_eq!(snap.counters["executor.shortcircuits"], 5);
-    }
-
     #[test]
     fn streaming_overlaps_stages_across_items() {
         // With a single worker per stage and a 3-stage chain, pipelined
@@ -784,9 +752,23 @@ mod tests {
         }
     }
 
-    /// Two-stage pipeline whose memo stage hits its fast path on
-    /// multiples of 3; `slow_calls` counts channel-hop executions of
-    /// the slow closure.
+    /// A fast path for the `+ 100` memo stage that hits on multiples
+    /// of 3. A miss leaves `bytes` set, which the stage function does
+    /// not touch — `execute_stage` carries it into the stage's record.
+    fn memo_probe() -> Arc<FastFn<u64>> {
+        Arc::new(|x: u64, c: &mut StageCounters| {
+            c.bytes = 8;
+            if x % 3 == 0 {
+                c.records = 1;
+                FastPath::Hit(x + 100)
+            } else {
+                FastPath::Miss(x)
+            }
+        })
+    }
+
+    /// Two-stage pipeline whose memo stage has [`memo_probe`] as its
+    /// fast path; `slow_calls` counts executions of the stage function.
     fn memo_pipeline(slow_calls: Arc<AtomicU64>) -> Pipeline<u64> {
         Pipeline::builder("exec-degen")
             .stage("first", S::Ingest, |x, c| {
@@ -799,21 +781,17 @@ mod tests {
                 Ok(x + 100)
             })
             .build()
-            .decorate_stage("memo", |func| (func, Some(memo_hits_on_multiples_of(3))))
+            .decorate_stage("memo", |func| (func, Some(memo_probe())))
     }
 
     #[test]
-    fn fast_path_accounting_agrees_with_run_batch_under_degenerate_configs() {
+    fn fast_path_accounting_agrees_with_sequential_run_under_degenerate_configs() {
         let items: Vec<u64> = (0..30).collect();
         let hits = items.iter().filter(|x| *x % 3 == 0).count() as u64;
 
-        // Baseline: run_batch probes the same fast paths (no channels,
-        // so no shortcircuit counter) — pin its slow-call count.
-        let batch_slow = Arc::new(AtomicU64::new(0));
-        let (batch_out, batch_m) = memo_pipeline(batch_slow.clone())
-            .run_batch(items.clone())
-            .unwrap();
-        assert_eq!(batch_slow.load(Ordering::SeqCst), 30 - hits);
+        let seq_slow = Arc::new(AtomicU64::new(0));
+        let (seq_out, seq_totals) = sequential(&memo_pipeline(seq_slow.clone()), &items);
+        assert_eq!(seq_slow.load(Ordering::SeqCst), 30 - hits);
 
         for cfg in [
             ExecutorConfig {
@@ -832,42 +810,93 @@ mod tests {
         ] {
             let slow = Arc::new(AtomicU64::new(0));
             let p = memo_pipeline(slow.clone());
-            let ((outputs, metrics), snap) =
-                in_registry(|| p.run_batch_streaming(items.clone(), &cfg).unwrap());
-            assert_eq!(outputs, batch_out, "outputs diverge under {cfg:?}");
-            // Channel hops into the memo stage = slow-path executions;
-            // together with shortcircuits they cover every item exactly
-            // once, and both agree with run_batch.
+            let (outputs, metrics) = p.run_batch_streaming(items.clone(), &cfg).unwrap();
+            assert_eq!(outputs, seq_out, "outputs diverge under {cfg:?}");
+            // Every item either hit the fast path or ran the stage
+            // function, exactly once, as in the sequential run.
             assert_eq!(
                 slow.load(Ordering::SeqCst),
-                batch_slow.load(Ordering::SeqCst),
-                "slow-path hop count diverges under {cfg:?}"
+                30 - hits,
+                "stage-function call count diverges under {cfg:?}"
             );
-            assert_eq!(snap.counters["executor.shortcircuits"], hits);
-            assert_eq!(
-                slow.load(Ordering::SeqCst) + snap.counters["executor.shortcircuits"],
-                30
-            );
-            assert_eq!(metrics[1].throughput.records, batch_m[1].throughput.records);
+            // Every item is accounted to the memo stage whether it hit
+            // or missed.
+            assert_eq!(metrics[1].throughput.records, 30);
+            assert_eq!(metrics[1].throughput.records, seq_totals[1].0);
         }
     }
 
     #[test]
-    fn degenerate_empty_batch_has_no_shortcircuits() {
-        let slow = Arc::new(AtomicU64::new(0));
-        let p = memo_pipeline(slow.clone());
+    fn batch_of_one_is_exactly_a_sequential_run() {
+        // One hit and one miss: a one-item batch executes each stage
+        // through the same function as `run`, so records, bytes
+        // (including what a missing probe left behind) and output are
+        // identical, and the merge adds nothing of its own.
+        for item in [3u64, 4] {
+            let p = memo_pipeline(Arc::new(AtomicU64::new(0)));
+            let run = p.run(item).unwrap();
+            let ((outputs, metrics), snap) = in_registry(|| {
+                p.run_batch_streaming(vec![item], &ExecutorConfig::default())
+                    .unwrap()
+            });
+            assert_eq!(outputs, vec![run.output]);
+            assert_eq!(metrics.len(), run.stages.len());
+            for (m, s) in metrics.iter().zip(&run.stages) {
+                assert_eq!(m.name, s.name);
+                assert_eq!(m.throughput.records, s.throughput.records);
+                assert_eq!(m.throughput.bytes, s.throughput.bytes);
+                let base = format!("pipeline.exec-degen.{}", m.name);
+                assert_eq!(
+                    snap.counters[&format!("{base}.records")],
+                    s.throughput.records
+                );
+                assert_eq!(snap.counters[&format!("{base}.bytes")], s.throughput.bytes);
+                assert_eq!(snap.histograms[&format!("{base}.ns")].count, 1);
+                assert_eq!(snap.histograms[&format!("{base}.item_ns")].count, 1);
+            }
+            assert_eq!(metrics[1].throughput.bytes, 8);
+        }
+    }
+
+    #[test]
+    fn fast_path_hits_run_on_more_than_one_thread() {
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex as StdMutex};
+        use std::thread::ThreadId;
+        // Every item hits. The probe of item 0 holds its worker until a
+        // second thread has probed too (bounded, so a single-threaded
+        // prober fails the assertion instead of hanging).
+        let seen: Arc<(StdMutex<HashSet<ThreadId>>, Condvar)> = Arc::default();
+        let probe_seen = seen.clone();
+        let p: Pipeline<u64> = Pipeline::builder("exec-threads")
+            .stage("memo", S::Transform, |x, _| Ok(x))
+            .build()
+            .decorate_stage("memo", move |func| {
+                let fast = move |x: u64, c: &mut StageCounters| {
+                    let (threads, arrived) = &*probe_seen;
+                    let mut threads = threads.lock().unwrap();
+                    threads.insert(std::thread::current().id());
+                    arrived.notify_all();
+                    if x == 0 {
+                        let _second = arrived
+                            .wait_timeout_while(threads, Duration::from_secs(5), |t| t.len() < 2)
+                            .unwrap();
+                    }
+                    c.records = 1;
+                    FastPath::Hit(x)
+                };
+                (func, Some(Arc::new(fast)))
+            });
         let cfg = ExecutorConfig {
-            channel_capacity: 1,
-            workers_per_stage: 1,
+            channel_capacity: 2,
+            workers_per_stage: 2,
         };
-        let ((outputs, metrics), snap) =
-            in_registry(|| p.run_batch_streaming(Vec::new(), &cfg).unwrap());
-        assert!(outputs.is_empty());
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(metrics[0].throughput.records, 0);
-        assert_eq!(slow.load(Ordering::SeqCst), 0);
-        assert!(!snap.counters.contains_key("executor.shortcircuits"));
-        assert!(!snap.counters.contains_key("executor.items_completed"));
+        let (outputs, _) = p.run_batch_streaming((0..8).collect(), &cfg).unwrap();
+        assert_eq!(outputs, (0..8).collect::<Vec<u64>>());
+        assert!(
+            seen.0.lock().unwrap().len() >= 2,
+            "every fast-path probe of the batch ran on one thread"
+        );
     }
 
     #[test]

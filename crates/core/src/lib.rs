@@ -16,9 +16,11 @@
 //!   declared — the operational teeth the paper calls for.
 //! * [`quality`] — data-quality reporting (missing fraction, imbalance,
 //!   outliers) feeding the assessor.
-//! * [`pipeline`] — a typed stage-graph execution engine with per-stage
-//!   metrics, rayon batch execution, and the iterative
-//!   prepare→evaluate→refine loop of Figure 1.
+//! * [`pipeline`] — a typed stage graph with its sequential runner,
+//!   per-stage metrics, and the iterative prepare→evaluate→refine loop
+//!   of Figure 1.
+//! * [`executor`] — the batch engine: a bounded worker pool running the
+//!   same stage graph over many items.
 //! * [`metrics`] — throughput/latency accounting shared with the bench
 //!   harness.
 

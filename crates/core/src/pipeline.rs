@@ -1,15 +1,15 @@
-//! The pipeline execution engine: named stages over a shared artifact
-//! type, per-stage metrics, rayon batch execution, and the iterative
+//! The pipeline definition and its sequential runner: named stages
+//! over a shared artifact type, per-stage metrics, and the iterative
 //! refinement loop of Figure 1 ("data preparation outcomes inform
 //! subsequent model training, and model performance provides feedback").
+//! Batches run on [`crate::executor`], which executes each stage
+//! through the same [`Pipeline::execute_stage`] as `run`.
 //!
 //! Every run also reports into the context registry
 //! (`drai_telemetry::Registry::current`, falling back to the global
 //! one): `run` emits a root `pipeline.<pipeline>.run` span containing
 //! one span per stage named `pipeline.<pipeline>.<stage>` carrying the
-//! stage's record/byte counters, `run_batch` emits a
-//! `pipeline.<pipeline>.run_batch` span plus merged per-stage counters
-//! and latency histograms, and `run_iterative` wraps the whole
+//! stage's record/byte counters, and `run_iterative` wraps the whole
 //! feedback loop in a span whose item count is the number of passes.
 //! Stage spans are *entered* while the stage function runs, so spans
 //! opened by the I/O layer inside a stage (shard writes, prefetch
@@ -18,8 +18,7 @@
 use crate::metrics::Throughput;
 use crate::readiness::ProcessingStage;
 use crate::CoreError;
-use drai_telemetry::{Registry, Span, Stopwatch};
-use rayon::prelude::*;
+use drai_telemetry::{Registry, Stopwatch};
 use std::sync::Arc;
 
 /// Counters a stage can report about the work it did.
@@ -80,11 +79,6 @@ pub struct StageMetrics {
     pub throughput: Throughput,
 }
 
-/// A finished per-item run plus each stage's `(start, end)` window in
-/// nanoseconds relative to the batch epoch — what `run_windowed` hands
-/// back to the batch mergers.
-type WindowedRun<T> = (PipelineRun<T>, Vec<(u64, u64)>);
-
 /// Result of a pipeline run: the final artifact plus per-stage metrics.
 #[derive(Debug)]
 pub struct PipelineRun<T> {
@@ -135,59 +129,6 @@ impl<T> PipelineBuilder<T> {
             name: self.name,
             stages: self.stages,
         }
-    }
-}
-
-impl<T: Clone + 'static> PipelineBuilder<T> {
-    /// Add a stage that is re-attempted up to `max_attempts` times when
-    /// its function fails — the pipeline-level counterpart of the I/O
-    /// layer's `RetrySink`, for stages that talk to flaky storage or
-    /// services. The input is cloned per attempt (hence `T: Clone`),
-    /// counters reflect only the successful attempt, and the run aborts
-    /// with the *last* error once attempts are exhausted. Retries are
-    /// immediate (no sleeping): stage work dominates any sensible
-    /// backoff, and determinism matters more here than politeness.
-    ///
-    /// Telemetry: each re-attempt increments
-    /// `pipeline.<pipeline>.<stage>.retries`.
-    pub fn retry_stage(
-        mut self,
-        name: &str,
-        kind: ProcessingStage,
-        max_attempts: u32,
-        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(max_attempts >= 1, "need at least one attempt");
-        let pipeline_name = self.name.clone();
-        let stage_name = name.to_string();
-        let wrapped = move |input: T, counters: &mut StageCounters| {
-            let mut last_err = String::new();
-            for attempt in 0..max_attempts {
-                let mut local = StageCounters::default();
-                match func(input.clone(), &mut local) {
-                    Ok(out) => {
-                        *counters = local;
-                        return Ok(out);
-                    }
-                    Err(e) => {
-                        last_err = e;
-                        if attempt + 1 < max_attempts {
-                            Registry::current()
-                                .counter(&format!("pipeline.{pipeline_name}.{stage_name}.retries"))
-                                .incr();
-                        }
-                    }
-                }
-            }
-            Err(format!("exhausted {max_attempts} attempts: {last_err}"))
-        };
-        self.stages.push(StageDef {
-            name: name.to_string(),
-            kind,
-            func: Arc::new(wrapped),
-            fast: None,
-        });
-        self
     }
 }
 
@@ -265,26 +206,57 @@ impl<T> Pipeline<T> {
         self
     }
 
-    /// Run sequentially on one artifact, emitting one telemetry span
-    /// per stage.
-    pub fn run(&self, input: T) -> Result<PipelineRun<T>, CoreError> {
-        self.run_inner(input, true)
+    /// Re-attempt the named stage up to `max_attempts` times when its
+    /// function fails — the pipeline-level counterpart of the I/O
+    /// layer's `RetrySink`, for stages that talk to flaky storage or
+    /// services. The input is cloned per attempt (hence `T: Clone`),
+    /// counters reflect only the successful attempt, and the run aborts
+    /// with the *last* error once attempts are exhausted. Retries are
+    /// immediate (no sleeping): stage work dominates any sensible
+    /// backoff, and determinism matters more here than politeness.
+    ///
+    /// Telemetry: each re-attempt increments
+    /// `pipeline.<pipeline>.<stage>.retries`.
+    pub fn retried(self, stage: &str, max_attempts: u32) -> Self
+    where
+        T: Clone + 'static,
+    {
+        assert!(max_attempts >= 1, "need at least one attempt");
+        let base = self.stage_metric(stage);
+        self.decorate_stage(stage, move |func| {
+            let wrapped = move |input: T, counters: &mut StageCounters| {
+                let mut last_err = String::new();
+                for attempt in 0..max_attempts {
+                    let mut local = StageCounters::default();
+                    match func(input.clone(), &mut local) {
+                        Ok(out) => {
+                            *counters = local;
+                            return Ok(out);
+                        }
+                        Err(e) => {
+                            last_err = e;
+                            if attempt + 1 < max_attempts {
+                                Registry::current()
+                                    .counter(&format!("{base}.retries"))
+                                    .incr();
+                            }
+                        }
+                    }
+                }
+                Err(format!("exhausted {max_attempts} attempts: {last_err}"))
+            };
+            (Arc::new(wrapped), None)
+        })
     }
 
     /// Telemetry name for one of this pipeline's stages.
-    fn stage_metric(&self, stage: &str) -> String {
+    pub(crate) fn stage_metric(&self, stage: &str) -> String {
         format!("pipeline.{}.{}", self.name, stage)
     }
 
-    fn run_inner(&self, input: T, telemetry: bool) -> Result<PipelineRun<T>, CoreError> {
-        let epoch = Stopwatch::start();
-        self.run_windowed(input, telemetry, epoch)
-            .map(|(run, _)| run)
-    }
-
     /// Execute one stage on one artifact: try the fast path first, then
-    /// the full function. Shared by the sequential runner and the
-    /// streaming executor so both observe identical stage semantics.
+    /// the full function. The only place a stage runs on an item — the
+    /// sequential runner and the batch executor's workers both call it.
     pub(crate) fn execute_stage(
         stage: &StageDef<T>,
         input: T,
@@ -300,50 +272,39 @@ impl<T> Pipeline<T> {
         (stage.func)(current, counters)
     }
 
-    /// Sequential run that additionally reports each stage's
-    /// `(start, end)` window in nanoseconds relative to `epoch`, so
-    /// batch callers can compute per-stage wall-clock across items.
-    fn run_windowed(
-        &self,
-        input: T,
-        telemetry: bool,
-        epoch: Stopwatch,
-    ) -> Result<WindowedRun<T>, CoreError> {
+    /// Run sequentially on one artifact, emitting one telemetry span
+    /// per stage.
+    pub fn run(&self, input: T) -> Result<PipelineRun<T>, CoreError> {
         let registry = Registry::current();
         // Root span for the whole run; stage spans nest under it, and
         // it in turn nests under whatever context the caller entered
         // (e.g. a domain's `domain.<name>.run`).
-        let run_span = telemetry.then(|| registry.span(format!("pipeline.{}.run", self.name)));
-        let _in_run = run_span.as_ref().map(Span::enter);
+        let run_span = registry.span(format!("pipeline.{}.run", self.name));
+        let _in_run = run_span.enter();
         let mut current = input;
         let mut metrics = Vec::with_capacity(self.stages.len());
-        let mut windows = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let span = telemetry.then(|| registry.span(self.stage_metric(&stage.name)));
-            let start_ns = epoch.elapsed_ns();
+            let base = self.stage_metric(&stage.name);
+            let span = registry.span(base.clone());
             let start = Stopwatch::start();
             let mut counters = StageCounters::default();
             // Entered while the stage function runs so I/O-layer spans
             // opened inside it parent under this stage.
-            let in_stage = span.as_ref().map(Span::enter);
+            let in_stage = span.enter();
             let result = Self::execute_stage(stage, current, &mut counters);
             drop(in_stage);
             current = result.map_err(|message| CoreError::Stage {
                 stage: stage.name.clone(),
                 message,
             })?;
-            if let Some(span) = &span {
-                span.add_items(counters.records);
-                span.add_bytes(counters.bytes);
-                let base = self.stage_metric(&stage.name);
-                registry
-                    .counter(&format!("{base}.records"))
-                    .add(counters.records);
-                registry
-                    .counter(&format!("{base}.bytes"))
-                    .add(counters.bytes);
-            }
-            windows.push((start_ns, epoch.elapsed_ns()));
+            span.add_items(counters.records);
+            span.add_bytes(counters.bytes);
+            registry
+                .counter(&format!("{base}.records"))
+                .add(counters.records);
+            registry
+                .counter(&format!("{base}.bytes"))
+                .add(counters.bytes);
             metrics.push(StageMetrics {
                 name: stage.name.clone(),
                 kind: stage.kind,
@@ -354,13 +315,10 @@ impl<T> Pipeline<T> {
                 },
             });
         }
-        Ok((
-            PipelineRun {
-                output: current,
-                stages: metrics,
-            },
-            windows,
-        ))
+        Ok(PipelineRun {
+            output: current,
+            stages: metrics,
+        })
     }
 
     /// One zeroed [`StageMetrics`] per stage — what an empty batch
@@ -375,83 +333,6 @@ impl<T> Pipeline<T> {
                 throughput: Throughput::default(),
             })
             .collect()
-    }
-}
-
-impl<T: Send> Pipeline<T> {
-    /// Run the whole pipeline independently on many artifacts in
-    /// parallel (rayon). Failures abort with the error of the *lowest
-    /// input index* that failed — deterministic regardless of worker
-    /// scheduling. Outputs preserve input order. Per-item metrics are
-    /// merged per stage; an empty batch merges to one zeroed
-    /// [`StageMetrics`] per stage.
-    ///
-    /// Telemetry: one `pipeline.<name>.run_batch` span for the batch
-    /// (items = batch size) plus merged per-stage counters and two
-    /// histograms per stage — `pipeline.<name>.<stage>.ns` records the
-    /// stage's batch *wall-clock* (last item out minus first item in,
-    /// so it never exceeds the batch wall time regardless of
-    /// parallelism), and `.item_ns` records each item's own latency
-    /// through the stage. Per-item spans are suppressed so large
-    /// batches don't flood the span log.
-    pub fn run_batch(&self, items: Vec<T>) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError> {
-        let registry = Registry::current();
-        let batch_span = registry.span(format!("pipeline.{}.run_batch", self.name));
-        batch_span.add_items(items.len() as u64);
-        let _in_batch = batch_span.enter();
-        if items.is_empty() {
-            return Ok((Vec::new(), self.zeroed_metrics()));
-        }
-        let epoch = Stopwatch::start();
-        // Collect every item's result (no short-circuit), then scan in
-        // input order: the first failure by input index wins, so the
-        // reported error doesn't depend on which rayon worker lost the
-        // race.
-        let results: Vec<Result<WindowedRun<T>, CoreError>> = items
-            .into_par_iter()
-            .map(|item| self.run_windowed(item, false, epoch))
-            .collect();
-        let mut runs = Vec::with_capacity(results.len());
-        for result in results {
-            runs.push(result?);
-        }
-        let mut merged: Vec<StageMetrics> = self.zeroed_metrics();
-        // Per-stage wall-clock window across the batch: earliest start
-        // to latest end among all items.
-        let mut walls: Vec<(u64, u64)> = vec![(u64::MAX, 0); self.stages.len()];
-        let mut item_ns: Vec<Vec<u64>> = vec![Vec::with_capacity(runs.len()); self.stages.len()];
-        let mut outputs = Vec::with_capacity(runs.len());
-        for (run, windows) in runs {
-            for (si, s) in run.stages.iter().enumerate() {
-                merged[si].throughput.records += s.throughput.records;
-                merged[si].throughput.bytes += s.throughput.bytes;
-                item_ns[si].push(s.throughput.elapsed.as_nanos() as u64);
-            }
-            for (si, &(start, end)) in windows.iter().enumerate() {
-                walls[si].0 = walls[si].0.min(start);
-                walls[si].1 = walls[si].1.max(end);
-            }
-            outputs.push(run.output);
-        }
-        for (si, m) in merged.iter_mut().enumerate() {
-            let (start, end) = walls[si];
-            let wall_ns = end.saturating_sub(start);
-            m.throughput.elapsed = std::time::Duration::from_nanos(wall_ns);
-            let base = self.stage_metric(&m.name);
-            registry
-                .counter(&format!("{base}.records"))
-                .add(m.throughput.records);
-            registry
-                .counter(&format!("{base}.bytes"))
-                .add(m.throughput.bytes);
-            registry.histogram(&format!("{base}.ns")).record(wall_ns);
-            let per_item = registry.histogram(&format!("{base}.item_ns"));
-            for &ns in &item_ns[si] {
-                per_item.record(ns);
-            }
-            batch_span.add_bytes(m.throughput.bytes);
-        }
-        Ok((outputs, merged))
     }
 }
 
@@ -579,102 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_order_and_merges_metrics() {
-        let p = doubling_pipeline();
-        let items: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64]).collect();
-        let (outputs, metrics) = p.run_batch(items).unwrap();
-        assert_eq!(outputs.len(), 64);
-        for (i, out) in outputs.iter().enumerate() {
-            assert_eq!(out[0], i as f64 * 2.0);
-        }
-        // Merged double-stage counters: 64 records.
-        let double = metrics.iter().find(|m| m.name == "double").unwrap();
-        assert_eq!(double.throughput.records, 64);
-    }
-
-    #[test]
-    fn batch_of_empty_input_yields_zeroed_per_stage_metrics() {
-        let p = doubling_pipeline();
-        let (outputs, metrics) = p.run_batch(Vec::new()).unwrap();
-        assert!(outputs.is_empty());
-        // One zeroed entry per stage, so downstream code zipping merged
-        // metrics against stage lists never sees unequal lengths.
-        assert_eq!(metrics.len(), 2);
-        assert_eq!(metrics[0].name, "ingest");
-        assert_eq!(metrics[1].name, "double");
-        for m in &metrics {
-            assert_eq!(m.throughput.records, 0);
-            assert_eq!(m.throughput.bytes, 0);
-            assert_eq!(m.throughput.elapsed, std::time::Duration::ZERO);
-        }
-        // The batch span is still emitted (zero items) and no per-stage
-        // counters move.
-        let snap = drai_telemetry::Registry::global().snapshot();
-        let batch = snap.spans_named("pipeline.test.run_batch");
-        assert!(batch.iter().any(|s| s.items == 0));
-    }
-
-    #[test]
-    fn batch_stage_latency_never_exceeds_batch_wall_clock() {
-        use drai_telemetry::{Registry, TraceContext};
-        let reg = Registry::new();
-        let p: Pipeline<u64> = Pipeline::builder("batch-wall")
-            .stage("spin", S::Transform, |x: u64, c| {
-                // Busy work so per-item elapsed is measurable: summed
-                // across parallel items it would exceed the batch wall.
-                let mut acc = x;
-                for i in 0..200_000u64 {
-                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
-                }
-                c.records = 1;
-                Ok(acc)
-            })
-            .build();
-        let wall = Stopwatch::start();
-        TraceContext::root(&reg)
-            .scope(|| p.run_batch((0..32).collect()))
-            .unwrap();
-        let wall_ns = wall.elapsed_ns();
-        let snap = reg.snapshot();
-        let ns = &snap.histograms["pipeline.batch-wall.spin.ns"];
-        assert_eq!(ns.count, 1);
-        // The fixed `.ns` records the stage's batch wall-clock, which
-        // can never exceed the wall time of the whole run_batch call.
-        assert!(
-            ns.max <= wall_ns,
-            "stage wall {} > batch wall {wall_ns}",
-            ns.max
-        );
-        // Per-item latency lands in `.item_ns`: one observation per item.
-        let item = &snap.histograms["pipeline.batch-wall.spin.item_ns"];
-        assert_eq!(item.count, 32);
-    }
-
-    #[test]
-    fn batch_multi_failure_error_is_lowest_input_index() {
-        // Items 5, 9 and 13 all fail; regardless of which rayon worker
-        // finishes first, the reported error must be item 5's.
-        let p: Pipeline<i32> = Pipeline::builder("batch-det")
-            .stage("maybe", S::Transform, |x, _| {
-                if x % 4 == 1 && x > 1 {
-                    Err(format!("item {x} failed"))
-                } else {
-                    Ok(x)
-                }
-            })
-            .build();
-        for _ in 0..8 {
-            match p.run_batch((0..16).collect()) {
-                Err(CoreError::Stage { stage, message }) => {
-                    assert_eq!(stage, "maybe");
-                    assert_eq!(message, "item 5 failed");
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn fast_path_hit_skips_stage_function() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let func_calls = Arc::new(AtomicU32::new(0));
@@ -722,86 +507,6 @@ mod tests {
     #[should_panic(expected = "no stage named \"tripple\"")]
     fn decorating_an_unknown_stage_is_rejected() {
         doubling_pipeline().decorate_stage("tripple", |func| (func, None));
-    }
-
-    #[test]
-    fn batch_of_one_matches_a_sequential_run() {
-        let p: Pipeline<Vec<f64>> = Pipeline::builder("batch-single")
-            .stage("double", S::Transform, |v: Vec<f64>, c| {
-                c.records = v.len() as u64;
-                c.bytes = (v.len() * 8) as u64;
-                Ok(v.into_iter().map(|x| x * 2.0).collect())
-            })
-            .build();
-        let (outputs, metrics) = p.run_batch(vec![vec![1.0, 2.0, 3.0]]).unwrap();
-        assert_eq!(outputs, vec![vec![2.0, 4.0, 6.0]]);
-        // A single-item batch merges to exactly that item's counters —
-        // nothing is double-counted by the merge seeding.
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].name, "double");
-        assert_eq!(metrics[0].throughput.records, 3);
-        assert_eq!(metrics[0].throughput.bytes, 24);
-        let snap = drai_telemetry::Registry::global().snapshot();
-        assert_eq!(snap.counters["pipeline.batch-single.double.records"], 3);
-        assert_eq!(snap.histograms["pipeline.batch-single.double.ns"].count, 1);
-    }
-
-    #[test]
-    fn batch_error_mid_batch_emits_no_merged_metrics() {
-        use drai_telemetry::{Registry, TraceContext};
-        let reg = Registry::new();
-        let p: Pipeline<i32> = Pipeline::builder("batch-err")
-            .stage("pass", S::Ingest, |x, c| {
-                c.records = 1;
-                Ok(x)
-            })
-            .stage("maybe", S::Transform, |x, c| {
-                if x == 7 {
-                    Err("unlucky".into())
-                } else {
-                    c.records = 1;
-                    Ok(x)
-                }
-            })
-            .build();
-        let err = TraceContext::root(&reg)
-            .scope(|| p.run_batch((0..16).collect()))
-            .unwrap_err();
-        match err {
-            CoreError::Stage { stage, message } => {
-                assert_eq!(stage, "maybe");
-                assert_eq!(message, "unlucky");
-            }
-            other => panic!("{other:?}"),
-        }
-        // The failed batch publishes no merged per-stage counters or
-        // latency histograms — even for the stage that succeeded on
-        // other items — so dashboards never mix partial batches in.
-        let snap = reg.snapshot();
-        assert!(!snap
-            .counters
-            .contains_key("pipeline.batch-err.pass.records"));
-        assert!(!snap
-            .counters
-            .contains_key("pipeline.batch-err.maybe.records"));
-        assert!(!snap.histograms.contains_key("pipeline.batch-err.pass.ns"));
-        // The batch span itself still records the attempt.
-        assert_eq!(snap.spans_named("pipeline.batch-err.run_batch").len(), 1);
-    }
-
-    #[test]
-    fn batch_propagates_errors() {
-        let p: Pipeline<i32> = Pipeline::builder("pb")
-            .stage("maybe", S::Transform, |x, _| {
-                if x == 13 {
-                    Err("unlucky".into())
-                } else {
-                    Ok(x)
-                }
-            })
-            .build();
-        assert!(p.run_batch((0..20).collect()).is_err());
-        assert!(p.run_batch(vec![1, 2, 3]).is_ok());
     }
 
     #[test]
@@ -893,31 +598,12 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_emits_merged_telemetry() {
-        let p: Pipeline<i32> = Pipeline::builder("telem-batch")
-            .stage("inc", S::Transform, |x, c| {
-                c.records = 1;
-                Ok(x + 1)
-            })
-            .build();
-        p.run_batch((0..16).collect()).unwrap();
-        let snap = drai_telemetry::Registry::global().snapshot();
-        let batch = snap.spans_named("pipeline.telem-batch.run_batch");
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].items, 16);
-        // Per-item spans are suppressed; merged counters remain.
-        assert!(snap.spans_named("pipeline.telem-batch.inc").is_empty());
-        assert_eq!(snap.counters["pipeline.telem-batch.inc.records"], 16);
-        assert_eq!(snap.histograms["pipeline.telem-batch.inc.ns"].count, 1);
-    }
-
-    #[test]
-    fn retry_stage_recovers_from_transient_failures() {
+    fn retried_stage_recovers_from_transient_failures() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let flaky_calls = Arc::new(AtomicU32::new(0));
         let calls = flaky_calls.clone();
         let p: Pipeline<Vec<f64>> = Pipeline::builder("retry-unit")
-            .retry_stage("flaky", S::Transform, 4, move |v: Vec<f64>, c| {
+            .stage("flaky", S::Transform, move |v: Vec<f64>, c| {
                 // Fail the first two attempts, then succeed.
                 if calls.fetch_add(1, Ordering::SeqCst) < 2 {
                     Err("transient".into())
@@ -926,7 +612,8 @@ mod tests {
                     Ok(v.into_iter().map(|x| x + 1.0).collect())
                 }
             })
-            .build();
+            .build()
+            .retried("flaky", 4);
         let run = p.run(vec![1.0, 2.0]).unwrap();
         assert_eq!(run.output, vec![2.0, 3.0]);
         assert_eq!(flaky_calls.load(Ordering::SeqCst), 3);
@@ -937,12 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn retry_stage_exhaustion_reports_last_error() {
+    fn retried_stage_exhaustion_reports_last_error() {
         let p: Pipeline<i32> = Pipeline::builder("retry-fail")
-            .retry_stage("doomed", S::Transform, 3, |_, _| {
+            .stage("doomed", S::Transform, |_, _| {
                 Err("still broken".to_string())
             })
-            .build();
+            .build()
+            .retried("doomed", 3);
         match p.run(1) {
             Err(CoreError::Stage { stage, message }) => {
                 assert_eq!(stage, "doomed");

@@ -1,7 +1,7 @@
 //! Mode equivalence: however a domain's one stage graph is executed —
-//! each member alone through `run`, the whole batch through rayon
-//! `run_batch` or the streaming executor, uncached, against a cold
-//! cache or replayed from a warm one — every member's shard blobs are
+//! each member alone through `run` or the whole batch through the
+//! streaming executor, uncached, against a cold cache or replayed from
+//! a warm one — every member's shard blobs are
 //! bitwise identical and the cache is consulted exactly once per cached
 //! stage per member. One table, both batch-capable domains.
 
@@ -24,8 +24,6 @@ const MEMBERS: usize = 3;
 enum Engine {
     /// Each member alone through the single-item pipeline's `run`.
     Alone,
-    /// All members through the batch pipeline's rayon `run_batch`.
-    Rayon,
     /// All members through the batch pipeline's `run_batch_streaming`.
     Streaming,
 }
@@ -39,9 +37,8 @@ enum Cache {
     Warm,
 }
 
-const MODES: [(&str, Engine, Cache); 7] = [
+const MODES: [(&str, Engine, Cache); 6] = [
     ("run, each member alone", Engine::Alone, Cache::None),
-    ("run_batch", Engine::Rayon, Cache::None),
     ("run_batch_streaming", Engine::Streaming, Cache::None),
     ("cached cold, run alone", Engine::Alone, Cache::Cold),
     ("cached warm, run alone", Engine::Alone, Cache::Warm),
@@ -102,15 +99,13 @@ fn assert_modes_agree<D: Send + 'static>(
                     collect(&sink, &format!("{base}/"), m, &mut shards);
                 }
             }
-            Engine::Rayon | Engine::Streaming => {
+            Engine::Streaming => {
                 let sink = Arc::new(MemSink::new());
                 let pipeline = batch(sink.clone(), cache.clone());
                 let items: Vec<Member<D>> = (0..MEMBERS).map(|m| Member(m, input(m))).collect();
-                match engine {
-                    Engine::Rayon => pipeline.run_batch(items),
-                    _ => pipeline.run_batch_streaming(items, &ExecutorConfig::default()),
-                }
-                .unwrap_or_else(|e| panic!("{base}, {label}: {e}"));
+                pipeline
+                    .run_batch_streaming(items, &ExecutorConfig::default())
+                    .unwrap_or_else(|e| panic!("{base}, {label}: {e}"));
                 for m in 0..MEMBERS {
                     collect(&sink, &format!("{base}/m{m}/"), m, &mut shards);
                 }

@@ -39,7 +39,7 @@
 //!
 //! Producers: `pipeline.*` comes from drai-core; `executor.*` from
 //! drai-core's streaming batch executor (queue depth, send stalls,
-//! per-stage in-flight, fast-path short-circuits); `io.{prefetch,
+//! per-stage in-flight, live progress); `io.{prefetch,
 //! shard,codec,sink}.*` from drai-io; `io.{fault,retry}.*` from the
 //! fault/retry layer; `domain.*` from drai-domains; `cache.*` from the
 //! drai-cache stage-result cache; `bench.*` from the
@@ -109,11 +109,9 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "pipeline.*.*.retries",
     "pipeline.*.*.item_ns",
     "pipeline.*.refinements",
-    // drai-core streaming executor (gauge, histogram, counter, gauge,
-    // counter)
+    // drai-core streaming executor (gauge, histogram, gauge, counter)
     "executor.queue_depth",
     "executor.stall_ns",
-    "executor.shortcircuits",
     "executor.*.*.inflight",
     "executor.items_completed",
     // drai-telemetry monitor sampler: one count per sample tick, one
@@ -188,7 +186,6 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "cache.put",
     // span tree: drai-core pipeline run/stage spans
     "pipeline.*.run",
-    "pipeline.*.run_batch",
     "pipeline.*.run_streaming",
     "pipeline.*.run_iterative",
     "pipeline.*.*",

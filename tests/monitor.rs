@@ -65,7 +65,7 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
         .map(|m| Member(m, climate::member_input(&cfg, m)))
         .collect();
 
-    let spec = executor_health_spec(&exec, STAGES.len());
+    let spec = executor_health_spec(&exec);
     let (result, report) = monitored(members as u64, spec, None, || {
         pipeline.run_batch_streaming(items, &exec)
     });
