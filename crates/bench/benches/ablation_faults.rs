@@ -88,7 +88,7 @@ fn bench_fault_rates(c: &mut Criterion) {
 
     // Persist the fault/retry telemetry next to the criterion results
     // so `scripts/summarize_bench.py` sweeps both.
-    drai_bench::export_telemetry("target/criterion/telemetry-faults").ok();
+    drai_bench::export_telemetry("telemetry-faults").ok();
 }
 
 criterion_group!(benches, bench_fault_rates);

@@ -64,8 +64,6 @@ fn bench_stages(c: &mut Criterion) {
         // Per-pipeline-stage wall time, reported once per sweep point via
         // the pipeline's own metrics (criterion measures end-to-end; the
         // stage breakdown is the paper-facing table).
-        let sink = Arc::new(MemSink::new());
-        climate::generate_raw(&config, sink.as_ref()).unwrap();
         let run = climate::run(&config, Arc::new(MemSink::new())).unwrap();
         eprintln!("\n[table1_climate] nlat={nlat} stage breakdown:");
         for s in &run.stages {
@@ -76,7 +74,6 @@ fn bench_stages(c: &mut Criterion) {
                 s.throughput.mib_per_sec()
             );
         }
-        let _ = &sink;
     }
     group.finish();
 }

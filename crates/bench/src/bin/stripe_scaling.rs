@@ -94,8 +94,7 @@ fn main() {
     // Every shard write above ran through the instrumented I/O stack;
     // persist the telemetry snapshot next to the criterion results so
     // `scripts/summarize_bench.py` sweeps both.
-    let out = std::path::Path::new("target/criterion/telemetry");
-    match drai_bench::export_telemetry(out) {
+    match drai_bench::export_telemetry("telemetry") {
         Ok(paths) => println!("\ntelemetry exported to {}", paths[0].display()),
         Err(e) => eprintln!("\ntelemetry export failed: {e}"),
     }

@@ -15,40 +15,56 @@
 //! | `ablation_shard` | shard-size × format sweep |
 //! | `ablation_codec` | compression codec sweep |
 //! | `ablation_scaling` | thread-count scaling of pipeline stages |
+//! | `ablation_faults` | retry overhead vs injected storage-fault rate |
 //!
 //! Virtual-time experiments that criterion cannot measure (simulated
 //! stripe-count scaling on `drai-sim`) live in `src/bin/stripe_scaling.rs`,
 //! which prints its series directly.
 //!
-//! The trace-driven perf-regression gate lives in
-//! `src/bin/drai-bench-report.rs` (report model in [`report`]): it
-//! re-runs the same workloads at fixed reduced sizes under the
-//! hierarchical tracer and compares the committed `BENCH_<pr>.json`
-//! trajectory points (see DESIGN.md §8).
+//! These targets declare the paper's figures, tables and ablations and
+//! nothing else does. Performance is gated elsewhere, in one place: the
+//! repo benchmark (`benchmark/`, run by the command in `BENCHMARK.json`;
+//! see DESIGN.md §8).
 
 #![forbid(unsafe_code)]
-
-pub mod report;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
-/// Snapshot the global telemetry registry and persist it next to the
-/// criterion output so `scripts/summarize_bench.py` picks both up:
+/// The directory the criterion shim writes its estimates to:
+/// `CARGO_TARGET_DIR` if set, else the workspace `target/`, plus
+/// `criterion`. Anchored at this crate's manifest, not the current
+/// directory — `cargo bench` runs targets from `crates/bench`, and a
+/// `target/` created there would capture every later bench's output.
+fn criterion_dir() -> PathBuf {
+    let target = match std::env::var_os("CARGO_TARGET_DIR") {
+        Some(dir) => PathBuf::from(dir),
+        None => Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/bench sits two levels below the workspace root")
+            .join("target"),
+    };
+    target.join("criterion")
+}
+
+/// Snapshot the global telemetry registry and persist it under
+/// `<criterion output>/<leaf>` so `scripts/summarize_bench.py` picks
+/// both up:
 ///
-/// * `<dir>/telemetry.json` — the full snapshot (counters, gauges,
+/// * `telemetry.json` — the full snapshot (counters, gauges,
 ///   histograms, spans) as one JSON document;
-/// * `<dir>/telemetry.jsonl` — the same data, one metric per line;
-/// * `<dir>/<metric path>/new/estimates.json` — one criterion-style
+/// * `telemetry.jsonl` — the same data, one metric per line;
+/// * `<metric path>/new/estimates.json` — one criterion-style
 ///   estimate file per latency histogram, so histogram means appear in
 ///   the same sweep as the bench timings.
 ///
 /// Returns the paths written. Call at the end of a bench target (or any
 /// long-running driver) to dump everything instrumented during the run.
-pub fn export_telemetry(dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
+pub fn export_telemetry(leaf: &str) -> std::io::Result<Vec<PathBuf>> {
+    let dir = criterion_dir().join(leaf);
+    std::fs::create_dir_all(&dir)?;
     let snap = drai_telemetry::Registry::global().snapshot();
     let mut written = Vec::new();
 
@@ -60,9 +76,9 @@ pub fn export_telemetry(dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> 
     std::fs::write(&jsonl_path, snap.to_jsonl())?;
     written.push(jsonl_path);
 
-    let n = drai_telemetry::write_criterion_estimates(&snap, dir)?;
+    let n = drai_telemetry::write_criterion_estimates(&snap, &dir)?;
     if n > 0 {
-        written.push(dir.to_path_buf());
+        written.push(dir);
     }
     Ok(written)
 }
@@ -169,19 +185,28 @@ mod tests {
         assert!(enc.len() < mask.len() / 10, "rle ratio {}", enc.len());
     }
 
+    /// `cargo test` and `cargo bench` both run this crate's targets
+    /// from `crates/bench`; the export must land beside the criterion
+    /// shim's output all the same, and leave nothing under the cwd.
     #[test]
-    fn export_telemetry_writes_snapshot_and_estimates() {
+    fn export_telemetry_from_the_crate_dir_lands_in_the_workspace_target() {
+        let cwd = std::env::current_dir().unwrap();
+        assert_eq!(cwd, Path::new(env!("CARGO_MANIFEST_DIR")), "run via cargo");
         let registry = drai_telemetry::Registry::global();
-        registry.counter("bench.test.counter").incr();
-        registry.histogram("bench.test.hist").record(1_000);
-        let dir = std::env::temp_dir().join(format!("drai-bench-telemetry-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = export_telemetry(&dir).unwrap();
-        assert!(paths[0].ends_with("telemetry.json") && paths[0].is_file());
-        assert!(paths[1].ends_with("telemetry.jsonl") && paths[1].is_file());
+        registry.counter("selftest.export.count").incr();
+        registry.histogram("selftest.export.ns").record(1_000);
+
+        let leaf = format!("telemetry-selftest-{}", std::process::id());
+        let paths = export_telemetry(&leaf).unwrap();
+        let dir = criterion_dir().join(&leaf);
+        assert!(paths[0] == dir.join("telemetry.json") && paths[0].is_file());
+        assert!(paths[1] == dir.join("telemetry.jsonl") && paths[1].is_file());
         let snap = std::fs::read_to_string(&paths[0]).unwrap();
-        assert!(snap.contains("\"bench.test.counter\""));
-        assert!(dir.join("bench/test/hist/new/estimates.json").is_file());
+        assert!(snap.contains("\"selftest.export.count\""));
+        assert!(dir.join("selftest/export/ns/new/estimates.json").is_file());
+
+        assert!(!dir.canonicalize().unwrap().starts_with(&cwd));
+        assert!(!cwd.join("target/criterion").join(&leaf).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

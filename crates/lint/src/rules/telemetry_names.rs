@@ -13,9 +13,9 @@
 //! and are skipped — keep templates inline where possible.
 //!
 //! Span names (`reg.span(...)` / `reg.time(...)`) are part of the same
-//! namespace — trace trees, the bench-report stage breakdown, and the
-//! Chrome/flamegraph exporters key on them — so they are held to the
-//! identical grammar and registration requirements.
+//! namespace — trace trees and the Chrome/flamegraph exporters key on
+//! them — so they are held to the identical grammar and registration
+//! requirements.
 //!
 //! HealthSpec rule names (`spec.rule("name", ...)` in
 //! `drai_telemetry::monitor`) are interned into the namespace as

@@ -42,10 +42,9 @@
 //! per-stage in-flight, live progress); `io.{prefetch,
 //! shard,codec,sink}.*` from drai-io; `io.{fault,retry}.*` from the
 //! fault/retry layer; `domain.*` from drai-domains; `cache.*` from the
-//! drai-cache stage-result cache; `bench.*` from the
-//! `drai-bench-report` binary; `monitor.*` from the [`monitor`]
-//! sampler's health layer; `*.ns` is the histogram every [`Span`]
-//! records on drop.
+//! drai-cache stage-result cache; `sched.*` from the drai-sched
+//! scheduler; `monitor.*` from the [`monitor`] sampler's health layer;
+//! `*.ns` is the histogram every [`Span`] records on drop.
 //!
 //! The [`monitor`] module adds the *live* view: a background sampler
 //! on an injectable clock that turns the registry into bounded
@@ -197,8 +196,6 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "io.prefetch.worker",
     "io.shard.write_all",
     "io.shard.read_all",
-    // span tree: drai-bench-report harness
-    "bench.*",
     // every Span records `<span name>.ns` on drop
     "*.ns",
 ];

@@ -7,23 +7,13 @@ Two modes:
       Walk criterion output (default target/criterion) and print one
       row per benchmark with its mean time.
 
-  python3 scripts/summarize_bench.py --bench-reports [repo_root]
-      Ingest every BENCH_<n>.json trajectory point written by
-      drai-bench-report (default: repo root, i.e. the parent of this
-      script's directory) and print the cross-PR trajectory: one row
-      per bench per report, sorted by PR number then bench name, with
-      the wall-time delta against the same bench in the previous
-      comparable (same-mode) report. Scheduler benches (`sched_*`) are
-      ordinary rows in this table. Every MONITOR_<n>.jsonl artifact
-      (drai-monitor/v1, written by `drai-bench-report --monitor`) gets
-      a second table summarizing its time series — executor.* and
-      sched.* alike — whether or not a BENCH_<n>.json for the same PR
-      exists (monitor-only PRs are annotated); missing or unreadable
-      monitor artifacts are tolerated.
+  python3 scripts/summarize_bench.py --monitor <file.jsonl>
+      Summarize one drai-monitor/v1 artifact (the `monitor.jsonl` that
+      `cargo run --release --example explain_run -- <dir>` leaves in
+      <dir>): one row per time series, executor.* and sched.* alike.
 """
 import json
 import os
-import re
 import sys
 
 
@@ -35,13 +25,6 @@ def fmt_time(ns: float) -> str:
     if ns < 1e9:
         return f"{ns / 1e6:.2f} ms"
     return f"{ns / 1e9:.3f} s"
-
-
-def fmt_rate(per_s: float, unit: str) -> str:
-    for scale, prefix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if per_s >= scale:
-            return f"{per_s / scale:.2f} {prefix}{unit}/s"
-    return f"{per_s:.1f} {unit}/s"
 
 
 def criterion_mode(root: str) -> None:
@@ -65,42 +48,15 @@ def criterion_mode(root: str) -> None:
         print(f"| {name} | {fmt_time(ns)} |")
 
 
-def load_reports(root: str):
-    """Parse every BENCH_<n>.json under root, sorted by PR number."""
-    reports = []
-    for name in os.listdir(root):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if not m:
-            continue
-        path = os.path.join(root, name)
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"warning: skipping {name}: {e}", file=sys.stderr)
-            continue
-        if doc.get("format") != "drai-bench-report/v1":
-            print(f"warning: skipping {name}: unknown format", file=sys.stderr)
-            continue
-        reports.append((int(m.group(1)), doc))
-    reports.sort(key=lambda t: t[0])
-    return reports
-
-
 def load_monitor(path: str):
-    """Parse a drai-monitor/v1 JSONL artifact; None when unusable."""
+    """Parse a drai-monitor/v1 JSONL artifact."""
     try:
         with open(path) as f:
             lines = [json.loads(ln) for ln in f if ln.strip()]
     except (OSError, json.JSONDecodeError) as e:
-        print(f"warning: skipping {os.path.basename(path)}: {e}", file=sys.stderr)
-        return None
+        sys.exit(f"{path}: {e}")
     if not lines or lines[0].get("format") != "drai-monitor/v1":
-        print(
-            f"warning: skipping {os.path.basename(path)}: unknown format",
-            file=sys.stderr,
-        )
-        return None
+        sys.exit(f"{path}: not a drai-monitor/v1 artifact")
     header = lines[0]
     series = {}  # metric -> {"kind": ..., "points": [...]}
     for doc in lines[1:]:
@@ -116,12 +72,11 @@ def load_monitor(path: str):
     }
 
 
-def monitor_summary(pr: int, mon: dict, standalone: bool) -> None:
+def monitor_mode(path: str) -> None:
     """Print the per-series summary table for one monitor artifact."""
-    print()
-    note = " (no matching BENCH report)" if standalone else ""
+    mon = load_monitor(path)
     print(
-        f"monitor (PR {pr}){note}: {mon['ticks']} samples, "
+        f"monitor: {mon['ticks']} samples, "
         f"{len(mon['series'])} series, {mon['events']} health events"
     )
     print("| metric | kind | points | last | peak hi | mean rate |")
@@ -140,65 +95,12 @@ def monitor_summary(pr: int, mon: dict, standalone: bool) -> None:
         )
 
 
-def monitor_paths(root: str):
-    """All MONITOR_<n>.jsonl artifacts under root, sorted by PR."""
-    found = []
-    for name in os.listdir(root):
-        m = re.fullmatch(r"MONITOR_(\d+)\.jsonl", name)
-        if m:
-            found.append((int(m.group(1)), os.path.join(root, name)))
-    found.sort(key=lambda t: t[0])
-    return found
-
-
-def bench_reports_mode(root: str) -> None:
-    reports = load_reports(root)
-    monitors = monitor_paths(root)
-    if not reports and not monitors:
-        print(f"no BENCH_<n>.json or MONITOR_<n>.jsonl files under {root}", file=sys.stderr)
-        sys.exit(1)
-    # prev[(mode, bench)] -> wall_ns of the latest earlier report.
-    prev = {}
-    if reports:
-        print("| PR | bench | wall | items/s | bytes/s | top stage (self) | vs prev |")
-        print("|---|---|---|---|---|---|---|")
-    for pr, doc in reports:
-        mode = doc.get("mode", "full")
-        for bench in doc.get("benches", []):
-            name = bench["name"]
-            wall = bench["wall_ns"]
-            stages = bench.get("stages", [])
-            top = max(stages, key=lambda s: s["self_ns"], default=None)
-            top_txt = (
-                f"{top['name']} ({fmt_time(top['self_ns'])})" if top else "—"
-            )
-            key = (mode, name)
-            if key in prev:
-                delta = wall / prev[key] - 1.0
-                delta_txt = f"{delta:+.1%}"
-            else:
-                delta_txt = "—"
-            prev[key] = wall
-            label = name if mode == "full" else f"{name} [{mode}]"
-            print(
-                f"| {pr} | {label} | {fmt_time(wall)} "
-                f"| {fmt_rate(bench.get('items_per_s', 0.0), 'item')} "
-                f"| {fmt_rate(bench.get('bytes_per_s', 0.0), 'B')} "
-                f"| {top_txt} | {delta_txt} |"
-            )
-    bench_prs = {pr for pr, _doc in reports}
-    for pr, mon_path in monitors:
-        mon = load_monitor(mon_path)
-        if mon is not None:
-            monitor_summary(pr, mon, standalone=pr not in bench_prs)
-
-
 def main() -> None:
     args = sys.argv[1:]
-    if args and args[0] == "--bench-reports":
-        default_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        root = args[1] if len(args) > 1 else default_root
-        bench_reports_mode(root)
+    if args and args[0] == "--monitor":
+        if len(args) != 2:
+            sys.exit("usage: summarize_bench.py --monitor <file.jsonl>")
+        monitor_mode(args[1])
     else:
         criterion_mode(args[0] if args else "target/criterion")
 

@@ -11,8 +11,8 @@ use drai::core::card::DatasetCard;
 use drai::core::quality::QualityReport;
 use drai::core::readiness::{MaturityMatrix, ProcessingStage};
 use drai::core::ReadinessAssessor;
-use drai::domains::{bio, climate, fusion, materials, DomainRun};
-use drai::io::sink::LocalFs;
+use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
+use drai::io::sink::{LocalFs, StorageSink};
 use drai::tensor::LatLonGrid;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -38,25 +38,96 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value following flag `name`, `None` when the flag is absent; a
+/// flag with nothing after it is a usage error.
+fn flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{name} needs a value")),
+        },
+    }
 }
+
+/// The integer value of flag `name`, `default` when the flag is absent;
+/// a value that does not parse is a usage error, never the default.
+fn int_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    match flag(args, name)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}")),
+    }
+}
+
+/// `--seed`, `--scale` (at least 1) and `--out` of `drai run` / `card`.
+fn run_flags(args: &[String]) -> Result<(u64, usize, Option<&str>), String> {
+    Ok((
+        int_flag(args, "--seed", 2_025)?,
+        int_flag(args, "--scale", 1usize)?.max(1),
+        flag(args, "--out")?,
+    ))
+}
+
+/// One archetype run into the sink it is handed.
+type Runner = Box<dyn FnOnce(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>>;
 
 fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
     let Some(domain) = args.first() else {
         eprintln!("missing domain (climate|fusion|bio|materials)");
         return ExitCode::FAILURE;
     };
-    let out = flag(args, "--out").unwrap_or_else(|| format!("./drai-out/{domain}"));
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_025);
-    let scale: usize = flag(args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let (seed, scale, out) = match run_flags(args) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // Domain and flags are checked before the output directory is
+    // created, so a usage error leaves nothing behind.
+    let runner: Runner = match domain.as_str() {
+        "climate" => {
+            let cfg = climate::ClimateConfig {
+                src_grid: LatLonGrid::global(24 * scale, 48 * scale),
+                dst_grid: LatLonGrid::global(16 * scale, 32 * scale),
+                timesteps: 16 * scale,
+                seed,
+                ..climate::ClimateConfig::default()
+            };
+            Box::new(move |sink| climate::run(&cfg, sink))
+        }
+        "fusion" => {
+            let cfg = fusion::FusionConfig {
+                shots: 16 * scale,
+                seed,
+                ..fusion::FusionConfig::default()
+            };
+            Box::new(move |sink| fusion::run(&cfg, sink))
+        }
+        "bio" => {
+            let cfg = bio::BioConfig {
+                patients: 48 * scale,
+                seed,
+                ..bio::BioConfig::default()
+            };
+            Box::new(move |sink| bio::run(&cfg, sink))
+        }
+        "materials" => {
+            let cfg = materials::MaterialsConfig {
+                structures: 32 * scale,
+                seed,
+                ..materials::MaterialsConfig::default()
+            };
+            Box::new(move |sink| materials::run(&cfg, sink))
+        }
+        other => {
+            eprintln!("unknown domain {other:?} (climate|fusion|bio|materials)");
+            return ExitCode::FAILURE;
+        }
+    };
+    let out = out.map_or_else(|| format!("./drai-out/{domain}"), str::to_string);
 
     let sink = match LocalFs::new(&out) {
         Ok(s) => Arc::new(s),
@@ -65,47 +136,7 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result: Result<DomainRun, _> = match domain.as_str() {
-        "climate" => climate::run(
-            &climate::ClimateConfig {
-                src_grid: LatLonGrid::global(24 * scale, 48 * scale),
-                dst_grid: LatLonGrid::global(16 * scale, 32 * scale),
-                timesteps: 16 * scale,
-                seed,
-                ..climate::ClimateConfig::default()
-            },
-            sink,
-        ),
-        "fusion" => fusion::run(
-            &fusion::FusionConfig {
-                shots: 16 * scale,
-                seed,
-                ..fusion::FusionConfig::default()
-            },
-            sink,
-        ),
-        "bio" => bio::run(
-            &bio::BioConfig {
-                patients: 48 * scale,
-                seed,
-                ..bio::BioConfig::default()
-            },
-            sink,
-        ),
-        "materials" => materials::run(
-            &materials::MaterialsConfig {
-                structures: 32 * scale,
-                seed,
-                ..materials::MaterialsConfig::default()
-            },
-            sink,
-        ),
-        other => {
-            eprintln!("unknown domain {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = match result {
+    let run = match runner(sink) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pipeline failed: {e}");
