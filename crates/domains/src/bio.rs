@@ -426,7 +426,6 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
     generate_raw(cfg, sink.as_ref())?;
     let ledger = Arc::new(Ledger::new());
     let input = ingest(cfg, sink.as_ref())?;
-    let intake_findings = input.intake_phi_findings;
     let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
     let run = pipeline.run(input)?;
 
@@ -469,12 +468,7 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
     manifest.split_assigned = true;
     manifest.sharded = true;
 
-    let _ = intake_findings;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("bio/") && n.ends_with(".enc"))
-        .collect();
+    let shard_files = crate::shard_files(sink.as_ref(), "bio/", ".enc")?;
 
     run_span.add_items(manifest.records);
     Ok(DomainRun {

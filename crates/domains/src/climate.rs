@@ -22,7 +22,7 @@ use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
 use drai_formats::npy::write_npy;
 use drai_formats::zip::{write_zip, ZipEntry};
-use drai_io::parallel::prefetch_map;
+use drai_io::parallel::{par_map, prefetch_map};
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
@@ -33,7 +33,6 @@ use drai_transform::regrid;
 use drai_transform::split::{assign, Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Variables in the synthetic CMIP-like set (ORBIT/ClimaX-style subset).
@@ -294,27 +293,22 @@ fn regrid_stage(
     let src = data.grid.clone();
     let dst = cfg.dst_grid.clone();
     let ncells_src = src.ncells();
-    let regridded: Result<Vec<Vec<f64>>, String> = data
-        .fields
-        .par_iter()
-        .enumerate()
-        .map(|(vi, stack)| {
-            let conservative = VARIABLES[vi].2;
-            let mut out = Vec::with_capacity(data.timesteps * dst.ncells());
-            for t in 0..data.timesteps {
-                let field = &stack[t * ncells_src..(t + 1) * ncells_src];
-                let r = if conservative {
-                    regrid::conservative(&src, field, &dst)
-                } else {
-                    regrid::bilinear(&src, field, &dst)
-                }
-                .map_err(|e| format!("{e}"))?;
-                out.extend(r);
+    let regridded = par_map(data.fields.iter().enumerate(), |(vi, stack)| {
+        let conservative = VARIABLES[vi].2;
+        let mut out = Vec::with_capacity(data.timesteps * dst.ncells());
+        for t in 0..data.timesteps {
+            let field = &stack[t * ncells_src..(t + 1) * ncells_src];
+            let r = if conservative {
+                regrid::conservative(&src, field, &dst)
+            } else {
+                regrid::bilinear(&src, field, &dst)
             }
-            Ok(out)
-        })
-        .collect();
-    data.fields = regridded?;
+            .map_err(|e| format!("{e}"))?;
+            out.extend(r);
+        }
+        Ok(out)
+    });
+    data.fields = regridded.into_iter().collect::<Result<_, String>>()?;
     ledger.record(
         "regrid",
         [
@@ -330,32 +324,29 @@ fn regrid_stage(
     Ok(data)
 }
 
-/// Stage body: per-variable z-score via parallel Welford reduction.
+/// Stage body: per-variable z-score. Welford moments are fitted per
+/// 64 Ki-value chunk in parallel and merged in chunk order, so the fit is
+/// the same on every host.
 fn normalize_stage(
     ledger: &Ledger,
     mut data: ClimateData,
     c: &mut StageCounters,
 ) -> Result<ClimateData, String> {
-    let normalizers: Result<Vec<Normalizer>, String> = data
-        .fields
-        .par_iter()
-        .map(|stack| {
-            let w = stack
-                .par_chunks(64 * 1024)
-                .map(|chunk| {
-                    let mut w = Welford::new();
-                    w.extend(chunk);
-                    w
-                })
-                .reduce(Welford::new, |a, b| a.merge(&b));
-            Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))
+    let normalizers: Vec<Normalizer> = par_map(&data.fields, |stack| {
+        let w = par_map(stack.chunks(64 * 1024), |chunk| {
+            let mut w = Welford::new();
+            w.extend(chunk);
+            w
         })
-        .collect();
-    let normalizers = normalizers?;
-    data.fields
-        .par_iter_mut()
-        .zip(normalizers.par_iter())
-        .for_each(|(stack, n)| n.apply_slice(stack));
+        .iter()
+        .fold(Welford::new(), |acc, w| acc.merge(w));
+        Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))
+    })
+    .into_iter()
+    .collect::<Result<_, String>>()?;
+    par_map(data.fields.iter_mut().zip(&normalizers), |(stack, n)| {
+        n.apply_slice(stack)
+    });
     for (vi, n) in normalizers.iter().enumerate() {
         ledger.record(
             "normalize",
@@ -389,34 +380,30 @@ fn shard_stage(
     let ncells = data.grid.ncells();
     let shape = data.grid.shape();
     let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
-    let records: Vec<(Split, Vec<u8>)> = (0..data.timesteps)
-        .into_par_iter()
-        .map(|t| {
-            let entries: Vec<ZipEntry> = data
-                .fields
-                .iter()
-                .enumerate()
-                .map(|(vi, stack)| {
-                    let field: Vec<f32> = stack[t * ncells..(t + 1) * ncells]
-                        .iter()
-                        .map(|&x| x as f32)
-                        .collect();
-                    let tensor =
-                        Tensor::from_vec(field, &[shape[0], shape[1]]).expect("grid shape");
-                    ZipEntry {
-                        name: format!("{}.npy", VARIABLES[vi].0),
-                        data: write_npy(&tensor),
-                    }
-                })
-                .collect();
-            let split =
-                assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).expect("validated fractions");
-            (
-                split,
-                write_zip(&entries).expect("shards are far below the 4 GiB zip limit"),
-            )
-        })
-        .collect();
+    let records: Vec<(Split, Vec<u8>)> = par_map(0..data.timesteps, |t| {
+        let entries: Vec<ZipEntry> = data
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(vi, stack)| {
+                let field: Vec<f32> = stack[t * ncells..(t + 1) * ncells]
+                    .iter()
+                    .map(|&x| x as f32)
+                    .collect();
+                let tensor = Tensor::from_vec(field, &[shape[0], shape[1]]).expect("grid shape");
+                ZipEntry {
+                    name: format!("{}.npy", VARIABLES[vi].0),
+                    data: write_npy(&tensor),
+                }
+            })
+            .collect();
+        let split =
+            assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).expect("validated fractions");
+        (
+            split,
+            write_zip(&entries).expect("shards are far below the 4 GiB zip limit"),
+        )
+    });
     for (split, rec) in records {
         let idx = match split {
             Split::Train => 0,

@@ -21,6 +21,7 @@ use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::example::Example;
 use drai_formats::tfrecord;
+use drai_io::parallel::par_map;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
@@ -30,7 +31,6 @@ use drai_transform::normalize::{Method, Normalizer};
 use drai_transform::split::{assign, Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Diagnostic channels in the synthetic shot store.
@@ -228,7 +228,6 @@ pub fn build_pipeline(
             move |mut data: FusionData, c: &mut StageCounters| {
                 // Drop shots with fewer than 2 live channels (cannot align a
                 // useful feature matrix from one signal).
-                let before = data.shots.len();
                 data.shots.retain(|s| s.channels.len() >= 2);
                 let samples: usize = data
                     .shots
@@ -237,33 +236,28 @@ pub fn build_pipeline(
                     .sum();
                 c.records = data.shots.len() as u64;
                 c.bytes = (samples * 16) as u64;
-                let _ = before;
                 Ok(data)
             },
         )
         .stage("align", S::Preprocess, move |mut data: FusionData, c| {
-            let aligned: Result<Vec<_>, String> = data
-                .shots
-                .par_iter()
-                .map(|shot| {
-                    let t_end = shot
-                        .channels
-                        .iter()
-                        .filter_map(|ch| ch.times.last().copied())
-                        .fold(f64::INFINITY, f64::min);
-                    let t_start = shot
-                        .channels
-                        .iter()
-                        .filter_map(|ch| ch.times.first().copied())
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let clock = Clock::covering(t_start, t_end, cfg_align.clock_hz)
-                        .map_err(|e| format!("shot {}: {e}", shot.id))?;
-                    let (matrix, _names) = align_channels(&shot.channels, &clock)
-                        .map_err(|e| format!("shot {}: {e}", shot.id))?;
-                    Ok((shot.id, shot.t_disrupt, matrix, clock.len))
-                })
-                .collect();
-            data.aligned = aligned?;
+            let aligned = par_map(&data.shots, |shot| {
+                let t_end = shot
+                    .channels
+                    .iter()
+                    .filter_map(|ch| ch.times.last().copied())
+                    .fold(f64::INFINITY, f64::min);
+                let t_start = shot
+                    .channels
+                    .iter()
+                    .filter_map(|ch| ch.times.first().copied())
+                    .fold(f64::NEG_INFINITY, f64::max);
+                let clock = Clock::covering(t_start, t_end, cfg_align.clock_hz)
+                    .map_err(|e| format!("shot {}: {e}", shot.id))?;
+                let (matrix, _names) = align_channels(&shot.channels, &clock)
+                    .map_err(|e| format!("shot {}: {e}", shot.id))?;
+                Ok((shot.id, shot.t_disrupt, matrix, clock.len))
+            });
+            data.aligned = aligned.into_iter().collect::<Result<_, String>>()?;
             c.records = data.aligned.len() as u64;
             c.bytes = data
                 .aligned
@@ -364,25 +358,21 @@ pub fn build_pipeline(
         .stage("shard", S::Shard, move |data: FusionData, c| {
             // Encode windows as tf.train.Examples, split by shot key.
             let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
-            let encoded: Vec<(Split, Vec<u8>)> = data
-                .windows
-                .par_iter()
-                .map(|w| {
-                    let ex = Example::new()
-                        .with_floats("features", w.features.clone())
-                        .with_ints("label", vec![w.label])
-                        .with_ints("shot_id", vec![w.shot_id as i64]);
-                    let mut framed = Vec::new();
-                    tfrecord::write_record(&mut framed, &ex.encode());
-                    let split = assign(
-                        &format!("shot-{}", w.shot_id),
-                        cfg_shard.seed,
-                        cfg_shard.fractions,
-                    )
-                    .expect("validated fractions");
-                    (split, framed)
-                })
-                .collect();
+            let encoded: Vec<(Split, Vec<u8>)> = par_map(&data.windows, |w| {
+                let ex = Example::new()
+                    .with_floats("features", w.features.clone())
+                    .with_ints("label", vec![w.label])
+                    .with_ints("shot_id", vec![w.shot_id as i64]);
+                let mut framed = Vec::new();
+                tfrecord::write_record(&mut framed, &ex.encode());
+                let split = assign(
+                    &format!("shot-{}", w.shot_id),
+                    cfg_shard.seed,
+                    cfg_shard.fractions,
+                )
+                .expect("validated fractions");
+                (split, framed)
+            });
             for (split, rec) in encoded {
                 let idx = match split {
                     Split::Train => 0,
@@ -568,11 +558,7 @@ pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, 
     manifest.split_assigned = true;
     manifest.sharded = true;
 
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("fusion/") && n.ends_with(".shard"))
-        .collect();
+    let shard_files = crate::shard_files(sink.as_ref(), "fusion/", ".shard")?;
 
     run_span.add_items(manifest.records);
     Ok(DomainRun {

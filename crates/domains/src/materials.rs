@@ -24,6 +24,7 @@ use drai_core::readiness::ProcessingStage as S;
 use drai_formats::bp::{BpVar, BpWriter, ProcessGroup};
 use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
 use drai_io::json::Json;
+use drai_io::parallel::par_map;
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::{Artifact, Ledger};
 use drai_tensor::stats::Welford;
@@ -31,7 +32,6 @@ use drai_tensor::Tensor;
 use drai_transform::split::{assign, Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Species used by the synthetic generator (with imbalanced abundances —
@@ -284,21 +284,21 @@ fn parse_stage(data: MaterialsData, c: &mut StageCounters) -> Result<MaterialsDa
     Ok(data)
 }
 
-/// Stage body: per-atom energy statistics (parallel Welford merge).
+/// Stage body: per-atom energy statistics.
 fn normalize_stage(
     ledger: &Ledger,
     mut data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
-    let w = data
-        .frames
-        .par_iter()
-        .map(|f| {
-            let mut w = Welford::new();
-            w.push(f.energy().expect("validated") / f.atoms.len() as f64);
-            w
-        })
-        .reduce(Welford::new, |a, b| a.merge(&b));
+    // One-observation accumulators merged in frame order rather than
+    // `push`: the two round `m2` differently, and these are the bits the
+    // stage has always produced on one CPU (pinned in tests/golden.rs).
+    let mut w = Welford::new();
+    for f in &data.frames {
+        let mut one = Welford::new();
+        one.push(f.energy().expect("validated") / f.atoms.len() as f64);
+        w = w.merge(&one);
+    }
     let std = if w.std() < f64::EPSILON { 1.0 } else { w.std() };
     data.energy_stats = (w.mean(), std);
     ledger.record(
@@ -324,51 +324,45 @@ fn encode_stage(
 ) -> Result<MaterialsData, String> {
     let species_index = |el: &str| SPECIES.iter().position(|(s, _)| *s == el);
     let (e_mean, e_std) = data.energy_stats;
-    let graphs: Result<Vec<GraphSample>, String> = data
-        .frames
-        .par_iter()
-        .enumerate()
-        .map(|(si, frame)| {
-            let n = frame.atoms.len();
-            let positions: Vec<[f64; 3]> = frame.atoms.iter().map(|a| a.position).collect();
-            let pairs = neighbor_pairs(&positions, cfg.cutoff);
-            // Node features: species one-hot.
-            let mut nf = vec![0.0f32; n * SPECIES.len()];
-            for (i, atom) in frame.atoms.iter().enumerate() {
-                let k = species_index(&atom.element)
-                    .ok_or_else(|| format!("unknown species {}", atom.element))?;
-                nf[i * SPECIES.len() + k] = 1.0;
-            }
-            // Bidirectional edges.
-            let mut edges = Vec::with_capacity(pairs.len() * 4);
-            let mut lens = Vec::with_capacity(pairs.len() * 2);
-            for &(a, b, r) in &pairs {
-                edges.push(a as i64);
-                edges.push(b as i64);
-                lens.push(r as f32);
-                edges.push(b as i64);
-                edges.push(a as i64);
-                lens.push(r as f32);
-            }
-            let forces: Vec<f32> = frame
-                .atoms
-                .iter()
-                .flat_map(|a| a.force.unwrap_or([0.0; 3]))
-                .map(|x| x as f32)
-                .collect();
-            let nedges = lens.len();
-            Ok(GraphSample {
-                structure_id: si,
-                node_features: Tensor::from_vec(nf, &[n, SPECIES.len()])
-                    .map_err(|e| format!("{e}"))?,
-                edges: Tensor::from_vec(edges, &[nedges, 2]).map_err(|e| format!("{e}"))?,
-                edge_lengths: Tensor::from_vec(lens, &[nedges]).map_err(|e| format!("{e}"))?,
-                energy_per_atom: (frame.energy().expect("validated") / n as f64 - e_mean) / e_std,
-                forces: Tensor::from_vec(forces, &[n, 3]).map_err(|e| format!("{e}"))?,
-            })
+    let graphs = par_map(data.frames.iter().enumerate(), |(si, frame)| {
+        let n = frame.atoms.len();
+        let positions: Vec<[f64; 3]> = frame.atoms.iter().map(|a| a.position).collect();
+        let pairs = neighbor_pairs(&positions, cfg.cutoff);
+        // Node features: species one-hot.
+        let mut nf = vec![0.0f32; n * SPECIES.len()];
+        for (i, atom) in frame.atoms.iter().enumerate() {
+            let k = species_index(&atom.element)
+                .ok_or_else(|| format!("unknown species {}", atom.element))?;
+            nf[i * SPECIES.len() + k] = 1.0;
+        }
+        // Bidirectional edges.
+        let mut edges = Vec::with_capacity(pairs.len() * 4);
+        let mut lens = Vec::with_capacity(pairs.len() * 2);
+        for &(a, b, r) in &pairs {
+            edges.push(a as i64);
+            edges.push(b as i64);
+            lens.push(r as f32);
+            edges.push(b as i64);
+            edges.push(a as i64);
+            lens.push(r as f32);
+        }
+        let forces: Vec<f32> = frame
+            .atoms
+            .iter()
+            .flat_map(|a| a.force.unwrap_or([0.0; 3]))
+            .map(|x| x as f32)
+            .collect();
+        let nedges = lens.len();
+        Ok(GraphSample {
+            structure_id: si,
+            node_features: Tensor::from_vec(nf, &[n, SPECIES.len()]).map_err(|e| format!("{e}"))?,
+            edges: Tensor::from_vec(edges, &[nedges, 2]).map_err(|e| format!("{e}"))?,
+            edge_lengths: Tensor::from_vec(lens, &[nedges]).map_err(|e| format!("{e}"))?,
+            energy_per_atom: (frame.energy().expect("validated") / n as f64 - e_mean) / e_std,
+            forces: Tensor::from_vec(forces, &[n, 3]).map_err(|e| format!("{e}"))?,
         })
-        .collect();
-    data.graphs = graphs?;
+    });
+    data.graphs = graphs.into_iter().collect::<Result<_, String>>()?;
     c.records = data.graphs.len() as u64;
     c.bytes = data
         .graphs

@@ -142,7 +142,7 @@ impl CodecId {
 }
 
 /// Compress/decompress byte payloads. Stateless; safe to share across
-/// threads (shard writers encode payloads in parallel with rayon).
+/// threads (shard writers encode payloads in parallel with `par_map`).
 pub trait Codec: Send + Sync {
     /// The codec's identity for headers/manifests.
     fn id(&self) -> CodecId;

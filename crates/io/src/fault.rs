@@ -17,7 +17,7 @@
 //! same blob, so:
 //!
 //! * the fault sequence for a given blob is identical no matter how
-//!   rayon schedules the surrounding writes — there is no shared PRNG
+//!   `par_map` schedules the surrounding writes — there is no shared PRNG
 //!   stream to race on;
 //! * a transient fault at attempt *k* is followed by success at attempt
 //!   *k+1* with probability `1 - rate`, so a [`crate::retry::RetrySink`]

@@ -1,24 +1,26 @@
 //! Parallel ingestion utilities: bounded prefetching with order
-//! preservation, and chunked parallel transforms.
+//! preservation, and the workspace's one data-parallel map.
 //!
 //! GPU-bound training loops starve when preprocessing or storage cannot keep
 //! up; the standard HPC remedy (and the paper's "optimized high-throughput
 //! ingestion", Table 2 level 4) is a small pool of reader threads feeding a
 //! bounded queue ahead of the consumer. [`prefetch_map`] implements that
 //! with crossbeam channels while preserving input order, which samplers
-//! downstream rely on for reproducible epochs.
-
+//! downstream rely on for reproducible epochs. [`par_map`] is the eager
+//! counterpart for work inside one stage: every item mapped on scoped
+//! threads, results returned in input order.
 //!
-//! Telemetry: each [`prefetch_map`] pool reports into the *caller's*
-//! registry — the [`TraceContext`] current when `prefetch_map` is called is
-//! captured and attached inside every worker, so metrics land in the same
-//! registry as the caller's (private registries included) and each worker's
-//! `io.prefetch.worker` span parents under the calling stage's span
-//! regardless of scheduling. Metrics: `io.prefetch.items` (completed items),
-//! `io.prefetch.work_ns` (per-item execution latency, measured on the
-//! worker), `io.prefetch.wait_ns` (time the consumer blocked waiting for the
-//! next in-order item), and the `io.prefetch.reorder_depth` gauge
-//! (reorder-buffer high-water mark).
+//! Telemetry: both functions report into the *caller's* registry — the
+//! [`TraceContext`] current at the call is captured and attached inside
+//! every worker, so metrics land in the same registry as the caller's
+//! (private registries included) and spans opened on a worker parent under
+//! the calling stage's span regardless of scheduling. [`prefetch_map`]
+//! adds one `io.prefetch.worker` span per worker and the metrics
+//! `io.prefetch.items` (completed items), `io.prefetch.work_ns` (per-item
+//! execution latency, measured on the worker), `io.prefetch.wait_ns` (time
+//! the consumer blocked waiting for the next in-order item), and the
+//! `io.prefetch.reorder_depth` gauge (reorder-buffer high-water mark);
+//! [`par_map`] records nothing of its own.
 
 use crossbeam::channel::{bounded, Receiver};
 use drai_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch, TraceContext};
@@ -221,24 +223,68 @@ impl<U> Drop for PrefetchIter<U> {
     }
 }
 
-/// Split `data` into `chunks` near-equal contiguous pieces (for parallel
-/// checksum/compression of large buffers). Returns `(offset, slice)` pairs;
-/// fewer pieces when `data` is shorter than `chunks`.
-pub fn chunk_slices(data: &[u8], chunks: usize) -> Vec<(usize, &[u8])> {
-    let chunks = chunks.max(1);
-    if data.is_empty() {
-        return Vec::new();
+/// Apply `f` to every item on scoped threads and return the results **in
+/// input order**: the items are cut into one contiguous chunk per
+/// available CPU, each chunk is mapped on its own thread with the caller's
+/// [`TraceContext`] attached, and the chunks' results are concatenated.
+///
+/// The thread count decides only *where* each `f(item)` runs, never what
+/// it is given, so the result is a function of `items` and `f` alone. A
+/// reduction that must be reproducible across hosts maps its pieces here
+/// and folds the returned `Vec` in order on the caller. A panic in `f`
+/// is re-raised on the caller.
+pub fn par_map<I, U, F>(items: I, f: F) -> Vec<U>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    U: Send,
+    F: Fn(I::Item) -> U + Sync,
+{
+    let threads = thread::available_parallelism().map_or(1, |n| n.get());
+    par_map_on(threads, items.into_iter().collect(), f)
+}
+
+/// [`par_map`] on at most `threads` threads (the test seam).
+fn par_map_on<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
+    let len = items.len();
+    if threads <= 1 || len <= 1 {
+        return items.into_iter().map(f).collect();
     }
-    let size = data.len().div_ceil(chunks);
-    data.chunks(size)
-        .enumerate()
-        .map(|(i, c)| (i * size, c))
-        .collect()
+    let chunk_len = len.div_ceil(threads);
+    let context = TraceContext::current();
+    let mut items = items.into_iter();
+    let f = &f;
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..len.div_ceil(chunk_len))
+            .map(|_| {
+                let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
+                let context = context.clone();
+                scope.spawn(move || {
+                    let _attached = context.as_ref().map(TraceContext::attach);
+                    chunk.into_iter().map(f).collect::<Vec<U>>()
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(len);
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drai_tensor::stats::Welford;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -322,9 +368,23 @@ mod tests {
             let _in_stage = stage.enter();
             let out: Vec<u64> = prefetch_map((0..50u64).collect(), 3, 2, |x| x + 1).collect();
             assert_eq!(out.len(), 50);
+            // Forced onto 3 threads so the hand-off is exercised on a
+            // one-CPU host too.
+            par_map_on(3, (0..6u64).collect(), |x| {
+                let registry = Registry::current();
+                let _item = registry.span("test.par_map.item");
+                registry.counter("test.par_map.items").incr();
+                x
+            });
             stage.id()
         };
         let snap = reg.snapshot();
+        assert_eq!(snap.counters["test.par_map.items"], 6);
+        let items = snap.spans_named("test.par_map.item");
+        assert_eq!(items.len(), 6);
+        for item in items {
+            assert_eq!(item.parent, Some(stage_id), "par_map span not under stage");
+        }
         // Worker metrics landed in the private registry, not the global.
         assert_eq!(snap.counters["io.prefetch.items"], 50);
         assert!(snap.histograms["io.prefetch.work_ns"].count >= 50);
@@ -338,19 +398,63 @@ mod tests {
     }
 
     #[test]
-    fn chunk_slices_covers_everything() {
-        let data: Vec<u8> = (0..=255).collect();
-        for chunks in [1, 2, 3, 7, 256, 1000] {
-            let parts = chunk_slices(&data, chunks);
-            let mut rebuilt = Vec::new();
-            let mut expected_off = 0;
-            for (off, slice) in &parts {
-                assert_eq!(*off, expected_off);
-                expected_off += slice.len();
-                rebuilt.extend_from_slice(slice);
+    fn par_map_preserves_order() {
+        let items: Vec<u64> = (0..200).collect();
+        let out = par_map_on(8, items.clone(), |x| {
+            // Jittered work so completion order differs from input order.
+            std::thread::sleep(std::time::Duration::from_micros((x * 37) % 300));
+            x * 2
+        });
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        // The public entry point takes any iterator and borrows freely.
+        let doubled = par_map(&items, |x| x * 2);
+        assert_eq!(out, doubled);
+        // Chunk tiling: empty, single, and lengths below, at and just past
+        // the thread count.
+        for threads in 1..=9 {
+            for len in 0..=20u32 {
+                let out = par_map_on(threads, (0..len).collect(), |x| x + 1);
+                assert_eq!(out, (1..=len).collect::<Vec<_>>(), "{threads}x{len}");
             }
-            assert_eq!(rebuilt, data, "chunks={chunks}");
         }
-        assert!(chunk_slices(&[], 4).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn par_map_panic_in_last_item_propagates() {
+        par_map_on(3, (0..37u32).collect(), |x| {
+            if x == 36 {
+                panic!("boom");
+            }
+            x
+        });
+    }
+
+    #[test]
+    fn in_order_fold_is_independent_of_thread_count() {
+        let data: Vec<f64> = (0..11 * 97)
+            .map(|i| (((i * 7919) % 1009) as f64).sqrt() * (1 + i / 97) as f64)
+            .collect();
+        let moments = |threads| {
+            par_map_on(threads, data.chunks(97).collect(), |chunk: &[f64]| {
+                let mut w = Welford::new();
+                w.extend(chunk);
+                w
+            })
+        };
+        let in_order = |parts: &[Welford]| parts.iter().fold(Welford::new(), |a, w| a.merge(w));
+        let bits = |w: Welford| (w.mean().to_bits(), w.variance().to_bits());
+        let expect = bits(in_order(&moments(1)));
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                bits(in_order(&moments(threads))),
+                expect,
+                "threads={threads}"
+            );
+        }
+        // The data can tell the difference: folding one group per thread
+        // and then the groups, as a per-thread reduce does, moves bits.
+        let groups: Vec<Welford> = moments(1).chunks(6).map(in_order).collect();
+        assert_ne!(bits(in_order(&groups)), expect);
     }
 }

@@ -28,10 +28,10 @@
 use crate::checksum::{crc32c, masked_crc32c};
 use crate::codec::{codec_for, CodecId};
 use crate::json::Json;
+use crate::parallel::par_map;
 use crate::sink::StorageSink;
 use crate::IoError;
 use drai_telemetry::{Registry, Stopwatch};
-use rayon::prelude::*;
 
 const SHARD_MAGIC: &[u8; 8] = b"DSHRD1\0\0";
 const RECORD_HEADER: usize = 8; // u32 len + u32 masked crc
@@ -220,8 +220,9 @@ impl<'a> ShardWriter<'a> {
     }
 
     /// Encode and write all records, preserving order, and persist the
-    /// manifest. Record payload encoding runs data-parallel (rayon);
-    /// shard files themselves are written concurrently once assembled.
+    /// manifest. Record payload encoding runs data-parallel
+    /// ([`par_map`]); shard files themselves are written concurrently
+    /// once assembled.
     ///
     /// Telemetry: an `io.shard.write_all` span (items = records, bytes =
     /// uncompressed payload), `io.shard.{records,bytes_in,bytes_out}`
@@ -236,7 +237,7 @@ impl<'a> ShardWriter<'a> {
         let registry = Registry::current();
         let span = registry.span("io.shard.write_all");
         // Entered for the whole write so nested sink/codec telemetry
-        // (and the parallel writers below, via explicit handoff)
+        // (and the parallel writers below, via `par_map`'s hand-off)
         // attaches under this span.
         let _in_write_all = span.enter();
         let records: Vec<R::Item> = records.into_iter().collect();
@@ -248,13 +249,10 @@ impl<'a> ShardWriter<'a> {
             .add(records.len() as u64);
         registry.counter("io.shard.bytes_in").add(payload_bytes);
 
-        // Parallel per-record encode (order preserved by collect).
+        // Parallel per-record encode, in record order.
         let codec = codec_for(self.spec.codec);
         let encode_start = Stopwatch::start();
-        let encoded: Vec<Vec<u8>> = records
-            .par_iter()
-            .map(|r| codec.encode(r.as_ref()))
-            .collect();
+        let encoded: Vec<Vec<u8>> = par_map(&records, |r| codec.encode(r.as_ref()));
         registry
             .histogram("io.shard.encode_ns")
             .record(encode_start.elapsed_ns());
@@ -278,19 +276,14 @@ impl<'a> ShardWriter<'a> {
         }
 
         // Assemble and write shards in parallel; infos keep group order.
-        // The span's context is captured here (closure creation) and
-        // attached inside each rayon task so sink writes and verify
-        // rewrites report into the caller's registry under this span,
-        // whatever thread rayon runs them on.
+        // `par_map` attaches this span's context in each worker, so sink
+        // writes and verify rewrites report into the caller's registry
+        // under this span, whatever thread runs them.
         let spec = &self.spec;
         let sink = self.sink;
-        let write_ctx = span.context();
         let write_start = Stopwatch::start();
-        let infos: Vec<Result<ShardInfo, IoError>> = groups
-            .par_iter()
-            .enumerate()
-            .map(|(idx, &(s, e))| {
-                let _attached = write_ctx.attach();
+        let infos: Vec<Result<ShardInfo, IoError>> =
+            par_map(groups.iter().enumerate(), |(idx, &(s, e))| {
                 let mut buf = Vec::with_capacity(
                     12 + encoded[s..e]
                         .iter()
@@ -317,8 +310,7 @@ impl<'a> ShardWriter<'a> {
                     bytes: buf.len() as u64,
                     crc32c: digest,
                 })
-            })
-            .collect();
+            });
         registry
             .histogram("io.shard.write_ns")
             .record(write_start.elapsed_ns());

@@ -1,8 +1,8 @@
 //! `no-panic-in-lib`: library code of the data-plane crates must not
 //! contain panic paths. A corrupt shard or a truncated GRIB message is
 //! *data*, not a programming error — it must surface as a `Result` the
-//! pipeline can quarantine, never abort the worker thread (rayon
-//! propagates panics to the whole batch). Tests, benches and examples
+//! pipeline can quarantine, never abort the worker thread (`par_map`
+//! re-raises a worker panic on the whole batch). Tests, benches and examples
 //! are exempt, as are the control-plane crates whose panics indicate
 //! real bugs.
 //!

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn cross_shim_import_fires() {
-        let f = run("shims/rayon/src/lib.rs", "use crossbeam::channel;\n");
+        let f = run("shims/rand/src/lib.rs", "use crossbeam::channel;\n");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("crossbeam"));
     }
@@ -124,7 +124,7 @@ mod tests {
     fn extern_crate_checked() {
         assert!(run("shims/rand/src/lib.rs", "extern crate std;\n").is_empty());
         assert_eq!(
-            run("shims/rand/src/lib.rs", "extern crate rayon;\n").len(),
+            run("shims/rand/src/lib.rs", "extern crate crossbeam;\n").len(),
             1
         );
     }
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn non_shim_files_exempt() {
-        assert!(run("crates/io/src/lib.rs", "use rayon::prelude::*;\n").is_empty());
+        assert!(run("crates/io/src/lib.rs", "use crossbeam::channel;\n").is_empty());
     }
 
     #[test]
@@ -148,8 +148,8 @@ mod tests {
             metric_families: vec![],
             crate_manifests: vec![],
             shim_manifests: vec![(
-                "shims/rayon/Cargo.toml".to_string(),
-                "[package]\nname = \"rayon\"\n\n[dependencies]\ncrossbeam = { path = \"../crossbeam\" }\n".to_string(),
+                "shims/rand/Cargo.toml".to_string(),
+                "[package]\nname = \"rand\"\n\n[dependencies]\ncrossbeam = { path = \"../crossbeam\" }\n".to_string(),
             )],
         };
         let mut out = Vec::new();

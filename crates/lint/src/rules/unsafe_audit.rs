@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn applies_to_shims_and_tests_too() {
         let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-        assert_eq!(run("shims/rayon/src/lib.rs", src).len(), 1);
+        assert_eq!(run("shims/crossbeam/src/lib.rs", src).len(), 1);
         assert_eq!(run("tests/end_to_end.rs", src).len(), 1);
     }
 

@@ -15,8 +15,10 @@
 //!   copying; slicing along the leading axis is zero-cost.
 //! * **Streaming statistics.** [`stats::Welford`] implements the numerically
 //!   stable single-pass mean/variance update with a parallel `merge`, so
-//!   normalization statistics can be fitted with `rayon`-style reductions
-//!   over shards. [`stats::P2Quantile`] provides constant-memory quantile
+//!   normalization statistics can be fitted per chunk in parallel and
+//!   merged in chunk order. `merge` is not associative in floating point,
+//!   so a reproducible fit fixes that order rather than letting a thread
+//!   pool choose it. [`stats::P2Quantile`] provides constant-memory quantile
 //!   estimates for robust scaling and outlier reporting.
 //! * **Grid awareness.** [`grid::LatLonGrid`] carries the geometry needed by
 //!   conservative regridding (cell bounds, areas) in the climate archetype.

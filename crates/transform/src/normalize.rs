@@ -3,7 +3,7 @@
 //!
 //! Statistics are fitted in a single streaming pass (Welford / P²) so they
 //! scale to shard-at-a-time reduction; `fit_parallel` merges per-chunk
-//! accumulators the way a rayon/MPI reduction would.
+//! accumulators in chunk order, the reduction `par_map` callers use.
 
 use crate::TransformError;
 use drai_tensor::stats::{P2Quantile, Welford};

@@ -8,7 +8,7 @@ use drai::formats::zip::{read_zip, write_zip, ZipEntry};
 use drai::io::codec::{codec_for, CodecId};
 use drai::io::crypto::{chacha20_xor, derive_key};
 use drai::io::json::Json;
-use drai::io::parallel::{chunk_slices, prefetch_map};
+use drai::io::parallel::{par_map, prefetch_map};
 use drai::io::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 use drai::tensor::stats::Welford;
 use drai::tensor::{LatLonGrid, Tensor};
@@ -246,26 +246,10 @@ proptest! {
     }
 
     #[test]
-    fn chunk_slices_offsets_tile_input(len in 0usize..500, chunks in 1usize..17) {
-        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        let parts = chunk_slices(&data, chunks);
-        if data.is_empty() {
-            prop_assert!(parts.is_empty());
-            return Ok(());
-        }
-        prop_assert!(!parts.is_empty() && parts.len() <= chunks);
-        let size = data.len().div_ceil(chunks);
-        for (i, (offset, slice)) in parts.iter().enumerate() {
-            prop_assert_eq!(*offset, i * size);
-            if i + 1 < parts.len() {
-                // Every piece but the last is exactly `size` bytes.
-                prop_assert_eq!(slice.len(), size);
-            } else {
-                prop_assert!(!slice.is_empty() && slice.len() <= size);
-            }
-        }
-        let rebuilt: Vec<u8> = parts.iter().flat_map(|(_, s)| s.iter().copied()).collect();
-        prop_assert_eq!(rebuilt, data);
+    fn par_map_equals_sequential_map(items in proptest::collection::vec(any::<u32>(), 0..300)) {
+        let f = |(i, x): (usize, &u32)| x.rotate_left(i as u32 % 32) ^ 0x9e37;
+        let expect: Vec<u32> = items.iter().enumerate().map(f).collect();
+        prop_assert_eq!(par_map(items.iter().enumerate(), f), expect);
     }
 }
 

@@ -8,7 +8,7 @@
 //! child events contained within their parent's lane interval.
 //!
 //! This is the acceptance test for the tracing tentpole: if context
-//! handoff across `prefetch_map` workers or rayon shard tasks breaks,
+//! handoff across `prefetch_map` workers or `par_map` shard tasks breaks,
 //! the worker spans root new traces and the assertions below fail.
 
 use drai::domains::climate::{self, ClimateConfig};
