@@ -21,7 +21,7 @@ use drai_transform::impute::{impute, Strategy};
 use drai_transform::label::threshold_labels;
 use drai_transform::normalize::{ColumnNormalizer, Method};
 use drai_transform::regrid;
-use drai_transform::split::{assign, Fractions};
+use drai_transform::split::{partition, Fractions};
 use std::time::Duration;
 
 const ROWS: usize = 20_000;
@@ -137,19 +137,13 @@ fn bench_transitions(c: &mut Criterion) {
         b.iter(|| {
             let f = Fractions::standard();
             let sink = MemSink::new();
-            let mut splits: [Vec<&[u8]>; 3] = [vec![], vec![], vec![]];
-            for (i, rec) in records.iter().enumerate() {
-                let s = assign(&format!("r{i}"), 1, f).unwrap();
-                splits[match s {
-                    drai_transform::split::Split::Train => 0,
-                    drai_transform::split::Split::Validation => 1,
-                    drai_transform::split::Split::Test => 2,
-                }]
-                .push(rec);
-            }
-            for (si, recs) in splits.iter().enumerate() {
-                ShardWriter::new(ShardSpec::new(format!("s{si}"), 1 << 20), &sink)
-                    .write_all(recs.iter())
+            let keyed = records
+                .iter()
+                .enumerate()
+                .map(|(i, rec)| (format!("r{i}"), rec));
+            for (split, recs) in partition(keyed, 1, f).unwrap() {
+                ShardWriter::new(ShardSpec::new(split.name(), 1 << 20), &sink)
+                    .write_all(recs)
                     .unwrap();
             }
             sink

@@ -68,6 +68,18 @@ pub struct VariableSpec {
     pub shape: Vec<usize>,
 }
 
+impl VariableSpec {
+    /// A schema entry.
+    pub fn new(name: &str, dtype: DType, unit: &str, shape: &[usize]) -> VariableSpec {
+        VariableSpec {
+            name: name.to_string(),
+            dtype,
+            unit: unit.to_string(),
+            shape: shape.to_vec(),
+        }
+    }
+}
+
 /// Evidence of what preparation a dataset has undergone.
 ///
 /// Boolean fields are *claims backed by pipeline execution* — the domain

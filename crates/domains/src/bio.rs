@@ -18,7 +18,7 @@
 //!    encrypt it with ChaCha20 before it touches storage; verify the
 //!    stored bytes scan clean of identifiers.
 
-use crate::{DomainError, DomainRun};
+use crate::{DomainError, DomainRun, Member, StageItem};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -26,9 +26,9 @@ use drai_formats::csv::{parse_csv, write_csv, CsvTable};
 use drai_formats::fasta::{parse_fasta, write_fasta, FastaRecord};
 use drai_formats::h5lite::{AttrValue, H5File};
 use drai_io::crypto::{chacha20_xor, derive_key, key_id, Nonce};
-use drai_io::sink::StorageSink;
-use drai_provenance::{Artifact, Ledger};
-use drai_tensor::Tensor;
+use drai_io::sink::{MemSink, StorageSink};
+use drai_provenance::Ledger;
+use drai_tensor::{DType, Tensor};
 use drai_transform::anonymize::{
     date_shift_days, generalize_age, generalize_zip, hash_identifier, k_anonymity,
     scan_for_identifiers, shift_dates, suppress_to_k,
@@ -36,9 +36,10 @@ use drai_transform::anonymize::{
 use drai_transform::encode::Alphabet;
 use drai_transform::impute::{impute, Strategy};
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{partition, Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Lab-value columns in the synthetic EHR.
@@ -180,50 +181,48 @@ pub struct BioData {
     pub intake_phi_findings: usize,
 }
 
-/// Parse raw blobs into the pipeline input.
-pub fn ingest(cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, DomainError> {
+/// Parse raw blobs into the pipeline input: join the EHR table and the
+/// FASTA tiles on patient id (a patient with no tile is an error, not
+/// an empty tile) and PHI-scan each raw row as the intake audit.
+pub fn ingest(sink: &dyn StorageSink) -> Result<BioData, DomainError> {
     let csv_bytes = sink.read_file("raw/ehr.csv")?;
     let csv_text = String::from_utf8_lossy(&csv_bytes);
     let table = parse_csv(&csv_text)?;
     let fasta_bytes = sink.read_file("raw/sequences.fasta")?;
     let fasta = parse_fasta(&String::from_utf8_lossy(&fasta_bytes))?;
+    // Index the tiles once; on a duplicated id the first record wins.
+    let mut tiles: HashMap<&str, &str> = HashMap::with_capacity(fasta.len());
+    for record in &fasta {
+        tiles.entry(record.id()).or_insert(&record.sequence);
+    }
 
-    let mut intake_phi_findings = 0;
+    let missing = |col: &str| DomainError::Config(format!("ehr.csv missing {col}"));
+    let numeric = |col: &str| table.numeric_column(col).ok_or_else(|| missing(col));
     let ids = table
         .column("patient_id")
-        .ok_or_else(|| DomainError::Config("ehr.csv missing patient_id".into()))?;
+        .ok_or_else(|| missing("patient_id"))?;
     let names = table.column("name").unwrap_or_default();
-    let ages = table
-        .numeric_column("age")
-        .ok_or_else(|| DomainError::Config("ehr.csv missing age".into()))?;
+    let mrns = table.column("mrn").unwrap_or_default();
     let zips = table.column("zip").unwrap_or_default();
-    let days = table
-        .numeric_column("visit_day")
-        .ok_or_else(|| DomainError::Config("ehr.csv missing visit_day".into()))?;
-    let labs: Vec<Vec<f64>> = LAB_COLUMNS
+    let (ages, days) = (numeric("age")?, numeric("visit_day")?);
+    let labs = LAB_COLUMNS
         .iter()
-        .map(|col| {
-            table
-                .numeric_column(col)
-                .ok_or_else(|| DomainError::Config(format!("ehr.csv missing {col}")))
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|col| numeric(col))
+        .collect::<Result<Vec<_>, _>>()?;
 
+    let mut intake_phi_findings = 0;
     let mut patients = Vec::with_capacity(ids.len());
     for (i, id) in ids.iter().enumerate() {
         // Intake audit: direct identifiers present in raw rows.
         intake_phi_findings += scan_for_identifiers(&format!(
             "{} MRN {}",
             names.get(i).copied().unwrap_or(""),
-            table.rows[i][2]
+            mrns.get(i).copied().unwrap_or("")
         ))
         .len();
-        let seq = fasta
-            .iter()
-            .find(|r| r.id() == *id)
-            .map(|r| r.sequence.clone())
-            .unwrap_or_default();
-        let _ = cfg;
+        let sequence = tiles.get(id).ok_or_else(|| {
+            DomainError::Config(format!("sequences.fasta has no record for patient {id}"))
+        })?;
         patients.push(PatientRecord {
             patient_id: id.to_string(),
             pseudonym: String::new(),
@@ -231,7 +230,7 @@ pub fn ingest(cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, Domain
             zip3: zips.get(i).copied().unwrap_or("").to_string(),
             visit_day: days[i] as i64,
             labs: labs.iter().map(|col| col[i]).collect(),
-            sequence: seq,
+            sequence: sequence.to_string(),
         });
     }
     Ok(BioData {
@@ -242,110 +241,126 @@ pub fn ingest(cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, Domain
     })
 }
 
-/// Build the bio pipeline (stages 2–4; ingest is [`ingest`]).
-pub fn build_pipeline(
-    cfg: &BioConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-) -> Pipeline<BioData> {
-    let cfg_anon = cfg.clone();
-    let cfg_fuse = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_anon = ledger.clone();
-    let ledger_shard = ledger;
+/// Stage body: the intake audit ran at [`ingest`]; count what arrived.
+fn audit_stage(data: BioData, c: &mut StageCounters) -> Result<BioData, String> {
+    c.records = data.patients.len() as u64;
+    Ok(data)
+}
 
-    Pipeline::builder("bio")
-        .stage(
-            "audit",
-            S::Ingest,
-            move |data: BioData, c: &mut StageCounters| {
-                c.records = data.patients.len() as u64;
-                Ok(data)
-            },
-        )
-        .stage("anonymize", S::Transform, move |mut data: BioData, c| {
-            let salt = format!("{}::anon", cfg_anon.secret);
-            for p in &mut data.patients {
-                p.pseudonym = hash_identifier(&salt, &p.patient_id);
-                let age: f64 = p.age_band.parse().map_err(|_| "bad age".to_string())?;
-                p.age_band = generalize_age(age as u32, 10);
-                p.zip3 = generalize_zip(&p.zip3);
-                let shift = date_shift_days(&salt, &p.patient_id, 180);
-                let mut days = [p.visit_day];
-                shift_dates(&mut days, shift);
-                p.visit_day = days[0];
-                p.patient_id = String::new(); // direct identifier dropped
-            }
-            // k-anonymity over (age band, zip3); suppress rare tuples.
-            let mut quasi: Vec<Vec<String>> = data
-                .patients
-                .iter()
-                .map(|p| vec![p.age_band.clone(), p.zip3.clone()])
-                .collect();
-            let report = k_anonymity(&quasi, cfg_anon.k).map_err(|e| format!("{e}"))?;
-            let mut suppressed = 0;
-            if !report.satisfies(cfg_anon.k) {
-                suppressed = suppress_to_k(&mut quasi, cfg_anon.k).map_err(|e| format!("{e}"))?;
-                for (p, q) in data.patients.iter_mut().zip(&quasi) {
-                    p.age_band = q[0].clone();
-                    p.zip3 = q[1].clone();
-                }
-            }
-            data.suppressed = suppressed;
-            ledger_anon.record(
-                "anonymize",
-                [
-                    ("k".to_string(), cfg_anon.k.to_string()),
-                    ("suppressed".to_string(), suppressed.to_string()),
-                ],
-                vec![],
-                vec![],
-            );
-            c.records = data.patients.len() as u64;
-            Ok(data)
-        })
-        .stage("encode+fuse", S::Structure, move |mut data: BioData, c| {
-            // Impute labs column-wise, then z-score.
-            let n = data.patients.len();
-            let ncols = LAB_COLUMNS.len();
-            for col in 0..ncols {
-                let mut values: Vec<f64> = data.patients.iter().map(|p| p.labs[col]).collect();
-                impute(&mut values, Strategy::Median).map_err(|e| format!("{e}"))?;
-                let norm = Normalizer::fit(Method::ZScore, &values).map_err(|e| format!("{e}"))?;
-                for (p, v) in data.patients.iter_mut().zip(&values) {
-                    p.labs[col] = norm.apply(*v);
-                }
-            }
-            // One-hot tiles + fuse.
-            let dna = Alphabet::dna();
-            let mut fused = Vec::with_capacity(n);
-            let mut bytes = 0u64;
-            for p in &data.patients {
-                let labs: Vec<f32> = p.labs.iter().map(|&x| x as f32).collect();
-                let onehot = dna.one_hot(&p.sequence);
-                let _ = cfg_fuse.tile_len;
-                bytes += (labs.len() * 4 + onehot.len() * 4) as u64;
-                fused.push((p.pseudonym.clone(), labs, onehot));
-            }
-            data.fused = fused;
-            c.records = n as u64;
-            c.bytes = bytes;
-            Ok(data)
-        })
-        .stage("secure-shard", S::Shard, move |data: BioData, c| {
-            // One h5lite container per split, ChaCha20-encrypted at rest.
-            let key = derive_key(&cfg_shard.secret, "bio-shards");
-            let mut containers: [H5File; 3] = [H5File::new(), H5File::new(), H5File::new()];
-            let mut counts = [0usize; 3];
-            for (pseudonym, labs, onehot) in &data.fused {
-                let split = assign(pseudonym, cfg_shard.seed, cfg_shard.fractions)
-                    .expect("validated fractions");
-                let idx = match split {
-                    Split::Train => 0,
-                    Split::Validation => 1,
-                    Split::Test => 2,
-                };
-                let f = &mut containers[idx];
+/// Stage body: hash identifiers, generalize age/zip, shift dates, and
+/// enforce k-anonymity over (age band, zip3) by suppressing rare tuples.
+fn anonymize_stage(
+    cfg: &BioConfig,
+    ledger: &Ledger,
+    mut data: BioData,
+    c: &mut StageCounters,
+) -> Result<BioData, String> {
+    let salt = format!("{}::anon", cfg.secret);
+    for p in &mut data.patients {
+        p.pseudonym = hash_identifier(&salt, &p.patient_id);
+        let age: f64 = p.age_band.parse().map_err(|_| "bad age".to_string())?;
+        p.age_band = generalize_age(age as u32, 10);
+        p.zip3 = generalize_zip(&p.zip3);
+        let shift = date_shift_days(&salt, &p.patient_id, 180);
+        let mut days = [p.visit_day];
+        shift_dates(&mut days, shift);
+        p.visit_day = days[0];
+        p.patient_id = String::new(); // direct identifier dropped
+    }
+    let mut quasi: Vec<Vec<String>> = data
+        .patients
+        .iter()
+        .map(|p| vec![p.age_band.clone(), p.zip3.clone()])
+        .collect();
+    let report = k_anonymity(&quasi, cfg.k).map_err(|e| format!("{e}"))?;
+    let mut suppressed = 0;
+    if !report.satisfies(cfg.k) {
+        suppressed = suppress_to_k(&mut quasi, cfg.k).map_err(|e| format!("{e}"))?;
+        for (p, q) in data.patients.iter_mut().zip(&quasi) {
+            p.age_band = q[0].clone();
+            p.zip3 = q[1].clone();
+        }
+    }
+    data.suppressed = suppressed;
+    ledger.record(
+        "anonymize",
+        [
+            ("k".to_string(), cfg.k.to_string()),
+            ("suppressed".to_string(), suppressed.to_string()),
+        ],
+        vec![],
+        vec![],
+    );
+    c.records = data.patients.len() as u64;
+    Ok(data)
+}
+
+/// Stage body: impute and z-score the labs column-wise, one-hot the
+/// DNA tiles, fuse into per-patient records.
+fn encode_fuse_stage(mut data: BioData, c: &mut StageCounters) -> Result<BioData, String> {
+    let n = data.patients.len();
+    for col in 0..LAB_COLUMNS.len() {
+        let mut values: Vec<f64> = data.patients.iter().map(|p| p.labs[col]).collect();
+        impute(&mut values, Strategy::Median).map_err(|e| format!("{e}"))?;
+        let norm = Normalizer::fit(Method::ZScore, &values).map_err(|e| format!("{e}"))?;
+        for (p, v) in data.patients.iter_mut().zip(&values) {
+            p.labs[col] = norm.apply(*v);
+        }
+    }
+    let dna = Alphabet::dna();
+    let mut fused = Vec::with_capacity(n);
+    let mut bytes = 0u64;
+    for p in &data.patients {
+        let labs: Vec<f32> = p.labs.iter().map(|&x| x as f32).collect();
+        let onehot = dna.one_hot(&p.sequence);
+        bytes += (labs.len() * 4 + onehot.len() * 4) as u64;
+        fused.push((p.pseudonym.clone(), labs, onehot));
+    }
+    data.fused = fused;
+    c.records = n as u64;
+    c.bytes = bytes;
+    Ok(data)
+}
+
+/// Key of the dataset sharded under `prefix`. The context names the
+/// prefix because two members of one batch are two datasets under one
+/// secret, routinely with equal split counts and so equal nonces: they
+/// must not share a keystream. (A bare run's context stays `bio-shards`.)
+fn shard_key(secret: &str, prefix: &str) -> [u8; 32] {
+    derive_key(secret, &format!("{prefix}-shards"))
+}
+
+/// Nonce of one split blob: split index + record count, unique per
+/// blob within one [`shard_key`].
+fn shard_nonce(split: Split, record_count: usize) -> Nonce {
+    let mut nonce: Nonce = [0; 12];
+    nonce[0] = split.index() as u8;
+    nonce[4..12].copy_from_slice(&(record_count as u64).to_le_bytes());
+    nonce
+}
+
+/// Stage body: one h5lite container per split, ChaCha20-encrypted
+/// before it touches storage.
+fn secure_shard_stage(
+    cfg: &BioConfig,
+    sink: &dyn StorageSink,
+    ledger: &Ledger,
+    prefix: &str,
+    data: BioData,
+    c: &mut StageCounters,
+) -> Result<BioData, String> {
+    let key = shard_key(&cfg.secret, prefix);
+    let keyed = data.fused.iter().map(|entry| (&entry.0, entry));
+    let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
+    let mut total = 0u64;
+    crate::write_splits(
+        ledger,
+        "secure-shard",
+        &[("cipher", "chacha20"), ("key_id", &key_id(&key))],
+        parts,
+        |split, patients, vouch| {
+            let mut f = H5File::new();
+            for (pseudonym, labs, onehot) in &patients {
                 let base = format!("/patients/{pseudonym}");
                 let labs_t =
                     Tensor::from_vec(labs.clone(), &[labs.len()]).map_err(|e| format!("{e}"))?;
@@ -359,131 +374,138 @@ pub fn build_pipeline(
                     AttrValue::Text(LAB_COLUMNS.join(",")),
                 )
                 .map_err(|e| format!("{e}"))?;
-                counts[idx] += 1;
             }
-            let mut total = 0u64;
-            for (idx, split) in [Split::Train, Split::Validation, Split::Test]
-                .iter()
-                .enumerate()
-            {
-                if counts[idx] == 0 {
-                    continue;
-                }
-                let mut bytes = containers[idx].to_bytes();
-                // Nonce: split index + record count (unique per blob within
-                // this dataset-key context).
-                let mut nonce: Nonce = [0; 12];
-                nonce[0] = idx as u8;
-                nonce[4..12].copy_from_slice(&(counts[idx] as u64).to_le_bytes());
-                chacha20_xor(&key, &nonce, 0, &mut bytes);
-                let name = format!("bio/{}.h5lite.enc", split.name());
-                sink.write_file(&name, &bytes).map_err(|e| format!("{e}"))?;
-                total += bytes.len() as u64;
-                ledger_shard.record(
-                    "secure-shard",
-                    [
-                        ("split".to_string(), split.name().to_string()),
-                        ("cipher".to_string(), "chacha20".to_string()),
-                        ("key_id".to_string(), key_id(&key)),
-                    ],
-                    vec![],
-                    vec![Artifact::new(&name, &bytes)],
-                );
-            }
-            c.records = data.fused.len() as u64;
-            c.bytes = total;
-            Ok(data)
+            let mut bytes = f.to_bytes();
+            chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes);
+            let name = format!("{prefix}/{}.h5lite.enc", split.name());
+            sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
+            total += bytes.len() as u64;
+            vouch(&name, &bytes);
+            Ok(())
+        },
+    )?;
+    c.records = data.fused.len() as u64;
+    c.bytes = total;
+    Ok(data)
+}
+
+/// The bio stage graph (stages 2–4; ingest is [`ingest`]), declared
+/// once for whatever flows through it: a bare [`BioData`] (pipeline
+/// `bio`, containers under `bio/`) or a batch [`Member`], one clinic's
+/// cohort (pipeline `bio-batch`, containers under `bio/m<member>/`).
+fn stage_graph<I: StageItem<BioData>>(
+    cfg: &BioConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<I> {
+    let cfg_anon = cfg.clone();
+    let cfg_shard = cfg.clone();
+    let ledger_anon = ledger.clone();
+    let ledger_shard = ledger;
+
+    Pipeline::builder(&I::pipeline_name("bio"))
+        .stage("audit", S::Ingest, |item: I, c| {
+            item.try_map(|data| audit_stage(data, c))
+        })
+        .stage("anonymize", S::Transform, move |item: I, c| {
+            item.try_map(|data| anonymize_stage(&cfg_anon, &ledger_anon, data, c))
+        })
+        .stage("encode+fuse", S::Structure, |item: I, c| {
+            item.try_map(|data| encode_fuse_stage(data, c))
+        })
+        .stage("secure-shard", S::Shard, move |item: I, c| {
+            let prefix = item.shard_prefix("bio");
+            item.try_map(|data| {
+                secure_shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
+            })
         })
         .build()
 }
 
-/// Decrypt and open one secure shard (the consumer side).
+/// Build the bio pipeline over one [`BioData`].
+pub fn build_pipeline(
+    cfg: &BioConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<BioData> {
+    stage_graph(cfg, sink, ledger)
+}
+
+/// Build the same pipeline over batch [`Member`]s.
+pub fn build_batch_pipeline(
+    cfg: &BioConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<Member<BioData>> {
+    stage_graph(cfg, sink, ledger)
+}
+
+/// One batch member's input: a member-seeded cohort of `cfg.patients`
+/// patients, generated and ingested in a staging [`MemSink`] — a whole
+/// cohort, not one patient, because k-anonymity is a property of the set.
+pub fn member_input(cfg: &BioConfig, member: usize) -> Result<BioData, DomainError> {
+    let member_cfg = BioConfig {
+        seed: cfg.seed.wrapping_add(member as u64),
+        ..cfg.clone()
+    };
+    let staging = MemSink::new();
+    generate_raw(&member_cfg, &staging)?;
+    ingest(&staging)
+}
+
+/// Decrypt and open one secure shard (the consumer side). `prefix` is
+/// where the dataset was sharded: `bio` for a [`run`], `bio/m<member>`
+/// for a batch member.
 pub fn open_secure_shard(
     cfg: &BioConfig,
     sink: &dyn StorageSink,
+    prefix: &str,
     split: Split,
     record_count: usize,
 ) -> Result<H5File, DomainError> {
-    let key = derive_key(&cfg.secret, "bio-shards");
-    let idx = match split {
-        Split::Train => 0u8,
-        Split::Validation => 1,
-        Split::Test => 2,
-    };
-    let mut nonce: Nonce = [0; 12];
-    nonce[0] = idx;
-    nonce[4..12].copy_from_slice(&(record_count as u64).to_le_bytes());
-    let mut bytes = sink.read_file(&format!("bio/{}.h5lite.enc", split.name()))?;
-    chacha20_xor(&key, &nonce, 0, &mut bytes);
+    let mut bytes = sink.read_file(&format!("{prefix}/{}.h5lite.enc", split.name()))?;
+    chacha20_xor(
+        &shard_key(&cfg.secret, prefix),
+        &shard_nonce(split, record_count),
+        0,
+        &mut bytes,
+    );
     Ok(H5File::from_bytes(&bytes)?)
 }
 
 /// Run the complete bio archetype.
 pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.bio.run");
-    let _in_run = run_span.enter();
-    generate_raw(cfg, sink.as_ref())?;
-    let ledger = Arc::new(Ledger::new());
-    let input = ingest(cfg, sink.as_ref())?;
-    let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
-    let run = pipeline.run(input)?;
-
-    let mut manifest = DatasetManifest::raw(
-        "c-her-synth",
+    crate::run_archetype(
         "bio",
-        Modality::Sequence,
-        run.output.fused.len() as u64,
-    );
-    manifest.schema = vec![
-        VariableSpec {
-            name: "labs".into(),
-            dtype: drai_tensor::DType::F32,
-            unit: "1".into(),
-            shape: vec![LAB_COLUMNS.len()],
+        ".enc",
+        sink.as_ref(),
+        || generate_raw(cfg, sink.as_ref()),
+        |(), _| ingest(sink.as_ref()),
+        |ledger| build_pipeline(cfg, sink.clone(), ledger),
+        |out| {
+            let mut manifest = DatasetManifest::raw(
+                "c-her-synth",
+                "bio",
+                Modality::Sequence,
+                out.fused.len() as u64,
+            );
+            manifest.schema = vec![
+                VariableSpec::new("labs", DType::F32, "1", &[LAB_COLUMNS.len()]),
+                VariableSpec::new("onehot", DType::F32, "1", &[cfg.tile_len, 4]),
+            ];
+            manifest.requires_anonymization = true;
+            manifest.anonymized = true;
+            manifest
         },
-        VariableSpec {
-            name: "onehot".into(),
-            dtype: drai_tensor::DType::F32,
-            unit: "1".into(),
-            shape: vec![cfg.tile_len, 4],
-        },
-    ];
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.requires_anonymization = true;
-    manifest.anonymized = true;
-    manifest.label_coverage = 1.0;
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = crate::shard_files(sink.as_ref(), "bio/", ".enc")?;
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use drai_core::{ReadinessAssessor, ReadinessLevel};
-    use drai_io::sink::MemSink;
+    use drai_provenance::ArtifactId;
+    use drai_transform::split::assign;
 
     fn small_cfg() -> BioConfig {
         BioConfig {
@@ -500,7 +522,7 @@ mod tests {
     fn raw_data_contains_phi() {
         let sink = MemSink::new();
         generate_raw(&small_cfg(), &sink).unwrap();
-        let data = ingest(&small_cfg(), &sink).unwrap();
+        let data = ingest(&sink).unwrap();
         assert!(
             data.intake_phi_findings > 0,
             "raw EHR should trip the PHI scanner"
@@ -536,23 +558,26 @@ mod tests {
         }
     }
 
+    /// Records of `fused` that land in the train split — what a
+    /// consumer needs to rebuild the train blob's nonce.
+    fn train_count(cfg: &BioConfig, data: &BioData) -> usize {
+        data.fused
+            .iter()
+            .filter(|(p, _, _)| assign(p, cfg.seed, cfg.fractions).unwrap() == Split::Train)
+            .count()
+    }
+
     #[test]
     fn secure_shard_round_trip() {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         generate_raw(&cfg, sink.as_ref()).unwrap();
-        let input = ingest(&cfg, sink.as_ref()).unwrap();
+        let input = ingest(sink.as_ref()).unwrap();
         let pipeline = build_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()));
         let out = pipeline.run(input).unwrap();
 
-        // Count train records to rebuild the nonce.
-        let train_count = out
-            .output
-            .fused
-            .iter()
-            .filter(|(p, _, _)| assign(p, cfg.seed, cfg.fractions).unwrap() == Split::Train)
-            .count();
-        let f = open_secure_shard(&cfg, sink.as_ref(), Split::Train, train_count).unwrap();
+        let train_count = train_count(&cfg, &out.output);
+        let f = open_secure_shard(&cfg, sink.as_ref(), "bio", Split::Train, train_count).unwrap();
         let patients = f.children("/patients");
         assert_eq!(patients.len(), train_count);
         // Each patient has labs + onehot of the right shapes.
@@ -566,7 +591,73 @@ mod tests {
             secret: "wrong".into(),
             ..cfg.clone()
         };
-        assert!(open_secure_shard(&wrong, sink.as_ref(), Split::Train, train_count).is_err());
+        assert!(
+            open_secure_shard(&wrong, sink.as_ref(), "bio", Split::Train, train_count).is_err()
+        );
+    }
+
+    /// Two members of one batch are two datasets under one secret. The
+    /// pseudonyms — and so the split counts and the nonces — are the
+    /// same in both, so the keys must differ or the two train blobs
+    /// would share a keystream.
+    #[test]
+    fn batch_members_are_encrypted_under_their_own_keys() {
+        let cfg = small_cfg();
+        let sink = Arc::new(MemSink::new());
+        let ledger = Arc::new(Ledger::new());
+        let pipeline = build_batch_pipeline(&cfg, sink.clone(), ledger.clone());
+        let mut counts = Vec::new();
+        for m in 0..2 {
+            let out = pipeline
+                .run(Member(m, member_input(&cfg, m).unwrap()))
+                .unwrap();
+            counts.push(train_count(&cfg, &out.output.1));
+        }
+        assert_eq!(counts[0], counts[1], "equal train counts, equal nonces");
+
+        let key_id = |prefix: &str| {
+            let blob = sink
+                .read_file(&format!("{prefix}/train.h5lite.enc"))
+                .unwrap();
+            let shard = ledger.producer(&ArtifactId::of(&blob)).expect("ledgered");
+            shard.params["key_id"].clone()
+        };
+        assert_ne!(key_id("bio/m0"), key_id("bio/m1"));
+
+        let open = |member: usize, prefix: &str| {
+            let f = open_secure_shard(&cfg, sink.as_ref(), prefix, Split::Train, counts[member]);
+            f.map(|f| f.children("/patients").len())
+        };
+        assert_eq!(open(0, "bio/m0").unwrap(), counts[0]);
+        assert_eq!(open(1, "bio/m1").unwrap(), counts[1]);
+        // Neither blob opens under the other member's key.
+        let swap = |from: &str, to: &str| {
+            let blob = sink.read_file(&format!("{from}/train.h5lite.enc")).unwrap();
+            sink.write_file(&format!("{to}/train.h5lite.enc"), &blob)
+                .unwrap();
+        };
+        swap("bio/m0", "bio/m1");
+        assert!(open(1, "bio/m1").is_err(), "m0's blob under m1's key");
+    }
+
+    #[test]
+    fn patient_without_a_fasta_record_is_an_error() {
+        let cfg = small_cfg();
+        let sink = MemSink::new();
+        generate_raw(&cfg, &sink).unwrap();
+        let fasta = String::from_utf8(sink.read_file("raw/sequences.fasta").unwrap()).unwrap();
+        let cut = fasta.find(">patient-0007").unwrap();
+        let next = fasta.find(">patient-0008").unwrap();
+        let without = format!("{}{}", &fasta[..cut], &fasta[next..]);
+        sink.write_file("raw/sequences.fasta", without.as_bytes())
+            .unwrap();
+        match ingest(&sink) {
+            Err(DomainError::Config(msg)) => assert!(msg.contains("patient-0007"), "{msg}"),
+            other => panic!(
+                "expected a config error, got {:?}",
+                other.map(|d| d.patients.len())
+            ),
+        }
     }
 
     #[test]
@@ -574,7 +665,7 @@ mod tests {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         generate_raw(&cfg, sink.as_ref()).unwrap();
-        let input = ingest(&cfg, sink.as_ref()).unwrap();
+        let input = ingest(sink.as_ref()).unwrap();
         let pipeline = build_pipeline(&cfg, sink, Arc::new(Ledger::new()));
         let out = pipeline.run(input).unwrap();
         let patients = &out.output.patients;

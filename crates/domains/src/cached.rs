@@ -373,8 +373,6 @@ mod tests {
     use super::*;
     use crate::materials;
     use drai_cache::clock::LogicalClock;
-    use drai_formats::netcdf::NcFile;
-    use drai_formats::xyz::parse_xyz;
     use drai_io::sink::MemSink;
     use drai_telemetry::{Registry, TraceContext};
 
@@ -405,39 +403,11 @@ mod tests {
         )
     }
 
+    /// A climate input that went through the raw NetCDF files.
     fn climate_input(cfg: &ClimateConfig) -> ClimateData {
-        let raw_sink = MemSink::new();
-        let names = climate::generate_raw(cfg, &raw_sink).expect("generate");
-        let fields = names
-            .iter()
-            .enumerate()
-            .map(|(vi, name)| {
-                let bytes = raw_sink.read_file(name).expect("read raw");
-                let nc = NcFile::from_bytes(&bytes).expect("parse nc");
-                nc.var(climate::VARIABLES[vi].0)
-                    .expect("variable present")
-                    .data
-                    .to_f64_vec()
-            })
-            .collect();
-        ClimateData {
-            fields,
-            grid: cfg.src_grid.clone(),
-            timesteps: cfg.timesteps,
-            normalizers: vec![],
-        }
-    }
-
-    fn materials_input(cfg: &MaterialsConfig) -> MaterialsData {
-        let raw_sink = MemSink::new();
-        materials::generate_raw(cfg, &raw_sink).expect("generate");
-        let raw = raw_sink.read_file("raw/structures.xyz").expect("read raw");
-        let frames = parse_xyz(&String::from_utf8_lossy(&raw)).expect("parse xyz");
-        MaterialsData {
-            frames,
-            energy_stats: (0.0, 1.0),
-            graphs: vec![],
-        }
+        let raw_sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let names = climate::generate_raw(cfg, raw_sink.as_ref()).expect("generate");
+        climate::ingest(cfg, &names, raw_sink, &mut |_, _| {}).expect("ingest")
     }
 
     #[test]
@@ -459,7 +429,7 @@ mod tests {
     #[test]
     fn materials_data_round_trips_exactly() {
         let cfg = materials_cfg();
-        let data = materials_input(&cfg);
+        let data = materials::member_input(&cfg, 0).expect("member input");
         let bytes = data.to_cache_bytes();
         let back = MaterialsData::from_cache_bytes(&bytes).expect("decode");
         assert_eq!(back.to_cache_bytes(), bytes);

@@ -14,23 +14,21 @@
 //! 4. **shard** — split by timestep key, pack `[vars, lat, lon]` f32
 //!    tensors into NPY members of NPZ (STORE ZIP) shards.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, Member, StageItem};
+use crate::{DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::ExecutorConfig;
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
 use drai_formats::npy::write_npy;
 use drai_formats::zip::{write_zip, ZipEntry};
 use drai_io::parallel::{par_map, prefetch_map};
-use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
-use drai_provenance::{Artifact, Ledger};
+use drai_provenance::Ledger;
 use drai_tensor::stats::Welford;
-use drai_tensor::{LatLonGrid, Tensor};
+use drai_tensor::{DType, LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
 use drai_transform::regrid;
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{partition, Fractions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -379,8 +377,7 @@ fn shard_stage(
 ) -> Result<ClimateData, String> {
     let ncells = data.grid.ncells();
     let shape = data.grid.shape();
-    let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
-    let records: Vec<(Split, Vec<u8>)> = par_map(0..data.timesteps, |t| {
+    let records: Vec<(String, Vec<u8>)> = par_map(0..data.timesteps, |t| {
         let entries: Vec<ZipEntry> = data
             .fields
             .iter()
@@ -397,49 +394,16 @@ fn shard_stage(
                 }
             })
             .collect();
-        let split =
-            assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).expect("validated fractions");
         (
-            split,
+            format!("t{t:06}"),
             write_zip(&entries).expect("shards are far below the 4 GiB zip limit"),
         )
     });
-    for (split, rec) in records {
-        let idx = match split {
-            Split::Train => 0,
-            Split::Validation => 1,
-            Split::Test => 2,
-        };
-        split_records[idx].push(rec);
-    }
-    let mut total_bytes = 0u64;
-    for (idx, split) in [Split::Train, Split::Validation, Split::Test]
-        .iter()
-        .enumerate()
-    {
-        if split_records[idx].is_empty() {
-            continue;
-        }
-        let spec = ShardSpec::new(format!("{prefix}/{}", split.name()), cfg.shard_bytes);
-        let manifest = ShardWriter::new(spec, sink)
-            .write_all(&split_records[idx])
-            .map_err(|e| format!("{e}"))?;
-        total_bytes += manifest.payload_bytes;
-        for shard in &manifest.shards {
-            let content = sink.read_file(&shard.name).map_err(|e| format!("{e}"))?;
-            ledger.record(
-                "shard",
-                [
-                    ("split".to_string(), split.name().to_string()),
-                    ("format".to_string(), "npz".to_string()),
-                ],
-                vec![],
-                vec![Artifact::new(&shard.name, &content)],
-            );
-        }
-    }
     c.records = data.timesteps as u64;
-    c.bytes = total_bytes;
+    c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
+    let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
+    let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
+    crate::write_splits(ledger, "shard", &[("format", "npz")], parts, write)?;
     Ok(data)
 }
 
@@ -487,9 +451,20 @@ pub fn build_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
+/// Raw per-variable field stacks on the source grid, as the pipeline's
+/// input artifact.
+fn raw_fields(cfg: &ClimateConfig, fields: Vec<Vec<f64>>) -> ClimateData {
+    ClimateData {
+        fields,
+        grid: cfg.src_grid.clone(),
+        timesteps: cfg.timesteps,
+        normalizers: vec![],
+    }
+}
+
 /// One ensemble member's input fields, synthesized directly (no NetCDF
 /// round trip) with the member index folded into the seed — the raw
-/// material for [`run_streaming_batch`] and the streaming benches.
+/// material for batch runs and the streaming benches.
 pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
     let member_cfg = ClimateConfig {
         seed: cfg.seed.wrapping_add(member as u64),
@@ -499,12 +474,7 @@ pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
     let fields = (0..VARIABLES.len())
         .map(|vi| synth_variable(&member_cfg, vi, &mut rng))
         .collect();
-    ClimateData {
-        fields,
-        grid: cfg.src_grid.clone(),
-        timesteps: cfg.timesteps,
-        normalizers: vec![],
-    }
+    raw_fields(cfg, fields)
 }
 
 /// Build the same pipeline over ensemble [`Member`]s, for batch
@@ -517,131 +487,68 @@ pub fn build_batch_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
-/// Run a whole climate ensemble through the streaming bounded-memory
-/// executor: `members` synthetic members (seeds `seed..seed+members`)
-/// flow through the pipelined stage chain concurrently, each sharding
-/// under its own `climate/m<member>/` prefix.
-pub fn run_streaming_batch(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-) -> Result<DomainBatchRun, DomainError> {
-    crate::run_streaming_members(
-        "climate",
-        ".shard",
-        sink,
-        exec,
-        |sink, ledger| build_batch_pipeline(cfg, sink, ledger),
-        members,
-        |m| Ok(member_input(cfg, m)),
-    )
-}
-
 /// One prefetched raw variable: (blob name, raw bytes, decoded field).
 type ParsedVar = Result<(String, Vec<u8>, Vec<f64>), DomainError>;
+
+/// Read and parse the raw NetCDF files `raw_names` (one per entry of
+/// [`VARIABLES`], in that order) through the prefetch pool: the
+/// variables decode concurrently, and worker telemetry parents under
+/// the caller's span via the captured trace context. Results come back
+/// in input order, so `witness` sees the files in file order.
+pub(crate) fn ingest(
+    cfg: &ClimateConfig,
+    raw_names: &[String],
+    sink: Arc<dyn StorageSink>,
+    witness: Witness,
+) -> Result<ClimateData, DomainError> {
+    let parsed: Vec<ParsedVar> = prefetch_map(
+        raw_names.iter().cloned().enumerate().collect(),
+        2,
+        2,
+        move |(name_idx, blob): (usize, String)| {
+            let bytes = sink.read_file(&blob)?;
+            let nc = NcFile::from_bytes(&bytes)?;
+            let var = nc
+                .var(VARIABLES[name_idx].0)
+                .ok_or_else(|| DomainError::Config(format!("missing variable in {blob}")))?;
+            Ok((blob, bytes, var.data.to_f64_vec()))
+        },
+    )
+    .collect();
+    let mut fields = Vec::with_capacity(parsed.len());
+    for item in parsed {
+        let (blob, bytes, data) = item?;
+        witness(&blob, &bytes);
+        fields.push(data);
+    }
+    Ok(raw_fields(cfg, fields))
+}
 
 /// Run the complete climate archetype: generate raw NetCDF, execute the
 /// pipeline, and return the graded manifest.
 pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.climate.run");
-    let _in_run = run_span.enter();
-    // "Download" (synthesize) + parse — the ingest half happens outside
-    // the timed pipeline stages only as far as synthesis; parsing is the
-    // ingest stage's work, done here so stage 1 receives parsed fields.
-    let raw_names = generate_raw(cfg, sink.as_ref())?;
-    let ledger = Arc::new(Ledger::new());
-    // Read + parse the raw files through the prefetch pool: the
-    // variables decode concurrently, and worker telemetry parents under
-    // the ingest span via the captured trace context. Results come back
-    // in input order, so the ledger sees ingests in the same order as
-    // the sequential loop this replaces.
-    let fields = {
-        let ingest_span = registry.span("domain.climate.ingest");
-        let _in_ingest = ingest_span.enter();
-        let parse_sink = sink.clone();
-        let parsed: Vec<ParsedVar> = prefetch_map(
-            raw_names.iter().cloned().enumerate().collect(),
-            2,
-            2,
-            move |(name_idx, blob): (usize, String)| {
-                let bytes = parse_sink.read_file(&blob)?;
-                let nc = NcFile::from_bytes(&bytes)?;
-                let var = nc
-                    .var(VARIABLES[name_idx].0)
-                    .ok_or_else(|| DomainError::Config(format!("missing variable in {blob}")))?;
-                Ok((blob, bytes, var.data.to_f64_vec()))
-            },
-        )
-        .collect();
-        let mut fields = Vec::with_capacity(parsed.len());
-        for item in parsed {
-            let (blob, bytes, data) = item?;
-            ingest_span.add_bytes(bytes.len() as u64);
-            ledger.record(
-                "ingest",
-                [("file".to_string(), blob.clone())],
-                vec![Artifact::new(&blob, &bytes)],
-                vec![],
-            );
-            fields.push(data);
-        }
-        ingest_span.add_items(fields.len() as u64);
-        fields
-    };
-
-    let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
-    let input = ClimateData {
-        fields,
-        grid: cfg.src_grid.clone(),
-        timesteps: cfg.timesteps,
-        normalizers: vec![],
-    };
-    let run = pipeline.run(input)?;
-
-    // Build the evidence manifest.
-    let mut manifest = DatasetManifest::raw(
-        "cmip-synth",
+    crate::run_archetype(
         "climate",
-        Modality::Grid,
-        cfg.timesteps as u64,
-    );
-    manifest.schema = VARIABLES
-        .iter()
-        .map(|(name, unit, _)| VariableSpec {
-            name: (*name).to_string(),
-            dtype: drai_tensor::DType::F32,
-            unit: (*unit).to_string(),
-            shape: vec![cfg.dst_grid.nlat(), cfg.dst_grid.nlon()],
-        })
-        .collect();
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // self-supervised forecasting: next-step targets
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = crate::shard_files(sink.as_ref(), "climate/", ".shard")?;
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+        ".shard",
+        sink.as_ref(),
+        || generate_raw(cfg, sink.as_ref()),
+        |raw_names, witness| ingest(cfg, &raw_names, sink.clone(), witness),
+        |ledger| build_pipeline(cfg, sink.clone(), ledger),
+        |_| {
+            let mut manifest = DatasetManifest::raw(
+                "cmip-synth",
+                "climate",
+                Modality::Grid,
+                cfg.timesteps as u64,
+            );
+            let shape = [cfg.dst_grid.nlat(), cfg.dst_grid.nlon()];
+            manifest.schema = VARIABLES
+                .iter()
+                .map(|(name, unit, _)| VariableSpec::new(name, DType::F32, unit, &shape))
+                .collect();
+            manifest
+        },
+    )
 }
 
 #[cfg(test)]
@@ -723,14 +630,7 @@ mod tests {
         let fields: Vec<Vec<f64>> = (0..4)
             .map(|vi| synth_variable(&cfg, vi, &mut rng))
             .collect();
-        let out = pipeline
-            .run(ClimateData {
-                fields,
-                grid: cfg.src_grid.clone(),
-                timesteps: cfg.timesteps,
-                normalizers: vec![],
-            })
-            .unwrap();
+        let out = pipeline.run(raw_fields(&cfg, fields)).unwrap();
         for stack in &out.output.fields {
             let mut w = Welford::new();
             w.extend(stack);
@@ -745,13 +645,7 @@ mod tests {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         let pipeline = build_pipeline(&cfg, sink, Arc::new(Ledger::new()));
-        let bad = ClimateData {
-            fields: vec![vec![0.0; 5]],
-            grid: cfg.src_grid.clone(),
-            timesteps: cfg.timesteps,
-            normalizers: vec![],
-        };
-        assert!(pipeline.run(bad).is_err());
+        assert!(pipeline.run(raw_fields(&cfg, vec![vec![0.0; 5]])).is_err());
     }
 
     #[test]
@@ -814,27 +708,5 @@ mod tests {
                 "{name} differs between identical-seed runs"
             );
         }
-    }
-
-    #[test]
-    fn streaming_batch_shards_each_member_under_its_own_prefix() {
-        let cfg = small_cfg();
-        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let run = run_streaming_batch(&cfg, sink, 3, &ExecutorConfig::default()).unwrap();
-        assert_eq!(run.members, 3);
-        assert_eq!(run.stages.len(), 4, "validate/regrid/normalize/shard");
-        for m in 0..3 {
-            let prefix = format!("climate/m{m}/");
-            assert!(
-                run.shard_files.iter().any(|n| n.starts_with(&prefix)),
-                "no shards under {prefix}: {:?}",
-                run.shard_files
-            );
-        }
-        // Each member ran regrid + normalize + shard through the shared
-        // ledger.
-        assert!(run.ledger.len() >= 3 * 3, "ledger has {}", run.ledger.len());
-        // Member seeds differ, so member inputs differ.
-        assert_ne!(member_input(&cfg, 0).fields, member_input(&cfg, 1).fields);
     }
 }

@@ -15,20 +15,20 @@
 //! 4. **shard** — windows become `tf.train.Example`s in TFRecord shards,
 //!    split by *shot* key so no shot straddles splits.
 
-use crate::{DomainError, DomainRun};
+use crate::{DomainError, DomainRun, Member, StageItem};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::example::Example;
 use drai_formats::tfrecord;
 use drai_io::parallel::par_map;
-use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
-use drai_provenance::{Artifact, Ledger};
+use drai_provenance::Ledger;
+use drai_tensor::DType;
 use drai_transform::align::{align_channels, window, Channel, Clock};
 use drai_transform::features::derivative;
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{partition, Fractions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -209,210 +209,237 @@ pub struct FusionData {
 /// before t_disrupt are positive.
 pub const LABEL_HORIZON_S: f64 = 0.25;
 
-/// Build the fusion pipeline.
-pub fn build_pipeline(
+/// Stage body: drop shots with fewer than 2 live channels (cannot align
+/// a useful feature matrix from one signal).
+fn extract_stage(mut data: FusionData, c: &mut StageCounters) -> Result<FusionData, String> {
+    data.shots.retain(|s| s.channels.len() >= 2);
+    let samples: usize = data
+        .shots
+        .iter()
+        .flat_map(|s| s.channels.iter().map(|ch| ch.values.len()))
+        .sum();
+    c.records = data.shots.len() as u64;
+    c.bytes = (samples * 16) as u64;
+    Ok(data)
+}
+
+/// Stage body: resample every shot's channels onto the common clock.
+fn align_stage(
+    cfg: &FusionConfig,
+    mut data: FusionData,
+    c: &mut StageCounters,
+) -> Result<FusionData, String> {
+    let aligned = par_map(&data.shots, |shot| {
+        let t_end = shot
+            .channels
+            .iter()
+            .filter_map(|ch| ch.times.last().copied())
+            .fold(f64::INFINITY, f64::min);
+        let t_start = shot
+            .channels
+            .iter()
+            .filter_map(|ch| ch.times.first().copied())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let clock = Clock::covering(t_start, t_end, cfg.clock_hz)
+            .map_err(|e| format!("shot {}: {e}", shot.id))?;
+        let (matrix, _names) =
+            align_channels(&shot.channels, &clock).map_err(|e| format!("shot {}: {e}", shot.id))?;
+        Ok((shot.id, shot.t_disrupt, matrix, clock.len))
+    });
+    data.aligned = aligned.into_iter().collect::<Result<_, String>>()?;
+    c.records = data.aligned.len() as u64;
+    c.bytes = data
+        .aligned
+        .iter()
+        .map(|(_, _, m, _)| (m.len() * 8) as u64)
+        .sum();
+    Ok(data)
+}
+
+/// Stage body: per-shot, per-channel robust scaling, derivative
+/// features, fixed windows and disruption labels. Align produced
+/// matrices with ncols = live channels (they vary with dropout), so
+/// each shot is normalized and windowed on its own columns.
+fn normalize_stage(
+    cfg: &FusionConfig,
+    ledger: &Ledger,
+    mut data: FusionData,
+    c: &mut StageCounters,
+) -> Result<FusionData, String> {
+    let mut windows = Vec::new();
+    for (shot_id, t_disrupt, matrix, ntime) in &data.aligned {
+        let nch = if *ntime == 0 { 0 } else { matrix.len() / ntime };
+        if nch == 0 {
+            continue;
+        }
+        // Per-shot, per-channel robust normalization.
+        let mut matrix = matrix.clone();
+        let mut normalizers = Vec::with_capacity(nch);
+        for ch in 0..nch {
+            let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
+            let n = Normalizer::fit(Method::Robust, &col)
+                .map_err(|e| format!("shot {shot_id}: {e}"))?;
+            for (i, v) in matrix.iter_mut().enumerate() {
+                if i % nch == ch {
+                    *v = n.apply(*v);
+                }
+            }
+            normalizers.push(n);
+        }
+        if data.normalizers.is_empty() {
+            data.normalizers = normalizers;
+        }
+        // Derivative features per channel, appended as extra
+        // columns (the DIII-D "derivative-based features").
+        let dt = 1.0 / cfg.clock_hz;
+        let mut with_derivs = Vec::with_capacity(matrix.len() * 2);
+        let mut deriv_cols = Vec::with_capacity(nch);
+        for ch in 0..nch {
+            let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
+            deriv_cols.push(derivative(&col, dt).map_err(|e| format!("{e}"))?);
+        }
+        for t in 0..*ntime {
+            for ch in 0..nch {
+                with_derivs.push(matrix[t * nch + ch]);
+            }
+            for dcol in deriv_cols.iter() {
+                with_derivs.push(dcol[t]);
+            }
+        }
+        let nfeat = nch * 2;
+        let wins = window(&with_derivs, nfeat, cfg.window_len, cfg.window_stride, true)
+            .map_err(|e| format!("{e}"))?;
+        for (wi, w) in wins.into_iter().enumerate() {
+            // Window end time on the common clock.
+            let end_tick = wi * cfg.window_stride + cfg.window_len;
+            let t_end = end_tick as f64 / cfg.clock_hz;
+            let label = match t_disrupt {
+                Some(td) => {
+                    if t_end > *td {
+                        continue; // post-disruption data is unusable
+                    }
+                    (*td - t_end <= LABEL_HORIZON_S) as i64
+                }
+                None => 0,
+            };
+            windows.push(WindowSample {
+                shot_id: *shot_id,
+                features: w.into_iter().map(|x| x as f32).collect(),
+                label,
+            });
+        }
+    }
+    ledger.record(
+        "normalize+window",
+        [
+            ("method".to_string(), "robust+derivative".to_string()),
+            ("windows".to_string(), windows.len().to_string()),
+        ],
+        vec![],
+        vec![],
+    );
+    c.records = windows.len() as u64;
+    c.bytes = windows.iter().map(|w| (w.features.len() * 4) as u64).sum();
+    data.windows = windows;
+    Ok(data)
+}
+
+/// Stage body: windows become TFRecord-framed `tf.train.Example`s,
+/// split by *shot* key so no shot straddles splits.
+fn shard_stage(
+    cfg: &FusionConfig,
+    sink: &dyn StorageSink,
+    ledger: &Ledger,
+    prefix: &str,
+    data: FusionData,
+    c: &mut StageCounters,
+) -> Result<FusionData, String> {
+    let records: Vec<(String, Vec<u8>)> = par_map(&data.windows, |w| {
+        let ex = Example::new()
+            .with_floats("features", w.features.clone())
+            .with_ints("label", vec![w.label])
+            .with_ints("shot_id", vec![w.shot_id as i64]);
+        let mut framed = Vec::new();
+        tfrecord::write_record(&mut framed, &ex.encode());
+        (format!("shot-{}", w.shot_id), framed)
+    });
+    c.records = data.windows.len() as u64;
+    c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
+    let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
+    let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
+    crate::write_splits(ledger, "shard", &[("format", "tfrecord")], parts, write)?;
+    Ok(data)
+}
+
+/// The fusion stage graph, declared once for whatever flows through
+/// it: a bare [`FusionData`] (pipeline `fusion`, shards under `fusion/`)
+/// or a batch [`Member`] (`fusion-batch`, `fusion/m<member>/`).
+fn stage_graph<I: StageItem<FusionData>>(
     cfg: &FusionConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
-) -> Pipeline<FusionData> {
+) -> Pipeline<I> {
     let cfg_align = cfg.clone();
     let cfg_norm = cfg.clone();
     let cfg_shard = cfg.clone();
     let ledger_shard = ledger.clone();
     let ledger_norm = ledger;
 
-    Pipeline::builder("fusion")
-        .stage(
-            "extract",
-            S::Ingest,
-            move |mut data: FusionData, c: &mut StageCounters| {
-                // Drop shots with fewer than 2 live channels (cannot align a
-                // useful feature matrix from one signal).
-                data.shots.retain(|s| s.channels.len() >= 2);
-                let samples: usize = data
-                    .shots
-                    .iter()
-                    .flat_map(|s| s.channels.iter().map(|ch| ch.values.len()))
-                    .sum();
-                c.records = data.shots.len() as u64;
-                c.bytes = (samples * 16) as u64;
-                Ok(data)
-            },
-        )
-        .stage("align", S::Preprocess, move |mut data: FusionData, c| {
-            let aligned = par_map(&data.shots, |shot| {
-                let t_end = shot
-                    .channels
-                    .iter()
-                    .filter_map(|ch| ch.times.last().copied())
-                    .fold(f64::INFINITY, f64::min);
-                let t_start = shot
-                    .channels
-                    .iter()
-                    .filter_map(|ch| ch.times.first().copied())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let clock = Clock::covering(t_start, t_end, cfg_align.clock_hz)
-                    .map_err(|e| format!("shot {}: {e}", shot.id))?;
-                let (matrix, _names) = align_channels(&shot.channels, &clock)
-                    .map_err(|e| format!("shot {}: {e}", shot.id))?;
-                Ok((shot.id, shot.t_disrupt, matrix, clock.len))
-            });
-            data.aligned = aligned.into_iter().collect::<Result<_, String>>()?;
-            c.records = data.aligned.len() as u64;
-            c.bytes = data
-                .aligned
-                .iter()
-                .map(|(_, _, m, _)| (m.len() * 8) as u64)
-                .sum();
-            Ok(data)
+    Pipeline::builder(&I::pipeline_name("fusion"))
+        .stage("extract", S::Ingest, |item: I, c| {
+            item.try_map(|data| extract_stage(data, c))
         })
-        .stage("normalize", S::Transform, move |mut data: FusionData, c| {
-            // Fit per-channel robust normalizers over all shots, using
-            // each shot's channel count (they vary with dropout) — align
-            // produced matrices with ncols = live channels, so normalize
-            // per *named* channel would need the names; for robustness we
-            // re-window per shot and fit on each column independently.
-            let mut windows = Vec::new();
-            for (shot_id, t_disrupt, matrix, ntime) in &data.aligned {
-                let nch = if *ntime == 0 { 0 } else { matrix.len() / ntime };
-                if nch == 0 {
-                    continue;
-                }
-                // Per-shot, per-channel robust normalization.
-                let mut matrix = matrix.clone();
-                let mut normalizers = Vec::with_capacity(nch);
-                for ch in 0..nch {
-                    let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
-                    let n = Normalizer::fit(Method::Robust, &col)
-                        .map_err(|e| format!("shot {shot_id}: {e}"))?;
-                    for (i, v) in matrix.iter_mut().enumerate() {
-                        if i % nch == ch {
-                            *v = n.apply(*v);
-                        }
-                    }
-                    normalizers.push(n);
-                }
-                if data.normalizers.is_empty() {
-                    data.normalizers = normalizers;
-                }
-                // Derivative features per channel, appended as extra
-                // columns (the DIII-D "derivative-based features").
-                let dt = 1.0 / cfg_norm.clock_hz;
-                let mut with_derivs = Vec::with_capacity(matrix.len() * 2);
-                let mut deriv_cols = Vec::with_capacity(nch);
-                for ch in 0..nch {
-                    let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
-                    deriv_cols.push(derivative(&col, dt).map_err(|e| format!("{e}"))?);
-                }
-                for t in 0..*ntime {
-                    for ch in 0..nch {
-                        with_derivs.push(matrix[t * nch + ch]);
-                    }
-                    for dcol in deriv_cols.iter() {
-                        with_derivs.push(dcol[t]);
-                    }
-                }
-                let nfeat = nch * 2;
-                let wins = window(
-                    &with_derivs,
-                    nfeat,
-                    cfg_norm.window_len,
-                    cfg_norm.window_stride,
-                    true,
-                )
-                .map_err(|e| format!("{e}"))?;
-                for (wi, w) in wins.into_iter().enumerate() {
-                    // Window end time on the common clock.
-                    let end_tick = wi * cfg_norm.window_stride + cfg_norm.window_len;
-                    let t_end = end_tick as f64 / cfg_norm.clock_hz;
-                    let label = match t_disrupt {
-                        Some(td) => {
-                            if t_end > *td {
-                                continue; // post-disruption data is unusable
-                            }
-                            (*td - t_end <= LABEL_HORIZON_S) as i64
-                        }
-                        None => 0,
-                    };
-                    windows.push(WindowSample {
-                        shot_id: *shot_id,
-                        features: w.into_iter().map(|x| x as f32).collect(),
-                        label,
-                    });
-                }
-            }
-            ledger_norm.record(
-                "normalize+window",
-                [
-                    ("method".to_string(), "robust+derivative".to_string()),
-                    ("windows".to_string(), windows.len().to_string()),
-                ],
-                vec![],
-                vec![],
-            );
-            c.records = windows.len() as u64;
-            c.bytes = windows.iter().map(|w| (w.features.len() * 4) as u64).sum();
-            data.windows = windows;
-            Ok(data)
+        .stage("align", S::Preprocess, move |item: I, c| {
+            item.try_map(|data| align_stage(&cfg_align, data, c))
         })
-        .stage("shard", S::Shard, move |data: FusionData, c| {
-            // Encode windows as tf.train.Examples, split by shot key.
-            let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
-            let encoded: Vec<(Split, Vec<u8>)> = par_map(&data.windows, |w| {
-                let ex = Example::new()
-                    .with_floats("features", w.features.clone())
-                    .with_ints("label", vec![w.label])
-                    .with_ints("shot_id", vec![w.shot_id as i64]);
-                let mut framed = Vec::new();
-                tfrecord::write_record(&mut framed, &ex.encode());
-                let split = assign(
-                    &format!("shot-{}", w.shot_id),
-                    cfg_shard.seed,
-                    cfg_shard.fractions,
-                )
-                .expect("validated fractions");
-                (split, framed)
-            });
-            for (split, rec) in encoded {
-                let idx = match split {
-                    Split::Train => 0,
-                    Split::Validation => 1,
-                    Split::Test => 2,
-                };
-                split_records[idx].push(rec);
-            }
-            let mut total = 0u64;
-            for (idx, split) in [Split::Train, Split::Validation, Split::Test]
-                .iter()
-                .enumerate()
-            {
-                if split_records[idx].is_empty() {
-                    continue;
-                }
-                let spec =
-                    ShardSpec::new(format!("fusion/{}", split.name()), cfg_shard.shard_bytes);
-                let manifest = ShardWriter::new(spec, sink.as_ref())
-                    .write_all(&split_records[idx])
-                    .map_err(|e| format!("{e}"))?;
-                total += manifest.payload_bytes;
-                for shard in &manifest.shards {
-                    let content = sink.read_file(&shard.name).map_err(|e| format!("{e}"))?;
-                    ledger_shard.record(
-                        "shard",
-                        [
-                            ("split".to_string(), split.name().to_string()),
-                            ("format".to_string(), "tfrecord".to_string()),
-                        ],
-                        vec![],
-                        vec![Artifact::new(&shard.name, &content)],
-                    );
-                }
-            }
-            c.records = data.windows.len() as u64;
-            c.bytes = total;
-            Ok(data)
+        .stage("normalize", S::Transform, move |item: I, c| {
+            item.try_map(|data| normalize_stage(&cfg_norm, &ledger_norm, data, c))
+        })
+        .stage("shard", S::Shard, move |item: I, c| {
+            let prefix = item.shard_prefix("fusion");
+            item.try_map(|data| {
+                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
+            })
         })
         .build()
+}
+
+/// Build the fusion pipeline over one [`FusionData`].
+pub fn build_pipeline(
+    cfg: &FusionConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<FusionData> {
+    stage_graph(cfg, sink, ledger)
+}
+
+/// Build the same pipeline over batch [`Member`]s.
+pub fn build_batch_pipeline(
+    cfg: &FusionConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+) -> Pipeline<Member<FusionData>> {
+    stage_graph(cfg, sink, ledger)
+}
+
+/// Move the shots out of the store into the pipeline's input artifact.
+pub(crate) fn ingest(store: ShotStore) -> FusionData {
+    FusionData {
+        shots: store.shots,
+        aligned: vec![],
+        windows: vec![],
+        normalizers: vec![],
+    }
+}
+
+/// One batch member's input: a member-seeded campaign of `cfg.shots`
+/// shots — not one shot, because the shot-keyed split is a property of
+/// the set.
+pub fn member_input(cfg: &FusionConfig, member: usize) -> FusionData {
+    ingest(ShotStore::generate(&FusionConfig {
+        seed: cfg.seed.wrapping_add(member as u64),
+        ..cfg.clone()
+    }))
 }
 
 /// Semi-supervised labeling for partially labeled shot archives — the
@@ -515,58 +542,27 @@ pub fn pseudo_label_windows(
 
 /// Run the complete fusion archetype.
 pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.fusion.run");
-    let _in_run = run_span.enter();
-    let store = ShotStore::generate(cfg);
-    let ledger = Arc::new(Ledger::new());
-    let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
-    let input = FusionData {
-        shots: store.shots().to_vec(),
-        aligned: vec![],
-        windows: vec![],
-        normalizers: vec![],
-    };
-    let run = pipeline.run(input)?;
-
-    let labeled = run.output.windows.len() as u64;
-    let mut manifest =
-        DatasetManifest::raw("diii-d-synth", "fusion", Modality::TimeSeries, labeled);
-    manifest.schema = CHANNELS
-        .iter()
-        .map(|(name, _, unit)| VariableSpec {
-            name: (*name).to_string(),
-            dtype: drai_tensor::DType::F32,
-            unit: (*unit).to_string(),
-            shape: vec![cfg.window_len],
-        })
-        .collect();
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // every surviving window carries a label
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = crate::shard_files(sink.as_ref(), "fusion/", ".shard")?;
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    crate::run_archetype(
+        "fusion",
+        ".shard",
+        sink.as_ref(),
+        || Ok(ShotStore::generate(cfg)),
+        |store, _| Ok(ingest(store)),
+        |ledger| build_pipeline(cfg, sink.clone(), ledger),
+        |out| {
+            let mut manifest = DatasetManifest::raw(
+                "diii-d-synth",
+                "fusion",
+                Modality::TimeSeries,
+                out.windows.len() as u64,
+            );
+            manifest.schema = CHANNELS
+                .iter()
+                .map(|(name, _, unit)| VariableSpec::new(name, DType::F32, unit, &[cfg.window_len]))
+                .collect();
+            manifest
+        },
+    )
 }
 
 #[cfg(test)]
@@ -693,16 +689,8 @@ mod tests {
             disruption_fraction: 0.5,
             ..small_cfg()
         };
-        let store = ShotStore::generate(&cfg);
         let pipeline = build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-        let out = pipeline
-            .run(FusionData {
-                shots: store.shots().to_vec(),
-                aligned: vec![],
-                windows: vec![],
-                normalizers: vec![],
-            })
-            .unwrap();
+        let out = pipeline.run(member_input(&cfg, 0)).unwrap();
         let windows = &out.output.windows;
         assert!(windows.len() > 20, "need enough windows: {}", windows.len());
 
@@ -737,14 +725,7 @@ mod tests {
         let sink = Arc::new(MemSink::new());
         let ledger = Arc::new(Ledger::new());
         let pipeline = build_pipeline(&cfg, sink, ledger);
-        let out = pipeline
-            .run(FusionData {
-                shots: store.shots().to_vec(),
-                aligned: vec![],
-                windows: vec![],
-                normalizers: vec![],
-            })
-            .unwrap();
+        let out = pipeline.run(member_input(&cfg, 0)).unwrap();
         let windows = &out.output.windows;
         assert!(!windows.is_empty());
         let positives = windows.iter().filter(|w| w.label == 1).count();

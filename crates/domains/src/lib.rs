@@ -13,10 +13,17 @@
 //! | [`bio`] | TwoFold / C-HER / Enformer | `encode → anonymize → fuse → secure-shard` (CSV+FASTA → encrypted h5lite) |
 //! | [`materials`] | OMat24 / AFLOW (HydraGNN) | `parse → normalize → encode → shard` (XYZ → BP + JSONL) |
 //!
-//! Every pipeline returns a [`DomainRun`]: the output dataset manifest
-//! (with evidence flags set by the stages that actually ran), per-stage
-//! metrics, and the provenance ledger — so the readiness assessor can
-//! grade the result and the Table 2 bench can measure each cell.
+//! All four modules have one outline: `generate_raw` (the download
+//! stand-in) → `ingest` → one `stage_graph::<I: StageItem<_>>`, which
+//! `build_pipeline` / `build_batch_pipeline` instantiate for a bare
+//! artifact or a batch [`Member`] (made by `member_input`). Their `run`
+//! is written once, here (`run_archetype`), and so is the tail every
+//! shard stage ends in (`write_splits`). A `run` returns a
+//! [`DomainRun`]: the output dataset manifest, per-stage metrics and
+//! the provenance ledger — so the readiness assessor can grade the
+//! result and the Table 2 bench can measure each cell. The manifest's
+//! evidence flags are *asserted* in one function, `assert_evidence`,
+//! not yet measured from the run (ROADMAP item 5a).
 
 #![forbid(unsafe_code)]
 
@@ -27,15 +34,16 @@ pub mod fusion;
 pub mod materials;
 pub mod service;
 
-use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::{Pipeline, StageMetrics};
 use drai_core::DatasetManifest;
+use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
-use drai_provenance::Ledger;
+use drai_provenance::{Artifact, Ledger};
 use drai_telemetry::monitor::{
     HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
 };
 use drai_telemetry::Registry;
+use drai_transform::split::{Partitioned, Split};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,53 +135,127 @@ pub fn monitored<R>(
     (out, handle.stop())
 }
 
-/// Names of the blobs under `prefix` ending in `ext`.
-pub(crate) fn shard_files(
-    sink: &dyn StorageSink,
-    prefix: &str,
-    ext: &str,
-) -> Result<Vec<String>, DomainError> {
-    let mut names = sink.list()?;
-    names.retain(|n| n.starts_with(prefix) && n.ends_with(ext));
-    Ok(names)
-}
+/// Told the `(name, content)` of each blob to put on record: a raw input
+/// as it is ingested, a shard as it is written.
+pub(crate) type Witness<'a> = &'a mut dyn FnMut(&str, &[u8]);
 
-/// Members `0..members` of a batch, each input made by `member_input`.
-pub(crate) fn member_items<D>(
-    members: usize,
-    member_input: impl Fn(usize) -> Result<D, DomainError>,
-) -> Result<Vec<Member<D>>, DomainError> {
-    (0..members)
-        .map(|m| member_input(m).map(|data| Member(m, data)))
-        .collect()
-}
-
-/// The body both domains' `run_streaming_batch` share: under a
-/// `domain.<domain>.run_batch` span, build the batch pipeline over a
-/// fresh ledger, synthesize the members and stream them through it.
-pub(crate) fn run_streaming_members<D: Send + 'static>(
+/// Every archetype's `run`. Under a `domain.<domain>.run` span:
+/// `generate_raw` (the download stand-in) and `ingest` (raw blobs → the
+/// pipeline's input), each under a span of its own, then the pipeline
+/// `build` makes over the run's ledger, then the manifest `describe`
+/// derives from the output plus [`assert_evidence`]. What `ingest` shows
+/// its [`Witness`] is counted on its span and ledgered as an `ingest`
+/// input. The pipeline stays the last thing that takes time: the
+/// benchmark lays [`DomainRun::stages`] back to back up to the return.
+pub(crate) fn run_archetype<R, D>(
     domain: &str,
     shard_ext: &str,
-    sink: Arc<dyn StorageSink>,
-    exec: &ExecutorConfig,
-    build: impl FnOnce(Arc<dyn StorageSink>, Arc<Ledger>) -> Pipeline<Member<D>>,
-    members: usize,
-    member_input: impl Fn(usize) -> Result<D, DomainError>,
-) -> Result<DomainBatchRun, DomainError> {
-    let run_span = Registry::current().span(format!("domain.{domain}.run_batch"));
+    sink: &dyn StorageSink,
+    generate_raw: impl FnOnce() -> Result<R, DomainError>,
+    ingest: impl FnOnce(R, Witness) -> Result<D, DomainError>,
+    build: impl FnOnce(Arc<Ledger>) -> Pipeline<D>,
+    describe: impl FnOnce(&D) -> DatasetManifest,
+) -> Result<DomainRun, DomainError> {
+    let registry = Registry::current();
+    let run_span = registry.span(format!("domain.{domain}.run"));
     let _in_run = run_span.enter();
     let ledger = Arc::new(Ledger::new());
-    let pipeline = build(sink.clone(), ledger.clone());
-    let items = member_items(members, member_input)?;
-    let (_outputs, stages) = pipeline.run_batch_streaming(items, exec)?;
-    let shard_files = shard_files(sink.as_ref(), &format!("{domain}/"), shard_ext)?;
-    run_span.add_items(members as u64);
-    Ok(DomainBatchRun {
-        members,
-        stages,
+    let raw = registry.time(&format!("domain.{domain}.generate_raw"), generate_raw)?;
+    let input = {
+        let span = registry.span(format!("domain.{domain}.ingest"));
+        let _in_ingest = span.enter();
+        ingest(raw, &mut |name, content| {
+            span.add_items(1);
+            span.add_bytes(content.len() as u64);
+            let file = [("file".to_string(), name.to_string())];
+            ledger.record("ingest", file, vec![Artifact::new(name, content)], vec![]);
+        })?
+    };
+    let run = build(ledger.clone()).run(input)?;
+
+    let mut manifest = describe(&run.output);
+    assert_evidence(&mut manifest);
+    let prefix = format!("{domain}/");
+    let mut shard_files = sink.list()?;
+    shard_files.retain(|n| n.starts_with(&prefix) && n.ends_with(shard_ext));
+    run_span.add_items(manifest.records);
+    Ok(DomainRun {
+        manifest,
+        stages: run.stages,
         ledger,
         shard_files,
     })
+}
+
+/// The readiness evidence every archetype `run` claims: assertions
+/// about what its stage graph does, set here and nowhere else (bio adds
+/// its two anonymization flags), not measurements of the run that just
+/// finished. Deriving them from evidence (ROADMAP item 5a) starts here.
+fn assert_evidence(manifest: &mut DatasetManifest) {
+    manifest.standard_format = true;
+    manifest.ingest_validated = true;
+    manifest.metadata_enriched = true;
+    manifest.high_throughput_ingest = true;
+    manifest.ingest_automated = true;
+    manifest.aligned_initial = true;
+    manifest.aligned_standardized = true;
+    manifest.alignment_automated = true;
+    manifest.normalized_initial = true;
+    manifest.normalized_final = true;
+    manifest.transform_audited = true;
+    manifest.label_coverage = 1.0; // every sharded record carries its target
+    manifest.features_extracted = true;
+    manifest.features_validated = true;
+    manifest.split_assigned = true;
+    manifest.sharded = true;
+}
+
+/// The tail every shard stage ends in. For each non-empty split, in
+/// (train, validation, test) order, `write` stores the split's items
+/// and shows its [`Witness`] each blob written; each becomes the output
+/// [`Artifact`] of one `event` ledger record carrying the split name
+/// and `params`.
+pub(crate) fn write_splits<T>(
+    ledger: &Ledger,
+    event: &str,
+    params: &[(&str, &str)],
+    parts: Partitioned<T>,
+    mut write: impl FnMut(Split, Vec<T>, Witness) -> Result<(), String>,
+) -> Result<(), String> {
+    for (split, items) in parts.into_iter().filter(|(_, items)| !items.is_empty()) {
+        write(split, items, &mut |name, content| {
+            let split_param = [("split", split.name())];
+            let params = split_param.iter().chain(params);
+            ledger.record(
+                event,
+                params.map(|(k, v)| (k.to_string(), v.to_string())),
+                vec![],
+                vec![Artifact::new(name, content)],
+            );
+        })?;
+    }
+    Ok(())
+}
+
+/// [`write_splits`]' `write` for the [`ShardWriter`] domains: pack a
+/// split's records into shards of `shard_bytes` under `<prefix>/<split>`
+/// and vouch for each shard as stored, read back one at a time.
+pub(crate) fn record_shards<'a>(
+    sink: &'a dyn StorageSink,
+    prefix: &'a str,
+    shard_bytes: usize,
+) -> impl FnMut(Split, Vec<Vec<u8>>, Witness) -> Result<(), String> + 'a {
+    move |split, records, vouch| {
+        let spec = ShardSpec::new(format!("{prefix}/{}", split.name()), shard_bytes);
+        let manifest = ShardWriter::new(spec, sink)
+            .write_all(&records)
+            .map_err(|e| e.to_string())?;
+        for shard in &manifest.shards {
+            let content = sink.read_file(&shard.name).map_err(|e| e.to_string())?;
+            vouch(&shard.name, &content);
+        }
+        Ok(())
+    }
 }
 
 /// Common result of running a domain pipeline.
@@ -186,21 +268,6 @@ pub struct DomainRun {
     /// stage closures, hence the `Arc`).
     pub ledger: Arc<Ledger>,
     /// Names of shard blobs written (across splits).
-    pub shard_files: Vec<String>,
-}
-
-/// Common result of running a domain batch through the streaming
-/// bounded-memory executor ([`climate::run_streaming_batch`],
-/// [`materials::run_streaming_batch`]): one pipeline, many ensemble
-/// members, merged per-stage metrics.
-pub struct DomainBatchRun {
-    /// Number of batch members processed.
-    pub members: usize,
-    /// Per-stage timing/volume merged across the batch.
-    pub stages: Vec<StageMetrics>,
-    /// Provenance of every transformation across all members.
-    pub ledger: Arc<Ledger>,
-    /// Names of shard blobs written (across members and splits).
     pub shard_files: Vec<String>,
 }
 

@@ -16,9 +16,8 @@
 //! 4. **shard** — each graph becomes a BP process group; a JSONL sidecar
 //!    carries per-sample metadata, split by structure key.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, Member, StageItem};
+use crate::{DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::ExecutorConfig;
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::bp::{BpVar, BpWriter, ProcessGroup};
@@ -26,10 +25,10 @@ use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
 use drai_io::json::Json;
 use drai_io::parallel::par_map;
 use drai_io::sink::{MemSink, StorageSink};
-use drai_provenance::{Artifact, Ledger};
+use drai_provenance::Ledger;
 use drai_tensor::stats::Welford;
-use drai_tensor::Tensor;
-use drai_transform::split::{assign, Fractions, Split};
+use drai_tensor::{DType, Tensor};
+use drai_transform::split::{partition, Fractions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -384,76 +383,58 @@ fn shard_stage(
     data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
-    let mut writers = [BpWriter::new(), BpWriter::new(), BpWriter::new()];
-    let mut sidecars = [String::new(), String::new(), String::new()];
-    let mut counts = [0usize; 3];
-    for g in &data.graphs {
-        let split = assign(
-            &format!("structure-{}", g.structure_id),
-            cfg.seed,
-            cfg.fractions,
-        )
-        .expect("validated fractions");
-        let idx = match split {
-            Split::Train => 0,
-            Split::Validation => 1,
-            Split::Test => 2,
-        };
-        let mut energy = Tensor::<f64>::zeros(&[1]);
-        energy.set(&[0], g.energy_per_atom).expect("index 0");
-        writers[idx].append(&ProcessGroup {
-            name: format!("structure-{}", g.structure_id),
-            step: g.structure_id as u64,
-            vars: vec![
-                BpVar::from_tensor("node_features", &g.node_features),
-                BpVar::from_tensor("edges", &g.edges),
-                BpVar::from_tensor("edge_lengths", &g.edge_lengths),
-                BpVar::from_tensor("energy_per_atom", &energy),
-                BpVar::from_tensor("forces", &g.forces),
-            ],
-        });
-        sidecars[idx].push_str(
-            &Json::obj([
-                ("structure", Json::from(g.structure_id)),
-                ("atoms", Json::from(g.node_features.shape()[0])),
-                ("edges", Json::from(g.edge_lengths.len())),
-                ("energy_per_atom", Json::from(g.energy_per_atom)),
-            ])
-            .to_string_compact(),
-        );
-        sidecars[idx].push('\n');
-        counts[idx] += 1;
-    }
-    let mut total = 0u64;
-    for (idx, split) in [Split::Train, Split::Validation, Split::Test]
+    let keyed = data
+        .graphs
         .iter()
-        .enumerate()
-    {
-        if counts[idx] == 0 {
-            continue;
-        }
-        let writer = std::mem::take(&mut writers[idx]);
-        // take() leaves a default BpWriter (no magic); only the
-        // original, which has magic + groups, is finished here.
-        let bytes = writer.finish();
-        let name = format!("{prefix}/{}.bp", split.name());
-        sink.write_file(&name, &bytes).map_err(|e| format!("{e}"))?;
-        sink.write_file(
-            &format!("{prefix}/{}.jsonl", split.name()),
-            sidecars[idx].as_bytes(),
-        )
-        .map_err(|e| format!("{e}"))?;
-        total += bytes.len() as u64;
-        ledger.record(
-            "shard",
-            [
-                ("split".to_string(), split.name().to_string()),
-                ("format".to_string(), "bp+jsonl".to_string()),
-            ],
-            vec![],
-            vec![Artifact::new(&name, &bytes)],
-        );
-    }
+        .map(|g| (format!("structure-{}", g.structure_id), g));
+    let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
+    let mut total = 0u64;
+    crate::write_splits(
+        ledger,
+        "shard",
+        &[("format", "bp+jsonl")],
+        parts,
+        |split, graphs, vouch| {
+            let mut writer = BpWriter::new();
+            let mut sidecar = String::new();
+            for g in graphs {
+                let mut energy = Tensor::<f64>::zeros(&[1]);
+                energy.set(&[0], g.energy_per_atom).expect("index 0");
+                writer.append(&ProcessGroup {
+                    name: format!("structure-{}", g.structure_id),
+                    step: g.structure_id as u64,
+                    vars: vec![
+                        BpVar::from_tensor("node_features", &g.node_features),
+                        BpVar::from_tensor("edges", &g.edges),
+                        BpVar::from_tensor("edge_lengths", &g.edge_lengths),
+                        BpVar::from_tensor("energy_per_atom", &energy),
+                        BpVar::from_tensor("forces", &g.forces),
+                    ],
+                });
+                sidecar.push_str(
+                    &Json::obj([
+                        ("structure", Json::from(g.structure_id)),
+                        ("atoms", Json::from(g.node_features.shape()[0])),
+                        ("edges", Json::from(g.edge_lengths.len())),
+                        ("energy_per_atom", Json::from(g.energy_per_atom)),
+                    ])
+                    .to_string_compact(),
+                );
+                sidecar.push('\n');
+            }
+            let bytes = writer.finish();
+            let name = format!("{prefix}/{}.bp", split.name());
+            sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
+            sink.write_file(
+                &format!("{prefix}/{}.jsonl", split.name()),
+                sidecar.as_bytes(),
+            )
+            .map_err(|e| e.to_string())?;
+            total += bytes.len() as u64;
+            vouch(&name, &bytes);
+            Ok(())
+        },
+    )?;
     c.records = data.graphs.len() as u64;
     c.bytes = total;
     Ok(data)
@@ -501,9 +482,23 @@ pub fn build_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
-/// One batch member's parsed input: generate and parse a member-seeded
-/// raw XYZ in a staging [`MemSink`], the raw material for
-/// [`run_streaming_batch`].
+/// Read the raw XYZ from `sink`, show it to `witness`, and parse it
+/// into the pipeline's input artifact.
+pub(crate) fn ingest(
+    sink: &dyn StorageSink,
+    witness: Witness,
+) -> Result<MaterialsData, DomainError> {
+    let raw = sink.read_file("raw/structures.xyz")?;
+    witness("raw/structures.xyz", &raw);
+    Ok(MaterialsData {
+        frames: parse_xyz(&String::from_utf8_lossy(&raw))?,
+        energy_stats: (0.0, 1.0),
+        graphs: vec![],
+    })
+}
+
+/// One batch member's parsed input: generate and ingest a member-seeded
+/// raw XYZ in a staging [`MemSink`].
 pub fn member_input(cfg: &MaterialsConfig, member: usize) -> Result<MaterialsData, DomainError> {
     let member_cfg = MaterialsConfig {
         seed: cfg.seed.wrapping_add(member as u64),
@@ -511,13 +506,7 @@ pub fn member_input(cfg: &MaterialsConfig, member: usize) -> Result<MaterialsDat
     };
     let staging = MemSink::new();
     generate_raw(&member_cfg, &staging)?;
-    let raw = staging.read_file("raw/structures.xyz")?;
-    let frames = parse_xyz(&String::from_utf8_lossy(&raw))?;
-    Ok(MaterialsData {
-        frames,
-        energy_stats: (0.0, 1.0),
-        graphs: vec![],
-    })
+    ingest(&staging, &mut |_, _| {})
 }
 
 /// Build the same pipeline over batch [`Member`]s.
@@ -529,95 +518,29 @@ pub fn build_batch_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
-/// Run a batch of materials datasets through the streaming
-/// bounded-memory executor: `members` member-seeded structure sets flow
-/// through the pipelined stage chain concurrently, each sharding under
-/// its own `materials/m<member>/` prefix.
-pub fn run_streaming_batch(
-    cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-) -> Result<DomainBatchRun, DomainError> {
-    crate::run_streaming_members(
-        "materials",
-        ".bp",
-        sink,
-        exec,
-        |sink, ledger| build_batch_pipeline(cfg, sink, ledger),
-        members,
-        |m| member_input(cfg, m),
-    )
-}
-
 /// Run the complete materials archetype.
 pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.materials.run");
-    let _in_run = run_span.enter();
-    generate_raw(cfg, sink.as_ref())?;
-    let raw = sink.read_file("raw/structures.xyz")?;
-    let ledger = Arc::new(Ledger::new());
-    ledger.record(
-        "ingest",
-        [("file".to_string(), "raw/structures.xyz".to_string())],
-        vec![Artifact::new("raw/structures.xyz", &raw)],
-        vec![],
-    );
-    let frames = parse_xyz(&String::from_utf8_lossy(&raw))?;
-    let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
-    let run = pipeline.run(MaterialsData {
-        frames,
-        energy_stats: (0.0, 1.0),
-        graphs: vec![],
-    })?;
-
-    let mut manifest = DatasetManifest::raw(
-        "omat-synth",
+    crate::run_archetype(
         "materials",
-        Modality::Graph,
-        run.output.graphs.len() as u64,
-    );
-    manifest.schema = vec![
-        VariableSpec {
-            name: "node_features".into(),
-            dtype: drai_tensor::DType::F32,
-            unit: "1".into(),
-            shape: vec![SPECIES.len()],
+        ".bp",
+        sink.as_ref(),
+        || generate_raw(cfg, sink.as_ref()),
+        |(), witness| ingest(sink.as_ref(), witness),
+        |ledger| build_pipeline(cfg, sink.clone(), ledger),
+        |out| {
+            let mut manifest = DatasetManifest::raw(
+                "omat-synth",
+                "materials",
+                Modality::Graph,
+                out.graphs.len() as u64,
+            );
+            manifest.schema = vec![
+                VariableSpec::new("node_features", DType::F32, "1", &[SPECIES.len()]),
+                VariableSpec::new("energy_per_atom", DType::F64, "eV", &[]),
+            ];
+            manifest
         },
-        VariableSpec {
-            name: "energy_per_atom".into(),
-            dtype: drai_tensor::DType::F64,
-            unit: "eV".into(),
-            shape: vec![],
-        },
-    ];
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // every structure carries energy+forces
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = crate::shard_files(sink.as_ref(), "materials/", ".bp")?;
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -755,20 +678,8 @@ mod tests {
         let run = run(&cfg, sink).unwrap();
         assert!(run.ledger.to_jsonl().contains("energy_per_atom"));
         // ...and the normalized targets themselves standardize.
-        let sink2 = Arc::new(MemSink::new());
-        generate_raw(&cfg, sink2.as_ref()).unwrap();
-        let frames = parse_xyz(&String::from_utf8_lossy(
-            &sink2.read_file("raw/structures.xyz").unwrap(),
-        ))
-        .unwrap();
-        let pipeline = build_pipeline(&cfg, sink2, Arc::new(Ledger::new()));
-        let out = pipeline
-            .run(MaterialsData {
-                frames,
-                energy_stats: (0.0, 1.0),
-                graphs: vec![],
-            })
-            .unwrap();
+        let pipeline = build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
+        let out = pipeline.run(member_input(&cfg, 0).unwrap()).unwrap();
         let mut w = Welford::new();
         for g in &out.output.graphs {
             w.push(g.energy_per_atom);
@@ -801,34 +712,5 @@ mod tests {
         let si = counts["Si"] as f64;
         let ti = *counts.get("Ti").unwrap_or(&1) as f64;
         assert!(si / ti > 3.0, "Si/Ti = {}", si / ti);
-    }
-
-    #[test]
-    fn streaming_batch_shards_each_member_under_its_own_prefix() {
-        let cfg = small_cfg();
-        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let run = run_streaming_batch(&cfg, sink.clone(), 3, &ExecutorConfig::default()).unwrap();
-        assert_eq!(run.members, 3);
-        assert_eq!(run.stages.len(), 4, "parse/normalize/encode/shard");
-        for m in 0..3 {
-            let prefix = format!("materials/m{m}/");
-            assert!(
-                run.shard_files.iter().any(|n| n.starts_with(&prefix)),
-                "no BP shards under {prefix}: {:?}",
-                run.shard_files
-            );
-            // The sidecar rides along under the same member prefix.
-            assert!(
-                sink.list()
-                    .unwrap()
-                    .iter()
-                    .any(|n| n.starts_with(&prefix) && n.ends_with(".jsonl")),
-                "no JSONL sidecar under {prefix}"
-            );
-        }
-        // Member seeds differ, so the raw structure sets differ.
-        let a = member_input(&cfg, 0).unwrap();
-        let b = member_input(&cfg, 1).unwrap();
-        assert_ne!(a.frames[0].atoms[0].position, b.frames[0].atoms[0].position);
     }
 }

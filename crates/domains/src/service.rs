@@ -2,15 +2,15 @@
 //!
 //! The paper's "shared facility" framing: preprocessing runs as a
 //! service many groups submit to, not a library one caller drives.
-//! Two helpers wrap any archetype in a `drai_sched::JobSpec`:
-//! [`submit_batch`] for the batch pipelines (climate, materials —
-//! plain or cached), whose closure drives the streaming executor with
-//! the scheduler's `ExecutorConfig` and threads the job's `CancelToken`
-//! into `run_batch_streaming_cancellable` so load shedding and handle
-//! cancellation drain cooperatively, and [`submit_run`] for the
-//! monolithic `run` entry points (fusion, bio). The caller states the
-//! cost in the archetype's natural work unit (ensemble members, shots,
-//! patients, structures).
+//! [`submit_batch`] wraps any archetype's batch pipeline — all four
+//! have one, plain or cached — in a `drai_sched::JobSpec` whose closure
+//! drives the streaming executor with the scheduler's `ExecutorConfig`
+//! and threads the job's `CancelToken` into
+//! `run_batch_streaming_cancellable`, so load shedding and handle
+//! cancellation take effect between members and between stages of a
+//! dispatched job, not only while it is queued. The caller states the
+//! cost in the archetype's natural work unit (ensemble members, shot
+//! campaigns, cohorts, structure sets).
 //!
 //! [`estimate_climate_batch_cost`] shows the cache-aware admission
 //! path: members whose regrid entry already exists in the
@@ -20,7 +20,7 @@
 
 use crate::cached;
 use crate::climate::{self, ClimateConfig};
-use crate::{DomainError, DomainRun, Member};
+use crate::{DomainError, Member};
 use drai_cache::{CacheBytes, CacheKey, StageCache};
 use drai_core::pipeline::Pipeline;
 use drai_core::StreamingBatchExt;
@@ -44,37 +44,15 @@ pub fn submit_batch<D: Send + 'static>(
 ) -> Result<JobHandle, Rejected> {
     let detail = format!("{label}: {members} members");
     let spec = JobSpec::new(tenant, label, cost, move |ctx| {
-        let items = crate::member_items(members, member_input).map_err(|e| e.to_string())?;
+        let items = (0..members)
+            .map(|m| member_input(m).map(|data| Member(m, data)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
         pipeline
             .run_batch_streaming_cancellable(items, &ctx.exec, &ctx.cancel)
             .map_err(|e| e.to_string())?;
         Ok(JobOutput {
             items: members as u64,
-            detail,
-        })
-    });
-    sched.submit(spec)
-}
-
-/// Submit one monolithic archetype run (e.g. `|| fusion::run(&cfg,
-/// sink)`) as a job for `tenant`. The run cannot be interrupted, so
-/// cancellation is honoured at the dispatch boundary (a job cancelled
-/// while queued never starts).
-pub fn submit_run(
-    sched: &Scheduler,
-    tenant: &str,
-    label: &str,
-    cost: u64,
-    run: impl FnOnce() -> Result<DomainRun, DomainError> + Send + 'static,
-) -> Result<JobHandle, Rejected> {
-    let detail = format!("{label}: cost {cost}");
-    let spec = JobSpec::new(tenant, label, cost, move |ctx| {
-        if ctx.cancel.is_cancelled() {
-            return Err("cancelled before start".to_string());
-        }
-        let run = run().map_err(|e| e.to_string())?;
-        Ok(JobOutput {
-            items: run.manifest.records,
             detail,
         })
     });
@@ -111,20 +89,31 @@ pub fn estimate_climate_batch_cost(
 mod tests {
     use super::*;
     use crate::bio::{self, BioConfig};
-    use crate::fusion::{self, FusionConfig};
+    use crate::fusion::{self, FusionConfig, FusionData};
     use crate::materials::{self, MaterialsConfig};
+    use drai_core::pipeline::StageCounters;
     use drai_io::sink::{MemSink, StorageSink};
     use drai_provenance::Ledger;
     use drai_sched::{JobOutcome, SchedulerConfig, TenantConfig};
     use drai_telemetry::monitor::ManualClock;
     use drai_telemetry::{Registry, TraceContext};
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar, Mutex};
 
     fn small_climate() -> ClimateConfig {
         ClimateConfig {
             timesteps: 2,
             shard_bytes: 1 << 16,
             ..ClimateConfig::default()
+        }
+    }
+
+    fn small_fusion() -> FusionConfig {
+        FusionConfig {
+            shots: 2,
+            shot_seconds: 0.05,
+            window_len: 16,
+            window_stride: 16,
+            ..FusionConfig::default()
         }
     }
 
@@ -191,16 +180,16 @@ mod tests {
                 move |m| materials::member_input(&materials_cfg, m),
             )
             .unwrap();
-            let fusion_cfg = FusionConfig {
-                shots: 2,
-                shot_seconds: 0.05,
-                window_len: 16,
-                window_stride: 16,
-                ..FusionConfig::default()
-            };
-            let fusion_h = submit_run(&s, "tokamak", "fusion_run", 2, move || {
-                fusion::run(&fusion_cfg, Arc::new(MemSink::new()))
-            })
+            let fusion_cfg = small_fusion();
+            let fusion_h = submit_batch(
+                &s,
+                "tokamak",
+                "fusion_batch",
+                2,
+                fusion::build_batch_pipeline(&fusion_cfg, Arc::new(MemSink::new()), ledger()),
+                2,
+                move |m| Ok(fusion::member_input(&fusion_cfg, m)),
+            )
             .unwrap();
             let bio_cfg = BioConfig {
                 patients: 4,
@@ -208,9 +197,15 @@ mod tests {
                 k: 2,
                 ..BioConfig::default()
             };
-            let bio_h = submit_run(&s, "clinic", "bio_run", 4, move || {
-                bio::run(&bio_cfg, Arc::new(MemSink::new()))
-            })
+            let bio_h = submit_batch(
+                &s,
+                "clinic",
+                "bio_batch",
+                2,
+                bio::build_batch_pipeline(&bio_cfg, Arc::new(MemSink::new()), ledger()),
+                2,
+                move |m| bio::member_input(&bio_cfg, m),
+            )
             .unwrap();
             let transcript = s.run_until_idle();
             assert_eq!(transcript.len(), 4);
@@ -220,6 +215,83 @@ mod tests {
                     other => panic!("job did not complete: {other:?}"),
                 }
             }
+        });
+    }
+
+    /// A dispatched fusion job stops when its handle is cancelled: a
+    /// hook on the shard stage cancels once member 0 has sharded, and a
+    /// hook on the first stage holds every other member back until
+    /// then, so each of them meets the fired token at its next stage
+    /// boundary. (The opaque run closure this replaces could only be
+    /// stopped while still queued.)
+    #[test]
+    fn cancelling_a_dispatched_fusion_batch_stops_it_between_members() {
+        let reg = Registry::new();
+        TraceContext::root(&reg).scope(|| {
+            let s = sched();
+            let cfg = small_fusion();
+            let sink = Arc::new(MemSink::new());
+            let members = 3;
+            let handle: Arc<Mutex<Option<JobHandle>>> = Arc::default();
+            let cancelled = Arc::new((Mutex::new(false), Condvar::new()));
+
+            let (hook_handle, hook_cancelled) = (handle.clone(), cancelled.clone());
+            let wait_cancelled = cancelled.clone();
+            let pipeline =
+                fusion::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()))
+                    .decorate_stage("extract", |inner| {
+                        let held = move |item: Member<FusionData>, c: &mut StageCounters| {
+                            if item.0 != 0 {
+                                let (fired, signal) = &*wait_cancelled;
+                                let mut fired = fired.lock().expect("latch");
+                                while !*fired {
+                                    fired = signal.wait(fired).expect("latch");
+                                }
+                            }
+                            inner(item, c)
+                        };
+                        (Arc::new(held), None)
+                    })
+                    .decorate_stage("shard", |inner| {
+                        let cancelling = move |item: Member<FusionData>, c: &mut StageCounters| {
+                            let member = item.0;
+                            let out = inner(item, c);
+                            if member == 0 {
+                                let handle = hook_handle.lock().expect("handle");
+                                handle.as_ref().expect("submitted").cancel();
+                                *hook_cancelled.0.lock().expect("latch") = true;
+                                hook_cancelled.1.notify_all();
+                            }
+                            out
+                        };
+                        (Arc::new(cancelling), None)
+                    });
+            let job = submit_batch(
+                &s,
+                "tokamak",
+                "fusion_batch",
+                members as u64,
+                pipeline,
+                members,
+                move |m| Ok(fusion::member_input(&cfg, m)),
+            )
+            .unwrap();
+            *handle.lock().expect("handle") = Some(job);
+
+            let transcript = s.run_until_idle();
+            assert_eq!(transcript.len(), 1);
+            assert_eq!(transcript[0].outcome, JobOutcome::Cancelled);
+            let blobs = sink.list().unwrap();
+            assert!(
+                blobs.iter().any(|n| n.starts_with("fusion/m0/")),
+                "member 0 sharded before the cancel: {blobs:?}"
+            );
+            assert!(
+                !blobs
+                    .iter()
+                    .any(|n| n.starts_with("fusion/m1/") || n.starts_with("fusion/m2/")),
+                "members past the cancel must not shard: {blobs:?}"
+            );
         });
     }
 

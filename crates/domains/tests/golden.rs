@@ -15,11 +15,18 @@
 //! are the values every earlier build already produced on one CPU. The
 //! climate pins and the cache key did not move, and CI runs this file on
 //! one CPU as well so a host-dependent value cannot be pinned again.
+//!
+//! The fusion and bio pins were recorded at the commit before those two
+//! domains moved onto a stage graph and all four `run`s onto one
+//! skeleton (ISSUE 17), identically on two CPUs and under
+//! `taskset -c 0`.
 
 use drai_cache::StageCache;
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+use drai_domains::bio::{self, BioConfig};
 use drai_domains::cached::{self, Member};
 use drai_domains::climate::{self, ClimateConfig};
+use drai_domains::fusion::{self, FusionConfig};
 use drai_domains::materials::{self, MaterialsConfig};
 use drai_io::checksum::{content_hash128, hash_hex};
 use drai_io::sink::{MemSink, StorageSink};
@@ -44,6 +51,32 @@ fn materials_cfg() -> MaterialsConfig {
         cell_atoms: 2,
         seed: 11,
         ..MaterialsConfig::default()
+    }
+}
+
+fn fusion_cfg() -> FusionConfig {
+    FusionConfig {
+        shots: 12,
+        shot_seconds: 1.0,
+        disruption_fraction: 0.4,
+        channel_dropout: 0.15,
+        clock_hz: 500.0,
+        window_len: 32,
+        window_stride: 16,
+        seed: 42,
+        shard_bytes: 64 * 1024,
+        ..FusionConfig::default()
+    }
+}
+
+fn bio_cfg() -> BioConfig {
+    BioConfig {
+        patients: 24,
+        tile_len: 64,
+        missing_fraction: 0.15,
+        k: 2,
+        seed: 99,
+        ..BioConfig::default()
     }
 }
 
@@ -84,9 +117,19 @@ fn climate_run_shards_match_golden() {
 
 #[test]
 fn climate_streaming_batch_shards_match_golden() {
+    let cfg = climate_cfg();
     let sink = Arc::new(MemSink::new());
-    climate::run_streaming_batch(&climate_cfg(), sink.clone(), 2, &ExecutorConfig::default())
+    let ledger = Arc::new(Ledger::new());
+    let members = (0..2)
+        .map(|m| Member(m, climate::member_input(&cfg, m)))
+        .collect();
+    let (_, stages) = climate::build_batch_pipeline(&cfg, sink.clone(), ledger.clone())
+        .run_batch_streaming(members, &ExecutorConfig::default())
         .expect("climate batch");
+    assert_eq!(stages.len(), 4, "validate/regrid/normalize/shard");
+    // Both members went through the one shared ledger: a regrid, four
+    // normalizes and three shards each.
+    assert_eq!(ledger.len(), 2 * (1 + 4 + 3));
     assert_eq!(
         digests(&sink, "climate/"),
         &[
@@ -117,6 +160,43 @@ fn materials_run_shards_match_golden() {
             "materials/train.jsonl 0f3905e42d097902a6b131bc4a496cc5",
             "materials/val.bp b7e3c3afa81ed42ac62e65e8caa8ea4d",
             "materials/val.jsonl b8aa549d517343b8485eff1337a4629d",
+        ],
+    );
+}
+
+#[test]
+fn fusion_run_shards_match_golden() {
+    let sink = Arc::new(MemSink::new());
+    fusion::run(&fusion_cfg(), sink.clone()).expect("fusion run");
+    assert_eq!(
+        digests(&sink, "fusion/"),
+        &[
+            "fusion/test-00000.shard a18c03b335d24f7c987e8b9f11fa5dd7",
+            "fusion/test-00001.shard d3281c8f4b6d566395320321358e0abe",
+            "fusion/test.manifest.json 227598298dae07c6dc220a7a4b549a0b",
+            "fusion/train-00000.shard 69903452a9e1523af24a7a0ec6bfd937",
+            "fusion/train-00001.shard 1a4e7a405807a21a6218805f1aeb8280",
+            "fusion/train-00002.shard b9c55bf10bbe4ad32b239743cf1d6b8b",
+            "fusion/train-00003.shard 4ebbc003b62a63422e1712d194ed3630",
+            "fusion/train.manifest.json a9b75f1820d6a93df03037c53be12d9d",
+            "fusion/val-00000.shard 7b397d06085abe63feafb3e173015adc",
+            "fusion/val.manifest.json b6c33660c49798d3064448bb2f5f5b95",
+        ],
+    );
+}
+
+/// Ciphertext digests: the key context and nonce of a bare run are
+/// pinned with the containers.
+#[test]
+fn bio_run_shards_match_golden() {
+    let sink = Arc::new(MemSink::new());
+    bio::run(&bio_cfg(), sink.clone()).expect("bio run");
+    assert_eq!(
+        digests(&sink, "bio/"),
+        &[
+            "bio/test.h5lite.enc 107631fc9a305ae4ed4474f7ee598ca4",
+            "bio/train.h5lite.enc 185c3bfe814248be110e587486a5956d",
+            "bio/val.h5lite.enc 740e1c8f4216cf8ae9ab95dc040c432f",
         ],
     );
 }

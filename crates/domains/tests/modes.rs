@@ -3,18 +3,22 @@
 //! streaming executor, uncached, against a cold cache or replayed from
 //! a warm one — every member's shard blobs are
 //! bitwise identical and the cache is consulted exactly once per cached
-//! stage per member. One table, both batch-capable domains.
+//! stage per member. One table, all four domains; fusion and bio have
+//! no cache decorator yet, so they run the uncached rows.
 
 use drai_cache::StageCache;
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::Pipeline;
+use drai_domains::bio::{self, BioConfig};
 use drai_domains::cached::{self, Member};
 use drai_domains::climate::{self, ClimateConfig};
+use drai_domains::fusion::{self, FusionConfig};
 use drai_domains::materials::{self, MaterialsConfig};
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::Ledger;
 use drai_telemetry::{Registry, TraceContext};
 use drai_tensor::LatLonGrid;
+use drai_transform::split::{assign, Split};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -46,37 +50,50 @@ const MODES: [(&str, Engine, Cache); 6] = [
     ("cached warm, streaming", Engine::Streaming, Cache::Warm),
 ];
 
+/// The rows a domain with no cache decorator runs.
+const UNCACHED: usize = 2;
+
 type Sink = Arc<dyn StorageSink>;
 /// `(member, blob name below the member's own prefix)` → blob bytes.
 type Shards = BTreeMap<(usize, String), Vec<u8>>;
 
-/// Collect `member`'s shard blobs from under `prefix` (manifests name
+/// How a stored blob is read for comparison: `(sink, prefix, name
+/// below the prefix)` → the bytes two modes must agree on.
+type ReadBlob<'a> = &'a dyn Fn(&MemSink, &str, &str) -> Vec<u8>;
+
+/// The blob as stored.
+fn stored(sink: &MemSink, prefix: &str, rest: &str) -> Vec<u8> {
+    sink.read_file(&format!("{prefix}/{rest}")).expect("read")
+}
+
+/// Collect `member`'s shard blobs from under `prefix/` (manifests name
 /// their own prefix, so they are not comparable across modes).
-fn collect(sink: &MemSink, prefix: &str, member: usize, into: &mut Shards) {
+fn collect(sink: &MemSink, prefix: &str, member: usize, read: ReadBlob, into: &mut Shards) {
     for name in sink.list().expect("list") {
-        if let Some(rest) = name.strip_prefix(prefix) {
+        if let Some(rest) = name.strip_prefix(&format!("{prefix}/")) {
             if !rest.contains('/') && !rest.ends_with(".manifest.json") {
-                let bytes = sink.read_file(&name).expect("read");
-                into.insert((member, rest.to_string()), bytes);
+                into.insert((member, rest.to_string()), read(sink, prefix, rest));
             }
         }
     }
 }
 
-/// Run every mode over `MEMBERS` members of one domain. `single` and
+/// Run `modes` over `MEMBERS` members of one domain. `single` and
 /// `batch` build the domain's pipeline over a sink, decorated with the
 /// cache when one is given; `cached_stages` is how many stages that
-/// decoration covers.
+/// decoration covers; `read` is how a blob is read for comparison.
 fn assert_modes_agree<D: Send + 'static>(
     base: &str,
+    modes: &[(&str, Engine, Cache)],
     cached_stages: u64,
+    read: ReadBlob,
     input: impl Fn(usize) -> D,
     single: impl Fn(Sink, Option<Arc<StageCache>>) -> Pipeline<D>,
     batch: impl Fn(Sink, Option<Arc<StageCache>>) -> Pipeline<Member<D>>,
 ) {
     let mut reference: Option<Shards> = None;
     let mut cache: Option<Arc<StageCache>> = None;
-    for (label, engine, cache_state) in MODES {
+    for &(label, engine, cache_state) in modes {
         match cache_state {
             Cache::None => cache = None,
             Cache::Cold => {
@@ -96,7 +113,7 @@ fn assert_modes_agree<D: Send + 'static>(
                     single(sink.clone(), cache.clone())
                         .run(input(m))
                         .unwrap_or_else(|e| panic!("{base}, {label}, member {m}: {e}"));
-                    collect(&sink, &format!("{base}/"), m, &mut shards);
+                    collect(&sink, base, m, read, &mut shards);
                 }
             }
             Engine::Streaming => {
@@ -107,15 +124,26 @@ fn assert_modes_agree<D: Send + 'static>(
                     .run_batch_streaming(items, &ExecutorConfig::default())
                     .unwrap_or_else(|e| panic!("{base}, {label}: {e}"));
                 for m in 0..MEMBERS {
-                    collect(&sink, &format!("{base}/m{m}/"), m, &mut shards);
+                    collect(&sink, &format!("{base}/m{m}"), m, read, &mut shards);
                 }
             }
         });
 
-        assert!(
-            (0..MEMBERS).all(|m| shards.keys().any(|(member, _)| *member == m)),
-            "{base}, {label}: a member wrote no shards"
-        );
+        let of_member = |m: usize| -> Vec<(&String, &Vec<u8>)> {
+            let of_m = shards.iter().filter(|((member, _), _)| *member == m);
+            of_m.map(|((_, name), bytes)| (name, bytes)).collect()
+        };
+        for m in 0..MEMBERS {
+            assert!(
+                !of_member(m).is_empty(),
+                "{base}, {label}: member {m} wrote no shards"
+            );
+            // Members are member-seeded: no two hold the same data.
+            assert!(
+                m == 0 || of_member(m) != of_member(0),
+                "{base}, {label}: member {m} sharded what member 0 did"
+            );
+        }
         let reference = reference.get_or_insert_with(|| shards.clone());
         assert!(
             shards == *reference,
@@ -152,7 +180,9 @@ fn climate_cached_and_streaming_modes_agree_bitwise() {
     let ledger = || Arc::new(Ledger::new());
     assert_modes_agree(
         "climate",
+        &MODES,
         3,
+        &stored,
         |m| climate::member_input(&cfg, m),
         |sink, cache| {
             let pipeline = climate::build_pipeline(&cfg, sink.clone(), ledger());
@@ -182,7 +212,9 @@ fn materials_cached_and_streaming_modes_agree_bitwise() {
     let ledger = || Arc::new(Ledger::new());
     assert_modes_agree(
         "materials",
+        &MODES,
         2,
+        &stored,
         |m| materials::member_input(&cfg, m).expect("member input"),
         |sink, cache| {
             let pipeline = materials::build_pipeline(&cfg, sink, ledger());
@@ -198,5 +230,74 @@ fn materials_cached_and_streaming_modes_agree_bitwise() {
                 None => pipeline,
             }
         },
+    );
+}
+
+#[test]
+fn fusion_streaming_and_alone_agree_bitwise() {
+    let cfg = FusionConfig {
+        shots: 6,
+        shot_seconds: 0.5,
+        clock_hz: 500.0,
+        window_len: 32,
+        window_stride: 16,
+        seed: 42,
+        shard_bytes: 64 * 1024,
+        ..FusionConfig::default()
+    };
+    let ledger = || Arc::new(Ledger::new());
+    assert_modes_agree(
+        "fusion",
+        &MODES[..UNCACHED],
+        0,
+        &stored,
+        |m| fusion::member_input(&cfg, m),
+        |sink, _| fusion::build_pipeline(&cfg, sink, ledger()),
+        |sink, _| fusion::build_batch_pipeline(&cfg, sink, ledger()),
+    );
+}
+
+/// Bio ciphertext is keyed by the member's prefix, so a member alone
+/// (under `bio`) and in a batch (under `bio/m<member>`) store different
+/// bytes by design; what must agree is the decrypted container.
+#[test]
+fn bio_streaming_and_alone_agree_on_decrypted_containers() {
+    let cfg = BioConfig {
+        patients: 24,
+        tile_len: 64,
+        missing_fraction: 0.15,
+        k: 2,
+        seed: 99,
+        ..BioConfig::default()
+    };
+    let ledger = || Arc::new(Ledger::new());
+    // The record count in each blob's nonce. Pseudonyms hash the patient
+    // key under the operator secret, so every member splits alike.
+    let reference = bio::build_pipeline(&cfg, Arc::new(MemSink::new()), ledger())
+        .run(bio::member_input(&cfg, 0).expect("member input"))
+        .expect("reference run");
+    let count = |split: Split| {
+        let pseudonyms = reference.output.fused.iter().map(|(p, _, _)| p);
+        pseudonyms
+            .filter(|p| assign(p, cfg.seed, cfg.fractions).expect("fractions") == split)
+            .count()
+    };
+    let decrypted = |sink: &MemSink, prefix: &str, rest: &str| {
+        let split = [Split::Train, Split::Validation, Split::Test]
+            .into_iter()
+            .find(|s| rest == format!("{}.h5lite.enc", s.name()))
+            .unwrap_or_else(|| panic!("unexpected bio blob {rest}"));
+        bio::open_secure_shard(&cfg, sink, prefix, split, count(split))
+            .unwrap_or_else(|e| panic!("{prefix}/{rest} does not open under its own prefix: {e}"))
+            .to_bytes()
+    };
+    assert_modes_agree(
+        "bio",
+        &MODES[..UNCACHED],
+        0,
+        &decrypted,
+        |m| bio::member_input(&cfg, m).expect("member input"),
+        |sink, _| bio::build_pipeline(&cfg, sink, ledger()),
+        |sink, _| bio::build_batch_pipeline(&cfg, sink, ledger()),
     );
 }

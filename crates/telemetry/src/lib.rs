@@ -190,7 +190,7 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "pipeline.*.*",
     // span tree: drai-domains archetype runs
     "domain.*.run",
-    "domain.*.run_batch",
+    "domain.*.generate_raw",
     "domain.*.ingest",
     // span tree: drai-io worker and shard container spans
     "io.prefetch.worker",

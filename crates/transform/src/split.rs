@@ -23,6 +23,16 @@ pub enum Split {
 }
 
 impl Split {
+    /// Position in (train, validation, test) order — the order
+    /// [`partition`] returns its parts in.
+    pub fn index(self) -> usize {
+        match self {
+            Split::Train => 0,
+            Split::Validation => 1,
+            Split::Test => 2,
+        }
+    }
+
     /// Conventional directory/prefix name.
     pub fn name(self) -> &'static str {
         match self {
@@ -97,29 +107,25 @@ pub fn assign(key: &str, seed: u64, fractions: Fractions) -> Result<Split, Trans
     })
 }
 
-/// The three partitions produced by [`partition`], in
-/// (train, validation, test) order.
-pub type Partitioned<T> = (Vec<T>, Vec<T>, Vec<T>);
+/// The three partitions produced by [`partition`], each tagged with
+/// its split, in (train, validation, test) order.
+pub type Partitioned<T> = [(Split, Vec<T>); 3];
 
 /// Partition `(key, payload)` pairs into the three splits, preserving
 /// input order within each split.
-pub fn partition<T>(
-    items: Vec<(String, T)>,
+pub fn partition<K: AsRef<str>, T>(
+    items: impl IntoIterator<Item = (K, T)>,
     seed: u64,
     fractions: Fractions,
 ) -> Result<Partitioned<T>, TransformError> {
     fractions.validate()?;
-    let mut train = Vec::new();
-    let mut val = Vec::new();
-    let mut test = Vec::new();
+    let mut parts = [Split::Train, Split::Validation, Split::Test].map(|s| (s, Vec::new()));
     for (key, payload) in items {
-        match assign(&key, seed, fractions)? {
-            Split::Train => train.push(payload),
-            Split::Validation => val.push(payload),
-            Split::Test => test.push(payload),
-        }
+        parts[assign(key.as_ref(), seed, fractions)?.index()]
+            .1
+            .push(payload);
     }
-    Ok((train, val, test))
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -203,7 +209,10 @@ mod tests {
     #[test]
     fn partition_splits_payloads() {
         let items: Vec<(String, usize)> = (0..3000).map(|i| (format!("k{i}"), i)).collect();
-        let (train, val, test) = partition(items, 5, Fractions::standard()).unwrap();
+        let [(s0, train), (s1, val), (s2, test)] =
+            partition(items, 5, Fractions::standard()).unwrap();
+        assert_eq!([s0, s1, s2], [Split::Train, Split::Validation, Split::Test]);
+        assert_eq!([s0.index(), s1.index(), s2.index()], [0, 1, 2]);
         assert_eq!(train.len() + val.len() + test.len(), 3000);
         assert!(train.len() > 2000);
         assert!(!val.is_empty());

@@ -76,7 +76,7 @@ fn main() {
             assign(&pseudonym, cfg.seed, cfg.fractions).unwrap() == Split::Train
         })
         .count();
-    let f = bio::open_secure_shard(&cfg, sink.as_ref(), Split::Train, train_count)
+    let f = bio::open_secure_shard(&cfg, sink.as_ref(), "bio", Split::Train, train_count)
         .expect("decrypt train container");
     let patients = f.children("/patients");
     println!("\ndecrypted train container: {} patients", patients.len());
