@@ -27,7 +27,7 @@ use drai_provenance::Ledger;
 use drai_tensor::DType;
 use drai_transform::align::{align_channels, window, Channel, Clock};
 use drai_transform::features::derivative;
-use drai_transform::normalize::{Method, Normalizer};
+use drai_transform::normalize::{ColumnNormalizer, Method, Normalizer};
 use drai_transform::split::{partition, Fractions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -274,20 +274,11 @@ fn normalize_stage(
         }
         // Per-shot, per-channel robust normalization.
         let mut matrix = matrix.clone();
-        let mut normalizers = Vec::with_capacity(nch);
-        for ch in 0..nch {
-            let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
-            let n = Normalizer::fit(Method::Robust, &col)
-                .map_err(|e| format!("shot {shot_id}: {e}"))?;
-            for (i, v) in matrix.iter_mut().enumerate() {
-                if i % nch == ch {
-                    *v = n.apply(*v);
-                }
-            }
-            normalizers.push(n);
-        }
+        let in_shot = |e: drai_transform::TransformError| format!("shot {shot_id}: {e}");
+        let fitted = ColumnNormalizer::fit(Method::Robust, &matrix, nch).map_err(in_shot)?;
+        fitted.apply(&mut matrix).map_err(in_shot)?;
         if data.normalizers.is_empty() {
-            data.normalizers = normalizers;
+            data.normalizers = fitted.columns().to_vec();
         }
         // Derivative features per channel, appended as extra
         // columns (the DIII-D "derivative-based features").
@@ -295,7 +286,7 @@ fn normalize_stage(
         let mut with_derivs = Vec::with_capacity(matrix.len() * 2);
         let mut deriv_cols = Vec::with_capacity(nch);
         for ch in 0..nch {
-            let col: Vec<f64> = matrix.iter().skip(ch).step_by(nch).copied().collect();
+            let col: Vec<f64> = matrix.chunks_exact(nch).map(|row| row[ch]).collect();
             deriv_cols.push(derivative(&col, dt).map_err(|e| format!("{e}"))?);
         }
         for t in 0..*ntime {

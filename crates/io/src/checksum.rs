@@ -5,8 +5,9 @@
 //! * [`crc32c`] — the Castagnoli polynomial (0x82F63B78 reflected) with a
 //!   slice-by-8 table for throughput, required by the TFRecord framing.
 //! * [`masked_crc32c`] — TFRecord's rotated+offset mask over CRC-32C.
-//! * [`fnv1a64`] — cheap non-cryptographic hash for deterministic
-//!   train/val/test splitting and hash-based anonymization.
+//! * [`fnv1a64`] / [`Fnv1a64`] — cheap non-cryptographic hash (one-shot and
+//!   incremental) for deterministic train/val/test splitting and hash-based
+//!   anonymization.
 //! * [`content_hash128`] — a 128-bit mixing hash used as a content address
 //!   by the provenance layer. Not cryptographic; collision-resistant enough
 //!   for artifact identity within a workflow run, and dependency-free.
@@ -133,12 +134,41 @@ pub fn unmask_crc32c(masked: u32) -> u32 {
 
 /// FNV-1a 64-bit hash.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325_u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a64::new();
+    h.update(data);
+    h.finish()
+}
+
+/// Incremental [`fnv1a64`]: hashing parts one after another equals hashing
+/// their concatenation, so a caller with a prefix and a key needs no
+/// buffer to join them in.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// State of the empty input.
+    pub fn new() -> Self {
+        Fnv1a64(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Absorb bytes.
+    pub fn update(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// Hash of everything absorbed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// 128-bit content hash: four independent multiply-rotate lanes absorb a
@@ -270,6 +300,17 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
+    }
+
+    #[test]
+    fn fnv_parts_hash_as_their_concatenation() {
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
+        for cut in 0..=data.len() {
+            let mut h = Fnv1a64::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finish(), fnv1a64(&data), "cut {cut}");
+        }
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! * [`CodecId::Lz`] — LZ77 with a hash-chain matcher (LZ4-style greedy
 //!   parse, varint-framed tokens); the general-purpose option.
 //!
+//! A codec implements [`Codec::encode_into`], which appends the encoded
+//! payload to the caller's buffer and touches nothing before it — the
+//! shard writer frames whole runs of records in one buffer that way —
+//! and gets [`Codec::encode`] from it.
+//!
 //! The [`bitpack`]/[`bitunpack`] helpers implement the fixed-width bit
 //! packing used by GRIB-style "simple packing" in `drai-formats`.
 
@@ -142,12 +147,22 @@ impl CodecId {
 }
 
 /// Compress/decompress byte payloads. Stateless; safe to share across
-/// threads (shard writers encode payloads in parallel with `par_map`).
+/// threads (the shard writer encodes runs of records in parallel with
+/// `par_map`).
 pub trait Codec: Send + Sync {
     /// The codec's identity for headers/manifests.
     fn id(&self) -> CodecId;
-    /// Compress `data`.
-    fn encode(&self, data: &[u8]) -> Vec<u8>;
+    /// Compress `data` onto the end of `out`. Append-only: the bytes
+    /// already in `out` are neither read nor changed, and the bytes added
+    /// are exactly what [`encode`](Codec::encode) returns — which is what
+    /// lets a writer frame many records in one buffer.
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>);
+    /// Compress `data` into a buffer of its own.
+    fn encode(&self, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(data, &mut out);
+        out
+    }
     /// Decompress `data` (as produced by `encode`).
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError>;
 }
@@ -160,7 +175,15 @@ pub trait Codec: Send + Sync {
 /// Metric handles are resolved once here, so the per-call cost is a
 /// clock read and a few relaxed atomics.
 pub fn codec_for(id: CodecId) -> Box<dyn Codec> {
-    let inner: Box<dyn Codec> = match id {
+    let (inner, meter) = codec_and_meter(id);
+    Box::new(InstrumentedCodec { inner, meter })
+}
+
+/// The codec behind [`codec_for`] without its per-call telemetry, and the
+/// metric handles on their own: for the shard writer, which encodes a
+/// whole run of records between two clock reads and records the run once.
+pub(crate) fn codec_and_meter(id: CodecId) -> (Box<dyn Codec>, CodecMeter) {
+    let codec: Box<dyn Codec> = match id {
         CodecId::Raw => Box::new(RawCodec),
         CodecId::Rle => Box::new(RleCodec),
         CodecId::Delta { width } => Box::new(DeltaCodec {
@@ -170,22 +193,37 @@ pub fn codec_for(id: CodecId) -> Box<dyn Codec> {
     };
     let registry = drai_telemetry::Registry::current();
     let name = id.name();
-    Box::new(InstrumentedCodec {
+    let meter = CodecMeter {
         encode_ns: registry.histogram(&format!("io.codec.{name}.encode_ns")),
         decode_ns: registry.histogram(&format!("io.codec.{name}.decode_ns")),
         bytes_in: registry.counter(&format!("io.codec.{name}.bytes_in")),
         bytes_out: registry.counter(&format!("io.codec.{name}.bytes_out")),
-        inner,
-    })
+    };
+    (codec, meter)
+}
+
+/// Handles of one codec's metrics.
+pub(crate) struct CodecMeter {
+    encode_ns: std::sync::Arc<drai_telemetry::Histogram>,
+    decode_ns: std::sync::Arc<drai_telemetry::Histogram>,
+    bytes_in: std::sync::Arc<drai_telemetry::Counter>,
+    bytes_out: std::sync::Arc<drai_telemetry::Counter>,
+}
+
+impl CodecMeter {
+    /// Record `ns` spent encoding `bytes_in` payload bytes into
+    /// `bytes_out` stored bytes — one call, or one run of calls.
+    pub(crate) fn record_encode(&self, ns: u64, bytes_in: usize, bytes_out: usize) {
+        self.encode_ns.record(ns);
+        self.bytes_in.add(bytes_in as u64);
+        self.bytes_out.add(bytes_out as u64);
+    }
 }
 
 /// Telemetry-recording wrapper returned by [`codec_for`].
 struct InstrumentedCodec {
     inner: Box<dyn Codec>,
-    encode_ns: std::sync::Arc<drai_telemetry::Histogram>,
-    decode_ns: std::sync::Arc<drai_telemetry::Histogram>,
-    bytes_in: std::sync::Arc<drai_telemetry::Counter>,
-    bytes_out: std::sync::Arc<drai_telemetry::Counter>,
+    meter: CodecMeter,
 }
 
 impl Codec for InstrumentedCodec {
@@ -193,19 +231,18 @@ impl Codec for InstrumentedCodec {
         self.inner.id()
     }
 
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        let before = out.len();
         let start = drai_telemetry::Stopwatch::start();
-        let out = self.inner.encode(data);
-        self.encode_ns.record(start.elapsed_ns());
-        self.bytes_in.add(data.len() as u64);
-        self.bytes_out.add(out.len() as u64);
-        out
+        self.inner.encode_into(data, out);
+        self.meter
+            .record_encode(start.elapsed_ns(), data.len(), out.len() - before);
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let start = drai_telemetry::Stopwatch::start();
         let out = self.inner.decode(data);
-        self.decode_ns.record(start.elapsed_ns());
+        self.meter.decode_ns.record(start.elapsed_ns());
         out
     }
 }
@@ -218,8 +255,8 @@ impl Codec for RawCodec {
     fn id(&self) -> CodecId {
         CodecId::Raw
     }
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        data.to_vec()
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(data);
     }
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         Ok(data.to_vec())
@@ -239,8 +276,8 @@ impl Codec for RleCodec {
         CodecId::Rle
     }
 
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        out.reserve(data.len() / 2 + 16);
         let mut i = 0;
         let mut lit_start = 0;
         while i < data.len() {
@@ -254,11 +291,11 @@ impl Codec for RleCodec {
             if run >= RLE_MIN_RUN {
                 if lit_start < i {
                     out.push(0x00);
-                    write_uvarint(&mut out, (i - lit_start) as u64);
+                    write_uvarint(out, (i - lit_start) as u64);
                     out.extend_from_slice(&data[lit_start..i]);
                 }
                 out.push(0x01);
-                write_uvarint(&mut out, run as u64);
+                write_uvarint(out, run as u64);
                 out.push(b);
                 lit_start = j;
             }
@@ -266,10 +303,9 @@ impl Codec for RleCodec {
         }
         if lit_start < data.len() {
             out.push(0x00);
-            write_uvarint(&mut out, (data.len() - lit_start) as u64);
+            write_uvarint(out, (data.len() - lit_start) as u64);
             out.extend_from_slice(&data[lit_start..]);
         }
-        out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -340,29 +376,28 @@ impl Codec for DeltaCodec {
         }
     }
 
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
         assert!(
             matches!(self.width, 1 | 2 | 4 | 8),
             "unsupported delta width"
         );
-        let mut out = Vec::with_capacity(data.len() / 2 + 16);
+        out.reserve(data.len() / 2 + 16);
         if data.len() % self.width != 0 {
             // Raw fallback framing for non-aligned payloads.
             out.push(0xFF);
             out.extend_from_slice(data);
-            return out;
+            return;
         }
         out.push(0x01);
         let n = data.len() / self.width;
-        write_uvarint(&mut out, n as u64);
+        write_uvarint(out, n as u64);
         let mut prev = 0u64;
         for i in 0..n {
             let v = self.read_elem(&data[i * self.width..]);
             let delta = v.wrapping_sub(prev) as i64;
-            write_ivarint(&mut out, delta);
+            write_ivarint(out, delta);
             prev = v;
         }
-        out
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
@@ -444,13 +479,13 @@ impl Codec for LzCodec {
         CodecId::Lz
     }
 
-    fn encode(&self, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        out.reserve(data.len() / 2 + 16);
         if data.len() < LZ_MIN_MATCH {
-            write_uvarint(&mut out, data.len() as u64);
+            write_uvarint(out, data.len() as u64);
             out.extend_from_slice(data);
-            write_uvarint(&mut out, 0); // terminator
-            return out;
+            write_uvarint(out, 0); // terminator
+            return;
         }
         // head[h] = most recent position with hash h; chain[p % window] =
         // previous position with the same hash.
@@ -487,10 +522,10 @@ impl Codec for LzCodec {
             }
             if best_len >= LZ_MIN_MATCH {
                 // Emit pending literals + this match.
-                write_uvarint(&mut out, (pos - lit_start) as u64);
+                write_uvarint(out, (pos - lit_start) as u64);
                 out.extend_from_slice(&data[lit_start..pos]);
-                write_uvarint(&mut out, best_len as u64);
-                write_uvarint(&mut out, best_off as u64);
+                write_uvarint(out, best_len as u64);
+                write_uvarint(out, best_off as u64);
                 // Insert match positions into the dictionary (sparsely for
                 // speed: every position for short matches, stride for long).
                 let stride = if best_len > 64 { 8 } else { 1 };
@@ -510,10 +545,9 @@ impl Codec for LzCodec {
             }
         }
         // Final literals + terminator.
-        write_uvarint(&mut out, (data.len() - lit_start) as u64);
+        write_uvarint(out, (data.len() - lit_start) as u64);
         out.extend_from_slice(&data[lit_start..]);
-        write_uvarint(&mut out, 0);
-        out
+        write_uvarint(out, 0);
     }
 
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {

@@ -45,6 +45,23 @@ proptest! {
     }
 
     #[test]
+    fn encode_into_only_appends(
+        data in proptest::collection::vec(any::<u8>(), 0..1024),
+        prefix in proptest::collection::vec(any::<u8>(), 1..64)) {
+        for id in [CodecId::Raw, CodecId::Rle, CodecId::Lz,
+                   CodecId::Delta { width: 1 }, CodecId::Delta { width: 2 },
+                   CodecId::Delta { width: 4 }, CodecId::Delta { width: 8 }] {
+            let codec = codec_for(id);
+            let mut out = prefix.clone();
+            codec.encode_into(&data, &mut out);
+            let (head, tail) = out.split_at(prefix.len());
+            prop_assert_eq!(head, &prefix[..], "{:?} touched the bytes before it", id);
+            prop_assert_eq!(tail, &codec.encode(&data)[..], "{:?}", id);
+            prop_assert_eq!(&codec.decode(tail).unwrap(), &data, "{:?}", id);
+        }
+    }
+
+    #[test]
     fn bitpack_round_trip(values in proptest::collection::vec(any::<u64>(), 0..64),
                           bits in 1u32..=64) {
         let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };

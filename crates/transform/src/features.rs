@@ -31,13 +31,27 @@ pub fn rolling_mean(signal: &[f64], width: usize) -> Result<Vec<f64>, TransformE
     }
     let half = width / 2;
     let n = signal.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
+    let full = 2 * half + 1;
+    // A window clipped by either end of the signal.
+    let clipped = |i: usize| {
         let lo = i.saturating_sub(half);
         let hi = (i + half + 1).min(n);
-        let s: f64 = signal[lo..hi].iter().sum();
-        out.push(s / (hi - lo) as f64);
+        signal[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
+    };
+    if n < full {
+        return Ok((0..n).map(clipped).collect());
     }
+    // Every interior window is whole: `windows` hands them out with no
+    // clipping arithmetic or bounds check per sample, summed left to
+    // right as a clipped one is.
+    let mut out = Vec::with_capacity(n);
+    out.extend((0..half).map(clipped));
+    out.extend(
+        signal
+            .windows(full)
+            .map(|w| w.iter().sum::<f64>() / full as f64),
+    );
+    out.extend((n - half..n).map(clipped));
     Ok(out)
 }
 
@@ -192,6 +206,27 @@ mod tests {
         }
         assert_eq!(m.len(), signal.len());
         assert!(rolling_mean(&signal, 0).is_err());
+    }
+
+    #[test]
+    fn rolling_mean_equals_the_clipped_window_at_every_sample() {
+        let signal: Vec<f64> = (0..40)
+            .map(|i| ((i * 7919 % 1009) as f64).sqrt() - 9.0)
+            .collect();
+        for n in [0, 1, 2, 8, 9, 10, 40] {
+            for width in [1, 2, 3, 8, 9, 41, 100] {
+                let got = rolling_mean(&signal[..n], width).unwrap();
+                let half = width / 2;
+                let want: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let w = &signal[i.saturating_sub(half)..(i + half + 1).min(n)];
+                        w.iter().sum::<f64>() / w.len() as f64
+                    })
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n={n} width={width}");
+            }
+        }
     }
 
     #[test]

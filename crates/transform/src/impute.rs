@@ -31,73 +31,71 @@ pub fn missing_fraction(values: &[f64]) -> f64 {
     values.iter().filter(|v| v.is_nan()).count() as f64 / values.len() as f64
 }
 
-/// Impute in place. Errors if every value is NaN and the strategy needs
-/// data statistics.
+/// Impute in place and return how many values were missing. Errors, with
+/// `values` untouched, if every value is NaN and the strategy needs data
+/// statistics.
 pub fn impute(values: &mut [f64], strategy: Strategy) -> Result<usize, TransformError> {
-    let missing = values.iter().filter(|v| v.is_nan()).count();
-    if missing == 0 {
+    // Nothing missing is the common case downstream of a cleaning stage:
+    // one read pass, no scratch. Otherwise this stops at the first NaN and
+    // each strategy counts the rest in the pass it makes anyway.
+    let Some(first) = values.iter().position(|v| v.is_nan()) else {
         return Ok(0);
-    }
-    let all_nan = missing == values.len();
+    };
+    let all_missing = || TransformError::CannotFit("all values missing".into());
     match strategy {
-        Strategy::Constant(c) => {
-            for v in values.iter_mut() {
-                if v.is_nan() {
-                    *v = c;
-                }
-            }
-        }
+        Strategy::Constant(c) => Ok(fill_missing(&mut values[first..], c)),
         Strategy::Mean => {
-            if all_nan {
-                return Err(TransformError::CannotFit("all values missing".into()));
+            let mut present = 0usize;
+            let sum: f64 = values
+                .iter()
+                .filter(|v| !v.is_nan())
+                .inspect(|_| present += 1)
+                .sum();
+            if present == 0 {
+                return Err(all_missing());
             }
-            let finite: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-            let mean = finite.iter().sum::<f64>() / finite.len() as f64;
-            for v in values.iter_mut() {
-                if v.is_nan() {
-                    *v = mean;
-                }
-            }
+            Ok(fill_missing(&mut values[first..], sum / present as f64))
         }
         Strategy::Median => {
-            if all_nan {
-                return Err(TransformError::CannotFit("all values missing".into()));
+            let mut present = Vec::with_capacity(values.len());
+            present.extend(values.iter().copied().filter(|v| !v.is_nan()));
+            if present.is_empty() {
+                return Err(all_missing());
             }
-            let mut finite: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-            finite.sort_by(|a, b| a.total_cmp(b));
-            let median = if finite.len() % 2 == 1 {
-                finite[finite.len() / 2]
+            // Selection, not a sort: `total_cmp` orders every bit pattern,
+            // so the element selected at `mid` and the maximum of the
+            // partition left of it are the two middle values a full sort
+            // would put there.
+            let (mid, odd) = (present.len() / 2, present.len() % 2 == 1);
+            let (below, &mut upper, _) = present.select_nth_unstable_by(mid, f64::total_cmp);
+            let median = if odd {
+                upper
             } else {
-                (finite[finite.len() / 2 - 1] + finite[finite.len() / 2]) / 2.0
+                let lower = below.iter().copied().max_by(f64::total_cmp);
+                lower.map_or(upper, |lower| (lower + upper) / 2.0)
             };
-            for v in values.iter_mut() {
-                if v.is_nan() {
-                    *v = median;
-                }
-            }
+            Ok(fill_missing(&mut values[first..], median))
         }
         Strategy::ForwardFill => {
-            if all_nan {
-                return Err(TransformError::CannotFit("all values missing".into()));
-            }
-            let Some(first_finite) = values.iter().copied().find(|v| !v.is_nan()) else {
-                return Err(TransformError::CannotFit("all values missing".into()));
+            // Leading NaNs take the first finite value.
+            let Some(mut last) = values.iter().copied().find(|v| !v.is_nan()) else {
+                return Err(all_missing());
             };
-            let mut last = first_finite;
+            let mut missing = 0;
             for v in values.iter_mut() {
                 if v.is_nan() {
                     *v = last;
+                    missing += 1;
                 } else {
                     last = *v;
                 }
             }
+            Ok(missing)
         }
         Strategy::Interpolate => {
-            if all_nan {
-                return Err(TransformError::CannotFit("all values missing".into()));
-            }
             let n = values.len();
-            let mut i = 0;
+            let mut missing = 0;
+            let mut i = first;
             while i < n {
                 if !values[i].is_nan() {
                     i += 1;
@@ -120,16 +118,25 @@ pub fn impute(values: &mut [f64], strategy: Strategy) -> Result<usize, Transform
                     }
                     (Some(l), None) => values[i..j].fill(l),
                     (None, Some(r)) => values[i..j].fill(r),
-                    // Both neighbours missing can only mean the whole slice
-                    // is NaN, which the all-NaN guard rejected; leave the
-                    // gap as NaN rather than abort.
-                    (None, None) => values[i..j].fill(f64::NAN),
+                    // No neighbour on either side: the gap is the whole slice.
+                    (None, None) => return Err(all_missing()),
                 }
+                missing += j - i;
                 i = j;
             }
+            Ok(missing)
         }
     }
-    Ok(missing)
+}
+
+/// Replace every NaN with `fill`; returns how many there were.
+fn fill_missing(values: &mut [f64], fill: f64) -> usize {
+    let mut missing = 0;
+    for v in values.iter_mut().filter(|v| v.is_nan()) {
+        *v = fill;
+        missing += 1;
+    }
+    missing
 }
 
 #[cfg(test)]

@@ -44,23 +44,11 @@ impl Normalizer {
                 Self::from_welford(method, &w)
             }
             Method::Robust => {
-                let mut q25 = P2Quantile::new(0.25);
-                let mut q50 = P2Quantile::new(0.5);
-                let mut q75 = P2Quantile::new(0.75);
+                let mut q = Quartiles::new();
                 for &v in values {
-                    q25.push(v);
-                    q50.push(v);
-                    q75.push(v);
+                    q.push(v);
                 }
-                let median = q50
-                    .estimate()
-                    .ok_or_else(|| TransformError::CannotFit("no finite values".into()))?;
-                let iqr = q75.estimate().unwrap_or(median) - q25.estimate().unwrap_or(median);
-                Ok(Normalizer {
-                    method,
-                    offset: median,
-                    scale: if iqr.abs() < f64::EPSILON { 1.0 } else { iqr },
-                })
+                q.robust()
             }
         }
     }
@@ -144,6 +132,62 @@ impl Normalizer {
     }
 }
 
+/// The three P² estimators a robust fit streams its values through.
+#[derive(Debug, Clone)]
+struct Quartiles {
+    q25: P2Quantile,
+    q50: P2Quantile,
+    q75: P2Quantile,
+}
+
+impl Quartiles {
+    fn new() -> Self {
+        Quartiles {
+            q25: P2Quantile::new(0.25),
+            q50: P2Quantile::new(0.5),
+            q75: P2Quantile::new(0.75),
+        }
+    }
+
+    fn push(&mut self, x: f64) {
+        self.q25.push(x);
+        self.q50.push(x);
+        self.q75.push(x);
+    }
+
+    /// `(x - median) / IQR` from what was pushed.
+    fn robust(&self) -> Result<Normalizer, TransformError> {
+        let median = self
+            .q50
+            .estimate()
+            .ok_or_else(|| TransformError::CannotFit("no finite values".into()))?;
+        let iqr = self.q75.estimate().unwrap_or(median) - self.q25.estimate().unwrap_or(median);
+        Ok(Normalizer {
+            method: Method::Robust,
+            offset: median,
+            scale: if iqr.abs() < f64::EPSILON { 1.0 } else { iqr },
+        })
+    }
+}
+
+/// Stream `[n, ncols]` row-major `data` through one accumulator per
+/// column in a single pass over the rows; accumulator `c` is pushed column
+/// `c`'s values in row order.
+fn per_column<A: Clone>(
+    data: &[f64],
+    ncols: usize,
+    empty: A,
+    push: impl Fn(&mut A, f64),
+) -> Vec<A> {
+    let mut columns = vec![empty; ncols];
+    for row in data.chunks_exact(ncols) {
+        for (acc, &x) in columns.iter_mut().zip(row) {
+            push(acc, x);
+        }
+    }
+    columns
+}
+
 /// Per-variable normalizers for multivariate data laid out `[n, nvars]`
 /// row-major — the shape climate/fusion feature matrices take before
 /// sharding.
@@ -153,7 +197,10 @@ pub struct ColumnNormalizer {
 }
 
 impl ColumnNormalizer {
-    /// Fit one normalizer per column.
+    /// Fit one normalizer per column in one pass over the rows, one
+    /// accumulator per column side by side. Each accumulator sees its
+    /// column's values in row order, so the result is bit-equal to
+    /// [`Normalizer::fit`] on that column gathered out of the table.
     pub fn fit(
         method: Method,
         data: &[f64],
@@ -165,11 +212,18 @@ impl ColumnNormalizer {
                 data.len()
             )));
         }
-        let mut normalizers = Vec::with_capacity(ncols);
-        for c in 0..ncols {
-            let col: Vec<f64> = data.iter().skip(c).step_by(ncols).copied().collect();
-            normalizers.push(Normalizer::fit(method, &col)?);
-        }
+        let normalizers = match method {
+            Method::ZScore | Method::MinMax => {
+                per_column(data, ncols, Welford::new(), Welford::push)
+                    .iter()
+                    .map(|w| Normalizer::from_welford(method, w))
+                    .collect::<Result<_, _>>()?
+            }
+            Method::Robust => per_column(data, ncols, Quartiles::new(), Quartiles::push)
+                .iter()
+                .map(Quartiles::robust)
+                .collect::<Result<_, _>>()?,
+        };
         Ok(ColumnNormalizer { normalizers })
     }
 
@@ -192,9 +246,13 @@ impl ColumnNormalizer {
                 got: format!("{}", data.len()),
             });
         }
-        for row in data.chunks_mut(ncols) {
-            for (x, n) in row.iter_mut().zip(&self.normalizers) {
-                *x = n.apply(*x);
+        // Offsets and scales side by side, so a row is one element-wise
+        // subtract-and-divide over three flat slices.
+        let offsets: Vec<f64> = self.normalizers.iter().map(|n| n.offset).collect();
+        let scales: Vec<f64> = self.normalizers.iter().map(|n| n.scale).collect();
+        for row in data.chunks_exact_mut(ncols) {
+            for ((x, offset), scale) in row.iter_mut().zip(&offsets).zip(&scales) {
+                *x = (*x - offset) / scale;
             }
         }
         Ok(())
@@ -317,7 +375,7 @@ mod tests {
         cn.apply(&mut out).unwrap();
         // Each column independently standardized.
         for c in 0..2 {
-            let col: Vec<f64> = out.iter().skip(c).step_by(2).copied().collect();
+            let col: Vec<f64> = out.chunks_exact(2).map(|row| row[c]).collect();
             let mut w = Welford::new();
             w.extend(&col);
             assert!(w.mean().abs() < 1e-9, "col {c}");

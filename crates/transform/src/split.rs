@@ -9,7 +9,7 @@
 //! (preventing leakage across splits).
 
 use crate::TransformError;
-use drai_io::checksum::fnv1a64;
+use drai_io::checksum::Fnv1a64;
 
 /// Which split a sample landed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,13 +84,19 @@ impl Fractions {
 /// draw independent splits from the same keys.
 pub fn assign(key: &str, seed: u64, fractions: Fractions) -> Result<Split, TransformError> {
     fractions.validate()?;
-    let mut buf = Vec::with_capacity(key.len() + 8);
-    buf.extend_from_slice(&seed.to_le_bytes());
-    buf.extend_from_slice(key.as_bytes());
+    Ok(assign_validated(key, seed, fractions))
+}
+
+/// [`assign`] for fractions that already passed [`Fractions::validate`].
+fn assign_validated(key: &str, seed: u64, fractions: Fractions) -> Split {
+    // The hash of `seed ‖ key`.
+    let mut fnv = Fnv1a64::new();
+    fnv.update(&seed.to_le_bytes());
+    fnv.update(key.as_bytes());
     // FNV-1a mixes low bits well but its high bits barely change across
     // short, similar keys ("shot-1", "shot-2", ...); finish with a
     // splitmix64 avalanche before taking the top 53 bits.
-    let mut h = fnv1a64(&buf);
+    let mut h = fnv.finish();
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 27;
@@ -98,13 +104,13 @@ pub fn assign(key: &str, seed: u64, fractions: Fractions) -> Result<Split, Trans
     h ^= h >> 31;
     // Map to [0, 1) with 53-bit precision.
     let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    Ok(if u < fractions.train {
+    if u < fractions.train {
         Split::Train
     } else if u < fractions.train + fractions.validation {
         Split::Validation
     } else {
         Split::Test
-    })
+    }
 }
 
 /// The three partitions produced by [`partition`], each tagged with
@@ -121,7 +127,7 @@ pub fn partition<K: AsRef<str>, T>(
     fractions.validate()?;
     let mut parts = [Split::Train, Split::Validation, Split::Test].map(|s| (s, Vec::new()));
     for (key, payload) in items {
-        parts[assign(key.as_ref(), seed, fractions)?.index()]
+        parts[assign_validated(key.as_ref(), seed, fractions).index()]
             .1
             .push(payload);
     }
@@ -132,6 +138,74 @@ pub fn partition<K: AsRef<str>, T>(
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    /// `Split::index()` of 1 200 assignments, one digit each, recorded at the
+    /// commit before `assign` hashed seed and key incrementally (PR 18).
+    const PINNED_ASSIGNMENTS: &str = concat!(
+        "00000002001000020000002020000220002012000020020001020000000020000000020000000000",
+        "00200200020012102000001100200000200000000000000100000000000000000200000000100000",
+        "00000000001002000002000200100221002100000000000000000202001200200120100000000001",
+        "00000001000100000002001000000000200002100000010110000001101000000101010001000000",
+        "00102200000002001000000020000100001000000002210010000000010000020002000000000000",
+        "01000010000100000000200002020000000020102000000000112002000000001020001000000001",
+        "00002000000000000000020220200010010101001000000001000002000100000000200000001000",
+        "20100000000110000000000000010212000000011200001000000201001100000000000102000000",
+        "00021000000000000000000100000010020002100000000000000200000000000000000200001020",
+        "22001000010000000000200102020100010000021000202000012200002100000002000202000000",
+        "00000021100010000000101000100000002001000000100002200000000012000100010202000000",
+        "00000000000001000200000010000020000000001000001011000000000020000020000002000000",
+        "10002000220200000000000000000020020200002000200101000010000200000200000102000202",
+        "00000010000000200000100102000000210011000020000001100000000002000010000100000000",
+        "00000000000001020220020000020000000000000000000000000201000000000010020000000000",
+    );
+
+    /// The `(key, seed)` pairs behind [`PINNED_ASSIGNMENTS`]: the empty
+    /// key, short similar keys, long and non-ASCII keys, four seeds.
+    fn pinned_cases() -> impl Iterator<Item = (String, u64)> {
+        let seeds = [0, 7, 0xDEAD_BEEF_CAFE_F00D, u64::MAX];
+        (0..1200usize).map(move |i| {
+            let key = match i % 3 {
+                _ if i == 0 => String::new(),
+                0 => format!("row-{i}"),
+                1 => format!("shot-{}", i * 7919),
+                _ => format!("patient/π-{i}.nc"),
+            };
+            (key, seeds[i % 4])
+        })
+    }
+
+    #[test]
+    fn assignments_match_the_recorded_table() {
+        let f = Fractions::standard();
+        let digit = |s: Split| char::from(b'0' + s.index() as u8);
+        let assigned: String = pinned_cases()
+            .map(|(key, seed)| digit(assign(&key, seed, f).unwrap()))
+            .collect();
+        assert_eq!(assigned, PINNED_ASSIGNMENTS);
+        // `partition` takes the unchecked path; it must agree per seed.
+        for seed in [0, 7, 0xDEAD_BEEF_CAFE_F00D, u64::MAX] {
+            let cases: Vec<(String, usize)> = pinned_cases()
+                .enumerate()
+                .filter(|(_, (_, s))| *s == seed)
+                .map(|(i, (key, _))| (key, i))
+                .collect();
+            for (split, members) in partition(cases, seed, f).unwrap() {
+                for i in members {
+                    assert_eq!(PINNED_ASSIGNMENTS.as_bytes()[i], digit(split) as u8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_rejects_bad_fractions_once_up_front() {
+        let bad = Fractions {
+            train: 0.9,
+            validation: 0.2,
+            test: 0.1,
+        };
+        assert!(partition(Vec::<(String, u8)>::new(), 0, bad).is_err());
+    }
 
     #[test]
     fn deterministic() {
