@@ -2,9 +2,22 @@
 //!
 //! * [`crc32`] — the zlib/PNG polynomial (0xEDB88320 reflected), required by
 //!   the ZIP container backing NPZ shards.
-//! * [`crc32c`] — the Castagnoli polynomial (0x82F63B78 reflected) with a
-//!   slice-by-8 table for throughput, required by the TFRecord framing.
+//! * [`crc32c`] — the Castagnoli polynomial (0x82F63B78 reflected),
+//!   required by the TFRecord framing.
+//! * [`Crc32Stream`] — either of them incrementally, and from pieces that
+//!   were hashed somewhere else.
 //! * [`masked_crc32c`] — TFRecord's rotated+offset mask over CRC-32C.
+//!
+//! Both CRCs run on one kernel (`Crc::update`): slice-by-8 tables, and from
+//! 768 bytes up three slice-by-8 streams side by side over the thirds of
+//! the input, joined by the identity every CRC satisfies,
+//! `crc(a‖b) = crc(a)·x^(8|b|) mod P ⊕ crc(b)`. One stream is a chain of
+//! dependent table loads (≈ 1.4 GB/s here whatever the core could issue);
+//! three independent chains reach ≈ 4 GB/s in safe Rust with the same
+//! tables. The same identity lets a caller that already holds the CRC of a
+//! piece add the piece to a running checksum without reading it
+//! ([`Crc32Stream::update_hashed`]) — which is how a shard's whole-file
+//! CRC comes out of its record CRCs with every byte hashed once.
 //! * [`fnv1a64`] / [`Fnv1a64`] — cheap non-cryptographic hash (one-shot and
 //!   incremental) for deterministic train/val/test splitting and hash-based
 //!   anonymization.
@@ -44,41 +57,147 @@ const fn build_tables(poly: u32) -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = build_tables(0xEDB8_8320);
-static CRC32C_TABLES: [[u32; 256]; 8] = build_tables(0x82F6_3B78);
-
-#[inline]
-fn crc_update(tables: &[[u32; 256]; 8], mut crc: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = tables[7][(lo & 0xFF) as usize]
-            ^ tables[6][((lo >> 8) & 0xFF) as usize]
-            ^ tables[5][((lo >> 16) & 0xFF) as usize]
-            ^ tables[4][(lo >> 24) as usize]
-            ^ tables[3][(hi & 0xFF) as usize]
-            ^ tables[2][((hi >> 8) & 0xFF) as usize]
-            ^ tables[1][((hi >> 16) & 0xFF) as usize]
-            ^ tables[0][(hi >> 24) as usize];
+/// `a · b mod P` over GF(2), in the reflected representation the tables
+/// use (bit 31 is the coefficient of x⁰): a 32-step carry-less multiply.
+const fn mul_mod(poly: u32, a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut i = 0;
+    while i < 32 {
+        // b is `b₀ · xⁱ mod P` here; add it where a has an xⁱ term.
+        product ^= b & 0u32.wrapping_sub((a >> (31 - i)) & 1);
+        b = (b >> 1) ^ (poly & 0u32.wrapping_sub(b & 1));
+        i += 1;
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ tables[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
+    product
 }
+
+/// Hex digits in a length.
+const LEN_DIGITS: usize = usize::BITS as usize / 4;
+
+/// One reflected CRC-32 polynomial: its slice-by-8 tables and what the
+/// join needs.
+struct Crc {
+    poly: u32,
+    tables: [[u32; 256]; 8],
+    /// `byte_shift[k][d] = x^(8·d·16ᵏ) mod P`: the factor that moves a
+    /// state past `d·16ᵏ` bytes, for every hex digit of a length — the
+    /// squarings of square-and-multiply, done at compile time.
+    byte_shift: [[u32; 16]; LEN_DIGITS],
+}
+
+impl Crc {
+    const fn new(poly: u32) -> Crc {
+        let mut byte_shift = [[0x8000_0000; 16]; LEN_DIGITS]; // x⁰
+        let mut unit = 0x0080_0000; // x⁸: one byte
+        let mut k = 0;
+        while k < LEN_DIGITS {
+            let mut d = 1;
+            while d < 16 {
+                byte_shift[k][d] = mul_mod(poly, byte_shift[k][d - 1], unit);
+                d += 1;
+            }
+            unit = mul_mod(poly, byte_shift[k][15], unit); // 16ᵏ⁺¹ bytes
+            k += 1;
+        }
+        Crc {
+            poly,
+            tables: build_tables(poly),
+            byte_shift,
+        }
+    }
+
+    /// `crc · x^(8·len) mod P`: the state `crc` after `len` more zero
+    /// bytes — one multiply per non-zero hex digit of `len`.
+    fn shift(&self, mut crc: u32, len: usize) -> u32 {
+        let mut rest = len;
+        let mut k = 0;
+        while rest != 0 {
+            if rest & 15 != 0 {
+                crc = mul_mod(self.poly, crc, self.byte_shift[k][rest & 15]);
+            }
+            rest >>= 4;
+            k += 1;
+        }
+        crc
+    }
+
+    /// Eight more bytes into one slice-by-8 stream.
+    #[inline(always)]
+    fn word(&self, crc: u32, w: &[u8]) -> u32 {
+        let t = &self.tables;
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize]
+    }
+
+    /// Raw (uninverted) state after `data`, from raw state `crc`.
+    ///
+    /// One slice-by-8 stream is a chain of dependent table loads, ≈ 1.4
+    /// GB/s whatever the core could issue. From [`LANE_MIN_BYTES`] up the
+    /// input is cut in thirds hashed side by side — three independent
+    /// chains in one loop — and joined: the update is linear over GF(2),
+    /// so `state(a‖b) = state(a)·x^(8|b|) ⊕ state₀(b)` with `state₀` the
+    /// state from zero. What the thirds leave (< 24 bytes) and every
+    /// short input take the one-stream loop below.
+    fn update(&self, mut crc: u32, mut data: &[u8]) -> u32 {
+        if data.len() >= LANE_MIN_BYTES {
+            let lane = (data.len() / 3) & !7;
+            let (a, rest) = data.split_at(lane);
+            let (b, rest) = rest.split_at(lane);
+            let (c, tail) = rest.split_at(lane);
+            let (mut crc_b, mut crc_c) = (0, 0);
+            for ((wa, wb), wc) in a
+                .chunks_exact(8)
+                .zip(b.chunks_exact(8))
+                .zip(c.chunks_exact(8))
+            {
+                crc = self.word(crc, wa);
+                crc_b = self.word(crc_b, wb);
+                crc_c = self.word(crc_c, wc);
+            }
+            let past_lane = self.shift(0x8000_0000, lane); // x⁰ shifted: x^(8·lane)
+            crc = mul_mod(self.poly, crc, past_lane) ^ crc_b;
+            crc = mul_mod(self.poly, crc, past_lane) ^ crc_c;
+            data = tail;
+        }
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            crc = self.word(crc, w);
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ self.tables[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc
+    }
+}
+
+/// Shortest input hashed in three lanes: below it the join (≈ 30 ns a
+/// multiply, one per non-zero hex digit of the lane length plus two)
+/// costs more than the lanes save.
+const LANE_MIN_BYTES: usize = 768;
+
+static CRC32: Crc = Crc::new(0xEDB8_8320);
+static CRC32C: Crc = Crc::new(0x82F6_3B78);
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    !crc_update(&CRC32_TABLES, !0, data)
+    !CRC32.update(!0, data)
 }
 
-/// CRC-32C (Castagnoli polynomial) of `data`, slice-by-8.
+/// CRC-32C (Castagnoli polynomial) of `data`.
 pub fn crc32c(data: &[u8]) -> u32 {
-    !crc_update(&CRC32C_TABLES, !0, data)
+    !CRC32C.update(!0, data)
 }
 
-/// Incremental CRC state for streaming writers.
+/// Incremental CRC state for streaming writers, and for checksums joined
+/// from pieces hashed elsewhere ([`update_hashed`](Self::update_hashed)).
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32Stream {
     state: u32,
@@ -102,14 +221,25 @@ impl Crc32Stream {
         }
     }
 
+    fn crc(&self) -> &'static Crc {
+        if self.castagnoli {
+            &CRC32C
+        } else {
+            &CRC32
+        }
+    }
+
     /// Absorb bytes.
     pub fn update(&mut self, data: &[u8]) {
-        let tables = if self.castagnoli {
-            &CRC32C_TABLES
-        } else {
-            &CRC32_TABLES
-        };
-        self.state = crc_update(tables, self.state, data);
+        self.state = self.crc().update(self.state, data);
+    }
+
+    /// Absorb `len` bytes known only by their checksum `crc` (same
+    /// polynomial), without reading them again: with finished values,
+    /// `crc(a‖b) = crc(a)·x^(8|b|) mod P ⊕ crc(b)` — the inversions at
+    /// both ends of a CRC cancel in the sum.
+    pub fn update_hashed(&mut self, crc: u32, len: usize) {
+        self.state = !(self.crc().shift(!self.state, len) ^ crc);
     }
 
     /// Final checksum value.
@@ -338,24 +468,109 @@ mod tests {
         assert_eq!(hash_hex(&[0x00, 0xFF, 0x1A]), "00ff1a");
     }
 
+    /// The definition, one bit at a time.
+    fn bitwise_crc(poly: u32, data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ poly
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x2545_F491u32;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
     #[test]
-    fn crc_lengths_around_slice_boundary() {
-        // Exercise remainder handling for lengths 0..=17.
-        for n in 0..=17usize {
-            let data: Vec<u8> = (0..n as u8).collect();
-            // bytewise reference
-            let mut crc = !0u32;
-            for &b in &data {
-                crc ^= b as u32;
-                for _ in 0..8 {
-                    crc = if crc & 1 != 0 {
-                        (crc >> 1) ^ 0xEDB8_8320
-                    } else {
-                        crc >> 1
-                    };
+    fn lanes_equal_the_bitwise_definition_at_every_length_and_offset() {
+        // 0..=1600 crosses the word loop, the lane threshold and every
+        // tail length the thirds can leave; the offsets move the words
+        // off any alignment.
+        let data = noise(1600 + 7);
+        const { assert!(LANE_MIN_BYTES < 1600) };
+        for offset in [0, 1, 3, 7] {
+            for len in 0..=1600 {
+                let piece = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(piece),
+                    bitwise_crc(0xEDB8_8320, piece),
+                    "crc32 len {len} offset {offset}"
+                );
+                assert_eq!(
+                    crc32c(piece),
+                    bitwise_crc(0x82F6_3B78, piece),
+                    "crc32c len {len} offset {offset}"
+                );
+            }
+        }
+        let long = noise(100_003);
+        assert_eq!(crc32(&long), bitwise_crc(0xEDB8_8320, &long));
+        assert_eq!(crc32c(&long), bitwise_crc(0x82F6_3B78, &long));
+    }
+
+    #[test]
+    fn stream_chunks_straddling_the_lane_threshold_equal_one_shot() {
+        let data = noise(5 * LANE_MIN_BYTES + 11);
+        for chunk in [
+            1,
+            LANE_MIN_BYTES - 1,
+            LANE_MIN_BYTES,
+            LANE_MIN_BYTES + 1,
+            2 * LANE_MIN_BYTES + 5,
+        ] {
+            let (mut a, mut b) = (Crc32Stream::new_crc32(), Crc32Stream::new_crc32c());
+            for piece in data.chunks(chunk) {
+                a.update(piece);
+                b.update(piece);
+            }
+            assert_eq!(a.finalize(), crc32(&data), "crc32 in chunks of {chunk}");
+            assert_eq!(b.finalize(), crc32c(&data), "crc32c in chunks of {chunk}");
+        }
+    }
+
+    #[test]
+    fn joined_pieces_equal_the_whole() {
+        // Random cuts, empty pieces included; every piece goes in either
+        // as bytes or as its (crc, len) alone.
+        let data = noise(20_000);
+        let mut state = 0x9E37_79B9u32;
+        let mut next = |bound: usize| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 8) as usize % bound
+        };
+        for round in 0..200 {
+            let mut cuts: Vec<usize> = (0..1 + next(6)).map(|_| next(data.len() + 1)).collect();
+            cuts.extend([0, data.len()]);
+            if round % 3 == 0 {
+                cuts.push(cuts[0]); // an empty piece
+            }
+            cuts.sort_unstable();
+            let (mut a, mut b) = (Crc32Stream::new_crc32(), Crc32Stream::new_crc32c());
+            for pair in cuts.windows(2) {
+                let piece = &data[pair[0]..pair[1]];
+                if next(2) == 0 {
+                    a.update(piece);
+                    b.update(piece);
+                } else {
+                    a.update_hashed(crc32(piece), piece.len());
+                    b.update_hashed(crc32c(piece), piece.len());
                 }
             }
-            assert_eq!(crc32(&data), !crc, "length {n}");
+            assert_eq!(a.finalize(), crc32(&data), "crc32 cuts {cuts:?}");
+            assert_eq!(b.finalize(), crc32c(&data), "crc32c cuts {cuts:?}");
         }
     }
 }

@@ -19,10 +19,22 @@
 //! shard writer frames whole runs of records in one buffer that way —
 //! and gets [`Codec::encode`] from it.
 //!
+//! What a codec stores is a function of the payload alone. The stream
+//! *formats* are fixed (old shards must stay readable); inside a format
+//! the encoders are free to be fast: `Delta` runs `const`-width kernels
+//! that emit the bytes the element-at-a-time loop did, and `Lz` gives up
+//! on input that does not match instead of probing every position of it
+//! (which changes its choices, not its format: `tests/lz_compat.rs`).
+//! Every `decode` refuses a stream that declares more output than
+//! [`MAX_DECODED_BYTES`] — and `Delta`, whose elements take at least a
+//! byte each, one that declares more elements than it has bytes — before
+//! it allocates for it.
+//!
 //! The [`bitpack`]/[`bitunpack`] helpers implement the fixed-width bit
 //! packing used by GRIB-style "simple packing" in `drai-formats`.
 
-use crate::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+use crate::varint::{read_uvarint, unzigzag, write_uvarint, zigzag};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Decompression-bomb guard: `decode` refuses to produce more than this
@@ -146,9 +158,10 @@ impl CodecId {
     }
 }
 
-/// Compress/decompress byte payloads. Stateless; safe to share across
-/// threads (the shard writer encodes runs of records in parallel with
-/// `par_map`).
+/// Compress/decompress byte payloads. Stateless as far as a caller can
+/// tell — what comes out depends on `data` alone — and safe to share
+/// across threads (the shard writer encodes runs of records in parallel
+/// with `par_map`).
 pub trait Codec: Send + Sync {
     /// The codec's identity for headers/manifests.
     fn id(&self) -> CodecId;
@@ -218,6 +231,11 @@ impl CodecMeter {
         self.bytes_in.add(bytes_in as u64);
         self.bytes_out.add(bytes_out as u64);
     }
+
+    /// Record `ns` spent decoding — one call, or one shard of calls.
+    pub(crate) fn record_decode(&self, ns: u64) {
+        self.decode_ns.record(ns);
+    }
 }
 
 /// Telemetry-recording wrapper returned by [`codec_for`].
@@ -242,7 +260,7 @@ impl Codec for InstrumentedCodec {
     fn decode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
         let start = drai_telemetry::Stopwatch::start();
         let out = self.inner.decode(data);
-        self.meter.decode_ns.record(start.elapsed_ns());
+        self.meter.record_decode(start.elapsed_ns());
         out
     }
 }
@@ -351,22 +369,72 @@ impl Codec for RleCodec {
 /// coded. The header stores the element count; a trailing partial element
 /// (when the payload isn't width-aligned) is rejected at encode time by
 /// falling back to raw framing (`tag 0xFF` + bytes).
+///
+/// `width` is looked at once per call: the element loops are the
+/// `const W` kernels below, so an element is one fixed-size load or
+/// store, not a variable-length copy.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaCodec {
     /// Element width in bytes (1, 2, 4, or 8).
     pub width: usize,
 }
 
-impl DeltaCodec {
-    fn read_elem(&self, bytes: &[u8]) -> u64 {
-        let mut buf = [0u8; 8];
-        buf[..self.width].copy_from_slice(&bytes[..self.width]);
-        u64::from_le_bytes(buf)
-    }
+/// Elements whose varints are staged on the stack before they are
+/// appended to the output: the output grows by what a block stored, so a
+/// buffer shared with other records never reserves the 10-bytes-a-varint
+/// worst case.
+const DELTA_BLOCK: usize = 64;
+const MAX_VARINT_BYTES: usize = 10;
 
-    fn write_elem(&self, out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes()[..self.width]);
+fn delta_encode<const W: usize>(data: &[u8], out: &mut Vec<u8>) {
+    let mut staged = [0u8; DELTA_BLOCK * MAX_VARINT_BYTES];
+    let mut prev = 0u64;
+    for block in data.chunks(DELTA_BLOCK * W) {
+        let mut used = 0;
+        for elem in block.chunks_exact(W) {
+            let mut le = [0u8; 8];
+            le[..W].copy_from_slice(elem);
+            let v = u64::from_le_bytes(le);
+            let mut z = zigzag(v.wrapping_sub(prev) as i64);
+            prev = v;
+            while z >= 0x80 {
+                staged[used] = z as u8 | 0x80;
+                used += 1;
+                z >>= 7;
+            }
+            staged[used] = z as u8;
+            used += 1;
+        }
+        out.extend_from_slice(&staged[..used]);
     }
+}
+
+/// Decode `n` deltas from the front of `deltas`; returns the elements and
+/// the bytes consumed. The caller has bounded `n` by `deltas.len()`.
+fn delta_decode<const W: usize>(deltas: &[u8], n: usize) -> Result<(Vec<u8>, usize), CodecError> {
+    let mut out = vec![0u8; n * W];
+    let mut pos = 0;
+    let mut prev = 0u64;
+    for elem in out.chunks_exact_mut(W) {
+        // One to three bytes — a delta under 2²⁰ — are taken apart here,
+        // behind branches that predict; the rest is `read_uvarint`'s.
+        let rest = deltas.get(pos..).ok_or(CodecError::Truncated)?;
+        let (z, used) = match *rest {
+            [a, ..] if a < 0x80 => (a as u64, 1),
+            [a, b, ..] if b < 0x80 => ((a & 0x7F) as u64 | (b as u64) << 7, 2),
+            [a, b, c, ..] if c < 0x80 => (
+                (a & 0x7F) as u64 | ((b & 0x7F) as u64) << 7 | (c as u64) << 14,
+                3,
+            ),
+            _ => read_uvarint(rest).ok_or(CodecError::Truncated)?,
+        };
+        pos += used;
+        prev = prev.wrapping_add(unzigzag(z) as u64);
+        // The low W bytes: a corrupt wide delta cannot smuggle an
+        // out-of-range value.
+        elem.copy_from_slice(&prev.to_le_bytes()[..W]);
+    }
+    Ok((out, pos))
 }
 
 impl Codec for DeltaCodec {
@@ -389,14 +457,12 @@ impl Codec for DeltaCodec {
             return;
         }
         out.push(0x01);
-        let n = data.len() / self.width;
-        write_uvarint(out, n as u64);
-        let mut prev = 0u64;
-        for i in 0..n {
-            let v = self.read_elem(&data[i * self.width..]);
-            let delta = v.wrapping_sub(prev) as i64;
-            write_ivarint(out, delta);
-            prev = v;
+        write_uvarint(out, (data.len() / self.width) as u64);
+        match self.width {
+            1 => delta_encode::<1>(data, out),
+            2 => delta_encode::<2>(data, out),
+            4 => delta_encode::<4>(data, out),
+            _ => delta_encode::<8>(data, out),
         }
     }
 
@@ -412,23 +478,21 @@ impl Codec for DeltaCodec {
                         declared: (n as u64).saturating_mul(self.width as u64),
                     });
                 }
-                let mut pos = consumed;
-                let mut out = Vec::with_capacity(n * self.width);
-                let mut prev = 0u64;
-                for _ in 0..n {
-                    let (d, used) = read_ivarint(&rest[pos..]).ok_or(CodecError::Truncated)?;
-                    pos += used;
-                    prev = prev.wrapping_add(d as u64);
-                    // Mask to the element width so corrupt wide deltas
-                    // cannot smuggle out-of-range values.
-                    let masked = if self.width == 8 {
-                        prev
-                    } else {
-                        prev & ((1u64 << (self.width * 8)) - 1)
-                    };
-                    self.write_elem(&mut out, masked);
+                let deltas = &rest[consumed..];
+                // Every element takes at least one byte, so a count above
+                // the bytes left is the truncation the element loop would
+                // run into — said before allocating `n` elements for it.
+                if n > deltas.len() {
+                    return Err(CodecError::Truncated);
                 }
-                if pos != rest.len() {
+                let (out, used) = match self.width {
+                    1 => delta_decode::<1>(deltas, n),
+                    2 => delta_decode::<2>(deltas, n),
+                    4 => delta_decode::<4>(deltas, n),
+                    8 => delta_decode::<8>(deltas, n),
+                    _ => return Err(CodecError::Corrupt("unsupported delta width")),
+                }?;
+                if used != deltas.len() {
                     return Err(CodecError::Corrupt("trailing bytes after delta stream"));
                 }
                 Ok(out)
@@ -443,6 +507,15 @@ impl Codec for DeltaCodec {
 /// Token stream: `<varint literal_len> <literals> <varint match_len>
 /// <varint offset>` repeated; `match_len == 0` terminates after final
 /// literals. Minimum match length 4 (below that a literal is cheaper).
+///
+/// The token format and the decoder are as they always were; what the
+/// encoder chooses is not pinned by the format. Two things keep it from
+/// spending its time where there is nothing to find: after
+/// `2^LZ_SKIP_TRIGGER` consecutive positions without a match it starts
+/// striding over the input (`1 + (misses >> LZ_SKIP_TRIGGER)`, LZ4's
+/// acceleration; any match resets it), and its hash tables live per
+/// thread across calls (`LzTables`) instead of being filled afresh for
+/// every record.
 #[derive(Debug, Clone)]
 pub struct LzCodec {
     max_chain: usize,
@@ -457,6 +530,47 @@ impl Default for LzCodec {
 const LZ_WINDOW: usize = 1 << 16;
 const LZ_MIN_MATCH: usize = 4;
 const LZ_HASH_BITS: usize = 15;
+const LZ_SKIP_TRIGGER: u32 = 6;
+
+/// The matcher's dictionary. Positions are stored as `base + position`,
+/// and a call owns the values from its `base` up: whatever earlier calls
+/// left is below it and reads as empty, so the tables are zeroed once per
+/// 4 GiB encoded, not once per record, and what a call emits does not
+/// depend on what the thread encoded before.
+struct LzTables {
+    /// `head[h]`: most recent position with hash `h`.
+    head: Vec<u32>,
+    /// `chain[p % LZ_WINDOW]`: previous position with the hash of `p`.
+    chain: Vec<u32>,
+    /// First value the next call may store.
+    base: u32,
+}
+
+thread_local! {
+    static LZ_TABLES: RefCell<LzTables> = RefCell::new(LzTables {
+        head: vec![0; 1 << LZ_HASH_BITS],
+        chain: vec![0; LZ_WINDOW],
+        base: 1,
+    });
+}
+
+impl LzTables {
+    /// Reserve `len` positions; returns their `base`. `len` is at most
+    /// [`MAX_DECODED_BYTES`] (the encoder stores anything longer as
+    /// literals), so it fits a `u32` and, after a reset, the tables.
+    fn claim(&mut self, len: usize) -> u32 {
+        debug_assert!(len <= MAX_DECODED_BYTES);
+        let len = len as u32;
+        if self.base.checked_add(len).is_none() {
+            self.head.fill(0);
+            self.chain.fill(0);
+            self.base = 1;
+        }
+        let base = self.base;
+        self.base += len;
+        base
+    }
+}
 
 impl LzCodec {
     /// Codec with a bounded hash-chain search depth (higher = better ratio,
@@ -472,52 +586,42 @@ impl LzCodec {
         let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
         ((v.wrapping_mul(2654435761) >> (32 - LZ_HASH_BITS)) & ((1 << LZ_HASH_BITS) - 1)) as usize
     }
-}
 
-impl Codec for LzCodec {
-    fn id(&self) -> CodecId {
-        CodecId::Lz
-    }
-
-    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
-        out.reserve(data.len() / 2 + 16);
-        if data.len() < LZ_MIN_MATCH {
-            write_uvarint(out, data.len() as u64);
-            out.extend_from_slice(data);
-            write_uvarint(out, 0); // terminator
-            return;
-        }
-        // head[h] = most recent position with hash h; chain[p % window] =
-        // previous position with the same hash.
-        let mut head = vec![usize::MAX; 1 << LZ_HASH_BITS];
-        let mut chain = vec![usize::MAX; LZ_WINDOW];
+    /// The parse of `data` (at least `LZ_MIN_MATCH` bytes) onto `out`, up
+    /// to the pending literals: returns where they start.
+    fn parse(&self, data: &[u8], tables: &mut LzTables, out: &mut Vec<u8>) -> usize {
+        let base = tables.claim(data.len());
+        let LzTables { head, chain, .. } = tables;
+        let stored = |pos: usize| base + pos as u32;
         let mut pos = 0;
         let mut lit_start = 0;
+        let mut misses = 0;
         while pos + LZ_MIN_MATCH <= data.len() {
             let h = Self::hash(&data[pos..]);
             let mut cand = head[h];
             let mut best_len = 0;
             let mut best_off = 0;
             let mut depth = 0;
-            while cand != usize::MAX && depth < self.max_chain {
+            while cand >= base && depth < self.max_chain {
+                let at = (cand - base) as usize;
                 // chain[] slots are recycled modulo the window, so a stale
                 // entry can point at or past `pos`; both cases end the chain.
-                if cand >= pos || pos - cand > LZ_WINDOW - 1 {
+                if at >= pos || pos - at > LZ_WINDOW - 1 {
                     break;
                 }
                 let max_len = data.len() - pos;
                 let mut l = 0;
-                while l < max_len && data[cand + l] == data[pos + l] {
+                while l < max_len && data[at + l] == data[pos + l] {
                     l += 1;
                 }
                 if l > best_len {
                     best_len = l;
-                    best_off = pos - cand;
+                    best_off = pos - at;
                     if l >= 255 {
                         break; // long enough; stop searching
                     }
                 }
-                cand = chain[cand % LZ_WINDOW];
+                cand = chain[at % LZ_WINDOW];
                 depth += 1;
             }
             if best_len >= LZ_MIN_MATCH {
@@ -533,17 +637,38 @@ impl Codec for LzCodec {
                 while p < pos + best_len && p + LZ_MIN_MATCH <= data.len() {
                     let hh = Self::hash(&data[p..]);
                     chain[p % LZ_WINDOW] = head[hh];
-                    head[hh] = p;
+                    head[hh] = stored(p);
                     p += stride;
                 }
                 pos += best_len;
                 lit_start = pos;
+                misses = 0;
             } else {
                 chain[pos % LZ_WINDOW] = head[h];
-                head[h] = pos;
-                pos += 1;
+                head[h] = stored(pos);
+                misses += 1;
+                pos += 1 + (misses >> LZ_SKIP_TRIGGER);
             }
         }
+        lit_start
+    }
+}
+
+impl Codec for LzCodec {
+    fn id(&self) -> CodecId {
+        CodecId::Lz
+    }
+
+    fn encode_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        out.reserve(data.len() / 2 + 16);
+        // Too short to hold a match — or longer than `decode` agrees to
+        // produce, which also keeps every position inside a `u32`: all
+        // literals.
+        let lit_start = if data.len() < LZ_MIN_MATCH || data.len() > MAX_DECODED_BYTES {
+            0
+        } else {
+            LZ_TABLES.with(|tables| self.parse(data, &mut tables.borrow_mut(), out))
+        };
         // Final literals + terminator.
         write_uvarint(out, (data.len() - lit_start) as u64);
         out.extend_from_slice(&data[lit_start..]);
@@ -588,11 +713,15 @@ impl Codec for LzCodec {
             if offset == 0 || offset > out.len() {
                 return Err(CodecError::Corrupt("lz offset out of range"));
             }
-            // Overlapping copy (offset may be < match_len).
+            // A match longer than its offset overlaps its own output: the
+            // bytes from `start` repeat with period `offset`, so copy all
+            // there is — a whole number of periods — and there is twice
+            // as much for the next copy.
             let start = out.len() - offset;
-            for i in 0..match_len {
-                let b = out[start + i];
-                out.push(b);
+            let end = out.len() + match_len;
+            while out.len() < end {
+                let take = (end - out.len()).min(out.len() - start);
+                out.extend_from_within(start..start + take);
             }
         }
     }
@@ -825,6 +954,245 @@ mod tests {
             LzCodec::default().decode(&lz2),
             Err(CodecError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn delta_count_beyond_the_stream_is_truncation_before_any_allocation() {
+        // Six bytes declaring 2²⁸ elements: inside the 1 GiB decode limit
+        // at every width up to 4, so only the bytes left can refuse it —
+        // every element takes at least one. (Reserving `n × width` first
+        // would ask the allocator for 1 GiB here.)
+        let mut stream = vec![0x01];
+        write_uvarint(&mut stream, 1 << 28);
+        assert_eq!(stream.len(), 6);
+        for width in [1, 2, 4] {
+            assert_eq!(
+                DeltaCodec { width }.decode(&stream),
+                Err(CodecError::Truncated),
+                "width {width}"
+            );
+        }
+        // One byte short of its count, and exactly enough.
+        let mut stream = vec![0x01];
+        write_uvarint(&mut stream, 3);
+        stream.extend([2, 2]);
+        assert_eq!(
+            DeltaCodec { width: 2 }.decode(&stream),
+            Err(CodecError::Truncated)
+        );
+        stream.push(2);
+        assert_eq!(
+            DeltaCodec { width: 2 }.decode(&stream).unwrap(),
+            [1, 0, 2, 0, 3, 0]
+        );
+    }
+
+    /// The delta codec one element at a time, as it was written before
+    /// the `const W` kernels.
+    fn delta_reference_encode(width: usize, data: &[u8]) -> Vec<u8> {
+        let mut out = vec![0x01];
+        write_uvarint(&mut out, (data.len() / width) as u64);
+        let mut prev = 0u64;
+        for elem in data.chunks_exact(width) {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(elem);
+            let v = u64::from_le_bytes(le);
+            crate::varint::write_ivarint(&mut out, v.wrapping_sub(prev) as i64);
+            prev = v;
+        }
+        out
+    }
+
+    #[test]
+    fn delta_kernels_equal_the_elementwise_reference() {
+        // Small steps, full-range jumps and wrap-arounds, in lengths that
+        // end inside and on a staging block.
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for width in [1usize, 2, 4, 8] {
+            for elems in [0, 1, 63, 64, 65, 500] {
+                let mut v = next();
+                let data: Vec<u8> = (0..elems)
+                    .flat_map(|i| {
+                        v = match i % 3 {
+                            0 => v.wrapping_add(next() % 200),
+                            1 => v.wrapping_sub(next() % 70_000),
+                            _ => next(),
+                        };
+                        v.to_le_bytes()[..width].to_vec()
+                    })
+                    .collect();
+                let codec = DeltaCodec { width };
+                let encoded = codec.encode(&data);
+                assert_eq!(
+                    encoded,
+                    delta_reference_encode(width, &data),
+                    "width {width}, {elems} elements"
+                );
+                assert_eq!(codec.decode(&encoded).unwrap(), data);
+            }
+        }
+        // A delta wider than the element is masked on the way out, and a
+        // ten-byte varint still decodes.
+        let mut wide = vec![0x01, 2];
+        crate::varint::write_ivarint(&mut wide, 0x1_0000_0005);
+        crate::varint::write_ivarint(&mut wide, i64::MIN);
+        assert_eq!(DeltaCodec { width: 1 }.decode(&wide).unwrap(), [5, 5]);
+    }
+
+    /// The Lz decoder with every match copied one byte at a time.
+    fn lz_decode_bytewise(tokens: &[(&[u8], usize, usize)], tail: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(literals, match_len, offset) in tokens {
+            out.extend_from_slice(literals);
+            let start = out.len() - offset;
+            for i in 0..match_len {
+                out.push(out[start + i]);
+            }
+        }
+        out.extend_from_slice(tail);
+        out
+    }
+
+    #[test]
+    fn lz_match_copies_equal_the_byte_loop() {
+        // Offsets from 1 (a run) up, match lengths on both sides of the
+        // offset and of twice the offset.
+        let literals: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for offset in [1usize, 2, 3, 7, 8, 16, 39, 40] {
+            for match_len in [
+                1,
+                offset.saturating_sub(1).max(1),
+                offset,
+                offset + 1,
+                2 * offset - 1,
+                2 * offset,
+                2 * offset + 1,
+                5 * offset + 3,
+                1000,
+            ] {
+                let tokens = [
+                    (&literals[..], match_len, offset),
+                    (&b"xy"[..], match_len / 2 + 1, 1.max(offset / 2)),
+                ];
+                let mut stream = Vec::new();
+                for (lits, len, off) in tokens {
+                    write_uvarint(&mut stream, lits.len() as u64);
+                    stream.extend_from_slice(lits);
+                    write_uvarint(&mut stream, len as u64);
+                    write_uvarint(&mut stream, off as u64);
+                }
+                write_uvarint(&mut stream, 3);
+                stream.extend_from_slice(b"end");
+                write_uvarint(&mut stream, 0);
+                assert_eq!(
+                    LzCodec::default().decode(&stream).unwrap(),
+                    lz_decode_bytewise(&tokens, b"end"),
+                    "offset {offset}, match_len {match_len}"
+                );
+            }
+        }
+    }
+
+    fn lcg_bytes(seed: u32, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lz_output_does_not_depend_on_what_the_thread_encoded_before() {
+        // Text with a long period, so that its matches sit deep in the
+        // hash chains, and noise with a repeat in it.
+        let text: Vec<u8> = (0..20_000usize)
+            .map(|i| b"scientific data readiness "[(i + i / 700) % 26])
+            .collect();
+        let mut noise = lcg_bytes(0x9E37_79B9, 30_000);
+        noise.extend_from_within(5_000..9_000);
+        let codec = LzCodec::default();
+        // A thread of its own starts from tables nobody has written.
+        let fresh =
+            |data: &[u8]| std::thread::scope(|s| s.spawn(|| codec.encode(data)).join().unwrap());
+        let (fresh_text, fresh_noise) = (fresh(&text), fresh(&noise));
+        // Here the tables fill up with positions of the other record, of
+        // the same record, and of both.
+        for _ in 0..3 {
+            assert_eq!(codec.encode(&text), fresh_text);
+            assert_eq!(codec.encode(&noise), fresh_noise);
+            assert_eq!(codec.encode(&noise), fresh_noise);
+            assert_eq!(codec.encode(&text), fresh_text);
+        }
+        assert_eq!(codec.decode(&fresh_text).unwrap(), text);
+        assert_eq!(codec.decode(&fresh_noise).unwrap(), noise);
+    }
+
+    #[test]
+    fn lz_choices_on_a_smooth_float_record_are_pinned() {
+        // 4 096 f32 of a bounded random walk: the payload Lz cannot
+        // shrink, with a 4-byte match every few hundred bytes — where the
+        // stride decides what is found. Stored lengths at PR 20;
+        // re-record only for a change that means to change what Lz
+        // chooses.
+        let walk = |n: usize| -> Vec<u8> {
+            let mut x = 250.0f32;
+            lcg_bytes(7, n)
+                .into_iter()
+                .flat_map(|step| {
+                    x += (step as f32 - 127.5) * 0.0004;
+                    x.to_le_bytes()
+                })
+                .collect()
+        };
+        let codec = LzCodec::default();
+        for (elems, stored) in [(4_096, 16_279), (16_384, 64_908)] {
+            let record = walk(elems);
+            let encoded = codec.encode(&record);
+            assert_eq!(codec.decode(&encoded).unwrap(), record);
+            assert_eq!(encoded.len(), stored, "{elems} f32");
+        }
+    }
+
+    #[test]
+    fn lz_tables_start_over_before_positions_wrap() {
+        let mut tables = LzTables {
+            head: vec![7; 4],
+            chain: vec![9; 4],
+            base: u32::MAX - 10,
+        };
+        assert_eq!(tables.claim(10), u32::MAX - 10);
+        assert_eq!(tables.base, u32::MAX);
+        assert_eq!(tables.head, [7; 4], "still the same generation");
+        // The next record does not fit below u32::MAX: everything stored
+        // so far is forgotten and counting restarts above the empty value.
+        assert_eq!(tables.claim(1), 1);
+        assert_eq!(tables.base, 2);
+        assert_eq!((tables.head, tables.chain), (vec![0; 4], vec![0; 4]));
+    }
+
+    #[test]
+    fn lz_strides_over_noise_and_still_finds_what_follows() {
+        // 8 KiB nothing matches in, then the first 4 KiB again: the
+        // stride must not have skipped the dictionary empty.
+        let noise = lcg_bytes(0x9E37_79B9, 8192);
+        let mut data = noise.clone();
+        data.extend_from_slice(&noise[..4096]);
+        let codec = LzCodec::default();
+        let encoded = codec.encode(&data);
+        assert_eq!(codec.decode(&encoded).unwrap(), data);
+        assert!(
+            encoded.len() < noise.len() + 4096 / 4,
+            "the repeat was stored as {} bytes",
+            encoded.len() - noise.len()
+        );
     }
 
     #[test]

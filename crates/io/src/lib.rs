@@ -7,8 +7,9 @@
 //! Contents:
 //!
 //! * [`checksum`] — CRC-32 (zlib polynomial, for ZIP/NPZ), CRC-32C
-//!   (Castagnoli, slice-by-8, for TFRecord's masked CRCs), FNV-1a, and a
-//!   128-bit content-address hash for provenance.
+//!   (Castagnoli, for TFRecord's masked CRCs) on one three-lane
+//!   slice-by-8 kernel with a join for pieces hashed elsewhere, FNV-1a,
+//!   and a 128-bit content-address hash for provenance.
 //! * [`varint`] — LEB128 varints and zigzag coding shared by codecs and the
 //!   protobuf wire encoder in `drai-formats`.
 //! * [`codec`] — byte-stream compression codecs (RLE, delta+varint,

@@ -24,9 +24,28 @@
 //! Records are individually compressed so a reader can skip or stream
 //! without decompressing the whole shard (TFRecord-style framing with the
 //! same masked-CRC trick).
+//!
+//! ## Two checksums, one hash per byte
+//!
+//! A shard is covered twice: every record by the masked CRC-32C in its
+//! header, the whole file by the CRC-32C in the manifest. Neither side
+//! pays for that with a second pass. The writer hashes each stored payload
+//! once, for its header, and derives the file's CRC from those headers
+//! (`framed_file_crc`); the reader makes one scan per shard (`ShardScan`)
+//! that hashes each payload once, checks it against its header and joins
+//! it into the file's CRC, and only then decodes. The join is
+//! [`Crc32Stream::update_hashed`]; both values are bit for bit what two
+//! passes gave (`crates/io/tests/reader_equivalence.rs` keeps the two-pass
+//! reader as the reference, `shard_bytes_pin.rs` checks every manifest CRC
+//! against `crc32c` of the file).
+//!
+//! `read_all` stays on the calling thread and returns one `Vec<u8>` per
+//! record. That is a measured decision, not an omission: see
+//! EXPERIMENTS.md "SHARD-ROUNDTRIP (PR 20)" before parallelising it or
+//! handing out slices of one arena.
 
-use crate::checksum::{crc32c, masked_crc32c};
-use crate::codec::{codec_and_meter, codec_for, Codec, CodecId};
+use crate::checksum::{crc32c, masked_crc32c, unmask_crc32c, Crc32Stream};
+use crate::codec::{codec_and_meter, Codec, CodecId, CodecMeter};
 use crate::json::Json;
 use crate::parallel::par_map;
 use crate::sink::StorageSink;
@@ -34,6 +53,7 @@ use crate::IoError;
 use drai_telemetry::{Registry, Stopwatch};
 
 const SHARD_MAGIC: &[u8; 8] = b"DSHRD1\0\0";
+const FILE_HEADER: usize = 12; // magic + codec tag + 3 reserved
 const RECORD_HEADER: usize = 8; // u32 len + u32 masked crc
 
 /// Payload bytes the writer hands a worker at a time (see
@@ -44,6 +64,15 @@ const RECORD_HEADER: usize = 8; // u32 len + u32 masked crc
 /// clock reads, three counters) vanish. Never derived from the CPU count;
 /// the stored bytes do not depend on it either way.
 const RUN_PAYLOAD_BYTES: usize = 256 << 10;
+
+/// Bytes a record's buffer share allows beyond its payload and header:
+/// what a codec's own framing adds to a payload it stores as it is (Lz a
+/// literal-length varint and a terminator, Rle a block tag and length,
+/// Delta a tag), and the constant in the codecs' `reserve` hints.
+const CODEC_FRAMING_SLACK: usize = 16;
+
+/// Allocation granule of the buffer a shard file is assembled in.
+const SHARD_BUFFER_GRANULE: usize = 64 << 10;
 
 /// Configuration for a shard run.
 #[derive(Debug, Clone)]
@@ -346,7 +375,13 @@ impl<'a> ShardWriter<'a> {
         let write_start = Stopwatch::start();
         let infos: Vec<Result<ShardInfo, IoError>> =
             par_map(groups.iter().enumerate(), |(idx, group)| {
-                let mut buf = Vec::with_capacity(12 + group.bytes);
+                // Capacity in whole granules: shards packed to one target
+                // differ by a few hundred bytes, and a worker's next buffer
+                // fits the hole its last one left only if it asks for no
+                // more than that one did.
+                let mut buf = Vec::with_capacity(
+                    (FILE_HEADER + group.bytes).next_multiple_of(SHARD_BUFFER_GRANULE),
+                );
                 buf.extend_from_slice(SHARD_MAGIC);
                 buf.push(spec.codec.tag());
                 buf.extend_from_slice(&[0, 0, 0]);
@@ -354,7 +389,7 @@ impl<'a> ShardWriter<'a> {
                     buf.extend_from_slice(piece);
                 }
                 let name = spec.shard_name(idx);
-                let digest = crc32c(&buf);
+                let digest = framed_file_crc(&buf);
                 sink.write_file(&name, &buf)?;
                 if spec.verify_writes {
                     verify_written(sink, &name, digest, &buf)?;
@@ -419,7 +454,10 @@ impl FramedRun {
     /// header. Nothing but the codec runs in here, which is what the
     /// codec's `encode_ns` times.
     fn encode<T: AsRef<[u8]>>(codec: &dyn Codec, records: &[T], payload: usize) -> FramedRun {
-        let mut frames = Vec::with_capacity(payload + records.len() * RECORD_HEADER);
+        // Sized for records the codec cannot shrink, so a run of them
+        // does not outgrow (copy, and double) its buffer at the end.
+        let mut frames =
+            Vec::with_capacity(payload + records.len() * (RECORD_HEADER + CODEC_FRAMING_SLACK));
         let mut frame_ends = Vec::with_capacity(records.len());
         for record in records {
             frames.extend_from_slice(&[0; RECORD_HEADER]);
@@ -456,6 +494,33 @@ fn stored_len_field(len: usize, prefix: &str, record: usize) -> Result<u32, IoEr
             u32::MAX
         ))
     })
+}
+
+/// `stored_len` and masked CRC out of a record header.
+fn frame_header(header: &[u8]) -> (usize, u32) {
+    let field = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    (field(0) as usize, field(4))
+}
+
+/// CRC-32C of a shard file the writer has just assembled, without a
+/// second pass over its payloads: the file header and the record headers
+/// are hashed, and every stored payload goes in by the CRC its header
+/// holds ([`Crc32Stream::update_hashed`]). Equal to `crc32c(file)` bit for
+/// bit, at the cost of 8 bytes and a few multiplies per record.
+fn framed_file_crc(file: &[u8]) -> u32 {
+    let mut crc = Crc32Stream::new_crc32c();
+    crc.update(&file[..FILE_HEADER]);
+    let mut pos = FILE_HEADER;
+    while pos < file.len() {
+        let header = &file[pos..pos + RECORD_HEADER];
+        let (len, masked) = frame_header(header);
+        crc.update(header);
+        crc.update_hashed(unmask_crc32c(masked), len);
+        pos += RECORD_HEADER + len;
+    }
+    crc.finalize()
 }
 
 /// The frames of one shard: consecutive slices of the framed runs.
@@ -571,18 +636,29 @@ impl<'a> ShardReader<'a> {
     /// Read and decode every record of one shard, verifying the whole-file
     /// CRC and each record CRC.
     pub fn read_shard(&self, index: usize) -> Result<Vec<Vec<u8>>, IoError> {
+        self.read_shard_with(&codec_and_meter(self.manifest.codec), index)
+    }
+
+    /// [`read_shard`](Self::read_shard) with the codec and its metric
+    /// handles resolved by the caller — once per read, so that nothing
+    /// small is allocated between one shard's records and the next's.
+    fn read_shard_with(&self, decoder: &Decoder, index: usize) -> Result<Vec<Vec<u8>>, IoError> {
         let info = self
             .manifest
             .shards
             .get(index)
             .ok_or_else(|| IoError::Format(format!("shard index {index} out of range")))?;
         let data = self.sink.read_file(&info.name)?;
-        if crc32c(&data) != info.crc32c {
+        let scan = ShardScan::of(&data, &info.name, self.manifest.codec);
+        if scan.file_crc != info.crc32c {
             return Err(IoError::ChecksumMismatch {
                 context: format!("shard file {}", info.name),
             });
         }
-        parse_shard(&data, &info.name, self.manifest.codec)
+        match scan.decode(decoder) {
+            (records, None) => Ok(records),
+            (_, Some(e)) => Err(e),
+        }
     }
 
     /// Iterate all records across shards in order (fully materialized;
@@ -594,10 +670,11 @@ impl<'a> ShardReader<'a> {
         let registry = Registry::current();
         let span = registry.span("io.shard.read_all");
         let _in_read = span.enter();
+        let decoder = codec_and_meter(self.manifest.codec);
         let mut out =
             Vec::with_capacity((self.manifest.total_records as usize).min(MAX_PREALLOC_RECORDS));
         for i in 0..self.manifest.shards.len() {
-            out.extend(self.read_shard(i)?);
+            out.extend(self.read_shard_with(&decoder, i)?);
         }
         span.add_items(out.len() as u64);
         span.add_bytes(out.iter().map(|r| r.len() as u64).sum());
@@ -619,6 +696,7 @@ impl<'a> ShardReader<'a> {
     /// `io.shard.records_lost` the unrecovered records.
     pub fn read_all_recovering(&self) -> RecoveredRead {
         let registry = Registry::current();
+        let decoder = codec_and_meter(self.manifest.codec);
         let mut records =
             Vec::with_capacity((self.manifest.total_records as usize).min(MAX_PREALLOC_RECORDS));
         let mut damage = DamageReport::default();
@@ -640,8 +718,9 @@ impl<'a> ShardReader<'a> {
                     records.extend(quarantine(Vec::new(), format!("read failed: {e}")));
                 }
                 Ok(data) => {
-                    let file_ok = crc32c(&data) == info.crc32c;
-                    let (recs, err) = parse_shard_partial(&data, &info.name, self.manifest.codec);
+                    let scan = ShardScan::of(&data, &info.name, self.manifest.codec);
+                    let file_ok = scan.file_crc == info.crc32c;
+                    let (recs, err) = scan.decode(&decoder);
                     let complete = err.is_none() && recs.len() as u64 == info.records;
                     if file_ok && complete {
                         records.extend(recs);
@@ -690,58 +769,108 @@ pub fn parse_shard_partial(
     name: &str,
     codec_id: CodecId,
 ) -> (Vec<Vec<u8>>, Option<IoError>) {
-    if data.len() < 12 || &data[..8] != SHARD_MAGIC {
-        return (
-            Vec::new(),
-            Some(IoError::Format(format!("{name}: bad shard magic"))),
-        );
+    ShardScan::of(data, name, codec_id).decode(&codec_and_meter(codec_id))
+}
+
+/// A codec and the handles of its metrics, as a read resolves them.
+type Decoder = (Box<dyn Codec>, CodecMeter);
+
+/// One pass over a shard file: every byte hashed once, for both of the
+/// checksums a read verifies.
+struct ShardScan<'a> {
+    data: &'a [u8],
+    /// CRC-32C of the whole file, whatever it holds.
+    file_crc: u32,
+    /// Records before the first failure: framed inside the file, stored
+    /// payload equal to the CRC in its header.
+    checked: usize,
+    /// The structural or checksum failure that ended the walk.
+    error: Option<IoError>,
+}
+
+impl<'a> ShardScan<'a> {
+    /// Walk the frames of `data`. A payload is hashed for its record CRC
+    /// and that CRC joined into the file's
+    /// ([`Crc32Stream::update_hashed`]); only the headers are hashed
+    /// directly. Where the walk stops — bad magic, a length past the end,
+    /// a record CRC that does not match — the bytes it has not hashed go
+    /// into the file CRC as they are, so `file_crc` is `crc32c(data)` on
+    /// any input.
+    fn of(data: &'a [u8], name: &str, codec: CodecId) -> ShardScan<'a> {
+        let mut file = Crc32Stream::new_crc32c();
+        let mut checked = 0;
+        let mut hashed = 0;
+        let error = 'walk: {
+            if data.len() < FILE_HEADER || &data[..8] != SHARD_MAGIC {
+                break 'walk Some(IoError::Format(format!("{name}: bad shard magic")));
+            }
+            let file_codec = match CodecId::from_tag(data[8]) {
+                Ok(c) => c,
+                Err(e) => break 'walk Some(e.into()),
+            };
+            if file_codec != codec {
+                break 'walk Some(IoError::Format(format!(
+                    "{name}: codec mismatch (file={}, manifest={})",
+                    file_codec.name(),
+                    codec.name()
+                )));
+            }
+            file.update(&data[..FILE_HEADER]);
+            hashed = FILE_HEADER;
+            while hashed < data.len() {
+                let Some(header) = data.get(hashed..hashed + RECORD_HEADER) else {
+                    break 'walk Some(IoError::Format(format!("{name}: truncated record header")));
+                };
+                let (len, crc) = frame_header(header);
+                let body = hashed + RECORD_HEADER;
+                if len > data.len() - body {
+                    break 'walk Some(IoError::Format(format!("{name}: truncated record payload")));
+                }
+                let masked = masked_crc32c(&data[body..body + len]);
+                file.update(header);
+                file.update_hashed(unmask_crc32c(masked), len);
+                hashed = body + len;
+                if masked != crc {
+                    let context = format!("{name} record {checked}");
+                    break 'walk Some(IoError::ChecksumMismatch { context });
+                }
+                checked += 1;
+            }
+            None
+        };
+        file.update(&data[hashed..]);
+        ShardScan {
+            data,
+            file_crc: file.finalize(),
+            checked,
+            error,
+        }
     }
-    let file_codec = match CodecId::from_tag(data[8]) {
-        Ok(c) => c,
-        Err(e) => return (Vec::new(), Some(e.into())),
-    };
-    if file_codec != codec_id {
-        return (
-            Vec::new(),
-            Some(IoError::Format(format!(
-                "{name}: codec mismatch (file={}, manifest={})",
-                file_codec.name(),
-                codec_id.name()
-            ))),
-        );
+
+    /// Decode the checked records in order: what decoded, and the first
+    /// failure in file order — a record that would not decode comes
+    /// before whatever ended the walk. One `decode_ns` sample per shard.
+    fn decode(self, (codec, meter): &Decoder) -> (Vec<Vec<u8>>, Option<IoError>) {
+        let decode_start = Stopwatch::start();
+        let mut records = Vec::with_capacity(self.checked);
+        let mut error = self.error;
+        let mut pos = FILE_HEADER;
+        for _ in 0..self.checked {
+            // The walk has been here: the frame lies inside `data`.
+            let body = pos + RECORD_HEADER;
+            let (len, _) = frame_header(&self.data[pos..body]);
+            pos = body + len;
+            match codec.decode(&self.data[body..pos]) {
+                Ok(record) => records.push(record),
+                Err(e) => {
+                    error = Some(e.into());
+                    break;
+                }
+            }
+        }
+        meter.record_decode(decode_start.elapsed_ns());
+        (records, error)
     }
-    let codec = codec_for(codec_id);
-    let mut out = Vec::new();
-    let mut pos = 12;
-    while pos < data.len() {
-        if pos + RECORD_HEADER > data.len() {
-            return (
-                out,
-                Some(IoError::Format(format!("{name}: truncated record header"))),
-            );
-        }
-        let len =
-            u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
-        let crc = u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-        pos += RECORD_HEADER;
-        if len > data.len() - pos {
-            return (
-                out,
-                Some(IoError::Format(format!("{name}: truncated record payload"))),
-            );
-        }
-        let stored = &data[pos..pos + len];
-        if masked_crc32c(stored) != crc {
-            let context = format!("{name} record {}", out.len());
-            return (out, Some(IoError::ChecksumMismatch { context }));
-        }
-        match codec.decode(stored) {
-            Ok(decoded) => out.push(decoded),
-            Err(e) => return (out, Some(e.into())),
-        }
-        pos += len;
-    }
-    (out, None)
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@
 //! CRC framing may lose data under corruption; it must never fabricate
 //! or silently alter it.
 
-use drai::io::codec::CodecId;
+use drai::io::checksum::masked_crc32c;
+use drai::io::codec::{CodecError, CodecId};
 use drai::io::shard::{parse_shard, ShardReader, ShardSpec, ShardWriter};
 use drai::io::sink::{MemSink, StorageSink};
 use drai::io::IoError;
@@ -208,6 +209,19 @@ fn parse_shard_rejects_hostile_inputs_without_panicking() {
             3 => assert!(matches!(&result, Ok(r) if r.is_empty()), "case {i}"),
             _ => assert!(result.is_err(), "case {i} accepted: {result:?}"),
         }
+    }
+    // A record whose CRC is right and whose content is a decode bomb: a
+    // delta stream of six bytes declaring 2²⁸ elements (1 GiB at width
+    // 4, exactly the decode limit). It must be refused as truncated —
+    // every element takes a byte — not answered with a 1 GiB reservation.
+    let bomb = [0x01, 0x80, 0x80, 0x80, 0x80, 0x01];
+    let mut shard = b"DSHRD1\0\0\x04\0\0\0".to_vec(); // tag 4: delta4
+    shard.extend_from_slice(&(bomb.len() as u32).to_le_bytes());
+    shard.extend_from_slice(&masked_crc32c(&bomb).to_le_bytes());
+    shard.extend_from_slice(&bomb);
+    match parse_shard(&shard, "bomb", CodecId::Delta { width: 4 }) {
+        Err(IoError::Codec(CodecError::Truncated)) => {}
+        other => panic!("delta bomb: {other:?}"),
     }
     // Codec disagreement between manifest and file is structural damage.
     let (sink, _, prefix) = build(CodecId::Rle);
