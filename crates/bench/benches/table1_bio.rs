@@ -4,10 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use drai_domains::bio::{self, BioConfig};
+use drai_formats::h5lite::{AttrValue, H5File};
 use drai_io::crypto::{chacha20_xor, derive_key};
 use drai_io::sink::MemSink;
 use drai_transform::anonymize::{hash_identifier, k_anonymity};
 use drai_transform::encode::Alphabet;
+use drai_transform::split::{assign, Split};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,12 +44,43 @@ fn bench_bio(c: &mut Criterion) {
         b.iter(|| k_anonymity(&rows, 5).unwrap())
     });
 
-    // ChaCha20 encryption throughput (the secure-shard cost).
+    // The secure-shard stage's two costs on one split's container: the
+    // train split of the repo benchmark's 2 048-patient cohort, built
+    // into an h5lite file as the stage builds it, then encrypted.
+    let cohort = BioConfig {
+        patients: 2048,
+        tile_len: 256,
+        ..BioConfig::default()
+    };
+    let pipeline = bio::build_pipeline(&cohort, Arc::new(MemSink::new()), Arc::default());
+    let fused = pipeline
+        .run(bio::member_input(&cohort, 0).unwrap())
+        .unwrap()
+        .output
+        .fused;
+    let train: Vec<_> = fused
+        .iter()
+        .filter(|(p, _, _)| assign(p, cohort.seed, cohort.fractions).unwrap() == Split::Train)
+        .collect();
+    let columns = AttrValue::Text(bio::LAB_COLUMNS.join(","));
+    let container = || {
+        let mut f = H5File::new();
+        for (pseudonym, labs, onehot) in &train {
+            let labs_path = format!("/patients/{pseudonym}/labs");
+            f.put_tensor(&labs_path, labs, labs.len()).unwrap();
+            f.set_attr(&labs_path, "columns", columns.clone()).unwrap();
+            f.put_tensor(&format!("/patients/{pseudonym}/onehot"), onehot, 64)
+                .unwrap();
+        }
+        f.to_bytes()
+    };
+    let payload = container();
+    group.throughput(Throughput::Bytes(payload.len() as u64));
+    group.bench_function("h5lite-build+to_bytes", |b| b.iter(container));
+
     let key = derive_key("secret", "bench");
     let nonce = [1u8; 12];
-    let payload = vec![0u8; 4 << 20];
-    group.throughput(Throughput::Bytes(payload.len() as u64));
-    group.bench_function("encrypt-chacha20-4MiB", |b| {
+    group.bench_function("chacha20_xor", |b| {
         b.iter_batched(
             || payload.clone(),
             |mut data| {

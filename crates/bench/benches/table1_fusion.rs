@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use drai_domains::fusion::{self, FusionConfig, ShotStore};
+use drai_formats::example::{Example, FeatureRef};
 use drai_io::sink::MemSink;
 use drai_transform::align::{align_channels, window, Clock};
 use std::sync::Arc;
@@ -45,6 +46,30 @@ fn bench_fusion(c: &mut Criterion) {
     group.bench_function("window-slice", |b| {
         b.iter(|| window(&matrix, names.len(), 64, 32, true).unwrap())
     });
+
+    // tf.Example encoding over one run's windows: the shard stage's
+    // per-window cost.
+    let pipeline = fusion::build_pipeline(&cfg(16), Arc::new(MemSink::new()), Arc::default());
+    let windows = pipeline
+        .run(fusion::member_input(&cfg(16), 0))
+        .unwrap()
+        .output
+        .windows;
+    let encode_all = || {
+        let mut out = Vec::new();
+        for w in &windows {
+            let (label, shot_id) = ([w.label], [w.shot_id as i64]);
+            let features = [
+                ("features", FeatureRef::Floats(&w.features)),
+                ("label", FeatureRef::Ints(&label)),
+                ("shot_id", FeatureRef::Ints(&shot_id)),
+            ];
+            Example::encode_into(&mut out, features);
+        }
+        out
+    };
+    group.throughput(Throughput::Bytes(encode_all().len() as u64));
+    group.bench_function("example-encode", |b| b.iter(encode_all));
 
     // End-to-end sweep over shot counts.
     for shots in [8usize, 16, 32] {

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use drai_domains::materials::{self, neighbor_pairs, MaterialsConfig};
-use drai_formats::xyz::parse_xyz;
+use drai_formats::xyz::{parse_xyz, write_xyz};
 use drai_io::sink::{MemSink, StorageSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -58,9 +58,11 @@ fn bench_materials(c: &mut Criterion) {
         }
     }
 
-    // XYZ parse throughput.
+    // XYZ text, both directions, on the file the repo benchmark's
+    // `archetypes_table1` workload synthesizes: 1 536 structures of 27
+    // atoms with forces.
     let cfg = MaterialsConfig {
-        structures: 64,
+        structures: 1536,
         cell_atoms: 3,
         ..MaterialsConfig::default()
     };
@@ -68,8 +70,10 @@ fn bench_materials(c: &mut Criterion) {
     materials::generate_raw(&cfg, &sink).unwrap();
     let xyz_bytes = sink.read_file("raw/structures.xyz").unwrap();
     let xyz_text = String::from_utf8(xyz_bytes).unwrap();
+    let frames = parse_xyz(&xyz_text).unwrap();
     group.throughput(Throughput::Bytes(xyz_text.len() as u64));
-    group.bench_function("parse-xyz", |b| b.iter(|| parse_xyz(&xyz_text).unwrap()));
+    group.bench_function("parse_xyz", |b| b.iter(|| parse_xyz(&xyz_text).unwrap()));
+    group.bench_function("write_xyz", |b| b.iter(|| write_xyz(&frames)));
 
     // End-to-end sweep.
     for structures in [16usize, 48] {
@@ -89,7 +93,7 @@ fn bench_materials(c: &mut Criterion) {
 
     // Stage breakdown.
     let run = materials::run(&cfg, Arc::new(MemSink::new())).unwrap();
-    eprintln!("\n[table1_materials] structures=64 stage breakdown:");
+    eprintln!("\n[table1_materials] structures=1536 stage breakdown:");
     for s in &run.stages {
         eprintln!(
             "  {:<10} {:>10.3} ms  {:>6} records",

@@ -18,7 +18,7 @@
 //!    encrypt it with ChaCha20 before it touches storage; verify the
 //!    stored bytes scan clean of identifiers.
 
-use crate::{DomainError, DomainRun, Member, StageItem};
+use crate::{DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -174,21 +174,24 @@ pub struct BioData {
     pub patients: Vec<PatientRecord>,
     /// Number suppressed by the k-anonymity gate.
     pub suppressed: usize,
-    /// Fused tensors after encode+fuse: per patient (labs z-scored,
-    /// one-hot tile) — kept flat for the shard stage.
-    pub fused: Vec<(String, Vec<f32>, Tensor<f32>)>,
+    /// Fused tensors after encode+fuse: per patient (pseudonym, labs
+    /// z-scored, one-hot tile) — what the shard stage stores as is.
+    pub fused: Vec<(String, Tensor<f32>, Tensor<f32>)>,
     /// PHI scanner findings at intake (should be > 0 on raw data).
     pub intake_phi_findings: usize,
 }
 
-/// Parse raw blobs into the pipeline input: join the EHR table and the
-/// FASTA tiles on patient id (a patient with no tile is an error, not
-/// an empty tile) and PHI-scan each raw row as the intake audit.
-pub fn ingest(sink: &dyn StorageSink) -> Result<BioData, DomainError> {
+/// Read the raw blobs from `sink`, show each to `witness`, and parse
+/// them into the pipeline input: join the EHR table and the FASTA tiles
+/// on patient id (a patient with no tile is an error, not an empty
+/// tile) and PHI-scan each raw row as the intake audit.
+pub(crate) fn ingest(sink: &dyn StorageSink, witness: Witness) -> Result<BioData, DomainError> {
     let csv_bytes = sink.read_file("raw/ehr.csv")?;
+    witness("raw/ehr.csv", &csv_bytes);
     let csv_text = String::from_utf8_lossy(&csv_bytes);
     let table = parse_csv(&csv_text)?;
     let fasta_bytes = sink.read_file("raw/sequences.fasta")?;
+    witness("raw/sequences.fasta", &fasta_bytes);
     let fasta = parse_fasta(&String::from_utf8_lossy(&fasta_bytes))?;
     // Index the tiles once; on a duplicated id the first record wins.
     let mut tiles: HashMap<&str, &str> = HashMap::with_capacity(fasta.len());
@@ -311,7 +314,7 @@ fn encode_fuse_stage(mut data: BioData, c: &mut StageCounters) -> Result<BioData
     let mut fused = Vec::with_capacity(n);
     let mut bytes = 0u64;
     for p in &data.patients {
-        let labs: Vec<f32> = p.labs.iter().map(|&x| x as f32).collect();
+        let labs = Tensor::from_fn(&[p.labs.len()], |i| p.labs[i] as f32);
         let onehot = dna.one_hot(&p.sequence);
         bytes += (labs.len() * 4 + onehot.len() * 4) as u64;
         fused.push((p.pseudonym.clone(), labs, onehot));
@@ -350,6 +353,7 @@ fn secure_shard_stage(
     c: &mut StageCounters,
 ) -> Result<BioData, String> {
     let key = shard_key(&cfg.secret, prefix);
+    let columns = LAB_COLUMNS.join(",");
     let keyed = data.fused.iter().map(|entry| (&entry.0, entry));
     let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let mut total = 0u64;
@@ -360,20 +364,21 @@ fn secure_shard_stage(
         parts,
         |split, patients, vouch| {
             let mut f = H5File::new();
+            // One buffer holds a patient's group path; each dataset
+            // name is pushed onto it and cut off again.
+            let mut path = String::from("/patients/");
             for (pseudonym, labs, onehot) in &patients {
-                let base = format!("/patients/{pseudonym}");
-                let labs_t =
-                    Tensor::from_vec(labs.clone(), &[labs.len()]).map_err(|e| format!("{e}"))?;
-                f.put_tensor(&format!("{base}/labs"), &labs_t, labs.len().max(1))
+                path.truncate("/patients/".len());
+                path.push_str(pseudonym);
+                let group = path.len();
+                path.push_str("/labs");
+                f.put_tensor(&path, labs, labs.len().max(1))
+                    .and_then(|()| f.set_attr(&path, "columns", AttrValue::Text(columns.clone())))
                     .map_err(|e| format!("{e}"))?;
-                f.put_tensor(&format!("{base}/onehot"), onehot, 64)
+                path.truncate(group);
+                path.push_str("/onehot");
+                f.put_tensor(&path, onehot, 64)
                     .map_err(|e| format!("{e}"))?;
-                f.set_attr(
-                    &format!("{base}/labs"),
-                    "columns",
-                    AttrValue::Text(LAB_COLUMNS.join(",")),
-                )
-                .map_err(|e| format!("{e}"))?;
             }
             let mut bytes = f.to_bytes();
             chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes);
@@ -450,7 +455,7 @@ pub fn member_input(cfg: &BioConfig, member: usize) -> Result<BioData, DomainErr
     };
     let staging = MemSink::new();
     generate_raw(&member_cfg, &staging)?;
-    ingest(&staging)
+    ingest(&staging, &mut |_, _| {})
 }
 
 /// Decrypt and open one secure shard (the consumer side). `prefix` is
@@ -480,7 +485,7 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
         ".enc",
         sink.as_ref(),
         || generate_raw(cfg, sink.as_ref()),
-        |(), _| ingest(sink.as_ref()),
+        |(), witness| ingest(sink.as_ref(), witness),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |out| {
             let mut manifest = DatasetManifest::raw(
@@ -522,7 +527,7 @@ mod tests {
     fn raw_data_contains_phi() {
         let sink = MemSink::new();
         generate_raw(&small_cfg(), &sink).unwrap();
-        let data = ingest(&sink).unwrap();
+        let data = ingest(&sink, &mut |_, _| {}).unwrap();
         assert!(
             data.intake_phi_findings > 0,
             "raw EHR should trip the PHI scanner"
@@ -558,6 +563,41 @@ mod tests {
         }
     }
 
+    /// The archetype with PHI puts its raw inputs on record like the
+    /// others: one `ingest` ledger record per raw blob, naming the
+    /// blob's content, and the ingest span counts both.
+    #[test]
+    fn run_ledgers_both_raw_inputs() {
+        use drai_io::json::Json;
+        use drai_telemetry::{Registry, TraceContext};
+        let registry = Registry::new();
+        let sink = Arc::new(MemSink::new());
+        let run = {
+            let _scope = TraceContext::root(&registry).attach();
+            run(&small_cfg(), sink.clone()).unwrap()
+        };
+        let raw = ["raw/ehr.csv", "raw/sequences.fasta"].map(|name| sink.read_file(name).unwrap());
+
+        let jsonl = run.ledger.to_jsonl();
+        let records = jsonl.lines().map(|line| Json::parse(line).unwrap());
+        let ingests: Vec<Json> = records
+            .filter(|r| r.get("operation").and_then(Json::as_str) == Some("ingest"))
+            .collect();
+        assert_eq!(ingests.len(), 2);
+        for (record, blob) in ingests.iter().zip(&raw) {
+            let inputs = record.get("inputs").and_then(Json::as_arr).unwrap();
+            assert_eq!(inputs.len(), 1);
+            let id = inputs[0].get("id").and_then(Json::as_str);
+            assert_eq!(id, Some(ArtifactId::of(blob).digest()));
+        }
+
+        let snapshot = registry.snapshot();
+        let spans = snapshot.spans_named("domain.bio.ingest");
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].items, 2);
+        assert_eq!(spans[0].bytes, (raw[0].len() + raw[1].len()) as u64);
+    }
+
     /// Records of `fused` that land in the train split — what a
     /// consumer needs to rebuild the train blob's nonce.
     fn train_count(cfg: &BioConfig, data: &BioData) -> usize {
@@ -572,7 +612,7 @@ mod tests {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         generate_raw(&cfg, sink.as_ref()).unwrap();
-        let input = ingest(sink.as_ref()).unwrap();
+        let input = ingest(sink.as_ref(), &mut |_, _| {}).unwrap();
         let pipeline = build_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()));
         let out = pipeline.run(input).unwrap();
 
@@ -651,7 +691,7 @@ mod tests {
         let without = format!("{}{}", &fasta[..cut], &fasta[next..]);
         sink.write_file("raw/sequences.fasta", without.as_bytes())
             .unwrap();
-        match ingest(&sink) {
+        match ingest(&sink, &mut |_, _| {}) {
             Err(DomainError::Config(msg)) => assert!(msg.contains("patient-0007"), "{msg}"),
             other => panic!(
                 "expected a config error, got {:?}",
@@ -665,7 +705,7 @@ mod tests {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         generate_raw(&cfg, sink.as_ref()).unwrap();
-        let input = ingest(sink.as_ref()).unwrap();
+        let input = ingest(sink.as_ref(), &mut |_, _| {}).unwrap();
         let pipeline = build_pipeline(&cfg, sink, Arc::new(Ledger::new()));
         let out = pipeline.run(input).unwrap();
         let patients = &out.output.patients;
@@ -692,7 +732,7 @@ mod tests {
             .output
             .fused
             .iter()
-            .all(|(_, labs, _)| labs.iter().all(|v| v.is_finite())));
+            .all(|(_, labs, _)| labs.as_slice().iter().all(|v| v.is_finite())));
     }
 
     #[test]

@@ -19,16 +19,17 @@ use crate::{DomainError, DomainRun, Member, StageItem};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
-use drai_formats::example::Example;
+use drai_formats::example::{Example, FeatureRef};
 use drai_formats::tfrecord;
 use drai_io::parallel::par_map;
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
 use drai_tensor::DType;
-use drai_transform::align::{align_channels, window, Channel, Clock};
+use drai_transform::align::{align_channels, Channel, Clock};
 use drai_transform::features::derivative;
 use drai_transform::normalize::{ColumnNormalizer, Method, Normalizer};
 use drai_transform::split::{partition, Fractions};
+use drai_transform::TransformError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -267,55 +268,72 @@ fn normalize_stage(
     c: &mut StageCounters,
 ) -> Result<FusionData, String> {
     let mut windows = Vec::new();
-    for (shot_id, t_disrupt, matrix, ntime) in &data.aligned {
-        let nch = if *ntime == 0 { 0 } else { matrix.len() / ntime };
+    let mut rows: Vec<f32> = Vec::new();
+    // The aligned matrices are this stage's to consume: each is
+    // normalized in place and dropped once its windows are cut.
+    for (shot_id, t_disrupt, mut matrix, ntime) in std::mem::take(&mut data.aligned) {
+        let nch = matrix.len().checked_div(ntime).unwrap_or(0);
         if nch == 0 {
             continue;
         }
         // Per-shot, per-channel robust normalization.
-        let mut matrix = matrix.clone();
-        let in_shot = |e: drai_transform::TransformError| format!("shot {shot_id}: {e}");
+        let in_shot = |e: TransformError| format!("shot {shot_id}: {e}");
         let fitted = ColumnNormalizer::fit(Method::Robust, &matrix, nch).map_err(in_shot)?;
         fitted.apply(&mut matrix).map_err(in_shot)?;
         if data.normalizers.is_empty() {
             data.normalizers = fitted.columns().to_vec();
         }
-        // Derivative features per channel, appended as extra
-        // columns (the DIII-D "derivative-based features").
+        // Derivative features per channel (the DIII-D "derivative-based
+        // features"): a feature row is the channels, then their
+        // derivatives, converted to f32 once per tick. `rows` is reused
+        // from shot to shot.
         let dt = 1.0 / cfg.clock_hz;
-        let mut with_derivs = Vec::with_capacity(matrix.len() * 2);
-        let mut deriv_cols = Vec::with_capacity(nch);
+        let nfeat = nch * 2;
+        rows.clear();
+        rows.resize(ntime * nfeat, 0.0);
+        for (row, values) in rows.chunks_exact_mut(nfeat).zip(matrix.chunks_exact(nch)) {
+            for (dst, &x) in row.iter_mut().zip(values) {
+                *dst = x as f32;
+            }
+        }
         for ch in 0..nch {
             let col: Vec<f64> = matrix.chunks_exact(nch).map(|row| row[ch]).collect();
-            deriv_cols.push(derivative(&col, dt).map_err(|e| format!("{e}"))?);
-        }
-        for t in 0..*ntime {
-            for ch in 0..nch {
-                with_derivs.push(matrix[t * nch + ch]);
-            }
-            for dcol in deriv_cols.iter() {
-                with_derivs.push(dcol[t]);
+            let deriv = derivative(&col, dt).map_err(|e| format!("{e}"))?;
+            for (row, &d) in rows.chunks_exact_mut(nfeat).zip(&deriv) {
+                row[nch + ch] = d as f32;
             }
         }
-        let nfeat = nch * 2;
-        let wins = window(&with_derivs, nfeat, cfg.window_len, cfg.window_stride, true)
-            .map_err(|e| format!("{e}"))?;
-        for (wi, w) in wins.into_iter().enumerate() {
+        if cfg.window_len == 0 || cfg.window_stride == 0 {
+            let msg = "nch, window_len, stride must be positive";
+            return Err(TransformError::InvalidInput(msg.into()).to_string());
+        }
+        // Fixed windows: each is a copy of its rows. A window with a NaN
+        // in it is dropped and does not count: `kept` numbers the
+        // complete ones, and the label clock runs on that number.
+        let mut kept = 0;
+        for window in rows
+            .windows(cfg.window_len * nfeat)
+            .step_by(cfg.window_stride * nfeat)
+        {
+            if window.iter().any(|v| v.is_nan()) {
+                continue;
+            }
             // Window end time on the common clock.
-            let end_tick = wi * cfg.window_stride + cfg.window_len;
+            let end_tick = kept * cfg.window_stride + cfg.window_len;
+            kept += 1;
             let t_end = end_tick as f64 / cfg.clock_hz;
             let label = match t_disrupt {
                 Some(td) => {
-                    if t_end > *td {
+                    if t_end > td {
                         continue; // post-disruption data is unusable
                     }
-                    (*td - t_end <= LABEL_HORIZON_S) as i64
+                    (td - t_end <= LABEL_HORIZON_S) as i64
                 }
                 None => 0,
             };
             windows.push(WindowSample {
-                shot_id: *shot_id,
-                features: w.into_iter().map(|x| x as f32).collect(),
+                shot_id,
+                features: window.to_vec(),
                 label,
             });
         }
@@ -346,12 +364,16 @@ fn shard_stage(
     c: &mut StageCounters,
 ) -> Result<FusionData, String> {
     let records: Vec<(String, Vec<u8>)> = par_map(&data.windows, |w| {
-        let ex = Example::new()
-            .with_floats("features", w.features.clone())
-            .with_ints("label", vec![w.label])
-            .with_ints("shot_id", vec![w.shot_id as i64]);
-        let mut framed = Vec::new();
-        tfrecord::write_record(&mut framed, &ex.encode());
+        let (label, shot_id) = ([w.label], [w.shot_id as i64]);
+        let features = [
+            ("features", FeatureRef::Floats(&w.features)),
+            ("label", FeatureRef::Ints(&label)),
+            ("shot_id", FeatureRef::Ints(&shot_id)),
+        ];
+        let mut example = Vec::new();
+        Example::encode_into(&mut example, features);
+        let mut framed = Vec::with_capacity(example.len() + 16);
+        tfrecord::write_record(&mut framed, &example);
         (format!("shot-{}", w.shot_id), framed)
     });
     c.records = data.windows.len() as u64;

@@ -23,7 +23,7 @@
 //! the provenance ledger — so the readiness assessor can grade the
 //! result and the Table 2 bench can measure each cell. The manifest's
 //! evidence flags are *asserted* in one function, `assert_evidence`,
-//! not yet measured from the run (ROADMAP item 5a).
+//! not yet measured from the run (ROADMAP item 1).
 
 #![forbid(unsafe_code)]
 
@@ -190,7 +190,7 @@ pub(crate) fn run_archetype<R, D>(
 /// The readiness evidence every archetype `run` claims: assertions
 /// about what its stage graph does, set here and nowhere else (bio adds
 /// its two anonymization flags), not measurements of the run that just
-/// finished. Deriving them from evidence (ROADMAP item 5a) starts here.
+/// finished. Deriving them from evidence (ROADMAP item 1) starts here.
 fn assert_evidence(manifest: &mut DatasetManifest) {
     manifest.standard_format = true;
     manifest.ingest_validated = true;

@@ -118,9 +118,8 @@ pub fn generate_raw(cfg: &MaterialsConfig, sink: &dyn StorageSink) -> Result<(),
         let mut forces = vec![[0.0f64; 3]; atoms.len()];
         for a in 0..atoms.len() {
             for b in a + 1..atoms.len() {
-                let d: Vec<f64> = (0..3)
-                    .map(|c| atoms[a].position[c] - atoms[b].position[c])
-                    .collect();
+                let d: [f64; 3] =
+                    std::array::from_fn(|c| atoms[a].position[c] - atoms[b].position[c]);
                 let r2 = d.iter().map(|x| x * x).sum::<f64>();
                 let r = r2.sqrt();
                 if r > cfg.cutoff * 1.5 || r < 1e-6 {

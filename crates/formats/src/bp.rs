@@ -19,6 +19,12 @@
 //! u32le footer_crc32c
 //! "BPLT"                trailer magic (validates the footer pointer)
 //! ```
+//!
+//! Who owns which copy: a [`BpVar`] owns its little-endian bytes (one
+//! conversion out of the tensor, [`BpVar::from_tensor`]); the
+//! [`BpWriter`] owns the file buffer, and a group or the footer is written
+//! straight into it and hashed where it lies — no `body` or `footer`
+//! staged beside it. Reading copies each variable out of the file.
 
 use crate::bytes::{arr4, arr8};
 use crate::{malformed, FormatError};
@@ -115,33 +121,30 @@ impl BpWriter {
     }
 
     /// Append one process group (the log-structured write path: one
-    /// sequential burst per group).
+    /// sequential burst per group, written where it is stored).
     pub fn append(&mut self, group: &ProcessGroup) {
-        let offset = self.buf.len() as u64;
-        let mut body = Vec::new();
-        write_str(&mut body, &group.name);
-        body.extend_from_slice(&group.step.to_le_bytes());
-        body.extend_from_slice(&(group.vars.len() as u32).to_le_bytes());
+        let start = self.buf.len();
+        let var_len = |v: &BpVar| 4 + v.name.len() + 5 + 8 * v.shape.len() + 8 + v.data.len();
+        let vars_len: usize = group.vars.iter().map(var_len).sum();
+        self.buf.reserve(4 + group.name.len() + 12 + vars_len);
+        write_str(&mut self.buf, &group.name);
+        self.buf.extend_from_slice(&group.step.to_le_bytes());
+        self.buf
+            .extend_from_slice(&(group.vars.len() as u32).to_le_bytes());
         let mut var_index = Vec::with_capacity(group.vars.len());
         for v in &group.vars {
-            write_str(&mut body, &v.name);
-            body.push(v.dtype.code());
-            body.extend_from_slice(&(v.shape.len() as u32).to_le_bytes());
-            for &d in &v.shape {
-                body.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            body.extend_from_slice(&(v.data.len() as u64).to_le_bytes());
-            body.extend_from_slice(&v.data);
+            write_var_header(&mut self.buf, &v.name, v.dtype, &v.shape);
+            self.buf
+                .extend_from_slice(&(v.data.len() as u64).to_le_bytes());
+            self.buf.extend_from_slice(&v.data);
             var_index.push((v.name.clone(), v.dtype, v.shape.clone()));
         }
-        let crc = crc32c(&body);
-        self.buf.extend_from_slice(&body);
         self.index.push(GroupIndexEntry {
             name: group.name.clone(),
             step: group.step,
-            offset,
-            len: body.len() as u64,
-            crc,
+            offset: start as u64,
+            len: (self.buf.len() - start) as u64,
+            crc: crc32c(&self.buf[start..]),
             vars: var_index,
         });
     }
@@ -154,28 +157,21 @@ impl BpWriter {
     /// Emit the footer and return the finished file bytes.
     pub fn finish(self) -> Vec<u8> {
         let mut out = self.buf;
-        let footer_offset = out.len() as u64;
-        let mut footer = Vec::new();
-        footer.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
+        let footer_offset = out.len();
+        out.extend_from_slice(&(self.index.len() as u32).to_le_bytes());
         for e in &self.index {
-            write_str(&mut footer, &e.name);
-            footer.extend_from_slice(&e.step.to_le_bytes());
-            footer.extend_from_slice(&e.offset.to_le_bytes());
-            footer.extend_from_slice(&e.len.to_le_bytes());
-            footer.extend_from_slice(&e.crc.to_le_bytes());
-            footer.extend_from_slice(&(e.vars.len() as u32).to_le_bytes());
+            write_str(&mut out, &e.name);
+            out.extend_from_slice(&e.step.to_le_bytes());
+            out.extend_from_slice(&e.offset.to_le_bytes());
+            out.extend_from_slice(&e.len.to_le_bytes());
+            out.extend_from_slice(&e.crc.to_le_bytes());
+            out.extend_from_slice(&(e.vars.len() as u32).to_le_bytes());
             for (name, dtype, shape) in &e.vars {
-                write_str(&mut footer, name);
-                footer.push(dtype.code());
-                footer.extend_from_slice(&(shape.len() as u32).to_le_bytes());
-                for &d in shape {
-                    footer.extend_from_slice(&(d as u64).to_le_bytes());
-                }
+                write_var_header(&mut out, name, *dtype, shape);
             }
         }
-        let crc = crc32c(&footer);
-        out.extend_from_slice(&footer);
-        out.extend_from_slice(&footer_offset.to_le_bytes());
+        let crc = crc32c(&out[footer_offset..]);
+        out.extend_from_slice(&(footer_offset as u64).to_le_bytes());
         out.extend_from_slice(&crc.to_le_bytes());
         out.extend_from_slice(TRAILER);
         out
@@ -326,6 +322,17 @@ impl<'a> BpReader<'a> {
 fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Name, dtype and shape of a variable, as both a group body and the
+/// footer store them.
+fn write_var_header(out: &mut Vec<u8>, name: &str, dtype: DType, shape: &[usize]) {
+    write_str(out, name);
+    out.push(dtype.code());
+    out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+    for &d in shape {
+        out.extend_from_slice(&(d as u64).to_le_bytes());
+    }
 }
 
 struct Cur<'a> {

@@ -19,12 +19,21 @@
 //!
 //! A protobuf `map<k,v>` is encoded as a repeated sub-message with key as
 //! field 1 and value as field 2.
+//!
+//! Who owns which copy: the encoder owns nothing but the output buffer.
+//! Every message here is nested inside a length prefix, so the lengths are
+//! computed bottom-up first ([`FeatureRef`]'s list, the `Feature`, the map
+//! entry, `Features`) and each key, varint and packed float is then
+//! written once, in place. [`Example::encode`] runs it over the map it
+//! owns; [`Example::encode_into`] over values that stay with the caller.
+//! Decoding copies: a decoded [`Example`] owns its values.
 
 use crate::protowire::{
-    decode_fields, decode_packed_floats, decode_packed_int64, write_bytes_field,
-    write_packed_floats, write_packed_int64, FieldValue,
+    decode_fields, decode_packed_floats, decode_packed_int64, delimited_len, packed_int64_len,
+    write_bytes_field, write_key, write_packed_floats, write_packed_int64, FieldValue, WireType,
 };
 use crate::{malformed, FormatError};
+use drai_io::varint::write_uvarint;
 use std::collections::BTreeMap;
 
 /// One feature value in an `Example`.
@@ -36,6 +45,42 @@ pub enum Feature {
     Floats(Vec<f32>),
     /// `Int64List`.
     Ints(Vec<i64>),
+}
+
+impl Feature {
+    /// The same feature with its values borrowed.
+    fn borrowed(&self) -> FeatureRef<'_> {
+        match self {
+            Feature::Bytes(items) => FeatureRef::Bytes(items),
+            Feature::Floats(items) => FeatureRef::Floats(items),
+            Feature::Ints(items) => FeatureRef::Ints(items),
+        }
+    }
+}
+
+/// A [`Feature`] whose values stay with the caller — what
+/// [`Example::encode_into`] takes, so a writer that owns its values
+/// elsewhere (fusion's windows) encodes them without a copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FeatureRef<'a> {
+    /// `BytesList`.
+    Bytes(&'a [Vec<u8>]),
+    /// `FloatList`.
+    Floats(&'a [f32]),
+    /// `Int64List`.
+    Ints(&'a [i64]),
+}
+
+impl FeatureRef<'_> {
+    /// Bytes of the list message (`BytesList` / `FloatList` /
+    /// `Int64List`) inside the `Feature`.
+    fn list_len(self) -> usize {
+        match self {
+            FeatureRef::Bytes(items) => items.iter().map(|b| delimited_len(b.len())).sum(),
+            FeatureRef::Floats(items) => delimited_len(items.len() * 4),
+            FeatureRef::Ints(items) => delimited_len(packed_int64_len(items)),
+        }
+    }
 }
 
 /// A `tf.train.Example`: named features. `BTreeMap` gives deterministic
@@ -72,38 +117,25 @@ impl Example {
 
     /// Serialize to protobuf wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut features_msg = Vec::new();
-        for (name, feature) in &self.features {
-            // Feature message.
-            let mut fmsg = Vec::new();
-            match feature {
-                Feature::Bytes(items) => {
-                    let mut list = Vec::new();
-                    for item in items {
-                        write_bytes_field(&mut list, 1, item);
-                    }
-                    write_bytes_field(&mut fmsg, 1, &list);
-                }
-                Feature::Floats(items) => {
-                    let mut list = Vec::new();
-                    write_packed_floats(&mut list, 1, items);
-                    write_bytes_field(&mut fmsg, 2, &list);
-                }
-                Feature::Ints(items) => {
-                    let mut list = Vec::new();
-                    write_packed_int64(&mut list, 1, items);
-                    write_bytes_field(&mut fmsg, 3, &list);
-                }
-            }
-            // Map entry: key = field 1, value = field 2.
-            let mut entry = Vec::new();
-            write_bytes_field(&mut entry, 1, name.as_bytes());
-            write_bytes_field(&mut entry, 2, &fmsg);
-            write_bytes_field(&mut features_msg, 1, &entry);
-        }
-        let mut out = Vec::new();
-        write_bytes_field(&mut out, 1, &features_msg);
+        let features = self.features.iter();
+        let features = features.map(|(name, f)| (name.as_str(), f.borrowed()));
+        let len = features_len(features.clone());
+        let mut out = Vec::with_capacity(delimited_len(len));
+        write_features(&mut out, len, features);
         out
+    }
+
+    /// Append the wire bytes of the example holding `features`, which
+    /// stay with the caller. Entries are written in the order given —
+    /// ascending by name is the order [`Example::encode`] writes, and
+    /// so the reproducible one.
+    pub fn encode_into<'a, I>(out: &mut Vec<u8>, features: I)
+    where
+        I: IntoIterator<Item = (&'a str, FeatureRef<'a>)> + Clone,
+    {
+        let len = features_len(features.clone().into_iter());
+        out.reserve(delimited_len(len));
+        write_features(out, len, features.into_iter());
     }
 
     /// Parse from protobuf wire bytes.
@@ -170,6 +202,56 @@ impl Example {
         match self.features.get(name) {
             Some(Feature::Bytes(v)) => Some(v),
             _ => None,
+        }
+    }
+}
+
+/// Bytes of one `Features.feature` map entry: the key field, then the
+/// `Feature` around a list message of `list_len` bytes.
+fn entry_len(name: &str, list_len: usize) -> usize {
+    delimited_len(name.len()) + delimited_len(delimited_len(list_len))
+}
+
+/// Bytes of the `Features` message holding `features`.
+fn features_len<'a>(features: impl Iterator<Item = (&'a str, FeatureRef<'a>)>) -> usize {
+    features
+        .map(|(name, f)| delimited_len(entry_len(name, f.list_len())))
+        .sum()
+}
+
+/// The one encoder: every length is computed before the bytes it
+/// prefixes (`len` is [`features_len`] of the same entries), so each
+/// value is written once, into `out`.
+fn write_features<'a>(
+    out: &mut Vec<u8>,
+    len: usize,
+    features: impl Iterator<Item = (&'a str, FeatureRef<'a>)>,
+) {
+    let open = |out: &mut Vec<u8>, field: u32, len: usize| {
+        write_key(out, field, WireType::LengthDelimited);
+        write_uvarint(out, len as u64);
+    };
+    open(out, 1, len); // Example.features
+    for (name, feature) in features {
+        let list_len = feature.list_len();
+        open(out, 1, entry_len(name, list_len)); // map entry
+        write_bytes_field(out, 1, name.as_bytes()); // its key
+        open(out, 2, delimited_len(list_len)); // its value, a Feature
+        match feature {
+            FeatureRef::Bytes(items) => {
+                open(out, 1, list_len);
+                for item in items {
+                    write_bytes_field(out, 1, item);
+                }
+            }
+            FeatureRef::Floats(items) => {
+                open(out, 2, list_len);
+                write_packed_floats(out, 1, items);
+            }
+            FeatureRef::Ints(items) => {
+                open(out, 3, list_len);
+                write_packed_int64(out, 1, items);
+            }
         }
     }
 }

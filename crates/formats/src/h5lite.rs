@@ -22,6 +22,13 @@
 //!
 //! Chunking is along the leading axis ("rows"), matching how samples are
 //! appended and read back during training.
+//!
+//! Who owns which copy: a [`Dataset`] owns its little-endian bytes (one
+//! conversion out of the tensor, [`Dataset::from_tensor`]);
+//! [`H5File::to_bytes`] owns the one output buffer, reserved for the
+//! payload up front, into which chunks are copied once and the index is
+//! written and hashed where it lies. [`H5File::from_bytes`] copies each
+//! dataset's chunks back out.
 
 use crate::bytes::{arr4, arr8};
 use crate::{malformed, FormatError};
@@ -107,11 +114,15 @@ impl Dataset {
 
     /// Number of chunks under leading-axis chunking.
     pub fn chunk_count(&self) -> usize {
-        if self.shape.is_empty() {
-            1
-        } else {
-            self.rows().div_ceil(self.chunk_rows).max(1)
-        }
+        self.chunks().count()
+    }
+
+    /// The chunks as stored: `chunk_rows` rows each, and one empty chunk
+    /// for a dataset with no bytes.
+    fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        let step = self.chunk_rows.max(1) * self.row_bytes();
+        let empty = self.data.is_empty().then_some(&self.data[..]);
+        empty.into_iter().chain(self.data.chunks(step))
     }
 }
 
@@ -177,21 +188,19 @@ impl H5File {
     }
 
     fn ensure_parents(&mut self, path: &str) -> Result<(), FormatError> {
-        let mut acc = String::new();
-        let segs: Vec<&str> = path.split('/').skip(1).collect();
-        for seg in &segs[..segs.len() - 1] {
-            acc.push('/');
-            acc.push_str(seg);
-            match self.nodes.get(acc.as_str()) {
+        // Every prefix that ends before a separator, the leading one aside.
+        for (end, _) in path.match_indices('/').skip(1) {
+            let parent = &path[..end];
+            match self.nodes.get(parent) {
                 Some(Node::Dataset(_)) => {
                     return Err(malformed(
                         "h5lite",
-                        format!("{acc} is a dataset, cannot contain children"),
+                        format!("{parent} is a dataset, cannot contain children"),
                     ))
                 }
                 Some(Node::Group) => {}
                 None => {
-                    self.nodes.insert(acc.clone(), Node::Group);
+                    self.nodes.insert(parent.to_string(), Node::Group);
                 }
             }
         }
@@ -283,76 +292,60 @@ impl H5File {
 
     /// Serialize to bytes (chunk payload + footer index, crc-protected).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let datasets = || {
+            self.nodes.values().filter_map(|node| match node {
+                Node::Dataset(ds) => Some(ds),
+                Node::Group => None,
+            })
+        };
+        // Header + payload exactly, plus a guess at the index.
+        let payload: usize = datasets().map(|ds| ds.data.len()).sum();
+        let mut out = Vec::with_capacity(16 + payload + self.nodes.len() * 128);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&0u64.to_le_bytes()); // index offset placeholder
 
-        // Payload: per dataset, per chunk.
-        // chunk_locs[path] = Vec<(offset, len, crc)>
-        let mut chunk_locs: BTreeMap<&str, Vec<(u64, u64, u32)>> = BTreeMap::new();
-        for (path, node) in &self.nodes {
-            if let Node::Dataset(ds) = node {
-                let rb = ds.row_bytes();
-                let rows = ds.rows();
-                let mut locs = Vec::with_capacity(ds.chunk_count());
-                if ds.shape.is_empty() {
-                    let off = out.len() as u64;
-                    out.extend_from_slice(&ds.data);
-                    locs.push((off, ds.data.len() as u64, crc32c(&ds.data)));
-                } else {
-                    let mut r = 0;
-                    while r < rows || (rows == 0 && r == 0) {
-                        let end = (r + ds.chunk_rows).min(rows);
-                        let bytes = &ds.data[r * rb..end * rb];
-                        let off = out.len() as u64;
-                        out.extend_from_slice(bytes);
-                        locs.push((off, bytes.len() as u64, crc32c(bytes)));
-                        if rows == 0 {
-                            break;
-                        }
-                        r = end;
-                    }
-                }
-                chunk_locs.insert(path, locs);
-            }
+        // Payload: per dataset in path order, per chunk (offset, len, crc).
+        let mut locs = Vec::new();
+        for chunk in datasets().flat_map(Dataset::chunks) {
+            locs.push((out.len() as u64, chunk.len() as u64, crc32c(chunk)));
+            out.extend_from_slice(chunk);
         }
 
-        // Index.
-        let index_offset = out.len() as u64;
-        let mut idx = Vec::new();
-        idx.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
+        // Index, written where it is stored.
+        let index_offset = out.len();
+        let mut locs = locs.into_iter();
+        out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
         for (path, node) in &self.nodes {
-            write_str(&mut idx, path);
+            write_str(&mut out, path);
             let attrs = self.attrs.get(path).map(Vec::as_slice).unwrap_or(&[]);
-            idx.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
             for (name, value) in attrs {
-                write_str(&mut idx, name);
-                write_attr(&mut idx, value);
+                write_str(&mut out, name);
+                write_attr(&mut out, value);
             }
             match node {
-                Node::Group => idx.push(0),
+                Node::Group => out.push(0),
                 Node::Dataset(ds) => {
-                    idx.push(1);
-                    idx.push(ds.dtype.code());
-                    idx.extend_from_slice(&(ds.shape.len() as u32).to_le_bytes());
+                    out.push(1);
+                    out.push(ds.dtype.code());
+                    out.extend_from_slice(&(ds.shape.len() as u32).to_le_bytes());
                     for &d in &ds.shape {
-                        idx.extend_from_slice(&(d as u64).to_le_bytes());
+                        out.extend_from_slice(&(d as u64).to_le_bytes());
                     }
-                    idx.extend_from_slice(&(ds.chunk_rows as u64).to_le_bytes());
-                    let locs = &chunk_locs[path.as_str()];
-                    idx.extend_from_slice(&(locs.len() as u32).to_le_bytes());
-                    for (off, len, crc) in locs {
-                        idx.extend_from_slice(&off.to_le_bytes());
-                        idx.extend_from_slice(&len.to_le_bytes());
-                        idx.extend_from_slice(&crc.to_le_bytes());
+                    out.extend_from_slice(&(ds.chunk_rows as u64).to_le_bytes());
+                    let nchunks = ds.chunk_count();
+                    out.extend_from_slice(&(nchunks as u32).to_le_bytes());
+                    for (off, len, crc) in locs.by_ref().take(nchunks) {
+                        out.extend_from_slice(&off.to_le_bytes());
+                        out.extend_from_slice(&len.to_le_bytes());
+                        out.extend_from_slice(&crc.to_le_bytes());
                     }
                 }
             }
         }
-        let index_crc = crc32c(&idx);
-        out.extend_from_slice(&idx);
+        let index_crc = crc32c(&out[index_offset..]);
         out.extend_from_slice(&index_crc.to_le_bytes());
-        out[8..16].copy_from_slice(&index_offset.to_le_bytes());
+        out[8..16].copy_from_slice(&(index_offset as u64).to_le_bytes());
         out
     }
 
@@ -632,6 +625,17 @@ mod tests {
         let f = H5File::new();
         let back = H5File::from_bytes(&f.to_bytes()).unwrap();
         assert_eq!(back, f);
+    }
+
+    /// Rows of no bytes: nothing to slice by row, one empty chunk.
+    #[test]
+    fn zero_width_dataset() {
+        let mut f = H5File::new();
+        f.put_tensor("/empty", &Tensor::<f32>::zeros(&[3, 0]), 2)
+            .unwrap();
+        let back = H5File::from_bytes(&f.to_bytes()).unwrap();
+        assert_eq!(back, f);
+        assert_eq!(back.tensor::<f32>("/empty").unwrap().shape(), &[3, 0]);
     }
 
     #[test]

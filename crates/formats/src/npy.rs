@@ -48,7 +48,7 @@ pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
     out.push(0);
     out.extend_from_slice(&(header.len() as u16).to_le_bytes());
     out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(&tensor.to_le_bytes());
+    tensor.write_le_into(&mut out);
     out
 }
 

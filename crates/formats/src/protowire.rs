@@ -60,23 +60,41 @@ pub fn write_bytes_field(out: &mut Vec<u8>, field: u32, data: &[u8]) {
     out.extend_from_slice(data);
 }
 
+/// Bytes [`write_uvarint`] emits for `value`.
+pub(crate) const fn uvarint_len(value: u64) -> usize {
+    (70 - (value | 1).leading_zeros() as usize) / 7
+}
+
+/// Bytes of a length-delimited field with a one-byte key (field numbers
+/// below 16) around `payload` bytes.
+pub(crate) const fn delimited_len(payload: usize) -> usize {
+    1 + uvarint_len(payload as u64) + payload
+}
+
+/// Bytes of the varints of a packed int64 payload.
+pub(crate) fn packed_int64_len(values: &[i64]) -> usize {
+    values.iter().map(|&v| uvarint_len(v as u64)).sum()
+}
+
 /// Append a packed repeated float field (wire type 2 holding f32s).
 pub fn write_packed_floats(out: &mut Vec<u8>, field: u32, values: &[f32]) {
     write_key(out, field, WireType::LengthDelimited);
     write_uvarint(out, (values.len() * 4) as u64);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    out.resize(start + values.len() * 4, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Append a packed repeated int64 field (varint-coded).
 pub fn write_packed_int64(out: &mut Vec<u8>, field: u32, values: &[i64]) {
-    let mut payload = Vec::with_capacity(values.len() * 2);
+    write_key(out, field, WireType::LengthDelimited);
+    write_uvarint(out, packed_int64_len(values) as u64);
     for &v in values {
         // Protobuf int64 uses two's-complement varints (not zigzag).
-        write_uvarint(&mut payload, v as u64);
+        write_uvarint(out, v as u64);
     }
-    write_bytes_field(out, field, &payload);
 }
 
 /// One decoded field.

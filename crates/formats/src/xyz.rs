@@ -12,9 +12,16 @@
 //! OMat24/AFLOW-style pipelines parse millions of such frames before graph
 //! encoding. This module supports multi-frame files, per-frame `key=value`
 //! properties (quoted values allowed), and per-atom force columns.
+//!
+//! Who owns which copy: [`write_xyz`] owns the one output `String` and
+//! every coordinate is converted once, into it (`push_fixed8`: no
+//! `String` per value). [`parse_xyz`] borrows the text — lines and tokens
+//! are slices of it, never collected — and allocates only what a
+//! [`Frame`] keeps: its atoms, their element names, its properties.
 
 use crate::{malformed, FormatError};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// One atom: element symbol and Cartesian position (Å).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,51 +61,56 @@ impl Frame {
 
 /// Parse (possibly multi-frame) extended XYZ text.
 pub fn parse_xyz(text: &str) -> Result<Vec<Frame>, FormatError> {
-    let lines: Vec<&str> = text.lines().map(|l| l.trim_end_matches('\r')).collect();
+    // A frame's atom count is checked against the lines that remain
+    // before anything is reserved for it, so a hostile count is a
+    // "truncated" error, never an allocation.
+    let total = text.lines().count();
+    let mut lines = text.lines().map(|l| l.trim_end_matches('\r')).enumerate();
     let mut frames = Vec::new();
-    let mut i = 0;
-    while i < lines.len() {
-        if lines[i].trim().is_empty() {
-            i += 1;
+    while let Some((i, line)) = lines.next() {
+        let count = line.trim();
+        if count.is_empty() {
             continue;
         }
-        let natoms: usize = lines[i]
-            .trim()
+        let natoms: usize = count
             .parse()
             .map_err(|_| malformed("xyz", format!("line {}: expected atom count", i + 1)))?;
-        if i + 1 >= lines.len() {
+        let Some((_, comment)) = lines.next() else {
             return Err(malformed("xyz", "missing comment line"));
-        }
-        let properties = parse_properties(lines[i + 1]);
-        if i + 2 + natoms > lines.len() {
+        };
+        let properties = parse_properties(comment);
+        if natoms > total - (i + 2) {
             return Err(malformed(
                 "xyz",
                 format!("frame at line {} truncated: wants {natoms} atoms", i + 1),
             ));
         }
         let mut atoms = Vec::with_capacity(natoms);
-        for (k, raw) in lines[i + 2..i + 2 + natoms].iter().enumerate() {
-            let cols: Vec<&str> = raw.split_whitespace().collect();
-            if cols.len() != 4 && cols.len() != 7 {
+        for (j, raw) in lines.by_ref().take(natoms) {
+            let mut cols = [""; 7];
+            let mut ncols = 0;
+            for token in raw.split_whitespace() {
+                if let Some(slot) = cols.get_mut(ncols) {
+                    *slot = token;
+                }
+                ncols += 1;
+            }
+            if ncols != 4 && ncols != 7 {
                 return Err(malformed(
                     "xyz",
-                    format!(
-                        "line {}: expected 4 or 7 columns, got {}",
-                        i + 3 + k,
-                        cols.len()
-                    ),
+                    format!("line {}: expected 4 or 7 columns, got {ncols}", j + 1),
                 ));
             }
             let parse = |s: &str, what: &str| -> Result<f64, FormatError> {
                 s.parse()
-                    .map_err(|_| malformed("xyz", format!("line {}: bad {what} {s:?}", i + 3 + k)))
+                    .map_err(|_| malformed("xyz", format!("line {}: bad {what} {s:?}", j + 1)))
             };
             let position = [
                 parse(cols[1], "x")?,
                 parse(cols[2], "y")?,
                 parse(cols[3], "z")?,
             ];
-            let force = if cols.len() == 7 {
+            let force = if ncols == 7 {
                 Some([
                     parse(cols[4], "fx")?,
                     parse(cols[5], "fy")?,
@@ -114,7 +126,6 @@ pub fn parse_xyz(text: &str) -> Result<Vec<Frame>, FormatError> {
             });
         }
         frames.push(Frame { atoms, properties });
-        i += 2 + natoms;
     }
     Ok(frames)
 }
@@ -122,73 +133,113 @@ pub fn parse_xyz(text: &str) -> Result<Vec<Frame>, FormatError> {
 /// Parse `key=value` pairs; values may be double-quoted to contain spaces.
 fn parse_properties(line: &str) -> BTreeMap<String, String> {
     let mut out = BTreeMap::new();
-    let chars: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        while i < chars.len() && chars[i].is_whitespace() {
-            i += 1;
-        }
-        let key_start = i;
-        while i < chars.len() && chars[i] != '=' && !chars[i].is_whitespace() {
-            i += 1;
-        }
-        if i >= chars.len() || chars[i] != '=' {
+    let mut rest = line.trim_start();
+    while !rest.is_empty() {
+        let key_end = rest
+            .find(|c: char| c == '=' || c.is_whitespace())
+            .unwrap_or(rest.len());
+        let (key, after_key) = rest.split_at(key_end);
+        let Some(after_eq) = after_key.strip_prefix('=') else {
             // A bare token (free-text comment) — skip it.
+            rest = after_key.trim_start();
             continue;
-        }
-        let key: String = chars[key_start..i].iter().collect();
-        i += 1; // '='
-        let value = if i < chars.len() && chars[i] == '"' {
-            i += 1;
-            let start = i;
-            while i < chars.len() && chars[i] != '"' {
-                i += 1;
-            }
-            let v: String = chars[start..i].iter().collect();
-            i += 1; // closing quote
-            v
-        } else {
-            let start = i;
-            while i < chars.len() && !chars[i].is_whitespace() {
-                i += 1;
-            }
-            chars[start..i].iter().collect()
+        };
+        let (value, after_value) = match after_eq.strip_prefix('"') {
+            // An unclosed quote takes the rest of the line.
+            Some(quoted) => quoted.split_once('"').unwrap_or((quoted, "")),
+            None => after_eq.split_at(after_eq.find(char::is_whitespace).unwrap_or(after_eq.len())),
         };
         if !key.is_empty() {
-            out.insert(key, value);
+            out.insert(key.to_string(), value.to_string());
         }
+        rest = after_value.trim_start();
     }
     out
 }
 
+/// Append `x` as `format!("{x:.8}")` would print it, without the
+/// `String` per value: the binary fraction `mant × 2^-shift` times 10⁸ is
+/// an exact integer ratio in `u128`, rounded half-even on its exact
+/// remainder, and its digits go through a stack buffer. Values whose
+/// scaled magnitude would not fit `u64` (|x| ≥ 9 × 10¹⁰) and non-finite
+/// ones take std's path.
+fn push_fixed8(out: &mut String, x: f64) {
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7FF) as u32;
+    if biased == 0x7FF || x.abs() >= 9e10 {
+        let _ = write!(out, "{x:.8}");
+        return;
+    }
+    let fraction = bits & ((1 << 52) - 1);
+    // |x| < 2^37, so the exponent of the 53-bit mantissa is ≤ -16.
+    let (mant, shift) = match biased {
+        0 => (fraction, 1074),
+        _ => (fraction | (1 << 52), 1075 - biased),
+    };
+    // mant × 10⁸ < 2^80: shifted further than that, it rounds to zero.
+    let scaled = match shift {
+        81.. => 0,
+        _ => {
+            let exact = u128::from(mant) * 100_000_000;
+            let floor = (exact >> shift) as u64;
+            let rem = exact & ((1 << shift) - 1);
+            let half = 1 << (shift - 1);
+            floor + u64::from(rem > half || (rem == half && floor & 1 == 1))
+        }
+    };
+    // Sign, ≤ 11 integer digits, point, 8 decimals: filled from the end.
+    let mut buf = [b'0'; 24];
+    let mut at = buf.len();
+    let mut decimals = scaled % 100_000_000;
+    for _ in 0..8 {
+        at -= 1;
+        buf[at] = b'0' + (decimals % 10) as u8;
+        decimals /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    let mut integer = scaled / 100_000_000;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (integer % 10) as u8;
+        integer /= 10;
+        if integer == 0 {
+            break;
+        }
+    }
+    if x.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
 /// Write frames as extended XYZ.
 pub fn write_xyz(frames: &[Frame]) -> String {
-    let mut out = String::new();
+    // About 13 bytes a coordinate; growth covers what the guess misses.
+    let mut out = String::with_capacity(frames.iter().map(|f| 64 + f.atoms.len() * 84).sum());
     for f in frames {
-        out.push_str(&f.atoms.len().to_string());
-        out.push('\n');
-        let mut first = true;
-        for (k, v) in &f.properties {
-            if !first {
+        let _ = writeln!(out, "{}", f.atoms.len());
+        for (n, (k, v)) in f.properties.iter().enumerate() {
+            if n > 0 {
                 out.push(' ');
             }
-            first = false;
+            out.push_str(k);
+            out.push('=');
             if v.contains(' ') || v.is_empty() {
-                out.push_str(&format!("{k}=\"{v}\""));
+                out.push('"');
+                out.push_str(v);
+                out.push('"');
             } else {
-                out.push_str(&format!("{k}={v}"));
+                out.push_str(v);
             }
         }
         out.push('\n');
         for a in &f.atoms {
             out.push_str(&a.element);
-            for c in a.position {
-                out.push_str(&format!(" {c:.8}"));
-            }
-            if let Some(force) = a.force {
-                for c in force {
-                    out.push_str(&format!(" {c:.8}"));
-                }
+            for c in a.position.iter().chain(a.force.iter().flatten()) {
+                out.push(' ');
+                push_fixed8(&mut out, *c);
             }
             out.push('\n');
         }
@@ -282,6 +333,58 @@ mod tests {
         assert!(parse_xyz("1\ncomment\nH a b c\n").is_err()); // bad float
         assert!(parse_xyz("1\n").is_err()); // no comment line
         assert!(parse_xyz("").unwrap().is_empty());
+    }
+
+    /// An atom count is outside input: one the file cannot hold is a
+    /// truncated frame, whatever it would do to an index or a
+    /// reservation.
+    #[test]
+    fn hostile_atom_counts_are_truncation_errors() {
+        for (count, lines) in [
+            (usize::MAX, "c\nH 0 0 0\n"),
+            (usize::MAX - 1, "c\nH 0 0 0\n"),
+            (usize::MAX, "c\n"),
+            (2, "c\nH 0 0 0\n"),
+            (1, "c\n"),
+        ] {
+            match parse_xyz(&format!("{count}\n{lines}")) {
+                Err(FormatError::Malformed { detail, .. }) => assert_eq!(
+                    detail,
+                    format!("frame at line 1 truncated: wants {count} atoms")
+                ),
+                other => panic!("{count}: {other:?}"),
+            }
+        }
+        // The count is taken against what is left after this frame's own
+        // two lines, not against the whole file.
+        let second = parse_xyz("1\nc\nH 0 0 0\n3\nc\nH 0 0 0\nH 0 0 0\n");
+        assert!(second.unwrap_err().to_string().contains("line 4 truncated"));
+    }
+
+    #[test]
+    fn fixed_point_writer_prints_what_std_prints() {
+        let cases = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.3575,
+            0.1,
+            0.5e-8,
+            1.5e-8,
+            0.999999995,
+            123456.789,
+            -5e-324,
+            8.99e10,
+            9e10,
+            -1e300,
+            f64::NAN,
+            f64::NEG_INFINITY,
+        ];
+        for x in cases {
+            let mut out = String::from(">");
+            push_fixed8(&mut out, x);
+            assert_eq!(out, format!(">{x:.8}"));
+        }
     }
 
     #[test]

@@ -30,27 +30,24 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// Compute one 64-byte ChaCha20 block.
-fn block(key: &Key, nonce: &Nonce, counter: u32) -> [u8; 64] {
+/// The block function's input: constants, key and nonce words, with the
+/// counter word (12) left at 0 — expanded once per keystream.
+fn initial_state(key: &Key, nonce: &Nonce) -> [u32; 16] {
     let mut state = [0u32; 16];
     // "expand 32-byte k"
-    state[0] = 0x6170_7865;
-    state[1] = 0x3320_646E;
-    state[2] = 0x7962_2D32;
-    state[3] = 0x6B20_6574;
-    for i in 0..8 {
-        state[4 + i] =
-            u32::from_le_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+    state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+    for (word, bytes) in state[4..12].iter_mut().zip(key.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
+    for (word, bytes) in state[13..].iter_mut().zip(nonce.chunks_exact(4)) {
+        *word = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    state
+}
+
+/// Compute the 64-byte ChaCha20 block of `state` at `counter`.
+fn block(mut state: [u32; 16], counter: u32) -> [u8; 64] {
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes([
-            nonce[4 * i],
-            nonce[4 * i + 1],
-            nonce[4 * i + 2],
-            nonce[4 * i + 3],
-        ]);
-    }
     let mut working = state;
     for _ in 0..10 {
         // Column rounds.
@@ -76,8 +73,9 @@ fn block(key: &Key, nonce: &Nonce, counter: u32) -> [u8; 64] {
 /// decryption are the same operation. `initial_counter` is normally 0
 /// (RFC 8439 uses 1 when a Poly1305 key block precedes the data).
 pub fn chacha20_xor(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
+    let state = initial_state(key, nonce);
     for (i, chunk) in data.chunks_mut(64).enumerate() {
-        let ks = block(key, nonce, initial_counter.wrapping_add(i as u32));
+        let ks = block(state, initial_counter.wrapping_add(i as u32));
         for (b, k) in chunk.iter_mut().zip(ks.iter()) {
             *b ^= k;
         }
@@ -129,7 +127,7 @@ mod tests {
     fn rfc8439_block_vector() {
         let key: Key = core::array::from_fn(|i| i as u8);
         let nonce: Nonce = [0, 0, 0, 9, 0, 0, 0, 0x4A, 0, 0, 0, 0];
-        let out = block(&key, &nonce, 1);
+        let out = block(initial_state(&key, &nonce), 1);
         let expected: [u8; 64] = [
             0x10, 0xF1, 0xE7, 0xE4, 0xD1, 0x3B, 0x59, 0x15, 0x50, 0x0F, 0xDD, 0x1F, 0xA3, 0x20,
             0x71, 0xC4, 0xC7, 0xD1, 0xF4, 0xC7, 0x33, 0xC0, 0x68, 0x03, 0x04, 0x22, 0xAA, 0x9A,

@@ -8,7 +8,7 @@
 //! BMP must be valid surrogate pairs.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects use `BTreeMap` so serialization is deterministic —
 /// provenance digests hash serialized manifests and must be reproducible.
@@ -128,9 +128,9 @@ impl Json {
                     if n.fract() == 0.0 && n.abs() < 9e15 {
                         // Integral values print without a trailing ".0"
                         // (matching standard JSON emitters).
-                        out.push_str(&format!("{}", *n as i64));
+                        let _ = write!(out, "{}", *n as i64);
                     } else {
-                        out.push_str(&format!("{n}"));
+                        let _ = write!(out, "{n}");
                     }
                 } else {
                     // JSON has no Inf/NaN; serialize as null like most
@@ -235,7 +235,9 @@ fn write_escaped(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -117,8 +117,9 @@ pub trait Element: Copy + PartialEq + fmt::Debug + Send + Sync + 'static {
     fn to_f64(self) -> f64;
     /// Convert from f64 (saturating/rounding as appropriate).
     fn from_f64(v: f64) -> Self;
-    /// Append the little-endian byte representation to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Write the little-endian byte representation into `out`, which is
+    /// exactly `DTYPE.size_bytes()` long.
+    fn write_le(self, out: &mut [u8]);
     /// Read one element from a little-endian byte slice.
     /// `bytes.len()` must be at least `DTYPE.size_bytes()`.
     fn read_le(bytes: &[u8]) -> Self;
@@ -135,8 +136,9 @@ impl Element for f32 {
     fn from_f64(v: f64) -> Self {
         v as f32
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
     fn read_le(bytes: &[u8]) -> Self {
         f32::from_le_bytes(bytes[..4].try_into().expect("f32 needs 4 bytes"))
@@ -154,8 +156,9 @@ impl Element for f64 {
     fn from_f64(v: f64) -> Self {
         v
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
     fn read_le(bytes: &[u8]) -> Self {
         f64::from_le_bytes(bytes[..8].try_into().expect("f64 needs 8 bytes"))
@@ -173,8 +176,9 @@ impl Element for i32 {
     fn from_f64(v: f64) -> Self {
         v.round() as i32
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
     fn read_le(bytes: &[u8]) -> Self {
         i32::from_le_bytes(bytes[..4].try_into().expect("i32 needs 4 bytes"))
@@ -192,8 +196,9 @@ impl Element for i64 {
     fn from_f64(v: f64) -> Self {
         v.round() as i64
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
     fn read_le(bytes: &[u8]) -> Self {
         i64::from_le_bytes(bytes[..8].try_into().expect("i64 needs 8 bytes"))
@@ -211,8 +216,9 @@ impl Element for u8 {
     fn from_f64(v: f64) -> Self {
         v.round().clamp(0.0, 255.0) as u8
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.push(self);
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out[0] = self;
     }
     fn read_le(bytes: &[u8]) -> Self {
         bytes[0]
@@ -234,8 +240,9 @@ impl Element for bool {
     fn from_f64(v: f64) -> Self {
         v != 0.0
     }
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.push(self as u8);
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        out[0] = self as u8;
     }
     fn read_le(bytes: &[u8]) -> Self {
         bytes[0] != 0
@@ -288,23 +295,18 @@ mod tests {
 
     #[test]
     fn element_byte_round_trip() {
-        let mut buf = Vec::new();
-        1.5_f32.write_le(&mut buf);
+        let mut buf = [0u8; 8];
+        1.5_f32.write_le(&mut buf[..4]);
         assert_eq!(f32::read_le(&buf), 1.5);
-        buf.clear();
         (-7.25_f64).write_le(&mut buf);
         assert_eq!(f64::read_le(&buf), -7.25);
-        buf.clear();
-        (-42_i32).write_le(&mut buf);
+        (-42_i32).write_le(&mut buf[..4]);
         assert_eq!(i32::read_le(&buf), -42);
-        buf.clear();
         (1_i64 << 40).write_le(&mut buf);
         assert_eq!(i64::read_le(&buf), 1 << 40);
-        buf.clear();
-        200_u8.write_le(&mut buf);
+        200_u8.write_le(&mut buf[..1]);
         assert_eq!(u8::read_le(&buf), 200);
-        buf.clear();
-        true.write_le(&mut buf);
+        true.write_le(&mut buf[..1]);
         assert!(bool::read_le(&buf));
     }
 

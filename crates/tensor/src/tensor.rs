@@ -310,11 +310,21 @@ impl<T: Element> Tensor<T> {
 
     /// Serialize elements as little-endian bytes (row-major).
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() * T::DTYPE.size_bytes());
-        for &x in &self.data {
-            x.write_le(&mut out);
-        }
+        let mut out = Vec::new();
+        self.write_le_into(&mut out);
         out
+    }
+
+    /// Append the elements as little-endian bytes (row-major) to `out`:
+    /// the container writers' path, so tensor bytes are converted once,
+    /// in the buffer that is stored.
+    pub fn write_le_into(&self, out: &mut Vec<u8>) {
+        let esz = const { T::DTYPE.size_bytes() };
+        let start = out.len();
+        out.resize(start + self.data.len() * esz, 0);
+        for (dst, &x) in out[start..].chunks_exact_mut(esz).zip(&self.data) {
+            x.write_le(dst);
+        }
     }
 
     /// Deserialize from little-endian bytes with a known shape.
@@ -463,6 +473,30 @@ mod tests {
         let back = Tensor::<f64>::from_le_bytes(&bytes, &[2, 2]).unwrap();
         assert_eq!(back, t);
         assert!(Tensor::<f64>::from_le_bytes(&bytes, &[3, 2]).is_err());
+    }
+
+    /// `write_le_into` appends each element's own `to_le_bytes`, for
+    /// every dtype, after whatever the buffer holds.
+    #[test]
+    fn write_le_into_appends_element_bytes() {
+        fn check<T: Element, const N: usize>(values: Vec<T>, bytes: impl Fn(T) -> [u8; N]) {
+            let expected: Vec<u8> = values.iter().flat_map(|&x| bytes(x)).collect();
+            let t = Tensor::from_vec(values, &[3]).unwrap();
+            let mut out = vec![0xAA, 0xBB];
+            t.write_le_into(&mut out);
+            assert_eq!(&out[..2], &[0xAA, 0xBB]);
+            assert_eq!(&out[2..], expected);
+            assert_eq!(t.to_le_bytes(), expected);
+        }
+        check(vec![1.5_f32, -0.0, f32::MAX], f32::to_le_bytes);
+        check(vec![1.5_f64, -2.25, f64::MIN_POSITIVE], f64::to_le_bytes);
+        check(vec![-1_i32, 0, i32::MAX], i32::to_le_bytes);
+        check(vec![i64::MIN, 7, 1 << 40], i64::to_le_bytes);
+        check(vec![0_u8, 200, 255], |x| [x]);
+        check(vec![true, false, true], |x| [x as u8]);
+        let mut out = vec![1];
+        Tensor::<f64>::zeros(&[0, 4]).write_le_into(&mut out);
+        assert_eq!(out, [1]);
     }
 
     #[test]

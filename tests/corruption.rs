@@ -231,3 +231,27 @@ fn parse_shard_rejects_hostile_inputs_without_panicking() {
         Err(IoError::Format(_))
     ));
 }
+
+/// A text decoder is held to the same rule as the shard parser: a
+/// count the input cannot back is an error, never an index past the
+/// buffer or a reservation sized by the attacker. (`usize::MAX` atoms
+/// used to wrap the truncation check and abort in `with_capacity`.)
+#[test]
+fn parse_xyz_rejects_hostile_atom_counts_without_panicking() {
+    use drai::formats::xyz::parse_xyz;
+    let cases = [
+        format!("{}\nc\nH 0 0 0\n", usize::MAX),
+        format!("{}\nc\nH 0 0 0\n", usize::MAX - 1),
+        format!("{}\nc\n", u64::MAX),
+        "99999999999999999999\nc\nH 0 0 0\n".to_string(), // does not fit usize
+        "2\nc\nH 0 0 0\n".to_string(),
+        "1\nc\nH 0 0 0\n4\nc\nH 0 0 0\n".to_string(),
+    ];
+    for text in &cases {
+        let err = parse_xyz(text).expect_err(text).to_string();
+        assert!(
+            err.contains("truncated") || err.contains("expected atom count"),
+            "{text:?}: {err}"
+        );
+    }
+}
