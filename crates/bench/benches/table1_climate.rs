@@ -7,7 +7,7 @@ use drai_domains::climate::{self, ClimateConfig};
 use drai_io::sink::MemSink;
 use drai_tensor::LatLonGrid;
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::regrid;
+use drai_transform::regrid::{self, RegridPlan, Scheme};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,6 +42,18 @@ fn bench_stages(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("regrid-conservative", nlat), |b| {
             b.iter(|| regrid::conservative(&src, &field, &dst).unwrap())
         });
+        // The same remaps with the geometry planned outside the loop: the
+        // per-call rows above are plan construction + these.
+        let mut out = vec![0.0; dst.ncells()];
+        for (name, scheme) in [
+            ("regrid-bilinear-planned", Scheme::Bilinear),
+            ("regrid-conservative-planned", Scheme::Conservative),
+        ] {
+            let plan = RegridPlan::new(&src, &dst, scheme);
+            group.bench_function(BenchmarkId::new(name, nlat), |b| {
+                b.iter(|| plan.apply_into(&field, &mut out).unwrap())
+            });
+        }
         group.bench_function(BenchmarkId::new("normalize", nlat), |b| {
             b.iter_batched(
                 || field.clone(),

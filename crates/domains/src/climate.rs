@@ -19,15 +19,15 @@ use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
-use drai_formats::npy::write_npy;
-use drai_formats::zip::{write_zip, ZipEntry};
+use drai_formats::npy;
+use drai_formats::zip::{archive_len, ZipWriter};
 use drai_io::parallel::{par_map, prefetch_map};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
 use drai_tensor::stats::Welford;
-use drai_tensor::{DType, LatLonGrid, Tensor};
+use drai_tensor::{DType, LatLonGrid};
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::regrid;
+use drai_transform::regrid::{RegridPlan, Scheme};
 use drai_transform::split::{partition, Fractions};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -281,7 +281,14 @@ fn validate_stage(data: ClimateData, c: &mut StageCounters) -> Result<ClimateDat
     Ok(data)
 }
 
-/// Stage body: bilinear/conservative remap onto the target grid.
+/// Timesteps one unit of regrid work covers: small enough that the
+/// units of every variable spread evenly over the CPUs, large enough
+/// that handing one out costs nothing beside it.
+const REGRID_BLOCK: usize = 8;
+
+/// Stage body: bilinear/conservative remap onto the target grid. The
+/// geometry of each scheme is planned once; blocks of timesteps are then
+/// remapped in parallel, each into its own part of the output stacks.
 fn regrid_stage(
     cfg: &ClimateConfig,
     ledger: &Ledger,
@@ -290,23 +297,48 @@ fn regrid_stage(
 ) -> Result<ClimateData, String> {
     let src = data.grid.clone();
     let dst = cfg.dst_grid.clone();
-    let ncells_src = src.ncells();
-    let regridded = par_map(data.fields.iter().enumerate(), |(vi, stack)| {
-        let conservative = VARIABLES[vi].2;
-        let mut out = Vec::with_capacity(data.timesteps * dst.ncells());
-        for t in 0..data.timesteps {
-            let field = &stack[t * ncells_src..(t + 1) * ncells_src];
-            let r = if conservative {
-                regrid::conservative(&src, field, &dst)
-            } else {
-                regrid::bilinear(&src, field, &dst)
-            }
-            .map_err(|e| format!("{e}"))?;
-            out.extend(r);
+    let (src_cells, dst_cells) = (src.ncells(), dst.ncells());
+    let bilinear = RegridPlan::new(&src, &dst, Scheme::Bilinear);
+    let conservative = RegridPlan::new(&src, &dst, Scheme::Conservative);
+    let mut regridded: Vec<Vec<f64>> = data
+        .fields
+        .iter()
+        .map(|_| vec![0.0; data.timesteps * dst_cells])
+        .collect();
+
+    // One unit per (timestep block, variable), blocks outermost: the
+    // contiguous share `par_map` gives a CPU then holds every variable's
+    // blocks in proportion, whatever the schemes cost.
+    let mut units = Vec::new();
+    for (vi, (stack, out)) in data.fields.iter().zip(&mut regridded).enumerate() {
+        if stack.len() != data.timesteps * src_cells {
+            return Err(format!(
+                "variable {vi}: {} values, expected {}",
+                stack.len(),
+                data.timesteps * src_cells
+            ));
         }
-        Ok(out)
-    });
-    data.fields = regridded.into_iter().collect::<Result<_, String>>()?;
+        let plan = if VARIABLES[vi].2 {
+            &conservative
+        } else {
+            &bilinear
+        };
+        let blocks = stack
+            .chunks(REGRID_BLOCK * src_cells)
+            .zip(out.chunks_mut(REGRID_BLOCK * dst_cells));
+        units.extend(blocks.enumerate().map(|(bi, block)| (bi, plan, block)));
+    }
+    units.sort_by_key(|&(bi, ..)| bi);
+    par_map(units, |(_, plan, (fields, outs))| {
+        fields
+            .chunks_exact(src_cells)
+            .zip(outs.chunks_exact_mut(dst_cells))
+            .try_for_each(|(field, out)| plan.apply_into(field, out))
+    })
+    .into_iter()
+    .collect::<Result<(), _>>()
+    .map_err(|e| format!("{e}"))?;
+    data.fields = regridded;
     ledger.record(
         "regrid",
         [
@@ -323,21 +355,15 @@ fn regrid_stage(
 }
 
 /// Stage body: per-variable z-score. Welford moments are fitted per
-/// 64 Ki-value chunk in parallel and merged in chunk order, so the fit is
-/// the same on every host.
+/// 64 Ki-value chunk and merged in chunk order, so the fit is the same on
+/// every host.
 fn normalize_stage(
     ledger: &Ledger,
     mut data: ClimateData,
     c: &mut StageCounters,
 ) -> Result<ClimateData, String> {
     let normalizers: Vec<Normalizer> = par_map(&data.fields, |stack| {
-        let w = par_map(stack.chunks(64 * 1024), |chunk| {
-            let mut w = Welford::new();
-            w.extend(chunk);
-            w
-        })
-        .iter()
-        .fold(Welford::new(), |acc, w| acc.merge(w));
+        let w = Welford::of_chunks(stack, 64 * 1024);
         Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))
     })
     .into_iter()
@@ -364,6 +390,56 @@ fn normalize_stage(
     Ok(data)
 }
 
+/// What every NPZ record of one shard stage shares: member names, the
+/// NPY preamble of a `[lat, lon]` f32 array, and the record's length.
+struct NpzLayout {
+    names: Vec<String>,
+    npy_header: Vec<u8>,
+    ncells: usize,
+    record_len: usize,
+}
+
+impl NpzLayout {
+    fn new(grid: &LatLonGrid, nvars: usize) -> NpzLayout {
+        let names: Vec<String> = VARIABLES[..nvars]
+            .iter()
+            .map(|(name, _, _)| format!("{name}.npy"))
+            .collect();
+        let mut npy_header = Vec::new();
+        npy::write_header_into(&mut npy_header, DType::F32, &grid.shape());
+        let ncells = grid.ncells();
+        let member_len = npy_header.len() + ncells * 4;
+        let record_len = archive_len(names.iter().map(|n| (n.len(), member_len)));
+        NpzLayout {
+            names,
+            npy_header,
+            ncells,
+            record_len,
+        }
+    }
+
+    /// Timestep `t` of `fields` as one NPZ record — `{var}.npy` members of
+    /// `[lat, lon]` f32 — each value cast and written once, into the
+    /// record: the bytes of `write_zip` over one `write_npy` per variable.
+    fn record(&self, fields: &[Vec<f64>], t: usize) -> Vec<u8> {
+        let mut zip = ZipWriter::with_capacity(self.record_len);
+        for (name, stack) in self.names.iter().zip(fields) {
+            let field = &stack[t * self.ncells..(t + 1) * self.ncells];
+            zip.member(name, |out| {
+                out.extend_from_slice(&self.npy_header);
+                let at = out.len();
+                out.resize(at + field.len() * 4, 0);
+                for (le, &x) in out[at..].chunks_exact_mut(4).zip(field) {
+                    le.copy_from_slice(&(x as f32).to_le_bytes());
+                }
+            })
+            .expect("records are far below the 4 GiB zip limit");
+        }
+        zip.finish()
+            .expect("records are far below the 4 GiB zip limit")
+    }
+}
+
 /// Stage body: split by timestep key and pack NPZ shards — one NPZ
 /// record per timestep with `{var}.npy` members of `[lat,lon]` f32 (the
 /// ClimaX layout).
@@ -375,29 +451,9 @@ fn shard_stage(
     data: ClimateData,
     c: &mut StageCounters,
 ) -> Result<ClimateData, String> {
-    let ncells = data.grid.ncells();
-    let shape = data.grid.shape();
+    let layout = NpzLayout::new(&data.grid, data.fields.len());
     let records: Vec<(String, Vec<u8>)> = par_map(0..data.timesteps, |t| {
-        let entries: Vec<ZipEntry> = data
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(vi, stack)| {
-                let field: Vec<f32> = stack[t * ncells..(t + 1) * ncells]
-                    .iter()
-                    .map(|&x| x as f32)
-                    .collect();
-                let tensor = Tensor::from_vec(field, &[shape[0], shape[1]]).expect("grid shape");
-                ZipEntry {
-                    name: format!("{}.npy", VARIABLES[vi].0),
-                    data: write_npy(&tensor),
-                }
-            })
-            .collect();
-        (
-            format!("t{t:06}"),
-            write_zip(&entries).expect("shards are far below the 4 GiB zip limit"),
-        )
+        (format!("t{t:06}"), layout.record(&data.fields, t))
     });
     c.records = data.timesteps as u64;
     c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
@@ -509,9 +565,11 @@ pub(crate) fn ingest(
             let bytes = sink.read_file(&blob)?;
             let nc = NcFile::from_bytes(&bytes)?;
             let var = nc
-                .var(VARIABLES[name_idx].0)
+                .vars
+                .into_iter()
+                .find(|v| v.name == VARIABLES[name_idx].0)
                 .ok_or_else(|| DomainError::Config(format!("missing variable in {blob}")))?;
-            Ok((blob, bytes, var.data.to_f64_vec()))
+            Ok((blob, bytes, var.data.into_f64_vec()))
         },
     )
     .collect();
@@ -616,6 +674,114 @@ mod tests {
         assert_eq!(t.shape(), &[8, 16]);
         let mean = t.mean().unwrap();
         assert!(mean.abs() < 3.0, "normalized field mean {mean}");
+    }
+
+    /// The stage's blocks of timesteps, dealt out across variables and
+    /// threads, against one one-shot remap per field — with a last block
+    /// shorter than the rest, and a stack of the wrong length refused.
+    #[test]
+    fn regrid_stage_equals_one_remap_per_field() {
+        use drai_transform::regrid;
+        let cfg = ClimateConfig {
+            timesteps: 2 * REGRID_BLOCK + 3,
+            ..small_cfg()
+        };
+        let data = member_input(&cfg, 0);
+        let ncells = cfg.src_grid.ncells();
+        let want: Vec<Vec<f64>> = data
+            .fields
+            .iter()
+            .enumerate()
+            .map(|(vi, stack)| {
+                let remap = if VARIABLES[vi].2 {
+                    regrid::conservative
+                } else {
+                    regrid::bilinear
+                };
+                stack
+                    .chunks_exact(ncells)
+                    .flat_map(|field| remap(&cfg.src_grid, field, &cfg.dst_grid).unwrap())
+                    .collect()
+            })
+            .collect();
+        let mut counters = StageCounters::default();
+        let out = regrid_stage(&cfg, &Ledger::new(), data.clone(), &mut counters).unwrap();
+        assert_eq!(out.grid, cfg.dst_grid);
+        for (got, want) in out.fields.iter().zip(&want) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+        }
+
+        let mut short = data;
+        short.fields[2].pop();
+        assert!(regrid_stage(&cfg, &Ledger::new(), short, &mut counters).is_err());
+    }
+
+    /// The record builder against the construction it replaced — one
+    /// `Vec<f32>`, `Tensor` and `write_npy` per variable, `write_zip` over
+    /// the four — byte for byte, and back through the readers.
+    #[test]
+    fn npz_record_equals_write_zip_of_write_npy() {
+        use drai_formats::npy::write_npy;
+        use drai_formats::zip::{write_zip, ZipEntry};
+        use drai_tensor::Tensor;
+
+        let grid = LatLonGrid::global(5, 7);
+        let (ncells, timesteps) = (grid.ncells(), 3);
+        // Values an f32 cast treats specially among ordinary ones.
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            1e300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            0.1,
+        ];
+        for nvars in [1, 4] {
+            let fields: Vec<Vec<f64>> = (0..nvars)
+                .map(|vi| {
+                    (0..timesteps * ncells)
+                        .map(|k| match k % 11 {
+                            3 => specials[(k / 11 + vi) % specials.len()],
+                            _ => (k as f64 * 0.37 + vi as f64).sin() * 3.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let layout = NpzLayout::new(&grid, nvars);
+            for t in 0..timesteps {
+                let entries: Vec<ZipEntry> = fields
+                    .iter()
+                    .enumerate()
+                    .map(|(vi, stack)| {
+                        let field: Vec<f32> = stack[t * ncells..(t + 1) * ncells]
+                            .iter()
+                            .map(|&x| x as f32)
+                            .collect();
+                        ZipEntry {
+                            name: format!("{}.npy", VARIABLES[vi].0),
+                            data: write_npy(&Tensor::from_vec(field, &grid.shape()).unwrap()),
+                        }
+                    })
+                    .collect();
+                let record = layout.record(&fields, t);
+                assert_eq!(record, write_zip(&entries).unwrap(), "{nvars} vars, t={t}");
+                assert_eq!(record.len(), layout.record_len);
+                assert_eq!(record.capacity(), record.len(), "sized once");
+
+                let back = read_zip(&record).unwrap();
+                assert_eq!(back, entries);
+                for (entry, stack) in back.iter().zip(&fields) {
+                    let tensor = read_npy::<f32>(&entry.data).unwrap();
+                    assert_eq!(tensor.shape(), &grid.shape());
+                    let want = stack[t * ncells..(t + 1) * ncells].iter();
+                    for (got, &x) in tensor.as_slice().iter().zip(want) {
+                        assert_eq!(got.to_bits(), (x as f32).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

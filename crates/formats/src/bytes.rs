@@ -6,31 +6,28 @@
 //! surfaces through the parser's own validation (CRCs, counts, magic
 //! checks) as a `FormatError` the pipeline can quarantine.
 
-/// First 2 bytes of `b`, zero-extended.
-pub(crate) fn arr2(b: &[u8]) -> [u8; 2] {
-    let mut a = [0u8; 2];
+/// First `N` bytes of `b`, zero-extended.
+pub(crate) fn arr<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut a = [0u8; N];
     for (d, s) in a.iter_mut().zip(b) {
         *d = *s;
     }
     a
+}
+
+/// First 2 bytes of `b`, zero-extended.
+pub(crate) fn arr2(b: &[u8]) -> [u8; 2] {
+    arr(b)
 }
 
 /// First 4 bytes of `b`, zero-extended.
 pub(crate) fn arr4(b: &[u8]) -> [u8; 4] {
-    let mut a = [0u8; 4];
-    for (d, s) in a.iter_mut().zip(b) {
-        *d = *s;
-    }
-    a
+    arr(b)
 }
 
 /// First 8 bytes of `b`, zero-extended.
 pub(crate) fn arr8(b: &[u8]) -> [u8; 8] {
-    let mut a = [0u8; 8];
-    for (d, s) in a.iter_mut().zip(b) {
-        *d = *s;
-    }
-    a
+    arr(b)
 }
 
 #[cfg(test)]

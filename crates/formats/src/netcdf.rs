@@ -21,7 +21,7 @@
 //! attributes. Not implemented (rejected on read): CDF-2/CDF-5 offsets,
 //! fill-value defaulting beyond explicit data.
 
-use crate::bytes::{arr2, arr4, arr8};
+use crate::bytes::{arr, arr4};
 use crate::{malformed, unsupported, FormatError};
 
 const MAGIC: &[u8; 4] = b"CDF\x01";
@@ -142,6 +142,15 @@ impl NcValues {
         }
     }
 
+    /// [`to_f64_vec`](Self::to_f64_vec) for an owner: doubles are moved,
+    /// not copied.
+    pub fn into_f64_vec(self) -> Vec<f64> {
+        match self {
+            NcValues::Double(v) => v,
+            other => other.to_f64_vec(),
+        }
+    }
+
     fn write_be(&self, out: &mut Vec<u8>) {
         match self {
             NcValues::Byte(v) => out.extend(v.iter().map(|&x| x as u8)),
@@ -169,39 +178,74 @@ impl NcValues {
         }
     }
 
-    fn read_be(typ: NcType, n: usize, bytes: &[u8]) -> Result<NcValues, FormatError> {
-        let need = n * typ.size();
-        let b = bytes
-            .get(..need)
-            .ok_or_else(|| malformed("netcdf", "truncated values"))?;
+    /// Decode `count` slabs of `slab` big-endian values each, slab `r`
+    /// starting at `begin + r * stride` in `bytes`: a fixed variable or an
+    /// attribute is one slab, a record variable one slab per record with
+    /// the other record variables' slabs in between (so `stride` is at
+    /// least a slab's bytes). The last slab is checked to end inside
+    /// `bytes` before anything is reserved: a hostile header can make
+    /// this allocate no more than the bytes it came with. Each value is
+    /// then converted once, into its place in the output.
+    fn read_be(
+        typ: NcType,
+        bytes: &[u8],
+        begin: usize,
+        count: usize,
+        stride: usize,
+        slab: usize,
+    ) -> Result<NcValues, FormatError> {
+        if let Some(last) = count.checked_sub(1) {
+            let end = slab
+                .checked_mul(typ.size())
+                .and_then(|slab_bytes| last.checked_mul(stride)?.checked_add(slab_bytes))
+                .and_then(|span| span.checked_add(begin));
+            if end.is_none_or(|end| end > bytes.len()) {
+                return Err(malformed("netcdf", "truncated values"));
+            }
+        }
+        let slabs = Slabs {
+            bytes,
+            begin,
+            count,
+            stride,
+            slab,
+        };
         Ok(match typ {
-            NcType::Byte => NcValues::Byte(b.iter().map(|&x| x as i8).collect()),
+            NcType::Byte => NcValues::Byte(slabs.decode(i8::from_be_bytes)),
             NcType::Char => NcValues::Char(
-                std::str::from_utf8(b)
-                    .map_err(|_| malformed("netcdf", "non-UTF-8 char data"))?
-                    .to_string(),
+                String::from_utf8(slabs.decode(u8::from_be_bytes))
+                    .map_err(|_| malformed("netcdf", "non-UTF-8 char data"))?,
             ),
-            NcType::Short => NcValues::Short(
-                b.chunks_exact(2)
-                    .map(|c| i16::from_be_bytes(arr2(c)))
-                    .collect(),
-            ),
-            NcType::Int => NcValues::Int(
-                b.chunks_exact(4)
-                    .map(|c| i32::from_be_bytes(arr4(c)))
-                    .collect(),
-            ),
-            NcType::Float => NcValues::Float(
-                b.chunks_exact(4)
-                    .map(|c| f32::from_be_bytes(arr4(c)))
-                    .collect(),
-            ),
-            NcType::Double => NcValues::Double(
-                b.chunks_exact(8)
-                    .map(|c| f64::from_be_bytes(arr8(c)))
-                    .collect(),
-            ),
+            NcType::Short => NcValues::Short(slabs.decode(i16::from_be_bytes)),
+            NcType::Int => NcValues::Int(slabs.decode(i32::from_be_bytes)),
+            NcType::Float => NcValues::Float(slabs.decode(f32::from_be_bytes)),
+            NcType::Double => NcValues::Double(slabs.decode(f64::from_be_bytes)),
         })
+    }
+}
+
+/// Slabs of big-endian values that [`NcValues::read_be`] has checked to
+/// lie inside `bytes`.
+struct Slabs<'a> {
+    bytes: &'a [u8],
+    begin: usize,
+    count: usize,
+    stride: usize,
+    slab: usize,
+}
+
+impl Slabs<'_> {
+    /// All values in slab order. The output is reserved once and each
+    /// slab appended from an exact-size iterator, which compiles to a
+    /// byte swap per value with no capacity check in the loop.
+    fn decode<T, const N: usize>(&self, from_be: impl Fn([u8; N]) -> T + Copy) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.count * self.slab);
+        for r in 0..self.count {
+            let at = self.begin + r * self.stride;
+            let raw = &self.bytes[at..at + self.slab * N];
+            out.extend(raw.chunks_exact(N).map(|be| from_be(arr(be))));
+        }
+        out
     }
 }
 
@@ -482,7 +526,7 @@ impl NcFile {
 
         // dims
         let (tag, n) = (p.u32()?, p.u32()? as usize);
-        let mut dims = Vec::with_capacity(n);
+        let mut dims = Vec::with_capacity(p.backed(n, 8)?);
         if tag == TAG_DIMENSION {
             for _ in 0..n {
                 let name = p.name()?;
@@ -508,12 +552,12 @@ impl NcFile {
             typ: NcType,
             begin: usize,
         }
-        let mut raw_vars = Vec::with_capacity(n);
+        let mut raw_vars = Vec::with_capacity(p.backed(n, 28)?);
         if tag == TAG_VARIABLE {
             for _ in 0..n {
                 let name = p.name()?;
                 let ndims = p.u32()? as usize;
-                let mut vdims = Vec::with_capacity(ndims);
+                let mut vdims = Vec::with_capacity(p.backed(ndims, 4)?);
                 for _ in 0..ndims {
                     let d = p.u32()? as usize;
                     if d >= dims.len() {
@@ -537,42 +581,35 @@ impl NcFile {
             return Err(malformed("netcdf", "bad var_list tag"));
         }
 
-        // Record stride = sum of record-var vsizes.
+        // Values per record slab (per variable, for a fixed one) and the
+        // record stride = sum of record-var vsizes, from header fields
+        // that may be hostile: sizes that overflow describe no file.
+        let too_large = || malformed("netcdf", "variable sizes overflow");
         let is_rec = |v: &RawVar| v.dims.first().map(|&d| dims[d].is_record).unwrap_or(false);
-        let slab_elems = |v: &RawVar| -> usize {
+        let slab_elems = |v: &RawVar| {
             v.dims
                 .iter()
                 .filter(|&&d| !dims[d].is_record)
-                .map(|&d| dims[d].size)
-                .product()
+                .try_fold(1usize, |n, &d| n.checked_mul(dims[d].size))
+                .ok_or_else(too_large)
         };
-        let record_stride: usize = raw_vars
-            .iter()
-            .filter(|v| is_rec(v))
-            .map(|v| pad4(slab_elems(v) * v.typ.size()))
-            .sum();
+        let mut record_stride = 0usize;
+        for v in raw_vars.iter().filter(|v| is_rec(v)) {
+            record_stride = slab_elems(v)?
+                .checked_mul(v.typ.size())
+                .and_then(|slab_bytes| slab_bytes.checked_next_multiple_of(4))
+                .and_then(|vsize| record_stride.checked_add(vsize))
+                .ok_or_else(too_large)?;
+        }
 
         let mut vars = Vec::with_capacity(raw_vars.len());
         for v in raw_vars {
-            let slab = slab_elems(&v);
-            let data = if is_rec(&v) {
-                let slab_bytes = slab * v.typ.size();
-                let mut all = Vec::with_capacity(numrecs * slab_bytes);
-                for r in 0..numrecs {
-                    let at = v.begin + r * record_stride;
-                    let chunk = bytes.get(at..at + slab_bytes).ok_or_else(|| {
-                        malformed("netcdf", format!("{}: truncated record {r}", v.name))
-                    })?;
-                    all.extend_from_slice(chunk);
-                }
-                NcValues::read_be(v.typ, numrecs * slab, &all)?
+            let (count, stride) = if is_rec(&v) {
+                (numrecs, record_stride)
             } else {
-                let at = v.begin;
-                let chunk = bytes
-                    .get(at..)
-                    .ok_or_else(|| malformed("netcdf", format!("{}: bad begin", v.name)))?;
-                NcValues::read_be(v.typ, slab, chunk)?
+                (1, 0)
             };
+            let data = NcValues::read_be(v.typ, bytes, v.begin, count, stride, slab_elems(&v)?)?;
             vars.push(NcVar {
                 name: v.name,
                 dims: v.dims,
@@ -606,6 +643,16 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// `n`, once the bytes left are seen to hold `n` list entries of at
+    /// least `min_entry_bytes` each — what a count read from the header
+    /// must pass before a `Vec` is reserved for it.
+    fn backed(&self, n: usize, min_entry_bytes: usize) -> Result<usize, FormatError> {
+        if n > (self.bytes.len() - self.pos) / min_entry_bytes {
+            return Err(malformed("netcdf", "truncated header"));
+        }
+        Ok(n)
+    }
+
     fn u32(&mut self) -> Result<u32, FormatError> {
         Ok(u32::from_be_bytes(arr4(self.take(4)?)))
     }
@@ -630,7 +677,7 @@ impl<'a> Cursor<'a> {
         if tag != TAG_ATTRIBUTE {
             return Err(malformed("netcdf", "bad att_list tag"));
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(self.backed(n, 12)?);
         for _ in 0..n {
             let name = self.name()?;
             let typ = NcType::from_code(self.u32()?)?;
@@ -638,7 +685,7 @@ impl<'a> Cursor<'a> {
             let raw = self.take(pad4(count * typ.size()))?;
             out.push(NcAttr {
                 name,
-                values: NcValues::read_be(typ, count, raw)?,
+                values: NcValues::read_be(typ, raw, 0, 1, 0, count)?,
             });
         }
         Ok(out)
@@ -812,6 +859,93 @@ mod tests {
             back.var("b").unwrap().data,
             NcValues::Double(vec![10.0, 20.0, 30.0])
         );
+    }
+
+    /// Six record variables, one of every type, with slab sizes that need
+    /// padding: the decoder must pick each variable's slab out of every
+    /// record, whatever lies between, for any number of records.
+    #[test]
+    fn interleaved_record_vars_of_every_type_round_trip() {
+        for nt in [0usize, 1, 2, 7] {
+            let dims = vec![
+                NcDim {
+                    name: "t".into(),
+                    size: nt,
+                    is_record: true,
+                },
+                NcDim {
+                    name: "x".into(),
+                    size: 3,
+                    is_record: false,
+                },
+                NcDim {
+                    name: "y".into(),
+                    size: 5,
+                    is_record: false,
+                },
+            ];
+            let var = |name: &str, dims: &[usize], data: NcValues| NcVar {
+                name: name.into(),
+                dims: dims.to_vec(),
+                attrs: vec![],
+                data,
+            };
+            let n = nt * 15;
+            let f = NcFile {
+                dims,
+                global_attrs: vec![],
+                vars: vec![
+                    var(
+                        "d",
+                        &[0, 1, 2],
+                        NcValues::Double((0..n).map(|i| i as f64 * -1.5).collect()),
+                    ),
+                    var(
+                        "b",
+                        &[0, 1],
+                        NcValues::Byte((0..nt * 3).map(|i| i as i8 - 9).collect()),
+                    ),
+                    var("fixed", &[2], NcValues::Short(vec![-1, 2, -3, 4, -5])),
+                    var(
+                        "f",
+                        &[0, 2],
+                        NcValues::Float((0..nt * 5).map(|i| i as f32 + 0.25).collect()),
+                    ),
+                    var(
+                        "s",
+                        &[0, 1],
+                        NcValues::Short((0..nt * 3).map(|i| i as i16 * -300).collect()),
+                    ),
+                    var("c", &[0, 2], NcValues::Char("abcde".repeat(nt))),
+                    var(
+                        "i",
+                        &[0],
+                        NcValues::Int((0..nt).map(|i| i as i32 - 2).collect()),
+                    ),
+                ],
+            };
+            let bytes = f.to_bytes().unwrap();
+            assert_eq!(NcFile::from_bytes(&bytes).unwrap(), f, "{nt} records");
+            // One byte short of the last record is a truncation, not a
+            // shorter variable.
+            if nt > 0 {
+                assert!(NcFile::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn into_f64_vec_equals_to_f64_vec() {
+        for values in [
+            NcValues::Byte(vec![-1, 2]),
+            NcValues::Char("az".into()),
+            NcValues::Short(vec![-300, 7]),
+            NcValues::Int(vec![1 << 20, -5]),
+            NcValues::Float(vec![1.5, -0.25]),
+            NcValues::Double(vec![1e300, -2.5]),
+        ] {
+            assert_eq!(values.clone().into_f64_vec(), values.to_f64_vec());
+        }
     }
 
     #[test]

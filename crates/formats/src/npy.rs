@@ -17,9 +17,12 @@ use drai_tensor::{DType, Element, Tensor};
 
 const MAGIC: &[u8; 6] = b"\x93NUMPY";
 
-/// Serialize a tensor as NPY v1.0 bytes.
-pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
-    let shape_str = match tensor.shape() {
+/// Append the NPY v1.0 preamble — magic, version, header length and the
+/// padded header dict — for an array of `dtype` and `shape` to `out`.
+/// The array's little-endian elements follow it; a writer that packs many
+/// arrays of one shape builds this once.
+pub fn write_header_into(out: &mut Vec<u8>, dtype: DType, shape: &[usize]) {
+    let shape_str = match shape {
         [] => "()".to_string(),
         [n] => format!("({n},)"),
         dims => format!(
@@ -32,7 +35,7 @@ pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
     };
     let header_body = format!(
         "{{'descr': '{}', 'fortran_order': False, 'shape': {}, }}",
-        T::DTYPE.numpy_descr(),
+        dtype.numpy_descr(),
         shape_str
     );
     // Pad with spaces so magic(6)+version(2)+hlen(2)+header is 64-aligned,
@@ -42,12 +45,20 @@ pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
     let header = format!("{header_body}{}\n", " ".repeat(padding));
     assert!(header.len() <= u16::MAX as usize, "npy header too long");
 
-    let mut out = Vec::with_capacity(10 + header.len() + tensor.len() * T::DTYPE.size_bytes());
+    out.reserve(10 + header.len());
     out.extend_from_slice(MAGIC);
     out.push(1);
     out.push(0);
     out.extend_from_slice(&(header.len() as u16).to_le_bytes());
     out.extend_from_slice(header.as_bytes());
+}
+
+/// Serialize a tensor as NPY v1.0 bytes.
+pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
+    // 128: the preamble's length for all but very long shapes, which grow
+    // the buffer once.
+    let mut out = Vec::with_capacity(128 + tensor.len() * T::DTYPE.size_bytes());
+    write_header_into(&mut out, T::DTYPE, tensor.shape());
     tensor.write_le_into(&mut out);
     out
 }

@@ -22,41 +22,82 @@ pub struct ZipEntry {
     pub data: Vec<u8>,
 }
 
-/// Build a STORE-mode ZIP archive from `(name, data)` members.
+/// Bytes a member costs beyond its name (twice) and data: local header,
+/// central directory record.
+const MEMBER_OVERHEAD: usize = 30 + 46;
+/// Bytes of the end-of-central-directory record.
+const EOCD_LEN: usize = 22;
+
+/// Length of the archive [`ZipWriter`] produces for members of the given
+/// `(name length, data length)`.
+pub fn archive_len(members: impl IntoIterator<Item = (usize, usize)>) -> usize {
+    members
+        .into_iter()
+        .map(|(name, data)| MEMBER_OVERHEAD + 2 * name + data)
+        .sum::<usize>()
+        + EOCD_LEN
+}
+
+/// Incremental STORE-mode archive writer: each member's bytes are
+/// produced straight into the archive buffer, checksummed where they lie,
+/// and the local header in front of them patched with CRC and size.
 ///
-/// Fails if total size would exceed the 32-bit ZIP limits (callers shard
-/// well below 4 GiB; there is no ZIP64 support).
-pub fn write_zip(entries: &[ZipEntry]) -> Result<Vec<u8>, FormatError> {
-    let total: usize = entries
-        .iter()
-        .map(|e| e.data.len() + e.name.len() + 92)
-        .sum();
-    let mut out = Vec::with_capacity(total + 22);
-    let mut central = Vec::new();
-    for entry in entries {
-        let name = entry.name.as_bytes();
-        let crc = crc32(&entry.data);
-        let size = u32::try_from(entry.data.len())
-            .map_err(|_| unsupported("zip", format!("member `{}` exceeds 4 GiB", entry.name)))?;
+/// Fails if a size would exceed the 32-bit ZIP limits (callers shard well
+/// below 4 GiB; there is no ZIP64 support).
+#[derive(Debug)]
+pub struct ZipWriter {
+    out: Vec<u8>,
+    central: Vec<u8>,
+    members: usize,
+}
+
+impl ZipWriter {
+    /// A writer whose buffer holds `archive_bytes` (see [`archive_len`])
+    /// without growing.
+    pub fn with_capacity(archive_bytes: usize) -> ZipWriter {
+        ZipWriter {
+            out: Vec::with_capacity(archive_bytes),
+            central: Vec::new(),
+            members: 0,
+        }
+    }
+
+    /// Add member `name`; `write` appends its contents to the buffer it is
+    /// handed (and must do nothing else to it).
+    pub fn member(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), FormatError> {
+        let out = &mut self.out;
         let offset = u32::try_from(out.len())
             .map_err(|_| unsupported("zip", "archive exceeds 4 GiB (no ZIP64)"))?;
+        let name_len = u16::try_from(name.len())
+            .map_err(|_| unsupported("zip", format!("member name of {} bytes", name.len())))?;
 
-        // Local file header.
+        // Local file header; CRC and sizes follow the data.
         out.extend_from_slice(&LOCAL_MAGIC.to_le_bytes());
         out.extend_from_slice(&20u16.to_le_bytes()); // version needed
         out.extend_from_slice(&0u16.to_le_bytes()); // flags
         out.extend_from_slice(&0u16.to_le_bytes()); // method: STORE
         out.extend_from_slice(&0u16.to_le_bytes()); // mod time
         out.extend_from_slice(&0u16.to_le_bytes()); // mod date
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&size.to_le_bytes()); // compressed
-        out.extend_from_slice(&size.to_le_bytes()); // uncompressed
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        let patch_at = out.len();
+        out.extend_from_slice(&[0; 12]); // crc, compressed, uncompressed
+        out.extend_from_slice(&name_len.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // extra len
-        out.extend_from_slice(name);
-        out.extend_from_slice(&entry.data);
+        out.extend_from_slice(name.as_bytes());
+        let data_at = out.len();
+        write(out);
+        let crc = crc32(&out[data_at..]);
+        let size = u32::try_from(out.len() - data_at)
+            .map_err(|_| unsupported("zip", format!("member `{name}` exceeds 4 GiB")))?;
+        out[patch_at..patch_at + 4].copy_from_slice(&crc.to_le_bytes());
+        out[patch_at + 4..patch_at + 8].copy_from_slice(&size.to_le_bytes());
+        out[patch_at + 8..patch_at + 12].copy_from_slice(&size.to_le_bytes());
 
         // Central directory record.
+        let central = &mut self.central;
         central.extend_from_slice(&CENTRAL_MAGIC.to_le_bytes());
         central.extend_from_slice(&20u16.to_le_bytes()); // version made by
         central.extend_from_slice(&20u16.to_le_bytes()); // version needed
@@ -67,30 +108,57 @@ pub fn write_zip(entries: &[ZipEntry]) -> Result<Vec<u8>, FormatError> {
         central.extend_from_slice(&crc.to_le_bytes());
         central.extend_from_slice(&size.to_le_bytes());
         central.extend_from_slice(&size.to_le_bytes());
-        central.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        central.extend_from_slice(&name_len.to_le_bytes());
         central.extend_from_slice(&0u16.to_le_bytes()); // extra
         central.extend_from_slice(&0u16.to_le_bytes()); // comment
         central.extend_from_slice(&0u16.to_le_bytes()); // disk number
         central.extend_from_slice(&0u16.to_le_bytes()); // internal attrs
         central.extend_from_slice(&0u32.to_le_bytes()); // external attrs
         central.extend_from_slice(&offset.to_le_bytes());
-        central.extend_from_slice(name);
+        central.extend_from_slice(name.as_bytes());
+        self.members += 1;
+        Ok(())
     }
-    let cd_offset = u32::try_from(out.len())
-        .map_err(|_| unsupported("zip", "archive exceeds 4 GiB (no ZIP64)"))?;
-    let cd_size = u32::try_from(central.len())
-        .map_err(|_| unsupported("zip", "central directory exceeds 4 GiB"))?;
-    out.extend_from_slice(&central);
-    // End of central directory.
-    out.extend_from_slice(&EOCD_MAGIC.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // this disk
-    out.extend_from_slice(&0u16.to_le_bytes()); // cd disk
-    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-    out.extend_from_slice(&cd_size.to_le_bytes());
-    out.extend_from_slice(&cd_offset.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // comment len
-    Ok(out)
+
+    /// Append the central directory and its end record; the archive.
+    pub fn finish(self) -> Result<Vec<u8>, FormatError> {
+        let ZipWriter {
+            mut out,
+            central,
+            members,
+        } = self;
+        let cd_offset = u32::try_from(out.len())
+            .map_err(|_| unsupported("zip", "archive exceeds 4 GiB (no ZIP64)"))?;
+        let cd_size = u32::try_from(central.len())
+            .map_err(|_| unsupported("zip", "central directory exceeds 4 GiB"))?;
+        let members = u16::try_from(members)
+            .map_err(|_| unsupported("zip", "more than 65535 members (no ZIP64)"))?;
+        out.extend_from_slice(&central);
+        // End of central directory.
+        out.extend_from_slice(&EOCD_MAGIC.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes()); // this disk
+        out.extend_from_slice(&0u16.to_le_bytes()); // cd disk
+        out.extend_from_slice(&members.to_le_bytes());
+        out.extend_from_slice(&members.to_le_bytes());
+        out.extend_from_slice(&cd_size.to_le_bytes());
+        out.extend_from_slice(&cd_offset.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes()); // comment len
+        Ok(out)
+    }
+}
+
+/// Build a STORE-mode ZIP archive from `(name, data)` members.
+///
+/// Fails if total size would exceed the 32-bit ZIP limits (callers shard
+/// well below 4 GiB; there is no ZIP64 support).
+pub fn write_zip(entries: &[ZipEntry]) -> Result<Vec<u8>, FormatError> {
+    let mut zip = ZipWriter::with_capacity(archive_len(
+        entries.iter().map(|e| (e.name.len(), e.data.len())),
+    ));
+    for entry in entries {
+        zip.member(&entry.name, |out| out.extend_from_slice(&entry.data))?;
+    }
+    zip.finish()
 }
 
 fn rd_u16(b: &[u8], at: usize) -> Result<u16, FormatError> {

@@ -68,6 +68,40 @@ impl Welford {
         }
     }
 
+    /// The accumulator of `xs` cut into chunks of `chunk_len` values (0 is
+    /// taken as 1), each accumulated on its own and merged in chunk order:
+    /// bit for bit the fold of [`merge`](Self::merge) over one
+    /// [`extend`](Self::extend) per chunk. The association is fixed by
+    /// `chunk_len`, so the result is the same on every host.
+    ///
+    /// [`push`](Self::push) is a serial subtract → divide → add chain
+    /// that leaves the divider idle most of the time; four chunks are
+    /// advanced side by side so it has four independent chains to work on.
+    pub fn of_chunks(xs: &[f64], chunk_len: usize) -> Welford {
+        let chunk_len = chunk_len.max(1);
+        let mut acc = Welford::new();
+        let mut groups = xs.chunks_exact(chunk_len.saturating_mul(4));
+        for group in &mut groups {
+            let (a, rest) = group.split_at(chunk_len);
+            let (b, rest) = rest.split_at(chunk_len);
+            let (c, d) = rest.split_at(chunk_len);
+            let mut lanes = [Welford::new(); 4];
+            for (((&xa, &xb), &xc), &xd) in a.iter().zip(b).zip(c).zip(d) {
+                lanes[0].push(xa);
+                lanes[1].push(xb);
+                lanes[2].push(xc);
+                lanes[3].push(xd);
+            }
+            acc = lanes.iter().fold(acc, |acc, w| acc.merge(w));
+        }
+        for chunk in groups.remainder().chunks(chunk_len) {
+            let mut w = Welford::new();
+            w.extend(chunk);
+            acc = acc.merge(&w);
+        }
+        acc
+    }
+
     /// Combine with another accumulator (parallel reduction step).
     pub fn merge(&self, other: &Welford) -> Welford {
         if self.count == 0 {
@@ -350,6 +384,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn welford_matches_two_pass() {
@@ -380,6 +415,90 @@ mod tests {
         assert!((merged.variance() - seq.variance()).abs() < 1e-10);
         assert_eq!(merged.min(), seq.min());
         assert_eq!(merged.max(), seq.max());
+    }
+
+    /// Every field of an accumulator as bits (NaN moments, which ±inf
+    /// inputs produce, mapped to one pattern: their sign is unspecified).
+    fn fingerprint(w: &Welford) -> [u64; 6] {
+        let f = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        [w.count, f(w.mean), f(w.m2), f(w.min), f(w.max), w.nan_count]
+    }
+
+    /// What `of_chunks` must equal: one `extend` per chunk, folded with
+    /// `merge` in chunk order.
+    fn fold_of_extends(xs: &[f64], chunk_len: usize) -> Welford {
+        xs.chunks(chunk_len)
+            .map(|chunk| {
+                let mut w = Welford::new();
+                w.extend(chunk);
+                w
+            })
+            .fold(Welford::new(), |acc, w| acc.merge(&w))
+    }
+
+    #[test]
+    fn of_chunks_equals_fold_of_extends_on_edge_shapes() {
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| match i % 97 {
+                13 => f64::NAN,
+                _ => (i as f64 * 0.37).sin() * 5.0 + 2.0,
+            })
+            .collect();
+        // Empty input, fewer than four chunks, exactly four, a ragged
+        // last chunk after one and after two full groups, chunks of one.
+        for (len, chunk_len) in [
+            (0, 8),
+            (5, 8),
+            (24, 8),
+            (32, 8),
+            (37, 8),
+            (64, 8),
+            (71, 8),
+            (1000, 1),
+            (1000, 33),
+            (1000, 250),
+            (1000, 4096),
+            (1000, usize::MAX),
+        ] {
+            let got = Welford::of_chunks(&xs[..len], chunk_len);
+            let want = fold_of_extends(&xs[..len], chunk_len);
+            assert_eq!(
+                fingerprint(&got),
+                fingerprint(&want),
+                "{len} by {chunk_len}"
+            );
+        }
+        assert_eq!(Welford::of_chunks(&[], 4), Welford::new());
+        assert_eq!(Welford::of_chunks(&xs, 0), Welford::of_chunks(&xs, 1));
+        for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut ys = xs.clone();
+            ys[3] = special;
+            ys[500] = -special;
+            ys[999] = special;
+            assert_eq!(
+                fingerprint(&Welford::of_chunks(&ys, 16)),
+                fingerprint(&fold_of_extends(&ys, 16)),
+                "{special}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn of_chunks_equals_fold_of_extends(
+            xs in proptest::collection::vec(
+                prop_oneof![
+                    12 => -1e6f64..1e6,
+                    2 => Just(f64::NAN),
+                    1 => Just(f64::INFINITY),
+                    1 => Just(f64::NEG_INFINITY),
+                ],
+                0..300),
+            chunk_len in 1usize..40) {
+            let got = Welford::of_chunks(&xs, chunk_len);
+            let want = fold_of_extends(&xs, chunk_len);
+            prop_assert_eq!(fingerprint(&got), fingerprint(&want));
+        }
     }
 
     #[test]

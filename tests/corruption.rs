@@ -255,3 +255,119 @@ fn parse_xyz_rejects_hostile_atom_counts_without_panicking() {
         );
     }
 }
+
+/// The NetCDF decoder likewise: every count and size in the header is
+/// the attacker's, and each is held against the bytes present before a
+/// buffer is sized by it. (`numrecs` patched to 2³¹−1 in a 16 KiB file
+/// used to abort in `with_capacity(numrecs * slab_bytes)`: 16 TiB.)
+#[test]
+fn netcdf_rejects_hostile_counts_without_reserving_for_them() {
+    use drai::formats::netcdf::{NcDim, NcFile, NcValues, NcVar};
+    use drai::formats::FormatError;
+
+    let dim = |name: &str, size: usize, is_record: bool| NcDim {
+        name: name.into(),
+        size,
+        is_record,
+    };
+    let var = |name: &str, dims: &[usize], data: NcValues| NcVar {
+        name: name.into(),
+        dims: dims.to_vec(),
+        attrs: vec![],
+        data,
+    };
+    // ≈ 16 KiB: four records of a 16 × 32 double field beside a short
+    // record variable, and a fixed coordinate.
+    let valid = NcFile {
+        dims: vec![dim("t", 4, true), dim("y", 16, false), dim("x", 32, false)],
+        global_attrs: vec![],
+        vars: vec![
+            var(
+                "field",
+                &[0, 1, 2],
+                NcValues::Double((0..4 * 16 * 32).map(|i| i as f64).collect()),
+            ),
+            var("step", &[0], NcValues::Int(vec![0, 6, 12, 18])),
+            var(
+                "x",
+                &[2],
+                NcValues::Float((0..32).map(|i| i as f32).collect()),
+            ),
+        ],
+    }
+    .to_bytes()
+    .unwrap();
+    assert!((16_000..17_000).contains(&valid.len()));
+    assert!(NcFile::from_bytes(&valid).is_ok());
+
+    // Header layout: magic, numrecs, dim tag, dim count, then per
+    // dimension a 4-byte name length, the padded name and the size; all
+    // three names here are one byte, padded to four.
+    const NUMRECS: usize = 4;
+    const DIM_COUNT: usize = 12;
+    const DIM_Y_SIZE: usize = 16 + 12 + 8;
+    const DIM_X_SIZE: usize = DIM_Y_SIZE + 12;
+    const VAR_COUNT: usize = DIM_X_SIZE + 4 + 8 + 4;
+    assert_eq!(&valid[DIM_Y_SIZE..DIM_Y_SIZE + 4], &16u32.to_be_bytes());
+    assert_eq!(&valid[DIM_X_SIZE..DIM_X_SIZE + 4], &32u32.to_be_bytes());
+    assert_eq!(&valid[VAR_COUNT..VAR_COUNT + 4], &3u32.to_be_bytes());
+    // The first variable: name length, "field" padded to eight, ndims.
+    const FIELD_NDIMS: usize = VAR_COUNT + 4 + 4 + 8;
+    assert_eq!(&valid[FIELD_NDIMS..FIELD_NDIMS + 4], &3u32.to_be_bytes());
+    let patched = |edits: &[(usize, u32)]| {
+        let mut bytes = valid.clone();
+        for &(at, value) in edits {
+            bytes[at..at + 4].copy_from_slice(&value.to_be_bytes());
+        }
+        bytes
+    };
+
+    let cases: [(&str, Vec<u8>); 9] = [
+        ("numrecs 2^31-1", patched(&[(NUMRECS, 0x7FFF_FFFF)])),
+        ("numrecs 2^32-1", patched(&[(NUMRECS, u32::MAX)])),
+        ("one more record than stored", patched(&[(NUMRECS, 5)])),
+        (
+            "numrecs x slab overflows",
+            patched(&[
+                (NUMRECS, u32::MAX),
+                (DIM_Y_SIZE, u32::MAX),
+                (DIM_X_SIZE, u32::MAX),
+            ]),
+        ),
+        (
+            "slab bytes overflow",
+            patched(&[(DIM_Y_SIZE, u32::MAX), (DIM_X_SIZE, u32::MAX)]),
+        ),
+        (
+            "fixed variable of 2^32-1 values",
+            patched(&[(DIM_X_SIZE, u32::MAX)]),
+        ),
+        ("2^32-1 dimensions", patched(&[(DIM_COUNT, u32::MAX)])),
+        ("2^32-1 variables", patched(&[(VAR_COUNT, u32::MAX)])),
+        ("2^32-1 dimension ids", patched(&[(FIELD_NDIMS, u32::MAX)])),
+    ];
+    for (what, bytes) in &cases {
+        match NcFile::from_bytes(bytes) {
+            Err(FormatError::Malformed { .. }) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+    // Counts with nothing behind them at all.
+    for list_tag in [0x0Au32, 0x0C, 0x0B] {
+        let mut bytes = b"CDF\x01\0\0\0\0".to_vec();
+        // Absent lists before the one under attack.
+        for _ in 0..[0x0A, 0x0C, 0x0B]
+            .iter()
+            .position(|&t| t == list_tag)
+            .unwrap()
+        {
+            bytes.extend_from_slice(&[0; 8]);
+        }
+        bytes.extend_from_slice(&list_tag.to_be_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        match NcFile::from_bytes(&bytes) {
+            Err(FormatError::Malformed { .. }) => {}
+            other => panic!("list {list_tag:#x} of 2^32-1 entries: {other:?}"),
+        }
+    }
+}
