@@ -27,6 +27,24 @@ impl ByteWriter {
         }
     }
 
+    /// Run `write` on a writer that appends to `out`: the bytes already
+    /// there are kept, and `out` is the writer's buffer itself (taken
+    /// for the call and handed back), so nothing is copied over. How a
+    /// [`crate::CacheBytes::write_cache_bytes`] serializes into a buffer
+    /// its caller owns.
+    pub fn append_to(out: &mut Vec<u8>, write: impl FnOnce(&mut ByteWriter)) {
+        let mut w = ByteWriter {
+            buf: std::mem::take(out),
+        };
+        write(&mut w);
+        *out = w.buf;
+    }
+
+    /// Make room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -49,8 +67,8 @@ impl ByteWriter {
     /// (the key digests the input bytes), so it must run at memcpy-like
     /// speed, not one 8-byte append per element.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
+        self.buf.reserve(8 + vs.len() * 8);
         self.put_u64(vs.len() as u64);
-        self.buf.reserve(vs.len() * 8);
         let mut block = [0u8; 8 * 256];
         for chunk in vs.chunks(256) {
             for (slot, &v) in block.chunks_exact_mut(8).zip(chunk) {
@@ -64,6 +82,19 @@ impl ByteWriter {
     pub fn put_bytes(&mut self, data: &[u8]) {
         self.put_u64(data.len() as u64);
         self.buf.extend_from_slice(data);
+    }
+
+    /// Append a length-prefixed frame whose body `write` appends in
+    /// place — the bytes [`ByteWriter::put_bytes`] would store for that
+    /// body, without building it somewhere else first: a length hole,
+    /// the body, the hole patched. `write` must only append.
+    pub fn put_framed<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let hole = self.buf.len();
+        self.put_u64(0);
+        let result = write(&mut self.buf);
+        let len = (self.buf.len() - hole - 8) as u64;
+        self.buf[hole..hole + 8].copy_from_slice(&len.to_le_bytes());
+        result
     }
 
     /// Append a UTF-8 string with a length prefix.
@@ -201,6 +232,34 @@ mod tests {
         assert_eq!(v[2], f64::INFINITY);
         assert_eq!(r.bytes().unwrap(), b"raw");
         assert_eq!(r.str().unwrap(), "stage-name");
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn framed_and_appended_bytes_equal_the_copying_form() {
+        let mut reference = ByteWriter::new();
+        reference.put_u8(9);
+        reference.put_bytes(b"body bytes");
+        reference.put_bytes(b"");
+        let reference = reference.finish();
+
+        let mut out = b"junk".to_vec();
+        ByteWriter::append_to(&mut out, |w| {
+            w.put_u8(9);
+            let returned = w.put_framed(|buf| {
+                buf.extend_from_slice(b"body bytes");
+                7
+            });
+            assert_eq!(returned, 7);
+            w.put_framed(|_| ());
+        });
+        assert_eq!(&out[..4], b"junk");
+        assert_eq!(&out[4..], reference);
+
+        let mut r = ByteReader::new(&reference);
+        r.u8().unwrap();
+        assert_eq!(r.bytes().unwrap(), b"body bytes");
+        assert_eq!(r.bytes().unwrap(), b"");
         r.expect_end().unwrap();
     }
 

@@ -50,6 +50,7 @@ use drai_io::IoError;
 use drai_provenance::{Artifact, Ledger};
 use drai_telemetry::{Registry, TraceContext};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -63,20 +64,34 @@ pub const CACHE_FORMAT_VERSION: u32 = 1;
 /// Magic prefix of a serialized cache entry.
 const ENTRY_MAGIC: &[u8; 4] = b"DRCE";
 
+/// Bytes of an entry blob in front of its encoded payload.
+const ENTRY_HEADER_LEN: usize = 4 + 8 + 1 + 3 * 8 + (8 + 16) + 8;
+
 /// Exact byte representation of a pipeline artifact, for keying and
 /// storage. Implementations must round-trip *bitwise*: the cache
 /// digests these bytes for identity, and a hit is deserialized from
 /// exactly the bytes a previous run serialized.
 pub trait CacheBytes: Sized {
-    /// Serialize to the canonical byte form.
-    fn to_cache_bytes(&self) -> Vec<u8>;
+    /// Append the canonical byte form to `out`. Append-only: the bytes
+    /// already in `out` are neither read nor changed, which is what
+    /// lets the cache serialize an artifact straight into an entry
+    /// buffer behind the header, and a wrapper type frame its inner
+    /// artifact in place. Reserve the whole length up front where it is
+    /// known, so a large artifact is not moved while it grows.
+    fn write_cache_bytes(&self, out: &mut Vec<u8>);
+    /// Serialize to the canonical byte form, in a buffer of its own.
+    fn to_cache_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_cache_bytes(&mut out);
+        out
+    }
     /// Reconstruct from bytes produced by [`CacheBytes::to_cache_bytes`].
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String>;
 }
 
 impl CacheBytes for Vec<u8> {
-    fn to_cache_bytes(&self) -> Vec<u8> {
-        self.clone()
+    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
     }
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
         Ok(data.to_vec())
@@ -84,10 +99,8 @@ impl CacheBytes for Vec<u8> {
 }
 
 impl CacheBytes for Vec<f64> {
-    fn to_cache_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(8 + self.len() * 8);
-        w.put_f64_slice(self);
-        w.finish()
+    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
+        ByteWriter::append_to(out, |w| w.put_f64_slice(self));
     }
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
         let mut r = ByteReader::new(data);
@@ -123,11 +136,18 @@ impl CacheKey {
     /// config fingerprint. The input is digested first, so keying cost
     /// is one hash pass regardless of how many key components change.
     pub fn compute(stage: &str, input_bytes: &[u8], config_fp: &[u8]) -> CacheKey {
-        let input_digest = content_hash128(input_bytes);
+        CacheKey::from_input_digest(stage, &content_hash128(input_bytes), config_fp)
+    }
+
+    /// [`CacheKey::compute`] for a caller that already holds the
+    /// [`content_hash128`] of the serialized input — the cached-stage
+    /// decorator digests an input once and keys both its probe and its
+    /// store with it.
+    pub fn from_input_digest(stage: &str, input_digest: &[u8; 16], config_fp: &[u8]) -> CacheKey {
         let mut w = ByteWriter::with_capacity(64 + config_fp.len());
         w.put_u64(u64::from(CACHE_FORMAT_VERSION));
         w.put_str(stage);
-        w.put_bytes(&input_digest);
+        w.put_bytes(input_digest);
         w.put_bytes(config_fp);
         CacheKey {
             stage: stage.to_string(),
@@ -175,43 +195,95 @@ pub struct CacheHit {
     pub origin_trace: Option<u64>,
 }
 
+/// Where a verified entry's payload lies.
+enum Payload {
+    /// Stored as it is (`CodecId::Raw`): the entry blob from this
+    /// offset to its end.
+    Stored(usize),
+    /// Decoded out of the blob by any other codec.
+    Decoded(Vec<u8>),
+}
+
 struct DecodedEntry {
-    payload: Vec<u8>,
+    payload: Payload,
     records: u64,
     bytes: u64,
     origin_trace: Option<u64>,
 }
 
-/// Serialize an entry blob. Layout (all integers little-endian):
-/// magic `DRCE` · format version u32 · codec tag u8 · origin trace u64
-/// (0 = none) · records u64 · bytes u64 · digest of the *decoded*
-/// payload (16 bytes) · encoded payload (length-prefixed).
+impl DecodedEntry {
+    /// The verified payload; `blob` is the entry this was decoded from.
+    fn payload<'a>(&'a self, blob: &'a [u8]) -> &'a [u8] {
+        match &self.payload {
+            Payload::Stored(start) => &blob[*start..],
+            Payload::Decoded(payload) => payload,
+        }
+    }
+
+    /// The verified payload as a buffer of its own: a stored payload is
+    /// `blob` trimmed down to it, not a second allocation.
+    fn into_payload(self, mut blob: Vec<u8>) -> Vec<u8> {
+        match self.payload {
+            Payload::Stored(start) => {
+                blob.drain(..start);
+                blob
+            }
+            Payload::Decoded(payload) => payload,
+        }
+    }
+}
+
+/// Build an entry blob around the payload `write_payload` appends.
+/// Layout (all integers little-endian): magic `DRCE` · format version
+/// u64 · codec tag u8 · origin trace u64 (0 = none) · records u64 ·
+/// bytes u64 · digest of the *decoded* payload (length-prefixed, 16
+/// bytes) · encoded payload (length-prefixed).
+///
+/// The header goes first with the digest and the payload length left
+/// blank; a raw payload is then serialized straight behind it and any
+/// other codec compresses into place from one serialized copy; the
+/// digest is taken over the decoded payload and both blanks filled in.
 fn encode_entry(
     codec: CodecId,
     origin_trace: Option<u64>,
     records: u64,
     bytes: u64,
-    payload: &[u8],
+    write_payload: impl FnOnce(&mut Vec<u8>),
 ) -> Vec<u8> {
-    let encoded = codec_for(codec).encode(payload);
-    let mut w = ByteWriter::with_capacity(64 + encoded.len());
-    w.put_u8(ENTRY_MAGIC[0]);
-    w.put_u8(ENTRY_MAGIC[1]);
-    w.put_u8(ENTRY_MAGIC[2]);
-    w.put_u8(ENTRY_MAGIC[3]);
+    let mut w = ByteWriter::with_capacity(ENTRY_HEADER_LEN);
+    for &b in ENTRY_MAGIC {
+        w.put_u8(b);
+    }
     w.put_u64(u64::from(CACHE_FORMAT_VERSION));
     w.put_u8(codec.tag());
     w.put_u64(origin_trace.unwrap_or(0));
     w.put_u64(records);
     w.put_u64(bytes);
-    w.put_bytes(&content_hash128(payload));
-    w.put_bytes(&encoded);
-    w.finish()
+    w.put_bytes(&[0u8; 16]);
+    let digest_at = w.len() - 16;
+    let digest = w.put_framed(|entry| match codec {
+        CodecId::Raw => {
+            let start = entry.len();
+            write_payload(entry);
+            content_hash128(&entry[start..])
+        }
+        compressing => {
+            let mut payload = Vec::new();
+            write_payload(&mut payload);
+            codec_for(compressing).encode_into(&payload, entry);
+            content_hash128(&payload)
+        }
+    });
+    let mut entry = w.finish();
+    entry[digest_at..digest_at + 16].copy_from_slice(&digest);
+    entry
 }
 
-/// Parse, decode, and digest-verify an entry blob. Any failure — bad
-/// magic, version drift, unknown codec, truncation, codec error, digest
-/// mismatch — is reported as a string so the caller can quarantine.
+/// Parse and digest-verify an entry blob. A raw payload is verified
+/// where it lies in `data`; any other codec decodes it first. Any
+/// failure — bad magic, version drift, unknown codec, truncation, codec
+/// error, digest mismatch — is reported as a string so the caller can
+/// quarantine.
 fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
     let mut r = ByteReader::new(data);
     let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
@@ -234,18 +306,25 @@ fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
     }
     let encoded = r.bytes()?;
     r.expect_end()?;
-    let payload = codec_for(codec)
-        .decode(encoded)
-        .map_err(|e| e.to_string())?;
-    if content_hash128(&payload).as_slice() != digest {
-        return Err("payload digest mismatch".to_string());
-    }
-    Ok(DecodedEntry {
+    let payload = match codec {
+        // Nothing follows the payload, so it is the blob's tail.
+        CodecId::Raw => Payload::Stored(data.len() - encoded.len()),
+        compressing => Payload::Decoded(
+            codec_for(compressing)
+                .decode(encoded)
+                .map_err(|e| e.to_string())?,
+        ),
+    };
+    let entry = DecodedEntry {
         payload,
         records,
         bytes,
         origin_trace: (origin != 0).then_some(origin),
-    })
+    };
+    if content_hash128(entry.payload(data)).as_slice() != digest {
+        return Err("payload digest mismatch".to_string());
+    }
+    Ok(entry)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -362,6 +441,19 @@ impl StageCache {
     /// `cache.quarantined`) so it can never be served, and the caller
     /// recomputes.
     pub fn get(&self, key: &CacheKey) -> Option<CacheHit> {
+        let (blob, entry) = self.lookup(key)?;
+        Some(CacheHit {
+            records: entry.records,
+            bytes: entry.bytes,
+            origin_trace: entry.origin_trace,
+            payload: entry.into_payload(blob),
+        })
+    }
+
+    /// [`StageCache::get`] without the owned payload: the entry blob as
+    /// read and the verified entry that points into it, which is all
+    /// the cached-stage decorator needs to decode a hit.
+    fn lookup(&self, key: &CacheKey) -> Option<(Vec<u8>, DecodedEntry)> {
         let registry = Registry::current();
         let span = registry.span("cache.get");
         let _in_get = span.enter();
@@ -375,9 +467,10 @@ impl StageCache {
         };
         match decode_entry(&raw) {
             Ok(entry) => {
+                let payload = entry.payload(&raw);
                 registry.counter("cache.hits").incr();
                 span.add_items(1);
-                span.add_bytes(entry.payload.len() as u64);
+                span.add_bytes(payload.len() as u64);
                 self.index
                     .lock()
                     .touch(&blob, raw.len() as u64, self.clock.now_ns());
@@ -396,15 +489,10 @@ impl StageCache {
                             ),
                         ],
                         Vec::new(),
-                        vec![Artifact::new(&blob, &entry.payload)],
+                        vec![Artifact::new(&blob, payload)],
                     );
                 }
-                Some(CacheHit {
-                    payload: entry.payload,
-                    records: entry.records,
-                    bytes: entry.bytes,
-                    origin_trace: entry.origin_trace,
-                })
+                Some((raw, entry))
             }
             Err(_) => {
                 self.quarantine(key, &blob, &raw);
@@ -446,11 +534,25 @@ impl StageCache {
         records: u64,
         bytes: u64,
     ) -> Result<(), IoError> {
+        self.store(key, records, bytes, |entry| {
+            entry.extend_from_slice(payload)
+        })
+    }
+
+    /// [`StageCache::put`] of the payload `write_payload` appends to the
+    /// entry buffer it is handed (see [`encode_entry`]).
+    fn store(
+        &self,
+        key: &CacheKey,
+        records: u64,
+        bytes: u64,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), IoError> {
         let registry = Registry::current();
         let span = registry.span("cache.put");
         let _in_put = span.enter();
         let origin = TraceContext::current().map(|ctx| ctx.trace_id().as_u64());
-        let entry = encode_entry(self.codec, origin, records, bytes, payload);
+        let entry = encode_entry(self.codec, origin, records, bytes, write_payload);
         let entry_len = entry.len() as u64;
         if entry_len > self.capacity_bytes {
             return Ok(());
@@ -473,6 +575,31 @@ impl StageCache {
         }
         Ok(())
     }
+}
+
+/// Largest per-thread key scratch kept between stage executions.
+const KEY_SCRATCH_KEEP_BYTES: usize = 64 << 20;
+
+thread_local! {
+    /// Where a cached stage serializes its input to digest it. Reused
+    /// across the items a thread carries: a fresh multi-megabyte buffer
+    /// per probe costs more than filling one that is already mapped.
+    static KEY_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`content_hash128`] of `input`'s canonical bytes — the one
+/// serialization and the one hash pass a cached stage spends on its
+/// input. (The bytes must exist in full before hashing: the hash mixes
+/// the total length into its initial state.)
+fn input_digest<T: CacheBytes>(input: &T) -> [u8; 16] {
+    let mut scratch = KEY_SCRATCH.take();
+    scratch.clear();
+    input.write_cache_bytes(&mut scratch);
+    let digest = content_hash128(&scratch);
+    if scratch.capacity() <= KEY_SCRATCH_KEEP_BYTES {
+        KEY_SCRATCH.set(scratch);
+    }
+    digest
 }
 
 /// Decorators memoizing stages of an already-built [`Pipeline`] in a
@@ -524,37 +651,42 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();
         let probe = move |input: T, counters: &mut StageCounters| {
-            let input_bytes = input.to_cache_bytes();
-            let key = CacheKey::compute(&probe_name, &input_bytes, &probe_fp);
-            if let Some(hit) = probe_cache.get(&key) {
+            let digest = input_digest(&input);
+            let key = CacheKey::from_input_digest(&probe_name, &digest, &probe_fp);
+            if let Some((blob, entry)) = probe_cache.lookup(&key) {
                 // The digest already verified; a decode failure here
                 // means the payload schema drifted without a format
                 // version bump — recompute and overwrite.
-                if let Ok(output) = T::from_cache_bytes(&hit.payload) {
+                if let Ok(output) = T::from_cache_bytes(entry.payload(&blob)) {
                     if check(&output) {
-                        counters.records = hit.records;
-                        counters.bytes = hit.bytes;
+                        counters.records = entry.records;
+                        counters.bytes = entry.bytes;
                         return FastPath::Hit(output);
                     }
                 }
             }
+            // The function runs next on this very item with these very
+            // counters: leave it the digest instead of a second
+            // serialization.
+            counters.input_digest = Some(digest);
             FastPath::Miss(input)
         };
         let stage_name = stage.to_string();
         self.decorate_stage(stage, move |func| {
             let compute = move |input: T, counters: &mut StageCounters| {
-                // Recompute the key (the probe consumed its copy of the
-                // input bytes): the put must be keyed by the *input*,
-                // which `func` consumes.
-                let input_bytes = input.to_cache_bytes();
-                let key = CacheKey::compute(&stage_name, &input_bytes, &config_fp);
+                // The put must be keyed by the *input*, which `func`
+                // consumes. The probe's digest is there unless a
+                // wrapper in between handed this function counters of
+                // its own (`retried` does); then digest here.
+                let digest = counters
+                    .input_digest
+                    .take()
+                    .unwrap_or_else(|| input_digest(&input));
+                let key = CacheKey::from_input_digest(&stage_name, &digest, &config_fp);
                 let output = func(input, counters)?;
-                let _ = cache.put(
-                    &key,
-                    &output.to_cache_bytes(),
-                    counters.records,
-                    counters.bytes,
-                );
+                let _ = cache.store(&key, counters.records, counters.bytes, |entry| {
+                    output.write_cache_bytes(entry)
+                });
                 Ok(output)
             };
             (Arc::new(compute), Some(Arc::new(probe)))
@@ -569,6 +701,16 @@ mod tests {
     use drai_core::readiness::ProcessingStage as S;
     use drai_io::sink::MemSink;
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    const ALL_CODECS: [CodecId; 7] = [
+        CodecId::Raw,
+        CodecId::Rle,
+        CodecId::Delta { width: 1 },
+        CodecId::Delta { width: 2 },
+        CodecId::Delta { width: 4 },
+        CodecId::Delta { width: 8 },
+        CodecId::Lz,
+    ];
 
     fn mem_cache(capacity: u64) -> StageCache {
         StageCache::new(Arc::new(MemSink::new()), capacity)
@@ -632,15 +774,7 @@ mod tests {
     #[test]
     fn entries_survive_all_codecs() {
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 7) as u8).collect();
-        for codec in [
-            CodecId::Raw,
-            CodecId::Rle,
-            CodecId::Delta { width: 1 },
-            CodecId::Delta { width: 2 },
-            CodecId::Delta { width: 4 },
-            CodecId::Delta { width: 8 },
-            CodecId::Lz,
-        ] {
+        for codec in ALL_CODECS {
             let cache = mem_cache(1 << 20).with_codec(codec);
             let key = CacheKey::compute("s", b"in", b"");
             let ((), _snap) = with_registry(|| {
@@ -865,9 +999,120 @@ mod tests {
         assert!(produced.trace.is_some(), "hit stamped with current trace");
     }
 
+    /// `encode_entry` as it was before entries were built in place: the
+    /// payload encoded into a buffer of its own, then copied behind the
+    /// header. The entry bytes are pinned to it.
+    fn reference_encode_entry(
+        codec: CodecId,
+        origin_trace: Option<u64>,
+        records: u64,
+        bytes: u64,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let encoded = codec_for(codec).encode(payload);
+        let mut w = ByteWriter::with_capacity(64 + encoded.len());
+        w.put_u8(ENTRY_MAGIC[0]);
+        w.put_u8(ENTRY_MAGIC[1]);
+        w.put_u8(ENTRY_MAGIC[2]);
+        w.put_u8(ENTRY_MAGIC[3]);
+        w.put_u64(u64::from(CACHE_FORMAT_VERSION));
+        w.put_u8(codec.tag());
+        w.put_u64(origin_trace.unwrap_or(0));
+        w.put_u64(records);
+        w.put_u64(bytes);
+        w.put_bytes(&content_hash128(payload));
+        w.put_bytes(&encoded);
+        w.finish()
+    }
+
+    #[test]
+    fn entries_built_in_place_equal_the_copying_builder() {
+        // Smooth enough for Delta/Lz/Rle to do real work, long enough
+        // (the last one) to cross every block boundary they have.
+        let payload_of = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|i| ((i / 7) % 251) as u8 ^ ((i >> 12) as u8))
+                .collect()
+        };
+        for len in [0usize, 1, 4096, (2 << 20) + 40] {
+            let payload = payload_of(len);
+            for codec in ALL_CODECS {
+                for origin in [None, Some(0x1234_5678_9ABC_DEF0)] {
+                    let want = reference_encode_entry(codec, origin, 7, len as u64, &payload);
+                    // Written in two pieces: the builder must take
+                    // whatever the writer appends, however it appends it.
+                    let (head, tail) = payload.split_at(len / 3);
+                    let got = encode_entry(codec, origin, 7, len as u64, |out| {
+                        out.extend_from_slice(head);
+                        out.extend_from_slice(tail);
+                    });
+                    assert!(
+                        got == want,
+                        "{} over {len} bytes, origin {origin:?}: entry bytes moved",
+                        codec.name()
+                    );
+                    assert_eq!(
+                        got.len() - ENTRY_HEADER_LEN,
+                        codec_for(codec).encode(&payload).len()
+                    );
+                    let entry = decode_entry(&got).expect("own entry decodes");
+                    assert!(entry.payload(&got) == payload.as_slice());
+                    assert_eq!((entry.records, entry.bytes), (7, len as u64));
+                    assert_eq!(entry.origin_trace, origin);
+                    assert!(entry.into_payload(got) == payload);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn raw_entry_verified_in_place_refuses_any_flipped_field() {
+        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
+        let good = encode_entry(CodecId::Raw, Some(9), 3, 4096, |out| {
+            out.extend_from_slice(&payload)
+        });
+        let digest_at = ENTRY_HEADER_LEN - 8 - 16;
+        let len_at = ENTRY_HEADER_LEN - 8;
+        for (what, at) in [
+            ("first digest byte", digest_at),
+            ("last digest byte", digest_at + 15),
+            ("digest length", digest_at - 8),
+            ("payload length, low byte", len_at),
+            ("payload length, high byte", len_at + 7),
+            ("first payload byte", ENTRY_HEADER_LEN),
+            ("last payload byte", good.len() - 1),
+        ] {
+            let sink = Arc::new(MemSink::new());
+            let cache =
+                StageCache::new(sink.clone(), 1 << 20).with_clock(Arc::new(LogicalClock::new()));
+            let key = CacheKey::compute("s", b"in", b"");
+            let mut bad = good.clone();
+            bad[at] ^= 0x01;
+            assert!(decode_entry(&bad).is_err(), "{what}");
+            sink.write_file(&key.blob_name(), &bad).unwrap();
+            let ((), snap) = with_registry(|| {
+                assert!(cache.get(&key).is_none(), "{what}: served");
+            });
+            assert_eq!(snap.counters["cache.quarantined"], 1, "{what}");
+            assert_eq!(snap.counters["cache.misses"], 1, "{what}");
+            assert_eq!(snap.counters.get("cache.hits"), None, "{what}");
+            assert!(!sink.exists(&key.blob_name()), "{what}: left in place");
+        }
+        assert!(decode_entry(&good).is_ok());
+    }
+
+    #[test]
+    fn key_from_input_digest_is_the_computed_key() {
+        let input = b"serialized input bytes";
+        assert_eq!(
+            CacheKey::from_input_digest("regrid", &content_hash128(input), b"cfg"),
+            CacheKey::compute("regrid", input, b"cfg")
+        );
+    }
+
     #[test]
     fn entry_decode_rejects_wrong_version() {
-        let entry = encode_entry(CodecId::Raw, None, 0, 0, b"p");
+        let entry = encode_entry(CodecId::Raw, None, 0, 0, |out| out.push(b'p'));
         // Version field sits at bytes 4..12.
         let mut bad = entry.clone();
         bad[4] ^= 0xFF;

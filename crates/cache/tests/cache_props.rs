@@ -114,6 +114,33 @@ proptest! {
         prop_assert_eq!(hit.bytes, bytes);
     }
 
+    /// `write_cache_bytes` only appends — what was in the buffer stays
+    /// as it was — and what it appends is `to_cache_bytes`.
+    #[test]
+    fn write_cache_bytes_only_appends(
+        raw in proptest::collection::vec(any::<u8>(), 0..1024),
+        bits in proptest::collection::vec(any::<u64>(), 0..512),
+        prefix in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        let mut out = prefix.clone();
+        raw.write_cache_bytes(&mut out);
+        let (head, tail) = out.split_at(prefix.len());
+        prop_assert_eq!(head, &prefix[..], "Vec<u8> touched the bytes before it");
+        prop_assert_eq!(tail, &raw.to_cache_bytes()[..]);
+        prop_assert_eq!(tail, &raw[..]);
+
+        let mut out = prefix.clone();
+        floats.write_cache_bytes(&mut out);
+        let (head, tail) = out.split_at(prefix.len());
+        prop_assert_eq!(head, &prefix[..], "Vec<f64> touched the bytes before it");
+        prop_assert_eq!(tail, &floats.to_cache_bytes()[..]);
+        // Length, then the values' bits, little-endian.
+        let mut want = (bits.len() as u64).to_le_bytes().to_vec();
+        want.extend(bits.iter().flat_map(|b| b.to_le_bytes()));
+        prop_assert_eq!(tail, &want[..]);
+    }
+
     /// `Vec<f64>`'s CacheBytes impl is bitwise-exact (NaN bit patterns,
     /// signed zeros and subnormals all survive the round trip).
     #[test]

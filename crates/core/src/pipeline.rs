@@ -28,6 +28,16 @@ pub struct StageCounters {
     pub records: u64,
     /// Bytes consumed/produced.
     pub bytes: u64,
+    /// Content digest of the stage's *input*, left by a fast path that
+    /// missed for the stage function of the same execution (which
+    /// `take()`s it): [`Pipeline::execute_stage`] hands both the same
+    /// counters and the same, unchanged item, so a cache probe need not
+    /// be followed by a second serialization to key the store. It is
+    /// `None` whenever the function is handed fresh counters (under
+    /// [`Pipeline::retried`]) and the function then digests for itself.
+    /// A wrapper that changes the item before calling the function it
+    /// wraps must clear it.
+    pub input_digest: Option<[u8; 16]>,
 }
 
 /// A stage's transformation function.

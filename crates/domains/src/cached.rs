@@ -22,7 +22,7 @@ use drai_core::pipeline::Pipeline;
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
-use drai_tensor::{LatLonGrid, Tensor};
+use drai_tensor::{Element, LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,24 +47,29 @@ fn method_from_tag(tag: u8) -> Result<Method, String> {
 }
 
 impl CacheBytes for ClimateData {
-    fn to_cache_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(
-            self.fields.iter().map(|f| f.len() * 8 + 8).sum::<usize>() + 64,
-        );
-        w.put_u64(self.grid.nlat() as u64);
-        w.put_u64(self.grid.nlon() as u64);
-        w.put_u64(self.timesteps as u64);
-        w.put_u64(self.fields.len() as u64);
-        for f in &self.fields {
-            w.put_f64_slice(f);
-        }
-        w.put_u64(self.normalizers.len() as u64);
-        for n in &self.normalizers {
-            w.put_u8(method_tag(n.method()));
-            w.put_f64(n.offset);
-            w.put_f64(n.scale);
-        }
-        w.finish()
+    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
+        ByteWriter::append_to(out, |w| {
+            // Room for everything first: the entry buffer this appends
+            // to must not move a field stack it already holds.
+            w.reserve(
+                self.fields.iter().map(|f| f.len() * 8 + 8).sum::<usize>()
+                    + self.normalizers.len() * 17
+                    + 40,
+            );
+            w.put_u64(self.grid.nlat() as u64);
+            w.put_u64(self.grid.nlon() as u64);
+            w.put_u64(self.timesteps as u64);
+            w.put_u64(self.fields.len() as u64);
+            for f in &self.fields {
+                w.put_f64_slice(f);
+            }
+            w.put_u64(self.normalizers.len() as u64);
+            for n in &self.normalizers {
+                w.put_u8(method_tag(n.method()));
+                w.put_f64(n.offset);
+                w.put_f64(n.scale);
+            }
+        });
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<ClimateData, String> {
@@ -72,10 +77,27 @@ impl CacheBytes for ClimateData {
         let nlat = r.u64()? as usize;
         let nlon = r.u64()? as usize;
         let timesteps = r.u64()? as usize;
+        // A digest-valid entry of a drifted schema must be an `Err`
+        // (recompute and overwrite), so the shape is checked here, before
+        // `LatLonGrid::global` can assert on it.
+        if nlat == 0 || nlon == 0 {
+            return Err(format!("empty grid {nlat}x{nlon}"));
+        }
+        let expect = nlat
+            .checked_mul(nlon)
+            .and_then(|ncells| ncells.checked_mul(timesteps))
+            .ok_or_else(|| format!("{timesteps} timesteps of {nlat}x{nlon} cells overflow"))?;
         let nfields = r.u64()? as usize;
         let mut fields = Vec::with_capacity(nfields.min(1024));
-        for _ in 0..nfields {
-            fields.push(r.f64_vec()?);
+        for vi in 0..nfields {
+            let field = r.f64_vec()?;
+            if field.len() != expect {
+                return Err(format!(
+                    "variable {vi}: {} values, expected {expect}",
+                    field.len()
+                ));
+            }
+            fields.push(field);
         }
         let nnorm = r.u64()? as usize;
         let mut normalizers = Vec::with_capacity(nnorm.min(1024));
@@ -95,20 +117,12 @@ impl CacheBytes for ClimateData {
     }
 }
 
-fn put_tensor_f32(w: &mut ByteWriter, t: &Tensor<f32>) {
+fn put_tensor<T: Element>(w: &mut ByteWriter, t: &Tensor<T>) {
     w.put_u64(t.shape().len() as u64);
     for &d in t.shape() {
         w.put_u64(d as u64);
     }
-    w.put_bytes(&t.to_le_bytes());
-}
-
-fn put_tensor_i64(w: &mut ByteWriter, t: &Tensor<i64>) {
-    w.put_u64(t.shape().len() as u64);
-    for &d in t.shape() {
-        w.put_u64(d as u64);
-    }
-    w.put_bytes(&t.to_le_bytes());
+    w.put_framed(|out| t.write_le_into(out));
 }
 
 fn tensor_shape(r: &mut ByteReader) -> Result<Vec<usize>, String> {
@@ -150,44 +164,44 @@ fn read_tensor_i64(r: &mut ByteReader) -> Result<Tensor<i64>, String> {
 }
 
 impl CacheBytes for MaterialsData {
-    fn to_cache_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(self.frames.len() as u64);
-        for frame in &self.frames {
-            w.put_u64(frame.atoms.len() as u64);
-            for atom in &frame.atoms {
-                w.put_str(&atom.element);
-                for &p in &atom.position {
-                    w.put_f64(p);
-                }
-                match atom.force {
-                    Some(f) => {
-                        w.put_u8(1);
-                        for &x in &f {
-                            w.put_f64(x);
-                        }
+    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
+        ByteWriter::append_to(out, |w| {
+            w.put_u64(self.frames.len() as u64);
+            for frame in &self.frames {
+                w.put_u64(frame.atoms.len() as u64);
+                for atom in &frame.atoms {
+                    w.put_str(&atom.element);
+                    for &p in &atom.position {
+                        w.put_f64(p);
                     }
-                    None => w.put_u8(0),
+                    match atom.force {
+                        Some(f) => {
+                            w.put_u8(1);
+                            for &x in &f {
+                                w.put_f64(x);
+                            }
+                        }
+                        None => w.put_u8(0),
+                    }
+                }
+                w.put_u64(frame.properties.len() as u64);
+                for (k, v) in &frame.properties {
+                    w.put_str(k);
+                    w.put_str(v);
                 }
             }
-            w.put_u64(frame.properties.len() as u64);
-            for (k, v) in &frame.properties {
-                w.put_str(k);
-                w.put_str(v);
+            w.put_f64(self.energy_stats.0);
+            w.put_f64(self.energy_stats.1);
+            w.put_u64(self.graphs.len() as u64);
+            for g in &self.graphs {
+                w.put_u64(g.structure_id as u64);
+                put_tensor(w, &g.node_features);
+                put_tensor(w, &g.edges);
+                put_tensor(w, &g.edge_lengths);
+                w.put_f64(g.energy_per_atom);
+                put_tensor(w, &g.forces);
             }
-        }
-        w.put_f64(self.energy_stats.0);
-        w.put_f64(self.energy_stats.1);
-        w.put_u64(self.graphs.len() as u64);
-        for g in &self.graphs {
-            w.put_u64(g.structure_id as u64);
-            put_tensor_f32(&mut w, &g.node_features);
-            put_tensor_i64(&mut w, &g.edges);
-            put_tensor_f32(&mut w, &g.edge_lengths);
-            w.put_f64(g.energy_per_atom);
-            put_tensor_f32(&mut w, &g.forces);
-        }
-        w.finish()
+        });
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<MaterialsData, String> {
@@ -252,20 +266,19 @@ impl CacheBytes for MaterialsData {
 /// artifact's canonical bytes, so each member keys its own cache
 /// entries (identical fields under different member ids never collide).
 impl<T: CacheBytes> CacheBytes for Member<T> {
-    fn to_cache_bytes(&self) -> Vec<u8> {
-        let inner = self.1.to_cache_bytes();
-        let mut w = ByteWriter::with_capacity(inner.len() + 16);
-        w.put_u64(self.0 as u64);
-        w.put_bytes(&inner);
-        w.finish()
+    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
+        ByteWriter::append_to(out, |w| {
+            w.put_u64(self.0 as u64);
+            w.put_framed(|out| self.1.write_cache_bytes(out));
+        });
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<Member<T>, String> {
         let mut r = ByteReader::new(data);
         let member = r.u64()? as usize;
-        let inner = r.bytes()?.to_vec();
+        let inner = r.bytes()?;
         r.expect_end()?;
-        Ok(Member(member, T::from_cache_bytes(&inner)?))
+        Ok(Member(member, T::from_cache_bytes(inner)?))
     }
 }
 
@@ -551,6 +564,182 @@ mod tests {
         // Tagging changes the encoding, so identical fields under a
         // different member id key different cache entries.
         assert_ne!(Member(8, climate_input(&cfg)).to_cache_bytes(), bytes);
+    }
+
+    /// `write_cache_bytes` appends `to_cache_bytes` behind whatever the
+    /// buffer holds and leaves that alone.
+    fn assert_only_appends<T: CacheBytes>(what: &str, value: &T) {
+        let prefix = b"bytes that were there before".to_vec();
+        let mut out = prefix.clone();
+        value.write_cache_bytes(&mut out);
+        let (head, tail) = out.split_at(prefix.len());
+        assert_eq!(head, &prefix[..], "{what} touched the bytes before it");
+        assert!(
+            tail == value.to_cache_bytes(),
+            "{what}: appended bytes differ"
+        );
+    }
+
+    /// `Member` only appends, and frames as it did when the inner
+    /// artifact was serialized into a buffer of its own and copied:
+    /// id ‖ len ‖ inner.
+    fn assert_member_framing<T: CacheBytes>(what: &str, member: &Member<T>) {
+        assert_only_appends(what, member);
+        let inner = member.1.to_cache_bytes();
+        let mut w = ByteWriter::with_capacity(inner.len() + 16);
+        w.put_u64(member.0 as u64);
+        w.put_bytes(&inner);
+        assert!(
+            member.to_cache_bytes() == w.finish(),
+            "{what}: framing moved"
+        );
+    }
+
+    #[test]
+    fn write_cache_bytes_only_appends_and_member_framing_is_unchanged() {
+        let mut climate = climate_input(&climate_cfg());
+        climate.normalizers = vec![Normalizer::from_parts(Method::MinMax, 0.5, 3.0)];
+        let materials = materials::member_input(&materials_cfg(), 0).expect("member input");
+        assert_only_appends("ClimateData", &climate);
+        assert_only_appends("MaterialsData", &materials);
+        assert_member_framing("Member<ClimateData>", &Member(3, climate));
+        assert_member_framing("Member<MaterialsData>", &Member(usize::MAX, materials));
+        assert_member_framing("Member<Vec<f64>>", &Member(1, vec![0.5f64, f64::NAN, -0.0]));
+        assert_member_framing("Member of nothing", &Member(2, Vec::<u8>::new()));
+        // A member of a member frames the same way, one level down.
+        let nested = Member(7, Member(0, vec![1u8, 2, 3]));
+        assert_member_framing("Member<Vec<u8>>", &nested.1);
+        assert_member_framing("Member<Member<Vec<u8>>>", &nested);
+        let back =
+            Member::<Member<Vec<u8>>>::from_cache_bytes(&nested.to_cache_bytes()).expect("decode");
+        assert_eq!((back.0, back.1 .0, back.1 .1), (7, 0, vec![1u8, 2, 3]));
+    }
+
+    /// Well-framed `ClimateData` bytes with no fields and no normalizers.
+    fn climate_header(nlat: u64, nlon: u64, timesteps: u64) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_u64(nlat);
+        w.put_u64(nlon);
+        w.put_u64(timesteps);
+        w
+    }
+
+    #[test]
+    fn climate_data_of_an_impossible_shape_is_an_error_not_a_panic() {
+        let empty = |nlat, nlon, timesteps| {
+            let mut w = climate_header(nlat, nlon, timesteps);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.finish()
+        };
+        assert!(ClimateData::from_cache_bytes(&empty(8, 16, 6)).is_ok());
+        for (nlat, nlon, timesteps) in [
+            (0, 16, 6),
+            (8, 0, 6),
+            (0, 0, 0),
+            (u64::MAX / 2, 4, 1),
+            (1 << 40, 1 << 20, 1 << 10),
+        ] {
+            let err = ClimateData::from_cache_bytes(&empty(nlat, nlon, timesteps))
+                .err()
+                .unwrap_or_else(|| panic!("{nlat}x{nlon}x{timesteps} decoded"));
+            assert!(err.contains("grid") || err.contains("overflow"), "{err}");
+        }
+        // A field that does not cover timesteps × cells.
+        let mut w = climate_header(2, 2, 3);
+        w.put_u64(1);
+        w.put_f64_slice(&[0.0; 11]);
+        w.put_u64(0);
+        let err = ClimateData::from_cache_bytes(&w.finish())
+            .err()
+            .expect("short field");
+        assert!(err.contains("11 values, expected 12"), "{err}");
+    }
+
+    /// Regression: a digest-valid entry whose payload is well-framed
+    /// `ClimateData` with an empty grid used to panic the stage
+    /// (`LatLonGrid::global` asserts) instead of being recomputed.
+    #[test]
+    fn planted_entry_of_an_empty_grid_is_recomputed_and_overwritten() {
+        use drai_cache::CacheKey;
+        use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+
+        let cfg = climate_cfg();
+        let input = climate::member_input(&cfg, 0);
+        let empty_grid = {
+            let mut w = climate_header(0, cfg.dst_grid.nlon() as u64, cfg.timesteps as u64);
+            w.put_u64(0);
+            w.put_u64(0);
+            w.finish()
+        };
+        let fp = climate_regrid_fingerprint(&cfg);
+        let counted = |snapshot: &drai_telemetry::Snapshot, name: &str| {
+            snapshot.counters.get(name).copied().unwrap_or(0)
+        };
+
+        // `run`: the entry sits under the key the regrid stage computes
+        // (validate hands its input on unchanged).
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let key = CacheKey::compute("regrid", &input.to_cache_bytes(), &fp);
+        cache.put(&key, &empty_grid, 0, 0).expect("plant");
+        let p = build_cached_climate_pipeline(
+            &cfg,
+            sink.clone(),
+            Arc::new(Ledger::new()),
+            cache.clone(),
+        );
+        let (output, first) = run_in_registry(&Registry::new(), || {
+            p.run(input.clone()).expect("run over the planted entry")
+        });
+        assert_eq!(output.output.grid.shape(), cfg.dst_grid.shape());
+        // Hit (the digest holds), rejected by the decoder, recomputed;
+        // normalize and shard have no entry yet.
+        assert_eq!(counted(&first, "cache.hits"), 1, "{:?}", first.counters);
+        assert_eq!(counted(&first, "cache.misses"), 2, "{:?}", first.counters);
+        assert_eq!(counted(&first, "cache.quarantined"), 0);
+        let stored = cache.get(&key).expect("overwritten entry");
+        let regridded = ClimateData::from_cache_bytes(&stored.payload).expect("now decodes");
+        assert_eq!(regridded.grid.shape(), cfg.dst_grid.shape());
+        let ((), second) = run_in_registry(&Registry::new(), || {
+            p.run(input.clone()).expect("warm run");
+        });
+        assert_eq!(counted(&second, "cache.hits"), 3, "{:?}", second.counters);
+        assert_eq!(counted(&second, "cache.misses"), 0);
+
+        // `run_batch_streaming`: the same under a member's key.
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let member = Member(1, climate::member_input(&cfg, 1));
+        let key = CacheKey::compute("regrid", &member.to_cache_bytes(), &fp);
+        let planted = Member(1, empty_grid.clone()).to_cache_bytes();
+        cache.put(&key, &planted, 0, 0).expect("plant");
+        let p = build_cached_climate_batch_pipeline(
+            &cfg,
+            sink.clone(),
+            Arc::new(Ledger::new()),
+            cache.clone(),
+        );
+        let exec = ExecutorConfig::default();
+        let (outputs, first) = run_in_registry(&Registry::new(), || {
+            p.run_batch_streaming(vec![member.clone()], &exec)
+                .expect("streaming run over the planted entry")
+                .0
+        });
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(counted(&first, "cache.hits"), 1, "{:?}", first.counters);
+        assert_eq!(counted(&first, "cache.misses"), 2, "{:?}", first.counters);
+        let stored = cache.get(&key).expect("overwritten entry");
+        let regridded =
+            Member::<ClimateData>::from_cache_bytes(&stored.payload).expect("now decodes");
+        assert_eq!(regridded.0, 1);
+        assert_eq!(regridded.1.grid.shape(), cfg.dst_grid.shape());
+        let (_, second) = run_in_registry(&Registry::new(), || {
+            p.run_batch_streaming(vec![member.clone()], &exec)
+                .expect("warm streaming run");
+        });
+        assert_eq!(counted(&second, "cache.hits"), 3, "{:?}", second.counters);
+        assert_eq!(counted(&second, "cache.misses"), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crossbeam::channel::{bounded, Receiver};
 use drai_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch, TraceContext};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
 /// Apply `f` to each item on `workers` background threads, yielding results
@@ -240,8 +240,19 @@ where
     U: Send,
     F: Fn(I::Item) -> U + Sync,
 {
-    let threads = thread::available_parallelism().map_or(1, |n| n.get());
-    par_map_on(threads, items.into_iter().collect(), f)
+    let items: Vec<I::Item> = items.into_iter().collect();
+    // No thread is spawned for one item, so the count is not needed.
+    let threads = if items.len() <= 1 { 1 } else { cpu_count() };
+    par_map_on(threads, items, f)
+}
+
+/// CPUs available to this process, asked for once: every
+/// `available_parallelism` call re-reads the affinity mask and the
+/// cgroup quota files (microseconds each, and a stage makes several
+/// `par_map` calls per item), while the answer is fixed at process start.
+fn cpu_count() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// [`par_map`] on at most `threads` threads (the test seam).
@@ -417,6 +428,22 @@ mod tests {
                 assert_eq!(out, (1..=len).collect::<Vec<_>>(), "{threads}x{len}");
             }
         }
+    }
+
+    #[test]
+    fn par_map_of_at_most_one_item_stays_on_the_caller() {
+        let caller = thread::current().id();
+        assert!(par_map(Vec::<u8>::new(), |x| x).is_empty());
+        assert_eq!(
+            par_map([5u8], |x| (x, thread::current().id())),
+            [(5, caller)]
+        );
+        // The count is read once and is what the host reports.
+        assert_eq!(cpu_count(), cpu_count());
+        assert_eq!(
+            cpu_count(),
+            thread::available_parallelism().map_or(1, |n| n.get())
+        );
     }
 
     #[test]

@@ -206,9 +206,16 @@ impl StorageSink for LocalFs {
 }
 
 /// In-memory sink for tests and benchmarks that must exclude disk effects.
+///
+/// One mutex guards the name map, and every stage worker, shard-writer
+/// thread and cache lookup of a run goes through it, so it is held for
+/// map operations only: payloads are copied in before it is taken and
+/// out after it is released (blobs sit behind an `Arc`, so a reader
+/// takes a pointer under the lock), and a replaced or deleted blob is
+/// freed once the guard is gone.
 #[derive(Debug, Default, Clone)]
 pub struct MemSink {
-    files: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
+    files: Arc<Mutex<BTreeMap<String, Arc<[u8]>>>>,
 }
 
 impl MemSink {
@@ -219,7 +226,7 @@ impl MemSink {
 
     /// Total bytes currently stored.
     pub fn total_bytes(&self) -> usize {
-        self.files.lock().values().map(Vec::len).sum()
+        self.files.lock().values().map(|blob| blob.len()).sum()
     }
 
     /// Number of stored blobs.
@@ -231,18 +238,18 @@ impl MemSink {
 impl StorageSink for MemSink {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
         validate_name(name)?;
-        self.files.lock().insert(name.to_string(), data.to_vec());
+        let (name, blob) = (name.to_string(), Arc::from(data));
+        let replaced = self.files.lock().insert(name, blob);
+        drop(replaced);
         count_write(data.len());
         Ok(())
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
-        let data = self
-            .files
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| IoError::Format(format!("no such blob: {name}")))?;
+        let blob = self.files.lock().get(name).cloned();
+        let data = blob
+            .ok_or_else(|| IoError::Format(format!("no such blob: {name}")))?
+            .to_vec();
         count_read(data.len());
         Ok(data)
     }
@@ -252,7 +259,8 @@ impl StorageSink for MemSink {
     }
 
     fn delete(&self, name: &str) -> Result<(), IoError> {
-        self.files.lock().remove(name);
+        let removed = self.files.lock().remove(name);
+        drop(removed);
         Ok(())
     }
 
@@ -365,6 +373,65 @@ mod tests {
         assert!(sink.write_file("/abs", b"x").is_err());
         assert!(sink.write_file("", b"x").is_err());
         assert!(sink.write_file("ok/../evil", b"x").is_err());
+    }
+
+    #[test]
+    fn mem_sink_holds_its_lock_for_map_operations_only() {
+        // One thread writes (overwriting, so old blobs are freed too),
+        // then reads, 8 MiB blobs in a loop while this one probes an
+        // unrelated name. A probe takes the sink's one mutex; were
+        // payloads copied in, freed or cloned out under it, the typical
+        // probe would wait out a good part of a copy. Medians, so a
+        // descheduled thread cannot decide the test.
+        const BLOB: usize = 8 << 20;
+        let sink = MemSink::new();
+        sink.write_file("unrelated", b"x").unwrap();
+        let payload = vec![0xA5u8; BLOB];
+        let median = |mut samples: Vec<u64>| {
+            samples.sort_unstable();
+            samples[samples.len() / 2]
+        };
+        let copy_ns = median(
+            (0..5)
+                .map(|_| {
+                    let t = Stopwatch::start();
+                    std::hint::black_box(payload.to_vec());
+                    t.elapsed_ns()
+                })
+                .collect(),
+        );
+        let probe_beside = |what: &str, work: &(dyn Fn(usize) + Sync)| {
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let mut probes: Vec<u64> = Vec::new();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    (0..24).for_each(work);
+                    done.store(true, AtomicOrdering::Release);
+                });
+                while !done.load(AtomicOrdering::Acquire) {
+                    let t = Stopwatch::start();
+                    assert!(sink.exists("unrelated"));
+                    probes.push(t.elapsed_ns());
+                    // Paced, so probes sample the whole loop evenly and
+                    // do not bunch up in the gaps between two copies.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            });
+            assert!(probes.len() >= 24, "{what}: only {} probes", probes.len());
+            let waited = median(probes);
+            assert!(
+                waited < copy_ns / 8,
+                "{what}: the median probe waited {waited} ns beside copies of \
+                 {copy_ns} ns — the sink moves payload bytes under its lock"
+            );
+        };
+        probe_beside("write_file", &|i| {
+            sink.write_file(&format!("big/{}", i % 2), &payload)
+                .unwrap()
+        });
+        probe_beside("read_file", &|_| {
+            assert_eq!(sink.read_file("big/0").unwrap().len(), BLOB)
+        });
     }
 
     #[test]
