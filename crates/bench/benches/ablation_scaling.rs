@@ -2,8 +2,8 @@
 //!
 //! §4's guiding principles call for "alignment with HPC infrastructure
 //! for parallel training". This bench sweeps worker counts over the
-//! batch executor and the prefetching reader to show the scaling shape
-//! (near-linear until memory-bandwidth/IO bound). The simulated
+//! batch executor to show the scaling shape (near-linear until
+//! memory-bandwidth/IO bound). The simulated
 //! stripe-count scaling (virtual time, not wall time) is produced by the
 //! `stripe_scaling` binary instead — criterion can only measure wall
 //! clocks.
@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::Pipeline;
 use drai_core::readiness::ProcessingStage;
-use drai_io::parallel::prefetch_map;
 use drai_transform::normalize::{Method, Normalizer};
 use std::time::Duration;
 
@@ -66,17 +65,6 @@ fn bench_thread_scaling(c: &mut Criterion) {
             b.iter_batched(
                 || items.clone(),
                 |batch| pipeline.run_batch_streaming(batch, &exec).unwrap(),
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-
-    // Prefetch reader scaling (worker threads hiding per-item latency).
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("prefetch-map", workers), |b| {
-            b.iter_batched(
-                || items.clone(),
-                |batch| prefetch_map(batch, workers, 4, heavy_stage).collect::<Vec<_>>(),
                 criterion::BatchSize::LargeInput,
             )
         });

@@ -27,7 +27,9 @@
 //!
 //! Telemetry (registered in `drai_telemetry::METRIC_FAMILIES`):
 //! `executor.queue_depth` (gauge over finished items waiting for the
-//! collector), `executor.stall_ns` (histogram of time workers spend
+//! collector: in the hand-off channel, held by a worker blocked on it,
+//! or just taken by the collector, so 0 ≤ depth ≤ `channel_capacity +
+//! pool + 1`), `executor.stall_ns` (histogram of time workers spend
 //! blocked on the full hand-off channel — the backpressure signal),
 //! `executor.<pipeline>.<stage>.inflight` (per-stage gauge of items
 //! inside the stage), `executor.items_completed` (counter ticking live
@@ -45,13 +47,13 @@
 use crate::metrics::Throughput;
 use crate::pipeline::{Pipeline, StageCounters, StageDef, StageMetrics};
 use crate::CoreError;
-use crossbeam::channel::{bounded, Sender};
 use drai_telemetry::monitor::{Condition, HealthSpec};
 use drai_telemetry::{Gauge, Histogram, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -101,7 +103,9 @@ impl ExecutorConfig {
 ///
 /// - `queue_saturated`: the `executor.queue_depth` window watermark
 ///   reached the hand-off channel's capacity — workers are finishing
-///   items faster than the collector takes them.
+///   items faster than the collector takes them. The gauge counts a
+///   finished item from the moment its worker offers it, so the rule
+///   also sees workers holding an item at a full channel.
 /// - `no_progress`: `executor.items_completed` went 8 consecutive
 ///   samples without an item reaching the collector — a stall or
 ///   livelock candidate at the sampling cadence.
@@ -310,7 +314,7 @@ impl<T> ExecShared<'_, T> {
     /// Pool worker: take the next input item, carry it through the
     /// pipeline, hand it to the collector; repeat until the input is
     /// exhausted.
-    fn work(&self, tx: Sender<(usize, T)>) {
+    fn work(&self, tx: SyncSender<(usize, T)>) {
         loop {
             // The feed lock is a temporary, released before any stage
             // runs or the hand-off blocks.
@@ -321,10 +325,13 @@ impl<T> ExecShared<'_, T> {
                 continue;
             };
             let wait = Stopwatch::start();
+            // Counted before the send: the collector's decrement can
+            // then never run ahead of it and take the gauge below 0.
+            self.queue_depth.add(1);
             // A send error means the collector is gone — only possible
             // when the run is collapsing; dropping the item is correct.
-            if tx.send((idx, item)).is_ok() {
-                self.queue_depth.add(1);
+            if tx.send((idx, item)).is_err() {
+                self.queue_depth.add(-1);
             }
             self.stall.record(wait.elapsed_ns());
         }
@@ -382,10 +389,10 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             inflight: &inflight,
             cancel,
         };
-        let (tx, rx) = bounded(cfg.channel_capacity.max(1));
+        let (tx, rx) = sync_channel(cfg.channel_capacity.max(1));
         // Capture-and-attach: workers report into the caller's registry
         // and parent under the streaming span (same handoff as
-        // `prefetch_map`).
+        // `par_map`).
         let context = TraceContext::current();
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
 
@@ -645,11 +652,33 @@ mod tests {
             (1..=(pool + cfg.channel_capacity + 1) as u64).contains(&in_flight),
             "{in_flight} items in flight"
         );
+        // A full channel, every worker holding a finished item, and the
+        // one the collector has taken and not yet counted out.
         let high_water = snap.gauges["executor.queue_depth"].max;
         assert!(
-            (1..=cfg.channel_capacity as i64 + 1).contains(&high_water),
+            (1..=(cfg.channel_capacity + pool + 1) as i64).contains(&high_water),
             "queue depth high water {high_water}"
         );
+    }
+
+    #[test]
+    fn queue_depth_never_reads_negative() {
+        // Four workers on a one-slot channel: the collector is often
+        // inside `recv` when a worker sends, so its decrement races the
+        // worker's increment on every item.
+        let p: Pipeline<u64> = Pipeline::builder("exec-depth")
+            .stage("only", S::Transform, |x, _| Ok(x))
+            .build();
+        let cfg = ExecutorConfig {
+            channel_capacity: 1,
+            workers_per_stage: 4,
+        };
+        let ((), snap) = in_registry(|| {
+            p.run_batch_streaming((0..2048).collect(), &cfg).unwrap();
+        });
+        let depth = &snap.gauges["executor.queue_depth"];
+        assert_eq!(depth.value, 0);
+        assert_eq!(depth.min, 0);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! stage's record/byte counters, and `run_iterative` wraps the whole
 //! feedback loop in a span whose item count is the number of passes.
 //! Stage spans are *entered* while the stage function runs, so spans
-//! opened by the I/O layer inside a stage (shard writes, prefetch
-//! workers, retries) attach under that stage in the trace tree.
+//! opened by the I/O layer inside a stage (shard writes, `par_map`
+//! tasks, retries) attach under that stage in the trace tree.
 
 use crate::metrics::Throughput;
 use crate::readiness::ProcessingStage;

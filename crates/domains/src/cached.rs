@@ -418,9 +418,9 @@ mod tests {
 
     /// A climate input that went through the raw NetCDF files.
     fn climate_input(cfg: &ClimateConfig) -> ClimateData {
-        let raw_sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let names = climate::generate_raw(cfg, raw_sink.as_ref()).expect("generate");
-        climate::ingest(cfg, &names, raw_sink, &mut |_, _| {}).expect("ingest")
+        let raw_sink = MemSink::new();
+        let names = climate::generate_raw(cfg, &raw_sink).expect("generate");
+        climate::ingest(cfg, &names, &raw_sink, &mut |_, _| {}).expect("ingest")
     }
 
     #[test]

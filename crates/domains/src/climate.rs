@@ -21,7 +21,7 @@ use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
 use drai_formats::npy;
 use drai_formats::zip::{archive_len, ZipWriter};
-use drai_io::parallel::{par_map, prefetch_map};
+use drai_io::parallel::par_map;
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
 use drai_tensor::stats::Welford;
@@ -543,40 +543,33 @@ pub fn build_batch_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
-/// One prefetched raw variable: (blob name, raw bytes, decoded field).
-type ParsedVar = Result<(String, Vec<u8>, Vec<f64>), DomainError>;
+/// One parsed raw variable: (raw bytes, decoded field).
+type ParsedVar = Result<(Vec<u8>, Vec<f64>), DomainError>;
 
 /// Read and parse the raw NetCDF files `raw_names` (one per entry of
-/// [`VARIABLES`], in that order) through the prefetch pool: the
-/// variables decode concurrently, and worker telemetry parents under
-/// the caller's span via the captured trace context. Results come back
-/// in input order, so `witness` sees the files in file order.
+/// [`VARIABLES`], in that order) on [`par_map`]: the variables decode
+/// concurrently under the caller's trace context, and the results come
+/// back in input order, so `witness` sees the files in file order.
 pub(crate) fn ingest(
     cfg: &ClimateConfig,
     raw_names: &[String],
-    sink: Arc<dyn StorageSink>,
+    sink: &dyn StorageSink,
     witness: Witness,
 ) -> Result<ClimateData, DomainError> {
-    let parsed: Vec<ParsedVar> = prefetch_map(
-        raw_names.iter().cloned().enumerate().collect(),
-        2,
-        2,
-        move |(name_idx, blob): (usize, String)| {
-            let bytes = sink.read_file(&blob)?;
-            let nc = NcFile::from_bytes(&bytes)?;
-            let var = nc
-                .vars
-                .into_iter()
-                .find(|v| v.name == VARIABLES[name_idx].0)
-                .ok_or_else(|| DomainError::Config(format!("missing variable in {blob}")))?;
-            Ok((blob, bytes, var.data.into_f64_vec()))
-        },
-    )
-    .collect();
+    let parsed: Vec<ParsedVar> = par_map(raw_names.iter().zip(VARIABLES), |(blob, (name, ..))| {
+        let bytes = sink.read_file(blob)?;
+        let nc = NcFile::from_bytes(&bytes)?;
+        let var = nc
+            .vars
+            .into_iter()
+            .find(|v| v.name == name)
+            .ok_or_else(|| DomainError::Config(format!("missing variable in {blob}")))?;
+        Ok((bytes, var.data.into_f64_vec()))
+    });
     let mut fields = Vec::with_capacity(parsed.len());
-    for item in parsed {
-        let (blob, bytes, data) = item?;
-        witness(&blob, &bytes);
+    for (blob, item) in raw_names.iter().zip(parsed) {
+        let (bytes, data) = item?;
+        witness(blob, &bytes);
         fields.push(data);
     }
     Ok(raw_fields(cfg, fields))
@@ -590,7 +583,7 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
         ".shard",
         sink.as_ref(),
         || generate_raw(cfg, sink.as_ref()),
-        |raw_names, witness| ingest(cfg, &raw_names, sink.clone(), witness),
+        |raw_names, witness| ingest(cfg, &raw_names, sink.as_ref(), witness),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |_| {
             let mut manifest = DatasetManifest::raw(

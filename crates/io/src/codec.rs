@@ -516,21 +516,20 @@ impl Codec for DeltaCodec {
 /// acceleration; any match resets it), and its hash tables live per
 /// thread across calls (`LzTables`) instead of being filled afresh for
 /// every record.
-#[derive(Debug, Clone)]
-pub struct LzCodec {
-    max_chain: usize,
-}
-
-impl Default for LzCodec {
-    fn default() -> Self {
-        LzCodec { max_chain: 32 }
-    }
-}
+///
+/// It has no parameters; `LzCodec::default()` is how every caller makes
+/// one.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct LzCodec;
 
 const LZ_WINDOW: usize = 1 << 16;
 const LZ_MIN_MATCH: usize = 4;
 const LZ_HASH_BITS: usize = 15;
 const LZ_SKIP_TRIGGER: u32 = 6;
+/// Candidates tried per position before the matcher settles for the best
+/// so far (higher = better ratio, slower encode).
+const LZ_MAX_CHAIN: usize = 32;
 
 /// The matcher's dictionary. Positions are stored as `base + position`,
 /// and a call owns the values from its `base` up: whatever earlier calls
@@ -573,14 +572,6 @@ impl LzTables {
 }
 
 impl LzCodec {
-    /// Codec with a bounded hash-chain search depth (higher = better ratio,
-    /// slower encode).
-    pub fn with_chain_depth(max_chain: usize) -> Self {
-        LzCodec {
-            max_chain: max_chain.max(1),
-        }
-    }
-
     #[inline]
     fn hash(window: &[u8]) -> usize {
         let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
@@ -602,7 +593,7 @@ impl LzCodec {
             let mut best_len = 0;
             let mut best_off = 0;
             let mut depth = 0;
-            while cand >= base && depth < self.max_chain {
+            while cand >= base && depth < LZ_MAX_CHAIN {
                 let at = (cand - base) as usize;
                 // chain[] slots are recycled modulo the window, so a stale
                 // entry can point at or past `pos`; both cases end the chain.

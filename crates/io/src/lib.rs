@@ -31,8 +31,8 @@
 //! * [`retry`] — [`RetrySink`] with exponential, jitter-free backoff
 //!   through an injectable clock, so resilience tests never really
 //!   sleep.
-//! * [`parallel`] — double-buffered prefetching readers and chunked
-//!   parallel writers built on crossbeam channels.
+//! * [`parallel`] — [`parallel::par_map`], the one way work inside a
+//!   stage goes onto threads (scoped `std` threads, input order kept).
 
 #![forbid(unsafe_code)]
 

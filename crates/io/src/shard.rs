@@ -661,8 +661,7 @@ impl<'a> ShardReader<'a> {
         }
     }
 
-    /// Iterate all records across shards in order (fully materialized;
-    /// use [`crate::parallel::prefetch_map`] for streaming pipelines).
+    /// All records across shards, in order, fully materialized.
     /// The capacity hint from the (untrusted) manifest is clamped so a
     /// corrupt record count cannot force a giant allocation before the
     /// per-shard CRC checks run.

@@ -428,9 +428,9 @@ mod tests {
     fn span_family_counts_as_emitted() {
         let emitting = source_file(
             "crates/io/src/x.rs",
-            r#"fn f(r: &Registry) { let _s = r.span("io.prefetch.worker"); }"#,
+            r#"fn f(r: &Registry) { let _s = r.span("io.shard.write_all"); }"#,
         );
-        let ws = ws_with(vec![emitting], &["io.prefetch.worker"]);
+        let ws = ws_with(vec![emitting], &["io.shard.write_all"]);
         let mut out = Vec::new();
         check_workspace(&ws, &mut out);
         assert!(out.is_empty(), "{out:?}");

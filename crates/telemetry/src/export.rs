@@ -6,7 +6,7 @@
 //! ```json
 //! {
 //!   "counters":   {"io.shard.bytes_in": 123},
-//!   "gauges":     {"io.prefetch.reorder_depth": {"value": 0, "min": 0,
+//!   "gauges":     {"executor.queue_depth": {"value": 0, "min": 0,
 //!                  "max": 3}},
 //!   "histograms": {"io.sink.fsync_ns": {"count": 2, "sum": 900, "min": 400,
 //!                  "max": 500, "mean": 450.0, "p50": 448, "p90": 500,

@@ -39,11 +39,11 @@
 //!
 //! Producers: `pipeline.*` comes from drai-core; `executor.*` from
 //! drai-core's streaming batch executor (queue depth, send stalls,
-//! per-stage in-flight, live progress); `io.{prefetch,
-//! shard,codec,sink}.*` from drai-io; `io.{fault,retry}.*` from the
-//! fault/retry layer; `domain.*` from drai-domains; `cache.*` from the
-//! drai-cache stage-result cache; `sched.*` from the drai-sched
-//! scheduler; `monitor.*` from the [`monitor`] sampler's health layer;
+//! per-stage in-flight, live progress); `io.{shard,codec,sink}.*` from
+//! drai-io; `io.{fault,retry}.*` from the fault/retry layer; `domain.*`
+//! from drai-domains; `cache.*` from the drai-cache stage-result cache;
+//! `sched.*` from the drai-sched scheduler; `monitor.*` from the
+//! [`monitor`] sampler's health layer;
 //! `*.ns` is the histogram every [`Span`] records on drop.
 //!
 //! The [`monitor`] module adds the *live* view: a background sampler
@@ -119,11 +119,6 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "monitor.samples",
     "monitor.health.violations",
     "monitor.rule.*",
-    // drai-io prefetch workers
-    "io.prefetch.items",
-    "io.prefetch.work_ns",
-    "io.prefetch.wait_ns",
-    "io.prefetch.reorder_depth",
     // drai-io shard writer/reader, including the resilience counters
     "io.shard.records",
     "io.shard.bytes_in",
@@ -192,8 +187,7 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "domain.*.run",
     "domain.*.generate_raw",
     "domain.*.ingest",
-    // span tree: drai-io worker and shard container spans
-    "io.prefetch.worker",
+    // span tree: drai-io shard container spans
     "io.shard.write_all",
     "io.shard.read_all",
     // every Span records `<span name>.ns` on drop

@@ -9,8 +9,6 @@
 //!   forward fill, linear interpolation.
 //! * [`encode`] — one-hot and vocabulary encoding for categorical and
 //!   sequence data (Enformer-style DNA tiles).
-//! * [`augment`] — grid rotations/flips, jitter noise, mixup-style
-//!   synthesis for sample-starved datasets.
 //! * [`regrid`] — bilinear and first-order conservative lat-lon regridding
 //!   (the climate `regrid` stage).
 //! * [`align`] — multirate time-series resampling to a common clock and
@@ -28,7 +26,6 @@
 
 pub mod align;
 pub mod anonymize;
-pub mod augment;
 pub mod encode;
 pub mod features;
 pub mod impute;

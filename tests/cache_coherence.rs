@@ -1,8 +1,8 @@
 //! Cache coherence acceptance tests:
 //!
-//! * concurrency — parallel `prefetch_map` workers sharing one
-//!   [`StageCache`] never observe torn entries, and the hit/miss
-//!   counters account for every lookup;
+//! * concurrency — eight threads sharing one [`StageCache`] never
+//!   observe torn entries, and the hit/miss counters account for every
+//!   lookup;
 //! * a writer racing the LRU evictor never serves a partial entry;
 //! * fault injection — the cached climate pipeline over a corrupting
 //!   [`FaultSink`] quarantines damaged entries and recomputes them,
@@ -16,11 +16,11 @@ use drai::domains::{cached, climate as climate_mod};
 use drai::formats::netcdf::NcFile;
 use drai::io::checksum::content_hash128;
 use drai::io::fault::{FaultConfig, FaultSink};
-use drai::io::parallel::prefetch_map;
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
 use drai::telemetry::{Registry, TraceContext};
 use drai::tensor::LatLonGrid;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn test_cache(capacity: u64) -> Arc<StageCache> {
@@ -35,6 +35,38 @@ fn payload_for(i: usize) -> Vec<u8> {
     (0..256).map(|j| ((i * 131 + j * 7) % 251) as u8).collect()
 }
 
+/// Run `task(0)`, …, `task(tasks - 1)` on eight threads that take the
+/// next task number from one shared counter, each under `ctx` (so the
+/// cache's counters land in the test's registry). Results in any order.
+fn on_eight_threads<U: Send>(
+    ctx: &TraceContext,
+    tasks: usize,
+    task: impl Fn(usize) -> U + Sync,
+) -> Vec<U> {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _attached = ctx.attach();
+                    let mut done = Vec::new();
+                    loop {
+                        let n = next.fetch_add(1, Ordering::Relaxed);
+                        if n >= tasks {
+                            break done;
+                        }
+                        done.push(task(n));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| worker.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
 #[test]
 fn parallel_workers_share_cache_without_torn_entries() {
     let registry = Registry::new();
@@ -44,23 +76,19 @@ fn parallel_workers_share_cache_without_torn_entries() {
     // 64 tasks over 16 distinct inputs: plenty of same-key contention.
     const TASKS: usize = 64;
     const DISTINCT: usize = 16;
-    let worker_cache = cache.clone();
-    let results: Vec<(usize, Vec<u8>)> = ctx.scope(|| {
-        prefetch_map((0..TASKS).collect::<Vec<_>>(), 8, 8, move |task: usize| {
-            let i = task % DISTINCT;
-            let input = format!("input-{i}").into_bytes();
-            let key = CacheKey::compute("stage", &input, b"fp");
-            let value = match worker_cache.get(&key) {
-                Some(hit) => hit.payload,
-                None => {
-                    let fresh = payload_for(i);
-                    let _ = worker_cache.put(&key, &fresh, i as u64, fresh.len() as u64);
-                    fresh
-                }
-            };
-            (i, value)
-        })
-        .collect()
+    let results: Vec<(usize, Vec<u8>)> = on_eight_threads(&ctx, TASKS, |task| {
+        let i = task % DISTINCT;
+        let input = format!("input-{i}").into_bytes();
+        let key = CacheKey::compute("stage", &input, b"fp");
+        let value = match cache.get(&key) {
+            Some(hit) => hit.payload,
+            None => {
+                let fresh = payload_for(i);
+                let _ = cache.put(&key, &fresh, i as u64, fresh.len() as u64);
+                fresh
+            }
+        };
+        (i, value)
     });
 
     assert_eq!(results.len(), TASKS);
@@ -101,21 +129,17 @@ fn writer_racing_evictor_never_serves_partial_entry() {
 
     const TASKS: usize = 200;
     const DISTINCT: usize = 8;
-    let worker_cache = cache.clone();
-    let outcomes: Vec<Option<(usize, Vec<u8>)>> = ctx.scope(|| {
-        prefetch_map((0..TASKS).collect::<Vec<_>>(), 8, 8, move |task: usize| {
-            let i = task % DISTINCT;
-            let input = format!("evict-{i}").into_bytes();
-            let key = CacheKey::compute("stage", &input, b"fp");
-            if task.is_multiple_of(3) {
-                let fresh = payload_for(i);
-                let _ = worker_cache.put(&key, &fresh, 0, 0);
-                None
-            } else {
-                worker_cache.get(&key).map(|hit| (i, hit.payload))
-            }
-        })
-        .collect()
+    let outcomes: Vec<Option<(usize, Vec<u8>)>> = on_eight_threads(&ctx, TASKS, |task| {
+        let i = task % DISTINCT;
+        let input = format!("evict-{i}").into_bytes();
+        let key = CacheKey::compute("stage", &input, b"fp");
+        if task.is_multiple_of(3) {
+            let fresh = payload_for(i);
+            let _ = cache.put(&key, &fresh, 0, 0);
+            None
+        } else {
+            cache.get(&key).map(|hit| (i, hit.payload))
+        }
     });
 
     // Every served hit must be the complete, correct payload — an entry

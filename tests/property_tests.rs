@@ -8,7 +8,7 @@ use drai::formats::zip::{read_zip, write_zip, ZipEntry};
 use drai::io::codec::{codec_for, CodecId};
 use drai::io::crypto::{chacha20_xor, derive_key};
 use drai::io::json::Json;
-use drai::io::parallel::{par_map, prefetch_map};
+use drai::io::parallel::par_map;
 use drai::io::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
 use drai::tensor::stats::Welford;
 use drai::tensor::{LatLonGrid, Tensor};
@@ -225,62 +225,13 @@ proptest! {
     }
 }
 
-// Stress/property coverage for the parallel prefetch machinery: order
-// preservation must hold for every (workers, queue_cap, item-count)
-// combination, and chunking offsets must tile the input exactly even
+// `par_map` is `map`: order preserved and the input tiled exactly, also
 // when the length is not divisible by the chunk count.
 proptest! {
-    #[test]
-    fn prefetch_map_preserves_order(
-        workers in 1usize..8, queue_cap in 1usize..8, n in 0usize..200) {
-        let items: Vec<u64> = (0..n as u64).collect();
-        let out: Vec<u64> = prefetch_map(items.clone(), workers, queue_cap, |x| {
-            // Jitter completion order so in-order delivery is earned by
-            // the reorder buffer, not by accident of scheduling.
-            std::thread::sleep(std::time::Duration::from_micros((x * 29) % 120));
-            x.wrapping_mul(3) ^ 7
-        })
-        .collect();
-        let expect: Vec<u64> = items.iter().map(|x| x.wrapping_mul(3) ^ 7).collect();
-        prop_assert_eq!(out, expect);
-    }
-
     #[test]
     fn par_map_equals_sequential_map(items in proptest::collection::vec(any::<u32>(), 0..300)) {
         let f = |(i, x): (usize, &u32)| x.rotate_left(i as u32 % 32) ^ 0x9e37;
         let expect: Vec<u32> = items.iter().enumerate().map(f).collect();
         prop_assert_eq!(par_map(items.iter().enumerate(), f), expect);
-    }
-}
-
-#[test]
-fn prefetch_map_panic_in_last_item_propagates() {
-    for workers in [1usize, 2, 4] {
-        let n = 37u64;
-        // Worker threads hold clones of this sentinel via the closure;
-        // once the panic has propagated every clone must be gone, i.e.
-        // all threads were joined rather than left running detached.
-        let alive = std::sync::Arc::new(());
-        let sentinel = alive.clone();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _hold = sentinel;
-            let items: Vec<u64> = (0..n).collect();
-            prefetch_map(items, workers, 2, move |x| {
-                if x == n - 1 {
-                    panic!("injected failure on final item {x}");
-                }
-                x * 2
-            })
-            .collect::<Vec<_>>()
-        }));
-        assert!(
-            result.is_err(),
-            "panic with {workers} workers did not propagate"
-        );
-        assert_eq!(
-            std::sync::Arc::strong_count(&alive),
-            1,
-            "worker threads not joined after panic ({workers} workers)"
-        );
     }
 }

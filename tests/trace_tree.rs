@@ -1,15 +1,16 @@
 //! Pins the shape of the hierarchical trace a full climate run
 //! produces: one `domain.climate.run` root whose subtree contains the
-//! ingest span (with its prefetch workers parented under it, not under
-//! the global registry or a foreign trace), the pipeline run with all
+//! ingest span (a leaf, its `par_map` workers counting their reads into
+//! the run's registry, not the global one), the pipeline run with all
 //! four stages, and the shard-writer span under the shard stage — all
 //! sharing a single trace id. Also validates the Chrome exporter output
 //! for the same spans: parseable JSON, complete events only, and
 //! child events contained within their parent's lane interval.
 //!
 //! This is the acceptance test for the tracing tentpole: if context
-//! handoff across `prefetch_map` workers or `par_map` shard tasks breaks,
-//! the worker spans root new traces and the assertions below fail.
+//! handoff across `par_map` workers breaks, their spans root new traces,
+//! their counters land in the global registry, and the assertions below
+//! fail.
 
 use drai::domains::climate::{self, ClimateConfig};
 use drai::domains::{bio, fusion, materials, DomainError, DomainRun};
@@ -20,7 +21,7 @@ use drai::telemetry::{Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
 
-fn run_climate(registry: &Registry) -> Vec<drai::telemetry::SpanRecord> {
+fn run_climate(registry: &Registry) -> drai::telemetry::Snapshot {
     let _scope = TraceContext::root(registry).attach();
     let cfg = ClimateConfig {
         src_grid: LatLonGrid::global(12, 24),
@@ -29,13 +30,14 @@ fn run_climate(registry: &Registry) -> Vec<drai::telemetry::SpanRecord> {
         ..ClimateConfig::default()
     };
     climate::run(&cfg, Arc::new(MemSink::new())).expect("climate run");
-    registry.snapshot().spans
+    registry.snapshot()
 }
 
 #[test]
 fn climate_trace_is_one_tree_with_workers_parented() {
     let registry = Registry::new();
-    let spans = run_climate(&registry);
+    let snap = run_climate(&registry);
+    let spans = &snap.spans;
 
     // Every span of the run belongs to one trace.
     let trace = spans[0].trace;
@@ -48,25 +50,23 @@ fn climate_trace_is_one_tree_with_workers_parented() {
             .collect::<Vec<_>>()
     );
 
-    let forest = build_forest(&spans);
+    let forest = build_forest(spans);
     assert_eq!(forest.len(), 1, "expected a single root");
     let root = &forest[0];
     assert_eq!(root.record.name, "domain.climate.run");
 
-    // Ingest subtree: prefetch workers hang off domain.climate.ingest.
+    // Ingest: a leaf directly under the run, one item per raw file.
     let ingest = root.find("domain.climate.ingest").expect("ingest span");
-    let mut workers: Vec<&TraceNode> = Vec::new();
-    ingest.find_all("io.prefetch.worker", &mut workers);
-    assert_eq!(workers.len(), 2, "one span per prefetch worker");
-    for w in &workers {
-        assert_eq!(w.record.parent, Some(ingest.record.id));
-    }
-    let total_items: u64 = workers.iter().map(|w| w.record.items).sum();
-    assert_eq!(
-        total_items,
-        climate::VARIABLES.len() as u64,
-        "one prefetched item per climate variable"
+    assert_eq!(ingest.record.parent, Some(root.record.id));
+    assert!(
+        ingest.children.is_empty(),
+        "ingest opens no span of its own"
     );
+    assert_eq!(ingest.record.items, climate::VARIABLES.len() as u64);
+    // Its workers read the four raw files under the caller's context:
+    // the run's registry counted those bytes (plus the shard writer's
+    // read-back, smaller than the raw files), not the global one.
+    assert!(snap.counters["io.sink.bytes_read"] >= ingest.record.bytes);
 
     // Pipeline subtree: the run span owns all four stages.
     let pipe = root.find("pipeline.climate.run").expect("pipeline span");
@@ -166,7 +166,7 @@ fn every_archetype_run_has_the_same_three_named_parts() {
 #[test]
 fn chrome_export_of_the_run_is_valid_and_contained() {
     let registry = Registry::new();
-    let spans = run_climate(&registry);
+    let spans = run_climate(&registry).spans;
 
     let chrome = to_chrome_json(&spans);
     let doc = Json::parse(&chrome).expect("chrome trace parses as JSON");
@@ -219,8 +219,8 @@ fn chrome_export_of_the_run_is_valid_and_contained() {
     assert!(
         folded
             .lines()
-            .any(|l| l.starts_with("domain.climate.run;domain.climate.ingest;io.prefetch.worker ")),
-        "missing worker stack in folded output:\n{folded}"
+            .any(|l| l.starts_with("domain.climate.run;domain.climate.ingest ")),
+        "missing ingest stack in folded output:\n{folded}"
     );
     assert!(folded
         .lines()
