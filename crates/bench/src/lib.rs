@@ -26,8 +26,6 @@
 //! repo benchmark (`benchmark/`, run by the command in `BENCHMARK.json`;
 //! see DESIGN.md §8).
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};

@@ -36,8 +36,6 @@
 //! a ledger, every hit records a `cache_hit` transformation stamped with
 //! the TraceId that originally produced the entry.
 
-#![forbid(unsafe_code)]
-
 pub mod bytes;
 pub mod clock;
 

@@ -24,8 +24,6 @@
 //! * [`metrics`] — throughput/latency accounting shared with the bench
 //!   harness.
 
-#![forbid(unsafe_code)]
-
 pub mod assess;
 pub mod card;
 pub mod dataset;

@@ -1,19 +1,17 @@
 //! The pipeline definition and its sequential runner: named stages
-//! over a shared artifact type, per-stage metrics, and the iterative
-//! refinement loop of Figure 1 ("data preparation outcomes inform
-//! subsequent model training, and model performance provides feedback").
-//! Batches run on [`crate::executor`], which executes each stage
-//! through the same [`Pipeline::execute_stage`] as `run`.
+//! over a shared artifact type and per-stage metrics. Batches run on
+//! [`crate::executor`], which executes each stage through the same
+//! [`Pipeline::execute_stage`] as `run`. Figure 1's feedback loop is a
+//! caller's loop around `run` (`examples/iterative_refinement.rs`).
 //!
 //! Every run also reports into the context registry
 //! (`drai_telemetry::Registry::current`, falling back to the global
 //! one): `run` emits a root `pipeline.<pipeline>.run` span containing
 //! one span per stage named `pipeline.<pipeline>.<stage>` carrying the
-//! stage's record/byte counters, and `run_iterative` wraps the whole
-//! feedback loop in a span whose item count is the number of passes.
-//! Stage spans are *entered* while the stage function runs, so spans
-//! opened by the I/O layer inside a stage (shard writes, `par_map`
-//! tasks, retries) attach under that stage in the trace tree.
+//! stage's record/byte counters. Stage spans are *entered* while the
+//! stage function runs, so spans opened by the I/O layer inside a stage
+//! (shard writes, `par_map` tasks, retries) attach under that stage in
+//! the trace tree.
 
 use crate::metrics::Throughput;
 use crate::readiness::ProcessingStage;
@@ -346,81 +344,6 @@ impl<T> Pipeline<T> {
     }
 }
 
-/// Verdict from the evaluation step of the iterative loop.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Feedback {
-    /// Data is good enough; stop iterating.
-    Accept,
-    /// Refine and run again (with a reason for the provenance log).
-    Refine(String),
-}
-
-/// Result of [`run_iterative`].
-#[derive(Debug)]
-pub struct IterativeRun<T> {
-    /// Final accepted artifact.
-    pub output: T,
-    /// Number of pipeline passes executed.
-    pub passes: usize,
-    /// Refinement reasons, one per non-final pass.
-    pub refinements: Vec<String>,
-    /// Whether iteration converged (true) or hit the pass limit (false).
-    pub converged: bool,
-}
-
-/// The Figure 1 feedback loop: run the pipeline, evaluate the result,
-/// refine the artifact and repeat until accepted or `max_passes`.
-///
-/// `refine` receives the evaluated artifact and the feedback reason and
-/// produces the input for the next pass (e.g. relabel low-confidence
-/// samples, add augmented data, tighten cleaning thresholds).
-pub fn run_iterative<T>(
-    pipeline: &Pipeline<T>,
-    input: T,
-    max_passes: usize,
-    mut evaluate: impl FnMut(&T) -> Feedback,
-    mut refine: impl FnMut(T, &str) -> T,
-) -> Result<IterativeRun<T>, CoreError> {
-    assert!(max_passes > 0, "need at least one pass");
-    let registry = Registry::current();
-    let loop_span = registry.span(format!("pipeline.{}.run_iterative", pipeline.name));
-    let refine_counter = registry.counter(&format!("pipeline.{}.refinements", pipeline.name));
-    // Entered so each pass's `pipeline.<name>.run` span nests under
-    // the loop span.
-    let _in_loop = loop_span.enter();
-    let mut current = input;
-    let mut refinements = Vec::new();
-    let mut pass = 0;
-    loop {
-        pass += 1;
-        loop_span.add_items(1); // one item per executed pass
-        let run = pipeline.run(current)?;
-        match evaluate(&run.output) {
-            Feedback::Accept => {
-                return Ok(IterativeRun {
-                    output: run.output,
-                    passes: pass,
-                    refinements,
-                    converged: true,
-                })
-            }
-            Feedback::Refine(reason) => {
-                if pass >= max_passes {
-                    return Ok(IterativeRun {
-                        output: run.output,
-                        passes: pass,
-                        refinements,
-                        converged: false,
-                    });
-                }
-                current = refine(run.output, &reason);
-                refine_counter.incr();
-                refinements.push(reason);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,51 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_converges() {
-        // Pipeline adds 1.0; accept when sum >= 5.
-        let p: Pipeline<Vec<f64>> = Pipeline::builder("iter")
-            .stage("inc", S::Transform, |v: Vec<f64>, _| {
-                Ok(v.into_iter().map(|x| x + 1.0).collect())
-            })
-            .build();
-        let result = run_iterative(
-            &p,
-            vec![0.0, 0.0],
-            100,
-            |v| {
-                if v.iter().sum::<f64>() >= 5.0 {
-                    Feedback::Accept
-                } else {
-                    Feedback::Refine("sum too low".into())
-                }
-            },
-            |v, _| v,
-        )
-        .unwrap();
-        assert!(result.converged);
-        assert_eq!(result.passes, 3); // sums 2, 4, 6
-        assert_eq!(result.refinements.len(), 2);
-    }
-
-    #[test]
-    fn iterative_hits_pass_limit() {
-        let p: Pipeline<i32> = Pipeline::builder("never")
-            .stage("id", S::Transform, |x, _| Ok(x))
-            .build();
-        let result = run_iterative(
-            &p,
-            0,
-            3,
-            |_| Feedback::Refine("never good".into()),
-            |x, _| x,
-        )
-        .unwrap();
-        assert!(!result.converged);
-        assert_eq!(result.passes, 3);
-        assert_eq!(result.refinements.len(), 2); // last pass doesn't refine
-    }
-
-    #[test]
     fn run_emits_telemetry_spans_and_counters() {
         // Unique pipeline name: the global registry is shared with other
         // tests in this process.
@@ -651,32 +529,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn refine_feeds_next_pass() {
-        let p: Pipeline<i32> = Pipeline::builder("r")
-            .stage("id", S::Transform, |x, _| Ok(x))
-            .build();
-        let result = run_iterative(
-            &p,
-            0,
-            10,
-            |&x| {
-                if x >= 4 {
-                    Feedback::Accept
-                } else {
-                    Feedback::Refine(format!("x={x}"))
-                }
-            },
-            |x, reason| {
-                assert!(reason.starts_with("x="));
-                x + 2
-            },
-        )
-        .unwrap();
-        assert!(result.converged);
-        assert_eq!(result.output, 4);
-        assert_eq!(result.refinements, vec!["x=0", "x=2"]);
     }
 }

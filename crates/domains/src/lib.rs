@@ -25,8 +25,6 @@
 //! evidence flags are *asserted* in one function, `assert_evidence`,
 //! not yet measured from the run (ROADMAP item 1).
 
-#![forbid(unsafe_code)]
-
 pub mod bio;
 pub mod cached;
 pub mod climate;

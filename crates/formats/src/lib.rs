@@ -24,8 +24,6 @@
 //! process groups + footer index) in a clean-room format, as documented in
 //! DESIGN.md's substitution table.
 
-#![forbid(unsafe_code)]
-
 pub mod bp;
 pub(crate) mod bytes;
 pub mod csv;

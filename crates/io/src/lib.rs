@@ -34,8 +34,6 @@
 //! * [`parallel`] — [`parallel::par_map`], the one way work inside a
 //!   stage goes onto threads (scoped `std` threads, input order kept).
 
-#![forbid(unsafe_code)]
-
 pub mod checksum;
 pub mod codec;
 pub mod crypto;

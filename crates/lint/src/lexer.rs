@@ -43,24 +43,11 @@ pub struct Token {
     pub line: u32,
 }
 
-/// One comment (line or block), retained for SAFETY/suppression rules.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Raw comment text including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based line where the comment starts.
-    pub line: u32,
-    /// 1-based line where the comment ends (== `line` for `//`).
-    pub end_line: u32,
-}
-
-/// A lexed source file: tokens, comments, and per-token test-region flags.
+/// A lexed source file: tokens and per-token test-region flags.
 #[derive(Debug, Default)]
 pub struct LexFile {
     /// All code tokens in order.
     pub tokens: Vec<Token>,
-    /// All comments in order.
-    pub comments: Vec<Comment>,
     /// `in_test[i]` is true when `tokens[i]` sits inside a
     /// `#[cfg(test)]` or `#[test]` item.
     pub in_test: Vec<bool>,
@@ -96,13 +83,12 @@ impl LexFile {
     }
 }
 
-/// Lex `src` into tokens and comments and mark test regions.
+/// Lex `src` into tokens (comments are skipped) and mark test regions.
 pub fn lex(src: &str) -> LexFile {
     let chars: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut tokens: Vec<Token> = Vec::new();
-    let mut comments: Vec<Comment> = Vec::new();
 
     while i < chars.len() {
         let c = chars[i];
@@ -112,18 +98,10 @@ pub fn lex(src: &str) -> LexFile {
         } else if c.is_whitespace() {
             i += 1;
         } else if c == '/' && chars.get(i + 1) == Some(&'/') {
-            let start = i;
             while i < chars.len() && chars[i] != '\n' {
                 i += 1;
             }
-            comments.push(Comment {
-                text: chars[start..i].iter().collect(),
-                line,
-                end_line: line,
-            });
         } else if c == '/' && chars.get(i + 1) == Some(&'*') {
-            let start = i;
-            let start_line = line;
             i += 2;
             let mut depth = 1u32;
             while i < chars.len() && depth > 0 {
@@ -140,11 +118,6 @@ pub fn lex(src: &str) -> LexFile {
                     i += 1;
                 }
             }
-            comments.push(Comment {
-                text: chars[start..i.min(chars.len())].iter().collect(),
-                line: start_line,
-                end_line: line,
-            });
         } else if c == '"' {
             let start_line = line;
             let (value, ni, nl) = scan_plain_string(&chars, i, line);
@@ -218,11 +191,7 @@ pub fn lex(src: &str) -> LexFile {
     }
 
     let in_test = mark_test_regions(&tokens);
-    LexFile {
-        tokens,
-        comments,
-        in_test,
-    }
+    LexFile { tokens, in_test }
 }
 
 /// Scan a `"..."` string starting at the opening quote; returns
@@ -476,9 +445,6 @@ mod tests {
     fn nested_block_comments_skipped() {
         let src = "before(); /* outer /* inner unwrap() */ still comment */ after();";
         assert_eq!(idents(src), vec!["before", "after"]);
-        let f = lex(src);
-        assert_eq!(f.comments.len(), 1);
-        assert!(f.comments[0].text.contains("inner"));
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! Workspace-native static analysis for the DRAI codebase: a
 //! dependency-free (std-only) rule engine over a lightweight Rust lexer
-//! that checks project-specific invariants no generic lint can express.
-//! It runs offline — matching the vendored-shim philosophy — and gates
-//! CI: `drai-lint` exits nonzero on any finding.
+//! that checks the project invariants rustc and cargo cannot. What the
+//! toolchain decides stays with the toolchain: `unsafe` is forbidden in
+//! every target by `[workspace.lints.rust]`, and an import of a crate a
+//! manifest does not declare does not compile. It runs offline as a test
+//! — `cargo test -p drai-lint` (`tests/workspace_clean.rs`) fails on any
+//! finding — and has no suppression syntax: a finding is fixed, or the
+//! rule is.
 //!
 //! ## Rules
 //!
@@ -12,33 +16,15 @@
 //! |------|-----------|
 //! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` (or indexing-adjacent `assert!`) in library code of `drai-core`, `drai-io`, `drai-formats`, `drai-transform` |
 //! | `telemetry-names` | metric-name literals match the dotted grammar and the `METRIC_FAMILIES` registry in `drai-telemetry`, and every registered family is emitted somewhere |
-//! | `unsafe-audit` | every `unsafe` token carries an adjacent `// SAFETY:` comment |
-//! | `shim-parity` | shim crates import only `std` (no cross-shim or workspace deps), keeping them deletable |
 //! | `error-context` | `IoError` construction in `drai-io` carries a path/shard/record context |
 //! | `no-wallclock` | `Instant::now`/`SystemTime::now` only in `drai-telemetry` and the retry/cache clock seams (deterministic replay) |
 //! | `lock-order` | the workspace-wide lock-acquisition-order graph is acyclic (no ABBA deadlocks, no same-lock reacquisition) |
 //! | `lock-across-blocking` | no live lock guard spans a blocking channel `send`/`recv`, `thread::join`, or backoff sleep |
-//! | `layering` | crate dependencies (manifest and `use`-level) point strictly down the architectural layer stack |
+//! | `crate-graph` | manifest edges between drai crates point strictly down the layer stack, shims declare no dependencies, every member inherits the workspace lints |
 //! | `gauge-balance` | every gauge increment has a matching decrement, `set`, or RAII scope in the same crate |
 //!
-//! The first six are single-file lexical rules (v1); the last four are
-//! v2 concurrency/architecture rules built on the structural model in
-//! [`model`] (lexer → model → rules).
-//!
-//! ## Suppressions
-//!
-//! A finding can be silenced with a comment on the same line or the
-//! line above — the reason is mandatory:
-//!
-//! ```text
-//! // drai-lint: allow(no-panic-in-lib) reason="length proven by the split above"
-//! ```
-//!
-//! Malformed or unused suppressions are themselves findings (rule
-//! `suppression`), so the allow-list can only shrink through honest
-//! means.
-
-#![forbid(unsafe_code)]
+//! The source rules read tokens (lexer) or the structural model in
+//! [`model`] built on them; `crate-graph` reads the manifests.
 
 use std::fs;
 use std::io;
@@ -47,10 +33,8 @@ use std::path::{Path, PathBuf};
 pub mod lexer;
 pub mod model;
 pub mod rules;
-pub mod suppress;
 
 use lexer::LexFile;
-use suppress::Suppression;
 
 /// What kind of code a file holds, derived from its workspace path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +86,9 @@ pub struct Workspace {
     /// Parsed metric-family registry (empty if the telemetry crate is
     /// absent, in which case `telemetry-names` reports that instead).
     pub metric_families: Vec<MetricFamily>,
-    /// `(relative path, contents)` of every `shims/*/Cargo.toml`.
-    pub shim_manifests: Vec<(String, String)>,
-    /// `(relative path, contents)` of the root and every
-    /// `crates/*/Cargo.toml` (for the `layering` rule).
-    pub crate_manifests: Vec<(String, String)>,
+    /// `(relative path, contents)` of the root `Cargo.toml` and of every
+    /// `crates/*` and `shims/*` one (for `crate-graph`).
+    pub manifests: Vec<(String, String)>,
 }
 
 /// One rule violation.
@@ -122,91 +104,67 @@ pub struct Finding {
     pub message: String,
 }
 
-/// A finding silenced by a suppression comment, kept for reporting.
-#[derive(Debug, Clone)]
-pub struct SuppressedFinding {
-    /// The original finding.
-    pub finding: Finding,
-    /// The mandatory reason from the suppression comment.
-    pub reason: String,
-}
-
 /// Outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Active findings (exit-nonzero material).
+    /// Every finding, sorted by file, line and rule.
     pub findings: Vec<Finding>,
-    /// Findings silenced by a valid suppression comment.
-    pub suppressed: Vec<SuppressedFinding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when no active findings remain.
+    /// True when there is no finding.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-
-    /// Render as a machine-readable JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-                json_escape(f.rule),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.message)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"suppressed\": [");
-        for (i, s) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"reason\": \"{}\"}}",
-                json_escape(s.finding.rule),
-                json_escape(&s.finding.file),
-                s.finding.line,
-                json_escape(&s.reason)
-            ));
-        }
-        if !self.suppressed.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"summary\": {{\"files_scanned\": {}, \"findings\": {}, \"suppressed\": {}}}\n}}\n",
-            self.files_scanned,
-            self.findings.len(),
-            self.suppressed.len()
-        ));
-        out
-    }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// How a rule sees the workspace.
+#[derive(Clone, Copy)]
+pub enum Pass {
+    /// Run once per source file.
+    File(fn(&SourceFile, &mut Vec<Finding>)),
+    /// Run once over the whole workspace (cross-file and manifest rules).
+    Workspace(fn(&Workspace, &mut Vec<Finding>)),
 }
+
+/// Every rule by id, in the order [`lint`] runs them — the one list of
+/// what runs.
+pub const RULES: &[(&str, Pass)] = &[
+    (
+        rules::no_panic::RULE,
+        Pass::File(rules::no_panic::check_file),
+    ),
+    (
+        rules::telemetry_names::RULE,
+        Pass::Workspace(rules::telemetry_names::check),
+    ),
+    (
+        rules::error_context::RULE,
+        Pass::File(rules::error_context::check_file),
+    ),
+    (
+        rules::no_wallclock::RULE,
+        Pass::File(rules::no_wallclock::check_file),
+    ),
+    (
+        rules::lock_order::RULE,
+        Pass::Workspace(rules::lock_order::check_workspace),
+    ),
+    (
+        rules::lock_blocking::RULE,
+        Pass::File(rules::lock_blocking::check_file),
+    ),
+    (
+        rules::crate_graph::RULE,
+        Pass::Workspace(rules::crate_graph::check_workspace),
+    ),
+    (
+        rules::gauge_balance::RULE,
+        Pass::Workspace(rules::gauge_balance::check_workspace),
+    ),
+];
 
 /// Directories scanned under the workspace root.
 const SCAN_DIRS: &[&str] = &["crates", "src", "shims", "tests", "examples"];
@@ -237,7 +195,7 @@ pub fn classify(rel: &str) -> (FileClass, String) {
 }
 
 /// Build a [`SourceFile`] from in-memory contents (used by rule
-/// fixtures and by [`lint_workspace`]).
+/// fixtures and by [`load_workspace`]).
 pub fn source_file(rel: &str, contents: &str) -> SourceFile {
     let (class, crate_name) = classify(rel);
     SourceFile {
@@ -265,6 +223,14 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// `path` relative to `root`, `/`-separated.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// Load and lex every source file reachable from `root`.
 pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
     let mut paths = Vec::new();
@@ -277,13 +243,8 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
     paths.sort();
     let mut files = Vec::with_capacity(paths.len());
     for path in &paths {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
         let contents = fs::read_to_string(path)?;
-        files.push(source_file(&rel, &contents));
+        files.push(source_file(&rel_path(root, path), &contents));
     }
 
     let metric_families = files
@@ -292,152 +253,44 @@ pub fn load_workspace(root: &Path) -> io::Result<Workspace> {
         .map(|f| rules::telemetry_names::parse_families(&f.lex))
         .unwrap_or_default();
 
-    let mut shim_manifests = Vec::new();
-    let shims = root.join("shims");
-    if shims.is_dir() {
-        for entry in fs::read_dir(&shims)? {
-            let entry = entry?;
-            let manifest = entry.path().join("Cargo.toml");
-            if manifest.is_file() {
-                let rel = manifest
-                    .strip_prefix(root)
-                    .unwrap_or(&manifest)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                shim_manifests.push((rel, fs::read_to_string(&manifest)?));
+    let mut manifest_paths = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "shims"] {
+        let d = root.join(dir);
+        if d.is_dir() {
+            for entry in fs::read_dir(&d)? {
+                manifest_paths.push(entry?.path().join("Cargo.toml"));
             }
         }
     }
-    shim_manifests.sort();
-
-    let mut crate_manifests = Vec::new();
-    let root_manifest = root.join("Cargo.toml");
-    if root_manifest.is_file() {
-        crate_manifests.push((
-            "Cargo.toml".to_string(),
-            fs::read_to_string(&root_manifest)?,
-        ));
+    let mut manifests = Vec::new();
+    for path in manifest_paths.iter().filter(|p| p.is_file()) {
+        manifests.push((rel_path(root, path), fs::read_to_string(path)?));
     }
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for entry in fs::read_dir(&crates_dir)? {
-            let entry = entry?;
-            let manifest = entry.path().join("Cargo.toml");
-            if manifest.is_file() {
-                let rel = manifest
-                    .strip_prefix(root)
-                    .unwrap_or(&manifest)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                crate_manifests.push((rel, fs::read_to_string(&manifest)?));
-            }
-        }
-    }
-    crate_manifests.sort();
+    manifests.sort();
 
     Ok(Workspace {
         root: root.to_path_buf(),
         files,
         metric_families,
-        shim_manifests,
-        crate_manifests,
+        manifests,
     })
 }
 
-/// Run every rule over a loaded workspace and apply suppressions.
+/// Run every rule in [`RULES`] over a loaded workspace.
 pub fn lint(ws: &Workspace) -> Report {
-    let mut raw: Vec<Finding> = Vec::new();
-    for file in &ws.files {
-        rules::no_panic::check_file(file, &mut raw);
-        rules::telemetry_names::check_file(file, ws, &mut raw);
-        rules::unsafe_audit::check_file(file, &mut raw);
-        rules::shim_parity::check_file(file, &mut raw);
-        rules::error_context::check_file(file, &mut raw);
-        rules::no_wallclock::check_file(file, &mut raw);
-        rules::lock_blocking::check_file(file, &mut raw);
-    }
-    rules::telemetry_names::check_workspace(ws, &mut raw);
-    rules::shim_parity::check_manifests(ws, &mut raw);
-    rules::lock_order::check_workspace(ws, &mut raw);
-    rules::layering::check_workspace(ws, &mut raw);
-    rules::gauge_balance::check_workspace(ws, &mut raw);
-
-    // Apply suppressions per file.
     let mut findings = Vec::new();
-    let mut suppressed = Vec::new();
-    for file in &ws.files {
-        let (mut sups, malformed) = suppress::collect(&file.lex);
-        for m in malformed {
-            findings.push(Finding {
-                rule: suppress::RULE,
-                file: file.rel.clone(),
-                line: m.line,
-                message: m.message,
-            });
-        }
-        let (mut file_findings, rest): (Vec<Finding>, Vec<Finding>) =
-            raw.drain(..).partition(|f| f.file == file.rel);
-        raw = rest;
-        file_findings.sort_by_key(|f| f.line);
-        for f in file_findings {
-            match sups.iter_mut().find(|s| s.covers(f.rule, f.line)) {
-                Some(s) => {
-                    s.used = true;
-                    suppressed.push(SuppressedFinding {
-                        reason: s.reason.clone(),
-                        finding: f,
-                    });
-                }
-                None => findings.push(f),
-            }
-        }
-        for s in sups.iter().filter(|s| !s.used) {
-            findings.push(unused_suppression(file, s));
+    for (_, pass) in RULES {
+        match pass {
+            Pass::File(check) => ws.files.iter().for_each(|f| check(f, &mut findings)),
+            Pass::Workspace(check) => check(ws, &mut findings),
         }
     }
-    // Findings for files outside the scan set (shouldn't happen, but
-    // never drop a finding silently).
-    findings.append(&mut raw);
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
     Report {
         findings,
-        suppressed,
         files_scanned: ws.files.len(),
     }
 }
-
-fn unused_suppression(file: &SourceFile, s: &Suppression) -> Finding {
-    Finding {
-        rule: suppress::RULE,
-        file: file.rel.clone(),
-        line: s.line,
-        message: format!(
-            "unused suppression for rule `{}` — nothing to allow here; delete it",
-            s.rule
-        ),
-    }
-}
-
-/// Load `root` and lint it in one call.
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    Ok(lint(&load_workspace(root)?))
-}
-
-/// Names of all rules, for `--list-rules` and docs.
-pub const RULE_NAMES: &[&str] = &[
-    rules::no_panic::RULE,
-    rules::telemetry_names::RULE,
-    rules::unsafe_audit::RULE,
-    rules::shim_parity::RULE,
-    rules::error_context::RULE,
-    rules::no_wallclock::RULE,
-    rules::lock_order::RULE,
-    rules::lock_blocking::RULE,
-    rules::layering::RULE,
-    rules::gauge_balance::RULE,
-    suppress::RULE,
-];
 
 #[cfg(test)]
 mod tests {
@@ -482,23 +335,5 @@ mod tests {
             classify("src/bin/drai.rs"),
             (FileClass::Bin, "drai".to_string())
         );
-    }
-
-    #[test]
-    fn json_report_escapes() {
-        let report = Report {
-            findings: vec![Finding {
-                rule: "no-panic-in-lib",
-                file: "a\\b.rs".into(),
-                line: 3,
-                message: "said \"no\"".into(),
-            }],
-            suppressed: vec![],
-            files_scanned: 1,
-        };
-        let json = report.to_json();
-        assert!(json.contains("a\\\\b.rs"));
-        assert!(json.contains("said \\\"no\\\""));
-        assert!(json.contains("\"files_scanned\": 1"));
     }
 }

@@ -3,11 +3,10 @@
 //! The v1 rules are purely lexical — they match token patterns anywhere
 //! in a file. The concurrency rules added in v2 need *structure*: which
 //! function a token lives in, which block a `let` guard is bound in,
-//! which struct fields are `Mutex`/`RwLock`/`Gauge` typed, and what a
-//! file imports. This module recovers exactly that much structure from
-//! the token stream — no expression parsing, no type resolution — via
-//! brace/paren/angle matching over the already comment- and
-//! literal-clean token list.
+//! and which struct fields are `Mutex`/`RwLock`/`Gauge` typed. This
+//! module recovers exactly that much structure from the token stream —
+//! no expression parsing, no type resolution — via brace/paren/angle
+//! matching over the already comment- and literal-clean token list.
 //!
 //! Everything here is an approximation and is documented as such where
 //! it matters:
@@ -75,17 +74,6 @@ pub struct ImplItem {
     pub body: (usize, usize),
 }
 
-/// One `use` declaration, reduced to its root path segment.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// First path segment (`std`, `crate`, `drai_telemetry`, ...).
-    pub root: String,
-    /// Line of the `use` keyword.
-    pub line: u32,
-    /// Token index of the `use` keyword (for test-region checks).
-    pub token: usize,
-}
-
 /// Structural model of one source file.
 #[derive(Debug, Default)]
 pub struct FileModel {
@@ -93,8 +81,6 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// Every `impl` block.
     pub impls: Vec<ImplItem>,
-    /// Root segments of every `use` declaration.
-    pub uses: Vec<UseDecl>,
     /// Lock-typed struct fields and statics declared in this file.
     pub locks: Vec<LockDecl>,
     /// Gauge-typed struct fields declared in this file.
@@ -143,21 +129,6 @@ pub fn build(lex: &LexFile) -> FileModel {
             continue;
         };
         match kw {
-            "use" => {
-                // Skip leading `::` for `use ::std::...`.
-                let mut j = i + 1;
-                while lex.punct_at(j, ':') {
-                    j += 1;
-                }
-                if let Some(root) = lex.ident_at(j) {
-                    model.uses.push(UseDecl {
-                        root: root.to_string(),
-                        line: toks[i].line,
-                        token: i,
-                    });
-                }
-                i += 1;
-            }
             "fn" => {
                 // `fn` pointer types (`fn(u8) -> u8`) have no name —
                 // only named items get a body entry.
@@ -637,13 +608,6 @@ static GLOBAL: Mutex<u8> = Mutex::new(0);
         );
         let gauges: Vec<&str> = m.gauges.iter().map(|g| g.name.as_str()).collect();
         assert_eq!(gauges, vec!["depth", "inflight"]);
-    }
-
-    #[test]
-    fn use_roots_collected() {
-        let m = model_of("use std::sync::Arc;\nuse ::core::fmt;\nuse drai_telemetry::Gauge;\n");
-        let roots: Vec<&str> = m.uses.iter().map(|u| u.root.as_str()).collect();
-        assert_eq!(roots, vec!["std", "core", "drai_telemetry"]);
     }
 
     fn spans_of(src: &str, lock_names: &[(&str, LockKind)]) -> Vec<GuardSpan> {

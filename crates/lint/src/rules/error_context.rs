@@ -1,6 +1,8 @@
 //! `error-context`: `IoError` values constructed in `drai-io` library
 //! code must carry enough context to act on — a path, shard, blob or
-//! record identity — not a bare "read failed". The heuristic: the
+//! record identity — not a bare "read failed": a shard quarantined or a
+//! retry exhausted under the CI fault-seed sweeps must be traceable to
+//! the input that failed from the error alone. The heuristic: the
 //! string argument to `IoError::Format(...)` / `IoError::Codec(...)`
 //! must either interpolate a value (`{...}` hole in a `format!`) or
 //! mention a contextual noun (path, file, shard, record, manifest,

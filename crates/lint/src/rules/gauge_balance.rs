@@ -214,8 +214,7 @@ mod tests {
                 .map(|(rel, src)| source_file(rel, src))
                 .collect(),
             metric_families: vec![],
-            shim_manifests: vec![],
-            crate_manifests: vec![],
+            manifests: vec![],
         }
     }
 

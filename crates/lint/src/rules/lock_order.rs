@@ -12,8 +12,7 @@
 //! calls, and two same-named fields on different structs in one crate
 //! share a node. Both approximations are deliberate — the first misses
 //! some orderings (fix: keep lock scopes tight), the second
-//! over-approximates (fix: name locks distinctly, or suppress with a
-//! reason).
+//! over-approximates (fix: name locks distinctly).
 
 use crate::model::{self, LockKind};
 use crate::{FileClass, Finding, SourceFile, Workspace};
@@ -175,8 +174,7 @@ mod tests {
                 .map(|(rel, src)| source_file(rel, src))
                 .collect(),
             metric_families: vec![],
-            shim_manifests: vec![],
-            crate_manifests: vec![],
+            manifests: vec![],
         }
     }
 

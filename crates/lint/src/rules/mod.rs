@@ -1,13 +1,12 @@
-//! The rule set. Each rule is a module with a `RULE` id and a
-//! `check_file` entry point; cross-file rules add a workspace pass.
+//! The rule set. Each rule is a module with a `RULE` id and one entry
+//! point, listed with it in [`crate::RULES`]: `check_file` for a
+//! single-file rule, a workspace pass for a cross-file or manifest rule.
 
+pub mod crate_graph;
 pub mod error_context;
 pub mod gauge_balance;
-pub mod layering;
 pub mod lock_blocking;
 pub mod lock_order;
 pub mod no_panic;
 pub mod no_wallclock;
-pub mod shim_parity;
 pub mod telemetry_names;
-pub mod unsafe_audit;

@@ -3,7 +3,10 @@
 //! dotted names — so every name emitted in code must be registered in
 //! `METRIC_FAMILIES` (in `crates/telemetry/src/lib.rs`), match the
 //! dotted grammar, and every registered family must actually be
-//! emitted somewhere (no dead documentation).
+//! emitted somewhere (no dead documentation). The bug it guards: a
+//! metric renamed or misspelt where it is emitted still compiles, and
+//! every consumer keyed on the old name — a `HealthSpec` rule, the
+//! monitor diagnosis, `tests/telemetry.rs` — silently reads nothing.
 //!
 //! The rule reads names from direct literals
 //! (`reg.counter("io.shard.records")`) and from `format!` calls with a
@@ -235,6 +238,14 @@ pub fn parse_families(lex: &LexFile) -> Vec<MetricFamily> {
     families
 }
 
+/// Both directions over the whole workspace.
+pub fn check(ws: &Workspace, out: &mut Vec<Finding>) {
+    for file in &ws.files {
+        check_file(file, ws, out);
+    }
+    check_workspace(ws, out);
+}
+
 /// Direction 1: every emitted name is well-formed and registered.
 pub fn check_file(file: &SourceFile, ws: &Workspace, out: &mut Vec<Finding>) {
     if !in_scope(file) {
@@ -341,8 +352,7 @@ mod tests {
                     line: 10,
                 })
                 .collect(),
-            shim_manifests: Vec::new(),
-            crate_manifests: Vec::new(),
+            manifests: Vec::new(),
         }
     }
 

@@ -25,8 +25,6 @@
 //! recording code runs under an entered span), linking each readiness
 //! transition to the exported trace tree that timed it.
 
-#![forbid(unsafe_code)]
-
 use drai_io::checksum::{content_hash128, hash_hex};
 use drai_io::json::Json;
 use drai_telemetry::{TraceContext, TraceId};

@@ -46,8 +46,6 @@
 //! dispatch. [`scheduler_health_spec`] packages the overload and
 //! stall signals as `drai_telemetry::monitor` health rules.
 
-#![forbid(unsafe_code)]
-
 use drai_core::{CancelToken, ExecutorConfig};
 use drai_telemetry::monitor::{Condition, HealthSpec, MonitorClock, WallMonitorClock};
 use drai_telemetry::{Gauge, Registry, TraceContext};

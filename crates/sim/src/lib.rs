@@ -28,8 +28,6 @@
 //! Data is actually stored (it's also a correct [`StorageSink`]), so
 //! shard round-trip tests can run against the simulator too.
 
-#![forbid(unsafe_code)]
-
 use drai_io::fault::{FaultConfig, FaultSink};
 use drai_io::sink::StorageSink;
 use drai_io::IoError;

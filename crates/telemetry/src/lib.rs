@@ -68,8 +68,6 @@
 //! assert_eq!(snap.spans[0].items, 128);
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -101,13 +99,11 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// CI. Span names (`Registry::span` / `Registry::time`) are validated
 /// against the same list.
 pub const METRIC_FAMILIES: &[&str] = &[
-    // drai-core pipeline stages (counter, counter, counter, histogram,
-    // span histogram)
+    // drai-core pipeline stages (counter, counter, counter, histogram)
     "pipeline.*.*.records",
     "pipeline.*.*.bytes",
     "pipeline.*.*.retries",
     "pipeline.*.*.item_ns",
-    "pipeline.*.refinements",
     // drai-core streaming executor (gauge, histogram, gauge, counter)
     "executor.queue_depth",
     "executor.stall_ns",
@@ -181,7 +177,6 @@ pub const METRIC_FAMILIES: &[&str] = &[
     // span tree: drai-core pipeline run/stage spans
     "pipeline.*.run",
     "pipeline.*.run_streaming",
-    "pipeline.*.run_iterative",
     "pipeline.*.*",
     // span tree: drai-domains archetype runs
     "domain.*.run",

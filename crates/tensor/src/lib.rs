@@ -32,8 +32,6 @@
 //! assert!((w.mean() - 2.5).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod dtype;
 pub mod grid;
 pub mod ops;

@@ -22,8 +22,6 @@
 //! * [`split`] — deterministic hash-based train/val/test partitioning.
 //! * [`units`] — unit registry and conversions ("ensure consistent units").
 
-#![forbid(unsafe_code)]
-
 pub mod align;
 pub mod anonymize;
 pub mod encode;

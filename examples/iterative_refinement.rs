@@ -5,13 +5,14 @@
 //! This example builds a cleaning pipeline whose outlier threshold is
 //! refined by a (stand-in) model-evaluation loop: each pass cleans the
 //! data, a proxy model scores it, and poor scores tighten the threshold
-//! and trigger augmentation until the score gate passes.
+//! until the score gate passes. The loop is the caller's: one
+//! `Pipeline::run` per pass, evaluated and refined in between.
 //!
 //! ```sh
 //! cargo run --example iterative_refinement
 //! ```
 
-use drai::core::pipeline::{run_iterative, Feedback, Pipeline};
+use drai::core::pipeline::Pipeline;
 use drai::core::quality::QualityReport;
 use drai::core::readiness::ProcessingStage;
 use rand::rngs::SmallRng;
@@ -63,47 +64,42 @@ fn main() {
         )
         .build();
 
-    let result = run_iterative(
-        &pipeline,
-        WorkingSet {
-            values,
-            clip_sigma: 20.0,
-        },
-        12,
-        |ws| {
-            // "Model evaluation" proxy: training is assumed to degrade with
-            // outlier contamination; gate at < 0.1% gross outliers.
-            let q = QualityReport::compute("signal", &ws.values);
-            if q.outlier_fraction < 0.001 {
-                Feedback::Accept
-            } else {
-                Feedback::Refine(format!(
-                    "outlier fraction {:.3}% too high at clip {:.1}σ",
-                    q.outlier_fraction * 100.0,
-                    ws.clip_sigma
-                ))
-            }
-        },
-        |mut ws, reason| {
-            println!("refine: {reason}");
-            ws.clip_sigma *= 0.6; // tighten and re-run
-            ws
-        },
-    )
-    .expect("refinement loop");
+    const MAX_PASSES: usize = 12;
+    let mut ws = WorkingSet {
+        values,
+        clip_sigma: 20.0,
+    };
+    let mut passes = 0;
+    let converged = loop {
+        passes += 1;
+        ws = pipeline.run(ws).expect("refinement pass").output;
+        // "Model evaluation" proxy: training is assumed to degrade with
+        // outlier contamination; gate at < 0.1% gross outliers.
+        let q = QualityReport::compute("signal", &ws.values);
+        if q.outlier_fraction < 0.001 {
+            break true;
+        }
+        if passes == MAX_PASSES {
+            break false;
+        }
+        println!(
+            "refine: outlier fraction {:.3}% too high at clip {:.1}σ",
+            q.outlier_fraction * 100.0,
+            ws.clip_sigma
+        );
+        ws.clip_sigma *= 0.6; // tighten and re-run
+    };
 
     println!(
-        "\nconverged: {} after {} passes ({} refinements)",
-        result.converged,
-        result.passes,
-        result.refinements.len()
+        "\nconverged: {converged} after {passes} passes ({} refinements)",
+        passes - 1
     );
-    let final_q = QualityReport::compute("signal", &result.output.values);
+    let final_q = QualityReport::compute("signal", &ws.values);
     println!(
         "final quality: mean {:.3}, std {:.3}, outliers {:.4}%",
         final_q.mean,
         final_q.std,
         final_q.outlier_fraction * 100.0
     );
-    assert!(result.converged, "refinement loop failed to converge");
+    assert!(converged, "refinement loop failed to converge");
 }

@@ -7,8 +7,6 @@
 //! rejection or bootstrap. Respects `sample_size`, `warm_up_time`, and
 //! `measurement_time` as budgets.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;

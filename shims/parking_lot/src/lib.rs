@@ -2,8 +2,6 @@
 //! parking_lot API (no poisoning: a poisoned std lock is recovered by
 //! taking the inner guard), backed by `std::sync`.
 
-#![forbid(unsafe_code)]
-
 use std::fmt;
 
 /// Mutual exclusion primitive; `lock()` returns the guard directly.

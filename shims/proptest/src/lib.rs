@@ -6,8 +6,6 @@
 //! uses this shim's own generators. Case count defaults to 64 and can be
 //! overridden with the `PROPTEST_CASES` environment variable.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
 

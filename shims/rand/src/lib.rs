@@ -6,8 +6,6 @@
 //! integer and float types) and `gen_bool`. The stream is deterministic
 //! per seed but intentionally *not* identical to upstream rand.
 
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Core entropy source.

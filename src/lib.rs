@@ -24,8 +24,6 @@
 //! assert_eq!(grade.overall, ReadinessLevel::FullyAiReady);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use drai_cache as cache;
 pub use drai_core as core;
 pub use drai_domains as domains;
