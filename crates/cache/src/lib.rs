@@ -7,8 +7,19 @@
 //! them:
 //!
 //! ```text
-//! key = digest(input bytes) × stage name × config fingerprint × format version
+//! key  = H(format version ‖ stage name ‖ input id ‖ config fingerprint)
+//! id₀  = digest(input bytes)            first cached stage of a chain
+//! idₖ₊₁ = keyₖ                           every later one
 //! ```
+//!
+//! A key is therefore a *derivation id* of the stage's output — by
+//! induction a function of the chain's first input, every fingerprint
+//! on the way and the version — and the next cached stage is keyed by
+//! it instead of by re-serializing and re-hashing its input. The id
+//! travels with the item through `Pipeline::run` and the batch executor
+//! (`StageCounters::id`), and only out of a stage whose outermost layer
+//! is this crate's decorator; any other stage ends the chain, and the
+//! next cached stage keys by content again.
 //!
 //! Entries are self-describing blobs persisted through any
 //! [`StorageSink`] — a local filesystem, the in-memory test sink, the
@@ -55,9 +66,11 @@ use std::sync::Arc;
 use crate::bytes::{ByteReader, ByteWriter};
 
 /// Version baked into every cache key and entry header. Bump whenever
-/// the entry layout or any cached payload encoding changes: old entries
-/// then simply never match a new key, and stale blobs age out via LRU.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// the entry layout, any cached payload encoding, the key scheme or a
+/// cached stage's output for an unchanged input and configuration
+/// changes: old entries then simply never match a new key, and stale
+/// blobs age out via LRU. 2: keys chain through derivation ids.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a serialized cache entry.
 const ENTRY_MAGIC: &[u8; 4] = b"DRCE";
@@ -121,8 +134,9 @@ pub fn config_fingerprint<'a>(fields: impl IntoIterator<Item = (&'a str, String)
 }
 
 /// A fully resolved cache key: the stage name (for the blob namespace)
-/// plus a 128-bit digest over input bytes, stage name, config
-/// fingerprint, and [`CACHE_FORMAT_VERSION`].
+/// plus a 128-bit digest over [`CACHE_FORMAT_VERSION`], stage name,
+/// input id and config fingerprint. The digest is also the derivation id
+/// of the stage's output (see the crate docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     stage: String,
@@ -131,26 +145,33 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Compute the key for `stage` over serialized input bytes and a
-    /// config fingerprint. The input is digested first, so keying cost
-    /// is one hash pass regardless of how many key components change.
+    /// config fingerprint — the key of the first cached stage of a
+    /// chain. The input is digested first, so keying cost is one hash
+    /// pass regardless of how many key components change.
     pub fn compute(stage: &str, input_bytes: &[u8], config_fp: &[u8]) -> CacheKey {
-        CacheKey::from_input_digest(stage, &content_hash128(input_bytes), config_fp)
+        CacheKey::from_input_id(stage, &content_hash128(input_bytes), config_fp)
     }
 
-    /// [`CacheKey::compute`] for a caller that already holds the
-    /// [`content_hash128`] of the serialized input — the cached-stage
-    /// decorator digests an input once and keys both its probe and its
-    /// store with it.
-    pub fn from_input_digest(stage: &str, input_digest: &[u8; 16], config_fp: &[u8]) -> CacheKey {
+    /// The key for `stage` over an input named by `input_id`: the
+    /// [`content_hash128`] of its serialized bytes at the start of a
+    /// chain, the previous cached stage's key after that.
+    pub fn from_input_id(stage: &str, input_id: &[u8; 16], config_fp: &[u8]) -> CacheKey {
         let mut w = ByteWriter::with_capacity(64 + config_fp.len());
         w.put_u64(u64::from(CACHE_FORMAT_VERSION));
         w.put_str(stage);
-        w.put_bytes(input_digest);
+        w.put_bytes(input_id);
         w.put_bytes(config_fp);
         CacheKey {
             stage: stage.to_string(),
             hash: content_hash128(&w.finish()),
         }
+    }
+
+    /// The key of cached stage `stage` when it is handed this key's
+    /// output next in a chain — what the decorator computes there, so a
+    /// caller can name a chain's later entries without running it.
+    pub fn chained(&self, stage: &str, config_fp: &[u8]) -> CacheKey {
+        CacheKey::from_input_id(stage, &self.hash, config_fp)
     }
 
     /// Stage this key belongs to.
@@ -586,9 +607,10 @@ thread_local! {
 }
 
 /// [`content_hash128`] of `input`'s canonical bytes — the one
-/// serialization and the one hash pass a cached stage spends on its
-/// input. (The bytes must exist in full before hashing: the hash mixes
-/// the total length into its initial state.)
+/// serialization and the one hash pass a chain of cached stages spends
+/// on its input, at its first stage. (The bytes must exist in full
+/// before hashing: the hash mixes the total length into its initial
+/// state.)
 fn input_digest<T: CacheBytes>(input: &T) -> [u8; 16] {
     let mut scratch = KEY_SCRATCH.take();
     scratch.clear();
@@ -610,6 +632,11 @@ pub trait CachedPipelineExt<T>: Sized {
     /// the entry. On a miss (or quarantined corruption) the function
     /// runs and its output is stored best-effort — a failed cache write
     /// degrades to uncached behaviour, never to a stage error.
+    ///
+    /// The stage is keyed by the id its input arrives with, or by the
+    /// input's content when it arrives with none, and names its output
+    /// by its key (see the crate docs) for as long as this decorator is
+    /// its outermost layer.
     ///
     /// `config_fp` must fingerprint every configuration input that
     /// affects the stage's output (see [`config_fingerprint`]). Panics
@@ -649,8 +676,10 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();
         let probe = move |input: T, counters: &mut StageCounters| {
-            let digest = input_digest(&input);
-            let key = CacheKey::from_input_digest(&probe_name, &digest, &probe_fp);
+            // Only the first cached stage of a chain names its input by
+            // content; every later one is handed its predecessor's key.
+            let id = *counters.id.get_or_insert_with(|| input_digest(&input));
+            let key = CacheKey::from_input_id(&probe_name, &id, &probe_fp);
             if let Some((blob, entry)) = probe_cache.lookup(&key) {
                 // The digest already verified; a decode failure here
                 // means the payload schema drifted without a format
@@ -659,32 +688,33 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
                     if check(&output) {
                         counters.records = entry.records;
                         counters.bytes = entry.bytes;
+                        counters.id = Some(key.hash);
                         return FastPath::Hit(output);
                     }
                 }
             }
             // The function runs next on this very item with these very
-            // counters: leave it the digest instead of a second
-            // serialization.
-            counters.input_digest = Some(digest);
+            // counters, the input's id still in them.
             FastPath::Miss(input)
         };
         let stage_name = stage.to_string();
-        self.decorate_stage(stage, move |func| {
+        self.decorate_stage_naming_output(stage, move |func| {
             let compute = move |input: T, counters: &mut StageCounters| {
-                // The put must be keyed by the *input*, which `func`
-                // consumes. The probe's digest is there unless a
-                // wrapper in between handed this function counters of
-                // its own (`retried` does); then digest here.
-                let digest = counters
-                    .input_digest
-                    .take()
-                    .unwrap_or_else(|| input_digest(&input));
-                let key = CacheKey::from_input_digest(&stage_name, &digest, &config_fp);
+                // The store must be keyed by the *input*, whose id the
+                // probe left in the counters (`retried` copies it into
+                // every attempt's). Reached without one, the stage
+                // stores nothing and names nothing rather than digest
+                // the input a second time.
+                let key = counters
+                    .id
+                    .map(|id| CacheKey::from_input_id(&stage_name, &id, &config_fp));
                 let output = func(input, counters)?;
-                let _ = cache.store(&key, counters.records, counters.bytes, |entry| {
-                    output.write_cache_bytes(entry)
-                });
+                if let Some(key) = &key {
+                    let _ = cache.store(key, counters.records, counters.bytes, |entry| {
+                        output.write_cache_bytes(entry)
+                    });
+                }
+                counters.id = key.map(|key| key.hash);
                 Ok(output)
             };
             (Arc::new(compute), Some(Arc::new(probe)))
@@ -1100,12 +1130,23 @@ mod tests {
     }
 
     #[test]
-    fn key_from_input_digest_is_the_computed_key() {
+    fn key_from_input_id_is_the_computed_key() {
         let input = b"serialized input bytes";
+        let key = CacheKey::compute("regrid", input, b"cfg");
         assert_eq!(
-            CacheKey::from_input_digest("regrid", &content_hash128(input), b"cfg"),
-            CacheKey::compute("regrid", input, b"cfg")
+            CacheKey::from_input_id("regrid", &content_hash128(input), b"cfg"),
+            key
         );
+        // A chained key is keyed by its predecessor's digest, not by any
+        // content: equal for equal predecessors and fingerprints only.
+        let next = key.chained("normalize", b"n");
+        assert_eq!(next, CacheKey::from_input_id("normalize", &key.hash, b"n"));
+        assert_ne!(next, key.chained("normalize", b"N"));
+        assert_ne!(
+            next,
+            CacheKey::compute("regrid", b"other", b"cfg").chained("normalize", b"n")
+        );
+        assert_ne!(next, CacheKey::compute("normalize", input, b"n"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! One serialization per cache boundary, counted: a cached stage that
-//! hits serializes its input once and nothing else; one that misses
-//! serializes its input once and its output once. The probe leaves the
-//! input digest in the `StageCounters` it shares with the stage function,
-//! so the count rises only where a wrapper hands the function fresh
-//! counters — and the key is the same either way.
+//! One serialization per cached *chain*, counted. The first cached
+//! stage of a chain serializes its input once to key it; every later
+//! cached stage is keyed by its predecessor's key and serializes
+//! nothing of its input. Misses serialize their output once, to store
+//! it; hits serialize nothing else. The count holds on `run`, on
+//! `run_batch_streaming` and with `.retried` stacked on either side of
+//! `.cached`, cold and warm — and the keys are the same every way.
 
 use drai_cache::clock::LogicalClock;
 use drai_cache::{CacheBytes, CachedPipelineExt, StageCache};
@@ -15,32 +16,50 @@ use drai_telemetry::{Registry, TraceContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Serializations per test, so tests sharing this process do not share
-/// a count.
-static WRITES: [AtomicUsize; 3] = [
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-    AtomicUsize::new(0),
-];
+/// The chain, in order. An artifact remembers which of them produced it
+/// (0: none, the chain's input).
+const STAGES: [&str; 3] = ["regrid", "normalize", "shard"];
 
-/// An artifact that counts every serialization of itself under `TEST`.
+/// Serializations per test and per producing stage, so tests sharing
+/// this process do not share a count.
+static WRITES: [[AtomicUsize; 4]; 4] = [const { [const { AtomicUsize::new(0) }; 4] }; 4];
+
+/// An artifact that counts every serialization of itself under `TEST`,
+/// by the stage that produced it.
 #[derive(Debug, Clone, PartialEq)]
-struct Counted<const TEST: usize>(Vec<u8>);
+struct Counted<const TEST: usize> {
+    produced_by: usize,
+    data: Vec<u8>,
+}
 
 impl<const TEST: usize> CacheBytes for Counted<TEST> {
     fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        WRITES[TEST].fetch_add(1, Ordering::SeqCst);
-        out.extend_from_slice(&self.0);
+        WRITES[TEST][self.produced_by].fetch_add(1, Ordering::SeqCst);
+        out.push(self.produced_by as u8);
+        out.extend_from_slice(&self.data);
     }
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
-        Ok(Counted(data.to_vec()))
+        let (&produced_by, data) = data.split_first().ok_or("empty")?;
+        Ok(Counted {
+            produced_by: usize::from(produced_by),
+            data: data.to_vec(),
+        })
     }
 }
 
-/// Serializations under `TEST` since the last call.
-fn writes_since<const TEST: usize>() -> usize {
-    WRITES[TEST].swap(0, Ordering::SeqCst)
+/// Serializations under `TEST` since the last call: of the chain's
+/// input, then of each stage's output.
+fn writes_since<const TEST: usize>() -> [usize; 4] {
+    WRITES[TEST]
+        .each_ref()
+        .map(|count| count.swap(0, Ordering::SeqCst))
 }
+
+/// What a miss at every stage serializes: the chain's input once, to
+/// key the first stage, and every output once, to store it.
+const COLD: [usize; 4] = [1, 1, 1, 1];
+/// What a hit at every stage serializes: the chain's input once.
+const WARM: [usize; 4] = [1, 0, 0, 0];
 
 fn cache() -> Arc<StageCache> {
     Arc::new(
@@ -49,26 +68,43 @@ fn cache() -> Arc<StageCache> {
     )
 }
 
-/// Two cached stages; `wrap` layers whatever the test wants outside.
-fn pipeline<const TEST: usize>(
-    cache: &Arc<StageCache>,
-    wrap: impl FnOnce(Pipeline<Counted<TEST>>) -> Pipeline<Counted<TEST>>,
-) -> Pipeline<Counted<TEST>> {
-    let p = Pipeline::builder("one-pass")
-        .stage("grow", S::Transform, |mut v: Counted<TEST>, c| {
-            v.0.push(1);
+fn input<const TEST: usize>(seed: u8) -> Counted<TEST> {
+    Counted {
+        produced_by: 0,
+        data: vec![seed, 8, 7],
+    }
+}
+
+/// Where a test stacks `.retried` on each stage, relative to `.cached`.
+#[derive(Clone, Copy)]
+enum Retry {
+    Nowhere,
+    Inside,
+    Outside,
+}
+
+/// The three-stage chain, every stage cached.
+fn pipeline<const TEST: usize>(cache: &Arc<StageCache>, retry: Retry) -> Pipeline<Counted<TEST>> {
+    let mut builder = Pipeline::builder("one-pass");
+    for (s, name) in STAGES.iter().enumerate() {
+        builder = builder.stage(name, S::Transform, move |mut v: Counted<TEST>, c| {
+            v.produced_by = s + 1;
+            v.data.push(s as u8);
             c.records = 1;
             Ok(v)
-        })
-        .stage("flip", S::Transform, |mut v: Counted<TEST>, c| {
-            v.0.reverse();
-            c.records = 1;
-            Ok(v)
-        })
-        .build()
-        .cached("grow", cache.clone(), b"g".to_vec())
-        .cached("flip", cache.clone(), b"f".to_vec());
-    wrap(p)
+        });
+    }
+    let mut p = builder.build();
+    for (s, name) in STAGES.into_iter().enumerate() {
+        if let Retry::Inside = retry {
+            p = p.retried(name, 3);
+        }
+        p = p.cached(name, cache.clone(), vec![s as u8]);
+        if let Retry::Outside = retry {
+            p = p.retried(name, 3);
+        }
+    }
+    p
 }
 
 fn counters(f: impl FnOnce()) -> std::collections::BTreeMap<String, u64> {
@@ -78,90 +114,141 @@ fn counters(f: impl FnOnce()) -> std::collections::BTreeMap<String, u64> {
 }
 
 #[test]
-fn run_serializes_once_per_boundary() {
+fn run_serializes_once_per_chain() {
     const T: usize = 0;
     let cache = cache();
-    let p = pipeline::<T>(&cache, |p| p);
-    let input = Counted::<T>(vec![9, 8, 7]);
+    let p = pipeline::<T>(&cache, Retry::Nowhere);
     writes_since::<T>();
 
     let cold = counters(|| {
-        assert_eq!(p.run(input.clone()).unwrap().output.0, [1, 7, 8, 9]);
+        assert_eq!(p.run(input(9)).unwrap().output.data, [9, 8, 7, 0, 1, 2]);
     });
-    assert_eq!(cold["cache.misses"], 2);
+    assert_eq!(cold["cache.misses"], 3);
     assert_eq!(
         writes_since::<T>(),
-        4,
-        "a miss serializes its input once and its output once, per stage"
+        COLD,
+        "a cold chain serializes its input once and each output once"
     );
 
     let warm = counters(|| {
-        assert_eq!(p.run(input.clone()).unwrap().output.0, [1, 7, 8, 9]);
+        assert_eq!(p.run(input(9)).unwrap().output.data, [9, 8, 7, 0, 1, 2]);
     });
-    assert_eq!(warm["cache.hits"], 2);
+    assert_eq!(warm["cache.hits"], 3);
     assert_eq!(warm.get("cache.misses"), None);
     assert_eq!(
         writes_since::<T>(),
-        2,
-        "a hit serializes its input once and nothing else, per stage"
+        WARM,
+        "a warm chain serializes its input once and nothing else"
     );
 }
 
 #[test]
-fn streaming_serializes_once_per_boundary() {
+fn streaming_serializes_once_per_chain() {
     const T: usize = 1;
     const ITEMS: usize = 5;
     let cache = cache();
-    let p = pipeline::<T>(&cache, |p| p);
-    let items: Vec<Counted<T>> = (0..ITEMS).map(|i| Counted(vec![i as u8, 3])).collect();
+    let p = pipeline::<T>(&cache, Retry::Nowhere);
+    let items: Vec<Counted<T>> = (0..ITEMS).map(|i| input(i as u8)).collect();
     let exec = ExecutorConfig::default();
     writes_since::<T>();
 
     let cold = counters(|| {
         let (out, _) = p.run_batch_streaming(items.clone(), &exec).unwrap();
-        assert_eq!(out[2].0, [1, 3, 2]);
+        assert_eq!(out[2].data, [2, 8, 7, 0, 1, 2]);
     });
-    assert_eq!(cold["cache.misses"], 2 * ITEMS as u64);
-    assert_eq!(writes_since::<T>(), 4 * ITEMS);
+    assert_eq!(cold["cache.misses"], 3 * ITEMS as u64);
+    assert_eq!(writes_since::<T>(), COLD.map(|n| n * ITEMS));
 
     let warm = counters(|| {
         let (out, _) = p.run_batch_streaming(items.clone(), &exec).unwrap();
-        assert_eq!(out[2].0, [1, 3, 2]);
+        assert_eq!(out[2].data, [2, 8, 7, 0, 1, 2]);
     });
-    assert_eq!(warm["cache.hits"], 2 * ITEMS as u64);
+    assert_eq!(warm["cache.hits"], 3 * ITEMS as u64);
     assert_eq!(warm.get("cache.misses"), None);
-    assert_eq!(writes_since::<T>(), 2 * ITEMS);
+    assert_eq!(writes_since::<T>(), WARM.map(|n| n * ITEMS));
 }
 
 #[test]
-fn fresh_counters_under_a_retry_wrapper_fall_back_to_the_same_key() {
+fn retried_on_either_side_of_cached_keeps_the_chain_and_its_keys() {
     const T: usize = 2;
     let cache = cache();
-    // `retried` hands the function it wraps counters of its own, so the
-    // probe's digest does not reach the store: it digests again.
-    let retried = pipeline::<T>(&cache, |p| p.retried("grow", 3));
-    let input = Counted::<T>(vec![4, 5]);
+    // `retried` outside `cached` hands every attempt the id the probe
+    // keyed by; inside, the decorator is outermost and keys its store
+    // before the retry loop runs. Either way the chain goes on.
+    let outside = pipeline::<T>(&cache, Retry::Outside);
+    let inside = pipeline::<T>(&cache, Retry::Inside);
     writes_since::<T>();
 
     let cold = counters(|| {
-        assert_eq!(retried.run(input.clone()).unwrap().output.0, [1, 5, 4]);
+        assert_eq!(
+            outside.run(input(4)).unwrap().output.data,
+            [4, 8, 7, 0, 1, 2]
+        );
     });
-    assert_eq!(cold["cache.misses"], 2);
-    assert_eq!(
-        writes_since::<T>(),
-        5,
-        "grow: probe, fallback digest, output; flip: input, output"
-    );
+    assert_eq!(cold["cache.misses"], 3);
+    assert_eq!(writes_since::<T>(), COLD);
 
-    // Same key as the probe computes: the entry is found, by the
-    // retried pipeline and by one without the wrapper.
-    for p in [retried, pipeline::<T>(&cache, |p| p)] {
+    // Same keys as the probes compute: the entries are found by both
+    // retried pipelines and by one without the wrapper, on `run` and
+    // streaming alike.
+    for p in [&outside, &inside, &pipeline::<T>(&cache, Retry::Nowhere)] {
         let warm = counters(|| {
-            assert_eq!(p.run(input.clone()).unwrap().output.0, [1, 5, 4]);
+            assert_eq!(p.run(input(4)).unwrap().output.data, [4, 8, 7, 0, 1, 2]);
+            let (out, _) = p
+                .run_batch_streaming(vec![input(4)], &ExecutorConfig::default())
+                .unwrap();
+            assert_eq!(out[0].data, [4, 8, 7, 0, 1, 2]);
         });
-        assert_eq!(warm["cache.hits"], 2);
+        assert_eq!(warm["cache.hits"], 6);
         assert_eq!(warm.get("cache.misses"), None);
-        assert_eq!(writes_since::<T>(), 2);
+        assert_eq!(writes_since::<T>(), WARM.map(|n| 2 * n));
     }
-    assert_eq!(cache.tracked_entries(), 2);
+    assert_eq!(cache.tracked_entries(), 3);
+
+    // Cold under `retried` inside `cached`, on a cache of its own.
+    let cache = self::cache();
+    let inside = pipeline::<T>(&cache, Retry::Inside);
+    writes_since::<T>();
+    counters(|| {
+        inside.run(input(4)).unwrap();
+    });
+    assert_eq!(writes_since::<T>(), COLD);
+    assert_eq!(cache.tracked_entries(), 3);
+}
+
+/// Stage functions actually run under `retried`, once per attempt: a
+/// flaky first attempt does not change the key the store uses.
+#[test]
+fn a_failed_attempt_under_retried_stores_under_the_probe_key() {
+    const T: usize = 3;
+    let cache = cache();
+    let fails = Arc::new(AtomicUsize::new(1));
+    let flaky = {
+        let fails = fails.clone();
+        Pipeline::builder("one-pass-flaky")
+            .stage("regrid", S::Transform, |v: Counted<T>, _| Ok(v))
+            .stage("normalize", S::Transform, move |mut v: Counted<T>, _| {
+                if fails
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    return Err("transient".to_string());
+                }
+                v.produced_by = 2;
+                Ok(v)
+            })
+            .build()
+            .cached("regrid", cache.clone(), b"r".to_vec())
+            .cached("normalize", cache.clone(), b"n".to_vec())
+            .retried("normalize", 2)
+    };
+    counters(|| {
+        flaky.run(input(1)).unwrap();
+    });
+    assert_eq!(fails.load(Ordering::SeqCst), 0, "the first attempt failed");
+    let warm = counters(|| {
+        flaky.run(input(1)).unwrap();
+    });
+    assert_eq!(warm["cache.hits"], 2);
+    assert_eq!(warm.get("cache.misses"), None);
 }

@@ -277,6 +277,8 @@ impl<T> ExecShared<'_, T> {
     /// cancelled at a stage boundary or failed (the incident is
     /// recorded).
     fn carry(&self, idx: usize, mut item: T) -> Option<T> {
+        // The item's derivation id, as `Pipeline::run` carries it.
+        let mut id = None;
         for (s, stage) in self.stages.iter().enumerate() {
             if self.cancelled(idx) {
                 return None;
@@ -285,14 +287,14 @@ impl<T> ExecShared<'_, T> {
             let start_ns = self.epoch.elapsed_ns();
             let mut counters = StageCounters::default();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                Pipeline::execute_stage(stage, item, &mut counters)
+                Pipeline::execute_stage(stage, item, id, &mut counters)
             }));
             let end_ns = self.epoch.elapsed_ns();
             drop(busy);
             let incident = match result {
-                Ok(Ok(output)) => {
+                Ok(Ok((output, output_id))) => {
                     self.accs[s].absorb(&counters, start_ns, end_ns);
-                    item = output;
+                    (item, id) = (output, output_id);
                     continue;
                 }
                 Ok(Err(message)) => Incident::Error {

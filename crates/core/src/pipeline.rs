@@ -26,16 +26,16 @@ pub struct StageCounters {
     pub records: u64,
     /// Bytes consumed/produced.
     pub bytes: u64,
-    /// Content digest of the stage's *input*, left by a fast path that
-    /// missed for the stage function of the same execution (which
-    /// `take()`s it): [`Pipeline::execute_stage`] hands both the same
-    /// counters and the same, unchanged item, so a cache probe need not
-    /// be followed by a second serialization to key the store. It is
-    /// `None` whenever the function is handed fresh counters (under
-    /// [`Pipeline::retried`]) and the function then digests for itself.
-    /// A wrapper that changes the item before calling the function it
-    /// wraps must clear it.
-    pub input_digest: Option<[u8; 16]>,
+    /// The item's *derivation id*. On entry to a stage it names the
+    /// stage's input — the id the previous stage's output was given, or
+    /// `None` at the start of a chain. A layer that names its output
+    /// (the cache decorator: its key) leaves the output's id here, and
+    /// [`Pipeline::execute_stage`] hands it to the next stage only when
+    /// that layer is the stage's outermost (see
+    /// [`Pipeline::decorate_stage_naming_output`]); every other stage
+    /// ends the chain with `None`. A wrapper that builds counters of its
+    /// own for the function it wraps copies this in.
+    pub id: Option<[u8; 16]>,
 }
 
 /// A stage's transformation function.
@@ -63,6 +63,9 @@ pub struct StageDef<T> {
     pub(crate) kind: ProcessingStage,
     pub(crate) func: Arc<StageFn<T>>,
     pub(crate) fast: Option<Arc<FastFn<T>>>,
+    /// Whether the stage's outermost layer names its output, so the id
+    /// it leaves in [`StageCounters::id`] travels on with the item.
+    pub(crate) names_output: bool,
 }
 
 impl<T> Clone for StageDef<T> {
@@ -72,6 +75,7 @@ impl<T> Clone for StageDef<T> {
             kind: self.kind,
             func: self.func.clone(),
             fast: self.fast.clone(),
+            names_output: self.names_output,
         }
     }
 }
@@ -127,6 +131,7 @@ impl<T> PipelineBuilder<T> {
             kind,
             func: Arc::new(func),
             fast: None,
+            names_output: false,
         });
         self
     }
@@ -192,12 +197,45 @@ impl<T> Pipeline<T> {
     /// variant. A wrapper that installs no fast path leaves an existing
     /// one in place, so hits on it bypass the wrapper.
     ///
+    /// The new layer is the stage's outermost and may change its
+    /// output, so the stage no longer names its output: the item leaves
+    /// it without a derivation id ([`StageCounters::id`]).
+    ///
     /// Panics when the pipeline has no stage called `stage`: stage
     /// names are literals, so a miss is a typo to fail on at
     /// construction, not a condition to carry to run time.
     pub fn decorate_stage(
+        self,
+        stage: &str,
+        wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
+    ) -> Self {
+        self.rewrap(stage, Some(false), wrap)
+    }
+
+    /// [`Pipeline::decorate_stage`] for a layer that names its output:
+    /// on a hit of the fast path it installs and after every run of the
+    /// function it returns, it leaves in [`StageCounters::id`] an id
+    /// that is a function of the input's id (as handed to it there),
+    /// the stage and its configuration alone — the cache decorator's
+    /// key. While this layer stays outermost the id travels on to the
+    /// next stage. The contract is the layer's to keep: two items with
+    /// equal ids must be equal.
+    pub fn decorate_stage_naming_output(
+        self,
+        stage: &str,
+        wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
+    ) -> Self {
+        self.rewrap(stage, Some(true), wrap)
+    }
+
+    /// Install a layer on `stage`; `names_output` says whether the
+    /// stage names its output afterwards, `None` keeping what it was (a
+    /// layer that hands on its function's output and counters as they
+    /// are).
+    fn rewrap(
         mut self,
         stage: &str,
+        names_output: Option<bool>,
         wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
     ) -> Self {
         let def = self.stages.iter_mut().find(|s| s.name == stage);
@@ -210,6 +248,7 @@ impl<T> Pipeline<T> {
             let (func, fast) = wrap(def.func.clone());
             def.func = func;
             def.fast = fast.or(def.fast.take());
+            def.names_output = names_output.unwrap_or(def.names_output);
         }
         self
     }
@@ -223,6 +262,10 @@ impl<T> Pipeline<T> {
     /// immediate (no sleeping): stage work dominates any sensible
     /// backoff, and determinism matters more here than politeness.
     ///
+    /// Every attempt is handed the item's id ([`StageCounters::id`]),
+    /// and the successful attempt's output and counters are handed on
+    /// as they are, so a stage that named its output still does.
+    ///
     /// Telemetry: each re-attempt increments
     /// `pipeline.<pipeline>.<stage>.retries`.
     pub fn retried(self, stage: &str, max_attempts: u32) -> Self
@@ -231,11 +274,14 @@ impl<T> Pipeline<T> {
     {
         assert!(max_attempts >= 1, "need at least one attempt");
         let base = self.stage_metric(stage);
-        self.decorate_stage(stage, move |func| {
+        self.rewrap(stage, None, move |func| {
             let wrapped = move |input: T, counters: &mut StageCounters| {
                 let mut last_err = String::new();
                 for attempt in 0..max_attempts {
-                    let mut local = StageCounters::default();
+                    let mut local = StageCounters {
+                        id: counters.id,
+                        ..StageCounters::default()
+                    };
                     match func(input.clone(), &mut local) {
                         Ok(out) => {
                             *counters = local;
@@ -262,22 +308,32 @@ impl<T> Pipeline<T> {
         format!("pipeline.{}.{}", self.name, stage)
     }
 
-    /// Execute one stage on one artifact: try the fast path first, then
-    /// the full function. The only place a stage runs on an item — the
-    /// sequential runner and the batch executor's workers both call it.
+    /// Execute one stage on one artifact whose derivation id is `id`:
+    /// try the fast path first, then the full function. Returns the
+    /// output and its id — the one the stage left in the counters when
+    /// its outermost layer names its output, `None` otherwise. The only
+    /// place a stage runs on an item — the sequential runner and the
+    /// batch executor's workers both call it.
     pub(crate) fn execute_stage(
         stage: &StageDef<T>,
         input: T,
+        id: Option<[u8; 16]>,
         counters: &mut StageCounters,
-    ) -> Result<T, String> {
-        let current = match &stage.fast {
+    ) -> Result<(T, Option<[u8; 16]>), String> {
+        counters.id = id;
+        let output = match &stage.fast {
             Some(fast) => match fast(input, counters) {
-                FastPath::Hit(output) => return Ok(output),
-                FastPath::Miss(input) => input,
+                FastPath::Hit(output) => output,
+                FastPath::Miss(input) => (stage.func)(input, counters)?,
             },
-            None => input,
+            None => (stage.func)(input, counters)?,
         };
-        (stage.func)(current, counters)
+        let id = if stage.names_output {
+            counters.id
+        } else {
+            None
+        };
+        Ok((output, id))
     }
 
     /// Run sequentially on one artifact, emitting one telemetry span
@@ -290,6 +346,7 @@ impl<T> Pipeline<T> {
         let run_span = registry.span(format!("pipeline.{}.run", self.name));
         let _in_run = run_span.enter();
         let mut current = input;
+        let mut id = None;
         let mut metrics = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
             let base = self.stage_metric(&stage.name);
@@ -299,9 +356,9 @@ impl<T> Pipeline<T> {
             // Entered while the stage function runs so I/O-layer spans
             // opened inside it parent under this stage.
             let in_stage = span.enter();
-            let result = Self::execute_stage(stage, current, &mut counters);
+            let result = Self::execute_stage(stage, current, id, &mut counters);
             drop(in_stage);
-            current = result.map_err(|message| CoreError::Stage {
+            (current, id) = result.map_err(|message| CoreError::Stage {
                 stage: stage.name.clone(),
                 message,
             })?;
@@ -509,6 +566,51 @@ mod tests {
         assert_eq!(run.stage("flaky").unwrap().throughput.records, 2);
         let snap = drai_telemetry::Registry::global().snapshot();
         assert_eq!(snap.counters["pipeline.retry-unit.flaky.retries"], 2);
+    }
+
+    /// Each stage appends the first byte of the id it was handed; stage
+    /// `a`'s naming layer gives its output the id `[7; 16]`.
+    fn id_trail() -> Pipeline<Vec<Option<u8>>> {
+        let mut builder = Pipeline::builder("ids");
+        for stage in ["a", "b", "c"] {
+            builder = builder.stage(stage, S::Transform, |mut v: Vec<Option<u8>>, c| {
+                v.push(c.id.map(|id| id[0]));
+                Ok(v)
+            });
+        }
+        builder.build().decorate_stage_naming_output("a", |func| {
+            let naming = move |v: Vec<Option<u8>>, c: &mut StageCounters| {
+                let out = func(v, c)?;
+                c.id = Some([7; 16]);
+                Ok(out)
+            };
+            (Arc::new(naming), None)
+        })
+    }
+
+    #[test]
+    fn ids_travel_only_out_of_a_stage_whose_outermost_layer_names_its_output() {
+        use crate::executor::{ExecutorConfig, StreamingBatchExt};
+        let trail = |p: &Pipeline<Vec<Option<u8>>>| {
+            let run = p.run(Vec::new()).unwrap().output;
+            let (batch, _) = p
+                .run_batch_streaming(vec![Vec::new()], &ExecutorConfig::default())
+                .unwrap();
+            assert_eq!(
+                batch,
+                std::slice::from_ref(&run),
+                "run and the executor disagree"
+            );
+            run
+        };
+        // `b` sees `a`'s id; `b` names nothing, so `c` sees none.
+        assert_eq!(trail(&id_trail()), [None, Some(7), None]);
+        // `retried` hands its function's output and id on as they are.
+        assert_eq!(trail(&id_trail().retried("a", 2)), [None, Some(7), None]);
+        // Any other later layer ends the chain, even one that changes
+        // nothing.
+        let outer = id_trail().decorate_stage("a", |func| (func, None));
+        assert_eq!(trail(&outer), [None, None, None]);
     }
 
     #[test]

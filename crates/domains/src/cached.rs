@@ -282,13 +282,38 @@ impl<T: CacheBytes> CacheBytes for Member<T> {
     }
 }
 
-/// Fingerprint of every `ClimateConfig` input that affects the regrid
-/// stage's output.
-pub fn climate_regrid_fingerprint(cfg: &ClimateConfig) -> Vec<u8> {
-    config_fingerprint([(
-        "dst_grid",
-        format!("{}x{}", cfg.dst_grid.nlat(), cfg.dst_grid.nlon()),
-    )])
+/// The climate stages [`with_climate_cache`] caches, in chain order,
+/// each with the fingerprint of every `ClimateConfig` input that affects
+/// its output. Their keys chain: the first is keyed by the content of
+/// the input it is handed, each later one by its predecessor's key.
+pub fn climate_cached_stages(cfg: &ClimateConfig) -> [(&'static str, Vec<u8>); 3] {
+    [
+        (
+            "regrid",
+            config_fingerprint([(
+                "dst_grid",
+                format!("{}x{}", cfg.dst_grid.nlat(), cfg.dst_grid.nlon()),
+            )]),
+        ),
+        (
+            "normalize",
+            config_fingerprint([("method", "zscore".to_string())]),
+        ),
+        (
+            "shard",
+            config_fingerprint([
+                ("shard_bytes", format!("{}", cfg.shard_bytes)),
+                ("seed", format!("{}", cfg.seed)),
+                (
+                    "fractions",
+                    format!(
+                        "{}/{}/{}",
+                        cfg.fractions.train, cfg.fractions.validation, cfg.fractions.test
+                    ),
+                ),
+            ]),
+        ),
+    ]
 }
 
 /// True when `sink` holds at least one `.shard` blob directly under
@@ -321,22 +346,12 @@ pub fn with_climate_cache<I>(
 where
     I: StageItem<ClimateData> + CacheBytes + Send + Sync + 'static,
 {
-    let normalize_fp = config_fingerprint([("method", "zscore".to_string())]);
-    let shard_fp = config_fingerprint([
-        ("shard_bytes", format!("{}", cfg.shard_bytes)),
-        ("seed", format!("{}", cfg.seed)),
-        (
-            "fractions",
-            format!(
-                "{}/{}/{}",
-                cfg.fractions.train, cfg.fractions.validation, cfg.fractions.test
-            ),
-        ),
-    ]);
+    let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
+        climate_cached_stages(cfg);
     pipeline
-        .cached("regrid", cache.clone(), climate_regrid_fingerprint(cfg))
-        .cached("normalize", cache.clone(), normalize_fp)
-        .cached_with_check("shard", cache, shard_fp, move |item: &I| {
+        .cached(regrid, cache.clone(), regrid_fp)
+        .cached(normalize, cache.clone(), normalize_fp)
+        .cached_with_check(shard, cache, shard_fp, move |item: &I| {
             shards_exist(sink.as_ref(), &item.shard_prefix("climate"))
         })
 }
@@ -541,9 +556,10 @@ mod tests {
             dst_grid: LatLonGrid::global(6, 12),
             ..climate_cfg()
         };
-        let fp_a = climate_regrid_fingerprint(&cfg_a);
-        let fp_b = climate_regrid_fingerprint(&cfg_b);
-        assert_ne!(fp_a, fp_b);
+        let [regrid_a, normalize_a, shard_a] = climate_cached_stages(&cfg_a);
+        let [regrid_b, normalize_b, shard_b] = climate_cached_stages(&cfg_b);
+        assert_ne!(regrid_a, regrid_b);
+        assert_eq!((normalize_a, shard_a), (normalize_b, shard_b));
     }
 
     fn run_in_registry<R>(reg: &Registry, f: impl FnOnce() -> R) -> (R, drai_telemetry::Snapshot) {
@@ -672,7 +688,7 @@ mod tests {
             w.put_u64(0);
             w.finish()
         };
-        let fp = climate_regrid_fingerprint(&cfg);
+        let [(_, fp), ..] = climate_cached_stages(&cfg);
         let counted = |snapshot: &drai_telemetry::Snapshot, name: &str| {
             snapshot.counters.get(name).copied().unwrap_or(0)
         };

@@ -13,8 +13,8 @@
 //! campaigns, cohorts, structure sets).
 //!
 //! [`estimate_climate_batch_cost`] shows the cache-aware admission
-//! path: members whose regrid entry already exists in the
-//! [`StageCache`] (an O(1) [`StageCache::contains`] probe, no payload
+//! path: members whose every cached-stage entry already exists in the
+//! [`StageCache`] (O(1) [`StageCache::contains`] probes, no payload
 //! read) are expected to fast-path through the chain, so they count a
 //! fraction of a cold member toward quotas and the in-flight gate.
 
@@ -60,25 +60,32 @@ pub fn submit_batch<D: Send + 'static>(
 }
 
 /// Cache-aware cost estimate for a cached climate batch: a cold member
-/// costs 1, a member whose regrid entry is already present (checked
-/// with the O(1) [`StageCache::contains`] metadata probe against the
-/// exact key the cached `regrid` stage will compute) is expected to
-/// fast-path and costs nothing. Clamped to ≥ 1 so a fully warm batch
-/// still passes admission as one cost unit. Returns
+/// costs 1, a member whose regrid, normalize and shard entries are all
+/// present (checked with the O(1) [`StageCache::contains`] metadata
+/// probe against the exact keys the cached stages will compute) is
+/// expected to fast-path and costs nothing. Clamped to ≥ 1 so a fully
+/// warm batch still passes admission as one cost unit. Returns
 /// `(estimated_cost, warm_members)`.
 pub fn estimate_climate_batch_cost(
     cfg: &ClimateConfig,
     cache: &StageCache,
     members: usize,
 ) -> (u64, usize) {
-    let fp = cached::climate_regrid_fingerprint(cfg);
+    let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
+        cached::climate_cached_stages(cfg);
     let mut warm = 0usize;
     for m in 0..members {
-        // validate passes the member input through unchanged, so the
-        // regrid stage's cache key is computable without running the
-        // pipeline.
+        // validate passes the member input through unchanged and every
+        // later cached stage is keyed by its predecessor's key, so the
+        // chain's keys are computable without running the pipeline.
         let input = Member(m, climate::member_input(cfg, m)).to_cache_bytes();
-        if cache.contains(&CacheKey::compute("regrid", &input, &fp)) {
+        let regrid_key = CacheKey::compute(regrid, &input, &regrid_fp);
+        let normalize_key = regrid_key.chained(normalize, &normalize_fp);
+        let shard_key = normalize_key.chained(shard, &shard_fp);
+        if [regrid_key, normalize_key, shard_key]
+            .iter()
+            .all(|key| cache.contains(key))
+        {
             warm += 1;
         }
     }
@@ -313,11 +320,38 @@ mod tests {
             s.run_until_idle();
             assert!(matches!(h.wait(), JobOutcome::Completed(_)));
 
-            // Every member's regrid entry is now warm: the estimate
+            // Every member's chain of entries is now warm: the estimate
             // collapses to the 1-unit floor.
             let (warm_cost, warm) = estimate_climate_batch_cost(&cfg, &cache, members);
             assert_eq!(warm, members);
             assert_eq!(warm_cost, 1);
+
+            // A member whose last entry is gone runs its shard stage
+            // again, so it is cold again: the estimate is no longer
+            // vouched for by its regrid entry alone.
+            let shard_key = |m: usize| {
+                let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
+                    cached::climate_cached_stages(&cfg);
+                let input = Member(m, climate::member_input(&cfg, m)).to_cache_bytes();
+                CacheKey::compute(regrid, &input, &regrid_fp)
+                    .chained(normalize, &normalize_fp)
+                    .chained(shard, &shard_fp)
+            };
+            for (evicted, want) in [(1, (1, members - 1)), (2, (2, members - 2))] {
+                cache
+                    .sink()
+                    .delete(&shard_key(evicted).blob_name())
+                    .unwrap();
+                assert_eq!(estimate_climate_batch_cost(&cfg, &cache, members), want);
+            }
+            let s = sched();
+            let h = submit_cached_climate(&s, &cfg, sink, cache.clone(), members).unwrap();
+            s.run_until_idle();
+            assert!(matches!(h.wait(), JobOutcome::Completed(_)));
+            assert_eq!(
+                estimate_climate_batch_cost(&cfg, &cache, members),
+                (1, members)
+            );
         });
     }
 

@@ -1,8 +1,8 @@
 //! Golden pins, recorded at the commit before the domain stage graphs
 //! were collapsed to one declaration each (ISSUE 12): the content hash
 //! of every blob a small climate and a small materials run shard, and
-//! the cache key the cached `regrid` stage computes for one ensemble
-//! member. A refactor of how the pipelines are *declared* must leave
+//! the cache keys the cached stages compute for one ensemble member. A
+//! refactor of how the pipelines are *declared* must leave
 //! all of them unchanged — shard bytes are what downstream training
 //! reads, and a moved key would silently turn every cache entry written
 //! by an earlier build into a miss.
@@ -20,6 +20,12 @@
 //! domains moved onto a stage graph and all four `run`s onto one
 //! skeleton (ISSUE 17), identically on two CPUs and under
 //! `taskset -c 0`.
+//!
+//! The cache keys of member 3 moved once, with `CACHE_FORMAT_VERSION`
+//! 2, when keys began to chain through derivation ids; the shard
+//! digests did not move. `CACHE_VERSION_HISTORY` ties the version to
+//! what the cached stages write, so a stage change that moves the bytes
+//! without a version bump fails here.
 
 use drai_cache::StageCache;
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
@@ -201,17 +207,17 @@ fn bio_run_shards_match_golden() {
     );
 }
 
-/// The key is read back from the blob name the cached stage stored its
-/// entry under, so this pins what the pipeline computes, not a
-/// re-derivation of it.
-#[test]
-fn cached_regrid_key_for_member_3_matches_golden() {
+/// Member 3 once through the cached batch pipeline, cold: the names of
+/// the cache entries it stored, sorted, and the digest of the shard
+/// blobs it wrote (`content_hash128` of its [`digests`] lines).
+fn cached_member_3() -> (Vec<String>, String) {
     let cfg = climate_cfg();
     let cache_sink = Arc::new(MemSink::new());
     let cache = Arc::new(StageCache::new(cache_sink.clone(), 64 << 20));
+    let sink = Arc::new(MemSink::new());
     let pipeline = cached::build_cached_climate_batch_pipeline(
         &cfg,
-        Arc::new(MemSink::new()),
+        sink.clone(),
         Arc::new(Ledger::new()),
         cache,
     );
@@ -221,14 +227,61 @@ fn cached_regrid_key_for_member_3_matches_golden() {
             &ExecutorConfig::default(),
         )
         .expect("cold pass");
-    let regrid_entries: Vec<String> = cache_sink
-        .list()
-        .expect("list")
-        .into_iter()
-        .filter(|n| n.starts_with("cache/regrid/"))
-        .collect();
+    let mut entries = cache_sink.list().expect("list");
+    entries.sort();
+    let shards = digests(&sink, "climate/m3/").join("\n");
+    (entries, hash_hex(&content_hash128(shards.as_bytes())))
+}
+
+/// The keys are read back from the blob names the cached stages stored
+/// their entries under, so this pins what the pipeline computes, not a
+/// re-derivation of it. Only the regrid key is a content key (of the
+/// member's input); normalize is keyed by the regrid key and shard by
+/// the normalize key.
+///
+/// The regrid pin was re-recorded once, for `CACHE_FORMAT_VERSION` 2
+/// (keys chained through derivation ids); it was
+/// `8c491f6b09d04558cf6001f60fe710fa` under version 1. The normalize
+/// and shard pins were added then.
+#[test]
+fn cached_keys_for_member_3_match_golden() {
+    let (entries, _) = cached_member_3();
     assert_eq!(
-        regrid_entries,
-        ["cache/regrid/8c491f6b09d04558cf6001f60fe710fa.entry"]
+        entries,
+        [
+            "cache/normalize/9105c032cf6b8588b80246f0f2a0b750.entry",
+            "cache/regrid/47c3912dea7fbd83e64b441a90f1a5b5.entry",
+            "cache/shard/7e32b7f4f0c0430c0dfc64e6a17d283f.entry",
+        ]
+    );
+}
+
+/// `(CACHE_FORMAT_VERSION, digest of the shards the cached pipeline
+/// writes for member 3)`, one row per version, oldest first; append
+/// only. A cached stage whose output moves for an unchanged input and
+/// configuration must bump the version — every entry an earlier build
+/// stored under the old keys would otherwise be served as the new
+/// output, and every key chained from it would name the wrong bytes —
+/// and the row it appends records the new digest. Version 2 changed the
+/// key scheme only, so its shards are version 1's.
+const CACHE_VERSION_HISTORY: &[(u32, &str)] = &[
+    (1, "0feae67fafc5ceeea25704f8762bf93f"),
+    (2, "0feae67fafc5ceeea25704f8762bf93f"),
+];
+
+#[test]
+fn cached_shard_digest_moves_only_with_a_cache_version_bump() {
+    for (i, (version, _)) in CACHE_VERSION_HISTORY.iter().enumerate() {
+        assert!(
+            CACHE_VERSION_HISTORY[..i].iter().all(|(v, _)| v < version),
+            "version {version} is listed twice or out of order"
+        );
+    }
+    let (_, shard_digest) = cached_member_3();
+    assert_eq!(
+        CACHE_VERSION_HISTORY.last(),
+        Some(&(drai_cache::CACHE_FORMAT_VERSION, shard_digest.as_str())),
+        "the cached member-3 shards or the cache version moved: a stage \
+         whose output changes bumps CACHE_FORMAT_VERSION and appends a row"
     );
 }

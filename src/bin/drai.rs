@@ -168,23 +168,30 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
         run.ledger.len()
     );
 
-    // Persist the manifest + audit log next to the data.
-    let manifest_json = run.manifest.to_json().to_string_compact();
-    let _ = std::fs::write(format!("{out}/manifest.json"), &manifest_json);
-    let _ = std::fs::write(format!("{out}/provenance.jsonl"), run.ledger.to_jsonl());
-
+    // Persist the manifest + audit log (+ card) next to the data. A run
+    // whose record could not be written is a failed run.
+    let mut records = vec![
+        ("manifest.json", run.manifest.to_json().to_string_compact()),
+        ("provenance.jsonl", run.ledger.to_jsonl()),
+    ];
     if emit_card {
         let card = DatasetCard::new(run.manifest.clone(), assessment, demo_quality(&run));
-        let path = format!("{out}/DATASET_CARD.md");
-        if std::fs::write(&path, card.to_markdown()).is_ok() {
-            println!("dataset card written to {path}");
-        }
-        let _ = std::fs::write(
-            format!("{out}/dataset_card.json"),
-            card.to_json().to_string_compact(),
-        );
+        records.push(("DATASET_CARD.md", card.to_markdown()));
+        records.push(("dataset_card.json", card.to_json().to_string_compact()));
     }
-    ExitCode::SUCCESS
+    let mut status = ExitCode::SUCCESS;
+    for (name, contents) in records {
+        let path = format!("{out}/{name}");
+        match std::fs::write(&path, contents) {
+            Ok(()) if name == "DATASET_CARD.md" => println!("dataset card written to {path}"),
+            Ok(()) => {}
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                status = ExitCode::FAILURE;
+            }
+        }
+    }
+    status
 }
 
 /// Cheap post-hoc quality snapshot for the card: label coverage and

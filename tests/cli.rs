@@ -47,6 +47,24 @@ fn run_climate_then_assess_its_manifest() {
 }
 
 #[test]
+fn a_run_record_that_cannot_be_written_fails_the_run() {
+    let cwd = scratch("unwritable");
+    // A directory where the manifest goes: the shards land, the
+    // manifest write fails.
+    std::fs::create_dir_all(cwd.join("out/manifest.json")).unwrap();
+    for command in ["run", "card"] {
+        let run = drai(&cwd, &[command, "climate", "--out", "out"]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{command} exited 0: {stderr}");
+        assert!(stderr.contains("manifest.json"), "{command}: {stderr}");
+        // What could be written still was.
+        assert!(cwd.join("out/provenance.jsonl").is_file(), "{command}");
+    }
+    assert!(cwd.join("out/dataset_card.json").is_file());
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
 fn usage_errors_exit_nonzero_and_create_no_directory() {
     let cwd = scratch("usage");
     for args in [
