@@ -352,10 +352,19 @@ struct IndexEntry {
     last_access: u64,
 }
 
+/// The LRU index. Sink I/O happens outside its lock, so it also tracks
+/// the blobs being written and deleted: a blob being written is never
+/// chosen for eviction, and a `put` of a blob being deleted hands its
+/// entry to the evicting thread, which writes it once the delete is done
+/// — a delete never lands after a newer write of the same key.
 #[derive(Debug, Default)]
 struct Index {
     entries: BTreeMap<String, IndexEntry>,
     total: u64,
+    /// Writes in flight, one name per write.
+    writing: Vec<String>,
+    /// Deletes in flight, each with the newest entry handed over for it.
+    deleting: BTreeMap<String, Option<Vec<u8>>>,
 }
 
 impl Index {
@@ -381,14 +390,54 @@ impl Index {
         }
     }
 
-    /// Least-recently-used blob, excluding `keep` (ties break on name
-    /// so eviction order is deterministic even on a frozen clock).
-    fn victim(&self, keep: &str) -> Option<String> {
-        self.entries
-            .iter()
-            .filter(|(name, _)| name.as_str() != keep)
-            .min_by_key(|(name, e)| (e.last_access, name.as_str()))
-            .map(|(name, _)| name.clone())
+    /// Claim `blob` for a write of `entry`; `None` when a delete of it is
+    /// in flight, which then takes `entry` over.
+    fn begin_write(&mut self, blob: &str, entry: Vec<u8>) -> Option<Vec<u8>> {
+        if let Some(handed) = self.deleting.get_mut(blob) {
+            *handed = Some(entry);
+            return None;
+        }
+        self.writing.push(blob.to_string());
+        Some(entry)
+    }
+
+    /// End a write of `blob` (`size` bytes, or `None` if it failed) and
+    /// take the least-recently-used blobs out until the total fits
+    /// `capacity`; the caller deletes them.
+    fn end_write(&mut self, blob: &str, size: Option<u64>, now: u64, capacity: u64) -> Vec<String> {
+        if let Some(i) = self.writing.iter().position(|b| b == blob) {
+            self.writing.swap_remove(i);
+        }
+        let Some(size) = size else {
+            return Vec::new();
+        };
+        // Replacing an entry under the same key: drop the old size first.
+        self.remove(blob);
+        self.touch(blob, size, now);
+        let mut victims = Vec::new();
+        while self.total > capacity {
+            // Least recently used, never `blob` or a blob being written
+            // (ties break on name so eviction order is deterministic even
+            // on a frozen clock).
+            let Some(victim) = self
+                .entries
+                .iter()
+                .filter(|(name, _)| name.as_str() != blob && !self.writing.contains(name))
+                .min_by_key(|(name, e)| (e.last_access, name.as_str()))
+                .map(|(name, _)| name.clone())
+            else {
+                break;
+            };
+            self.remove(&victim);
+            self.deleting.insert(victim.clone(), None);
+            victims.push(victim);
+        }
+        victims
+    }
+
+    /// End the delete of `blob`: the entry a `put` handed over meanwhile.
+    fn end_delete(&mut self, blob: &str) -> Option<Vec<u8>> {
+        self.deleting.remove(blob).flatten()
     }
 }
 
@@ -545,7 +594,9 @@ impl StageCache {
     /// Store a stage output under `key`, stamping the current TraceId
     /// as the entry's origin, then evict least-recently-used entries
     /// until the tracked total fits the capacity. Payloads whose entry
-    /// blob alone exceeds the capacity are not stored at all.
+    /// blob alone exceeds the capacity are not stored at all. A `put` of a
+    /// key an eviction is deleting returns at once: the evicting thread
+    /// writes the entry when its delete is done.
     pub fn put(
         &self,
         key: &CacheKey,
@@ -576,23 +627,42 @@ impl StageCache {
         if entry_len > self.capacity_bytes {
             return Ok(());
         }
-        let blob = key.blob_name();
-        self.sink.write_file(&blob, &entry)?;
+        self.write_entry(key.blob_name(), entry, &registry)?;
         span.add_items(1);
         span.add_bytes(entry_len);
-        let mut index = self.index.lock();
-        // Replacing an entry under the same key: drop the old size first.
-        index.remove(&blob);
-        index.touch(&blob, entry_len, self.clock.now_ns());
-        while index.total > self.capacity_bytes {
-            let Some(victim) = index.victim(&blob) else {
-                break;
-            };
-            let _ = self.sink.delete(&victim);
-            index.remove(&victim);
-            registry.counter("cache.evictions").incr();
-        }
         Ok(())
+    }
+
+    /// Write `entry` under `blob`, then delete least-recently-used entries
+    /// until the tracked total fits the capacity. The index lock is held
+    /// only to decide (see [`Index`]), never across sink I/O: a `get` does
+    /// not wait for an eviction's unlink, or for a retrying sink's backoff.
+    fn write_entry(
+        &self,
+        blob: String,
+        entry: Vec<u8>,
+        registry: &Registry,
+    ) -> Result<(), IoError> {
+        let Some(entry) = self.index.lock().begin_write(&blob, entry) else {
+            return Ok(());
+        };
+        let written = self.sink.write_file(&blob, &entry);
+        let size = written.is_ok().then_some(entry.len() as u64);
+        let now = self.clock.now_ns();
+        let victims = self
+            .index
+            .lock()
+            .end_write(&blob, size, now, self.capacity_bytes);
+        for victim in victims {
+            let _ = self.sink.delete(&victim);
+            registry.counter("cache.evictions").incr();
+            let handed = self.index.lock().end_delete(&victim);
+            if let Some(handed) = handed {
+                // Best effort, like any cache write.
+                let _ = self.write_entry(victim, handed, registry);
+            }
+        }
+        written
     }
 }
 
@@ -888,6 +958,129 @@ mod tests {
         });
         assert_eq!(snap.counters["cache.evictions"], 1);
         assert!(cache.tracked_bytes() <= 500);
+        assert_eq!(cache.tracked_entries(), 2);
+    }
+
+    /// A `MemSink` whose `delete` parks until [`ParkedDeletes::open`].
+    #[derive(Default)]
+    struct ParkedDeletes {
+        inner: MemSink,
+        /// (a delete has parked, the latch is open)
+        state: std::sync::Mutex<(bool, bool)>,
+        changed: std::sync::Condvar,
+    }
+
+    impl ParkedDeletes {
+        fn wait_until(
+            &self,
+            timeout: std::time::Duration,
+            done: impl Fn(&(bool, bool)) -> bool,
+        ) -> bool {
+            let state = self.state.lock().unwrap();
+            let (state, _) = self
+                .changed
+                .wait_timeout_while(state, timeout, |s| !done(s))
+                .unwrap();
+            done(&state)
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl StorageSink for ParkedDeletes {
+        fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
+            self.inner.write_file(name, data)
+        }
+        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+            self.inner.read_file(name)
+        }
+        fn list(&self) -> Result<Vec<String>, IoError> {
+            self.inner.list()
+        }
+        fn delete(&self, name: &str) -> Result<(), IoError> {
+            self.state.lock().unwrap().0 = true;
+            self.changed.notify_all();
+            self.wait_until(std::time::Duration::from_secs(60), |s| s.1);
+            self.inner.delete(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+    }
+
+    /// A cache of two 128-byte entries, `a` then `b`, over a
+    /// [`ParkedDeletes`] sink, and a third key whose put evicts `a`.
+    fn parked_cache() -> (Arc<ParkedDeletes>, StageCache, [CacheKey; 3]) {
+        let sink = Arc::new(ParkedDeletes::default());
+        let cache = StageCache::new(sink.clone(), 500).with_clock(Arc::new(LogicalClock::new()));
+        let keys = [b"a", b"b", b"c"].map(|k| CacheKey::compute("s", k, b""));
+        cache.put(&keys[0], &[1; 128], 0, 0).unwrap();
+        cache.put(&keys[1], &[2; 128], 0, 0).unwrap();
+        (sink, cache, keys)
+    }
+
+    #[test]
+    fn index_never_evicts_a_blob_being_written_and_hands_over_one_being_deleted() {
+        let mut index = Index::default();
+        for (blob, now) in [("a", 1), ("b", 2)] {
+            assert!(index.begin_write(blob, Vec::new()).is_some());
+            assert!(index.end_write(blob, Some(100), now, 250).is_empty());
+        }
+        // A new entry for `a`, the least recently used, is being written.
+        assert!(index.begin_write("a", Vec::new()).is_some());
+        assert!(index.begin_write("c", Vec::new()).is_some());
+        assert_eq!(index.end_write("c", Some(100), 3, 250), ["b"]);
+        // A put of `b` while its delete is in flight hands its entry over.
+        assert_eq!(index.begin_write("b", vec![7]), None);
+        assert_eq!(index.end_delete("b"), Some(vec![7]));
+        assert_eq!(index.end_delete("b"), None);
+    }
+
+    #[test]
+    fn a_get_does_not_wait_for_an_eviction() {
+        let (sink, cache, [_, b, c]) = parked_cache();
+        std::thread::scope(|s| {
+            let evict = s.spawn(|| cache.put(&c, &[3; 128], 0, 0));
+            assert!(sink.wait_until(std::time::Duration::from_secs(60), |s| s.0));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let cache = &cache;
+            s.spawn(move || tx.send(cache.get(&b).map(|hit| hit.payload)));
+            let got = rx.recv_timeout(std::time::Duration::from_secs(1));
+            sink.open();
+            assert_eq!(got, Ok(Some(vec![2; 128])), "the hit waited for the unlink");
+            evict.join().unwrap().unwrap();
+        });
+        assert_eq!(cache.tracked_entries(), 2);
+    }
+
+    #[test]
+    fn a_put_racing_the_eviction_of_its_key_keeps_its_entry() {
+        let (sink, cache, [a, b, c]) = parked_cache();
+        std::thread::scope(|s| {
+            let evict = s.spawn(|| cache.put(&c, &[3; 128], 0, 0));
+            assert!(sink.wait_until(std::time::Duration::from_secs(60), |s| s.0));
+            // `a` is being deleted: a new entry for it must not be written
+            // where the delete can still land on it. The put is let run
+            // to its end (bounded, for a put that waits on the delete)
+            // before the delete goes ahead.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (cache, a) = (&cache, &a);
+            s.spawn(move || tx.send(cache.put(a, &[4; 128], 0, 0)));
+            let reput = rx.recv_timeout(std::time::Duration::from_secs(1));
+            sink.open();
+            evict.join().unwrap().unwrap();
+            if let Ok(reput) = reput {
+                reput.unwrap();
+            }
+        });
+        let hit = cache.get(&a).expect("the re-put entry was deleted");
+        assert_eq!(hit.payload, vec![4; 128]);
+        // It went in as the newest entry and evicted the oldest.
+        assert!(cache.get(&b).is_none());
+        assert!(cache.get(&c).is_some());
         assert_eq!(cache.tracked_entries(), 2);
     }
 

@@ -29,7 +29,8 @@
 //! `executor.queue_depth` (gauge over finished items waiting for the
 //! collector: in the hand-off channel, held by a worker blocked on it,
 //! or just taken by the collector, so 0 ≤ depth ≤ `channel_capacity +
-//! pool + 1`), `executor.stall_ns` (histogram of time workers spend
+//! pool + 1`; each item's `GaugeGuard` travels in its channel message),
+//! `executor.stall_ns` (histogram of time workers spend
 //! blocked on the full hand-off channel — the backpressure signal),
 //! `executor.<pipeline>.<stage>.inflight` (per-stage gauge of items
 //! inside the stage), `executor.items_completed` (counter ticking live
@@ -48,7 +49,7 @@ use crate::metrics::Throughput;
 use crate::pipeline::{Pipeline, StageCounters, StageDef, StageMetrics};
 use crate::CoreError;
 use drai_telemetry::monitor::{Condition, HealthSpec};
-use drai_telemetry::{Gauge, Histogram, Registry, Stopwatch, TraceContext};
+use drai_telemetry::{Gauge, GaugeGuard, Histogram, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -283,7 +284,7 @@ impl<T> ExecShared<'_, T> {
             if self.cancelled(idx) {
                 return None;
             }
-            let busy = self.inflight[s].inc_scope();
+            let busy = GaugeGuard::new(Arc::clone(&self.inflight[s]), 1);
             let start_ns = self.epoch.elapsed_ns();
             let mut counters = StageCounters::default();
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -316,7 +317,7 @@ impl<T> ExecShared<'_, T> {
     /// Pool worker: take the next input item, carry it through the
     /// pipeline, hand it to the collector; repeat until the input is
     /// exhausted.
-    fn work(&self, tx: SyncSender<(usize, T)>) {
+    fn work(&self, tx: SyncSender<(usize, T, GaugeGuard)>) {
         loop {
             // The feed lock is a temporary, released before any stage
             // runs or the hand-off blocks.
@@ -327,14 +328,13 @@ impl<T> ExecShared<'_, T> {
                 continue;
             };
             let wait = Stopwatch::start();
-            // Counted before the send: the collector's decrement can
-            // then never run ahead of it and take the gauge below 0.
-            self.queue_depth.add(1);
-            // A send error means the collector is gone — only possible
-            // when the run is collapsing; dropping the item is correct.
-            if tx.send((idx, item)).is_err() {
-                self.queue_depth.add(-1);
-            }
+            // The item counts in the queue depth from before the send
+            // until the collector drops the guard that travels with it
+            // (or the failed send does). A send error means the
+            // collector is gone — only possible when the run is
+            // collapsing; dropping the item is correct.
+            let depth = GaugeGuard::new(Arc::clone(&self.queue_depth), 1);
+            let _ = parking_lot::blocking(|| tx.send((idx, item, depth)));
             self.stall.record(wait.elapsed_ns());
         }
     }
@@ -417,8 +417,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             // as each item reaches the collector, so the monitor
             // sampler can compute items/s and ETA mid-run.
             let completed = registry.counter("executor.items_completed");
-            while let Ok((idx, item)) = rx.recv() {
-                shared.queue_depth.add(-1);
+            while let Ok((idx, item, _depth)) = parking_lot::blocking(|| rx.recv()) {
                 completed.incr();
                 if let Some(slot) = slots.get_mut(idx) {
                     *slot = Some(item);

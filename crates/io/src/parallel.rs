@@ -75,7 +75,7 @@ where
             .collect();
         let mut out = Vec::with_capacity(len);
         for handle in handles {
-            match handle.join() {
+            match parking_lot::blocking(|| handle.join()) {
                 Ok(part) => out.extend(part),
                 Err(panic) => std::panic::resume_unwind(panic),
             }

@@ -159,7 +159,7 @@ impl<S: StorageSink> RetrySink<S> {
                     registry
                         .counter("io.retry.backoff_ns")
                         .add(delay.as_nanos() as u64);
-                    self.clock.sleep(delay);
+                    parking_lot::blocking(|| self.clock.sleep(delay));
                     retry_index += 1;
                 }
                 Err(e) => {

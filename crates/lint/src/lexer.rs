@@ -533,10 +533,9 @@ mod tests {
 
     // ---- char-literal vs lifetime ambiguity regressions ----
     //
-    // The structural model (`crate::model`) brace-matches bodies and
-    // walks generic signatures, so a `'{'` misread as a lifetime plus
-    // a stray `{`, or an `'a>` bound misread as a char literal, would
-    // silently corrupt every downstream concurrency rule.
+    // Test regions are found by brace matching, so a `'{'` misread as a
+    // lifetime plus a stray `{`, or an `'a>` bound misread as a char
+    // literal, would silently move every rule's test/library boundary.
 
     fn count(src: &str, pred: fn(&Tok) -> bool) -> usize {
         lex(src).tokens.iter().filter(|t| pred(&t.kind)).count()

@@ -5,10 +5,13 @@
 //! that checks the project invariants rustc and cargo cannot. What the
 //! toolchain decides stays with the toolchain: `unsafe` is forbidden in
 //! every target by `[workspace.lints.rust]`, and an import of a crate a
-//! manifest does not declare does not compile. It runs offline as a test
-//! — `cargo test -p drai-lint` (`tests/workspace_clean.rs`) fails on any
-//! finding — and has no suppression syntax: a finding is fixed, or the
-//! rule is.
+//! manifest does not declare does not compile. What only a run can see
+//! is checked where it runs: lock order, guards held across blocking
+//! calls and re-taken locks by the `parking_lot` shim in debug builds
+//! (every `cargo test`), and gauge balance by the `drai_telemetry::GaugeGuard`
+//! type. It runs offline as a test — `cargo test -p drai-lint`
+//! (`tests/workspace_clean.rs`) fails on any finding — and has no
+//! suppression syntax: a finding is fixed, or the rule is.
 //!
 //! ## Rules
 //!
@@ -18,20 +21,16 @@
 //! | `telemetry-names` | metric-name literals match the dotted grammar and the `METRIC_FAMILIES` registry in `drai-telemetry`, and every registered family is emitted somewhere |
 //! | `error-context` | `IoError` construction in `drai-io` carries a path/shard/record context |
 //! | `no-wallclock` | `Instant::now`/`SystemTime::now` only in `drai-telemetry` and the retry/cache clock seams (deterministic replay) |
-//! | `lock-order` | the workspace-wide lock-acquisition-order graph is acyclic (no ABBA deadlocks, no same-lock reacquisition) |
-//! | `lock-across-blocking` | no live lock guard spans a blocking channel `send`/`recv`, `thread::join`, or backoff sleep |
 //! | `crate-graph` | manifest edges between drai crates point strictly down the layer stack, shims declare no dependencies, every member inherits the workspace lints |
-//! | `gauge-balance` | every gauge increment has a matching decrement, `set`, or RAII scope in the same crate |
 //!
-//! The source rules read tokens (lexer) or the structural model in
-//! [`model`] built on them; `crate-graph` reads the manifests.
+//! The source rules read tokens ([`lexer`]); `crate-graph` reads the
+//! manifests.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 pub mod lexer;
-pub mod model;
 pub mod rules;
 
 use lexer::LexFile;
@@ -149,20 +148,8 @@ pub const RULES: &[(&str, Pass)] = &[
         Pass::File(rules::no_wallclock::check_file),
     ),
     (
-        rules::lock_order::RULE,
-        Pass::Workspace(rules::lock_order::check_workspace),
-    ),
-    (
-        rules::lock_blocking::RULE,
-        Pass::File(rules::lock_blocking::check_file),
-    ),
-    (
         rules::crate_graph::RULE,
         Pass::Workspace(rules::crate_graph::check_workspace),
-    ),
-    (
-        rules::gauge_balance::RULE,
-        Pass::Workspace(rules::gauge_balance::check_workspace),
     ),
 ];
 

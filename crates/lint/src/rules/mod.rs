@@ -4,9 +4,6 @@
 
 pub mod crate_graph;
 pub mod error_context;
-pub mod gauge_balance;
-pub mod lock_blocking;
-pub mod lock_order;
 pub mod no_panic;
 pub mod no_wallclock;
 pub mod telemetry_names;

@@ -14,19 +14,19 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 #[test]
-fn all_eight_rules_run() {
+fn all_five_rules_run() {
     // RULES is what `lint()` iterates, so this pins what actually runs:
-    // four single-file rules, three cross-file model rules and the
-    // manifest rule. A rule dropped from the table stops running.
+    // three single-file token rules, the cross-file telemetry rule and
+    // the manifest rule. A rule dropped from the table stops running.
+    // Lock order, guards across blocking calls and gauge balance are not
+    // here: the `parking_lot` shim checks the first two as they run in
+    // debug builds, and `GaugeGuard` makes the third a type fact.
     let expected = [
         "no-panic-in-lib",
         "telemetry-names",
         "error-context",
         "no-wallclock",
-        "lock-order",
-        "lock-across-blocking",
         "crate-graph",
-        "gauge-balance",
     ];
     let names: Vec<&str> = drai_lint::RULES.iter().map(|(name, _)| *name).collect();
     assert_eq!(names, expected);

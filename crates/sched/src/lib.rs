@@ -48,7 +48,7 @@
 
 use drai_core::{CancelToken, ExecutorConfig};
 use drai_telemetry::monitor::{Condition, HealthSpec, MonitorClock, WallMonitorClock};
-use drai_telemetry::{Gauge, Registry, TraceContext};
+use drai_telemetry::{GaugeGuard, Registry, TraceContext};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -305,7 +305,7 @@ impl JobHandle {
         if let Some(out) = self.cached {
             return out;
         }
-        self.rx.recv().unwrap_or(JobOutcome::Failed {
+        parking_lot::blocking(|| self.rx.recv()).unwrap_or(JobOutcome::Failed {
             error: "scheduler dropped before the job ran".to_string(),
         })
     }
@@ -467,6 +467,12 @@ struct QueuedJob {
     run: JobFn,
     cancel: CancelToken,
     tx: mpsc::Sender<JobOutcome>,
+    /// The job's share of `sched.queued`, `sched.queued_cost` and
+    /// `sched.tenant.<t>.queued` in the submitter's registry, held for as
+    /// long as the job is queued: dispatch trades them for an
+    /// `sched.inflight_cost` guard, and a shed, a cancel while queued or
+    /// a dropped scheduler drops them with the job.
+    queued: [GaugeGuard; 3],
 }
 
 struct TenantState {
@@ -516,7 +522,7 @@ struct State {
 
 enum Taken {
     Run(QueuedJob, String),
-    CancelledInQueue(QueuedJob, String),
+    CancelledInQueue(QueuedJob),
 }
 
 /// One dispatch, as recorded by [`Scheduler::dispatch_next`] — the
@@ -589,11 +595,6 @@ fn sanitize_tenant(raw: &str) -> String {
     } else {
         mapped
     }
-}
-
-/// Per-tenant queue-depth gauge (`sched.tenant.<tenant>.queued`).
-fn tenant_queued_gauge(registry: &Registry, tenant: &str) -> Arc<Gauge> {
-    registry.gauge(&format!("sched.tenant.{tenant}.queued"))
 }
 
 /// Default monitor health rules for a scheduler under `cfg`:
@@ -691,6 +692,13 @@ impl Scheduler {
         let (tx, rx) = mpsc::channel();
         let cancel = CancelToken::new();
         let cost = spec.cost;
+        // Resolved before the state lock: a registry lookup may take the
+        // registry's own locks.
+        let [jobs, queued_cost, tenant_jobs] = [
+            registry.gauge("sched.queued"),
+            registry.gauge("sched.queued_cost"),
+            registry.gauge(&format!("sched.tenant.{tenant}.queued")),
+        ];
 
         let admitted: Result<(u64, Vec<(QueuedJob, u64)>), Rejected> = {
             let mut st = self.state.lock();
@@ -764,15 +772,17 @@ impl Scheduler {
                     run: spec.run,
                     cancel: cancel.clone(),
                     tx: tx.clone(),
+                    queued: [
+                        GaugeGuard::new(jobs, 1),
+                        GaugeGuard::new(queued_cost, cost as i64),
+                        GaugeGuard::new(tenant_jobs, 1),
+                    ],
                 });
                 ts.outstanding += cost;
                 st.queued_cost_total += cost;
                 if !st.active.iter().any(|t| t == &tenant) {
                     st.active.push(tenant.clone());
                 }
-                registry.gauge("sched.queued").add(1);
-                registry.gauge("sched.queued_cost").add(cost as i64);
-                tenant_queued_gauge(&registry, &tenant).add(1);
 
                 // Overload: shed lowest class, then furthest deadline,
                 // then most recently submitted, until under watermark.
@@ -790,9 +800,6 @@ impl Scheduler {
                     };
                     vts.outstanding = vts.outstanding.saturating_sub(job.cost);
                     st.queued_cost_total = st.queued_cost_total.saturating_sub(job.cost);
-                    registry.gauge("sched.queued").add(-1);
-                    registry.gauge("sched.queued_cost").add(-(job.cost as i64));
-                    tenant_queued_gauge(&registry, &vt).add(-1);
                     victims.push((job, queued_cost_at_decision));
                 }
                 Ok((id, victims))
@@ -804,6 +811,7 @@ impl Scheduler {
                 registry.counter("sched.admitted").incr();
                 for (job, queued_cost) in victims {
                     registry.counter("sched.shed").incr();
+                    drop(job.queued);
                     let _ = job.tx.send(JobOutcome::Shed {
                         queued_cost,
                         watermark: self.cfg.shed_watermark,
@@ -886,7 +894,7 @@ impl Scheduler {
                     // Purged, not served: no deficit charge.
                     ts.outstanding = ts.outstanding.saturating_sub(job.cost);
                     st.queued_cost_total = st.queued_cost_total.saturating_sub(job.cost);
-                    return Some(Taken::CancelledInQueue(job, tid));
+                    return Some(Taken::CancelledInQueue(job));
                 }
                 continue;
             }
@@ -930,18 +938,12 @@ impl Scheduler {
             };
             match taken {
                 None => return None,
-                Some(Taken::CancelledInQueue(job, tenant)) => {
+                Some(Taken::CancelledInQueue(job)) => {
                     registry.counter("sched.cancelled").incr();
-                    registry.gauge("sched.queued").add(-1);
-                    registry.gauge("sched.queued_cost").add(-(job.cost as i64));
-                    tenant_queued_gauge(&registry, &tenant).add(-1);
+                    drop(job.queued);
                     let _ = job.tx.send(JobOutcome::Cancelled);
                 }
                 Some(Taken::Run(job, tenant)) => {
-                    registry.gauge("sched.queued").add(-1);
-                    registry.gauge("sched.queued_cost").add(-(job.cost as i64));
-                    registry.gauge("sched.inflight_cost").add(job.cost as i64);
-                    tenant_queued_gauge(&registry, &tenant).add(-1);
                     return Some(self.execute(job, tenant, &registry));
                 }
             }
@@ -963,8 +965,11 @@ impl Scheduler {
             run,
             cancel,
             tx,
+            queued,
             ..
         } = job;
+        drop(queued);
+        let inflight = GaugeGuard::new(registry.gauge("sched.inflight_cost"), cost as i64);
         let ctx = JobContext {
             exec: self.cfg.exec.clone(),
             cancel: cancel.clone(),
@@ -999,7 +1004,7 @@ impl Scheduler {
                 ts.outstanding = ts.outstanding.saturating_sub(cost);
             }
         }
-        registry.gauge("sched.inflight_cost").add(-(cost as i64));
+        drop(inflight);
         let _ = tx.send(outcome.clone());
         Dispatched {
             id,
@@ -1045,7 +1050,8 @@ impl Scheduler {
                     }
                     // Parked until a submit wakes us (or a short poll
                     // tick passes, covering gate-released work).
-                    let _ = wake_rx.recv_timeout(Duration::from_millis(5));
+                    let _ =
+                        parking_lot::blocking(|| wake_rx.recv_timeout(Duration::from_millis(5)));
                 }
             }));
         }
@@ -1110,7 +1116,7 @@ impl WorkerPool {
     /// first, or this blocks until someone does).
     pub fn join(self) {
         for h in self.handles {
-            let _ = h.join();
+            let _ = parking_lot::blocking(|| h.join());
         }
     }
 }
@@ -1559,6 +1565,157 @@ mod tests {
         assert_eq!(
             snap.gauges.get("sched.tenant.t.queued").map(|g| g.value),
             Some(0)
+        );
+    }
+
+    /// `(sched.queued, sched.queued_cost, sched.tenant.t.queued)`.
+    fn queue_levels(reg: &Registry) -> (i64, i64, i64) {
+        let level = |name: &str| reg.gauge(name).get();
+        (
+            level("sched.queued"),
+            level("sched.queued_cost"),
+            level("sched.tenant.t.queued"),
+        )
+    }
+
+    #[test]
+    fn queue_gauges_settle_in_the_submitters_registry() {
+        let (submitter, worker) = (Registry::new(), Registry::new());
+        let (sched, _clock) = manual_sched(SchedulerConfig::default());
+        let handle = TraceContext::root(&submitter)
+            .scope(|| sched.submit(JobSpec::new("t", "j", 3, ok_job(1))))
+            .unwrap();
+        assert_eq!(queue_levels(&submitter), (1, 3, 1));
+        // Dispatched by a worker that records into a registry of its own.
+        let transcript = TraceContext::root(&worker).scope(|| sched.run_until_idle());
+        assert_eq!(transcript.len(), 1);
+        assert!(matches!(handle.wait(), JobOutcome::Completed(_)));
+        assert_eq!(queue_levels(&submitter), (0, 0, 0));
+        assert_eq!(queue_levels(&worker), (0, 0, 0));
+        assert_eq!(worker.gauge("sched.inflight_cost").get(), 0);
+        assert_eq!(worker.gauge("sched.inflight_cost").max(), 3);
+    }
+
+    #[test]
+    fn a_dropped_scheduler_lowers_its_queue_gauges() {
+        let reg = Registry::new();
+        let (sched, _clock) = manual_sched(SchedulerConfig::default());
+        let handles: Vec<JobHandle> = TraceContext::root(&reg).scope(|| {
+            (0..2)
+                .map(|i| sched.submit(JobSpec::new("t", format!("j{i}"), 2, ok_job(1))))
+                .collect::<Result<_, _>>()
+                .unwrap()
+        });
+        assert_eq!(queue_levels(&reg), (2, 4, 2));
+        drop(sched);
+        assert_eq!(queue_levels(&reg), (0, 0, 0));
+        for h in handles {
+            assert!(matches!(h.wait(), JobOutcome::Failed { .. }));
+        }
+    }
+
+    /// Every `executor.*` and `sched.*` gauge reads 0 once the work is
+    /// over, however it ended.
+    #[test]
+    fn every_gauge_settles_at_zero_however_work_ends() {
+        use drai_core::{Pipeline, ProcessingStage, StreamingBatchExt};
+
+        /// A two-stage pipeline whose second stage fails on item `fail`,
+        /// panics on `panic` and fires `cancel` on `cancel_on`.
+        fn pipeline(fail: u64, panic: u64, cancel_on: u64, cancel: CancelToken) -> Pipeline<u64> {
+            Pipeline::builder("settle")
+                .stage("pass", ProcessingStage::Ingest, |x, _| Ok(x))
+                .stage("check", ProcessingStage::Transform, move |x, _| {
+                    if x == panic {
+                        panic!("stage panicked on {x}");
+                    }
+                    if x == cancel_on {
+                        cancel.cancel();
+                    }
+                    if x == fail {
+                        return Err(format!("item {x} failed"));
+                    }
+                    Ok(x)
+                })
+                .build()
+        }
+        const NONE: u64 = u64::MAX;
+        let batch = |fail, panic, cancel_on| {
+            let token = CancelToken::new();
+            let p = pipeline(fail, panic, cancel_on, token.clone());
+            let exec = ExecutorConfig {
+                channel_capacity: 1,
+                workers_per_stage: 2,
+            };
+            catch_unwind(AssertUnwindSafe(|| {
+                p.run_batch_streaming_cancellable((0..64).collect(), &exec, &token)
+            }))
+        };
+
+        /// Run `work` in a fresh registry: every `executor.*` and
+        /// `sched.*` gauge it raised must read 0 once it returns.
+        fn settles(case: &str, work: impl FnOnce()) {
+            let ((), snap) = in_registry(work);
+            let gauges: Vec<_> = snap
+                .gauges
+                .iter()
+                .filter(|(name, _)| name.starts_with("executor.") || name.starts_with("sched."))
+                .collect();
+            assert!(!gauges.is_empty(), "{case}: no gauge was raised");
+            for (name, stat) in gauges {
+                assert_eq!(stat.value, 0, "{case}: {name} reads {}", stat.value);
+            }
+        }
+
+        settles("batch that fails", || {
+            assert!(matches!(batch(3, NONE, NONE), Ok(Err(_))))
+        });
+        settles("batch that panics", || {
+            assert!(batch(NONE, 9, NONE).is_err())
+        });
+        settles("batch that is cancelled", || {
+            assert!(matches!(batch(NONE, NONE, 5), Ok(Err(_))))
+        });
+        settles(
+            "scheduler run with a shed, a cancel while queued, a failure and completions",
+            || {
+                let (sched, _clock) = manual_sched(SchedulerConfig {
+                    shed_watermark: 4,
+                    ..SchedulerConfig::default()
+                });
+                let run = |job: &JobContext| {
+                    pipeline(NONE, NONE, NONE, job.cancel.clone())
+                        .run_batch_streaming_cancellable((6..16).collect(), &job.exec, &job.cancel)
+                        .map(|(out, _)| JobOutput {
+                            items: out.len() as u64,
+                            detail: String::new(),
+                        })
+                        .map_err(|e| e.to_string())
+                };
+                let done = sched.submit(JobSpec::new("t", "done", 1, run)).unwrap();
+                let bad = sched
+                    .submit(JobSpec::new("t", "bad", 1, |_: &JobContext| {
+                        Err("boom".to_string())
+                    }))
+                    .unwrap();
+                let doomed = sched.submit(JobSpec::new("t", "doomed", 1, run)).unwrap();
+                doomed.cancel();
+                let keep = sched
+                    .submit(JobSpec::new("t", "keep", 1, run).priority(Priority::Interactive))
+                    .unwrap();
+                let shed = sched
+                    .submit(JobSpec::new("t", "shed", 1, run).priority(Priority::Batch))
+                    .unwrap();
+                let pool = sched.start_workers(2);
+                let outcomes = [done, bad, doomed, keep, shed].map(JobHandle::wait);
+                sched.shutdown();
+                pool.join();
+                assert!(matches!(outcomes[0], JobOutcome::Completed(_)));
+                assert!(matches!(outcomes[1], JobOutcome::Failed { .. }));
+                assert_eq!(outcomes[2], JobOutcome::Cancelled);
+                assert!(matches!(outcomes[3], JobOutcome::Completed(_)));
+                assert!(matches!(outcomes[4], JobOutcome::Shed { .. }));
+            },
         );
     }
 }

@@ -250,6 +250,13 @@ impl Counter {
 
 /// Instantaneous signed level (queue depths, in-flight work).
 ///
+/// Two ways write it: [`Gauge::set`] stores an absolute level (a ratio,
+/// a depth sampled from elsewhere), and a [`GaugeGuard`] raises the level
+/// by `n` for as long as it lives. There is no public `add`: a level that
+/// counts work in progress goes up only through a guard, so it comes
+/// back down however the work ends — a gauge that only ever rose would
+/// be a leak, not a level.
+///
 /// Alongside the lifetime high/low watermarks, a gauge keeps a second
 /// pair of *window* watermarks that the monitor sampler drains with
 /// [`Gauge::take_window`]: between two samples the gauge may spike and
@@ -296,9 +303,11 @@ impl Gauge {
         self.watermark(v);
     }
 
-    /// Adjust the level by `delta` and return the new value.
+    /// Adjust the level by `delta` and return the new value. Private:
+    /// outside this crate a level is raised only by a [`GaugeGuard`],
+    /// which lowers it again.
     #[inline]
-    pub fn add(&self, delta: i64) -> i64 {
+    fn add(&self, delta: i64) -> i64 {
         let new = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
         self.watermark(new);
         new
@@ -333,28 +342,32 @@ impl Gauge {
         let lo = self.win_min.swap(value, Ordering::Relaxed).min(value);
         GaugeWindow { value, lo, hi }
     }
+}
 
-    /// RAII increment: `+1` now, `-1` when the guard drops. The only
-    /// way to keep an in-flight gauge honest across early returns and
-    /// unwinds — a manual `add(-1)` on every exit path eventually
-    /// misses one, and the metric drifts up forever.
+/// A raised gauge level: `+n` on the gauge when made, `-n` when dropped.
+/// The one way to raise a level from outside this crate, so a level is
+/// balanced by construction — across early returns, unwinds, and guards
+/// that travel with the work they count (a channel message, a queued
+/// job) and drop wherever that work ends.
+#[must_use = "dropping the guard immediately lowers the gauge again"]
+#[derive(Debug)]
+pub struct GaugeGuard {
+    gauge: Arc<Gauge>,
+    n: i64,
+}
+
+impl GaugeGuard {
+    /// Raise `gauge` by `n` until the guard drops.
     #[inline]
-    pub fn inc_scope(&self) -> GaugeGuard<'_> {
-        self.add(1);
-        GaugeGuard { gauge: self }
+    pub fn new(gauge: Arc<Gauge>, n: i64) -> GaugeGuard {
+        gauge.add(n);
+        GaugeGuard { gauge, n }
     }
 }
 
-/// Guard returned by [`Gauge::inc_scope`]; decrements on drop.
-#[must_use = "dropping the guard immediately undoes the increment"]
-#[derive(Debug)]
-pub struct GaugeGuard<'a> {
-    gauge: &'a Gauge,
-}
-
-impl Drop for GaugeGuard<'_> {
+impl Drop for GaugeGuard {
     fn drop(&mut self) {
-        self.gauge.add(-1);
+        self.gauge.add(-self.n);
     }
 }
 
@@ -809,11 +822,17 @@ impl Default for Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // One lock per statement: temporaries in one expression would
+        // hold all four until it ends.
+        let counters = self.inner.counters.read().len();
+        let gauges = self.inner.gauges.read().len();
+        let histograms = self.inner.histograms.read().len();
+        let spans = self.inner.spans.lock().len();
         f.debug_struct("Registry")
-            .field("counters", &self.inner.counters.read().len())
-            .field("gauges", &self.inner.gauges.read().len())
-            .field("histograms", &self.inner.histograms.read().len())
-            .field("spans", &self.inner.spans.lock().len())
+            .field("counters", &counters)
+            .field("gauges", &gauges)
+            .field("histograms", &histograms)
+            .field("spans", &spans)
             .finish()
     }
 }
@@ -911,55 +930,55 @@ impl Registry {
         f()
     }
 
-    /// Freeze current state into a [`Snapshot`].
+    /// Freeze current state into a [`Snapshot`]. Each map is read under
+    /// its own lock, one at a time, so a snapshot never stalls a new
+    /// metric name or a span drop behind a lock it is done with.
     pub fn snapshot(&self) -> Snapshot {
+        let counters = self.counter_values().into_iter().collect();
+        let gauges = self
+            .inner
+            .gauges
+            .read()
+            .iter()
+            .map(|(k, v)| {
+                (
+                    k.clone(),
+                    GaugeStat {
+                        value: v.get(),
+                        min: v.min(),
+                        max: v.max(),
+                    },
+                )
+            })
+            .collect();
+        let histograms = self
+            .inner
+            .histograms
+            .read()
+            .iter()
+            .map(|(k, v)| {
+                (
+                    k.clone(),
+                    HistogramSummary {
+                        count: v.count(),
+                        sum: v.sum(),
+                        min: v.min(),
+                        max: v.max(),
+                        mean: v.mean(),
+                        p50: v.quantile(0.50),
+                        p90: v.quantile(0.90),
+                        p99: v.quantile(0.99),
+                        buckets: v.bucket_counts(),
+                    },
+                )
+            })
+            .collect();
+        let spans = self.inner.spans.lock().clone();
         Snapshot {
-            counters: self
-                .inner
-                .counters
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        GaugeStat {
-                            value: v.get(),
-                            min: v.min(),
-                            max: v.max(),
-                        },
-                    )
-                })
-                .collect(),
-            histograms: self
-                .inner
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        HistogramSummary {
-                            count: v.count(),
-                            sum: v.sum(),
-                            min: v.min(),
-                            max: v.max(),
-                            mean: v.mean(),
-                            p50: v.quantile(0.50),
-                            p90: v.quantile(0.90),
-                            p99: v.quantile(0.99),
-                            buckets: v.bucket_counts(),
-                        },
-                    )
-                })
-                .collect(),
-            spans: self.inner.spans.lock().clone(),
+            counters,
+            gauges,
+            histograms,
+            spans,
         }
     }
 
@@ -1114,26 +1133,33 @@ mod tests {
     }
 
     #[test]
-    fn gauge_scope_guard_balances() {
-        let g = Gauge::default();
+    fn gauge_guard_balances() {
+        let g = Arc::new(Gauge::default());
         {
-            let _outer = g.inc_scope();
-            let _inner = g.inc_scope();
-            assert_eq!(g.get(), 2);
+            let _outer = GaugeGuard::new(g.clone(), 1);
+            let _inner = GaugeGuard::new(g.clone(), 3);
+            assert_eq!(g.get(), 4);
         }
         assert_eq!(g.get(), 0);
-        assert_eq!(g.max(), 2);
+        assert_eq!(g.max(), 4);
+        // A guard lowers the gauge wherever it drops: on another thread,
+        // after travelling in a message.
+        let (tx, rx) = std::sync::mpsc::channel();
+        tx.send(GaugeGuard::new(g.clone(), 2)).unwrap();
+        assert_eq!(g.get(), 2);
+        std::thread::spawn(move || drop(rx.recv())).join().unwrap();
+        assert_eq!(g.get(), 0);
     }
 
     #[test]
-    fn gauge_scope_guard_decrements_on_unwind() {
-        let g = Gauge::default();
+    fn gauge_guard_lowers_on_unwind() {
+        let g = Arc::new(Gauge::default());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _busy = g.inc_scope();
+            let _busy = GaugeGuard::new(g.clone(), 1);
             panic!("stage failed");
         }));
         assert!(r.is_err());
-        assert_eq!(g.get(), 0, "guard must decrement on unwind");
+        assert_eq!(g.get(), 0, "guard must lower the level on unwind");
         assert_eq!(g.max(), 1);
     }
 
@@ -1354,6 +1380,21 @@ mod tests {
         });
         assert_eq!(reg.counter("hot").get(), 80_000);
         assert_eq!(reg.histogram("lat").count(), 80_000);
+    }
+
+    /// `Debug` reads each map under its own lock (in a debug build the
+    /// `parking_lot` shim records any nesting of the four), and reports
+    /// their sizes.
+    #[test]
+    fn debug_counts_every_map() {
+        let reg = Registry::new();
+        reg.counter("a.count").incr();
+        reg.gauge("b.depth").set(1);
+        reg.time("c.span", || ());
+        assert_eq!(
+            format!("{reg:?}"),
+            "Registry { counters: 1, gauges: 1, histograms: 1, spans: 1 }"
+        );
     }
 
     #[test]

@@ -676,7 +676,9 @@ impl Sampler {
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let join = std::thread::spawn(move || {
             // Stop on a () send or a disconnected handle; tick on timeout.
-            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+            while let Err(RecvTimeoutError::Timeout) =
+                parking_lot::blocking(|| stop_rx.recv_timeout(interval))
+            {
                 worker.tick();
             }
         });
@@ -710,7 +712,7 @@ impl SamplerHandle {
     /// metric), and return the report.
     pub fn stop(self) -> MonitorReport {
         let _ = self.stop_tx.send(());
-        let _ = self.join.join();
+        let _ = parking_lot::blocking(|| self.join.join());
         self.sampler.tick();
         self.sampler.report()
     }

@@ -1,50 +1,131 @@
 //! Offline shim for `parking_lot`: `Mutex` and `RwLock` with the
 //! parking_lot API (no poisoning: a poisoned std lock is recovered by
 //! taking the inner guard), backed by `std::sync`.
+//!
+//! In debug builds — every `cargo test` — the locks also check the order
+//! they are taken in, over what actually runs (see [`lockdep`]): a lock
+//! acquired in an order that closes a cycle with an order seen before,
+//! a lock taken again by the thread that holds it, and a [`blocking`]
+//! call made while any guard is held all panic, naming the sites on both
+//! sides. Release builds compile the recorder out: a [`Guard`] is then a
+//! plain newtype of the `std` guard.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
+
+#[cfg(debug_assertions)]
+mod lockdep;
+
+/// Run `f`, a call that may block for as long as another thread pleases
+/// (a channel `send` / `recv`, a thread `join`, a backoff `sleep`). In
+/// debug builds it first panics if this thread holds any lock guard: a
+/// guard held across such a wait stalls every thread that needs the
+/// lock, and wedges them when the thread being waited for is one of
+/// them.
+#[inline]
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(debug_assertions)]
+    lockdep::assert_none_held(std::panic::Location::caller());
+    f()
+}
+
+/// A `std` guard and, in debug builds, this thread's record that its
+/// lock is held, which the guard's drop erases.
+pub struct Guard<G> {
+    inner: G,
+    #[cfg(debug_assertions)]
+    _held: lockdep::Held,
+}
+
+/// Guard returned by [`Mutex::lock`].
+pub type MutexGuard<'a, T> = Guard<std::sync::MutexGuard<'a, T>>;
+/// Shared guard returned by [`RwLock::read`].
+pub type RwLockReadGuard<'a, T> = Guard<std::sync::RwLockReadGuard<'a, T>>;
+/// Exclusive guard returned by [`RwLock::write`].
+pub type RwLockWriteGuard<'a, T> = Guard<std::sync::RwLockWriteGuard<'a, T>>;
+
+impl<G: Deref> Deref for Guard<G> {
+    type Target = G::Target;
+    #[inline]
+    fn deref(&self) -> &G::Target {
+        &self.inner
+    }
+}
+
+impl<G: DerefMut> DerefMut for Guard<G> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.inner
+    }
+}
 
 /// Mutual exclusion primitive; `lock()` returns the guard directly.
-#[derive(Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// Guard type returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+pub struct Mutex<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: lockdep::Class,
+    inner: std::sync::Mutex<T>,
+}
 
 impl<T> Mutex<T> {
-    /// Create a new mutex.
+    /// Create a new mutex. Its lock-order class is this call's site and
+    /// `T`.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
-        Mutex(std::sync::Mutex::new(value))
+        Mutex {
+            #[cfg(debug_assertions)]
+            class: lockdep::Class::of::<T>(),
+            inner: std::sync::Mutex::new(value),
+        }
     }
 
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        Mutex::new(T::default())
     }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
+        #[cfg(debug_assertions)]
+        let held = lockdep::acquire(self.class, self);
+        Guard {
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+    /// Try to acquire the lock without blocking. It cannot wait, so it
+    /// adds no lock-order edge; while held, the guard counts as any other.
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let inner = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(Guard {
+            inner,
+            #[cfg(debug_assertions)]
+            _held: lockdep::hold(self.class, self),
+        })
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
+impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.try_lock() {
             Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
@@ -54,48 +135,55 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Reader-writer lock; `read()`/`write()` return guards directly.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Shared guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Exclusive guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+pub struct RwLock<T: ?Sized> {
+    #[cfg(debug_assertions)]
+    class: lockdep::Class,
+    inner: std::sync::RwLock<T>,
+}
 
 impl<T> RwLock<T> {
-    /// Create a new rwlock.
+    /// Create a new rwlock. Its lock-order class is this call's site and
+    /// `T`.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
+        RwLock {
+            #[cfg(debug_assertions)]
+            class: lockdep::Class::of::<T>(),
+            inner: std::sync::RwLock::new(value),
+        }
     }
+}
 
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+impl<T: Default> Default for RwLock<T> {
+    #[cfg_attr(debug_assertions, track_caller)]
+    fn default() -> Self {
+        RwLock::new(T::default())
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
+    /// Acquire a shared read guard. A read lock is ordered like an
+    /// exclusive one: `std` may queue it behind a waiting writer.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
+        #[cfg(debug_assertions)]
+        let held = lockdep::acquire(self.class, self);
+        Guard {
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: held,
+        }
     }
 
     /// Acquire an exclusive write guard.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.try_read() {
-            Ok(g) => f.debug_tuple("RwLock").field(&&*g).finish(),
-            Err(_) => f.write_str("RwLock(<locked>)"),
+        #[cfg(debug_assertions)]
+        let held = lockdep::acquire(self.class, self);
+        Guard {
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
+            #[cfg(debug_assertions)]
+            _held: held,
         }
     }
 }
