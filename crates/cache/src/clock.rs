@@ -2,14 +2,14 @@
 //!
 //! LRU eviction needs a recency order, nothing more — so the clock is a
 //! trait, mirroring the retry layer's `RetryClock` seam: production code
-//! uses [`WallClock`] (the only place this crate touches the wall clock,
-//! and the one file the `no-wallclock` lint rule allowlists), while
+//! uses [`WallClock`] (the only place this crate reads time, through
+//! `drai_telemetry::Stopwatch` like every crate outside telemetry), while
 //! tests and deterministic replays inject [`LogicalClock`], whose ticks
 //! advance only when read. Eviction decisions therefore never depend on
 //! real time unless the caller explicitly opts in.
 
+use drai_telemetry::Stopwatch;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Monotonic time source for LRU recency stamps.
 pub trait CacheClock: Send + Sync {
@@ -21,14 +21,14 @@ pub trait CacheClock: Send + Sync {
 /// Wall-clock implementation: nanoseconds since the clock was created.
 #[derive(Debug)]
 pub struct WallClock {
-    origin: Instant,
+    origin: Stopwatch,
 }
 
 impl WallClock {
     /// A clock whose origin is now.
     pub fn new() -> WallClock {
         WallClock {
-            origin: Instant::now(),
+            origin: Stopwatch::start(),
         }
     }
 }
@@ -41,7 +41,7 @@ impl Default for WallClock {
 
 impl CacheClock for WallClock {
     fn now_ns(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.origin.elapsed_ns()
     }
 }
 

@@ -7,6 +7,7 @@
 //! transitions.
 
 use crate::readiness::ProcessingStage;
+use crate::CoreError;
 use drai_io::json::Json;
 use drai_tensor::DType;
 
@@ -317,6 +318,67 @@ impl DatasetManifest {
             ),
         ])
     }
+
+    /// Parse what [`to_json`](Self::to_json) writes. Every key it writes
+    /// is required: a manifest missing one, or holding it as the wrong
+    /// type, is refused with the key named — never read as `false`.
+    pub fn from_json(v: &Json) -> Result<DatasetManifest, CoreError> {
+        fn get<'a, T>(
+            obj: &'a Json,
+            key: &str,
+            as_t: fn(&'a Json) -> Option<T>,
+        ) -> Result<T, CoreError> {
+            obj.get(key).and_then(as_t).ok_or_else(|| {
+                CoreError::InvalidManifest(format!("`{key}` is missing or of the wrong type"))
+            })
+        }
+        let unknown =
+            |what: &str, name: &str| CoreError::InvalidManifest(format!("unknown {what} {name:?}"));
+        let modality = get(v, "modality", Json::as_str)?;
+        let mut m = DatasetManifest::raw(
+            get(v, "name", Json::as_str)?,
+            get(v, "domain", Json::as_str)?,
+            Modality::from_name(modality).ok_or_else(|| unknown("modality", modality))?,
+            get(v, "records", Json::as_u64)?,
+        );
+        for var in get(v, "schema", Json::as_arr)? {
+            let dtype = get(var, "dtype", Json::as_str)?;
+            let shape = get(var, "shape", Json::as_arr)?
+                .iter()
+                .map(|d| d.as_u64().and_then(|d| usize::try_from(d).ok()))
+                .collect::<Option<Vec<usize>>>()
+                .ok_or_else(|| CoreError::InvalidManifest("`shape` holds a non-size".into()))?;
+            m.schema.push(VariableSpec {
+                name: get(var, "name", Json::as_str)?.to_string(),
+                dtype: DType::from_name(dtype).ok_or_else(|| unknown("dtype", dtype))?,
+                unit: get(var, "unit", Json::as_str)?.to_string(),
+                shape,
+            });
+        }
+        let e = get(v, "evidence", Some)?;
+        let flag = |key| get(e, key, Json::as_bool);
+        let fraction = |key| get(e, key, Json::as_f64);
+        m.standard_format = flag("standard_format")?;
+        m.ingest_validated = flag("ingest_validated")?;
+        m.metadata_enriched = flag("metadata_enriched")?;
+        m.high_throughput_ingest = flag("high_throughput_ingest")?;
+        m.ingest_automated = flag("ingest_automated")?;
+        m.aligned_initial = flag("aligned_initial")?;
+        m.aligned_standardized = flag("aligned_standardized")?;
+        m.alignment_automated = flag("alignment_automated")?;
+        m.normalized_initial = flag("normalized_initial")?;
+        m.normalized_final = flag("normalized_final")?;
+        m.transform_audited = flag("transform_audited")?;
+        m.requires_anonymization = flag("requires_anonymization")?;
+        m.anonymized = flag("anonymized")?;
+        m.label_coverage = fraction("label_coverage")?;
+        m.features_extracted = flag("features_extracted")?;
+        m.features_validated = flag("features_validated")?;
+        m.split_assigned = flag("split_assigned")?;
+        m.sharded = flag("sharded")?;
+        m.missing_fraction = fraction("missing_fraction")?;
+        Ok(m)
+    }
 }
 
 #[cfg(test)]
@@ -398,8 +460,15 @@ mod tests {
         );
         let schema = j.get("schema").unwrap().as_arr().unwrap();
         assert_eq!(schema[0].get("dtype").unwrap().as_str(), Some("f32"));
-        // Round-trip through text parses cleanly.
+        // Round-trip through text parses back to the same manifest.
         let text = j.to_string_compact();
-        assert!(Json::parse(&text).is_ok());
+        let back = DatasetManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, m);
+        // A key that is not there is refused by name, not read as false.
+        let text = text.replace(",\"sharded\":false", "");
+        match DatasetManifest::from_json(&Json::parse(&text).unwrap()) {
+            Err(CoreError::InvalidManifest(msg)) => assert!(msg.contains("`sharded`"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 }

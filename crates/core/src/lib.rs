@@ -24,6 +24,20 @@
 //! * [`metrics`] — throughput/latency accounting shared with the bench
 //!   harness.
 
+// Damaged input is data, not a bug: library code returns an error and has
+// no panic path (`cargo clippy`, DESIGN §6). Tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod assess;
 pub mod card;
 pub mod dataset;

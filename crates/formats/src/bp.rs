@@ -212,9 +212,10 @@ impl<'a> BpReader<'a> {
             .get(footer_offset..tail)
             .ok_or_else(|| malformed("bp", "footer offset out of range"))?;
         if crc32c(footer) != footer_crc {
-            return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
-                context: "bp footer".into(),
-            }));
+            return Err(FormatError::ChecksumMismatch {
+                format: "bp",
+                part: "footer".to_string(),
+            });
         }
         let mut c = Cur { b: footer, p: 0 };
         let ngroups = c.u32()? as usize;
@@ -278,9 +279,10 @@ impl<'a> BpReader<'a> {
             .get(e.offset as usize..(e.offset + e.len) as usize)
             .ok_or_else(|| malformed("bp", "group body out of range"))?;
         if crc32c(body) != e.crc {
-            return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
-                context: format!("bp group {}", e.name),
-            }));
+            return Err(FormatError::ChecksumMismatch {
+                format: "bp",
+                part: format!("group {}", e.name),
+            });
         }
         let mut c = Cur { b: body, p: 0 };
         let name = c.str()?;
@@ -448,7 +450,7 @@ mod tests {
         let r = BpReader::open(&bytes).unwrap(); // footer still fine
         assert!(matches!(
             r.read_group(0),
-            Err(FormatError::Io(drai_io::IoError::ChecksumMismatch { .. }))
+            Err(FormatError::ChecksumMismatch { format: "bp", .. })
         ));
     }
 

@@ -361,9 +361,10 @@ impl H5File {
         let idx = &bytes[index_offset..bytes.len() - 4];
         let stored_crc = u32::from_le_bytes(arr4(&bytes[bytes.len() - 4..]));
         if crc32c(idx) != stored_crc {
-            return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
-                context: "h5lite index".into(),
-            }));
+            return Err(FormatError::ChecksumMismatch {
+                format: "h5lite",
+                part: "index".to_string(),
+            });
         }
 
         let mut c = Cur { b: idx, p: 0 };
@@ -399,9 +400,10 @@ impl H5File {
                             .get(off..off + len)
                             .ok_or_else(|| malformed("h5lite", "chunk out of range"))?;
                         if crc32c(chunk) != crc {
-                            return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
-                                context: format!("h5lite {path} chunk {ci}"),
-                            }));
+                            return Err(FormatError::ChecksumMismatch {
+                                format: "h5lite",
+                                part: format!("{path} chunk {ci}"),
+                            });
                         }
                         data.extend_from_slice(chunk);
                     }
@@ -580,7 +582,10 @@ mod tests {
         bytes[20] ^= 0xFF; // inside first chunk payload
         assert!(matches!(
             H5File::from_bytes(&bytes),
-            Err(FormatError::Io(drai_io::IoError::ChecksumMismatch { .. }))
+            Err(FormatError::ChecksumMismatch {
+                format: "h5lite",
+                ..
+            })
         ));
         let mut bytes2 = f.to_bytes();
         let n = bytes2.len();

@@ -24,6 +24,20 @@
 //! process groups + footer index) in a clean-room format, as documented in
 //! DESIGN.md's substitution table.
 
+// Damaged input is data, not a bug: library code returns an error and has
+// no panic path (`cargo clippy`, DESIGN §6). Tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod bp;
 pub(crate) mod bytes;
 pub mod csv;
@@ -41,8 +55,13 @@ pub mod zip;
 /// Errors shared by the format implementations.
 #[derive(Debug)]
 pub enum FormatError {
-    /// Underlying I/O layer failure.
-    Io(drai_io::IoError),
+    /// A checksum inside a container did not match what it covers.
+    ChecksumMismatch {
+        /// Which format detected the corruption.
+        format: &'static str,
+        /// The part whose checksum failed (`footer`, `group g1`, ...).
+        part: String,
+    },
     /// Structural problem: bad magic, truncation, invalid field.
     Malformed {
         /// Which format detected the problem.
@@ -63,7 +82,9 @@ pub enum FormatError {
 impl std::fmt::Display for FormatError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FormatError::Io(e) => write!(f, "{e}"),
+            FormatError::ChecksumMismatch { format, part } => {
+                write!(f, "{format} {part}: checksum mismatch")
+            }
             FormatError::Malformed { format, detail } => {
                 write!(f, "malformed {format}: {detail}")
             }
@@ -74,26 +95,7 @@ impl std::fmt::Display for FormatError {
     }
 }
 
-impl std::error::Error for FormatError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FormatError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<drai_io::IoError> for FormatError {
-    fn from(e: drai_io::IoError) -> Self {
-        FormatError::Io(e)
-    }
-}
-
-impl From<std::io::Error> for FormatError {
-    fn from(e: std::io::Error) -> Self {
-        FormatError::Io(drai_io::IoError::Os(e))
-    }
-}
+impl std::error::Error for FormatError {}
 
 pub(crate) fn malformed(format: &'static str, detail: impl Into<String>) -> FormatError {
     FormatError::Malformed {

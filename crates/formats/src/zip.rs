@@ -237,9 +237,10 @@ pub fn read_zip(bytes: &[u8]) -> Result<Vec<ZipEntry>, FormatError> {
             .ok_or_else(|| malformed("zip", "truncated member data"))?
             .to_vec();
         if crc32(&data) != crc {
-            return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
-                context: format!("zip member {name}"),
-            }));
+            return Err(FormatError::ChecksumMismatch {
+                format: "zip",
+                part: format!("member {name}"),
+            });
         }
         entries.push(ZipEntry { name, data });
     }
@@ -304,7 +305,7 @@ mod tests {
         bytes[30 + 5 + 2] ^= 0xFF;
         assert!(matches!(
             read_zip(&bytes),
-            Err(FormatError::Io(drai_io::IoError::ChecksumMismatch { .. }))
+            Err(FormatError::ChecksumMismatch { format: "zip", .. })
         ));
     }
 

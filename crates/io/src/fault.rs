@@ -35,6 +35,7 @@ use crate::IoError;
 use drai_telemetry::Registry;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::io::ErrorKind::{self, Interrupted, PermissionDenied};
 
 /// Probabilities (per attempt) for each injected fault class.
 ///
@@ -166,11 +167,11 @@ impl<S: StorageSink> FaultSink<S> {
         registry.counter(&format!("io.fault.{kind}")).incr();
     }
 
-    fn transient_error(name: &str, op: &str) -> IoError {
-        IoError::Os(std::io::Error::new(
-            std::io::ErrorKind::Interrupted,
-            format!("injected transient {op} fault on {name:?}"),
-        ))
+    fn injected(name: &str, kind: ErrorKind, what: &str) -> IoError {
+        IoError::Os {
+            blob: name.to_string(),
+            source: std::io::Error::new(kind, format!("injected {what} fault")),
+        }
     }
 }
 
@@ -179,14 +180,11 @@ impl<S: StorageSink> StorageSink for FaultSink<S> {
         let attempt = self.next_attempt(OP_WRITE, name);
         if self.roll(OP_WRITE, 0, name, attempt) < self.config.write_permanent {
             Self::count("write_permanent");
-            return Err(IoError::Os(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                format!("injected permanent write fault on {name:?}"),
-            )));
+            return Err(Self::injected(name, PermissionDenied, "permanent write"));
         }
         if self.roll(OP_WRITE, 1, name, attempt) < self.config.write_transient {
             Self::count("write_transient");
-            return Err(Self::transient_error(name, "write"));
+            return Err(Self::injected(name, Interrupted, "transient write"));
         }
         if !data.is_empty() && self.roll(OP_WRITE, 2, name, attempt) < self.config.corrupt {
             Self::count("corrupted");
@@ -206,7 +204,7 @@ impl<S: StorageSink> StorageSink for FaultSink<S> {
         let attempt = self.next_attempt(OP_READ, name);
         if self.roll(OP_READ, 0, name, attempt) < self.config.read_transient {
             Self::count("read_transient");
-            return Err(Self::transient_error(name, "read"));
+            return Err(Self::injected(name, Interrupted, "transient read"));
         }
         self.inner.read_file(name)
     }

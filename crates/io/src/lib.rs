@@ -34,6 +34,20 @@
 //! * [`parallel`] — [`parallel::par_map`], the one way work inside a
 //!   stage goes onto threads (scoped `std` threads, input order kept).
 
+// Damaged input is data, not a bug: library code returns an error and has
+// no panic path (`cargo clippy`, DESIGN §6). Tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod checksum;
 pub mod codec;
 pub mod crypto;
@@ -53,30 +67,68 @@ pub use shard::{DamageReport, ShardManifest, ShardReader, ShardSpec, ShardWriter
 pub use sink::{LocalFs, StorageSink};
 
 /// Errors produced by the I/O layer.
+///
+/// Every variant names the blob that failed in a field of its own, so a
+/// quarantined shard or an exhausted retry traces back to its input from
+/// the error alone. There is deliberately no `From<std::io::Error>` or
+/// `From<CodecError>`: `?` on an OS or codec error does not compile until
+/// the call site says which blob it was working on.
 #[derive(Debug)]
 pub enum IoError {
-    /// Underlying OS-level I/O failure.
-    Os(std::io::Error),
+    /// An OS-level failure other than a missing file.
+    Os {
+        /// The blob (or, for a [`LocalFs`] root or listing, the directory)
+        /// being worked on.
+        blob: String,
+        /// What the OS reported.
+        source: std::io::Error,
+    },
+    /// The blob does not exist. Every sink, and every wrapper around one,
+    /// reports a missing blob this way; it is not transient.
+    NotFound {
+        /// The blob asked for.
+        blob: String,
+    },
+    /// A structural problem in a blob or its name (bad magic, truncation,
+    /// a name that escapes the sink, ...).
+    Format {
+        /// The blob.
+        blob: String,
+        /// What is wrong with it.
+        what: String,
+    },
     /// A checksum did not match the stored value (corruption).
     ChecksumMismatch {
-        /// Human-readable location (file, record index, ...).
-        context: String,
+        /// The blob.
+        blob: String,
+        /// Which checksum failed: the whole file, a record, a read-back.
+        at: String,
     },
-    /// A structural problem in a container (bad magic, truncated, ...).
-    Format(String),
-    /// Codec failure during encode/decode.
-    Codec(CodecError),
+    /// A stored record did not decode.
+    Codec {
+        /// The shard the record is in.
+        blob: String,
+        /// The record's index within that shard.
+        record: usize,
+        /// What the codec reported.
+        source: CodecError,
+    },
 }
 
 impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            IoError::Os(e) => write!(f, "I/O error: {e}"),
-            IoError::ChecksumMismatch { context } => {
-                write!(f, "checksum mismatch at {context}")
+            IoError::Os { blob, source } => write!(f, "{blob}: I/O error: {source}"),
+            IoError::NotFound { blob } => write!(f, "{blob}: no such blob"),
+            IoError::Format { blob, what } => write!(f, "{blob}: format error: {what}"),
+            IoError::ChecksumMismatch { blob, at } => {
+                write!(f, "{blob}: checksum mismatch at {at}")
             }
-            IoError::Format(msg) => write!(f, "format error: {msg}"),
-            IoError::Codec(e) => write!(f, "codec error: {e}"),
+            IoError::Codec {
+                blob,
+                record,
+                source,
+            } => write!(f, "{blob}: record {record}: codec error: {source}"),
         }
     }
 }
@@ -84,23 +136,34 @@ impl std::fmt::Display for IoError {
 impl std::error::Error for IoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            IoError::Os(e) => Some(e),
-            IoError::Codec(e) => Some(e),
+            IoError::Os { source, .. } => Some(source),
+            IoError::Codec { source, .. } => Some(source),
             _ => None,
         }
     }
 }
 
 impl IoError {
+    /// `source`, met while working on `blob`; a missing file is
+    /// [`IoError::NotFound`].
+    pub(crate) fn os(blob: impl Into<String>, source: std::io::Error) -> IoError {
+        let blob = blob.into();
+        if source.kind() == std::io::ErrorKind::NotFound {
+            IoError::NotFound { blob }
+        } else {
+            IoError::Os { blob, source }
+        }
+    }
+
     /// True when retrying the failed operation may succeed: OS errors
     /// whose kind signals a momentary condition (interruption, timeout,
-    /// contention). Checksum mismatches, format errors, and codec
-    /// failures are permanent — the bytes are wrong, not the timing —
-    /// and [`retry::RetrySink`] passes them straight through.
+    /// contention). A missing blob, checksum mismatches, format errors
+    /// and codec failures are permanent — the bytes are wrong, not the
+    /// timing — and [`retry::RetrySink`] passes them straight through.
     pub fn is_transient(&self) -> bool {
         match self {
-            IoError::Os(e) => matches!(
-                e.kind(),
+            IoError::Os { source, .. } => matches!(
+                source.kind(),
                 std::io::ErrorKind::Interrupted
                     | std::io::ErrorKind::TimedOut
                     | std::io::ErrorKind::WouldBlock
@@ -109,17 +172,5 @@ impl IoError {
             ),
             _ => false,
         }
-    }
-}
-
-impl From<std::io::Error> for IoError {
-    fn from(e: std::io::Error) -> Self {
-        IoError::Os(e)
-    }
-}
-
-impl From<CodecError> for IoError {
-    fn from(e: CodecError) -> Self {
-        IoError::Codec(e)
     }
 }

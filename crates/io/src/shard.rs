@@ -124,8 +124,13 @@ impl ShardSpec {
     }
 
     fn manifest_name(&self) -> String {
-        format!("{}.manifest.json", self.prefix)
+        manifest_name(&self.prefix)
     }
+}
+
+/// The blob a shard run's manifest is stored under.
+fn manifest_name(prefix: &str) -> String {
+    format!("{prefix}.manifest.json")
 }
 
 /// Per-shard entry in a [`ShardManifest`].
@@ -184,9 +189,12 @@ impl ShardManifest {
         ])
     }
 
-    /// Parse from manifest JSON.
-    pub fn from_json(v: &Json) -> Result<ShardManifest, IoError> {
-        let bad = |msg: &str| IoError::Format(format!("manifest: {msg}"));
+    /// Parse from manifest JSON read from `blob`.
+    pub fn from_json(v: &Json, blob: &str) -> Result<ShardManifest, IoError> {
+        let bad = |what: &str| IoError::Format {
+            blob: blob.to_string(),
+            what: what.to_string(),
+        };
         if v.get("format").and_then(Json::as_str) != Some("drai-shard-manifest-v1") {
             return Err(bad("missing/unknown format marker"));
         }
@@ -486,13 +494,15 @@ impl FramedRun {
 /// The `stored_len` header field for a stored payload of `len` bytes. The
 /// field is a `u32`; a longer payload cannot be framed — writing its
 /// length truncated would make every later record of the shard
-/// unreadable — so it is refused.
+/// unreadable — so it is refused. The error names the run's `prefix`:
+/// the shard the record would land in is not cut yet.
 fn stored_len_field(len: usize, prefix: &str, record: usize) -> Result<u32, IoError> {
-    u32::try_from(len).map_err(|_| {
-        IoError::Format(format!(
-            "{prefix}: record {record} stores {len} bytes, more than the {} a shard frame can hold",
+    u32::try_from(len).map_err(|_| IoError::Format {
+        blob: prefix.to_string(),
+        what: format!(
+            "record {record} stores {len} bytes, more than the {} a shard frame can hold",
             u32::MAX
-        ))
+        ),
     })
 }
 
@@ -559,7 +569,8 @@ fn verify_written(
         }
     }
     Err(IoError::ChecksumMismatch {
-        context: format!("verify-after-write of {name} ({VERIFY_REWRITES} rewrites exhausted)"),
+        blob: name.to_string(),
+        at: format!("the read-back after {VERIFY_REWRITES} rewrites"),
     })
 }
 
@@ -620,11 +631,15 @@ pub struct ShardReader<'a> {
 impl<'a> ShardReader<'a> {
     /// Open by manifest prefix.
     pub fn open(prefix: &str, sink: &'a dyn StorageSink) -> Result<Self, IoError> {
-        let raw = sink.read_file(&format!("{prefix}.manifest.json"))?;
-        let text = std::str::from_utf8(&raw)
-            .map_err(|_| IoError::Format("manifest is not UTF-8".into()))?;
-        let json = Json::parse(text).map_err(|e| IoError::Format(format!("manifest: {e}")))?;
-        let manifest = ShardManifest::from_json(&json)?;
+        let name = manifest_name(prefix);
+        let raw = sink.read_file(&name)?;
+        let bad = |what: String| IoError::Format {
+            blob: name.clone(),
+            what,
+        };
+        let text = std::str::from_utf8(&raw).map_err(|_| bad("not UTF-8".to_string()))?;
+        let json = Json::parse(text).map_err(|e| bad(e.to_string()))?;
+        let manifest = ShardManifest::from_json(&json, &name)?;
         Ok(ShardReader { manifest, sink })
     }
 
@@ -647,12 +662,16 @@ impl<'a> ShardReader<'a> {
             .manifest
             .shards
             .get(index)
-            .ok_or_else(|| IoError::Format(format!("shard index {index} out of range")))?;
+            .ok_or_else(|| IoError::Format {
+                blob: manifest_name(&self.manifest.prefix),
+                what: format!("shard index {index} out of range"),
+            })?;
         let data = self.sink.read_file(&info.name)?;
         let scan = ShardScan::of(&data, &info.name, self.manifest.codec);
         if scan.file_crc != info.crc32c {
             return Err(IoError::ChecksumMismatch {
-                context: format!("shard file {}", info.name),
+                blob: info.name.clone(),
+                at: "the whole file".to_string(),
             });
         }
         match scan.decode(decoder) {
@@ -778,6 +797,8 @@ type Decoder = (Box<dyn Codec>, CodecMeter);
 /// checksums a read verifies.
 struct ShardScan<'a> {
     data: &'a [u8],
+    /// The shard's blob name, for errors.
+    name: &'a str,
     /// CRC-32C of the whole file, whatever it holds.
     file_crc: u32,
     /// Records before the first failure: framed inside the file, stored
@@ -795,43 +816,51 @@ impl<'a> ShardScan<'a> {
     /// a record CRC that does not match — the bytes it has not hashed go
     /// into the file CRC as they are, so `file_crc` is `crc32c(data)` on
     /// any input.
-    fn of(data: &'a [u8], name: &str, codec: CodecId) -> ShardScan<'a> {
+    fn of(data: &'a [u8], name: &'a str, codec: CodecId) -> ShardScan<'a> {
         let mut file = Crc32Stream::new_crc32c();
         let mut checked = 0;
         let mut hashed = 0;
+        let bad = |what: String| {
+            Some(IoError::Format {
+                blob: name.to_string(),
+                what,
+            })
+        };
         let error = 'walk: {
             if data.len() < FILE_HEADER || &data[..8] != SHARD_MAGIC {
-                break 'walk Some(IoError::Format(format!("{name}: bad shard magic")));
+                break 'walk bad("bad shard magic".to_string());
             }
             let file_codec = match CodecId::from_tag(data[8]) {
                 Ok(c) => c,
-                Err(e) => break 'walk Some(e.into()),
+                Err(e) => break 'walk bad(format!("codec tag: {e}")),
             };
             if file_codec != codec {
-                break 'walk Some(IoError::Format(format!(
-                    "{name}: codec mismatch (file={}, manifest={})",
+                break 'walk bad(format!(
+                    "codec mismatch (file={}, manifest={})",
                     file_codec.name(),
                     codec.name()
-                )));
+                ));
             }
             file.update(&data[..FILE_HEADER]);
             hashed = FILE_HEADER;
             while hashed < data.len() {
                 let Some(header) = data.get(hashed..hashed + RECORD_HEADER) else {
-                    break 'walk Some(IoError::Format(format!("{name}: truncated record header")));
+                    break 'walk bad("truncated record header".to_string());
                 };
                 let (len, crc) = frame_header(header);
                 let body = hashed + RECORD_HEADER;
                 if len > data.len() - body {
-                    break 'walk Some(IoError::Format(format!("{name}: truncated record payload")));
+                    break 'walk bad("truncated record payload".to_string());
                 }
                 let masked = masked_crc32c(&data[body..body + len]);
                 file.update(header);
                 file.update_hashed(unmask_crc32c(masked), len);
                 hashed = body + len;
                 if masked != crc {
-                    let context = format!("{name} record {checked}");
-                    break 'walk Some(IoError::ChecksumMismatch { context });
+                    break 'walk Some(IoError::ChecksumMismatch {
+                        blob: name.to_string(),
+                        at: format!("record {checked}"),
+                    });
                 }
                 checked += 1;
             }
@@ -840,6 +869,7 @@ impl<'a> ShardScan<'a> {
         file.update(&data[hashed..]);
         ShardScan {
             data,
+            name,
             file_crc: file.finalize(),
             checked,
             error,
@@ -854,15 +884,19 @@ impl<'a> ShardScan<'a> {
         let mut records = Vec::with_capacity(self.checked);
         let mut error = self.error;
         let mut pos = FILE_HEADER;
-        for _ in 0..self.checked {
+        for record in 0..self.checked {
             // The walk has been here: the frame lies inside `data`.
             let body = pos + RECORD_HEADER;
             let (len, _) = frame_header(&self.data[pos..body]);
             pos = body + len;
             match codec.decode(&self.data[body..pos]) {
                 Ok(record) => records.push(record),
-                Err(e) => {
-                    error = Some(e.into());
+                Err(source) => {
+                    error = Some(IoError::Codec {
+                        blob: self.name.to_string(),
+                        record,
+                        source,
+                    });
                     break;
                 }
             }
@@ -999,9 +1033,9 @@ mod tests {
             return; // 32-bit host: no slice is that long
         };
         match stored_len_field(too_long, "train/m3", 41) {
-            Err(IoError::Format(msg)) => {
-                assert!(msg.contains("train/m3"), "{msg}");
-                assert!(msg.contains("record 41"), "{msg}");
+            Err(IoError::Format { blob, what }) => {
+                assert_eq!(blob, "train/m3");
+                assert!(what.contains("record 41"), "{what}");
             }
             other => panic!("expected a format error, got {other:?}"),
         }
@@ -1034,10 +1068,13 @@ mod tests {
             payload_bytes: 999,
         };
         let j = m.to_json();
-        let back = ShardManifest::from_json(&j).unwrap();
+        let back = ShardManifest::from_json(&j, "x.manifest.json").unwrap();
         assert_eq!(back, m);
         let reparsed = Json::parse(&j.to_string_compact()).unwrap();
-        assert_eq!(ShardManifest::from_json(&reparsed).unwrap(), m);
+        assert_eq!(
+            ShardManifest::from_json(&reparsed, "x.manifest.json").unwrap(),
+            m
+        );
     }
 
     #[test]
@@ -1076,7 +1113,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let err = parse_shard(b"NOTASHARDFILE", "x", CodecId::Raw).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)));
+        assert!(matches!(err, IoError::Format { .. }));
     }
 
     #[test]
@@ -1238,6 +1275,6 @@ mod tests {
             .unwrap();
         let data = sink.read_file("cm-00000.shard").unwrap();
         let err = parse_shard(&data, "cm", CodecId::Raw).unwrap_err();
-        assert!(matches!(err, IoError::Format(_)));
+        assert!(matches!(err, IoError::Format { .. }));
     }
 }

@@ -45,7 +45,7 @@ fn count_read(bytes: usize) {
 pub trait StorageSink: Send + Sync {
     /// Write (create or replace) a named blob.
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError>;
-    /// Read a named blob in full.
+    /// Read a named blob in full; a missing one is [`IoError::NotFound`].
     fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError>;
     /// List all blob names, sorted.
     fn list(&self) -> Result<Vec<String>, IoError>;
@@ -67,19 +67,14 @@ pub trait StorageSink: Send + Sync {
 }
 
 fn validate_name(name: &str) -> Result<(), IoError> {
-    if name.is_empty() {
-        return Err(IoError::Format("empty blob name".into()));
-    }
-    let p = Path::new(name);
-    for c in p.components() {
-        match c {
-            Component::Normal(_) => {}
-            _ => {
-                return Err(IoError::Format(format!(
-                    "blob name {name:?} must be a relative path without '..'"
-                )))
-            }
-        }
+    let relative = Path::new(name)
+        .components()
+        .all(|c| matches!(c, Component::Normal(_)));
+    if name.is_empty() || !relative {
+        return Err(IoError::Format {
+            blob: name.to_string(),
+            what: "a blob name must be a non-empty relative path without '..'".to_string(),
+        });
     }
     Ok(())
 }
@@ -94,7 +89,7 @@ impl LocalFs {
     /// Sink rooted at `root` (created if missing).
     pub fn new(root: impl Into<PathBuf>) -> Result<Self, IoError> {
         let root = root.into();
-        fs::create_dir_all(&root)?;
+        fs::create_dir_all(&root).map_err(|e| IoError::os(root.display().to_string(), e))?;
         Ok(LocalFs { root })
     }
 
@@ -128,13 +123,14 @@ fn staging_path(path: &Path) -> PathBuf {
 impl StorageSink for LocalFs {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
         let path = self.path_of(name)?;
+        let os = |e| IoError::os(name, e);
         if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
+            fs::create_dir_all(parent).map_err(os)?;
         }
         // Write-then-rename so a concurrent reader never observes a
         // partially written shard.
         let tmp = staging_path(&path);
-        let write_and_rename = || -> Result<(), IoError> {
+        let write_and_rename = || -> std::io::Result<()> {
             {
                 let mut f = fs::File::create(&tmp)?;
                 f.write_all(data)?;
@@ -144,13 +140,12 @@ impl StorageSink for LocalFs {
                     .histogram("io.sink.fsync_ns")
                     .record(fsync_start.elapsed_ns());
             }
-            fs::rename(&tmp, &path)?;
-            Ok(())
+            fs::rename(&tmp, &path)
         };
         if let Err(e) = write_and_rename() {
             // Don't leak the staging file on any failure path.
             let _ = fs::remove_file(&tmp);
-            return Err(e);
+            return Err(os(e));
         }
         // The rename only becomes durable once the parent directory's
         // entry is on stable storage; without this a crash can lose the
@@ -158,7 +153,9 @@ impl StorageSink for LocalFs {
         #[cfg(unix)]
         if let Some(parent) = path.parent() {
             let dirsync_start = Stopwatch::start();
-            fs::File::open(parent)?.sync_all()?;
+            fs::File::open(parent)
+                .and_then(|dir| dir.sync_all())
+                .map_err(os)?;
             Registry::current()
                 .histogram("io.sink.dirsync_ns")
                 .record(dirsync_start.elapsed_ns());
@@ -168,7 +165,7 @@ impl StorageSink for LocalFs {
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
-        let data = fs::read(self.path_of(name)?)?;
+        let data = fs::read(self.path_of(name)?).map_err(|e| IoError::os(name, e))?;
         count_read(data.len());
         Ok(data)
     }
@@ -177,8 +174,9 @@ impl StorageSink for LocalFs {
         let mut out = Vec::new();
         let mut stack = vec![self.root.clone()];
         while let Some(dir) = stack.pop() {
-            for entry in fs::read_dir(&dir)? {
-                let entry = entry?;
+            let os = |e| IoError::os(dir.display().to_string(), e);
+            for entry in fs::read_dir(&dir).map_err(os)? {
+                let entry = entry.map_err(os)?;
                 let path = entry.path();
                 if path.is_dir() {
                     stack.push(path);
@@ -196,7 +194,7 @@ impl StorageSink for LocalFs {
         match fs::remove_file(path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+            Err(e) => Err(IoError::os(name, e)),
         }
     }
 
@@ -248,7 +246,9 @@ impl StorageSink for MemSink {
     fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
         let blob = self.files.lock().get(name).cloned();
         let data = blob
-            .ok_or_else(|| IoError::Format(format!("no such blob: {name}")))?
+            .ok_or_else(|| IoError::NotFound {
+                blob: name.to_string(),
+            })?
             .to_vec();
         count_read(data.len());
         Ok(data)

@@ -10,7 +10,9 @@
 //! same text, and the same `DamageReport`.
 //!
 //! This file passed at the parent commit (where reference and reader
-//! were the same code) before the reader changed.
+//! were the same code) before the reader changed. Since then only the
+//! reference's error constructors have changed, to `IoError`'s shape with
+//! the blob in a field of its own.
 
 use drai_io::checksum::{crc32c, masked_crc32c};
 use drai_io::codec::{codec_for, CodecId};
@@ -35,24 +37,27 @@ fn reference_parse_shard_partial(
     name: &str,
     codec_id: CodecId,
 ) -> (Vec<Vec<u8>>, Option<IoError>) {
+    let format = |what: String| {
+        Some(IoError::Format {
+            blob: name.to_string(),
+            what,
+        })
+    };
     if data.len() < 12 || &data[..8] != b"DSHRD1\0\0" {
-        return (
-            Vec::new(),
-            Some(IoError::Format(format!("{name}: bad shard magic"))),
-        );
+        return (Vec::new(), format("bad shard magic".to_string()));
     }
     let file_codec = match CodecId::from_tag(data[8]) {
         Ok(c) => c,
-        Err(e) => return (Vec::new(), Some(e.into())),
+        Err(e) => return (Vec::new(), format(format!("codec tag: {e}"))),
     };
     if file_codec != codec_id {
         return (
             Vec::new(),
-            Some(IoError::Format(format!(
-                "{name}: codec mismatch (file={}, manifest={})",
+            format(format!(
+                "codec mismatch (file={}, manifest={})",
                 file_codec.name(),
                 codec_id.name()
-            ))),
+            )),
         );
     }
     let codec = codec_for(codec_id);
@@ -60,29 +65,34 @@ fn reference_parse_shard_partial(
     let mut pos = 12;
     while pos < data.len() {
         if pos + 8 > data.len() {
-            return (
-                out,
-                Some(IoError::Format(format!("{name}: truncated record header"))),
-            );
+            return (out, format("truncated record header".to_string()));
         }
         let len =
             u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
         let crc = u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
         pos += 8;
         if len > data.len() - pos {
-            return (
-                out,
-                Some(IoError::Format(format!("{name}: truncated record payload"))),
-            );
+            return (out, format("truncated record payload".to_string()));
         }
         let stored = &data[pos..pos + len];
         if masked_crc32c(stored) != crc {
-            let context = format!("{name} record {}", out.len());
-            return (out, Some(IoError::ChecksumMismatch { context }));
+            let at = format!("record {}", out.len());
+            let blob = name.to_string();
+            return (out, Some(IoError::ChecksumMismatch { blob, at }));
         }
         match codec.decode(stored) {
             Ok(decoded) => out.push(decoded),
-            Err(e) => return (out, Some(e.into())),
+            Err(source) => {
+                let (blob, record) = (name.to_string(), out.len());
+                return (
+                    out,
+                    Some(IoError::Codec {
+                        blob,
+                        record,
+                        source,
+                    }),
+                );
+            }
         }
         pos += len;
     }
@@ -94,14 +104,15 @@ fn reference_read_shard(
     sink: &dyn StorageSink,
     index: usize,
 ) -> Result<Vec<Vec<u8>>, IoError> {
-    let info = manifest
-        .shards
-        .get(index)
-        .ok_or_else(|| IoError::Format(format!("shard index {index} out of range")))?;
+    let info = manifest.shards.get(index).ok_or_else(|| IoError::Format {
+        blob: format!("{}.manifest.json", manifest.prefix),
+        what: format!("shard index {index} out of range"),
+    })?;
     let data = sink.read_file(&info.name)?;
     if crc32c(&data) != info.crc32c {
         return Err(IoError::ChecksumMismatch {
-            context: format!("shard file {}", info.name),
+            blob: info.name.clone(),
+            at: "the whole file".to_string(),
         });
     }
     match reference_parse_shard_partial(&data, &info.name, manifest.codec) {
@@ -406,5 +417,8 @@ fn a_record_that_will_not_decode_comes_before_a_later_crc_failure() {
     assert_eq!(records, want_records);
     assert_eq!(records.len(), 1);
     assert_eq!(format!("{error:?}"), format!("{want_error:?}"));
-    assert!(matches!(error, Some(IoError::Codec(_))), "{error:?}");
+    assert!(
+        matches!(error, Some(IoError::Codec { record: 1, .. })),
+        "{error:?}"
+    );
 }

@@ -27,10 +27,7 @@
 //! grammar and registry.
 
 use crate::lexer::{LexFile, Tok};
-use crate::{FileClass, Finding, MetricFamily, SourceFile, Workspace};
-
-/// Rule id.
-pub const RULE: &str = "telemetry-names";
+use crate::{Finding, MetricFamily, SourceFile, Workspace};
 
 /// Where the metric-family registry lives.
 pub const REGISTRY_FILE: &str = "crates/telemetry/src/lib.rs";
@@ -58,12 +55,14 @@ pub struct Usage {
     pub method: String,
 }
 
-/// True when the rule scans this file.
+/// True when the rule scans this file: shipped code of a drai crate or
+/// the root package (libraries, binaries, benches), not tests, examples
+/// or shims.
 fn in_scope(file: &SourceFile) -> bool {
-    matches!(
-        file.class,
-        FileClass::Lib | FileClass::Bin | FileClass::Bench
-    ) && (file.rel.starts_with("crates/") || file.rel.starts_with("src/"))
+    let rel = file.rel.as_str();
+    (rel.starts_with("crates/") || rel.starts_with("src/"))
+        && !rel.contains("/tests/")
+        && !rel.contains("/examples/")
 }
 
 /// Extract metric-name use sites from non-test code.
@@ -254,7 +253,6 @@ pub fn check_file(file: &SourceFile, ws: &Workspace, out: &mut Vec<Finding>) {
     for u in collect_usages(file) {
         if !grammar_ok(&u.pattern) {
             out.push(Finding {
-                rule: RULE,
                 file: file.rel.clone(),
                 line: u.line,
                 message: format!(
@@ -273,7 +271,6 @@ pub fn check_file(file: &SourceFile, ws: &Workspace, out: &mut Vec<Finding>) {
             .any(|f| patterns_unify(&f.pattern, &u.pattern))
         {
             out.push(Finding {
-                rule: RULE,
                 file: file.rel.clone(),
                 line: u.line,
                 message: format!(
@@ -291,7 +288,6 @@ pub fn check_workspace(ws: &Workspace, out: &mut Vec<Finding>) {
     if ws.metric_families.is_empty() {
         if registry_present {
             out.push(Finding {
-                rule: RULE,
                 file: REGISTRY_FILE.to_string(),
                 line: 1,
                 message: format!(
@@ -308,7 +304,6 @@ pub fn check_workspace(ws: &Workspace, out: &mut Vec<Finding>) {
     for fam in &ws.metric_families {
         if !grammar_ok(&fam.pattern) {
             out.push(Finding {
-                rule: RULE,
                 file: REGISTRY_FILE.to_string(),
                 line: fam.line,
                 message: format!(
@@ -323,7 +318,6 @@ pub fn check_workspace(ws: &Workspace, out: &mut Vec<Finding>) {
             .any(|u| patterns_unify(&fam.pattern, &u.pattern))
         {
             out.push(Finding {
-                rule: RULE,
                 file: REGISTRY_FILE.to_string(),
                 line: fam.line,
                 message: format!(
@@ -339,11 +333,9 @@ pub fn check_workspace(ws: &Workspace, out: &mut Vec<Finding>) {
 mod tests {
     use super::*;
     use crate::source_file;
-    use std::path::PathBuf;
 
     fn ws_with(files: Vec<SourceFile>, families: &[&str]) -> Workspace {
         Workspace {
-            root: PathBuf::new(),
             files,
             metric_families: families
                 .iter()
@@ -352,7 +344,6 @@ mod tests {
                     line: 10,
                 })
                 .collect(),
-            manifests: Vec::new(),
         }
     }
 

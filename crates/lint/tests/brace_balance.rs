@@ -1,4 +1,4 @@
-//! The lexer's brace matching, which every remaining rule's test-region
+//! The lexer's brace matching, which `telemetry-names`' test-region
 //! detection stands on (`#[cfg(test)]` and `#[test]` items end at the
 //! `}` matching their `{`): a generated nesting torture must
 //! brace-balance at the token level and match as a whole, and so must
@@ -117,7 +117,7 @@ fn brace_matching_fuzz() {
 
 /// Every real file in this workspace must brace-balance at the token
 /// level — shims and all. A single mislexed `'{'` would silently move
-/// the test/library boundary every rule reads.
+/// the test/library boundary the rule reads.
 #[test]
 fn workspace_files_brace_balance() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -1,6 +1,7 @@
 //! Self-check: the workspace that ships `drai-lint` must itself be lint
-//! clean. This test is how the rules are enforced — `cargo test
-//! --workspace` (and `cargo test -p drai-lint`) fails on any finding.
+//! clean. This test is how `telemetry-names`, the one rule left, is
+//! enforced — `cargo test --workspace` (and `cargo test -p drai-lint`)
+//! fails on any finding.
 
 use std::path::Path;
 
@@ -14,35 +15,44 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 #[test]
-fn all_five_rules_run() {
-    // RULES is what `lint()` iterates, so this pins what actually runs:
-    // three single-file token rules, the cross-file telemetry rule and
-    // the manifest rule. A rule dropped from the table stops running.
-    // Lock order, guards across blocking calls and gauge balance are not
-    // here: the `parking_lot` shim checks the first two as they run in
-    // debug builds, and `GaugeGuard` makes the third a type fact.
-    let expected = [
-        "no-panic-in-lib",
-        "telemetry-names",
-        "error-context",
-        "no-wallclock",
-        "crate-graph",
-    ];
-    let names: Vec<&str> = drai_lint::RULES.iter().map(|(name, _)| *name).collect();
-    assert_eq!(names, expected);
+fn lint_runs_telemetry_names() {
+    // `lint()` runs the one rule: an unregistered metric name in library
+    // code is a finding, the same name in a test file is not. Panic
+    // paths, the wall clock, error context and the crate graph are not
+    // here: clippy, `IoError` and `tests/crate_graph.rs` hold them.
+    let call = r#"fn f(r: &Registry) { r.counter("io.shard.surprise").incr(); }"#;
+    let ws = |rel: &str| drai_lint::Workspace {
+        files: vec![drai_lint::source_file(rel, call)],
+        metric_families: vec![drai_lint::MetricFamily {
+            pattern: "io.shard.records".to_string(),
+            line: 1,
+        }],
+    };
+    let report = drai_lint::lint(&ws("crates/io/src/x.rs"));
+    let rendered: Vec<(&str, &str)> = report
+        .findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.message.as_str()))
+        .collect();
+    assert_eq!(rendered.len(), 2, "{rendered:?}");
+    assert!(rendered[0].1.contains("io.shard.surprise"), "{rendered:?}");
+    assert!(rendered[0].1.contains("not registered"), "{rendered:?}");
+    assert!(rendered[1].1.contains("never emitted"), "{rendered:?}");
+    let report = drai_lint::lint(&ws("crates/io/tests/x.rs"));
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
 }
 
 #[test]
 fn workspace_is_lint_clean() {
     let root = workspace_root();
     let ws = drai_lint::load_workspace(&root).expect("workspace scan succeeds");
-    assert!(ws.manifests.len() > 15, "manifest list looks truncated");
+    assert!(ws.metric_families.len() > 20, "registry looks truncated");
     let report = drai_lint::lint(&ws);
     assert!(report.files_scanned > 50, "scan looks truncated");
     let rendered: Vec<String> = report
         .findings
         .iter()
-        .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
+        .map(|f| format!("{}:{}: {}", f.file, f.line, f.message))
         .collect();
     assert!(
         report.is_clean(),

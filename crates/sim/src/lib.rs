@@ -65,17 +65,15 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Validate the geometry.
-    pub fn validate(&self) -> Result<(), IoError> {
+    /// Validate the geometry; the error says which field is wrong.
+    pub fn validate(&self) -> Result<(), String> {
         if self.ost_count == 0 || self.stripe_size == 0 || self.stripe_count == 0 {
-            return Err(IoError::Format(
-                "ost_count, stripe_size, stripe_count must be positive".into(),
-            ));
+            return Err("ost_count, stripe_size, stripe_count must be positive".to_string());
         }
         let bandwidth_bad = self.ost_bandwidth.is_nan() || self.ost_bandwidth <= 0.0;
         let latency_bad = self.ost_latency.is_nan() || self.ost_latency < 0.0;
         if bandwidth_bad || latency_bad {
-            return Err(IoError::Format("bad bandwidth/latency".into()));
+            return Err("ost_bandwidth must be positive, ost_latency non-negative".to_string());
         }
         Ok(())
     }
@@ -115,7 +113,7 @@ pub struct OstReport {
 
 impl SimFs {
     /// Create with the given geometry.
-    pub fn new(config: SimConfig) -> Result<SimFs, IoError> {
+    pub fn new(config: SimConfig) -> Result<SimFs, String> {
         config.validate()?;
         let state = SimState {
             ost_free_at: vec![0.0; config.ost_count],
@@ -247,7 +245,10 @@ impl SimFs {
 impl StorageSink for SimFs {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
         if name.is_empty() || name.starts_with('/') || name.contains("..") {
-            return Err(IoError::Format(format!("bad blob name {name:?}")));
+            return Err(IoError::Format {
+                blob: name.to_string(),
+                what: "a blob name must be a non-empty relative path without '..'".to_string(),
+            });
         }
         let mut st = self.state.lock();
         let start = st.next_start_ost;
@@ -263,7 +264,9 @@ impl StorageSink for SimFs {
             .files
             .get(name)
             .cloned()
-            .ok_or_else(|| IoError::Format(format!("no such blob: {name}")))?;
+            .ok_or_else(|| IoError::NotFound {
+                blob: name.to_string(),
+            })?;
         // Reads hit the same stripe group the file was written to.
         self.simulate_transfer(&mut st, data.len(), start, true);
         Ok(data)

@@ -191,11 +191,10 @@ pub const METRIC_FAMILIES: &[&str] = &[
 
 /// Monotonic elapsed-time source.
 ///
-/// This is the only sanctioned way for workspace code to read time:
-/// the `no-wallclock` lint rule confines `Instant::now`/
-/// `SystemTime::now` to this crate (and the retry layer's injectable
-/// clock) so timing stays behind one seam and data-plane behaviour
-/// never depends on the wall clock.
+/// This is the only way for workspace code to read time: the root
+/// `clippy.toml` disallows `Instant::now` / `SystemTime::now` everywhere
+/// but this crate (and the `criterion` shim), so timing stays behind one
+/// seam and data-plane behaviour never depends on the wall clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -349,6 +348,23 @@ impl Gauge {
 /// balanced by construction — across early returns, unwinds, and guards
 /// that travel with the work they count (a channel message, a queued
 /// job) and drop wherever that work ends.
+///
+/// ```
+/// let gauge = drai_telemetry::Registry::new().gauge("doc.level");
+/// let raised = drai_telemetry::GaugeGuard::new(gauge.clone(), 2);
+/// assert_eq!(gauge.get(), 2);
+/// drop(raised);
+/// assert_eq!(gauge.get(), 0);
+/// ```
+///
+/// `Gauge::add` stays private, so the same gauge cannot be raised
+/// directly (stable rustdoc does not check the error code, so the example
+/// above keeps the first line honest):
+///
+/// ```compile_fail
+/// let gauge = drai_telemetry::Registry::new().gauge("doc.level");
+/// gauge.add(1);
+/// ```
 #[must_use = "dropping the guard immediately lowers the gauge again"]
 #[derive(Debug)]
 pub struct GaugeGuard {

@@ -89,6 +89,19 @@ impl DType {
             _ => return None,
         })
     }
+
+    /// Parse the `Display` form (`f32`, `u8`, ...), as manifests store it.
+    pub fn from_name(s: &str) -> Option<DType> {
+        Some(match s {
+            "f32" => DType::F32,
+            "f64" => DType::F64,
+            "i32" => DType::I32,
+            "i64" => DType::I64,
+            "u8" => DType::U8,
+            "bool" => DType::Bool,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for DType {
@@ -289,8 +302,10 @@ mod tests {
             DType::Bool,
         ] {
             assert_eq!(DType::from_code(d.code()), Some(d));
+            assert_eq!(DType::from_name(&d.to_string()), Some(d));
         }
         assert_eq!(DType::from_code(99), None);
+        assert_eq!(DType::from_name("f16"), None);
     }
 
     #[test]

@@ -22,6 +22,20 @@
 //! * [`split`] — deterministic hash-based train/val/test partitioning.
 //! * [`units`] — unit registry and conversions ("ensure consistent units").
 
+// Damaged input is data, not a bug: library code returns an error and has
+// no panic path (`cargo clippy`, DESIGN §6). Tests may panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod align;
 pub mod anonymize;
 pub mod encode;

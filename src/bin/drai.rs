@@ -10,7 +10,7 @@
 use drai::core::card::DatasetCard;
 use drai::core::quality::QualityReport;
 use drai::core::readiness::{MaturityMatrix, ProcessingStage};
-use drai::core::ReadinessAssessor;
+use drai::core::{DatasetManifest, ReadinessAssessor};
 use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
 use drai::io::sink::{LocalFs, StorageSink};
 use drai::tensor::LatLonGrid;
@@ -233,14 +233,16 @@ fn cmd_assess(args: &[String]) -> ExitCode {
         eprintln!("cannot read {path}");
         return ExitCode::FAILURE;
     };
-    // Manifest JSON decoding: reuse the evidence keys.
     let Ok(json) = drai::io::json::Json::parse(&text) else {
         eprintln!("{path} is not valid JSON");
         return ExitCode::FAILURE;
     };
-    let Some(manifest) = manifest_from_json(&json) else {
-        eprintln!("{path} is not a drai manifest");
-        return ExitCode::FAILURE;
+    let manifest = match DatasetManifest::from_json(&json) {
+        Ok(manifest) => manifest,
+        Err(e) => {
+            eprintln!("{path} is not a drai manifest: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     match ReadinessAssessor::new().assess(&manifest) {
         Ok(a) => {
@@ -261,53 +263,4 @@ fn cmd_assess(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn manifest_from_json(v: &drai::io::json::Json) -> Option<drai::core::DatasetManifest> {
-    use drai::core::dataset::Modality;
-    use drai::io::json::Json;
-    let name = v.get("name")?.as_str()?;
-    let domain = v.get("domain")?.as_str()?;
-    let modality = Modality::from_name(v.get("modality")?.as_str()?)?;
-    let records = v.get("records")?.as_u64()?;
-    let mut m = drai::core::DatasetManifest::raw(name, domain, modality, records);
-    let e = v.get("evidence")?;
-    let b = |key: &str| e.get(key).and_then(Json::as_bool).unwrap_or(false);
-    let f = |key: &str| e.get(key).and_then(Json::as_f64).unwrap_or(0.0);
-    m.standard_format = b("standard_format");
-    m.ingest_validated = b("ingest_validated");
-    m.metadata_enriched = b("metadata_enriched");
-    m.high_throughput_ingest = b("high_throughput_ingest");
-    m.ingest_automated = b("ingest_automated");
-    m.aligned_initial = b("aligned_initial");
-    m.aligned_standardized = b("aligned_standardized");
-    m.alignment_automated = b("alignment_automated");
-    m.normalized_initial = b("normalized_initial");
-    m.normalized_final = b("normalized_final");
-    m.transform_audited = b("transform_audited");
-    m.requires_anonymization = b("requires_anonymization");
-    m.anonymized = b("anonymized");
-    m.label_coverage = f("label_coverage");
-    m.features_extracted = b("features_extracted");
-    m.features_validated = b("features_validated");
-    m.split_assigned = b("split_assigned");
-    m.sharded = b("sharded");
-    m.missing_fraction = f("missing_fraction");
-    // Schema entries (needed for the level-3 criterion).
-    if let Some(schema) = v.get("schema").and_then(Json::as_arr) {
-        for s in schema {
-            m.schema.push(drai::core::VariableSpec {
-                name: s.get("name")?.as_str()?.to_string(),
-                dtype: drai::tensor::DType::F64,
-                unit: s.get("unit")?.as_str()?.to_string(),
-                shape: s
-                    .get("shape")?
-                    .as_arr()?
-                    .iter()
-                    .filter_map(|d| d.as_u64().map(|x| x as usize))
-                    .collect(),
-            });
-        }
-    }
-    Some(m)
 }

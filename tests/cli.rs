@@ -47,6 +47,22 @@ fn run_climate_then_assess_its_manifest() {
 }
 
 #[test]
+fn assess_refuses_a_manifest_missing_an_evidence_key() {
+    let cwd = scratch("missing-key");
+    let run = drai(&cwd, &["run", "materials", "--out", "out"]);
+    assert!(run.status.success());
+    let text = std::fs::read_to_string(cwd.join("out/manifest.json")).unwrap();
+    let cut = text.replace("\"sharded\":true,", "");
+    assert_ne!(cut, text, "the manifest records `sharded`");
+    std::fs::write(cwd.join("cut.json"), cut).unwrap();
+    let assess = drai(&cwd, &["assess", "cut.json"]);
+    let stderr = String::from_utf8_lossy(&assess.stderr);
+    assert!(!assess.status.success(), "exited 0: {stderr}");
+    assert!(stderr.contains("`sharded`"), "{stderr}");
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
 fn a_run_record_that_cannot_be_written_fails_the_run() {
     let cwd = scratch("unwritable");
     // A directory where the manifest goes: the shards land, the

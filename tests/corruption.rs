@@ -9,9 +9,9 @@
 //! CRC framing may lose data under corruption; it must never fabricate
 //! or silently alter it.
 
-use drai::io::checksum::masked_crc32c;
+use drai::io::checksum::{crc32c, masked_crc32c};
 use drai::io::codec::{CodecError, CodecId};
-use drai::io::shard::{parse_shard, ShardReader, ShardSpec, ShardWriter};
+use drai::io::shard::{parse_shard, ShardInfo, ShardManifest, ShardReader, ShardSpec, ShardWriter};
 use drai::io::sink::{MemSink, StorageSink};
 use drai::io::IoError;
 use std::collections::HashSet;
@@ -220,7 +220,10 @@ fn parse_shard_rejects_hostile_inputs_without_panicking() {
     shard.extend_from_slice(&masked_crc32c(&bomb).to_le_bytes());
     shard.extend_from_slice(&bomb);
     match parse_shard(&shard, "bomb", CodecId::Delta { width: 4 }) {
-        Err(IoError::Codec(CodecError::Truncated)) => {}
+        Err(IoError::Codec {
+            source: CodecError::Truncated,
+            ..
+        }) => {}
         other => panic!("delta bomb: {other:?}"),
     }
     // Codec disagreement between manifest and file is structural damage.
@@ -228,8 +231,55 @@ fn parse_shard_rejects_hostile_inputs_without_panicking() {
     let data = sink.read_file(&format!("{prefix}-00000.shard")).unwrap();
     assert!(matches!(
         parse_shard(&data, "x", CodecId::Raw),
-        Err(IoError::Format(_))
+        Err(IoError::Format { .. })
     ));
+}
+
+/// A record that passes its CRC and still will not decode is named by
+/// its shard and its index there, so the failure leads back to the bytes.
+#[test]
+fn an_undecodable_record_names_its_shard_and_index() {
+    // Delta4 shard: records 0 and 2 decode, record 1 is a stream with a
+    // valid CRC and an unknown tag. The manifest is consistent with it.
+    let codec = CodecId::Delta { width: 4 };
+    let good = drai::io::codec::codec_for(codec).encode(&[1, 0, 0, 0, 2, 0, 0, 0]);
+    let mut file = b"DSHRD1\0\0\x04\0\0\0".to_vec();
+    for stored in [&good[..], &[0x7E, 1, 2, 3], &good[..]] {
+        file.extend_from_slice(&(stored.len() as u32).to_le_bytes());
+        file.extend_from_slice(&masked_crc32c(stored).to_le_bytes());
+        file.extend_from_slice(stored);
+    }
+    let sink = MemSink::new();
+    let name = "undecodable-00000.shard";
+    sink.write_file(name, &file).unwrap();
+    let manifest = ShardManifest {
+        prefix: "undecodable".to_string(),
+        codec,
+        shards: vec![ShardInfo {
+            name: name.to_string(),
+            records: 3,
+            bytes: file.len() as u64,
+            crc32c: crc32c(&file),
+        }],
+        total_records: 3,
+        payload_bytes: 24,
+    };
+    let json = manifest.to_json().to_string_compact();
+    sink.write_file("undecodable.manifest.json", json.as_bytes())
+        .unwrap();
+    let err = ShardReader::open("undecodable", &sink)
+        .unwrap()
+        .read_all()
+        .unwrap_err();
+    match &err {
+        IoError::Codec { blob, record, .. } => assert_eq!((blob.as_str(), *record), (name, 1)),
+        other => panic!("{other:?}"),
+    }
+    assert!(
+        err.to_string()
+            .starts_with("undecodable-00000.shard: record 1: "),
+        "{err}"
+    );
 }
 
 /// A text decoder is held to the same rule as the shard parser: a

@@ -3,8 +3,9 @@
 //! corruption detection across the full stack.
 
 use drai::core::readiness::{ProcessingStage, ReadinessLevel};
-use drai::core::ReadinessAssessor;
+use drai::core::{DatasetManifest, ReadinessAssessor};
 use drai::domains::{bio, climate, fusion, materials};
+use drai::io::json::Json;
 use drai::io::shard::ShardReader;
 use drai::io::sink::{LocalFs, MemSink, StorageSink};
 use drai::provenance::ArtifactId;
@@ -63,6 +64,10 @@ fn all_four_archetypes_reach_level_five() {
         materials::run(&materials_cfg(), sink).unwrap().manifest,
     ];
     for manifest in &runs {
+        // What `drai run` writes, `drai assess` reads back unchanged.
+        let text = manifest.to_json().to_string_compact();
+        let back = DatasetManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(&back, manifest);
         let a = assessor.assess(manifest).unwrap();
         assert_eq!(
             a.overall,

@@ -10,7 +10,9 @@
 use drai::io::fault::{FaultConfig, FaultSink};
 use drai::io::retry::{RetryPolicy, RetrySink, VirtualClock};
 use drai::io::shard::{ShardReader, ShardSpec, ShardWriter};
-use drai::io::sink::MemSink;
+use drai::io::sink::{LocalFs, MemSink, StorageSink};
+use drai::io::IoError;
+use drai::sim::{SimConfig, SimFs};
 use drai::telemetry::Registry;
 
 fn records(n: usize, size: usize) -> Vec<Vec<u8>> {
@@ -105,4 +107,44 @@ fn exhausted_retries_surface_the_fault() {
     assert_eq!(sink.inner().inner().file_count(), 0);
     let snap = Registry::global().snapshot();
     assert!(snap.counters["io.retry.exhausted"] > 0);
+}
+
+#[test]
+fn a_missing_blob_is_not_found_on_every_sink() {
+    // One error for one fact, whichever sink is asked: a missing blob is
+    // `NotFound` naming the blob, not an OS error that names nothing or a
+    // format error, and no wrapper retries it.
+    let dir = std::env::temp_dir().join(format!("drai-not-found-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let local = LocalFs::new(&dir).unwrap();
+    let sim = SimFs::new(SimConfig::default()).unwrap();
+    let clock = VirtualClock::new();
+    let sinks: [(&str, Box<dyn StorageSink>); 5] = [
+        ("LocalFs", Box::new(local.clone())),
+        ("MemSink", Box::new(MemSink::new())),
+        ("SimFs", Box::new(sim.clone())),
+        (
+            "FaultSink",
+            Box::new(FaultSink::new(sim, FaultConfig::default())),
+        ),
+        (
+            "RetrySink",
+            Box::new(RetrySink::with_clock(
+                local,
+                RetryPolicy::default(),
+                clock.clone(),
+            )),
+        ),
+    ];
+    for (what, sink) in &sinks {
+        match sink.read_file("shards/train-00007.shard") {
+            Err(IoError::NotFound { blob }) => assert_eq!(blob, "shards/train-00007.shard"),
+            other => panic!("{what}: {other:?}"),
+        }
+        let err = sink.read_file("gone.bin").unwrap_err();
+        assert!(!err.is_transient(), "{what}: {err}");
+        assert_eq!(err.to_string(), "gone.bin: no such blob", "{what}");
+    }
+    assert_eq!(clock.slept_ns(), 0, "a missing blob was retried");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
