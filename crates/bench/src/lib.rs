@@ -190,9 +190,12 @@ mod tests {
     fn export_telemetry_from_the_crate_dir_lands_in_the_workspace_target() {
         let cwd = std::env::current_dir().unwrap();
         assert_eq!(cwd, Path::new(env!("CARGO_MANIFEST_DIR")), "run via cargo");
+        use drai_telemetry::{Counter, Histogram, Name};
+        const COUNT: Name<Counter> = Name::declare("selftest.export.count");
+        const LATENCY: Name<Histogram> = Name::declare("selftest.export.ns");
         let registry = drai_telemetry::Registry::global();
-        registry.counter("selftest.export.count").incr();
-        registry.histogram("selftest.export.ns").record(1_000);
+        registry.handle(&COUNT, []).incr();
+        registry.handle(&LATENCY, []).record(1_000);
 
         let leaf = format!("telemetry-selftest-{}", std::process::id());
         let paths = export_telemetry(&leaf).unwrap();

@@ -50,6 +50,18 @@
 pub mod bytes;
 pub mod clock;
 
+/// The metric and span names this crate writes (`drai_telemetry::Name`).
+mod names {
+    use drai_telemetry::{Counter, Name, Span};
+
+    pub(crate) const HITS: Name<Counter> = Name::declare("cache.hits");
+    pub(crate) const MISSES: Name<Counter> = Name::declare("cache.misses");
+    pub(crate) const EVICTIONS: Name<Counter> = Name::declare("cache.evictions");
+    pub(crate) const QUARANTINED: Name<Counter> = Name::declare("cache.quarantined");
+    pub(crate) const GET: Name<Span> = Name::declare("cache.get");
+    pub(crate) const PUT: Name<Span> = Name::declare("cache.put");
+}
+
 use clock::{CacheClock, WallClock};
 use drai_core::pipeline::{FastPath, Pipeline, StageCounters};
 use drai_io::checksum::{content_hash128, hash_hex};
@@ -523,20 +535,20 @@ impl StageCache {
     /// the cached-stage decorator needs to decode a hit.
     fn lookup(&self, key: &CacheKey) -> Option<(Vec<u8>, DecodedEntry)> {
         let registry = Registry::current();
-        let span = registry.span("cache.get");
+        let span = registry.span(&names::GET, []);
         let _in_get = span.enter();
         let blob = key.blob_name();
         let raw = match self.sink.read_file(&blob) {
             Ok(raw) => raw,
             Err(_) => {
-                registry.counter("cache.misses").incr();
+                registry.handle(&names::MISSES, []).incr();
                 return None;
             }
         };
         match decode_entry(&raw) {
             Ok(entry) => {
                 let payload = entry.payload(&raw);
-                registry.counter("cache.hits").incr();
+                registry.handle(&names::HITS, []).incr();
                 span.add_items(1);
                 span.add_bytes(payload.len() as u64);
                 self.index
@@ -564,8 +576,8 @@ impl StageCache {
             }
             Err(_) => {
                 self.quarantine(key, &blob, &raw);
-                registry.counter("cache.quarantined").incr();
-                registry.counter("cache.misses").incr();
+                registry.handle(&names::QUARANTINED, []).incr();
+                registry.handle(&names::MISSES, []).incr();
                 None
             }
         }
@@ -619,7 +631,7 @@ impl StageCache {
         write_payload: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), IoError> {
         let registry = Registry::current();
-        let span = registry.span("cache.put");
+        let span = registry.span(&names::PUT, []);
         let _in_put = span.enter();
         let origin = TraceContext::current().map(|ctx| ctx.trace_id().as_u64());
         let entry = encode_entry(self.codec, origin, records, bytes, write_payload);
@@ -655,7 +667,7 @@ impl StageCache {
             .end_write(&blob, size, now, self.capacity_bytes);
         for victim in victims {
             let _ = self.sink.delete(&victim);
-            registry.counter("cache.evictions").incr();
+            registry.handle(&names::EVICTIONS, []).incr();
             let handed = self.index.lock().end_delete(&victim);
             if let Some(handed) = handed {
                 // Best effort, like any cache write.

@@ -25,7 +25,7 @@
 //! * a failed batch publishes no merged per-stage metrics;
 //! * an empty batch returns one zeroed [`StageMetrics`] per stage.
 //!
-//! Telemetry (registered in `drai_telemetry::METRIC_FAMILIES`):
+//! Telemetry (declared in this crate's `names` module):
 //! `executor.queue_depth` (gauge over finished items waiting for the
 //! collector: in the hand-off channel, held by a worker blocked on it,
 //! or just taken by the collector, so 0 ≤ depth ≤ `channel_capacity +
@@ -46,10 +46,11 @@
 //! `drai_telemetry::monitor` health rules for a streaming run.
 
 use crate::metrics::Throughput;
+use crate::names;
 use crate::pipeline::{Pipeline, StageCounters, StageDef, StageMetrics};
 use crate::CoreError;
 use drai_telemetry::monitor::{Condition, HealthSpec};
-use drai_telemetry::{Gauge, GaugeGuard, Histogram, Registry, Stopwatch, TraceContext};
+use drai_telemetry::{Gauge, GaugeGuard, Handle, Histogram, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -114,12 +115,12 @@ pub fn executor_health_spec(cfg: &ExecutorConfig) -> HealthSpec {
     HealthSpec::new()
         .rule(
             "queue_saturated",
-            "executor.queue_depth",
+            &names::QUEUE_DEPTH,
             Condition::GaugeAbove(cfg.channel_capacity.max(1) as i64),
         )
         .rule(
             "no_progress",
-            "executor.items_completed",
+            &names::ITEMS_COMPLETED,
             Condition::StallFor(8),
         )
 }
@@ -249,9 +250,9 @@ struct ExecShared<'a, T> {
     /// keep running so a smaller-index failure can still surface.
     error_before: &'a AtomicUsize,
     epoch: Stopwatch,
-    queue_depth: Arc<Gauge>,
-    stall: Arc<Histogram>,
-    inflight: &'a [Arc<Gauge>],
+    queue_depth: Handle<Gauge>,
+    stall: Handle<Histogram>,
+    inflight: &'a [Handle<Gauge>],
     /// External cancellation latch (a fresh, never-fired token for
     /// plain streaming runs).
     cancel: &'a CancelToken,
@@ -284,7 +285,7 @@ impl<T> ExecShared<'_, T> {
             if self.cancelled(idx) {
                 return None;
             }
-            let busy = GaugeGuard::new(Arc::clone(&self.inflight[s]), 1);
+            let busy = GaugeGuard::new(self.inflight[s].clone(), 1);
             let start_ns = self.epoch.elapsed_ns();
             let mut counters = StageCounters::default();
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -333,7 +334,7 @@ impl<T> ExecShared<'_, T> {
             // (or the failed send does). A send error means the
             // collector is gone — only possible when the run is
             // collapsing; dropping the item is correct.
-            let depth = GaugeGuard::new(Arc::clone(&self.queue_depth), 1);
+            let depth = GaugeGuard::new(self.queue_depth.clone(), 1);
             let _ = parking_lot::blocking(|| tx.send((idx, item, depth)));
             self.stall.record(wait.elapsed_ns());
         }
@@ -358,7 +359,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         cancel: &CancelToken,
     ) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError> {
         let registry = Registry::current();
-        let span = registry.span(format!("pipeline.{}.run_streaming", self.name));
+        let span = registry.span(&names::RUN_STREAMING, [&self.name]);
         span.add_items(items.len() as u64);
         let _in_span = span.enter();
         let nstages = self.stages.len();
@@ -371,10 +372,10 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         let n = items.len();
         let pool = (cfg.workers_per_stage.max(1) * nstages).min(n);
 
-        let inflight: Vec<Arc<Gauge>> = self
+        let inflight: Vec<Handle<Gauge>> = self
             .stages
             .iter()
-            .map(|s| registry.gauge(&format!("executor.{}.{}.inflight", self.name, s.name)))
+            .map(|s| registry.handle(&names::INFLIGHT, [&self.name, &s.name]))
             .collect();
         let accs: Vec<StageAcc> = (0..nstages).map(|_| StageAcc::new()).collect();
         let incident: Mutex<Option<Incident>> = Mutex::new(None);
@@ -386,8 +387,8 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             incident: &incident,
             error_before: &error_before,
             epoch: Stopwatch::start(),
-            queue_depth: registry.gauge("executor.queue_depth"),
-            stall: registry.histogram("executor.stall_ns"),
+            queue_depth: registry.handle(&names::QUEUE_DEPTH, []),
+            stall: registry.handle(&names::STALL_NS, []),
             inflight: &inflight,
             cancel,
         };
@@ -416,7 +417,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             // published after the batch completes, this counter ticks
             // as each item reaches the collector, so the monitor
             // sampler can compute items/s and ETA mid-run.
-            let completed = registry.counter("executor.items_completed");
+            let completed = registry.handle(&names::ITEMS_COMPLETED, []);
             while let Ok((idx, item, _depth)) = parking_lot::blocking(|| rx.recv()) {
                 completed.incr();
                 if let Some(slot) = slots.get_mut(idx) {
@@ -475,11 +476,11 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
                 bytes,
                 elapsed: Duration::from_nanos(wall_ns),
             };
-            let base = self.stage_metric(&m.name);
-            registry.counter(&format!("{base}.records")).add(records);
-            registry.counter(&format!("{base}.bytes")).add(bytes);
-            registry.histogram(&format!("{base}.ns")).record(wall_ns);
-            let per_item = registry.histogram(&format!("{base}.item_ns"));
+            let at = [self.name.as_str(), m.name.as_str()];
+            registry.handle(&names::STAGE_RECORDS, at).add(records);
+            registry.handle(&names::STAGE_BYTES, at).add(bytes);
+            registry.handle(&names::STAGE_NS, at).record(wall_ns);
+            let per_item = registry.handle(&names::STAGE_ITEM_NS, at);
             for &ns in acc.item_ns.lock().iter() {
                 per_item.record(ns);
             }

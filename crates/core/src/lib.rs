@@ -43,6 +43,7 @@ pub mod card;
 pub mod dataset;
 pub mod executor;
 pub mod metrics;
+mod names;
 pub mod pipeline;
 pub mod quality;
 pub mod readiness;

@@ -14,6 +14,7 @@
 //! the trace tree.
 
 use crate::metrics::Throughput;
+use crate::names;
 use crate::readiness::ProcessingStage;
 use crate::CoreError;
 use drai_telemetry::{Registry, Stopwatch};
@@ -273,7 +274,7 @@ impl<T> Pipeline<T> {
         T: Clone + 'static,
     {
         assert!(max_attempts >= 1, "need at least one attempt");
-        let base = self.stage_metric(stage);
+        let (pipeline, stage_name) = (self.name.clone(), stage.to_string());
         self.rewrap(stage, None, move |func| {
             let wrapped = move |input: T, counters: &mut StageCounters| {
                 let mut last_err = String::new();
@@ -291,7 +292,7 @@ impl<T> Pipeline<T> {
                             last_err = e;
                             if attempt + 1 < max_attempts {
                                 Registry::current()
-                                    .counter(&format!("{base}.retries"))
+                                    .handle(&names::STAGE_RETRIES, [&pipeline, &stage_name])
                                     .incr();
                             }
                         }
@@ -301,11 +302,6 @@ impl<T> Pipeline<T> {
             };
             (Arc::new(wrapped), None)
         })
-    }
-
-    /// Telemetry name for one of this pipeline's stages.
-    pub(crate) fn stage_metric(&self, stage: &str) -> String {
-        format!("pipeline.{}.{}", self.name, stage)
     }
 
     /// Execute one stage on one artifact whose derivation id is `id`:
@@ -343,14 +339,14 @@ impl<T> Pipeline<T> {
         // Root span for the whole run; stage spans nest under it, and
         // it in turn nests under whatever context the caller entered
         // (e.g. a domain's `domain.<name>.run`).
-        let run_span = registry.span(format!("pipeline.{}.run", self.name));
+        let run_span = registry.span(&names::RUN, [&self.name]);
         let _in_run = run_span.enter();
         let mut current = input;
         let mut id = None;
         let mut metrics = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
-            let base = self.stage_metric(&stage.name);
-            let span = registry.span(base.clone());
+            let at = [self.name.as_str(), stage.name.as_str()];
+            let span = registry.span(&names::STAGE, at);
             let start = Stopwatch::start();
             let mut counters = StageCounters::default();
             // Entered while the stage function runs so I/O-layer spans
@@ -365,11 +361,9 @@ impl<T> Pipeline<T> {
             span.add_items(counters.records);
             span.add_bytes(counters.bytes);
             registry
-                .counter(&format!("{base}.records"))
+                .handle(&names::STAGE_RECORDS, at)
                 .add(counters.records);
-            registry
-                .counter(&format!("{base}.bytes"))
-                .add(counters.bytes);
+            registry.handle(&names::STAGE_BYTES, at).add(counters.bytes);
             metrics.push(StageMetrics {
                 name: stage.name.clone(),
                 kind: stage.kind,

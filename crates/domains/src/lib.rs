@@ -32,6 +32,16 @@ pub mod fusion;
 pub mod materials;
 pub mod service;
 
+/// The span names this crate writes (`drai_telemetry::Name`); the hole
+/// is the domain.
+mod names {
+    use drai_telemetry::{Name, Span};
+
+    pub(crate) const RUN: Name<Span, 1> = Name::declare("domain.{}.run");
+    pub(crate) const GENERATE_RAW: Name<Span, 1> = Name::declare("domain.{}.generate_raw");
+    pub(crate) const INGEST: Name<Span, 1> = Name::declare("domain.{}.ingest");
+}
+
 use drai_core::pipeline::{Pipeline, StageMetrics};
 use drai_core::DatasetManifest;
 use drai_io::shard::{ShardSpec, ShardWriter};
@@ -155,12 +165,12 @@ pub(crate) fn run_archetype<R, D>(
     describe: impl FnOnce(&D) -> DatasetManifest,
 ) -> Result<DomainRun, DomainError> {
     let registry = Registry::current();
-    let run_span = registry.span(format!("domain.{domain}.run"));
+    let run_span = registry.span(&names::RUN, [domain]);
     let _in_run = run_span.enter();
     let ledger = Arc::new(Ledger::new());
-    let raw = registry.time(&format!("domain.{domain}.generate_raw"), generate_raw)?;
+    let raw = registry.time(&names::GENERATE_RAW, [domain], generate_raw)?;
     let input = {
-        let span = registry.span(format!("domain.{domain}.ingest"));
+        let span = registry.span(&names::INGEST, [domain]);
         let _in_ingest = span.enter();
         ingest(raw, &mut |name, content| {
             span.add_items(1);

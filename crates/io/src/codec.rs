@@ -33,7 +33,9 @@
 //! The [`bitpack`]/[`bitunpack`] helpers implement the fixed-width bit
 //! packing used by GRIB-style "simple packing" in `drai-formats`.
 
+use crate::names;
 use crate::varint::{read_uvarint, unzigzag, write_uvarint, zigzag};
+use drai_telemetry::{Counter, Handle, Histogram};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -205,22 +207,23 @@ pub(crate) fn codec_and_meter(id: CodecId) -> (Box<dyn Codec>, CodecMeter) {
         CodecId::Lz => Box::new(LzCodec::default()),
     };
     let registry = drai_telemetry::Registry::current();
-    let name = id.name();
+    let label = id.name();
+    let name = [label.as_str()];
     let meter = CodecMeter {
-        encode_ns: registry.histogram(&format!("io.codec.{name}.encode_ns")),
-        decode_ns: registry.histogram(&format!("io.codec.{name}.decode_ns")),
-        bytes_in: registry.counter(&format!("io.codec.{name}.bytes_in")),
-        bytes_out: registry.counter(&format!("io.codec.{name}.bytes_out")),
+        encode_ns: registry.handle(&names::CODEC_ENCODE_NS, name),
+        decode_ns: registry.handle(&names::CODEC_DECODE_NS, name),
+        bytes_in: registry.handle(&names::CODEC_BYTES_IN, name),
+        bytes_out: registry.handle(&names::CODEC_BYTES_OUT, name),
     };
     (codec, meter)
 }
 
 /// Handles of one codec's metrics.
 pub(crate) struct CodecMeter {
-    encode_ns: std::sync::Arc<drai_telemetry::Histogram>,
-    decode_ns: std::sync::Arc<drai_telemetry::Histogram>,
-    bytes_in: std::sync::Arc<drai_telemetry::Counter>,
-    bytes_out: std::sync::Arc<drai_telemetry::Counter>,
+    encode_ns: Handle<Histogram>,
+    decode_ns: Handle<Histogram>,
+    bytes_in: Handle<Counter>,
+    bytes_out: Handle<Counter>,
 }
 
 impl CodecMeter {

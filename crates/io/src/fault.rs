@@ -30,9 +30,10 @@
 //! `io.fault.read_transient`, and `io.fault.corrupted`.
 
 use crate::checksum::fnv1a64;
+use crate::names;
 use crate::sink::StorageSink;
 use crate::IoError;
-use drai_telemetry::Registry;
+use drai_telemetry::{Counter, Name, Registry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::ErrorKind::{self, Interrupted, PermissionDenied};
@@ -161,10 +162,10 @@ impl<S: StorageSink> FaultSink<S> {
         unit_float(fnv1a64(&key))
     }
 
-    fn count(kind: &str) {
+    fn count(kind: &'static Name<Counter>) {
         let registry = Registry::current();
-        registry.counter("io.fault.injected").incr();
-        registry.counter(&format!("io.fault.{kind}")).incr();
+        registry.handle(&names::FAULT_INJECTED, []).incr();
+        registry.handle(kind, []).incr();
     }
 
     fn injected(name: &str, kind: ErrorKind, what: &str) -> IoError {
@@ -179,15 +180,15 @@ impl<S: StorageSink> StorageSink for FaultSink<S> {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
         let attempt = self.next_attempt(OP_WRITE, name);
         if self.roll(OP_WRITE, 0, name, attempt) < self.config.write_permanent {
-            Self::count("write_permanent");
+            Self::count(&names::FAULT_WRITE_PERMANENT);
             return Err(Self::injected(name, PermissionDenied, "permanent write"));
         }
         if self.roll(OP_WRITE, 1, name, attempt) < self.config.write_transient {
-            Self::count("write_transient");
+            Self::count(&names::FAULT_WRITE_TRANSIENT);
             return Err(Self::injected(name, Interrupted, "transient write"));
         }
         if !data.is_empty() && self.roll(OP_WRITE, 2, name, attempt) < self.config.corrupt {
-            Self::count("corrupted");
+            Self::count(&names::FAULT_CORRUPTED);
             let mut damaged = data.to_vec();
             // Deterministic single-bit flip: position and bit from the
             // same decision hash family.
@@ -203,7 +204,7 @@ impl<S: StorageSink> StorageSink for FaultSink<S> {
     fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
         let attempt = self.next_attempt(OP_READ, name);
         if self.roll(OP_READ, 0, name, attempt) < self.config.read_transient {
-            Self::count("read_transient");
+            Self::count(&names::FAULT_READ_TRANSIENT);
             return Err(Self::injected(name, Interrupted, "transient read"));
         }
         self.inner.read_file(name)

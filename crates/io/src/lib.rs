@@ -53,6 +53,7 @@ pub mod codec;
 pub mod crypto;
 pub mod fault;
 pub mod json;
+mod names;
 pub mod parallel;
 pub mod retry;
 pub mod shard;

@@ -87,23 +87,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_telemetry::Registry;
+    use drai_telemetry::{Counter, Name, Registry, Span};
     use drai_tensor::stats::Welford;
 
     #[test]
     fn worker_telemetry_follows_callers_registry() {
+        const STAGE: Name<Span> = Name::declare("stage.load");
+        const ITEM: Name<Span> = Name::declare("test.par_map.item");
+        const ITEMS: Name<Counter> = Name::declare("test.par_map.items");
         let reg = Registry::new();
         let stage_id = {
             let root = TraceContext::root(&reg);
             let _attached = root.attach();
-            let stage = reg.span("stage.load");
+            let stage = reg.span(&STAGE, []);
             let _in_stage = stage.enter();
             // Forced onto 3 threads so the hand-off is exercised on a
             // one-CPU host too.
             par_map_on(3, (0..6u64).collect(), |x| {
                 let registry = Registry::current();
-                let _item = registry.span("test.par_map.item");
-                registry.counter("test.par_map.items").incr();
+                let _item = registry.span(&ITEM, []);
+                registry.handle(&ITEMS, []).incr();
                 x
             });
             stage.id()

@@ -16,6 +16,7 @@
 //! * `io.retry.backoff_ns` — total backoff delay requested, in ns
 //!   (virtual or real, depending on the clock).
 
+use crate::names::{RETRY_ATTEMPTS, RETRY_BACKOFF_NS, RETRY_EXHAUSTED};
 use crate::sink::StorageSink;
 use crate::IoError;
 use drai_telemetry::Registry;
@@ -155,16 +156,16 @@ impl<S: StorageSink> RetrySink<S> {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_transient() && retry_index + 1 < self.policy.max_attempts => {
                     let delay = self.policy.backoff(retry_index);
-                    registry.counter("io.retry.attempts").incr();
+                    registry.handle(&RETRY_ATTEMPTS, []).incr();
                     registry
-                        .counter("io.retry.backoff_ns")
+                        .handle(&RETRY_BACKOFF_NS, [])
                         .add(delay.as_nanos() as u64);
                     parking_lot::blocking(|| self.clock.sleep(delay));
                     retry_index += 1;
                 }
                 Err(e) => {
                     if e.is_transient() {
-                        registry.counter("io.retry.exhausted").incr();
+                        registry.handle(&RETRY_EXHAUSTED, []).incr();
                     }
                     return Err(e);
                 }

@@ -47,6 +47,7 @@
 use crate::checksum::{crc32c, masked_crc32c, unmask_crc32c, Crc32Stream};
 use crate::codec::{codec_and_meter, Codec, CodecId, CodecMeter};
 use crate::json::Json;
+use crate::names;
 use crate::parallel::par_map;
 use crate::sink::StorageSink;
 use crate::IoError;
@@ -306,7 +307,7 @@ impl<'a> ShardWriter<'a> {
         R::Item: AsRef<[u8]> + Send + Sync,
     {
         let registry = Registry::current();
-        let span = registry.span("io.shard.write_all");
+        let span = registry.span(&names::SHARD_WRITE_ALL, []);
         // Entered for the whole write so nested sink/codec telemetry
         // (and the parallel workers below, via `par_map`'s hand-off)
         // attaches under this span.
@@ -330,9 +331,11 @@ impl<'a> ShardWriter<'a> {
         span.add_items(records.len() as u64);
         span.add_bytes(payload_bytes);
         registry
-            .counter("io.shard.records")
+            .handle(&names::SHARD_RECORDS, [])
             .add(records.len() as u64);
-        registry.counter("io.shard.bytes_in").add(payload_bytes);
+        registry
+            .handle(&names::SHARD_BYTES_IN, [])
+            .add(payload_bytes);
 
         // Frame every run in parallel, in record order.
         let spec = &self.spec;
@@ -346,7 +349,7 @@ impl<'a> ShardWriter<'a> {
             run.seal(&spec.prefix, s)
         });
         registry
-            .histogram("io.shard.encode_ns")
+            .handle(&names::SHARD_ENCODE_NS, [])
             .record(encode_start.elapsed_ns());
         let total_records = records.len() as u64;
         drop(records);
@@ -410,17 +413,19 @@ impl<'a> ShardWriter<'a> {
                 })
             });
         registry
-            .histogram("io.shard.write_ns")
+            .handle(&names::SHARD_WRITE_NS, [])
             .record(write_start.elapsed_ns());
         let mut shards = Vec::with_capacity(infos.len());
         for info in infos {
             shards.push(info?);
         }
         let stored_bytes: u64 = shards.iter().map(|s| s.bytes).sum();
-        registry.counter("io.shard.bytes_out").add(stored_bytes);
+        registry
+            .handle(&names::SHARD_BYTES_OUT, [])
+            .add(stored_bytes);
         if let Some(permille) = stored_bytes.saturating_mul(1000).checked_div(payload_bytes) {
             registry
-                .gauge("io.shard.compression_permille")
+                .handle(&names::SHARD_COMPRESSION_PERMILLE, [])
                 .set(permille as i64);
         }
 
@@ -564,7 +569,7 @@ fn verify_written(
             return Ok(());
         }
         if attempt < VERIFY_REWRITES {
-            registry.counter("io.shard.verify_rewrites").incr();
+            registry.handle(&names::SHARD_VERIFY_REWRITES, []).incr();
             sink.write_file(name, buf)?;
         }
     }
@@ -686,7 +691,7 @@ impl<'a> ShardReader<'a> {
     /// per-shard CRC checks run.
     pub fn read_all(&self) -> Result<Vec<Vec<u8>>, IoError> {
         let registry = Registry::current();
-        let span = registry.span("io.shard.read_all");
+        let span = registry.span(&names::SHARD_READ_ALL, []);
         let _in_read = span.enter();
         let decoder = codec_and_meter(self.manifest.codec);
         let mut out =
@@ -758,10 +763,10 @@ impl<'a> ShardReader<'a> {
             }
         }
         registry
-            .counter("io.shard.quarantined")
+            .handle(&names::SHARD_QUARANTINED, [])
             .add(damage.damaged.len() as u64);
         registry
-            .counter("io.shard.records_lost")
+            .handle(&names::SHARD_RECORDS_LOST, [])
             .add(damage.records_lost);
         RecoveredRead { records, damage }
     }

@@ -17,6 +17,7 @@
 //! injects deterministic failures around any sink, and [`crate::retry`]
 //! retries transient ones with deterministic backoff.
 
+use crate::names;
 use crate::IoError;
 use drai_telemetry::{Registry, Stopwatch};
 use parking_lot::Mutex;
@@ -29,13 +30,15 @@ use std::sync::Arc;
 
 fn count_write(bytes: usize) {
     let registry = Registry::current();
-    registry.counter("io.sink.bytes_written").add(bytes as u64);
-    registry.counter("io.sink.files_written").incr();
+    registry
+        .handle(&names::SINK_BYTES_WRITTEN, [])
+        .add(bytes as u64);
+    registry.handle(&names::SINK_FILES_WRITTEN, []).incr();
 }
 
 fn count_read(bytes: usize) {
     Registry::current()
-        .counter("io.sink.bytes_read")
+        .handle(&names::SINK_BYTES_READ, [])
         .add(bytes as u64);
 }
 
@@ -137,7 +140,7 @@ impl StorageSink for LocalFs {
                 let fsync_start = Stopwatch::start();
                 f.sync_all()?;
                 Registry::current()
-                    .histogram("io.sink.fsync_ns")
+                    .handle(&names::SINK_FSYNC_NS, [])
                     .record(fsync_start.elapsed_ns());
             }
             fs::rename(&tmp, &path)
@@ -157,7 +160,7 @@ impl StorageSink for LocalFs {
                 .and_then(|dir| dir.sync_all())
                 .map_err(os)?;
             Registry::current()
-                .histogram("io.sink.dirsync_ns")
+                .handle(&names::SINK_DIRSYNC_NS, [])
                 .record(dirsync_start.elapsed_ns());
         }
         count_write(data.len());

@@ -530,13 +530,14 @@ mod tests {
 
     #[test]
     fn records_stamp_current_trace_and_round_trip() {
-        use drai_telemetry::Registry;
+        use drai_telemetry::{Name, Registry, Span};
+        const STAGE: Name<Span> = Name::declare("stage.record");
         let ledger = Ledger::new();
         // Outside any context: no trace.
         ledger.record("bare", [], vec![], vec![Artifact::new("a", b"a")]);
         // Under an entered span: stamped with the span's trace.
         let reg = Registry::new();
-        let span = reg.span("stage.record");
+        let span = reg.span(&STAGE, []);
         let expected = span.trace_id();
         {
             let _in_span = span.enter();

@@ -36,7 +36,7 @@
 //!   running job makes `run_batch_streaming_cancellable` drain and the
 //!   outcome report [`JobOutcome::Cancelled`].
 //!
-//! Telemetry (registered in `drai_telemetry::METRIC_FAMILIES`):
+//! Telemetry (declared in the private `names` module):
 //! `sched.submitted`/`sched.admitted`/`sched.rejected.*` admission
 //! counters, `sched.shed`/`sched.dispatched`/`sched.completed`/
 //! `sched.failed`/`sched.cancelled` lifecycle counters, `sched.queued`
@@ -50,11 +50,37 @@ use drai_core::{CancelToken, ExecutorConfig};
 use drai_telemetry::monitor::{Condition, HealthSpec, MonitorClock, WallMonitorClock};
 use drai_telemetry::{GaugeGuard, Registry, TraceContext};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// The metric and span names this crate writes (`drai_telemetry::Name`).
+/// A hole is a tenant id as [`sanitize_tenant`] maps it.
+mod names {
+    use drai_telemetry::{Counter, Gauge, Histogram, Name, Span};
+
+    pub(crate) const SUBMITTED: Name<Counter> = Name::declare("sched.submitted");
+    pub(crate) const ADMITTED: Name<Counter> = Name::declare("sched.admitted");
+    pub(crate) const REJECTED_BACKPRESSURE: Name<Counter> =
+        Name::declare("sched.rejected.backpressure");
+    pub(crate) const REJECTED_QUOTA: Name<Counter> = Name::declare("sched.rejected.quota");
+    pub(crate) const REJECTED_DEADLINE: Name<Counter> = Name::declare("sched.rejected.deadline");
+    pub(crate) const SHED: Name<Counter> = Name::declare("sched.shed");
+    pub(crate) const DISPATCHED: Name<Counter> = Name::declare("sched.dispatched");
+    pub(crate) const COMPLETED: Name<Counter> = Name::declare("sched.completed");
+    pub(crate) const FAILED: Name<Counter> = Name::declare("sched.failed");
+    pub(crate) const CANCELLED: Name<Counter> = Name::declare("sched.cancelled");
+    pub(crate) const QUEUED: Name<Gauge> = Name::declare("sched.queued");
+    pub(crate) const QUEUED_COST: Name<Gauge> = Name::declare("sched.queued_cost");
+    pub(crate) const INFLIGHT_COST: Name<Gauge> = Name::declare("sched.inflight_cost");
+    pub(crate) const TENANT_QUEUED: Name<Gauge, 1> = Name::declare("sched.tenant.{}.queued");
+    pub(crate) const WAIT_NS: Name<Histogram> = Name::declare("sched.wait_ns");
+    pub(crate) const RUN_NS: Name<Histogram> = Name::declare("sched.run_ns");
+    pub(crate) const JOB: Name<Span, 1> = Name::declare("sched.job.{}");
+}
 
 /// Priority class of a job. Within one tenant the highest class
 /// present is always dequeued first (preemption at dequeue); under
@@ -178,7 +204,7 @@ impl std::fmt::Debug for JobSpec {
 pub enum Rejected {
     /// The tenant's bounded queue is full.
     Backpressure {
-        /// Sanitized tenant id.
+        /// Tenant id, as submitted.
         tenant: String,
         /// Jobs currently queued for the tenant.
         queued: usize,
@@ -188,7 +214,7 @@ pub enum Rejected {
     /// The tenant's token bucket or outstanding-cost quota cannot
     /// cover the job's cost.
     QuotaExceeded {
-        /// Sanitized tenant id.
+        /// Tenant id, as submitted.
         tenant: String,
         /// Cost the job needs admitted.
         needed: u64,
@@ -198,7 +224,7 @@ pub enum Rejected {
     /// Projected completion under current queued + in-flight load
     /// already misses the job's deadline hint.
     DeadlineInfeasible {
-        /// Sanitized tenant id.
+        /// Tenant id, as submitted.
         tenant: String,
         /// Absolute deadline (ns on the scheduler clock).
         deadline_ns: u64,
@@ -278,7 +304,7 @@ impl JobHandle {
         self.id
     }
 
-    /// Sanitized tenant the job was admitted under.
+    /// Tenant the job was admitted under, as submitted.
     pub fn tenant(&self) -> &str {
         &self.tenant
     }
@@ -333,11 +359,13 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     /// New tenant with weight 1, a 64-job queue bound, no rate limit
-    /// and no cost quota. The id is sanitized to `[a-z0-9_]+` so it is
-    /// always a single valid metric-name segment.
+    /// and no cost quota. The id keys the tenant as given; only where it
+    /// becomes a metric-name segment (`sched.tenant.<t>.queued`,
+    /// `sched.job.<t>`) is it mapped onto `[a-z0-9_]+`, so two ids that
+    /// map alike (`Lab A`, `lab_a`) are two tenants writing one series.
     pub fn new(id: impl Into<String>) -> TenantConfig {
         TenantConfig {
-            id: sanitize_tenant(&id.into()),
+            id: id.into(),
             weight: 1,
             max_queued: 64,
             rate: None,
@@ -372,7 +400,7 @@ impl TenantConfig {
         self
     }
 
-    /// Sanitized tenant id.
+    /// Tenant id, as given.
     pub fn id(&self) -> &str {
         &self.id
     }
@@ -531,7 +559,7 @@ enum Taken {
 pub struct Dispatched {
     /// Scheduler-assigned job id.
     pub id: u64,
-    /// Sanitized tenant id.
+    /// Tenant id, as submitted.
     pub tenant: String,
     /// Caller-supplied label.
     pub label: String,
@@ -578,22 +606,22 @@ pub struct Scheduler {
     stopping: AtomicBool,
 }
 
-/// Map an arbitrary tenant string onto one lowercase `[a-z0-9_]+`
-/// metric segment (empty input becomes `anon`), so
-/// `sched.tenant.<t>.queued` and `sched.job.<t>` always satisfy the
-/// telemetry naming grammar.
-fn sanitize_tenant(raw: &str) -> String {
-    let mapped: String = raw
-        .chars()
-        .map(|c| match c.to_ascii_lowercase() {
-            c @ ('a'..='z' | '0'..='9' | '_') => c,
-            _ => '_',
-        })
-        .collect();
-    if mapped.is_empty() {
-        "anon".to_string()
+/// Map a tenant id onto one lowercase `[a-z0-9_]+` metric segment
+/// (empty input becomes `anon`), so `sched.tenant.<t>.queued` and
+/// `sched.job.<t>` always satisfy the telemetry naming grammar. An id
+/// that already is one is returned as it is.
+fn sanitize_tenant(raw: &str) -> Cow<'_, str> {
+    let in_segment = |c: char| matches!(c, 'a'..='z' | '0'..='9' | '_');
+    if raw.is_empty() {
+        "anon".into()
+    } else if raw.chars().all(in_segment) {
+        raw.into()
     } else {
-        mapped
+        raw.chars()
+            .map(|c| c.to_ascii_lowercase())
+            .map(|c| if in_segment(c) { c } else { '_' })
+            .collect::<String>()
+            .into()
     }
 }
 
@@ -610,10 +638,10 @@ pub fn scheduler_health_spec(cfg: &SchedulerConfig) -> HealthSpec {
     HealthSpec::new()
         .rule(
             "sched_overloaded",
-            "sched.queued_cost",
+            &names::QUEUED_COST,
             Condition::GaugeAbove(watermark),
         )
-        .rule("sched_stalled", "sched.completed", Condition::StallFor(8))
+        .rule("sched_stalled", &names::COMPLETED, Condition::StallFor(8))
 }
 
 impl Scheduler {
@@ -672,12 +700,10 @@ impl Scheduler {
         st.tenants.values().map(TenantState::queued_len).sum()
     }
 
-    /// Jobs queued for one tenant (sanitized id).
+    /// Jobs queued for one tenant.
     pub fn tenant_depth(&self, tenant: &str) -> usize {
         let st = self.state.lock();
-        st.tenants
-            .get(&sanitize_tenant(tenant))
-            .map_or(0, TenantState::queued_len)
+        st.tenants.get(tenant).map_or(0, TenantState::queued_len)
     }
 
     /// Submit a job. `Ok` returns a [`JobHandle`] whose outcome is
@@ -686,18 +712,18 @@ impl Scheduler {
     /// dropped silently.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, Rejected> {
         let registry = Registry::current();
-        registry.counter("sched.submitted").incr();
+        registry.handle(&names::SUBMITTED, []).incr();
         let now = self.clock.now_ns();
-        let tenant = sanitize_tenant(&spec.tenant);
+        let tenant = spec.tenant;
         let (tx, rx) = mpsc::channel();
         let cancel = CancelToken::new();
         let cost = spec.cost;
         // Resolved before the state lock: a registry lookup may take the
         // registry's own locks.
         let [jobs, queued_cost, tenant_jobs] = [
-            registry.gauge("sched.queued"),
-            registry.gauge("sched.queued_cost"),
-            registry.gauge(&format!("sched.tenant.{tenant}.queued")),
+            registry.handle(&names::QUEUED, []),
+            registry.handle(&names::QUEUED_COST, []),
+            registry.handle(&names::TENANT_QUEUED, [&sanitize_tenant(&tenant)]),
         ];
 
         let admitted: Result<(u64, Vec<(QueuedJob, u64)>), Rejected> = {
@@ -808,9 +834,9 @@ impl Scheduler {
 
         match admitted {
             Ok((id, victims)) => {
-                registry.counter("sched.admitted").incr();
+                registry.handle(&names::ADMITTED, []).incr();
                 for (job, queued_cost) in victims {
-                    registry.counter("sched.shed").incr();
+                    registry.handle(&names::SHED, []).incr();
                     drop(job.queued);
                     let _ = job.tx.send(JobOutcome::Shed {
                         queued_cost,
@@ -832,13 +858,13 @@ impl Scheduler {
             Err(rej) => {
                 match &rej {
                     Rejected::Backpressure { .. } => {
-                        registry.counter("sched.rejected.backpressure").incr()
+                        registry.handle(&names::REJECTED_BACKPRESSURE, []).incr()
                     }
                     Rejected::QuotaExceeded { .. } => {
-                        registry.counter("sched.rejected.quota").incr()
+                        registry.handle(&names::REJECTED_QUOTA, []).incr()
                     }
                     Rejected::DeadlineInfeasible { .. } => {
-                        registry.counter("sched.rejected.deadline").incr()
+                        registry.handle(&names::REJECTED_DEADLINE, []).incr()
                     }
                 }
                 Err(rej)
@@ -939,7 +965,7 @@ impl Scheduler {
             match taken {
                 None => return None,
                 Some(Taken::CancelledInQueue(job)) => {
-                    registry.counter("sched.cancelled").incr();
+                    registry.handle(&names::CANCELLED, []).incr();
                     drop(job.queued);
                     let _ = job.tx.send(JobOutcome::Cancelled);
                 }
@@ -952,10 +978,10 @@ impl Scheduler {
 
     /// Run one dispatched job to completion and settle its accounting.
     fn execute(&self, job: QueuedJob, tenant: String, registry: &Registry) -> Dispatched {
-        registry.counter("sched.dispatched").incr();
+        registry.handle(&names::DISPATCHED, []).incr();
         let dispatched_ns = self.clock.now_ns();
         registry
-            .histogram("sched.wait_ns")
+            .handle(&names::WAIT_NS, [])
             .record(dispatched_ns.saturating_sub(job.submitted_ns));
         let QueuedJob {
             id,
@@ -969,19 +995,19 @@ impl Scheduler {
             ..
         } = job;
         drop(queued);
-        let inflight = GaugeGuard::new(registry.gauge("sched.inflight_cost"), cost as i64);
+        let inflight = GaugeGuard::new(registry.handle(&names::INFLIGHT_COST, []), cost as i64);
         let ctx = JobContext {
             exec: self.cfg.exec.clone(),
             cancel: cancel.clone(),
         };
         let result = {
-            let span = registry.span(format!("sched.job.{tenant}"));
+            let span = registry.span(&names::JOB, [&sanitize_tenant(&tenant)]);
             span.add_items(1);
             let _in_span = span.enter();
             catch_unwind(AssertUnwindSafe(|| (run)(&ctx)))
         };
         registry
-            .histogram("sched.run_ns")
+            .handle(&names::RUN_NS, [])
             .record(self.clock.now_ns().saturating_sub(dispatched_ns));
         let outcome = match result {
             Err(_payload) => JobOutcome::Failed {
@@ -992,10 +1018,10 @@ impl Scheduler {
             Ok(Ok(output)) => JobOutcome::Completed(output),
         };
         match &outcome {
-            JobOutcome::Completed(_) => registry.counter("sched.completed").incr(),
-            JobOutcome::Failed { .. } => registry.counter("sched.failed").incr(),
-            JobOutcome::Cancelled => registry.counter("sched.cancelled").incr(),
-            JobOutcome::Shed { .. } => registry.counter("sched.shed").incr(),
+            JobOutcome::Completed(_) => registry.handle(&names::COMPLETED, []).incr(),
+            JobOutcome::Failed { .. } => registry.handle(&names::FAILED, []).incr(),
+            JobOutcome::Cancelled => registry.handle(&names::CANCELLED, []).incr(),
+            JobOutcome::Shed { .. } => registry.handle(&names::SHED, []).incr(),
         }
         {
             let mut st = self.state.lock();
@@ -1157,6 +1183,30 @@ mod tests {
         assert_eq!(sanitize_tenant("Climate Lab #7"), "climate_lab__7");
         assert_eq!(sanitize_tenant(""), "anon");
         assert_eq!(sanitize_tenant("ok_id9"), "ok_id9");
+    }
+
+    /// Ids that map to one metric segment are still two tenants: two
+    /// queues, two quotas, one `sched.tenant.lab_a.queued` series.
+    #[test]
+    fn tenants_whose_ids_sanitize_alike_keep_their_own_quota() {
+        let ((spaced, plain, depths), snap) = in_registry(|| {
+            let (sched, _clock) = manual_sched(SchedulerConfig::default());
+            sched.register_tenant(TenantConfig::new("lab_a").cost_quota(1));
+            let spaced = sched.submit(JobSpec::new("Lab A", "x", 1, ok_job(1)));
+            let plain = sched.submit(JobSpec::new("lab_a", "y", 1, ok_job(1)));
+            let depths = (sched.tenant_depth("Lab A"), sched.tenant_depth("lab_a"));
+            (
+                spaced.map(|h| h.tenant().to_string()),
+                plain.map(|h| h.tenant().to_string()),
+                depths,
+            )
+        });
+        assert_eq!(plain, Ok("lab_a".to_string()), "lab_a's quota is its own");
+        assert_eq!(spaced, Ok("Lab A".to_string()));
+        assert_eq!(depths, (1, 1));
+        // Both jobs were queued at once (the dropped scheduler lowered it).
+        assert_eq!(snap.gauges["sched.tenant.lab_a.queued"].max, 2);
+        assert_eq!(TenantConfig::new("Lab A").id(), "Lab A");
     }
 
     #[test]

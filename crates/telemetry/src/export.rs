@@ -205,17 +205,21 @@ pub fn write_criterion_estimates(snap: &Snapshot, root: &Path) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::{Counter, Gauge, Histogram, Name, Registry, Span};
 
     fn sample_snapshot() -> Snapshot {
+        const COUNT: Name<Counter> = Name::declare("a.count");
+        const DEPTH: Name<Gauge> = Name::declare("b.depth");
+        const LATENCY: Name<Histogram> = Name::declare("c.ns");
+        const STAGE: Name<Span> = Name::declare("stage.one");
         let reg = Registry::new();
-        reg.counter("a.count").add(7);
-        reg.gauge("b.depth").set(4);
-        reg.gauge("b.depth").set(2);
-        reg.histogram("c.ns").record(100);
-        reg.histogram("c.ns").record(300);
+        reg.handle(&COUNT, []).add(7);
+        reg.handle(&DEPTH, []).set(4);
+        reg.handle(&DEPTH, []).set(2);
+        reg.handle(&LATENCY, []).record(100);
+        reg.handle(&LATENCY, []).record(300);
         {
-            let s = reg.span("stage.one");
+            let s = reg.span(&STAGE, []);
             s.add_items(5);
         }
         reg.snapshot()

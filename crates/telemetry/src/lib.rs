@@ -29,22 +29,20 @@
 //! metrics too.
 //!
 //! The metric namespace is a public interface: dashboards, the bench
-//! summarizer, and regression tests key on exact dotted names. Every
-//! family in use — histogram/counter/gauge names *and* span names —
-//! is registered in [`METRIC_FAMILIES`], and the `telemetry-names`
-//! rule of `drai-lint` checks both directions — every name emitted in
-//! code unifies with a registered family, and every registered family
-//! is emitted somewhere. To add a metric or span, add its family here
-//! and emit it in the same change.
+//! summarizer, health rules and regression tests key on exact dotted
+//! names. So a metric is written, and a span opened, only through a
+//! [`Name`]: a constant the writing crate declares in its private
+//! `names` module, whose template the compiler checks against the dotted
+//! grammar. A declared name that nothing writes is `dead_code`, which CI's
+//! `clippy -D warnings` refuses; a lookup by string ([`Registry::counter`]
+//! and its siblings) only reads.
 //!
-//! Producers: `pipeline.*` comes from drai-core; `executor.*` from
-//! drai-core's streaming batch executor (queue depth, send stalls,
-//! per-stage in-flight, live progress); `io.{shard,codec,sink}.*` from
-//! drai-io; `io.{fault,retry}.*` from the fault/retry layer; `domain.*`
-//! from drai-domains; `cache.*` from the drai-cache stage-result cache;
-//! `sched.*` from the drai-sched scheduler; `monitor.*` from the
-//! [`monitor`] sampler's health layer;
-//! `*.ns` is the histogram every [`Span`] records on drop.
+//! Writers: `pipeline.*` and `executor.*` (queue depth, send stalls,
+//! per-stage in-flight, live progress) come from drai-core; `io.*` from
+//! drai-io; `domain.*` from drai-domains; `cache.*` from drai-cache;
+//! `sched.*` from drai-sched; `monitor.*` from the [`monitor`] sampler's
+//! health layer; `<span>.ns` is the histogram every [`Span`] records on
+//! drop.
 //!
 //! The [`monitor`] module adds the *live* view: a background sampler
 //! on an injectable clock that turns the registry into bounded
@@ -53,18 +51,22 @@
 //! streaming-executor backpressure post-run.
 //!
 //! ```
-//! use drai_telemetry::Registry;
+//! use drai_telemetry::{Counter, Name, Registry, Span};
+//!
+//! const BYTES: Name<Counter> = Name::declare("io.bytes");
+//! const STAGE: Name<Span, 2> = Name::declare("pipeline.{}.{}");
 //!
 //! let reg = Registry::new();
-//! reg.counter("io.bytes").add(4096);
+//! reg.handle(&BYTES, []).add(4096);
 //! {
-//!     let span = reg.span("pipeline.demo.validate");
+//!     let span = reg.span(&STAGE, ["demo", "validate"]);
 //!     span.add_items(128);
 //!     let _in_stage = span.enter(); // children opened now nest under it
 //!     // ... stage work ...
 //! } // span records its duration on drop
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counters["io.bytes"], 4096);
+//! assert_eq!(snap.spans[0].name, "pipeline.demo.validate");
 //! assert_eq!(snap.spans[0].items, 128);
 //! ```
 
@@ -89,105 +91,191 @@ pub use export::write_criterion_estimates;
 /// ~584 years.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Registered metric and span families. Dotted patterns; a `*` segment
-/// stands for one or more name segments filled in at emission time
-/// (pipeline and stage names, codec ids, fault kinds).
+/// The names this crate writes: the sampler's own counters and the
+/// histogram every [`Span`] records on drop.
+mod names {
+    use crate::{Counter, Histogram, Name};
+
+    pub(crate) const MONITOR_SAMPLES: Name<Counter> = Name::declare("monitor.samples");
+    pub(crate) const MONITOR_VIOLATIONS: Name<Counter> = Name::declare("monitor.health.violations");
+    /// One per health rule; the rule name is one segment.
+    pub(crate) const MONITOR_RULE: Name<Counter, 1> = Name::declare("monitor.rule.{}");
+    /// The hole holds the whole span name.
+    pub(crate) const SPAN_NS: Name<Histogram, 1> = Name::declare("{}.ns");
+}
+
+/// A metric or span name, declared as a constant by the crate that
+/// writes it. The template is dotted segments, at least two, each
+/// `[a-z0-9_]+` or a `{}` hole; the compiler checks it when it evaluates
+/// the constant, used or not. `N` is the number of holes, and every
+/// write supplies that many parameters, filled in order (a parameter is
+/// not checked: it may be a pipeline name with a `-`, or a whole span
+/// name). `K` is what the name names: [`Counter`], [`Gauge`] or
+/// [`Histogram`] for [`Registry::handle`], [`Span`] for
+/// [`Registry::span`] and [`Registry::time`].
 ///
-/// This list is the contract between producers and consumers of the
-/// namespace, enforced by the `telemetry-names` lint rule: emitting an
-/// unregistered name or registering a never-emitted family both fail
-/// CI. Span names (`Registry::span` / `Registry::time`) are validated
-/// against the same list.
-pub const METRIC_FAMILIES: &[&str] = &[
-    // drai-core pipeline stages (counter, counter, counter, histogram)
-    "pipeline.*.*.records",
-    "pipeline.*.*.bytes",
-    "pipeline.*.*.retries",
-    "pipeline.*.*.item_ns",
-    // drai-core streaming executor (gauge, histogram, gauge, counter)
-    "executor.queue_depth",
-    "executor.stall_ns",
-    "executor.*.*.inflight",
-    "executor.items_completed",
-    // drai-telemetry monitor sampler: one count per sample tick, one
-    // per health violation, and a per-rule breakdown (rule names are
-    // single segments supplied to HealthSpec::rule)
-    "monitor.samples",
-    "monitor.health.violations",
-    "monitor.rule.*",
-    // drai-io shard writer/reader, including the resilience counters
-    "io.shard.records",
-    "io.shard.bytes_in",
-    "io.shard.bytes_out",
-    "io.shard.encode_ns",
-    "io.shard.write_ns",
-    "io.shard.compression_permille",
-    "io.shard.verify_rewrites",
-    "io.shard.quarantined",
-    "io.shard.records_lost",
-    // drai-io codecs (per-codec id)
-    "io.codec.*.encode_ns",
-    "io.codec.*.decode_ns",
-    "io.codec.*.bytes_in",
-    "io.codec.*.bytes_out",
-    // drai-io sink
-    "io.sink.bytes_written",
-    "io.sink.files_written",
-    "io.sink.bytes_read",
-    "io.sink.fsync_ns",
-    "io.sink.dirsync_ns",
-    // fault injection
-    "io.fault.injected",
-    "io.fault.write_transient",
-    "io.fault.write_permanent",
-    "io.fault.read_transient",
-    "io.fault.corrupted",
-    // retry layer
-    "io.retry.attempts",
-    "io.retry.backoff_ns",
-    "io.retry.exhausted",
-    // drai-sched multi-tenant scheduler: admission + lifecycle
-    // counters, queue/in-flight gauges (global and per-tenant; tenant
-    // ids are sanitized to one [a-z0-9_]+ segment), wait/run
-    // histograms, and a per-tenant job span
-    "sched.submitted",
-    "sched.admitted",
-    "sched.rejected.backpressure",
-    "sched.rejected.quota",
-    "sched.rejected.deadline",
-    "sched.shed",
-    "sched.dispatched",
-    "sched.completed",
-    "sched.failed",
-    "sched.cancelled",
-    "sched.queued",
-    "sched.queued_cost",
-    "sched.inflight_cost",
-    "sched.tenant.*.queued",
-    "sched.wait_ns",
-    "sched.run_ns",
-    "sched.job.*",
-    // drai-cache stage-result cache (counters + get/put spans)
-    "cache.hits",
-    "cache.misses",
-    "cache.evictions",
-    "cache.quarantined",
-    "cache.get",
-    "cache.put",
-    // span tree: drai-core pipeline run/stage spans
-    "pipeline.*.run",
-    "pipeline.*.run_streaming",
-    "pipeline.*.*",
-    // span tree: drai-domains archetype runs
-    "domain.*.run",
-    "domain.*.generate_raw",
-    "domain.*.ingest",
-    // span tree: drai-io shard container spans
-    "io.shard.write_all",
-    "io.shard.read_all",
-    // every Span records `<span name>.ns` on drop
-    "*.ns",
-];
+/// ```
+/// use drai_telemetry::{Counter, Name, Registry};
+///
+/// const HITS: Name<Counter> = Name::declare("doc.cache.hits");
+/// const BYTES_IN: Name<Counter, 1> = Name::declare("doc.codec.{}.bytes_in");
+///
+/// let reg = Registry::new();
+/// reg.handle(&HITS, []).incr();
+/// reg.handle(&BYTES_IN, ["lz"]).add(4096);
+/// assert_eq!(reg.counter("doc.cache.hits").get(), 1);
+/// assert_eq!(reg.counter("doc.codec.lz.bytes_in").get(), 4096);
+/// ```
+///
+/// Each example below breaks one rule the one above keeps, and does not
+/// compile (stable rustdoc does not check the error code, so the one
+/// above keeps them honest). A segment with an uppercase letter, or with
+/// a `-`, fails the grammar (E0080):
+///
+/// ```compile_fail
+/// # use drai_telemetry::{Counter, Name};
+/// const HITS: Name<Counter> = Name::declare("doc.cache.Hits");
+/// ```
+///
+/// ```compile_fail
+/// # use drai_telemetry::{Counter, Name};
+/// const HITS: Name<Counter> = Name::declare("doc.cache-hits");
+/// ```
+///
+/// A templated name given the wrong number of parameters (E0308):
+///
+/// ```compile_fail
+/// # use drai_telemetry::{Counter, Name, Registry};
+/// const BYTES_IN: Name<Counter, 1> = Name::declare("doc.codec.{}.bytes_in");
+/// Registry::new().handle(&BYTES_IN, []).add(4096);
+/// ```
+///
+/// A name made at the call site instead of declared: the temporary does
+/// not live for `'static` (E0716):
+///
+/// ```compile_fail
+/// # use drai_telemetry::{Counter, Name, Registry};
+/// Registry::new().handle(&Name::<Counter>::declare("doc.cache.hits"), []).incr();
+/// ```
+///
+/// A write through a lookup by string: what it returns has no write
+/// method (E0599):
+///
+/// ```compile_fail
+/// # use drai_telemetry::Registry;
+/// Registry::new().counter("doc.cache.hits").add(1);
+/// ```
+pub struct Name<K, const N: usize = 0> {
+    template: &'static str,
+    kind: PhantomData<fn() -> K>,
+}
+
+impl<K, const N: usize> Name<K, N> {
+    /// Declare a name. In a constant, a template outside the grammar, or
+    /// with other than `N` holes, does not compile.
+    pub const fn declare(template: &'static str) -> Self {
+        let b = template.as_bytes();
+        let (mut start, mut segments, mut holes) = (0, 0, 0);
+        let mut i = 0;
+        while i <= b.len() {
+            if i == b.len() || b[i] == b'.' {
+                if i == start + 2 && b[start] == b'{' && b[start + 1] == b'}' {
+                    holes += 1;
+                } else {
+                    assert!(
+                        segment_ok(b, start, i),
+                        "a name segment is `[a-z0-9_]+` or `{{}}`"
+                    );
+                }
+                segments += 1;
+                start = i + 1;
+            }
+            i += 1;
+        }
+        assert!(segments >= 2, "a name has at least two segments");
+        assert!(
+            holes == N,
+            "a name has as many `{{}}` holes as it takes parameters"
+        );
+        Name {
+            template,
+            kind: PhantomData,
+        }
+    }
+
+    /// The name with its holes filled by `params`, in order.
+    fn fill(&self, params: [&str; N]) -> std::borrow::Cow<'static, str> {
+        if N == 0 {
+            return self.template.into();
+        }
+        let mut parts = self.template.split("{}");
+        let len = self.template.len() + params.iter().map(|p| p.len()).sum::<usize>();
+        let mut out = String::with_capacity(len);
+        out.push_str(parts.next().unwrap_or_default());
+        for (param, part) in params.iter().zip(parts) {
+            out.push_str(param);
+            out.push_str(part);
+        }
+        out.into()
+    }
+}
+
+/// Whether `b[start..end]` is one plain name segment, `[a-z0-9_]+`.
+pub(crate) const fn segment_ok(b: &[u8], start: usize, end: usize) -> bool {
+    let mut i = start;
+    while i < end {
+        if !matches!(b[i], b'a'..=b'z' | b'0'..=b'9' | b'_') {
+            return false;
+        }
+        i += 1;
+    }
+    start < end
+}
+
+/// What [`Registry::handle`] resolves a declared [`Name`] to: a
+/// [`Counter`], a [`Gauge`] or a [`Histogram`].
+pub trait Instrument: Sized {
+    /// The instrument called `name` in `registry`, created on first use
+    /// (the lookup behind [`Registry::counter`] and its siblings).
+    fn lookup(registry: &Registry, name: &str) -> Arc<Self>;
+}
+
+impl Instrument for Counter {
+    fn lookup(registry: &Registry, name: &str) -> Arc<Self> {
+        registry.counter(name)
+    }
+}
+
+impl Instrument for Gauge {
+    fn lookup(registry: &Registry, name: &str) -> Arc<Self> {
+        registry.gauge(name)
+    }
+}
+
+impl Instrument for Histogram {
+    fn lookup(registry: &Registry, name: &str) -> Arc<Self> {
+        registry.histogram(name)
+    }
+}
+
+/// Write access to one metric, from [`Registry::handle`] and a declared
+/// [`Name`]; it reads like the metric itself (`Deref`). Cheap to clone
+/// and to keep: resolve once, write many times.
+#[derive(Debug)]
+pub struct Handle<M>(Arc<M>);
+
+impl<M> Clone for Handle<M> {
+    fn clone(&self) -> Self {
+        Handle(Arc::clone(&self.0))
+    }
+}
+
+impl<M> std::ops::Deref for Handle<M> {
+    type Target = M;
+    fn deref(&self) -> &M {
+        &self.0
+    }
+}
 
 /// Monotonic elapsed-time source.
 ///
@@ -222,17 +310,25 @@ impl Stopwatch {
     }
 }
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, written through a
+/// [`Handle`].
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+impl Handle<Counter> {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.0.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -240,16 +336,11 @@ impl Counter {
     pub fn incr(&self) {
         self.add(1);
     }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
 }
 
 /// Instantaneous signed level (queue depths, in-flight work).
 ///
-/// Two ways write it: [`Gauge::set`] stores an absolute level (a ratio,
+/// Two ways write it: [`Handle::set`] stores an absolute level (a ratio,
 /// a depth sampled from elsewhere), and a [`GaugeGuard`] raises the level
 /// by `n` for as long as it lives. There is no public `add`: a level that
 /// counts work in progress goes up only through a guard, so it comes
@@ -295,13 +386,6 @@ impl Gauge {
         self.win_min.fetch_min(v, Ordering::Relaxed);
     }
 
-    /// Set the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.watermark(v);
-    }
-
     /// Adjust the level by `delta` and return the new value. Private:
     /// outside this crate a level is raised only by a [`GaugeGuard`],
     /// which lowers it again.
@@ -343,6 +427,15 @@ impl Gauge {
     }
 }
 
+impl Handle<Gauge> {
+    /// Set the level (a [`GaugeGuard`] is the other way to write one).
+    #[inline]
+    pub fn set(&self, v: i64) {
+        self.0.value.store(v, Ordering::Relaxed);
+        self.0.watermark(v);
+    }
+}
+
 /// A raised gauge level: `+n` on the gauge when made, `-n` when dropped.
 /// The one way to raise a level from outside this crate, so a level is
 /// balanced by construction — across early returns, unwinds, and guards
@@ -350,8 +443,11 @@ impl Gauge {
 /// job) and drop wherever that work ends.
 ///
 /// ```
-/// let gauge = drai_telemetry::Registry::new().gauge("doc.level");
-/// let raised = drai_telemetry::GaugeGuard::new(gauge.clone(), 2);
+/// use drai_telemetry::{Gauge, GaugeGuard, Name, Registry};
+///
+/// const LEVEL: Name<Gauge> = Name::declare("doc.level");
+/// let gauge = Registry::new().handle(&LEVEL, []);
+/// let raised = GaugeGuard::new(gauge.clone(), 2);
 /// assert_eq!(gauge.get(), 2);
 /// drop(raised);
 /// assert_eq!(gauge.get(), 0);
@@ -359,23 +455,26 @@ impl Gauge {
 ///
 /// `Gauge::add` stays private, so the same gauge cannot be raised
 /// directly (stable rustdoc does not check the error code, so the example
-/// above keeps the first line honest):
+/// above keeps the first lines honest):
 ///
 /// ```compile_fail
-/// let gauge = drai_telemetry::Registry::new().gauge("doc.level");
+/// use drai_telemetry::{Gauge, GaugeGuard, Name, Registry};
+///
+/// const LEVEL: Name<Gauge> = Name::declare("doc.level");
+/// let gauge = Registry::new().handle(&LEVEL, []);
 /// gauge.add(1);
 /// ```
 #[must_use = "dropping the guard immediately lowers the gauge again"]
 #[derive(Debug)]
 pub struct GaugeGuard {
-    gauge: Arc<Gauge>,
+    gauge: Handle<Gauge>,
     n: i64,
 }
 
 impl GaugeGuard {
     /// Raise `gauge` by `n` until the guard drops.
     #[inline]
-    pub fn new(gauge: Arc<Gauge>, n: i64) -> GaugeGuard {
+    pub fn new(gauge: Handle<Gauge>, n: i64) -> GaugeGuard {
         gauge.add(n);
         GaugeGuard { gauge, n }
     }
@@ -387,7 +486,8 @@ impl Drop for GaugeGuard {
     }
 }
 
-/// Fixed-bucket log2 histogram for durations (or any u64 magnitude).
+/// Fixed-bucket log2 histogram for durations (or any u64 magnitude),
+/// written through a [`Handle`].
 ///
 /// Recording is two relaxed atomic adds plus two atomic min/max — no
 /// locks, no allocation — so it can sit inside per-record loops.
@@ -427,16 +527,6 @@ impl Histogram {
         } else {
             value.ilog2() as usize
         }
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -507,6 +597,19 @@ impl Histogram {
                 (n > 0).then_some((i as u8, n))
             })
             .collect()
+    }
+}
+
+impl Handle<Histogram> {
+    /// Record one observation.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        let h = &self.0;
+        h.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum.fetch_add(value, Ordering::Relaxed);
+        h.min.fetch_min(value, Ordering::Relaxed);
+        h.max.fetch_max(value, Ordering::Relaxed);
     }
 }
 
@@ -727,7 +830,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let dur_ns = (self.start.elapsed().as_nanos() as u64).max(1);
         self.registry
-            .histogram(&format!("{}.ns", self.name))
+            .handle(&names::SPAN_NS, [&self.name])
             .record(dur_ns);
         self.registry.inner.spans.lock().push(SpanRecord {
             name: std::mem::take(&mut self.name),
@@ -899,27 +1002,39 @@ impl Registry {
             .clone()
     }
 
-    /// Named counter, created on first use.
+    /// Named counter, created on first use, to read: any string will
+    /// do, and the counter has no write method (see [`Registry::handle`]).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         Self::get_or_insert(&self.inner.counters, name)
     }
 
-    /// Named gauge, created on first use.
+    /// Named gauge, created on first use, to read.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         Self::get_or_insert(&self.inner.gauges, name)
     }
 
-    /// Named histogram, created on first use.
+    /// Named histogram, created on first use, to read.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         Self::get_or_insert(&self.inner.histograms, name)
     }
 
-    /// Start a scoped timer; it records itself when dropped.
+    /// Write access to the metric a declared `name` names, its holes
+    /// filled by `params`; created on first use.
+    pub fn handle<M: Instrument, const N: usize>(
+        &self,
+        name: &'static Name<M, N>,
+        params: [&str; N],
+    ) -> Handle<M> {
+        Handle(M::lookup(self, &name.fill(params)))
+    }
+
+    /// Start a scoped timer under a declared `name`, its holes filled by
+    /// `params`; it records itself when dropped.
     ///
     /// If the thread's current [`TraceContext`] records into this same
     /// registry, the span joins that trace under the context's parent;
     /// otherwise it roots a new trace.
-    pub fn span(&self, name: impl Into<String>) -> Span {
+    pub fn span<const N: usize>(&self, name: &'static Name<Span, N>, params: [&str; N]) -> Span {
         let id = SpanId(self.inner.next_span_id.fetch_add(1, Ordering::Relaxed));
         let (trace, parent) = match TraceContext::current() {
             Some(ctx) if ctx.registry.same_as(self) => (ctx.trace, ctx.parent),
@@ -927,7 +1042,7 @@ impl Registry {
         };
         Span {
             registry: self.clone(),
-            name: name.into(),
+            name: name.fill(params).into_owned(),
             trace,
             id,
             parent,
@@ -938,10 +1053,15 @@ impl Registry {
         }
     }
 
-    /// Time `f` under `name` (entered, so spans `f` opens nest under
-    /// it), returning its result.
-    pub fn time<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
-        let span = self.span(name);
+    /// Time `f` under a declared `name` (entered, so spans `f` opens
+    /// nest under it), returning its result.
+    pub fn time<T, const N: usize>(
+        &self,
+        name: &'static Name<Span, N>,
+        params: [&str; N],
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let span = self.span(name, params);
         let _ctx = span.enter();
         f()
     }
@@ -1049,14 +1169,44 @@ impl Registry {
 mod tests {
     use super::*;
 
+    const COUNT: Name<Counter> = Name::declare("test.count");
+    const LEVEL: Name<Gauge> = Name::declare("test.level");
+    const LATENCY: Name<Histogram> = Name::declare("test.latency_ns");
+    /// Any two-segment span name, so the tests keep their own.
+    const SPAN: Name<Span, 2> = Name::declare("{}.{}");
+
+    #[test]
+    fn declared_names_fill_their_holes_in_order() {
+        const BYTES: Name<Counter, 2> = Name::declare("test.{}.{}.bytes");
+        assert_eq!(COUNT.fill([]), "test.count");
+        assert_eq!(
+            BYTES.fill(["climate-batch", "regrid"]),
+            "test.climate-batch.regrid.bytes"
+        );
+        assert_eq!(SPAN.fill(["a", "b.c"]), "a.b.c");
+        let reg = Registry::new();
+        reg.handle(&BYTES, ["p", "s"]).add(2);
+        assert_eq!(reg.snapshot().counters["test.p.s.bytes"], 2);
+    }
+
+    #[test]
+    fn segments_are_lowercase_digits_and_underscores() {
+        for ok in ["a", "queue_saturated", "shard2"] {
+            assert!(segment_ok(ok.as_bytes(), 0, ok.len()), "{ok}");
+        }
+        for bad in ["", "Upper", "a-b", "a.b", "{}", "sp ace"] {
+            assert!(!segment_ok(bad.as_bytes(), 0, bad.len()), "{bad}");
+        }
+    }
+
     #[test]
     fn counter_and_gauge_basics() {
         let reg = Registry::new();
-        reg.counter("c").add(3);
-        reg.counter("c").incr();
-        assert_eq!(reg.counter("c").get(), 4);
+        reg.handle(&COUNT, []).add(3);
+        reg.handle(&COUNT, []).incr();
+        assert_eq!(reg.counter("test.count").get(), 4);
 
-        let g = reg.gauge("g");
+        let g = reg.handle(&LEVEL, []);
         g.set(5);
         g.add(-2);
         assert_eq!(g.get(), 3);
@@ -1069,7 +1219,7 @@ mod tests {
 
     #[test]
     fn gauge_window_watermarks_drain_and_restart() {
-        let g = Gauge::default();
+        let g = Registry::new().handle(&LEVEL, []);
         g.set(5);
         g.set(-3);
         g.set(2);
@@ -1150,7 +1300,7 @@ mod tests {
 
     #[test]
     fn gauge_guard_balances() {
-        let g = Arc::new(Gauge::default());
+        let g = Registry::new().handle(&LEVEL, []);
         {
             let _outer = GaugeGuard::new(g.clone(), 1);
             let _inner = GaugeGuard::new(g.clone(), 3);
@@ -1169,7 +1319,7 @@ mod tests {
 
     #[test]
     fn gauge_guard_lowers_on_unwind() {
-        let g = Arc::new(Gauge::default());
+        let g = Registry::new().handle(&LEVEL, []);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _busy = GaugeGuard::new(g.clone(), 1);
             panic!("stage failed");
@@ -1181,7 +1331,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = Histogram::default();
+        let h = Registry::new().handle(&LATENCY, []);
         for v in [0u64, 1, 1, 7, 8, 1000, 1_000_000] {
             h.record(v);
         }
@@ -1211,7 +1361,7 @@ mod tests {
 
     #[test]
     fn single_sample_quantile_is_that_sample() {
-        let h = Histogram::default();
+        let h = Registry::new().handle(&LATENCY, []);
         h.record(100);
         // Whatever the bucket midpoint says, clamping to [min, max]
         // must return the only observation for every q.
@@ -1222,7 +1372,7 @@ mod tests {
 
     #[test]
     fn quantile_at_exact_log2_boundaries() {
-        let h = Histogram::default();
+        let h = Registry::new().handle(&LATENCY, []);
         // Each value sits exactly on a bucket lower bound: 1 → bucket
         // 0, 2 → 1, 4 → 2, 8 → 3.
         for v in [1u64, 2, 4, 8] {
@@ -1256,13 +1406,13 @@ mod tests {
     fn spans_record_on_drop() {
         let reg = Registry::new();
         {
-            let span = reg.span("work.unit");
+            let span = reg.span(&SPAN, ["work", "unit"]);
             span.add_items(10);
             span.add_bytes(4096);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         {
-            let _s = reg.span("work.unit");
+            let _s = reg.span(&SPAN, ["work", "unit"]);
         }
         let snap = reg.snapshot();
         let spans = snap.spans_named("work.unit");
@@ -1282,14 +1432,14 @@ mod tests {
     fn entered_spans_nest() {
         let reg = Registry::new();
         {
-            let outer = reg.span("outer.run");
+            let outer = reg.span(&SPAN, ["outer", "run"]);
             let _in_outer = outer.enter();
             {
-                let mid = reg.span("mid.step");
+                let mid = reg.span(&SPAN, ["mid", "step"]);
                 let _in_mid = mid.enter();
-                let _leaf = reg.span("leaf.step");
+                let _leaf = reg.span(&SPAN, ["leaf", "step"]);
             }
-            let _sibling = reg.span("mid.step");
+            let _sibling = reg.span(&SPAN, ["mid", "step"]);
         }
         let snap = reg.snapshot();
         let outer = snap.spans_named("outer.run")[0].clone();
@@ -1308,7 +1458,7 @@ mod tests {
     fn context_handoff_across_threads_is_deterministic() {
         let reg = Registry::new();
         {
-            let stage = reg.span("stage.parallel");
+            let stage = reg.span(&SPAN, ["stage", "parallel"]);
             // Capture at closure-creation time, attach inside workers.
             let ctx = stage.context();
             std::thread::scope(|s| {
@@ -1317,7 +1467,7 @@ mod tests {
                     s.spawn(move || {
                         let _guard = ctx.attach();
                         let reg = Registry::current();
-                        let _w = reg.span("worker.task");
+                        let _w = reg.span(&SPAN, ["worker", "task"]);
                     });
                 }
             });
@@ -1348,11 +1498,11 @@ mod tests {
     fn foreign_registry_context_does_not_leak_parent() {
         let a = Registry::new();
         let b = Registry::new();
-        let span_a = a.span("a.root");
+        let span_a = a.span(&SPAN, ["a", "root"]);
         let _in_a = span_a.enter();
         // A span on a *different* registry must not adopt a parent id
         // from registry `a`'s context.
-        let span_b = b.span("b.root");
+        let span_b = b.span(&SPAN, ["b", "root"]);
         assert_ne!(span_b.trace_id(), span_a.trace_id());
         drop(span_b);
         let snap = b.snapshot();
@@ -1362,16 +1512,16 @@ mod tests {
     #[test]
     fn time_helper_returns_value() {
         let reg = Registry::new();
-        let out = reg.time("calc", || 6 * 7);
+        let out = reg.time(&SPAN, ["test", "calc"], || 6 * 7);
         assert_eq!(out, 42);
-        assert_eq!(reg.snapshot().spans_named("calc").len(), 1);
+        assert_eq!(reg.snapshot().spans_named("test.calc").len(), 1);
     }
 
     #[test]
     fn time_helper_nests_children() {
         let reg = Registry::new();
-        reg.time("outer.calc", || {
-            let _inner = reg.span("inner.calc");
+        reg.time(&SPAN, ["outer", "calc"], || {
+            let _inner = reg.span(&SPAN, ["inner", "calc"]);
         });
         let snap = reg.snapshot();
         let outer = snap.spans_named("outer.calc")[0].clone();
@@ -1385,8 +1535,8 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let c = reg.counter("hot");
-                    let h = reg.histogram("lat");
+                    let c = reg.handle(&COUNT, []);
+                    let h = reg.handle(&LATENCY, []);
                     for i in 0..10_000u64 {
                         c.incr();
                         h.record(i);
@@ -1394,8 +1544,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(reg.counter("hot").get(), 80_000);
-        assert_eq!(reg.histogram("lat").count(), 80_000);
+        assert_eq!(reg.counter("test.count").get(), 80_000);
+        assert_eq!(reg.histogram("test.latency_ns").count(), 80_000);
     }
 
     /// `Debug` reads each map under its own lock (in a debug build the
@@ -1404,9 +1554,9 @@ mod tests {
     #[test]
     fn debug_counts_every_map() {
         let reg = Registry::new();
-        reg.counter("a.count").incr();
-        reg.gauge("b.depth").set(1);
-        reg.time("c.span", || ());
+        reg.handle(&COUNT, []).incr();
+        reg.handle(&LEVEL, []).set(1);
+        reg.time(&SPAN, ["c", "span"], || ());
         assert_eq!(
             format!("{reg:?}"),
             "Registry { counters: 1, gauges: 1, histograms: 1, spans: 1 }"
@@ -1416,8 +1566,8 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let reg = Registry::new();
-        reg.counter("a").incr();
-        reg.time("s", || ());
+        reg.handle(&COUNT, []).incr();
+        reg.time(&SPAN, ["test", "span"], || ());
         reg.reset();
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
@@ -1433,24 +1583,5 @@ mod tests {
         let b = sw.elapsed_ns();
         assert!(b >= a);
         assert!(sw.elapsed() >= Duration::ZERO);
-    }
-
-    #[test]
-    fn metric_families_are_well_formed() {
-        assert!(!METRIC_FAMILIES.is_empty());
-        for fam in METRIC_FAMILIES {
-            let segs: Vec<&str> = fam.split('.').collect();
-            assert!(segs.len() >= 2, "family `{fam}` needs >= 2 segments");
-            for seg in segs {
-                assert!(
-                    seg == "*"
-                        || (!seg.is_empty()
-                            && seg
-                                .chars()
-                                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')),
-                    "family `{fam}` has a bad segment `{seg}`"
-                );
-            }
-        }
     }
 }

@@ -52,7 +52,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::{Registry, Stopwatch, TraceContext, TraceId};
+use crate::names::{MONITOR_RULE, MONITOR_SAMPLES, MONITOR_VIOLATIONS};
+use crate::{Instrument, Name, Registry, Stopwatch, TraceContext, TraceId};
 
 /// Format tag of the JSONL artifact; bump on schema changes.
 pub const MONITOR_FORMAT: &str = "drai-monitor/v1";
@@ -279,8 +280,8 @@ pub struct HealthRule {
     /// Rule name; one lowercase `[a-z0-9_]+` segment, becomes the
     /// `monitor.rule.<name>` counter.
     pub name: String,
-    /// Metric the rule watches.
-    pub metric: String,
+    /// Metric the rule watches: the declared name of a writer.
+    pub metric: &'static str,
     /// Predicate evaluated on that metric's fresh point each tick.
     pub cond: Condition,
 }
@@ -289,11 +290,16 @@ pub struct HealthRule {
 ///
 /// ```
 /// use drai_telemetry::monitor::{Condition, HealthSpec};
+/// use drai_telemetry::{Counter, Gauge, Name};
+///
+/// const QUEUE_DEPTH: Name<Gauge> = Name::declare("doc.queue_depth");
+/// const COMPLETED: Name<Counter> = Name::declare("doc.items_completed");
 ///
 /// let spec = HealthSpec::new()
-///     .rule("queue_saturated", "executor.queue_depth", Condition::GaugeAbove(64))
-///     .rule("no_progress", "executor.items_completed", Condition::StallFor(8));
+///     .rule("queue_saturated", &QUEUE_DEPTH, Condition::GaugeAbove(64))
+///     .rule("no_progress", &COMPLETED, Condition::StallFor(8));
 /// assert_eq!(spec.rules().len(), 2);
+/// assert_eq!(spec.rules()[0].metric, "doc.queue_depth");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HealthSpec {
@@ -306,16 +312,33 @@ impl HealthSpec {
         HealthSpec::default()
     }
 
-    /// Add a rule. `name` must be a single lowercase `[a-z0-9_]+`
-    /// segment — it is interned into the metric namespace as
-    /// `monitor.rule.<name>`, and the `telemetry-names` lint checks
-    /// literal rule names at call sites against that grammar.
-    pub fn rule(mut self, name: &str, metric: &str, cond: Condition) -> HealthSpec {
+    /// Add a rule watching `metric`, the name its writer declares.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not one lowercase `[a-z0-9_]+` segment: it becomes
+    /// the `monitor.rule.<name>` counter.
+    pub fn rule<M: Instrument>(
+        mut self,
+        name: &str,
+        metric: &'static Name<M>,
+        cond: Condition,
+    ) -> HealthSpec {
+        assert!(
+            crate::segment_ok(name.as_bytes(), 0, name.len()),
+            "health rule name {name:?} is not one `[a-z0-9_]+` segment"
+        );
         self.rules.push(HealthRule {
             name: name.to_string(),
-            metric: metric.to_string(),
+            metric: metric.template,
             cond,
         });
+        self
+    }
+
+    /// This spec's rules followed by `other`'s.
+    pub fn and(mut self, other: HealthSpec) -> HealthSpec {
+        self.rules.extend(other.rules);
         self
     }
 
@@ -488,7 +511,7 @@ impl Sampler {
     /// health rules, and notify the observer. Deterministic given the
     /// clock readings and registry contents.
     pub fn tick(&self) -> TickReport {
-        self.registry.counter("monitor.samples").incr();
+        self.registry.handle(&MONITOR_SAMPLES, []).incr();
         let t_ns = self.clock.now_ns();
         let counters = self.registry.counter_values();
         let hists = self.registry.histogram_totals();
@@ -582,7 +605,7 @@ impl Sampler {
         for rule in self.spec.rules() {
             let Some(point) = st
                 .series
-                .get(&rule.metric)
+                .get(rule.metric)
                 .and_then(Series::latest)
                 .filter(|p| p.tick == tick)
                 .copied()
@@ -611,7 +634,7 @@ impl Sampler {
                     tick,
                     t_ns,
                     rule: rule.name.clone(),
-                    metric: rule.metric.clone(),
+                    metric: rule.metric.to_string(),
                     observed,
                     trace: self.trace.map(TraceId::as_u64),
                 });
@@ -641,10 +664,8 @@ impl Sampler {
         // Counter emission happens outside the state lock so the only
         // lock order is state → registry maps, never the reverse.
         for ev in &fired {
-            self.registry.counter("monitor.health.violations").incr();
-            self.registry
-                .counter(&format!("monitor.rule.{}", ev.rule))
-                .incr();
+            self.registry.handle(&MONITOR_VIOLATIONS, []).incr();
+            self.registry.handle(&MONITOR_RULE, [&ev.rule]).incr();
         }
 
         let report = TickReport {
@@ -1153,6 +1174,11 @@ fn jf64(line: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Counter, Gauge, Histogram};
+
+    const DONE: Name<Counter> = Name::declare("work.done");
+    const DEPTH: Name<Gauge> = Name::declare("work.depth");
+    const LATENCY: Name<Histogram> = Name::declare("work.lat");
 
     fn manual_sampler(
         reg: &Registry,
@@ -1179,15 +1205,15 @@ mod tests {
             &reg,
             8,
             HealthSpec::new()
-                .rule("deep", "work.depth", Condition::GaugeAbove(4))
-                .rule("stalled", "work.done", Condition::StallFor(1)),
+                .rule("deep", &DEPTH, Condition::GaugeAbove(4))
+                .rule("stalled", &DONE, Condition::StallFor(1)),
         );
         for i in 0..10u64 {
             if i % 3 != 2 {
-                reg.counter("work.done").add(4);
+                reg.handle(&DONE, []).add(4);
             }
-            reg.gauge("work.depth").set((i % 6) as i64);
-            reg.histogram("work.lat").record(100 * (i + 1));
+            reg.handle(&DEPTH, []).set((i % 6) as i64);
+            reg.handle(&LATENCY, []).record(100 * (i + 1));
             clock.advance_ns(1_000_000);
             sampler.tick();
         }
@@ -1203,13 +1229,13 @@ mod tests {
     fn counter_deltas_and_rates() {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 8, HealthSpec::new());
-        reg.counter("c.items").add(10);
+        reg.handle(&DONE, []).add(10);
         sampler.tick(); // baseline: delta 0 even though the counter predates us
-        reg.counter("c.items").add(6);
+        reg.handle(&DONE, []).add(6);
         clock.advance_ns(2_000_000_000); // 2 s
         sampler.tick();
         let report = sampler.report();
-        let s = report.series_named("c.items").unwrap();
+        let s = report.series_named("work.done").unwrap();
         let pts: Vec<_> = s.iter().copied().collect();
         assert_eq!(s.kind, SeriesKind::Counter);
         assert_eq!(pts.len(), 2);
@@ -1221,7 +1247,7 @@ mod tests {
     fn gauge_points_carry_window_watermarks() {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 8, HealthSpec::new());
-        let g = reg.gauge("q.depth");
+        let g = reg.handle(&DEPTH, []);
         g.set(3);
         g.set(-2);
         g.set(1);
@@ -1234,7 +1260,7 @@ mod tests {
         sampler.tick();
         let report = sampler.report();
         let pts: Vec<_> = report
-            .series_named("q.depth")
+            .series_named("work.depth")
             .unwrap()
             .iter()
             .copied()
@@ -1248,16 +1274,16 @@ mod tests {
     fn histogram_points_track_count_and_window_sum() {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 8, HealthSpec::new());
-        reg.histogram("h.ns").record(500);
+        reg.handle(&LATENCY, []).record(500);
         clock.advance_ns(1);
         sampler.tick(); // baseline
-        reg.histogram("h.ns").record(200);
-        reg.histogram("h.ns").record(300);
+        reg.handle(&LATENCY, []).record(200);
+        reg.handle(&LATENCY, []).record(300);
         clock.advance_ns(1);
         sampler.tick();
         let report = sampler.report();
         let pts: Vec<_> = report
-            .series_named("h.ns")
+            .series_named("work.lat")
             .unwrap()
             .iter()
             .copied()
@@ -1271,12 +1297,12 @@ mod tests {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 4, HealthSpec::new());
         for i in 1..=10u64 {
-            reg.counter("c.n").add(i);
+            reg.handle(&DONE, []).add(i);
             clock.advance_ns(1);
             sampler.tick();
         }
         let report = sampler.report();
-        let s = report.series_named("c.n").unwrap();
+        let s = report.series_named("work.done").unwrap();
         assert_eq!(s.len(), 4);
         assert_eq!(s.capacity(), 4);
         let ticks: Vec<u64> = s.iter().map(|p| p.tick).collect();
@@ -1291,18 +1317,18 @@ mod tests {
     fn health_rules_fire_and_emit_counters() {
         let reg = Registry::new();
         let spec = HealthSpec::new()
-            .rule("deep", "q.depth", Condition::GaugeAbove(5))
-            .rule("stalled", "c.done", Condition::StallFor(2))
-            .rule("slow", "c.done", Condition::RateBelow(1.0));
+            .rule("deep", &DEPTH, Condition::GaugeAbove(5))
+            .rule("stalled", &DONE, Condition::StallFor(2))
+            .rule("slow", &DONE, Condition::RateBelow(1.0));
         let (sampler, clock) = manual_sampler(&reg, 8, spec);
-        reg.counter("c.done").add(1);
-        reg.gauge("q.depth").set(2);
+        reg.handle(&DONE, []).add(1);
+        reg.handle(&DEPTH, []).set(2);
         clock.advance_ns(1_000_000_000);
         sampler.tick(); // baseline: nothing fires (rate rules skip, stall run = 1 < 2)
                         // Tick 2: gauge spikes to 6 (fires deep), counter stalls (run 2 → fires
                         // stalled), rate 0 < 1 (fires slow).
-        reg.gauge("q.depth").set(6);
-        reg.gauge("q.depth").set(1);
+        reg.handle(&DEPTH, []).set(6);
+        reg.handle(&DEPTH, []).set(1);
         clock.advance_ns(1_000_000_000);
         sampler.tick();
         let report = sampler.report();
@@ -1318,14 +1344,39 @@ mod tests {
     }
 
     #[test]
+    fn specs_join_in_order() {
+        let a = HealthSpec::new().rule("deep", &DEPTH, Condition::GaugeAbove(5));
+        let b = HealthSpec::new().rule("stalled", &DONE, Condition::StallFor(2));
+        let names: Vec<_> = a
+            .and(b)
+            .rules()
+            .iter()
+            .map(|r| (r.name.clone(), r.metric))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("deep".into(), "work.depth"),
+                ("stalled".into(), "work.done")
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not one `[a-z0-9_]+` segment")]
+    fn a_rule_name_is_one_segment() {
+        let _ = HealthSpec::new().rule("Queue-Saturated", &DEPTH, Condition::GaugeAbove(1));
+    }
+
+    #[test]
     fn stall_run_resets_on_progress() {
         let reg = Registry::new();
-        let spec = HealthSpec::new().rule("stalled", "c.done", Condition::StallFor(2));
+        let spec = HealthSpec::new().rule("stalled", &DONE, Condition::StallFor(2));
         let (sampler, clock) = manual_sampler(&reg, 8, spec);
-        reg.counter("c.done").incr();
+        reg.handle(&DONE, []).incr();
         clock.advance_ns(1);
         sampler.tick(); // baseline, run = 1
-        reg.counter("c.done").incr(); // progress resets the run
+        reg.handle(&DONE, []).incr(); // progress resets the run
         clock.advance_ns(1);
         sampler.tick();
         clock.advance_ns(1);
@@ -1342,9 +1393,9 @@ mod tests {
         let reg = Registry::new();
         let ctx = TraceContext::root(&reg);
         let _guard = ctx.attach();
-        let spec = HealthSpec::new().rule("deep", "q.d", Condition::GaugeAbove(1));
+        let spec = HealthSpec::new().rule("deep", &DEPTH, Condition::GaugeAbove(1));
         let (sampler, clock) = manual_sampler(&reg, 8, spec);
-        reg.gauge("q.d").set(5);
+        reg.handle(&DEPTH, []).set(5);
         clock.advance_ns(1);
         sampler.tick();
         let report = sampler.report();
@@ -1384,10 +1435,13 @@ mod tests {
     fn diagnosis_names_busiest_stage_and_counts_backpressure() {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 64, HealthSpec::new());
-        let fast = reg.gauge("executor.pipe.fast_stage.inflight");
-        let slow = reg.gauge("executor.pipe.slow_stage.inflight");
-        let q = reg.gauge("executor.queue_depth");
-        let stall = reg.histogram("executor.stall_ns");
+        const INFLIGHT: Name<Gauge, 2> = Name::declare("executor.{}.{}.inflight");
+        const QUEUE_DEPTH: Name<Gauge> = Name::declare("executor.queue_depth");
+        const STALL: Name<Histogram> = Name::declare("executor.stall_ns");
+        let fast = reg.handle(&INFLIGHT, ["pipe", "fast_stage"]);
+        let slow = reg.handle(&INFLIGHT, ["pipe", "slow_stage"]);
+        let q = reg.handle(&QUEUE_DEPTH, []);
+        let stall = reg.handle(&STALL, []);
         for i in 0..10u64 {
             // The slow stage is busy every window; the fast one only twice.
             slow.add(1);
@@ -1439,8 +1493,9 @@ mod tests {
     fn diagnosis_names_saturated_scheduler_tenant() {
         let reg = Registry::new();
         let (sampler, clock) = manual_sampler(&reg, 64, HealthSpec::new());
-        let alpha = reg.gauge("sched.tenant.alpha.queued");
-        let beta = reg.gauge("sched.tenant.beta.queued");
+        const TENANT_QUEUED: Name<Gauge, 1> = Name::declare("sched.tenant.{}.queued");
+        let alpha = reg.handle(&TENANT_QUEUED, ["alpha"]);
+        let beta = reg.handle(&TENANT_QUEUED, ["beta"]);
         for i in 0..8u64 {
             // alpha keeps a deep backlog every window; beta only early.
             alpha.add(5);
@@ -1475,14 +1530,14 @@ mod tests {
             SamplerConfig {
                 capacity: 8,
                 progress: Some(ProgressTarget {
-                    counter: "job.done".into(),
+                    counter: "work.done".into(),
                     total: 10,
                 }),
             },
             HealthSpec::new(),
         );
         sampler.tick(); // t = 0 baseline: no rate yet
-        reg.counter("job.done").add(4);
+        reg.handle(&DONE, []).add(4);
         clock.advance_ns(2_000_000_000);
         let report = sampler.tick();
         let p = report.progress.unwrap();
@@ -1497,7 +1552,7 @@ mod tests {
     #[test]
     fn progress_baseline_excludes_preexisting_count() {
         let reg = Registry::new();
-        reg.counter("job.done").add(100); // earlier, unrelated work
+        reg.handle(&DONE, []).add(100); // earlier, unrelated work
         let clock = Arc::new(ManualClock::new());
         let sampler = Sampler::new(
             &reg,
@@ -1505,13 +1560,13 @@ mod tests {
             SamplerConfig {
                 capacity: 8,
                 progress: Some(ProgressTarget {
-                    counter: "job.done".into(),
+                    counter: "work.done".into(),
                     total: 5,
                 }),
             },
             HealthSpec::new(),
         );
-        reg.counter("job.done").add(3);
+        reg.handle(&DONE, []).add(3);
         clock.advance_ns(1_000_000_000);
         let p = sampler.tick().progress.unwrap();
         assert_eq!(p.done, 3, "baseline 100 must not count as progress");
@@ -1527,13 +1582,13 @@ mod tests {
             HealthSpec::new(),
         );
         let handle = sampler.start(Duration::from_millis(1));
-        reg.counter("bg.work").add(7);
+        reg.handle(&DONE, []).add(7);
         std::thread::sleep(Duration::from_millis(10));
         let report = handle.stop();
         // The closing sample guarantees at least one tick even if the
         // interval never elapsed.
         assert!(report.ticks >= 1);
-        let s = report.series_named("bg.work").expect("series recorded");
+        let s = report.series_named("work.done").expect("series recorded");
         assert_eq!(s.latest().unwrap().value, 7.0);
         assert_eq!(reg.counter("monitor.samples").get(), report.ticks);
     }

@@ -325,7 +325,7 @@ pub fn aggregate_by_name(forest: &[TraceNode]) -> BTreeMap<String, NameAggregate
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Registry, SpanId, TraceId};
+    use crate::{Name, Registry, Span, SpanId, TraceId};
 
     fn rec(
         name: &str,
@@ -452,12 +452,13 @@ mod tests {
 
     #[test]
     fn live_registry_roundtrip() {
+        const SPAN: Name<Span, 2> = Name::declare("{}.{}");
         let reg = Registry::new();
         {
-            let run = reg.span("run.root");
+            let run = reg.span(&SPAN, ["run", "root"]);
             let _in_run = run.enter();
-            reg.time("stage.a", || {
-                let _leaf = reg.span("leaf.op");
+            reg.time(&SPAN, ["stage", "a"], || {
+                let _leaf = reg.span(&SPAN, ["leaf", "op"]);
             });
         }
         let forest = reg.snapshot().trace_forest();

@@ -57,10 +57,7 @@ fn run(out: &Path) -> Result<(), String> {
 
     // One spec, two subsystems: executor backpressure rules plus the
     // scheduler's overload/stall rules.
-    let mut spec = executor_health_spec(&exec);
-    for r in scheduler_health_spec(&scfg).rules() {
-        spec = spec.rule(&r.name, &r.metric, r.cond);
-    }
+    let spec = executor_health_spec(&exec).and(scheduler_health_spec(&scfg));
 
     let sched = Arc::new(Scheduler::new(scfg));
     for (tenant, weight) in TENANTS {

@@ -515,7 +515,6 @@ macro_rules! prop_oneof {
     ($($weight:expr => $strategy:expr),+ $(,)?) => {
         $crate::Union::new_weighted(vec![
             $(($weight as u32, {
-                #[allow(unused_parens)]
                 let strategy = $strategy;
                 $crate::Strategy::boxed(strategy)
             }),)+
@@ -524,7 +523,6 @@ macro_rules! prop_oneof {
     ($($strategy:expr),+ $(,)?) => {
         $crate::Union::new_weighted(vec![
             $((1u32, {
-                #[allow(unused_parens)]
                 let strategy = $strategy;
                 $crate::Strategy::boxed(strategy)
             }),)+
@@ -541,14 +539,11 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 $crate::run_proptest(stringify!($name), |rng| {
-                    $(#[allow(unused_parens)]
-                    let $pname = $crate::Strategy::generate(&($strat), rng);)+
-                    #[allow(unused_mut)]
-                    let mut body = || -> ::std::result::Result<(), $crate::TestCaseError> {
+                    $(let $pname = $crate::Strategy::generate(&$strat, rng);)+
+                    (|| -> ::std::result::Result<(), $crate::TestCaseError> {
                         $body
                         ::std::result::Result::Ok(())
-                    };
-                    body()
+                    })()
                 });
             }
         )*
@@ -597,7 +592,7 @@ mod tests {
         }
 
         #[test]
-        fn oneof_mixes(v in prop_oneof![3 => (0i64..10), 1 => Just(-1i64)]) {
+        fn oneof_mixes(v in prop_oneof![3 => 0i64..10, 1 => Just(-1i64)]) {
             prop_assert!(v == -1 || (0..10).contains(&v));
         }
 

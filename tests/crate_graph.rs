@@ -25,7 +25,6 @@ use std::process::Command;
 const LAYERS: &[(&str, u32)] = &[
     ("drai-telemetry", 0),
     ("drai-tensor", 0),
-    ("drai-lint", 0),
     ("drai-io", 1),
     ("drai-formats", 2),
     ("drai-transform", 2),

@@ -17,7 +17,7 @@ use drai::io::fault::FaultConfig;
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
 use drai::telemetry::monitor::{ManualClock, MonitorReport, Sampler, SamplerConfig};
-use drai::telemetry::{Registry, TraceContext};
+use drai::telemetry::{Counter, Gauge, Histogram, Name, Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,9 +119,12 @@ fn scripted_run() -> String {
         },
         drai::telemetry::monitor::HealthSpec::new(),
     );
-    let items = registry.counter("executor.items_completed");
-    let depth = registry.gauge("executor.queue_depth");
-    let lat = registry.histogram("stage.batch.latency_ns");
+    const ITEMS: Name<Counter> = Name::declare("executor.items_completed");
+    const DEPTH: Name<Gauge> = Name::declare("executor.queue_depth");
+    const LATENCY: Name<Histogram> = Name::declare("stage.batch.latency_ns");
+    let items = registry.handle(&ITEMS, []);
+    let depth = registry.handle(&DEPTH, []);
+    let lat = registry.handle(&LATENCY, []);
     for step in 0..12u64 {
         items.add(step % 3);
         depth.set((step % 5) as i64);
@@ -159,7 +162,8 @@ fn ring_buffer_keeps_only_the_last_capacity_points() {
         },
         drai::telemetry::monitor::HealthSpec::new(),
     );
-    let c = registry.counter("monitor.samples.test_feed");
+    const FEED: Name<Counter> = Name::declare("monitor.samples.test_feed");
+    let c = registry.handle(&FEED, []);
     for _ in 0..10 {
         c.incr();
         clock.advance(Duration::from_millis(1));
