@@ -7,19 +7,18 @@
 //! them:
 //!
 //! ```text
-//! key  = H(format version ‖ stage name ‖ input id ‖ config fingerprint)
-//! id₀  = digest(input bytes)            first cached stage of a chain
-//! idₖ₊₁ = keyₖ                           every later one
+//! key = derive(input id, stage name, config fingerprint)
+//!     = H(DERIVATION_VERSION ‖ stage name ‖ input id ‖ config fingerprint)
 //! ```
 //!
-//! A key is therefore a *derivation id* of the stage's output — by
-//! induction a function of the chain's first input, every fingerprint
-//! on the way and the version — and the next cached stage is keyed by
-//! it instead of by re-serializing and re-hashing its input. The id
-//! travels with the item through `Pipeline::run` and the batch executor
-//! (`StageCounters::id`), and only out of a stage whose outermost layer
-//! is this crate's decorator; any other stage ends the chain, and the
-//! next cached stage keys by content again.
+//! A key is the *derivation id* drai-core gives the stage's output
+//! (`drai_core::pipeline::derive`), cached or not, so a cached stage is
+//! keyed by the id its input arrives with: no serialization, no hash of
+//! the input. Only an input that arrives with no id is named here, by
+//! the digest of its bytes, and the name left in `StageCounters::id` for
+//! drai-core to derive from. The fingerprint is the configuration the
+//! stage declares in its stage graph, so a key cannot drift from what
+//! the stage reads.
 //!
 //! Entries are self-describing blobs persisted through any
 //! [`StorageSink`] — a local filesystem, the in-memory test sink, the
@@ -31,24 +30,23 @@
 //! lookup reports a miss.
 //!
 //! Capacity is bounded by a size-capped LRU policy whose recency stamps
-//! come from an injectable [`clock::CacheClock`] — production uses the
-//! wall clock (the one allowlisted wall-clock read outside the
-//! retry/telemetry layers), tests use [`clock::LogicalClock`] so
-//! eviction order is deterministic.
+//! come from an injectable `drai_telemetry::clock::Clock` — production
+//! uses a `Stopwatch`, tests a `LogicalClock` so eviction order is
+//! deterministic.
 //!
 //! Pipelines opt in per stage through [`CachedPipelineExt`], which
 //! decorates a named stage of a built pipeline with a cache probe and a
 //! store-on-miss wrapper. Artifact types describe their exact byte
-//! form via [`CacheBytes`] (helpers in [`bytes`]).
+//! form via [`CacheBytes`] (helpers in [`bytes`]). An entry stores the
+//! stage's [`StageReport`] in front of its output, so a hit's ledger
+//! record is the miss's, plus `cache_hit` = the TraceId that computed
+//! the entry.
 //!
 //! Telemetry: `cache.hits`, `cache.misses`, `cache.evictions`,
 //! `cache.quarantined` counters and `cache.get`/`cache.put` spans, all
-//! into the context registry. Provenance: when a [`StageCache`] carries
-//! a ledger, every hit records a `cache_hit` transformation stamped with
-//! the TraceId that originally produced the entry.
+//! into the context registry.
 
 pub mod bytes;
-pub mod clock;
 
 /// The metric and span names this crate writes (`drai_telemetry::Name`).
 mod names {
@@ -62,27 +60,22 @@ mod names {
     pub(crate) const PUT: Name<Span> = Name::declare("cache.put");
 }
 
-use clock::{CacheClock, WallClock};
-use drai_core::pipeline::{FastPath, Pipeline, StageCounters};
+use drai_core::pipeline::{
+    derive, FastPath, Pipeline, StageCounters, StageReport, DERIVATION_VERSION,
+};
 use drai_io::checksum::{content_hash128, hash_hex};
 use drai_io::codec::{codec_for, CodecId};
 use drai_io::sink::StorageSink;
 use drai_io::IoError;
-use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::{Registry, TraceContext};
+use drai_provenance::{Artifact, ArtifactId};
+use drai_telemetry::clock::Clock;
+use drai_telemetry::{Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::bytes::{ByteReader, ByteWriter};
-
-/// Version baked into every cache key and entry header. Bump whenever
-/// the entry layout, any cached payload encoding, the key scheme or a
-/// cached stage's output for an unchanged input and configuration
-/// changes: old entries then simply never match a new key, and stale
-/// blobs age out via LRU. 2: keys chain through derivation ids.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a serialized cache entry.
 const ENTRY_MAGIC: &[u8; 4] = b"DRCE";
@@ -133,22 +126,27 @@ impl CacheBytes for Vec<f64> {
     }
 }
 
-/// Deterministic fingerprint of a stage's configuration, built from
-/// key/value pairs. Order-sensitive on purpose — pass fields in a fixed
-/// declaration order so the fingerprint is stable across runs.
-pub fn config_fingerprint<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    for (k, v) in fields {
-        w.put_str(k);
-        w.put_str(&v);
-    }
-    w.finish()
+/// Append a stage's report, each list count-prefixed, so the stage's
+/// output can follow it in a stored payload.
+fn write_report(report: &StageReport, out: &mut Vec<u8>) {
+    ByteWriter::append_to(out, |w| {
+        w.put_u64(report.measured.len() as u64);
+        for (key, value) in &report.measured {
+            w.put_str(key);
+            w.put_str(value);
+        }
+        w.put_u64(report.written.len() as u64);
+        for blob in &report.written {
+            w.put_str(&blob.name);
+            w.put_str(blob.id.digest());
+            w.put_u64(blob.bytes);
+        }
+    });
 }
 
 /// A fully resolved cache key: the stage name (for the blob namespace)
-/// plus a 128-bit digest over [`CACHE_FORMAT_VERSION`], stage name,
-/// input id and config fingerprint. The digest is also the derivation id
-/// of the stage's output (see the crate docs).
+/// plus the 128-bit derivation id of the stage's output (see the crate
+/// docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     stage: String,
@@ -166,29 +164,19 @@ impl CacheKey {
 
     /// The key for `stage` over an input named by `input_id`: the
     /// [`content_hash128`] of its serialized bytes at the start of a
-    /// chain, the previous cached stage's key after that.
+    /// chain, its derivation id after that.
     pub fn from_input_id(stage: &str, input_id: &[u8; 16], config_fp: &[u8]) -> CacheKey {
-        let mut w = ByteWriter::with_capacity(64 + config_fp.len());
-        w.put_u64(u64::from(CACHE_FORMAT_VERSION));
-        w.put_str(stage);
-        w.put_bytes(input_id);
-        w.put_bytes(config_fp);
         CacheKey {
             stage: stage.to_string(),
-            hash: content_hash128(&w.finish()),
+            hash: derive(input_id, stage, config_fp),
         }
     }
 
-    /// The key of cached stage `stage` when it is handed this key's
-    /// output next in a chain — what the decorator computes there, so a
-    /// caller can name a chain's later entries without running it.
+    /// The key of cached stage `stage` when it runs right after this
+    /// key's stage — what the decorator computes there, so a caller can
+    /// name a chain's later entries without running it.
     pub fn chained(&self, stage: &str, config_fp: &[u8]) -> CacheKey {
         CacheKey::from_input_id(stage, &self.hash, config_fp)
-    }
-
-    /// Stage this key belongs to.
-    pub fn stage(&self) -> &str {
-        &self.stage
     }
 
     /// Lowercase hex of the 128-bit key digest.
@@ -285,7 +273,7 @@ fn encode_entry(
     for &b in ENTRY_MAGIC {
         w.put_u8(b);
     }
-    w.put_u64(u64::from(CACHE_FORMAT_VERSION));
+    w.put_u64(u64::from(DERIVATION_VERSION));
     w.put_u8(codec.tag());
     w.put_u64(origin_trace.unwrap_or(0));
     w.put_u64(records);
@@ -322,9 +310,9 @@ fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
         return Err("bad entry magic".to_string());
     }
     let version = r.u64()?;
-    if version != u64::from(CACHE_FORMAT_VERSION) {
+    if version != u64::from(DERIVATION_VERSION) {
         return Err(format!(
-            "entry format version {version} != {CACHE_FORMAT_VERSION}"
+            "entry format version {version} != {DERIVATION_VERSION}"
         ));
     }
     let codec = CodecId::from_tag(r.u8()?).map_err(|e| e.to_string())?;
@@ -461,10 +449,9 @@ impl Index {
 /// workers. Each `get` counts exactly one of `cache.hits`/`cache.misses`.
 pub struct StageCache {
     sink: Arc<dyn StorageSink>,
-    clock: Arc<dyn CacheClock>,
+    clock: Arc<dyn Clock>,
     capacity_bytes: u64,
     codec: CodecId,
-    ledger: Option<Arc<Ledger>>,
     index: Mutex<Index>,
 }
 
@@ -474,16 +461,15 @@ impl StageCache {
     pub fn new(sink: Arc<dyn StorageSink>, capacity_bytes: u64) -> StageCache {
         StageCache {
             sink,
-            clock: Arc::new(WallClock::new()),
+            clock: Arc::new(Stopwatch::start()),
             capacity_bytes,
             codec: CodecId::Raw,
-            ledger: None,
             index: Mutex::new(Index::default()),
         }
     }
 
     /// Replace the recency clock (tests inject a deterministic one).
-    pub fn with_clock(mut self, clock: Arc<dyn CacheClock>) -> StageCache {
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> StageCache {
         self.clock = clock;
         self
     }
@@ -491,12 +477,6 @@ impl StageCache {
     /// Compress entry payloads with `codec`.
     pub fn with_codec(mut self, codec: CodecId) -> StageCache {
         self.codec = codec;
-        self
-    }
-
-    /// Record a `cache_hit` provenance transformation for every hit.
-    pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> StageCache {
-        self.ledger = Some(ledger);
         self
     }
 
@@ -554,24 +534,6 @@ impl StageCache {
                 self.index
                     .lock()
                     .touch(&blob, raw.len() as u64, self.clock.now_ns());
-                if let Some(ledger) = &self.ledger {
-                    ledger.record(
-                        "cache_hit",
-                        [
-                            ("stage".to_string(), key.stage.clone()),
-                            ("key".to_string(), key.hex()),
-                            (
-                                "origin_trace".to_string(),
-                                entry
-                                    .origin_trace
-                                    .map(|t| t.to_string())
-                                    .unwrap_or_else(|| "none".to_string()),
-                            ),
-                        ],
-                        Vec::new(),
-                        vec![Artifact::new(&blob, payload)],
-                    );
-                }
                 Some((raw, entry))
             }
             Err(_) => {
@@ -710,21 +672,17 @@ fn input_digest<T: CacheBytes>(input: &T) -> [u8; 16] {
 /// so a cached pipeline never restates the graph.
 pub trait CachedPipelineExt<T>: Sized {
     /// Memoize `stage`'s output in `cache`. On a verified hit the stage
-    /// function never runs; its record/byte counters are restored from
-    /// the entry. On a miss (or quarantined corruption) the function
-    /// runs and its output is stored best-effort — a failed cache write
-    /// degrades to uncached behaviour, never to a stage error.
+    /// function never runs; its record/byte counters and its report are
+    /// restored from the entry. On a miss (or quarantined corruption) the
+    /// function runs and its output is stored best-effort — a failed
+    /// cache write degrades to uncached behaviour, never to a stage
+    /// error.
     ///
-    /// The stage is keyed by the id its input arrives with, or by the
-    /// input's content when it arrives with none, and names its output
-    /// by its key (see the crate docs) for as long as this decorator is
-    /// its outermost layer.
-    ///
-    /// `config_fp` must fingerprint every configuration input that
-    /// affects the stage's output (see [`config_fingerprint`]). Panics
-    /// when the pipeline has no stage called `stage`.
-    fn cached(self, stage: &str, cache: Arc<StageCache>, config_fp: Vec<u8>) -> Self {
-        self.cached_with_check(stage, cache, config_fp, |_| true)
+    /// The stage is keyed by the derivation id of its output (see the
+    /// crate docs): the configuration it declares is the fingerprint.
+    /// Panics when the pipeline has no stage called `stage`.
+    fn cached(self, stage: &str, cache: Arc<StageCache>) -> Self {
+        self.cached_with_check(stage, cache, |_| true)
     }
 
     /// Like [`CachedPipelineExt::cached`], with a semantic check
@@ -736,9 +694,27 @@ pub trait CachedPipelineExt<T>: Sized {
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        config_fp: Vec<u8>,
         check: impl Fn(&T) -> bool + Send + Sync + 'static,
     ) -> Self;
+}
+
+/// A stored payload: the stage's report, then its output. Entries are
+/// pushed one at a time: a lying count fails, it reserves nothing.
+fn decode_hit<T: CacheBytes>(payload: &[u8]) -> Result<(StageReport, T), String> {
+    let mut r = ByteReader::new(payload);
+    let mut report = StageReport::default();
+    for _ in 0..r.u64()? {
+        let measured = (r.str()?.to_string(), r.str()?.to_string());
+        report.measured.push(measured);
+    }
+    for _ in 0..r.u64()? {
+        let name = r.str()?.to_string();
+        let id = ArtifactId::from_hex(r.str()?).ok_or("written blob id is no digest")?;
+        let bytes = r.u64()?;
+        report.written.push(Artifact { id, name, bytes });
+    }
+    let output = T::from_cache_bytes(&payload[payload.len() - r.remaining()..])?;
+    Ok((report, output))
 }
 
 impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T> {
@@ -746,9 +722,9 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        config_fp: Vec<u8>,
         check: impl Fn(&T) -> bool + Send + Sync + 'static,
     ) -> Self {
+        let config_fp = self.fingerprint(stage).unwrap_or_default().to_vec();
         // The probe is the stage's *fast path*: `Pipeline::run` and the
         // batch executor's workers both try it immediately before the
         // function (through the one `execute_stage`), so exactly one
@@ -758,19 +734,21 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();
         let probe = move |input: T, counters: &mut StageCounters| {
-            // Only the first cached stage of a chain names its input by
-            // content; every later one is handed its predecessor's key.
+            // Only an input that arrived unnamed is named by content,
+            // and the name stays in the counters for the output's id.
             let id = *counters.id.get_or_insert_with(|| input_digest(&input));
             let key = CacheKey::from_input_id(&probe_name, &id, &probe_fp);
             if let Some((blob, entry)) = probe_cache.lookup(&key) {
                 // The digest already verified; a decode failure here
-                // means the payload schema drifted without a format
-                // version bump — recompute and overwrite.
-                if let Ok(output) = T::from_cache_bytes(entry.payload(&blob)) {
+                // means the payload schema drifted without a version
+                // bump — recompute and overwrite.
+                if let Ok((report, output)) = decode_hit(entry.payload(&blob)) {
                     if check(&output) {
                         counters.records = entry.records;
                         counters.bytes = entry.bytes;
-                        counters.id = Some(key.hash);
+                        counters.report = report;
+                        let origin = entry.origin_trace.map(|t| t.to_string());
+                        counters.measure("cache_hit", origin.as_deref().unwrap_or("none"));
                         return FastPath::Hit(output);
                     }
                 }
@@ -780,23 +758,22 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
             FastPath::Miss(input)
         };
         let stage_name = stage.to_string();
-        self.decorate_stage_naming_output(stage, move |func| {
+        self.decorate_stage(stage, move |func| {
             let compute = move |input: T, counters: &mut StageCounters| {
-                // The store must be keyed by the *input*, whose id the
-                // probe left in the counters (`retried` copies it into
-                // every attempt's). Reached without one, the stage
-                // stores nothing and names nothing rather than digest
-                // the input a second time.
+                // The store is keyed by the *input*, whose id the probe
+                // left in the counters (`retried` copies it into every
+                // attempt's). Reached without one, the stage stores
+                // nothing rather than digest the input a second time.
                 let key = counters
                     .id
                     .map(|id| CacheKey::from_input_id(&stage_name, &id, &config_fp));
                 let output = func(input, counters)?;
                 if let Some(key) = &key {
                     let _ = cache.store(key, counters.records, counters.bytes, |entry| {
+                        write_report(&counters.report, entry);
                         output.write_cache_bytes(entry)
                     });
                 }
-                counters.id = key.map(|key| key.hash);
                 Ok(output)
             };
             (Arc::new(compute), Some(Arc::new(probe)))
@@ -807,9 +784,10 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clock::LogicalClock;
     use drai_core::readiness::ProcessingStage as S;
     use drai_io::sink::MemSink;
+    use drai_provenance::Ledger;
+    use drai_telemetry::clock::LogicalClock;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     const ALL_CODECS: [CodecId; 7] = [
@@ -1135,18 +1113,19 @@ mod tests {
         let calls = Arc::new(AtomicU32::new(0));
         let calls_in_stage = calls.clone();
         let pipeline: Pipeline<Vec<f64>> = Pipeline::builder("cache-unit")
-            .stage("double", S::Transform, move |v: Vec<f64>, c| {
-                calls_in_stage.fetch_add(1, Ordering::SeqCst);
-                c.records = v.len() as u64;
-                c.bytes = (v.len() * 8) as u64;
-                Ok(v.into_iter().map(|x| x * 2.0).collect())
-            })
-            .build()
-            .cached(
+            .configured_stage(
                 "double",
-                cache.clone(),
-                config_fingerprint([("factor", "2".to_string())]),
-            );
+                S::Transform,
+                [("factor", "2".to_string())],
+                move |v: Vec<f64>, c| {
+                    calls_in_stage.fetch_add(1, Ordering::SeqCst);
+                    c.records = v.len() as u64;
+                    c.bytes = (v.len() * 8) as u64;
+                    Ok(v.into_iter().map(|x| x * 2.0).collect())
+                },
+            )
+            .build()
+            .cached("double", cache.clone());
         let ((), snap) = with_registry(|| {
             let cold = pipeline.run(vec![1.0, 2.0, 3.0]).unwrap();
             assert_eq!(cold.output, vec![2.0, 4.0, 6.0]);
@@ -1168,15 +1147,14 @@ mod tests {
         let cache = Arc::new(mem_cache(1 << 20));
         let build = |factor: f64, cache: Arc<StageCache>| -> Pipeline<Vec<f64>> {
             Pipeline::builder("cache-cfg")
-                .stage("scale", S::Transform, move |v: Vec<f64>, _| {
-                    Ok(v.into_iter().map(|x| x * factor).collect())
-                })
-                .build()
-                .cached(
+                .configured_stage(
                     "scale",
-                    cache,
-                    config_fingerprint([("factor", format!("{factor}"))]),
+                    S::Transform,
+                    [("factor", format!("{factor}"))],
+                    move |v: Vec<f64>, _| Ok(v.into_iter().map(|x| x * factor).collect()),
                 )
+                .build()
+                .cached("scale", cache)
         };
         let ((), snap) = with_registry(|| {
             let out2 = build(2.0, cache.clone()).run(vec![1.0]).unwrap().output;
@@ -1200,7 +1178,7 @@ mod tests {
             })
             .build()
             // Every hit is rejected.
-            .cached_with_check("picky", cache.clone(), Vec::new(), |_| false);
+            .cached_with_check("picky", cache.clone(), |_| false);
         let ((), snap) = with_registry(|| {
             pipeline.run(vec![1.0]).unwrap();
             pipeline.run(vec![1.0]).unwrap();
@@ -1210,26 +1188,79 @@ mod tests {
         assert_eq!(snap.counters["cache.hits"], 1);
     }
 
+    /// A hit puts on record what the miss that stored the entry did: the
+    /// stage's record is the cold one, its report restored from the
+    /// entry, plus `cache_hit` = the trace that computed it.
     #[test]
-    fn hits_record_provenance_with_origin_trace() {
-        let ledger = Arc::new(Ledger::new());
-        let cache = Arc::new(mem_cache(1 << 20).with_ledger(ledger.clone()));
-        let key = CacheKey::compute("s", b"in", b"");
-        let ((), _snap) = with_registry(|| {
-            cache.put(&key, b"payload", 1, 7).unwrap();
-        });
-        let (origin, _snap) = with_registry(|| {
-            let hit = cache.get(&key).expect("hit");
-            hit.origin_trace.expect("origin trace stamped at put")
-        });
-        assert_eq!(ledger.len(), 1);
-        let produced = ledger
-            .producer(&drai_provenance::ArtifactId::of(b"payload"))
-            .expect("hit recorded as producer of the payload artifact");
-        assert_eq!(produced.operation, "cache_hit");
-        assert_eq!(produced.params["stage"], "s");
-        assert_eq!(produced.params["origin_trace"], origin.to_string());
-        assert!(produced.trace.is_some(), "hit stamped with current trace");
+    fn a_hit_is_recorded_as_the_miss_was_plus_its_origin_trace() {
+        use drai_io::json::Json;
+        let cache = Arc::new(mem_cache(1 << 20));
+        // The one record of a run, its trace and its `cache_hit` taken out.
+        let run = || -> (Json, Option<u64>, Option<Json>) {
+            let ledger = Arc::new(Ledger::new());
+            let pipeline: Pipeline<Vec<u8>> = Pipeline::builder("cache-report")
+                .ledger(ledger.clone())
+                .configured_stage(
+                    "shard",
+                    S::Shard,
+                    [("k", "v".to_string())],
+                    |v: Vec<u8>, c| {
+                        c.measure("len", v.len());
+                        c.wrote("out.bin", &v);
+                        Ok(v)
+                    },
+                )
+                .build()
+                .cached("shard", cache.clone());
+            with_registry(|| pipeline.run_with_id(vec![1, 2], Some([3; 16])).unwrap());
+            let mut record = Json::parse(ledger.to_jsonl().trim_end()).unwrap();
+            let Json::Obj(fields) = &mut record else {
+                panic!("a record is an object")
+            };
+            let trace = fields.remove("trace").and_then(|t| t.as_u64());
+            let Some(Json::Obj(params)) = fields.get_mut("params") else {
+                panic!("params are an object")
+            };
+            let hit = params.remove("cache_hit");
+            assert_eq!(params.len(), 2, "{params:?}");
+            (record, trace, hit)
+        };
+        let (cold, cold_trace, none) = run();
+        let (warm, _, hit) = run();
+        assert_eq!(warm, cold);
+        assert_eq!(none, None);
+        let origin = cold_trace.expect("the cold run is traced").to_string();
+        assert_eq!(
+            hit,
+            Some(Json::from(origin)),
+            "the hit names the miss's trace"
+        );
+        let written = cold.get("outputs").and_then(Json::as_arr).unwrap();
+        assert_eq!(written.len(), 2, "the output's id and out.bin");
+    }
+
+    #[test]
+    fn stored_reports_round_trip_and_refuse_damage() {
+        let report = StageReport {
+            measured: vec![("tas.mean".to_string(), "1.5".to_string())],
+            written: vec![Artifact::new("a/train-00000.shard", b"shard")],
+        };
+        let mut payload = Vec::new();
+        write_report(&report, &mut payload);
+        let output = b"output".to_vec();
+        output.write_cache_bytes(&mut payload);
+        assert_eq!(decode_hit(&payload), Ok((report, output)));
+        let mut empty = Vec::new();
+        write_report(&StageReport::default(), &mut empty);
+        assert_eq!(empty, [0; 16], "two zero counts");
+        let nothing = decode_hit::<Vec<u8>>(&empty);
+        assert_eq!(nothing, Ok((StageReport::default(), Vec::new())));
+        for cut in [0, 8, 20] {
+            assert!(decode_hit::<Vec<u8>>(&payload[..cut]).is_err(), "{cut}");
+        }
+        // A count larger than the payload could hold reserves nothing.
+        payload[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_hit::<Vec<u8>>(&payload).is_err());
     }
 
     /// `encode_entry` as it was before entries were built in place: the
@@ -1248,7 +1279,7 @@ mod tests {
         w.put_u8(ENTRY_MAGIC[1]);
         w.put_u8(ENTRY_MAGIC[2]);
         w.put_u8(ENTRY_MAGIC[3]);
-        w.put_u64(u64::from(CACHE_FORMAT_VERSION));
+        w.put_u64(u64::from(DERIVATION_VERSION));
         w.put_u8(codec.tag());
         w.put_u64(origin_trace.unwrap_or(0));
         w.put_u64(records);
@@ -1346,6 +1377,8 @@ mod tests {
         // content: equal for equal predecessors and fingerprints only.
         let next = key.chained("normalize", b"n");
         assert_eq!(next, CacheKey::from_input_id("normalize", &key.hash, b"n"));
+        // A key is the derivation id drai-core gives the stage's output.
+        assert_eq!(next.hash, derive(&key.hash, "normalize", b"n"));
         assert_ne!(next, key.chained("normalize", b"N"));
         assert_ne!(
             next,

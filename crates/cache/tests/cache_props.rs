@@ -2,10 +2,11 @@
 //! and sensitivity to every keyed dimension) and hit/fresh equivalence
 //! across all entry codecs.
 
-use drai_cache::clock::LogicalClock;
-use drai_cache::{config_fingerprint, CacheBytes, CacheKey, StageCache};
+use drai_cache::{CacheBytes, CacheKey, StageCache};
+use drai_core::pipeline::config_fingerprint;
 use drai_io::codec::CodecId;
 use drai_io::sink::{MemSink, StorageSink};
+use drai_telemetry::clock::LogicalClock;
 use proptest::prelude::*;
 use std::sync::Arc;
 

@@ -1,16 +1,17 @@
-//! Where a derivation id must *not* flow. A cached stage names its
-//! output by its key, and the next cached stage is keyed by that name
-//! instead of by its input's bytes — sound only while nothing between
-//! the two can change the item. Each test here builds a chain in which
-//! an id that flowed one stage too far would key a stale entry, and
-//! checks the output against the same pipeline run uncached.
+//! How a derivation id flows through a chain of cached and uncached
+//! stages. drai-core names every stage output by its input's id, the
+//! stage and the configuration the stage declares; a cached stage is
+//! keyed by that name instead of by its input's bytes — sound while every
+//! stage declares what it reads. Each test builds a chain in which a
+//! wrongly flowing id would key a stale entry, and checks the output
+//! against the same pipeline run uncached.
 
-use drai_cache::clock::LogicalClock;
 use drai_cache::{CacheBytes, CacheKey, CachedPipelineExt, StageCache};
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_io::sink::MemSink;
+use drai_telemetry::clock::LogicalClock;
 use drai_telemetry::{Registry, TraceContext};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -29,19 +30,35 @@ fn counters(f: impl FnOnce()) -> BTreeMap<String, u64> {
     registry.snapshot().counters
 }
 
-/// `a` doubles, `b` adds `offset`, `c` multiplies by ten.
+/// `a` doubles, `b` adds `offset` (and declares it), `c` multiplies by
+/// ten.
 fn chain(offset: f64) -> Pipeline<Vec<f64>> {
     Pipeline::builder("chain")
         .stage("a", S::Transform, |v: Vec<f64>, _| {
             Ok(v.into_iter().map(|x| x * 2.0).collect())
         })
-        .stage("b", S::Transform, move |v: Vec<f64>, _| {
-            Ok(v.into_iter().map(|x| x + offset).collect())
-        })
+        .configured_stage(
+            "b",
+            S::Transform,
+            [("offset", offset.to_string())],
+            move |v: Vec<f64>, _| Ok(v.into_iter().map(|x| x + offset).collect()),
+        )
         .stage("c", S::Transform, |v: Vec<f64>, _| {
             Ok(v.into_iter().map(|x| x * 10.0).collect())
         })
         .build()
+}
+
+/// The key of cached stage `a` over `input` in `p`.
+fn key_a(p: &Pipeline<Vec<f64>>, input: &[f64]) -> CacheKey {
+    let fp = p.fingerprint("a").unwrap();
+    CacheKey::compute("a", &input.to_vec().to_cache_bytes(), fp)
+}
+
+/// The key `stage` of `p` has when it runs right after `key`'s stage,
+/// cached or not: every stage passes the id on.
+fn chained(key: &CacheKey, p: &Pipeline<Vec<f64>>, stage: &str) -> CacheKey {
+    key.chained(stage, p.fingerprint(stage).unwrap())
 }
 
 /// Run `p` on `input` alone and through a one-item streaming batch;
@@ -55,17 +72,18 @@ fn run_both(p: &Pipeline<Vec<f64>>, input: &[f64]) -> Vec<f64> {
     alone
 }
 
-/// (a) `b` is not cached and reads a value its pipeline captured but no
-/// fingerprint holds, so `b` ends the chain: `c` is keyed by what `b`
-/// handed it. Had `a`'s key flowed through `b`, `c` would be keyed the
-/// same under both offsets and serve the first offset's output.
+/// (a) `b` is not cached, and declares the offset it reads, so the id
+/// flows through it: `c` is keyed by `a`'s output, `b` and its offset,
+/// without reading its input. Had `b` not declared its offset, `c` would
+/// be keyed the same under both offsets and serve the first offset's
+/// output.
 #[test]
-fn an_uncached_stage_ends_the_chain() {
+fn an_uncached_stage_passes_the_id_on_through_its_declaration() {
     let shared = cache();
     let cached = |offset: f64| {
         chain(offset)
-            .cached("a", shared.clone(), b"a".to_vec())
-            .cached("c", shared.clone(), b"c".to_vec())
+            .cached("a", shared.clone())
+            .cached("c", shared.clone())
     };
     counters(|| {
         assert_eq!(run_both(&cached(1.0), &[1.0, 2.0]), [30.0, 50.0]);
@@ -79,33 +97,12 @@ fn an_uncached_stage_ends_the_chain() {
     // `a` hits twice (`run` and the batch); `c` misses, then hits.
     assert_eq!(changed["cache.hits"], 3, "{changed:?}");
     assert_eq!(changed["cache.misses"], 1, "{changed:?}");
-}
-
-/// (b) A layer put on `a` after its cache decorator changes `a`'s
-/// output, so `a` no longer names it and `b` right after it is keyed by
-/// what it is handed. (`a`'s caches are fresh per pipeline so the layer
-/// runs: a hit of the probe bypasses it.)
-#[test]
-fn a_later_decorator_ends_the_chain() {
-    let shared_b = cache();
-    let cached = |shift: f64| {
-        chain(0.0)
-            .cached("a", cache(), b"a".to_vec())
-            .decorate_stage("a", move |func| {
-                let shifted = move |v: Vec<f64>, c: &mut StageCounters| {
-                    func(v, c).map(|out| out.into_iter().map(|x| x + shift).collect())
-                };
-                (Arc::new(shifted), None)
-            })
-            .cached("b", shared_b.clone(), b"b".to_vec())
-    };
-    let first = cached(1.0).run(vec![1.0]).unwrap().output;
-    assert_eq!(first, [30.0]);
-    let second = counters(|| {
-        assert_eq!(cached(5.0).run(vec![1.0]).unwrap().output, [70.0]);
-    });
-    assert_eq!(second["cache.misses"], 2, "{second:?}");
-    assert_eq!(second.get("cache.hits"), None, "{second:?}");
+    // `c`'s entries are keyed through `b`, one per offset.
+    for offset in [1.0, 2.0] {
+        let p = cached(offset);
+        let key_c = chained(&chained(&key_a(&p, &[1.0, 2.0]), &p, "b"), &p, "c");
+        assert!(shared.contains(&key_c), "offset {offset}: {key_c:?}");
+    }
 }
 
 /// (c) `retried` on either side of `cached`: the store of a retried
@@ -131,9 +128,9 @@ fn retried_on_either_side_stores_under_the_probe_key() {
             flaky = flaky.retried("b", 3);
         }
         flaky = flaky
-            .cached("a", cache.clone(), b"a".to_vec())
-            .cached("b", cache.clone(), b"b".to_vec())
-            .cached("c", cache.clone(), b"c".to_vec());
+            .cached("a", cache.clone())
+            .cached("b", cache.clone())
+            .cached("c", cache.clone());
         if outside {
             flaky = flaky.retried("b", 3);
         }
@@ -142,9 +139,9 @@ fn retried_on_either_side_stores_under_the_probe_key() {
         });
         assert_eq!(cold["cache.misses"], 3, "outside {outside}: {cold:?}");
         assert_eq!(failures.load(Ordering::SeqCst), 2, "one failed attempt");
-        let key_a = CacheKey::compute("a", &vec![1.0f64].to_cache_bytes(), b"a");
-        let key_b = key_a.chained("b", b"b");
-        for key in [&key_a, &key_b, &key_b.chained("c", b"c")] {
+        let key_a = key_a(&flaky, &[1.0]);
+        let key_b = chained(&key_a, &flaky, "b");
+        for key in [&key_a, &key_b, &chained(&key_b, &flaky, "c")] {
             assert!(cache.contains(key), "outside {outside}: {key:?} missing");
         }
         let warm = counters(|| {
@@ -182,11 +179,9 @@ impl Chain {
         }
         let veto = reject_b.clone();
         let pipeline = pipeline
-            .cached("a", cache.clone(), b"a".to_vec())
-            .cached_with_check("b", cache.clone(), b"b".to_vec(), move |_| {
-                !veto.load(Ordering::SeqCst)
-            })
-            .cached("c", cache.clone(), b"c".to_vec());
+            .cached("a", cache.clone())
+            .cached_with_check("b", cache.clone(), move |_| !veto.load(Ordering::SeqCst))
+            .cached("c", cache.clone());
         Chain {
             cache,
             pipeline,
@@ -196,7 +191,7 @@ impl Chain {
     }
 
     fn key_b(&self) -> CacheKey {
-        CacheKey::compute("a", &vec![1.0f64, 2.0].to_cache_bytes(), b"a").chained("b", b"b")
+        chained(&key_a(&self.pipeline, &[1.0, 2.0]), &self.pipeline, "b")
     }
 
     fn entries(&self) -> Vec<String> {

@@ -6,12 +6,12 @@
 //! `run_batch_streaming` and with `.retried` stacked on either side of
 //! `.cached`, cold and warm — and the keys are the same every way.
 
-use drai_cache::clock::LogicalClock;
 use drai_cache::{CacheBytes, CachedPipelineExt, StageCache};
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::Pipeline;
 use drai_core::readiness::ProcessingStage as S;
 use drai_io::sink::MemSink;
+use drai_telemetry::clock::LogicalClock;
 use drai_telemetry::{Registry, TraceContext};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -87,19 +87,25 @@ enum Retry {
 fn pipeline<const TEST: usize>(cache: &Arc<StageCache>, retry: Retry) -> Pipeline<Counted<TEST>> {
     let mut builder = Pipeline::builder("one-pass");
     for (s, name) in STAGES.iter().enumerate() {
-        builder = builder.stage(name, S::Transform, move |mut v: Counted<TEST>, c| {
-            v.produced_by = s + 1;
-            v.data.push(s as u8);
-            c.records = 1;
-            Ok(v)
-        });
+        let config = [("step", s.to_string())];
+        builder = builder.configured_stage(
+            name,
+            S::Transform,
+            config,
+            move |mut v: Counted<TEST>, c| {
+                v.produced_by = s + 1;
+                v.data.push(s as u8);
+                c.records = 1;
+                Ok(v)
+            },
+        );
     }
     let mut p = builder.build();
-    for (s, name) in STAGES.into_iter().enumerate() {
+    for name in STAGES {
         if let Retry::Inside = retry {
             p = p.retried(name, 3);
         }
-        p = p.cached(name, cache.clone(), vec![s as u8]);
+        p = p.cached(name, cache.clone());
         if let Retry::Outside = retry {
             p = p.retried(name, 3);
         }
@@ -238,8 +244,8 @@ fn a_failed_attempt_under_retried_stores_under_the_probe_key() {
                 Ok(v)
             })
             .build()
-            .cached("regrid", cache.clone(), b"r".to_vec())
-            .cached("normalize", cache.clone(), b"n".to_vec())
+            .cached("regrid", cache.clone())
+            .cached("normalize", cache.clone())
             .retried("normalize", 2)
     };
     counters(|| {

@@ -5,7 +5,8 @@
 //! size) shares the input iterator. Each worker takes the next
 //! `(index, item)`, carries it through **every** stage by calling
 //! [`Pipeline::execute_stage`] — the function `Pipeline::run` calls,
-//! fast path included — and hands the finished item to the collector
+//! fast path, derivation id and ledger record included — and hands the
+//! finished item to the collector
 //! over one bounded channel. Item 7 can be sharding while item 9 is
 //! still regridding, no stage is pinned to one thread, and at most
 //! `pool + channel_capacity` items sit between input and output
@@ -47,7 +48,7 @@
 
 use crate::metrics::Throughput;
 use crate::names;
-use crate::pipeline::{Pipeline, StageCounters, StageDef, StageMetrics};
+use crate::pipeline::{Pipeline, StageCounters, StageMetrics};
 use crate::CoreError;
 use drai_telemetry::monitor::{Condition, HealthSpec};
 use drai_telemetry::{Gauge, GaugeGuard, Handle, Histogram, Registry, Stopwatch, TraceContext};
@@ -240,7 +241,7 @@ impl StageAcc {
 /// Everything the pool's workers share by reference for the duration
 /// of one streaming run.
 struct ExecShared<'a, T> {
-    stages: &'a [StageDef<T>],
+    pipeline: &'a Pipeline<T>,
     /// The batch, handed out one `(index, item)` at a time.
     input: Mutex<std::iter::Enumerate<std::vec::IntoIter<T>>>,
     accs: &'a [StageAcc],
@@ -281,7 +282,7 @@ impl<T> ExecShared<'_, T> {
     fn carry(&self, idx: usize, mut item: T) -> Option<T> {
         // The item's derivation id, as `Pipeline::run` carries it.
         let mut id = None;
-        for (s, stage) in self.stages.iter().enumerate() {
+        for (s, stage) in self.pipeline.stages.iter().enumerate() {
             if self.cancelled(idx) {
                 return None;
             }
@@ -289,7 +290,7 @@ impl<T> ExecShared<'_, T> {
             let start_ns = self.epoch.elapsed_ns();
             let mut counters = StageCounters::default();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                Pipeline::execute_stage(stage, item, id, &mut counters)
+                self.pipeline.execute_stage(stage, item, id, &mut counters)
             }));
             let end_ns = self.epoch.elapsed_ns();
             drop(busy);
@@ -381,7 +382,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         let incident: Mutex<Option<Incident>> = Mutex::new(None);
         let error_before = AtomicUsize::new(usize::MAX);
         let shared = ExecShared {
-            stages: &self.stages,
+            pipeline: self,
             input: Mutex::new(items.into_iter().enumerate()),
             accs: &accs,
             incident: &incident,

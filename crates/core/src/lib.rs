@@ -17,8 +17,9 @@
 //! * [`quality`] — data-quality reporting (missing fraction, imbalance,
 //!   outliers) feeding the assessor.
 //! * [`pipeline`] — a typed stage graph with its sequential runner,
-//!   per-stage metrics, and the iterative prepare→evaluate→refine loop
-//!   of Figure 1.
+//!   per-stage metrics, and the one writer of stage provenance: every
+//!   stage output named by a derivation id, every stage execution one
+//!   ledger record.
 //! * [`executor`] — the batch engine: a bounded worker pool running the
 //!   same stage graph over many items.
 //! * [`metrics`] — throughput/latency accounting shared with the bench

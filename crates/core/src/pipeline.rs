@@ -4,39 +4,108 @@
 //! [`Pipeline::execute_stage`] as `run`. Figure 1's feedback loop is a
 //! caller's loop around `run` (`examples/iterative_refinement.rs`).
 //!
+//! **Provenance.** `execute_stage` — the one place a stage runs on an
+//! item — names the output by a *derivation id* ([`derive`]) and, in a
+//! pipeline built with a [`Ledger`], writes the execution's one record:
+//! operation = the stage's name, params = its declared configuration
+//! plus what it measured, inputs = its input's id, outputs = its
+//! output's id plus every blob it wrote. An item that enters with no id
+//! leaves every stage with none, unless a layer names it (the cache
+//! decorator names a chain's first input by its content).
+//!
 //! Every run also reports into the context registry
 //! (`drai_telemetry::Registry::current`, falling back to the global
 //! one): `run` emits a root `pipeline.<pipeline>.run` span containing
 //! one span per stage named `pipeline.<pipeline>.<stage>` carrying the
 //! stage's record/byte counters. Stage spans are *entered* while the
-//! stage function runs, so spans opened by the I/O layer inside a stage
-//! (shard writes, `par_map` tasks, retries) attach under that stage in
-//! the trace tree.
+//! stage function runs and its record is written, so spans opened by
+//! the I/O layer inside a stage (shard writes, `par_map` tasks, retries)
+//! attach under that stage in the trace tree, and the record carries the
+//! stage's trace.
 
 use crate::metrics::Throughput;
 use crate::names;
 use crate::readiness::ProcessingStage;
 use crate::CoreError;
+use drai_io::checksum::content_hash128;
+use drai_provenance::{Artifact, Ledger};
 use drai_telemetry::{Registry, Stopwatch};
 use std::sync::Arc;
 
-/// Counters a stage can report about the work it did.
-#[derive(Debug, Clone, Copy, Default)]
+/// The name of a stage output by how it was derived (see [`derive`]).
+pub type DerivationId = [u8; 16];
+
+/// Version hashed into every derivation id and so every cache key. Bump
+/// it when a stage's output for an unchanged input and configuration, or
+/// a cache entry's layout, changes. 3: cached payloads carry the report.
+pub const DERIVATION_VERSION: u32 = 3;
+
+/// Append `bytes` behind its length (a little-endian `u64`).
+fn put_framed(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// Deterministic fingerprint of a stage's configuration, in the order
+/// the pairs are declared.
+pub fn config_fingerprint<'a>(fields: impl IntoIterator<Item = (&'a str, String)>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (k, v) in fields {
+        put_framed(&mut out, k.as_bytes());
+        put_framed(&mut out, v.as_bytes());
+    }
+    out
+}
+
+/// The id of what `stage`, configured as `fingerprint` says, makes of
+/// the input named `input`: `H(DERIVATION_VERSION ‖ stage ‖ input ‖
+/// fingerprint)`. Sound while a stage's output is a function of its
+/// input and its declared configuration alone.
+pub fn derive(input: &DerivationId, stage: &str, fingerprint: &[u8]) -> DerivationId {
+    let mut out = Vec::with_capacity(48 + stage.len() + fingerprint.len());
+    out.extend_from_slice(&u64::from(DERIVATION_VERSION).to_le_bytes());
+    put_framed(&mut out, stage.as_bytes());
+    put_framed(&mut out, input);
+    put_framed(&mut out, fingerprint);
+    content_hash128(&out)
+}
+
+/// What one stage execution puts on record beyond its configuration.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StageReport {
+    /// Values the stage measured: params of its record.
+    pub measured: Vec<(String, String)>,
+    /// Blobs the stage wrote: outputs of its record.
+    pub written: Vec<Artifact>,
+}
+
+/// What a stage reports about one execution.
+#[derive(Debug, Clone, Default)]
 pub struct StageCounters {
     /// Records consumed/produced.
     pub records: u64,
     /// Bytes consumed/produced.
     pub bytes: u64,
-    /// The item's *derivation id*. On entry to a stage it names the
-    /// stage's input — the id the previous stage's output was given, or
-    /// `None` at the start of a chain. A layer that names its output
-    /// (the cache decorator: its key) leaves the output's id here, and
-    /// [`Pipeline::execute_stage`] hands it to the next stage only when
-    /// that layer is the stage's outermost (see
-    /// [`Pipeline::decorate_stage_naming_output`]); every other stage
-    /// ends the chain with `None`. A wrapper that builds counters of its
-    /// own for the function it wraps copies this in.
-    pub id: Option<[u8; 16]>,
+    /// The derivation id of the stage's *input*, if it has one, or the
+    /// name a layer gave it (the cache decorator's, by content): the
+    /// output's id is derived from it. A wrapper that builds counters of
+    /// its own for the function it wraps copies this in.
+    pub id: Option<DerivationId>,
+    /// What the stage measured and wrote, for its record.
+    pub report: StageReport,
+}
+
+impl StageCounters {
+    /// Put a value the stage measured on its record.
+    pub fn measure(&mut self, key: &str, value: impl ToString) {
+        let measured = (key.to_string(), value.to_string());
+        self.report.measured.push(measured);
+    }
+
+    /// Put a blob the stage wrote on its record.
+    pub fn wrote(&mut self, name: &str, content: &[u8]) {
+        self.report.written.push(Artifact::new(name, content));
+    }
 }
 
 /// A stage's transformation function.
@@ -57,16 +126,18 @@ pub enum FastPath<T> {
     Miss(T),
 }
 
-/// One pipeline stage: a name, its processing-stage classification, the
-/// transformation function, and an optional fast path tried first.
+/// One pipeline stage: a name, its processing-stage classification, its
+/// declared configuration, the transformation function, and an optional
+/// fast path tried first.
 pub struct StageDef<T> {
     pub(crate) name: String,
     pub(crate) kind: ProcessingStage,
     pub(crate) func: Arc<StageFn<T>>,
     pub(crate) fast: Option<Arc<FastFn<T>>>,
-    /// Whether the stage's outermost layer names its output, so the id
-    /// it leaves in [`StageCounters::id`] travels on with the item.
-    pub(crate) names_output: bool,
+    /// What its output depends on besides its input (see `configured_stage`).
+    pub(crate) config: Arc<[(String, String)]>,
+    /// [`config_fingerprint`] of `config`.
+    pub(crate) fingerprint: Arc<[u8]>,
 }
 
 impl<T> Clone for StageDef<T> {
@@ -76,7 +147,8 @@ impl<T> Clone for StageDef<T> {
             kind: self.kind,
             func: self.func.clone(),
             fast: self.fast.clone(),
-            names_output: self.names_output,
+            config: self.config.clone(),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 }
@@ -117,23 +189,50 @@ impl<T> PipelineRun<T> {
 pub struct PipelineBuilder<T> {
     name: String,
     stages: Vec<StageDef<T>>,
+    ledger: Option<Arc<Ledger>>,
 }
 
 impl<T> PipelineBuilder<T> {
-    /// Add a stage.
+    /// Add a stage that declares no configuration: its output depends on
+    /// its input alone.
     pub fn stage(
-        mut self,
+        self,
         name: &str,
         kind: ProcessingStage,
         func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
     ) -> Self {
+        self.configured_stage(name, kind, [], func)
+    }
+
+    /// Add a stage whose output depends on its input and on `config`:
+    /// every value it reads besides its item, as `(key, value)` in a fixed
+    /// order — its record's params and the fingerprint in its output's id.
+    pub fn configured_stage<'a>(
+        mut self,
+        name: &str,
+        kind: ProcessingStage,
+        config: impl IntoIterator<Item = (&'a str, String)>,
+        func: impl Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync + 'static,
+    ) -> Self {
+        let config: Arc<[(String, String)]> = config
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        let fingerprint = config_fingerprint(config.iter().map(|(k, v)| (k.as_str(), v.clone())));
         self.stages.push(StageDef {
             name: name.to_string(),
             kind,
             func: Arc::new(func),
             fast: None,
-            names_output: false,
+            config,
+            fingerprint: fingerprint.into(),
         });
+        self
+    }
+
+    /// Write one record per stage execution into `ledger`.
+    pub fn ledger(mut self, ledger: Arc<Ledger>) -> Self {
+        self.ledger = Some(ledger);
         self
     }
 
@@ -142,6 +241,7 @@ impl<T> PipelineBuilder<T> {
         Pipeline {
             name: self.name,
             stages: self.stages,
+            ledger: self.ledger,
         }
     }
 }
@@ -154,6 +254,7 @@ impl<T> PipelineBuilder<T> {
 pub struct Pipeline<T> {
     pub(crate) name: String,
     pub(crate) stages: Vec<StageDef<T>>,
+    ledger: Option<Arc<Ledger>>,
 }
 
 impl<T> Clone for Pipeline<T> {
@@ -161,6 +262,7 @@ impl<T> Clone for Pipeline<T> {
         Pipeline {
             name: self.name.clone(),
             stages: self.stages.clone(),
+            ledger: self.ledger.clone(),
         }
     }
 }
@@ -171,6 +273,7 @@ impl<T> Pipeline<T> {
         PipelineBuilder {
             name: name.to_string(),
             stages: Vec::new(),
+            ledger: None,
         }
     }
 
@@ -190,53 +293,32 @@ impl<T> Pipeline<T> {
         self.stages.iter().map(|s| s.kind).collect()
     }
 
+    /// The fingerprint of the configuration `stage` declares, `None`
+    /// when there is no such stage.
+    pub fn fingerprint(&self, stage: &str) -> Option<&[u8]> {
+        let def = self.stages.iter().find(|s| s.name == stage)?;
+        Some(&def.fingerprint)
+    }
+
     /// Rewrap the named stage: `wrap` receives the stage's current
     /// function and returns the one to run in its place, plus an
     /// optional fast path to install. This is how behaviour is layered
-    /// onto a stage graph that is declared once — a cache probe, an
-    /// injected delay — instead of declaring the graph again per
+    /// onto a stage graph that is declared once — a cache probe, a retry,
+    /// an injected delay — instead of declaring the graph again per
     /// variant. A wrapper that installs no fast path leaves an existing
     /// one in place, so hits on it bypass the wrapper.
     ///
-    /// The new layer is the stage's outermost and may change its
-    /// output, so the stage no longer names its output: the item leaves
-    /// it without a derivation id ([`StageCounters::id`]).
+    /// A layer does not change what its stage computes: the stage keeps
+    /// its name and configuration, so its output keeps its id, which a
+    /// changed output would no longer deserve. A different computation
+    /// is a different stage.
     ///
     /// Panics when the pipeline has no stage called `stage`: stage
     /// names are literals, so a miss is a typo to fail on at
     /// construction, not a condition to carry to run time.
     pub fn decorate_stage(
-        self,
-        stage: &str,
-        wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
-    ) -> Self {
-        self.rewrap(stage, Some(false), wrap)
-    }
-
-    /// [`Pipeline::decorate_stage`] for a layer that names its output:
-    /// on a hit of the fast path it installs and after every run of the
-    /// function it returns, it leaves in [`StageCounters::id`] an id
-    /// that is a function of the input's id (as handed to it there),
-    /// the stage and its configuration alone — the cache decorator's
-    /// key. While this layer stays outermost the id travels on to the
-    /// next stage. The contract is the layer's to keep: two items with
-    /// equal ids must be equal.
-    pub fn decorate_stage_naming_output(
-        self,
-        stage: &str,
-        wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
-    ) -> Self {
-        self.rewrap(stage, Some(true), wrap)
-    }
-
-    /// Install a layer on `stage`; `names_output` says whether the
-    /// stage names its output afterwards, `None` keeping what it was (a
-    /// layer that hands on its function's output and counters as they
-    /// are).
-    fn rewrap(
         mut self,
         stage: &str,
-        names_output: Option<bool>,
         wrap: impl FnOnce(Arc<StageFn<T>>) -> (Arc<StageFn<T>>, Option<Arc<FastFn<T>>>),
     ) -> Self {
         let def = self.stages.iter_mut().find(|s| s.name == stage);
@@ -249,7 +331,6 @@ impl<T> Pipeline<T> {
             let (func, fast) = wrap(def.func.clone());
             def.func = func;
             def.fast = fast.or(def.fast.take());
-            def.names_output = names_output.unwrap_or(def.names_output);
         }
         self
     }
@@ -263,9 +344,9 @@ impl<T> Pipeline<T> {
     /// immediate (no sleeping): stage work dominates any sensible
     /// backoff, and determinism matters more here than politeness.
     ///
-    /// Every attempt is handed the item's id ([`StageCounters::id`]),
-    /// and the successful attempt's output and counters are handed on
-    /// as they are, so a stage that named its output still does.
+    /// Every attempt is handed the item's id ([`StageCounters::id`]);
+    /// the successful attempt's output and counters are handed on as
+    /// they are, and a failed attempt's report goes nowhere.
     ///
     /// Telemetry: each re-attempt increments
     /// `pipeline.<pipeline>.<stage>.retries`.
@@ -275,7 +356,7 @@ impl<T> Pipeline<T> {
     {
         assert!(max_attempts >= 1, "need at least one attempt");
         let (pipeline, stage_name) = (self.name.clone(), stage.to_string());
-        self.rewrap(stage, None, move |func| {
+        self.decorate_stage(stage, move |func| {
             let wrapped = move |input: T, counters: &mut StageCounters| {
                 let mut last_err = String::new();
                 for attempt in 0..max_attempts {
@@ -305,17 +386,16 @@ impl<T> Pipeline<T> {
     }
 
     /// Execute one stage on one artifact whose derivation id is `id`:
-    /// try the fast path first, then the full function. Returns the
-    /// output and its id — the one the stage left in the counters when
-    /// its outermost layer names its output, `None` otherwise. The only
-    /// place a stage runs on an item — the sequential runner and the
-    /// batch executor's workers both call it.
+    /// the fast path first, then the full function; then name the output
+    /// and write the record (see the module docs). The only place a
+    /// stage runs on an item — `run` and the executor's workers call it.
     pub(crate) fn execute_stage(
+        &self,
         stage: &StageDef<T>,
         input: T,
-        id: Option<[u8; 16]>,
+        id: Option<DerivationId>,
         counters: &mut StageCounters,
-    ) -> Result<(T, Option<[u8; 16]>), String> {
+    ) -> Result<(T, Option<DerivationId>), String> {
         counters.id = id;
         let output = match &stage.fast {
             Some(fast) => match fast(input, counters) {
@@ -324,17 +404,36 @@ impl<T> Pipeline<T> {
             },
             None => (stage.func)(input, counters)?,
         };
-        let id = if stage.names_output {
-            counters.id
-        } else {
-            None
-        };
-        Ok((output, id))
+        let input_id = counters.id;
+        let output_id = input_id.map(|id| derive(&id, &stage.name, &stage.fingerprint));
+        if let Some(ledger) = &self.ledger {
+            let StageReport { measured, written } = std::mem::take(&mut counters.report);
+            ledger.record(
+                &stage.name,
+                stage.config.iter().cloned().chain(measured),
+                input_id.iter().map(Artifact::derived).collect(),
+                output_id
+                    .iter()
+                    .map(Artifact::derived)
+                    .chain(written)
+                    .collect(),
+            );
+        }
+        Ok((output, output_id))
     }
 
-    /// Run sequentially on one artifact, emitting one telemetry span
-    /// per stage.
+    /// Run sequentially on one artifact with no derivation id.
     pub fn run(&self, input: T) -> Result<PipelineRun<T>, CoreError> {
+        self.run_with_id(input, None)
+    }
+
+    /// Run sequentially on one artifact named by `id`, emitting one
+    /// telemetry span per stage.
+    pub fn run_with_id(
+        &self,
+        input: T,
+        mut id: Option<DerivationId>,
+    ) -> Result<PipelineRun<T>, CoreError> {
         let registry = Registry::current();
         // Root span for the whole run; stage spans nest under it, and
         // it in turn nests under whatever context the caller entered
@@ -342,17 +441,16 @@ impl<T> Pipeline<T> {
         let run_span = registry.span(&names::RUN, [&self.name]);
         let _in_run = run_span.enter();
         let mut current = input;
-        let mut id = None;
         let mut metrics = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
             let at = [self.name.as_str(), stage.name.as_str()];
             let span = registry.span(&names::STAGE, at);
             let start = Stopwatch::start();
             let mut counters = StageCounters::default();
-            // Entered while the stage function runs so I/O-layer spans
-            // opened inside it parent under this stage.
+            // Entered while the stage runs and is recorded, so I/O spans
+            // parent under it and the record carries its trace.
             let in_stage = span.enter();
-            let result = Self::execute_stage(stage, current, id, &mut counters);
+            let result = self.execute_stage(stage, current, id, &mut counters);
             drop(in_stage);
             (current, id) = result.map_err(|message| CoreError::Stage {
                 stage: stage.name.clone(),
@@ -474,14 +572,19 @@ mod tests {
 
     #[test]
     fn decorated_stage_runs_the_wrapper_around_the_original() {
-        let p = doubling_pipeline().decorate_stage("double", |func| {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let calls = Arc::new(AtomicU32::new(0));
+        let seen = calls.clone();
+        let p = doubling_pipeline().decorate_stage("double", move |func| {
             let wrapped = move |v: Vec<f64>, c: &mut StageCounters| {
-                func(v, c).map(|out| out.into_iter().map(|x| x + 1.0).collect())
+                seen.fetch_add(1, Ordering::SeqCst);
+                func(v, c)
             };
             (Arc::new(wrapped), None)
         });
         let run = p.run(vec![1.0, 2.0]).unwrap();
-        assert_eq!(run.output, vec![3.0, 5.0]);
+        assert_eq!(run.output, vec![2.0, 4.0]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         // The wrapped stage keeps its name, kind and counters.
         assert_eq!(p.stage_names(), vec!["ingest", "double"]);
         assert_eq!(run.stage("double").unwrap().throughput.bytes, 16);
@@ -562,28 +665,22 @@ mod tests {
         assert_eq!(snap.counters["pipeline.retry-unit.flaky.retries"], 2);
     }
 
-    /// Each stage appends the first byte of the id it was handed; stage
-    /// `a`'s naming layer gives its output the id `[7; 16]`.
+    /// Each stage appends the first byte of the id it was handed; `b`
+    /// declares a configuration.
     fn id_trail() -> Pipeline<Vec<Option<u8>>> {
-        let mut builder = Pipeline::builder("ids");
-        for stage in ["a", "b", "c"] {
-            builder = builder.stage(stage, S::Transform, |mut v: Vec<Option<u8>>, c| {
-                v.push(c.id.map(|id| id[0]));
-                Ok(v)
-            });
-        }
-        builder.build().decorate_stage_naming_output("a", |func| {
-            let naming = move |v: Vec<Option<u8>>, c: &mut StageCounters| {
-                let out = func(v, c)?;
-                c.id = Some([7; 16]);
-                Ok(out)
-            };
-            (Arc::new(naming), None)
-        })
+        let seen = |mut v: Vec<Option<u8>>, c: &mut StageCounters| {
+            v.push(c.id.map(|id| id[0]));
+            Ok(v)
+        };
+        Pipeline::builder("ids")
+            .stage("a", S::Transform, seen)
+            .configured_stage("b", S::Transform, [("k", "v".to_string())], seen)
+            .stage("c", S::Transform, seen)
+            .build()
     }
 
     #[test]
-    fn ids_travel_only_out_of_a_stage_whose_outermost_layer_names_its_output() {
+    fn every_stage_derives_its_outputs_id_from_its_inputs() {
         use crate::executor::{ExecutorConfig, StreamingBatchExt};
         let trail = |p: &Pipeline<Vec<Option<u8>>>| {
             let run = p.run(Vec::new()).unwrap().output;
@@ -597,14 +694,82 @@ mod tests {
             );
             run
         };
-        // `b` sees `a`'s id; `b` names nothing, so `c` sees none.
-        assert_eq!(trail(&id_trail()), [None, Some(7), None]);
-        // `retried` hands its function's output and id on as they are.
-        assert_eq!(trail(&id_trail().retried("a", 2)), [None, Some(7), None]);
-        // Any other later layer ends the chain, even one that changes
-        // nothing.
-        let outer = id_trail().decorate_stage("a", |func| (func, None));
-        assert_eq!(trail(&outer), [None, None, None]);
+        // No id in, no id out.
+        assert_eq!(trail(&id_trail()), [None, None, None]);
+        let fp_b = config_fingerprint([("k", "v".to_string())]);
+        let a = derive(&[7; 16], "a", &[]);
+        let b = derive(&a, "b", &fp_b);
+        let named = [Some(7), Some(a[0]), Some(b[0])];
+        // An input named by the caller, or by a layer (as the cache names
+        // an unnamed one by content): every later stage sees the id
+        // derived from the one before.
+        let run = id_trail().run_with_id(Vec::new(), Some([7; 16]));
+        assert_eq!(run.unwrap().output, named);
+        let naming = id_trail().decorate_stage("a", |func| {
+            let name = |v, c: &mut StageCounters| {
+                c.id.get_or_insert([7; 16]);
+                FastPath::Miss(v)
+            };
+            (func, Some(Arc::new(name)))
+        });
+        assert_eq!(trail(&naming), named);
+        // The id is the stage's, its input's and its configuration's.
+        assert_eq!(id_trail().fingerprint("b"), Some(&fp_b[..]));
+        assert_eq!(id_trail().fingerprint("a"), Some(&[][..]));
+        assert_eq!(id_trail().fingerprint("d"), None);
+        assert_ne!(b, derive(&a, "b", &[]));
+        assert_ne!(b, derive(&a, "c", &fp_b));
+        assert_ne!(b, derive(&[8; 16], "b", &fp_b));
+    }
+
+    #[test]
+    fn each_stage_execution_writes_one_record_from_its_input_to_its_output() {
+        use drai_provenance::ArtifactId;
+        let ledger = Arc::new(Ledger::new());
+        let p: Pipeline<Vec<u8>> = Pipeline::builder("records")
+            .ledger(ledger.clone())
+            .stage("a", S::Transform, |v, _| Ok(v))
+            .configured_stage("b", S::Shard, [("k", "v".to_string())], |v: Vec<u8>, c| {
+                c.measure("len", v.len());
+                c.wrote("out.bin", &v);
+                Ok(v)
+            })
+            .build();
+        p.run_with_id(vec![1, 2, 3], Some([9; 16])).unwrap();
+        assert_eq!(ledger.len(), 2);
+        let blob = ArtifactId::of(&[1, 2, 3]);
+        let lineage = ledger.lineage(&blob).unwrap();
+        let ops: Vec<&str> = lineage.iter().map(|t| t.operation.as_str()).collect();
+        assert_eq!(ops, ["a", "b"]);
+        let a = derive(&[9; 16], "a", &[]);
+        assert_eq!(lineage[0].inputs, [Artifact::derived(&[9; 16])]);
+        assert_eq!(lineage[0].outputs, [Artifact::derived(&a)]);
+        assert!(lineage[0].params.is_empty());
+        assert_eq!(lineage[1].inputs, [Artifact::derived(&a)]);
+        let b = derive(&a, "b", p.fingerprint("b").unwrap());
+        let out = Artifact::new("out.bin", &[1, 2, 3]);
+        assert_eq!(lineage[1].outputs, [Artifact::derived(&b), out]);
+        let params: Vec<(&str, &str)> = lineage[1]
+            .params
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(params, [("k", "v"), ("len", "3")]);
+        assert_eq!(ledger.roots(&blob).unwrap(), [Artifact::derived(&[9; 16])]);
+        // With no id, a record has no derived artifacts, only what the
+        // stage wrote.
+        p.run(vec![4]).unwrap();
+        assert_eq!(ledger.len(), 4);
+        let unnamed = ledger.producer(&ArtifactId::of(&[4])).unwrap();
+        assert!(unnamed.inputs.is_empty());
+        assert_eq!(unnamed.outputs, [Artifact::new("out.bin", &[4])]);
+        // A pipeline with no ledger records nothing.
+        Pipeline::builder("unrecorded")
+            .stage("a", S::Transform, |v: Vec<u8>, _| Ok(v))
+            .build()
+            .run_with_id(vec![1], Some([9; 16]))
+            .unwrap();
+        assert_eq!(ledger.len(), 4);
     }
 
     #[test]

@@ -254,7 +254,6 @@ fn audit_stage(data: BioData, c: &mut StageCounters) -> Result<BioData, String> 
 /// enforce k-anonymity over (age band, zip3) by suppressing rare tuples.
 fn anonymize_stage(
     cfg: &BioConfig,
-    ledger: &Ledger,
     mut data: BioData,
     c: &mut StageCounters,
 ) -> Result<BioData, String> {
@@ -285,15 +284,7 @@ fn anonymize_stage(
         }
     }
     data.suppressed = suppressed;
-    ledger.record(
-        "anonymize",
-        [
-            ("k".to_string(), cfg.k.to_string()),
-            ("suppressed".to_string(), suppressed.to_string()),
-        ],
-        vec![],
-        vec![],
-    );
+    c.measure("suppressed", suppressed);
     c.records = data.patients.len() as u64;
     Ok(data)
 }
@@ -343,52 +334,46 @@ fn shard_nonce(split: Split, record_count: usize) -> Nonce {
 }
 
 /// Stage body: one h5lite container per split, ChaCha20-encrypted
-/// before it touches storage.
+/// before it touches storage, under the prefix's key.
 fn secure_shard_stage(
     cfg: &BioConfig,
     sink: &dyn StorageSink,
-    ledger: &Ledger,
     prefix: &str,
     data: BioData,
     c: &mut StageCounters,
 ) -> Result<BioData, String> {
     let key = shard_key(&cfg.secret, prefix);
+    c.measure("key_id", key_id(&key));
     let columns = LAB_COLUMNS.join(",");
     let keyed = data.fused.iter().map(|entry| (&entry.0, entry));
     let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let mut total = 0u64;
-    crate::write_splits(
-        ledger,
-        "secure-shard",
-        &[("cipher", "chacha20"), ("key_id", &key_id(&key))],
-        parts,
-        |split, patients, vouch| {
-            let mut f = H5File::new();
-            // One buffer holds a patient's group path; each dataset
-            // name is pushed onto it and cut off again.
-            let mut path = String::from("/patients/");
-            for (pseudonym, labs, onehot) in &patients {
-                path.truncate("/patients/".len());
-                path.push_str(pseudonym);
-                let group = path.len();
-                path.push_str("/labs");
-                f.put_tensor(&path, labs, labs.len().max(1))
-                    .and_then(|()| f.set_attr(&path, "columns", AttrValue::Text(columns.clone())))
-                    .map_err(|e| format!("{e}"))?;
-                path.truncate(group);
-                path.push_str("/onehot");
-                f.put_tensor(&path, onehot, 64)
-                    .map_err(|e| format!("{e}"))?;
-            }
-            let mut bytes = f.to_bytes();
-            chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes);
-            let name = format!("{prefix}/{}.h5lite.enc", split.name());
-            sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
-            total += bytes.len() as u64;
-            vouch(&name, &bytes);
-            Ok(())
-        },
-    )?;
+    crate::write_splits(c, parts, |split, patients, vouch| {
+        let mut f = H5File::new();
+        // One buffer holds a patient's group path; each dataset
+        // name is pushed onto it and cut off again.
+        let mut path = String::from("/patients/");
+        for (pseudonym, labs, onehot) in &patients {
+            path.truncate("/patients/".len());
+            path.push_str(pseudonym);
+            let group = path.len();
+            path.push_str("/labs");
+            f.put_tensor(&path, labs, labs.len().max(1))
+                .and_then(|()| f.set_attr(&path, "columns", AttrValue::Text(columns.clone())))
+                .map_err(|e| format!("{e}"))?;
+            path.truncate(group);
+            path.push_str("/onehot");
+            f.put_tensor(&path, onehot, 64)
+                .map_err(|e| format!("{e}"))?;
+        }
+        let mut bytes = f.to_bytes();
+        chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes);
+        let name = format!("{prefix}/{}.h5lite.enc", split.name());
+        sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
+        total += bytes.len() as u64;
+        vouch(&name, &bytes);
+        Ok(())
+    })?;
     c.records = data.fused.len() as u64;
     c.bytes = total;
     Ok(data)
@@ -398,6 +383,8 @@ fn secure_shard_stage(
 /// once for whatever flows through it: a bare [`BioData`] (pipeline
 /// `bio`, containers under `bio/`) or a batch [`Member`], one clinic's
 /// cohort (pipeline `bio-batch`, containers under `bio/m<member>/`).
+/// No stage declares the operator secret, which a record would publish:
+/// a key id derived from it stands in.
 fn stage_graph<I: StageItem<BioData>>(
     cfg: &BioConfig,
     sink: Arc<dyn StorageSink>,
@@ -405,24 +392,28 @@ fn stage_graph<I: StageItem<BioData>>(
 ) -> Pipeline<I> {
     let cfg_anon = cfg.clone();
     let cfg_shard = cfg.clone();
-    let ledger_anon = ledger.clone();
-    let ledger_shard = ledger;
+    let anonymity = [
+        ("k", cfg.k.to_string()),
+        ("key_id", key_id(&derive_key(&cfg.secret, "anonymize"))),
+    ];
+    let shard_config = [("cipher", "chacha20".to_string())]
+        .into_iter()
+        .chain(crate::split_config(cfg.seed, cfg.fractions));
 
     Pipeline::builder(&I::pipeline_name("bio"))
+        .ledger(ledger)
         .stage("audit", S::Ingest, |item: I, c| {
             item.try_map(|data| audit_stage(data, c))
         })
-        .stage("anonymize", S::Transform, move |item: I, c| {
-            item.try_map(|data| anonymize_stage(&cfg_anon, &ledger_anon, data, c))
+        .configured_stage("anonymize", S::Transform, anonymity, move |item: I, c| {
+            item.try_map(|data| anonymize_stage(&cfg_anon, data, c))
         })
         .stage("encode+fuse", S::Structure, |item: I, c| {
             item.try_map(|data| encode_fuse_stage(data, c))
         })
-        .stage("secure-shard", S::Shard, move |item: I, c| {
+        .configured_stage("secure-shard", S::Shard, shard_config, move |item: I, c| {
             let prefix = item.shard_prefix("bio");
-            item.try_map(|data| {
-                secure_shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
-            })
+            item.try_map(|data| secure_shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
 }
@@ -564,8 +555,8 @@ mod tests {
     }
 
     /// The archetype with PHI puts its raw inputs on record like the
-    /// others: one `ingest` ledger record per raw blob, naming the
-    /// blob's content, and the ingest span counts both.
+    /// others: one `ingest` record whose inputs name both raw blobs by
+    /// content, and the ingest span counts both.
     #[test]
     fn run_ledgers_both_raw_inputs() {
         use drai_io::json::Json;
@@ -583,13 +574,17 @@ mod tests {
         let ingests: Vec<Json> = records
             .filter(|r| r.get("operation").and_then(Json::as_str) == Some("ingest"))
             .collect();
-        assert_eq!(ingests.len(), 2);
-        for (record, blob) in ingests.iter().zip(&raw) {
-            let inputs = record.get("inputs").and_then(Json::as_arr).unwrap();
-            assert_eq!(inputs.len(), 1);
-            let id = inputs[0].get("id").and_then(Json::as_str);
-            assert_eq!(id, Some(ArtifactId::of(blob).digest()));
-        }
+        assert_eq!(ingests.len(), 1);
+        let inputs = ingests[0].get("inputs").and_then(Json::as_arr).unwrap();
+        let ids: Vec<_> = inputs
+            .iter()
+            .map(|i| i.get("id").and_then(Json::as_str))
+            .collect();
+        let want: Vec<_> = raw.iter().map(|blob| ArtifactId::of(blob)).collect();
+        assert_eq!(
+            ids,
+            want.iter().map(|id| Some(id.digest())).collect::<Vec<_>>()
+        );
 
         let snapshot = registry.snapshot();
         let spans = snapshot.spans_named("domain.bio.ingest");

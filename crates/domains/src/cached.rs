@@ -14,10 +14,10 @@
 //! tests and required for stable provenance digests.
 
 use crate::climate::{self, ClimateConfig, ClimateData};
-use crate::materials::{GraphSample, MaterialsConfig, MaterialsData};
+use crate::materials::{GraphSample, MaterialsData};
 use crate::StageItem;
 use drai_cache::bytes::{ByteReader, ByteWriter};
-use drai_cache::{config_fingerprint, CacheBytes, CachedPipelineExt, StageCache};
+use drai_cache::{CacheBytes, CachedPipelineExt, StageCache};
 use drai_core::pipeline::Pipeline;
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
@@ -282,40 +282,6 @@ impl<T: CacheBytes> CacheBytes for Member<T> {
     }
 }
 
-/// The climate stages [`with_climate_cache`] caches, in chain order,
-/// each with the fingerprint of every `ClimateConfig` input that affects
-/// its output. Their keys chain: the first is keyed by the content of
-/// the input it is handed, each later one by its predecessor's key.
-pub fn climate_cached_stages(cfg: &ClimateConfig) -> [(&'static str, Vec<u8>); 3] {
-    [
-        (
-            "regrid",
-            config_fingerprint([(
-                "dst_grid",
-                format!("{}x{}", cfg.dst_grid.nlat(), cfg.dst_grid.nlon()),
-            )]),
-        ),
-        (
-            "normalize",
-            config_fingerprint([("method", "zscore".to_string())]),
-        ),
-        (
-            "shard",
-            config_fingerprint([
-                ("shard_bytes", format!("{}", cfg.shard_bytes)),
-                ("seed", format!("{}", cfg.seed)),
-                (
-                    "fractions",
-                    format!(
-                        "{}/{}/{}",
-                        cfg.fractions.train, cfg.fractions.validation, cfg.fractions.test
-                    ),
-                ),
-            ]),
-        ),
-    ]
-}
-
 /// True when `sink` holds at least one `.shard` blob directly under
 /// `prefix/` — not under a deeper prefix, so the member shards under
 /// `climate/m0/` never vouch for a single run's `climate/` entry.
@@ -330,8 +296,7 @@ fn shards_exist(sink: &dyn StorageSink, prefix: &str) -> bool {
 }
 
 /// Route a climate pipeline's regrid, normalize and shard stages
-/// through `cache`, whatever item it runs over. Each stage is keyed on
-/// the `ClimateConfig` inputs that affect its output.
+/// through `cache`, whatever item it runs over.
 ///
 /// The shard stage's hit path additionally verifies that shard blobs
 /// still exist in `sink` under the item's own prefix — a cache entry
@@ -339,19 +304,16 @@ fn shards_exist(sink: &dyn StorageSink, prefix: &str) -> bool {
 /// not trusted.
 pub fn with_climate_cache<I>(
     pipeline: Pipeline<I>,
-    cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     cache: Arc<StageCache>,
 ) -> Pipeline<I>
 where
     I: StageItem<ClimateData> + CacheBytes + Send + Sync + 'static,
 {
-    let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
-        climate_cached_stages(cfg);
     pipeline
-        .cached(regrid, cache.clone(), regrid_fp)
-        .cached(normalize, cache.clone(), normalize_fp)
-        .cached_with_check(shard, cache, shard_fp, move |item: &I| {
+        .cached("regrid", cache.clone())
+        .cached("normalize", cache.clone())
+        .cached_with_check("shard", cache, move |item: &I| {
             shards_exist(sink.as_ref(), &item.shard_prefix("climate"))
         })
 }
@@ -364,7 +326,7 @@ pub fn build_cached_climate_pipeline(
     cache: Arc<StageCache>,
 ) -> Pipeline<ClimateData> {
     let pipeline = climate::build_pipeline(cfg, sink.clone(), ledger);
-    with_climate_cache(pipeline, cfg, sink, cache)
+    with_climate_cache(pipeline, sink, cache)
 }
 
 /// [`climate::build_batch_pipeline`] under [`with_climate_cache`].
@@ -375,33 +337,27 @@ pub fn build_cached_climate_batch_pipeline(
     cache: Arc<StageCache>,
 ) -> Pipeline<Member<ClimateData>> {
     let pipeline = climate::build_batch_pipeline(cfg, sink.clone(), ledger);
-    with_climate_cache(pipeline, cfg, sink, cache)
+    with_climate_cache(pipeline, sink, cache)
 }
 
 /// Route a materials pipeline's normalize and encode stages through
 /// `cache`. The shard stage stays uncached: its output is the external
 /// BP/JSONL blobs, which must be (re)written every run.
-pub fn with_materials_cache<I>(
-    pipeline: Pipeline<I>,
-    cfg: &MaterialsConfig,
-    cache: Arc<StageCache>,
-) -> Pipeline<I>
+pub fn with_materials_cache<I>(pipeline: Pipeline<I>, cache: Arc<StageCache>) -> Pipeline<I>
 where
     I: StageItem<MaterialsData> + CacheBytes + Send + Sync + 'static,
 {
-    let normalize_fp = config_fingerprint([("target", "energy_per_atom".to_string())]);
-    let encode_fp = config_fingerprint([("cutoff", format!("{:.12e}", cfg.cutoff))]);
     pipeline
-        .cached("normalize", cache.clone(), normalize_fp)
-        .cached("encode", cache, encode_fp)
+        .cached("normalize", cache.clone())
+        .cached("encode", cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::materials;
-    use drai_cache::clock::LogicalClock;
+    use crate::materials::{self, MaterialsConfig};
     use drai_io::sink::MemSink;
+    use drai_telemetry::clock::LogicalClock;
     use drai_telemetry::{Registry, TraceContext};
 
     fn climate_cfg() -> ClimateConfig {
@@ -556,8 +512,14 @@ mod tests {
             dst_grid: LatLonGrid::global(6, 12),
             ..climate_cfg()
         };
-        let [regrid_a, normalize_a, shard_a] = climate_cached_stages(&cfg_a);
-        let [regrid_b, normalize_b, shard_b] = climate_cached_stages(&cfg_b);
+        let fingerprints = |cfg: &ClimateConfig| {
+            let sink = Arc::new(MemSink::new());
+            let graph = climate::build_pipeline(cfg, sink, Arc::new(Ledger::new()));
+            ["regrid", "normalize", "shard"]
+                .map(|stage| graph.fingerprint(stage).map(<[u8]>::to_vec))
+        };
+        let [regrid_a, normalize_a, shard_a] = fingerprints(&cfg_a);
+        let [regrid_b, normalize_b, shard_b] = fingerprints(&cfg_b);
         assert_ne!(regrid_a, regrid_b);
         assert_eq!((normalize_a, shard_a), (normalize_b, shard_b));
     }
@@ -688,7 +650,17 @@ mod tests {
             w.put_u64(0);
             w.finish()
         };
-        let [(_, fp), ..] = climate_cached_stages(&cfg);
+        // A stored payload is the stage's report — regrid's is empty: two
+        // zero counts, nothing measured or written — then its output.
+        let no_report = [0u8; 16];
+        let planted = |output: &[u8]| [&no_report[..], output].concat();
+        let output_of = |payload: &[u8]| {
+            assert_eq!(payload[..no_report.len()], no_report[..]);
+            payload[no_report.len()..].to_vec()
+        };
+        let sink = Arc::new(MemSink::new());
+        let graph = climate::build_pipeline(&cfg, sink, Arc::new(Ledger::new()));
+        let fp = graph.fingerprint("regrid").expect("regrid is declared");
         let counted = |snapshot: &drai_telemetry::Snapshot, name: &str| {
             snapshot.counters.get(name).copied().unwrap_or(0)
         };
@@ -697,8 +669,8 @@ mod tests {
         // (validate hands its input on unchanged).
         let cache = test_cache(&Arc::new(MemSink::new()));
         let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let key = CacheKey::compute("regrid", &input.to_cache_bytes(), &fp);
-        cache.put(&key, &empty_grid, 0, 0).expect("plant");
+        let key = CacheKey::compute("regrid", &input.to_cache_bytes(), fp);
+        cache.put(&key, &planted(&empty_grid), 0, 0).expect("plant");
         let p = build_cached_climate_pipeline(
             &cfg,
             sink.clone(),
@@ -715,7 +687,8 @@ mod tests {
         assert_eq!(counted(&first, "cache.misses"), 2, "{:?}", first.counters);
         assert_eq!(counted(&first, "cache.quarantined"), 0);
         let stored = cache.get(&key).expect("overwritten entry");
-        let regridded = ClimateData::from_cache_bytes(&stored.payload).expect("now decodes");
+        let regridded =
+            ClimateData::from_cache_bytes(&output_of(&stored.payload)).expect("now decodes");
         assert_eq!(regridded.grid.shape(), cfg.dst_grid.shape());
         let ((), second) = run_in_registry(&Registry::new(), || {
             p.run(input.clone()).expect("warm run");
@@ -727,8 +700,8 @@ mod tests {
         let cache = test_cache(&Arc::new(MemSink::new()));
         let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
         let member = Member(1, climate::member_input(&cfg, 1));
-        let key = CacheKey::compute("regrid", &member.to_cache_bytes(), &fp);
-        let planted = Member(1, empty_grid.clone()).to_cache_bytes();
+        let key = CacheKey::compute("regrid", &member.to_cache_bytes(), fp);
+        let planted = planted(&Member(1, empty_grid.clone()).to_cache_bytes());
         cache.put(&key, &planted, 0, 0).expect("plant");
         let p = build_cached_climate_batch_pipeline(
             &cfg,
@@ -746,8 +719,8 @@ mod tests {
         assert_eq!(counted(&first, "cache.hits"), 1, "{:?}", first.counters);
         assert_eq!(counted(&first, "cache.misses"), 2, "{:?}", first.counters);
         let stored = cache.get(&key).expect("overwritten entry");
-        let regridded =
-            Member::<ClimateData>::from_cache_bytes(&stored.payload).expect("now decodes");
+        let regridded = Member::<ClimateData>::from_cache_bytes(&output_of(&stored.payload))
+            .expect("now decodes");
         assert_eq!(regridded.0, 1);
         assert_eq!(regridded.1.grid.shape(), cfg.dst_grid.shape());
         let (_, second) = run_in_registry(&Registry::new(), || {

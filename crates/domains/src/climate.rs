@@ -290,13 +290,12 @@ const REGRID_BLOCK: usize = 8;
 /// geometry of each scheme is planned once; blocks of timesteps are then
 /// remapped in parallel, each into its own part of the output stacks.
 fn regrid_stage(
-    cfg: &ClimateConfig,
-    ledger: &Ledger,
+    dst: &LatLonGrid,
     mut data: ClimateData,
     c: &mut StageCounters,
 ) -> Result<ClimateData, String> {
     let src = data.grid.clone();
-    let dst = cfg.dst_grid.clone();
+    let dst = dst.clone();
     let (src_cells, dst_cells) = (src.ncells(), dst.ncells());
     let bilinear = RegridPlan::new(&src, &dst, Scheme::Bilinear);
     let conservative = RegridPlan::new(&src, &dst, Scheme::Conservative);
@@ -339,15 +338,6 @@ fn regrid_stage(
     .collect::<Result<(), _>>()
     .map_err(|e| format!("{e}"))?;
     data.fields = regridded;
-    ledger.record(
-        "regrid",
-        [
-            ("src".to_string(), format!("{}x{}", src.nlat(), src.nlon())),
-            ("dst".to_string(), format!("{}x{}", dst.nlat(), dst.nlon())),
-        ],
-        vec![],
-        vec![],
-    );
     data.grid = dst;
     c.records = data.timesteps as u64;
     c.bytes = (data.fields.len() * data.timesteps * data.grid.ncells() * 8) as u64;
@@ -356,12 +346,8 @@ fn regrid_stage(
 
 /// Stage body: per-variable z-score. Welford moments are fitted per
 /// 64 Ki-value chunk and merged in chunk order, so the fit is the same on
-/// every host.
-fn normalize_stage(
-    ledger: &Ledger,
-    mut data: ClimateData,
-    c: &mut StageCounters,
-) -> Result<ClimateData, String> {
+/// every host; each variable's fitted mean and std go on record.
+fn normalize_stage(mut data: ClimateData, c: &mut StageCounters) -> Result<ClimateData, String> {
     let normalizers: Vec<Normalizer> = par_map(&data.fields, |stack| {
         let w = Welford::of_chunks(stack, 64 * 1024);
         Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))
@@ -371,18 +357,9 @@ fn normalize_stage(
     par_map(data.fields.iter_mut().zip(&normalizers), |(stack, n)| {
         n.apply_slice(stack)
     });
-    for (vi, n) in normalizers.iter().enumerate() {
-        ledger.record(
-            "normalize",
-            [
-                ("variable".to_string(), VARIABLES[vi].0.to_string()),
-                ("method".to_string(), "zscore".to_string()),
-                ("mean".to_string(), format!("{:.6}", n.offset)),
-                ("std".to_string(), format!("{:.6}", n.scale)),
-            ],
-            vec![],
-            vec![],
-        );
+    for ((name, ..), n) in VARIABLES.iter().zip(&normalizers) {
+        c.measure(&format!("{name}.mean"), format!("{:.6}", n.offset));
+        c.measure(&format!("{name}.std"), format!("{:.6}", n.scale));
     }
     data.normalizers = normalizers;
     c.records = data.timesteps as u64;
@@ -446,7 +423,6 @@ impl NpzLayout {
 fn shard_stage(
     cfg: &ClimateConfig,
     sink: &dyn StorageSink,
-    ledger: &Ledger,
     prefix: &str,
     data: ClimateData,
     c: &mut StageCounters,
@@ -459,7 +435,7 @@ fn shard_stage(
     c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
     let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
-    crate::write_splits(ledger, "shard", &[("format", "npz")], parts, write)?;
+    crate::write_splits(c, parts, write)?;
     Ok(data)
 }
 
@@ -467,33 +443,34 @@ fn shard_stage(
 /// it: a bare [`ClimateData`] (pipeline `climate`, shards under
 /// `climate/`) or a [`Member`] of an ensemble (pipeline
 /// `climate-batch`, shards under `climate/m<member>/` so members never
-/// collide). Stateless; shares the sink and ledger through `Arc`s.
+/// collide).
 fn stage_graph<I: StageItem<ClimateData>>(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
 ) -> Pipeline<I> {
-    let cfg_regrid = cfg.clone();
+    let dst = cfg.dst_grid.clone();
     let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
+    let dst_grid = [("dst_grid", format!("{}x{}", dst.nlat(), dst.nlon()))];
+    let zscore = [("method", "zscore".to_string())];
+    let shard_config = [("shard_bytes", cfg.shard_bytes.to_string())]
+        .into_iter()
+        .chain(crate::split_config(cfg.seed, cfg.fractions));
 
     Pipeline::builder(&I::pipeline_name("climate"))
+        .ledger(ledger)
         .stage("validate", S::Ingest, |item: I, c| {
             item.try_map(|data| validate_stage(data, c))
         })
-        .stage("regrid", S::Preprocess, move |item: I, c| {
-            item.try_map(|data| regrid_stage(&cfg_regrid, &ledger_regrid, data, c))
+        .configured_stage("regrid", S::Preprocess, dst_grid, move |item: I, c| {
+            item.try_map(|data| regrid_stage(&dst, data, c))
         })
-        .stage("normalize", S::Transform, move |item: I, c| {
-            item.try_map(|data| normalize_stage(&ledger_norm, data, c))
+        .configured_stage("normalize", S::Transform, zscore, |item: I, c| {
+            item.try_map(|data| normalize_stage(data, c))
         })
-        .stage("shard", S::Shard, move |item: I, c| {
+        .configured_stage("shard", S::Shard, shard_config, move |item: I, c| {
             let prefix = item.shard_prefix("climate");
-            item.try_map(|data| {
-                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
-            })
+            item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
 }
@@ -651,9 +628,10 @@ mod tests {
         let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
         assert_eq!(assessment.overall, ReadinessLevel::FullyAiReady);
 
-        // Shards exist and the provenance ledger recorded the chain.
+        // Shards exist and the provenance ledger recorded the chain:
+        // the ingest, then one record per stage.
         assert!(!run.shard_files.is_empty());
-        assert!(run.ledger.len() >= 4 + 1 + 4); // ingest×4, regrid, normalize×4, shards
+        assert_eq!(run.ledger.len(), 1 + 4);
 
         // Read a train shard back: NPZ members decode as [8,16] f32 with
         // ~zero mean after normalization.
@@ -698,7 +676,7 @@ mod tests {
             })
             .collect();
         let mut counters = StageCounters::default();
-        let out = regrid_stage(&cfg, &Ledger::new(), data.clone(), &mut counters).unwrap();
+        let out = regrid_stage(&cfg.dst_grid, data.clone(), &mut counters).unwrap();
         assert_eq!(out.grid, cfg.dst_grid);
         for (got, want) in out.fields.iter().zip(&want) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -707,7 +685,7 @@ mod tests {
 
         let mut short = data;
         short.fields[2].pop();
-        assert!(regrid_stage(&cfg, &Ledger::new(), short, &mut counters).is_err());
+        assert!(regrid_stage(&cfg.dst_grid, short, &mut counters).is_err());
     }
 
     /// The record builder against the construction it replaced — one

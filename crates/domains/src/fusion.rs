@@ -263,7 +263,6 @@ fn align_stage(
 /// each shot is normalized and windowed on its own columns.
 fn normalize_stage(
     cfg: &FusionConfig,
-    ledger: &Ledger,
     mut data: FusionData,
     c: &mut StageCounters,
 ) -> Result<FusionData, String> {
@@ -338,15 +337,7 @@ fn normalize_stage(
             });
         }
     }
-    ledger.record(
-        "normalize+window",
-        [
-            ("method".to_string(), "robust+derivative".to_string()),
-            ("windows".to_string(), windows.len().to_string()),
-        ],
-        vec![],
-        vec![],
-    );
+    c.measure("windows", windows.len());
     c.records = windows.len() as u64;
     c.bytes = windows.iter().map(|w| (w.features.len() * 4) as u64).sum();
     data.windows = windows;
@@ -358,7 +349,6 @@ fn normalize_stage(
 fn shard_stage(
     cfg: &FusionConfig,
     sink: &dyn StorageSink,
-    ledger: &Ledger,
     prefix: &str,
     data: FusionData,
     c: &mut StageCounters,
@@ -380,7 +370,7 @@ fn shard_stage(
     c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
     let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
-    crate::write_splits(ledger, "shard", &[("format", "tfrecord")], parts, write)?;
+    crate::write_splits(c, parts, write)?;
     Ok(data)
 }
 
@@ -395,24 +385,40 @@ fn stage_graph<I: StageItem<FusionData>>(
     let cfg_align = cfg.clone();
     let cfg_norm = cfg.clone();
     let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
+    // No raw blob names the in-memory shot store: extract declares what
+    // generated it.
+    let store = [
+        ("shots", cfg.shots.to_string()),
+        ("shot_seconds", cfg.shot_seconds.to_string()),
+        ("disruption_fraction", cfg.disruption_fraction.to_string()),
+        ("channel_dropout", cfg.channel_dropout.to_string()),
+        ("store_seed", cfg.seed.to_string()),
+    ];
+    let clock_hz = ("clock_hz", cfg.clock_hz.to_string());
+    let windows = [
+        ("method", "robust+derivative".to_string()),
+        clock_hz.clone(),
+        ("window_len", cfg.window_len.to_string()),
+        ("window_stride", cfg.window_stride.to_string()),
+    ];
+    let shard_config = [("shard_bytes", cfg.shard_bytes.to_string())]
+        .into_iter()
+        .chain(crate::split_config(cfg.seed, cfg.fractions));
 
     Pipeline::builder(&I::pipeline_name("fusion"))
-        .stage("extract", S::Ingest, |item: I, c| {
+        .ledger(ledger)
+        .configured_stage("extract", S::Ingest, store, |item: I, c| {
             item.try_map(|data| extract_stage(data, c))
         })
-        .stage("align", S::Preprocess, move |item: I, c| {
+        .configured_stage("align", S::Preprocess, [clock_hz], move |item: I, c| {
             item.try_map(|data| align_stage(&cfg_align, data, c))
         })
-        .stage("normalize", S::Transform, move |item: I, c| {
-            item.try_map(|data| normalize_stage(&cfg_norm, &ledger_norm, data, c))
+        .configured_stage("normalize", S::Transform, windows, move |item: I, c| {
+            item.try_map(|data| normalize_stage(&cfg_norm, data, c))
         })
-        .stage("shard", S::Shard, move |item: I, c| {
+        .configured_stage("shard", S::Shard, shard_config, move |item: I, c| {
             let prefix = item.shard_prefix("fusion");
-            item.try_map(|data| {
-                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
-            })
+            item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
 }

@@ -16,14 +16,22 @@
 //! All four modules have one outline: `generate_raw` (the download
 //! stand-in) → `ingest` → one `stage_graph::<I: StageItem<_>>`, which
 //! `build_pipeline` / `build_batch_pipeline` instantiate for a bare
-//! artifact or a batch [`Member`] (made by `member_input`). Their `run`
-//! is written once, here (`run_archetype`), and so is the tail every
-//! shard stage ends in (`write_splits`). A `run` returns a
-//! [`DomainRun`]: the output dataset manifest, per-stage metrics and
-//! the provenance ledger — so the readiness assessor can grade the
-//! result and the Table 2 bench can measure each cell. The manifest's
-//! evidence flags are *asserted* in one function, `assert_evidence`,
-//! not yet measured from the run (ROADMAP item 1).
+//! artifact or a batch [`Member`] (made by `member_input`). Each stage
+//! declares the configuration it reads next to it: the params of its
+//! ledger record and the fingerprint of its cache key. Their `run` is
+//! written once, here (`run_archetype`), and so is the tail every shard
+//! stage ends in (`write_splits`). A `run` returns a [`DomainRun`]: the
+//! output dataset manifest, per-stage metrics and the provenance ledger
+//! — so the readiness assessor can grade the result and the Table 2
+//! bench can measure each cell. The manifest's evidence flags are
+//! *asserted* in one function, `assert_evidence`, not yet measured from
+//! the run (ROADMAP item 1).
+//!
+//! The ledger is the pipeline's to write, not the stages':
+//! `run_archetype` writes one `ingest` record, raw blobs in and an id
+//! derived from theirs out, and runs the pipeline under that id, which
+//! writes one record per stage. So every shard's lineage is the `ingest`
+//! record plus one record per stage, and its roots are the raw blobs.
 
 pub mod bio;
 pub mod cached;
@@ -42,16 +50,15 @@ mod names {
     pub(crate) const INGEST: Name<Span, 1> = Name::declare("domain.{}.ingest");
 }
 
-use drai_core::pipeline::{Pipeline, StageMetrics};
+use drai_core::pipeline::{Pipeline, StageCounters, StageMetrics};
 use drai_core::DatasetManifest;
+use drai_io::checksum::content_hash128;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::{
-    HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
-};
-use drai_telemetry::Registry;
-use drai_transform::split::{Partitioned, Split};
+use drai_telemetry::monitor::{HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig};
+use drai_telemetry::{Registry, Stopwatch};
+use drai_transform::split::{Fractions, Partitioned, Split};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,7 +134,7 @@ pub fn monitored<R>(
     };
     let mut sampler = Sampler::new(
         &Registry::current(),
-        Arc::new(WallMonitorClock::new()),
+        Arc::new(Stopwatch::start()),
         sampler_cfg,
         spec,
     );
@@ -152,9 +159,11 @@ pub(crate) type Witness<'a> = &'a mut dyn FnMut(&str, &[u8]);
 /// pipeline's input), each under a span of its own, then the pipeline
 /// `build` makes over the run's ledger, then the manifest `describe`
 /// derives from the output plus [`assert_evidence`]. What `ingest` shows
-/// its [`Witness`] is counted on its span and ledgered as an `ingest`
-/// input. The pipeline stays the last thing that takes time: the
-/// benchmark lays [`DomainRun::stages`] back to back up to the return.
+/// its [`Witness`] is counted on its span and becomes an input of the
+/// run's one `ingest` record, whose output — the pipeline's input — is
+/// named by an id derived from those inputs' ids. The pipeline stays the
+/// last thing that takes time: the benchmark lays [`DomainRun::stages`]
+/// back to back up to the return.
 pub(crate) fn run_archetype<R, D>(
     domain: &str,
     shard_ext: &str,
@@ -169,17 +178,21 @@ pub(crate) fn run_archetype<R, D>(
     let _in_run = run_span.enter();
     let ledger = Arc::new(Ledger::new());
     let raw = registry.time(&names::GENERATE_RAW, [domain], generate_raw)?;
-    let input = {
+    let (input, id) = {
         let span = registry.span(&names::INGEST, [domain]);
         let _in_ingest = span.enter();
-        ingest(raw, &mut |name, content| {
+        let mut raw_blobs = Vec::new();
+        let input = ingest(raw, &mut |name, content| {
             span.add_items(1);
             span.add_bytes(content.len() as u64);
-            let file = [("file".to_string(), name.to_string())];
-            ledger.record("ingest", file, vec![Artifact::new(name, content)], vec![]);
-        })?
+            raw_blobs.push(Artifact::new(name, content));
+        })?;
+        let ids: String = raw_blobs.iter().map(|blob| blob.id.digest()).collect();
+        let id = content_hash128(ids.as_bytes());
+        ledger.record("ingest", [], raw_blobs, vec![Artifact::derived(&id)]);
+        (input, id)
     };
-    let run = build(ledger.clone()).run(input)?;
+    let run = build(ledger.clone()).run_with_id(input, Some(id))?;
 
     let mut manifest = describe(&run.output);
     assert_evidence(&mut manifest);
@@ -220,29 +233,23 @@ fn assert_evidence(manifest: &mut DatasetManifest) {
 
 /// The tail every shard stage ends in. For each non-empty split, in
 /// (train, validation, test) order, `write` stores the split's items
-/// and shows its [`Witness`] each blob written; each becomes the output
-/// [`Artifact`] of one `event` ledger record carrying the split name
-/// and `params`.
+/// and shows its [`Witness`] each blob written, which goes into the
+/// stage's report (`c`): an output of the stage's record.
 pub(crate) fn write_splits<T>(
-    ledger: &Ledger,
-    event: &str,
-    params: &[(&str, &str)],
+    c: &mut StageCounters,
     parts: Partitioned<T>,
     mut write: impl FnMut(Split, Vec<T>, Witness) -> Result<(), String>,
 ) -> Result<(), String> {
     for (split, items) in parts.into_iter().filter(|(_, items)| !items.is_empty()) {
-        write(split, items, &mut |name, content| {
-            let split_param = [("split", split.name())];
-            let params = split_param.iter().chain(params);
-            ledger.record(
-                event,
-                params.map(|(k, v)| (k.to_string(), v.to_string())),
-                vec![],
-                vec![Artifact::new(name, content)],
-            );
-        })?;
+        write(split, items, &mut |name, content| c.wrote(name, content))?;
     }
     Ok(())
+}
+
+/// The seed and fractions a shard stage partitions its records by.
+pub(crate) fn split_config(seed: u64, f: Fractions) -> [(&'static str, String); 2] {
+    let fractions = format!("{}/{}/{}", f.train, f.validation, f.test);
+    [("seed", seed.to_string()), ("fractions", fractions)]
 }
 
 /// [`write_splits`]' `write` for the [`ShardWriter`] domains: pack a
@@ -272,8 +279,9 @@ pub struct DomainRun {
     pub manifest: DatasetManifest,
     /// Per-stage timing/volume.
     pub stages: Vec<StageMetrics>,
-    /// Provenance of every transformation (shared with the pipeline's
-    /// stage closures, hence the `Arc`).
+    /// Provenance of the run: its `ingest` record and one record per
+    /// stage execution (shared with the pipeline that writes it, hence
+    /// the `Arc`).
     pub ledger: Arc<Ledger>,
     /// Names of shard blobs written (across splits).
     pub shard_files: Vec<String>,

@@ -282,9 +282,8 @@ fn parse_stage(data: MaterialsData, c: &mut StageCounters) -> Result<MaterialsDa
     Ok(data)
 }
 
-/// Stage body: per-atom energy statistics.
+/// Stage body: per-atom energy statistics, which go on record.
 fn normalize_stage(
-    ledger: &Ledger,
     mut data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
@@ -299,16 +298,8 @@ fn normalize_stage(
     }
     let std = if w.std() < f64::EPSILON { 1.0 } else { w.std() };
     data.energy_stats = (w.mean(), std);
-    ledger.record(
-        "normalize",
-        [
-            ("target".to_string(), "energy_per_atom".to_string()),
-            ("mean".to_string(), format!("{:.6}", w.mean())),
-            ("std".to_string(), format!("{std:.6}")),
-        ],
-        vec![],
-        vec![],
-    );
+    c.measure("mean", format!("{:.6}", w.mean()));
+    c.measure("std", format!("{std:.6}"));
     c.records = data.frames.len() as u64;
     Ok(data)
 }
@@ -377,7 +368,6 @@ fn encode_stage(
 fn shard_stage(
     cfg: &MaterialsConfig,
     sink: &dyn StorageSink,
-    ledger: &Ledger,
     prefix: &str,
     data: MaterialsData,
     c: &mut StageCounters,
@@ -388,52 +378,46 @@ fn shard_stage(
         .map(|g| (format!("structure-{}", g.structure_id), g));
     let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let mut total = 0u64;
-    crate::write_splits(
-        ledger,
-        "shard",
-        &[("format", "bp+jsonl")],
-        parts,
-        |split, graphs, vouch| {
-            let mut writer = BpWriter::new();
-            let mut sidecar = String::new();
-            for g in graphs {
-                let mut energy = Tensor::<f64>::zeros(&[1]);
-                energy.set(&[0], g.energy_per_atom).expect("index 0");
-                writer.append(&ProcessGroup {
-                    name: format!("structure-{}", g.structure_id),
-                    step: g.structure_id as u64,
-                    vars: vec![
-                        BpVar::from_tensor("node_features", &g.node_features),
-                        BpVar::from_tensor("edges", &g.edges),
-                        BpVar::from_tensor("edge_lengths", &g.edge_lengths),
-                        BpVar::from_tensor("energy_per_atom", &energy),
-                        BpVar::from_tensor("forces", &g.forces),
-                    ],
-                });
-                sidecar.push_str(
-                    &Json::obj([
-                        ("structure", Json::from(g.structure_id)),
-                        ("atoms", Json::from(g.node_features.shape()[0])),
-                        ("edges", Json::from(g.edge_lengths.len())),
-                        ("energy_per_atom", Json::from(g.energy_per_atom)),
-                    ])
-                    .to_string_compact(),
-                );
-                sidecar.push('\n');
-            }
-            let bytes = writer.finish();
-            let name = format!("{prefix}/{}.bp", split.name());
-            sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
-            sink.write_file(
-                &format!("{prefix}/{}.jsonl", split.name()),
-                sidecar.as_bytes(),
-            )
-            .map_err(|e| e.to_string())?;
-            total += bytes.len() as u64;
-            vouch(&name, &bytes);
-            Ok(())
-        },
-    )?;
+    crate::write_splits(c, parts, |split, graphs, vouch| {
+        let mut writer = BpWriter::new();
+        let mut sidecar = String::new();
+        for g in graphs {
+            let mut energy = Tensor::<f64>::zeros(&[1]);
+            energy.set(&[0], g.energy_per_atom).expect("index 0");
+            writer.append(&ProcessGroup {
+                name: format!("structure-{}", g.structure_id),
+                step: g.structure_id as u64,
+                vars: vec![
+                    BpVar::from_tensor("node_features", &g.node_features),
+                    BpVar::from_tensor("edges", &g.edges),
+                    BpVar::from_tensor("edge_lengths", &g.edge_lengths),
+                    BpVar::from_tensor("energy_per_atom", &energy),
+                    BpVar::from_tensor("forces", &g.forces),
+                ],
+            });
+            sidecar.push_str(
+                &Json::obj([
+                    ("structure", Json::from(g.structure_id)),
+                    ("atoms", Json::from(g.node_features.shape()[0])),
+                    ("edges", Json::from(g.edge_lengths.len())),
+                    ("energy_per_atom", Json::from(g.energy_per_atom)),
+                ])
+                .to_string_compact(),
+            );
+            sidecar.push('\n');
+        }
+        let bytes = writer.finish();
+        let name = format!("{prefix}/{}.bp", split.name());
+        sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
+        sink.write_file(
+            &format!("{prefix}/{}.jsonl", split.name()),
+            sidecar.as_bytes(),
+        )
+        .map_err(|e| e.to_string())?;
+        total += bytes.len() as u64;
+        vouch(&name, &bytes);
+        Ok(())
+    })?;
     c.records = data.graphs.len() as u64;
     c.bytes = total;
     Ok(data)
@@ -450,24 +434,24 @@ fn stage_graph<I: StageItem<MaterialsData>>(
 ) -> Pipeline<I> {
     let cfg_encode = cfg.clone();
     let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
+    let target = [("target", "energy_per_atom".to_string())];
+    let cutoff = [("cutoff", format!("{:.12e}", cfg.cutoff))];
+    let split = crate::split_config(cfg.seed, cfg.fractions);
 
     Pipeline::builder(&I::pipeline_name("materials"))
+        .ledger(ledger)
         .stage("parse", S::Ingest, |item: I, c| {
             item.try_map(|data| parse_stage(data, c))
         })
-        .stage("normalize", S::Transform, move |item: I, c| {
-            item.try_map(|data| normalize_stage(&ledger_norm, data, c))
+        .configured_stage("normalize", S::Transform, target, |item: I, c| {
+            item.try_map(|data| normalize_stage(data, c))
         })
-        .stage("encode", S::Structure, move |item: I, c| {
+        .configured_stage("encode", S::Structure, cutoff, move |item: I, c| {
             item.try_map(|data| encode_stage(&cfg_encode, data, c))
         })
-        .stage("shard", S::Shard, move |item: I, c| {
+        .configured_stage("shard", S::Shard, split, move |item: I, c| {
             let prefix = item.shard_prefix("materials");
-            item.try_map(|data| {
-                shard_stage(&cfg_shard, sink.as_ref(), &ledger_shard, &prefix, data, c)
-            })
+            item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
 }

@@ -18,19 +18,21 @@
 //! read) are expected to fast-path through the chain, so they count a
 //! fraction of a cold member toward quotas and the in-flight gate.
 
-use crate::cached;
 use crate::climate::{self, ClimateConfig};
 use crate::{DomainError, Member};
 use drai_cache::{CacheBytes, CacheKey, StageCache};
 use drai_core::pipeline::Pipeline;
 use drai_core::StreamingBatchExt;
+use drai_io::sink::MemSink;
+use drai_provenance::Ledger;
 use drai_sched::{JobHandle, JobOutput, JobSpec, Rejected, Scheduler};
+use std::sync::Arc;
 
 /// Submit a batch as a job for `tenant`: when dispatched, members
 /// `0..members` are made by `member_input` and streamed through
 /// `pipeline` (any batch pipeline — e.g.
 /// [`climate::build_batch_pipeline`],
-/// [`cached::build_cached_climate_batch_pipeline`]) under the job's
+/// [`crate::cached::build_cached_climate_batch_pipeline`]) under the job's
 /// executor configuration and cancel token. `cost` is what the job
 /// counts toward quotas — `members` for a cold batch.
 pub fn submit_batch<D: Send + 'static>(
@@ -71,17 +73,20 @@ pub fn estimate_climate_batch_cost(
     cache: &StageCache,
     members: usize,
 ) -> (u64, usize) {
-    let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
-        cached::climate_cached_stages(cfg);
+    // The stage graph's own declarations (built, never run), so the keys
+    // cannot drift from what the cached stages compute.
+    let graph =
+        climate::build_batch_pipeline(cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
+    let fp = |stage| graph.fingerprint(stage).unwrap_or_default();
     let mut warm = 0usize;
     for m in 0..members {
-        // validate passes the member input through unchanged and every
-        // later cached stage is keyed by its predecessor's key, so the
-        // chain's keys are computable without running the pipeline.
+        // A member enters unnamed and validate declares nothing, so
+        // regrid names the member by content and each later stage's key
+        // chains from its predecessor's: computable without a run.
         let input = Member(m, climate::member_input(cfg, m)).to_cache_bytes();
-        let regrid_key = CacheKey::compute(regrid, &input, &regrid_fp);
-        let normalize_key = regrid_key.chained(normalize, &normalize_fp);
-        let shard_key = normalize_key.chained(shard, &shard_fp);
+        let regrid_key = CacheKey::compute("regrid", &input, fp("regrid"));
+        let normalize_key = regrid_key.chained("normalize", fp("normalize"));
+        let shard_key = normalize_key.chained("shard", fp("shard"));
         if [regrid_key, normalize_key, shard_key]
             .iter()
             .all(|key| cache.contains(key))
@@ -96,15 +101,15 @@ pub fn estimate_climate_batch_cost(
 mod tests {
     use super::*;
     use crate::bio::{self, BioConfig};
+    use crate::cached;
     use crate::fusion::{self, FusionConfig, FusionData};
     use crate::materials::{self, MaterialsConfig};
     use drai_core::pipeline::StageCounters;
-    use drai_io::sink::{MemSink, StorageSink};
-    use drai_provenance::Ledger;
+    use drai_io::sink::StorageSink;
     use drai_sched::{JobOutcome, SchedulerConfig, TenantConfig};
-    use drai_telemetry::monitor::ManualClock;
+    use drai_telemetry::clock::ManualClock;
     use drai_telemetry::{Registry, TraceContext};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Condvar, Mutex};
 
     fn small_climate() -> ClimateConfig {
         ClimateConfig {
@@ -329,13 +334,13 @@ mod tests {
             // A member whose last entry is gone runs its shard stage
             // again, so it is cold again: the estimate is no longer
             // vouched for by its regrid entry alone.
+            let graph = climate::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()));
+            let fp = |stage| graph.fingerprint(stage).unwrap();
             let shard_key = |m: usize| {
-                let [(regrid, regrid_fp), (normalize, normalize_fp), (shard, shard_fp)] =
-                    cached::climate_cached_stages(&cfg);
                 let input = Member(m, climate::member_input(&cfg, m)).to_cache_bytes();
-                CacheKey::compute(regrid, &input, &regrid_fp)
-                    .chained(normalize, &normalize_fp)
-                    .chained(shard, &shard_fp)
+                CacheKey::compute("regrid", &input, fp("regrid"))
+                    .chained("normalize", fp("normalize"))
+                    .chained("shard", fp("shard"))
             };
             for (evicted, want) in [(1, (1, members - 1)), (2, (2, members - 2))] {
                 cache

@@ -21,14 +21,19 @@
 //! skeleton (ISSUE 17), identically on two CPUs and under
 //! `taskset -c 0`.
 //!
-//! The cache keys of member 3 moved once, with `CACHE_FORMAT_VERSION`
-//! 2, when keys began to chain through derivation ids; the shard
-//! digests did not move. `CACHE_VERSION_HISTORY` ties the version to
-//! what the cached stages write, so a stage change that moves the bytes
-//! without a version bump fails here.
+//! The cache keys of member 3 moved twice, with the shard digests
+//! unmoved: at version 2, when keys began to chain through derivation
+//! ids, and at version 3, when cached payloads began to carry the
+//! stage's report (the version word alone moved: the version-2 key
+//! formula with its version set to 3 gives the pins below).
+//! `CACHE_VERSION_HISTORY` ties the version (`DERIVATION_VERSION`, which
+//! every derivation id and cache key hashes) to what the cached stages
+//! write, so a stage change that moves the bytes without a version bump
+//! fails here.
 
 use drai_cache::StageCache;
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+use drai_core::pipeline::DERIVATION_VERSION;
 use drai_domains::bio::{self, BioConfig};
 use drai_domains::cached::{self, Member};
 use drai_domains::climate::{self, ClimateConfig};
@@ -133,9 +138,9 @@ fn climate_streaming_batch_shards_match_golden() {
         .run_batch_streaming(members, &ExecutorConfig::default())
         .expect("climate batch");
     assert_eq!(stages.len(), 4, "validate/regrid/normalize/shard");
-    // Both members went through the one shared ledger: a regrid, four
-    // normalizes and three shards each.
-    assert_eq!(ledger.len(), 2 * (1 + 4 + 3));
+    // Both members went through the one shared ledger: one record per
+    // stage execution each.
+    assert_eq!(ledger.len(), 2 * 4);
     assert_eq!(
         digests(&sink, "climate/"),
         &[
@@ -239,34 +244,35 @@ fn cached_member_3() -> (Vec<String>, String) {
 /// member's input); normalize is keyed by the regrid key and shard by
 /// the normalize key.
 ///
-/// The regrid pin was re-recorded once, for `CACHE_FORMAT_VERSION` 2
-/// (keys chained through derivation ids); it was
-/// `8c491f6b09d04558cf6001f60fe710fa` under version 1. The normalize
-/// and shard pins were added then.
+/// Under version 1 the regrid pin was `8c491f6b09d04558cf6001f60fe710fa`;
+/// under version 2 (keys chained through derivation ids, the normalize
+/// and shard pins added) the three were `9105c032…`, `47c3912d…` and
+/// `7e32b7f4…`; they were re-recorded for version 3.
 #[test]
 fn cached_keys_for_member_3_match_golden() {
     let (entries, _) = cached_member_3();
     assert_eq!(
         entries,
         [
-            "cache/normalize/9105c032cf6b8588b80246f0f2a0b750.entry",
-            "cache/regrid/47c3912dea7fbd83e64b441a90f1a5b5.entry",
-            "cache/shard/7e32b7f4f0c0430c0dfc64e6a17d283f.entry",
+            "cache/normalize/c074ee618f7c6cd157f351cccbb3ea87.entry",
+            "cache/regrid/a1f21efa6e46a4af5db9515bca248267.entry",
+            "cache/shard/615138430a261b26b9007c84b0153410.entry",
         ]
     );
 }
 
-/// `(CACHE_FORMAT_VERSION, digest of the shards the cached pipeline
-/// writes for member 3)`, one row per version, oldest first; append
-/// only. A cached stage whose output moves for an unchanged input and
-/// configuration must bump the version — every entry an earlier build
-/// stored under the old keys would otherwise be served as the new
-/// output, and every key chained from it would name the wrong bytes —
-/// and the row it appends records the new digest. Version 2 changed the
-/// key scheme only, so its shards are version 1's.
+/// `(version, digest of the shards the cached pipeline writes for member
+/// 3)`, one row per version, oldest first; append only. A cached stage
+/// whose output moves for an unchanged input and configuration must bump
+/// the version — every entry an earlier build stored under the old keys
+/// would otherwise be served as the new output, and every id derived
+/// from it would name the wrong bytes — and the row it appends records
+/// the new digest. Version 2 changed the key scheme and version 3 the
+/// cached payloads only, so their shards are version 1's.
 const CACHE_VERSION_HISTORY: &[(u32, &str)] = &[
     (1, "0feae67fafc5ceeea25704f8762bf93f"),
     (2, "0feae67fafc5ceeea25704f8762bf93f"),
+    (3, "0feae67fafc5ceeea25704f8762bf93f"),
 ];
 
 #[test]
@@ -280,8 +286,8 @@ fn cached_shard_digest_moves_only_with_a_cache_version_bump() {
     let (_, shard_digest) = cached_member_3();
     assert_eq!(
         CACHE_VERSION_HISTORY.last(),
-        Some(&(drai_cache::CACHE_FORMAT_VERSION, shard_digest.as_str())),
-        "the cached member-3 shards or the cache version moved: a stage \
-         whose output changes bumps CACHE_FORMAT_VERSION and appends a row"
+        Some(&(DERIVATION_VERSION, shard_digest.as_str())),
+        "the cached member-3 shards or the version moved: a stage whose \
+         output changes bumps DERIVATION_VERSION and appends a row"
     );
 }

@@ -1,10 +1,12 @@
 //! Mode equivalence: however a domain's one stage graph is executed —
 //! each member alone through `run` or the whole batch through the
 //! streaming executor, uncached, against a cold cache or replayed from
-//! a warm one — every member's shard blobs are
-//! bitwise identical and the cache is consulted exactly once per cached
-//! stage per member. One table, all four domains; fusion and bio have
-//! no cache decorator yet, so they run the uncached rows.
+//! a warm one — every member's shard blobs are bitwise identical, the
+//! cache is consulted exactly once per cached stage per member, and the
+//! ledger is the one the sequential `run` of the same pipeline writes
+//! (cached on a fresh cache): the same records apart from `seq`, `trace`
+//! and a hit's `cache_hit`. One table, all four domains; fusion and bio
+//! have no cache decorator yet, so they run the uncached rows.
 
 use drai_cache::StageCache;
 use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
@@ -14,6 +16,7 @@ use drai_domains::cached::{self, Member};
 use drai_domains::climate::{self, ClimateConfig};
 use drai_domains::fusion::{self, FusionConfig};
 use drai_domains::materials::{self, MaterialsConfig};
+use drai_io::json::Json;
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::Ledger;
 use drai_telemetry::{Registry, TraceContext};
@@ -61,6 +64,54 @@ type Shards = BTreeMap<(usize, String), Vec<u8>>;
 /// below the prefix)` → the bytes two modes must agree on.
 type ReadBlob<'a> = &'a dyn Fn(&MemSink, &str, &str) -> Vec<u8>;
 
+/// A domain pipeline over a sink and a ledger, decorated with the cache
+/// when one is given.
+type Build<'a, I> = &'a dyn Fn(Sink, Arc<Ledger>, Option<Arc<StageCache>>) -> Pipeline<I>;
+
+/// The ledger as a sorted multiset of records, each without `seq`,
+/// `trace` and `cache_hit`; and how many records carried a `cache_hit`.
+fn records(ledger: &Ledger) -> (Vec<String>, usize) {
+    let mut hits = 0;
+    let mut records: Vec<String> = ledger
+        .to_jsonl()
+        .lines()
+        .map(|line| {
+            let mut record = Json::parse(line).expect("a ledger line is JSON");
+            let Json::Obj(fields) = &mut record else {
+                panic!("a record is an object: {line}")
+            };
+            fields.remove("seq");
+            fields.remove("trace");
+            if let Some(Json::Obj(params)) = fields.get_mut("params") {
+                hits += usize::from(params.remove("cache_hit").is_some());
+            }
+            record.to_string_compact()
+        })
+        .collect();
+    records.sort();
+    (records, hits)
+}
+
+fn fresh_cache() -> Arc<StageCache> {
+    Arc::new(StageCache::new(Arc::new(MemSink::new()), 256 << 20))
+}
+
+/// The ledger of `build`'s pipeline run sequentially over every member,
+/// on a fresh cache when `cached`.
+fn sequential_ledger<I>(build: Build<I>, item: impl Fn(usize) -> I, cached: bool) -> Vec<String> {
+    let ledger = Arc::new(Ledger::new());
+    let cache = cached.then(fresh_cache);
+    for m in 0..MEMBERS {
+        build(Arc::new(MemSink::new()), ledger.clone(), cache.clone())
+            .run(item(m))
+            .unwrap_or_else(|e| panic!("sequential run, member {m}: {e}"));
+    }
+    let (records, hits) = records(&ledger);
+    assert_eq!(records.len(), 4 * MEMBERS, "one record per stage execution");
+    assert_eq!(hits, 0);
+    records
+}
+
 /// The blob as stored.
 fn stored(sink: &MemSink, prefix: &str, rest: &str) -> Vec<u8> {
     sink.read_file(&format!("{prefix}/{rest}")).expect("read")
@@ -78,39 +129,35 @@ fn collect(sink: &MemSink, prefix: &str, member: usize, read: ReadBlob, into: &m
     }
 }
 
-/// Run `modes` over `MEMBERS` members of one domain. `single` and
-/// `batch` build the domain's pipeline over a sink, decorated with the
-/// cache when one is given; `cached_stages` is how many stages that
-/// decoration covers; `read` is how a blob is read for comparison.
+/// Run `modes` over `MEMBERS` members of one domain. `single` and `batch`
+/// build the domain's pipeline (see [`Build`]); `cached_stages` is how
+/// many stages the cache decoration covers; `read` is how a blob is read
+/// for comparison.
 fn assert_modes_agree<D: Send + 'static>(
     base: &str,
     modes: &[(&str, Engine, Cache)],
     cached_stages: u64,
     read: ReadBlob,
     input: impl Fn(usize) -> D,
-    single: impl Fn(Sink, Option<Arc<StageCache>>) -> Pipeline<D>,
-    batch: impl Fn(Sink, Option<Arc<StageCache>>) -> Pipeline<Member<D>>,
+    single: Build<D>,
+    batch: Build<Member<D>>,
 ) {
     let mut reference: Option<Shards> = None;
     let mut cache: Option<Arc<StageCache>> = None;
     for &(label, engine, cache_state) in modes {
         match cache_state {
             Cache::None => cache = None,
-            Cache::Cold => {
-                cache = Some(Arc::new(StageCache::new(
-                    Arc::new(MemSink::new()),
-                    256 << 20,
-                )))
-            }
+            Cache::Cold => cache = Some(fresh_cache()),
             Cache::Warm => assert!(cache.is_some(), "{label}: a warm row follows a cold one"),
         }
         let registry = Registry::new();
+        let ledger = Arc::new(Ledger::new());
         let mut shards = Shards::new();
         TraceContext::root(&registry).scope(|| match engine {
             Engine::Alone => {
                 for m in 0..MEMBERS {
                     let sink = Arc::new(MemSink::new());
-                    single(sink.clone(), cache.clone())
+                    single(sink.clone(), ledger.clone(), cache.clone())
                         .run(input(m))
                         .unwrap_or_else(|e| panic!("{base}, {label}, member {m}: {e}"));
                     collect(&sink, base, m, read, &mut shards);
@@ -118,7 +165,7 @@ fn assert_modes_agree<D: Send + 'static>(
             }
             Engine::Streaming => {
                 let sink = Arc::new(MemSink::new());
-                let pipeline = batch(sink.clone(), cache.clone());
+                let pipeline = batch(sink.clone(), ledger.clone(), cache.clone());
                 let items: Vec<Member<D>> = (0..MEMBERS).map(|m| Member(m, input(m))).collect();
                 pipeline
                     .run_batch_streaming(items, &ExecutorConfig::default())
@@ -164,6 +211,25 @@ fn assert_modes_agree<D: Send + 'static>(
             (hits, misses),
             "{base}, {label}: cache (hits, misses)"
         );
+
+        let (records, hit_records) = records(&ledger);
+        let cached = cache_state != Cache::None;
+        let sequential = match engine {
+            Engine::Alone => sequential_ledger(single, &input, cached),
+            Engine::Streaming => sequential_ledger(batch, |m| Member(m, input(m)), cached),
+        };
+        assert!(
+            records == sequential,
+            "{base}, {label}: the ledger differs from the sequential run's: \
+             {records:#?} vs {sequential:#?}"
+        );
+        // A hit the check vetoes recomputes and records no hit: climate's
+        // shard entries, whose blobs are not in this row's fresh sinks.
+        assert_eq!(
+            hit_records > 0,
+            cache_state == Cache::Warm,
+            "{base}, {label}: {hit_records} records of hits"
+        );
     }
 }
 
@@ -177,24 +243,23 @@ fn climate_cached_and_streaming_modes_agree_bitwise() {
         shard_bytes: 64 * 1024,
         ..ClimateConfig::default()
     };
-    let ledger = || Arc::new(Ledger::new());
     assert_modes_agree(
         "climate",
         &MODES,
         3,
         &stored,
         |m| climate::member_input(&cfg, m),
-        |sink, cache| {
-            let pipeline = climate::build_pipeline(&cfg, sink.clone(), ledger());
+        &|sink, ledger, cache| {
+            let pipeline = climate::build_pipeline(&cfg, sink.clone(), ledger);
             match cache {
-                Some(cache) => cached::with_climate_cache(pipeline, &cfg, sink, cache),
+                Some(cache) => cached::with_climate_cache(pipeline, sink, cache),
                 None => pipeline,
             }
         },
-        |sink, cache| {
-            let pipeline = climate::build_batch_pipeline(&cfg, sink.clone(), ledger());
+        &|sink, ledger, cache| {
+            let pipeline = climate::build_batch_pipeline(&cfg, sink.clone(), ledger);
             match cache {
-                Some(cache) => cached::with_climate_cache(pipeline, &cfg, sink, cache),
+                Some(cache) => cached::with_climate_cache(pipeline, sink, cache),
                 None => pipeline,
             }
         },
@@ -209,24 +274,23 @@ fn materials_cached_and_streaming_modes_agree_bitwise() {
         seed: 11,
         ..MaterialsConfig::default()
     };
-    let ledger = || Arc::new(Ledger::new());
     assert_modes_agree(
         "materials",
         &MODES,
         2,
         &stored,
         |m| materials::member_input(&cfg, m).expect("member input"),
-        |sink, cache| {
-            let pipeline = materials::build_pipeline(&cfg, sink, ledger());
+        &|sink, ledger, cache| {
+            let pipeline = materials::build_pipeline(&cfg, sink, ledger);
             match cache {
-                Some(cache) => cached::with_materials_cache(pipeline, &cfg, cache),
+                Some(cache) => cached::with_materials_cache(pipeline, cache),
                 None => pipeline,
             }
         },
-        |sink, cache| {
-            let pipeline = materials::build_batch_pipeline(&cfg, sink, ledger());
+        &|sink, ledger, cache| {
+            let pipeline = materials::build_batch_pipeline(&cfg, sink, ledger);
             match cache {
-                Some(cache) => cached::with_materials_cache(pipeline, &cfg, cache),
+                Some(cache) => cached::with_materials_cache(pipeline, cache),
                 None => pipeline,
             }
         },
@@ -245,15 +309,14 @@ fn fusion_streaming_and_alone_agree_bitwise() {
         shard_bytes: 64 * 1024,
         ..FusionConfig::default()
     };
-    let ledger = || Arc::new(Ledger::new());
     assert_modes_agree(
         "fusion",
         &MODES[..UNCACHED],
         0,
         &stored,
         |m| fusion::member_input(&cfg, m),
-        |sink, _| fusion::build_pipeline(&cfg, sink, ledger()),
-        |sink, _| fusion::build_batch_pipeline(&cfg, sink, ledger()),
+        &|sink, ledger, _| fusion::build_pipeline(&cfg, sink, ledger),
+        &|sink, ledger, _| fusion::build_batch_pipeline(&cfg, sink, ledger),
     );
 }
 
@@ -270,10 +333,9 @@ fn bio_streaming_and_alone_agree_on_decrypted_containers() {
         seed: 99,
         ..BioConfig::default()
     };
-    let ledger = || Arc::new(Ledger::new());
     // The record count in each blob's nonce. Pseudonyms hash the patient
     // key under the operator secret, so every member splits alike.
-    let reference = bio::build_pipeline(&cfg, Arc::new(MemSink::new()), ledger())
+    let reference = bio::build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()))
         .run(bio::member_input(&cfg, 0).expect("member input"))
         .expect("reference run");
     let count = |split: Split| {
@@ -297,7 +359,7 @@ fn bio_streaming_and_alone_agree_on_decrypted_containers() {
         0,
         &decrypted,
         |m| bio::member_input(&cfg, m).expect("member input"),
-        |sink, _| bio::build_pipeline(&cfg, sink, ledger()),
-        |sink, _| bio::build_batch_pipeline(&cfg, sink, ledger()),
+        &|sink, ledger, _| bio::build_pipeline(&cfg, sink, ledger),
+        &|sink, ledger, _| bio::build_batch_pipeline(&cfg, sink, ledger),
     );
 }

@@ -5,17 +5,18 @@
 //! traceable links between raw data, preprocessing steps, and trained
 //! models"), in the spirit of OLCF's ProvEn.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Artifact`] — content-addressed data: an id derived from the bytes
-//!   themselves, so identity survives renames and copies.
+//! * [`Artifact`] — data named by an id: a blob by the digest of its
+//!   bytes, so identity survives renames and copies; an in-memory
+//!   intermediate by its *derivation id* ([`Artifact::derived`]).
 //! * [`Ledger`] — an append-only record of transformations: which
 //!   operation, with which parameters, read which artifacts and produced
 //!   which. The ledger is a DAG keyed by artifact id; [`Ledger::lineage`]
-//!   walks it backwards to answer "exactly what produced this shard?".
-//! * [`Ledger::verify_reproduction`] — replays a recorded transformation
-//!   through a caller-supplied executor and checks the output digests
-//!   match: the operational definition of a reproducible step.
+//!   walks it backwards to answer "exactly what produced this shard?",
+//!   and [`Ledger::roots`] names the raw inputs it came from. A domain
+//!   run writes one `ingest` record and one record per stage execution,
+//!   so every shard's lineage reaches its raw blobs.
 //!
 //! Serialization is JSONL (one event per line) through `drai-io`'s JSON
 //! module, making audit logs greppable and appendable.
@@ -40,6 +41,13 @@ impl ArtifactId {
     /// Id of the given content.
     pub fn of(content: &[u8]) -> ArtifactId {
         ArtifactId(hash_hex(&content_hash128(content)))
+    }
+
+    /// The id whose hex digest is `hex`, if it is one: 32 lowercase hex
+    /// digits, as [`ArtifactId::digest`] writes them.
+    pub fn from_hex(hex: &str) -> Option<ArtifactId> {
+        let digit = |c: u8| c.is_ascii_digit() || (b'a'..=b'f').contains(&c);
+        (hex.len() == 32 && hex.bytes().all(digit)).then(|| ArtifactId(hex.to_string()))
     }
 
     /// The hex digest.
@@ -72,6 +80,17 @@ impl Artifact {
             id: ArtifactId::of(content),
             name: name.to_string(),
             bytes: content.len() as u64,
+        }
+    }
+
+    /// An in-memory intermediate named by its derivation id: it has no
+    /// blob name and no bytes on record, only the id that says how it
+    /// was derived.
+    pub fn derived(id: &[u8; 16]) -> Artifact {
+        Artifact {
+            id: ArtifactId(hash_hex(id)),
+            name: String::new(),
+            bytes: 0,
         }
     }
 }
@@ -126,6 +145,10 @@ impl Transformation {
 
     fn from_json(v: &Json) -> Result<Transformation, ProvenanceError> {
         let bad = |m: &str| ProvenanceError::Malformed(m.to_string());
+        let text = |j: &Json, key: &str| match j.get(key).and_then(Json::as_str) {
+            Some(text) => Ok(text.to_string()),
+            None => Err(bad(&format!("missing {key}"))),
+        };
         let arts = |key: &str| -> Result<Vec<Artifact>, ProvenanceError> {
             v.get(key)
                 .and_then(Json::as_arr)
@@ -133,17 +156,8 @@ impl Transformation {
                 .iter()
                 .map(|a| {
                     Ok(Artifact {
-                        id: ArtifactId(
-                            a.get("id")
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| bad("artifact missing id"))?
-                                .to_string(),
-                        ),
-                        name: a
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| bad("artifact missing name"))?
-                            .to_string(),
+                        id: ArtifactId(text(a, "id")?),
+                        name: text(a, "name")?,
                         bytes: a
                             .get("bytes")
                             .and_then(Json::as_u64)
@@ -152,27 +166,22 @@ impl Transformation {
                 })
                 .collect()
         };
-        let mut params = BTreeMap::new();
-        if let Some(obj) = v.get("params").and_then(Json::as_obj) {
-            for (k, val) in obj {
-                params.insert(
-                    k.clone(),
-                    val.as_str()
-                        .ok_or_else(|| bad("param not a string"))?
-                        .to_string(),
-                );
-            }
-        }
+        let params = v
+            .get("params")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| bad("missing params"))?
+            .iter()
+            .map(|(k, val)| match val.as_str() {
+                Some(val) => Ok((k.clone(), val.to_string())),
+                None => Err(bad("param not a string")),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Transformation {
             seq: v
                 .get("seq")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad("missing seq"))?,
-            operation: v
-                .get("operation")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("missing operation"))?
-                .to_string(),
+            operation: text(v, "operation")?,
             params,
             inputs: arts("inputs")?,
             outputs: arts("outputs")?,
@@ -188,13 +197,6 @@ impl Transformation {
 pub enum ProvenanceError {
     /// JSONL line could not be parsed.
     Malformed(String),
-    /// Reproduction check failed: output digests differ.
-    NotReproducible {
-        /// The transformation's sequence number.
-        seq: u64,
-        /// Which output diverged.
-        output: String,
-    },
     /// Unknown artifact queried.
     UnknownArtifact(String),
 }
@@ -203,12 +205,6 @@ impl fmt::Display for ProvenanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProvenanceError::Malformed(m) => write!(f, "malformed provenance: {m}"),
-            ProvenanceError::NotReproducible { seq, output } => {
-                write!(
-                    f,
-                    "transformation {seq} not reproducible: output {output} diverged"
-                )
-            }
             ProvenanceError::UnknownArtifact(id) => write!(f, "unknown artifact {id}"),
         }
     }
@@ -240,9 +236,9 @@ impl Ledger {
     /// Record a transformation; returns its sequence number.
     ///
     /// The transformation is stamped with the [`TraceId`] of the
-    /// thread's current [`TraceContext`], if one is attached — pipeline
-    /// stage spans are entered while stage functions run, so stage-side
-    /// `record` calls land in the stage's trace automatically.
+    /// thread's current [`TraceContext`], if one is attached — the
+    /// pipeline writes a stage's record while the stage's span is
+    /// entered, so it lands in the trace that timed the stage.
     pub fn record(
         &self,
         operation: &str,
@@ -368,39 +364,6 @@ impl Ledger {
         }
         Ok(ledger)
     }
-
-    /// Re-execute transformation `seq` via `execute` (which maps the
-    /// recorded operation + params + input names to fresh output bytes)
-    /// and verify every output digest matches the record.
-    pub fn verify_reproduction(
-        &self,
-        seq: u64,
-        execute: impl FnOnce(&Transformation) -> Vec<(String, Vec<u8>)>,
-    ) -> Result<(), ProvenanceError> {
-        let t = {
-            let inner = self.inner.lock();
-            inner
-                .transformations
-                .get(seq as usize)
-                .cloned()
-                .ok_or_else(|| ProvenanceError::Malformed(format!("no transformation {seq}")))?
-        };
-        let fresh = execute(&t);
-        for out in &t.outputs {
-            let matched = fresh
-                .iter()
-                .find(|(name, _)| *name == out.name)
-                .map(|(_, bytes)| ArtifactId::of(bytes) == out.id)
-                .unwrap_or(false);
-            if !matched {
-                return Err(ProvenanceError::NotReproducible {
-                    seq,
-                    output: out.name.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -502,30 +465,47 @@ mod tests {
         assert!(Ledger::from_jsonl(&lines.join("\n")).is_err());
     }
 
+    /// `params` is as required as `seq`, `operation`, `inputs` and
+    /// `outputs`: a line whose parameters were deleted, or replaced by
+    /// something that is no object of strings, is not a valid record.
     #[test]
-    fn reproduction_verified() {
+    fn jsonl_rejects_a_record_without_an_object_of_string_params() {
         let (ledger, ..) = three_step_ledger();
-        // Exact replay reproduces.
-        ledger
-            .verify_reproduction(1, |t| {
-                assert_eq!(t.operation, "normalize");
-                vec![("normalized.npy".to_string(), b"normalized bytes".to_vec())]
-            })
-            .unwrap();
-        // Divergent replay caught.
-        let err = ledger
-            .verify_reproduction(1, |_| {
-                vec![("normalized.npy".to_string(), b"DIFFERENT".to_vec())]
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ProvenanceError::NotReproducible { seq: 1, .. }
-        ));
-        // Missing output caught.
-        assert!(ledger.verify_reproduction(1, |_| vec![]).is_err());
-        // Unknown seq.
-        assert!(ledger.verify_reproduction(99, |_| vec![]).is_err());
+        let text = ledger.to_jsonl();
+        let first = text.lines().next().unwrap();
+        assert!(Ledger::from_jsonl(first).is_ok());
+        let params = "\"params\":{\"target\":\"64x128\"}";
+        assert!(first.contains(params), "{first}");
+        for bad in [
+            first.replace(&format!("{params},"), ""),
+            first.replace(params, "\"params\":[]"),
+            first.replace(params, "\"params\":{\"target\":64}"),
+        ] {
+            let err = Ledger::from_jsonl(&bad).err();
+            assert!(
+                matches!(err, Some(ProvenanceError::Malformed(_))),
+                "{bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn derived_and_hex_ids_name_what_they_say() {
+        let id = [0xab; 16];
+        let derived = Artifact::derived(&id);
+        assert_eq!(derived.id.digest(), "ab".repeat(16));
+        assert_eq!((derived.name.as_str(), derived.bytes), ("", 0));
+        assert_eq!(ArtifactId::from_hex(derived.id.digest()), Some(derived.id));
+        let blob = ArtifactId::of(b"blob");
+        assert_eq!(ArtifactId::from_hex(blob.digest()), Some(blob));
+        for bad in [
+            "ab".repeat(15),
+            "AB".repeat(16),
+            "zz".repeat(16),
+            "ab".repeat(17),
+        ] {
+            assert_eq!(ArtifactId::from_hex(&bad), None, "{bad}");
+        }
     }
 
     #[test]

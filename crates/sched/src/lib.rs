@@ -28,8 +28,8 @@
 //!   furthest deadline, then most recently submitted; every victim's
 //!   [`JobHandle`] observes a typed [`JobOutcome::Shed`].
 //! * **Deterministic time** — rate limits, deadlines and wait/run
-//!   latencies read an injectable [`MonitorClock`]
-//!   (`WallMonitorClock` in production, `ManualClock` in tests), so
+//!   latencies read an injectable [`Clock`]
+//!   (a `Stopwatch` in production, `ManualClock` in tests), so
 //!   every fairness and shedding property is bitwise reproducible.
 //! * **Cancellation** — each job carries a `drai_core::CancelToken`;
 //!   cancelling a queued job purges it at dequeue, cancelling a
@@ -47,8 +47,8 @@
 //! stall signals as `drai_telemetry::monitor` health rules.
 
 use drai_core::{CancelToken, ExecutorConfig};
-use drai_telemetry::monitor::{Condition, HealthSpec, MonitorClock, WallMonitorClock};
-use drai_telemetry::{GaugeGuard, Registry, TraceContext};
+use drai_telemetry::monitor::{Condition, HealthSpec};
+use drai_telemetry::{clock::Clock, GaugeGuard, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
@@ -600,7 +600,7 @@ impl std::fmt::Display for Dispatched {
 /// hold clones of the same instance).
 pub struct Scheduler {
     cfg: SchedulerConfig,
-    clock: Arc<dyn MonitorClock>,
+    clock: Arc<dyn Clock>,
     state: Mutex<State>,
     wakers: Mutex<Vec<mpsc::Sender<()>>>,
     stopping: AtomicBool,
@@ -647,13 +647,13 @@ pub fn scheduler_health_spec(cfg: &SchedulerConfig) -> HealthSpec {
 impl Scheduler {
     /// Scheduler on the wall clock.
     pub fn new(cfg: SchedulerConfig) -> Scheduler {
-        Scheduler::with_clock(cfg, Arc::new(WallMonitorClock::new()))
+        Scheduler::with_clock(cfg, Arc::new(Stopwatch::start()))
     }
 
     /// Scheduler on an injected clock (tests pass
-    /// `drai_telemetry::monitor::ManualClock` for bitwise-deterministic
+    /// `drai_telemetry::clock::ManualClock` for bitwise-deterministic
     /// rate-limit, deadline and latency behaviour).
-    pub fn with_clock(cfg: SchedulerConfig, clock: Arc<dyn MonitorClock>) -> Scheduler {
+    pub fn with_clock(cfg: SchedulerConfig, clock: Arc<dyn Clock>) -> Scheduler {
         Scheduler {
             cfg,
             clock,
@@ -1150,7 +1150,7 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_telemetry::monitor::ManualClock;
+    use drai_telemetry::clock::ManualClock;
     use drai_telemetry::{Registry, Snapshot, TraceContext};
 
     fn in_registry<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {

@@ -45,7 +45,7 @@
 //! drop.
 //!
 //! The [`monitor`] module adds the *live* view: a background sampler
-//! on an injectable clock that turns the registry into bounded
+//! on an injectable [`clock`] that turns the registry into bounded
 //! ring-buffer time series (deltas, rates, gauge window watermarks),
 //! evaluates declarative health rules per sample, and diagnoses
 //! streaming-executor backpressure post-run.
@@ -80,6 +80,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+pub mod clock;
 pub mod export;
 pub mod monitor;
 pub mod trace;

@@ -18,9 +18,10 @@
 //!                           + HealthEvents        + Diagnosis
 //! ```
 //!
-//! A [`Sampler`] owns an injectable [`MonitorClock`] (the clock seam:
-//! [`WallMonitorClock`] in production, [`ManualClock`] in tests, so the
-//! same tick sequence yields bitwise-identical series) and on each
+//! A [`Sampler`] owns an injectable [`Clock`] (the [`crate::clock`]
+//! seam: a [`Stopwatch`](crate::Stopwatch) in production,
+//! [`ManualClock`](crate::clock::ManualClock) in tests, so the same tick
+//! sequence yields bitwise-identical series) and on each
 //! [`Sampler::tick`] reads every counter, histogram total, and gauge
 //! window from the registry, appending one [`SeriesPoint`] per metric
 //! to a bounded [`Series`]. Points carry deltas and rates, and for
@@ -45,86 +46,18 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::clock::Clock;
 use crate::names::{MONITOR_RULE, MONITOR_SAMPLES, MONITOR_VIOLATIONS};
-use crate::{Instrument, Name, Registry, Stopwatch, TraceContext, TraceId};
+use crate::{Instrument, Name, Registry, TraceContext, TraceId};
 
 /// Format tag of the JSONL artifact; bump on schema changes.
 pub const MONITOR_FORMAT: &str = "drai-monitor/v1";
-
-/// Monotonic nanosecond clock the sampler reads on every tick.
-///
-/// The clock seam: production uses [`WallMonitorClock`]; tests inject
-/// a [`ManualClock`] and advance it explicitly, making the sampled
-/// series a pure function of the (tick, registry-op) sequence.
-pub trait MonitorClock: Send + Sync {
-    /// Nanoseconds elapsed since the clock's epoch.
-    fn now_ns(&self) -> u64;
-}
-
-/// Wall clock for production sampling, backed by [`Stopwatch`] (the
-/// workspace's one sanctioned time source).
-#[derive(Debug, Clone, Copy)]
-pub struct WallMonitorClock {
-    sw: Stopwatch,
-}
-
-impl WallMonitorClock {
-    /// Start the clock's epoch now.
-    pub fn new() -> WallMonitorClock {
-        WallMonitorClock {
-            sw: Stopwatch::start(),
-        }
-    }
-}
-
-impl Default for WallMonitorClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MonitorClock for WallMonitorClock {
-    fn now_ns(&self) -> u64 {
-        self.sw.elapsed_ns()
-    }
-}
-
-/// Deterministic test clock: time moves only when the test calls
-/// [`ManualClock::advance`].
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    ns: AtomicU64,
-}
-
-impl ManualClock {
-    /// New clock at t = 0.
-    pub fn new() -> ManualClock {
-        ManualClock::default()
-    }
-
-    /// Advance by `d`.
-    pub fn advance(&self, d: Duration) {
-        self.advance_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Advance by `ns` nanoseconds.
-    pub fn advance_ns(&self, ns: u64) {
-        self.ns.fetch_add(ns, Ordering::Relaxed);
-    }
-}
-
-impl MonitorClock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.ns.load(Ordering::Relaxed)
-    }
-}
 
 /// What kind of registry metric a [`Series`] tracks; fixes the meaning
 /// of the per-point fields (see [`SeriesPoint`]).
@@ -456,11 +389,12 @@ type Observer = Box<dyn Fn(&TickReport) + Send + Sync>;
 
 /// Periodic registry sampler; see the [module docs](self) for the
 /// architecture. Create with [`Sampler::new`], then either drive ticks
-/// manually ([`Sampler::tick`], deterministic under a [`ManualClock`])
+/// manually ([`Sampler::tick`], deterministic under a
+/// [`ManualClock`](crate::clock::ManualClock))
 /// or hand it to a background thread with [`Sampler::start`].
 pub struct Sampler {
     registry: Registry,
-    clock: Arc<dyn MonitorClock>,
+    clock: Arc<dyn Clock>,
     cfg: SamplerConfig,
     spec: HealthSpec,
     trace: Option<TraceId>,
@@ -476,7 +410,7 @@ impl Sampler {
     /// and the current value of the progress counter as the baseline.
     pub fn new(
         registry: &Registry,
-        clock: Arc<dyn MonitorClock>,
+        clock: Arc<dyn Clock>,
         cfg: SamplerConfig,
         spec: HealthSpec,
     ) -> Sampler {
@@ -1174,7 +1108,9 @@ fn jf64(line: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
     use crate::{Counter, Gauge, Histogram};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const DONE: Name<Counter> = Name::declare("work.done");
     const DEPTH: Name<Gauge> = Name::declare("work.depth");
@@ -1188,7 +1124,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let sampler = Sampler::new(
             reg,
-            clock.clone() as Arc<dyn MonitorClock>,
+            clock.clone() as Arc<dyn Clock>,
             SamplerConfig {
                 capacity,
                 progress: None,
@@ -1526,7 +1462,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let sampler = Sampler::new(
             &reg,
-            clock.clone() as Arc<dyn MonitorClock>,
+            clock.clone() as Arc<dyn Clock>,
             SamplerConfig {
                 capacity: 8,
                 progress: Some(ProgressTarget {
@@ -1556,7 +1492,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let sampler = Sampler::new(
             &reg,
-            clock.clone() as Arc<dyn MonitorClock>,
+            clock.clone() as Arc<dyn Clock>,
             SamplerConfig {
                 capacity: 8,
                 progress: Some(ProgressTarget {
@@ -1577,7 +1513,7 @@ mod tests {
         let reg = Registry::new();
         let sampler = Sampler::new(
             &reg,
-            Arc::new(WallMonitorClock::new()),
+            Arc::new(crate::Stopwatch::start()),
             SamplerConfig::default(),
             HealthSpec::new(),
         );
@@ -1601,7 +1537,7 @@ mod tests {
         let seen2 = Arc::clone(&seen);
         let sampler = Sampler::new(
             &reg,
-            clock.clone() as Arc<dyn MonitorClock>,
+            clock.clone() as Arc<dyn Clock>,
             SamplerConfig::default(),
             HealthSpec::new(),
         )

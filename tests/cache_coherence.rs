@@ -9,7 +9,6 @@
 //!   producing bit-identical output digests. Runs under the CI
 //!   `FAULT_SEED` sweep.
 
-use drai::cache::clock::LogicalClock;
 use drai::cache::{CacheBytes, CacheKey, StageCache};
 use drai::domains::climate::{self, ClimateConfig, ClimateData};
 use drai::domains::{cached, climate as climate_mod};
@@ -18,6 +17,7 @@ use drai::io::checksum::content_hash128;
 use drai::io::fault::{FaultConfig, FaultSink};
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
+use drai::telemetry::clock::LogicalClock;
 use drai::telemetry::{Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::atomic::{AtomicUsize, Ordering};

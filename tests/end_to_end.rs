@@ -1,14 +1,15 @@
 //! Cross-crate integration tests: every archetype pipeline end-to-end,
-//! the readiness ladder walked by a real pipeline, provenance replay, and
-//! corruption detection across the full stack.
+//! the readiness ladder walked by a real pipeline, provenance lineage
+//! from every shard to its raw blobs, and corruption detection across
+//! the full stack.
 
 use drai::core::readiness::{ProcessingStage, ReadinessLevel};
 use drai::core::{DatasetManifest, ReadinessAssessor};
-use drai::domains::{bio, climate, fusion, materials};
+use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
 use drai::io::json::Json;
 use drai::io::shard::ShardReader;
 use drai::io::sink::{LocalFs, MemSink, StorageSink};
-use drai::provenance::ArtifactId;
+use drai::provenance::{Artifact, ArtifactId, Ledger};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
 
@@ -130,29 +131,47 @@ fn real_filesystem_round_trip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+type RunFn = dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
+
+/// For every archetype and every shard its `run` lists, read back from
+/// the audit log: the shard's roots are exactly the raw blobs
+/// `generate_raw` wrote (fusion synthesizes its shot store in memory, so
+/// it has none), and its lineage is the `ingest` record plus one record
+/// per stage, in order.
 #[test]
 fn provenance_links_shards_to_raw_inputs() {
-    let sink = Arc::new(MemSink::new());
-    let run = climate::run(&climate_cfg(), sink.clone()).unwrap();
-    // Pick a shard artifact recorded in the ledger and ask for its
-    // lineage; it must reach back to recorded operations including
-    // regrid and normalize.
-    let jsonl = run.ledger.to_jsonl();
-    assert!(jsonl.contains("\"operation\":\"ingest\""));
-    assert!(jsonl.contains("\"operation\":\"regrid\""));
-    assert!(jsonl.contains("\"operation\":\"normalize\""));
-    assert!(jsonl.contains("\"operation\":\"shard\""));
-    // Round-trip the audit log.
-    let back = drai::provenance::Ledger::from_jsonl(&jsonl).unwrap();
-    assert_eq!(back.len(), run.ledger.len());
-    // Shard artifacts have content-derived ids matching stored bytes.
-    let shard_name = &run.shard_files[0];
-    let bytes = sink.read_file(shard_name).unwrap();
-    let id = ArtifactId::of(&bytes);
-    assert!(
-        jsonl.contains(id.digest()),
-        "ledger does not record the shard's content id"
-    );
+    let archetypes: [(&str, &RunFn); 4] = [
+        ("climate", &|sink| climate::run(&climate_cfg(), sink)),
+        ("fusion", &|sink| fusion::run(&fusion_cfg(), sink)),
+        ("bio", &|sink| bio::run(&bio_cfg(), sink)),
+        ("materials", &|sink| materials::run(&materials_cfg(), sink)),
+    ];
+    let by_name = |blobs: &mut Vec<Artifact>| blobs.sort_by(|a, b| a.name.cmp(&b.name));
+    for (domain, run) in archetypes {
+        let sink = Arc::new(MemSink::new());
+        let run = run(sink.clone()).unwrap();
+        let mut raw: Vec<Artifact> = (sink.list().unwrap().into_iter())
+            .filter(|name| name.starts_with("raw/"))
+            .map(|name| Artifact::new(&name, &sink.read_file(&name).unwrap()))
+            .collect();
+        by_name(&mut raw);
+        assert_eq!(raw.is_empty(), domain == "fusion", "{domain}: {raw:?}");
+        let ledger = Ledger::from_jsonl(&run.ledger.to_jsonl()).unwrap();
+        assert_eq!(ledger.len(), 1 + run.stages.len(), "{domain}");
+        let operations: Vec<&str> = std::iter::once("ingest")
+            .chain(run.stages.iter().map(|s| s.name.as_str()))
+            .collect();
+        assert!(!run.shard_files.is_empty(), "{domain}");
+        for shard in &run.shard_files {
+            let id = ArtifactId::of(&sink.read_file(shard).unwrap());
+            let mut roots = ledger.roots(&id).unwrap();
+            by_name(&mut roots);
+            assert_eq!(roots, raw, "{domain}: roots of {shard}");
+            let lineage = ledger.lineage(&id).unwrap();
+            let ops: Vec<&str> = lineage.iter().map(|t| t.operation.as_str()).collect();
+            assert_eq!(ops, operations, "{domain}: lineage of {shard}");
+        }
+    }
 }
 
 #[test]

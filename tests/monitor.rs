@@ -16,7 +16,8 @@ use drai::domains::{climate, monitored, Member};
 use drai::io::fault::FaultConfig;
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
-use drai::telemetry::monitor::{ManualClock, MonitorReport, Sampler, SamplerConfig};
+use drai::telemetry::clock::ManualClock;
+use drai::telemetry::monitor::{MonitorReport, Sampler, SamplerConfig};
 use drai::telemetry::{Counter, Gauge, Histogram, Name, Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;

@@ -7,7 +7,7 @@ use drai::io::fault::FaultConfig;
 use drai::sched::{
     JobOutcome, JobOutput, JobSpec, Priority, Rejected, Scheduler, SchedulerConfig, TenantConfig,
 };
-use drai::telemetry::monitor::ManualClock;
+use drai::telemetry::clock::ManualClock;
 use drai::telemetry::{Registry, TraceContext};
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -13,13 +13,13 @@
 //!   entries (seeded [`FaultSink`], CI `FAULT_SEED` sweep) still
 //!   streams bit-identical outputs, quarantining damaged entries.
 
-use drai::cache::clock::LogicalClock;
 use drai::cache::{CachedPipelineExt, StageCache};
 use drai::core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai::core::pipeline::{Pipeline, StageCounters};
 use drai::core::ProcessingStage as S;
 use drai::io::fault::{FaultConfig, FaultSink};
 use drai::io::sink::{MemSink, StorageSink};
+use drai::telemetry::clock::LogicalClock;
 use drai::telemetry::{Registry, TraceContext};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -185,7 +185,7 @@ fn corrupting_cache_storage_cannot_alter_streamed_outputs() {
                 },
             )
             .build()
-            .cached("scale", cache, b"fp".to_vec())
+            .cached("scale", cache)
     };
     // 30% of cache writes land bit-flipped: warm reads must detect the
     // damage by digest, quarantine the entry and recompute.
