@@ -39,6 +39,16 @@
 //! reader as the reference, `shard_bytes_pin.rs` checks every manifest CRC
 //! against `crc32c` of the file).
 //!
+//! ## Memory: a window at a time
+//!
+//! [`ShardWriter::write_all`] pulls its records lazily, a window of about
+//! four shards of framed bytes at a time, and stores every shard the window
+//! closes before it pulls the next. It holds at most one window of framed
+//! records, the frames of the shard still open and one run, however many
+//! records the iterator yields. The window does not move a stored byte: a
+//! frame does not depend on where it sits, and shards are packed by a
+//! left-to-right rule.
+//!
 //! `read_all` stays on the calling thread and returns one `Vec<u8>` per
 //! record. That is a measured decision, not an omission: see
 //! EXPERIMENTS.md "SHARD-ROUNDTRIP (PR 20)" before parallelising it or
@@ -65,6 +75,23 @@ const RECORD_HEADER: usize = 8; // u32 len + u32 masked crc
 /// clock reads, three counters) vanish. Never derived from the CPU count;
 /// the stored bytes do not depend on it either way.
 const RUN_PAYLOAD_BYTES: usize = 256 << 10;
+
+/// Least framed bytes the writer pulls into one window: 32 runs, enough
+/// to keep the workers busy when shards are small.
+const MIN_WINDOW_BYTES: usize = 8 << 20;
+
+/// Framed bytes (payloads and record headers) the writer pulls from its
+/// records before it frames and stores them (see
+/// [`ShardWriter::write_all`]): four shards, at least `MIN_WINDOW_BYTES`.
+/// Four, not two: with two a window, the shards and runs of successive
+/// windows landed in the worker arenas in a changing mix, and over
+/// repeated writes the arenas' high-water mark climbed (`tabular_fig1`:
+/// to the parent's 294 MiB in one run of three; EXPERIMENTS.md
+/// "BOUNDED-WRITE"). A function of the spec alone, never of the CPU
+/// count or the environment; the stored bytes do not depend on it.
+fn window_bytes_for(target_shard_bytes: usize) -> usize {
+    target_shard_bytes.saturating_mul(4).max(MIN_WINDOW_BYTES)
+}
 
 /// Bytes a record's buffer share allows beyond its payload and header:
 /// what a codec's own framing adds to a payload it stores as it is (Lz a
@@ -224,6 +251,10 @@ impl ShardManifest {
             .and_then(Json::as_arr)
             .ok_or_else(|| bad("missing shards"))?
         {
+            let crc = s
+                .get("crc32c")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("shard missing crc32c"))?;
             shards.push(ShardInfo {
                 name: s
                     .get("name")
@@ -238,11 +269,17 @@ impl ShardManifest {
                     .get("bytes")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| bad("shard missing bytes"))?,
-                crc32c: s
-                    .get("crc32c")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("shard missing crc32c"))? as u32,
+                crc32c: u32::try_from(crc)
+                    .map_err(|_| bad(&format!("shard crc32c {crc} is wider than 32 bits")))?,
             });
+        }
+        let listed = shards
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.records));
+        if listed != Some(total_records) {
+            return Err(bad(&format!(
+                "total_records {total_records} is not the sum of its shards' records"
+            )));
         }
         Ok(ShardManifest {
             prefix,
@@ -269,21 +306,33 @@ impl<'a> ShardWriter<'a> {
     /// Encode and write all records, preserving order, and persist the
     /// manifest.
     ///
-    /// The records are cut into contiguous runs of a few hundred KiB of
+    /// The records are pulled from the iterator a window at a time: a
+    /// window closes with the record that brings its framed bytes to four
+    /// times `target_shard_bytes`, and to at least 8 MiB. The window's
+    /// records are cut into contiguous runs of a few hundred KiB of
     /// payload (`RUN_PAYLOAD_BYTES`); each run is framed data-parallel
     /// ([`par_map`]) into one buffer of finished records
     /// (`stored_len | masked crc32c | stored payload`, the codec writing
     /// straight into the buffer). A framed record does not depend on
     /// where it sits, so a shard file is the header plus consecutive
     /// slices of those buffers: the frames are packed greedily into
-    /// shards by size, and the shards assembled, checksummed and written
-    /// concurrently. What is stored is a function of the records and the
-    /// spec alone — not of where the runs were cut or of the CPU count.
+    /// shards by size, and the shards the window closed are assembled,
+    /// checksummed and written concurrently. The runs the shard still
+    /// open has frames in are carried into the next window and the rest
+    /// are dropped, so beside the shards being assembled the writer holds
+    /// at most a window, an open shard and a run of framed bytes, however
+    /// many records there are. What is stored is a function of the
+    /// records and the spec alone — not of where the windows and runs
+    /// were cut or of the CPU count.
+    ///
+    /// On error no manifest is written (shards of earlier windows may
+    /// have been).
     ///
     /// Telemetry: an `io.shard.write_all` span (items = records, bytes =
     /// uncompressed payload), `io.shard.{records,bytes_in,bytes_out}`
-    /// counters, `io.shard.{encode_ns,write_ns}` phase histograms, and
-    /// the `io.shard.compression_permille` gauge (stored size as ‰ of
+    /// counters, `io.shard.{encode_ns,write_ns}` phase histograms (one
+    /// sample a call, summed over its windows), and the
+    /// `io.shard.compression_permille` gauge (stored size as ‰ of
     /// payload size, 1000 = incompressible). The codec's
     /// `io.codec.<name>.{encode_ns,bytes_in,bytes_out}` are recorded once
     /// per run, not per record.
@@ -292,14 +341,16 @@ impl<'a> ShardWriter<'a> {
         R: IntoIterator,
         R::Item: AsRef<[u8]> + Send + Sync,
     {
-        self.write_all_in_runs_of(RUN_PAYLOAD_BYTES, records)
+        let window_bytes = window_bytes_for(self.spec.target_shard_bytes);
+        self.write_all_in(RUN_PAYLOAD_BYTES, window_bytes, records)
     }
 
-    /// [`write_all`](Self::write_all) with the run size given (the test
-    /// seam: every run size must store the same bytes).
-    fn write_all_in_runs_of<R>(
+    /// [`write_all`](Self::write_all) with the run and window sizes given
+    /// (the test seam: every pair must store the same bytes).
+    fn write_all_in<R>(
         &self,
         run_payload_bytes: usize,
+        window_bytes: usize,
         records: R,
     ) -> Result<ShardManifest, IoError>
     where
@@ -312,113 +363,80 @@ impl<'a> ShardWriter<'a> {
         // (and the parallel workers below, via `par_map`'s hand-off)
         // attaches under this span.
         let _in_write_all = span.enter();
-        let records: Vec<R::Item> = records.into_iter().collect();
-
-        // Cut into runs: a run closes with the record that fills it.
-        let mut run_bounds: Vec<(usize, usize, usize)> = Vec::new(); // (start, end, payload)
-        let (mut start, mut acc) = (0, 0usize);
-        for (i, r) in records.iter().enumerate() {
-            acc += r.as_ref().len();
-            if acc >= run_payload_bytes {
-                run_bounds.push((start, i + 1, acc));
-                (start, acc) = (i + 1, 0);
-            }
-        }
-        if start < records.len() {
-            run_bounds.push((start, records.len(), acc));
-        }
-        let payload_bytes: u64 = run_bounds.iter().map(|&(_, _, p)| p as u64).sum();
-        span.add_items(records.len() as u64);
-        span.add_bytes(payload_bytes);
-        registry
-            .handle(&names::SHARD_RECORDS, [])
-            .add(records.len() as u64);
-        registry
-            .handle(&names::SHARD_BYTES_IN, [])
-            .add(payload_bytes);
-
-        // Frame every run in parallel, in record order.
         let spec = &self.spec;
         let (codec, meter) = codec_and_meter(spec.codec);
-        let encode_start = Stopwatch::start();
-        let framed: Vec<Result<FramedRun, IoError>> = par_map(&run_bounds, |&(s, e, payload)| {
-            let encode_run = Stopwatch::start();
-            let run = FramedRun::encode(codec.as_ref(), &records[s..e], payload);
-            let stored = run.frames.len() - (e - s) * RECORD_HEADER;
-            meter.record_encode(encode_run.elapsed_ns(), payload, stored);
-            run.seal(&spec.prefix, s)
-        });
+        let mut records = records.into_iter();
+        let mut window: Vec<R::Item> = Vec::new();
+        // The framed runs the open shard has frames in, and where its
+        // first frame starts in the first of them.
+        let (mut carried, mut open_at) = (Vec::<FramedRun>::new(), 0);
+        let mut shards: Vec<ShardInfo> = Vec::new();
+        let (mut total_records, mut payload_bytes) = (0u64, 0u64);
+        let (mut encode_ns, mut write_ns) = (0u64, 0u64);
+        let mut pulled_all = false;
+        while !pulled_all {
+            // Headers count, so empty records fill a window too.
+            let mut framed_bytes = 0;
+            while framed_bytes < window_bytes {
+                let Some(record) = records.next() else {
+                    pulled_all = true;
+                    break;
+                };
+                framed_bytes += RECORD_HEADER + record.as_ref().len();
+                window.push(record);
+            }
+            let runs = cut_runs(&window, run_payload_bytes);
+            let window_payload: u64 = runs.iter().map(|&(_, _, p)| p as u64).sum();
+            span.add_items(window.len() as u64);
+            span.add_bytes(window_payload);
+            registry
+                .handle(&names::SHARD_RECORDS, [])
+                .add(window.len() as u64);
+            registry
+                .handle(&names::SHARD_BYTES_IN, [])
+                .add(window_payload);
+            let first_record = total_records as usize;
+            total_records += window.len() as u64;
+            payload_bytes += window_payload;
+
+            // Frame every run in parallel, in record order.
+            let encode_start = Stopwatch::start();
+            let framed = par_map(&runs, |&(s, e, payload)| {
+                let encode_run = Stopwatch::start();
+                let run = FramedRun::encode(codec.as_ref(), &window[s..e], payload);
+                let stored = run.frames.len() - (e - s) * RECORD_HEADER;
+                meter.record_encode(encode_run.elapsed_ns(), payload, stored);
+                run.seal(&spec.prefix, first_record + s)
+            });
+            encode_ns += encode_start.elapsed_ns();
+            window.clear();
+            for run in framed {
+                carried.push(run?);
+            }
+
+            // Assemble and write the shards that closed in parallel; infos
+            // keep shard order. `par_map` attaches this span's context in
+            // each worker, so sink writes and verify rewrites report into
+            // the caller's registry under this span, whatever thread runs
+            // them.
+            let (closed, (open_run, open_start)) =
+                pack(&carried, open_at, spec.target_shard_bytes, pulled_all);
+            let first_shard = shards.len();
+            let write_start = Stopwatch::start();
+            let infos = par_map(closed.iter().enumerate(), |(i, group)| {
+                self.store(first_shard + i, group)
+            });
+            write_ns += write_start.elapsed_ns();
+            for info in infos {
+                shards.push(info?);
+            }
+            carried.drain(..open_run);
+            open_at = open_start;
+        }
         registry
             .handle(&names::SHARD_ENCODE_NS, [])
-            .record(encode_start.elapsed_ns());
-        let total_records = records.len() as u64;
-        drop(records);
-        let runs = framed.into_iter().collect::<Result<Vec<FramedRun>, _>>()?;
-
-        // Greedy size-based packing of the frames into shards.
-        let mut groups: Vec<ShardGroup> = Vec::new();
-        let mut open = ShardGroup::default();
-        for run in &runs {
-            let (mut piece_start, mut pos) = (0, 0);
-            for &end in &run.frame_ends {
-                let sz = end - pos;
-                if open.bytes > 0 && open.bytes + sz > spec.target_shard_bytes {
-                    // (An empty piece when the shard ends where the run began.)
-                    open.pieces.push(&run.frames[piece_start..pos]);
-                    groups.push(std::mem::take(&mut open));
-                    piece_start = pos;
-                }
-                open.bytes += sz;
-                open.records += 1;
-                pos = end;
-            }
-            open.pieces.push(&run.frames[piece_start..pos]);
-        }
-        if open.records > 0 {
-            groups.push(open);
-        }
-
-        // Assemble and write shards in parallel; infos keep group order.
-        // `par_map` attaches this span's context in each worker, so sink
-        // writes and verify rewrites report into the caller's registry
-        // under this span, whatever thread runs them.
-        let sink = self.sink;
-        let write_start = Stopwatch::start();
-        let infos: Vec<Result<ShardInfo, IoError>> =
-            par_map(groups.iter().enumerate(), |(idx, group)| {
-                // Capacity in whole granules: shards packed to one target
-                // differ by a few hundred bytes, and a worker's next buffer
-                // fits the hole its last one left only if it asks for no
-                // more than that one did.
-                let mut buf = Vec::with_capacity(
-                    (FILE_HEADER + group.bytes).next_multiple_of(SHARD_BUFFER_GRANULE),
-                );
-                buf.extend_from_slice(SHARD_MAGIC);
-                buf.push(spec.codec.tag());
-                buf.extend_from_slice(&[0, 0, 0]);
-                for piece in &group.pieces {
-                    buf.extend_from_slice(piece);
-                }
-                let name = spec.shard_name(idx);
-                let digest = framed_file_crc(&buf);
-                sink.write_file(&name, &buf)?;
-                if spec.verify_writes {
-                    verify_written(sink, &name, digest, &buf)?;
-                }
-                Ok(ShardInfo {
-                    name,
-                    records: group.records,
-                    bytes: buf.len() as u64,
-                    crc32c: digest,
-                })
-            });
-        registry
-            .handle(&names::SHARD_WRITE_NS, [])
-            .record(write_start.elapsed_ns());
-        let mut shards = Vec::with_capacity(infos.len());
-        for info in infos {
-            shards.push(info?);
-        }
+            .record(encode_ns);
+        registry.handle(&names::SHARD_WRITE_NS, []).record(write_ns);
         let stored_bytes: u64 = shards.iter().map(|s| s.bytes).sum();
         registry
             .handle(&names::SHARD_BYTES_OUT, [])
@@ -452,6 +470,97 @@ impl<'a> ShardWriter<'a> {
         }
         Ok(manifest)
     }
+
+    /// Assemble shard `index` from its frames, write it and, when the
+    /// spec asks, read it back.
+    fn store(&self, index: usize, group: &ShardGroup<'_>) -> Result<ShardInfo, IoError> {
+        let spec = &self.spec;
+        // Capacity in whole granules: shards packed to one target differ
+        // by a few hundred bytes, and a worker's next buffer fits the hole
+        // its last one left only if it asks for no more than that one did.
+        let mut buf =
+            Vec::with_capacity((FILE_HEADER + group.bytes).next_multiple_of(SHARD_BUFFER_GRANULE));
+        buf.extend_from_slice(SHARD_MAGIC);
+        buf.push(spec.codec.tag());
+        buf.extend_from_slice(&[0, 0, 0]);
+        for piece in &group.pieces {
+            buf.extend_from_slice(piece);
+        }
+        let name = spec.shard_name(index);
+        let digest = framed_file_crc(&buf);
+        self.sink.write_file(&name, &buf)?;
+        if spec.verify_writes {
+            verify_written(self.sink, &name, digest, &buf)?;
+        }
+        Ok(ShardInfo {
+            name,
+            records: group.records,
+            bytes: buf.len() as u64,
+            crc32c: digest,
+        })
+    }
+}
+
+/// Cut records into contiguous runs of about `run_payload_bytes` of
+/// payload: a run closes with the record that fills it. One
+/// `(start, end, payload)` a run.
+fn cut_runs<T: AsRef<[u8]>>(records: &[T], run_payload_bytes: usize) -> Vec<(usize, usize, usize)> {
+    let mut runs = Vec::new();
+    let (mut start, mut acc) = (0, 0usize);
+    for (i, r) in records.iter().enumerate() {
+        acc += r.as_ref().len();
+        if acc >= run_payload_bytes {
+            runs.push((start, i + 1, acc));
+            (start, acc) = (i + 1, 0);
+        }
+    }
+    if start < records.len() {
+        runs.push((start, records.len(), acc));
+    }
+    runs
+}
+
+/// Pack the frames of `runs` greedily by size into shards, from `start`
+/// bytes into the first run on: a shard closes when its next frame would
+/// take it past `target` (so a frame larger than the target gets a shard
+/// of its own). The last shard closes too when `last`; otherwise it stays
+/// open, and the second value says where it begins — a run index and an
+/// offset in that run — for the next window to pack from.
+fn pack(
+    runs: &[FramedRun],
+    start: usize,
+    target: usize,
+    last: bool,
+) -> (Vec<ShardGroup<'_>>, (usize, usize)) {
+    let mut closed = Vec::new();
+    let mut open = ShardGroup::default();
+    let mut open_at = (0, start);
+    for (r, run) in runs.iter().enumerate() {
+        let skip = if r == 0 { start } else { 0 };
+        let (mut piece_start, mut pos) = (skip, skip);
+        let first = run.frame_ends.partition_point(|&end| end <= skip);
+        for &end in &run.frame_ends[first..] {
+            let sz = end - pos;
+            if open.bytes > 0 && open.bytes + sz > target {
+                // (An empty piece when the shard ends where the run began.)
+                open.pieces.push(&run.frames[piece_start..pos]);
+                closed.push(std::mem::take(&mut open));
+                piece_start = pos;
+                open_at = (r, pos);
+            }
+            open.bytes += sz;
+            open.records += 1;
+            pos = end;
+        }
+        open.pieces.push(&run.frames[piece_start..pos]);
+    }
+    if last {
+        if open.records > 0 {
+            closed.push(open);
+        }
+        open_at = (runs.len(), 0);
+    }
+    (closed, open_at)
 }
 
 /// A contiguous run of records, framed back to back in one buffer.
@@ -654,7 +763,7 @@ impl<'a> ShardReader<'a> {
     }
 
     /// Read and decode every record of one shard, verifying the whole-file
-    /// CRC and each record CRC.
+    /// CRC, each record CRC and the record count the manifest declares.
     pub fn read_shard(&self, index: usize) -> Result<Vec<Vec<u8>>, IoError> {
         self.read_shard_with(&codec_and_meter(self.manifest.codec), index)
     }
@@ -680,7 +789,15 @@ impl<'a> ShardReader<'a> {
             });
         }
         match scan.decode(decoder) {
-            (records, None) => Ok(records),
+            (records, None) if records.len() as u64 == info.records => Ok(records),
+            (records, None) => Err(IoError::Format {
+                blob: info.name.clone(),
+                what: format!(
+                    "record count mismatch (manifest {}, parsed {})",
+                    info.records,
+                    records.len()
+                ),
+            }),
             (_, Some(e)) => Err(e),
         }
     }
@@ -915,6 +1032,7 @@ impl<'a> ShardScan<'a> {
 mod tests {
     use super::*;
     use crate::sink::MemSink;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn records(n: usize, size: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -987,23 +1105,24 @@ mod tests {
     }
 
     #[test]
-    fn stored_bytes_do_not_depend_on_the_run_size() {
+    fn stored_bytes_do_not_depend_on_the_run_or_window_size() {
         // Edge sizes, one record larger than a shard, and a megabyte of
-        // small ones, so the constant cuts several runs mid-shard.
+        // small ones, so the constants cut several runs mid-shard.
         let mut recs = vec![vec![], vec![9], records(1, 127).remove(0), vec![7; 40_000]];
         recs.extend(records(1_100, 1000));
         recs.extend([vec![], records(1, 16 << 10).remove(0), vec![]]);
+        let target = 30_000;
         for codec in [
             CodecId::Raw,
             CodecId::Rle,
             CodecId::Lz,
             CodecId::Delta { width: 4 },
         ] {
-            let stored_with = |run_payload_bytes: usize| {
+            let stored_with = |run_payload_bytes: usize, window_bytes: usize| {
                 let sink = MemSink::new();
-                let spec = ShardSpec::new("runs", 30_000).with_codec(codec);
+                let spec = ShardSpec::new("runs", target).with_codec(codec);
                 let manifest = ShardWriter::new(spec, &sink)
-                    .write_all_in_runs_of(run_payload_bytes, &recs)
+                    .write_all_in(run_payload_bytes, window_bytes, &recs)
                     .unwrap();
                 assert!(manifest.shards.len() > 3);
                 let mut names = sink.list().unwrap();
@@ -1016,15 +1135,92 @@ mod tests {
                     })
                     .collect::<Vec<_>>()
             };
-            // One record a run, the constant, everything in one run.
-            let expect = stored_with(RUN_PAYLOAD_BYTES);
-            for run_payload_bytes in [1, 1000, usize::MAX] {
-                assert!(
-                    stored_with(run_payload_bytes) == expect,
-                    "{codec:?}: runs of {run_payload_bytes} bytes stored different bytes"
-                );
+            // Runs of one record, of 1000 bytes, of the constant and of
+            // everything; windows of one record, of less than a shard, of
+            // one run, of the constant (here: every record) and of
+            // everything.
+            let expect = stored_with(RUN_PAYLOAD_BYTES, window_bytes_for(target));
+            for run in [1, 1000, RUN_PAYLOAD_BYTES, usize::MAX] {
+                for window in [
+                    1,
+                    target / 3,
+                    RUN_PAYLOAD_BYTES,
+                    window_bytes_for(target),
+                    usize::MAX,
+                ] {
+                    assert!(
+                        stored_with(run, window) == expect,
+                        "{codec:?}: runs of {run} and windows of {window} bytes stored different bytes"
+                    );
+                }
             }
         }
+    }
+
+    /// A sink that keeps no shard and notes, at every shard write, how
+    /// much payload the writer has pulled from its records and not yet
+    /// stored.
+    struct HeldSink<'a> {
+        pulled: &'a AtomicUsize,
+        stored: AtomicUsize,
+        most_held: AtomicUsize,
+    }
+
+    impl StorageSink for HeldSink<'_> {
+        fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
+            if name.ends_with(".shard") {
+                let records = parse_shard(data, name, CodecId::Raw)?;
+                let payload: usize = records.iter().map(Vec::len).sum();
+                let stored = self.stored.fetch_add(payload, Ordering::SeqCst);
+                let held = self.pulled.load(Ordering::SeqCst) - stored;
+                self.most_held.fetch_max(held, Ordering::SeqCst);
+            }
+            Ok(())
+        }
+
+        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+            Err(IoError::NotFound {
+                blob: name.to_string(),
+            })
+        }
+
+        fn list(&self) -> Result<Vec<String>, IoError> {
+            Ok(Vec::new())
+        }
+
+        fn delete(&self, _name: &str) -> Result<(), IoError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_writer_holds_a_window_an_open_shard_and_a_run_whatever_the_input() {
+        // 24 MiB of 4 KiB records into 64 KiB shards: the window is its
+        // 8 MiB floor, and the input is more than twice what may be held.
+        let target = 64 << 10;
+        let bound = window_bytes_for(target) + target + RUN_PAYLOAD_BYTES;
+        let pulled = AtomicUsize::new(0);
+        let sink = HeldSink {
+            pulled: &pulled,
+            stored: AtomicUsize::new(0),
+            most_held: AtomicUsize::new(0),
+        };
+        let count = 6 << 10;
+        let records = (0..count).map(|i| {
+            let record = vec![i as u8; 4 << 10];
+            pulled.fetch_add(record.len(), Ordering::SeqCst);
+            record
+        });
+        let manifest = ShardWriter::new(ShardSpec::new("held", target), &sink)
+            .write_all(records)
+            .unwrap();
+        assert_eq!(manifest.total_records, count as u64);
+        assert_eq!(sink.stored.load(Ordering::SeqCst), count << 12);
+        let most_held = sink.most_held.load(Ordering::SeqCst);
+        assert!(
+            most_held <= bound,
+            "{most_held} bytes pulled and not stored at a shard write, bound {bound}"
+        );
     }
 
     #[test]
@@ -1237,21 +1433,128 @@ mod tests {
         // 2^53 - 1: the largest count exactly representable in the JSON
         // number model, still an absurd ~72 PiB preallocation if trusted.
         const HUGE: u64 = (1 << 53) - 1;
-        let raw = sink.read_file("huge.manifest.json").unwrap();
-        let text = std::str::from_utf8(&raw)
-            .unwrap()
-            .replace("\"total_records\":3", &format!("\"total_records\":{HUGE}"));
-        assert_ne!(text.as_bytes(), raw.as_slice(), "replacement must hit");
-        sink.write_file("huge.manifest.json", text.as_bytes())
+        let raw = String::from_utf8(sink.read_file("huge.manifest.json").unwrap()).unwrap();
+        // A total its shards do not add up to is refused when the
+        // manifest is read, before anything is sized by it.
+        let total = raw.replace("\"total_records\":3", &format!("\"total_records\":{HUGE}"));
+        assert_ne!(total, raw, "replacement must hit");
+        sink.write_file("huge.manifest.json", total.as_bytes())
+            .unwrap();
+        match ShardReader::open("huge", &sink) {
+            Err(IoError::Format { blob, .. }) => assert_eq!(blob, "huge.manifest.json"),
+            other => panic!(
+                "expected a format error, got {:?}",
+                other.map(|r| r.manifest().clone())
+            ),
+        }
+        // With the shard's count forged to match, the manifest opens; the
+        // clamp keeps the reads from reserving for it, and the mismatch
+        // surfaces as an error and a damage report, not as an OOM.
+        let both = total.replace("\"records\":3", &format!("\"records\":{HUGE}"));
+        assert_ne!(both, total, "replacement must hit");
+        sink.write_file("huge.manifest.json", both.as_bytes())
             .unwrap();
         let reader = ShardReader::open("huge", &sink).unwrap();
         assert_eq!(reader.manifest().total_records, HUGE);
-        // Must not abort on allocation; the count mismatch surfaces as
-        // data, not as an OOM.
-        let out = reader.read_all().unwrap();
-        assert_eq!(out.len(), 3);
+        assert!(matches!(reader.read_all(), Err(IoError::Format { .. })));
         let recovered = reader.read_all_recovering();
         assert_eq!(recovered.records.len(), 3);
+        assert_eq!(recovered.damage.records_lost, HUGE - 3);
+    }
+
+    /// `from` replaced by `to` in a manifest's text, once; the replacement
+    /// must hit.
+    fn forge(text: &str, from: &str, to: &str) -> String {
+        let forged = text.replacen(from, to, 1);
+        assert_ne!(forged, text, "{from}: replacement must hit");
+        forged
+    }
+
+    #[test]
+    fn a_manifest_that_contradicts_itself_is_refused() {
+        let sink = MemSink::new();
+        let manifest = ShardWriter::new(ShardSpec::new("m", 1000), &sink)
+            .write_all(records(9, 300))
+            .unwrap();
+        let text = String::from_utf8(sink.read_file("m.manifest.json").unwrap()).unwrap();
+        let crc = manifest.shards[1].crc32c;
+        let total = manifest.total_records;
+        for (field, forged) in [
+            // A CRC field of 2^32 + c is not the CRC c.
+            (
+                "crc32c",
+                forge(
+                    &text,
+                    &format!("\"crc32c\":{crc}"),
+                    &format!("\"crc32c\":{}", (1u64 << 32) + u64::from(crc)),
+                ),
+            ),
+            // A total that is not the sum of the shards' counts.
+            (
+                "total_records",
+                forge(
+                    &text,
+                    &format!("\"total_records\":{total}"),
+                    &format!("\"total_records\":{}", total + 1),
+                ),
+            ),
+        ] {
+            sink.write_file("m.manifest.json", forged.as_bytes())
+                .unwrap();
+            match ShardReader::open("m", &sink) {
+                Err(IoError::Format { blob, what }) => {
+                    assert_eq!(blob, "m.manifest.json");
+                    assert!(what.contains(field), "{what}");
+                }
+                other => panic!(
+                    "{field}: expected a format error, got {:?}",
+                    other.map(|r| r.manifest().clone())
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn the_strict_reader_refuses_a_shard_whose_count_disagrees_with_the_manifest() {
+        let sink = MemSink::new();
+        let recs = records(9, 300);
+        let manifest = ShardWriter::new(ShardSpec::new("count", 1000), &sink)
+            .write_all(&recs)
+            .unwrap();
+        assert!(manifest.shards.len() >= 3, "want a middle shard");
+        let victim = &manifest.shards[1];
+        // One shard's count and the total raised together: the manifest
+        // is consistent, and the files and their CRCs are untouched.
+        let text = String::from_utf8(sink.read_file("count.manifest.json").unwrap()).unwrap();
+        let name = &victim.name;
+        let forged = forge(
+            &forge(
+                &text,
+                &format!("\"name\":\"{name}\",\"records\":{}", victim.records),
+                &format!("\"name\":\"{name}\",\"records\":{}", victim.records + 1),
+            ),
+            &format!("\"total_records\":{}", manifest.total_records),
+            &format!("\"total_records\":{}", manifest.total_records + 1),
+        );
+        sink.write_file("count.manifest.json", forged.as_bytes())
+            .unwrap();
+        let reader = ShardReader::open("count", &sink).unwrap();
+        assert_eq!(reader.read_shard(0).unwrap(), recs[..3]);
+        for result in [reader.read_shard(1), reader.read_all()] {
+            match result {
+                Err(IoError::Format { blob, what }) => {
+                    assert_eq!(&blob, name);
+                    assert!(what.contains("record count mismatch"), "{what}");
+                }
+                other => panic!("expected a format error, got {other:?}"),
+            }
+        }
+        // The recovering reader reports the same shard as damaged.
+        let recovered = reader.read_all_recovering();
+        assert_eq!(recovered.records, recs);
+        assert_eq!(recovered.damage.damaged.len(), 1);
+        assert_eq!(&recovered.damage.damaged[0].name, name);
+        assert_eq!(recovered.damage.records_lost, 1);
     }
 
     #[test]

@@ -362,36 +362,69 @@ fn every_read_path_agrees_with_the_two_pass_reader_on_damaged_shards() {
         assert_same_reads(&prefix, &sink, &format!("{codec:?} missing shard"));
         sink.write_file(&victim, &pristine).unwrap();
 
-        // Intact records under a manifest whose file CRC is off by one,
-        // and one whose record count is.
+        // Intact records under a manifest whose file CRC is off by one.
         let manifest_name = format!("{prefix}.manifest.json");
         let manifest_text = String::from_utf8(sink.read_file(&manifest_name).unwrap()).unwrap();
         let info = &manifest.shards[1];
-        for (label, from, to) in [
-            (
-                "manifest crc + 1",
-                format!("\"crc32c\":{}", info.crc32c),
-                format!("\"crc32c\":{}", info.crc32c.wrapping_add(1)),
-            ),
-            (
-                "manifest records + 1",
-                format!("\"name\":\"{victim}\",\"records\":{}", info.records),
-                format!("\"name\":\"{victim}\",\"records\":{}", info.records + 1),
-            ),
-        ] {
-            let forged = manifest_text.replacen(&from, &to, 1);
-            assert_ne!(forged, manifest_text, "{label}: replacement must hit");
-            sink.write_file(&manifest_name, forged.as_bytes()).unwrap();
-            assert_same_reads(&prefix, &sink, &format!("{codec:?} {label}"));
-            // Both at once: a damaged record under the forged manifest.
-            let mut damaged = pristine.clone();
-            let last = damaged.len() - 1;
-            damaged[last] ^= 0x10;
-            sink.write_file(&victim, &damaged).unwrap();
-            assert_same_reads(&prefix, &sink, &format!("{codec:?} {label} + payload flip"));
-            sink.write_file(&victim, &pristine).unwrap();
-            cases += 2;
-        }
+        let label = "manifest crc + 1";
+        let forged = manifest_text.replacen(
+            &format!("\"crc32c\":{}", info.crc32c),
+            &format!("\"crc32c\":{}", info.crc32c.wrapping_add(1)),
+            1,
+        );
+        assert_ne!(forged, manifest_text, "{label}: replacement must hit");
+        sink.write_file(&manifest_name, forged.as_bytes()).unwrap();
+        assert_same_reads(&prefix, &sink, &format!("{codec:?} {label}"));
+        // Both at once: a damaged record under the forged manifest.
+        let mut damaged = pristine.clone();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x10;
+        sink.write_file(&victim, &damaged).unwrap();
+        assert_same_reads(&prefix, &sink, &format!("{codec:?} {label} + payload flip"));
+        sink.write_file(&victim, &pristine).unwrap();
+        cases += 2;
+
+        // A record count off by one is where the reader parts from the
+        // two-pass reader, which never compared counts. A count its total
+        // does not match is refused at `open`; with the total raised to
+        // match, the strict reads refuse the shard, and the recovering
+        // read still agrees with the reference.
+        let count_off = manifest_text.replacen(
+            &format!("\"name\":\"{victim}\",\"records\":{}", info.records),
+            &format!("\"name\":\"{victim}\",\"records\":{}", info.records + 1),
+            1,
+        );
+        assert_ne!(
+            count_off, manifest_text,
+            "records + 1: replacement must hit"
+        );
+        sink.write_file(&manifest_name, count_off.as_bytes())
+            .unwrap();
+        assert!(matches!(
+            ShardReader::open(&prefix, &sink),
+            Err(IoError::Format { .. })
+        ));
+        let total = manifest.total_records;
+        let both_off = count_off.replacen(
+            &format!("\"total_records\":{total}"),
+            &format!("\"total_records\":{}", total + 1),
+            1,
+        );
+        assert_ne!(both_off, count_off, "total + 1: replacement must hit");
+        sink.write_file(&manifest_name, both_off.as_bytes())
+            .unwrap();
+        let reader = ShardReader::open(&prefix, &sink).unwrap();
+        assert!(matches!(reader.read_shard(1), Err(IoError::Format { .. })));
+        assert!(matches!(reader.read_all(), Err(IoError::Format { .. })));
+        let recovered = reader.read_all_recovering();
+        let (want_records, want_damage) = reference_read_all_recovering(reader.manifest(), &sink);
+        assert_eq!(recovered.records, want_records, "{codec:?} records + 1");
+        assert_eq!(
+            format!("{:?}", recovered.damage),
+            format!("{want_damage:?}"),
+            "{codec:?} records + 1"
+        );
+        cases += 1;
         sink.write_file(&manifest_name, manifest_text.as_bytes())
             .unwrap();
     }
