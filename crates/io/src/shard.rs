@@ -325,8 +325,11 @@ impl<'a> ShardWriter<'a> {
     /// records and the spec alone — not of where the windows and runs
     /// were cut or of the CPU count.
     ///
-    /// On error no manifest is written (shards of earlier windows may
-    /// have been).
+    /// A manifest an earlier write left under the same prefix is deleted
+    /// before any shard is stored, so on error no manifest of the prefix
+    /// is left: not a new one, and not an old one describing shards this
+    /// write has since replaced. The shards of earlier windows may have
+    /// been stored.
     ///
     /// Telemetry: an `io.shard.write_all` span (items = records, bytes =
     /// uncompressed payload), `io.shard.{records,bytes_in,bytes_out}`
@@ -364,6 +367,8 @@ impl<'a> ShardWriter<'a> {
         // attaches under this span.
         let _in_write_all = span.enter();
         let spec = &self.spec;
+        let manifest_name = spec.manifest_name();
+        self.sink.delete(&manifest_name)?;
         let (codec, meter) = codec_and_meter(spec.codec);
         let mut records = records.into_iter();
         let mut window: Vec<R::Item> = Vec::new();
@@ -454,7 +459,6 @@ impl<'a> ShardWriter<'a> {
             payload_bytes,
             shards,
         };
-        let manifest_name = self.spec.manifest_name();
         let manifest_bytes = manifest.to_json().to_string_compact().into_bytes();
         self.sink.write_file(&manifest_name, &manifest_bytes)?;
         if self.spec.verify_writes {
@@ -1221,6 +1225,66 @@ mod tests {
             most_held <= bound,
             "{most_held} bytes pulled and not stored at a shard write, bound {bound}"
         );
+    }
+
+    /// A [`MemSink`] that refuses to store one blob.
+    struct RefusingSink<'a> {
+        inner: &'a MemSink,
+        refused: &'a str,
+    }
+
+    impl StorageSink for RefusingSink<'_> {
+        fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
+            if name == self.refused {
+                let denied = std::io::Error::from(std::io::ErrorKind::PermissionDenied);
+                return Err(IoError::os(name, denied));
+            }
+            self.inner.write_file(name, data)
+        }
+
+        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+            self.inner.read_file(name)
+        }
+
+        fn list(&self) -> Result<Vec<String>, IoError> {
+            self.inner.list()
+        }
+
+        fn delete(&self, name: &str) -> Result<(), IoError> {
+            self.inner.delete(name)
+        }
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_manifest_of_its_prefix() {
+        // A first write of the prefix succeeds. A second, of other
+        // records, stores shards 0-2 in windows of one record each and
+        // fails at shard 3: the first write's manifest must not be left
+        // to describe shards the second has replaced.
+        let sink = MemSink::new();
+        let first = records(12, 400);
+        ShardWriter::new(ShardSpec::new("again", 1000), &sink)
+            .write_all(&first)
+            .unwrap();
+        let refusing = RefusingSink {
+            inner: &sink,
+            refused: "again-00003.shard",
+        };
+        let err = ShardWriter::new(ShardSpec::new("again", 1000), &refusing)
+            .write_all_in(RUN_PAYLOAD_BYTES, 1, records(12, 900))
+            .unwrap_err();
+        assert!(matches!(err, IoError::Os { .. }), "{err:?}");
+        let replaced = parse_shard(
+            &sink.read_file("again-00000.shard").unwrap(),
+            "again-00000.shard",
+            CodecId::Raw,
+        )
+        .unwrap();
+        assert_ne!(replaced, first[..replaced.len()]);
+        assert!(matches!(
+            ShardReader::open("again", &sink),
+            Err(IoError::NotFound { .. })
+        ));
     }
 
     #[test]

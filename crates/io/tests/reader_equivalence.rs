@@ -12,7 +12,10 @@
 //! This file passed at the parent commit (where reference and reader
 //! were the same code) before the reader changed. Since then only the
 //! reference's error constructors have changed, to `IoError`'s shape with
-//! the blob in a field of its own.
+//! the blob in a field of its own, and its strict reads have gained the
+//! reader's record-count check (`counted_read_shard`); `open` refuses a
+//! manifest whose total is not the sum of its shards' counts, so the
+//! record-count forgery raises the total with it.
 
 use drai_io::checksum::{crc32c, masked_crc32c};
 use drai_io::codec::{codec_for, CodecId};
@@ -121,13 +124,37 @@ fn reference_read_shard(
     }
 }
 
-fn reference_read_all(
+/// The reference's strict read plus the one rule the reader has added
+/// since: a shard whose records do not number what its manifest declares
+/// is refused, naming the shard. The two-pass reader compared counts only
+/// when recovering.
+fn counted_read_shard(
+    manifest: &ShardManifest,
+    sink: &dyn StorageSink,
+    index: usize,
+) -> Result<Vec<Vec<u8>>, IoError> {
+    let records = reference_read_shard(manifest, sink, index)?;
+    let info = &manifest.shards[index];
+    if records.len() as u64 != info.records {
+        return Err(IoError::Format {
+            blob: info.name.clone(),
+            what: format!(
+                "record count mismatch (manifest {}, parsed {})",
+                info.records,
+                records.len()
+            ),
+        });
+    }
+    Ok(records)
+}
+
+fn counted_read_all(
     manifest: &ShardManifest,
     sink: &dyn StorageSink,
 ) -> Result<Vec<Vec<u8>>, IoError> {
     let mut out = Vec::new();
     for i in 0..manifest.shards.len() {
-        out.extend(reference_read_shard(manifest, sink, i)?);
+        out.extend(counted_read_shard(manifest, sink, i)?);
     }
     Ok(out)
 }
@@ -289,13 +316,13 @@ fn assert_same_reads(prefix: &str, sink: &MemSink, what: &str) {
     for index in 0..=manifest.shards.len() {
         assert_eq!(
             verdict(reader.read_shard(index)),
-            verdict(reference_read_shard(&manifest, sink, index)),
+            verdict(counted_read_shard(&manifest, sink, index)),
             "{what}: read_shard({index})"
         );
     }
     assert_eq!(
         verdict(reader.read_all()),
-        verdict(reference_read_all(&manifest, sink)),
+        verdict(counted_read_all(&manifest, sink)),
         "{what}: read_all"
     );
     for info in &manifest.shards {
@@ -362,69 +389,51 @@ fn every_read_path_agrees_with_the_two_pass_reader_on_damaged_shards() {
         assert_same_reads(&prefix, &sink, &format!("{codec:?} missing shard"));
         sink.write_file(&victim, &pristine).unwrap();
 
-        // Intact records under a manifest whose file CRC is off by one.
+        // Intact records under a manifest whose file CRC is off by one,
+        // and one whose record count is (and its total, to match).
         let manifest_name = format!("{prefix}.manifest.json");
         let manifest_text = String::from_utf8(sink.read_file(&manifest_name).unwrap()).unwrap();
         let info = &manifest.shards[1];
-        let label = "manifest crc + 1";
-        let forged = manifest_text.replacen(
-            &format!("\"crc32c\":{}", info.crc32c),
-            &format!("\"crc32c\":{}", info.crc32c.wrapping_add(1)),
-            1,
-        );
-        assert_ne!(forged, manifest_text, "{label}: replacement must hit");
-        sink.write_file(&manifest_name, forged.as_bytes()).unwrap();
-        assert_same_reads(&prefix, &sink, &format!("{codec:?} {label}"));
-        // Both at once: a damaged record under the forged manifest.
-        let mut damaged = pristine.clone();
-        let last = damaged.len() - 1;
-        damaged[last] ^= 0x10;
-        sink.write_file(&victim, &damaged).unwrap();
-        assert_same_reads(&prefix, &sink, &format!("{codec:?} {label} + payload flip"));
-        sink.write_file(&victim, &pristine).unwrap();
-        cases += 2;
-
-        // A record count off by one is where the reader parts from the
-        // two-pass reader, which never compared counts. A count its total
-        // does not match is refused at `open`; with the total raised to
-        // match, the strict reads refuse the shard, and the recovering
-        // read still agrees with the reference.
-        let count_off = manifest_text.replacen(
-            &format!("\"name\":\"{victim}\",\"records\":{}", info.records),
-            &format!("\"name\":\"{victim}\",\"records\":{}", info.records + 1),
-            1,
-        );
-        assert_ne!(
-            count_off, manifest_text,
-            "records + 1: replacement must hit"
-        );
-        sink.write_file(&manifest_name, count_off.as_bytes())
-            .unwrap();
-        assert!(matches!(
-            ShardReader::open(&prefix, &sink),
-            Err(IoError::Format { .. })
-        ));
         let total = manifest.total_records;
-        let both_off = count_off.replacen(
-            &format!("\"total_records\":{total}"),
-            &format!("\"total_records\":{}", total + 1),
-            1,
-        );
-        assert_ne!(both_off, count_off, "total + 1: replacement must hit");
-        sink.write_file(&manifest_name, both_off.as_bytes())
-            .unwrap();
-        let reader = ShardReader::open(&prefix, &sink).unwrap();
-        assert!(matches!(reader.read_shard(1), Err(IoError::Format { .. })));
-        assert!(matches!(reader.read_all(), Err(IoError::Format { .. })));
-        let recovered = reader.read_all_recovering();
-        let (want_records, want_damage) = reference_read_all_recovering(reader.manifest(), &sink);
-        assert_eq!(recovered.records, want_records, "{codec:?} records + 1");
-        assert_eq!(
-            format!("{:?}", recovered.damage),
-            format!("{want_damage:?}"),
-            "{codec:?} records + 1"
-        );
-        cases += 1;
+        for (label, edits) in [
+            (
+                "manifest crc + 1",
+                vec![(
+                    format!("\"crc32c\":{}", info.crc32c),
+                    format!("\"crc32c\":{}", info.crc32c.wrapping_add(1)),
+                )],
+            ),
+            (
+                "manifest records + 1",
+                vec![
+                    (
+                        format!("\"name\":\"{victim}\",\"records\":{}", info.records),
+                        format!("\"name\":\"{victim}\",\"records\":{}", info.records + 1),
+                    ),
+                    (
+                        format!("\"total_records\":{total}"),
+                        format!("\"total_records\":{}", total + 1),
+                    ),
+                ],
+            ),
+        ] {
+            let mut forged = manifest_text.clone();
+            for (from, to) in edits {
+                let edited = forged.replacen(&from, &to, 1);
+                assert_ne!(edited, forged, "{label}: replacement must hit");
+                forged = edited;
+            }
+            sink.write_file(&manifest_name, forged.as_bytes()).unwrap();
+            assert_same_reads(&prefix, &sink, &format!("{codec:?} {label}"));
+            // Both at once: a damaged record under the forged manifest.
+            let mut damaged = pristine.clone();
+            let last = damaged.len() - 1;
+            damaged[last] ^= 0x10;
+            sink.write_file(&victim, &damaged).unwrap();
+            assert_same_reads(&prefix, &sink, &format!("{codec:?} {label} + payload flip"));
+            sink.write_file(&victim, &pristine).unwrap();
+            cases += 2;
+        }
         sink.write_file(&manifest_name, manifest_text.as_bytes())
             .unwrap();
     }

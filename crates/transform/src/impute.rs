@@ -6,14 +6,6 @@
 
 use crate::TransformError;
 
-/// Bits of the order key one pass of the median's radix select counts: a
-/// 64-bit key is narrowed to one value in at most four passes.
-const DIGIT_BITS: u32 = 16;
-
-/// Candidates the median's last pass gathers and selects among, at most:
-/// 64 KiB beside the histogram's 512 KiB, whatever the table size.
-const SELECT_SCRATCH: usize = 8 << 10;
-
 /// Imputation strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
@@ -65,7 +57,23 @@ pub fn impute(values: &mut [f64], strategy: Strategy) -> Result<usize, Transform
             Ok(fill_missing(&mut values[first..], sum / present as f64))
         }
         Strategy::Median => {
-            let median = median(values, SELECT_SCRATCH).ok_or_else(all_missing)?;
+            let mut present = Vec::with_capacity(values.len());
+            present.extend(values.iter().copied().filter(|v| !v.is_nan()));
+            if present.is_empty() {
+                return Err(all_missing());
+            }
+            // Selection, not a sort: `total_cmp` orders every bit pattern,
+            // so the element selected at `mid` and the maximum of the
+            // partition left of it are the two middle values a full sort
+            // would put there.
+            let (mid, odd) = (present.len() / 2, present.len() % 2 == 1);
+            let (below, &mut upper, _) = present.select_nth_unstable_by(mid, f64::total_cmp);
+            let median = if odd {
+                upper
+            } else {
+                let lower = below.iter().copied().max_by(f64::total_cmp);
+                lower.map_or(upper, |lower| (lower + upper) / 2.0)
+            };
             Ok(fill_missing(&mut values[first..], median))
         }
         Strategy::ForwardFill => {
@@ -131,116 +139,9 @@ fn fill_missing(values: &mut [f64], fill: f64) -> usize {
     missing
 }
 
-/// Median of the values that are not NaN, `None` if there are none: the
-/// middle value under `f64::total_cmp`, or the mean of the two middle
-/// values, bit for bit what a selection on a copy of them gives.
-///
-/// No copy is made. This is an exact radix select on [`order_key`], most
-/// significant 16-bit digit first. Each pass counts one digit of the keys
-/// that share the digits fixed so far, and finds the bucket of each
-/// middle rank:
-/// - both ranks in one bucket of at most `scratch` keys: one more pass
-///   gathers that bucket, and the ranks are selected among it;
-/// - both in one larger bucket: its digit is fixed and the next pass
-///   counts the next digit (after the fourth, the bucket is one key);
-/// - in two buckets (an even count only): the lower middle value is the
-///   largest key of the first, the upper the smallest of the second, and
-///   one more pass finds both.
-fn median(values: &[f64], scratch: usize) -> Option<f64> {
-    let present_keys = || values.iter().filter(|v| !v.is_nan()).map(|&v| order_key(v));
-    let mut hist = vec![0usize; 1 << DIGIT_BITS];
-    let mut shift = u64::BITS - DIGIT_BITS;
-    for key in present_keys() {
-        hist[(key >> shift) as usize] += 1;
-    }
-    let present: usize = hist.iter().sum();
-    if present == 0 {
-        return None;
-    }
-    let (lo, hi) = ((present - 1) / 2, present / 2);
-    // The candidates are the keys whose bits above `shift + DIGIT_BITS`
-    // are `prefix`; `below` present keys are smaller than all of them.
-    let (mut prefix, mut below) = (0u64, 0usize);
-    let (lower, upper) = loop {
-        let (lo_digit, before) = bucket_of(&hist, lo - below);
-        let (hi_digit, _) = bucket_of(&hist, hi - below);
-        let bucket = |digit: usize| (prefix << DIGIT_BITS) | digit as u64;
-        if lo_digit != hi_digit {
-            let (lo_bucket, hi_bucket) = (bucket(lo_digit), bucket(hi_digit));
-            let (mut lower, mut upper) = (0, u64::MAX);
-            for key in present_keys() {
-                if key >> shift == lo_bucket {
-                    lower = lower.max(key);
-                } else if key >> shift == hi_bucket {
-                    upper = upper.min(key);
-                }
-            }
-            break (lower, upper);
-        }
-        below += before;
-        let (fixed, count) = (bucket(lo_digit), hist[lo_digit]);
-        if shift == 0 {
-            break (fixed, fixed);
-        }
-        if count <= scratch {
-            let mut keys = Vec::with_capacity(count);
-            keys.extend(present_keys().filter(|key| key >> shift == fixed));
-            let (left, &mut upper, _) = keys.select_nth_unstable(hi - below);
-            let lower = match left.iter().max() {
-                Some(&lower) if lo < hi => lower,
-                _ => upper,
-            };
-            break (lower, upper);
-        }
-        (prefix, shift) = (fixed, shift - DIGIT_BITS);
-        hist.fill(0);
-        for key in present_keys().filter(|key| key >> shift >> DIGIT_BITS == prefix) {
-            hist[(key >> shift) as usize & ((1 << DIGIT_BITS) - 1)] += 1;
-        }
-    };
-    let (lower, upper) = (from_order_key(lower), from_order_key(upper));
-    Some(if lo == hi {
-        upper
-    } else {
-        (lower + upper) / 2.0
-    })
-}
-
-/// The bucket holding the `rank`-th smallest of the keys `hist` counts
-/// (`rank` below their total), and how many keys the buckets before it
-/// hold.
-fn bucket_of(hist: &[usize], rank: usize) -> (usize, usize) {
-    let mut through = 0;
-    let bucket = hist
-        .iter()
-        .position(|&count| {
-            through += count;
-            through > rank
-        })
-        .unwrap_or(hist.len() - 1);
-    (bucket, through - hist[bucket])
-}
-
-/// The key `f64::total_cmp` orders by, as an unsigned integer: a positive
-/// value with its sign bit set, a negative one with every bit flipped.
-fn order_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
-}
-
-/// The value whose [`order_key`] is `key`.
-fn from_order_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 {
-        key ^ (1 << 63)
-    } else {
-        !key
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::{any, prop_assert_eq, prop_oneof, proptest, Just};
 
     #[test]
     fn missing_fraction_counts() {
@@ -264,112 +165,6 @@ mod tests {
         let mut w = vec![f64::NAN, 1.0, 3.0, 5.0, 7.0];
         impute(&mut w, Strategy::Median).unwrap();
         assert_eq!(w[0], 4.0); // median of {1,3,5,7}
-    }
-
-    /// The median as it was taken before the radix select: a selection
-    /// on a copy of the present values.
-    fn median_by_selection(values: &[f64]) -> Option<f64> {
-        let mut present: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        if present.is_empty() {
-            return None;
-        }
-        let (mid, odd) = (present.len() / 2, present.len() % 2 == 1);
-        let (below, &mut upper, _) = present.select_nth_unstable_by(mid, f64::total_cmp);
-        Some(if odd {
-            upper
-        } else {
-            let lower = below.iter().copied().max_by(f64::total_cmp);
-            lower.map_or(upper, |lower| (lower + upper) / 2.0)
-        })
-    }
-
-    /// Bit patterns for every path of the select: any pattern at all
-    /// (NaNs of either sign and any payload included), both zeros, both
-    /// infinities, the extremes (whose mean overflows), subnormals of
-    /// either sign, values sharing their top 48 bits, and values drawn
-    /// often enough to tie.
-    fn cell() -> impl proptest::Strategy<Value = u64> {
-        prop_oneof![
-            3 => any::<u64>(),
-            2 => 0x3FF0_0000_0000_0000u64..0x3FF0_0000_0001_0000,
-            1 => 0u64..0x0000_0000_0010_0000,
-            1 => 0x8000_0000_0000_0000u64..0x8000_0000_0010_0000,
-            1 => Just(0u64),
-            1 => Just((-0.0f64).to_bits()),
-            1 => Just(f64::INFINITY.to_bits()),
-            1 => Just(f64::NEG_INFINITY.to_bits()),
-            1 => Just(f64::MAX.to_bits()),
-            1 => Just(f64::MIN.to_bits()),
-            1 => Just(f64::NAN.to_bits()),
-            2 => Just(1.5f64.to_bits()),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn radix_median_equals_the_selection_median(
-            cells in proptest::collection::vec(cell(), 1..300)) {
-            let values: Vec<f64> = cells.iter().map(|&bits| f64::from_bits(bits)).collect();
-            let expect = median_by_selection(&values).map(f64::to_bits);
-            // Scratch of no key, one and three forces every narrowing path
-            // on small inputs; the constant gathers after the first pass.
-            for scratch in [0, 1, 3, SELECT_SCRATCH] {
-                prop_assert_eq!(median(&values, scratch).map(f64::to_bits), expect, "scratch {}", scratch);
-            }
-        }
-    }
-
-    #[test]
-    fn radix_median_on_large_and_tied_tables() {
-        let nan = f64::NAN;
-        let above_one = |ulps: u64| f64::from_bits(1.0f64.to_bits() + ulps);
-        let past_scratch = 3 * SELECT_SCRATCH as u64;
-        let tables: Vec<Vec<f64>> = vec![
-            // One value; two; one value repeated past the scratch.
-            vec![nan, 2.5],
-            vec![-0.0, nan, 0.0],
-            vec![1.5; 3 * SELECT_SCRATCH + 1],
-            vec![1.5; 3 * SELECT_SCRATCH],
-            // Distinct keys sharing their top 48 bits, past the scratch:
-            // the select narrows to the last digit.
-            (0..past_scratch).map(above_one).collect(),
-            (0..=past_scratch).map(above_one).collect(),
-            // The two middle values in different top buckets.
-            [vec![1.0; 2 * SELECT_SCRATCH], vec![4.0; 2 * SELECT_SCRATCH]].concat(),
-            // Heavy ties beside the middle, NaNs throughout.
-            (0..40_000u64)
-                .map(|i| match i % 7 {
-                    0 => nan,
-                    1..=3 => 1.5,
-                    _ => above_one(i),
-                })
-                .collect(),
-        ];
-        for values in tables {
-            assert_eq!(
-                median(&values, SELECT_SCRATCH).map(f64::to_bits),
-                median_by_selection(&values).map(f64::to_bits),
-                "{} values",
-                values.len()
-            );
-        }
-        // The order key is `total_cmp`'s order, and it round-trips.
-        let ordered = [
-            f64::NEG_INFINITY,
-            -1.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            5e-324,
-            1.0,
-            f64::INFINITY,
-        ];
-        for pair in ordered.windows(2) {
-            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
-        }
-        for v in ordered {
-            assert_eq!(from_order_key(order_key(v)).to_bits(), v.to_bits());
-        }
     }
 
     #[test]
