@@ -18,7 +18,7 @@
 //!    encrypt it with ChaCha20 before it touches storage; verify the
 //!    stored bytes scan clean of identifiers.
 
-use crate::{DomainError, DomainRun, Member, StageItem, Witness};
+use crate::{names, DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -28,6 +28,7 @@ use drai_formats::h5lite::{AttrValue, H5File};
 use drai_io::crypto::{chacha20_xor, derive_key, key_id, Nonce};
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::Ledger;
+use drai_telemetry::Registry;
 use drai_tensor::{DType, Tensor};
 use drai_transform::anonymize::{
     date_shift_days, generalize_age, generalize_zip, hash_identifier, k_anonymity,
@@ -334,7 +335,9 @@ fn shard_nonce(split: Split, record_count: usize) -> Nonce {
 }
 
 /// Stage body: one h5lite container per split, ChaCha20-encrypted
-/// before it touches storage, under the prefix's key.
+/// before it touches storage, under the prefix's key. Each split's time
+/// is split three ways, one span each: building the container, ciphering
+/// it, storing it (write and vouch).
 fn secure_shard_stage(
     cfg: &BioConfig,
     sink: &dyn StorageSink,
@@ -347,32 +350,39 @@ fn secure_shard_stage(
     let columns = LAB_COLUMNS.join(",");
     let keyed = data.fused.iter().map(|entry| (&entry.0, entry));
     let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
+    let registry = Registry::current();
     let mut total = 0u64;
     crate::write_splits(c, parts, |split, patients, vouch| {
-        let mut f = H5File::new();
-        // One buffer holds a patient's group path; each dataset
-        // name is pushed onto it and cut off again.
-        let mut path = String::from("/patients/");
-        for (pseudonym, labs, onehot) in &patients {
-            path.truncate("/patients/".len());
-            path.push_str(pseudonym);
-            let group = path.len();
-            path.push_str("/labs");
-            f.put_tensor(&path, labs, labs.len().max(1))
-                .and_then(|()| f.set_attr(&path, "columns", AttrValue::Text(columns.clone())))
-                .map_err(|e| format!("{e}"))?;
-            path.truncate(group);
-            path.push_str("/onehot");
-            f.put_tensor(&path, onehot, 64)
-                .map_err(|e| format!("{e}"))?;
-        }
-        let mut bytes = f.to_bytes();
-        chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes);
-        let name = format!("{prefix}/{}.h5lite.enc", split.name());
-        sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
-        total += bytes.len() as u64;
-        vouch(&name, &bytes);
-        Ok(())
+        let mut bytes = registry.time(&names::SECURE_SHARD_BUILD, [], || {
+            let mut f = H5File::new();
+            // One buffer holds a patient's group path; each dataset
+            // name is pushed onto it and cut off again.
+            let mut path = String::from("/patients/");
+            for (pseudonym, labs, onehot) in &patients {
+                path.truncate("/patients/".len());
+                path.push_str(pseudonym);
+                let group = path.len();
+                path.push_str("/labs");
+                f.put_tensor(&path, labs, labs.len().max(1))
+                    .and_then(|()| f.set_attr(&path, "columns", AttrValue::Text(columns.clone())))
+                    .map_err(|e| format!("{e}"))?;
+                path.truncate(group);
+                path.push_str("/onehot");
+                f.put_tensor(&path, onehot, 64)
+                    .map_err(|e| format!("{e}"))?;
+            }
+            Ok::<_, String>(f.to_bytes())
+        })?;
+        registry.time(&names::SECURE_SHARD_CIPHER, [], || {
+            chacha20_xor(&key, &shard_nonce(split, patients.len()), 0, &mut bytes)
+        });
+        registry.time(&names::SECURE_SHARD_STORE, [], || {
+            let name = format!("{prefix}/{}.h5lite.enc", split.name());
+            sink.write_file(&name, &bytes).map_err(|e| e.to_string())?;
+            total += bytes.len() as u64;
+            vouch(&name, &bytes);
+            Ok(())
+        })
     })?;
     c.records = data.fused.len() as u64;
     c.bytes = total;
@@ -591,6 +601,34 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].items, 2);
         assert_eq!(spans[0].bytes, (raw[0].len() + raw[1].len()) as u64);
+    }
+
+    /// `secure-shard`'s time is split per stored blob into three spans
+    /// under the stage's: container build, cipher, store.
+    #[test]
+    fn secure_shard_time_splits_into_build_cipher_and_store() {
+        use drai_telemetry::{Registry, TraceContext};
+        let registry = Registry::new();
+        let sink = Arc::new(MemSink::new());
+        let run = {
+            let _scope = TraceContext::root(&registry).attach();
+            run(&small_cfg(), sink.clone()).unwrap()
+        };
+        let blobs = run.shard_files.len();
+        assert!(blobs >= 2, "{:?}", run.shard_files);
+        let snapshot = registry.snapshot();
+        let stage = snapshot.spans_named("pipeline.bio.secure-shard");
+        assert_eq!(stage.len(), 1);
+        let mut parts = 0;
+        for part in ["build", "cipher", "store"] {
+            let spans = snapshot.spans_named(&format!("domain.bio.secure_shard.{part}"));
+            assert_eq!(spans.len(), blobs, "{part}");
+            for span in spans {
+                assert_eq!(span.parent, Some(stage[0].id), "{part}");
+                parts += span.dur_ns;
+            }
+        }
+        assert!(parts <= stage[0].dur_ns);
     }
 
     /// Records of `fused` that land in the train split — what a

@@ -195,11 +195,13 @@ pub struct WindowSample {
     pub label: i64,
 }
 
+/// One shot's aligned matrix: (shot_id, t_disrupt, matrix, ntime).
+type AlignedShot = (u64, Option<f64>, Vec<f64>, usize);
+
 /// Artifact flowing between fusion pipeline stages.
 pub struct FusionData {
     shots: Vec<Shot>,
-    /// Aligned per-shot matrices: (shot_id, t_disrupt, matrix, ntime).
-    aligned: Vec<(u64, Option<f64>, Vec<f64>, usize)>,
+    aligned: Vec<AlignedShot>,
     /// Final windows.
     pub windows: Vec<WindowSample>,
     /// Fitted per-channel normalizers.
@@ -260,88 +262,102 @@ fn align_stage(
 /// Stage body: per-shot, per-channel robust scaling, derivative
 /// features, fixed windows and disruption labels. Align produced
 /// matrices with ncols = live channels (they vary with dropout), so
-/// each shot is normalized and windowed on its own columns.
+/// each shot is normalized and windowed on its own columns — one
+/// [`par_map`] item per shot, its windows concatenated in shot order.
+/// The first shot's normalizers are the ones kept.
 fn normalize_stage(
     cfg: &FusionConfig,
     mut data: FusionData,
     c: &mut StageCounters,
 ) -> Result<FusionData, String> {
-    let mut windows = Vec::new();
-    let mut rows: Vec<f32> = Vec::new();
+    if cfg.window_len == 0 || cfg.window_stride == 0 {
+        let msg = "window_len, stride must be positive";
+        return Err(TransformError::InvalidInput(msg.into()).to_string());
+    }
     // The aligned matrices are this stage's to consume: each is
     // normalized in place and dropped once its windows are cut.
-    for (shot_id, t_disrupt, mut matrix, ntime) in std::mem::take(&mut data.aligned) {
-        let nch = matrix.len().checked_div(ntime).unwrap_or(0);
-        if nch == 0 {
-            continue;
-        }
-        // Per-shot, per-channel robust normalization.
-        let in_shot = |e: TransformError| format!("shot {shot_id}: {e}");
-        let fitted = ColumnNormalizer::fit(Method::Robust, &matrix, nch).map_err(in_shot)?;
-        fitted.apply(&mut matrix).map_err(in_shot)?;
+    let shots = par_map(std::mem::take(&mut data.aligned), |shot| {
+        normalize_shot(cfg, shot)
+    });
+    let mut windows = Vec::new();
+    for shot in shots {
+        let (normalizers, shot_windows) = shot?;
         if data.normalizers.is_empty() {
-            data.normalizers = fitted.columns().to_vec();
+            data.normalizers = normalizers;
         }
-        // Derivative features per channel (the DIII-D "derivative-based
-        // features"): a feature row is the channels, then their
-        // derivatives, converted to f32 once per tick. `rows` is reused
-        // from shot to shot.
-        let dt = 1.0 / cfg.clock_hz;
-        let nfeat = nch * 2;
-        rows.clear();
-        rows.resize(ntime * nfeat, 0.0);
-        for (row, values) in rows.chunks_exact_mut(nfeat).zip(matrix.chunks_exact(nch)) {
-            for (dst, &x) in row.iter_mut().zip(values) {
-                *dst = x as f32;
-            }
-        }
-        for ch in 0..nch {
-            let col: Vec<f64> = matrix.chunks_exact(nch).map(|row| row[ch]).collect();
-            let deriv = derivative(&col, dt).map_err(|e| format!("{e}"))?;
-            for (row, &d) in rows.chunks_exact_mut(nfeat).zip(&deriv) {
-                row[nch + ch] = d as f32;
-            }
-        }
-        if cfg.window_len == 0 || cfg.window_stride == 0 {
-            let msg = "nch, window_len, stride must be positive";
-            return Err(TransformError::InvalidInput(msg.into()).to_string());
-        }
-        // Fixed windows: each is a copy of its rows. A window with a NaN
-        // in it is dropped and does not count: `kept` numbers the
-        // complete ones, and the label clock runs on that number.
-        let mut kept = 0;
-        for window in rows
-            .windows(cfg.window_len * nfeat)
-            .step_by(cfg.window_stride * nfeat)
-        {
-            if window.iter().any(|v| v.is_nan()) {
-                continue;
-            }
-            // Window end time on the common clock.
-            let end_tick = kept * cfg.window_stride + cfg.window_len;
-            kept += 1;
-            let t_end = end_tick as f64 / cfg.clock_hz;
-            let label = match t_disrupt {
-                Some(td) => {
-                    if t_end > td {
-                        continue; // post-disruption data is unusable
-                    }
-                    (td - t_end <= LABEL_HORIZON_S) as i64
-                }
-                None => 0,
-            };
-            windows.push(WindowSample {
-                shot_id,
-                features: window.to_vec(),
-                label,
-            });
-        }
+        windows.extend(shot_windows);
     }
     c.measure("windows", windows.len());
     c.records = windows.len() as u64;
     c.bytes = windows.iter().map(|w| (w.features.len() * 4) as u64).sum();
     data.windows = windows;
     Ok(data)
+}
+
+/// [`normalize_stage`] on one aligned shot: its fitted normalizers and
+/// its windows (neither for a shot with no channels).
+fn normalize_shot(
+    cfg: &FusionConfig,
+    (shot_id, t_disrupt, mut matrix, ntime): AlignedShot,
+) -> Result<(Vec<Normalizer>, Vec<WindowSample>), String> {
+    let nch = matrix.len().checked_div(ntime).unwrap_or(0);
+    if nch == 0 {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    // Per-shot, per-channel robust normalization.
+    let in_shot = |e: TransformError| format!("shot {shot_id}: {e}");
+    let fitted = ColumnNormalizer::fit(Method::Robust, &matrix, nch).map_err(in_shot)?;
+    fitted.apply(&mut matrix).map_err(in_shot)?;
+    // Derivative features per channel (the DIII-D "derivative-based
+    // features"): a feature row is the channels, then their
+    // derivatives, converted to f32 once per tick.
+    let dt = 1.0 / cfg.clock_hz;
+    let nfeat = nch * 2;
+    let mut rows = vec![0.0f32; ntime * nfeat];
+    for (row, values) in rows.chunks_exact_mut(nfeat).zip(matrix.chunks_exact(nch)) {
+        for (dst, &x) in row.iter_mut().zip(values) {
+            *dst = x as f32;
+        }
+    }
+    for ch in 0..nch {
+        let col: Vec<f64> = matrix.chunks_exact(nch).map(|row| row[ch]).collect();
+        let deriv = derivative(&col, dt).map_err(|e| format!("{e}"))?;
+        for (row, &d) in rows.chunks_exact_mut(nfeat).zip(&deriv) {
+            row[nch + ch] = d as f32;
+        }
+    }
+    // Fixed windows: each is a copy of its rows. A window with a NaN
+    // in it is dropped and does not count: `kept` numbers the
+    // complete ones, and the label clock runs on that number.
+    let mut windows = Vec::new();
+    let mut kept = 0;
+    for window in rows
+        .windows(cfg.window_len * nfeat)
+        .step_by(cfg.window_stride * nfeat)
+    {
+        if window.iter().any(|v| v.is_nan()) {
+            continue;
+        }
+        // Window end time on the common clock.
+        let end_tick = kept * cfg.window_stride + cfg.window_len;
+        kept += 1;
+        let t_end = end_tick as f64 / cfg.clock_hz;
+        let label = match t_disrupt {
+            Some(td) => {
+                if t_end > td {
+                    continue; // post-disruption data is unusable
+                }
+                (td - t_end <= LABEL_HORIZON_S) as i64
+            }
+            None => 0,
+        };
+        windows.push(WindowSample {
+            shot_id,
+            features: window.to_vec(),
+            label,
+        });
+    }
+    Ok((fitted.columns().to_vec(), windows))
 }
 
 /// Stage body: windows become TFRecord-framed `tf.train.Example`s,

@@ -40,7 +40,7 @@ pub mod fusion;
 pub mod materials;
 pub mod service;
 
-/// The span names this crate writes (`drai_telemetry::Name`); the hole
+/// The span names this crate writes (`drai_telemetry::Name`); a hole
 /// is the domain.
 mod names {
     use drai_telemetry::{Name, Span};
@@ -48,6 +48,14 @@ mod names {
     pub(crate) const RUN: Name<Span, 1> = Name::declare("domain.{}.run");
     pub(crate) const GENERATE_RAW: Name<Span, 1> = Name::declare("domain.{}.generate_raw");
     pub(crate) const INGEST: Name<Span, 1> = Name::declare("domain.{}.ingest");
+    /// Bio `secure-shard`, per split: the h5lite container built and
+    /// serialized, its bytes ciphered, the blob stored and vouched for.
+    pub(crate) const SECURE_SHARD_BUILD: Name<Span> =
+        Name::declare("domain.bio.secure_shard.build");
+    pub(crate) const SECURE_SHARD_CIPHER: Name<Span> =
+        Name::declare("domain.bio.secure_shard.cipher");
+    pub(crate) const SECURE_SHARD_STORE: Name<Span> =
+        Name::declare("domain.bio.secure_shard.store");
 }
 
 use drai_core::pipeline::{Pipeline, StageCounters, StageMetrics};

@@ -13,13 +13,17 @@
 //! encoding. This module supports multi-frame files, per-frame `key=value`
 //! properties (quoted values allowed), and per-atom force columns.
 //!
-//! Who owns which copy: [`write_xyz`] owns the one output `String` and
-//! every coordinate is converted once, into it (`push_fixed8`: no
-//! `String` per value). [`parse_xyz`] borrows the text — lines and tokens
-//! are slices of it, never collected — and allocates only what a
-//! [`Frame`] keeps: its atoms, their element names, its properties.
+//! Frames do not depend on each other, so both directions work one frame
+//! per [`par_map`] item, in input order. Who owns which copy:
+//! [`write_xyz`] writes each frame into a `String` of its own, every
+//! coordinate converted once, into it (`push_fixed8`: no `String` per
+//! value), and owns the one output they are joined into. [`parse_xyz`]
+//! borrows the text — frames, lines and tokens are slices of it — and
+//! allocates only a slice per frame and what a [`Frame`] keeps: its
+//! atoms, their element names, its properties.
 
 use crate::{malformed, FormatError};
+use drai_io::parallel::par_map;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -60,74 +64,140 @@ impl Frame {
 }
 
 /// Parse (possibly multi-frame) extended XYZ text.
+///
+/// The text is cut into frames on the caller (`cut_frames`), then each
+/// frame is parsed on [`par_map`], in order. The result is the one a
+/// single pass over the lines gives: of a frame error and a cut error,
+/// the one earlier in the text wins, and every cut frame precedes the
+/// cut error, so a frame error wins whenever there is one.
 pub fn parse_xyz(text: &str) -> Result<Vec<Frame>, FormatError> {
-    // A frame's atom count is checked against the lines that remain
-    // before anything is reserved for it, so a hostile count is a
-    // "truncated" error, never an allocation.
-    let total = text.lines().count();
-    let mut lines = text.lines().map(|l| l.trim_end_matches('\r')).enumerate();
+    let (cut, cut_error) = cut_frames(text);
+    let frames = par_map(cut, parse_frame)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    cut_error.map(|()| frames)
+}
+
+/// One frame as [`cut_frames`] finds it: the index of its first atom
+/// line, its comment line, and its `natoms` atom lines, terminators
+/// included, as one slice of the text.
+struct FrameText<'a> {
+    first_line: usize,
+    comment: &'a str,
+    natoms: usize,
+    atom_lines: &'a str,
+}
+
+/// A line as `parse_xyz` reads it: `str::lines`' line with every
+/// trailing `\r` trimmed.
+fn trim_line(raw: &str) -> &str {
+    raw.strip_suffix('\n').unwrap_or(raw).trim_end_matches('\r')
+}
+
+/// `str::lines` with each line's terminator kept and its index, and
+/// the text not read yet in `rest`.
+struct Lines<'a> {
+    rest: &'a str,
+    index: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let len = self.rest.find('\n').map_or(self.rest.len(), |n| n + 1);
+        let (line, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        self.index += 1;
+        Some((self.index - 1, line))
+    }
+}
+
+/// Cut `text` into frames: the frames up to the first error, and that
+/// error. A frame's atom count is checked against the lines that remain
+/// before anything is reserved for it, so a hostile count is a
+/// "truncated" error, never an allocation.
+fn cut_frames(text: &str) -> (Vec<FrameText<'_>>, Result<(), FormatError>) {
     let mut frames = Vec::new();
-    while let Some((i, line)) = lines.next() {
-        let count = line.trim();
+    let mut lines = Lines {
+        rest: text,
+        index: 0,
+    };
+    while let Some((i, raw)) = lines.next() {
+        let count = trim_line(raw).trim();
         if count.is_empty() {
             continue;
         }
-        let natoms: usize = count
-            .parse()
-            .map_err(|_| malformed("xyz", format!("line {}: expected atom count", i + 1)))?;
-        let Some((_, comment)) = lines.next() else {
-            return Err(malformed("xyz", "missing comment line"));
+        let Ok(natoms) = count.parse::<usize>() else {
+            let detail = format!("line {}: expected atom count", i + 1);
+            return (frames, Err(malformed("xyz", detail)));
         };
-        let properties = parse_properties(comment);
-        if natoms > total - (i + 2) {
+        let Some((_, comment)) = lines.next() else {
+            return (frames, Err(malformed("xyz", "missing comment line")));
+        };
+        let atom_lines = lines.rest;
+        if lines.by_ref().take(natoms).count() < natoms {
+            let detail = format!("frame at line {} truncated: wants {natoms} atoms", i + 1);
+            return (frames, Err(malformed("xyz", detail)));
+        }
+        frames.push(FrameText {
+            first_line: i + 2,
+            comment: trim_line(comment),
+            natoms,
+            atom_lines: &atom_lines[..atom_lines.len() - lines.rest.len()],
+        });
+    }
+    (frames, Ok(()))
+}
+
+/// Parse one frame [`cut_frames`] found; line numbers in errors are the
+/// text's.
+fn parse_frame(frame: FrameText<'_>) -> Result<Frame, FormatError> {
+    let properties = parse_properties(frame.comment);
+    let mut atoms = Vec::with_capacity(frame.natoms);
+    for (j, raw) in (frame.first_line..).zip(frame.atom_lines.split_inclusive('\n')) {
+        let mut cols = [""; 7];
+        let mut ncols = 0;
+        for token in trim_line(raw).split_whitespace() {
+            if let Some(slot) = cols.get_mut(ncols) {
+                *slot = token;
+            }
+            ncols += 1;
+        }
+        if ncols != 4 && ncols != 7 {
             return Err(malformed(
                 "xyz",
-                format!("frame at line {} truncated: wants {natoms} atoms", i + 1),
+                format!("line {}: expected 4 or 7 columns, got {ncols}", j + 1),
             ));
         }
-        let mut atoms = Vec::with_capacity(natoms);
-        for (j, raw) in lines.by_ref().take(natoms) {
-            let mut cols = [""; 7];
-            let mut ncols = 0;
-            for token in raw.split_whitespace() {
-                if let Some(slot) = cols.get_mut(ncols) {
-                    *slot = token;
-                }
-                ncols += 1;
-            }
-            if ncols != 4 && ncols != 7 {
-                return Err(malformed(
-                    "xyz",
-                    format!("line {}: expected 4 or 7 columns, got {ncols}", j + 1),
-                ));
-            }
-            let parse = |s: &str, what: &str| -> Result<f64, FormatError> {
-                s.parse()
-                    .map_err(|_| malformed("xyz", format!("line {}: bad {what} {s:?}", j + 1)))
-            };
-            let position = [
-                parse(cols[1], "x")?,
-                parse(cols[2], "y")?,
-                parse(cols[3], "z")?,
-            ];
-            let force = if ncols == 7 {
-                Some([
-                    parse(cols[4], "fx")?,
-                    parse(cols[5], "fy")?,
-                    parse(cols[6], "fz")?,
-                ])
-            } else {
-                None
-            };
-            atoms.push(Atom {
-                element: cols[0].to_string(),
-                position,
-                force,
-            });
-        }
-        frames.push(Frame { atoms, properties });
+        let parse = |s: &str, what: &str| -> Result<f64, FormatError> {
+            s.parse()
+                .map_err(|_| malformed("xyz", format!("line {}: bad {what} {s:?}", j + 1)))
+        };
+        let position = [
+            parse(cols[1], "x")?,
+            parse(cols[2], "y")?,
+            parse(cols[3], "z")?,
+        ];
+        let force = if ncols == 7 {
+            Some([
+                parse(cols[4], "fx")?,
+                parse(cols[5], "fy")?,
+                parse(cols[6], "fz")?,
+            ])
+        } else {
+            None
+        };
+        atoms.push(Atom {
+            element: cols[0].to_string(),
+            position,
+            force,
+        });
     }
-    Ok(frames)
+    Ok(Frame { atoms, properties })
 }
 
 /// Parse `key=value` pairs; values may be double-quoted to contain spaces.
@@ -214,35 +284,44 @@ fn push_fixed8(out: &mut String, x: f64) {
     out.extend(buf[at..].iter().map(|&b| char::from(b)));
 }
 
-/// Write frames as extended XYZ.
+/// Write frames as extended XYZ: each frame written on [`par_map`] into
+/// a `String` of its own, and the frames joined in order.
 pub fn write_xyz(frames: &[Frame]) -> String {
+    let parts = par_map(frames, write_frame);
+    let mut out = String::with_capacity(parts.iter().map(String::len).sum());
+    for part in &parts {
+        out.push_str(part);
+    }
+    out
+}
+
+/// One frame as extended XYZ.
+fn write_frame(f: &Frame) -> String {
     // About 13 bytes a coordinate; growth covers what the guess misses.
-    let mut out = String::with_capacity(frames.iter().map(|f| 64 + f.atoms.len() * 84).sum());
-    for f in frames {
-        let _ = writeln!(out, "{}", f.atoms.len());
-        for (n, (k, v)) in f.properties.iter().enumerate() {
-            if n > 0 {
-                out.push(' ');
-            }
-            out.push_str(k);
-            out.push('=');
-            if v.contains(' ') || v.is_empty() {
-                out.push('"');
-                out.push_str(v);
-                out.push('"');
-            } else {
-                out.push_str(v);
-            }
+    let mut out = String::with_capacity(64 + f.atoms.len() * 84);
+    let _ = writeln!(out, "{}", f.atoms.len());
+    for (n, (k, v)) in f.properties.iter().enumerate() {
+        if n > 0 {
+            out.push(' ');
+        }
+        out.push_str(k);
+        out.push('=');
+        if v.contains(' ') || v.is_empty() {
+            out.push('"');
+            out.push_str(v);
+            out.push('"');
+        } else {
+            out.push_str(v);
+        }
+    }
+    out.push('\n');
+    for a in &f.atoms {
+        out.push_str(&a.element);
+        for c in a.position.iter().chain(a.force.iter().flatten()) {
+            out.push(' ');
+            push_fixed8(&mut out, *c);
         }
         out.push('\n');
-        for a in &f.atoms {
-            out.push_str(&a.element);
-            for c in a.position.iter().chain(a.force.iter().flatten()) {
-                out.push(' ');
-                push_fixed8(&mut out, *c);
-            }
-            out.push('\n');
-        }
     }
     out
 }

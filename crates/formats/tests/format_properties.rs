@@ -918,3 +918,33 @@ fn parse_xyz_matches_reference() {
         assert_parses_alike(&damaged.join("\n"));
     }
 }
+
+/// Frame k has a bad coordinate and frame k+1 an atom count the file
+/// cannot hold. Frames are cut first and parsed on threads after, but
+/// the error is the one a single pass meets first: frame k's line, as
+/// the reference reports it — for every k, so that the two frames fall
+/// into one `par_map` chunk and into two.
+#[test]
+fn frame_error_wins_over_a_later_truncated_frame() {
+    let values: Vec<f64> = (0..8 * 6 * 64).map(|i| i as f64 / 3.0).collect();
+    let good = write_xyz(&frames_of(&values));
+    let lines: Vec<&str> = good.lines().collect();
+    // A frame of `frames_of` is its count, its comment and 64 atoms.
+    assert_eq!(lines.len(), 8 * 66);
+    for k in 0..7 {
+        let bad = k * 66 + 2 + 5;
+        let mut damaged: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        damaged[(k + 1) * 66] = "1000000".into();
+        let truncated = damaged.join("\n");
+        let want = format!(
+            "malformed xyz: frame at line {} truncated: wants 1000000 atoms",
+            (k + 1) * 66 + 1
+        );
+        assert_eq!(parse_xyz(&truncated).unwrap_err().to_string(), want);
+        damaged[bad] = "X 1.2.3 0 0 0 0 0".into();
+        let text = damaged.join("\n");
+        let want = format!("malformed xyz: line {}: bad x \"1.2.3\"", bad + 1);
+        assert_eq!(parse_xyz(&text).unwrap_err().to_string(), want, "k={k}");
+        assert_eq!(reference_parse_xyz(&text).unwrap_err(), want, "k={k}");
+    }
+}

@@ -13,6 +13,8 @@
 //! derives per-dataset keys from an operator secret and records only the
 //! key *identifier* in provenance, never the key.
 
+use crate::parallel::par_map;
+
 /// A 256-bit key.
 pub type Key = [u8; 32];
 /// A 96-bit nonce.
@@ -69,17 +71,30 @@ fn block(mut state: [u32; 16], counter: u32) -> [u8; 64] {
     out
 }
 
+/// Bytes of `data` one [`par_map`] item of [`chacha20_xor`] ciphers:
+/// 1024 blocks, so a piece's first counter is its offset / 64.
+pub const PIECE_BYTES: usize = 64 * 1024;
+
 /// XOR `data` with the ChaCha20 keystream in place. Encryption and
 /// decryption are the same operation. `initial_counter` is normally 0
 /// (RFC 8439 uses 1 when a Poly1305 key block precedes the data).
+///
+/// Blocks do not depend on each other, so `data` is ciphered in
+/// [`PIECE_BYTES`] pieces on [`par_map`], each from its own counter
+/// (`initial_counter + offset / 64`, wrapping as the block counter
+/// does): the bytes are the one-block-at-a-time stream's, on any number
+/// of threads. A worker writes into its piece and allocates nothing.
 pub fn chacha20_xor(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
     let state = initial_state(key, nonce);
-    for (i, chunk) in data.chunks_mut(64).enumerate() {
-        let ks = block(state, initial_counter.wrapping_add(i as u32));
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
+    par_map(data.chunks_mut(PIECE_BYTES).enumerate(), |(p, piece)| {
+        let first = initial_counter.wrapping_add((p * (PIECE_BYTES / 64)) as u32);
+        for (i, chunk) in piece.chunks_mut(64).enumerate() {
+            let ks = block(state, first.wrapping_add(i as u32));
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
+            }
         }
-    }
+    });
 }
 
 /// Convenience: encrypt a copy.

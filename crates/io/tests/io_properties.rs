@@ -3,7 +3,7 @@
 
 use drai_io::checksum::{content_hash128, crc32, crc32c};
 use drai_io::codec::{bitpack, bitunpack, codec_for, CodecId};
-use drai_io::crypto::{chacha20_xor, derive_key};
+use drai_io::crypto::{chacha20_xor, derive_key, Key, Nonce, PIECE_BYTES};
 use drai_io::shard::{ShardReader, ShardSpec, ShardWriter};
 use drai_io::sink::{MemSink, StorageSink};
 use proptest::prelude::*;
@@ -110,5 +110,102 @@ proptest! {
         // Worst case: all literals + varint framing. Bound generously.
         prop_assert!(enc.len() <= data.len() + data.len() / 16 + 16,
             "{} -> {}", data.len(), enc.len());
+    }
+}
+
+/// ChaCha20 as RFC 8439 §2.3–2.4 writes it: one 64-byte block after
+/// another, the counter wrapping at 2³². The reference `chacha20_xor`'s
+/// pieces are held to.
+fn reference_chacha20_xor(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
+    fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(16);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(12);
+        s[a] = s[a].wrapping_add(s[b]);
+        s[d] = (s[d] ^ s[a]).rotate_left(8);
+        s[c] = s[c].wrapping_add(s[d]);
+        s[b] = (s[b] ^ s[c]).rotate_left(7);
+    }
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let mut counter = initial_counter;
+    for chunk in data.chunks_mut(64) {
+        let mut input = [0u32; 16];
+        input[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+        for i in 0..8 {
+            input[4 + i] = word(&key[4 * i..]);
+        }
+        input[12] = counter;
+        for i in 0..3 {
+            input[13 + i] = word(&nonce[4 * i..]);
+        }
+        let mut s = input;
+        for _ in 0..10 {
+            quarter_round(&mut s, 0, 4, 8, 12);
+            quarter_round(&mut s, 1, 5, 9, 13);
+            quarter_round(&mut s, 2, 6, 10, 14);
+            quarter_round(&mut s, 3, 7, 11, 15);
+            quarter_round(&mut s, 0, 5, 10, 15);
+            quarter_round(&mut s, 1, 6, 11, 12);
+            quarter_round(&mut s, 2, 7, 8, 13);
+            quarter_round(&mut s, 3, 4, 9, 14);
+        }
+        for (i, b) in chunk.iter_mut().enumerate() {
+            let ks = s[i / 4].wrapping_add(input[i / 4]).to_le_bytes()[i % 4];
+            *b ^= ks;
+        }
+        counter = counter.wrapping_add(1);
+    }
+}
+
+/// `chacha20_xor` ciphers in pieces on `par_map`, each from its own
+/// counter: its bytes are the block-at-a-time stream's at every length
+/// around a block and a piece edge, and with a counter that wraps inside
+/// the first piece and between pieces.
+#[test]
+fn pieced_keystream_matches_block_at_a_time_reference() {
+    // The reference is RFC 8439 §2.4.2's cipher.
+    let rfc_key: Key = core::array::from_fn(|i| i as u8);
+    let rfc_nonce: Nonce = [0, 0, 0, 0, 0, 0, 0, 0x4A, 0, 0, 0, 0];
+    let mut sunscreen = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it."
+        .to_vec();
+    reference_chacha20_xor(&rfc_key, &rfc_nonce, 1, &mut sunscreen);
+    assert_eq!(
+        sunscreen[..8],
+        [0x6E, 0x2E, 0x35, 0x9A, 0x25, 0x68, 0xF9, 0x80]
+    );
+    assert_eq!(
+        sunscreen[sunscreen.len() - 8..],
+        [0x8E, 0xED, 0xF2, 0x78, 0x5E, 0x42, 0x87, 0x4D]
+    );
+
+    let key = derive_key("piece-secret", "pieces");
+    let nonce: Nonce = [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2];
+    let lengths = [
+        0,
+        1,
+        63,
+        64,
+        65,
+        PIECE_BYTES - 1,
+        PIECE_BYTES,
+        PIECE_BYTES + 1,
+        3 * PIECE_BYTES + 17,
+    ];
+    for initial_counter in [0, 1, u32::MAX - 2] {
+        for len in lengths {
+            let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+            let mut want = data.clone();
+            reference_chacha20_xor(&key, &nonce, initial_counter, &mut want);
+            let mut got = data.clone();
+            chacha20_xor(&key, &nonce, initial_counter, &mut got);
+            assert!(got == want, "counter {initial_counter}, {len} bytes");
+            chacha20_xor(&key, &nonce, initial_counter, &mut got);
+            assert!(
+                got == data,
+                "counter {initial_counter}, {len} bytes: no round trip"
+            );
+        }
     }
 }
