@@ -165,7 +165,7 @@ impl CacheKey {
     /// The key for `stage` over an input named by `input_id`: the
     /// [`content_hash128`] of its serialized bytes at the start of a
     /// chain, its derivation id after that.
-    pub fn from_input_id(stage: &str, input_id: &[u8; 16], config_fp: &[u8]) -> CacheKey {
+    pub(crate) fn from_input_id(stage: &str, input_id: &[u8; 16], config_fp: &[u8]) -> CacheKey {
         CacheKey {
             stage: stage.to_string(),
             hash: derive(input_id, stage, config_fp),

@@ -63,7 +63,7 @@ impl ReadinessAssessor {
     ///
     /// N/A cells are vacuously satisfied (a raw dataset is not penalized
     /// for having no shard story — that cell is grey in Table 2).
-    pub fn satisfies(
+    pub(crate) fn satisfies(
         &self,
         m: &DatasetManifest,
         level: ReadinessLevel,

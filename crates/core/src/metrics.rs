@@ -1,7 +1,6 @@
 //! Throughput and latency accounting shared by pipeline runs and the
 //! bench harness.
 
-use drai_telemetry::Stopwatch;
 use std::time::Duration;
 
 /// Accumulated work counters for one stage or run.
@@ -16,16 +15,6 @@ pub struct Throughput {
 }
 
 impl Throughput {
-    /// Records per second (0 when no time elapsed).
-    pub fn records_per_sec(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s > 0.0 {
-            self.records as f64 / s
-        } else {
-            0.0
-        }
-    }
-
     /// Mebibytes per second.
     pub fn mib_per_sec(&self) -> f64 {
         let s = self.elapsed.as_secs_f64();
@@ -33,50 +22,6 @@ impl Throughput {
             self.bytes as f64 / (1024.0 * 1024.0) / s
         } else {
             0.0
-        }
-    }
-
-    /// Merge with another accumulator (durations add; for parallel stages
-    /// merge wall time separately).
-    pub fn merge(&self, other: &Throughput) -> Throughput {
-        Throughput {
-            records: self.records + other.records,
-            bytes: self.bytes + other.bytes,
-            elapsed: self.elapsed + other.elapsed,
-        }
-    }
-}
-
-/// Scope timer that records into a `Throughput` on drop.
-pub struct Timer {
-    start: Stopwatch,
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Timer {
-    /// Start timing now.
-    pub fn new() -> Timer {
-        Timer {
-            start: Stopwatch::start(),
-        }
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Finish, producing a throughput record.
-    pub fn finish(self, records: u64, bytes: u64) -> Throughput {
-        Throughput {
-            records,
-            bytes,
-            elapsed: self.start.elapsed(),
         }
     }
 }
@@ -92,40 +37,12 @@ mod tests {
             bytes: 10 * 1024 * 1024,
             elapsed: Duration::from_secs(2),
         };
-        assert!((t.records_per_sec() - 500.0).abs() < 1e-9);
         assert!((t.mib_per_sec() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_time_is_zero_rate() {
         let t = Throughput::default();
-        assert_eq!(t.records_per_sec(), 0.0);
         assert_eq!(t.mib_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let a = Throughput {
-            records: 10,
-            bytes: 100,
-            elapsed: Duration::from_millis(5),
-        };
-        let b = Throughput {
-            records: 20,
-            bytes: 200,
-            elapsed: Duration::from_millis(10),
-        };
-        let m = a.merge(&b);
-        assert_eq!(m.records, 30);
-        assert_eq!(m.bytes, 300);
-        assert_eq!(m.elapsed, Duration::from_millis(15));
-    }
-
-    #[test]
-    fn timer_measures() {
-        let timer = Timer::new();
-        std::thread::sleep(Duration::from_millis(10));
-        let t = timer.finish(1, 1);
-        assert!(t.elapsed >= Duration::from_millis(9));
     }
 }

@@ -33,7 +33,7 @@ use drai_telemetry::{Registry, Stopwatch};
 use std::sync::Arc;
 
 /// The name of a stage output by how it was derived (see [`derive`]).
-pub type DerivationId = [u8; 16];
+pub(crate) type DerivationId = [u8; 16];
 
 /// Version hashed into every derivation id and so every cache key. Bump
 /// it when a stage's output for an unchanged input and configuration, or
@@ -109,9 +109,9 @@ impl StageCounters {
 }
 
 /// A stage's transformation function.
-pub type StageFn<T> = dyn Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync;
+pub(crate) type StageFn<T> = dyn Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync;
 /// A stage's fast path (see [`FastPath`]).
-pub type FastFn<T> = dyn Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync;
+pub(crate) type FastFn<T> = dyn Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync;
 
 /// Outcome of a stage's optional *fast path* — a cheap pre-check that
 /// can produce the stage's output without running the full stage
@@ -129,7 +129,7 @@ pub enum FastPath<T> {
 /// One pipeline stage: a name, its processing-stage classification, its
 /// declared configuration, the transformation function, and an optional
 /// fast path tried first.
-pub struct StageDef<T> {
+pub(crate) struct StageDef<T> {
     pub(crate) name: String,
     pub(crate) kind: ProcessingStage,
     pub(crate) func: Arc<StageFn<T>>,
@@ -282,14 +282,9 @@ impl<T> Pipeline<T> {
         &self.name
     }
 
-    /// Stage names in order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|s| s.name.as_str()).collect()
-    }
-
     /// The ordered processing-stage kinds (used to check a domain
     /// pipeline covers the canonical ingest→…→shard sequence).
-    pub fn stage_kinds(&self) -> Vec<ProcessingStage> {
+    pub(crate) fn stage_kinds(&self) -> Vec<ProcessingStage> {
         self.stages.iter().map(|s| s.kind).collect()
     }
 
@@ -515,9 +510,10 @@ mod tests {
     #[test]
     fn run_executes_in_order_with_metrics() {
         let p = doubling_pipeline();
-        assert_eq!(p.stage_names(), vec!["ingest", "double"]);
         assert_eq!(p.stage_kinds(), vec![S::Ingest, S::Transform]);
         let run = p.run(vec![1.0, 2.0]).unwrap();
+        let names: Vec<&str> = run.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, vec!["ingest", "double"]);
         assert_eq!(run.output, vec![2.0, 4.0]);
         assert_eq!(run.stages.len(), 2);
         assert_eq!(run.stage("double").unwrap().throughput.records, 2);
@@ -586,8 +582,9 @@ mod tests {
         assert_eq!(run.output, vec![2.0, 4.0]);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         // The wrapped stage keeps its name, kind and counters.
-        assert_eq!(p.stage_names(), vec!["ingest", "double"]);
-        assert_eq!(run.stage("double").unwrap().throughput.bytes, 16);
+        let double = run.stage("double").unwrap();
+        assert_eq!(double.kind, S::Transform);
+        assert_eq!(double.throughput.bytes, 16);
     }
 
     #[test]

@@ -166,16 +166,6 @@ impl ShotStore {
         ShotStore { shots }
     }
 
-    /// All shot ids.
-    pub fn shot_ids(&self) -> Vec<u64> {
-        self.shots.iter().map(|s| s.id).collect()
-    }
-
-    /// Fetch a shot by id.
-    pub fn get(&self, id: u64) -> Option<&Shot> {
-        self.shots.iter().find(|s| s.id == id)
-    }
-
     /// All shots.
     pub fn shots(&self) -> &[Shot] {
         &self.shots
@@ -210,7 +200,7 @@ pub struct FusionData {
 
 /// Disruption-label horizon in seconds: windows ending within this span
 /// before t_disrupt are positive.
-pub const LABEL_HORIZON_S: f64 = 0.25;
+pub(crate) const LABEL_HORIZON_S: f64 = 0.25;
 
 /// Stage body: drop shots with fewer than 2 live channels (cannot align
 /// a useful feature matrix from one signal).
@@ -477,104 +467,6 @@ pub fn member_input(cfg: &FusionConfig, member: usize) -> FusionData {
     }))
 }
 
-/// Semi-supervised labeling for partially labeled shot archives — the
-/// Table 1 "limited labels" challenge. Real archives often have
-/// disruption times for only a fraction of shots; this routine seeds
-/// labels from the shots that have them and pseudo-labels the rest by
-/// nearest-centroid distance in a summary-feature space (mean |dI/dt|
-/// over the final windows), using the iterative confidence-gated scheme
-/// of §2.1.
-///
-/// Returns `(labels, report)` where `labels[i]` corresponds to
-/// `windows[i]`.
-pub fn pseudo_label_windows(
-    windows: &[WindowSample],
-    known_fraction: f64,
-    confidence_gate: f64,
-) -> Result<
-    (
-        Vec<drai_transform::label::Label>,
-        drai_transform::label::PseudoLabelReport,
-    ),
-    DomainError,
-> {
-    use drai_transform::label::{pseudo_label, Label};
-    if windows.is_empty() {
-        return Err(DomainError::Config("no windows to label".into()));
-    }
-    // Summary feature per window: RMS of the derivative half of the
-    // feature vector (disruption precursors have violent derivatives).
-    let summaries: Vec<f64> = windows
-        .iter()
-        .map(|w| {
-            let half = w.features.len() / 2;
-            let d = &w.features[half..];
-            (d.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>() / d.len().max(1) as f64).sqrt()
-        })
-        .collect();
-
-    // Keep ground truth only for a deterministic subset of shots.
-    let mut labels: Vec<Label> = windows
-        .iter()
-        .map(|w| {
-            let keep = drai_transform::split::assign(
-                &format!("label-{}", w.shot_id),
-                7,
-                drai_transform::split::Fractions {
-                    train: known_fraction,
-                    validation: 0.0,
-                    test: 1.0 - known_fraction,
-                },
-            )
-            .map(|s| s == drai_transform::split::Split::Train)
-            .unwrap_or(false);
-            if keep {
-                Label::Known(w.label)
-            } else {
-                Label::Unknown
-            }
-        })
-        .collect();
-
-    if !labels.iter().any(|l| l.is_known()) {
-        return Err(DomainError::Config(
-            "known_fraction left no seed labels".into(),
-        ));
-    }
-
-    let report = pseudo_label(&mut labels, confidence_gate, 20, |i, current| {
-        // Class centroids over currently labeled windows.
-        let mut sums = [0.0f64; 2];
-        let mut counts = [0usize; 2];
-        for (j, l) in current.iter().enumerate() {
-            if let Some(c) = l.class() {
-                let c = (c as usize).min(1);
-                sums[c] += summaries[j];
-                counts[c] += 1;
-            }
-        }
-        if counts[0] == 0 || counts[1] == 0 {
-            // One-class world: assign that class with moderate confidence.
-            let class = if counts[0] > 0 { 0 } else { 1 };
-            return Some((class as i64, 0.6));
-        }
-        let c0 = sums[0] / counts[0] as f64;
-        let c1 = sums[1] / counts[1] as f64;
-        let (d0, d1) = ((summaries[i] - c0).abs(), (summaries[i] - c1).abs());
-        let (class, near, far) = if d0 <= d1 { (0, d0, d1) } else { (1, d1, d0) };
-        // Confidence from margin: 0.5 (ambiguous) → 1.0 (clear).
-        let conf = if far > 0.0 {
-            0.5 + 0.5 * (1.0 - near / far)
-        } else {
-            0.5
-        };
-        Some((class, conf))
-    })
-    .map_err(DomainError::Transform)?;
-
-    Ok((labels, report))
-}
-
 /// Run the complete fusion archetype.
 pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
@@ -650,9 +542,8 @@ mod tests {
             .unwrap();
         let lens: Vec<usize> = shot.channels.iter().map(|c| c.values.len()).collect();
         assert!(lens.windows(2).any(|w| w[0] != w[1]), "{lens:?}");
-        assert!(store.get(170_000).is_some());
-        assert!(store.get(999).is_none());
-        assert_eq!(store.shot_ids().len(), 60);
+        assert!(store.shots().iter().any(|s| s.id == 170_000));
+        assert_eq!(store.shots().len(), 60);
     }
 
     #[test]
@@ -718,38 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_labeling_recovers_coverage() {
-        let cfg = FusionConfig {
-            shots: 40,
-            disruption_fraction: 0.5,
-            ..small_cfg()
-        };
-        let pipeline = build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-        let out = pipeline.run(member_input(&cfg, 0)).unwrap();
-        let windows = &out.output.windows;
-        assert!(windows.len() > 20, "need enough windows: {}", windows.len());
-
-        // Only ~40% of shots keep their ground truth.
-        let (labels, report) = pseudo_label_windows(windows, 0.4, 0.55).unwrap();
-        let initial_known = labels.iter().filter(|l| l.is_known()).count();
-        assert!(initial_known < windows.len(), "everything stayed known");
-        assert!(
-            report.final_coverage > 0.9,
-            "pseudo-labeling stalled at {:.0}%",
-            report.final_coverage * 100.0
-        );
-        // Ground-truth labels never overwritten.
-        for (l, w) in labels.iter().zip(windows) {
-            if l.is_known() {
-                assert_eq!(l.class(), Some(w.label));
-            }
-        }
-        // Errors surfaced for degenerate configs.
-        assert!(pseudo_label_windows(&[], 0.5, 0.5).is_err());
-        assert!(pseudo_label_windows(windows, 0.0, 2.0).is_err());
-    }
-
-    #[test]
     fn disruption_labels_present_and_causal() {
         let cfg = FusionConfig {
             shots: 40,
@@ -767,7 +626,7 @@ mod tests {
         assert!(positives > 0, "no positive disruption windows generated");
         // No window from a disrupted shot extends past its disruption.
         for w in windows {
-            let shot = store.get(w.shot_id).unwrap();
+            let shot = store.shots().iter().find(|s| s.id == w.shot_id).unwrap();
             if shot.t_disrupt.is_some() {
                 // Post-disruption windows were skipped; feature values of
                 // kept windows are finite.

@@ -633,7 +633,7 @@ mod tests {
         assert_eq!(nodes.shape()[1], SPECIES.len());
         // Each node one-hot row sums to 1.
         for lane in nodes.lanes() {
-            let s: f32 = lane.as_slice().iter().sum();
+            let s: f32 = lane.iter().sum();
             assert_eq!(s, 1.0);
         }
         let edges: Tensor<i64> = g.var("edges").unwrap().to_tensor().unwrap();

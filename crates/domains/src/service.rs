@@ -11,27 +11,16 @@
 //! dispatched job, not only while it is queued. The caller states the
 //! cost in the archetype's natural work unit (ensemble members, shot
 //! campaigns, cohorts, structure sets).
-//!
-//! [`estimate_climate_batch_cost`] shows the cache-aware admission
-//! path: members whose every cached-stage entry already exists in the
-//! [`StageCache`] (O(1) [`StageCache::contains`] probes, no payload
-//! read) are expected to fast-path through the chain, so they count a
-//! fraction of a cold member toward quotas and the in-flight gate.
 
-use crate::climate::{self, ClimateConfig};
 use crate::{DomainError, Member};
-use drai_cache::{CacheBytes, CacheKey, StageCache};
 use drai_core::pipeline::Pipeline;
 use drai_core::StreamingBatchExt;
-use drai_io::sink::MemSink;
-use drai_provenance::Ledger;
 use drai_sched::{JobHandle, JobOutput, JobSpec, Rejected, Scheduler};
-use std::sync::Arc;
 
 /// Submit a batch as a job for `tenant`: when dispatched, members
 /// `0..members` are made by `member_input` and streamed through
 /// `pipeline` (any batch pipeline — e.g.
-/// [`climate::build_batch_pipeline`],
+/// [`crate::climate::build_batch_pipeline`],
 /// [`crate::cached::build_cached_climate_batch_pipeline`]) under the job's
 /// executor configuration and cancel token. `cost` is what the job
 /// counts toward quotas — `members` for a cold batch.
@@ -61,55 +50,22 @@ pub fn submit_batch<D: Send + 'static>(
     sched.submit(spec)
 }
 
-/// Cache-aware cost estimate for a cached climate batch: a cold member
-/// costs 1, a member whose regrid, normalize and shard entries are all
-/// present (checked with the O(1) [`StageCache::contains`] metadata
-/// probe against the exact keys the cached stages will compute) is
-/// expected to fast-path and costs nothing. Clamped to ≥ 1 so a fully
-/// warm batch still passes admission as one cost unit. Returns
-/// `(estimated_cost, warm_members)`.
-pub fn estimate_climate_batch_cost(
-    cfg: &ClimateConfig,
-    cache: &StageCache,
-    members: usize,
-) -> (u64, usize) {
-    // The stage graph's own declarations (built, never run), so the keys
-    // cannot drift from what the cached stages compute.
-    let graph =
-        climate::build_batch_pipeline(cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-    let fp = |stage| graph.fingerprint(stage).unwrap_or_default();
-    let mut warm = 0usize;
-    for m in 0..members {
-        // A member enters unnamed and validate declares nothing, so
-        // regrid names the member by content and each later stage's key
-        // chains from its predecessor's: computable without a run.
-        let input = Member(m, climate::member_input(cfg, m)).to_cache_bytes();
-        let regrid_key = CacheKey::compute("regrid", &input, fp("regrid"));
-        let normalize_key = regrid_key.chained("normalize", fp("normalize"));
-        let shard_key = normalize_key.chained("shard", fp("shard"));
-        if [regrid_key, normalize_key, shard_key]
-            .iter()
-            .all(|key| cache.contains(key))
-        {
-            warm += 1;
-        }
-    }
-    (((members - warm) as u64).max(1), warm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bio::{self, BioConfig};
     use crate::cached;
+    use crate::climate::{self, ClimateConfig};
     use crate::fusion::{self, FusionConfig, FusionData};
     use crate::materials::{self, MaterialsConfig};
+    use drai_cache::{CacheBytes, CacheKey, StageCache};
     use drai_core::pipeline::StageCounters;
-    use drai_io::sink::StorageSink;
-    use drai_sched::{JobOutcome, SchedulerConfig, TenantConfig};
+    use drai_io::sink::{MemSink, StorageSink};
+    use drai_provenance::Ledger;
+    use drai_sched::{JobOutcome, SchedulerConfig};
     use drai_telemetry::clock::ManualClock;
     use drai_telemetry::{Registry, TraceContext};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex};
 
     fn small_climate() -> ClimateConfig {
         ClimateConfig {
@@ -134,30 +90,6 @@ mod tests {
             SchedulerConfig::default(),
             Arc::new(ManualClock::new()),
         ))
-    }
-
-    /// A climate ensemble through the cached batch pipeline, costed by
-    /// [`estimate_climate_batch_cost`].
-    fn submit_cached_climate(
-        s: &Scheduler,
-        cfg: &ClimateConfig,
-        sink: Arc<dyn StorageSink>,
-        cache: Arc<StageCache>,
-        members: usize,
-    ) -> Result<JobHandle, Rejected> {
-        let (cost, _warm) = estimate_climate_batch_cost(cfg, &cache, members);
-        let pipeline =
-            cached::build_cached_climate_batch_pipeline(cfg, sink, Arc::new(Ledger::new()), cache);
-        let cfg = cfg.clone();
-        submit_batch(
-            s,
-            "lab",
-            "climate_batch_cached",
-            cost,
-            pipeline,
-            members,
-            move |m| Ok(climate::member_input(&cfg, m)),
-        )
     }
 
     #[test]
@@ -307,91 +239,52 @@ mod tests {
         });
     }
 
+    /// A cached climate batch run as a job stores each member's regrid,
+    /// normalize and shard entries under the keys computed outside the
+    /// run: the first from the member's bytes, each later one chained
+    /// from its predecessor's (`CacheKey::chained`), with the stage
+    /// graph's own declarations as fingerprints.
     #[test]
-    fn warm_cache_shrinks_climate_cost_estimate() {
+    fn a_cached_climate_job_stores_entries_under_keys_computed_outside() {
         let reg = Registry::new();
         TraceContext::root(&reg).scope(|| {
             let cfg = small_climate();
             let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
             let cache = Arc::new(StageCache::new(Arc::new(MemSink::new()), 1 << 22));
             let members = 3;
-
-            let (cold_cost, warm0) = estimate_climate_batch_cost(&cfg, &cache, members);
-            assert_eq!((cold_cost, warm0), (members as u64, 0));
-
-            // Populate the cache by running the cached batch once.
-            let s = sched();
-            let h = submit_cached_climate(&s, &cfg, sink.clone(), cache.clone(), members).unwrap();
-            s.run_until_idle();
-            assert!(matches!(h.wait(), JobOutcome::Completed(_)));
-
-            // Every member's chain of entries is now warm: the estimate
-            // collapses to the 1-unit floor.
-            let (warm_cost, warm) = estimate_climate_batch_cost(&cfg, &cache, members);
-            assert_eq!(warm, members);
-            assert_eq!(warm_cost, 1);
-
-            // A member whose last entry is gone runs its shard stage
-            // again, so it is cold again: the estimate is no longer
-            // vouched for by its regrid entry alone.
             let graph = climate::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()));
             let fp = |stage| graph.fingerprint(stage).unwrap();
-            let shard_key = |m: usize| {
+            let keys = |m: usize| {
                 let input = Member(m, climate::member_input(&cfg, m)).to_cache_bytes();
-                CacheKey::compute("regrid", &input, fp("regrid"))
-                    .chained("normalize", fp("normalize"))
-                    .chained("shard", fp("shard"))
+                let regrid = CacheKey::compute("regrid", &input, fp("regrid"));
+                let normalize = regrid.chained("normalize", fp("normalize"));
+                let shard = normalize.chained("shard", fp("shard"));
+                [regrid, normalize, shard]
             };
-            for (evicted, want) in [(1, (1, members - 1)), (2, (2, members - 2))] {
-                cache
-                    .sink()
-                    .delete(&shard_key(evicted).blob_name())
-                    .unwrap();
-                assert_eq!(estimate_climate_batch_cost(&cfg, &cache, members), want);
-            }
+            let stored = |m: usize| keys(m).iter().filter(|k| cache.contains(k)).count();
+            assert!((0..members).all(|m| stored(m) == 0));
+
             let s = sched();
-            let h = submit_cached_climate(&s, &cfg, sink, cache.clone(), members).unwrap();
-            s.run_until_idle();
-            assert!(matches!(h.wait(), JobOutcome::Completed(_)));
-            assert_eq!(
-                estimate_climate_batch_cost(&cfg, &cache, members),
-                (1, members)
+            let pipeline = cached::build_cached_climate_batch_pipeline(
+                &cfg,
+                sink,
+                Arc::new(Ledger::new()),
+                cache.clone(),
             );
-        });
-    }
-
-    #[test]
-    fn cached_cost_respects_quota_where_cold_would_reject() {
-        let reg = Registry::new();
-        TraceContext::root(&reg).scope(|| {
-            let cfg = small_climate();
-            let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-            let cache = Arc::new(StageCache::new(Arc::new(MemSink::new()), 1 << 22));
-            let members = 3;
-
-            // Warm the cache first.
-            let s0 = sched();
-            submit_cached_climate(&s0, &cfg, sink.clone(), cache.clone(), members).unwrap();
-            s0.run_until_idle();
-
-            // A quota of 2 cost units rejects the cold submission (cost
-            // 3) but admits the warm one (cost 1).
-            let s = sched();
-            s.register_tenant(TenantConfig::new("lab").cost_quota(2));
-            let cold_cfg = cfg.clone();
-            let cold = submit_batch(
+            let job_cfg = cfg.clone();
+            let h = submit_batch(
                 &s,
                 "lab",
-                "climate_batch",
+                "climate_batch_cached",
                 members as u64,
-                climate::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new())),
+                pipeline,
                 members,
-                move |m| Ok(climate::member_input(&cold_cfg, m)),
-            );
-            assert!(matches!(cold, Err(Rejected::QuotaExceeded { .. })));
-            let warm = submit_cached_climate(&s, &cfg, sink, cache, members);
-            assert!(warm.is_ok());
+                move |m| Ok(climate::member_input(&job_cfg, m)),
+            )
+            .unwrap();
             s.run_until_idle();
+            assert!(matches!(h.wait(), JobOutcome::Completed(_)));
+            assert!((0..members).all(|m| stored(m) == 3));
         });
     }
 }

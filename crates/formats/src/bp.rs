@@ -149,11 +149,6 @@ impl BpWriter {
         });
     }
 
-    /// Current payload size (before footer).
-    pub fn payload_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Emit the footer and return the finished file bytes.
     pub fn finish(self) -> Vec<u8> {
         let mut out = self.buf;

@@ -17,7 +17,7 @@ pub struct CsvTable {
 
 impl CsvTable {
     /// Index of a named column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.header.iter().position(|h| h == name)
     }
 

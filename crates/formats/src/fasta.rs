@@ -1,8 +1,7 @@
-//! FASTA and FASTQ sequence file parsing/writing for the bio archetype.
+//! FASTA sequence file parsing/writing for the bio archetype.
 //!
-//! Enformer-style genomic pipelines ingest DNA as FASTA; sequencing reads
-//! arrive as FASTQ with per-base Phred quality scores. Both are simple
-//! line-oriented formats, but real files are messy — wrapped sequence
+//! Enformer-style genomic pipelines ingest DNA as FASTA. It is a simple
+//! line-oriented format, but real files are messy — wrapped sequence
 //! lines, CRLF endings, empty trailing lines — which this parser handles.
 
 use crate::{malformed, FormatError};
@@ -89,86 +88,6 @@ pub fn write_fasta(records: &[FastaRecord], width: usize) -> String {
     out
 }
 
-/// One FASTQ record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastqRecord {
-    /// Read id (without the leading `@`).
-    pub id: String,
-    /// Base calls.
-    pub sequence: String,
-    /// Phred+33 quality string, same length as `sequence`.
-    pub quality: String,
-}
-
-impl FastqRecord {
-    /// Decoded Phred quality scores.
-    pub fn phred_scores(&self) -> Vec<u8> {
-        self.quality.bytes().map(|b| b.saturating_sub(33)).collect()
-    }
-
-    /// Mean Phred score (0 when empty).
-    pub fn mean_quality(&self) -> f64 {
-        let scores = self.phred_scores();
-        if scores.is_empty() {
-            return 0.0;
-        }
-        scores.iter().map(|&s| s as f64).sum::<f64>() / scores.len() as f64
-    }
-}
-
-/// Parse FASTQ text (strict 4-line records).
-pub fn parse_fastq(text: &str) -> Result<Vec<FastqRecord>, FormatError> {
-    let lines: Vec<&str> = text.lines().map(|l| l.trim_end_matches('\r')).collect();
-    // Allow trailing empty lines.
-    let mut end = lines.len();
-    while end > 0 && lines[end - 1].is_empty() {
-        end -= 1;
-    }
-    let lines = &lines[..end];
-    if lines.len() % 4 != 0 {
-        return Err(malformed(
-            "fastq",
-            format!("{} lines is not a multiple of 4", lines.len()),
-        ));
-    }
-    let mut out = Vec::with_capacity(lines.len() / 4);
-    for (i, rec) in lines.chunks_exact(4).enumerate() {
-        let id = rec[0]
-            .strip_prefix('@')
-            .ok_or_else(|| malformed("fastq", format!("record {i}: missing @")))?;
-        if !rec[2].starts_with('+') {
-            return Err(malformed("fastq", format!("record {i}: missing +")));
-        }
-        if rec[1].len() != rec[3].len() {
-            return Err(malformed(
-                "fastq",
-                format!("record {i}: sequence/quality length mismatch"),
-            ));
-        }
-        out.push(FastqRecord {
-            id: id.trim().to_string(),
-            sequence: rec[1].to_ascii_uppercase(),
-            quality: rec[3].to_string(),
-        });
-    }
-    Ok(out)
-}
-
-/// Write FASTQ text.
-pub fn write_fastq(records: &[FastqRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push('@');
-        out.push_str(&r.id);
-        out.push('\n');
-        out.push_str(&r.sequence);
-        out.push_str("\n+\n");
-        out.push_str(&r.quality);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,43 +137,5 @@ mod tests {
     fn fasta_gap_and_stop_allowed() {
         let recs = parse_fasta(">p\nMKV-*\n").unwrap();
         assert_eq!(recs[0].sequence, "MKV-*");
-    }
-
-    #[test]
-    fn fastq_round_trip() {
-        let records = vec![
-            FastqRecord {
-                id: "read1".into(),
-                sequence: "ACGT".into(),
-                quality: "IIII".into(),
-            },
-            FastqRecord {
-                id: "read2".into(),
-                sequence: "GG".into(),
-                quality: "!~".into(),
-            },
-        ];
-        let text = write_fastq(&records);
-        assert_eq!(parse_fastq(&text).unwrap(), records);
-    }
-
-    #[test]
-    fn fastq_quality_decoding() {
-        let r = FastqRecord {
-            id: "x".into(),
-            sequence: "ACG".into(),
-            quality: "!I~".into(), // Phred 0, 40, 93
-        };
-        assert_eq!(r.phred_scores(), vec![0, 40, 93]);
-        assert!((r.mean_quality() - (0.0 + 40.0 + 93.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fastq_rejects_malformed() {
-        assert!(parse_fastq("@x\nACGT\n+\nIII\n").is_err()); // len mismatch
-        assert!(parse_fastq("x\nACGT\n+\nIIII\n").is_err()); // no @
-        assert!(parse_fastq("@x\nACGT\nIIII\n").is_err()); // not 4 lines
-        assert!(parse_fastq("@x\nACGT\n-\nIIII\n").is_err()); // no +
-        assert!(parse_fastq("").unwrap().is_empty());
     }
 }

@@ -76,7 +76,7 @@ impl Dataset {
     }
 
     /// Reassemble as a typed tensor.
-    pub fn to_tensor<T: Element>(&self) -> Result<Tensor<T>, FormatError> {
+    pub(crate) fn to_tensor<T: Element>(&self) -> Result<Tensor<T>, FormatError> {
         if T::DTYPE != self.dtype {
             return Err(malformed(
                 "h5lite",
@@ -113,7 +113,7 @@ impl Dataset {
     }
 
     /// Number of chunks under leading-axis chunking.
-    pub fn chunk_count(&self) -> usize {
+    pub(crate) fn chunk_count(&self) -> usize {
         self.chunks().count()
     }
 
@@ -128,7 +128,7 @@ impl Dataset {
 
 /// A node in the hierarchy.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node {
+pub(crate) enum Node {
     /// An interior group.
     Group,
     /// A leaf dataset.

@@ -9,12 +9,12 @@
 //! | [`npy`] | NumPy NPY v1.0 (byte-compatible) | climate shards (ClimaX-style `.npz`) |
 //! | [`zip`] | STORE-mode ZIP with CRC-32 | NPZ container |
 //! | [`tfrecord`] | TFRecord framing with masked CRC-32C (byte-compatible) | fusion shards (DIII-D-style) |
-//! | [`protowire`] / [`example`] | protobuf wire format + `tf.train.Example` | TFRecord payloads |
+//! | `protowire` / [`example`] | protobuf wire format + `tf.train.Example` | TFRecord payloads |
 //! | [`netcdf`] | NetCDF-3 classic (CDF-1, byte-compatible subset) | climate ingest |
 //! | [`grib`] | GRIB-style sectioned messages with simple packing | climate ingest |
 //! | [`h5lite`] | hierarchical groups + chunked typed datasets (own format) | bio secure shards |
 //! | [`bp`] | ADIOS-BP-inspired process-group log (own format) | materials shards |
-//! | [`fasta`] | FASTA/FASTQ sequence files | bio ingest |
+//! | [`fasta`] | FASTA sequence files | bio ingest |
 //! | [`xyz`] | extended XYZ structure files | materials ingest |
 //! | [`csv`] | RFC-4180 CSV | tabular ingest (EHR) |
 //!
@@ -47,7 +47,7 @@ pub mod grib;
 pub mod h5lite;
 pub mod netcdf;
 pub mod npy;
-pub mod protowire;
+pub(crate) mod protowire;
 pub mod tfrecord;
 pub mod xyz;
 pub mod zip;

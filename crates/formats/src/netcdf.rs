@@ -32,7 +32,7 @@ const TAG_ABSENT: u32 = 0x00;
 
 /// Classic NetCDF external types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NcType {
+pub(crate) enum NcType {
     /// 8-bit signed (NC_BYTE).
     Byte,
     /// 8-bit character (NC_CHAR).
@@ -72,7 +72,7 @@ impl NcType {
     }
 
     /// External size in bytes.
-    pub const fn size(self) -> usize {
+    pub(crate) const fn size(self) -> usize {
         match self {
             NcType::Byte | NcType::Char => 1,
             NcType::Short => 2,
@@ -101,7 +101,7 @@ pub enum NcValues {
 
 impl NcValues {
     /// The external type of this payload.
-    pub fn nc_type(&self) -> NcType {
+    pub(crate) fn nc_type(&self) -> NcType {
         match self {
             NcValues::Byte(_) => NcType::Byte,
             NcValues::Char(_) => NcType::Char,
@@ -113,7 +113,7 @@ impl NcValues {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             NcValues::Byte(v) => v.len(),
             NcValues::Char(s) => s.len(),
@@ -122,11 +122,6 @@ impl NcValues {
             NcValues::Float(v) => v.len(),
             NcValues::Double(v) => v.len(),
         }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Elements as f64 (chars become code points) — convenient for
@@ -329,7 +324,7 @@ fn write_attrs(out: &mut Vec<u8>, attrs: &[NcAttr]) {
 
 impl NcFile {
     /// Index of the record dimension, if any.
-    pub fn record_dim(&self) -> Option<usize> {
+    pub(crate) fn record_dim(&self) -> Option<usize> {
         self.dims.iter().position(|d| d.is_record)
     }
 
@@ -345,7 +340,7 @@ impl NcFile {
 
     /// Shape of a variable (dimension lengths, record dim included at its
     /// current length).
-    pub fn var_shape(&self, var: &NcVar) -> Vec<usize> {
+    pub(crate) fn var_shape(&self, var: &NcVar) -> Vec<usize> {
         var.dims.iter().map(|&d| self.dims[d].size).collect()
     }
 

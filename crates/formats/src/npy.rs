@@ -65,7 +65,7 @@ pub fn write_npy<T: Element>(tensor: &Tensor<T>) -> Vec<u8> {
 
 /// Header fields parsed from an NPY file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NpyHeader {
+pub(crate) struct NpyHeader {
     /// Element dtype.
     pub dtype: DType,
     /// Array shape (C order).
@@ -75,7 +75,7 @@ pub struct NpyHeader {
 }
 
 /// Parse the NPY header (v1.0 and v2.0 accepted; Fortran order rejected).
-pub fn parse_header(bytes: &[u8]) -> Result<NpyHeader, FormatError> {
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<NpyHeader, FormatError> {
     if bytes.len() < 10 || &bytes[..6] != MAGIC {
         return Err(malformed("npy", "bad magic"));
     }

@@ -10,7 +10,7 @@ use drai_io::varint::{read_uvarint, write_uvarint};
 
 /// Wire type tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireType {
+pub(crate) enum WireType {
     /// Varint-encoded scalar.
     Varint,
     /// Fixed 64-bit little-endian.
@@ -43,18 +43,12 @@ impl WireType {
 }
 
 /// Append a field key (field number + wire type).
-pub fn write_key(out: &mut Vec<u8>, field: u32, wire: WireType) {
+pub(crate) fn write_key(out: &mut Vec<u8>, field: u32, wire: WireType) {
     write_uvarint(out, ((field as u64) << 3) | wire.code());
 }
 
-/// Append a varint field.
-pub fn write_varint_field(out: &mut Vec<u8>, field: u32, value: u64) {
-    write_key(out, field, WireType::Varint);
-    write_uvarint(out, value);
-}
-
 /// Append a length-delimited field (bytes, strings, sub-messages).
-pub fn write_bytes_field(out: &mut Vec<u8>, field: u32, data: &[u8]) {
+pub(crate) fn write_bytes_field(out: &mut Vec<u8>, field: u32, data: &[u8]) {
     write_key(out, field, WireType::LengthDelimited);
     write_uvarint(out, data.len() as u64);
     out.extend_from_slice(data);
@@ -77,7 +71,7 @@ pub(crate) fn packed_int64_len(values: &[i64]) -> usize {
 }
 
 /// Append a packed repeated float field (wire type 2 holding f32s).
-pub fn write_packed_floats(out: &mut Vec<u8>, field: u32, values: &[f32]) {
+pub(crate) fn write_packed_floats(out: &mut Vec<u8>, field: u32, values: &[f32]) {
     write_key(out, field, WireType::LengthDelimited);
     write_uvarint(out, (values.len() * 4) as u64);
     let start = out.len();
@@ -88,7 +82,7 @@ pub fn write_packed_floats(out: &mut Vec<u8>, field: u32, values: &[f32]) {
 }
 
 /// Append a packed repeated int64 field (varint-coded).
-pub fn write_packed_int64(out: &mut Vec<u8>, field: u32, values: &[i64]) {
+pub(crate) fn write_packed_int64(out: &mut Vec<u8>, field: u32, values: &[i64]) {
     write_key(out, field, WireType::LengthDelimited);
     write_uvarint(out, packed_int64_len(values) as u64);
     for &v in values {
@@ -99,7 +93,7 @@ pub fn write_packed_int64(out: &mut Vec<u8>, field: u32, values: &[i64]) {
 
 /// One decoded field.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue<'a> {
+pub(crate) enum FieldValue<'a> {
     /// Wire type 0.
     Varint(u64),
     /// Wire type 1.
@@ -111,7 +105,7 @@ pub enum FieldValue<'a> {
 }
 
 /// Iterate `(field_number, value)` pairs of a message body.
-pub fn decode_fields(mut data: &[u8]) -> Result<Vec<(u32, FieldValue<'_>)>, FormatError> {
+pub(crate) fn decode_fields(mut data: &[u8]) -> Result<Vec<(u32, FieldValue<'_>)>, FormatError> {
     let mut out = Vec::new();
     while !data.is_empty() {
         let (key, n) = read_uvarint(data).ok_or_else(|| malformed("protobuf", "bad key"))?;
@@ -163,7 +157,7 @@ pub fn decode_fields(mut data: &[u8]) -> Result<Vec<(u32, FieldValue<'_>)>, Form
 }
 
 /// Decode a packed float payload (length must be a multiple of 4).
-pub fn decode_packed_floats(data: &[u8]) -> Result<Vec<f32>, FormatError> {
+pub(crate) fn decode_packed_floats(data: &[u8]) -> Result<Vec<f32>, FormatError> {
     if data.len() % 4 != 0 {
         return Err(malformed("protobuf", "packed float length not /4"));
     }
@@ -174,7 +168,7 @@ pub fn decode_packed_floats(data: &[u8]) -> Result<Vec<f32>, FormatError> {
 }
 
 /// Decode a packed int64 payload (sequence of varints).
-pub fn decode_packed_int64(mut data: &[u8]) -> Result<Vec<i64>, FormatError> {
+pub(crate) fn decode_packed_int64(mut data: &[u8]) -> Result<Vec<i64>, FormatError> {
     let mut out = Vec::new();
     while !data.is_empty() {
         let (v, n) = read_uvarint(data).ok_or_else(|| malformed("protobuf", "bad packed int"))?;
@@ -187,6 +181,12 @@ pub fn decode_packed_int64(mut data: &[u8]) -> Result<Vec<i64>, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Append a varint field.
+    fn write_varint_field(out: &mut Vec<u8>, field: u32, value: u64) {
+        write_key(out, field, WireType::Varint);
+        write_uvarint(out, value);
+    }
 
     #[test]
     fn known_encoding_field1_varint150() {

@@ -41,7 +41,7 @@ where
 }
 
 /// Iterator over records in a TFRecord byte stream, verifying both CRCs.
-pub struct TfRecordReader<'a> {
+pub(crate) struct TfRecordReader<'a> {
     data: &'a [u8],
     pos: usize,
     index: usize,
@@ -49,7 +49,7 @@ pub struct TfRecordReader<'a> {
 
 impl<'a> TfRecordReader<'a> {
     /// Reader over a complete in-memory TFRecord file.
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         TfRecordReader {
             data,
             pos: 0,

@@ -4,7 +4,7 @@
 //!   the ZIP container backing NPZ shards.
 //! * [`crc32c`] — the Castagnoli polynomial (0x82F63B78 reflected),
 //!   required by the TFRecord framing.
-//! * [`Crc32Stream`] — either of them incrementally, and from pieces that
+//! * `Crc32Stream` — either of them incrementally, and from pieces that
 //!   were hashed somewhere else.
 //! * [`masked_crc32c`] — TFRecord's rotated+offset mask over CRC-32C.
 //!
@@ -16,7 +16,7 @@
 //! three independent chains reach ≈ 4 GB/s in safe Rust with the same
 //! tables. The same identity lets a caller that already holds the CRC of a
 //! piece add the piece to a running checksum without reading it
-//! ([`Crc32Stream::update_hashed`]) — which is how a shard's whole-file
+//! (`Crc32Stream::update_hashed`) — which is how a shard's whole-file
 //! CRC comes out of its record CRCs with every byte hashed once.
 //! * [`fnv1a64`] / [`Fnv1a64`] — cheap non-cryptographic hash (one-shot and
 //!   incremental) for deterministic train/val/test splitting and hash-based
@@ -196,54 +196,35 @@ pub fn crc32c(data: &[u8]) -> u32 {
     !CRC32C.update(!0, data)
 }
 
-/// Incremental CRC state for streaming writers, and for checksums joined
-/// from pieces hashed elsewhere ([`update_hashed`](Self::update_hashed)).
+/// Incremental CRC-32C state for streaming writers, and for checksums
+/// joined from pieces hashed elsewhere
+/// ([`update_hashed`](Self::update_hashed)).
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32Stream {
+pub(crate) struct Crc32Stream {
     state: u32,
-    castagnoli: bool,
 }
 
 impl Crc32Stream {
-    /// New streaming CRC-32 (zlib polynomial).
-    pub fn new_crc32() -> Self {
-        Crc32Stream {
-            state: !0,
-            castagnoli: false,
-        }
-    }
-
     /// New streaming CRC-32C (Castagnoli polynomial).
-    pub fn new_crc32c() -> Self {
-        Crc32Stream {
-            state: !0,
-            castagnoli: true,
-        }
-    }
-
-    fn crc(&self) -> &'static Crc {
-        if self.castagnoli {
-            &CRC32C
-        } else {
-            &CRC32
-        }
+    pub(crate) fn new_crc32c() -> Self {
+        Crc32Stream { state: !0 }
     }
 
     /// Absorb bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.state = self.crc().update(self.state, data);
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        self.state = CRC32C.update(self.state, data);
     }
 
     /// Absorb `len` bytes known only by their checksum `crc` (same
     /// polynomial), without reading them again: with finished values,
     /// `crc(a‖b) = crc(a)·x^(8|b|) mod P ⊕ crc(b)` — the inversions at
     /// both ends of a CRC cancel in the sum.
-    pub fn update_hashed(&mut self, crc: u32, len: usize) {
-        self.state = !(self.crc().shift(!self.state, len) ^ crc);
+    pub(crate) fn update_hashed(&mut self, crc: u32, len: usize) {
+        self.state = !(CRC32C.shift(!self.state, len) ^ crc);
     }
 
     /// Final checksum value.
-    pub fn finalize(self) -> u32 {
+    pub(crate) fn finalize(self) -> u32 {
         !self.state
     }
 }
@@ -258,7 +239,7 @@ pub fn masked_crc32c(data: &[u8]) -> u32 {
 }
 
 /// Undo [`masked_crc32c`]'s mask, returning the raw CRC-32C.
-pub fn unmask_crc32c(masked: u32) -> u32 {
+pub(crate) fn unmask_crc32c(masked: u32) -> u32 {
     masked.wrapping_sub(0xA282_EAD8).rotate_left(15)
 }
 
@@ -399,22 +380,11 @@ mod tests {
     #[test]
     fn crc_streaming_matches_oneshot() {
         let data: Vec<u8> = (0..1000).map(|i| (i * 7 % 251) as u8).collect();
-        for castagnoli in [false, true] {
-            let mut s = if castagnoli {
-                Crc32Stream::new_crc32c()
-            } else {
-                Crc32Stream::new_crc32()
-            };
-            for chunk in data.chunks(13) {
-                s.update(chunk);
-            }
-            let expect = if castagnoli {
-                crc32c(&data)
-            } else {
-                crc32(&data)
-            };
-            assert_eq!(s.finalize(), expect);
+        let mut s = Crc32Stream::new_crc32c();
+        for chunk in data.chunks(13) {
+            s.update(chunk);
         }
+        assert_eq!(s.finalize(), crc32c(&data));
     }
 
     #[test]
@@ -531,13 +501,11 @@ mod tests {
             LANE_MIN_BYTES + 1,
             2 * LANE_MIN_BYTES + 5,
         ] {
-            let (mut a, mut b) = (Crc32Stream::new_crc32(), Crc32Stream::new_crc32c());
+            let mut s = Crc32Stream::new_crc32c();
             for piece in data.chunks(chunk) {
-                a.update(piece);
-                b.update(piece);
+                s.update(piece);
             }
-            assert_eq!(a.finalize(), crc32(&data), "crc32 in chunks of {chunk}");
-            assert_eq!(b.finalize(), crc32c(&data), "crc32c in chunks of {chunk}");
+            assert_eq!(s.finalize(), crc32c(&data), "crc32c in chunks of {chunk}");
         }
     }
 
@@ -558,19 +526,16 @@ mod tests {
                 cuts.push(cuts[0]); // an empty piece
             }
             cuts.sort_unstable();
-            let (mut a, mut b) = (Crc32Stream::new_crc32(), Crc32Stream::new_crc32c());
+            let mut s = Crc32Stream::new_crc32c();
             for pair in cuts.windows(2) {
                 let piece = &data[pair[0]..pair[1]];
                 if next(2) == 0 {
-                    a.update(piece);
-                    b.update(piece);
+                    s.update(piece);
                 } else {
-                    a.update_hashed(crc32(piece), piece.len());
-                    b.update_hashed(crc32c(piece), piece.len());
+                    s.update_hashed(crc32c(piece), piece.len());
                 }
             }
-            assert_eq!(a.finalize(), crc32(&data), "crc32 cuts {cuts:?}");
-            assert_eq!(b.finalize(), crc32c(&data), "crc32c cuts {cuts:?}");
+            assert_eq!(s.finalize(), crc32c(&data), "crc32c cuts {cuts:?}");
         }
     }
 }

@@ -146,7 +146,7 @@ impl CodecId {
     }
 
     /// Parse a manifest name back into a codec id.
-    pub fn from_name(name: &str) -> Option<CodecId> {
+    pub(crate) fn from_name(name: &str) -> Option<CodecId> {
         match name {
             "raw" => Some(CodecId::Raw),
             "rle" => Some(CodecId::Rle),
@@ -270,7 +270,7 @@ impl Codec for InstrumentedCodec {
 
 /// Identity codec.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RawCodec;
+pub(crate) struct RawCodec;
 
 impl Codec for RawCodec {
     fn id(&self) -> CodecId {
@@ -288,7 +288,7 @@ impl Codec for RawCodec {
 /// `0x00 <varint len> <len literal bytes>` or `0x01 <varint len> <byte>`.
 /// Runs shorter than 4 bytes are folded into literal blocks.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RleCodec;
+pub(crate) struct RleCodec;
 
 const RLE_MIN_RUN: usize = 4;
 
@@ -377,7 +377,7 @@ impl Codec for RleCodec {
 /// `const W` kernels below, so an element is one fixed-size load or
 /// store, not a variable-length copy.
 #[derive(Debug, Clone, Copy)]
-pub struct DeltaCodec {
+pub(crate) struct DeltaCodec {
     /// Element width in bytes (1, 2, 4, or 8).
     pub width: usize,
 }
@@ -991,7 +991,7 @@ mod tests {
             let mut le = [0u8; 8];
             le[..width].copy_from_slice(elem);
             let v = u64::from_le_bytes(le);
-            crate::varint::write_ivarint(&mut out, v.wrapping_sub(prev) as i64);
+            write_uvarint(&mut out, zigzag(v.wrapping_sub(prev) as i64));
             prev = v;
         }
         out
@@ -1034,8 +1034,8 @@ mod tests {
         // A delta wider than the element is masked on the way out, and a
         // ten-byte varint still decodes.
         let mut wide = vec![0x01, 2];
-        crate::varint::write_ivarint(&mut wide, 0x1_0000_0005);
-        crate::varint::write_ivarint(&mut wide, i64::MIN);
+        write_uvarint(&mut wide, zigzag(0x1_0000_0005));
+        write_uvarint(&mut wide, zigzag(i64::MIN));
         assert_eq!(DeltaCodec { width: 1 }.decode(&wide).unwrap(), [5, 5]);
     }
 

@@ -97,13 +97,6 @@ pub fn chacha20_xor(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [
     });
 }
 
-/// Convenience: encrypt a copy.
-pub fn chacha20_encrypt(key: &Key, nonce: &Nonce, data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
-    chacha20_xor(key, nonce, 0, &mut out);
-    out
-}
-
 /// Derive a 256-bit key from an operator passphrase and a context label
 /// (dataset name). Uses iterated content-hash stretching — adequate for
 /// deriving distinct per-dataset keys from a strong secret; not a
@@ -136,6 +129,13 @@ pub fn key_id(key: &Key) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A ciphered copy of `data`, keystream from counter 0.
+    fn encrypted(key: &Key, nonce: &Nonce, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        chacha20_xor(key, nonce, 0, &mut out);
+        out
+    }
 
     /// RFC 8439 §2.3.2: key stream block test vector.
     #[test]
@@ -180,7 +180,7 @@ only one tip for the future, sunscreen would be it.";
         let nonce: Nonce = [7; 12];
         for n in [0usize, 1, 63, 64, 65, 1000, 4096] {
             let data: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-            let enc = chacha20_encrypt(&key, &nonce, &data);
+            let enc = encrypted(&key, &nonce, &data);
             assert_eq!(enc.len(), n);
             if n > 16 {
                 assert_ne!(enc, data, "n={n}: ciphertext equals plaintext");
@@ -199,10 +199,10 @@ only one tip for the future, sunscreen would be it.";
         let k3 = derive_key("t", "a");
         let n1: Nonce = [1; 12];
         let n2: Nonce = [2; 12];
-        let c1 = chacha20_encrypt(&k1, &n1, &data);
-        assert_ne!(c1, chacha20_encrypt(&k2, &n1, &data));
-        assert_ne!(c1, chacha20_encrypt(&k3, &n1, &data));
-        assert_ne!(c1, chacha20_encrypt(&k1, &n2, &data));
+        let c1 = encrypted(&k1, &n1, &data);
+        assert_ne!(c1, encrypted(&k2, &n1, &data));
+        assert_ne!(c1, encrypted(&k3, &n1, &data));
+        assert_ne!(c1, encrypted(&k1, &n2, &data));
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl<S: StorageSink> FaultSink<S> {
         &self.inner
     }
 
-    /// Unwrap, discarding the fault state.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     /// Next attempt index for `(op, name)`.
     fn next_attempt(&self, op: u8, name: &str) -> u64 {
         let mut map = self.attempts.lock();

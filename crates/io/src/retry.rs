@@ -52,16 +52,8 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Deterministic delay before retry `retry_index` (0-based).
-    pub fn backoff(&self, retry_index: u32) -> Duration {
+    pub(crate) fn backoff(&self, retry_index: u32) -> Duration {
         let factor = (self.multiplier.max(1) as u64).saturating_pow(retry_index);
         let ns = (self.base_delay.as_nanos() as u64).saturating_mul(factor);
         Duration::from_nanos(ns).min(self.max_delay)
@@ -122,11 +114,6 @@ pub struct RetrySink<S> {
 }
 
 impl<S: StorageSink> RetrySink<S> {
-    /// Wrap `inner` with `policy`, sleeping on the real clock.
-    pub fn new(inner: S, policy: RetryPolicy) -> Self {
-        Self::with_clock(inner, policy, Arc::new(SystemClock))
-    }
-
     /// Wrap `inner` with `policy` and an explicit clock (tests pass a
     /// [`VirtualClock`] so no real time is spent).
     pub fn with_clock(inner: S, policy: RetryPolicy, clock: Arc<dyn RetryClock>) -> Self {
@@ -141,11 +128,6 @@ impl<S: StorageSink> RetrySink<S> {
     /// The wrapped sink.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     fn retrying<T>(&self, mut op: impl FnMut() -> Result<T, IoError>) -> Result<T, IoError> {

@@ -34,7 +34,7 @@
 //! (`framed_file_crc`); the reader makes one scan per shard (`ShardScan`)
 //! that hashes each payload once, checks it against its header and joins
 //! it into the file's CRC, and only then decodes. The join is
-//! [`Crc32Stream::update_hashed`]; both values are bit for bit what two
+//! `Crc32Stream::update_hashed`; both values are bit for bit what two
 //! passes gave (`crates/io/tests/reader_equivalence.rs` keeps the two-pass
 //! reader as the reference, `shard_bytes_pin.rs` checks every manifest CRC
 //! against `crc32c` of the file).
@@ -113,7 +113,7 @@ pub struct ShardSpec {
     /// Codec applied to each record payload.
     pub codec: CodecId,
     /// Read each shard back after writing and compare its CRC-32C with
-    /// the just-computed digest, rewriting (up to [`VERIFY_REWRITES`]
+    /// the just-computed digest, rewriting (up to `VERIFY_REWRITES`
     /// times) on mismatch. Catches silent corruption between the write
     /// path and stable storage at the cost of one extra read per shard.
     pub verify_writes: bool,
@@ -121,7 +121,7 @@ pub struct ShardSpec {
 
 /// Rewrite attempts per shard when [`ShardSpec::verify_writes`] detects
 /// a mismatch before giving up with a checksum error.
-pub const VERIFY_REWRITES: u32 = 3;
+pub(crate) const VERIFY_REWRITES: u32 = 3;
 
 impl ShardSpec {
     /// Spec with the raw codec, no write verification, and a given
@@ -218,7 +218,7 @@ impl ShardManifest {
     }
 
     /// Parse from manifest JSON read from `blob`.
-    pub fn from_json(v: &Json, blob: &str) -> Result<ShardManifest, IoError> {
+    pub(crate) fn from_json(v: &Json, blob: &str) -> Result<ShardManifest, IoError> {
         let bad = |what: &str| IoError::Format {
             blob: blob.to_string(),
             what: what.to_string(),
@@ -635,7 +635,7 @@ fn frame_header(header: &[u8]) -> (usize, u32) {
 /// CRC-32C of a shard file the writer has just assembled, without a
 /// second pass over its payloads: the file header and the record headers
 /// are hashed, and every stored payload goes in by the CRC its header
-/// holds ([`Crc32Stream::update_hashed`]). Equal to `crc32c(file)` bit for
+/// holds (`Crc32Stream::update_hashed`). Equal to `crc32c(file)` bit for
 /// bit, at the cost of 8 bytes and a few multiplies per record.
 fn framed_file_crc(file: &[u8]) -> u32 {
     let mut crc = Crc32Stream::new_crc32c();
@@ -664,7 +664,7 @@ struct ShardGroup<'a> {
 /// mismatch (or on read failure — the blob may not have landed at all).
 ///
 /// Telemetry: `io.shard.verify_rewrites` counts rewrites issued; the
-/// final failure (digest still wrong after [`VERIFY_REWRITES`] rewrites)
+/// final failure (digest still wrong after `VERIFY_REWRITES` rewrites)
 /// surfaces as a [`IoError::ChecksumMismatch`].
 fn verify_written(
     sink: &dyn StorageSink,
@@ -937,7 +937,7 @@ struct ShardScan<'a> {
 impl<'a> ShardScan<'a> {
     /// Walk the frames of `data`. A payload is hashed for its record CRC
     /// and that CRC joined into the file's
-    /// ([`Crc32Stream::update_hashed`]); only the headers are hashed
+    /// (`Crc32Stream::update_hashed`); only the headers are hashed
     /// directly. Where the walk stops — bad magic, a length past the end,
     /// a record CRC that does not match — the bytes it has not hashed go
     /// into the file CRC as they are, so `file_crc` is `crc32c(data)` on

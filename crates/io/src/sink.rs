@@ -96,11 +96,6 @@ impl LocalFs {
         Ok(LocalFs { root })
     }
 
-    /// Root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn path_of(&self, name: &str) -> Result<PathBuf, IoError> {
         validate_name(name)?;
         Ok(self.root.join(name))

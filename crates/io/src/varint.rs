@@ -41,23 +41,13 @@ pub fn read_uvarint(bytes: &[u8]) -> Option<(u64, usize)> {
 
 /// Zigzag-encode a signed integer so small magnitudes become small
 /// unsigned values: 0→0, -1→1, 1→2, -2→3, ...
-pub const fn zigzag(v: i64) -> u64 {
+pub(crate) const fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub const fn unzigzag(v: u64) -> i64 {
+pub(crate) const fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append a signed value as zigzag + LEB128.
-pub fn write_ivarint(out: &mut Vec<u8>, value: i64) {
-    write_uvarint(out, zigzag(value));
-}
-
-/// Decode a zigzag + LEB128 signed value. Returns `(value, consumed)`.
-pub fn read_ivarint(bytes: &[u8]) -> Option<(i64, usize)> {
-    read_uvarint(bytes).map(|(v, n)| (unzigzag(v), n))
 }
 
 #[cfg(test)]
@@ -124,17 +114,6 @@ mod tests {
     fn zigzag_round_trip() {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 123_456_789] {
             assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn ivarint_round_trip() {
-        for v in [0i64, -5, 5, i64::MIN, i64::MAX] {
-            let mut buf = Vec::new();
-            write_ivarint(&mut buf, v);
-            let (back, n) = read_ivarint(&buf).unwrap();
-            assert_eq!(back, v);
-            assert_eq!(n, buf.len());
         }
     }
 }

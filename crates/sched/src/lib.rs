@@ -106,7 +106,7 @@ impl Priority {
     }
 
     /// Stable lowercase label (used in transcripts).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Priority::Batch => "batch",
             Priority::Normal => "normal",
@@ -138,7 +138,7 @@ pub struct JobOutput {
 }
 
 /// The boxed pipeline invocation a [`JobSpec`] carries.
-pub type JobFn = Box<dyn FnOnce(&JobContext) -> Result<JobOutput, String> + Send + 'static>;
+pub(crate) type JobFn = Box<dyn FnOnce(&JobContext) -> Result<JobOutput, String> + Send + 'static>;
 
 /// A job submission: who, how urgent, how big, and what to run.
 pub struct JobSpec {
@@ -315,12 +315,16 @@ impl JobHandle {
         self.cancel.cancel();
     }
 
-    /// Outcome if already available, without blocking.
+    /// Outcome if already available, without blocking. A scheduler
+    /// dropped with the job still queued yields the `Failed` outcome
+    /// [`wait`](Self::wait) returns.
     pub fn try_outcome(&mut self) -> Option<JobOutcome> {
         if self.cached.is_none() {
-            if let Ok(out) = self.rx.try_recv() {
-                self.cached = Some(out);
-            }
+            self.cached = match self.rx.try_recv() {
+                Ok(out) => Some(out),
+                Err(mpsc::TryRecvError::Disconnected) => Some(dropped_before_run()),
+                Err(mpsc::TryRecvError::Empty) => None,
+            };
         }
         self.cached.clone()
     }
@@ -331,9 +335,14 @@ impl JobHandle {
         if let Some(out) = self.cached {
             return out;
         }
-        parking_lot::blocking(|| self.rx.recv()).unwrap_or(JobOutcome::Failed {
-            error: "scheduler dropped before the job ran".to_string(),
-        })
+        parking_lot::blocking(|| self.rx.recv()).unwrap_or_else(|_| dropped_before_run())
+    }
+}
+
+/// The outcome of a job whose scheduler was dropped before it ran.
+fn dropped_before_run() -> JobOutcome {
+    JobOutcome::Failed {
+        error: "scheduler dropped before the job ran".to_string(),
     }
 }
 
@@ -670,11 +679,6 @@ impl Scheduler {
         }
     }
 
-    /// The configuration the scheduler runs under.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
-    }
-
     /// Register (or replace the configuration of) a tenant. Unknown
     /// tenants are auto-registered at first submit with
     /// `TenantConfig::new` defaults; explicit registration is how
@@ -692,18 +696,6 @@ impl Scheduler {
                 st.tenants.insert(id, TenantState::new(cfg, now));
             }
         }
-    }
-
-    /// Jobs queued (admitted, not yet dispatched) across all tenants.
-    pub fn pending_jobs(&self) -> usize {
-        let st = self.state.lock();
-        st.tenants.values().map(TenantState::queued_len).sum()
-    }
-
-    /// Jobs queued for one tenant.
-    pub fn tenant_depth(&self, tenant: &str) -> usize {
-        let st = self.state.lock();
-        st.tenants.get(tenant).map_or(0, TenantState::queued_len)
     }
 
     /// Submit a job. `Ok` returns a [`JobHandle`] whose outcome is
@@ -1128,16 +1120,6 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Number of worker threads.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the pool has no threads.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// Wait for every worker to exit (call [`Scheduler::shutdown`]
     /// first, or this blocks until someone does).
     pub fn join(self) {
@@ -1157,6 +1139,12 @@ mod tests {
         let reg = Registry::new();
         let out = TraceContext::root(&reg).scope(f);
         (out, reg.snapshot())
+    }
+
+    /// Jobs queued for one tenant.
+    fn tenant_depth(sched: &Scheduler, tenant: &str) -> usize {
+        let st = sched.state.lock();
+        st.tenants.get(tenant).map_or(0, TenantState::queued_len)
     }
 
     fn ok_job(items: u64) -> impl FnOnce(&JobContext) -> Result<JobOutput, String> {
@@ -1194,7 +1182,7 @@ mod tests {
             sched.register_tenant(TenantConfig::new("lab_a").cost_quota(1));
             let spaced = sched.submit(JobSpec::new("Lab A", "x", 1, ok_job(1)));
             let plain = sched.submit(JobSpec::new("lab_a", "y", 1, ok_job(1)));
-            let depths = (sched.tenant_depth("Lab A"), sched.tenant_depth("lab_a"));
+            let depths = (tenant_depth(&sched, "Lab A"), tenant_depth(&sched, "lab_a"));
             (
                 spaced.map(|h| h.tenant().to_string()),
                 plain.map(|h| h.tenant().to_string()),
@@ -1659,8 +1647,14 @@ mod tests {
         assert_eq!(queue_levels(&reg), (2, 4, 2));
         drop(sched);
         assert_eq!(queue_levels(&reg), (0, 0, 0));
-        for h in handles {
-            assert!(matches!(h.wait(), JobOutcome::Failed { .. }));
+        for mut h in handles {
+            let polled = h.try_outcome();
+            assert!(
+                matches!(polled, Some(JobOutcome::Failed { .. })),
+                "{polled:?}"
+            );
+            assert_eq!(h.try_outcome(), polled);
+            assert_eq!(Some(h.wait()), polled);
         }
     }
 

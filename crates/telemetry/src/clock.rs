@@ -57,7 +57,7 @@ impl ManualClock {
     }
 
     /// Advance by `ns` nanoseconds.
-    pub fn advance_ns(&self, ns: u64) {
+    pub(crate) fn advance_ns(&self, ns: u64) {
         self.ns.fetch_add(ns, Ordering::Relaxed);
     }
 }

@@ -29,7 +29,7 @@ use std::path::Path;
 use crate::{HistogramSummary, Snapshot, SpanRecord};
 
 /// Escape a string for inclusion in a JSON document.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -101,7 +101,7 @@ fn span_json(s: &SpanRecord) -> String {
 }
 
 /// Render the whole snapshot as one JSON object.
-pub fn to_json(snap: &Snapshot) -> String {
+pub(crate) fn to_json(snap: &Snapshot) -> String {
     let counters: Vec<String> = snap
         .counters
         .iter()
@@ -137,7 +137,7 @@ pub fn to_json(snap: &Snapshot) -> String {
 
 /// Render the snapshot as JSONL: one object per metric/span, each
 /// tagged with a `"kind"` field.
-pub fn to_jsonl(snap: &Snapshot) -> String {
+pub(crate) fn to_jsonl(snap: &Snapshot) -> String {
     let mut out = String::new();
     for (k, v) in &snap.counters {
         let _ = writeln!(

@@ -16,7 +16,7 @@
 //! thread-local stack of [`TraceContext`]s: entering a span with
 //! [`Span::enter`] pushes, dropping the guard pops. Crossing a thread
 //! boundary is explicit — capture [`TraceContext::current`] (or
-//! [`Span::context`]) when the closure is *created* and
+//! `Span::context`) when the closure is *created* and
 //! [`TraceContext::attach`] it inside the worker, so trace shape is
 //! deterministic no matter how a thread pool schedules the work. The
 //! [`trace`] module reassembles the records into trees and exports
@@ -90,7 +90,7 @@ pub use export::write_criterion_estimates;
 /// Number of log2 latency buckets: bucket `i` holds values with
 /// `ilog2(v) == i` (bucket 0 also holds 0), so the range spans 1 ns to
 /// ~584 years.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// The names this crate writes: the sampler's own counters and the
 /// histogram every [`Span`] records on drop.
@@ -350,7 +350,7 @@ impl Handle<Counter> {
 ///
 /// Alongside the lifetime high/low watermarks, a gauge keeps a second
 /// pair of *window* watermarks that the monitor sampler drains with
-/// [`Gauge::take_window`]: between two samples the gauge may spike and
+/// `Gauge::take_window`: between two samples the gauge may spike and
 /// fall back, and the last-written value alone would hide the
 /// excursion entirely.
 ///
@@ -365,11 +365,11 @@ pub struct Gauge {
     win_min: AtomicI64,
 }
 
-/// One sampling window of a gauge, drained by [`Gauge::take_window`]:
+/// One sampling window of a gauge, drained by `Gauge::take_window`:
 /// the level at sample time plus the lowest and highest levels touched
 /// since the previous sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeWindow {
+pub(crate) struct GaugeWindow {
     /// Level at sample time.
     pub value: i64,
     /// Lowest level touched during the window (`<= value`).
@@ -409,7 +409,7 @@ impl Gauge {
 
     /// Low-water mark since creation/reset (0 until the level first
     /// drops below its initial 0).
-    pub fn min(&self) -> i64 {
+    pub(crate) fn min(&self) -> i64 {
         self.min_seen.load(Ordering::Relaxed)
     }
 
@@ -420,7 +420,7 @@ impl Gauge {
     /// Concurrent updates racing the drain land in one window or the
     /// other, never nowhere; the returned `lo`/`hi` always bracket
     /// `value`.
-    pub fn take_window(&self) -> GaugeWindow {
+    pub(crate) fn take_window(&self) -> GaugeWindow {
         let value = self.value.load(Ordering::Relaxed);
         let hi = self.win_max.swap(value, Ordering::Relaxed).max(value);
         let lo = self.win_min.swap(value, Ordering::Relaxed).min(value);
@@ -531,7 +531,7 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -541,7 +541,7 @@ impl Histogram {
     }
 
     /// Mean observation, or 0 with no data.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let c = self.count();
         if c == 0 {
             0.0
@@ -551,7 +551,7 @@ impl Histogram {
     }
 
     /// Smallest observation, or 0 with no data.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         let m = self.min.load(Ordering::Relaxed);
         if m == u64::MAX {
             0
@@ -561,12 +561,12 @@ impl Histogram {
     }
 
     /// Largest observation.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// Approximate quantile from bucket midpoints (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -642,13 +642,6 @@ impl std::fmt::Display for TraceId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
-impl SpanId {
-    /// Raw numeric id.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for SpanId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
@@ -667,7 +660,7 @@ thread_local! {
 /// - Same thread: [`Span::enter`] pushes the span's context onto a
 ///   thread-local stack; the returned guard pops it.
 /// - Across threads: capture the context when the closure is
-///   *created* ([`TraceContext::current`] or [`Span::context`]) and
+///   *created* ([`TraceContext::current`] or `Span::context`) and
 ///   [`attach`](TraceContext::attach) it inside the worker. Capturing
 ///   at creation time (not at run time) is what makes trace shape
 ///   independent of how a pool schedules the closure.
@@ -695,18 +688,13 @@ impl TraceContext {
     }
 
     /// Registry this context records into.
-    pub fn registry(&self) -> &Registry {
+    pub(crate) fn registry(&self) -> &Registry {
         &self.registry
     }
 
     /// Trace this context belongs to.
     pub fn trace_id(&self) -> TraceId {
         self.trace
-    }
-
-    /// Span that new child spans will attach under (`None` → root).
-    pub fn parent(&self) -> Option<SpanId> {
-        self.parent
     }
 
     /// Make this context current on this thread until the guard drops.
@@ -770,7 +758,7 @@ pub struct SpanRecord {
 /// On creation the span adopts the thread's current [`TraceContext`]
 /// (same registry only) as its parent; otherwise it roots a new
 /// trace. Use [`Span::enter`] to make it the parent of subsequent
-/// spans on this thread, and [`Span::context`] to hand it across a
+/// spans on this thread, and `Span::context` to hand it across a
 /// thread boundary.
 pub struct Span {
     registry: Registry,
@@ -795,11 +783,6 @@ impl Span {
         self.bytes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Span name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Trace this span belongs to.
     pub fn trace_id(&self) -> TraceId {
         self.trace
@@ -812,7 +795,7 @@ impl Span {
 
     /// A context that parents new spans under this one — capture it
     /// before spawning workers and `attach` it inside them.
-    pub fn context(&self) -> TraceContext {
+    pub(crate) fn context(&self) -> TraceContext {
         TraceContext {
             registry: self.registry.clone(),
             trace: self.trace,
@@ -900,12 +883,12 @@ impl Snapshot {
         self.spans.iter().filter(|s| s.name == name).collect()
     }
 
-    /// Full JSON document (see [`export::to_json`]).
+    /// Full JSON document (see `export::to_json`).
     pub fn to_json(&self) -> String {
         export::to_json(self)
     }
 
-    /// JSONL, one metric or span per line (see [`export::to_jsonl`]).
+    /// JSONL, one metric or span per line (see `export::to_jsonl`).
     pub fn to_jsonl(&self) -> String {
         export::to_jsonl(self)
     }
@@ -989,7 +972,7 @@ impl Registry {
     }
 
     /// Whether two handles point at the same underlying registry.
-    pub fn same_as(&self, other: &Registry) -> bool {
+    pub(crate) fn same_as(&self, other: &Registry) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
@@ -1122,7 +1105,7 @@ impl Registry {
     /// Current value of every counter, in name order. A cheap read for
     /// the [`monitor`] sampler: no histogram summarisation, no span
     /// cloning, just one pass under the counter read lock.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counter_values(&self) -> Vec<(String, u64)> {
         self.inner
             .counters
             .read()
@@ -1134,7 +1117,7 @@ impl Registry {
     /// `(count, sum)` of every histogram, in name order. Like
     /// [`Registry::counter_values`], skips the per-bucket summary work
     /// a full snapshot does.
-    pub fn histogram_totals(&self) -> Vec<(String, (u64, u64))> {
+    pub(crate) fn histogram_totals(&self) -> Vec<(String, (u64, u64))> {
         self.inner
             .histograms
             .read()
@@ -1144,10 +1127,10 @@ impl Registry {
     }
 
     /// Drain the sampling window of every gauge (see
-    /// [`Gauge::take_window`]), in name order. Destructive: each call
+    /// `Gauge::take_window`), in name order. Destructive: each call
     /// restarts every gauge's window watermarks at its current level,
     /// so only one sampler should drain a registry.
-    pub fn take_gauge_windows(&self) -> Vec<(String, GaugeWindow)> {
+    pub(crate) fn take_gauge_windows(&self) -> Vec<(String, GaugeWindow)> {
         self.inner
             .gauges
             .read()

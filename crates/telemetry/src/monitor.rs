@@ -26,7 +26,7 @@
 //! window from the registry, appending one [`SeriesPoint`] per metric
 //! to a bounded [`Series`]. Points carry deltas and rates, and for
 //! gauges the per-window low/high watermarks from
-//! [`Gauge::take_window`](crate::Gauge::take_window) — a spike that
+//! `Gauge::take_window` — a spike that
 //! rises and falls between two samples is still visible.
 //!
 //! A [`HealthSpec`] is a list of named threshold/rate/stall rules
@@ -57,7 +57,7 @@ use crate::names::{MONITOR_RULE, MONITOR_SAMPLES, MONITOR_VIOLATIONS};
 use crate::{Instrument, Name, Registry, TraceContext, TraceId};
 
 /// Format tag of the JSONL artifact; bump on schema changes.
-pub const MONITOR_FORMAT: &str = "drai-monitor/v1";
+pub(crate) const MONITOR_FORMAT: &str = "drai-monitor/v1";
 
 /// What kind of registry metric a [`Series`] tracks; fixes the meaning
 /// of the per-point fields (see [`SeriesPoint`]).

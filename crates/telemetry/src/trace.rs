@@ -39,19 +39,19 @@ pub struct TraceNode {
 
 impl TraceNode {
     /// Total duration of this node (the span's own duration).
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.record.dur_ns
     }
 
     /// Duration not accounted for by direct children. Saturates at 0
     /// when parallel children overlap.
-    pub fn self_ns(&self) -> u64 {
+    pub(crate) fn self_ns(&self) -> u64 {
         let child_sum: u64 = self.children.iter().map(|c| c.record.dur_ns).sum();
         self.record.dur_ns.saturating_sub(child_sum)
     }
 
     /// Number of nodes in this subtree, including self.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         1 + self.children.iter().map(TraceNode::size).sum::<usize>()
     }
 

@@ -33,11 +33,6 @@ impl DType {
         }
     }
 
-    /// True for floating-point dtypes.
-    pub const fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F64)
-    }
-
     /// NumPy-style descriptor string (little endian), as used by the NPY
     /// header writer in `drai-formats`.
     pub const fn numpy_descr(self) -> &'static str {
@@ -323,14 +318,6 @@ mod tests {
         assert_eq!(u8::read_le(&buf), 200);
         true.write_le(&mut buf[..1]);
         assert!(bool::read_le(&buf));
-    }
-
-    #[test]
-    fn float_flags() {
-        assert!(DType::F32.is_float());
-        assert!(DType::F64.is_float());
-        assert!(!DType::I64.is_float());
-        assert!(!DType::Bool.is_float());
     }
 
     #[test]

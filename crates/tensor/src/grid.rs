@@ -79,17 +79,10 @@ impl LatLonGrid {
     /// `A = Δλ · (sin φ_n − sin φ_s)`: constant in longitude, shrinking
     /// toward the poles — the weighting that conservative regridding and
     /// area-weighted statistics must respect.
-    pub fn cell_area(&self, i: usize, _j: usize) -> f64 {
+    pub(crate) fn cell_area(&self, i: usize, _j: usize) -> f64 {
         let (s, n) = self.lat_bounds(i);
         let dlon_rad = self.dlon().to_radians();
         dlon_rad * (n.to_radians().sin() - s.to_radians().sin())
-    }
-
-    /// Sum of all cell areas; equals the sphere area `4π` up to rounding.
-    pub fn total_area(&self) -> f64 {
-        (0..self.nlat)
-            .map(|i| self.cell_area(i, 0) * self.nlon as f64)
-            .sum()
     }
 
     /// Area-weighted mean of a field laid out `[nlat, nlon]` row-major.
@@ -134,10 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn total_area_is_sphere() {
+    fn cell_areas_sum_to_the_sphere() {
         for (nlat, nlon) in [(4, 8), (32, 64), (90, 180)] {
             let g = LatLonGrid::global(nlat, nlon);
-            let area = g.total_area();
+            let area: f64 = (0..nlat).map(|i| g.cell_area(i, 0) * nlon as f64).sum();
             assert!(
                 (area - 4.0 * std::f64::consts::PI).abs() < 1e-9,
                 "{nlat}x{nlon}: {area}"

@@ -7,12 +7,12 @@
 //! ICPP 2025) shuttle multivariate gridded fields, multirate time series,
 //! one-hot sequence tensors, and per-node graph features between
 //! preprocessing stages. All of those are represented here as row-major
-//! strided [`Tensor`]s over a small set of element types.
+//! [`Tensor`]s over a small set of element types.
 //!
 //! Design points:
 //!
-//! * **Row-major, strided.** Views ([`TensorView`]) share storage without
-//!   copying; slicing along the leading axis is zero-cost.
+//! * **Row-major.** [`Tensor::lanes`] hands out the rows along the leading
+//!   axis as slices of the tensor's own storage, without copying.
 //! * **Streaming statistics.** [`stats::Welford`] implements the numerically
 //!   stable single-pass mean/variance update with a parallel `merge`, so
 //!   normalization statistics can be fitted per chunk in parallel and
@@ -34,12 +34,9 @@
 
 pub mod dtype;
 pub mod grid;
-pub mod ops;
 pub mod stats;
 pub mod tensor;
-pub mod view;
 
 pub use dtype::{DType, Element};
 pub use grid::LatLonGrid;
 pub use tensor::{Tensor, TensorError};
-pub use view::TensorView;

@@ -154,15 +154,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance with Bessel's correction (0 when fewer than 2).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std(&self) -> f64 {
         self.variance().sqrt()
@@ -298,11 +289,6 @@ impl P2Quantile {
         }
         Some(self.heights[2])
     }
-
-    /// Observations seen (excluding NaN).
-    pub fn count(&self) -> usize {
-        self.count
-    }
 }
 
 /// Fixed-bin histogram over a known range, used by quality reports to
@@ -362,7 +348,7 @@ impl Histogram {
     }
 
     /// Total in-range observations.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.bins.iter().sum()
     }
 
@@ -520,11 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn welford_sample_variance() {
+    fn welford_population_variance() {
         let mut w = Welford::new();
         w.extend(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -569,7 +554,6 @@ mod tests {
         assert_eq!(q.estimate(), None);
         q.push(f64::NAN);
         assert_eq!(q.estimate(), None);
-        assert_eq!(q.count(), 0);
     }
 
     #[test]

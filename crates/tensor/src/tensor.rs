@@ -1,7 +1,6 @@
 //! Owned, row-major n-dimensional arrays.
 
-use crate::dtype::{DType, Element};
-use crate::view::TensorView;
+use crate::dtype::Element;
 use std::fmt;
 
 /// Errors produced by tensor construction and reshaping.
@@ -72,10 +71,9 @@ pub(crate) fn row_major_strides(shape: &[usize]) -> Vec<usize> {
 /// An owned, contiguous, row-major n-dimensional array.
 ///
 /// This is deliberately minimal: the DRAI pipelines need shaped numeric
-/// buffers with slicing, elementwise math, axis reductions and serialization
-/// — not a full BLAS. Parallelism is applied by callers over the *leading*
-/// axis (samples / timesteps / records), which `lanes`/`index_axis0` make
-/// cheap.
+/// buffers with indexing and serialization — not a full BLAS. Parallelism
+/// is applied by callers over the *leading* axis (samples / timesteps /
+/// records), which `lanes` makes cheap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor<T: Element> {
     data: Vec<T>,
@@ -99,7 +97,7 @@ impl<T: Element> Tensor<T> {
     }
 
     /// A tensor filled with `value`.
-    pub fn full(shape: &[usize], value: T) -> Self {
+    pub(crate) fn full(shape: &[usize], value: T) -> Self {
         let n: usize = shape.iter().product();
         Tensor {
             data: vec![value; n],
@@ -127,11 +125,6 @@ impl<T: Element> Tensor<T> {
         &self.shape
     }
 
-    /// Number of axes.
-    pub fn rank(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -142,28 +135,13 @@ impl<T: Element> Tensor<T> {
         self.data.is_empty()
     }
 
-    /// Runtime dtype tag.
-    pub fn dtype(&self) -> DType {
-        T::DTYPE
-    }
-
     /// Flat, row-major element slice.
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
-    /// Mutable flat element slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consume into the flat element vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Row-major strides, in elements.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         row_major_strides(&self.shape)
     }
 
@@ -203,109 +181,12 @@ impl<T: Element> Tensor<T> {
         Ok(())
     }
 
-    /// Reinterpret with a new shape of identical element count.
-    pub fn reshape(mut self, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
-        if self.data.len() != expected {
-            return Err(TensorError::ShapeMismatch {
-                elements: self.data.len(),
-                shape: shape.to_vec(),
-            });
-        }
-        self.shape = shape.to_vec();
-        Ok(self)
-    }
-
-    /// Borrow the whole tensor as a view.
-    pub fn view(&self) -> TensorView<'_, T> {
-        TensorView::new(&self.data, &self.shape)
-    }
-
-    /// Zero-copy subtensor at `index` along axis 0 (e.g. one sample of a
-    /// batch, one timestep of a field).
-    pub fn index_axis0(&self, index: usize) -> Result<TensorView<'_, T>, TensorError> {
-        if self.shape.is_empty() {
-            return Err(TensorError::AxisOutOfRange { axis: 0, rank: 0 });
-        }
-        if index >= self.shape[0] {
-            return Err(TensorError::IndexOutOfRange {
-                index,
-                len: self.shape[0],
-            });
-        }
-        let inner: usize = self.shape[1..].iter().product();
-        Ok(TensorView::new(
-            &self.data[index * inner..(index + 1) * inner],
-            &self.shape[1..],
-        ))
-    }
-
-    /// Iterator over zero-copy slices along axis 0.
-    pub fn lanes(&self) -> impl Iterator<Item = TensorView<'_, T>> + '_ {
-        let n = if self.shape.is_empty() {
-            0
-        } else {
-            self.shape[0]
-        };
-        (0..n).map(move |i| self.index_axis0(i).expect("lane index in range"))
-    }
-
-    /// Contiguous range `[start, end)` along axis 0, zero-copy.
-    pub fn slice_axis0(&self, start: usize, end: usize) -> Result<TensorView<'_, T>, TensorError> {
-        if self.shape.is_empty() {
-            return Err(TensorError::AxisOutOfRange { axis: 0, rank: 0 });
-        }
-        if start > end || end > self.shape[0] {
-            return Err(TensorError::IndexOutOfRange {
-                index: end,
-                len: self.shape[0],
-            });
-        }
-        let inner: usize = self.shape[1..].iter().product();
-        let mut shape = self.shape.clone();
-        shape[0] = end - start;
-        Ok(TensorView::new_owned_shape(
-            &self.data[start * inner..end * inner],
-            shape,
-        ))
-    }
-
-    /// Elementwise map into a (possibly different-typed) new tensor.
-    pub fn map<U: Element>(&self, f: impl Fn(T) -> U) -> Tensor<U> {
-        Tensor {
-            data: self.data.iter().map(|&x| f(x)).collect(),
-            shape: self.shape.clone(),
-        }
-    }
-
-    /// In-place elementwise transformation.
-    pub fn map_inplace(&mut self, f: impl Fn(T) -> T) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Elementwise combination of two same-shaped tensors.
-    pub fn zip_with(
-        &self,
-        other: &Tensor<T>,
-        f: impl Fn(T, T) -> T,
-    ) -> Result<Tensor<T>, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::IncompatibleShapes {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        Ok(Tensor {
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-            shape: self.shape.clone(),
-        })
+    /// Iterator over zero-copy rows along axis 0 (one sample of a batch,
+    /// one node of a graph).
+    pub fn lanes(&self) -> impl Iterator<Item = &[T]> + '_ {
+        let n = self.shape.first().copied().unwrap_or(0);
+        let inner: usize = self.shape.iter().skip(1).product();
+        (0..n).map(move |i| &self.data[i * inner..(i + 1) * inner])
     }
 
     /// Serialize elements as little-endian bytes (row-major).
@@ -343,34 +224,6 @@ impl<T: Element> Tensor<T> {
             shape: shape.to_vec(),
         })
     }
-
-    /// Concatenate tensors along axis 0. All inputs must share trailing
-    /// dimensions. Used when aggregating samples across shots/files before
-    /// sharding.
-    pub fn concat_axis0(parts: &[Tensor<T>]) -> Result<Tensor<T>, TensorError> {
-        let first = parts.first().ok_or(TensorError::ShapeMismatch {
-            elements: 0,
-            shape: vec![],
-        })?;
-        let tail = &first.shape[1..];
-        let mut rows = 0usize;
-        for p in parts {
-            if p.shape.len() != first.shape.len() || &p.shape[1..] != tail {
-                return Err(TensorError::IncompatibleShapes {
-                    left: first.shape.clone(),
-                    right: p.shape.clone(),
-                });
-            }
-            rows += p.shape[0];
-        }
-        let mut data = Vec::with_capacity(rows * tail.iter().product::<usize>());
-        for p in parts {
-            data.extend_from_slice(&p.data);
-        }
-        let mut shape = first.shape.clone();
-        shape[0] = rows;
-        Ok(Tensor { data, shape })
-    }
 }
 
 impl<T: Element> Tensor<T> {
@@ -391,7 +244,7 @@ mod tests {
     #[test]
     fn construct_and_index() {
         let t = Tensor::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]).unwrap();
-        assert_eq!(t.rank(), 3);
+        assert_eq!(t.shape(), &[2, 3, 4]);
         assert_eq!(t.len(), 24);
         assert_eq!(t.get(&[0, 0, 0]).unwrap(), 0.0);
         assert_eq!(t.get(&[1, 2, 3]).unwrap(), 23.0);
@@ -426,43 +279,12 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1, 2, 3, 4, 5, 6_i32], &[2, 3]).unwrap();
-        let r = t.clone().reshape(&[3, 2]).unwrap();
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert_eq!(r.shape(), &[3, 2]);
-        assert!(t.reshape(&[4, 2]).is_err());
-    }
-
-    #[test]
-    fn axis0_views() {
-        let t = Tensor::from_vec((0..6).map(|i| i as f64).collect(), &[3, 2]).unwrap();
-        let row1 = t.index_axis0(1).unwrap();
-        assert_eq!(row1.as_slice(), &[2.0, 3.0]);
-        assert_eq!(row1.shape(), &[2]);
-        assert!(t.index_axis0(3).is_err());
-
-        let mid = t.slice_axis0(1, 3).unwrap();
-        assert_eq!(mid.shape(), &[2, 2]);
-        assert_eq!(mid.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
     fn lanes_iterate_all_rows() {
         let t = Tensor::from_vec((0..6).collect::<Vec<i32>>(), &[3, 2]).unwrap();
-        let sums: Vec<i32> = t.lanes().map(|l| l.as_slice().iter().sum()).collect();
+        let sums: Vec<i32> = t.lanes().map(|l| l.iter().sum()).collect();
         assert_eq!(sums, vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn map_and_zip() {
-        let a = Tensor::from_vec(vec![1.0_f32, 2.0, 3.0], &[3]).unwrap();
-        let b = a.map(|x| x * 2.0);
-        assert_eq!(b.as_slice(), &[2.0, 4.0, 6.0]);
-        let c = a.zip_with(&b, |x, y| y - x).unwrap();
-        assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0]);
-        let d = Tensor::<f32>::zeros(&[2]);
-        assert!(a.zip_with(&d, |x, _| x).is_err());
+        assert_eq!(t.lanes().nth(1), Some(&[2, 3][..]));
+        assert_eq!(Tensor::<f32>::zeros(&[3, 0]).lanes().count(), 3);
     }
 
     #[test]
@@ -497,17 +319,6 @@ mod tests {
         let mut out = vec![1];
         Tensor::<f64>::zeros(&[0, 4]).write_le_into(&mut out);
         assert_eq!(out, [1]);
-    }
-
-    #[test]
-    fn concat_axis0_works() {
-        let a = Tensor::from_vec(vec![1, 2, 3, 4_i32], &[2, 2]).unwrap();
-        let b = Tensor::from_vec(vec![5, 6_i32], &[1, 2]).unwrap();
-        let c = Tensor::concat_axis0(&[a.clone(), b]).unwrap();
-        assert_eq!(c.shape(), &[3, 2]);
-        assert_eq!(c.as_slice(), &[1, 2, 3, 4, 5, 6]);
-        let bad = Tensor::from_vec(vec![1, 2, 3_i32], &[1, 3]).unwrap();
-        assert!(Tensor::concat_axis0(&[a, bad]).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Tokamak diagnostics sample at wildly different rates (magnetics at
 //! 100 kHz, Thomson scattering at 100 Hz) with independent clocks and
 //! drop-outs. Training windows need every channel on one uniform clock:
-//! [`resample_to_clock`] linearly interpolates irregular samples onto a
+//! `resample_to_clock` linearly interpolates irregular samples onto a
 //! uniform grid, and [`window`] slices the aligned matrix into fixed-length
 //! training windows (the "slices high-rate sensor streams into fixed time
 //! windows" step of the DIII-D pipeline).
@@ -85,20 +85,18 @@ impl Clock {
     }
 
     /// Time of tick `k`.
-    pub fn tick(&self, k: usize) -> f64 {
+    pub(crate) fn tick(&self, k: usize) -> f64 {
         self.start + k as f64 / self.rate_hz
-    }
-
-    /// All tick times.
-    pub fn times(&self) -> Vec<f64> {
-        (0..self.len).map(|k| self.tick(k)).collect()
     }
 }
 
 /// Resample one channel onto a uniform clock by linear interpolation.
 /// Ticks outside the channel's time span become NaN (to be imputed or
 /// masked downstream — extrapolating plasma diagnostics fabricates data).
-pub fn resample_to_clock(channel: &Channel, clock: &Clock) -> Result<Vec<f64>, TransformError> {
+pub(crate) fn resample_to_clock(
+    channel: &Channel,
+    clock: &Clock,
+) -> Result<Vec<f64>, TransformError> {
     channel.validate()?;
     let times = &channel.times;
     let values = &channel.values;
@@ -179,49 +177,6 @@ pub fn window(
             out.push(slice.to_vec());
         }
         start += stride;
-    }
-    Ok(out)
-}
-
-/// Interpolate a 1D profile from one mesh onto another — the "regridding
-/// or interpolation across incompatible meshes (as in IMAS and XGC1)"
-/// step of §3.2. `src_x` must be strictly increasing; destination points
-/// outside the source span become NaN (no extrapolation of plasma
-/// profiles).
-pub fn resample_profile(
-    src_x: &[f64],
-    src_y: &[f64],
-    dst_x: &[f64],
-) -> Result<Vec<f64>, TransformError> {
-    if src_x.len() != src_y.len() {
-        return Err(TransformError::InvalidInput(format!(
-            "profile: {} knots vs {} values",
-            src_x.len(),
-            src_y.len()
-        )));
-    }
-    if src_x.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(TransformError::InvalidInput(
-            "profile mesh not strictly increasing".into(),
-        ));
-    }
-    let mut out = Vec::with_capacity(dst_x.len());
-    for &x in dst_x {
-        if src_x.is_empty() || x < src_x[0] || x > src_x[src_x.len() - 1] {
-            out.push(f64::NAN);
-            continue;
-        }
-        // Binary search for the containing segment.
-        let seg = match src_x.binary_search_by(|v| v.total_cmp(&x)) {
-            Ok(i) => {
-                out.push(src_y[i]);
-                continue;
-            }
-            Err(i) => i - 1, // x > src_x[0] guaranteed above
-        };
-        let (x0, x1) = (src_x[seg], src_x[seg + 1]);
-        let t = (x - x0) / (x1 - x0);
-        out.push(src_y[seg] + (src_y[seg + 1] - src_y[seg]) * t);
     }
     Ok(out)
 }
@@ -343,43 +298,6 @@ mod tests {
         assert!(window(&[1.0], 1, 0, 1, true).is_err());
         assert!(window(&[1.0], 1, 1, 0, true).is_err());
         assert!(window(&[1.0; 3], 2, 1, 1, true).is_err());
-    }
-
-    #[test]
-    fn profile_resampling_linear_exact() {
-        // y = 3x over an irregular source mesh resampled onto a uniform
-        // rho grid — linear interpolation is exact for linear profiles.
-        let src_x = vec![0.0, 0.13, 0.4, 0.55, 0.9, 1.0];
-        let src_y: Vec<f64> = src_x.iter().map(|&x| 3.0 * x).collect();
-        let dst_x: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
-        let out = resample_profile(&src_x, &src_y, &dst_x).unwrap();
-        for (&x, &y) in dst_x.iter().zip(&out) {
-            assert!((y - 3.0 * x).abs() < 1e-12, "rho={x}: {y}");
-        }
-    }
-
-    #[test]
-    fn profile_no_extrapolation() {
-        let out = resample_profile(&[0.2, 0.8], &[1.0, 2.0], &[0.0, 0.2, 0.5, 0.8, 1.0]).unwrap();
-        assert!(out[0].is_nan());
-        assert_eq!(out[1], 1.0);
-        assert_eq!(out[3], 2.0);
-        assert!(out[4].is_nan());
-    }
-
-    #[test]
-    fn profile_exact_knot_hits() {
-        let out = resample_profile(&[0.0, 1.0, 2.0], &[5.0, 7.0, 9.0], &[1.0]).unwrap();
-        assert_eq!(out, vec![7.0]);
-    }
-
-    #[test]
-    fn profile_validation() {
-        assert!(resample_profile(&[0.0, 1.0], &[1.0], &[0.5]).is_err());
-        assert!(resample_profile(&[0.0, 0.0], &[1.0, 2.0], &[0.0]).is_err());
-        assert!(resample_profile(&[1.0, 0.5], &[1.0, 2.0], &[0.7]).is_err());
-        let empty = resample_profile(&[], &[], &[0.5]).unwrap();
-        assert!(empty[0].is_nan());
     }
 
     #[test]

@@ -1,75 +1,6 @@
-//! Categorical and sequence encoding ("managing categorical variables";
-//! Enformer-style one-hot DNA tiles).
+//! Sequence encoding: Enformer-style one-hot DNA and protein tiles.
 
-use crate::TransformError;
 use drai_tensor::Tensor;
-use std::collections::BTreeMap;
-
-/// A fitted categorical vocabulary: category string → dense index.
-///
-/// Indices are assigned in sorted category order so the encoding is
-/// deterministic across runs (a reproducibility requirement the paper's
-/// provenance discussion makes explicit).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Vocabulary {
-    map: BTreeMap<String, usize>,
-}
-
-impl Vocabulary {
-    /// Build from observed category values.
-    pub fn fit<S: AsRef<str>>(values: &[S]) -> Vocabulary {
-        let mut uniq: Vec<&str> = values.iter().map(|s| s.as_ref()).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        Vocabulary {
-            map: uniq
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| (s.to_string(), i))
-                .collect(),
-        }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no categories were observed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Dense index of a category.
-    pub fn index(&self, value: &str) -> Option<usize> {
-        self.map.get(value).copied()
-    }
-
-    /// Encode values to indices; unseen categories error (they signal a
-    /// train/serve skew that must be surfaced, not hidden).
-    pub fn encode<S: AsRef<str>>(&self, values: &[S]) -> Result<Vec<usize>, TransformError> {
-        values
-            .iter()
-            .map(|v| {
-                self.index(v.as_ref()).ok_or_else(|| {
-                    TransformError::InvalidInput(format!("unseen category {:?}", v.as_ref()))
-                })
-            })
-            .collect()
-    }
-
-    /// One-hot encode to an `[n, vocab]` f32 tensor.
-    pub fn one_hot<S: AsRef<str>>(&self, values: &[S]) -> Result<Tensor<f32>, TransformError> {
-        let idx = self.encode(values)?;
-        let k = self.len();
-        let mut data = vec![0.0_f32; idx.len() * k];
-        for (row, &i) in idx.iter().enumerate() {
-            data[row * k + i] = 1.0;
-        }
-        Tensor::from_vec(data, &[idx.len(), k])
-            .map_err(|e| TransformError::InvalidInput(format!("{e}")))
-    }
-}
 
 /// Sequence alphabet for biological one-hot encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,13 +15,8 @@ impl Alphabet {
         Alphabet::new(b"ACGT")
     }
 
-    /// The 20 standard amino acids.
-    pub fn protein() -> Alphabet {
-        Alphabet::new(b"ACDEFGHIKLMNPQRSTVWY")
-    }
-
     /// Custom alphabet from ASCII symbols (case-insensitive lookup).
-    pub fn new(symbols: &[u8]) -> Alphabet {
+    pub(crate) fn new(symbols: &[u8]) -> Alphabet {
         let mut lookup = [None; 256];
         for (i, &s) in symbols.iter().enumerate() {
             lookup[s.to_ascii_uppercase() as usize] = Some(i as u8);
@@ -103,22 +29,14 @@ impl Alphabet {
     }
 
     /// Alphabet size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.symbols.len()
-    }
-
-    /// True when the alphabet has no symbols.
-    pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
     }
 
     /// One-hot encode a sequence to `[len, alphabet]` f32 (Enformer
     /// layout). Unknown symbols (e.g. `N`) become all-zero rows.
     pub fn one_hot(&self, sequence: &str) -> Tensor<f32> {
-        self.one_hot_bytes(sequence.as_bytes())
-    }
-
-    fn one_hot_bytes(&self, bytes: &[u8]) -> Tensor<f32> {
+        let bytes = sequence.as_bytes();
         let k = self.len();
         let mut data = vec![0.0_f32; bytes.len() * k];
         for (row, &b) in bytes.iter().enumerate() {
@@ -129,56 +47,11 @@ impl Alphabet {
         let rows = bytes.len();
         Tensor::from_vec(data, &[rows, k]).unwrap_or_else(|_| Tensor::zeros(&[rows, k]))
     }
-
-    /// Slice a long sequence into fixed-length tiles (final partial tile
-    /// dropped), then one-hot each — the Enformer "fixed-length tiles"
-    /// preprocessing step.
-    pub fn one_hot_tiles(&self, sequence: &str, tile_len: usize) -> Vec<Tensor<f32>> {
-        assert!(tile_len > 0, "tile length must be positive");
-        sequence
-            .as_bytes()
-            .chunks_exact(tile_len)
-            .map(|tile| self.one_hot_bytes(tile))
-            .collect()
-    }
-
-    /// Decode a one-hot row back to a symbol (None for all-zero rows).
-    pub fn decode_row(&self, row: &[f32]) -> Option<char> {
-        let idx = row.iter().position(|&x| x > 0.5)?;
-        Some(self.symbols[idx] as char)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vocabulary_deterministic_order() {
-        let v1 = Vocabulary::fit(&["zebra", "apple", "mango", "apple"]);
-        let v2 = Vocabulary::fit(&["mango", "zebra", "apple"]);
-        assert_eq!(v1, v2);
-        assert_eq!(v1.len(), 3);
-        assert_eq!(v1.index("apple"), Some(0));
-        assert_eq!(v1.index("mango"), Some(1));
-        assert_eq!(v1.index("zebra"), Some(2));
-    }
-
-    #[test]
-    fn vocabulary_encode_and_unseen() {
-        let v = Vocabulary::fit(&["a", "b"]);
-        assert_eq!(v.encode(&["b", "a", "b"]).unwrap(), vec![1, 0, 1]);
-        assert!(v.encode(&["c"]).is_err());
-        assert_eq!(v.index("c"), None);
-    }
-
-    #[test]
-    fn vocabulary_one_hot() {
-        let v = Vocabulary::fit(&["x", "y", "z"]);
-        let t = v.one_hot(&["y", "x"]).unwrap();
-        assert_eq!(t.shape(), &[2, 3]);
-        assert_eq!(t.as_slice(), &[0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
-    }
 
     #[test]
     fn dna_one_hot() {
@@ -200,36 +73,11 @@ mod tests {
         assert_eq!(t.get(&[3, 0]).unwrap(), 0.0); // N → all zero
         let row: Vec<f32> = (0..4).map(|j| t.get(&[3, j]).unwrap()).collect();
         assert!(row.iter().all(|&x| x == 0.0));
-        assert_eq!(a.decode_row(&row), None);
-        let row0: Vec<f32> = (0..4).map(|j| t.get(&[0, j]).unwrap()).collect();
-        assert_eq!(a.decode_row(&row0), Some('A'));
-    }
-
-    #[test]
-    fn tiling_drops_partial() {
-        let a = Alphabet::dna();
-        let tiles = a.one_hot_tiles("ACGTACGTAC", 4);
-        assert_eq!(tiles.len(), 2); // 10 / 4 → 2 full tiles
-        assert_eq!(tiles[0].shape(), &[4, 4]);
-    }
-
-    #[test]
-    fn protein_alphabet_size() {
-        let a = Alphabet::protein();
-        assert_eq!(a.len(), 20);
-        let t = a.one_hot("MKV");
-        assert_eq!(t.shape(), &[3, 20]);
-        // Each row sums to 1 for known residues.
-        for lane in t.lanes() {
-            let s: f32 = lane.as_slice().iter().sum();
-            assert_eq!(s, 1.0);
-        }
     }
 
     #[test]
     fn empty_sequence() {
         let t = Alphabet::dna().one_hot("");
         assert_eq!(t.shape(), &[0, 4]);
-        assert!(Alphabet::dna().one_hot_tiles("", 5).is_empty());
     }
 }

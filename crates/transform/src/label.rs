@@ -1,12 +1,4 @@
-//! Labeling and pseudo-labeling ("when only a portion of the data is
-//! labeled, semi-supervised methods can leverage both" — §2.1).
-//!
-//! [`pseudo_label`] implements the iterative scheme the paper cites
-//! (Kage et al.): a model's confident predictions on unlabeled samples are
-//! promoted to labels; the process repeats until no promotion clears the
-//! confidence gate.
-
-use crate::TransformError;
+//! Labeling: threshold labels for event detection.
 
 /// A labeled or unlabeled sample reference.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,21 +9,6 @@ pub enum Label {
     Pseudo(i64, f64),
     /// Still unlabeled.
     Unknown,
-}
-
-impl Label {
-    /// The class value, if any.
-    pub fn class(&self) -> Option<i64> {
-        match self {
-            Label::Known(c) | Label::Pseudo(c, _) => Some(*c),
-            Label::Unknown => None,
-        }
-    }
-
-    /// True for ground-truth labels.
-    pub fn is_known(&self) -> bool {
-        matches!(self, Label::Known(_))
-    }
 }
 
 /// Threshold labeler for event detection (e.g. "disruption within the
@@ -49,74 +26,6 @@ pub fn threshold_labels(values: &[f64], theta: f64) -> Vec<Label> {
         .collect()
 }
 
-/// Label coverage: fraction of samples with any label.
-pub fn coverage(labels: &[Label]) -> f64 {
-    if labels.is_empty() {
-        return 0.0;
-    }
-    labels.iter().filter(|l| l.class().is_some()).count() as f64 / labels.len() as f64
-}
-
-/// Statistics from one [`pseudo_label`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PseudoLabelReport {
-    /// Number of iterations executed.
-    pub iterations: usize,
-    /// Samples promoted per iteration.
-    pub promoted_per_round: Vec<usize>,
-    /// Final label coverage.
-    pub final_coverage: f64,
-}
-
-/// Iterative pseudo-labeling.
-///
-/// `predict` is the (externally trained) model: given a sample index it
-/// returns `(class, confidence)` — in a real pipeline this wraps an
-/// inference call; in tests and benches a nearest-centroid model suffices.
-/// Unlabeled samples whose confidence ≥ `confidence_gate` are promoted to
-/// [`Label::Pseudo`] each round; iteration stops when a round promotes
-/// nothing or `max_rounds` is reached.
-pub fn pseudo_label(
-    labels: &mut [Label],
-    confidence_gate: f64,
-    max_rounds: usize,
-    mut predict: impl FnMut(usize, &[Label]) -> Option<(i64, f64)>,
-) -> Result<PseudoLabelReport, TransformError> {
-    if !(0.0..=1.0).contains(&confidence_gate) {
-        return Err(TransformError::InvalidInput(format!(
-            "confidence gate {confidence_gate}"
-        )));
-    }
-    let mut promoted_per_round = Vec::new();
-    for _ in 0..max_rounds {
-        // Collect promotions against the *current* label state, then apply
-        // (simultaneous update, so within a round order cannot matter).
-        let mut promotions = Vec::new();
-        for i in 0..labels.len() {
-            if labels[i].class().is_some() {
-                continue;
-            }
-            if let Some((class, conf)) = predict(i, labels) {
-                if conf >= confidence_gate {
-                    promotions.push((i, class, conf));
-                }
-            }
-        }
-        if promotions.is_empty() {
-            break;
-        }
-        promoted_per_round.push(promotions.len());
-        for (i, class, conf) in promotions {
-            labels[i] = Label::Pseudo(class, conf);
-        }
-    }
-    Ok(PseudoLabelReport {
-        iterations: promoted_per_round.len(),
-        promoted_per_round,
-        final_coverage: coverage(labels),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,93 +37,5 @@ mod tests {
         assert_eq!(labels[1], Label::Known(1));
         assert_eq!(labels[2], Label::Unknown);
         assert_eq!(labels[3], Label::Known(0)); // strict >
-        assert_eq!(coverage(&labels), 0.75);
-        assert_eq!(coverage(&[]), 0.0);
-    }
-
-    #[test]
-    fn label_accessors() {
-        assert_eq!(Label::Known(3).class(), Some(3));
-        assert_eq!(Label::Pseudo(2, 0.9).class(), Some(2));
-        assert_eq!(Label::Unknown.class(), None);
-        assert!(Label::Known(0).is_known());
-        assert!(!Label::Pseudo(0, 1.0).is_known());
-    }
-
-    /// 1-D two-cluster world: position < 0 → class 0, > 0 → class 1.
-    /// Nearest-labeled-neighbor predictor with confidence decaying in
-    /// distance. Pseudo-labeling should flood-fill outward from the two
-    /// seeds over multiple rounds.
-    #[test]
-    fn pseudo_label_flood_fills_clusters() {
-        let positions: Vec<f64> = (-10..=10).map(|i| i as f64).collect();
-        let n = positions.len();
-        let mut labels = vec![Label::Unknown; n];
-        labels[0] = Label::Known(0); // position -10
-        labels[n - 1] = Label::Known(1); // position +10
-
-        let pos = positions.clone();
-        // Gate 0.5 admits immediate neighbours (d=1 → confidence 0.5) and
-        // nothing farther, so labels flood outward one position per round.
-        let report = pseudo_label(&mut labels, 0.5, 50, |i, current| {
-            // Nearest labeled sample.
-            let mut best: Option<(f64, i64)> = None;
-            for (j, l) in current.iter().enumerate() {
-                if let Some(c) = l.class() {
-                    if j == i {
-                        continue;
-                    }
-                    let d = (pos[i] - pos[j]).abs();
-                    if best.map(|(bd, _)| d < bd).unwrap_or(true) {
-                        best = Some((d, c));
-                    }
-                }
-            }
-            best.map(|(d, c)| (c, 1.0 / (1.0 + d)))
-        })
-        .unwrap();
-
-        assert!(report.iterations >= 5, "iterations {}", report.iterations);
-        assert_eq!(report.final_coverage, 1.0);
-        // Cluster structure respected: negatives 0, positives 1.
-        for (i, l) in labels.iter().enumerate() {
-            let expect = (positions[i] > 0.0) as i64;
-            if positions[i] != 0.0 {
-                assert_eq!(l.class(), Some(expect), "position {}", positions[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn gate_blocks_low_confidence() {
-        let mut labels = vec![Label::Known(1), Label::Unknown];
-        let report = pseudo_label(&mut labels, 0.9, 10, |_, _| Some((1, 0.5))).unwrap();
-        assert_eq!(report.iterations, 0);
-        assert_eq!(labels[1], Label::Unknown);
-        assert_eq!(report.final_coverage, 0.5);
-    }
-
-    #[test]
-    fn max_rounds_respected() {
-        // Predictor always confident: everything promotes in round 1.
-        let mut labels = vec![Label::Unknown; 10];
-        let report = pseudo_label(&mut labels, 0.5, 3, |_, _| Some((0, 1.0))).unwrap();
-        assert_eq!(report.iterations, 1);
-        assert_eq!(report.promoted_per_round, vec![10]);
-    }
-
-    #[test]
-    fn bad_gate_rejected() {
-        let mut labels = vec![Label::Unknown];
-        assert!(pseudo_label(&mut labels, 1.5, 1, |_, _| None).is_err());
-        assert!(pseudo_label(&mut labels, -0.1, 1, |_, _| None).is_err());
-    }
-
-    #[test]
-    fn known_labels_never_overwritten() {
-        let mut labels = vec![Label::Known(7), Label::Unknown];
-        pseudo_label(&mut labels, 0.0, 5, |_, _| Some((9, 1.0))).unwrap();
-        assert_eq!(labels[0], Label::Known(7));
-        assert_eq!(labels[1].class(), Some(9));
     }
 }

@@ -7,14 +7,14 @@
 //!   (the "normalize by mean and standard deviation" step).
 //! * [`impute`] — missing-value handling: mean/median/constant fill,
 //!   forward fill, linear interpolation.
-//! * [`encode`] — one-hot and vocabulary encoding for categorical and
-//!   sequence data (Enformer-style DNA tiles).
+//! * [`encode`] — one-hot encoding of sequence data (Enformer-style DNA
+//!   tiles).
 //! * [`regrid`] — bilinear and first-order conservative lat-lon regridding
 //!   (the climate `regrid` stage).
 //! * [`align`] — multirate time-series resampling to a common clock and
 //!   fixed-window slicing (the fusion `align` stage).
-//! * [`features`] — finite-difference derivatives, rolling statistics, and
-//!   radix-2 FFT spectral features (physics-informed feature engineering).
+//! * [`features`] — finite-difference derivatives and rolling means
+//!   (physics-informed feature engineering).
 //! * [`label`] — threshold labeling and iterative pseudo-labeling with a
 //!   confidence gate (semi-supervised readiness).
 //! * [`anonymize`] — PHI/PII transforms: salted hashing, suppression,

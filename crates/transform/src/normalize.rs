@@ -2,8 +2,9 @@
 //! and standard deviation", Fig. 1).
 //!
 //! Statistics are fitted in a single streaming pass (Welford / P²) so they
-//! scale to shard-at-a-time reduction; `fit_parallel` merges per-chunk
-//! accumulators in chunk order, the reduction `par_map` callers use.
+//! scale to shard-at-a-time reduction; [`Normalizer::from_welford`] fits
+//! from per-chunk accumulators merged in chunk order, the reduction
+//! `par_map` callers use.
 
 use crate::TransformError;
 use drai_tensor::stats::{P2Quantile, Welford};
@@ -80,19 +81,6 @@ impl Normalizer {
                 "robust fit needs quantiles, not moments".into(),
             )),
         }
-    }
-
-    /// Fit on chunks as a parallel reduction (ZScore/MinMax only).
-    pub fn fit_parallel(method: Method, chunks: &[&[f64]]) -> Result<Normalizer, TransformError> {
-        let merged = chunks
-            .iter()
-            .map(|c| {
-                let mut w = Welford::new();
-                w.extend(c);
-                w
-            })
-            .fold(Welford::new(), |a, b| a.merge(&b));
-        Self::from_welford(method, &merged)
     }
 
     /// The method this normalizer was fitted with.
@@ -356,7 +344,15 @@ mod tests {
         let seq = Normalizer::fit(Method::ZScore, &data).unwrap();
         let (a, rest) = data.split_at(333);
         let (b, c) = rest.split_at(333);
-        let par = Normalizer::fit_parallel(Method::ZScore, &[a, b, c]).unwrap();
+        let merged = [a, b, c]
+            .iter()
+            .map(|c| {
+                let mut w = Welford::new();
+                w.extend(c);
+                w
+            })
+            .fold(Welford::new(), |a, b| a.merge(&b));
+        let par = Normalizer::from_welford(Method::ZScore, &merged).unwrap();
         assert!((par.offset - seq.offset).abs() < 1e-10);
         assert!((par.scale - seq.scale).abs() < 1e-10);
     }

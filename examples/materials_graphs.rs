@@ -77,7 +77,7 @@ fn main() {
         let g = reader.read_group(gi).expect("group");
         let nodes: Tensor<f32> = g.var("node_features").unwrap().to_tensor().expect("nodes");
         for lane in nodes.lanes() {
-            if let Some(k) = lane.as_slice().iter().position(|&x| x > 0.5) {
+            if let Some(k) = lane.iter().position(|&x| x > 0.5) {
                 species_counts[k] += 1;
             }
         }

@@ -9,7 +9,7 @@ use drai::io::codec::{codec_for, CodecId};
 use drai::io::crypto::{chacha20_xor, derive_key};
 use drai::io::json::Json;
 use drai::io::parallel::par_map;
-use drai::io::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+use drai::io::varint::{read_uvarint, write_uvarint};
 use drai::tensor::stats::Welford;
 use drai::tensor::{LatLonGrid, Tensor};
 use drai::transform::impute::{impute, missing_fraction, Strategy};
@@ -26,14 +26,6 @@ proptest! {
         let (back, n) = read_uvarint(&buf).unwrap();
         prop_assert_eq!(back, v);
         prop_assert_eq!(n, buf.len());
-    }
-
-    #[test]
-    fn ivarint_round_trip(v in any::<i64>()) {
-        let mut buf = Vec::new();
-        write_ivarint(&mut buf, v);
-        let (back, _) = read_ivarint(&buf).unwrap();
-        prop_assert_eq!(back, v);
     }
 
     #[test]
