@@ -11,7 +11,6 @@
 //! | `table1_fusion` | Table 1 row 2 / §3.2 fusion pattern |
 //! | `table1_bio` | Table 1 row 3 / §3.3 bio pattern |
 //! | `table1_materials` | Table 1 row 4 / §3.4 materials pattern |
-//! | `table2_maturity` | Table 2 — cost of each readiness-level transition |
 //! | `ablation_shard` | shard-size × format sweep |
 //! | `ablation_codec` | compression codec sweep |
 //! | `ablation_scaling` | thread-count scaling of pipeline stages |

@@ -1,7 +1,7 @@
 //! Dataset cards — the paper's §5 "Data Quality, Bias, and Fairness"
 //! remedy ("Datasheets for Datasets or Data Cards can help identify
-//! potential biases"), generated from a manifest + quality reports +
-//! assessment.
+//! potential biases"), generated from a manifest + the quality reports a
+//! stage measured + the assessment of the run's ledger.
 
 use crate::assess::Assessment;
 use crate::dataset::DatasetManifest;
@@ -15,7 +15,7 @@ pub struct DatasetCard {
     pub manifest: DatasetManifest,
     /// Overall + per-stage readiness at generation time.
     pub assessment: Assessment,
-    /// Per-variable quality reports.
+    /// Per-variable quality reports a stage measured.
     pub quality: Vec<QualityReport>,
 }
 
@@ -33,8 +33,9 @@ impl DatasetCard {
         }
     }
 
-    /// Bias warnings derived from the quality reports: imbalance,
-    /// missingness, outlier contamination.
+    /// Bias warnings derived from the quality reports (imbalance,
+    /// missingness, outlier contamination) and from the assessment
+    /// (anonymization, label coverage).
     pub fn warnings(&self) -> Vec<String> {
         let mut out = Vec::new();
         for q in &self.quality {
@@ -59,14 +60,16 @@ impl DatasetCard {
                 ));
             }
         }
-        if self.manifest.requires_anonymization && !self.manifest.anonymized {
+        if self.assessment.anonymized == Some(false) {
             out.push("dataset contains PHI/PII but is NOT anonymized — do not release".into());
         }
-        if self.manifest.label_coverage < 1.0 {
-            out.push(format!(
-                "label coverage {:.0}% — consider pseudo-labeling for the remainder",
-                self.manifest.label_coverage * 100.0
-            ));
+        match self.assessment.label_coverage {
+            Some(labels) if labels.count < labels.total => out.push(format!(
+                "label coverage {:.0}% ({labels} records) — consider pseudo-labeling for the remainder",
+                labels.fraction() * 100.0
+            )),
+            None => out.push("no shard stage counted its labeled records".into()),
+            Some(_) => {}
         }
         out
     }
@@ -102,7 +105,12 @@ impl DatasetCard {
                 d.reason
             ));
         }
-        md.push_str("\n## Quality\n\n| Variable | missing | mean | std | outliers | imbalance |\n|---|---|---|---|---|---|\n");
+        md.push_str("\n## Quality\n\n");
+        if self.quality.is_empty() {
+            md.push_str("No stage measured a quality report.\n");
+        } else {
+            md.push_str("| Variable | missing | mean | std | outliers | imbalance |\n|---|---|---|---|---|---|\n");
+        }
         for q in &self.quality {
             md.push_str(&format!(
                 "| {} | {:.2}% | {:.4} | {:.4} | {:.2}% | {:.2} |\n",
@@ -164,28 +172,48 @@ impl DatasetCard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assess::ReadinessAssessor;
+    use crate::assess::{Deficiency, Ratio};
     use crate::dataset::{Modality, VariableSpec};
+    use crate::readiness::{ProcessingStage as S, ReadinessLevel as L};
+
+    fn assessment(label_coverage: Option<Ratio>, anonymized: Option<bool>) -> Assessment {
+        Assessment {
+            overall: L::Cleaned,
+            per_stage: vec![(S::Ingest, L::FullyAiReady), (S::Transform, L::Cleaned)],
+            evidence: Vec::new(),
+            deficiencies: vec![Deficiency {
+                stage: S::Transform,
+                blocked_level: L::Labeled,
+                reason: "no `normalize` record".into(),
+            }],
+            label_coverage,
+            anonymized,
+        }
+    }
 
     fn sample_card() -> DatasetCard {
-        let mut m = DatasetManifest::raw("card-test", "fusion", Modality::TimeSeries, 500);
-        m.standard_format = true;
-        m.ingest_validated = true;
-        m.aligned_initial = true;
-        m.schema.push(VariableSpec {
-            name: "ip".into(),
-            dtype: drai_tensor::DType::F32,
-            unit: "MA".into(),
-            shape: vec![64],
-        });
-        m.label_coverage = 0.6;
-        let assessment = ReadinessAssessor::new().assess(&m).unwrap();
+        let m = DatasetManifest {
+            name: "card-test".into(),
+            domain: "fusion".into(),
+            modality: Modality::TimeSeries,
+            schema: vec![VariableSpec::new(
+                "ip",
+                drai_tensor::DType::F32,
+                "MA",
+                &[64],
+            )],
+            records: 500,
+        };
+        let labels = Ratio {
+            count: 300,
+            total: 500,
+        };
         let good = QualityReport::compute("ip", &(0..100).map(|i| i as f64).collect::<Vec<_>>());
         let mut skewed_vals = vec![0.5; 950];
         skewed_vals.extend((0..50).map(|i| i as f64));
         skewed_vals.push(f64::NAN);
         let skewed = QualityReport::compute("vloop", &skewed_vals);
-        DatasetCard::new(m, assessment, vec![good, skewed])
+        DatasetCard::new(m, assessment(Some(labels), None), vec![good, skewed])
     }
 
     #[test]
@@ -197,18 +225,25 @@ mod tests {
             "{warnings:?}"
         );
         assert!(
-            warnings.iter().any(|w| w.contains("label coverage")),
+            warnings
+                .iter()
+                .any(|w| w.contains("label coverage 60% (300 of 500")),
             "{warnings:?}"
         );
+        let mut unlabeled = sample_card();
+        unlabeled.assessment.label_coverage = None;
+        assert!(unlabeled
+            .warnings()
+            .iter()
+            .any(|w| w.contains("labeled records")));
     }
 
     #[test]
     fn phi_warning_when_not_anonymized() {
         let mut card = sample_card();
-        card.manifest.requires_anonymization = true;
-        card.manifest.anonymized = false;
+        card.assessment.anonymized = Some(false);
         assert!(card.warnings().iter().any(|w| w.contains("NOT anonymized")));
-        card.manifest.anonymized = true;
+        card.assessment.anonymized = Some(true);
         assert!(!card.warnings().iter().any(|w| w.contains("NOT anonymized")));
     }
 
@@ -242,12 +277,19 @@ mod tests {
 
     #[test]
     fn clean_dataset_no_warnings() {
-        let mut m = DatasetManifest::raw("clean", "demo", Modality::Tabular, 10);
-        m.label_coverage = 1.0;
-        // Manifest at level 1 is fine for card purposes.
-        let assessment = ReadinessAssessor::new().assess(&m).unwrap();
-        let q = QualityReport::compute("x", &(0..100).map(|i| (i % 10) as f64).collect::<Vec<_>>());
-        let card = DatasetCard::new(m, assessment, vec![q]);
+        let mut card = sample_card();
+        card.assessment.label_coverage = Some(Ratio {
+            count: 10,
+            total: 10,
+        });
+        card.quality = vec![QualityReport::compute(
+            "x",
+            &(0..100).map(|i| (i % 10) as f64).collect::<Vec<_>>(),
+        )];
         assert!(card.warnings().is_empty(), "{:?}", card.warnings());
+        card.quality.clear();
+        assert!(card
+            .to_markdown()
+            .contains("No stage measured a quality report."));
     }
 }

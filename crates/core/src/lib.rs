@@ -7,15 +7,16 @@
 //!   AI-ready), the five **Data Processing Stages** (ingest → shard), and
 //!   the [`readiness::MaturityMatrix`] that reproduces the paper's Table 2
 //!   including its N/A cells.
-//! * [`dataset`] — [`dataset::DatasetManifest`]: the evidence record a
-//!   dataset carries about what preparation it has undergone (modality,
-//!   schema, quality, per-stage capability flags).
-//! * [`assess`] — [`assess::ReadinessAssessor`]: derives a dataset's
-//!   readiness level per processing stage from its manifest, per the
-//!   criteria of Table 2. Readiness is *assessed from evidence*, not
+//! * [`dataset`] — [`dataset::DatasetManifest`]: what a run says about
+//!   the dataset it produced (name, domain, modality, schema, records).
+//! * [`assess`] — [`assess::assess`]: grades each Table 2
+//!   cell of a run from its manifest, its provenance ledger and its
+//!   domain's [`templates::DomainTemplate`], citing the ledger record
+//!   that satisfies each cell. Readiness is *assessed from evidence*, not
 //!   declared — the operational teeth the paper calls for.
+//! * [`templates`] — the four Table 1 rows as stage-graph templates.
 //! * [`quality`] — data-quality reporting (missing fraction, imbalance,
-//!   outliers) feeding the assessor.
+//!   outliers) for dataset cards.
 //! * [`pipeline`] — a typed stage graph with its sequential runner,
 //!   per-stage metrics, and the one writer of stage provenance: every
 //!   stage output named by a derivation id, every stage execution one
@@ -50,7 +51,7 @@ pub mod quality;
 pub mod readiness;
 pub mod templates;
 
-pub use assess::{Assessment, ReadinessAssessor};
+pub use assess::{assess, Assessment};
 pub use dataset::{DatasetManifest, Modality, VariableSpec};
 pub use executor::{CancelToken, ExecutorConfig, StreamingBatchExt};
 pub use pipeline::{FastPath, Pipeline, PipelineBuilder, PipelineRun, StageMetrics};
@@ -67,7 +68,8 @@ pub enum CoreError {
         /// Failure description.
         message: String,
     },
-    /// Manifest evidence is inconsistent.
+    /// A manifest could not be read: a key is missing, of the wrong
+    /// type, or holds an unknown name.
     InvalidManifest(String),
     /// Propagated I/O failure.
     Io(drai_io::IoError),

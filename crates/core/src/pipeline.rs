@@ -38,7 +38,9 @@ pub(crate) type DerivationId = [u8; 16];
 /// Version hashed into every derivation id and so every cache key. Bump
 /// it when a stage's output for an unchanged input and configuration, or
 /// a cache entry's layout, changes. 3: cached payloads carry the report.
-pub const DERIVATION_VERSION: u32 = 3;
+/// 4: climate's normalize and shard reports count missing values and
+/// labeled records.
+pub const DERIVATION_VERSION: u32 = 4;
 
 /// Append `bytes` behind its length (a little-endian `u64`).
 fn put_framed(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -282,12 +284,6 @@ impl<T> Pipeline<T> {
         &self.name
     }
 
-    /// The ordered processing-stage kinds (used to check a domain
-    /// pipeline covers the canonical ingest→…→shard sequence).
-    pub(crate) fn stage_kinds(&self) -> Vec<ProcessingStage> {
-        self.stages.iter().map(|s| s.kind).collect()
-    }
-
     /// The fingerprint of the configuration `stage` declares, `None`
     /// when there is no such stage.
     pub fn fingerprint(&self, stage: &str) -> Option<&[u8]> {
@@ -510,10 +506,11 @@ mod tests {
     #[test]
     fn run_executes_in_order_with_metrics() {
         let p = doubling_pipeline();
-        assert_eq!(p.stage_kinds(), vec![S::Ingest, S::Transform]);
         let run = p.run(vec![1.0, 2.0]).unwrap();
         let names: Vec<&str> = run.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["ingest", "double"]);
+        let kinds: Vec<S> = run.stages.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, vec![S::Ingest, S::Transform]);
         assert_eq!(run.output, vec![2.0, 4.0]);
         assert_eq!(run.stages.len(), 2);
         assert_eq!(run.stage("double").unwrap().throughput.records, 2);

@@ -1,6 +1,6 @@
 //! Data-quality reporting — the paper's "Data Quality, Bias, and
 //! Fairness" cross-cutting challenge, operationalized as a per-variable
-//! report that feeds both the readiness assessor and dataset cards.
+//! report that dataset cards list.
 
 use drai_io::json::Json;
 use drai_tensor::stats::{Histogram, Welford};
@@ -79,11 +79,6 @@ impl QualityReport {
         }
     }
 
-    /// A coarse pass/fail gate for the assessor's defaults.
-    pub fn acceptable(&self, max_missing: f64, max_outlier: f64) -> bool {
-        self.missing_fraction <= max_missing && self.outlier_fraction <= max_outlier
-    }
-
     /// Serialize for dataset cards / provenance.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(r.missing_fraction, 0.0);
         assert!(r.mean.abs() < 0.1);
         assert_eq!(r.outlier_fraction, 0.0);
-        assert!(r.acceptable(0.01, 0.01));
     }
 
     #[test]
@@ -129,8 +123,6 @@ mod tests {
         let r = QualityReport::compute("y", &values);
         assert!((r.missing_fraction - 0.002).abs() < 1e-12);
         assert!(r.outlier_fraction > 0.0);
-        assert!(!r.acceptable(0.001, 0.01));
-        assert!(!r.acceptable(0.01, 0.0));
     }
 
     #[test]

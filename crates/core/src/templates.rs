@@ -3,36 +3,23 @@
 //! wider adoption" (§6).
 //!
 //! A [`DomainTemplate`] is the declarative form of a Table 1 row: the
-//! expected stage sequence (with each stage's processing-stage kind), the
-//! target storage format, and the domain-specific constraints a pipeline
-//! must satisfy. Templates validate concrete pipelines (did the
-//! implementation cover the canonical steps, in order?) — turning §3.5's
-//! abstracted patterns into a checkable contract.
+//! stage graph's steps in order (each named by the operation its ledger
+//! record carries, with its processing-stage kind), the target storage
+//! format, and whether the domain must anonymize. The readiness assessor
+//! reads a run's ledger against it (`crate::assess`): a run is automated
+//! when its records' operations are the template's steps, and a stage
+//! kind the template lacks is N/A for the domain.
 
-use crate::pipeline::Pipeline;
 use crate::readiness::ProcessingStage;
 
 /// A named step in a template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemplateStep {
-    /// Canonical step name ("regrid", "anonymize", ...).
+    /// The operation the step's ledger record carries: the stage name in
+    /// the domain's stage graph ("regrid", "anonymize", ...).
     pub name: &'static str,
     /// Which processing stage it belongs to.
     pub kind: ProcessingStage,
-    /// Whether a conforming pipeline may omit it.
-    pub optional: bool,
-}
-
-/// Constraints a domain imposes beyond the stage sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DomainConstraints {
-    /// PHI/PII handling required (bio/health).
-    pub requires_anonymization: bool,
-    /// Physical conservation required in spatial resampling (climate
-    /// flux variables).
-    pub requires_conservative_remap: bool,
-    /// Group-level split integrity required (fusion shots, patients).
-    pub requires_group_splits: bool,
 }
 
 /// A domain's preprocessing template.
@@ -42,62 +29,42 @@ pub struct DomainTemplate {
     pub domain: &'static str,
     /// Canonical pattern string as written in the paper.
     pub pattern: &'static str,
-    /// Expected steps in order.
+    /// The stage graph's steps, in order.
     pub steps: Vec<TemplateStep>,
+    /// The param the Preprocess step declares the grid or clock it
+    /// aligns to under; `None` when the template has no Preprocess step.
+    pub alignment: Option<&'static str>,
     /// Target storage format for the shard stage.
     pub shard_format: &'static str,
-    /// Extra constraints.
-    pub constraints: DomainConstraints,
+    /// PHI/PII handling required (bio/health): the Transform step must
+    /// reach the k it declares.
+    pub requires_anonymization: bool,
 }
 
-/// Problems found when validating a pipeline against a template.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TemplateViolation {
-    /// A required step kind is missing.
-    MissingStage(ProcessingStage),
-    /// Stage kinds appear out of canonical order.
-    OutOfOrder {
-        /// The stage found too early.
-        found: ProcessingStage,
-        /// The stage it preceded incorrectly.
-        before: ProcessingStage,
-    },
+/// Steps from `(operation, kind)` pairs.
+fn steps(list: [(&'static str, ProcessingStage); 4]) -> Vec<TemplateStep> {
+    list.into_iter()
+        .map(|(name, kind)| TemplateStep { name, kind })
+        .collect()
 }
 
 impl DomainTemplate {
     /// The climate template (§3.1): download → regrid → normalize → shard.
+    /// The download is the run's `ingest`; `validate` checks its shape.
     pub fn climate() -> DomainTemplate {
         use ProcessingStage as S;
         DomainTemplate {
             domain: "climate",
             pattern: "download -> regrid -> normalize -> shard",
-            steps: vec![
-                TemplateStep {
-                    name: "download",
-                    kind: S::Ingest,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "regrid",
-                    kind: S::Preprocess,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "normalize",
-                    kind: S::Transform,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "shard",
-                    kind: S::Shard,
-                    optional: false,
-                },
-            ],
+            steps: steps([
+                ("validate", S::Ingest),
+                ("regrid", S::Preprocess),
+                ("normalize", S::Transform),
+                ("shard", S::Shard),
+            ]),
+            alignment: Some("dst_grid"),
             shard_format: "npz",
-            constraints: DomainConstraints {
-                requires_conservative_remap: true,
-                ..DomainConstraints::default()
-            },
+            requires_anonymization: false,
         }
     }
 
@@ -107,70 +74,35 @@ impl DomainTemplate {
         DomainTemplate {
             domain: "fusion",
             pattern: "extract -> align -> normalize -> shard",
-            steps: vec![
-                TemplateStep {
-                    name: "extract",
-                    kind: S::Ingest,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "align",
-                    kind: S::Preprocess,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "normalize",
-                    kind: S::Transform,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "shard",
-                    kind: S::Shard,
-                    optional: false,
-                },
-            ],
+            steps: steps([
+                ("extract", S::Ingest),
+                ("align", S::Preprocess),
+                ("normalize", S::Transform),
+                ("shard", S::Shard),
+            ]),
+            alignment: Some("clock_hz"),
             shard_format: "tfrecord",
-            constraints: DomainConstraints {
-                requires_group_splits: true,
-                ..DomainConstraints::default()
-            },
+            requires_anonymization: false,
         }
     }
 
-    /// The bio/health template (§3.3): encode → anonymize → fuse → shard.
+    /// The bio/health template (§3.3): encode → anonymize → fuse →
+    /// secure-shard. The intake `audit` stands where the paper's pattern
+    /// starts, and encoding is fused with the fuse step.
     pub fn bio() -> DomainTemplate {
         use ProcessingStage as S;
         DomainTemplate {
             domain: "bio",
             pattern: "encode -> anonymize -> fuse -> secure-shard",
-            steps: vec![
-                TemplateStep {
-                    name: "ingest",
-                    kind: S::Ingest,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "anonymize",
-                    kind: S::Transform,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "fuse",
-                    kind: S::Structure,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "secure-shard",
-                    kind: S::Shard,
-                    optional: false,
-                },
-            ],
+            steps: steps([
+                ("audit", S::Ingest),
+                ("anonymize", S::Transform),
+                ("encode+fuse", S::Structure),
+                ("secure-shard", S::Shard),
+            ]),
+            alignment: None,
             shard_format: "h5lite+chacha20",
-            constraints: DomainConstraints {
-                requires_anonymization: true,
-                requires_group_splits: true,
-                ..DomainConstraints::default()
-            },
+            requires_anonymization: true,
         }
     }
 
@@ -180,30 +112,15 @@ impl DomainTemplate {
         DomainTemplate {
             domain: "materials",
             pattern: "parse -> normalize -> encode -> shard",
-            steps: vec![
-                TemplateStep {
-                    name: "parse",
-                    kind: S::Ingest,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "normalize",
-                    kind: S::Transform,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "encode",
-                    kind: S::Structure,
-                    optional: false,
-                },
-                TemplateStep {
-                    name: "shard",
-                    kind: S::Shard,
-                    optional: false,
-                },
-            ],
+            steps: steps([
+                ("parse", S::Ingest),
+                ("normalize", S::Transform),
+                ("encode", S::Structure),
+                ("shard", S::Shard),
+            ]),
+            alignment: None,
             shard_format: "bp+jsonl",
-            constraints: DomainConstraints::default(),
+            requires_anonymization: false,
         }
     }
 
@@ -217,44 +134,21 @@ impl DomainTemplate {
         ]
     }
 
-    /// Required stage kinds, deduplicated, in order.
-    pub fn required_kinds(&self) -> Vec<ProcessingStage> {
-        let mut out: Vec<ProcessingStage> = Vec::new();
-        for step in self.steps.iter().filter(|s| !s.optional) {
-            if out.last() != Some(&step.kind) {
-                out.push(step.kind);
-            }
-        }
-        out
+    /// The template of `domain`, if it is one of the four.
+    pub fn named(domain: &str) -> Option<DomainTemplate> {
+        Self::all().into_iter().find(|t| t.domain == domain)
     }
 
-    /// Validate a pipeline's stage kinds against this template.
-    pub fn validate<T>(&self, pipeline: &Pipeline<T>) -> Vec<TemplateViolation> {
-        let kinds = pipeline.stage_kinds();
-        let mut violations = Vec::new();
-        // Order: kinds must be non-decreasing in pipeline index.
-        for w in kinds.windows(2) {
-            if w[0].index() > w[1].index() {
-                violations.push(TemplateViolation::OutOfOrder {
-                    found: w[1],
-                    before: w[0],
-                });
-            }
-        }
-        // Coverage: every required kind present.
-        for kind in self.required_kinds() {
-            if !kinds.contains(&kind) {
-                violations.push(TemplateViolation::MissingStage(kind));
-            }
-        }
-        violations
+    /// The step of processing-stage `kind`, `None` when the domain has
+    /// none (that Table 2 column is N/A for it).
+    pub fn step(&self, kind: ProcessingStage) -> Option<&'static str> {
+        self.steps.iter().find(|s| s.kind == kind).map(|s| s.name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
     use ProcessingStage as S;
 
     #[test]
@@ -263,57 +157,28 @@ mod tests {
         assert_eq!(all.len(), 4);
         let domains: Vec<&str> = all.iter().map(|t| t.domain).collect();
         assert_eq!(domains, vec!["climate", "fusion", "bio", "materials"]);
-        // Every template ends in a shard step, per the abstracted pattern.
         for t in &all {
+            // Every template ends in a shard step, per the abstracted
+            // pattern, and its kinds run in canonical order.
             assert_eq!(t.steps.last().unwrap().kind, S::Shard, "{}", t.domain);
             assert!(t.pattern.contains("shard"));
+            assert!(t.steps.windows(2).all(|w| w[0].kind < w[1].kind));
+            assert_eq!(DomainTemplate::named(t.domain).as_ref(), Some(t));
         }
+        assert_eq!(DomainTemplate::named("astronomy"), None);
         // Only bio requires anonymization.
-        assert!(DomainTemplate::bio().constraints.requires_anonymization);
-        assert!(!DomainTemplate::climate().constraints.requires_anonymization);
+        assert!(DomainTemplate::bio().requires_anonymization);
+        assert!(!DomainTemplate::climate().requires_anonymization);
     }
 
     #[test]
-    fn conforming_pipeline_validates() {
-        let p: Pipeline<u32> = Pipeline::builder("climate-like")
-            .stage("download", S::Ingest, |x, _| Ok(x))
-            .stage("regrid", S::Preprocess, |x, _| Ok(x))
-            .stage("normalize", S::Transform, |x, _| Ok(x))
-            .stage("shard", S::Shard, |x, _| Ok(x))
-            .build();
-        assert!(DomainTemplate::climate().validate(&p).is_empty());
-    }
-
-    #[test]
-    fn missing_stage_detected() {
-        let p: Pipeline<u32> = Pipeline::builder("no-shard")
-            .stage("download", S::Ingest, |x, _| Ok(x))
-            .stage("normalize", S::Transform, |x, _| Ok(x))
-            .build();
-        let violations = DomainTemplate::climate().validate(&p);
-        assert!(violations.contains(&TemplateViolation::MissingStage(S::Preprocess)));
-        assert!(violations.contains(&TemplateViolation::MissingStage(S::Shard)));
-    }
-
-    #[test]
-    fn out_of_order_detected() {
-        let p: Pipeline<u32> = Pipeline::builder("backwards")
-            .stage("shard", S::Shard, |x, _| Ok(x))
-            .stage("ingest", S::Ingest, |x, _| Ok(x))
-            .build();
-        let violations = DomainTemplate::fusion().validate(&p);
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, TemplateViolation::OutOfOrder { .. })));
-    }
-
-    #[test]
-    fn required_kinds_deduplicate() {
-        let t = DomainTemplate::climate();
-        let kinds = t.required_kinds();
+    fn a_kind_the_template_lacks_has_no_step() {
         assert_eq!(
-            kinds,
-            vec![S::Ingest, S::Preprocess, S::Transform, S::Shard]
+            DomainTemplate::climate().step(S::Preprocess),
+            Some("regrid")
         );
+        assert_eq!(DomainTemplate::climate().step(S::Structure), None);
+        assert_eq!(DomainTemplate::bio().step(S::Preprocess), None);
+        assert_eq!(DomainTemplate::bio().step(S::Transform), Some("anonymize"));
     }
 }

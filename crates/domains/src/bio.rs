@@ -19,6 +19,7 @@
 //!    stored bytes scan clean of identifiers.
 
 use crate::{names, DomainError, DomainRun, Member, StageItem, Witness};
+use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -175,6 +176,9 @@ pub struct BioData {
     pub patients: Vec<PatientRecord>,
     /// Number suppressed by the k-anonymity gate.
     pub suppressed: usize,
+    /// Patients with at least one lab value measured, counted by
+    /// encode+fuse before it imputes the rest.
+    pub labeled: usize,
     /// Fused tensors after encode+fuse: per patient (pseudonym, labs
     /// z-scored, one-hot tile) — what the shard stage stores as is.
     pub fused: Vec<(String, Tensor<f32>, Tensor<f32>)>,
@@ -240,6 +244,7 @@ pub(crate) fn ingest(sink: &dyn StorageSink, witness: Witness) -> Result<BioData
     Ok(BioData {
         patients,
         suppressed: 0,
+        labeled: 0,
         fused: vec![],
         intake_phi_findings,
     })
@@ -253,6 +258,7 @@ fn audit_stage(data: BioData, c: &mut StageCounters) -> Result<BioData, String> 
 
 /// Stage body: hash identifiers, generalize age/zip, shift dates, and
 /// enforce k-anonymity over (age band, zip3) by suppressing rare tuples.
+/// The rows suppressed and the smallest class left go on record.
 fn anonymize_stage(
     cfg: &BioConfig,
     mut data: BioData,
@@ -276,6 +282,7 @@ fn anonymize_stage(
         .map(|p| vec![p.age_band.clone(), p.zip3.clone()])
         .collect();
     let report = k_anonymity(&quasi, cfg.k).map_err(|e| format!("{e}"))?;
+    let mut k_reached = report.min_class_size.min(quasi.len());
     let mut suppressed = 0;
     if !report.satisfies(cfg.k) {
         suppressed = suppress_to_k(&mut quasi, cfg.k).map_err(|e| format!("{e}"))?;
@@ -283,19 +290,32 @@ fn anonymize_stage(
             p.age_band = q[0].clone();
             p.zip3 = q[1].clone();
         }
+        // The suppressed rows, all `*`, are exempt from k — unless every
+        // row was suppressed: then they are the one class left.
+        quasi.retain(|q| q[0] != "*");
+        let left = k_anonymity(&quasi, cfg.k).map_err(|e| format!("{e}"))?;
+        k_reached = left.min_class_size.min(data.patients.len());
     }
     data.suppressed = suppressed;
     c.measure("suppressed", suppressed);
+    c.measure(key::K_REACHED, k_reached);
     c.records = data.patients.len() as u64;
     Ok(data)
 }
 
 /// Stage body: impute and z-score the labs column-wise, one-hot the
-/// DNA tiles, fuse into per-patient records.
+/// DNA tiles, fuse into per-patient records. A patient is labeled when
+/// at least one of its lab values was measured, not imputed.
 fn encode_fuse_stage(mut data: BioData, c: &mut StageCounters) -> Result<BioData, String> {
     let n = data.patients.len();
+    let mut measured = vec![false; n];
     for col in 0..LAB_COLUMNS.len() {
-        let mut values: Vec<f64> = data.patients.iter().map(|p| p.labs[col]).collect();
+        let mut values: Vec<f64> = (data.patients.iter().zip(&mut measured))
+            .map(|(p, m)| {
+                *m |= !p.labs[col].is_nan();
+                p.labs[col]
+            })
+            .collect();
         impute(&mut values, Strategy::Median).map_err(|e| format!("{e}"))?;
         let norm = Normalizer::fit(Method::ZScore, &values).map_err(|e| format!("{e}"))?;
         for (p, v) in data.patients.iter_mut().zip(&values) {
@@ -312,6 +332,7 @@ fn encode_fuse_stage(mut data: BioData, c: &mut StageCounters) -> Result<BioData
         fused.push((p.pseudonym.clone(), labs, onehot));
     }
     data.fused = fused;
+    data.labeled = measured.into_iter().filter(|&m| m).count();
     c.records = n as u64;
     c.bytes = bytes;
     Ok(data)
@@ -347,6 +368,8 @@ fn secure_shard_stage(
 ) -> Result<BioData, String> {
     let key = shard_key(&cfg.secret, prefix);
     c.measure("key_id", key_id(&key));
+    c.measure(key::RECORDS, data.fused.len());
+    c.measure(key::LABELED, data.labeled);
     let columns = LAB_COLUMNS.join(",");
     let keyed = data.fused.iter().map(|entry| (&entry.0, entry));
     let parts = partition(keyed, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
@@ -403,7 +426,7 @@ fn stage_graph<I: StageItem<BioData>>(
     let cfg_anon = cfg.clone();
     let cfg_shard = cfg.clone();
     let anonymity = [
-        ("k", cfg.k.to_string()),
+        (key::K, cfg.k.to_string()),
         ("key_id", key_id(&derive_key(&cfg.secret, "anonymize"))),
     ];
     let shard_config = [("cipher", "chacha20".to_string())]
@@ -488,20 +511,15 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
         || generate_raw(cfg, sink.as_ref()),
         |(), witness| ingest(sink.as_ref(), witness),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
-        |out| {
-            let mut manifest = DatasetManifest::raw(
-                "c-her-synth",
-                "bio",
-                Modality::Sequence,
-                out.fused.len() as u64,
-            );
-            manifest.schema = vec![
+        |out| DatasetManifest {
+            name: "c-her-synth".into(),
+            domain: "bio".into(),
+            modality: Modality::Sequence,
+            schema: vec![
                 VariableSpec::new("labs", DType::F32, "1", &[LAB_COLUMNS.len()]),
                 VariableSpec::new("onehot", DType::F32, "1", &[cfg.tile_len, 4]),
-            ];
-            manifest.requires_anonymization = true;
-            manifest.anonymized = true;
-            manifest
+            ],
+            records: out.fused.len() as u64,
         },
     )
 }
@@ -509,7 +527,7 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_core::{ReadinessAssessor, ReadinessLevel};
+    use drai_core::ReadinessLevel;
     use drai_provenance::ArtifactId;
     use drai_transform::split::assign;
 
@@ -546,9 +564,14 @@ mod tests {
         let cfg = small_cfg();
         let sink = Arc::new(MemSink::new());
         let run = run(&cfg, sink.clone()).unwrap();
-        let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
-        assert_eq!(assessment.overall, ReadinessLevel::FullyAiReady);
-        assert!(run.manifest.requires_anonymization && run.manifest.anonymized);
+        let assessment = run.assess();
+        assert_eq!(
+            assessment.overall,
+            ReadinessLevel::FullyAiReady,
+            "{:#?}",
+            assessment.deficiencies
+        );
+        assert_eq!(assessment.anonymized, Some(true));
         assert!(!run.shard_files.is_empty());
 
         // Encrypted blobs must not be parseable h5lite and must not leak
@@ -766,6 +789,66 @@ mod tests {
             .fused
             .iter()
             .all(|(_, labs, _)| labs.as_slice().iter().all(|v| v.is_finite())));
+    }
+
+    /// The k on record is the smallest class the suppression left: the
+    /// suppressed rows are exempt from it, unless they are every row.
+    #[test]
+    fn suppressed_rows_are_exempt_from_the_k_reached() {
+        for (seed, k, suppressed, k_reached, anonymized) in [
+            (0, 2, "1", "2", true),
+            (1, 5, "12", "6", true),
+            // Every row suppressed: one class of 24.
+            (0, 5, "24", "24", true),
+            // 24 patients cannot be 30-anonymous.
+            (0, 30, "24", "24", false),
+        ] {
+            let cfg = BioConfig {
+                k,
+                seed,
+                ..small_cfg()
+            };
+            let run = run(&cfg, Arc::new(MemSink::new())).unwrap();
+            let records = run.ledger.transformations();
+            let anonymize = records.into_iter().find(|t| t.operation == "anonymize");
+            let params = anonymize.unwrap().params;
+            let case = format!("seed {seed}, k {k}");
+            assert_eq!(params["suppressed"], suppressed, "{case}");
+            assert_eq!(params[key::K_REACHED], k_reached, "{case}");
+            let a = run.assess();
+            assert_eq!(a.anonymized, Some(anonymized), "{case}");
+            if anonymized {
+                assert_eq!(a.overall, ReadinessLevel::FullyAiReady, "{case}");
+            } else {
+                assert_eq!(a.overall, ReadinessLevel::Cleaned, "{case}");
+                let d = a.blocking().unwrap();
+                let cell = (d.blocked_level, d.stage);
+                assert_eq!(cell, (ReadinessLevel::Labeled, S::Transform), "{case}");
+            }
+        }
+    }
+
+    /// A patient whose every lab value was imputed carries no measured
+    /// target: it is written, not labeled.
+    #[test]
+    fn patients_with_every_lab_imputed_are_unlabeled() {
+        let cfg = BioConfig {
+            missing_fraction: 0.6,
+            ..small_cfg()
+        };
+        let sink = Arc::new(MemSink::new());
+        let run = run(&cfg, sink.clone()).unwrap();
+        let raw = ingest(sink.as_ref(), &mut |_, _| {}).unwrap();
+        let imputed = (raw.patients.iter())
+            .filter(|p| p.labs.iter().all(|v| v.is_nan()))
+            .count();
+        assert!(imputed > 0);
+        let a = run.assess();
+        let labels = a.label_coverage.unwrap();
+        assert_eq!((labels.count, labels.total), (24 - imputed as u64, 24));
+        let d = a.blocking().unwrap();
+        let cell = (d.blocked_level, d.stage);
+        assert_eq!(cell, (ReadinessLevel::FeatureEngineered, S::Transform));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! harmonics proxy on the lat-lon grid plus a meridional climatology), and
 //! written as genuine NetCDF-3 files. The pipeline then:
 //!
-//! 1. **ingest** — parse NetCDF, validate schema and units;
+//! 1. **ingest** + **validate** — parse each variable's NetCDF file, then
+//!    check every variable is complete on the source grid;
 //! 2. **regrid** — bilinear (state variables) or conservative (flux
 //!    variables) remap onto the target grid;
 //! 3. **normalize** — per-variable z-score with statistics fitted across
@@ -15,6 +16,7 @@
 //!    tensors into NPY members of NPZ (STORE ZIP) shards.
 
 use crate::{DomainError, DomainRun, Member, StageItem, Witness};
+use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -346,14 +348,18 @@ fn regrid_stage(
 
 /// Stage body: per-variable z-score. Welford moments are fitted per
 /// 64 Ki-value chunk and merged in chunk order, so the fit is the same on
-/// every host; each variable's fitted mean and std go on record.
+/// every host; each variable's fitted mean and std go on record, and so
+/// do the values the fit found missing, out of all it visited.
 fn normalize_stage(mut data: ClimateData, c: &mut StageCounters) -> Result<ClimateData, String> {
-    let normalizers: Vec<Normalizer> = par_map(&data.fields, |stack| {
+    let fits: Vec<(Normalizer, u64)> = par_map(&data.fields, |stack| {
         let w = Welford::of_chunks(stack, 64 * 1024);
-        Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))
+        let n = Normalizer::from_welford(Method::ZScore, &w).map_err(|e| format!("{e}"))?;
+        Ok((n, w.nan_count()))
     })
     .into_iter()
     .collect::<Result<_, String>>()?;
+    let missing: u64 = fits.iter().map(|(_, nan)| nan).sum();
+    let normalizers: Vec<Normalizer> = fits.into_iter().map(|(n, _)| n).collect();
     par_map(data.fields.iter_mut().zip(&normalizers), |(stack, n)| {
         n.apply_slice(stack)
     });
@@ -361,6 +367,9 @@ fn normalize_stage(mut data: ClimateData, c: &mut StageCounters) -> Result<Clima
         c.measure(&format!("{name}.mean"), format!("{:.6}", n.offset));
         c.measure(&format!("{name}.std"), format!("{:.6}", n.scale));
     }
+    let values: usize = data.fields.iter().map(Vec::len).sum();
+    c.measure(key::MISSING, missing);
+    c.measure(key::VALUES, values);
     data.normalizers = normalizers;
     c.records = data.timesteps as u64;
     c.bytes = (data.fields.len() * data.timesteps * data.grid.ncells() * 8) as u64;
@@ -398,7 +407,9 @@ impl NpzLayout {
     /// Timestep `t` of `fields` as one NPZ record — `{var}.npy` members of
     /// `[lat, lon]` f32 — each value cast and written once, into the
     /// record: the bytes of `write_zip` over one `write_npy` per variable.
-    fn record(&self, fields: &[Vec<f64>], t: usize) -> Vec<u8> {
+    /// Also whether every value the cast saw was finite.
+    fn record(&self, fields: &[Vec<f64>], t: usize) -> (Vec<u8>, bool) {
+        let mut finite = true;
         let mut zip = ZipWriter::with_capacity(self.record_len);
         for (name, stack) in self.names.iter().zip(fields) {
             let field = &stack[t * self.ncells..(t + 1) * self.ncells];
@@ -407,19 +418,26 @@ impl NpzLayout {
                 let at = out.len();
                 out.resize(at + field.len() * 4, 0);
                 for (le, &x) in out[at..].chunks_exact_mut(4).zip(field) {
+                    finite &= x.is_finite();
                     le.copy_from_slice(&(x as f32).to_le_bytes());
                 }
             })
             .expect("records are far below the 4 GiB zip limit");
         }
-        zip.finish()
-            .expect("records are far below the 4 GiB zip limit")
+        let record = zip.finish();
+        (
+            record.expect("records are far below the 4 GiB zip limit"),
+            finite,
+        )
     }
 }
 
 /// Stage body: split by timestep key and pack NPZ shards — one NPZ
 /// record per timestep with `{var}.npy` members of `[lat,lon]` f32 (the
-/// ClimaX layout).
+/// ClimaX layout). A record's target is its own fields (a forecast learns
+/// one timestep from another), so it is labeled when every value it
+/// holds is finite — counted as each value is cast, not in a pass of its
+/// own.
 fn shard_stage(
     cfg: &ClimateConfig,
     sink: &dyn StorageSink,
@@ -428,11 +446,20 @@ fn shard_stage(
     c: &mut StageCounters,
 ) -> Result<ClimateData, String> {
     let layout = NpzLayout::new(&data.grid, data.fields.len());
+    let mut labeled = 0;
     let records: Vec<(String, Vec<u8>)> = par_map(0..data.timesteps, |t| {
         (format!("t{t:06}"), layout.record(&data.fields, t))
-    });
+    })
+    .into_iter()
+    .map(|(name, (record, finite))| {
+        labeled += usize::from(finite);
+        (name, record)
+    })
+    .collect();
     c.records = data.timesteps as u64;
     c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
+    c.measure(key::RECORDS, records.len());
+    c.measure(key::LABELED, labeled);
     let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
     crate::write_splits(c, parts, write)?;
@@ -553,7 +580,7 @@ pub(crate) fn ingest(
 }
 
 /// Run the complete climate archetype: generate raw NetCDF, execute the
-/// pipeline, and return the graded manifest.
+/// pipeline, and return its manifest, stage metrics and ledger.
 pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
         "climate",
@@ -563,18 +590,17 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
         |raw_names, witness| ingest(cfg, &raw_names, sink.as_ref(), witness),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |_| {
-            let mut manifest = DatasetManifest::raw(
-                "cmip-synth",
-                "climate",
-                Modality::Grid,
-                cfg.timesteps as u64,
-            );
             let shape = [cfg.dst_grid.nlat(), cfg.dst_grid.nlon()];
-            manifest.schema = VARIABLES
-                .iter()
-                .map(|(name, unit, _)| VariableSpec::new(name, DType::F32, unit, &shape))
-                .collect();
-            manifest
+            DatasetManifest {
+                name: "cmip-synth".into(),
+                domain: "climate".into(),
+                modality: Modality::Grid,
+                schema: VARIABLES
+                    .iter()
+                    .map(|(name, unit, _)| VariableSpec::new(name, DType::F32, unit, &shape))
+                    .collect(),
+                records: cfg.timesteps as u64,
+            }
         },
     )
 }
@@ -582,7 +608,7 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_core::{ReadinessAssessor, ReadinessLevel};
+    use drai_core::ReadinessLevel;
     use drai_formats::npy::read_npy;
     use drai_formats::zip::read_zip;
     use drai_io::shard::ShardReader;
@@ -625,7 +651,7 @@ mod tests {
         );
 
         // The assessor grades the output fully AI-ready.
-        let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
+        let assessment = run.assess();
         assert_eq!(assessment.overall, ReadinessLevel::FullyAiReady);
 
         // Shards exist and the provenance ledger recorded the chain:
@@ -688,6 +714,22 @@ mod tests {
         assert!(regrid_stage(&cfg.dst_grid, short, &mut counters).is_err());
     }
 
+    /// A timestep holding a NaN is written but not labeled.
+    #[test]
+    fn shard_counts_a_timestep_with_a_nan_as_unlabeled() {
+        let cfg = small_cfg();
+        let mut data = member_input(&cfg, 0);
+        data.fields[1][3 * cfg.src_grid.ncells() + 5] = f64::NAN;
+        let mut c = StageCounters::default();
+        shard_stage(&cfg, &MemSink::new(), "climate", data, &mut c).unwrap();
+        let measured = |k: &str| {
+            let found = c.report.measured.iter().find(|(m, _)| m == k);
+            found.map(|(_, v)| v.as_str())
+        };
+        assert_eq!(measured(key::RECORDS), Some("10"));
+        assert_eq!(measured(key::LABELED), Some("9"));
+    }
+
     /// The record builder against the construction it replaced — one
     /// `Vec<f32>`, `Tensor` and `write_npy` per variable, `write_zip` over
     /// the four — byte for byte, and back through the readers.
@@ -736,8 +778,10 @@ mod tests {
                         }
                     })
                     .collect();
-                let record = layout.record(&fields, t);
+                let (record, finite) = layout.record(&fields, t);
                 assert_eq!(record, write_zip(&entries).unwrap(), "{nvars} vars, t={t}");
+                let values = fields.iter().flat_map(|s| &s[t * ncells..(t + 1) * ncells]);
+                assert_eq!(finite, values.clone().all(|x| x.is_finite()), "t={t}");
                 assert_eq!(record.len(), layout.record_len);
                 assert_eq!(record.capacity(), record.len(), "sized once");
 

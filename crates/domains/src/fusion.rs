@@ -16,6 +16,7 @@
 //!    split by *shot* key so no shot straddles splits.
 
 use crate::{DomainError, DomainRun, Member, StageItem};
+use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -254,7 +255,8 @@ fn align_stage(
 /// matrices with ncols = live channels (they vary with dropout), so
 /// each shot is normalized and windowed on its own columns — one
 /// [`par_map`] item per shot, its windows concatenated in shot order.
-/// The first shot's normalizers are the ones kept.
+/// The first shot's normalizers are the ones kept. The aligned values
+/// left missing, out of all of them, go on record.
 fn normalize_stage(
     cfg: &FusionConfig,
     mut data: FusionData,
@@ -264,35 +266,41 @@ fn normalize_stage(
         let msg = "window_len, stride must be positive";
         return Err(TransformError::InvalidInput(msg.into()).to_string());
     }
+    let values: usize = data.aligned.iter().map(|(_, _, m, _)| m.len()).sum();
     // The aligned matrices are this stage's to consume: each is
     // normalized in place and dropped once its windows are cut.
     let shots = par_map(std::mem::take(&mut data.aligned), |shot| {
         normalize_shot(cfg, shot)
     });
     let mut windows = Vec::new();
+    let mut missing = 0;
     for shot in shots {
-        let (normalizers, shot_windows) = shot?;
+        let (normalizers, shot_windows, shot_missing) = shot?;
         if data.normalizers.is_empty() {
             data.normalizers = normalizers;
         }
         windows.extend(shot_windows);
+        missing += shot_missing;
     }
     c.measure("windows", windows.len());
+    c.measure(key::MISSING, missing);
+    c.measure(key::VALUES, values);
     c.records = windows.len() as u64;
     c.bytes = windows.iter().map(|w| (w.features.len() * 4) as u64).sum();
     data.windows = windows;
     Ok(data)
 }
 
-/// [`normalize_stage`] on one aligned shot: its fitted normalizers and
-/// its windows (neither for a shot with no channels).
+/// [`normalize_stage`] on one aligned shot: its fitted normalizers, its
+/// windows and its aligned values missing (none of them for a shot with
+/// no channels).
 fn normalize_shot(
     cfg: &FusionConfig,
     (shot_id, t_disrupt, mut matrix, ntime): AlignedShot,
-) -> Result<(Vec<Normalizer>, Vec<WindowSample>), String> {
+) -> Result<(Vec<Normalizer>, Vec<WindowSample>, u64), String> {
     let nch = matrix.len().checked_div(ntime).unwrap_or(0);
     if nch == 0 {
-        return Ok((Vec::new(), Vec::new()));
+        return Ok((Vec::new(), Vec::new(), 0));
     }
     // Per-shot, per-channel robust normalization.
     let in_shot = |e: TransformError| format!("shot {shot_id}: {e}");
@@ -300,13 +308,16 @@ fn normalize_shot(
     fitted.apply(&mut matrix).map_err(in_shot)?;
     // Derivative features per channel (the DIII-D "derivative-based
     // features"): a feature row is the channels, then their
-    // derivatives, converted to f32 once per tick.
+    // derivatives, converted to f32 once per tick — where the missing
+    // values (NaN passes through normalization) are counted.
     let dt = 1.0 / cfg.clock_hz;
     let nfeat = nch * 2;
     let mut rows = vec![0.0f32; ntime * nfeat];
+    let mut missing = 0u64;
     for (row, values) in rows.chunks_exact_mut(nfeat).zip(matrix.chunks_exact(nch)) {
         for (dst, &x) in row.iter_mut().zip(values) {
             *dst = x as f32;
+            missing += u64::from(x.is_nan());
         }
     }
     for ch in 0..nch {
@@ -347,11 +358,12 @@ fn normalize_shot(
             label,
         });
     }
-    Ok((fitted.columns().to_vec(), windows))
+    Ok((fitted.columns().to_vec(), windows, missing))
 }
 
 /// Stage body: windows become TFRecord-framed `tf.train.Example`s,
-/// split by *shot* key so no shot straddles splits.
+/// split by *shot* key so no shot straddles splits. A window is labeled
+/// when its disruption label is 0 or 1.
 fn shard_stage(
     cfg: &FusionConfig,
     sink: &dyn StorageSink,
@@ -374,6 +386,9 @@ fn shard_stage(
     });
     c.records = data.windows.len() as u64;
     c.bytes = records.iter().map(|(_, rec)| rec.len() as u64).sum();
+    let labeled = data.windows.iter().filter(|w| (0..=1).contains(&w.label));
+    c.measure(key::RECORDS, records.len());
+    c.measure(key::LABELED, labeled.count());
     let parts = partition(records, cfg.seed, cfg.fractions).map_err(|e| e.to_string())?;
     let write = crate::record_shards(sink, prefix, cfg.shard_bytes);
     crate::write_splits(c, parts, write)?;
@@ -476,18 +491,15 @@ pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, 
         || Ok(ShotStore::generate(cfg)),
         |store, _| Ok(ingest(store)),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
-        |out| {
-            let mut manifest = DatasetManifest::raw(
-                "diii-d-synth",
-                "fusion",
-                Modality::TimeSeries,
-                out.windows.len() as u64,
-            );
-            manifest.schema = CHANNELS
+        |out| DatasetManifest {
+            name: "diii-d-synth".into(),
+            domain: "fusion".into(),
+            modality: Modality::TimeSeries,
+            schema: CHANNELS
                 .iter()
                 .map(|(name, _, unit)| VariableSpec::new(name, DType::F32, unit, &[cfg.window_len]))
-                .collect();
-            manifest
+                .collect(),
+            records: out.windows.len() as u64,
         },
     )
 }
@@ -495,7 +507,7 @@ pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_core::{ReadinessAssessor, ReadinessLevel};
+    use drai_core::ReadinessLevel;
     use drai_io::shard::ShardReader;
     use drai_io::sink::MemSink;
 
@@ -555,7 +567,7 @@ mod tests {
             run.stages.iter().map(|s| s.kind).collect::<Vec<_>>(),
             vec![S::Ingest, S::Preprocess, S::Transform, S::Shard]
         );
-        let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
+        let assessment = run.assess();
         assert_eq!(assessment.overall, ReadinessLevel::FullyAiReady);
         assert!(!run.shard_files.is_empty());
 

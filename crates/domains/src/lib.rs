@@ -21,11 +21,9 @@
 //! ledger record and the fingerprint of its cache key. Their `run` is
 //! written once, here (`run_archetype`), and so is the tail every shard
 //! stage ends in (`write_splits`). A `run` returns a [`DomainRun`]: the
-//! output dataset manifest, per-stage metrics and the provenance ledger
-//! — so the readiness assessor can grade the result and the Table 2
-//! bench can measure each cell. The manifest's evidence flags are
-//! *asserted* in one function, `assert_evidence`, not yet measured from
-//! the run (ROADMAP item 1).
+//! output dataset manifest, per-stage metrics and the provenance ledger,
+//! which [`DomainRun::assess`] grades against the domain's template —
+//! every Table 2 cell from the records the run wrote, nothing asserted.
 //!
 //! The ledger is the pipeline's to write, not the stages':
 //! `run_archetype` writes one `ingest` record, raw blobs in and an id
@@ -58,8 +56,9 @@ mod names {
         Name::declare("domain.bio.secure_shard.store");
 }
 
+use drai_core::assess::{self, key, Assessment, INGEST};
 use drai_core::pipeline::{Pipeline, StageCounters, StageMetrics};
-use drai_core::DatasetManifest;
+use drai_core::{DatasetManifest, DomainTemplate};
 use drai_io::checksum::content_hash128;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
@@ -166,7 +165,7 @@ pub(crate) type Witness<'a> = &'a mut dyn FnMut(&str, &[u8]);
 /// `generate_raw` (the download stand-in) and `ingest` (raw blobs → the
 /// pipeline's input), each under a span of its own, then the pipeline
 /// `build` makes over the run's ledger, then the manifest `describe`
-/// derives from the output plus [`assert_evidence`]. What `ingest` shows
+/// derives from the output. What `ingest` shows
 /// its [`Witness`] is counted on its span and becomes an input of the
 /// run's one `ingest` record, whose output — the pipeline's input — is
 /// named by an id derived from those inputs' ids. The pipeline stays the
@@ -197,13 +196,12 @@ pub(crate) fn run_archetype<R, D>(
         })?;
         let ids: String = raw_blobs.iter().map(|blob| blob.id.digest()).collect();
         let id = content_hash128(ids.as_bytes());
-        ledger.record("ingest", [], raw_blobs, vec![Artifact::derived(&id)]);
+        ledger.record(INGEST, [], raw_blobs, vec![Artifact::derived(&id)]);
         (input, id)
     };
     let run = build(ledger.clone()).run_with_id(input, Some(id))?;
 
-    let mut manifest = describe(&run.output);
-    assert_evidence(&mut manifest);
+    let manifest = describe(&run.output);
     let prefix = format!("{domain}/");
     let mut shard_files = sink.list()?;
     shard_files.retain(|n| n.starts_with(&prefix) && n.ends_with(shard_ext));
@@ -214,29 +212,6 @@ pub(crate) fn run_archetype<R, D>(
         ledger,
         shard_files,
     })
-}
-
-/// The readiness evidence every archetype `run` claims: assertions
-/// about what its stage graph does, set here and nowhere else (bio adds
-/// its two anonymization flags), not measurements of the run that just
-/// finished. Deriving them from evidence (ROADMAP item 1) starts here.
-fn assert_evidence(manifest: &mut DatasetManifest) {
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // every sharded record carries its target
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
 }
 
 /// The tail every shard stage ends in. For each non-empty split, in
@@ -257,7 +232,7 @@ pub(crate) fn write_splits<T>(
 /// The seed and fractions a shard stage partitions its records by.
 pub(crate) fn split_config(seed: u64, f: Fractions) -> [(&'static str, String); 2] {
     let fractions = format!("{}/{}/{}", f.train, f.validation, f.test);
-    [("seed", seed.to_string()), ("fractions", fractions)]
+    [(key::SEED, seed.to_string()), (key::FRACTIONS, fractions)]
 }
 
 /// [`write_splits`]' `write` for the [`ShardWriter`] domains: pack a
@@ -283,7 +258,7 @@ pub(crate) fn record_shards<'a>(
 
 /// Common result of running a domain pipeline.
 pub struct DomainRun {
-    /// Evidence-bearing manifest for the produced dataset.
+    /// What the run says about the dataset it produced.
     pub manifest: DatasetManifest,
     /// Per-stage timing/volume.
     pub stages: Vec<StageMetrics>,
@@ -293,6 +268,15 @@ pub struct DomainRun {
     pub ledger: Arc<Ledger>,
     /// Names of shard blobs written (across splits).
     pub shard_files: Vec<String>,
+}
+
+impl DomainRun {
+    /// Grade the run from its own ledger against its domain's template.
+    pub fn assess(&self) -> Assessment {
+        let template = DomainTemplate::named(&self.manifest.domain)
+            .expect("every archetype's domain has a template");
+        assess::assess(&self.manifest, &self.ledger, &template)
+    }
 }
 
 /// Errors from domain pipelines.

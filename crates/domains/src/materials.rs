@@ -17,6 +17,7 @@
 //!    carries per-sample metadata, split by structure key.
 
 use crate::{DomainError, DomainRun, Member, StageItem, Witness};
+use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
@@ -365,6 +366,7 @@ fn encode_stage(
 }
 
 /// Stage body: BP writer per split + a JSONL sidecar of sample metadata.
+/// A graph is labeled when its energy target is finite.
 fn shard_stage(
     cfg: &MaterialsConfig,
     sink: &dyn StorageSink,
@@ -372,6 +374,9 @@ fn shard_stage(
     data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
+    let labeled = (data.graphs.iter()).filter(|g| g.energy_per_atom.is_finite());
+    c.measure(key::RECORDS, data.graphs.len());
+    c.measure(key::LABELED, labeled.count());
     let keyed = data
         .graphs
         .iter()
@@ -510,18 +515,15 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
         || generate_raw(cfg, sink.as_ref()),
         |(), witness| ingest(sink.as_ref(), witness),
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
-        |out| {
-            let mut manifest = DatasetManifest::raw(
-                "omat-synth",
-                "materials",
-                Modality::Graph,
-                out.graphs.len() as u64,
-            );
-            manifest.schema = vec![
+        |out| DatasetManifest {
+            name: "omat-synth".into(),
+            domain: "materials".into(),
+            modality: Modality::Graph,
+            schema: vec![
                 VariableSpec::new("node_features", DType::F32, "1", &[SPECIES.len()]),
                 VariableSpec::new("energy_per_atom", DType::F64, "eV", &[]),
-            ];
-            manifest
+            ],
+            records: out.graphs.len() as u64,
         },
     )
 }
@@ -529,7 +531,7 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drai_core::{ReadinessAssessor, ReadinessLevel};
+    use drai_core::ReadinessLevel;
     use drai_formats::bp::BpReader;
     use drai_io::sink::MemSink;
 
@@ -621,7 +623,7 @@ mod tests {
             run.stages.iter().map(|s| s.kind).collect::<Vec<_>>(),
             vec![S::Ingest, S::Transform, S::Structure, S::Shard]
         );
-        let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
+        let assessment = run.assess();
         assert_eq!(assessment.overall, ReadinessLevel::FullyAiReady);
 
         // Read back the train BP file.

@@ -21,11 +21,13 @@
 //! skeleton (ISSUE 17), identically on two CPUs and under
 //! `taskset -c 0`.
 //!
-//! The cache keys of member 3 moved twice, with the shard digests
+//! The cache keys of member 3 moved three times, with the shard digests
 //! unmoved: at version 2, when keys began to chain through derivation
-//! ids, and at version 3, when cached payloads began to carry the
-//! stage's report (the version word alone moved: the version-2 key
-//! formula with its version set to 3 gives the pins below).
+//! ids, at version 3, when cached payloads began to carry the stage's
+//! report, and at version 4, when climate's normalize and shard reports
+//! gained their missing-value and label counts (at 3 and 4 the version
+//! word alone moved: the version-2 key formula with its version set to 4
+//! gives the pins below).
 //! `CACHE_VERSION_HISTORY` ties the version (`DERIVATION_VERSION`, which
 //! every derivation id and cache key hashes) to what the cached stages
 //! write, so a stage change that moves the bytes without a version bump
@@ -247,16 +249,17 @@ fn cached_member_3() -> (Vec<String>, String) {
 /// Under version 1 the regrid pin was `8c491f6b09d04558cf6001f60fe710fa`;
 /// under version 2 (keys chained through derivation ids, the normalize
 /// and shard pins added) the three were `9105c032…`, `47c3912d…` and
-/// `7e32b7f4…`; they were re-recorded for version 3.
+/// `7e32b7f4…`; under version 3 `c074ee61…`, `a1f21efa…` and
+/// `61513843…`; they were re-recorded for version 4.
 #[test]
 fn cached_keys_for_member_3_match_golden() {
     let (entries, _) = cached_member_3();
     assert_eq!(
         entries,
         [
-            "cache/normalize/c074ee618f7c6cd157f351cccbb3ea87.entry",
-            "cache/regrid/a1f21efa6e46a4af5db9515bca248267.entry",
-            "cache/shard/615138430a261b26b9007c84b0153410.entry",
+            "cache/normalize/c38cb37e858db8a24c9152f95acab3bb.entry",
+            "cache/regrid/912b223f4c7a513fcf3096a046bb3898.entry",
+            "cache/shard/eb30ba23c9bf0827c07aa3ced601e531.entry",
         ]
     );
 }
@@ -267,12 +270,13 @@ fn cached_keys_for_member_3_match_golden() {
 /// the version — every entry an earlier build stored under the old keys
 /// would otherwise be served as the new output, and every id derived
 /// from it would name the wrong bytes — and the row it appends records
-/// the new digest. Version 2 changed the key scheme and version 3 the
-/// cached payloads only, so their shards are version 1's.
+/// the new digest. Version 2 changed the key scheme and versions 3 and 4
+/// the cached payloads only, so their shards are version 1's.
 const CACHE_VERSION_HISTORY: &[(u32, &str)] = &[
     (1, "0feae67fafc5ceeea25704f8762bf93f"),
     (2, "0feae67fafc5ceeea25704f8762bf93f"),
     (3, "0feae67fafc5ceeea25704f8762bf93f"),
+    (4, "0feae67fafc5ceeea25704f8762bf93f"),
 ];
 
 #[test]

@@ -273,6 +273,11 @@ impl Ledger {
         self.len() == 0
     }
 
+    /// Every recorded transformation, in `seq` order.
+    pub fn transformations(&self) -> Vec<Transformation> {
+        self.inner.lock().transformations.clone()
+    }
+
     /// The transformation that produced an artifact, if recorded.
     pub fn producer(&self, id: &ArtifactId) -> Option<Transformation> {
         let inner = self.inner.lock();

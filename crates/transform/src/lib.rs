@@ -20,7 +20,6 @@
 //! * [`anonymize`] — PHI/PII transforms: salted hashing, suppression,
 //!   generalization, date shifting, and a k-anonymity checker.
 //! * [`split`] — deterministic hash-based train/val/test partitioning.
-//! * [`units`] — unit registry and conversions ("ensure consistent units").
 
 // Damaged input is data, not a bug: library code returns an error and has
 // no panic path (`cargo clippy`, DESIGN §6). Tests may panic.
@@ -45,7 +44,6 @@ pub mod label;
 pub mod normalize;
 pub mod regrid;
 pub mod split;
-pub mod units;
 
 /// Errors from preprocessing kernels.
 #[derive(Debug, Clone, PartialEq)]

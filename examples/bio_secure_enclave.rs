@@ -6,7 +6,6 @@
 //! cargo run --release --example bio_secure_enclave
 //! ```
 
-use drai::core::ReadinessAssessor;
 use drai::domains::bio::{self, BioConfig};
 use drai::formats::h5lite::H5File;
 use drai::io::sink::{MemSink, StorageSink};
@@ -45,12 +44,10 @@ fn main() {
             s.throughput.records
         );
     }
-    let assessment = ReadinessAssessor::new()
-        .assess(&run.manifest)
-        .expect("valid manifest");
+    let assessment = run.assess();
     println!(
-        "\nreadiness: {} (anonymization verified)",
-        assessment.overall
+        "\nreadiness: {} (k-anonymity reached: {:?})",
+        assessment.overall, assessment.anonymized
     );
 
     // The at-rest blobs are ciphertext.

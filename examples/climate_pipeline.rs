@@ -5,7 +5,6 @@
 //! cargo run --release --example climate_pipeline
 //! ```
 
-use drai::core::ReadinessAssessor;
 use drai::domains::climate::{self, ClimateConfig};
 use drai::formats::npy::read_npy;
 use drai::formats::zip::read_zip;
@@ -47,9 +46,7 @@ fn main() {
         );
     }
 
-    let assessment = ReadinessAssessor::new()
-        .assess(&run.manifest)
-        .expect("valid manifest");
+    let assessment = run.assess();
     println!("\nreadiness: {}", assessment.overall);
     println!("provenance events: {}", run.ledger.len());
     println!("shard files: {}", run.shard_files.len());

@@ -6,7 +6,6 @@
 //! cargo run --release --example fusion_disruption
 //! ```
 
-use drai::core::ReadinessAssessor;
 use drai::domains::fusion::{self, FusionConfig, ShotStore};
 use drai::formats::example::Example;
 use drai::formats::tfrecord;
@@ -62,9 +61,7 @@ fn main() {
             s.throughput.mib_per_sec()
         );
     }
-    let assessment = ReadinessAssessor::new()
-        .assess(&run.manifest)
-        .expect("valid manifest");
+    let assessment = run.assess();
     println!("\nreadiness: {}", assessment.overall);
 
     // Label balance across the training shards.

@@ -6,7 +6,6 @@
 //! cargo run --release --example materials_graphs
 //! ```
 
-use drai::core::ReadinessAssessor;
 use drai::domains::materials::{self, MaterialsConfig};
 use drai::formats::bp::BpReader;
 use drai::io::sink::{MemSink, StorageSink};
@@ -33,9 +32,7 @@ fn main() {
             s.throughput.mib_per_sec()
         );
     }
-    let assessment = ReadinessAssessor::new()
-        .assess(&run.manifest)
-        .expect("valid manifest");
+    let assessment = run.assess();
     println!("\nreadiness: {}", assessment.overall);
 
     // The BP read path: cheap footer scan first, then selective fetch.

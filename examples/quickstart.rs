@@ -1,107 +1,160 @@
-//! Quickstart: take a raw synthetic dataset from readiness level 1 to
-//! level 5 and watch the assessor grade each step.
+//! Quickstart: grow a small pipeline one stage at a time and watch the
+//! assessor grade each version from the ledger its run writes — from raw
+//! data ingested and nothing else up to fully AI-ready.
 //!
 //! ```sh
 //! cargo run --example quickstart
 //! ```
 
+use drai::core::assess::{key, INGEST};
 use drai::core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai::core::pipeline::{Pipeline, StageCounters};
-use drai::core::readiness::ProcessingStage;
-use drai::core::{ReadinessAssessor, ReadinessLevel};
+use drai::core::readiness::ProcessingStage as S;
+use drai::core::templates::TemplateStep;
+use drai::core::{assess, DomainTemplate, ReadinessLevel};
+use drai::io::checksum::content_hash128;
 use drai::io::shard::{ShardSpec, ShardWriter};
-use drai::io::sink::MemSink;
+use drai::io::sink::{MemSink, StorageSink};
+use drai::provenance::{Artifact, Ledger};
+use drai::tensor::DType;
+use std::sync::Arc;
+
+/// Values per record; a record's last value is its target.
+const RECORD: usize = 16;
+
+/// The demo's steps, in the order the pipeline grows them.
+const STEPS: [(&str, S); 5] = [
+    ("validate", S::Ingest),
+    ("clean", S::Preprocess),
+    ("normalize", S::Transform),
+    ("features", S::Structure),
+    ("shard", S::Shard),
+];
 
 fn main() {
-    println!("drai quickstart: raw -> fully AI-ready\n");
-    let assessor = ReadinessAssessor::new();
-
-    // A raw dataset: 1,000 records, nothing prepared.
-    let mut manifest = DatasetManifest::raw("quickstart", "demo", Modality::Tabular, 1_000);
-    report(&assessor, &manifest);
-
-    // Level 2: validated ingestion into a standard format + initial alignment.
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.aligned_initial = true;
-    report(&assessor, &manifest);
-
-    // Level 3: metadata, standardized alignment, normalization, basic labels.
-    manifest.metadata_enriched = true;
-    manifest.schema.push(VariableSpec {
-        name: "x".into(),
-        dtype: drai::tensor::DType::F64,
-        unit: "1".into(),
-        shape: vec![16],
-    });
-    manifest.aligned_standardized = true;
-    manifest.normalized_initial = true;
-    manifest.label_coverage = 0.4;
-    report(&assessor, &manifest);
-
-    // Level 4: optimized ingest, finalized stats, full labels, features.
-    manifest.high_throughput_ingest = true;
-    manifest.normalized_final = true;
-    manifest.label_coverage = 1.0;
-    manifest.features_extracted = true;
-    report(&assessor, &manifest);
-
-    // Level 5: automate everything and actually shard the data.
-    let sink = MemSink::new();
-    let records: Vec<Vec<u8>> = (0..1_000u32).map(|i| i.to_le_bytes().repeat(32)).collect();
-    let shard_manifest = ShardWriter::new(ShardSpec::new("train", 16 * 1024), &sink)
-        .write_all(&records)
-        .expect("sharding in-memory records");
-    println!(
-        "  sharded {} records into {} shards ({} payload bytes)",
-        shard_manifest.total_records,
-        shard_manifest.shards.len(),
-        shard_manifest.payload_bytes,
-    );
-    manifest.ingest_automated = true;
-    manifest.alignment_automated = true;
-    manifest.transform_audited = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-    report(&assessor, &manifest);
-
-    // Pipelines carry per-stage metrics too.
-    let pipeline: Pipeline<Vec<f64>> = Pipeline::builder("demo")
-        .stage(
-            "clean",
-            ProcessingStage::Preprocess,
-            |v: Vec<f64>, c: &mut StageCounters| {
-                c.records = v.len() as u64;
-                Ok(v.into_iter().filter(|x| x.is_finite()).collect())
-            },
-        )
-        .stage("normalize", ProcessingStage::Transform, |v: Vec<f64>, c| {
-            c.records = v.len() as u64;
-            let mean = v.iter().sum::<f64>() / v.len().max(1) as f64;
-            Ok(v.into_iter().map(|x| x - mean).collect())
+    println!("drai quickstart: raw -> fully AI-ready, graded from the ledger\n");
+    // 1,000 records of 16 values, every 50th value missing.
+    let raw: Vec<f64> = (0..1_000 * RECORD)
+        .map(|i| match i % 50 {
+            7 => f64::NAN,
+            _ => (i as f64 * 0.01).sin() * 3.0 + 1.0,
         })
-        .build();
-    let run = pipeline
-        .run((0..10_000).map(|i| i as f64).collect())
-        .expect("demo pipeline");
-    println!("\npipeline '{}' stage timings:", pipeline.name());
-    for s in &run.stages {
-        println!(
-            "  {:<10} [{}] {} records in {:?}",
-            s.name, s.kind, s.throughput.records, s.throughput.elapsed
-        );
+        .collect();
+    let manifest = DatasetManifest {
+        name: "quickstart".into(),
+        domain: "demo".into(),
+        modality: Modality::Tabular,
+        schema: vec![VariableSpec::new("x", DType::F64, "1", &[RECORD])],
+        records: 1_000,
+    };
+    let template = DomainTemplate {
+        domain: "demo",
+        pattern: "validate -> clean -> normalize -> features -> shard",
+        steps: (STEPS.iter())
+            .map(|&(name, kind)| TemplateStep { name, kind })
+            .collect(),
+        alignment: Some("record_len"),
+        shard_format: "shard",
+        requires_anonymization: false,
+    };
+
+    for stages in 0..=STEPS.len() {
+        let sink = Arc::new(MemSink::new());
+        let ledger = Arc::new(Ledger::new());
+        // What a domain run does before its stages: put the raw blob on
+        // record and name the pipeline's input by it.
+        let bytes: Vec<u8> = raw.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let blob = Artifact::new("raw/demo.f64", &bytes);
+        let id = content_hash128(blob.id.digest().as_bytes());
+        ledger.record(INGEST, [], vec![blob], vec![Artifact::derived(&id)]);
+        let run = pipeline(stages, sink.clone(), ledger.clone())
+            .run_with_id(raw.clone(), Some(id))
+            .expect("demo pipeline");
+
+        let a = assess(&manifest, &ledger, &template);
+        let names: Vec<&str> = run.stages.iter().map(|s| s.name.as_str()).collect();
+        println!("stages {names:?}");
+        print!("  readiness: {}", a.overall);
+        if a.overall == ReadinessLevel::FullyAiReady {
+            let shards = sink.list().expect("list").len();
+            println!("  — ready to train ({shards} blobs under demo/).");
+            for e in &a.evidence {
+                let cites: Vec<String> = e.cites.iter().map(|c| c.to_string()).collect();
+                let cell = format!("L{} {}", e.level.number(), e.stage.label());
+                println!("    {cell:<14} cites {}", cites.join(", "));
+            }
+        } else if let Some(d) = a.blocking() {
+            let cell = format!("L{} {}", d.blocked_level.number(), d.stage.label());
+            println!("  (next blocked at {cell}: {})", d.reason);
+        }
     }
 }
 
-fn report(assessor: &ReadinessAssessor, manifest: &DatasetManifest) {
-    let a = assessor.assess(manifest).expect("valid manifest");
-    print!("readiness: {}", a.overall);
-    if a.overall == ReadinessLevel::FullyAiReady {
-        println!("  — ready to train.");
-    } else if let Some(d) = a.blocking() {
-        println!("  (next blocked by {}: {})", d.stage, d.reason);
-    } else {
-        println!();
+/// The first `stages` of [`STEPS`], recording into `ledger`.
+fn pipeline(stages: usize, sink: Arc<MemSink>, ledger: Arc<Ledger>) -> Pipeline<Vec<f64>> {
+    let mut p = Pipeline::builder("demo").ledger(ledger);
+    for &(name, kind) in &STEPS[..stages] {
+        p = match name {
+            "validate" => p.stage(name, kind, |v: Vec<f64>, c: &mut StageCounters| {
+                c.records = (v.len() / RECORD) as u64;
+                match v.len() % RECORD {
+                    0 => Ok(v),
+                    n => Err(format!("{n} values past the last whole record")),
+                }
+            }),
+            // Missing values become the mean of the values present; the
+            // values stay aligned to records of `RECORD`.
+            "clean" => {
+                let config = [("fill", "mean".into()), ("record_len", RECORD.to_string())];
+                p.configured_stage(name, kind, config, |mut v, _| {
+                    let present: Vec<f64> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+                    let mean = present.iter().sum::<f64>() / present.len().max(1) as f64;
+                    v.iter_mut().filter(|x| x.is_nan()).for_each(|x| *x = mean);
+                    Ok(v)
+                })
+            }
+            // The fit visits every value, so it counts what is missing.
+            "normalize" => {
+                p.configured_stage(name, kind, [("method", "zscore".into())], |mut v, c| {
+                    let missing = v.iter().filter(|x| x.is_nan()).count();
+                    let n = v.len().max(1) as f64;
+                    let mean = v.iter().sum::<f64>() / n;
+                    let std = (v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+                    v.iter_mut()
+                        .for_each(|x| *x = (*x - mean) / std.max(f64::EPSILON));
+                    c.measure(key::MISSING, missing);
+                    c.measure(key::VALUES, v.len());
+                    Ok(v)
+                })
+            }
+            // Each record's first value becomes its mean.
+            "features" => p.stage(name, kind, |mut v, _| {
+                for record in v.chunks_exact_mut(RECORD) {
+                    record[0] = record.iter().sum::<f64>() / RECORD as f64;
+                }
+                Ok(v)
+            }),
+            _ => {
+                let split = [(key::SEED, "7".into()), (key::FRACTIONS, "1/0/0".into())];
+                let sink = sink.clone();
+                p.configured_stage(name, kind, split, move |v, c| {
+                    let records: Vec<Vec<u8>> = (v.chunks_exact(RECORD))
+                        .map(|r| r.iter().flat_map(|x| x.to_le_bytes()).collect())
+                        .collect();
+                    let labeled = v.chunks_exact(RECORD).filter(|r| r[RECORD - 1].is_finite());
+                    c.measure(key::RECORDS, records.len());
+                    c.measure(key::LABELED, labeled.count());
+                    let written = ShardWriter::new(ShardSpec::new("demo/train", 16 * 1024), &*sink)
+                        .write_all(&records)
+                        .map_err(|e| e.to_string())?;
+                    for shard in &written.shards {
+                        let content = sink.read_file(&shard.name).map_err(|e| e.to_string())?;
+                        c.wrote(&shard.name, &content);
+                    }
+                    Ok(v)
+                })
+            }
+        };
     }
+    p.build()
 }

@@ -7,9 +7,10 @@
 //! ```
 
 use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
-use drai::core::ReadinessAssessor;
+use drai::core::{assess, DomainTemplate};
 use drai::domains::{bio, climate, fusion, materials};
 use drai::io::sink::MemSink;
+use drai::provenance::Ledger;
 use std::sync::Arc;
 
 fn main() {
@@ -38,9 +39,8 @@ fn main() {
         MaturityMatrix::applicable_cell_count()
     );
 
-    // --- Grade all four archetype outputs. ---
+    // --- Grade all four archetype outputs from their ledgers. ---
     println!("\nassessing domain archetype outputs:\n");
-    let assessor = ReadinessAssessor::new();
 
     let sink = Arc::new(MemSink::new());
     let climate_run = climate::run(
@@ -85,7 +85,7 @@ fn main() {
     .expect("materials");
 
     for run in [&climate_run, &fusion_run, &bio_run, &materials_run] {
-        let a = assessor.assess(&run.manifest).expect("valid manifest");
+        let a = run.assess();
         println!(
             "  {:<12} ({:<12}) -> {}",
             run.manifest.name, run.manifest.domain, a.overall
@@ -102,11 +102,14 @@ fn main() {
     }
 
     // --- Show what a deficiency report looks like. ---
-    println!("\nexample deficiency report (climate manifest with sharding removed):");
-    let mut crippled = climate_run.manifest.clone();
-    crippled.sharded = false;
-    crippled.split_assigned = false;
-    let a = assessor.assess(&crippled).expect("valid manifest");
+    println!("\nexample deficiency report (climate ledger without its shard record):");
+    let crippled = Ledger::new();
+    for t in climate_run.ledger.transformations() {
+        if t.operation != "shard" {
+            crippled.record(&t.operation, t.params, t.inputs, t.outputs);
+        }
+    }
+    let a = assess(&climate_run.manifest, &crippled, &DomainTemplate::climate());
     println!("  overall drops to: {}", a.overall);
     for d in &a.deficiencies {
         println!(

@@ -3,16 +3,17 @@
 //! ```text
 //! drai run <climate|fusion|bio|materials> [--out DIR] [--seed N] [--scale N]
 //! drai matrix                      # print the Table 2 maturity matrix
-//! drai assess <manifest.json>      # grade a dataset manifest file
+//! drai assess <run dir>            # grade a run from its manifest + ledger
 //! drai card <domain> [--out DIR]   # run a pipeline and emit its dataset card
 //! ```
 
+use drai::core::assess::Assessment;
 use drai::core::card::DatasetCard;
-use drai::core::quality::QualityReport;
-use drai::core::readiness::{MaturityMatrix, ProcessingStage};
-use drai::core::{DatasetManifest, ReadinessAssessor};
+use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
+use drai::core::{assess, DatasetManifest, DomainTemplate};
 use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
 use drai::io::sink::{LocalFs, StorageSink};
+use drai::provenance::Ledger;
 use drai::tensor::LatLonGrid;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -31,7 +32,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage:\n  drai run <climate|fusion|bio|materials> [--out DIR] [--seed N] [--scale N]\n  \
-                 drai card <domain> [--out DIR]\n  drai matrix\n  drai assess <manifest.json>"
+                 drai card <domain> [--out DIR]\n  drai matrix\n  drai assess <run dir>"
             );
             ExitCode::FAILURE
         }
@@ -154,13 +155,7 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
             s.throughput.elapsed.as_secs_f64() * 1e3
         );
     }
-    let assessment = match ReadinessAssessor::new().assess(&run.manifest) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("assessment failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let assessment = run.assess();
     println!("readiness: {}", assessment.overall);
     println!(
         "shards: {} files, provenance: {} events",
@@ -175,7 +170,8 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
         ("provenance.jsonl", run.ledger.to_jsonl()),
     ];
     if emit_card {
-        let card = DatasetCard::new(run.manifest.clone(), assessment, demo_quality(&run));
+        // No stage measures a per-variable quality report yet.
+        let card = DatasetCard::new(run.manifest.clone(), assessment, Vec::new());
         records.push(("DATASET_CARD.md", card.to_markdown()));
         records.push(("dataset_card.json", card.to_json().to_string_compact()));
     }
@@ -194,22 +190,6 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
     status
 }
 
-/// Cheap post-hoc quality snapshot for the card: label coverage and
-/// missing fraction come from the manifest; per-variable stats use the
-/// schema names over a sampled probe (the card records the probe size).
-fn demo_quality(run: &DomainRun) -> Vec<QualityReport> {
-    run.manifest
-        .schema
-        .iter()
-        .map(|v| {
-            // The shards are binary; rather than re-decode every format in
-            // the CLI we record the variable as "not re-profiled" with an
-            // empty probe. The domain examples show full profiling.
-            QualityReport::compute(&v.name, &[])
-        })
-        .collect()
-}
-
 fn cmd_matrix() {
     println!("Data Readiness maturity matrix (paper Table 2):\n");
     for (level, cells) in MaturityMatrix::rows() {
@@ -224,43 +204,66 @@ fn cmd_matrix() {
     }
 }
 
+/// Grade the run in `dir` from its `manifest.json` and
+/// `provenance.jsonl`, and print each Table 2 cell with the ledger
+/// records it cites, or why it is blocked.
 fn cmd_assess(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("missing manifest path");
+    let Some(dir) = args.first() else {
+        eprintln!("missing run directory");
         return ExitCode::FAILURE;
     };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        eprintln!("cannot read {path}");
-        return ExitCode::FAILURE;
+    let read = |name: &str| {
+        let path = format!("{dir}/{name}");
+        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))
     };
-    let Ok(json) = drai::io::json::Json::parse(&text) else {
-        eprintln!("{path} is not valid JSON");
-        return ExitCode::FAILURE;
-    };
-    let manifest = match DatasetManifest::from_json(&json) {
-        Ok(manifest) => manifest,
-        Err(e) => {
-            eprintln!("{path} is not a drai manifest: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match ReadinessAssessor::new().assess(&manifest) {
-        Ok(a) => {
-            println!("{}: {}", manifest.name, a.overall);
-            for (stage, level) in &a.per_stage {
-                println!("  {:<11} {}", stage.label(), level);
-            }
-            for d in &a.deficiencies {
-                println!(
-                    "  blocked at {} / {}: {}",
-                    d.blocked_level, d.stage, d.reason
-                );
-            }
+    let graded = read("manifest.json").and_then(|text| {
+        let json = drai::io::json::Json::parse(&text)
+            .map_err(|e| format!("{dir}/manifest.json is not valid JSON: {e}"))?;
+        let manifest = DatasetManifest::from_json(&json)
+            .map_err(|e| format!("{dir}/manifest.json is not a drai manifest: {e}"))?;
+        let ledger = Ledger::from_jsonl(&read("provenance.jsonl")?)
+            .map_err(|e| format!("{dir}/provenance.jsonl: {e}"))?;
+        let template = DomainTemplate::named(&manifest.domain)
+            .ok_or_else(|| format!("no template for domain {:?}", manifest.domain))?;
+        let assessment = assess(&manifest, &ledger, &template);
+        Ok((manifest, template, assessment))
+    });
+    match graded {
+        Ok((manifest, template, assessment)) => {
+            print_assessment(&manifest, &template, &assessment);
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("assessment failed: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// The grade, then one line per Table 2 cell: the records it cites, why
+/// it is blocked, or why it is N/A for the domain.
+fn print_assessment(manifest: &DatasetManifest, template: &DomainTemplate, a: &Assessment) {
+    println!("{} ({}): {}", manifest.name, manifest.domain, a.overall);
+    for level in ReadinessLevel::ALL {
+        for stage in ProcessingStage::ALL {
+            if !MaturityMatrix::applicable(level, stage) {
+                continue;
+            }
+            let cell = format!("L{} {:<10}", level.number(), stage.label());
+            let cited = a
+                .evidence
+                .iter()
+                .find(|e| (e.level, e.stage) == (level, stage));
+            let blocked =
+                (a.deficiencies.iter()).find(|d| (d.blocked_level, d.stage) == (level, stage));
+            if let Some(e) = cited {
+                let cites: Vec<String> = e.cites.iter().map(|c| c.to_string()).collect();
+                println!("  {cell} cites {}", cites.join(", "));
+            } else if let Some(d) = blocked {
+                println!("  {cell} BLOCKED: {}", d.reason);
+            } else {
+                println!("  {cell} n/a: {} has no {stage} step", template.domain);
+            }
         }
     }
 }

@@ -13,15 +13,17 @@
 //! inventory and experiment index.
 //!
 //! ```
-//! use drai::core::{ReadinessAssessor, ReadinessLevel};
+//! use drai::core::{assess, DomainTemplate, ReadinessLevel};
 //! use drai::domains::materials::{self, MaterialsConfig};
 //! use drai::io::sink::MemSink;
 //! use std::sync::Arc;
 //!
 //! let cfg = MaterialsConfig { structures: 4, cell_atoms: 2, ..MaterialsConfig::default() };
 //! let run = materials::run(&cfg, Arc::new(MemSink::new())).unwrap();
-//! let grade = ReadinessAssessor::new().assess(&run.manifest).unwrap();
+//! // Graded from the records the run wrote, against the domain's template.
+//! let grade = assess(&run.manifest, &run.ledger, &DomainTemplate::materials());
 //! assert_eq!(grade.overall, ReadinessLevel::FullyAiReady);
+//! assert_eq!(grade, run.assess());
 //! ```
 
 pub use drai_cache as cache;

@@ -1,6 +1,7 @@
 //! The built `drai` binary, driven as a user would: a full archetype
-//! run graded back from its own manifest, and usage errors that must
-//! exit non-zero without leaving an output directory behind.
+//! run graded back from its run directory (manifest + ledger), a ledger
+//! that lost a record graded down, and usage errors that must exit
+//! non-zero without leaving an output directory behind.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -22,6 +23,19 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The lines `drai assess <dir>` prints: the grade, then one per Table 2
+/// cell.
+fn assess(cwd: &Path, dir: &str) -> Vec<String> {
+    let out = drai(cwd, &["assess", dir]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout.lines().map(str::to_string).collect()
+}
+
 #[test]
 fn run_climate_then_assess_its_manifest() {
     let cwd = scratch("run");
@@ -35,30 +49,67 @@ fn run_climate_then_assess_its_manifest() {
     assert!(out.join("manifest.json").is_file());
     assert!(out.join("provenance.jsonl").is_file());
 
-    let assess = drai(&cwd, &["assess", "out/manifest.json"]);
-    assert!(assess.status.success());
-    let stdout = String::from_utf8(assess.stdout).unwrap();
-    let stage_rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with("  ")).collect();
-    assert_eq!(stage_rows.len(), 5, "{stdout}");
-    for row in stage_rows {
-        assert!(row.ends_with("5 - Fully AI-ready"), "{row}");
+    let lines = assess(&cwd, "out");
+    assert_eq!(lines[0], "cmip-synth (climate): 5 - Fully AI-ready");
+    // 15 Table 2 cells: the 13 of climate's four columns each cite the
+    // record that satisfies it; Structure is N/A.
+    let cells = &lines[1..];
+    assert_eq!(cells.len(), 15, "{lines:#?}");
+    assert_eq!(cells.iter().filter(|l| l.contains(" cites #")).count(), 13);
+    assert_eq!(cells.iter().filter(|l| l.contains(" n/a: ")).count(), 2);
+    for cited in [
+        "L1 Ingest     cites #0 ingest",
+        "L2 Preprocess cites #2 regrid",
+        "L4 Preprocess cites #3 normalize",
+        "L4 Transform  cites #3 normalize, #4 shard",
+        "L5 Shard      cites #4 shard",
+    ] {
+        assert!(
+            cells.iter().any(|l| l.trim() == cited),
+            "{cited}: {lines:#?}"
+        );
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 
 #[test]
-fn assess_refuses_a_manifest_missing_an_evidence_key() {
+fn assess_names_shard_when_the_ledger_lost_its_shard_line() {
+    let cwd = scratch("cut-ledger");
+    let run = drai(&cwd, &["run", "materials", "--out", "out"]);
+    assert!(run.status.success());
+    let path = cwd.join("out/provenance.jsonl");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let kept: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.contains("\"operation\":\"shard\""))
+        .collect();
+    assert_eq!(kept.len() + 1, text.lines().count(), "one shard line");
+    std::fs::write(&path, kept.join("\n")).unwrap();
+    let lines = assess(&cwd, "out");
+    assert!(!lines[0].ends_with("5 - Fully AI-ready"), "{lines:#?}");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.trim() == "L5 Shard      BLOCKED: no `shard` record"),
+        "{lines:#?}"
+    );
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+#[test]
+fn assess_refuses_a_manifest_missing_records() {
     let cwd = scratch("missing-key");
     let run = drai(&cwd, &["run", "materials", "--out", "out"]);
     assert!(run.status.success());
-    let text = std::fs::read_to_string(cwd.join("out/manifest.json")).unwrap();
-    let cut = text.replace("\"sharded\":true,", "");
-    assert_ne!(cut, text, "the manifest records `sharded`");
-    std::fs::write(cwd.join("cut.json"), cut).unwrap();
-    let assess = drai(&cwd, &["assess", "cut.json"]);
+    let path = cwd.join("out/manifest.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let cut = text.replace("\"records\":32,", "");
+    assert_ne!(cut, text, "the manifest records `records`");
+    std::fs::write(&path, cut).unwrap();
+    let assess = drai(&cwd, &["assess", "out"]);
     let stderr = String::from_utf8_lossy(&assess.stderr);
     assert!(!assess.status.success(), "exited 0: {stderr}");
-    assert!(stderr.contains("`sharded`"), "{stderr}");
+    assert!(stderr.contains("`records`"), "{stderr}");
     std::fs::remove_dir_all(&cwd).unwrap();
 }
 

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: every archetype pipeline end-to-end,
-//! the readiness ladder walked by a real pipeline, provenance lineage
-//! from every shard to its raw blobs, and corruption detection across
-//! the full stack.
+//! graded from its own ledger and downgraded by each record a cell
+//! cites, provenance lineage from every shard to its raw blobs, and
+//! corruption detection across the full stack.
 
-use drai::core::readiness::{ProcessingStage, ReadinessLevel};
-use drai::core::{DatasetManifest, ReadinessAssessor};
+use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
+use drai::core::{assess, DatasetManifest, DomainTemplate};
 use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
 use drai::io::json::Json;
 use drai::io::shard::ShardReader;
@@ -54,35 +54,110 @@ fn materials_cfg() -> materials::MaterialsConfig {
     }
 }
 
+type RunFn = dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
+
+/// The four archetypes at test size.
+fn archetypes() -> [(&'static str, &'static RunFn); 4] {
+    [
+        ("climate", &|sink| climate::run(&climate_cfg(), sink)),
+        ("fusion", &|sink| fusion::run(&fusion_cfg(), sink)),
+        ("bio", &|sink| bio::run(&bio_cfg(), sink)),
+        ("materials", &|sink| materials::run(&materials_cfg(), sink)),
+    ]
+}
+
+/// `ledger` without its record of operation `op`, renumbered as if it
+/// had never been written.
+fn without(ledger: &Ledger, op: &str) -> Ledger {
+    let cut = Ledger::new();
+    for t in ledger.transformations() {
+        if t.operation != op {
+            cut.record(&t.operation, t.params, t.inputs, t.outputs);
+        }
+    }
+    cut
+}
+
 #[test]
 fn all_four_archetypes_reach_level_five() {
-    let assessor = ReadinessAssessor::new();
     let sink = Arc::new(MemSink::new());
-    let runs = [
-        climate::run(&climate_cfg(), sink.clone()).unwrap().manifest,
-        fusion::run(&fusion_cfg(), sink.clone()).unwrap().manifest,
-        bio::run(&bio_cfg(), sink.clone()).unwrap().manifest,
-        materials::run(&materials_cfg(), sink).unwrap().manifest,
-    ];
-    for manifest in &runs {
-        // What `drai run` writes, `drai assess` reads back unchanged.
+    let mut modalities = std::collections::BTreeSet::new();
+    for (domain, run) in archetypes() {
+        let run = run(sink.clone()).unwrap();
+        let manifest = &run.manifest;
+        modalities.insert(manifest.modality.name());
+        // What `drai run` writes, `drai assess` reads back and grades
+        // the same.
         let text = manifest.to_json().to_string_compact();
         let back = DatasetManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(&back, manifest);
-        let a = assessor.assess(manifest).unwrap();
+        let ledger = Ledger::from_jsonl(&run.ledger.to_jsonl()).unwrap();
+        let template = DomainTemplate::named(domain).unwrap();
+        let a = assess(&back, &ledger, &template);
+        assert_eq!(a, run.assess(), "{domain}");
         assert_eq!(
             a.overall,
             ReadinessLevel::FullyAiReady,
-            "{} stuck at {} ({:?})",
-            manifest.name,
+            "{domain} stuck at {} ({:?})",
             a.overall,
-            a.blocking()
+            a.deficiencies
         );
+        // Every cell of a column the template has cites a record.
+        let columns = ProcessingStage::ALL
+            .into_iter()
+            .filter(|&stage| template.step(stage).is_some());
+        let applicable: usize = columns
+            .map(|stage| {
+                (ReadinessLevel::ALL.iter())
+                    .filter(|&&level| MaturityMatrix::applicable(level, stage))
+                    .count()
+            })
+            .sum();
+        assert_eq!(a.evidence.len(), applicable, "{domain}");
+        assert!(a.evidence.iter().all(|e| !e.cites.is_empty()), "{domain}");
     }
     // Four distinct modalities, as in Table 1.
-    let modalities: std::collections::BTreeSet<&str> =
-        runs.iter().map(|m| m.modality.name()).collect();
     assert_eq!(modalities.len(), 4);
+}
+
+/// Each clean run grades level 5; then each record a cell cites is
+/// deleted in turn, and the grade must drop with a deficiency naming
+/// that cell. Bio's Transform record is `anonymize`.
+#[test]
+fn deleting_a_cited_record_downgrades_its_cell() {
+    use ProcessingStage as S;
+    use ReadinessLevel as L;
+    for (domain, run) in archetypes() {
+        let run = run(Arc::new(MemSink::new())).unwrap();
+        let template = DomainTemplate::named(domain).unwrap();
+        assert_eq!(run.assess().overall, L::FullyAiReady, "{domain}");
+        let step = |kind| template.step(kind).unwrap();
+        let mut victims = vec![
+            ("ingest", (L::Raw, S::Ingest)),
+            (step(S::Ingest), (L::Cleaned, S::Ingest)),
+            (step(S::Transform), (L::Labeled, S::Transform)),
+            (step(S::Shard), (L::FullyAiReady, S::Shard)),
+        ];
+        if let Some(op) = template.step(S::Preprocess) {
+            victims.push((op, (L::Cleaned, S::Preprocess)));
+        }
+        if let Some(op) = template.step(S::Structure) {
+            victims.push((op, (L::FeatureEngineered, S::Structure)));
+        }
+        for (op, (level, stage)) in victims {
+            let a = assess(&run.manifest, &without(&run.ledger, op), &template);
+            assert!(
+                a.overall < level || a.overall == L::Raw,
+                "{domain} without `{op}`: {}",
+                a.overall
+            );
+            assert!(
+                (a.deficiencies.iter()).any(|d| (d.blocked_level, d.stage) == (level, stage)),
+                "{domain} without `{op}` does not name {level} / {stage}: {:?}",
+                a.deficiencies
+            );
+        }
+    }
 }
 
 #[test]
@@ -131,8 +206,6 @@ fn real_filesystem_round_trip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-type RunFn = dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
-
 /// For every archetype and every shard its `run` lists, read back from
 /// the audit log: the shard's roots are exactly the raw blobs
 /// `generate_raw` wrote (fusion synthesizes its shot store in memory, so
@@ -140,14 +213,8 @@ type RunFn = dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
 /// per stage, in order.
 #[test]
 fn provenance_links_shards_to_raw_inputs() {
-    let archetypes: [(&str, &RunFn); 4] = [
-        ("climate", &|sink| climate::run(&climate_cfg(), sink)),
-        ("fusion", &|sink| fusion::run(&fusion_cfg(), sink)),
-        ("bio", &|sink| bio::run(&bio_cfg(), sink)),
-        ("materials", &|sink| materials::run(&materials_cfg(), sink)),
-    ];
     let by_name = |blobs: &mut Vec<Artifact>| blobs.sort_by(|a, b| a.name.cmp(&b.name));
-    for (domain, run) in archetypes {
+    for (domain, run) in archetypes() {
         let sink = Arc::new(MemSink::new());
         let run = run(sink.clone()).unwrap();
         let mut raw: Vec<Artifact> = (sink.list().unwrap().into_iter())
@@ -228,28 +295,37 @@ fn corrupted_shard_detected_through_full_stack() {
     assert!(saw_error, "corruption slipped through CRC verification");
 }
 
+/// The audit log, not a flag, is what the assessor believes: edit the
+/// materials shard record's label count in the JSONL `drai run` writes
+/// and the grade falls to level 3, naming the cell the count fails.
 #[test]
-fn manifest_evidence_downgrade_detected() {
-    // If a pipeline claims level 5 but the shards are missing, the
-    // *manifest evidence* should be falsifiable: strip the flag and the
-    // assessor downgrades. (Guards against assessors that trust labels.)
-    let sink = Arc::new(MemSink::new());
-    let run = materials::run(&materials_cfg(), sink).unwrap();
-    let assessor = ReadinessAssessor::new();
-    let mut m = run.manifest.clone();
-    assert_eq!(
-        assessor.assess(&m).unwrap().overall,
-        ReadinessLevel::FullyAiReady
-    );
-    m.anonymized = false; // materials has no PHI → no effect
-    assert_eq!(
-        assessor.assess(&m).unwrap().overall,
-        ReadinessLevel::FullyAiReady
-    );
-    m.normalized_final = false;
-    m.transform_audited = false;
-    let a = assessor.assess(&m).unwrap();
+fn ledger_edit_downgrade_detected() {
+    let run = materials::run(&materials_cfg(), Arc::new(MemSink::new())).unwrap();
+    let template = DomainTemplate::materials();
+    let text = run.ledger.to_jsonl();
+    let records = run.manifest.records;
+    let label = format!("\"labeled\":\"{records}\"");
+    assert!(text.contains(&label), "{text}");
+    let grade = |text: &str| {
+        let ledger = Ledger::from_jsonl(text).unwrap();
+        assess(&run.manifest, &ledger, &template)
+    };
+    assert_eq!(grade(&text).overall, ReadinessLevel::FullyAiReady);
+    let halved = text.replace(&label, &format!("\"labeled\":\"{}\"", records / 2));
+    let a = grade(&halved);
     assert_eq!(a.overall, ReadinessLevel::Labeled);
+    let d = a.blocking().unwrap();
+    assert_eq!(
+        (d.blocked_level, d.stage),
+        (
+            ReadinessLevel::FeatureEngineered,
+            ProcessingStage::Transform
+        )
+    );
+    assert!(
+        d.reason.contains("records written with their target"),
+        "{d:?}"
+    );
 }
 
 #[test]

@@ -1,54 +1,73 @@
-//! Framework-level integration: Table 1 templates validate the real
-//! domain pipelines, dataset cards generate from real runs, and the
-//! simulated parallel filesystem serves as a drop-in shard sink.
+//! Framework-level integration: Table 1 templates name the operations
+//! the real domain runs record, dataset cards generate from real runs,
+//! and the simulated parallel filesystem serves as a drop-in shard sink.
 
 use drai::core::card::DatasetCard;
-use drai::core::quality::QualityReport;
 use drai::core::templates::DomainTemplate;
-use drai::core::ReadinessAssessor;
-use drai::domains::{climate, fusion, materials};
+use drai::domains::{bio, climate, fusion, materials};
 use drai::io::json::Json;
 use drai::io::sink::MemSink;
-use drai::provenance::Ledger;
 use drai::sim::{SimConfig, SimFs};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
 
+/// Each template's steps are, in order, the operations its domain's run
+/// records after `ingest`, with the kinds its stages report — for all
+/// four domains, so a renamed stage cannot drift from its template.
 #[test]
 fn templates_validate_real_domain_pipelines() {
-    // Build the actual pipelines (not run them) and check them against
-    // their declarative templates.
-    let sink: Arc<MemSink> = Arc::new(MemSink::new());
-    let ledger = Arc::new(Ledger::new());
-
-    let climate_p = climate::build_pipeline(
-        &climate::ClimateConfig::default(),
-        sink.clone(),
-        ledger.clone(),
-    );
-    assert!(
-        DomainTemplate::climate().validate(&climate_p).is_empty(),
-        "climate pipeline violates its template"
-    );
-
-    let fusion_p = fusion::build_pipeline(
-        &fusion::FusionConfig::default(),
-        sink.clone(),
-        ledger.clone(),
-    );
-    assert!(
-        DomainTemplate::fusion().validate(&fusion_p).is_empty(),
-        "fusion pipeline violates its template"
-    );
-
-    let materials_p =
-        materials::build_pipeline(&materials::MaterialsConfig::default(), sink, ledger);
-    assert!(
-        DomainTemplate::materials()
-            .validate(&materials_p)
-            .is_empty(),
-        "materials pipeline violates its template"
-    );
+    let sink = Arc::new(MemSink::new());
+    let small_climate = climate::ClimateConfig {
+        src_grid: LatLonGrid::global(8, 16),
+        dst_grid: LatLonGrid::global(4, 8),
+        timesteps: 6,
+        ..climate::ClimateConfig::default()
+    };
+    let small_fusion = fusion::FusionConfig {
+        shots: 4,
+        shot_seconds: 0.5,
+        ..fusion::FusionConfig::default()
+    };
+    let small_bio = bio::BioConfig {
+        patients: 12,
+        tile_len: 16,
+        ..bio::BioConfig::default()
+    };
+    let small_materials = materials::MaterialsConfig {
+        structures: 4,
+        cell_atoms: 2,
+        ..materials::MaterialsConfig::default()
+    };
+    let runs = [
+        climate::run(&small_climate, sink.clone()).unwrap(),
+        fusion::run(&small_fusion, sink.clone()).unwrap(),
+        bio::run(&small_bio, sink.clone()).unwrap(),
+        materials::run(&small_materials, sink).unwrap(),
+    ];
+    for (template, run) in DomainTemplate::all().iter().zip(&runs) {
+        assert_eq!(run.manifest.domain, template.domain);
+        let steps: Vec<(&str, _)> = template.steps.iter().map(|s| (s.name, s.kind)).collect();
+        let stages: Vec<(&str, _)> = run
+            .stages
+            .iter()
+            .map(|s| (s.name.as_str(), s.kind))
+            .collect();
+        assert_eq!(
+            stages, steps,
+            "{} pipeline drifted from its template",
+            template.domain
+        );
+        let ops: Vec<String> = run
+            .ledger
+            .transformations()
+            .into_iter()
+            .map(|t| t.operation)
+            .collect();
+        let expected: Vec<&str> = std::iter::once("ingest")
+            .chain(steps.iter().map(|s| s.0))
+            .collect();
+        assert_eq!(ops, expected, "{}", template.domain);
+    }
 }
 
 #[test]
@@ -73,19 +92,14 @@ fn dataset_card_from_real_run() {
     };
     let sink = Arc::new(MemSink::new());
     let run = climate::run(&cfg, sink).unwrap();
-    let assessment = ReadinessAssessor::new().assess(&run.manifest).unwrap();
-    // Quality from the raw synthetic fields.
-    let quality: Vec<QualityReport> = run
-        .manifest
-        .schema
-        .iter()
-        .map(|v| QualityReport::compute(&v.name, &[1.0, 2.0, 3.0]))
-        .collect();
-    let card = DatasetCard::new(run.manifest.clone(), assessment, quality);
+    // No stage measures a per-variable quality report yet.
+    let card = DatasetCard::new(run.manifest.clone(), run.assess(), Vec::new());
     let md = card.to_markdown();
     assert!(md.contains("# Dataset card: cmip-synth"));
     assert!(md.contains("5 - Fully AI-ready"));
     assert!(md.contains("| tas | f32 | K |"));
+    assert!(md.contains("No stage measured a quality report."));
+    assert!(card.warnings().is_empty(), "{:?}", card.warnings());
     // JSON card parses and carries the readiness level.
     let json = Json::parse(&card.to_json().to_string_compact()).unwrap();
     assert!(json
