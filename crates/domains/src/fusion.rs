@@ -302,7 +302,7 @@ fn normalize_shot(
     if nch == 0 {
         return Ok((Vec::new(), Vec::new(), 0));
     }
-    // Per-shot, per-channel robust normalization.
+    // Per-shot, per-channel robust normalization by exact quartiles.
     let in_shot = |e: TransformError| format!("shot {shot_id}: {e}");
     let fitted = ColumnNormalizer::fit(Method::Robust, &matrix, nch).map_err(in_shot)?;
     fitted.apply(&mut matrix).map_err(in_shot)?;
@@ -328,20 +328,19 @@ fn normalize_shot(
         }
     }
     // Fixed windows: each is a copy of its rows. A window with a NaN
-    // in it is dropped and does not count: `kept` numbers the
-    // complete ones, and the label clock runs on that number.
+    // in it is dropped; the label clock runs on each window's own
+    // index, so a dropped window moves no later window's end.
     let mut windows = Vec::new();
-    let mut kept = 0;
-    for window in rows
+    for (index, window) in rows
         .windows(cfg.window_len * nfeat)
         .step_by(cfg.window_stride * nfeat)
+        .enumerate()
     {
         if window.iter().any(|v| v.is_nan()) {
             continue;
         }
         // Window end time on the common clock.
-        let end_tick = kept * cfg.window_stride + cfg.window_len;
-        kept += 1;
+        let end_tick = index * cfg.window_stride + cfg.window_len;
         let t_end = end_tick as f64 / cfg.clock_hz;
         let label = match t_disrupt {
             Some(td) => {
@@ -417,7 +416,7 @@ fn stage_graph<I: StageItem<FusionData>>(
     ];
     let clock_hz = ("clock_hz", cfg.clock_hz.to_string());
     let windows = [
-        ("method", "robust+derivative".to_string()),
+        ("method", "robust-exact+derivative".to_string()),
         clock_hz.clone(),
         ("window_len", cfg.window_len.to_string()),
         ("window_stride", cfg.window_stride.to_string()),
@@ -645,5 +644,72 @@ mod tests {
                 assert!(w.features.iter().all(|v| v.is_finite()));
             }
         }
+    }
+
+    /// Type-7 quantile `p` of a sorted, NaN-free, finite column.
+    fn sorted_quantile(sorted: &[f64], p: f64) -> f64 {
+        let h = p * (sorted.len() - 1) as f64;
+        let (lo, frac) = (h.floor() as usize, h - h.floor());
+        match sorted.get(lo + 1) {
+            Some(&hi) if frac > 0.0 && hi != sorted[lo] => sorted[lo] + (hi - sorted[lo]) * frac,
+            _ => sorted[lo],
+        }
+    }
+
+    #[test]
+    fn kept_normalizers_are_the_exact_quartiles_of_shot_0() {
+        let cfg = small_cfg();
+        let mut c = StageCounters::default();
+        let data = extract_stage(member_input(&cfg, 0), &mut c).unwrap();
+        let data = align_stage(&cfg, data, &mut c).unwrap();
+        let (_, _, matrix, ntime) = &data.aligned[0];
+        let nch = matrix.len() / ntime;
+        let pipeline = build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
+        let kept = pipeline
+            .run(member_input(&cfg, 0))
+            .unwrap()
+            .output
+            .normalizers;
+        assert_eq!(kept.len(), nch);
+        for (ch, normalizer) in kept.iter().enumerate() {
+            let mut column: Vec<f64> = matrix
+                .chunks_exact(nch)
+                .map(|row| row[ch])
+                .filter(|v| !v.is_nan())
+                .collect();
+            column.sort_by(f64::total_cmp);
+            let median = sorted_quantile(&column, 0.5);
+            let iqr = sorted_quantile(&column, 0.75) - sorted_quantile(&column, 0.25);
+            assert_eq!(normalizer.method(), Method::Robust);
+            assert_eq!(
+                normalizer.offset.to_bits(),
+                median.to_bits(),
+                "channel {ch}"
+            );
+            assert_eq!(normalizer.scale.to_bits(), iqr.to_bits(), "channel {ch}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_window_does_not_shift_the_label_clock() {
+        // 40 ticks at 1 kHz, two channels, ten windows of 4 ticks. Window
+        // 0 holds a NaN; the shot disrupts at 39.5 ms, inside window 9,
+        // which ends at 40 ms and must be cut.
+        let cfg = FusionConfig {
+            clock_hz: 1_000.0,
+            window_len: 4,
+            window_stride: 4,
+            ..small_cfg()
+        };
+        let mut matrix: Vec<f64> = (0..40).flat_map(|t| [t as f64, (t * t) as f64]).collect();
+        matrix[2] = f64::NAN; // channel 0 at tick 1
+        let (normalizers, windows, missing) =
+            normalize_shot(&cfg, (170_000, Some(0.0395), matrix, 40)).unwrap();
+        assert_eq!(missing, 1);
+        // Windows 1 to 8: the last one starts at tick 32.
+        assert_eq!(windows.len(), 8);
+        let tick_32 = normalizers[0].apply(32.0) as f32;
+        assert_eq!(windows[7].features[0], tick_32);
+        assert!(windows.iter().all(|w| w.label == 1));
     }
 }

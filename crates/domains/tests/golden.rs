@@ -19,7 +19,11 @@
 //! The fusion and bio pins were recorded at the commit before those two
 //! domains moved onto a stage graph and all four `run`s onto one
 //! skeleton (ISSUE 17), identically on two CPUs and under
-//! `taskset -c 0`.
+//! `taskset -c 0`. The ten `fusion/*` pins were re-recorded once, when
+//! the robust fit's three P² estimates gave way to exact type-7
+//! quartiles (fusion normalize declares `method = robust-exact+derivative`
+//! since); `fusion/train-00000.shard` was `69903452a9e1523af24a7a0ec6bfd937`
+//! before.
 //!
 //! The cache keys of member 3 moved three times, with the shard digests
 //! unmoved: at version 2, when keys began to chain through derivation
@@ -184,16 +188,16 @@ fn fusion_run_shards_match_golden() {
     assert_eq!(
         digests(&sink, "fusion/"),
         &[
-            "fusion/test-00000.shard a18c03b335d24f7c987e8b9f11fa5dd7",
-            "fusion/test-00001.shard d3281c8f4b6d566395320321358e0abe",
-            "fusion/test.manifest.json 227598298dae07c6dc220a7a4b549a0b",
-            "fusion/train-00000.shard 69903452a9e1523af24a7a0ec6bfd937",
-            "fusion/train-00001.shard 1a4e7a405807a21a6218805f1aeb8280",
-            "fusion/train-00002.shard b9c55bf10bbe4ad32b239743cf1d6b8b",
-            "fusion/train-00003.shard 4ebbc003b62a63422e1712d194ed3630",
-            "fusion/train.manifest.json a9b75f1820d6a93df03037c53be12d9d",
-            "fusion/val-00000.shard 7b397d06085abe63feafb3e173015adc",
-            "fusion/val.manifest.json b6c33660c49798d3064448bb2f5f5b95",
+            "fusion/test-00000.shard d27a59ad523ea1a00fec1da0b264f2e6",
+            "fusion/test-00001.shard a2f89066c47ed68a234f2a389c540ea1",
+            "fusion/test.manifest.json 6c0dea13ad46426fa1b003aaa9b9e745",
+            "fusion/train-00000.shard a7071a3a859bed8dff00a8f341905d1c",
+            "fusion/train-00001.shard b180032bd487f703bd2ea6555847b292",
+            "fusion/train-00002.shard 8ddf127df9062987c291ea6a675d7ff8",
+            "fusion/train-00003.shard d1fb66bb2e52ca9114390bfdff630938",
+            "fusion/train.manifest.json 733b8811870d15f87ab0443e074c6f0c",
+            "fusion/val-00000.shard 0f7fc47874ba29a8022ee8f778d437ef",
+            "fusion/val.manifest.json fd52692f3e8710c664077062a47614c9",
         ],
     );
 }

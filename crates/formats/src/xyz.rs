@@ -20,7 +20,9 @@
 //! value), and owns the one output they are joined into. [`parse_xyz`]
 //! borrows the text — frames, lines and tokens are slices of it — and
 //! allocates only a slice per frame and what a [`Frame`] keeps: its
-//! atoms, their element names, its properties.
+//! atoms, their element names, its properties. An ASCII atom line is cut
+//! on its bytes and a plain decimal coordinate is read without std's
+//! general float parser; each gives what std's path gives.
 
 use crate::{malformed, FormatError};
 use drai_io::parallel::par_map;
@@ -160,13 +162,7 @@ fn parse_frame(frame: FrameText<'_>) -> Result<Frame, FormatError> {
     let mut atoms = Vec::with_capacity(frame.natoms);
     for (j, raw) in (frame.first_line..).zip(frame.atom_lines.split_inclusive('\n')) {
         let mut cols = [""; 7];
-        let mut ncols = 0;
-        for token in trim_line(raw).split_whitespace() {
-            if let Some(slot) = cols.get_mut(ncols) {
-                *slot = token;
-            }
-            ncols += 1;
-        }
+        let ncols = split_columns(trim_line(raw), &mut cols);
         if ncols != 4 && ncols != 7 {
             return Err(malformed(
                 "xyz",
@@ -174,8 +170,9 @@ fn parse_frame(frame: FrameText<'_>) -> Result<Frame, FormatError> {
             ));
         }
         let parse = |s: &str, what: &str| -> Result<f64, FormatError> {
-            s.parse()
-                .map_err(|_| malformed("xyz", format!("line {}: bad {what} {s:?}", j + 1)))
+            plain_decimal(s)
+                .or_else(|| s.parse().ok())
+                .ok_or_else(|| malformed("xyz", format!("line {}: bad {what} {s:?}", j + 1)))
         };
         let position = [
             parse(cols[1], "x")?,
@@ -198,6 +195,76 @@ fn parse_frame(frame: FrameText<'_>) -> Result<Frame, FormatError> {
         });
     }
     Ok(Frame { atoms, properties })
+}
+
+/// `line.split_whitespace()` into `cols` (the first seven tokens) and
+/// the number of tokens. An ASCII line is cut on its bytes at the ASCII
+/// members of `char::is_whitespace` (tab to carriage return, space);
+/// any other line, which may hold Unicode white space, takes std's path.
+fn split_columns<'a>(line: &'a str, cols: &mut [&'a str; 7]) -> usize {
+    let mut ncols = 0;
+    let mut keep = |token: &'a str| {
+        if let Some(slot) = cols.get_mut(ncols) {
+            *slot = token;
+        }
+        ncols += 1;
+    };
+    if line.is_ascii() {
+        let mut start = 0;
+        for (i, b) in line.bytes().enumerate() {
+            if matches!(b, b'\t'..=b'\r' | b' ') {
+                if start < i {
+                    keep(&line[start..i]);
+                }
+                start = i + 1;
+            }
+        }
+        if start < line.len() {
+            keep(&line[start..]);
+        }
+    } else {
+        line.split_whitespace().for_each(keep);
+    }
+    ncols
+}
+
+/// Powers of ten up to 10¹⁵, each exact in `f64`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// `s` as `str::parse::<f64>` reads it, when `s` is a plain decimal
+/// `[-]digits[.digits]` of at most 15 digits in all; `None` for anything
+/// else. Its digits `m` (< 10¹⁵ < 2⁵³) and `10^k` for its `k` fraction
+/// digits are exact in `f64`, so the one correctly rounded division
+/// `m / 10^k` is the correctly rounded value (Clinger's fast path).
+fn plain_decimal(s: &str) -> Option<f64> {
+    let (negative, body) = match s.as_bytes().split_first() {
+        Some((b'-', body)) => (true, body),
+        _ => (false, s.as_bytes()),
+    };
+    let (int, frac) = match body.iter().position(|&b| b == b'.') {
+        Some(dot) => (&body[..dot], &body[dot + 1..]),
+        None => (body, &[][..]),
+    };
+    let dot_without_digits = frac.is_empty() && int.len() < body.len();
+    if int.is_empty() || dot_without_digits || int.len() + frac.len() > 15 {
+        return None;
+    }
+    // Two loops, not a chain of the two slices: the chain costs a branch
+    // per digit.
+    let mut m = 0u64;
+    for part in [int, frac] {
+        for &b in part {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                return None;
+            }
+            m = m * 10 + u64::from(digit);
+        }
+    }
+    let value = m as f64 / POW10[frac.len()];
+    Some(if negative { -value } else { value })
 }
 
 /// Parse `key=value` pairs; values may be double-quoted to contain spaces.
@@ -472,6 +539,101 @@ mod tests {
         let frames = parse_xyz(text).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[1].atoms[0].element, "He");
+    }
+
+    #[test]
+    fn plain_decimals_parse_as_std_parses_them() {
+        let fast = [
+            "0",
+            "-0",
+            "-0.000",
+            "7",
+            "12.5",
+            "-3.14159265",
+            "0.1",
+            "0.3",
+            "123456789012345",
+            "-999999999999999",
+            "9.99999999999999",
+            "0.00000000000001",
+            "1.23456789012345",
+        ];
+        for s in fast {
+            let want: f64 = s.parse().unwrap();
+            assert_eq!(
+                plain_decimal(s).map(f64::to_bits),
+                Some(want.to_bits()),
+                "{s}"
+            );
+        }
+        // Other spellings std reads (or refuses) are left to it.
+        let slow = [
+            ".5",
+            "-.5",
+            "1.",
+            "+1",
+            "1e5",
+            "1.5E-3",
+            "inf",
+            "-inf",
+            "NaN",
+            "1.2.3",
+            "1..2",
+            "-",
+            "--1",
+            "1,5",
+            "1234567890123456",
+            "0.000000000000001",
+            "12345678.90123456",
+        ];
+        for s in slow {
+            assert_eq!(plain_decimal(s), None, "{s}");
+        }
+        // Seeded decimals of 1 to 15 digits, the dot anywhere.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..20_000 {
+            let digits = 1 + next(15) as usize;
+            let mut s: String = (0..digits)
+                .map(|_| char::from(b'0' + next(10) as u8))
+                .collect();
+            let dot = next(digits as u64) as usize;
+            if dot > 0 {
+                s.insert(dot, '.');
+            }
+            if next(2) == 0 {
+                s.insert(0, '-');
+            }
+            let want: f64 = s.parse().unwrap();
+            assert_eq!(
+                plain_decimal(&s).map(f64::to_bits),
+                Some(want.to_bits()),
+                "{s}"
+            );
+        }
+    }
+
+    #[test]
+    fn ascii_and_unicode_lines_split_alike() {
+        for line in [
+            "H 0 0 0",
+            "  He\t1 2\x0b3\x0c4 5\r6  ",
+            "C\u{a0}0 0 0\u{2003}1",
+            "a b c d e f g h i",
+            "",
+            " \t ",
+        ] {
+            let mut cols = [""; 7];
+            let n = split_columns(line, &mut cols);
+            let want: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(n, want.len(), "{line:?}");
+            assert_eq!(cols[..n.min(7)], want[..n.min(7)], "{line:?}");
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   normalization statistics can be fitted per chunk in parallel and
 //!   merged in chunk order. `merge` is not associative in floating point,
 //!   so a reproducible fit fixes that order rather than letting a thread
-//!   pool choose it. [`stats::P2Quantile`] provides constant-memory quantile
-//!   estimates for robust scaling and outlier reporting.
+//!   pool choose it.
 //! * **Grid awareness.** [`grid::LatLonGrid`] carries the geometry needed by
 //!   conservative regridding (cell bounds, areas) in the climate archetype.
 //!

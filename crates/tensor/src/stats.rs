@@ -4,9 +4,8 @@
 //! over terabyte-scale inputs; a two-pass computation is not an option at
 //! that volume. [`Welford`] provides the numerically stable single-pass
 //! update plus Chan's parallel merge, so statistics can be reduced across
-//! shards/threads. [`P2Quantile`] implements the P² algorithm (Jain &
-//! Chlamtac, 1985) for constant-memory quantile estimation used by robust
-//! scaling and outlier detection.
+//! shards/threads. Quantiles are not streamed here: a robust fit
+//! (`drai_transform::normalize`) selects exact quartiles from its column.
 
 /// Numerically stable single-pass mean/variance accumulator with min/max.
 ///
@@ -167,127 +166,6 @@ impl Welford {
     /// Maximum observation (-inf when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-}
-
-/// P² (piecewise-parabolic) streaming quantile estimator.
-///
-/// Tracks five markers whose heights approximate the target quantile without
-/// storing observations. Accuracy is ample for robust scaling and outlier
-/// thresholds on unimodal science data; exactness is not required (and the
-/// estimator is exact for the first five observations).
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Estimator for quantile `q` in (0, 1).
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1), got {q}");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Add an observation (NaNs ignored).
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            self.initial
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            if self.initial.len() == 5 {
-                self.heights.copy_from_slice(&self.initial);
-            }
-            return;
-        }
-
-        // Locate the cell containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments.iter()) {
-            *d += *inc;
-        }
-
-        // Adjust interior markers with the parabolic formula, falling back
-        // to linear interpolation when the parabola would break ordering.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let hp = self.parabolic(i, d);
-                if self.heights[i - 1] < hp && hp < self.heights[i + 1] {
-                    self.heights[i] = hp;
-                } else {
-                    self.heights[i] = self.linear(i, d);
-                }
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
-    }
-
-    /// Current quantile estimate. `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            // Exact quantile on the few stored observations.
-            let idx = ((self.initial.len() - 1) as f64 * self.q).round() as usize;
-            return Some(self.initial[idx]);
-        }
-        Some(self.heights[2])
     }
 }
 
@@ -510,56 +388,6 @@ mod tests {
         let mut w = Welford::new();
         w.extend(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((w.variance() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn p2_median_on_uniform() {
-        let mut q = P2Quantile::new(0.5);
-        // Deterministic pseudo-random uniform stream.
-        let mut state = 0x2545F4914F6CDD1D_u64;
-        for _ in 0..10_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (state >> 11) as f64 / (1u64 << 53) as f64;
-            q.push(x);
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.5).abs() < 0.02, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_tail_quantile() {
-        let mut q = P2Quantile::new(0.95);
-        for i in 0..10_000 {
-            q.push(i as f64);
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 9500.0).abs() < 100.0, "p95 estimate {est}");
-    }
-
-    #[test]
-    fn p2_exact_for_small_n() {
-        let mut q = P2Quantile::new(0.5);
-        q.push(10.0);
-        assert_eq!(q.estimate(), Some(10.0));
-        q.push(20.0);
-        q.push(30.0);
-        assert_eq!(q.estimate(), Some(20.0));
-    }
-
-    #[test]
-    fn p2_handles_nan_and_empty() {
-        let mut q = P2Quantile::new(0.5);
-        assert_eq!(q.estimate(), None);
-        q.push(f64::NAN);
-        assert_eq!(q.estimate(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0,1)")]
-    fn p2_rejects_bad_quantile() {
-        let _ = P2Quantile::new(1.0);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Normalization: the universal preprocessing step ("normalizing by mean
 //! and standard deviation", Fig. 1).
 //!
-//! Statistics are fitted in a single streaming pass (Welford / P²) so they
-//! scale to shard-at-a-time reduction; [`Normalizer::from_welford`] fits
-//! from per-chunk accumulators merged in chunk order, the reduction
-//! `par_map` callers use.
+//! Moments are fitted in a single streaming pass (Welford) so they scale
+//! to shard-at-a-time reduction; [`Normalizer::from_welford`] fits from
+//! per-chunk accumulators merged in chunk order, the reduction `par_map`
+//! callers use. A robust fit is exact, not streaming: its column's
+//! present values are gathered once and its quartiles are selected in
+//! place (`robust`).
 
 use crate::TransformError;
-use drai_tensor::stats::{P2Quantile, Welford};
+use drai_tensor::stats::Welford;
+use std::cmp::Ordering;
 
 /// Normalization method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,8 +19,8 @@ pub enum Method {
     ZScore,
     /// `(x - min) / (max - min)` into [0, 1].
     MinMax,
-    /// `(x - median) / IQR` — resistant to the outliers sensor glitches
-    /// leave in experimental (fusion) data.
+    /// `(x - median) / IQR` of the exact type-7 quartiles — resistant to
+    /// the outliers sensor glitches leave in experimental (fusion) data.
     Robust,
 }
 
@@ -45,11 +48,8 @@ impl Normalizer {
                 Self::from_welford(method, &w)
             }
             Method::Robust => {
-                let mut q = Quartiles::new();
-                for &v in values {
-                    q.push(v);
-                }
-                q.robust()
+                let mut column: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+                robust(&mut column)
             }
         }
     }
@@ -120,54 +120,85 @@ impl Normalizer {
     }
 }
 
-/// The three P² estimators a robust fit streams its values through.
-#[derive(Debug, Clone)]
-struct Quartiles {
-    q25: P2Quantile,
-    q50: P2Quantile,
-    q75: P2Quantile,
+/// `(x - median) / IQR` from the exact type-7 quartiles of `column` (its
+/// present values, in any order; it is reordered): quartile `p` sits at
+/// `h = p·(n − 1)` in sorted order. The median is selected first, then
+/// the lower quartile left of it and the upper one right of it, each
+/// with `total_cmp`, so every pick is bitwise the sorted element. No value
+/// cannot fit; an IQR under ε scales by 1, and one infinity at both
+/// quartiles (an `∞ − ∞` IQR) gives a NaN scale.
+fn robust(column: &mut [f64]) -> Result<Normalizer, TransformError> {
+    let n = column.len();
+    if n == 0 {
+        return Err(TransformError::CannotFit("no finite values".into()));
+    }
+    // `h = q(n − 1)/4` for quartile `q/4`: its element and its fraction.
+    let at = |q: usize| (q * (n - 1) / 4, (q * (n - 1) % 4) as f64 / 4.0);
+    let (mid, frac) = at(2);
+    let median = select_type7(column, mid, frac, None);
+    let x_mid = column[mid];
+    let (left, rest) = column.split_at_mut(mid);
+    let right = &mut rest[1..];
+    let mut quartile = |(i, frac): (usize, f64)| match i.cmp(&mid) {
+        Ordering::Less => select_type7(left, i, frac, Some(x_mid)),
+        Ordering::Equal => type7(x_mid, frac, || smallest(right, None)),
+        Ordering::Greater => select_type7(right, i - mid - 1, frac, None),
+    };
+    let iqr = quartile(at(3)) - quartile(at(1));
+    Ok(Normalizer {
+        method: Method::Robust,
+        offset: median,
+        scale: if iqr.abs() < f64::EPSILON { 1.0 } else { iqr },
+    })
 }
 
-impl Quartiles {
-    fn new() -> Self {
-        Quartiles {
-            q25: P2Quantile::new(0.25),
-            q50: P2Quantile::new(0.5),
-            q75: P2Quantile::new(0.75),
-        }
-    }
+/// The type-7 quantile at sorted index `i` plus `frac` of `part`, whose
+/// sorted successor (if any) is `above`. `part` is left partitioned
+/// around `i`.
+fn select_type7(part: &mut [f64], i: usize, frac: f64, above: Option<f64>) -> f64 {
+    let (_, x_lo, rest) = part.select_nth_unstable_by(i, f64::total_cmp);
+    type7(*x_lo, frac, || smallest(rest, above))
+}
 
-    fn push(&mut self, x: f64) {
-        self.q25.push(x);
-        self.q50.push(x);
-        self.q75.push(x);
-    }
+/// The least of `part` under `total_cmp`, or `above` when `part` is
+/// empty (NaN when both are missing, which a fraction > 0 rules out).
+fn smallest(part: &[f64], above: Option<f64>) -> f64 {
+    part.iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .or(above)
+        .unwrap_or(f64::NAN)
+}
 
-    /// `(x - median) / IQR` from what was pushed.
-    fn robust(&self) -> Result<Normalizer, TransformError> {
-        let median = self
-            .q50
-            .estimate()
-            .ok_or_else(|| TransformError::CannotFit("no finite values".into()))?;
-        let iqr = self.q75.estimate().unwrap_or(median) - self.q25.estimate().unwrap_or(median);
-        Ok(Normalizer {
-            method: Method::Robust,
-            offset: median,
-            scale: if iqr.abs() < f64::EPSILON { 1.0 } else { iqr },
-        })
+/// `x_lo + (x_hi − x_lo)·frac`, and `x_lo` itself when `frac` is 0 or
+/// the ends are equal (so `x_hi` is not read). An infinite end wins: −∞
+/// when `x_lo` is −∞, else +∞ when `x_hi` is +∞ — the formula's limit
+/// as that end runs off, where the formula itself gives `∞ − ∞ = NaN`.
+/// So no NaN comes out of ends that are not NaN.
+fn type7(x_lo: f64, frac: f64, x_hi: impl FnOnce() -> f64) -> f64 {
+    if frac == 0.0 {
+        return x_lo;
+    }
+    let x_hi = x_hi();
+    if x_lo == x_hi || x_lo.is_infinite() {
+        x_lo
+    } else if x_hi.is_infinite() {
+        x_hi
+    } else {
+        x_lo + (x_hi - x_lo) * frac
     }
 }
 
 /// Stream `[n, ncols]` row-major `data` through one accumulator per
-/// column in a single pass over the rows; accumulator `c` is pushed column
-/// `c`'s values in row order.
-fn per_column<A: Clone>(
+/// column, each made by `empty`, in a single pass over the rows;
+/// accumulator `c` is pushed column `c`'s values in row order.
+fn per_column<A>(
     data: &[f64],
     ncols: usize,
-    empty: A,
+    empty: impl Fn() -> A,
     push: impl Fn(&mut A, f64),
 ) -> Vec<A> {
-    let mut columns = vec![empty; ncols];
+    let mut columns: Vec<A> = (0..ncols).map(|_| empty()).collect();
     for row in data.chunks_exact(ncols) {
         for (acc, &x) in columns.iter_mut().zip(row) {
             push(acc, x);
@@ -186,8 +217,9 @@ pub struct ColumnNormalizer {
 
 impl ColumnNormalizer {
     /// Fit one normalizer per column in one pass over the rows, one
-    /// accumulator per column side by side. Each accumulator sees its
-    /// column's values in row order, so the result is bit-equal to
+    /// accumulator per column side by side (for a robust fit, a buffer of
+    /// the column's present values, sized to the row count). Each sees
+    /// its column's values in row order, so the result is bit-equal to
     /// [`Normalizer::fit`] on that column gathered out of the table.
     pub fn fit(
         method: Method,
@@ -201,16 +233,22 @@ impl ColumnNormalizer {
             )));
         }
         let normalizers = match method {
-            Method::ZScore | Method::MinMax => {
-                per_column(data, ncols, Welford::new(), Welford::push)
-                    .iter()
-                    .map(|w| Normalizer::from_welford(method, w))
+            Method::ZScore | Method::MinMax => per_column(data, ncols, Welford::new, Welford::push)
+                .iter()
+                .map(|w| Normalizer::from_welford(method, w))
+                .collect::<Result<_, _>>()?,
+            Method::Robust => {
+                let nrows = data.len() / ncols;
+                let present = |column: &mut Vec<f64>, x: f64| {
+                    if !x.is_nan() {
+                        column.push(x);
+                    }
+                };
+                per_column(data, ncols, || Vec::with_capacity(nrows), present)
+                    .iter_mut()
+                    .map(|column| robust(column))
                     .collect::<Result<_, _>>()?
             }
-            Method::Robust => per_column(data, ncols, Quartiles::new(), Quartiles::push)
-                .iter()
-                .map(Quartiles::robust)
-                .collect::<Result<_, _>>()?,
         };
         Ok(ColumnNormalizer { normalizers })
     }
