@@ -69,7 +69,7 @@ fn bench_materials(c: &mut Criterion) {
     let sink = MemSink::new();
     materials::generate_raw(&cfg, &sink).unwrap();
     let xyz_bytes = sink.read_file("raw/structures.xyz").unwrap();
-    let xyz_text = String::from_utf8(xyz_bytes).unwrap();
+    let xyz_text = String::from_utf8(xyz_bytes.to_vec()).unwrap();
     let frames = parse_xyz(&xyz_text).unwrap();
     group.throughput(Throughput::Bytes(xyz_text.len() as u64));
     group.bench_function("parse_xyz", |b| b.iter(|| parse_xyz(&xyz_text).unwrap()));

@@ -240,13 +240,10 @@ impl DecodedEntry {
     }
 
     /// The verified payload as a buffer of its own: a stored payload is
-    /// `blob` trimmed down to it, not a second allocation.
-    fn into_payload(self, mut blob: Vec<u8>) -> Vec<u8> {
+    /// copied out of the lent `blob`, a decoded one is already owned.
+    fn into_payload(self, blob: &[u8]) -> Vec<u8> {
         match self.payload {
-            Payload::Stored(start) => {
-                blob.drain(..start);
-                blob
-            }
+            Payload::Stored(start) => blob[start..].to_vec(),
             Payload::Decoded(payload) => payload,
         }
     }
@@ -506,14 +503,16 @@ impl StageCache {
             records: entry.records,
             bytes: entry.bytes,
             origin_trace: entry.origin_trace,
-            payload: entry.into_payload(blob),
+            payload: entry.into_payload(&blob),
         })
     }
 
     /// [`StageCache::get`] without the owned payload: the entry blob as
-    /// read and the verified entry that points into it, which is all
-    /// the cached-stage decorator needs to decode a hit.
-    fn lookup(&self, key: &CacheKey) -> Option<(Vec<u8>, DecodedEntry)> {
+    /// the sink lends it and the verified entry that points into it,
+    /// which is all the cached-stage decorator needs to decode a hit.
+    /// No entry byte is copied: the digest is checked, and the payload
+    /// decoded, where the sink stores it.
+    fn lookup(&self, key: &CacheKey) -> Option<(Arc<[u8]>, DecodedEntry)> {
         let registry = Registry::current();
         let span = registry.span(&names::GET, []);
         let _in_get = span.enter();
@@ -883,7 +882,7 @@ mod tests {
             cache.put(&key, b"good payload", 1, 12).unwrap();
             // Flip one payload byte behind the cache's back.
             let blob = key.blob_name();
-            let mut raw = sink.read_file(&blob).unwrap();
+            let mut raw = sink.read_file(&blob).unwrap().to_vec();
             let last = raw.len() - 1;
             raw[last] ^= 0x40;
             sink.write_file(&blob, &raw).unwrap();
@@ -919,7 +918,7 @@ mod tests {
             let ((), snap) = with_registry(|| {
                 cache.put(&key, b"payload", 0, 0).unwrap();
                 let blob = key.blob_name();
-                let mut raw = sink.read_file(&blob).unwrap();
+                let mut raw = sink.read_file(&blob).unwrap().to_vec();
                 mutate(&mut raw);
                 sink.write_file(&blob, &raw).unwrap();
                 assert!(cache.get(&key).is_none());
@@ -984,7 +983,7 @@ mod tests {
         fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
             self.inner.write_file(name, data)
         }
-        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+        fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
             self.inner.read_file(name)
         }
         fn list(&self) -> Result<Vec<String>, IoError> {
@@ -1323,7 +1322,7 @@ mod tests {
                     assert!(entry.payload(&got) == payload.as_slice());
                     assert_eq!((entry.records, entry.bytes), (7, len as u64));
                     assert_eq!(entry.origin_trace, origin);
-                    assert!(entry.into_payload(got) == payload);
+                    assert!(entry.into_payload(&got) == payload);
                 }
             }
         }

@@ -226,7 +226,7 @@ fn a_rejected_entry_mid_chain_recomputes_under_the_same_keys() {
     let spoilers: [(&str, Spoil); 3] = [
         ("quarantined", |chain| {
             let blob = chain.key_b().blob_name();
-            let mut raw = chain.cache.sink().read_file(&blob).unwrap();
+            let mut raw = chain.cache.sink().read_file(&blob).unwrap().to_vec();
             let last = raw.len() - 1;
             raw[last] ^= 0x40;
             chain.cache.sink().write_file(&blob, &raw).unwrap();

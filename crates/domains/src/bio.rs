@@ -492,7 +492,10 @@ pub fn open_secure_shard(
     split: Split,
     record_count: usize,
 ) -> Result<H5File, DomainError> {
-    let mut bytes = sink.read_file(&format!("{prefix}/{}.h5lite.enc", split.name()))?;
+    // Deciphered in place, so this reader pays for a copy of its own.
+    let mut bytes = sink
+        .read_file(&format!("{prefix}/{}.h5lite.enc", split.name()))?
+        .to_vec();
     chacha20_xor(
         &shard_key(&cfg.secret, prefix),
         &shard_nonce(split, record_count),
@@ -741,7 +744,8 @@ mod tests {
         let cfg = small_cfg();
         let sink = MemSink::new();
         generate_raw(&cfg, &sink).unwrap();
-        let fasta = String::from_utf8(sink.read_file("raw/sequences.fasta").unwrap()).unwrap();
+        let fasta =
+            String::from_utf8(sink.read_file("raw/sequences.fasta").unwrap().to_vec()).unwrap();
         let cut = fasta.find(">patient-0007").unwrap();
         let next = fasta.find(">patient-0008").unwrap();
         let without = format!("{}{}", &fasta[..cut], &fasta[next..]);

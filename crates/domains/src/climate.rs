@@ -547,8 +547,9 @@ pub fn build_batch_pipeline(
     stage_graph(cfg, sink, ledger)
 }
 
-/// One parsed raw variable: (raw bytes, decoded field).
-type ParsedVar = Result<(Vec<u8>, Vec<f64>), DomainError>;
+/// One parsed raw variable: (raw bytes as the sink lends them, decoded
+/// field).
+type ParsedVar = Result<(Arc<[u8]>, Vec<f64>), DomainError>;
 
 /// Read and parse the raw NetCDF files `raw_names` (one per entry of
 /// [`VARIABLES`], in that order) on [`par_map`]: the variables decode

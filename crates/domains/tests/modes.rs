@@ -114,7 +114,9 @@ fn sequential_ledger<I>(build: Build<I>, item: impl Fn(usize) -> I, cached: bool
 
 /// The blob as stored.
 fn stored(sink: &MemSink, prefix: &str, rest: &str) -> Vec<u8> {
-    sink.read_file(&format!("{prefix}/{rest}")).expect("read")
+    sink.read_file(&format!("{prefix}/{rest}"))
+        .expect("read")
+        .to_vec()
 }
 
 /// Collect `member`'s shard blobs from under `prefix/` (manifests name

@@ -37,6 +37,7 @@ use drai_telemetry::{Counter, Name, Registry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::ErrorKind::{self, Interrupted, PermissionDenied};
+use std::sync::Arc;
 
 /// Probabilities (per attempt) for each injected fault class.
 ///
@@ -196,7 +197,7 @@ impl<S: StorageSink> StorageSink for FaultSink<S> {
         self.inner.write_file(name, data)
     }
 
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
         let attempt = self.next_attempt(OP_READ, name);
         if self.roll(OP_READ, 0, name, attempt) < self.config.read_transient {
             Self::count(&names::FAULT_READ_TRANSIENT);
@@ -230,7 +231,7 @@ mod tests {
     fn zero_rates_are_transparent() {
         let sink = FaultSink::new(MemSink::new(), FaultConfig::default());
         sink.write_file("a", b"payload").unwrap();
-        assert_eq!(sink.read_file("a").unwrap(), b"payload");
+        assert_eq!(&*sink.read_file("a").unwrap(), b"payload");
         assert!(sink.exists("a"));
         assert_eq!(sink.list().unwrap(), vec!["a"]);
         sink.delete("a").unwrap();
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(flipped, 1, "expected exactly one flipped bit");
         // Empty writes cannot be corrupted and must not panic.
         sink.write_file("empty", b"").unwrap();
-        assert_eq!(sink.inner().read_file("empty").unwrap(), b"");
+        assert_eq!(&*sink.inner().read_file("empty").unwrap(), b"");
     }
 
     #[test]

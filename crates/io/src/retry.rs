@@ -161,7 +161,7 @@ impl<S: StorageSink> StorageSink for RetrySink<S> {
         self.retrying(|| self.inner.write_file(name, data))
     }
 
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
         self.retrying(|| self.inner.read_file(name))
     }
 
@@ -214,7 +214,7 @@ mod tests {
         }
         assert_eq!(sink.inner().inner().file_count(), 64);
         for i in 0..64 {
-            assert_eq!(sink.read_file(&format!("f{i}")).unwrap(), b"payload");
+            assert_eq!(&*sink.read_file(&format!("f{i}")).unwrap(), b"payload");
         }
         assert!(clock.slept_ns() > 0, "some attempts should have backed off");
     }

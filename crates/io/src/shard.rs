@@ -1037,6 +1037,7 @@ mod tests {
     use super::*;
     use crate::sink::MemSink;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn records(n: usize, size: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -1182,7 +1183,7 @@ mod tests {
             Ok(())
         }
 
-        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+        fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
             Err(IoError::NotFound {
                 blob: name.to_string(),
             })
@@ -1242,7 +1243,7 @@ mod tests {
             self.inner.write_file(name, data)
         }
 
-        fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+        fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
             self.inner.read_file(name)
         }
 
@@ -1350,7 +1351,7 @@ mod tests {
             .write_all(&recs)
             .unwrap();
         let name = "corrupt-00000.shard";
-        let mut data = sink.read_file(name).unwrap();
+        let mut data = sink.read_file(name).unwrap().to_vec();
         let n = data.len();
         data[n / 2] ^= 0xFF;
         sink.write_file(name, &data).unwrap();
@@ -1391,7 +1392,7 @@ mod tests {
         assert!(manifest.shards.len() >= 3, "want multiple shards");
         // Corrupt a mid-payload byte of the middle shard.
         let victim = &manifest.shards[1];
-        let mut data = sink.read_file(&victim.name).unwrap();
+        let mut data = sink.read_file(&victim.name).unwrap().to_vec();
         let n = data.len();
         data[n - 10] ^= 0x40;
         sink.write_file(&victim.name, &data).unwrap();
@@ -1497,7 +1498,8 @@ mod tests {
         // 2^53 - 1: the largest count exactly representable in the JSON
         // number model, still an absurd ~72 PiB preallocation if trusted.
         const HUGE: u64 = (1 << 53) - 1;
-        let raw = String::from_utf8(sink.read_file("huge.manifest.json").unwrap()).unwrap();
+        let raw =
+            String::from_utf8(sink.read_file("huge.manifest.json").unwrap().to_vec()).unwrap();
         // A total its shards do not add up to is refused when the
         // manifest is read, before anything is sized by it.
         let total = raw.replace("\"total_records\":3", &format!("\"total_records\":{HUGE}"));
@@ -1540,7 +1542,7 @@ mod tests {
         let manifest = ShardWriter::new(ShardSpec::new("m", 1000), &sink)
             .write_all(records(9, 300))
             .unwrap();
-        let text = String::from_utf8(sink.read_file("m.manifest.json").unwrap()).unwrap();
+        let text = String::from_utf8(sink.read_file("m.manifest.json").unwrap().to_vec()).unwrap();
         let crc = manifest.shards[1].crc32c;
         let total = manifest.total_records;
         for (field, forged) in [
@@ -1589,7 +1591,8 @@ mod tests {
         let victim = &manifest.shards[1];
         // One shard's count and the total raised together: the manifest
         // is consistent, and the files and their CRCs are untouched.
-        let text = String::from_utf8(sink.read_file("count.manifest.json").unwrap()).unwrap();
+        let text =
+            String::from_utf8(sink.read_file("count.manifest.json").unwrap().to_vec()).unwrap();
         let name = &victim.name;
         let forged = forge(
             &forge(
@@ -1628,7 +1631,7 @@ mod tests {
         ShardWriter::new(ShardSpec::new("pp", 1 << 20), &sink)
             .write_all(&recs)
             .unwrap();
-        let mut data = sink.read_file("pp-00000.shard").unwrap();
+        let mut data = sink.read_file("pp-00000.shard").unwrap().to_vec();
         // Corrupt record 5's payload: header is 12 bytes, each record
         // 8 + 100 bytes.
         let off = 12 + 5 * 108 + 8 + 50;

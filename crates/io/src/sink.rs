@@ -23,7 +23,7 @@ use drai_telemetry::{Registry, Stopwatch};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -45,12 +45,21 @@ fn count_read(bytes: usize) {
 /// A flat namespace of named byte blobs. Names may contain `/` separators;
 /// backends create intermediate directories as needed. Implementations must
 /// be thread-safe: parallel shard writers call `write_file` concurrently.
+///
+/// Reads lend, writes copy: `write_file` takes the caller's bytes by
+/// reference and stores a copy of its own, and `read_file` hands out the
+/// stored blob itself, shared and immutable. A reader that only hashes,
+/// scans or parses a blob uses it in place; one that edits it makes its
+/// own copy (`.to_vec()`). A lent blob keeps its bytes after its name is
+/// overwritten or deleted.
 pub trait StorageSink: Send + Sync {
     /// Write (create or replace) a named blob.
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError>;
-    /// Read a named blob in full; a missing one is [`IoError::NotFound`].
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError>;
-    /// List all blob names, sorted.
+    /// Read a named blob in full, as the stored bytes shared rather than
+    /// a copy; a missing one is [`IoError::NotFound`].
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError>;
+    /// List all blob names, sorted. A backend's own scratch files (a
+    /// staging file of an unfinished write) are not blobs.
     fn list(&self) -> Result<Vec<String>, IoError>;
     /// Remove a blob (ok if absent).
     fn delete(&self, name: &str) -> Result<(), IoError>;
@@ -114,8 +123,22 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 fn staging_path(path: &Path) -> PathBuf {
     let n = TMP_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp-write.{}.{n}", std::process::id()));
+    name.push(format!("{STAGING_MARK}{}.{n}", std::process::id()));
     path.with_file_name(name)
+}
+
+/// What [`staging_path`] puts between a blob's file name and its
+/// `<pid>.<n>` suffix.
+const STAGING_MARK: &str = ".tmp-write.";
+
+/// Whether `file_name` is a staging file: an in-flight write's, or one
+/// a crashed write left behind. Neither is a blob.
+fn is_staging(file_name: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    file_name
+        .rsplit_once(STAGING_MARK)
+        .and_then(|(_, suffix)| suffix.split_once('.'))
+        .is_some_and(|(pid, n)| digits(pid) && digits(n))
 }
 
 impl StorageSink for LocalFs {
@@ -162,8 +185,21 @@ impl StorageSink for LocalFs {
         Ok(())
     }
 
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
-        let data = fs::read(self.path_of(name)?).map_err(|e| IoError::os(name, e))?;
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
+        let os = |e| IoError::os(name, e);
+        let mut file = fs::File::open(self.path_of(name)?).map_err(os)?;
+        // A published file is never written in place (writes stage and
+        // rename), so the open handle's length is the blob's length.
+        let len = file.metadata().map_err(os)?.len();
+        let len = usize::try_from(len).map_err(|_| IoError::Format {
+            blob: name.to_string(),
+            what: format!("{len} bytes do not fit in memory"),
+        })?;
+        // One allocation, read into where it lies: an exact-size iterator
+        // collects straight into the `Arc`, and `make_mut` of an `Arc`
+        // nothing else holds yet lends its bytes without cloning them.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        file.read_exact(Arc::make_mut(&mut data)).map_err(os)?;
         count_read(data.len());
         Ok(data)
     }
@@ -178,6 +214,8 @@ impl StorageSink for LocalFs {
                 let path = entry.path();
                 if path.is_dir() {
                     stack.push(path);
+                } else if is_staging(&entry.file_name().to_string_lossy()) {
+                    // An unfinished write's scratch file, not a blob.
                 } else if let Ok(rel) = path.strip_prefix(&self.root) {
                     out.push(rel.to_string_lossy().replace('\\', "/"));
                 }
@@ -205,10 +243,11 @@ impl StorageSink for LocalFs {
 ///
 /// One mutex guards the name map, and every stage worker, shard-writer
 /// thread and cache lookup of a run goes through it, so it is held for
-/// map operations only: payloads are copied in before it is taken and
-/// out after it is released (blobs sit behind an `Arc`, so a reader
-/// takes a pointer under the lock), and a replaced or deleted blob is
-/// freed once the guard is gone.
+/// map operations only: payloads are copied in before it is taken, a
+/// reader takes a pointer under the lock (blobs sit behind an `Arc`,
+/// and `read_file` lends that `Arc` itself, so no payload byte is
+/// copied out), and a replaced or deleted blob is freed once the guard
+/// and every lent pointer to it are gone.
 #[derive(Debug, Default, Clone)]
 pub struct MemSink {
     files: Arc<Mutex<BTreeMap<String, Arc<[u8]>>>>,
@@ -241,15 +280,13 @@ impl StorageSink for MemSink {
         Ok(())
     }
 
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
         let blob = self.files.lock().get(name).cloned();
-        let data = blob
-            .ok_or_else(|| IoError::NotFound {
-                blob: name.to_string(),
-            })?
-            .to_vec();
-        count_read(data.len());
-        Ok(data)
+        let blob = blob.ok_or_else(|| IoError::NotFound {
+            blob: name.to_string(),
+        })?;
+        count_read(blob.len());
+        Ok(blob)
     }
 
     fn list(&self) -> Result<Vec<String>, IoError> {
@@ -274,8 +311,8 @@ mod tests {
     fn exercise(sink: &dyn StorageSink) {
         sink.write_file("a.bin", b"hello").unwrap();
         sink.write_file("sub/dir/b.bin", b"world").unwrap();
-        assert_eq!(sink.read_file("a.bin").unwrap(), b"hello");
-        assert_eq!(sink.read_file("sub/dir/b.bin").unwrap(), b"world");
+        assert_eq!(&*sink.read_file("a.bin").unwrap(), b"hello");
+        assert_eq!(&*sink.read_file("sub/dir/b.bin").unwrap(), b"world");
         assert!(sink.exists("a.bin"));
         assert!(!sink.exists("missing.bin"));
         let names = sink.list().unwrap();
@@ -283,7 +320,7 @@ mod tests {
         assert!(names.contains(&"sub/dir/b.bin".to_string()));
         // Overwrite.
         sink.write_file("a.bin", b"replaced").unwrap();
-        assert_eq!(sink.read_file("a.bin").unwrap(), b"replaced");
+        assert_eq!(&*sink.read_file("a.bin").unwrap(), b"replaced");
         // Delete (idempotent).
         sink.delete("a.bin").unwrap();
         sink.delete("a.bin").unwrap();
@@ -331,7 +368,7 @@ mod tests {
         });
         for (t, ext) in exts.iter().enumerate() {
             assert_eq!(
-                sink.read_file(&format!("d.{ext}")).unwrap(),
+                &*sink.read_file(&format!("d.{ext}")).unwrap(),
                 vec![t as u8 + 1; 4096],
                 "d.{ext} was clobbered by a sibling extension's staging file"
             );
@@ -365,6 +402,23 @@ mod tests {
     }
 
     #[test]
+    fn local_fs_lists_no_staging_file() {
+        // A write in flight, or one a crash cut short, leaves
+        // `<name>.tmp-write.<pid>.<n>` beside the blob: not a blob.
+        let dir = std::env::temp_dir().join(format!("drai-io-staging-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = LocalFs::new(&dir).unwrap();
+        sink.write_file("sub/d.json", b"real").unwrap();
+        std::fs::write(dir.join("sub/d.json.tmp-write.4242.7"), b"torn").unwrap();
+        std::fs::write(dir.join("top.bin.tmp-write.1.0"), b"torn").unwrap();
+        // A blob whose name merely contains the marker is still listed.
+        sink.write_file("odd.tmp-write.notes", b"kept").unwrap();
+        assert_eq!(sink.list().unwrap(), ["odd.tmp-write.notes", "sub/d.json"]);
+        assert_eq!(&*sink.read_file("sub/d.json").unwrap(), b"real");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn rejects_escaping_names() {
         let sink = MemSink::new();
         assert!(sink.write_file("../evil", b"x").is_err());
@@ -379,8 +433,10 @@ mod tests {
         // then reads, 8 MiB blobs in a loop while this one probes an
         // unrelated name. A probe takes the sink's one mutex; were
         // payloads copied in, freed or cloned out under it, the typical
-        // probe would wait out a good part of a copy. Medians, so a
-        // descheduled thread cannot decide the test.
+        // probe would wait out a good part of a copy. A read lends the
+        // stored blob, so it is far quicker than a write and runs many
+        // more rounds to span as many probes. Medians, so a descheduled
+        // thread cannot decide the test.
         const BLOB: usize = 8 << 20;
         let sink = MemSink::new();
         sink.write_file("unrelated", b"x").unwrap();
@@ -398,12 +454,12 @@ mod tests {
                 })
                 .collect(),
         );
-        let probe_beside = |what: &str, work: &(dyn Fn(usize) + Sync)| {
+        let probe_beside = |what: &str, rounds: usize, work: &(dyn Fn(usize) + Sync)| {
             let done = std::sync::atomic::AtomicBool::new(false);
             let mut probes: Vec<u64> = Vec::new();
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    (0..24).for_each(work);
+                    (0..rounds).for_each(work);
                     done.store(true, AtomicOrdering::Release);
                 });
                 while !done.load(AtomicOrdering::Acquire) {
@@ -423,11 +479,11 @@ mod tests {
                  {copy_ns} ns — the sink moves payload bytes under its lock"
             );
         };
-        probe_beside("write_file", &|i| {
+        probe_beside("write_file", 24, &|i| {
             sink.write_file(&format!("big/{}", i % 2), &payload)
                 .unwrap()
         });
-        probe_beside("read_file", &|_| {
+        probe_beside("read_file", 1 << 18, &|_| {
             assert_eq!(sink.read_file("big/0").unwrap().len(), BLOB)
         });
     }

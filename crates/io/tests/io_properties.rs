@@ -35,7 +35,7 @@ proptest! {
             .write_all(&records)
             .unwrap();
         let name = "c-00000.shard";
-        let mut data = sink.read_file(name).unwrap();
+        let mut data = sink.read_file(name).unwrap().to_vec();
         let pos = flip.0 % data.len();
         data[pos] ^= flip.1;
         sink.write_file(name, &data).unwrap();

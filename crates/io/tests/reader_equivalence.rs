@@ -376,7 +376,7 @@ fn every_read_path_agrees_with_the_two_pass_reader_on_damaged_shards() {
         );
 
         let victim = manifest.shards[1].name.clone();
-        let pristine = sink.read_file(&victim).unwrap();
+        let pristine = sink.read_file(&victim).unwrap().to_vec();
         for (label, damaged) in damages(&pristine, codec) {
             sink.write_file(&victim, &damaged).unwrap();
             assert_same_reads(&prefix, &sink, &format!("{codec:?} {label}"));
@@ -392,7 +392,8 @@ fn every_read_path_agrees_with_the_two_pass_reader_on_damaged_shards() {
         // Intact records under a manifest whose file CRC is off by one,
         // and one whose record count is (and its total, to match).
         let manifest_name = format!("{prefix}.manifest.json");
-        let manifest_text = String::from_utf8(sink.read_file(&manifest_name).unwrap()).unwrap();
+        let manifest_text =
+            String::from_utf8(sink.read_file(&manifest_name).unwrap().to_vec()).unwrap();
         let info = &manifest.shards[1];
         let total = manifest.total_records;
         for (label, edits) in [

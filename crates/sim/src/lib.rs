@@ -88,7 +88,7 @@ struct SimState {
     /// Per-OST total bytes read.
     ost_read_bytes: Vec<u64>,
     /// Stored blobs and the starting OST each was striped from.
-    files: BTreeMap<String, (usize, Vec<u8>)>,
+    files: BTreeMap<String, (usize, Arc<[u8]>)>,
     /// Next file's starting OST (round-robin placement).
     next_start_ost: usize,
     /// Completion time of the most recent operation.
@@ -250,15 +250,16 @@ impl StorageSink for SimFs {
                 what: "a blob name must be a non-empty relative path without '..'".to_string(),
             });
         }
+        let blob = Arc::from(data);
         let mut st = self.state.lock();
         let start = st.next_start_ost;
         st.next_start_ost = (st.next_start_ost + 1) % self.config.ost_count;
         self.simulate_transfer(&mut st, data.len(), start, false);
-        st.files.insert(name.to_string(), (start, data.to_vec()));
+        st.files.insert(name.to_string(), (start, blob));
         Ok(())
     }
 
-    fn read_file(&self, name: &str) -> Result<Vec<u8>, IoError> {
+    fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
         let mut st = self.state.lock();
         let (start, data) = st
             .files
@@ -305,7 +306,7 @@ mod tests {
     fn sink_round_trip() {
         let fs = fs(4, 2);
         fs.write_file("a/b.shard", &[7u8; 1000]).unwrap();
-        assert_eq!(fs.read_file("a/b.shard").unwrap(), vec![7u8; 1000]);
+        assert_eq!(&*fs.read_file("a/b.shard").unwrap(), vec![7u8; 1000]);
         assert!(fs.exists("a/b.shard"));
         assert_eq!(fs.list().unwrap(), vec!["a/b.shard"]);
         fs.delete("a/b.shard").unwrap();
@@ -398,7 +399,7 @@ mod tests {
         fs.write_file("keep", &[1u8; 100]).unwrap();
         fs.reset_clocks();
         assert_eq!(fs.makespan(), 0.0);
-        assert_eq!(fs.read_file("keep").unwrap(), vec![1u8; 100]);
+        assert_eq!(&*fs.read_file("keep").unwrap(), vec![1u8; 100]);
     }
 
     #[test]
@@ -433,7 +434,7 @@ mod tests {
     fn empty_file_write() {
         let fs = fs(2, 2);
         fs.write_file("empty", &[]).unwrap();
-        assert_eq!(fs.read_file("empty").unwrap(), Vec::<u8>::new());
+        assert!(fs.read_file("empty").unwrap().is_empty());
     }
 
     #[test]

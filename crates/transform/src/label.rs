@@ -5,8 +5,6 @@
 pub enum Label {
     /// Ground-truth label.
     Known(i64),
-    /// Promoted pseudo-label with the confidence it cleared.
-    Pseudo(i64, f64),
     /// Still unlabeled.
     Unknown,
 }
@@ -37,5 +35,12 @@ mod tests {
         assert_eq!(labels[1], Label::Known(1));
         assert_eq!(labels[2], Label::Unknown);
         assert_eq!(labels[3], Label::Known(0)); // strict >
+    }
+
+    #[test]
+    fn a_label_is_a_tag_and_a_class() {
+        // One label per row of the table: a variant with a payload wider
+        // than the class would widen every one of them.
+        assert_eq!(std::mem::size_of::<Label>(), 16);
     }
 }

@@ -259,7 +259,11 @@ fn corrupted_cache_entries_are_quarantined_and_recomputed() {
             .find(|n| n.starts_with("cache/") && !n.contains("quarantine"))
             .expect("cold run must have stored cache entries")
             .clone();
-        let mut data = fault_sink.inner().read_file(&victim).expect("read entry");
+        let mut data = fault_sink
+            .inner()
+            .read_file(&victim)
+            .expect("read entry")
+            .to_vec();
         let mid = data.len() / 2;
         data[mid] ^= 0x40;
         fault_sink

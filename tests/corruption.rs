@@ -98,7 +98,7 @@ fn shard_body_corruption_every_codec() {
     for codec in CODECS {
         let (sink, recs, prefix) = build(codec);
         let shard_name = format!("{prefix}-00001.shard");
-        let pristine = sink.read_file(&shard_name).unwrap();
+        let pristine = sink.read_file(&shard_name).unwrap().to_vec();
 
         // Byte offsets attacking each structural region: magic, codec
         // tag, reserved padding, first record length, first record CRC,
@@ -147,7 +147,7 @@ fn manifest_corruption_never_panics_or_fabricates() {
     for codec in CODECS {
         let (sink, recs, prefix) = build(codec);
         let manifest_name = format!("{prefix}.manifest.json");
-        let pristine = sink.read_file(&manifest_name).unwrap();
+        let pristine = sink.read_file(&manifest_name).unwrap().to_vec();
 
         // Flip one bit in every byte of the manifest JSON. Each variant
         // must parse-fail, quarantine, or (for flips in advisory fields

@@ -281,7 +281,7 @@ fn corrupted_shard_detected_through_full_stack() {
         .iter()
         .find(|n| n.contains("train"))
         .expect("train shard exists");
-    let mut bytes = sink.read_file(name).unwrap();
+    let mut bytes = sink.read_file(name).unwrap().to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     sink.write_file(name, &bytes).unwrap();

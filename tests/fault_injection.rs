@@ -13,7 +13,8 @@ use drai::io::shard::{ShardReader, ShardSpec, ShardWriter};
 use drai::io::sink::{LocalFs, MemSink, StorageSink};
 use drai::io::IoError;
 use drai::sim::{SimConfig, SimFs};
-use drai::telemetry::Registry;
+use drai::telemetry::{Registry, TraceContext};
+use std::sync::Arc;
 
 fn records(n: usize, size: usize) -> Vec<Vec<u8>> {
     (0..n)
@@ -146,5 +147,60 @@ fn a_missing_blob_is_not_found_on_every_sink() {
         assert_eq!(err.to_string(), "gone.bin: no such blob", "{what}");
     }
     assert_eq!(clock.slept_ns(), 0, "a missing blob was retried");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn read_file_lends_the_stored_blob_on_every_sink() {
+    // Reads lend, writes copy: what `read_file` returns is the stored
+    // blob itself (the in-memory sinks hand out the same allocation on
+    // every read, and so do the wrappers around MemSink; LocalFs reads a
+    // fresh one from disk), it stays intact however its name
+    // is rewritten or deleted afterwards, and every read is still counted
+    // in full — by `io.sink.bytes_read`, or by SimFs's own read total.
+    let dir = std::env::temp_dir().join(format!("drai-lend-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sim = SimFs::new(SimConfig::default()).unwrap();
+    let registry = Registry::new();
+    let sink_bytes_read = || registry.counter("io.sink.bytes_read").get();
+    let clock = VirtualClock::new();
+    let sinks: [(&str, Box<dyn StorageSink>, bool); 5] = [
+        ("MemSink", Box::new(MemSink::new()), true),
+        ("LocalFs", Box::new(LocalFs::new(&dir).unwrap()), false),
+        ("SimFs", Box::new(sim.clone()), true),
+        (
+            "FaultSink",
+            Box::new(FaultSink::new(MemSink::new(), FaultConfig::default())),
+            true,
+        ),
+        (
+            "RetrySink",
+            Box::new(RetrySink::with_clock(
+                MemSink::new(),
+                RetryPolicy::default(),
+                clock,
+            )),
+            true,
+        ),
+    ];
+    TraceContext::root(&registry).scope(|| {
+        for (what, sink, shares) in &sinks {
+            let counted = || sink_bytes_read() + sim.total_read_bytes();
+            let before = counted();
+            sink.write_file("lent/blob", b"first version").unwrap();
+            let lent = sink.read_file("lent/blob").unwrap();
+            let again = sink.read_file("lent/blob").unwrap();
+            assert_eq!(Arc::ptr_eq(&lent, &again), *shares, "{what}");
+            sink.write_file("lent/blob", b"the second, longer version")
+                .unwrap();
+            assert_eq!(&*lent, b"first version", "{what}: overwritten");
+            let second = sink.read_file("lent/blob").unwrap();
+            assert_eq!(&*second, b"the second, longer version", "{what}");
+            sink.delete("lent/blob").unwrap();
+            assert_eq!(&*lent, b"first version", "{what}: deleted");
+            assert_eq!(&*second, b"the second, longer version", "{what}");
+            assert_eq!(counted() - before, 2 * 13 + 26, "{what}: bytes read");
+        }
+    });
     std::fs::remove_dir_all(&dir).unwrap();
 }
