@@ -458,22 +458,17 @@ mod tests {
 
     /// A five-step template: every Table 2 column applies.
     fn template() -> DomainTemplate {
-        let steps = [
-            ("load", S::Ingest),
-            ("align", S::Preprocess),
-            ("anonymize", S::Transform),
-            ("features", S::Structure),
-            ("shard", S::Shard),
+        const STEPS: [TemplateStep; 5] = [
+            TemplateStep::new("load", S::Ingest),
+            TemplateStep::new("align", S::Preprocess),
+            TemplateStep::new("anonymize", S::Transform),
+            TemplateStep::new("features", S::Structure),
+            TemplateStep::new("shard", S::Shard),
         ];
         DomainTemplate {
             domain: "demo",
-            pattern: "load -> align -> anonymize -> features -> shard",
-            steps: steps
-                .into_iter()
-                .map(|(name, kind)| TemplateStep { name, kind })
-                .collect(),
+            steps: &STEPS,
             alignment: Some("clock_hz"),
-            shard_format: "shard",
             requires_anonymization: true,
         }
     }
@@ -572,7 +567,8 @@ mod tests {
     #[test]
     fn a_kind_the_template_lacks_is_not_applicable() {
         let mut t = template();
-        t.steps.retain(|s| s.kind != S::Structure);
+        let steps = t.steps.iter().copied().filter(|s| s.kind != S::Structure);
+        t.steps = steps.collect::<Vec<_>>().leak();
         let ops = ["load", "align", "anonymize", "shard"];
         // With no `features` step, `anonymize` is the first stage after
         // `align` to visit every value.

@@ -14,7 +14,7 @@
 //!   domain's [`templates::DomainTemplate`], citing the ledger record
 //!   that satisfies each cell. Readiness is *assessed from evidence*, not
 //!   declared — the operational teeth the paper calls for.
-//! * [`templates`] — the four Table 1 rows as stage-graph templates.
+//! * [`templates`] — the types a domain declares its Table 1 row with.
 //! * [`quality`] — data-quality reporting (missing fraction, imbalance,
 //!   outliers) for dataset cards.
 //! * [`pipeline`] — a typed stage graph with its sequential runner,
@@ -56,7 +56,7 @@ pub use dataset::{DatasetManifest, Modality, VariableSpec};
 pub use executor::{CancelToken, ExecutorConfig, StreamingBatchExt};
 pub use pipeline::{FastPath, Pipeline, PipelineBuilder, PipelineRun, StageMetrics};
 pub use readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
-pub use templates::DomainTemplate;
+pub use templates::{DomainTemplate, TemplateStep};
 
 /// Errors from the core framework.
 #[derive(Debug)]

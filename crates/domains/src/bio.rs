@@ -22,7 +22,7 @@ use crate::{names, DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
-use drai_core::readiness::ProcessingStage as S;
+use drai_core::{readiness::ProcessingStage as S, DomainTemplate, TemplateStep};
 use drai_formats::csv::{parse_csv, write_csv, CsvTable};
 use drai_formats::fasta::{parse_fasta, write_fasta, FastaRecord};
 use drai_formats::h5lite::{AttrValue, H5File};
@@ -412,6 +412,23 @@ fn secure_shard_stage(
     Ok(data)
 }
 
+/// The stages of [`stage_graph`], in order.
+const STEPS: [TemplateStep; 4] = [
+    TemplateStep::new("audit", S::Ingest),
+    TemplateStep::new("anonymize", S::Transform),
+    TemplateStep::new("encode+fuse", S::Structure),
+    TemplateStep::new("secure-shard", S::Shard),
+];
+
+/// The bio/health template (§3.3): `encode -> anonymize -> fuse -> secure-shard`.
+/// The intake `audit` stands where the pattern starts; encoding is fused with fuse.
+pub const TEMPLATE: DomainTemplate = DomainTemplate {
+    domain: "bio",
+    steps: &STEPS,
+    alignment: None,
+    requires_anonymization: true,
+};
+
 /// The bio stage graph (stages 2–4; ingest is [`ingest`]), declared
 /// once for whatever flows through it: a bare [`BioData`] (pipeline
 /// `bio`, containers under `bio/`) or a batch [`Member`], one clinic's
@@ -432,20 +449,21 @@ fn stage_graph<I: StageItem<BioData>>(
     let shard_config = [("cipher", "chacha20".to_string())]
         .into_iter()
         .chain(crate::split_config(cfg.seed, cfg.fractions));
+    let [audit, anon, fuse, secure] = STEPS;
 
-    Pipeline::builder(&I::pipeline_name("bio"))
+    Pipeline::builder(&I::pipeline_name(TEMPLATE.domain))
         .ledger(ledger)
-        .stage("audit", S::Ingest, |item: I, c| {
+        .stage(audit.name, audit.kind, |item: I, c| {
             item.try_map(|data| audit_stage(data, c))
         })
-        .configured_stage("anonymize", S::Transform, anonymity, move |item: I, c| {
+        .configured_stage(anon.name, anon.kind, anonymity, move |item: I, c| {
             item.try_map(|data| anonymize_stage(&cfg_anon, data, c))
         })
-        .stage("encode+fuse", S::Structure, |item: I, c| {
+        .stage(fuse.name, fuse.kind, |item: I, c| {
             item.try_map(|data| encode_fuse_stage(data, c))
         })
-        .configured_stage("secure-shard", S::Shard, shard_config, move |item: I, c| {
-            let prefix = item.shard_prefix("bio");
+        .configured_stage(secure.name, secure.kind, shard_config, move |item: I, c| {
+            let prefix = item.shard_prefix(TEMPLATE.domain);
             item.try_map(|data| secure_shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
@@ -508,7 +526,7 @@ pub fn open_secure_shard(
 /// Run the complete bio archetype.
 pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
-        "bio",
+        &TEMPLATE,
         ".enc",
         sink.as_ref(),
         || generate_raw(cfg, sink.as_ref()),
@@ -516,7 +534,7 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |out| DatasetManifest {
             name: "c-her-synth".into(),
-            domain: "bio".into(),
+            domain: TEMPLATE.domain.into(),
             modality: Modality::Sequence,
             schema: vec![
                 VariableSpec::new("labs", DType::F32, "1", &[LAB_COLUMNS.len()]),

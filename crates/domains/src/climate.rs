@@ -19,7 +19,7 @@ use crate::{DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
-use drai_core::readiness::ProcessingStage as S;
+use drai_core::{readiness::ProcessingStage as S, DomainTemplate, TemplateStep};
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
 use drai_formats::npy;
 use drai_formats::zip::{archive_len, ZipWriter};
@@ -193,63 +193,6 @@ pub fn generate_raw(
         names.push(blob);
     }
     Ok(names)
-}
-
-/// Generate the same raw fields as GRIB-style packed messages (the
-/// paper's "encoded Gridded Binary" ingest path) under `raw-grib/`.
-/// One file per variable, one message per timestep.
-pub fn generate_raw_grib(
-    cfg: &ClimateConfig,
-    sink: &dyn StorageSink,
-    packing: drai_formats::grib::Packing,
-) -> Result<Vec<String>, DomainError> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let (nlat, nlon) = (cfg.src_grid.nlat(), cfg.src_grid.nlon());
-    let mut names = Vec::new();
-    for (vi, (name, _unit, _)) in VARIABLES.iter().enumerate() {
-        let values = synth_variable(cfg, vi, &mut rng);
-        let mut stream = Vec::new();
-        for t in 0..cfg.timesteps {
-            let msg = drai_formats::grib::GribMessage {
-                parameter: (*name).to_string(),
-                nlat: nlat as u32,
-                nlon: nlon as u32,
-                time_hours: (t * 6) as u32,
-                values: values[t * nlat * nlon..(t + 1) * nlat * nlon].to_vec(),
-            };
-            stream.extend(drai_formats::grib::encode_message(&msg, packing)?);
-        }
-        let blob = format!("raw-grib/{name}.grib");
-        sink.write_file(&blob, &stream)?;
-        names.push(blob);
-    }
-    Ok(names)
-}
-
-/// Ingest GRIB-packed raw files back into per-variable field stacks
-/// (the unpack cost the climate ingest stage pays for encoded formats).
-pub fn ingest_grib(
-    cfg: &ClimateConfig,
-    sink: &dyn StorageSink,
-) -> Result<Vec<Vec<f64>>, DomainError> {
-    let mut fields = Vec::with_capacity(VARIABLES.len());
-    for (name, _unit, _) in VARIABLES.iter() {
-        let bytes = sink.read_file(&format!("raw-grib/{name}.grib"))?;
-        let messages = drai_formats::grib::decode_stream(&bytes)?;
-        if messages.len() != cfg.timesteps {
-            return Err(DomainError::Config(format!(
-                "{name}: {} GRIB messages for {} timesteps",
-                messages.len(),
-                cfg.timesteps
-            )));
-        }
-        let mut stack = Vec::with_capacity(cfg.timesteps * cfg.src_grid.ncells());
-        for msg in messages {
-            stack.extend(msg.values);
-        }
-        fields.push(stack);
-    }
-    Ok(fields)
 }
 
 /// The artifact that flows between climate pipeline stages.
@@ -466,6 +409,23 @@ fn shard_stage(
     Ok(data)
 }
 
+/// The stages of [`stage_graph`], in order.
+const STEPS: [TemplateStep; 4] = [
+    TemplateStep::new("validate", S::Ingest),
+    TemplateStep::new("regrid", S::Preprocess),
+    TemplateStep::new("normalize", S::Transform),
+    TemplateStep::new("shard", S::Shard),
+];
+
+/// The climate template (§3.1): `download -> regrid -> normalize -> shard`.
+/// The download is the run's `ingest`; `validate` checks its shape.
+pub const TEMPLATE: DomainTemplate = DomainTemplate {
+    domain: "climate",
+    steps: &STEPS,
+    alignment: Some("dst_grid"),
+    requires_anonymization: false,
+};
+
 /// The climate stage graph, declared once for whatever flows through
 /// it: a bare [`ClimateData`] (pipeline `climate`, shards under
 /// `climate/`) or a [`Member`] of an ensemble (pipeline
@@ -483,20 +443,21 @@ fn stage_graph<I: StageItem<ClimateData>>(
     let shard_config = [("shard_bytes", cfg.shard_bytes.to_string())]
         .into_iter()
         .chain(crate::split_config(cfg.seed, cfg.fractions));
+    let [validate, regrid, normalize, shard] = STEPS;
 
-    Pipeline::builder(&I::pipeline_name("climate"))
+    Pipeline::builder(&I::pipeline_name(TEMPLATE.domain))
         .ledger(ledger)
-        .stage("validate", S::Ingest, |item: I, c| {
+        .stage(validate.name, validate.kind, |item: I, c| {
             item.try_map(|data| validate_stage(data, c))
         })
-        .configured_stage("regrid", S::Preprocess, dst_grid, move |item: I, c| {
+        .configured_stage(regrid.name, regrid.kind, dst_grid, move |item: I, c| {
             item.try_map(|data| regrid_stage(&dst, data, c))
         })
-        .configured_stage("normalize", S::Transform, zscore, |item: I, c| {
+        .configured_stage(normalize.name, normalize.kind, zscore, |item: I, c| {
             item.try_map(|data| normalize_stage(data, c))
         })
-        .configured_stage("shard", S::Shard, shard_config, move |item: I, c| {
-            let prefix = item.shard_prefix("climate");
+        .configured_stage(shard.name, shard.kind, shard_config, move |item: I, c| {
+            let prefix = item.shard_prefix(TEMPLATE.domain);
             item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
@@ -584,7 +545,7 @@ pub(crate) fn ingest(
 /// pipeline, and return its manifest, stage metrics and ledger.
 pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
-        "climate",
+        &TEMPLATE,
         ".shard",
         sink.as_ref(),
         || generate_raw(cfg, sink.as_ref()),
@@ -594,7 +555,7 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
             let shape = [cfg.dst_grid.nlat(), cfg.dst_grid.nlon()];
             DatasetManifest {
                 name: "cmip-synth".into(),
-                domain: "climate".into(),
+                domain: TEMPLATE.domain.into(),
                 modality: Modality::Grid,
                 schema: VARIABLES
                     .iter()
@@ -828,52 +789,6 @@ mod tests {
         let sink = Arc::new(MemSink::new());
         let pipeline = build_pipeline(&cfg, sink, Arc::new(Ledger::new()));
         assert!(pipeline.run(raw_fields(&cfg, vec![vec![0.0; 5]])).is_err());
-    }
-
-    #[test]
-    fn grib_ingest_matches_netcdf_within_packing_error() {
-        let cfg = small_cfg();
-        let sink = MemSink::new();
-        // NetCDF path (exact doubles).
-        generate_raw(&cfg, &sink).unwrap();
-        // GRIB path (16-bit simple packing).
-        let packing = drai_formats::grib::Packing { bits: 16 };
-        generate_raw_grib(&cfg, &sink, packing).unwrap();
-        let grib_fields = ingest_grib(&cfg, &sink).unwrap();
-        for (vi, (name, _, _)) in VARIABLES.iter().enumerate() {
-            let nc =
-                NcFile::from_bytes(&sink.read_file(&format!("raw/{name}.nc")).unwrap()).unwrap();
-            let exact = nc.var(name).unwrap().data.to_f64_vec();
-            let packed = &grib_fields[vi];
-            assert_eq!(exact.len(), packed.len());
-            let span = exact.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - exact.iter().cloned().fold(f64::INFINITY, f64::min);
-            let tol = drai_formats::grib::quantization_error(span, packing) * 2.0 + 1e-9;
-            for (a, b) in exact.iter().zip(packed) {
-                assert!((a - b).abs() <= tol, "{name}: {a} vs {b} (tol {tol})");
-            }
-        }
-    }
-
-    #[test]
-    fn grib_packing_is_smaller_than_netcdf() {
-        let cfg = small_cfg();
-        let sink = MemSink::new();
-        generate_raw(&cfg, &sink).unwrap();
-        generate_raw_grib(&cfg, &sink, drai_formats::grib::Packing { bits: 16 }).unwrap();
-        let nc_bytes: usize = VARIABLES
-            .iter()
-            .map(|(n, _, _)| sink.read_file(&format!("raw/{n}.nc")).unwrap().len())
-            .sum();
-        let grib_bytes: usize = VARIABLES
-            .iter()
-            .map(|(n, _, _)| sink.read_file(&format!("raw-grib/{n}.grib")).unwrap().len())
-            .sum();
-        // 16-bit packing vs 64-bit doubles: expect ~4x reduction.
-        assert!(
-            grib_bytes * 3 < nc_bytes,
-            "grib {grib_bytes} vs netcdf {nc_bytes}"
-        );
     }
 
     #[test]

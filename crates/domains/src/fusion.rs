@@ -19,7 +19,7 @@ use crate::{DomainError, DomainRun, Member, StageItem};
 use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
-use drai_core::readiness::ProcessingStage as S;
+use drai_core::{readiness::ProcessingStage as S, DomainTemplate, TemplateStep};
 use drai_formats::example::{Example, FeatureRef};
 use drai_formats::tfrecord;
 use drai_io::parallel::par_map;
@@ -394,6 +394,22 @@ fn shard_stage(
     Ok(data)
 }
 
+/// The stages of [`stage_graph`], in order.
+const STEPS: [TemplateStep; 4] = [
+    TemplateStep::new("extract", S::Ingest),
+    TemplateStep::new("align", S::Preprocess),
+    TemplateStep::new("normalize", S::Transform),
+    TemplateStep::new("shard", S::Shard),
+];
+
+/// The fusion template (§3.2): `extract -> align -> normalize -> shard`.
+pub const TEMPLATE: DomainTemplate = DomainTemplate {
+    domain: "fusion",
+    steps: &STEPS,
+    alignment: Some("clock_hz"),
+    requires_anonymization: false,
+};
+
 /// The fusion stage graph, declared once for whatever flows through
 /// it: a bare [`FusionData`] (pipeline `fusion`, shards under `fusion/`)
 /// or a batch [`Member`] (`fusion-batch`, `fusion/m<member>/`).
@@ -424,20 +440,21 @@ fn stage_graph<I: StageItem<FusionData>>(
     let shard_config = [("shard_bytes", cfg.shard_bytes.to_string())]
         .into_iter()
         .chain(crate::split_config(cfg.seed, cfg.fractions));
+    let [extract, align, norm, shard] = STEPS;
 
-    Pipeline::builder(&I::pipeline_name("fusion"))
+    Pipeline::builder(&I::pipeline_name(TEMPLATE.domain))
         .ledger(ledger)
-        .configured_stage("extract", S::Ingest, store, |item: I, c| {
+        .configured_stage(extract.name, extract.kind, store, |item: I, c| {
             item.try_map(|data| extract_stage(data, c))
         })
-        .configured_stage("align", S::Preprocess, [clock_hz], move |item: I, c| {
+        .configured_stage(align.name, align.kind, [clock_hz], move |item: I, c| {
             item.try_map(|data| align_stage(&cfg_align, data, c))
         })
-        .configured_stage("normalize", S::Transform, windows, move |item: I, c| {
+        .configured_stage(norm.name, norm.kind, windows, move |item: I, c| {
             item.try_map(|data| normalize_stage(&cfg_norm, data, c))
         })
-        .configured_stage("shard", S::Shard, shard_config, move |item: I, c| {
-            let prefix = item.shard_prefix("fusion");
+        .configured_stage(shard.name, shard.kind, shard_config, move |item: I, c| {
+            let prefix = item.shard_prefix(TEMPLATE.domain);
             item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
@@ -484,7 +501,7 @@ pub fn member_input(cfg: &FusionConfig, member: usize) -> FusionData {
 /// Run the complete fusion archetype.
 pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
-        "fusion",
+        &TEMPLATE,
         ".shard",
         sink.as_ref(),
         || Ok(ShotStore::generate(cfg)),
@@ -492,7 +509,7 @@ pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, 
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |out| DatasetManifest {
             name: "diii-d-synth".into(),
-            domain: "fusion".into(),
+            domain: TEMPLATE.domain.into(),
             modality: Modality::TimeSeries,
             schema: CHANNELS
                 .iter()

@@ -2,28 +2,28 @@
 //!
 //! The four archetype workflows of Table 1, end-to-end: synthetic raw-data
 //! generators standing in for the gated sources (DESIGN.md substitution
-//! table) plus the full preprocessing pipeline for each domain, built on
-//! the framework (`drai-core`), kernels (`drai-transform`), formats
-//! (`drai-formats`) and shard engine (`drai-io`).
+//! table) plus the full preprocessing pipeline for each domain.
 //!
-//! | Module | Table 1 row | Pattern |
+//! | Module | Table 1 row | Raw → shards |
 //! |---|---|---|
-//! | [`climate`] | CMIP6 / ERA5 (ORBIT, ClimaX) | `download → regrid → normalize → shard` (NetCDF → NPZ) |
-//! | [`fusion`] | DIII-D ML / IPS-Fastran | `extract → align → normalize → shard` (shot store → TFRecord) |
-//! | [`bio`] | TwoFold / C-HER / Enformer | `encode → anonymize → fuse → secure-shard` (CSV+FASTA → encrypted h5lite) |
-//! | [`materials`] | OMat24 / AFLOW (HydraGNN) | `parse → normalize → encode → shard` (XYZ → BP + JSONL) |
+//! | [`climate`] | CMIP6 / ERA5 (ORBIT, ClimaX) | NetCDF → NPZ |
+//! | [`fusion`] | DIII-D ML / IPS-Fastran | shot store → TFRecord |
+//! | [`bio`] | TwoFold / C-HER / Enformer | CSV + FASTA → encrypted h5lite |
+//! | [`materials`] | OMat24 / AFLOW (HydraGNN) | XYZ → BP + JSONL |
 //!
-//! All four modules have one outline: `generate_raw` (the download
-//! stand-in) → `ingest` → one `stage_graph::<I: StageItem<_>>`, which
-//! `build_pipeline` / `build_batch_pipeline` instantiate for a bare
-//! artifact or a batch [`Member`] (made by `member_input`). Each stage
-//! declares the configuration it reads next to it: the params of its
-//! ledger record and the fingerprint of its cache key. Their `run` is
-//! written once, here (`run_archetype`), and so is the tail every shard
-//! stage ends in (`write_splits`). A `run` returns a [`DomainRun`]: the
-//! output dataset manifest, per-stage metrics and the provenance ledger,
-//! which [`DomainRun::assess`] grades against the domain's template —
-//! every Table 2 cell from the records the run wrote, nothing asserted.
+//! [`ARCHETYPES`] lists them in that order: each module's `TEMPLATE` (the
+//! paper's pattern, step by step) and its `run` at `drai run`'s sizes;
+//! the CLI, the examples and the cross-domain tests iterate it. Each
+//! module has one outline: `generate_raw` (the download stand-in) →
+//! `ingest` → one `stage_graph::<I: StageItem<_>>`, naming each stage and
+//! its kind by a `TEMPLATE` step, which `build_pipeline` /
+//! `build_batch_pipeline` instantiate for a bare artifact or a batch
+//! [`Member`] (made by `member_input`). Each stage declares the
+//! configuration it reads next to it: its ledger record's params and its
+//! cache key's fingerprint. `run` is written once, here (`run_archetype`),
+//! and so is the tail every shard stage ends in (`write_splits`). It
+//! returns a [`DomainRun`], which [`DomainRun::assess`] grades against its
+//! template: every Table 2 cell from the records the run wrote.
 //!
 //! The ledger is the pipeline's to write, not the stages':
 //! `run_archetype` writes one `ingest` record, raw blobs in and an id
@@ -65,6 +65,7 @@ use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
 use drai_telemetry::monitor::{HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig};
 use drai_telemetry::{Registry, Stopwatch};
+use drai_tensor::LatLonGrid;
 use drai_transform::split::{Fractions, Partitioned, Split};
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,18 +162,18 @@ pub fn monitored<R>(
 /// as it is ingested, a shard as it is written.
 pub(crate) type Witness<'a> = &'a mut dyn FnMut(&str, &[u8]);
 
-/// Every archetype's `run`. Under a `domain.<domain>.run` span:
-/// `generate_raw` (the download stand-in) and `ingest` (raw blobs → the
-/// pipeline's input), each under a span of its own, then the pipeline
-/// `build` makes over the run's ledger, then the manifest `describe`
-/// derives from the output. What `ingest` shows
+/// Every archetype's `run`, for `template`'s domain. Under a
+/// `domain.<domain>.run` span: `generate_raw` (the download stand-in)
+/// and `ingest` (raw blobs → the pipeline's input), each under a span of
+/// its own, then the pipeline `build` makes over the run's ledger, then
+/// the manifest `describe` derives from the output. What `ingest` shows
 /// its [`Witness`] is counted on its span and becomes an input of the
 /// run's one `ingest` record, whose output — the pipeline's input — is
 /// named by an id derived from those inputs' ids. The pipeline stays the
 /// last thing that takes time: the benchmark lays [`DomainRun::stages`]
 /// back to back up to the return.
 pub(crate) fn run_archetype<R, D>(
-    domain: &str,
+    template: &'static DomainTemplate,
     shard_ext: &str,
     sink: &dyn StorageSink,
     generate_raw: impl FnOnce() -> Result<R, DomainError>,
@@ -181,12 +182,12 @@ pub(crate) fn run_archetype<R, D>(
     describe: impl FnOnce(&D) -> DatasetManifest,
 ) -> Result<DomainRun, DomainError> {
     let registry = Registry::current();
-    let run_span = registry.span(&names::RUN, [domain]);
+    let run_span = registry.span(&names::RUN, [template.domain]);
     let _in_run = run_span.enter();
     let ledger = Arc::new(Ledger::new());
-    let raw = registry.time(&names::GENERATE_RAW, [domain], generate_raw)?;
+    let raw = registry.time(&names::GENERATE_RAW, [template.domain], generate_raw)?;
     let (input, id) = {
-        let span = registry.span(&names::INGEST, [domain]);
+        let span = registry.span(&names::INGEST, [template.domain]);
         let _in_ingest = span.enter();
         let mut raw_blobs = Vec::new();
         let input = ingest(raw, &mut |name, content| {
@@ -202,11 +203,12 @@ pub(crate) fn run_archetype<R, D>(
     let run = build(ledger.clone()).run_with_id(input, Some(id))?;
 
     let manifest = describe(&run.output);
-    let prefix = format!("{domain}/");
+    let prefix = format!("{}/", template.domain);
     let mut shard_files = sink.list()?;
     shard_files.retain(|n| n.starts_with(&prefix) && n.ends_with(shard_ext));
     run_span.add_items(manifest.records);
     Ok(DomainRun {
+        template,
         manifest,
         stages: run.stages,
         ledger,
@@ -258,6 +260,8 @@ pub(crate) fn record_shards<'a>(
 
 /// Common result of running a domain pipeline.
 pub struct DomainRun {
+    /// The template the run's stage graph was built from.
+    pub template: &'static DomainTemplate,
     /// What the run says about the dataset it produced.
     pub manifest: DatasetManifest,
     /// Per-stage timing/volume.
@@ -271,12 +275,74 @@ pub struct DomainRun {
 }
 
 impl DomainRun {
-    /// Grade the run from its own ledger against its domain's template.
+    /// Grade the run from its own ledger against its template.
     pub fn assess(&self) -> Assessment {
-        let template = DomainTemplate::named(&self.manifest.domain)
-            .expect("every archetype's domain has a template");
-        assess::assess(&self.manifest, &self.ledger, &template)
+        assess::assess(&self.manifest, &self.ledger, self.template)
     }
+}
+
+/// One Table 1 row: the template its stage graph is built from, and its
+/// `run` at `drai run`'s sizes.
+pub struct Archetype {
+    /// The domain's template; its `domain` names the archetype.
+    pub template: &'static DomainTemplate,
+    /// `run(seed, scale, sink)`: each size that grows, `scale` (≥ 1) times.
+    pub run: fn(u64, usize, Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>,
+}
+
+/// The four archetypes, in Table 1 order.
+pub static ARCHETYPES: [Archetype; 4] = [
+    Archetype {
+        template: &climate::TEMPLATE,
+        run: |seed, scale, sink| {
+            let cfg = climate::ClimateConfig {
+                src_grid: LatLonGrid::global(24 * scale, 48 * scale),
+                dst_grid: LatLonGrid::global(16 * scale, 32 * scale),
+                timesteps: 16 * scale,
+                seed,
+                ..climate::ClimateConfig::default()
+            };
+            climate::run(&cfg, sink)
+        },
+    },
+    Archetype {
+        template: &fusion::TEMPLATE,
+        run: |seed, scale, sink| {
+            let cfg = fusion::FusionConfig {
+                shots: 16 * scale,
+                seed,
+                ..fusion::FusionConfig::default()
+            };
+            fusion::run(&cfg, sink)
+        },
+    },
+    Archetype {
+        template: &bio::TEMPLATE,
+        run: |seed, scale, sink| {
+            let cfg = bio::BioConfig {
+                patients: 48 * scale,
+                seed,
+                ..bio::BioConfig::default()
+            };
+            bio::run(&cfg, sink)
+        },
+    },
+    Archetype {
+        template: &materials::TEMPLATE,
+        run: |seed, scale, sink| {
+            let cfg = materials::MaterialsConfig {
+                structures: 32 * scale,
+                seed,
+                ..materials::MaterialsConfig::default()
+            };
+            materials::run(&cfg, sink)
+        },
+    },
+];
+
+/// The archetype of domain `name`, if it is one of the four.
+pub fn archetype(name: &str) -> Option<&'static Archetype> {
+    ARCHETYPES.iter().find(|a| a.template.domain == name)
 }
 
 /// Errors from domain pipelines.
@@ -326,5 +392,44 @@ impl From<drai_io::IoError> for DomainError {
 impl From<drai_transform::TransformError> for DomainError {
     fn from(e: drai_transform::TransformError) -> Self {
         DomainError::Transform(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drai_core::ProcessingStage as S;
+
+    /// The table is Table 1: four rows in order, each found by its
+    /// domain, each template's kinds in canonical order ending in a
+    /// shard step, and only bio bound to anonymize.
+    #[test]
+    fn the_archetype_table_is_table1() {
+        let domains: Vec<&str> = ARCHETYPES.iter().map(|a| a.template.domain).collect();
+        assert_eq!(domains, ["climate", "fusion", "bio", "materials"]);
+        for a in &ARCHETYPES {
+            let t = a.template;
+            assert!(
+                std::ptr::eq(archetype(t.domain).unwrap(), a),
+                "{}",
+                t.domain
+            );
+            assert!(
+                t.steps.windows(2).all(|w| w[0].kind < w[1].kind),
+                "{}",
+                t.domain
+            );
+            assert_eq!(
+                t.steps.last().map(|s| s.kind),
+                Some(S::Shard),
+                "{}",
+                t.domain
+            );
+            assert_eq!(t.requires_anonymization, t.domain == "bio", "{}", t.domain);
+        }
+        assert!(archetype("astronomy").is_none());
+        // A kind the template lacks has no step: that column is N/A.
+        assert_eq!(climate::TEMPLATE.step(S::Structure), None);
+        assert_eq!(bio::TEMPLATE.step(S::Transform), Some("anonymize"));
     }
 }

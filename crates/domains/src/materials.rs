@@ -20,7 +20,7 @@ use crate::{DomainError, DomainRun, Member, StageItem, Witness};
 use drai_core::assess::key;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
-use drai_core::readiness::ProcessingStage as S;
+use drai_core::{readiness::ProcessingStage as S, DomainTemplate, TemplateStep};
 use drai_formats::bp::{BpVar, BpWriter, ProcessGroup};
 use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
 use drai_io::json::Json;
@@ -428,6 +428,22 @@ fn shard_stage(
     Ok(data)
 }
 
+/// The stages of [`stage_graph`], in order.
+const STEPS: [TemplateStep; 4] = [
+    TemplateStep::new("parse", S::Ingest),
+    TemplateStep::new("normalize", S::Transform),
+    TemplateStep::new("encode", S::Structure),
+    TemplateStep::new("shard", S::Shard),
+];
+
+/// The materials template (§3.4): `parse -> normalize -> encode -> shard`.
+pub const TEMPLATE: DomainTemplate = DomainTemplate {
+    domain: "materials",
+    steps: &STEPS,
+    alignment: None,
+    requires_anonymization: false,
+};
+
 /// The materials stage graph, declared once for whatever flows through
 /// it: a bare [`MaterialsData`] (pipeline `materials`, BP + JSONL
 /// shards under `materials/`) or a batch [`Member`] (pipeline
@@ -442,20 +458,21 @@ fn stage_graph<I: StageItem<MaterialsData>>(
     let target = [("target", "energy_per_atom".to_string())];
     let cutoff = [("cutoff", format!("{:.12e}", cfg.cutoff))];
     let split = crate::split_config(cfg.seed, cfg.fractions);
+    let [parse, normalize, encode, shard] = STEPS;
 
-    Pipeline::builder(&I::pipeline_name("materials"))
+    Pipeline::builder(&I::pipeline_name(TEMPLATE.domain))
         .ledger(ledger)
-        .stage("parse", S::Ingest, |item: I, c| {
+        .stage(parse.name, parse.kind, |item: I, c| {
             item.try_map(|data| parse_stage(data, c))
         })
-        .configured_stage("normalize", S::Transform, target, |item: I, c| {
+        .configured_stage(normalize.name, normalize.kind, target, |item: I, c| {
             item.try_map(|data| normalize_stage(data, c))
         })
-        .configured_stage("encode", S::Structure, cutoff, move |item: I, c| {
+        .configured_stage(encode.name, encode.kind, cutoff, move |item: I, c| {
             item.try_map(|data| encode_stage(&cfg_encode, data, c))
         })
-        .configured_stage("shard", S::Shard, split, move |item: I, c| {
-            let prefix = item.shard_prefix("materials");
+        .configured_stage(shard.name, shard.kind, split, move |item: I, c| {
+            let prefix = item.shard_prefix(TEMPLATE.domain);
             item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &prefix, data, c))
         })
         .build()
@@ -509,7 +526,7 @@ pub fn build_batch_pipeline(
 /// Run the complete materials archetype.
 pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     crate::run_archetype(
-        "materials",
+        &TEMPLATE,
         ".bp",
         sink.as_ref(),
         || generate_raw(cfg, sink.as_ref()),
@@ -517,7 +534,7 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
         |ledger| build_pipeline(cfg, sink.clone(), ledger),
         |out| DatasetManifest {
             name: "omat-synth".into(),
-            domain: "materials".into(),
+            domain: TEMPLATE.domain.into(),
             modality: Modality::Graph,
             schema: vec![
                 VariableSpec::new("node_features", DType::F32, "1", &[SPECIES.len()]),

@@ -11,7 +11,6 @@
 //! | [`tfrecord`] | TFRecord framing with masked CRC-32C (byte-compatible) | fusion shards (DIII-D-style) |
 //! | `protowire` / [`example`] | protobuf wire format + `tf.train.Example` | TFRecord payloads |
 //! | [`netcdf`] | NetCDF-3 classic (CDF-1, byte-compatible subset) | climate ingest |
-//! | [`grib`] | GRIB-style sectioned messages with simple packing | climate ingest |
 //! | [`h5lite`] | hierarchical groups + chunked typed datasets (own format) | bio secure shards |
 //! | [`bp`] | ADIOS-BP-inspired process-group log (own format) | materials shards |
 //! | [`fasta`] | FASTA sequence files | bio ingest |
@@ -43,7 +42,6 @@ pub(crate) mod bytes;
 pub mod csv;
 pub mod example;
 pub mod fasta;
-pub mod grib;
 pub mod h5lite;
 pub mod netcdf;
 pub mod npy;

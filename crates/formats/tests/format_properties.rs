@@ -4,7 +4,6 @@
 use drai_formats::bp::{BpReader, BpVar, BpWriter, ProcessGroup};
 use drai_formats::example::{Example, Feature, FeatureRef};
 use drai_formats::fasta::{parse_fasta, write_fasta, FastaRecord};
-use drai_formats::grib::{decode_message, encode_message, GribMessage, Packing};
 use drai_formats::h5lite::{Dataset, H5File};
 use drai_formats::netcdf::NcFile;
 use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
@@ -12,38 +11,6 @@ use drai_tensor::Tensor;
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn grib_round_trip_within_tolerance(
-        nlat in 1u32..12, nlon in 1u32..12, bits in 8u32..24,
-        seed in any::<u64>()) {
-        let n = (nlat * nlon) as usize;
-        let mut state = seed | 1;
-        let values: Vec<f64> = (0..n).map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 200.0 + 150.0
-        }).collect();
-        let span = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let msg = GribMessage {
-            parameter: "v".into(),
-            nlat, nlon, time_hours: 0,
-            values: values.clone(),
-        };
-        let packing = Packing { bits };
-        let bytes = encode_message(&msg, packing).unwrap();
-        let (back, used) = decode_message(&bytes).unwrap();
-        prop_assert_eq!(used, bytes.len());
-        let tol = drai_formats::grib::quantization_error(span, packing) * 1.01 + 1e-12;
-        for (a, b) in back.values.iter().zip(&values) {
-            prop_assert!((a - b).abs() <= tol, "{} vs {} tol {}", a, b, tol);
-        }
-    }
-
-    #[test]
-    fn grib_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_message(&data);
-    }
-
     #[test]
     fn h5lite_tensor_round_trip(
         rows in 0usize..20, cols in 1usize..8, chunk in 1usize..10,

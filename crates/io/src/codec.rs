@@ -29,9 +29,6 @@
 //! [`MAX_DECODED_BYTES`] — and `Delta`, whose elements take at least a
 //! byte each, one that declares more elements than it has bytes — before
 //! it allocates for it.
-//!
-//! The [`bitpack`]/[`bitunpack`] helpers implement the fixed-width bit
-//! packing used by GRIB-style "simple packing" in `drai-formats`.
 
 use crate::names;
 use crate::varint::{read_uvarint, unzigzag, write_uvarint, zigzag};
@@ -721,54 +718,6 @@ impl Codec for LzCodec {
     }
 }
 
-/// Pack `values` (each < 2^bits) into a dense bit stream, MSB-first within
-/// each value, as used by GRIB simple packing. `bits == 0` produces an
-/// empty vector (all values implicitly zero).
-pub fn bitpack(values: &[u64], bits: u32) -> Vec<u8> {
-    assert!(bits <= 64, "bit width must be <= 64");
-    if bits == 0 {
-        return Vec::new();
-    }
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    let mut bitpos = 0usize;
-    for &v in values {
-        debug_assert!(bits == 64 || v < (1u64 << bits), "value exceeds bit width");
-        for k in (0..bits).rev() {
-            let bit = (v >> k) & 1;
-            if bit != 0 {
-                out[bitpos / 8] |= 1 << (7 - bitpos % 8);
-            }
-            bitpos += 1;
-        }
-    }
-    out
-}
-
-/// Inverse of [`bitpack`]: extract `count` values of `bits` width.
-pub fn bitunpack(data: &[u8], bits: u32, count: usize) -> Result<Vec<u64>, CodecError> {
-    assert!(bits <= 64, "bit width must be <= 64");
-    if bits == 0 {
-        return Ok(vec![0; count]);
-    }
-    let needed = (count * bits as usize).div_ceil(8);
-    if data.len() < needed {
-        return Err(CodecError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut bitpos = 0usize;
-    for _ in 0..count {
-        let mut v = 0u64;
-        for _ in 0..bits {
-            let bit = (data[bitpos / 8] >> (7 - bitpos % 8)) & 1;
-            v = (v << 1) | bit as u64;
-            bitpos += 1;
-        }
-        out.push(v);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1205,35 +1154,5 @@ mod tests {
         }
         assert!(CodecId::from_tag(200).is_err());
         assert_eq!(CodecId::from_name("zstd"), None);
-    }
-
-    #[test]
-    fn bitpack_round_trip() {
-        for bits in [1u32, 3, 7, 8, 12, 16, 24, 33, 64] {
-            let mask = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            let vals: Vec<u64> = (0..100u64).map(|i| (i * 2_654_435_761) & mask).collect();
-            let packed = bitpack(&vals, bits);
-            assert_eq!(packed.len(), (vals.len() * bits as usize).div_ceil(8));
-            let unpacked = bitunpack(&packed, bits, vals.len()).unwrap();
-            assert_eq!(unpacked, vals, "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn bitpack_zero_bits() {
-        let vals = vec![0u64; 10];
-        let packed = bitpack(&vals, 0);
-        assert!(packed.is_empty());
-        assert_eq!(bitunpack(&packed, 0, 10).unwrap(), vals);
-    }
-
-    #[test]
-    fn bitunpack_truncated() {
-        let packed = bitpack(&[1, 2, 3], 8);
-        assert_eq!(bitunpack(&packed, 8, 4), Err(CodecError::Truncated));
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the I/O substrate: shard round-trips over arbitrary
-//! record sets, codec/bitpack laws, and checksum/crypto invariants.
+//! record sets, codec laws, and checksum/crypto invariants.
 
 use drai_io::checksum::{content_hash128, crc32, crc32c};
-use drai_io::codec::{bitpack, bitunpack, codec_for, CodecId};
+use drai_io::codec::{codec_for, CodecId};
 use drai_io::crypto::{chacha20_xor, derive_key, Key, Nonce, PIECE_BYTES};
 use drai_io::shard::{ShardReader, ShardSpec, ShardWriter};
 use drai_io::sink::{MemSink, StorageSink};
@@ -59,15 +59,6 @@ proptest! {
             prop_assert_eq!(tail, &codec.encode(&data)[..], "{:?}", id);
             prop_assert_eq!(&codec.decode(tail).unwrap(), &data, "{:?}", id);
         }
-    }
-
-    #[test]
-    fn bitpack_round_trip(values in proptest::collection::vec(any::<u64>(), 0..64),
-                          bits in 1u32..=64) {
-        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-        let values: Vec<u64> = values.into_iter().map(|v| v & mask).collect();
-        let packed = bitpack(&values, bits);
-        prop_assert_eq!(bitunpack(&packed, bits, values.len()).unwrap(), values);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Missing-value imputation ("handling missing values", Fig. 1).
 //!
 //! The convention throughout drai is that missing values are `f64::NAN`
-//! (produced by the CSV reader for empty cells, the GRIB bitmap for masked
-//! grid points, and the fusion extractor for dropped-out channels).
+//! (produced by the CSV reader for empty cells and the fusion extractor
+//! for dropped-out channels).
 
 use crate::TransformError;
 

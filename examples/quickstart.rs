@@ -23,12 +23,12 @@ use std::sync::Arc;
 const RECORD: usize = 16;
 
 /// The demo's steps, in the order the pipeline grows them.
-const STEPS: [(&str, S); 5] = [
-    ("validate", S::Ingest),
-    ("clean", S::Preprocess),
-    ("normalize", S::Transform),
-    ("features", S::Structure),
-    ("shard", S::Shard),
+const STEPS: [TemplateStep; 5] = [
+    TemplateStep::new("validate", S::Ingest),
+    TemplateStep::new("clean", S::Preprocess),
+    TemplateStep::new("normalize", S::Transform),
+    TemplateStep::new("features", S::Structure),
+    TemplateStep::new("shard", S::Shard),
 ];
 
 fn main() {
@@ -49,12 +49,8 @@ fn main() {
     };
     let template = DomainTemplate {
         domain: "demo",
-        pattern: "validate -> clean -> normalize -> features -> shard",
-        steps: (STEPS.iter())
-            .map(|&(name, kind)| TemplateStep { name, kind })
-            .collect(),
+        steps: &STEPS,
         alignment: Some("record_len"),
-        shard_format: "shard",
         requires_anonymization: false,
     };
 
@@ -93,7 +89,7 @@ fn main() {
 /// The first `stages` of [`STEPS`], recording into `ledger`.
 fn pipeline(stages: usize, sink: Arc<MemSink>, ledger: Arc<Ledger>) -> Pipeline<Vec<f64>> {
     let mut p = Pipeline::builder("demo").ledger(ledger);
-    for &(name, kind) in &STEPS[..stages] {
+    for &TemplateStep { name, kind } in &STEPS[..stages] {
         p = match name {
             "validate" => p.stage(name, kind, |v: Vec<f64>, c: &mut StageCounters| {
                 c.records = (v.len() / RECORD) as u64;

@@ -6,9 +6,9 @@
 //! cargo run --release --example readiness_report
 //! ```
 
+use drai::core::assess;
 use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
-use drai::core::{assess, DomainTemplate};
-use drai::domains::{bio, climate, fusion, materials};
+use drai::domains::{DomainRun, ARCHETYPES};
 use drai::io::sink::MemSink;
 use drai::provenance::Ledger;
 use std::sync::Arc;
@@ -43,48 +43,11 @@ fn main() {
     println!("\nassessing domain archetype outputs:\n");
 
     let sink = Arc::new(MemSink::new());
-    let climate_run = climate::run(
-        &climate::ClimateConfig {
-            timesteps: 12,
-            src_grid: drai::tensor::LatLonGrid::global(16, 32),
-            dst_grid: drai::tensor::LatLonGrid::global(8, 16),
-            ..climate::ClimateConfig::default()
-        },
-        sink.clone(),
-    )
-    .expect("climate");
-    let fusion_run = fusion::run(
-        &fusion::FusionConfig {
-            shots: 12,
-            shot_seconds: 0.5,
-            clock_hz: 500.0,
-            window_len: 32,
-            window_stride: 16,
-            ..fusion::FusionConfig::default()
-        },
-        sink.clone(),
-    )
-    .expect("fusion");
-    let bio_run = bio::run(
-        &bio::BioConfig {
-            patients: 24,
-            tile_len: 64,
-            ..bio::BioConfig::default()
-        },
-        sink.clone(),
-    )
-    .expect("bio");
-    let materials_run = materials::run(
-        &materials::MaterialsConfig {
-            structures: 16,
-            cell_atoms: 2,
-            ..materials::MaterialsConfig::default()
-        },
-        sink,
-    )
-    .expect("materials");
+    let runs: Vec<DomainRun> = (ARCHETYPES.iter())
+        .map(|a| (a.run)(2_025, 1, sink.clone()).expect(a.template.domain))
+        .collect();
 
-    for run in [&climate_run, &fusion_run, &bio_run, &materials_run] {
+    for run in &runs {
         let a = run.assess();
         println!(
             "  {:<12} ({:<12}) -> {}",
@@ -102,14 +65,20 @@ fn main() {
     }
 
     // --- Show what a deficiency report looks like. ---
-    println!("\nexample deficiency report (climate ledger without its shard record):");
+    let run = &runs[0];
+    let shard = run
+        .template
+        .step(ProcessingStage::Shard)
+        .expect("a shard step");
+    let domain = run.template.domain;
+    println!("\nexample deficiency report ({domain} ledger without its `{shard}` record):");
     let crippled = Ledger::new();
-    for t in climate_run.ledger.transformations() {
-        if t.operation != "shard" {
+    for t in run.ledger.transformations() {
+        if t.operation != shard {
             crippled.record(&t.operation, t.params, t.inputs, t.outputs);
         }
     }
-    let a = assess(&climate_run.manifest, &crippled, &DomainTemplate::climate());
+    let a = assess(&run.manifest, &crippled, run.template);
     println!("  overall drops to: {}", a.overall);
     for d in &a.deficiencies {
         println!(

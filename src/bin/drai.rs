@@ -1,42 +1,65 @@
 //! `drai` — command-line front end for the DRAI pipelines.
 //!
 //! ```text
-//! drai run <climate|fusion|bio|materials> [--out DIR] [--seed N] [--scale N]
+//! drai run <domain> [--out DIR] [--seed N] [--scale N]
 //! drai matrix                      # print the Table 2 maturity matrix
 //! drai assess <run dir>            # grade a run from its manifest + ledger
 //! drai card <domain> [--out DIR]   # run a pipeline and emit its dataset card
 //! ```
+//!
+//! A domain is one of the archetype table's (`drai::domains::ARCHETYPES`).
+//! A closed stdout ends the output; it does not change the exit status.
 
 use drai::core::assess::Assessment;
 use drai::core::card::DatasetCard;
 use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
 use drai::core::{assess, DatasetManifest, DomainTemplate};
-use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
-use drai::io::sink::{LocalFs, StorageSink};
+use drai::domains::{archetype, ARCHETYPES};
+use drai::io::sink::LocalFs;
 use drai::provenance::Ledger;
-use drai::tensor::LatLonGrid;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// What a command prints and its exit status, or why it failed.
+type Outcome = Result<(String, ExitCode), String>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..], false),
         Some("card") => cmd_run(&args[1..], true),
-        Some("matrix") => {
-            cmd_matrix();
-            ExitCode::SUCCESS
-        }
+        Some("matrix") => Ok((matrix(), ExitCode::SUCCESS)),
         Some("assess") => cmd_assess(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage:\n  drai run <climate|fusion|bio|materials> [--out DIR] [--seed N] [--scale N]\n  \
-                 drai card <domain> [--out DIR]\n  drai matrix\n  drai assess <run dir>"
-            );
+        _ => Err(format!(
+            "usage:\n  drai run <{}> [--out DIR] [--seed N] [--scale N]\n  \
+             drai card <domain> [--out DIR]\n  drai matrix\n  drai assess <run dir>",
+            domains()
+        )),
+    };
+    let (text, status) = match outcome {
+        Ok(printed) => printed,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // A closed stdout ends the output quietly; any other write error
+    // fails the command.
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
+        _ => status,
     }
+}
+
+/// The archetype table's domains, as `a|b|...`.
+fn domains() -> String {
+    let names: Vec<&str> = ARCHETYPES.iter().map(|a| a.template.domain).collect();
+    names.join("|")
 }
 
 /// The value following flag `name`, `None` when the flag is absent; a
@@ -71,97 +94,22 @@ fn run_flags(args: &[String]) -> Result<(u64, usize, Option<&str>), String> {
     ))
 }
 
-/// One archetype run into the sink it is handed.
-type Runner = Box<dyn FnOnce(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>>;
-
-fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
-    let Some(domain) = args.first() else {
-        eprintln!("missing domain (climate|fusion|bio|materials)");
-        return ExitCode::FAILURE;
-    };
-    let (seed, scale, out) = match run_flags(args) {
-        Ok(flags) => flags,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// `drai run` / `drai card`: one archetype run, its record written
+/// before anything is printed, so it outlives a closed stdout.
+fn cmd_run(args: &[String], emit_card: bool) -> Outcome {
+    let domain = args
+        .first()
+        .ok_or_else(|| format!("missing domain ({})", domains()))?;
+    let (seed, scale, out) = run_flags(args)?;
     // Domain and flags are checked before the output directory is
     // created, so a usage error leaves nothing behind.
-    let runner: Runner = match domain.as_str() {
-        "climate" => {
-            let cfg = climate::ClimateConfig {
-                src_grid: LatLonGrid::global(24 * scale, 48 * scale),
-                dst_grid: LatLonGrid::global(16 * scale, 32 * scale),
-                timesteps: 16 * scale,
-                seed,
-                ..climate::ClimateConfig::default()
-            };
-            Box::new(move |sink| climate::run(&cfg, sink))
-        }
-        "fusion" => {
-            let cfg = fusion::FusionConfig {
-                shots: 16 * scale,
-                seed,
-                ..fusion::FusionConfig::default()
-            };
-            Box::new(move |sink| fusion::run(&cfg, sink))
-        }
-        "bio" => {
-            let cfg = bio::BioConfig {
-                patients: 48 * scale,
-                seed,
-                ..bio::BioConfig::default()
-            };
-            Box::new(move |sink| bio::run(&cfg, sink))
-        }
-        "materials" => {
-            let cfg = materials::MaterialsConfig {
-                structures: 32 * scale,
-                seed,
-                ..materials::MaterialsConfig::default()
-            };
-            Box::new(move |sink| materials::run(&cfg, sink))
-        }
-        other => {
-            eprintln!("unknown domain {other:?} (climate|fusion|bio|materials)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let archetype =
+        archetype(domain).ok_or_else(|| format!("unknown domain {domain:?} ({})", domains()))?;
     let out = out.map_or_else(|| format!("./drai-out/{domain}"), str::to_string);
-
-    let sink = match LocalFs::new(&out) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("cannot open output dir {out}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = match runner(sink) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pipeline failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("{} pipeline complete -> {}", domain, out);
-    for s in &run.stages {
-        println!(
-            "  {:<14} [{:<10}] {:>8} records  {:>10.3} ms",
-            s.name,
-            s.kind.to_string(),
-            s.throughput.records,
-            s.throughput.elapsed.as_secs_f64() * 1e3
-        );
-    }
+    let sink = LocalFs::new(&out).map_err(|e| format!("cannot open output dir {out}: {e}"))?;
+    let run = (archetype.run)(seed, scale, Arc::new(sink))
+        .map_err(|e| format!("pipeline failed: {e}"))?;
     let assessment = run.assess();
-    println!("readiness: {}", assessment.overall);
-    println!(
-        "shards: {} files, provenance: {} events",
-        run.shard_files.len(),
-        run.ledger.len()
-    );
 
     // Persist the manifest + audit log (+ card) next to the data. A run
     // whose record could not be written is a failed run.
@@ -171,15 +119,16 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
     ];
     if emit_card {
         // No stage measures a per-variable quality report yet.
-        let card = DatasetCard::new(run.manifest.clone(), assessment, Vec::new());
+        let card = DatasetCard::new(run.manifest.clone(), assessment.clone(), Vec::new());
         records.push(("DATASET_CARD.md", card.to_markdown()));
         records.push(("dataset_card.json", card.to_json().to_string_compact()));
     }
     let mut status = ExitCode::SUCCESS;
+    let mut card_written = None;
     for (name, contents) in records {
         let path = format!("{out}/{name}");
         match std::fs::write(&path, contents) {
-            Ok(()) if name == "DATASET_CARD.md" => println!("dataset card written to {path}"),
+            Ok(()) if name == "DATASET_CARD.md" => card_written = Some(path),
             Ok(()) => {}
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
@@ -187,83 +136,87 @@ fn cmd_run(args: &[String], emit_card: bool) -> ExitCode {
             }
         }
     }
-    status
+
+    let mut text = format!("{domain} pipeline complete -> {out}\n");
+    for s in &run.stages {
+        let _ = writeln!(
+            text,
+            "  {:<14} [{:<10}] {:>8} records  {:>10.3} ms",
+            s.name,
+            s.kind.to_string(),
+            s.throughput.records,
+            s.throughput.elapsed.as_secs_f64() * 1e3
+        );
+    }
+    let _ = writeln!(text, "readiness: {}", assessment.overall);
+    let _ = writeln!(
+        text,
+        "shards: {} files, provenance: {} events",
+        run.shard_files.len(),
+        run.ledger.len()
+    );
+    if let Some(path) = card_written {
+        let _ = writeln!(text, "dataset card written to {path}");
+    }
+    Ok((text, status))
 }
 
-fn cmd_matrix() {
-    println!("Data Readiness maturity matrix (paper Table 2):\n");
+/// Table 2, one level per paragraph, one line per stage.
+fn matrix() -> String {
+    let mut text = String::from("Data Readiness maturity matrix (paper Table 2):\n\n");
     for (level, cells) in MaturityMatrix::rows() {
-        println!("{level}");
+        let _ = writeln!(text, "{level}");
         for (stage, cell) in ProcessingStage::ALL.iter().zip(cells) {
-            match cell {
-                Some(text) => println!("  {:<11} {}", stage.label(), text),
-                None => println!("  {:<11} —", stage.label()),
-            }
+            let _ = writeln!(text, "  {:<11} {}", stage.label(), cell.unwrap_or("—"));
         }
-        println!();
+        text.push('\n');
     }
+    text
 }
 
 /// Grade the run in `dir` from its `manifest.json` and
 /// `provenance.jsonl`, and print each Table 2 cell with the ledger
 /// records it cites, or why it is blocked.
-fn cmd_assess(args: &[String]) -> ExitCode {
-    let Some(dir) = args.first() else {
-        eprintln!("missing run directory");
-        return ExitCode::FAILURE;
-    };
+fn cmd_assess(args: &[String]) -> Outcome {
+    let dir = args.first().ok_or("missing run directory")?;
     let read = |name: &str| {
         let path = format!("{dir}/{name}");
         std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))
     };
-    let graded = read("manifest.json").and_then(|text| {
-        let json = drai::io::json::Json::parse(&text)
-            .map_err(|e| format!("{dir}/manifest.json is not valid JSON: {e}"))?;
-        let manifest = DatasetManifest::from_json(&json)
-            .map_err(|e| format!("{dir}/manifest.json is not a drai manifest: {e}"))?;
-        let ledger = Ledger::from_jsonl(&read("provenance.jsonl")?)
-            .map_err(|e| format!("{dir}/provenance.jsonl: {e}"))?;
-        let template = DomainTemplate::named(&manifest.domain)
-            .ok_or_else(|| format!("no template for domain {:?}", manifest.domain))?;
-        let assessment = assess(&manifest, &ledger, &template);
-        Ok((manifest, template, assessment))
-    });
-    match graded {
-        Ok((manifest, template, assessment)) => {
-            print_assessment(&manifest, &template, &assessment);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
+    let json = drai::io::json::Json::parse(&read("manifest.json")?)
+        .map_err(|e| format!("{dir}/manifest.json is not valid JSON: {e}"))?;
+    let manifest = DatasetManifest::from_json(&json)
+        .map_err(|e| format!("{dir}/manifest.json is not a drai manifest: {e}"))?;
+    let ledger = Ledger::from_jsonl(&read("provenance.jsonl")?)
+        .map_err(|e| format!("{dir}/provenance.jsonl: {e}"))?;
+    let template = (archetype(&manifest.domain).map(|a| a.template))
+        .ok_or_else(|| format!("no template for domain {:?}", manifest.domain))?;
+    let assessment = assess(&manifest, &ledger, template);
+    Ok((cells(&manifest, template, &assessment), ExitCode::SUCCESS))
 }
 
 /// The grade, then one line per Table 2 cell: the records it cites, why
 /// it is blocked, or why it is N/A for the domain.
-fn print_assessment(manifest: &DatasetManifest, template: &DomainTemplate, a: &Assessment) {
-    println!("{} ({}): {}", manifest.name, manifest.domain, a.overall);
+fn cells(manifest: &DatasetManifest, template: &DomainTemplate, a: &Assessment) -> String {
+    let mut text = format!("{} ({}): {}\n", manifest.name, manifest.domain, a.overall);
     for level in ReadinessLevel::ALL {
         for stage in ProcessingStage::ALL {
             if !MaturityMatrix::applicable(level, stage) {
                 continue;
             }
-            let cell = format!("L{} {:<10}", level.number(), stage.label());
-            let cited = a
-                .evidence
-                .iter()
-                .find(|e| (e.level, e.stage) == (level, stage));
+            let cited = (a.evidence.iter()).find(|e| (e.level, e.stage) == (level, stage));
             let blocked =
                 (a.deficiencies.iter()).find(|d| (d.blocked_level, d.stage) == (level, stage));
-            if let Some(e) = cited {
+            let why = if let Some(e) = cited {
                 let cites: Vec<String> = e.cites.iter().map(|c| c.to_string()).collect();
-                println!("  {cell} cites {}", cites.join(", "));
+                format!("cites {}", cites.join(", "))
             } else if let Some(d) = blocked {
-                println!("  {cell} BLOCKED: {}", d.reason);
+                format!("BLOCKED: {}", d.reason)
             } else {
-                println!("  {cell} n/a: {} has no {stage} step", template.domain);
-            }
+                format!("n/a: {} has no {stage} step", template.domain)
+            };
+            let _ = writeln!(text, "  L{} {:<10} {why}", level.number(), stage.label());
         }
     }
+    text
 }

@@ -13,17 +13,19 @@
 //! inventory and experiment index.
 //!
 //! ```
-//! use drai::core::{assess, DomainTemplate, ReadinessLevel};
-//! use drai::domains::materials::{self, MaterialsConfig};
+//! use drai::core::{assess, ReadinessLevel};
+//! use drai::domains::ARCHETYPES;
 //! use drai::io::sink::MemSink;
 //! use std::sync::Arc;
 //!
-//! let cfg = MaterialsConfig { structures: 4, cell_atoms: 2, ..MaterialsConfig::default() };
-//! let run = materials::run(&cfg, Arc::new(MemSink::new())).unwrap();
-//! // Graded from the records the run wrote, against the domain's template.
-//! let grade = assess(&run.manifest, &run.ledger, &DomainTemplate::materials());
-//! assert_eq!(grade.overall, ReadinessLevel::FullyAiReady);
-//! assert_eq!(grade, run.assess());
+//! for archetype in &ARCHETYPES {
+//!     let run = (archetype.run)(7, 1, Arc::new(MemSink::new())).unwrap();
+//!     // Graded from the records the run wrote, against the template its
+//!     // stage graph is built from.
+//!     let grade = assess(&run.manifest, &run.ledger, archetype.template);
+//!     assert_eq!(grade.overall, ReadinessLevel::FullyAiReady);
+//!     assert_eq!(grade, run.assess());
+//! }
 //! ```
 
 pub use drai_cache as cache;

@@ -1,10 +1,12 @@
 //! The built `drai` binary, driven as a user would: a full archetype
 //! run graded back from its run directory (manifest + ledger), a ledger
-//! that lost a record graded down, and usage errors that must exit
-//! non-zero without leaving an output directory behind.
+//! that lost a record graded down, a run whose stdout closes before it
+//! ends, and usage errors that must exit non-zero without leaving an
+//! output directory behind.
 
+use drai::domains::ARCHETYPES;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// `drai <args>` run from `cwd`.
 fn drai(cwd: &Path, args: &[&str]) -> Output {
@@ -144,6 +146,35 @@ fn usage_errors_exit_nonzero_and_create_no_directory() {
         assert!(!out.status.success(), "{args:?} exited 0");
         assert!(!out.stderr.is_empty(), "{args:?} printed no error");
         assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "{args:?}");
+        if args[1] == "nosuch" {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            for a in &ARCHETYPES {
+                assert!(stderr.contains(a.template.domain), "{stderr}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
+/// A reader that goes away before the run ends: the run still writes
+/// its record, prints no panic and exits as the run did.
+#[test]
+fn a_closed_stdout_keeps_the_run_record_and_the_exit_status() {
+    let cwd = scratch("closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_drai"))
+        .args(["run", "bio", "--out", "out"])
+        .current_dir(&cwd)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn drai");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for record in ["manifest.json", "provenance.jsonl"] {
+        assert!(cwd.join("out").join(record).is_file(), "{record}");
     }
     std::fs::remove_dir_all(&cwd).unwrap();
 }

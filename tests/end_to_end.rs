@@ -4,8 +4,8 @@
 //! corruption detection across the full stack.
 
 use drai::core::readiness::{MaturityMatrix, ProcessingStage, ReadinessLevel};
-use drai::core::{assess, DatasetManifest, DomainTemplate};
-use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
+use drai::core::{assess, DatasetManifest};
+use drai::domains::{bio, climate, fusion, materials, Archetype, DomainRun, ARCHETYPES};
 use drai::io::json::Json;
 use drai::io::shard::ShardReader;
 use drai::io::sink::{LocalFs, MemSink, StorageSink};
@@ -54,16 +54,9 @@ fn materials_cfg() -> materials::MaterialsConfig {
     }
 }
 
-type RunFn = dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
-
-/// The four archetypes at test size.
-fn archetypes() -> [(&'static str, &'static RunFn); 4] {
-    [
-        ("climate", &|sink| climate::run(&climate_cfg(), sink)),
-        ("fusion", &|sink| fusion::run(&fusion_cfg(), sink)),
-        ("bio", &|sink| bio::run(&bio_cfg(), sink)),
-        ("materials", &|sink| materials::run(&materials_cfg(), sink)),
-    ]
+/// Archetype `a` of the table, run at its smallest size into `sink`.
+fn run(a: &Archetype, sink: Arc<dyn StorageSink>) -> DomainRun {
+    (a.run)(7, 1, sink).unwrap_or_else(|e| panic!("{}: {e}", a.template.domain))
 }
 
 /// `ledger` without its record of operation `op`, renumbered as if it
@@ -82,8 +75,9 @@ fn without(ledger: &Ledger, op: &str) -> Ledger {
 fn all_four_archetypes_reach_level_five() {
     let sink = Arc::new(MemSink::new());
     let mut modalities = std::collections::BTreeSet::new();
-    for (domain, run) in archetypes() {
-        let run = run(sink.clone()).unwrap();
+    for arch in &ARCHETYPES {
+        let (domain, template) = (arch.template.domain, arch.template);
+        let run = run(arch, sink.clone());
         let manifest = &run.manifest;
         modalities.insert(manifest.modality.name());
         // What `drai run` writes, `drai assess` reads back and grades
@@ -92,8 +86,7 @@ fn all_four_archetypes_reach_level_five() {
         let back = DatasetManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(&back, manifest);
         let ledger = Ledger::from_jsonl(&run.ledger.to_jsonl()).unwrap();
-        let template = DomainTemplate::named(domain).unwrap();
-        let a = assess(&back, &ledger, &template);
+        let a = assess(&back, &ledger, template);
         assert_eq!(a, run.assess(), "{domain}");
         assert_eq!(
             a.overall,
@@ -127,9 +120,9 @@ fn all_four_archetypes_reach_level_five() {
 fn deleting_a_cited_record_downgrades_its_cell() {
     use ProcessingStage as S;
     use ReadinessLevel as L;
-    for (domain, run) in archetypes() {
-        let run = run(Arc::new(MemSink::new())).unwrap();
-        let template = DomainTemplate::named(domain).unwrap();
+    for arch in &ARCHETYPES {
+        let (domain, template) = (arch.template.domain, arch.template);
+        let run = run(arch, Arc::new(MemSink::new()));
         assert_eq!(run.assess().overall, L::FullyAiReady, "{domain}");
         let step = |kind| template.step(kind).unwrap();
         let mut victims = vec![
@@ -145,7 +138,7 @@ fn deleting_a_cited_record_downgrades_its_cell() {
             victims.push((op, (L::FeatureEngineered, S::Structure)));
         }
         for (op, (level, stage)) in victims {
-            let a = assess(&run.manifest, &without(&run.ledger, op), &template);
+            let a = assess(&run.manifest, &without(&run.ledger, op), template);
             assert!(
                 a.overall < level || a.overall == L::Raw,
                 "{domain} without `{op}`: {}",
@@ -166,13 +159,8 @@ fn archetypes_cover_the_canonical_stage_sequence() {
     // ingest → preprocess → transform → structure → shard, in order
     // (individual archetypes may skip stages they don't need).
     let sink = Arc::new(MemSink::new());
-    let runs = [
-        climate::run(&climate_cfg(), sink.clone()).unwrap(),
-        fusion::run(&fusion_cfg(), sink.clone()).unwrap(),
-        bio::run(&bio_cfg(), sink.clone()).unwrap(),
-        materials::run(&materials_cfg(), sink).unwrap(),
-    ];
-    for run in &runs {
+    for a in &ARCHETYPES {
+        let run = run(a, sink.clone());
         let kinds: Vec<ProcessingStage> = run.stages.iter().map(|s| s.kind).collect();
         // Monotone non-decreasing stage order.
         assert!(
@@ -214,9 +202,10 @@ fn real_filesystem_round_trip() {
 #[test]
 fn provenance_links_shards_to_raw_inputs() {
     let by_name = |blobs: &mut Vec<Artifact>| blobs.sort_by(|a, b| a.name.cmp(&b.name));
-    for (domain, run) in archetypes() {
+    for a in &ARCHETYPES {
+        let domain = a.template.domain;
         let sink = Arc::new(MemSink::new());
-        let run = run(sink.clone()).unwrap();
+        let run = run(a, sink.clone());
         let mut raw: Vec<Artifact> = (sink.list().unwrap().into_iter())
             .filter(|name| name.starts_with("raw/"))
             .map(|name| Artifact::new(&name, &sink.read_file(&name).unwrap()))
@@ -301,14 +290,13 @@ fn corrupted_shard_detected_through_full_stack() {
 #[test]
 fn ledger_edit_downgrade_detected() {
     let run = materials::run(&materials_cfg(), Arc::new(MemSink::new())).unwrap();
-    let template = DomainTemplate::materials();
     let text = run.ledger.to_jsonl();
     let records = run.manifest.records;
     let label = format!("\"labeled\":\"{records}\"");
     assert!(text.contains(&label), "{text}");
     let grade = |text: &str| {
         let ledger = Ledger::from_jsonl(text).unwrap();
-        assess(&run.manifest, &ledger, &template)
+        assess(&run.manifest, &ledger, run.template)
     };
     assert_eq!(grade(&text).overall, ReadinessLevel::FullyAiReady);
     let halved = text.replace(&label, &format!("\"labeled\":\"{}\"", records / 2));

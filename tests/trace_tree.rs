@@ -13,9 +13,9 @@
 //! fail.
 
 use drai::domains::climate::{self, ClimateConfig};
-use drai::domains::{bio, fusion, materials, DomainError, DomainRun};
+use drai::domains::ARCHETYPES;
 use drai::io::json::Json;
-use drai::io::sink::{MemSink, StorageSink};
+use drai::io::sink::MemSink;
 use drai::telemetry::trace::{build_forest, to_chrome_json, to_folded, TraceNode};
 use drai::telemetry::{Registry, TraceContext};
 use drai::tensor::LatLonGrid;
@@ -91,54 +91,11 @@ fn climate_trace_is_one_tree_with_workers_parented() {
 /// stage spans. Nothing a run does sits outside those three.
 #[test]
 fn every_archetype_run_has_the_same_three_named_parts() {
-    type Run = Box<dyn Fn(Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>>;
-    let climate_cfg = ClimateConfig {
-        src_grid: LatLonGrid::global(12, 24),
-        dst_grid: LatLonGrid::global(8, 16),
-        timesteps: 6,
-        ..ClimateConfig::default()
-    };
-    let fusion_cfg = fusion::FusionConfig {
-        shots: 4,
-        shot_seconds: 0.5,
-        ..fusion::FusionConfig::default()
-    };
-    let bio_cfg = bio::BioConfig {
-        patients: 16,
-        tile_len: 32,
-        ..bio::BioConfig::default()
-    };
-    let materials_cfg = materials::MaterialsConfig {
-        structures: 6,
-        cell_atoms: 2,
-        ..materials::MaterialsConfig::default()
-    };
-    let table: [(&str, [&str; 4], Run); 4] = [
-        (
-            "climate",
-            ["validate", "regrid", "normalize", "shard"],
-            Box::new(move |sink| climate::run(&climate_cfg, sink)),
-        ),
-        (
-            "fusion",
-            ["extract", "align", "normalize", "shard"],
-            Box::new(move |sink| fusion::run(&fusion_cfg, sink)),
-        ),
-        (
-            "bio",
-            ["audit", "anonymize", "encode+fuse", "secure-shard"],
-            Box::new(move |sink| bio::run(&bio_cfg, sink)),
-        ),
-        (
-            "materials",
-            ["parse", "normalize", "encode", "shard"],
-            Box::new(move |sink| materials::run(&materials_cfg, sink)),
-        ),
-    ];
-    for (domain, stages, run) in table {
+    for archetype in &ARCHETYPES {
+        let domain = archetype.template.domain;
         let registry = Registry::new();
         TraceContext::root(&registry)
-            .scope(|| run(Arc::new(MemSink::new())))
+            .scope(|| (archetype.run)(3, 1, Arc::new(MemSink::new())))
             .unwrap_or_else(|e| panic!("{domain} run: {e}"));
         let forest = build_forest(&registry.snapshot().spans);
         assert_eq!(forest.len(), 1, "{domain}: expected a single root");
@@ -156,9 +113,12 @@ fn every_archetype_run_has_the_same_three_named_parts() {
                 format!("pipeline.{domain}.run"),
             ],
         );
+        let steps = archetype.template.steps.iter();
         assert_eq!(
             names(&root.children[2]),
-            stages.map(|stage| format!("pipeline.{domain}.{stage}")),
+            steps
+                .map(|step| format!("pipeline.{domain}.{}", step.name))
+                .collect::<Vec<_>>(),
         );
     }
 }
