@@ -681,19 +681,20 @@ pub trait CachedPipelineExt<T>: Sized {
     /// crate docs): the configuration it declares is the fingerprint.
     /// Panics when the pipeline has no stage called `stage`.
     fn cached(self, stage: &str, cache: Arc<StageCache>) -> Self {
-        self.cached_with_check(stage, cache, |_| true)
+        self.cached_with_check(stage, cache, |_, _| true)
     }
 
     /// Like [`CachedPipelineExt::cached`], with a semantic check
-    /// applied to each decoded hit: `check` returning false rejects the
-    /// hit and recomputes. Used by stages whose output references
-    /// external state (e.g. shard files that may have been deleted
-    /// since the entry was written).
+    /// applied to each decoded hit: `check(report, output)` returning
+    /// false rejects the hit and recomputes. `report` is the entry's
+    /// restored [`StageReport`], so a stage whose output references
+    /// external state (e.g. the shard blobs it `written`, which may have
+    /// been deleted since the entry was stored) can check exactly that.
     fn cached_with_check(
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        check: impl Fn(&T) -> bool + Send + Sync + 'static,
+        check: impl Fn(&StageReport, &T) -> bool + Send + Sync + 'static,
     ) -> Self;
 }
 
@@ -721,7 +722,7 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        check: impl Fn(&T) -> bool + Send + Sync + 'static,
+        check: impl Fn(&StageReport, &T) -> bool + Send + Sync + 'static,
     ) -> Self {
         let config_fp = self.fingerprint(stage).unwrap_or_default().to_vec();
         // The probe is the stage's *fast path*: `Pipeline::run` and the
@@ -742,7 +743,7 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
                 // means the payload schema drifted without a version
                 // bump — recompute and overwrite.
                 if let Ok((report, output)) = decode_hit(entry.payload(&blob)) {
-                    if check(&output) {
+                    if check(&report, &output) {
                         counters.records = entry.records;
                         counters.bytes = entry.bytes;
                         counters.report = report;
@@ -1177,7 +1178,7 @@ mod tests {
             })
             .build()
             // Every hit is rejected.
-            .cached_with_check("picky", cache.clone(), |_| false);
+            .cached_with_check("picky", cache.clone(), |_, _| false);
         let ((), snap) = with_registry(|| {
             pipeline.run(vec![1.0]).unwrap();
             pipeline.run(vec![1.0]).unwrap();

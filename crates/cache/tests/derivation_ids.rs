@@ -180,7 +180,7 @@ impl Chain {
         let veto = reject_b.clone();
         let pipeline = pipeline
             .cached("a", cache.clone())
-            .cached_with_check("b", cache.clone(), move |_| !veto.load(Ordering::SeqCst))
+            .cached_with_check("b", cache.clone(), move |_, _| !veto.load(Ordering::SeqCst))
             .cached("c", cache.clone());
         Chain {
             cache,

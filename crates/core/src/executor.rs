@@ -1,8 +1,8 @@
 //! The batch engine: a bounded worker pool in which each worker
 //! follows one item through the whole pipeline.
 //!
-//! A pool of `workers_per_stage × stages` threads (capped at the batch
-//! size) shares the input iterator. Each worker takes the next
+//! A pool of `min(workers_per_stage × stages, batch size, cpus)` threads
+//! shares the input iterator. Each worker takes the next
 //! `(index, item)`, carries it through **every** stage by calling
 //! [`Pipeline::execute_stage`] — the function `Pipeline::run` calls,
 //! fast path, derivation id and ledger record included — and hands the
@@ -12,6 +12,15 @@
 //! `pool + channel_capacity` items sit between input and output
 //! regardless of batch size (the paper's Figure 1 streaming
 //! raw→AI-ready flow, rather than a batch barrier).
+//!
+//! `cpus` is the calling thread's [`cpu_share`]: every CPU, unless the
+//! caller is itself a pool worker. The pool is
+//! [`drai_io::parallel::pool`]'s, so each worker holds a share of
+//! `max(1, cpus / pool)` and a stage's `par_map` fans out onto that
+//! share only. On a pool that covers the CPUs every `par_map` of a stage
+//! runs on its worker's thread; a one-item batch's worker still fans out
+//! onto every CPU. The share decides only where work runs, never what it
+//! computes.
 //!
 //! The specification of a batch is "each item alone through
 //! `Pipeline::run`, in input order":
@@ -50,8 +59,9 @@ use crate::metrics::Throughput;
 use crate::names;
 use crate::pipeline::{Pipeline, StageCounters, StageMetrics};
 use crate::CoreError;
+use drai_io::parallel::{self, cpu_share};
 use drai_telemetry::monitor::{Condition, HealthSpec};
-use drai_telemetry::{Gauge, GaugeGuard, Handle, Histogram, Registry, Stopwatch, TraceContext};
+use drai_telemetry::{Gauge, GaugeGuard, Handle, Histogram, Registry, Stopwatch};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -68,7 +78,8 @@ pub struct ExecutorConfig {
     /// size plus this, independent of batch size.
     pub channel_capacity: usize,
     /// Thread budget per pipeline stage (clamped to ≥ 1): the pool has
-    /// `workers_per_stage × stages` workers, capped at the batch size.
+    /// `workers_per_stage × stages` workers at most, capped at the batch
+    /// size and at the CPUs the caller holds (one worker per CPU).
     pub workers_per_stage: usize,
 }
 
@@ -82,16 +93,13 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Tune for the current host. With few hardware threads extra
-    /// workers only add context switches and a deeper hand-off only
-    /// adds resident items, so degrade toward a capacity-2,
-    /// one-worker-per-stage pool; with real parallelism keep the
-    /// default.
+    /// Tune for the current host ([`parallel::cpu_count`]). With few
+    /// hardware threads a deeper hand-off only adds resident items, so
+    /// degrade toward a capacity-2, one-worker-per-stage pool; with real
+    /// parallelism keep the default. Either way the pool never exceeds
+    /// one worker per CPU.
     pub fn for_host() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores >= 4 {
+        if parallel::cpu_count() >= 4 {
             ExecutorConfig::default()
         } else {
             ExecutorConfig {
@@ -359,6 +367,21 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
         cfg: &ExecutorConfig,
         cancel: &CancelToken,
     ) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError> {
+        self.stream_on(cpu_share(), items, cfg, cancel)
+    }
+}
+
+impl<T: Send> Pipeline<T> {
+    /// [`StreamingBatchExt::run_batch_streaming_cancellable`] with a pool
+    /// capped at `cpus` workers (the test seam: a test that needs more
+    /// workers than the host has CPUs asks for them here).
+    fn stream_on(
+        &self,
+        cpus: usize,
+        items: Vec<T>,
+        cfg: &ExecutorConfig,
+        cancel: &CancelToken,
+    ) -> Result<(Vec<T>, Vec<StageMetrics>), CoreError> {
         let registry = Registry::current();
         let span = registry.span(&names::RUN_STREAMING, [&self.name]);
         span.add_items(items.len() as u64);
@@ -371,7 +394,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             return Ok((Vec::new(), self.zeroed_metrics()));
         }
         let n = items.len();
-        let pool = (cfg.workers_per_stage.max(1) * nstages).min(n);
+        let pool = (cfg.workers_per_stage.max(1) * nstages).min(n).min(cpus);
 
         let inflight: Vec<Handle<Gauge>> = self
             .stages
@@ -394,26 +417,14 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
             cancel,
         };
         let (tx, rx) = sync_channel(cfg.channel_capacity.max(1));
-        // Capture-and-attach: workers report into the caller's registry
-        // and parent under the streaming span (same handoff as
-        // `par_map`).
-        let context = TraceContext::current();
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let context = &context;
-            for _ in 0..pool {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let _attached = context.as_ref().map(TraceContext::attach);
-                    shared.work(tx);
-                });
-            }
-            // Drop the construction-time handle: the channel
-            // disconnects, ending the collector loop, exactly when the
-            // last worker finishes.
-            drop(tx);
+        let shared = &shared;
+        // The pool attaches the caller's trace context, so workers
+        // report into its registry and parent under the streaming span.
+        // Each worker owns a clone of `tx`: the channel disconnects,
+        // ending the collector loop, exactly when the last one finishes.
+        let worker = move || shared.work(tx);
+        parallel::pool(pool, worker, || {
             // Live progress signal: unlike the per-stage counters
             // published after the batch completes, this counter ticks
             // as each item reaches the collector, so the monitor
@@ -497,6 +508,7 @@ mod tests {
     use crate::pipeline::{FastFn, FastPath};
     use crate::readiness::ProcessingStage as S;
     use drai_telemetry::{Registry, TraceContext};
+    use std::collections::HashSet;
 
     fn chain3() -> Pipeline<u64> {
         Pipeline::builder("exec")
@@ -642,14 +654,15 @@ mod tests {
             .stage("b", S::Transform, |x, _| Ok(x * 2))
             .stage("c", S::Shard, |x, _| Ok(x + 3))
             .build();
+        let pool = 3 * cfg.workers_per_stage;
         let ((), snap) = in_registry(|| {
-            p.run_batch_streaming((0..256).collect(), &cfg).unwrap();
+            p.stream_on(pool, (0..256).collect(), &cfg, &CancelToken::new())
+                .unwrap();
         });
         assert_eq!(entered.load(Ordering::SeqCst), 256);
         // One item per pool worker (2 × 3 stages), a full hand-off
         // channel, and the one item the collector holds between its
         // recv and its counter tick — far below the batch size.
-        let pool = 3 * cfg.workers_per_stage;
         let in_flight = peak.load(Ordering::SeqCst);
         assert!(
             (1..=(pool + cfg.channel_capacity + 1) as u64).contains(&in_flight),
@@ -677,7 +690,8 @@ mod tests {
             workers_per_stage: 4,
         };
         let ((), snap) = in_registry(|| {
-            p.run_batch_streaming((0..2048).collect(), &cfg).unwrap();
+            p.stream_on(4, (0..2048).collect(), &cfg, &CancelToken::new())
+                .unwrap();
         });
         let depth = &snap.gauges["executor.queue_depth"];
         assert_eq!(depth.value, 0);
@@ -892,7 +906,6 @@ mod tests {
 
     #[test]
     fn fast_path_hits_run_on_more_than_one_thread() {
-        use std::collections::HashSet;
         use std::sync::{Condvar, Mutex as StdMutex};
         use std::thread::ThreadId;
         // Every item hits. The probe of item 0 holds its worker until a
@@ -923,7 +936,10 @@ mod tests {
             channel_capacity: 2,
             workers_per_stage: 2,
         };
-        let (outputs, _) = p.run_batch_streaming((0..8).collect(), &cfg).unwrap();
+        // Two workers, however many CPUs the host has.
+        let (outputs, _) = p
+            .stream_on(2, (0..8).collect(), &cfg, &CancelToken::new())
+            .unwrap();
         assert_eq!(outputs, (0..8).collect::<Vec<u64>>());
         assert!(
             seen.0.lock().unwrap().len() >= 2,
@@ -1007,5 +1023,95 @@ mod tests {
             }
             other => panic!("expected the stage error, got {other:?}"),
         }
+    }
+
+    /// A one-stage pipeline whose stage maps 8 pieces of its item on
+    /// `par_map` and folds them in order. `threads` gathers the threads
+    /// that ran the stage; `left` counts the items one of whose pieces
+    /// ran on another thread.
+    fn fan_out_pipeline(
+        threads: Arc<parking_lot::Mutex<HashSet<std::thread::ThreadId>>>,
+        left: Arc<AtomicU64>,
+    ) -> Pipeline<u64> {
+        Pipeline::builder("exec-share")
+            .stage("fan", S::Transform, move |x: u64, c| {
+                let me = std::thread::current().id();
+                threads.lock().insert(me);
+                let pieces = drai_io::parallel::par_map(0..8u64, |i| {
+                    // Order-sensitive, so a fold out of order shows.
+                    let piece = ((x * 8 + i) as f64).sqrt() * 1e-3;
+                    (piece, std::thread::current().id())
+                });
+                if pieces.iter().any(|&(_, t)| t != me) {
+                    left.fetch_add(1, Ordering::SeqCst);
+                }
+                c.records = 1;
+                let sum = pieces.iter().fold(x as f64, |a, &(p, _)| a + p);
+                Ok(sum.to_bits())
+            })
+            .build()
+    }
+
+    #[test]
+    fn a_pool_that_covers_the_cpus_maps_each_stage_on_its_worker() {
+        let cpus = drai_io::parallel::cpu_count();
+        let threads = Arc::new(parking_lot::Mutex::new(HashSet::new()));
+        let left = Arc::new(AtomicU64::new(0));
+        let p = fan_out_pipeline(threads.clone(), left.clone());
+        // Asks for twice as many workers as there are CPUs.
+        let cfg = ExecutorConfig {
+            channel_capacity: 2,
+            workers_per_stage: 2 * cpus,
+        };
+        let (outputs, _) = p.run_batch_streaming((0..32).collect(), &cfg).unwrap();
+        assert_eq!(outputs.len(), 32);
+        assert_eq!(
+            left.load(Ordering::SeqCst),
+            0,
+            "a stage's par_map left its worker's thread"
+        );
+        let workers = threads.lock().len();
+        assert!(workers <= cpus, "{workers} workers on {cpus} CPUs");
+    }
+
+    #[test]
+    fn a_one_item_batch_still_fans_its_stage_out() {
+        if drai_io::parallel::cpu_count() < 2 {
+            // One CPU: nothing to fan out onto.
+            return;
+        }
+        let left = Arc::new(AtomicU64::new(0));
+        let p = fan_out_pipeline(Arc::default(), left.clone());
+        p.run_batch_streaming(vec![5], &ExecutorConfig::default())
+            .unwrap();
+        assert_eq!(
+            left.load(Ordering::SeqCst),
+            1,
+            "the stage's par_map ran inline"
+        );
+    }
+
+    #[test]
+    fn streamed_outputs_equal_run_item_by_item_whatever_the_pool() {
+        let p = fan_out_pipeline(Arc::default(), Arc::default());
+        let items: Vec<u64> = (0..24).collect();
+        let (plain, _) = sequential(&p, &items);
+        for (cpus, workers_per_stage) in [(1, 1), (2, 2), (8, 1), (8, 8)] {
+            let cfg = ExecutorConfig {
+                channel_capacity: 2,
+                workers_per_stage,
+            };
+            let (streamed, _) = p
+                .stream_on(cpus, items.clone(), &cfg, &CancelToken::new())
+                .unwrap();
+            assert_eq!(
+                streamed, plain,
+                "{cpus} CPUs, {workers_per_stage} per stage"
+            );
+        }
+        let (streamed, _) = p
+            .run_batch_streaming(items, &ExecutorConfig::for_host())
+            .unwrap();
+        assert_eq!(streamed, plain);
     }
 }

@@ -18,7 +18,7 @@ use crate::materials::{GraphSample, MaterialsData};
 use crate::StageItem;
 use drai_cache::bytes::{ByteReader, ByteWriter};
 use drai_cache::{CacheBytes, CachedPipelineExt, StageCache};
-use drai_core::pipeline::Pipeline;
+use drai_core::pipeline::{Pipeline, StageReport};
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
@@ -282,26 +282,15 @@ impl<T: CacheBytes> CacheBytes for Member<T> {
     }
 }
 
-/// True when `sink` holds at least one `.shard` blob directly under
-/// `prefix/` — not under a deeper prefix, so the member shards under
-/// `climate/m0/` never vouch for a single run's `climate/` entry.
-fn shards_exist(sink: &dyn StorageSink, prefix: &str) -> bool {
-    let dir = format!("{prefix}/");
-    sink.list().is_ok_and(|names| {
-        names.iter().any(|n| {
-            n.strip_prefix(&dir)
-                .is_some_and(|rest| !rest.contains('/') && rest.ends_with(".shard"))
-        })
-    })
-}
-
 /// Route a climate pipeline's regrid, normalize and shard stages
 /// through `cache`, whatever item it runs over.
 ///
-/// The shard stage's hit path additionally verifies that shard blobs
-/// still exist in `sink` under the item's own prefix — a cache entry
-/// whose external artifacts were deleted is rejected and recomputed,
-/// not trusted.
+/// The shard stage's hit path additionally checks that every blob the
+/// entry's report names as `written` still exists in `sink` — a cache
+/// entry one of whose shards was deleted is rejected and recomputed,
+/// not trusted. The names are the item's own (`climate/` for a run,
+/// `climate/m<member>/` for a member), so no other item's shards vouch
+/// for an entry.
 pub fn with_climate_cache<I>(
     pipeline: Pipeline<I>,
     sink: Arc<dyn StorageSink>,
@@ -313,8 +302,8 @@ where
     pipeline
         .cached("regrid", cache.clone())
         .cached("normalize", cache.clone())
-        .cached_with_check("shard", cache, move |item: &I| {
-            shards_exist(sink.as_ref(), &item.shard_prefix("climate"))
+        .cached_with_check("shard", cache, move |report: &StageReport, _: &I| {
+            report.written.iter().all(|blob| sink.exists(&blob.name))
         })
 }
 
@@ -503,6 +492,49 @@ mod tests {
             "the single run's shards must be rewritten: {:?}",
             sink.list()
         );
+    }
+
+    /// Regression: the shard hit was accepted while any `.shard` blob
+    /// sat under the item's prefix, so a warm run with one shard deleted
+    /// succeeded with that shard still missing, and its ledger named a
+    /// blob that no longer existed.
+    #[test]
+    fn cached_shard_hit_with_a_shard_gone_rewrites_it() {
+        let cfg = ClimateConfig {
+            timesteps: 24,
+            shard_bytes: 4 * 1024,
+            ..climate_cfg()
+        };
+        let input = climate_input(&cfg);
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let run = || {
+            let ledger = Arc::new(Ledger::new());
+            build_cached_climate_pipeline(&cfg, sink.clone(), ledger.clone(), cache.clone())
+                .run(input.clone())
+                .expect("run");
+            ledger
+        };
+        run();
+        assert_eq!(sink.list().expect("list").len(), 27);
+        let gone = "climate/test-00000.shard";
+        let original = sink.read_file(gone).expect("the cold run wrote it");
+        sink.delete(gone).expect("delete");
+
+        let ledger = run();
+        let back = sink.read_file(gone).expect("the warm run must rewrite it");
+        assert_eq!(back[..], original[..]);
+        let shard = (ledger.transformations().into_iter())
+            .find(|t| t.operation == "shard")
+            .expect("a shard record");
+        assert!(!shard.outputs.is_empty());
+        for out in shard.outputs.iter().filter(|a| a.name.ends_with(".shard")) {
+            assert!(
+                sink.exists(&out.name),
+                "the ledger names {} but it is gone",
+                out.name
+            );
+        }
     }
 
     #[test]

@@ -31,8 +31,11 @@
 //! * [`retry`] — [`RetrySink`] with exponential, jitter-free backoff
 //!   through an injectable clock, so resilience tests never really
 //!   sleep.
-//! * [`parallel`] — [`parallel::par_map`], the one way work inside a
-//!   stage goes onto threads (scoped `std` threads, input order kept).
+//! * [`parallel`] — the CPU count and the threads data work runs on:
+//!   [`parallel::par_map`], the one way work inside a stage goes onto
+//!   threads (scoped `std` threads, input order kept), and
+//!   [`parallel::pool`], the executor's workers, each handed its share
+//!   of the caller's CPUs.
 
 // Damaged input is data, not a bug: library code returns an error and has
 // no panic path (`cargo clippy`, DESIGN §6). Tests may panic.

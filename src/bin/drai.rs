@@ -4,10 +4,13 @@
 //! drai run <domain> [--out DIR] [--seed N] [--scale N]
 //! drai matrix                      # print the Table 2 maturity matrix
 //! drai assess <run dir>            # grade a run from its manifest + ledger
-//! drai card <domain> [--out DIR]   # run a pipeline and emit its dataset card
+//! drai card <domain> [--out DIR] [--seed N] [--scale N]
+//!                                  # run a pipeline and emit its dataset card
 //! ```
 //!
 //! A domain is one of the archetype table's (`drai::domains::ARCHETYPES`).
+//! An argument a command does not take (an unknown `--flag`, an extra
+//! word) is a usage error, like a flag without its value.
 //! A closed stdout ends the output; it does not change the exit status.
 
 use drai::core::assess::Assessment;
@@ -30,11 +33,12 @@ fn main() -> ExitCode {
     let outcome = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..], false),
         Some("card") => cmd_run(&args[1..], true),
-        Some("matrix") => Ok((matrix(), ExitCode::SUCCESS)),
+        Some("matrix") => Args::parse(&args[1..], 0, &[]).map(|_| (matrix(), ExitCode::SUCCESS)),
         Some("assess") => cmd_assess(&args[1..]),
         _ => Err(format!(
             "usage:\n  drai run <{}> [--out DIR] [--seed N] [--scale N]\n  \
-             drai card <domain> [--out DIR]\n  drai matrix\n  drai assess <run dir>",
+             drai card <domain> [--out DIR] [--seed N] [--scale N]\n  drai matrix\n  \
+             drai assess <run dir>",
             domains()
         )),
     };
@@ -62,45 +66,69 @@ fn domains() -> String {
     names.join("|")
 }
 
-/// The value following flag `name`, `None` when the flag is absent; a
-/// flag with nothing after it is a usage error.
-fn flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v)),
-            None => Err(format!("{name} needs a value")),
-        },
-    }
+/// A command's arguments: its positional words and its `--flag value`
+/// pairs.
+struct Args<'a> {
+    words: Vec<&'a str>,
+    flags: Vec<(&'a str, &'a str)>,
 }
 
-/// The integer value of flag `name`, `default` when the flag is absent;
-/// a value that does not parse is a usage error, never the default.
-fn int_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag(args, name)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}")),
+impl<'a> Args<'a> {
+    /// `args` read as a command that takes at most `max_words` words and
+    /// the flags in `known`, each followed by its value. An unknown flag,
+    /// a flag with nothing after it and a word past `max_words` are usage
+    /// errors that name the argument.
+    fn parse(args: &'a [String], max_words: usize, known: &[&str]) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            words: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg.starts_with("--") {
+                if !known.contains(&arg.as_str()) {
+                    return Err(format!("unknown flag {arg:?}"));
+                }
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                parsed.flags.push((arg, value));
+            } else if parsed.words.len() < max_words {
+                parsed.words.push(arg);
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+        }
+        Ok(parsed)
     }
-}
 
-/// `--seed`, `--scale` (at least 1) and `--out` of `drai run` / `card`.
-fn run_flags(args: &[String]) -> Result<(u64, usize, Option<&str>), String> {
-    Ok((
-        int_flag(args, "--seed", 2_025)?,
-        int_flag(args, "--scale", 1usize)?.max(1),
-        flag(args, "--out")?,
-    ))
+    /// The value of flag `name`, `None` when the flag is absent.
+    fn flag(&self, name: &str) -> Option<&'a str> {
+        let mut given = self.flags.iter();
+        given
+            .find(|(flag, _)| *flag == name)
+            .map(|(_, value)| *value)
+    }
+
+    /// The integer value of flag `name`, `default` when the flag is
+    /// absent; a value that does not parse is a usage error, never the
+    /// default.
+    fn int_flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.flag(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name} needs a non-negative integer, got {v:?}")),
+        }
+    }
 }
 
 /// `drai run` / `drai card`: one archetype run, its record written
 /// before anything is printed, so it outlives a closed stdout.
 fn cmd_run(args: &[String], emit_card: bool) -> Outcome {
-    let domain = args
-        .first()
-        .ok_or_else(|| format!("missing domain ({})", domains()))?;
-    let (seed, scale, out) = run_flags(args)?;
+    let args = Args::parse(args, 1, &["--out", "--seed", "--scale"])?;
+    let domain = (args.words.first()).ok_or_else(|| format!("missing domain ({})", domains()))?;
+    let seed = args.int_flag("--seed", 2_025)?;
+    let scale = args.int_flag("--scale", 1usize)?.max(1);
+    let out = args.flag("--out");
     // Domain and flags are checked before the output directory is
     // created, so a usage error leaves nothing behind.
     let archetype =
@@ -178,7 +206,8 @@ fn matrix() -> String {
 /// `provenance.jsonl`, and print each Table 2 cell with the ledger
 /// records it cites, or why it is blocked.
 fn cmd_assess(args: &[String]) -> Outcome {
-    let dir = args.first().ok_or("missing run directory")?;
+    let args = Args::parse(args, 1, &[])?;
+    let dir = args.words.first().ok_or("missing run directory")?;
     let read = |name: &str| {
         let path = format!("{dir}/{name}");
         std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))

@@ -141,11 +141,23 @@ fn usage_errors_exit_nonzero_and_create_no_directory() {
         &["run", "climate", "--seed", "x"],
         &["run", "climate", "--scale"],
         &["run", "nosuch"],
+        &["run", "materials", "--sede", "7", "--out", "ff"],
+        &["run", "materials", "extra", "--out", "ff"],
+        &["card", "bio", "--out", "ff", "extra"],
+        &["assess", "ff", "extra"],
+        &["matrix", "--out", "ff"],
     ] {
         let out = drai(&cwd, args);
         assert!(!out.status.success(), "{args:?} exited 0");
         assert!(!out.stderr.is_empty(), "{args:?} printed no error");
         assert_eq!(std::fs::read_dir(&cwd).unwrap().count(), 0, "{args:?}");
+        // An argument the command does not take is named.
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for unknown in ["--sede", "extra"] {
+            if args.contains(&unknown) {
+                assert!(stderr.contains(unknown), "{args:?}: {stderr}");
+            }
+        }
         if args[1] == "nosuch" {
             let stderr = String::from_utf8_lossy(&out.stderr);
             for a in &ARCHETYPES {
