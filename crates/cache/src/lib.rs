@@ -64,7 +64,7 @@ use drai_core::pipeline::{
     derive, FastPath, Pipeline, StageCounters, StageReport, DERIVATION_VERSION,
 };
 use drai_io::checksum::{content_hash128, hash_hex};
-use drai_io::codec::{codec_for, CodecId};
+use drai_io::codec::CodecId;
 use drai_io::sink::StorageSink;
 use drai_io::IoError;
 use drai_provenance::{Artifact, ArtifactId};
@@ -80,7 +80,7 @@ use crate::bytes::{ByteReader, ByteWriter};
 /// Magic prefix of a serialized cache entry.
 const ENTRY_MAGIC: &[u8; 4] = b"DRCE";
 
-/// Bytes of an entry blob in front of its encoded payload.
+/// Bytes of an entry blob in front of its payload.
 const ENTRY_HEADER_LEN: usize = 4 + 8 + 1 + 3 * 8 + (8 + 16) + 8;
 
 /// Exact byte representation of a pipeline artifact, for keying and
@@ -214,17 +214,9 @@ pub struct CacheHit {
     pub origin_trace: Option<u64>,
 }
 
-/// Where a verified entry's payload lies.
-enum Payload {
-    /// Stored as it is (`CodecId::Raw`): the entry blob from this
-    /// offset to its end.
-    Stored(usize),
-    /// Decoded out of the blob by any other codec.
-    Decoded(Vec<u8>),
-}
-
 struct DecodedEntry {
-    payload: Payload,
+    /// Where the payload starts: it runs from here to the blob's end.
+    payload_at: usize,
     records: u64,
     bytes: u64,
     origin_trace: Option<u64>,
@@ -232,35 +224,21 @@ struct DecodedEntry {
 
 impl DecodedEntry {
     /// The verified payload; `blob` is the entry this was decoded from.
-    fn payload<'a>(&'a self, blob: &'a [u8]) -> &'a [u8] {
-        match &self.payload {
-            Payload::Stored(start) => &blob[*start..],
-            Payload::Decoded(payload) => payload,
-        }
-    }
-
-    /// The verified payload as a buffer of its own: a stored payload is
-    /// copied out of the lent `blob`, a decoded one is already owned.
-    fn into_payload(self, blob: &[u8]) -> Vec<u8> {
-        match self.payload {
-            Payload::Stored(start) => blob[start..].to_vec(),
-            Payload::Decoded(payload) => payload,
-        }
+    fn payload<'a>(&self, blob: &'a [u8]) -> &'a [u8] {
+        &blob[self.payload_at..]
     }
 }
 
 /// Build an entry blob around the payload `write_payload` appends.
 /// Layout (all integers little-endian): magic `DRCE` · format version
-/// u64 · codec tag u8 · origin trace u64 (0 = none) · records u64 ·
-/// bytes u64 · digest of the *decoded* payload (length-prefixed, 16
-/// bytes) · encoded payload (length-prefixed).
+/// u64 · codec tag u8 (always `CodecId::Raw`'s) · origin trace u64
+/// (0 = none) · records u64 · bytes u64 · digest of the payload
+/// (length-prefixed, 16 bytes) · payload (length-prefixed).
 ///
 /// The header goes first with the digest and the payload length left
-/// blank; a raw payload is then serialized straight behind it and any
-/// other codec compresses into place from one serialized copy; the
-/// digest is taken over the decoded payload and both blanks filled in.
+/// blank; the payload is then serialized straight behind it, and the
+/// digest taken over it in place and both blanks filled in.
 fn encode_entry(
-    codec: CodecId,
     origin_trace: Option<u64>,
     records: u64,
     bytes: u64,
@@ -271,35 +249,26 @@ fn encode_entry(
         w.put_u8(b);
     }
     w.put_u64(u64::from(DERIVATION_VERSION));
-    w.put_u8(codec.tag());
+    w.put_u8(CodecId::Raw.tag());
     w.put_u64(origin_trace.unwrap_or(0));
     w.put_u64(records);
     w.put_u64(bytes);
     w.put_bytes(&[0u8; 16]);
     let digest_at = w.len() - 16;
-    let digest = w.put_framed(|entry| match codec {
-        CodecId::Raw => {
-            let start = entry.len();
-            write_payload(entry);
-            content_hash128(&entry[start..])
-        }
-        compressing => {
-            let mut payload = Vec::new();
-            write_payload(&mut payload);
-            codec_for(compressing).encode_into(&payload, entry);
-            content_hash128(&payload)
-        }
+    let digest = w.put_framed(|entry| {
+        let start = entry.len();
+        write_payload(entry);
+        content_hash128(&entry[start..])
     });
     let mut entry = w.finish();
     entry[digest_at..digest_at + 16].copy_from_slice(&digest);
     entry
 }
 
-/// Parse and digest-verify an entry blob. A raw payload is verified
-/// where it lies in `data`; any other codec decodes it first. Any
-/// failure — bad magic, version drift, unknown codec, truncation, codec
-/// error, digest mismatch — is reported as a string so the caller can
-/// quarantine.
+/// Parse and digest-verify an entry blob; the payload is verified
+/// where it lies in `data`. Any failure — bad magic, version drift, a
+/// codec tag other than `CodecId::Raw`'s, truncation, digest mismatch —
+/// is reported as a string so the caller can quarantine.
 fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
     let mut r = ByteReader::new(data);
     let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
@@ -312,7 +281,13 @@ fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
             "entry format version {version} != {DERIVATION_VERSION}"
         ));
     }
-    let codec = CodecId::from_tag(r.u8()?).map_err(|e| e.to_string())?;
+    let tag = r.u8()?;
+    if tag != CodecId::Raw.tag() {
+        return Err(format!(
+            "entry codec tag {tag}, want {}",
+            CodecId::Raw.tag()
+        ));
+    }
     let origin = r.u64()?;
     let records = r.u64()?;
     let bytes = r.u64()?;
@@ -320,19 +295,11 @@ fn decode_entry(data: &[u8]) -> Result<DecodedEntry, String> {
     if digest.len() != 16 {
         return Err(format!("digest is {} bytes, want 16", digest.len()));
     }
-    let encoded = r.bytes()?;
+    let payload = r.bytes()?;
     r.expect_end()?;
-    let payload = match codec {
-        // Nothing follows the payload, so it is the blob's tail.
-        CodecId::Raw => Payload::Stored(data.len() - encoded.len()),
-        compressing => Payload::Decoded(
-            codec_for(compressing)
-                .decode(encoded)
-                .map_err(|e| e.to_string())?,
-        ),
-    };
     let entry = DecodedEntry {
-        payload,
+        // Nothing follows the payload, so it is the blob's tail.
+        payload_at: data.len() - payload.len(),
         records,
         bytes,
         origin_trace: (origin != 0).then_some(origin),
@@ -448,19 +415,17 @@ pub struct StageCache {
     sink: Arc<dyn StorageSink>,
     clock: Arc<dyn Clock>,
     capacity_bytes: u64,
-    codec: CodecId,
     index: Mutex<Index>,
 }
 
 impl StageCache {
     /// Cache over `sink` holding at most `capacity_bytes` of entry
-    /// blobs, with a wall clock and raw (uncompressed) entries.
+    /// blobs, with a wall clock; entries are stored raw.
     pub fn new(sink: Arc<dyn StorageSink>, capacity_bytes: u64) -> StageCache {
         StageCache {
             sink,
             clock: Arc::new(Stopwatch::start()),
             capacity_bytes,
-            codec: CodecId::Raw,
             index: Mutex::new(Index::default()),
         }
     }
@@ -468,12 +433,6 @@ impl StageCache {
     /// Replace the recency clock (tests inject a deterministic one).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> StageCache {
         self.clock = clock;
-        self
-    }
-
-    /// Compress entry payloads with `codec`.
-    pub fn with_codec(mut self, codec: CodecId) -> StageCache {
-        self.codec = codec;
         self
     }
 
@@ -503,7 +462,7 @@ impl StageCache {
             records: entry.records,
             bytes: entry.bytes,
             origin_trace: entry.origin_trace,
-            payload: entry.into_payload(&blob),
+            payload: entry.payload(&blob).to_vec(),
         })
     }
 
@@ -595,7 +554,7 @@ impl StageCache {
         let span = registry.span(&names::PUT, []);
         let _in_put = span.enter();
         let origin = TraceContext::current().map(|ctx| ctx.trace_id().as_u64());
-        let entry = encode_entry(self.codec, origin, records, bytes, write_payload);
+        let entry = encode_entry(origin, records, bytes, write_payload);
         let entry_len = entry.len() as u64;
         if entry_len > self.capacity_bytes {
             return Ok(());
@@ -785,13 +744,14 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
 mod tests {
     use super::*;
     use drai_core::readiness::ProcessingStage as S;
+    use drai_io::codec::codec_for;
     use drai_io::sink::MemSink;
     use drai_provenance::Ledger;
     use drai_telemetry::clock::LogicalClock;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    const ALL_CODECS: [CodecId; 7] = [
-        CodecId::Raw,
+    /// Every codec an entry tag could name but `CodecId::Raw`.
+    const OTHER_CODECS: [CodecId; 6] = [
         CodecId::Rle,
         CodecId::Delta { width: 1 },
         CodecId::Delta { width: 2 },
@@ -860,16 +820,20 @@ mod tests {
     }
 
     #[test]
-    fn entries_survive_all_codecs() {
+    fn an_entry_under_another_codec_tag_is_quarantined() {
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 7) as u8).collect();
-        for codec in ALL_CODECS {
-            let cache = mem_cache(1 << 20).with_codec(codec);
+        for codec in OTHER_CODECS {
+            let sink = Arc::new(MemSink::new());
+            let cache =
+                StageCache::new(sink.clone(), 1 << 20).with_clock(Arc::new(LogicalClock::new()));
             let key = CacheKey::compute("s", b"in", b"");
-            let ((), _snap) = with_registry(|| {
-                cache.put(&key, &payload, 1, payload.len() as u64).unwrap();
-                let hit = cache.get(&key).expect("hit");
-                assert_eq!(hit.payload, payload, "codec {}", codec.name());
+            let entry = reference_encode_entry(codec, None, 1, 4096, &payload);
+            sink.write_file(&key.blob_name(), &entry).unwrap();
+            let ((), snap) = with_registry(|| {
+                assert!(cache.get(&key).is_none(), "{} entry served", codec.name());
             });
+            assert_eq!(snap.counters["cache.quarantined"], 1, "{}", codec.name());
+            assert!(!sink.exists(&key.blob_name()), "{}", codec.name());
         }
     }
 
@@ -1265,7 +1229,8 @@ mod tests {
 
     /// `encode_entry` as it was before entries were built in place: the
     /// payload encoded into a buffer of its own, then copied behind the
-    /// header. The entry bytes are pinned to it.
+    /// header. Raw entry bytes are pinned to it; under another codec it
+    /// builds the compressed entries older caches wrote.
     fn reference_encode_entry(
         codec: CodecId,
         origin_trace: Option<u64>,
@@ -1291,8 +1256,7 @@ mod tests {
 
     #[test]
     fn entries_built_in_place_equal_the_copying_builder() {
-        // Smooth enough for Delta/Lz/Rle to do real work, long enough
-        // (the last one) to cross every block boundary they have.
+        // Long enough (the last one) to cross a 2 MiB boundary.
         let payload_of = |len: usize| -> Vec<u8> {
             (0..len)
                 .map(|i| ((i / 7) % 251) as u8 ^ ((i >> 12) as u8))
@@ -1300,31 +1264,24 @@ mod tests {
         };
         for len in [0usize, 1, 4096, (2 << 20) + 40] {
             let payload = payload_of(len);
-            for codec in ALL_CODECS {
-                for origin in [None, Some(0x1234_5678_9ABC_DEF0)] {
-                    let want = reference_encode_entry(codec, origin, 7, len as u64, &payload);
-                    // Written in two pieces: the builder must take
-                    // whatever the writer appends, however it appends it.
-                    let (head, tail) = payload.split_at(len / 3);
-                    let got = encode_entry(codec, origin, 7, len as u64, |out| {
-                        out.extend_from_slice(head);
-                        out.extend_from_slice(tail);
-                    });
-                    assert!(
-                        got == want,
-                        "{} over {len} bytes, origin {origin:?}: entry bytes moved",
-                        codec.name()
-                    );
-                    assert_eq!(
-                        got.len() - ENTRY_HEADER_LEN,
-                        codec_for(codec).encode(&payload).len()
-                    );
-                    let entry = decode_entry(&got).expect("own entry decodes");
-                    assert!(entry.payload(&got) == payload.as_slice());
-                    assert_eq!((entry.records, entry.bytes), (7, len as u64));
-                    assert_eq!(entry.origin_trace, origin);
-                    assert!(entry.into_payload(&got) == payload);
-                }
+            for origin in [None, Some(0x1234_5678_9ABC_DEF0)] {
+                let want = reference_encode_entry(CodecId::Raw, origin, 7, len as u64, &payload);
+                // Written in two pieces: the builder must take whatever
+                // the writer appends, however it appends it.
+                let (head, tail) = payload.split_at(len / 3);
+                let got = encode_entry(origin, 7, len as u64, |out| {
+                    out.extend_from_slice(head);
+                    out.extend_from_slice(tail);
+                });
+                assert!(
+                    got == want,
+                    "{len} bytes, origin {origin:?}: entry bytes moved"
+                );
+                assert_eq!(got.len() - ENTRY_HEADER_LEN, len);
+                let entry = decode_entry(&got).expect("own entry decodes");
+                assert!(entry.payload(&got) == payload.as_slice());
+                assert_eq!((entry.records, entry.bytes), (7, len as u64));
+                assert_eq!(entry.origin_trace, origin);
             }
         }
     }
@@ -1332,9 +1289,7 @@ mod tests {
     #[test]
     fn raw_entry_verified_in_place_refuses_any_flipped_field() {
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
-        let good = encode_entry(CodecId::Raw, Some(9), 3, 4096, |out| {
-            out.extend_from_slice(&payload)
-        });
+        let good = encode_entry(Some(9), 3, 4096, |out| out.extend_from_slice(&payload));
         let digest_at = ENTRY_HEADER_LEN - 8 - 16;
         let len_at = ENTRY_HEADER_LEN - 8;
         for (what, at) in [
@@ -1389,7 +1344,7 @@ mod tests {
 
     #[test]
     fn entry_decode_rejects_wrong_version() {
-        let entry = encode_entry(CodecId::Raw, None, 0, 0, |out| out.push(b'p'));
+        let entry = encode_entry(None, 0, 0, |out| out.push(b'p'));
         // Version field sits at bytes 4..12.
         let mut bad = entry.clone();
         bad[4] ^= 0xFF;

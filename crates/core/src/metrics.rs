@@ -1,5 +1,5 @@
 //! Throughput and latency accounting shared by pipeline runs and the
-//! bench harness.
+//! streaming executor.
 
 use std::time::Duration;
 

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Lab-value columns in the synthetic EHR.
-pub const LAB_COLUMNS: [&str; 4] = ["glucose", "creatinine", "hemoglobin", "sodium"];
+pub(crate) const LAB_COLUMNS: [&str; 4] = ["glucose", "creatinine", "hemoglobin", "sodium"];
 
 /// Generator + pipeline configuration.
 #[derive(Debug, Clone)]

@@ -485,7 +485,7 @@ fn raw_fields(cfg: &ClimateConfig, fields: Vec<Vec<f64>>) -> ClimateData {
 
 /// One ensemble member's input fields, synthesized directly (no NetCDF
 /// round trip) with the member index folded into the seed — the raw
-/// material for batch runs and the streaming benches.
+/// material for batch runs and the benchmark's ensemble workloads.
 pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
     let member_cfg = ClimateConfig {
         seed: cfg.seed.wrapping_add(member as u64),

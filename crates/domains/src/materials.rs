@@ -90,7 +90,10 @@ fn pick_species(rng: &mut SmallRng) -> &'static str {
 }
 
 /// Generate raw multi-frame XYZ into `sink` as `raw/structures.xyz`.
-pub fn generate_raw(cfg: &MaterialsConfig, sink: &dyn StorageSink) -> Result<(), DomainError> {
+pub(crate) fn generate_raw(
+    cfg: &MaterialsConfig,
+    sink: &dyn StorageSink,
+) -> Result<(), DomainError> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let n = cfg.cell_atoms;
     let mut frames = Vec::with_capacity(cfg.structures);
@@ -179,7 +182,7 @@ pub struct MaterialsData {
 
 /// Cell-list neighbor search: all pairs within `cutoff`, O(N) for bounded
 /// density.
-pub fn neighbor_pairs(positions: &[[f64; 3]], cutoff: f64) -> Vec<(usize, usize, f64)> {
+pub(crate) fn neighbor_pairs(positions: &[[f64; 3]], cutoff: f64) -> Vec<(usize, usize, f64)> {
     if positions.is_empty() {
         return Vec::new();
     }

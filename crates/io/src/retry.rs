@@ -3,7 +3,7 @@
 //! A [`RetrySink`] wraps any sink and re-attempts operations that fail
 //! with a *transient* error (see [`IoError::is_transient`]), sleeping an
 //! exponentially growing, jitter-free delay between attempts. Delays go
-//! through an injectable [`RetryClock`], so tests and benches use a
+//! through an injectable [`RetryClock`], so tests use a
 //! [`VirtualClock`] that only *accounts* the backoff instead of really
 //! sleeping — the whole resilience test suite runs without a single
 //! wall-clock sleep.

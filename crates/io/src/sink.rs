@@ -78,14 +78,18 @@ pub trait StorageSink: Send + Sync {
     }
 }
 
-fn validate_name(name: &str) -> Result<(), IoError> {
+/// Refuse a blob name that is empty, absolute, or has a `..` or a
+/// leading `.` segment (an inner `.`, as in `a/./b`, is dropped by the
+/// path parser and passes). Every sink calls this before it stores a
+/// blob, so all of them take the same names.
+pub fn validate_name(name: &str) -> Result<(), IoError> {
     let relative = Path::new(name)
         .components()
         .all(|c| matches!(c, Component::Normal(_)));
     if name.is_empty() || !relative {
         return Err(IoError::Format {
             blob: name.to_string(),
-            what: "a blob name must be a non-empty relative path without '..'".to_string(),
+            what: "a blob name must be a non-empty relative path of plain segments".to_string(),
         });
     }
     Ok(())

@@ -4,9 +4,9 @@
 //! leadership-class Lustre/GPFS systems the paper's pipelines target
 //! (DESIGN.md substitution table). A laptop's single SSD cannot show the
 //! *shape* of parallel-I/O scaling — stripe-count speedup, per-OST
-//! contention, the shard-size sweet spot — so the scaling benches run
-//! against this model instead, while the same `StorageSink` trait lets
-//! every other test run on the real filesystem.
+//! contention, the shard-size sweet spot — so `tests/stripe_scaling.rs`
+//! pins those shapes on this model instead, while the same
+//! `StorageSink` trait lets every other test run on the real filesystem.
 //!
 //! ## Model
 //!
@@ -28,8 +28,7 @@
 //! Data is actually stored (it's also a correct [`StorageSink`]), so
 //! shard round-trip tests can run against the simulator too.
 
-use drai_io::fault::{FaultConfig, FaultSink};
-use drai_io::sink::StorageSink;
+use drai_io::sink::{validate_name, StorageSink};
 use drai_io::IoError;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -66,7 +65,7 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Validate the geometry; the error says which field is wrong.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.ost_count == 0 || self.stripe_size == 0 || self.stripe_count == 0 {
             return Err("ost_count, stripe_size, stripe_count must be positive".to_string());
         }
@@ -91,8 +90,6 @@ struct SimState {
     files: BTreeMap<String, (usize, Arc<[u8]>)>,
     /// Next file's starting OST (round-robin placement).
     next_start_ost: usize,
-    /// Completion time of the most recent operation.
-    last_completion: f64,
 }
 
 /// The simulated filesystem. Cloning shares state (like an `Arc`).
@@ -127,21 +124,11 @@ impl SimFs {
         })
     }
 
-    /// The geometry in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Virtual completion time of all issued operations (the makespan):
     /// max over OST clocks.
     pub fn makespan(&self) -> f64 {
         let st = self.state.lock();
         st.ost_free_at.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Completion time of the most recently issued operation.
-    pub fn last_completion(&self) -> f64 {
-        self.state.lock().last_completion
     }
 
     /// Aggregate write bandwidth achieved so far: total bytes / makespan.
@@ -165,46 +152,15 @@ impl SimFs {
         }
     }
 
-    /// Reset clocks and counters but keep stored data (so a bench can
-    /// measure distinct phases).
-    pub fn reset_clocks(&self) {
-        let mut st = self.state.lock();
-        for t in &mut st.ost_free_at {
-            *t = 0.0;
-        }
-        for b in &mut st.ost_bytes {
-            *b = 0;
-        }
-        for b in &mut st.ost_read_bytes {
-            *b = 0;
-        }
-        st.last_completion = 0.0;
-    }
-
     /// Total bytes served by reads so far.
     pub fn total_read_bytes(&self) -> u64 {
         self.state.lock().ost_read_bytes.iter().sum()
     }
 
-    /// Wrap a clone of this filesystem in a deterministic fault
-    /// injector (the simulated cluster's flaky-OST mode). Clones share
-    /// state, so the returned sink and `self` observe the same files
-    /// and clocks — compose with [`drai_io::retry::RetrySink`] to model
-    /// a resilient client against a misbehaving striped store.
-    pub fn faulty(&self, config: FaultConfig) -> FaultSink<SimFs> {
-        FaultSink::new(self.clone(), config)
-    }
-
     /// Simulate moving `len` bytes striped from `start_ost` (the cost
-    /// model is symmetric for reads and writes); returns the operation's
-    /// completion time. `is_read` selects which byte counter to charge.
-    fn simulate_transfer(
-        &self,
-        st: &mut SimState,
-        len: usize,
-        start_ost: usize,
-        is_read: bool,
-    ) -> f64 {
+    /// model is symmetric for reads and writes), advancing each touched
+    /// OST's clock. `is_read` selects which byte counter to charge.
+    fn simulate_transfer(&self, st: &mut SimState, len: usize, start_ost: usize, is_read: bool) {
         let stripe_count = self.config.stripe_count.min(self.config.ost_count);
         // Split the file into stripe_size chunks, distribute round-robin
         // over the file's stripe group, then issue one batched op per OST.
@@ -221,35 +177,25 @@ impl SimFs {
                 per_ost_bytes[full_chunks % stripe_count] += tail as u64;
             }
         }
-        let mut completion = 0.0_f64;
         for (slot, &bytes) in per_ost_bytes.iter().enumerate() {
             if bytes == 0 && len != 0 {
                 continue;
             }
             let ost = (start_ost + slot) % self.config.ost_count;
             let service = self.config.ost_latency + bytes as f64 / self.config.ost_bandwidth;
-            let done = st.ost_free_at[ost] + service;
-            st.ost_free_at[ost] = done;
+            st.ost_free_at[ost] += service;
             if is_read {
                 st.ost_read_bytes[ost] += bytes;
             } else {
                 st.ost_bytes[ost] += bytes;
             }
-            completion = completion.max(done);
         }
-        st.last_completion = completion;
-        completion
     }
 }
 
 impl StorageSink for SimFs {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
-        if name.is_empty() || name.starts_with('/') || name.contains("..") {
-            return Err(IoError::Format {
-                blob: name.to_string(),
-                what: "a blob name must be a non-empty relative path without '..'".to_string(),
-            });
-        }
+        validate_name(name)?;
         let blob = Arc::from(data);
         let mut st = self.state.lock();
         let start = st.next_start_ost;
@@ -371,7 +317,7 @@ mod tests {
         .unwrap();
         // A 1 KiB write costs ~latency, not bandwidth.
         fs.write_file("tiny", &[0u8; 1024]).unwrap();
-        let t = fs.last_completion();
+        let t = fs.makespan();
         assert!((t - 1e-3).abs() / 1e-3 < 0.01, "t = {t}");
     }
 
@@ -391,15 +337,6 @@ mod tests {
         let report = fs.ost_report();
         assert_eq!(report.bytes_per_ost.len(), 2);
         assert_eq!(report.bytes_per_ost.iter().sum::<u64>(), 4 << 20);
-    }
-
-    #[test]
-    fn reset_clocks_keeps_data() {
-        let fs = fs(2, 1);
-        fs.write_file("keep", &[1u8; 100]).unwrap();
-        fs.reset_clocks();
-        assert_eq!(fs.makespan(), 0.0);
-        assert_eq!(&*fs.read_file("keep").unwrap(), vec![1u8; 100]);
     }
 
     #[test]
@@ -454,6 +391,7 @@ mod tests {
 
     #[test]
     fn resilient_client_survives_flaky_osts() {
+        use drai_io::fault::{FaultConfig, FaultSink};
         use drai_io::retry::{RetryPolicy, RetrySink, VirtualClock};
         use drai_io::shard::{ShardReader, ShardSpec, ShardWriter};
 
@@ -464,7 +402,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let sink = RetrySink::with_clock(
-            fs.faulty(FaultConfig::transient(17, 0.25)),
+            FaultSink::new(fs.clone(), FaultConfig::transient(17, 0.25)),
             policy,
             clock.clone(),
         );

@@ -1,5 +1,4 @@
-//! Render a [`Snapshot`] as JSON, JSONL, or criterion-compatible
-//! `estimates.json` files.
+//! Render a [`Snapshot`] as JSON or JSONL.
 //!
 //! The JSON document has four top-level keys:
 //!
@@ -19,12 +18,8 @@
 //!
 //! JSONL emits the same data one object per line with a `"kind"`
 //! discriminator, suitable for appending across runs.
-//! [`write_criterion_estimates`] writes each histogram's mean as
-//! `<root>/<name>/new/estimates.json` in the layout
-//! `scripts/summarize_bench.py` already consumes.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use crate::{HistogramSummary, Snapshot, SpanRecord};
 
@@ -171,37 +166,6 @@ pub(crate) fn to_jsonl(snap: &Snapshot) -> String {
     out
 }
 
-/// Write each histogram's mean as a criterion-style estimate:
-/// `<root>/<histogram name with '.' as '/'>/new/estimates.json`, the
-/// layout `scripts/summarize_bench.py` walks. Returns the number of
-/// files written.
-pub fn write_criterion_estimates(snap: &Snapshot, root: &Path) -> std::io::Result<usize> {
-    let mut written = 0;
-    for (name, h) in &snap.histograms {
-        if h.count == 0 {
-            continue;
-        }
-        let mut dir = root.to_path_buf();
-        for seg in name.split('.') {
-            if !seg.is_empty() {
-                dir.push(seg);
-            }
-        }
-        dir.push("new");
-        std::fs::create_dir_all(&dir)?;
-        let json = format!(
-            "{{\"mean\":{{\"point_estimate\":{}}},\"median\":{{\"point_estimate\":{}}},\
-             \"sample_count\":{}}}",
-            fmt_f64(h.mean),
-            h.p50,
-            h.count
-        );
-        std::fs::write(dir.join("estimates.json"), json)?;
-        written += 1;
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,17 +227,5 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn criterion_layout_matches_summarizer() {
-        let snap = sample_snapshot();
-        let tmp = std::env::temp_dir().join(format!("drai-telem-{}", std::process::id()));
-        let n = write_criterion_estimates(&snap, &tmp).unwrap();
-        assert_eq!(n, 2);
-        let est = std::fs::read_to_string(tmp.join("c/ns/new/estimates.json")).unwrap();
-        assert!(est.contains("\"mean\":{\"point_estimate\":200.0}"), "{est}");
-        assert!(tmp.join("stage/one/ns/new/estimates.json").is_file());
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

@@ -5,8 +5,7 @@
 //! scoped timers. All hot-path operations are single atomic instructions
 //! so instrumentation is safe inside pipeline stage loops and I/O worker
 //! threads. [`Snapshot`] freezes the registry into plain data and the
-//! [`export`] module renders it as JSON, JSONL, or criterion-style
-//! `estimates.json` files consumed by `scripts/summarize_bench.py`.
+//! [`export`] module renders it as JSON or JSONL.
 //!
 //! # Hierarchical traces
 //!
@@ -84,8 +83,6 @@ pub mod clock;
 pub mod export;
 pub mod monitor;
 pub mod trace;
-
-pub use export::write_criterion_estimates;
 
 /// Number of log2 latency buckets: bucket `i` holds values with
 /// `ilog2(v) == i` (bucket 0 also holds 0), so the range spans 1 ns to
@@ -282,8 +279,8 @@ impl<M> std::ops::Deref for Handle<M> {
 ///
 /// This is the only way for workspace code to read time: the root
 /// `clippy.toml` disallows `Instant::now` / `SystemTime::now` everywhere
-/// but this crate (and the `criterion` shim), so timing stays behind one
-/// seam and data-plane behaviour never depends on the wall clock.
+/// but this crate, so timing stays behind one seam and data-plane
+/// behaviour never depends on the wall clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,

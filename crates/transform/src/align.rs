@@ -5,9 +5,9 @@
 //! 100 kHz, Thomson scattering at 100 Hz) with independent clocks and
 //! drop-outs. Training windows need every channel on one uniform clock:
 //! `resample_to_clock` linearly interpolates irregular samples onto a
-//! uniform grid, and [`window`] slices the aligned matrix into fixed-length
-//! training windows (the "slices high-rate sensor streams into fixed time
-//! windows" step of the DIII-D pipeline).
+//! uniform grid, which the fusion archetype then slices into fixed time
+//! windows (the "slices high-rate sensor streams into fixed time windows"
+//! step of the DIII-D pipeline).
 
 use crate::TransformError;
 
@@ -146,41 +146,6 @@ pub fn align_channels(
     Ok((matrix, channels.iter().map(|c| c.name.clone()).collect()))
 }
 
-/// Slice an aligned `[ntime, nch]` matrix into fixed windows of
-/// `window_len` ticks advancing by `stride` ticks. Windows containing any
-/// NaN are dropped when `drop_incomplete` (sparse fusion data: better to
-/// lose a window than train on fabricated samples).
-pub fn window(
-    matrix: &[f64],
-    nch: usize,
-    window_len: usize,
-    stride: usize,
-    drop_incomplete: bool,
-) -> Result<Vec<Vec<f64>>, TransformError> {
-    if nch == 0 || window_len == 0 || stride == 0 {
-        return Err(TransformError::InvalidInput(
-            "nch, window_len, stride must be positive".into(),
-        ));
-    }
-    if matrix.len() % nch != 0 {
-        return Err(TransformError::ShapeMismatch {
-            expected: format!("multiple of {nch}"),
-            got: format!("{}", matrix.len()),
-        });
-    }
-    let ntime = matrix.len() / nch;
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start + window_len <= ntime {
-        let slice = &matrix[start * nch..(start + window_len) * nch];
-        if !(drop_incomplete && slice.iter().any(|v| v.is_nan())) {
-            out.push(slice.to_vec());
-        }
-        start += stride;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,38 +231,6 @@ mod tests {
         };
         assert!(non_monotone.validate().is_err());
         assert!(align_channels(&[], &Clock::covering(0.0, 1.0, 1.0).unwrap()).is_err());
-    }
-
-    #[test]
-    fn windows_basic() {
-        // 10 ticks, 2 channels, values = tick index.
-        let nch = 2;
-        let matrix: Vec<f64> = (0..10).flat_map(|t| [t as f64, t as f64]).collect();
-        let w = window(&matrix, nch, 4, 2, true).unwrap();
-        assert_eq!(w.len(), 4); // starts 0,2,4,6
-        assert_eq!(w[0][0], 0.0);
-        assert_eq!(w[1][0], 2.0);
-        assert_eq!(w[0].len(), 4 * nch);
-    }
-
-    #[test]
-    fn windows_drop_nan() {
-        let nch = 1;
-        let mut matrix: Vec<f64> = (0..10).map(|t| t as f64).collect();
-        matrix[5] = f64::NAN;
-        let kept = window(&matrix, nch, 3, 1, true).unwrap();
-        // Starts 0..=7; windows covering index 5 are 3,4,5 → dropped.
-        assert_eq!(kept.len(), 5);
-        let all = window(&matrix, nch, 3, 1, false).unwrap();
-        assert_eq!(all.len(), 8);
-    }
-
-    #[test]
-    fn window_param_validation() {
-        assert!(window(&[1.0], 0, 1, 1, true).is_err());
-        assert!(window(&[1.0], 1, 0, 1, true).is_err());
-        assert!(window(&[1.0], 1, 1, 0, true).is_err());
-        assert!(window(&[1.0; 3], 2, 1, 1, true).is_err());
     }
 
     #[test]

@@ -1,51 +1,16 @@
 #!/usr/bin/env python3
-"""Summarize bench results into Markdown tables.
-
-Two modes:
-
-  python3 scripts/summarize_bench.py [criterion_dir]
-      Walk criterion output (default target/criterion) and print one
-      row per benchmark with its mean time.
+"""Summarize one drai-monitor/v1 artifact as a Markdown table.
 
   python3 scripts/summarize_bench.py --monitor <file.jsonl>
-      Summarize one drai-monitor/v1 artifact (the `monitor.jsonl` that
+      Summarize the `monitor.jsonl` that
       `cargo run --release --example explain_run -- <dir>` leaves in
-      <dir>): one row per time series, executor.* and sched.* alike.
+      <dir>: one row per time series, executor.* and sched.* alike.
+
+Performance itself is measured by the benchmark under `benchmark/`,
+which writes its own report.
 """
 import json
-import os
 import sys
-
-
-def fmt_time(ns: float) -> str:
-    if ns < 1e3:
-        return f"{ns:.1f} ns"
-    if ns < 1e6:
-        return f"{ns / 1e3:.2f} µs"
-    if ns < 1e9:
-        return f"{ns / 1e6:.2f} ms"
-    return f"{ns / 1e9:.3f} s"
-
-
-def criterion_mode(root: str) -> None:
-    rows = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        if "estimates.json" not in filenames or not dirpath.endswith(os.sep + "new"):
-            continue
-        bench_dir = os.path.dirname(dirpath)
-        rel = os.path.relpath(bench_dir, root)
-        try:
-            with open(os.path.join(dirpath, "estimates.json")) as f:
-                est = json.load(f)
-            mean_ns = est["mean"]["point_estimate"]
-        except (OSError, KeyError, json.JSONDecodeError):
-            continue
-        rows.append((rel.replace(os.sep, "/"), mean_ns))
-    rows.sort()
-    print("| benchmark | mean |")
-    print("|---|---|")
-    for name, ns in rows:
-        print(f"| {name} | {fmt_time(ns)} |")
 
 
 def load_monitor(path: str):
@@ -97,12 +62,9 @@ def monitor_mode(path: str) -> None:
 
 def main() -> None:
     args = sys.argv[1:]
-    if args and args[0] == "--monitor":
-        if len(args) != 2:
-            sys.exit("usage: summarize_bench.py --monitor <file.jsonl>")
-        monitor_mode(args[1])
-    else:
-        criterion_mode(args[0] if args else "target/criterion")
+    if len(args) != 2 or args[0] != "--monitor":
+        sys.exit("usage: summarize_bench.py --monitor <file.jsonl>")
+    monitor_mode(args[1])
 
 
 if __name__ == "__main__":

@@ -151,6 +151,36 @@ fn a_missing_blob_is_not_found_on_every_sink() {
 }
 
 #[test]
+fn every_sink_takes_the_same_blob_names() {
+    let dir = std::env::temp_dir().join(format!("drai-blob-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sinks: [(&str, Box<dyn StorageSink>); 3] = [
+        ("LocalFs", Box::new(LocalFs::new(&dir).unwrap())),
+        ("MemSink", Box::new(MemSink::new())),
+        ("SimFs", Box::new(SimFs::new(SimConfig::default()).unwrap())),
+    ];
+    let names = [
+        ("./a", false),
+        ("a..b", true),
+        ("a/./b", true),
+        ("../a", false),
+        ("/a", false),
+        ("", false),
+        ("a/b", true),
+    ];
+    for (what, sink) in &sinks {
+        for (name, taken) in names {
+            match sink.write_file(name, b"x") {
+                Ok(()) => assert!(taken, "{what} took {name:?}"),
+                Err(IoError::Format { blob, .. }) if !taken => assert_eq!(blob, name, "{what}"),
+                Err(e) => panic!("{what} refused {name:?}: {e}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn read_file_lends_the_stored_blob_on_every_sink() {
     // Reads lend, writes copy: what `read_file` returns is the stored
     // blob itself (the in-memory sinks hand out the same allocation on
