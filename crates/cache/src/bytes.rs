@@ -7,52 +7,135 @@
 //! artifact types an exact encoding without pulling in a serde stack —
 //! `drai-domains` uses them to implement [`crate::CacheBytes`] for its
 //! pipeline artifacts.
+//!
+//! A value's byte form is *described* once, as a sequence of `put_*`
+//! calls on a [`ByteWriter`], and the writer decides where the bytes go:
+//! appended to a buffer (an entry being stored), fed to a streaming
+//! [`content_hash128`](drai_io::checksum::content_hash128) (a key being
+//! digested, with no buffer at all), or only counted. The bytes stored
+//! and the bytes digested therefore cannot drift apart.
 
-/// Append-only little-endian byte writer.
-#[derive(Debug, Default)]
+use drai_io::checksum::ContentHasher;
+
+/// Where a [`ByteWriter`]'s bytes go.
+#[derive(Debug)]
+enum Target {
+    /// Appended to a buffer.
+    Buffer(Vec<u8>),
+    /// Fed to a streaming content hash and dropped.
+    Hash(ContentHasher),
+    /// Counted and dropped.
+    Count(u64),
+}
+
+/// Little-endian writer of a byte form: into a buffer, into a streaming
+/// hash ([`ByteWriter::digest`]) or into a count ([`ByteWriter::count`]).
+#[derive(Debug)]
 pub struct ByteWriter {
-    buf: Vec<u8>,
+    target: Target,
+}
+
+impl Default for ByteWriter {
+    fn default() -> Self {
+        ByteWriter::new()
+    }
 }
 
 impl ByteWriter {
-    /// Empty writer.
+    /// Empty writer into a buffer of its own.
     pub fn new() -> ByteWriter {
-        ByteWriter::default()
+        ByteWriter::with_capacity(0)
     }
 
-    /// Writer with pre-allocated capacity.
+    /// Writer into a buffer with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> ByteWriter {
         ByteWriter {
-            buf: Vec::with_capacity(cap),
+            target: Target::Buffer(Vec::with_capacity(cap)),
         }
     }
 
     /// Run `write` on a writer that appends to `out`: the bytes already
     /// there are kept, and `out` is the writer's buffer itself (taken
-    /// for the call and handed back), so nothing is copied over. How a
-    /// [`crate::CacheBytes::write_cache_bytes`] serializes into a buffer
-    /// its caller owns.
+    /// for the call and handed back), so nothing is copied over.
     pub fn append_to(out: &mut Vec<u8>, write: impl FnOnce(&mut ByteWriter)) {
         let mut w = ByteWriter {
-            buf: std::mem::take(out),
+            target: Target::Buffer(std::mem::take(out)),
         };
         write(&mut w);
-        *out = w.buf;
+        *out = w.finish();
     }
 
-    /// Make room for `additional` more bytes in one allocation.
+    /// How many bytes `describe` writes, counted without writing them.
+    pub fn count(describe: impl FnOnce(&mut ByteWriter)) -> u64 {
+        let mut w = ByteWriter {
+            target: Target::Count(0),
+        };
+        describe(&mut w);
+        match w.target {
+            Target::Count(n) => n,
+            _ => 0,
+        }
+    }
+
+    /// [`content_hash128`](drai_io::checksum::content_hash128) of the
+    /// bytes `describe` writes, which are never held in one buffer: a
+    /// counting run gives the length the hash starts from, then a
+    /// hashing run feeds the bytes as they are described. `describe` must
+    /// describe the same bytes both times.
+    pub fn digest(describe: impl Fn(&mut ByteWriter)) -> [u8; 16] {
+        let mut w = ByteWriter {
+            target: Target::Hash(ContentHasher::new(ByteWriter::count(&describe))),
+        };
+        describe(&mut w);
+        match w.target {
+            Target::Hash(h) => h.finish(),
+            _ => [0; 16],
+        }
+    }
+
+    /// Make room for `additional` more bytes in one allocation (a no-op
+    /// unless the writer fills a buffer).
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        if let Target::Buffer(buf) = &mut self.target {
+            buf.reserve(additional);
+        }
+    }
+
+    /// Append bytes as they are, with no length prefix.
+    pub fn put_raw(&mut self, data: &[u8]) {
+        match &mut self.target {
+            Target::Buffer(buf) => buf.extend_from_slice(data),
+            Target::Hash(h) => h.update(data),
+            Target::Count(n) => *n += data.len() as u64,
+        }
+    }
+
+    /// Append `values` with no length prefix, each as the `N` bytes `le`
+    /// makes of it, converted through a stack block: one append per
+    /// block, not one per value.
+    pub fn put_each<E: Copy, const N: usize>(&mut self, values: &[E], le: impl Fn(E) -> [u8; N]) {
+        if let Target::Count(n) = &mut self.target {
+            *n += (values.len() * N) as u64;
+            return;
+        }
+        self.reserve(values.len() * N);
+        let mut block = [0u8; 2048];
+        for chunk in values.chunks(block.len() / N) {
+            for (slot, &v) in block.chunks_exact_mut(N).zip(chunk) {
+                slot.copy_from_slice(&le(v));
+            }
+            self.put_raw(&block[..chunk.len() * N]);
+        }
     }
 
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_raw(&[v]);
     }
 
     /// Append a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Append an `f64` bitwise (NaN payloads survive).
@@ -60,41 +143,35 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Append an `f64` slice: length then bitwise values.
-    ///
-    /// Converted in fixed-size blocks through a stack buffer: this path
-    /// serializes every field stack on every cached-stage invocation
-    /// (the key digests the input bytes), so it must run at memcpy-like
-    /// speed, not one 8-byte append per element.
+    /// Append an `f64` slice: length then bitwise values. This path
+    /// carries every field stack a cached stage keys or stores, so it
+    /// runs a block at a time ([`ByteWriter::put_each`]).
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
-        self.buf.reserve(8 + vs.len() * 8);
+        self.reserve(8 + vs.len() * 8);
         self.put_u64(vs.len() as u64);
-        let mut block = [0u8; 8 * 256];
-        for chunk in vs.chunks(256) {
-            for (slot, &v) in block.chunks_exact_mut(8).zip(chunk) {
-                slot.copy_from_slice(&v.to_bits().to_le_bytes());
-            }
-            self.buf.extend_from_slice(&block[..chunk.len() * 8]);
-        }
+        self.put_each(vs, |v: f64| v.to_bits().to_le_bytes());
     }
 
     /// Append raw bytes with a length prefix.
     pub fn put_bytes(&mut self, data: &[u8]) {
         self.put_u64(data.len() as u64);
-        self.buf.extend_from_slice(data);
+        self.put_raw(data);
     }
 
-    /// Append a length-prefixed frame whose body `write` appends in
-    /// place — the bytes [`ByteWriter::put_bytes`] would store for that
-    /// body, without building it somewhere else first: a length hole,
-    /// the body, the hole patched. `write` must only append.
-    pub fn put_framed<R>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-        let hole = self.buf.len();
-        self.put_u64(0);
-        let result = write(&mut self.buf);
-        let len = (self.buf.len() - hole - 8) as u64;
-        self.buf[hole..hole + 8].copy_from_slice(&len.to_le_bytes());
-        result
+    /// Append a length-prefixed frame whose body `describe` writes — the
+    /// bytes [`ByteWriter::put_bytes`] would store for that body, without
+    /// building it somewhere else first. The length comes from a counting
+    /// run of `describe`, so it must describe the same bytes both times.
+    pub fn put_framed(&mut self, describe: impl Fn(&mut ByteWriter)) {
+        let len = ByteWriter::count(&describe);
+        self.put_u64(len);
+        match &mut self.target {
+            Target::Count(n) => *n += len,
+            _ => {
+                self.reserve(len as usize);
+                describe(self);
+            }
+        }
     }
 
     /// Append a UTF-8 string with a length prefix.
@@ -102,14 +179,13 @@ impl ByteWriter {
         self.put_bytes(s.as_bytes());
     }
 
-    /// Consume into the serialized bytes.
+    /// Consume into the buffered bytes (empty for a writer that hashes or
+    /// counts, which keeps none).
     pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
+        match self.target {
+            Target::Buffer(buf) => buf,
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -204,6 +280,7 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drai_io::checksum::content_hash128;
 
     #[test]
     fn round_trip_all_kinds() {
@@ -236,26 +313,63 @@ mod tests {
         reference.put_u8(9);
         reference.put_bytes(b"body bytes");
         reference.put_bytes(b"");
+        reference.put_u64(3);
+        reference.put_raw(&[1, 0, 2, 0]);
         let reference = reference.finish();
 
-        let mut out = b"junk".to_vec();
-        ByteWriter::append_to(&mut out, |w| {
+        let describe = |w: &mut ByteWriter| {
             w.put_u8(9);
-            let returned = w.put_framed(|buf| {
-                buf.extend_from_slice(b"body bytes");
-                7
+            w.put_framed(|w| {
+                w.put_raw(b"body ");
+                w.put_raw(b"bytes");
             });
-            assert_eq!(returned, 7);
             w.put_framed(|_| ());
-        });
+            w.put_u64(3);
+            w.put_each(&[1u16, 2], u16::to_le_bytes);
+        };
+        let mut out = b"junk".to_vec();
+        ByteWriter::append_to(&mut out, describe);
         assert_eq!(&out[..4], b"junk");
         assert_eq!(&out[4..], reference);
+        // The same description, counted and digested, never buffered.
+        assert_eq!(ByteWriter::count(describe), reference.len() as u64);
+        assert_eq!(ByteWriter::digest(describe), content_hash128(&reference));
 
         let mut r = ByteReader::new(&reference);
         r.u8().unwrap();
         assert_eq!(r.bytes().unwrap(), b"body bytes");
         assert_eq!(r.bytes().unwrap(), b"");
-        r.expect_end().unwrap();
+        assert_eq!(r.u64().unwrap(), 3);
+        assert_eq!(r.remaining(), 4);
+    }
+
+    /// Every `put_*` lands the same bytes in a buffer, a count and a
+    /// digest, at every offset into the hash's 32-byte stride and across
+    /// `put_each`'s block edge.
+    #[test]
+    fn buffer_count_and_digest_agree_at_every_offset() {
+        let floats: Vec<f64> = (0..600).map(|i| f64::from(i) * -0.75).collect();
+        for lead in 0..40usize {
+            for n in [0usize, 1, 3, 255, 256, 257, 600] {
+                let describe = |w: &mut ByteWriter| {
+                    for i in 0..lead {
+                        w.put_u8(i as u8);
+                    }
+                    w.put_f64_slice(&floats[..n]);
+                    w.put_str("tail");
+                    w.put_f64(f64::NAN);
+                };
+                let mut w = ByteWriter::new();
+                describe(&mut w);
+                let bytes = w.finish();
+                assert_eq!(ByteWriter::count(describe), bytes.len() as u64);
+                assert_eq!(
+                    ByteWriter::digest(describe),
+                    content_hash128(&bytes),
+                    "lead {lead}, {n} floats"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! (`drai_core::pipeline::derive`), cached or not, so a cached stage is
 //! keyed by the id its input arrives with: no serialization, no hash of
 //! the input. Only an input that arrives with no id is named here, by
-//! the digest of its bytes, and the name left in `StageCounters::id` for
-//! drai-core to derive from. The fingerprint is the configuration the
-//! stage declares in its stage graph, so a key cannot drift from what
-//! the stage reads.
+//! the digest of its bytes — streamed from where the input lies, through
+//! the same [`CacheBytes`] description an entry stores, so no byte of it
+//! is copied — and the name left in `StageCounters::id` for drai-core to
+//! derive from. The fingerprint is the configuration the stage declares
+//! in its stage graph, so a key cannot drift from what the stage reads.
 //!
 //! Entries are self-describing blobs persisted through any
 //! [`StorageSink`] — a local filesystem, the in-memory test sink, the
@@ -40,7 +41,10 @@
 //! form via [`CacheBytes`] (helpers in [`bytes`]). An entry stores the
 //! stage's [`StageReport`] in front of its output, so a hit's ledger
 //! record is the miss's, plus `cache_hit` = the TraceId that computed
-//! the entry.
+//! the entry. A hit is verified and its report read at once; its output
+//! is handed on undecoded and decoded only when something needs it
+//! (drai-core's `Item`), so a chain of hits decodes its last output
+//! only.
 //!
 //! Telemetry: `cache.hits`, `cache.misses`, `cache.evictions`,
 //! `cache.quarantined` counters and `cache.get`/`cache.put` spans, all
@@ -61,7 +65,7 @@ mod names {
 }
 
 use drai_core::pipeline::{
-    derive, FastPath, Pipeline, StageCounters, StageReport, DERIVATION_VERSION,
+    derive, FastPath, Item, Pipeline, StageCounters, StageReport, DERIVATION_VERSION,
 };
 use drai_io::checksum::{content_hash128, hash_hex};
 use drai_io::codec::CodecId;
@@ -71,7 +75,6 @@ use drai_provenance::{Artifact, ArtifactId};
 use drai_telemetry::clock::Clock;
 use drai_telemetry::{Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -88,26 +91,26 @@ const ENTRY_HEADER_LEN: usize = 4 + 8 + 1 + 3 * 8 + (8 + 16) + 8;
 /// digests these bytes for identity, and a hit is deserialized from
 /// exactly the bytes a previous run serialized.
 pub trait CacheBytes: Sized {
-    /// Append the canonical byte form to `out`. Append-only: the bytes
-    /// already in `out` are neither read nor changed, which is what
-    /// lets the cache serialize an artifact straight into an entry
-    /// buffer behind the header, and a wrapper type frame its inner
-    /// artifact in place. Reserve the whole length up front where it is
-    /// known, so a large artifact is not moved while it grows.
-    fn write_cache_bytes(&self, out: &mut Vec<u8>);
+    /// Describe the canonical byte form to `w`, which appends it to an
+    /// entry being stored, feeds it to the key's digest or counts it
+    /// ([`ByteWriter`]): the same calls each time for one value, so the
+    /// bytes a key digests are the bytes an entry would store. Reserve
+    /// the whole length up front where it is known, so a large artifact
+    /// is not moved while its entry grows.
+    fn write_cache_bytes(&self, w: &mut ByteWriter);
     /// Serialize to the canonical byte form, in a buffer of its own.
     fn to_cache_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_cache_bytes(&mut out);
-        out
+        let mut w = ByteWriter::new();
+        self.write_cache_bytes(&mut w);
+        w.finish()
     }
     /// Reconstruct from bytes produced by [`CacheBytes::to_cache_bytes`].
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String>;
 }
 
 impl CacheBytes for Vec<u8> {
-    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self);
+    fn write_cache_bytes(&self, w: &mut ByteWriter) {
+        w.put_raw(self);
     }
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
         Ok(data.to_vec())
@@ -115,8 +118,8 @@ impl CacheBytes for Vec<u8> {
 }
 
 impl CacheBytes for Vec<f64> {
-    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        ByteWriter::append_to(out, |w| w.put_f64_slice(self));
+    fn write_cache_bytes(&self, w: &mut ByteWriter) {
+        w.put_f64_slice(self);
     }
     fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
         let mut r = ByteReader::new(data);
@@ -126,22 +129,20 @@ impl CacheBytes for Vec<f64> {
     }
 }
 
-/// Append a stage's report, each list count-prefixed, so the stage's
+/// Write a stage's report, each list count-prefixed, so the stage's
 /// output can follow it in a stored payload.
-fn write_report(report: &StageReport, out: &mut Vec<u8>) {
-    ByteWriter::append_to(out, |w| {
-        w.put_u64(report.measured.len() as u64);
-        for (key, value) in &report.measured {
-            w.put_str(key);
-            w.put_str(value);
-        }
-        w.put_u64(report.written.len() as u64);
-        for blob in &report.written {
-            w.put_str(&blob.name);
-            w.put_str(blob.id.digest());
-            w.put_u64(blob.bytes);
-        }
-    });
+fn write_report(report: &StageReport, w: &mut ByteWriter) {
+    w.put_u64(report.measured.len() as u64);
+    for (key, value) in &report.measured {
+        w.put_str(key);
+        w.put_str(value);
+    }
+    w.put_u64(report.written.len() as u64);
+    for blob in &report.written {
+        w.put_str(&blob.name);
+        w.put_str(blob.id.digest());
+        w.put_u64(blob.bytes);
+    }
 }
 
 /// A fully resolved cache key: the stage name (for the blob namespace)
@@ -229,7 +230,7 @@ impl DecodedEntry {
     }
 }
 
-/// Build an entry blob around the payload `write_payload` appends.
+/// Build an entry blob around the payload `write_payload` writes.
 /// Layout (all integers little-endian): magic `DRCE` · format version
 /// u64 · codec tag u8 (always `CodecId::Raw`'s) · origin trace u64
 /// (0 = none) · records u64 · bytes u64 · digest of the payload
@@ -242,26 +243,25 @@ fn encode_entry(
     origin_trace: Option<u64>,
     records: u64,
     bytes: u64,
-    write_payload: impl FnOnce(&mut Vec<u8>),
+    write_payload: impl FnOnce(&mut ByteWriter),
 ) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(ENTRY_HEADER_LEN);
-    for &b in ENTRY_MAGIC {
-        w.put_u8(b);
-    }
-    w.put_u64(u64::from(DERIVATION_VERSION));
-    w.put_u8(CodecId::Raw.tag());
-    w.put_u64(origin_trace.unwrap_or(0));
-    w.put_u64(records);
-    w.put_u64(bytes);
-    w.put_bytes(&[0u8; 16]);
-    let digest_at = w.len() - 16;
-    let digest = w.put_framed(|entry| {
-        let start = entry.len();
-        write_payload(entry);
-        content_hash128(&entry[start..])
+    let mut entry = Vec::with_capacity(ENTRY_HEADER_LEN);
+    ByteWriter::append_to(&mut entry, |w| {
+        w.put_raw(ENTRY_MAGIC);
+        w.put_u64(u64::from(DERIVATION_VERSION));
+        w.put_u8(CodecId::Raw.tag());
+        w.put_u64(origin_trace.unwrap_or(0));
+        w.put_u64(records);
+        w.put_u64(bytes);
+        w.put_bytes(&[0u8; 16]);
+        w.put_u64(0);
+        write_payload(w);
     });
-    let mut entry = w.finish();
-    entry[digest_at..digest_at + 16].copy_from_slice(&digest);
+    let (digest_at, len_at) = (ENTRY_HEADER_LEN - 24, ENTRY_HEADER_LEN - 8);
+    let payload = &entry[ENTRY_HEADER_LEN..];
+    let (len, digest) = (payload.len() as u64, content_hash128(payload));
+    entry[digest_at..len_at].copy_from_slice(&digest);
+    entry[len_at..ENTRY_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     entry
 }
 
@@ -536,19 +536,17 @@ impl StageCache {
         records: u64,
         bytes: u64,
     ) -> Result<(), IoError> {
-        self.store(key, records, bytes, |entry| {
-            entry.extend_from_slice(payload)
-        })
+        self.store(key, records, bytes, |w| w.put_raw(payload))
     }
 
-    /// [`StageCache::put`] of the payload `write_payload` appends to the
-    /// entry buffer it is handed (see [`encode_entry`]).
+    /// [`StageCache::put`] of the payload `write_payload` writes into the
+    /// entry (see [`encode_entry`]).
     fn store(
         &self,
         key: &CacheKey,
         records: u64,
         bytes: u64,
-        write_payload: impl FnOnce(&mut Vec<u8>),
+        write_payload: impl FnOnce(&mut ByteWriter),
     ) -> Result<(), IoError> {
         let registry = Registry::current();
         let span = registry.span(&names::PUT, []);
@@ -598,30 +596,12 @@ impl StageCache {
     }
 }
 
-/// Largest per-thread key scratch kept between stage executions.
-const KEY_SCRATCH_KEEP_BYTES: usize = 64 << 20;
-
-thread_local! {
-    /// Where a cached stage serializes its input to digest it. Reused
-    /// across the items a thread carries: a fresh multi-megabyte buffer
-    /// per probe costs more than filling one that is already mapped.
-    static KEY_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
-/// [`content_hash128`] of `input`'s canonical bytes — the one
-/// serialization and the one hash pass a chain of cached stages spends
-/// on its input, at its first stage. (The bytes must exist in full
-/// before hashing: the hash mixes the total length into its initial
-/// state.)
+/// [`content_hash128`] of `input`'s canonical bytes — the one hash pass
+/// a chain of cached stages spends on its input, at its first stage,
+/// streamed from where the input lies ([`ByteWriter::digest`]): no byte
+/// of it is copied anywhere.
 fn input_digest<T: CacheBytes>(input: &T) -> [u8; 16] {
-    let mut scratch = KEY_SCRATCH.take();
-    scratch.clear();
-    input.write_cache_bytes(&mut scratch);
-    let digest = content_hash128(&scratch);
-    if scratch.capacity() <= KEY_SCRATCH_KEEP_BYTES {
-        KEY_SCRATCH.set(scratch);
-    }
-    digest
+    ByteWriter::digest(|w| input.write_cache_bytes(w))
 }
 
 /// Decorators memoizing stages of an already-built [`Pipeline`] in a
@@ -631,35 +611,40 @@ fn input_digest<T: CacheBytes>(input: &T) -> [u8; 16] {
 pub trait CachedPipelineExt<T>: Sized {
     /// Memoize `stage`'s output in `cache`. On a verified hit the stage
     /// function never runs; its record/byte counters and its report are
-    /// restored from the entry. On a miss (or quarantined corruption) the
-    /// function runs and its output is stored best-effort — a failed
-    /// cache write degrades to uncached behaviour, never to a stage
-    /// error.
+    /// restored from the entry, and its output is decoded only when
+    /// something needs it (drai-core's `Item`): a later cached stage
+    /// that hits too never asks, so an all-hit chain decodes one output,
+    /// its last. An entry that does not decode then is recomputed and
+    /// overwritten. On a miss (or quarantined corruption) the function
+    /// runs and its output is stored best-effort — a failed cache write
+    /// degrades to uncached behaviour, never to a stage error.
     ///
     /// The stage is keyed by the derivation id of its output (see the
     /// crate docs): the configuration it declares is the fingerprint.
     /// Panics when the pipeline has no stage called `stage`.
     fn cached(self, stage: &str, cache: Arc<StageCache>) -> Self {
-        self.cached_with_check(stage, cache, |_, _| true)
+        self.cached_with_check(stage, cache, |_| true)
     }
 
-    /// Like [`CachedPipelineExt::cached`], with a semantic check
-    /// applied to each decoded hit: `check(report, output)` returning
-    /// false rejects the hit and recomputes. `report` is the entry's
-    /// restored [`StageReport`], so a stage whose output references
-    /// external state (e.g. the shard blobs it `written`, which may have
-    /// been deleted since the entry was stored) can check exactly that.
+    /// Like [`CachedPipelineExt::cached`], with a semantic check applied
+    /// to each verified hit: `check(report)` returning false rejects the
+    /// hit and recomputes. `report` is the entry's restored
+    /// [`StageReport`], so a stage whose output references external state
+    /// (e.g. the shard blobs it `written`, which may have been deleted
+    /// since the entry was stored) can check exactly that, without the
+    /// output being decoded.
     fn cached_with_check(
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        check: impl Fn(&StageReport, &T) -> bool + Send + Sync + 'static,
+        check: impl Fn(&StageReport) -> bool + Send + Sync + 'static,
     ) -> Self;
 }
 
-/// A stored payload: the stage's report, then its output. Entries are
-/// pushed one at a time: a lying count fails, it reserves nothing.
-fn decode_hit<T: CacheBytes>(payload: &[u8]) -> Result<(StageReport, T), String> {
+/// A stored payload starts with the stage's report: the report, and
+/// where in `payload` the output behind it starts. Entries are pushed
+/// one at a time: a lying count fails, it reserves nothing.
+fn decode_report(payload: &[u8]) -> Result<(StageReport, usize), String> {
     let mut r = ByteReader::new(payload);
     let mut report = StageReport::default();
     for _ in 0..r.u64()? {
@@ -672,8 +657,7 @@ fn decode_hit<T: CacheBytes>(payload: &[u8]) -> Result<(StageReport, T), String>
         let bytes = r.u64()?;
         report.written.push(Artifact { id, name, bytes });
     }
-    let output = T::from_cache_bytes(&payload[payload.len() - r.remaining()..])?;
-    Ok((report, output))
+    Ok((report, payload.len() - r.remaining()))
 }
 
 impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T> {
@@ -681,7 +665,7 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         self,
         stage: &str,
         cache: Arc<StageCache>,
-        check: impl Fn(&StageReport, &T) -> bool + Send + Sync + 'static,
+        check: impl Fn(&StageReport) -> bool + Send + Sync + 'static,
     ) -> Self {
         let config_fp = self.fingerprint(stage).unwrap_or_default().to_vec();
         // The probe is the stage's *fast path*: `Pipeline::run` and the
@@ -692,29 +676,39 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
         let probe_name = stage.to_string();
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();
-        let probe = move |input: T, counters: &mut StageCounters| {
-            // Only an input that arrived unnamed is named by content,
-            // and the name stays in the counters for the output's id.
-            let id = *counters.id.get_or_insert_with(|| input_digest(&input));
+        let probe = move |input: &mut Item<T>, counters: &mut StageCounters| {
+            // Only an input that arrived unnamed is named by content, and
+            // the name stays in the counters for the output's id. A named
+            // input — a hit of the stage before included — is not read.
+            let id = match counters.id {
+                Some(id) => id,
+                None => match input.get() {
+                    Some(input) => *counters.id.insert(input_digest(input)),
+                    None => return FastPath::Miss,
+                },
+            };
             let key = CacheKey::from_input_id(&probe_name, &id, &probe_fp);
-            if let Some((blob, entry)) = probe_cache.lookup(&key) {
-                // The digest already verified; a decode failure here
-                // means the payload schema drifted without a version
-                // bump — recompute and overwrite.
-                if let Ok((report, output)) = decode_hit(entry.payload(&blob)) {
-                    if check(&report, &output) {
-                        counters.records = entry.records;
-                        counters.bytes = entry.bytes;
-                        counters.report = report;
-                        let origin = entry.origin_trace.map(|t| t.to_string());
-                        counters.measure("cache_hit", origin.as_deref().unwrap_or("none"));
-                        return FastPath::Hit(output);
-                    }
-                }
+            let Some((blob, entry)) = probe_cache.lookup(&key) else {
+                return FastPath::Miss;
+            };
+            // The digest already verified; a report that does not decode
+            // means the payload schema drifted without a version bump —
+            // recompute and overwrite.
+            let Ok((report, output_at)) = decode_report(entry.payload(&blob)) else {
+                return FastPath::Miss;
+            };
+            if !check(&report) {
+                return FastPath::Miss;
             }
-            // The function runs next on this very item with these very
-            // counters, the input's id still in them.
-            FastPath::Miss(input)
+            counters.records = entry.records;
+            counters.bytes = entry.bytes;
+            counters.report = report;
+            let origin = entry.origin_trace.map(|t| t.to_string());
+            counters.measure("cache_hit", origin.as_deref().unwrap_or("none"));
+            // The output is decoded where the sink lent the entry, and
+            // only once something needs it.
+            let at = entry.payload_at + output_at;
+            FastPath::Hit(Box::new(move || T::from_cache_bytes(&blob[at..]).ok()))
         };
         let stage_name = stage.to_string();
         self.decorate_stage(stage, move |func| {
@@ -728,9 +722,9 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for Pipeline<T>
                     .map(|id| CacheKey::from_input_id(&stage_name, &id, &config_fp));
                 let output = func(input, counters)?;
                 if let Some(key) = &key {
-                    let _ = cache.store(key, counters.records, counters.bytes, |entry| {
-                        write_report(&counters.report, entry);
-                        output.write_cache_bytes(entry)
+                    let _ = cache.store(key, counters.records, counters.bytes, |w| {
+                        write_report(&counters.report, w);
+                        output.write_cache_bytes(w)
                     });
                 }
                 Ok(output)
@@ -1142,7 +1136,7 @@ mod tests {
             })
             .build()
             // Every hit is rejected.
-            .cached_with_check("picky", cache.clone(), |_, _| false);
+            .cached_with_check("picky", cache.clone(), |_| false);
         let ((), snap) = with_registry(|| {
             pipeline.run(vec![1.0]).unwrap();
             pipeline.run(vec![1.0]).unwrap();
@@ -1209,22 +1203,24 @@ mod tests {
             measured: vec![("tas.mean".to_string(), "1.5".to_string())],
             written: vec![Artifact::new("a/train-00000.shard", b"shard")],
         };
-        let mut payload = Vec::new();
-        write_report(&report, &mut payload);
-        let output = b"output".to_vec();
-        output.write_cache_bytes(&mut payload);
-        assert_eq!(decode_hit(&payload), Ok((report, output)));
-        let mut empty = Vec::new();
+        let output_at = ByteWriter::count(|w| write_report(&report, w)) as usize;
+        let mut w = ByteWriter::new();
+        write_report(&report, &mut w);
+        b"output".to_vec().write_cache_bytes(&mut w);
+        let mut payload = w.finish();
+        assert_eq!(decode_report(&payload), Ok((report, output_at)));
+        assert_eq!(&payload[output_at..], b"output");
+        let mut empty = ByteWriter::new();
         write_report(&StageReport::default(), &mut empty);
+        let empty = empty.finish();
         assert_eq!(empty, [0; 16], "two zero counts");
-        let nothing = decode_hit::<Vec<u8>>(&empty);
-        assert_eq!(nothing, Ok((StageReport::default(), Vec::new())));
+        assert_eq!(decode_report(&empty), Ok((StageReport::default(), 16)));
         for cut in [0, 8, 20] {
-            assert!(decode_hit::<Vec<u8>>(&payload[..cut]).is_err(), "{cut}");
+            assert!(decode_report(&payload[..cut]).is_err(), "{cut}");
         }
         // A count larger than the payload could hold reserves nothing.
         payload[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_hit::<Vec<u8>>(&payload).is_err());
+        assert!(decode_report(&payload).is_err());
     }
 
     /// `encode_entry` as it was before entries were built in place: the
@@ -1269,9 +1265,9 @@ mod tests {
                 // Written in two pieces: the builder must take whatever
                 // the writer appends, however it appends it.
                 let (head, tail) = payload.split_at(len / 3);
-                let got = encode_entry(origin, 7, len as u64, |out| {
-                    out.extend_from_slice(head);
-                    out.extend_from_slice(tail);
+                let got = encode_entry(origin, 7, len as u64, |w| {
+                    w.put_raw(head);
+                    w.put_raw(tail);
                 });
                 assert!(
                     got == want,
@@ -1289,7 +1285,7 @@ mod tests {
     #[test]
     fn raw_entry_verified_in_place_refuses_any_flipped_field() {
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
-        let good = encode_entry(Some(9), 3, 4096, |out| out.extend_from_slice(&payload));
+        let good = encode_entry(Some(9), 3, 4096, |w| w.put_raw(&payload));
         let digest_at = ENTRY_HEADER_LEN - 8 - 16;
         let len_at = ENTRY_HEADER_LEN - 8;
         for (what, at) in [
@@ -1344,7 +1340,7 @@ mod tests {
 
     #[test]
     fn entry_decode_rejects_wrong_version() {
-        let entry = encode_entry(None, 0, 0, |out| out.push(b'p'));
+        let entry = encode_entry(None, 0, 0, |w| w.put_u8(b'p'));
         // Version field sits at bytes 4..12.
         let mut bad = entry.clone();
         bad[4] ^= 0xFF;

@@ -1,8 +1,10 @@
 //! Property tests for the stage-result cache: key-scheme laws (stability
 //! and sensitivity to every keyed dimension) and hit/fresh equivalence.
 
+use drai_cache::bytes::ByteWriter;
 use drai_cache::{CacheBytes, CacheKey, StageCache};
 use drai_core::pipeline::config_fingerprint;
+use drai_io::checksum::content_hash128;
 use drai_io::sink::{MemSink, StorageSink};
 use drai_telemetry::clock::LogicalClock;
 use proptest::prelude::*;
@@ -98,8 +100,9 @@ proptest! {
         prop_assert_eq!(hit.bytes, bytes);
     }
 
-    /// `write_cache_bytes` only appends — what was in the buffer stays
-    /// as it was — and what it appends is `to_cache_bytes`.
+    /// Written into a buffer, `write_cache_bytes` only appends — what was
+    /// in the buffer stays as it was — and what it appends is
+    /// `to_cache_bytes`.
     #[test]
     fn write_cache_bytes_only_appends(
         raw in proptest::collection::vec(any::<u8>(), 0..1024),
@@ -108,14 +111,14 @@ proptest! {
     ) {
         let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
         let mut out = prefix.clone();
-        raw.write_cache_bytes(&mut out);
+        ByteWriter::append_to(&mut out, |w| raw.write_cache_bytes(w));
         let (head, tail) = out.split_at(prefix.len());
         prop_assert_eq!(head, &prefix[..], "Vec<u8> touched the bytes before it");
         prop_assert_eq!(tail, &raw.to_cache_bytes()[..]);
         prop_assert_eq!(tail, &raw[..]);
 
         let mut out = prefix.clone();
-        floats.write_cache_bytes(&mut out);
+        ByteWriter::append_to(&mut out, |w| floats.write_cache_bytes(w));
         let (head, tail) = out.split_at(prefix.len());
         prop_assert_eq!(head, &prefix[..], "Vec<f64> touched the bytes before it");
         prop_assert_eq!(tail, &floats.to_cache_bytes()[..]);
@@ -123,6 +126,25 @@ proptest! {
         let mut want = (bits.len() as u64).to_le_bytes().to_vec();
         want.extend(bits.iter().flat_map(|b| b.to_le_bytes()));
         prop_assert_eq!(tail, &want[..]);
+    }
+
+    /// The digest a cached stage keys an unnamed input by, streamed from
+    /// the value's description, is `content_hash128` of its stored bytes,
+    /// at every length across the hash's 32-byte strides.
+    #[test]
+    fn streamed_digest_is_the_hash_of_the_bytes(
+        raw in proptest::collection::vec(any::<u8>(), 0..100),
+        bits in proptest::collection::vec(any::<u64>(), 0..12),
+    ) {
+        let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        prop_assert_eq!(
+            ByteWriter::digest(|w| raw.write_cache_bytes(w)),
+            content_hash128(&raw.to_cache_bytes())
+        );
+        prop_assert_eq!(
+            ByteWriter::digest(|w| floats.write_cache_bytes(w)),
+            content_hash128(&floats.to_cache_bytes())
+        );
     }
 
     /// `Vec<f64>`'s CacheBytes impl is bitwise-exact (NaN bit patterns,

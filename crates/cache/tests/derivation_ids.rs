@@ -180,7 +180,7 @@ impl Chain {
         let veto = reject_b.clone();
         let pipeline = pipeline
             .cached("a", cache.clone())
-            .cached_with_check("b", cache.clone(), move |_, _| !veto.load(Ordering::SeqCst))
+            .cached_with_check("b", cache.clone(), move |_| !veto.load(Ordering::SeqCst))
             .cached("c", cache.clone());
         Chain {
             cache,
@@ -192,6 +192,18 @@ impl Chain {
 
     fn key_b(&self) -> CacheKey {
         chained(&key_a(&self.pipeline, &[1.0, 2.0]), &self.pipeline, "b")
+    }
+
+    fn key_c(&self) -> CacheKey {
+        chained(&self.key_b(), &self.pipeline, "c")
+    }
+
+    /// Plant a verified entry under `key` whose report decodes and whose
+    /// output is no `Vec<f64>`.
+    fn plant_undecodable(&self, key: &CacheKey) {
+        let no_report = [0u8; 16];
+        let payload = [&no_report[..], b"abc"].concat();
+        self.cache.put(key, &payload, 2, 16).unwrap();
     }
 
     fn entries(&self) -> Vec<String> {
@@ -216,30 +228,49 @@ impl Chain {
     }
 }
 
-/// (d) An entry in the middle of a chain that is quarantined, refused
-/// by the decoder or vetoed by the check is recomputed under the same
-/// key: `b` runs again and stores, `c` downstream is keyed as before
-/// and hits, no entry appears or goes, and the next run hits all three.
+/// (d) An entry in a chain that is quarantined, vetoed by the check or
+/// refused by the decoder is recomputed under the same key, no entry
+/// appears or goes, and the next run hits all three. A quarantined or
+/// vetoed `b` runs again at once and `c` downstream is keyed as before
+/// and hits. An output the decoder refuses is found out only when it is
+/// needed: `c`'s at the chain's end, which recomputes `c` from `b`'s
+/// output (decoded then); `b`'s only when `c` must be recomputed too —
+/// a `b` whose output nothing reads is never decoded.
 #[test]
 fn a_rejected_entry_mid_chain_recomputes_under_the_same_keys() {
     type Spoil = fn(&Chain);
-    let spoilers: [(&str, Spoil); 3] = [
-        ("quarantined", |chain| {
-            let blob = chain.key_b().blob_name();
-            let mut raw = chain.cache.sink().read_file(&blob).unwrap().to_vec();
-            let last = raw.len() - 1;
-            raw[last] ^= 0x40;
-            chain.cache.sink().write_file(&blob, &raw).unwrap();
-        }),
-        ("refused by the decoder", |chain| {
-            // A verified entry whose payload is no `Vec<f64>`.
-            chain.cache.put(&chain.key_b(), b"abc", 2, 16).unwrap();
-        }),
-        ("vetoed by the check", |chain| {
-            chain.reject_b.store(true, Ordering::SeqCst);
-        }),
+    let spoilers: [(&str, Spoil, [usize; 3]); 4] = [
+        (
+            "quarantined",
+            |chain| {
+                let blob = chain.key_b().blob_name();
+                let mut raw = chain.cache.sink().read_file(&blob).unwrap().to_vec();
+                let last = raw.len() - 1;
+                raw[last] ^= 0x40;
+                chain.cache.sink().write_file(&blob, &raw).unwrap();
+            },
+            [0, 1, 0],
+        ),
+        (
+            "vetoed by the check",
+            |chain| chain.reject_b.store(true, Ordering::SeqCst),
+            [0, 1, 0],
+        ),
+        (
+            "refused by the decoder at the last stage",
+            |chain| chain.plant_undecodable(&chain.key_c()),
+            [0, 0, 1],
+        ),
+        (
+            "refused by the decoder at b and at c",
+            |chain| {
+                chain.plant_undecodable(&chain.key_b());
+                chain.plant_undecodable(&chain.key_c());
+            },
+            [0, 1, 1],
+        ),
     ];
-    for (how, spoil) in spoilers {
+    for (how, spoil, recomputed) in spoilers {
         let chain = Chain::new();
         chain.run();
         assert_eq!(chain.calls(), [1, 1, 1], "{how}: cold");
@@ -250,7 +281,7 @@ fn a_rejected_entry_mid_chain_recomputes_under_the_same_keys() {
         spoil(&chain);
         chain.run();
         chain.reject_b.store(false, Ordering::SeqCst);
-        assert_eq!(chain.calls(), [0, 1, 0], "{how}: only b recomputes");
+        assert_eq!(chain.calls(), recomputed, "{how}");
         assert_eq!(chain.entries(), stored, "{how}: keys moved");
 
         let warm = chain.run();
@@ -258,4 +289,20 @@ fn a_rejected_entry_mid_chain_recomputes_under_the_same_keys() {
         assert_eq!(warm["cache.hits"], 3, "{how}: {warm:?}");
         assert_eq!(warm.get("cache.misses"), None, "{how}");
     }
+}
+
+/// A `b` whose output does not decode is never read while `c` hits: the
+/// run succeeds, nothing is recomputed, and the entry stays as planted.
+#[test]
+fn an_undecodable_entry_nothing_reads_is_left_alone() {
+    let chain = Chain::new();
+    chain.run();
+    chain.calls();
+    chain.plant_undecodable(&chain.key_b());
+    let planted = chain.cache.sink().read_file(&chain.key_b().blob_name());
+    let warm = chain.run();
+    assert_eq!(chain.calls(), [0, 0, 0]);
+    assert_eq!(warm["cache.hits"], 3, "{warm:?}");
+    let after = chain.cache.sink().read_file(&chain.key_b().blob_name());
+    assert_eq!(planted.unwrap()[..], after.unwrap()[..]);
 }

@@ -4,8 +4,9 @@
 //! A pool of `min(workers_per_stage × stages, batch size, cpus)` threads
 //! shares the input iterator. Each worker takes the next
 //! `(index, item)`, carries it through **every** stage by calling
-//! [`Pipeline::execute_stage`] — the function `Pipeline::run` calls,
-//! fast path, derivation id and ledger record included — and hands the
+//! `Pipeline::execute_stage` — the function `Pipeline::run` calls,
+//! fast path, derivation id and ledger record included — settles it
+//! (makes a last fast-path hit's output, as `run` does) and hands the
 //! finished item to the collector
 //! over one bounded channel. Item 7 can be sharding while item 9 is
 //! still regridding, no stage is pinned to one thread, and at most
@@ -57,7 +58,7 @@
 
 use crate::metrics::Throughput;
 use crate::names;
-use crate::pipeline::{Pipeline, StageCounters, StageMetrics};
+use crate::pipeline::{Failure, Item, Pipeline, StageCounters, StageMetrics};
 use crate::CoreError;
 use drai_io::parallel::{self, cpu_share};
 use drai_telemetry::monitor::{Condition, HealthSpec};
@@ -284,12 +285,12 @@ impl<T> ExecShared<'_, T> {
         }
     }
 
-    /// Carry item `idx` through every stage. `None` when the item was
-    /// cancelled at a stage boundary or failed (the incident is
-    /// recorded).
-    fn carry(&self, idx: usize, mut item: T) -> Option<T> {
-        // The item's derivation id, as `Pipeline::run` carries it.
-        let mut id = None;
+    /// Carry item `idx` through every stage and settle it (make a last
+    /// hit's output: see [`Item`]). `None` when the item was cancelled at
+    /// a stage boundary or failed (the incident is recorded).
+    fn carry(&self, idx: usize, input: T) -> Option<T> {
+        // The item and its derivation id, as `Pipeline::run` carries them.
+        let (mut item, mut id) = (Item::ready(input), None);
         for (s, stage) in self.pipeline.stages.iter().enumerate() {
             if self.cancelled(idx) {
                 return None;
@@ -302,26 +303,37 @@ impl<T> ExecShared<'_, T> {
             }));
             let end_ns = self.epoch.elapsed_ns();
             drop(busy);
-            let incident = match result {
+            match result {
                 Ok(Ok((output, output_id))) => {
                     self.accs[s].absorb(&counters, start_ns, end_ns);
                     (item, id) = (output, output_id);
-                    continue;
                 }
-                Ok(Err(message)) => Incident::Error {
-                    index: idx,
-                    stage: stage.name.clone(),
-                    message,
-                },
-                Err(payload) => Incident::Panic {
-                    index: idx,
-                    payload,
-                },
-            };
-            self.record_incident(incident);
-            return None;
+                Ok(Err(failure)) => return self.fail(idx, Ok(failure)),
+                Err(payload) => return self.fail(idx, Err(payload)),
+            }
         }
-        Some(item)
+        match catch_unwind(AssertUnwindSafe(|| item.settle())) {
+            Ok(Ok(output)) => Some(output),
+            Ok(Err(failure)) => self.fail(idx, Ok(failure)),
+            Err(payload) => self.fail(idx, Err(payload)),
+        }
+    }
+
+    /// Record why item `idx` failed: a stage's error, or the payload of a
+    /// panic caught in one.
+    fn fail(&self, idx: usize, why: Result<Failure, Box<dyn Any + Send>>) -> Option<T> {
+        self.record_incident(match why {
+            Ok(Failure { stage, message }) => Incident::Error {
+                index: idx,
+                stage,
+                message,
+            },
+            Err(payload) => Incident::Panic {
+                index: idx,
+                payload,
+            },
+        });
+        None
     }
 
     /// Pool worker: take the next input item, carry it through the
@@ -802,13 +814,14 @@ mod tests {
     /// of 3. A miss leaves `bytes` set, which the stage function does
     /// not touch — `execute_stage` carries it into the stage's record.
     fn memo_probe() -> Arc<FastFn<u64>> {
-        Arc::new(|x: u64, c: &mut StageCounters| {
+        Arc::new(|x: &mut Item<u64>, c: &mut StageCounters| {
             c.bytes = 8;
-            if x % 3 == 0 {
-                c.records = 1;
-                FastPath::Hit(x + 100)
-            } else {
-                FastPath::Miss(x)
+            match x.get() {
+                Some(&x) if x % 3 == 0 => {
+                    c.records = 1;
+                    FastPath::Hit(Box::new(move || Some(x + 100)))
+                }
+                _ => FastPath::Miss,
             }
         })
     }
@@ -917,7 +930,8 @@ mod tests {
             .stage("memo", S::Transform, |x, _| Ok(x))
             .build()
             .decorate_stage("memo", move |func| {
-                let fast = move |x: u64, c: &mut StageCounters| {
+                let fast = move |x: &mut Item<u64>, c: &mut StageCounters| {
+                    let x = *x.get().unwrap();
                     let (threads, arrived) = &*probe_seen;
                     let mut threads = threads.lock().unwrap();
                     threads.insert(std::thread::current().id());
@@ -928,7 +942,7 @@ mod tests {
                             .unwrap();
                     }
                     c.records = 1;
-                    FastPath::Hit(x)
+                    FastPath::Hit(Box::new(move || Some(x)))
                 };
                 (func, Some(Arc::new(fast)))
             });

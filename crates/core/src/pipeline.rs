@@ -1,17 +1,19 @@
 //! The pipeline definition and its sequential runner: named stages
 //! over a shared artifact type and per-stage metrics. Batches run on
 //! [`crate::executor`], which executes each stage through the same
-//! [`Pipeline::execute_stage`] as `run`. Figure 1's feedback loop is a
+//! `Pipeline::execute_stage` as `run`. Figure 1's feedback loop is a
 //! caller's loop around `run` (`examples/iterative_refinement.rs`).
 //!
 //! **Provenance.** `execute_stage` — the one place a stage runs on an
-//! item — names the output by a *derivation id* ([`derive`]) and, in a
+//! item — names the output by a *derivation id* ([`derive()`]) and, in a
 //! pipeline built with a [`Ledger`], writes the execution's one record:
 //! operation = the stage's name, params = its declared configuration
 //! plus what it measured, inputs = its input's id, outputs = its
 //! output's id plus every blob it wrote. An item that enters with no id
 //! leaves every stage with none, unless a layer names it (the cache
-//! decorator names a chain's first input by its content).
+//! decorator names a chain's first input by its content). A fast-path
+//! hit is recorded when it hits, although its output may be made only
+//! later ([`Item`]).
 //!
 //! Every run also reports into the context registry
 //! (`drai_telemetry::Registry::current`, falling back to the global
@@ -113,19 +115,122 @@ impl StageCounters {
 /// A stage's transformation function.
 pub(crate) type StageFn<T> = dyn Fn(T, &mut StageCounters) -> Result<T, String> + Send + Sync;
 /// A stage's fast path (see [`FastPath`]).
-pub(crate) type FastFn<T> = dyn Fn(T, &mut StageCounters) -> FastPath<T> + Send + Sync;
+pub(crate) type FastFn<T> = dyn Fn(&mut Item<T>, &mut StageCounters) -> FastPath<T> + Send + Sync;
+
+/// Makes a fast path's output once something needs it (see [`Item`]):
+/// `None` when it cannot — a stored output that does not decode — and
+/// the stage function then recomputes it.
+pub type Decode<T> = Box<dyn FnOnce() -> Option<T> + Send>;
 
 /// Outcome of a stage's optional *fast path* — a cheap pre-check that
-/// can produce the stage's output without running the full stage
-/// function (e.g. a cache probe). A fast path is infallible by
-/// construction: anything that goes wrong degrades to [`FastPath::Miss`]
-/// and the full function runs.
+/// can stand in for the full stage function (e.g. a cache probe). A fast
+/// path is infallible by construction: anything that goes wrong degrades
+/// to [`FastPath::Miss`] and the full function runs.
 pub enum FastPath<T> {
-    /// The fast path produced the stage output; the stage function is
-    /// skipped. Counters set by the fast path are kept.
-    Hit(T),
-    /// No shortcut; the input is handed back for the full function.
-    Miss(T),
+    /// The fast path vouches for the stage's output and says how to make
+    /// it; the stage function is skipped, and the output is made only
+    /// when something needs it. Counters set by the fast path are kept.
+    Hit(Decode<T>),
+    /// No shortcut: the stage function runs on the input.
+    Miss,
+}
+
+/// An item on its way through the stages: ready, or the output of a
+/// fast-path hit that is made only once something needs it — a stage
+/// function, a fast path that reads the item ([`Item::get`]), or the end
+/// of the run. A chain of cache hits therefore decodes one output, its
+/// last: each probe after the first keys its item by the derivation id
+/// alone.
+///
+/// A hit holds on to its input until it settles: when its output cannot
+/// be made, the stage function recomputes it from that input (made
+/// first, the same way). The hit's ledger record was written when it hit
+/// and stands; a recomputation writes none.
+pub struct Item<T>(State<T>);
+
+enum State<T> {
+    Ready(T),
+    Hit(Box<Hit<T>>),
+    /// Making a hit's output failed; the stage function that needs the
+    /// item reports it.
+    Failed(Failure),
+}
+
+/// A stage output not made yet: how to make it, and what to recompute it
+/// from when that fails.
+struct Hit<T> {
+    decode: Decode<T>,
+    stage: StageDef<T>,
+    input: Item<T>,
+    input_id: Option<DerivationId>,
+}
+
+/// The stage that failed on an item, and why.
+pub(crate) struct Failure {
+    pub(crate) stage: String,
+    pub(crate) message: String,
+}
+
+impl From<Failure> for CoreError {
+    fn from(Failure { stage, message }: Failure) -> CoreError {
+        CoreError::Stage { stage, message }
+    }
+}
+
+impl<T> Item<T> {
+    pub(crate) fn ready(value: T) -> Item<T> {
+        Item(State::Ready(value))
+    }
+
+    /// The item's value, made now if it is a hit's output not made yet;
+    /// `None` when it cannot be made (the stage function that needs the
+    /// item then reports why).
+    pub fn get(&mut self) -> Option<&T> {
+        if let State::Hit(_) = self.0 {
+            // Taken out to be settled; the placeholder is overwritten
+            // before anything can see it.
+            let taken = std::mem::replace(
+                &mut self.0,
+                State::Failed(Failure {
+                    stage: String::new(),
+                    message: String::new(),
+                }),
+            );
+            self.0 = match Item(taken).settle() {
+                Ok(value) => State::Ready(value),
+                Err(failure) => State::Failed(failure),
+            };
+        }
+        match &self.0 {
+            State::Ready(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// The item's value, made if it is not yet: a hit's decoded output,
+    /// or, when that does not decode, its stage function's output on the
+    /// hit's input.
+    pub(crate) fn settle(self) -> Result<T, Failure> {
+        let hit = match self.0 {
+            State::Ready(value) => return Ok(value),
+            State::Failed(failure) => return Err(failure),
+            State::Hit(hit) => *hit,
+        };
+        let Hit {
+            decode,
+            stage,
+            input,
+            input_id,
+        } = hit;
+        if let Some(output) = decode() {
+            return Ok(output);
+        }
+        let mut counters = StageCounters {
+            id: input_id,
+            ..StageCounters::default()
+        };
+        stage.run(input.settle()?, &mut counters)
+    }
 }
 
 /// One pipeline stage: a name, its processing-stage classification, its
@@ -140,6 +245,16 @@ pub(crate) struct StageDef<T> {
     pub(crate) config: Arc<[(String, String)]>,
     /// [`config_fingerprint`] of `config`.
     pub(crate) fingerprint: Arc<[u8]>,
+}
+
+impl<T> StageDef<T> {
+    /// Run the stage function, naming the stage in its error.
+    fn run(&self, input: T, counters: &mut StageCounters) -> Result<T, Failure> {
+        (self.func)(input, counters).map_err(|message| Failure {
+            stage: self.name.clone(),
+            message,
+        })
+    }
 }
 
 impl<T> Clone for StageDef<T> {
@@ -376,24 +491,28 @@ impl<T> Pipeline<T> {
         })
     }
 
-    /// Execute one stage on one artifact whose derivation id is `id`:
-    /// the fast path first, then the full function; then name the output
-    /// and write the record (see the module docs). The only place a
-    /// stage runs on an item — `run` and the executor's workers call it.
+    /// Execute one stage on one item whose derivation id is `id`: the
+    /// fast path first, then the full function; then name the output and
+    /// write the record (see the module docs and [`Item`]). The only
+    /// place a stage runs on an item — `run` and the executor's workers
+    /// call it.
     pub(crate) fn execute_stage(
         &self,
         stage: &StageDef<T>,
-        input: T,
+        mut input: Item<T>,
         id: Option<DerivationId>,
         counters: &mut StageCounters,
-    ) -> Result<(T, Option<DerivationId>), String> {
+    ) -> Result<(Item<T>, Option<DerivationId>), Failure> {
         counters.id = id;
-        let output = match &stage.fast {
-            Some(fast) => match fast(input, counters) {
-                FastPath::Hit(output) => output,
-                FastPath::Miss(input) => (stage.func)(input, counters)?,
-            },
-            None => (stage.func)(input, counters)?,
+        let fast = stage.fast.as_ref().map(|fast| fast(&mut input, counters));
+        let output = match fast {
+            Some(FastPath::Hit(decode)) => Item(State::Hit(Box::new(Hit {
+                decode,
+                stage: stage.clone(),
+                input,
+                input_id: counters.id,
+            }))),
+            _ => Item::ready(stage.run(input.settle()?, counters)?),
         };
         let input_id = counters.id;
         let output_id = input_id.map(|id| derive(&id, &stage.name, &stage.fingerprint));
@@ -431,7 +550,7 @@ impl<T> Pipeline<T> {
         // (e.g. a domain's `domain.<name>.run`).
         let run_span = registry.span(&names::RUN, [&self.name]);
         let _in_run = run_span.enter();
-        let mut current = input;
+        let mut current = Item::ready(input);
         let mut metrics = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
             let at = [self.name.as_str(), stage.name.as_str()];
@@ -443,10 +562,7 @@ impl<T> Pipeline<T> {
             let in_stage = span.enter();
             let result = self.execute_stage(stage, current, id, &mut counters);
             drop(in_stage);
-            (current, id) = result.map_err(|message| CoreError::Stage {
-                stage: stage.name.clone(),
-                message,
-            })?;
+            (current, id) = result?;
             span.add_items(counters.records);
             span.add_bytes(counters.bytes);
             registry
@@ -464,7 +580,7 @@ impl<T> Pipeline<T> {
             });
         }
         Ok(PipelineRun {
-            output: current,
+            output: current.settle()?,
             stages: metrics,
         })
     }
@@ -547,13 +663,12 @@ mod tests {
             })
             .build()
             .decorate_stage("memo", |func| {
-                let fast = |x: i32, c: &mut StageCounters| {
-                    if x % 2 == 0 {
+                let fast = |x: &mut Item<i32>, c: &mut StageCounters| match x.get() {
+                    Some(&x) if x % 2 == 0 => {
                         c.records = 1;
-                        FastPath::Hit(x * 10)
-                    } else {
-                        FastPath::Miss(x)
+                        FastPath::Hit(Box::new(move || Some(x * 10)))
                     }
+                    _ => FastPath::Miss,
                 };
                 (func, Some(Arc::new(fast)))
             });
@@ -700,9 +815,9 @@ mod tests {
         let run = id_trail().run_with_id(Vec::new(), Some([7; 16]));
         assert_eq!(run.unwrap().output, named);
         let naming = id_trail().decorate_stage("a", |func| {
-            let name = |v, c: &mut StageCounters| {
+            let name = |_: &mut Item<_>, c: &mut StageCounters| {
                 c.id.get_or_insert([7; 16]);
-                FastPath::Miss(v)
+                FastPath::Miss
             };
             (func, Some(Arc::new(name)))
         });
@@ -764,6 +879,143 @@ mod tests {
             .run_with_id(vec![1], Some([9; 16]))
             .unwrap();
         assert_eq!(ledger.len(), 4);
+    }
+
+    /// `a`, `b` and `c` each append their letter and measure `by = fn`;
+    /// `b` and `c` also have a fast path that hits (`by = hit`) with the
+    /// output they would make of an empty input. Each hit's decode is
+    /// counted in `decodes` and, where `undecodable` says so, fails;
+    /// `b`'s function fails too when `b_fails`.
+    fn stored_hits(
+        undecodable: [bool; 2],
+        b_fails: bool,
+        decodes: &Arc<[std::sync::atomic::AtomicU32; 2]>,
+        ledger: &Arc<Ledger>,
+    ) -> Pipeline<Vec<u8>> {
+        use std::sync::atomic::Ordering;
+        let append = |letter: u8, fails: bool| {
+            move |mut v: Vec<u8>, c: &mut StageCounters| {
+                if fails {
+                    return Err(format!("{} broke", letter as char));
+                }
+                v.push(letter);
+                c.measure("by", "fn");
+                Ok(v)
+            }
+        };
+        let mut p = Pipeline::builder("hits")
+            .ledger(ledger.clone())
+            .stage("a", S::Transform, append(b'a', false))
+            .stage("b", S::Transform, append(b'b', b_fails))
+            .stage("c", S::Transform, append(b'c', false))
+            .build();
+        for (i, (stage, stored)) in [("b", b"ab".to_vec()), ("c", b"abc".to_vec())]
+            .into_iter()
+            .enumerate()
+        {
+            let (decodes, bad) = (decodes.clone(), undecodable[i]);
+            p = p.decorate_stage(stage, move |func| {
+                let fast = move |_: &mut Item<Vec<u8>>, c: &mut StageCounters| {
+                    c.measure("by", "hit");
+                    let (decodes, stored) = (decodes.clone(), stored.clone());
+                    FastPath::Hit(Box::new(move || {
+                        decodes[i].fetch_add(1, Ordering::SeqCst);
+                        (!bad).then_some(stored)
+                    }))
+                };
+                (func, Some(Arc::new(fast)))
+            });
+        }
+        p
+    }
+
+    /// A hit is decoded only when its output is needed — here only `c`'s,
+    /// at the end of the run — and one that does not decode is recomputed
+    /// from its input, decoded (or recomputed) first. Either way the item
+    /// gets one record per stage, in stage order: a hit's, written when
+    /// it hit, stands for its recomputation.
+    #[test]
+    fn hits_are_decoded_when_needed_and_recorded_in_stage_order() {
+        use crate::executor::{ExecutorConfig, StreamingBatchExt};
+        use std::sync::atomic::{AtomicU32, Ordering};
+        for (undecodable, want_decodes) in [
+            ([false, false], [0, 1]),
+            ([true, false], [0, 1]),
+            ([false, true], [1, 1]),
+            ([true, true], [1, 1]),
+        ] {
+            for streaming in [false, true] {
+                let decodes: Arc<[AtomicU32; 2]> = Arc::default();
+                let ledger = Arc::new(Ledger::new());
+                let p = stored_hits(undecodable, false, &decodes, &ledger);
+                let output = if streaming {
+                    let cfg = ExecutorConfig::default();
+                    p.run_batch_streaming(vec![Vec::new()], &cfg)
+                        .unwrap()
+                        .0
+                        .remove(0)
+                } else {
+                    p.run_with_id(Vec::new(), Some([1; 16])).unwrap().output
+                };
+                let case = format!("undecodable {undecodable:?}, streaming {streaming}");
+                assert_eq!(output, b"abc", "{case}");
+                let decoded = decodes.each_ref().map(|n| n.load(Ordering::SeqCst));
+                assert_eq!(decoded, want_decodes, "{case}");
+                let records = ledger.transformations();
+                let ops: Vec<&str> = records.iter().map(|t| t.operation.as_str()).collect();
+                assert_eq!(ops, ["a", "b", "c"], "{case}");
+                let by: Vec<&str> = records.iter().map(|t| t.params["by"].as_str()).collect();
+                assert_eq!(by, ["fn", "hit", "hit"], "{case}");
+            }
+        }
+    }
+
+    /// An item cancelled at a stage boundary after a hit keeps the hit's
+    /// record, as it keeps those of the stages its functions ran.
+    #[test]
+    fn a_cancelled_item_keeps_the_records_of_its_hits() {
+        use crate::executor::{CancelToken, ExecutorConfig, StreamingBatchExt};
+        let ledger = Arc::new(Ledger::new());
+        let token = CancelToken::new();
+        let trigger = token.clone();
+        // The token fires in `b`'s probe, so the item goes at the
+        // boundary before `c`, its hit at `b` not decoded.
+        let p: Pipeline<Vec<u8>> = Pipeline::builder("cancel-hits")
+            .ledger(ledger.clone())
+            .stage("a", S::Transform, |v, _| Ok(v))
+            .stage("b", S::Transform, |v, _| Ok(v))
+            .stage("c", S::Transform, |_, _| Err("c ran".to_string()))
+            .build()
+            .decorate_stage("b", move |func| {
+                let fast = move |_: &mut Item<Vec<u8>>, _: &mut StageCounters| {
+                    trigger.cancel();
+                    FastPath::Hit(Box::new(|| None))
+                };
+                (func, Some(Arc::new(fast)))
+            });
+        let cfg = ExecutorConfig::default();
+        match p.run_batch_streaming_cancellable(vec![Vec::new()], &cfg, &token) {
+            Err(CoreError::Stage { message, .. }) => assert_eq!(message, "batch cancelled"),
+            other => panic!("{other:?}"),
+        }
+        let records = ledger.transformations();
+        let ops: Vec<&str> = records.iter().map(|t| t.operation.as_str()).collect();
+        assert_eq!(ops, ["a", "b"]);
+    }
+
+    /// A recomputation that fails fails the run, naming the stage whose
+    /// function failed.
+    #[test]
+    fn a_failed_recomputation_names_its_stage() {
+        let decodes = Arc::default();
+        let ledger = Arc::new(Ledger::new());
+        let p = stored_hits([true, true], true, &decodes, &ledger);
+        match p.run(Vec::new()) {
+            Err(CoreError::Stage { stage, message }) => {
+                assert_eq!((stage.as_str(), message.as_str()), ("b", "b broke"));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

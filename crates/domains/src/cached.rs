@@ -47,29 +47,27 @@ fn method_from_tag(tag: u8) -> Result<Method, String> {
 }
 
 impl CacheBytes for ClimateData {
-    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        ByteWriter::append_to(out, |w| {
-            // Room for everything first: the entry buffer this appends
-            // to must not move a field stack it already holds.
-            w.reserve(
-                self.fields.iter().map(|f| f.len() * 8 + 8).sum::<usize>()
-                    + self.normalizers.len() * 17
-                    + 40,
-            );
-            w.put_u64(self.grid.nlat() as u64);
-            w.put_u64(self.grid.nlon() as u64);
-            w.put_u64(self.timesteps as u64);
-            w.put_u64(self.fields.len() as u64);
-            for f in &self.fields {
-                w.put_f64_slice(f);
-            }
-            w.put_u64(self.normalizers.len() as u64);
-            for n in &self.normalizers {
-                w.put_u8(method_tag(n.method()));
-                w.put_f64(n.offset);
-                w.put_f64(n.scale);
-            }
-        });
+    fn write_cache_bytes(&self, w: &mut ByteWriter) {
+        // Room for everything first: the entry buffer this appends to
+        // must not move a field stack it already holds.
+        w.reserve(
+            self.fields.iter().map(|f| f.len() * 8 + 8).sum::<usize>()
+                + self.normalizers.len() * 17
+                + 40,
+        );
+        w.put_u64(self.grid.nlat() as u64);
+        w.put_u64(self.grid.nlon() as u64);
+        w.put_u64(self.timesteps as u64);
+        w.put_u64(self.fields.len() as u64);
+        for f in &self.fields {
+            w.put_f64_slice(f);
+        }
+        w.put_u64(self.normalizers.len() as u64);
+        for n in &self.normalizers {
+            w.put_u8(method_tag(n.method()));
+            w.put_f64(n.offset);
+            w.put_f64(n.scale);
+        }
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<ClimateData, String> {
@@ -117,12 +115,15 @@ impl CacheBytes for ClimateData {
     }
 }
 
-fn put_tensor<T: Element>(w: &mut ByteWriter, t: &Tensor<T>) {
+/// A tensor: its rank, its shape, then its elements as `le` lays each
+/// out, length-prefixed.
+fn put_tensor<T: Element, const N: usize>(w: &mut ByteWriter, t: &Tensor<T>, le: fn(T) -> [u8; N]) {
     w.put_u64(t.shape().len() as u64);
     for &d in t.shape() {
         w.put_u64(d as u64);
     }
-    w.put_framed(|out| t.write_le_into(out));
+    w.put_u64((t.len() * N) as u64);
+    w.put_each(t.as_slice(), le);
 }
 
 fn tensor_shape(r: &mut ByteReader) -> Result<Vec<usize>, String> {
@@ -164,44 +165,42 @@ fn read_tensor_i64(r: &mut ByteReader) -> Result<Tensor<i64>, String> {
 }
 
 impl CacheBytes for MaterialsData {
-    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        ByteWriter::append_to(out, |w| {
-            w.put_u64(self.frames.len() as u64);
-            for frame in &self.frames {
-                w.put_u64(frame.atoms.len() as u64);
-                for atom in &frame.atoms {
-                    w.put_str(&atom.element);
-                    for &p in &atom.position {
-                        w.put_f64(p);
-                    }
-                    match atom.force {
-                        Some(f) => {
-                            w.put_u8(1);
-                            for &x in &f {
-                                w.put_f64(x);
-                            }
+    fn write_cache_bytes(&self, w: &mut ByteWriter) {
+        w.put_u64(self.frames.len() as u64);
+        for frame in &self.frames {
+            w.put_u64(frame.atoms.len() as u64);
+            for atom in &frame.atoms {
+                w.put_str(&atom.element);
+                for &p in &atom.position {
+                    w.put_f64(p);
+                }
+                match atom.force {
+                    Some(f) => {
+                        w.put_u8(1);
+                        for &x in &f {
+                            w.put_f64(x);
                         }
-                        None => w.put_u8(0),
                     }
-                }
-                w.put_u64(frame.properties.len() as u64);
-                for (k, v) in &frame.properties {
-                    w.put_str(k);
-                    w.put_str(v);
+                    None => w.put_u8(0),
                 }
             }
-            w.put_f64(self.energy_stats.0);
-            w.put_f64(self.energy_stats.1);
-            w.put_u64(self.graphs.len() as u64);
-            for g in &self.graphs {
-                w.put_u64(g.structure_id as u64);
-                put_tensor(w, &g.node_features);
-                put_tensor(w, &g.edges);
-                put_tensor(w, &g.edge_lengths);
-                w.put_f64(g.energy_per_atom);
-                put_tensor(w, &g.forces);
+            w.put_u64(frame.properties.len() as u64);
+            for (k, v) in &frame.properties {
+                w.put_str(k);
+                w.put_str(v);
             }
-        });
+        }
+        w.put_f64(self.energy_stats.0);
+        w.put_f64(self.energy_stats.1);
+        w.put_u64(self.graphs.len() as u64);
+        for g in &self.graphs {
+            w.put_u64(g.structure_id as u64);
+            put_tensor(w, &g.node_features, f32::to_le_bytes);
+            put_tensor(w, &g.edges, i64::to_le_bytes);
+            put_tensor(w, &g.edge_lengths, f32::to_le_bytes);
+            w.put_f64(g.energy_per_atom);
+            put_tensor(w, &g.forces, f32::to_le_bytes);
+        }
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<MaterialsData, String> {
@@ -266,11 +265,9 @@ impl CacheBytes for MaterialsData {
 /// artifact's canonical bytes, so each member keys its own cache
 /// entries (identical fields under different member ids never collide).
 impl<T: CacheBytes> CacheBytes for Member<T> {
-    fn write_cache_bytes(&self, out: &mut Vec<u8>) {
-        ByteWriter::append_to(out, |w| {
-            w.put_u64(self.0 as u64);
-            w.put_framed(|out| self.1.write_cache_bytes(out));
-        });
+    fn write_cache_bytes(&self, w: &mut ByteWriter) {
+        w.put_u64(self.0 as u64);
+        w.put_framed(|w| self.1.write_cache_bytes(w));
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<Member<T>, String> {
@@ -302,7 +299,7 @@ where
     pipeline
         .cached("regrid", cache.clone())
         .cached("normalize", cache.clone())
-        .cached_with_check("shard", cache, move |report: &StageReport, _: &I| {
+        .cached_with_check("shard", cache, move |report: &StageReport| {
             report.written.iter().all(|blob| sink.exists(&blob.name))
         })
 }
@@ -345,9 +342,11 @@ where
 mod tests {
     use super::*;
     use crate::materials::{self, MaterialsConfig};
+    use drai_io::checksum::content_hash128;
     use drai_io::sink::MemSink;
     use drai_telemetry::clock::LogicalClock;
     use drai_telemetry::{Registry, TraceContext};
+    use proptest::prelude::*;
 
     fn climate_cfg() -> ClimateConfig {
         ClimateConfig {
@@ -581,7 +580,7 @@ mod tests {
     fn assert_only_appends<T: CacheBytes>(what: &str, value: &T) {
         let prefix = b"bytes that were there before".to_vec();
         let mut out = prefix.clone();
-        value.write_cache_bytes(&mut out);
+        ByteWriter::append_to(&mut out, |w| value.write_cache_bytes(w));
         let (head, tail) = out.split_at(prefix.len());
         assert_eq!(head, &prefix[..], "{what} touched the bytes before it");
         assert!(
@@ -761,6 +760,123 @@ mod tests {
         });
         assert_eq!(counted(&second, "cache.hits"), 3, "{:?}", second.counters);
         assert_eq!(counted(&second, "cache.misses"), 0);
+    }
+
+    /// Whether the digest a cached stage keys `value` by, streamed from
+    /// its description, is `content_hash128` of the bytes it stores, and
+    /// the counting run counts them.
+    fn streams_its_bytes<T: CacheBytes>(value: &T) -> bool {
+        let bytes = value.to_cache_bytes();
+        ByteWriter::digest(|w| value.write_cache_bytes(w)) == content_hash128(&bytes)
+            && ByteWriter::count(|w| value.write_cache_bytes(w)) == bytes.len() as u64
+    }
+
+    proptest! {
+        /// Climate artifacts and members of them, with and without
+        /// normalizers, at lengths across the hash's 32-byte strides:
+        /// field stacks of every small length move the stream by words,
+        /// and 17-byte normalizer records move it off the word.
+        #[test]
+        fn climate_digests_stream_the_stored_bytes(
+            shape in (1usize..4, 1usize..4, 0usize..3),
+            nfields in 0usize..3,
+            bits in prop::collection::vec(any::<u64>(), 0..40),
+            norms in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 0..4),
+            member in 0usize..1 << 20,
+        ) {
+            let (nlat, nlon, timesteps) = shape;
+            let cells = nlat * nlon * timesteps;
+            let value = |i: usize| f64::from_bits(bits.get(i).copied().unwrap_or(i as u64));
+            let data = ClimateData {
+                fields: (0..nfields)
+                    .map(|f| (0..cells).map(|i| value(f * cells + i)).collect())
+                    .collect(),
+                grid: LatLonGrid::global(nlat, nlon),
+                timesteps,
+                normalizers: norms
+                    .iter()
+                    .map(|&(m, offset, scale)| {
+                        let method = method_from_tag(m).expect("a known tag");
+                        Normalizer::from_parts(method, f64::from_bits(offset), f64::from_bits(scale))
+                    })
+                    .collect(),
+            };
+            let bare = ClimateData {
+                normalizers: Vec::new(),
+                ..data.clone()
+            };
+            prop_assert!(streams_its_bytes(&data));
+            prop_assert!(streams_its_bytes(&bare));
+            prop_assert!(streams_its_bytes(&Member(member, data)));
+        }
+    }
+
+    #[test]
+    fn materials_digests_stream_the_stored_bytes() {
+        for structures in [1, 2, 5] {
+            let cfg = MaterialsConfig {
+                structures,
+                ..materials_cfg()
+            };
+            let input = || materials::member_input(&cfg, 0).expect("member input");
+            let pipeline =
+                materials::build_pipeline(&cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
+            let encoded = pipeline.run(input()).expect("materials run").output;
+            assert!(!encoded.graphs.is_empty(), "the tensors are described too");
+            for data in [input(), encoded] {
+                assert!(streams_its_bytes(&data), "{structures} structures");
+                assert!(streams_its_bytes(&Member(structures, data)));
+            }
+        }
+    }
+
+    /// A warm run whose shard entry is gone: regrid and normalize hit,
+    /// normalize's output is decoded for the shard function, and the
+    /// output and the shards are bitwise the cold run's.
+    #[test]
+    fn a_warm_run_missing_its_shard_entry_matches_the_cold_run() {
+        let cfg = climate_cfg();
+        let input = climate_input(&cfg);
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let run = |sink: &Arc<MemSink>| {
+            let p = build_cached_climate_pipeline(
+                &cfg,
+                sink.clone(),
+                Arc::new(Ledger::new()),
+                cache.clone(),
+            );
+            run_in_registry(&Registry::new(), || p.run(input.clone()).expect("run"))
+        };
+        let shards = |sink: &MemSink| -> Vec<(String, Vec<u8>)> {
+            let names = sink.list().expect("list");
+            names
+                .into_iter()
+                .map(|n| (n.clone(), sink.read_file(&n).expect("read").to_vec()))
+                .collect()
+        };
+        let cold_sink = Arc::new(MemSink::new());
+        let (cold, _) = run(&cold_sink);
+        let names = cache.sink().list().expect("list");
+        let shard_entry = names.iter().find(|n| n.starts_with("cache/shard/"));
+        cache
+            .sink()
+            .delete(shard_entry.expect("a shard entry"))
+            .expect("delete");
+
+        let warm_sink = Arc::new(MemSink::new());
+        let (warm, snapshot) = run(&warm_sink);
+        assert_eq!(
+            snapshot.counters["cache.hits"], 2,
+            "{:?}",
+            snapshot.counters
+        );
+        assert_eq!(
+            snapshot.counters["cache.misses"], 1,
+            "{:?}",
+            snapshot.counters
+        );
+        assert!(warm.output.to_cache_bytes() == cold.output.to_cache_bytes());
+        assert!(shards(&warm_sink) == shards(&cold_sink), "shards differ");
     }
 
     #[test]

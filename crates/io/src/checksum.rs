@@ -21,9 +21,10 @@
 //! * [`fnv1a64`] / [`Fnv1a64`] — cheap non-cryptographic hash (one-shot and
 //!   incremental) for deterministic train/val/test splitting and hash-based
 //!   anonymization.
-//! * [`content_hash128`] — a 128-bit mixing hash used as a content address
-//!   by the provenance layer. Not cryptographic; collision-resistant enough
-//!   for artifact identity within a workflow run, and dependency-free.
+//! * [`content_hash128`] / [`ContentHasher`] — a 128-bit mixing hash (one-shot
+//!   and incremental) used as a content address by the provenance layer and
+//!   the cache. Not cryptographic; collision-resistant enough for artifact
+//!   identity within a workflow run, and dependency-free.
 
 /// Build a reflected CRC-32 lookup table for `poly`, extended to
 /// slice-by-8 (8 sub-tables).
@@ -288,56 +289,120 @@ impl Fnv1a64 {
 /// combines the lanes. Non-cryptographic; used for artifact content
 /// addressing, cache-entry digests and duplicate detection — paths that
 /// hash megabytes per pipeline run, hence the throughput-oriented shape.
+/// [`ContentHasher`] computes the same digest from pieces.
 pub fn content_hash128(data: &[u8]) -> [u8; 16] {
-    #[inline]
-    fn mix(mut x: u64) -> u64 {
-        // splitmix64 finalizer
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+    let mut h = ContentHasher::new(data.len() as u64);
+    h.update(data);
+    h.finish()
+}
+
+#[inline]
+fn mix(mut x: u64) -> u64 {
+    // splitmix64 finalizer
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Absorb one 32-byte stride, one little-endian word per lane.
+#[inline]
+fn absorb(lanes: &mut [u64; 4], stride: &[u8]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&stride[i * 8..i * 8 + 8]);
+        let w = u64::from_le_bytes(b);
+        *lane = (*lane ^ w)
+            .wrapping_mul(0x9DDF_EA08_EB38_2D69)
+            .rotate_left(23)
+            ^ w;
     }
-    #[inline]
-    fn absorb(h: u64, w: u64) -> u64 {
-        (h ^ w).wrapping_mul(0x9DDF_EA08_EB38_2D69).rotate_left(23) ^ w
-    }
-    let len = data.len() as u64;
-    let mut h = [
-        0x9E37_79B9_7F4A_7C15_u64 ^ len,
-        0xC2B2_AE3D_27D4_EB4F_u64 ^ len.rotate_left(32),
-        0x1656_67B1_9E37_79F9_u64 ^ len.rotate_left(16),
-        0x94D0_49BB_1331_11EB_u64 ^ len.rotate_left(48),
-    ];
-    let mut wide = data.chunks_exact(32);
-    for chunk in &mut wide {
-        for (i, lane) in h.iter_mut().enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&chunk[i * 8..i * 8 + 8]);
-            *lane = absorb(*lane, u64::from_le_bytes(b));
+}
+
+/// Incremental [`content_hash128`]: the bytes may arrive in pieces of any
+/// size, so a caller that describes a value piece by piece digests it
+/// without first building it in one buffer. The hash mixes the total
+/// length into its initial state, so that length is given up front.
+#[derive(Debug, Clone)]
+pub struct ContentHasher {
+    lanes: [u64; 4],
+    /// A partial 32-byte stride carried over between pieces.
+    block: [u8; 32],
+    filled: usize,
+    /// Bytes still to come: `len` less what was fed.
+    left: u64,
+}
+
+impl ContentHasher {
+    /// State before any of `len` bytes is fed.
+    pub fn new(len: u64) -> ContentHasher {
+        ContentHasher {
+            lanes: [
+                0x9E37_79B9_7F4A_7C15_u64 ^ len,
+                0xC2B2_AE3D_27D4_EB4F_u64 ^ len.rotate_left(32),
+                0x1656_67B1_9E37_79F9_u64 ^ len.rotate_left(16),
+                0x94D0_49BB_1331_11EB_u64 ^ len.rotate_left(48),
+            ],
+            block: [0; 32],
+            filled: 0,
+            left: len,
         }
     }
-    let mut lane = 0usize;
-    let mut tail = wide.remainder().chunks_exact(8);
-    for c in &mut tail {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(c);
-        h[lane] = mix(h[lane] ^ u64::from_le_bytes(b));
-        lane = (lane + 1) % 4;
+
+    /// Feed the next bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.left = self.left.wrapping_sub(data.len() as u64);
+        if self.filled > 0 {
+            let take = (32 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 32 {
+                return;
+            }
+            absorb(&mut self.lanes, &self.block);
+            self.filled = 0;
+        }
+        // The lanes stay in registers over the long run of strides.
+        let mut lanes = self.lanes;
+        let mut wide = data.chunks_exact(32);
+        for stride in &mut wide {
+            absorb(&mut lanes, stride);
+        }
+        self.lanes = lanes;
+        let rem = wide.remainder();
+        self.block[..rem.len()].copy_from_slice(rem);
+        self.filled = rem.len();
     }
-    let rem = tail.remainder();
-    if !rem.is_empty() {
-        let mut last = [0u8; 8];
-        last[..rem.len()].copy_from_slice(rem);
-        h[lane] = mix(h[lane] ^ u64::from_le_bytes(last) ^ 0xFF);
+
+    /// The digest: [`content_hash128`] of everything fed, which must be
+    /// the `len` bytes [`ContentHasher::new`] was given.
+    pub fn finish(self) -> [u8; 16] {
+        debug_assert_eq!(self.left, 0, "fed a length other than the declared one");
+        let mut h = self.lanes;
+        let mut lane = 0usize;
+        let mut tail = self.block[..self.filled].chunks_exact(8);
+        for c in &mut tail {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(c);
+            h[lane] = mix(h[lane] ^ u64::from_le_bytes(b));
+            lane = (lane + 1) % 4;
+        }
+        let rem = tail.remainder();
+        if !rem.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rem.len()].copy_from_slice(rem);
+            h[lane] = mix(h[lane] ^ u64::from_le_bytes(last) ^ 0xFF);
+        }
+        // Final avalanche: both output words depend on every lane.
+        let a = mix(mix(h[0] ^ h[1].rotate_left(29)) ^ h[2].rotate_left(13) ^ h[3].rotate_left(41));
+        let b = mix(mix(h[3] ^ h[2].rotate_left(17)) ^ h[1].rotate_left(7) ^ h[0].rotate_left(51));
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&a.to_le_bytes());
+        out[8..].copy_from_slice(&b.to_le_bytes());
+        out
     }
-    // Final avalanche: both output words depend on every lane.
-    let a = mix(mix(h[0] ^ h[1].rotate_left(29)) ^ h[2].rotate_left(13) ^ h[3].rotate_left(41));
-    let b = mix(mix(h[3] ^ h[2].rotate_left(17)) ^ h[1].rotate_left(7) ^ h[0].rotate_left(51));
-    let mut out = [0u8; 16];
-    out[..8].copy_from_slice(&a.to_le_bytes());
-    out[8..].copy_from_slice(&b.to_le_bytes());
-    out
 }
 
 /// Hex string of a content hash (lowercase).
@@ -431,6 +496,77 @@ mod tests {
         let a = content_hash128(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let b = content_hash128(&[1, 2, 3, 4, 5, 6, 7, 8, 0]);
         assert_ne!(a, b);
+    }
+
+    /// `content_hash128` as it was before it was built on
+    /// [`ContentHasher`]: one pass over one slice.
+    fn reference_content_hash128(data: &[u8]) -> [u8; 16] {
+        fn absorb(h: u64, w: u64) -> u64 {
+            (h ^ w).wrapping_mul(0x9DDF_EA08_EB38_2D69).rotate_left(23) ^ w
+        }
+        let len = data.len() as u64;
+        let mut h = [
+            0x9E37_79B9_7F4A_7C15_u64 ^ len,
+            0xC2B2_AE3D_27D4_EB4F_u64 ^ len.rotate_left(32),
+            0x1656_67B1_9E37_79F9_u64 ^ len.rotate_left(16),
+            0x94D0_49BB_1331_11EB_u64 ^ len.rotate_left(48),
+        ];
+        let mut wide = data.chunks_exact(32);
+        for chunk in &mut wide {
+            for (i, lane) in h.iter_mut().enumerate() {
+                let w = u64::from_le_bytes(chunk[i * 8..i * 8 + 8].try_into().unwrap());
+                *lane = absorb(*lane, w);
+            }
+        }
+        let mut lane = 0usize;
+        let mut tail = wide.remainder().chunks_exact(8);
+        for c in &mut tail {
+            h[lane] = mix(h[lane] ^ u64::from_le_bytes(c.try_into().unwrap()));
+            lane = (lane + 1) % 4;
+        }
+        let rem = tail.remainder();
+        if !rem.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rem.len()].copy_from_slice(rem);
+            h[lane] = mix(h[lane] ^ u64::from_le_bytes(last) ^ 0xFF);
+        }
+        let a = mix(mix(h[0] ^ h[1].rotate_left(29)) ^ h[2].rotate_left(13) ^ h[3].rotate_left(41));
+        let b = mix(mix(h[3] ^ h[2].rotate_left(17)) ^ h[1].rotate_left(7) ^ h[0].rotate_left(51));
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&a.to_le_bytes());
+        out[8..].copy_from_slice(&b.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn content_hash_in_pieces_equals_the_one_pass_hash() {
+        let data = noise(4099);
+        // Every length across several strides, whole and cut at every
+        // point of the first two strides, and in pieces of every size up
+        // to past one stride.
+        for len in 0..=200 {
+            let piece = &data[..len];
+            let want = reference_content_hash128(piece);
+            assert_eq!(content_hash128(piece), want, "len {len}");
+            for cut in 0..=len.min(70) {
+                let mut h = ContentHasher::new(len as u64);
+                h.update(&piece[..cut]);
+                h.update(&[]);
+                h.update(&piece[cut..]);
+                assert_eq!(h.finish(), want, "len {len} cut {cut}");
+            }
+        }
+        for size in 1..=40 {
+            let mut h = ContentHasher::new(data.len() as u64);
+            for piece in data.chunks(size) {
+                h.update(piece);
+            }
+            assert_eq!(
+                h.finish(),
+                reference_content_hash128(&data),
+                "pieces of {size}"
+            );
+        }
     }
 
     #[test]

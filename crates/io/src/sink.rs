@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Read, Write};
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -78,15 +78,15 @@ pub trait StorageSink: Send + Sync {
     }
 }
 
-/// Refuse a blob name that is empty, absolute, or has a `..` or a
-/// leading `.` segment (an inner `.`, as in `a/./b`, is dropped by the
-/// path parser and passes). Every sink calls this before it stores a
-/// blob, so all of them take the same names.
+/// Refuse a blob name that is not `/`-separated plain segments: an
+/// empty name, an absolute one, an empty segment (`d//e`, a trailing
+/// `c/`) or a `.` or `..` segment anywhere (`a/./b`). Every sink calls
+/// this before it stores a blob, so all of them take the same names —
+/// and a name a filesystem would rewrite (`a/./b` to `a/b`) is one no
+/// sink takes.
 pub fn validate_name(name: &str) -> Result<(), IoError> {
-    let relative = Path::new(name)
-        .components()
-        .all(|c| matches!(c, Component::Normal(_)));
-    if name.is_empty() || !relative {
+    let plain = |segment: &str| !matches!(segment, "" | "." | "..");
+    if !name.split('/').all(plain) {
         return Err(IoError::Format {
             blob: name.to_string(),
             what: "a blob name must be a non-empty relative path of plain segments".to_string(),

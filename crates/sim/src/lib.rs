@@ -13,7 +13,9 @@
 //! A [`SimFs`] has `ost_count` object storage targets. Each file is
 //! striped round-robin in `stripe_size` chunks across `stripe_count`
 //! consecutive OSTs starting at a per-file offset (Lustre's default
-//! layout). Writing `n` bytes to an OST costs
+//! layout). The offset is a hash of the file's name, so where a file
+//! lands — and with it every clock — does not depend on the order or the
+//! thread its write came from. Writing `n` bytes to an OST costs
 //!
 //! ```text
 //! latency + n / bandwidth
@@ -28,6 +30,7 @@
 //! Data is actually stored (it's also a correct [`StorageSink`]), so
 //! shard round-trip tests can run against the simulator too.
 
+use drai_io::checksum::fnv1a64;
 use drai_io::sink::{validate_name, StorageSink};
 use drai_io::IoError;
 use parking_lot::Mutex;
@@ -86,10 +89,8 @@ struct SimState {
     ost_bytes: Vec<u64>,
     /// Per-OST total bytes read.
     ost_read_bytes: Vec<u64>,
-    /// Stored blobs and the starting OST each was striped from.
-    files: BTreeMap<String, (usize, Arc<[u8]>)>,
-    /// Next file's starting OST (round-robin placement).
-    next_start_ost: usize,
+    /// Stored blobs.
+    files: BTreeMap<String, Arc<[u8]>>,
 }
 
 /// The simulated filesystem. Cloning shares state (like an `Arc`).
@@ -157,6 +158,12 @@ impl SimFs {
         self.state.lock().ost_read_bytes.iter().sum()
     }
 
+    /// The OST the stripes of the file `name` start on: a function of the
+    /// name alone.
+    fn start_ost(&self, name: &str) -> usize {
+        (fnv1a64(name.as_bytes()) % self.config.ost_count as u64) as usize
+    }
+
     /// Simulate moving `len` bytes striped from `start_ost` (the cost
     /// model is symmetric for reads and writes), advancing each touched
     /// OST's clock. `is_read` selects which byte counter to charge.
@@ -197,17 +204,16 @@ impl StorageSink for SimFs {
     fn write_file(&self, name: &str, data: &[u8]) -> Result<(), IoError> {
         validate_name(name)?;
         let blob = Arc::from(data);
+        let start = self.start_ost(name);
         let mut st = self.state.lock();
-        let start = st.next_start_ost;
-        st.next_start_ost = (st.next_start_ost + 1) % self.config.ost_count;
         self.simulate_transfer(&mut st, data.len(), start, false);
-        st.files.insert(name.to_string(), (start, blob));
+        st.files.insert(name.to_string(), blob);
         Ok(())
     }
 
     fn read_file(&self, name: &str) -> Result<Arc<[u8]>, IoError> {
         let mut st = self.state.lock();
-        let (start, data) = st
+        let data = st
             .files
             .get(name)
             .cloned()
@@ -215,7 +221,7 @@ impl StorageSink for SimFs {
                 blob: name.to_string(),
             })?;
         // Reads hit the same stripe group the file was written to.
-        self.simulate_transfer(&mut st, data.len(), start, true);
+        self.simulate_transfer(&mut st, data.len(), self.start_ost(name), true);
         Ok(data)
     }
 
@@ -277,7 +283,7 @@ mod tests {
     #[test]
     fn contention_serializes_one_ost() {
         // Two files striped over the same single OST take twice as long
-        // as one; placement round-robins, so pin with ost_count=1.
+        // as one.
         let single = fs(1, 1);
         let data = vec![0u8; 8 << 20];
         single.write_file("a", &data).unwrap();
@@ -288,21 +294,53 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_placement_balances() {
+    fn placement_is_a_function_of_the_name() {
         let fs = fs(4, 1);
         let data = vec![0u8; 1 << 20];
-        for i in 0..8 {
+        for i in 0..32 {
             fs.write_file(&format!("f{i}"), &data).unwrap();
         }
         let report = fs.ost_report();
-        // 8 single-stripe files over 4 OSTs: 2 MiB each.
+        // Every file lands on the OST its name hashes to, whole.
+        let mut want = vec![0u64; 4];
+        for i in 0..32 {
+            want[fs.start_ost(&format!("f{i}"))] += 1 << 20;
+        }
+        assert_eq!(report.bytes_per_ost, want);
+        assert!(want.iter().all(|&b| b > 0), "{want:?}");
+        // A read is charged to the OST the write went to.
+        fs.read_file("f7").unwrap();
+        let reads = fs.state.lock().ost_read_bytes.clone();
+        assert_eq!(reads[fs.start_ost("f7")], 1 << 20);
+        assert_eq!(reads.iter().sum::<u64>(), 1 << 20);
+    }
+
+    /// The same files, written forwards and backwards: the same OSTs
+    /// carry the same bytes, and the makespan is the same.
+    #[test]
+    fn write_order_does_not_move_the_makespan() {
+        let files: Vec<(String, usize)> = (0..24)
+            .map(|i| (format!("set/train-{i:05}.shard"), (1 + i % 5) << 19))
+            .collect();
+        let sim = SimConfig {
+            ost_count: 8,
+            stripe_count: 2,
+            ..SimConfig::default()
+        };
+        let write = |order: &mut dyn Iterator<Item = &(String, usize)>| {
+            let fs = SimFs::new(sim.clone()).unwrap();
+            for (name, len) in order {
+                fs.write_file(name, &vec![0u8; *len]).unwrap();
+            }
+            (fs.ost_report().bytes_per_ost, fs.makespan())
+        };
+        let (forward_bytes, forward) = write(&mut files.iter());
+        let (backward_bytes, backward) = write(&mut files.iter().rev());
+        assert_eq!(forward_bytes, backward_bytes);
         assert!(
-            report.bytes_per_ost.iter().all(|&b| b == 2 << 20),
-            "{report:?}"
+            (forward - backward).abs() <= 1e-12 * forward,
+            "{forward} vs {backward}"
         );
-        // Perfect overlap: makespan = time for 2 files on one OST.
-        let expected = 2.0 * (1 << 20) as f64 / 1e9;
-        assert!((fs.makespan() - expected).abs() < 1e-12);
     }
 
     #[test]

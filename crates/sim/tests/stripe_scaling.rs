@@ -2,29 +2,26 @@
 //! time. Each sweep writes one 32 MiB shard set through the real
 //! `ShardWriter` onto a [`SimFs`] and reads the simulator's makespan.
 //!
-//! Virtual time is a function of the blob sizes and the order they
-//! reach the simulator, never of the host, so the makespans are pinned
+//! Virtual time is a function of the blob names and sizes, never of the
+//! host or of the order the writer's threads store the shards in (a
+//! file's first OST is a hash of its name), so the makespans are pinned
 //! exactly. The record bytes are zeros: under the Raw codec only their
-//! sizes move the clocks. Each sweep runs on a [`pool`] worker whose
-//! CPU share is 1, so the writer's `par_map` calls map on that thread
-//! and the shards reach the simulator in shard order: round-robin
-//! placement, and with it every makespan, is then the same whatever
-//! the CPU count.
+//! sizes move the clocks.
 //!
 //! What each sweep shows, at the default device (1 GB/s, 0.5 ms per op
-//! and OST):
+//! and OST), for 4 MiB shards of four 1 MiB stripe units each:
 //! * **OST count** (stripe over all OSTs): bandwidth grows with the OSTs
-//!   until a 4 MiB shard's four stripes cover its group, then stays flat
-//!   — per-OST contention.
-//! * **Stripe count** on 64 OSTs: one stripe per shard is fastest, since
-//!   wider stripes put consecutive shards on shared OSTs.
+//!   until the nine shards' stripe units spread out over them (64 OSTs),
+//!   then stays flat — two units still meet on one OST.
+//! * **Stripe count** on 64 OSTs: striping a shard over its four units
+//!   cuts the makespan; two stripes can be slower than one (two shards'
+//!   halves meet on one OST), and more than four change nothing, since a
+//!   4 MiB shard has only four units.
 //! * **Shard size** on 8 OSTs: small shards pay the per-op latency once
 //!   per file, large ones leave OSTs idle; 4 MiB is the sweet spot.
 
-use drai_io::parallel::{cpu_count, pool};
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_sim::{SimConfig, SimFs};
-use parking_lot::Mutex;
 
 /// 512 records of 64 KiB: a 32 MiB payload.
 fn records() -> Vec<Vec<u8>> {
@@ -41,32 +38,17 @@ struct Point {
 }
 
 /// Write [`records`] as `shard_bytes` shards onto a fresh `SimFs` of
-/// `config`, one shard at a time in shard order (see the module docs).
+/// `config`.
 fn write(config: SimConfig, shard_bytes: usize) -> Point {
-    let job = Mutex::new(Some(move || {
-        let fs = SimFs::new(config).expect("valid sim config");
-        let manifest = ShardWriter::new(ShardSpec::new("sweep", shard_bytes), &fs)
-            .write_all(records())
-            .expect("sim shard write");
-        Point {
-            files: manifest.shards.len(),
-            makespan_ms: fs.makespan() * 1e3,
-            gb_per_s: fs.achieved_bandwidth() / 1e9,
-        }
-    }));
-    let point = Mutex::new(None);
-    // `cpu_count` workers hold a share of 1 each; the first to start
-    // runs the sweep point, the rest find no job.
-    let worker = || {
-        let job = job.lock().take();
-        if let Some(job) = job {
-            let done = job();
-            *point.lock() = Some(done);
-        }
-    };
-    pool(cpu_count(), worker, || ());
-    let point = point.lock().take();
-    point.expect("a pool worker ran the sweep point")
+    let fs = SimFs::new(config).expect("valid sim config");
+    let manifest = ShardWriter::new(ShardSpec::new("sweep", shard_bytes), &fs)
+        .write_all(records())
+        .expect("sim shard write");
+    Point {
+        files: manifest.shards.len(),
+        makespan_ms: fs.makespan() * 1e3,
+        gb_per_s: fs.achieved_bandwidth() / 1e9,
+    }
 }
 
 /// `actual` makespans equal `expected` to the µs printed.
@@ -83,7 +65,7 @@ fn assert_makespans(actual: &[(usize, Point)], expected: &[(usize, f64)]) {
 }
 
 #[test]
-fn bandwidth_grows_with_the_osts_until_a_shard_covers_its_group() {
+fn bandwidth_grows_with_the_osts_until_the_shards_spread_out() {
     let points: Vec<(usize, Point)> = [1, 2, 4, 8, 16, 32, 64, 128]
         .into_iter()
         .map(|osts| {
@@ -99,13 +81,13 @@ fn bandwidth_grows_with_the_osts_until_a_shard_covers_its_group() {
         &points,
         &[
             (1, 38.559),
-            (2, 21.541),
+            (2, 22.042),
             (4, 13.283),
             (8, 7.154),
-            (16, 6.129),
-            (32, 6.129),
-            (64, 6.129),
-            (128, 6.129),
+            (16, 6.630),
+            (32, 4.646),
+            (64, 3.097),
+            (128, 3.097),
         ],
     );
     let gbps: Vec<String> = points
@@ -114,12 +96,12 @@ fn bandwidth_grows_with_the_osts_until_a_shard_covers_its_group() {
         .collect();
     assert_eq!(
         gbps,
-        ["0.87", "1.56", "2.53", "4.69", "5.48", "5.48", "5.48", "5.48"]
+        ["0.87", "1.52", "2.53", "4.69", "5.06", "7.22", "10.84", "10.84"]
     );
 }
 
 #[test]
-fn one_stripe_per_shard_is_fastest_on_many_osts() {
+fn striping_pays_up_to_a_shards_stripe_units_on_many_osts() {
     let points: Vec<(usize, Point)> = [1, 2, 4, 8, 16, 32, 64]
         .into_iter()
         .map(|stripes| {
@@ -136,11 +118,11 @@ fn one_stripe_per_shard_is_fastest_on_many_osts() {
         &[
             (1, 4.629),
             (2, 5.129),
-            (4, 6.129),
-            (8, 6.129),
-            (16, 6.129),
-            (32, 6.129),
-            (64, 6.129),
+            (4, 3.097),
+            (8, 3.097),
+            (16, 3.097),
+            (32, 3.097),
+            (64, 3.097),
         ],
     );
 }
@@ -156,16 +138,16 @@ fn four_mib_shards_balance_latency_against_idle_osts() {
     assert_makespans(
         &points,
         &[
-            (64, 36.734),
+            (64, 37.300),
             (256, 15.326),
-            (1024, 7.416),
+            (1024, 8.899),
             (4096, 7.154),
-            (16384, 10.020),
+            (16384, 9.325),
         ],
     );
     let gbps: Vec<String> = points
         .iter()
         .map(|(_, p)| format!("{:.2}", p.gb_per_s))
         .collect();
-    assert_eq!(gbps, ["0.91", "2.19", "4.53", "4.69", "3.35"]);
+    assert_eq!(gbps, ["0.90", "2.19", "3.77", "4.69", "3.60"]);
 }

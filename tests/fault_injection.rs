@@ -162,7 +162,9 @@ fn every_sink_takes_the_same_blob_names() {
     let names = [
         ("./a", false),
         ("a..b", true),
-        ("a/./b", true),
+        ("a/./b", false),
+        ("d//e", false),
+        ("c/", false),
         ("../a", false),
         ("/a", false),
         ("", false),
