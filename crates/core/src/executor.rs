@@ -5,9 +5,9 @@
 //! shares the input iterator. Each worker takes the next
 //! `(index, item)`, carries it through **every** stage by calling
 //! `Pipeline::execute_stage` — the function `Pipeline::run` calls,
-//! fast path, derivation id and ledger record included — settles it
-//! (makes a last fast-path hit's output, as `run` does) and hands the
-//! finished item to the collector
+//! fast path, derivation id and ledger record included; the last stage
+//! makes a last fast-path hit's output on its own clock, as `run`'s
+//! does — and hands the finished item to the collector
 //! over one bounded channel. Item 7 can be sharding while item 9 is
 //! still regridding, no stage is pinned to one thread, and at most
 //! `pool + channel_capacity` items sit between input and output
@@ -45,23 +45,19 @@
 //! blocked on the full hand-off channel — the backpressure signal),
 //! `executor.<pipeline>.<stage>.inflight` (per-stage gauge of items
 //! inside the stage), `executor.items_completed` (counter ticking live
-//! as items reach the collector — the progress signal the monitor
-//! sampler reads), and a `pipeline.<name>.run_streaming` span. After a
+//! as items reach the collector, so progress can be read while a batch
+//! runs), and a `pipeline.<name>.run_streaming` span. After a
 //! successful batch each stage publishes merged `.records`/`.bytes`
 //! counters, one `.ns` observation (the stage's batch wall-clock: last
 //! item out minus first item in, so it never exceeds the batch wall
 //! time regardless of parallelism) and one `.item_ns` observation per
 //! item (hits included).
-//!
-//! [`executor_health_spec`] packages these metrics into the default
-//! `drai_telemetry::monitor` health rules for a streaming run.
 
 use crate::metrics::Throughput;
 use crate::names;
 use crate::pipeline::{Failure, Item, Pipeline, StageCounters, StageMetrics};
 use crate::CoreError;
 use drai_io::parallel::{self, cpu_share};
-use drai_telemetry::monitor::{Condition, HealthSpec};
 use drai_telemetry::{Gauge, GaugeGuard, Handle, Histogram, Registry, Stopwatch};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -109,30 +105,6 @@ impl ExecutorConfig {
             }
         }
     }
-}
-
-/// Default monitor health rules for a streaming run under `cfg`:
-///
-/// - `queue_saturated`: the `executor.queue_depth` window watermark
-///   reached the hand-off channel's capacity — workers are finishing
-///   items faster than the collector takes them. The gauge counts a
-///   finished item from the moment its worker offers it, so the rule
-///   also sees workers holding an item at a full channel.
-/// - `no_progress`: `executor.items_completed` went 8 consecutive
-///   samples without an item reaching the collector — a stall or
-///   livelock candidate at the sampling cadence.
-pub fn executor_health_spec(cfg: &ExecutorConfig) -> HealthSpec {
-    HealthSpec::new()
-        .rule(
-            "queue_saturated",
-            &names::QUEUE_DEPTH,
-            Condition::GaugeAbove(cfg.channel_capacity.max(1) as i64),
-        )
-        .rule(
-            "no_progress",
-            &names::ITEMS_COMPLETED,
-            Condition::StallFor(8),
-        )
 }
 
 /// Cooperative cancellation handle for a streaming run, shared between
@@ -285,45 +257,49 @@ impl<T> ExecShared<'_, T> {
         }
     }
 
-    /// Carry item `idx` through every stage and settle it (make a last
-    /// hit's output: see [`Item`]). `None` when the item was cancelled at
-    /// a stage boundary or failed (the incident is recorded).
+    /// Carry item `idx` through every stage; the last one makes its
+    /// output, so a last hit's decode runs on that stage's clock (see
+    /// [`Item`]). `None` when the item was cancelled at a stage boundary
+    /// or failed (the incident is recorded).
     fn carry(&self, idx: usize, input: T) -> Option<T> {
+        let Some((last, init)) = self.pipeline.stages.split_last() else {
+            return Some(input);
+        };
         // The item and its derivation id, as `Pipeline::run` carries them.
         let (mut item, mut id) = (Item::ready(input), None);
-        for (s, stage) in self.pipeline.stages.iter().enumerate() {
-            if self.cancelled(idx) {
-                return None;
-            }
-            let busy = GaugeGuard::new(self.inflight[s].clone(), 1);
-            let start_ns = self.epoch.elapsed_ns();
-            let mut counters = StageCounters::default();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                self.pipeline.execute_stage(stage, item, id, &mut counters)
-            }));
-            let end_ns = self.epoch.elapsed_ns();
-            drop(busy);
-            match result {
-                Ok(Ok((output, output_id))) => {
-                    self.accs[s].absorb(&counters, start_ns, end_ns);
-                    (item, id) = (output, output_id);
-                }
-                Ok(Err(failure)) => return self.fail(idx, Ok(failure)),
-                Err(payload) => return self.fail(idx, Err(payload)),
-            }
+        for (s, stage) in init.iter().enumerate() {
+            (item, id) = self.step(idx, s, |c| self.pipeline.execute_stage(stage, item, id, c))?;
         }
-        match catch_unwind(AssertUnwindSafe(|| item.settle())) {
-            Ok(Ok(output)) => Some(output),
-            Ok(Err(failure)) => self.fail(idx, Ok(failure)),
-            Err(payload) => self.fail(idx, Err(payload)),
-        }
+        self.step(idx, init.len(), |c| {
+            self.pipeline.execute_stage(last, item, id, c)?.0.settle()
+        })
     }
 
-    /// Record why item `idx` failed: a stage's error, or the payload of a
-    /// panic caught in one.
-    fn fail(&self, idx: usize, why: Result<Failure, Box<dyn Any + Send>>) -> Option<T> {
-        self.record_incident(match why {
-            Ok(Failure { stage, message }) => Incident::Error {
+    /// Run `work` as stage `s` of item `idx`: under the stage's in-flight
+    /// gauge, timed into its accumulator, a failure or a panic recorded
+    /// as the item's incident. `None` when the item was cancelled before
+    /// the stage or failed in it.
+    fn step<R>(
+        &self,
+        idx: usize,
+        s: usize,
+        work: impl FnOnce(&mut StageCounters) -> Result<R, Failure>,
+    ) -> Option<R> {
+        if self.cancelled(idx) {
+            return None;
+        }
+        let busy = GaugeGuard::new(self.inflight[s].clone(), 1);
+        let start_ns = self.epoch.elapsed_ns();
+        let mut counters = StageCounters::default();
+        let result = catch_unwind(AssertUnwindSafe(|| work(&mut counters)));
+        let end_ns = self.epoch.elapsed_ns();
+        drop(busy);
+        let incident = match result {
+            Ok(Ok(output)) => {
+                self.accs[s].absorb(&counters, start_ns, end_ns);
+                return Some(output);
+            }
+            Ok(Err(Failure { stage, message })) => Incident::Error {
                 index: idx,
                 stage,
                 message,
@@ -332,7 +308,8 @@ impl<T> ExecShared<'_, T> {
                 index: idx,
                 payload,
             },
-        });
+        };
+        self.record_incident(incident);
         None
     }
 
@@ -439,8 +416,8 @@ impl<T: Send> Pipeline<T> {
         parallel::pool(pool, worker, || {
             // Live progress signal: unlike the per-stage counters
             // published after the batch completes, this counter ticks
-            // as each item reaches the collector, so the monitor
-            // sampler can compute items/s and ETA mid-run.
+            // as each item reaches the collector, so a sample taken
+            // mid-run sees how far the batch got.
             let completed = registry.handle(&names::ITEMS_COMPLETED, []);
             while let Ok((idx, item, _depth)) = parking_lot::blocking(|| rx.recv()) {
                 completed.incr();
@@ -588,24 +565,6 @@ mod tests {
         assert!(snap.spans_named("pipeline.exec.b").is_empty());
         // The live progress counter ticked once per item.
         assert_eq!(snap.counters["executor.items_completed"], 100);
-    }
-
-    #[test]
-    fn health_spec_scales_saturation_to_config() {
-        let cfg = ExecutorConfig {
-            channel_capacity: 4,
-            workers_per_stage: 2,
-        };
-        let spec = executor_health_spec(&cfg);
-        let rules = spec.rules();
-        assert_eq!(rules.len(), 2);
-        assert_eq!(rules[0].name, "queue_saturated");
-        assert_eq!(rules[0].metric, "executor.queue_depth");
-        // The one hand-off channel, full.
-        assert_eq!(rules[0].cond, Condition::GaugeAbove(4));
-        assert_eq!(rules[1].name, "no_progress");
-        assert_eq!(rules[1].metric, "executor.items_completed");
-        assert_eq!(rules[1].cond, Condition::StallFor(8));
     }
 
     #[test]

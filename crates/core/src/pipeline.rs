@@ -137,10 +137,10 @@ pub enum FastPath<T> {
 
 /// An item on its way through the stages: ready, or the output of a
 /// fast-path hit that is made only once something needs it — a stage
-/// function, a fast path that reads the item ([`Item::get`]), or the end
-/// of the run. A chain of cache hits therefore decodes one output, its
-/// last: each probe after the first keys its item by the derivation id
-/// alone.
+/// function, a fast path that reads the item ([`Item::get`]), or the
+/// last stage, which makes its output under its own span and clock. A
+/// chain of cache hits therefore decodes one output, its last: each
+/// probe after the first keys its item by the derivation id alone.
 ///
 /// A hit holds on to its input until it settles: when its output cannot
 /// be made, the stage function recomputes it from that input (made
@@ -538,7 +538,9 @@ impl<T> Pipeline<T> {
     }
 
     /// Run sequentially on one artifact named by `id`, emitting one
-    /// telemetry span per stage.
+    /// telemetry span per stage. The last stage makes its output, so a
+    /// last hit's decode runs under that stage's span and clock (see
+    /// [`Item`]).
     pub fn run_with_id(
         &self,
         input: T,
@@ -550,39 +552,63 @@ impl<T> Pipeline<T> {
         // (e.g. a domain's `domain.<name>.run`).
         let run_span = registry.span(&names::RUN, [&self.name]);
         let _in_run = run_span.enter();
-        let mut current = Item::ready(input);
         let mut metrics = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let at = [self.name.as_str(), stage.name.as_str()];
-            let span = registry.span(&names::STAGE, at);
-            let start = Stopwatch::start();
-            let mut counters = StageCounters::default();
-            // Entered while the stage runs and is recorded, so I/O spans
-            // parent under it and the record carries its trace.
-            let in_stage = span.enter();
-            let result = self.execute_stage(stage, current, id, &mut counters);
-            drop(in_stage);
-            (current, id) = result?;
-            span.add_items(counters.records);
-            span.add_bytes(counters.bytes);
-            registry
-                .handle(&names::STAGE_RECORDS, at)
-                .add(counters.records);
-            registry.handle(&names::STAGE_BYTES, at).add(counters.bytes);
-            metrics.push(StageMetrics {
-                name: stage.name.clone(),
-                kind: stage.kind,
-                throughput: Throughput {
-                    records: counters.records,
-                    bytes: counters.bytes,
-                    elapsed: start.elapsed(),
-                },
+        let Some((last, init)) = self.stages.split_last() else {
+            return Ok(PipelineRun {
+                output: input,
+                stages: metrics,
             });
+        };
+        let mut current = Item::ready(input);
+        for stage in init {
+            (current, id) = self.timed(&registry, stage, &mut metrics, |c| {
+                self.execute_stage(stage, current, id, c)
+            })?;
         }
+        let output = self.timed(&registry, last, &mut metrics, |c| {
+            self.execute_stage(last, current, id, c)?.0.settle()
+        })?;
         Ok(PipelineRun {
-            output: current.settle()?,
+            output,
             stages: metrics,
         })
+    }
+
+    /// Run `work` as `stage` of a sequential run: under the stage's span
+    /// (entered while it runs, so I/O spans parent under it and its
+    /// record carries its trace), its counters added to the span and the
+    /// registry, its [`StageMetrics`] pushed onto `metrics`.
+    fn timed<R>(
+        &self,
+        registry: &Registry,
+        stage: &StageDef<T>,
+        metrics: &mut Vec<StageMetrics>,
+        work: impl FnOnce(&mut StageCounters) -> Result<R, Failure>,
+    ) -> Result<R, Failure> {
+        let at = [self.name.as_str(), stage.name.as_str()];
+        let span = registry.span(&names::STAGE, at);
+        let start = Stopwatch::start();
+        let mut counters = StageCounters::default();
+        let in_stage = span.enter();
+        let result = work(&mut counters);
+        drop(in_stage);
+        let output = result?;
+        span.add_items(counters.records);
+        span.add_bytes(counters.bytes);
+        registry
+            .handle(&names::STAGE_RECORDS, at)
+            .add(counters.records);
+        registry.handle(&names::STAGE_BYTES, at).add(counters.bytes);
+        metrics.push(StageMetrics {
+            name: stage.name.clone(),
+            kind: stage.kind,
+            throughput: Throughput {
+                records: counters.records,
+                bytes: counters.bytes,
+                elapsed: start.elapsed(),
+            },
+        });
+        Ok(output)
     }
 
     /// One zeroed [`StageMetrics`] per stage — what an empty batch
@@ -930,7 +956,7 @@ mod tests {
     }
 
     /// A hit is decoded only when its output is needed — here only `c`'s,
-    /// at the end of the run — and one that does not decode is recomputed
+    /// as the last stage — and one that does not decode is recomputed
     /// from its input, decoded (or recomputed) first. Either way the item
     /// gets one record per stage, in stage order: a hit's, written when
     /// it hit, stands for its recomputation.
@@ -1005,6 +1031,58 @@ mod tests {
 
     /// A recomputation that fails fails the run, naming the stage whose
     /// function failed.
+    /// The last stage makes its hit's output on its own clock: under
+    /// `run` a span the decode opens parents under that stage's span and
+    /// the stage's time covers the decode; streaming, the decode's time
+    /// falls in that stage's `.item_ns`.
+    #[test]
+    fn a_last_hit_is_decoded_on_its_stages_clock() {
+        use crate::executor::{ExecutorConfig, StreamingBatchExt};
+        use drai_telemetry::{Name, Span, TraceContext};
+        use std::time::Duration;
+        const DECODE: Name<Span> = Name::declare("test.last_hit.decode");
+        const LAG: Duration = Duration::from_millis(30);
+        let p: Pipeline<u8> = Pipeline::builder("last-hit")
+            .stage("a", S::Transform, |x, _| Ok(x))
+            .stage("b", S::Transform, |x, _| Ok(x + 1))
+            .build()
+            .decorate_stage("b", |func| {
+                let fast = |_: &mut Item<u8>, _: &mut StageCounters| {
+                    FastPath::Hit(Box::new(|| {
+                        let _decode = Registry::current().span(&DECODE, []);
+                        std::thread::sleep(LAG);
+                        Some(9)
+                    }))
+                };
+                (func, Some(Arc::new(fast)))
+            });
+
+        let reg = Registry::new();
+        let run = TraceContext::root(&reg).scope(|| p.run(0).unwrap());
+        assert_eq!(run.output, 9);
+        let b = run.stage("b").unwrap().throughput.elapsed;
+        assert!(b >= LAG, "stage b took {b:?}, its decode {LAG:?}");
+        let snap = reg.snapshot();
+        let (decode, stage) = (
+            snap.spans_named("test.last_hit.decode"),
+            snap.spans_named("pipeline.last-hit.b"),
+        );
+        assert_eq!(decode[0].parent, Some(stage[0].id));
+        assert!(stage[0].dur_ns >= decode[0].dur_ns);
+
+        let reg = Registry::new();
+        let cfg = ExecutorConfig::default();
+        let (out, _) = TraceContext::root(&reg)
+            .scope(|| p.run_batch_streaming(vec![0], &cfg))
+            .unwrap();
+        assert_eq!(out, [9]);
+        let item_ns = reg.snapshot().histograms["pipeline.last-hit.b.item_ns"].sum;
+        assert!(
+            item_ns >= LAG.as_nanos() as u64,
+            "b's item took {item_ns} ns"
+        );
+    }
+
     #[test]
     fn a_failed_recomputation_names_its_stage() {
         let decodes = Arc::default();

@@ -63,12 +63,10 @@ use drai_io::checksum::content_hash128;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::{HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig};
-use drai_telemetry::{Registry, Stopwatch};
+use drai_telemetry::Registry;
 use drai_tensor::LatLonGrid;
 use drai_transform::split::{Fractions, Partitioned, Split};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A batch member flowing through a domain pipeline: the member id
 /// plus the inter-stage artifact. (A newtype rather than a tuple —
@@ -117,45 +115,6 @@ impl<D> StageItem<D> for Member<D> {
     fn try_map(self, f: impl FnOnce(D) -> Result<D, String>) -> Result<Self, String> {
         f(self.1).map(|data| Member(self.0, data))
     }
-}
-
-/// Run `f` under a background monitor sampler on the current registry:
-/// every metric is sampled into a time series each few milliseconds,
-/// `spec` health rules are evaluated per sample, progress is read from
-/// the executor's live `executor.items_completed` counter against
-/// `total_items` (and printed to stderr under the `progress` label
-/// when one is given), and the final report — including a closing
-/// sample, so short runs still carry their series — is returned next
-/// to `f`'s output.
-pub fn monitored<R>(
-    total_items: u64,
-    spec: HealthSpec,
-    progress: Option<&'static str>,
-    f: impl FnOnce() -> R,
-) -> (R, MonitorReport) {
-    let sampler_cfg = SamplerConfig {
-        capacity: 1024,
-        progress: Some(ProgressTarget {
-            counter: "executor.items_completed".to_string(),
-            total: total_items,
-        }),
-    };
-    let mut sampler = Sampler::new(
-        &Registry::current(),
-        Arc::new(Stopwatch::start()),
-        sampler_cfg,
-        spec,
-    );
-    if let Some(label) = progress {
-        sampler = sampler.with_observer(move |tick| {
-            if let Some(p) = tick.progress {
-                eprintln!("[{label}] {}", p.render());
-            }
-        });
-    }
-    let handle = sampler.start(Duration::from_millis(5));
-    let out = f();
-    (out, handle.stop())
 }
 
 /// Told the `(name, content)` of each blob to put on record: a raw input

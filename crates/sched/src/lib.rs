@@ -43,11 +43,9 @@
 //! / `sched.queued_cost` / `sched.inflight_cost` /
 //! `sched.tenant.<tenant>.queued` gauges, `sched.wait_ns` /
 //! `sched.run_ns` histograms and a `sched.job.<tenant>` span per
-//! dispatch. [`scheduler_health_spec`] packages the overload and
-//! stall signals as `drai_telemetry::monitor` health rules.
+//! dispatch.
 
 use drai_core::{CancelToken, ExecutorConfig};
-use drai_telemetry::monitor::{Condition, HealthSpec};
 use drai_telemetry::{clock::Clock, GaugeGuard, Registry, Stopwatch, TraceContext};
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -632,25 +630,6 @@ fn sanitize_tenant(raw: &str) -> Cow<'_, str> {
             .collect::<String>()
             .into()
     }
-}
-
-/// Default monitor health rules for a scheduler under `cfg`:
-///
-/// - `sched_overloaded`: the `sched.queued_cost` window watermark
-///   exceeded the shed watermark — load shedding is (about to be)
-///   active. `MonitorReport::diagnose` names the saturated tenant from
-///   the `sched.tenant.<t>.queued` series.
-/// - `sched_stalled`: `sched.completed` went 8 consecutive samples
-///   without a job finishing while work was pending.
-pub fn scheduler_health_spec(cfg: &SchedulerConfig) -> HealthSpec {
-    let watermark = cfg.shed_watermark.min(i64::MAX as u64) as i64;
-    HealthSpec::new()
-        .rule(
-            "sched_overloaded",
-            &names::QUEUED_COST,
-            Condition::GaugeAbove(watermark),
-        )
-        .rule("sched_stalled", &names::COMPLETED, Condition::StallFor(8))
 }
 
 impl Scheduler {
@@ -1571,13 +1550,6 @@ mod tests {
             1,
             "idle scheduler must not starve big jobs"
         );
-    }
-
-    #[test]
-    fn health_spec_names_overload_and_stall_rules() {
-        let spec = scheduler_health_spec(&SchedulerConfig::default());
-        let names: Vec<&str> = spec.rules().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["sched_overloaded", "sched_stalled"]);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! metrics too.
 //!
 //! The metric namespace is a public interface: dashboards, the bench
-//! summarizer, health rules and regression tests key on exact dotted
-//! names. So a metric is written, and a span opened, only through a
+//! summarizer, the monitor's diagnosis and regression tests key on exact
+//! dotted names. So a metric is written, and a span opened, only through a
 //! [`Name`]: a constant the writing crate declares in its private
 //! `names` module, whose template the compiler checks against the dotted
 //! grammar. A declared name that nothing writes is `dead_code`, which CI's
@@ -39,15 +39,16 @@
 //! Writers: `pipeline.*` and `executor.*` (queue depth, send stalls,
 //! per-stage in-flight, live progress) come from drai-core; `io.*` from
 //! drai-io; `domain.*` from drai-domains; `cache.*` from drai-cache;
-//! `sched.*` from drai-sched; `monitor.*` from the [`monitor`] sampler's
-//! health layer; `<span>.ns` is the histogram every [`Span`] records on
-//! drop.
+//! `sched.*` from drai-sched; `monitor.samples` from the [`monitor`]
+//! sampler; `<span>.ns` is the histogram every [`Span`] records on drop.
 //!
 //! The [`monitor`] module adds the *live* view: a background sampler
 //! on an injectable [`clock`] that turns the registry into bounded
 //! ring-buffer time series (deltas, rates, gauge window watermarks),
-//! evaluates declarative health rules per sample, and diagnoses
-//! streaming-executor backpressure post-run.
+//! and a post-run diagnosis of streaming-executor backpressure and
+//! scheduler saturation from them. It is a leaf: no other drai crate
+//! imports it, and a run is monitored by wrapping it
+//! ([`monitor::monitored`]).
 //!
 //! ```
 //! use drai_telemetry::{Counter, Name, Registry, Span};
@@ -89,15 +90,12 @@ pub mod trace;
 /// ~584 years.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
-/// The names this crate writes: the sampler's own counters and the
+/// The names this crate writes: the sampler's own counter and the
 /// histogram every [`Span`] records on drop.
 mod names {
     use crate::{Counter, Histogram, Name};
 
     pub(crate) const MONITOR_SAMPLES: Name<Counter> = Name::declare("monitor.samples");
-    pub(crate) const MONITOR_VIOLATIONS: Name<Counter> = Name::declare("monitor.health.violations");
-    /// One per health rule; the rule name is one segment.
-    pub(crate) const MONITOR_RULE: Name<Counter, 1> = Name::declare("monitor.rule.{}");
     /// The hole holds the whole span name.
     pub(crate) const SPAN_NS: Name<Histogram, 1> = Name::declare("{}.ns");
 }
@@ -682,11 +680,6 @@ impl TraceContext {
     /// The context attached to the current thread, if any.
     pub fn current() -> Option<TraceContext> {
         CONTEXT.with(|stack| stack.borrow().last().cloned())
-    }
-
-    /// Registry this context records into.
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Trace this context belongs to.

@@ -4,8 +4,8 @@
 //! registry of its own, and leaves everything that run recorded in one
 //! directory:
 //!
-//! * `monitor.jsonl` — the `drai-monitor/v1` time series and health
-//!   events (executor and scheduler rules combined);
+//! * `monitor.jsonl` — the `drai-monitor/v2` time series of every
+//!   metric the run wrote, executor and scheduler alike;
 //! * `trace.json` — the program's own span tree as Chrome trace events
 //!   (open in Perfetto / `chrome://tracing`);
 //! * `stacks.folded` — the same tree as folded stacks for a flamegraph
@@ -19,14 +19,15 @@
 //!
 //! Before writing, the monitor artifact must parse back
 //! byte-identically and carry both `executor.*` and `sched.*` series;
-//! the backpressure diagnosis goes to stdout.
+//! the diagnosis — bottleneck stage, backpressure, saturated tenant —
+//! goes to stdout.
 
-use drai::core::executor::{executor_health_spec, ExecutorConfig};
-use drai::domains::{climate, monitored, service};
+use drai::core::executor::ExecutorConfig;
+use drai::domains::{climate, service};
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
-use drai::sched::{scheduler_health_spec, JobOutcome, Scheduler, SchedulerConfig, TenantConfig};
-use drai::telemetry::monitor::MonitorReport;
+use drai::sched::{JobOutcome, Scheduler, SchedulerConfig, TenantConfig};
+use drai::telemetry::monitor::{monitored, MonitorReport};
 use drai::telemetry::trace::{critical_path_summary, to_chrome_json, to_folded};
 use drai::telemetry::{Registry, Stopwatch, TraceContext};
 use drai::tensor::LatLonGrid;
@@ -49,25 +50,16 @@ fn run(out: &Path) -> Result<(), String> {
         shard_bytes: 1 << 20,
         ..climate::ClimateConfig::default()
     };
-    let exec = ExecutorConfig::for_host();
     let scfg = SchedulerConfig {
-        exec: exec.clone(),
+        exec: ExecutorConfig::for_host(),
         ..SchedulerConfig::default()
     };
-
-    // One spec, two subsystems: executor backpressure rules plus the
-    // scheduler's overload/stall rules.
-    let spec = executor_health_spec(&exec).and(scheduler_health_spec(&scfg));
-
     let sched = Arc::new(Scheduler::new(scfg));
     for (tenant, weight) in TENANTS {
         sched.register_tenant(TenantConfig::new(tenant).weight(weight));
     }
 
-    // Progress tracks ensemble members flowing through the streaming
-    // executor across all jobs.
-    let total_items = (TENANTS.len() * JOBS_PER_TENANT * MEMBERS) as u64;
-    let (outcome, report) = monitored(total_items, spec, None, || {
+    let (outcome, report) = monitored(|| {
         let started = Stopwatch::start();
         let mut handles = Vec::new();
         for _ in 0..JOBS_PER_TENANT {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Summarize one drai-monitor/v1 artifact as a Markdown table.
+"""Summarize one drai-monitor/v2 artifact as a Markdown table.
 
   python3 scripts/summarize_bench.py --monitor <file.jsonl>
       Summarize the `monitor.jsonl` that
@@ -14,14 +14,14 @@ import sys
 
 
 def load_monitor(path: str):
-    """Parse a drai-monitor/v1 JSONL artifact."""
+    """Parse a drai-monitor/v2 JSONL artifact."""
     try:
         with open(path) as f:
             lines = [json.loads(ln) for ln in f if ln.strip()]
     except (OSError, json.JSONDecodeError) as e:
         sys.exit(f"{path}: {e}")
-    if not lines or lines[0].get("format") != "drai-monitor/v1":
-        sys.exit(f"{path}: not a drai-monitor/v1 artifact")
+    if not lines or lines[0].get("format") != "drai-monitor/v2":
+        sys.exit(f"{path}: not a drai-monitor/v2 artifact")
     header = lines[0]
     series = {}  # metric -> {"kind": ..., "points": [...]}
     for doc in lines[1:]:
@@ -30,20 +30,13 @@ def load_monitor(path: str):
             series[doc["metric"]] = {"kind": doc.get("metric_kind", "?"), "points": []}
         elif kind == "point" and doc.get("metric") in series:
             series[doc["metric"]]["points"].append(doc)
-    return {
-        "ticks": header.get("ticks", 0),
-        "events": header.get("events", 0),
-        "series": series,
-    }
+    return {"ticks": header.get("ticks", 0), "series": series}
 
 
 def monitor_mode(path: str) -> None:
     """Print the per-series summary table for one monitor artifact."""
     mon = load_monitor(path)
-    print(
-        f"monitor: {mon['ticks']} samples, "
-        f"{len(mon['series'])} series, {mon['events']} health events"
-    )
+    print(f"monitor: {mon['ticks']} samples, {len(mon['series'])} series")
     print("| metric | kind | points | last | peak hi | mean rate |")
     print("|---|---|---|---|---|---|")
     for metric in sorted(mon["series"]):

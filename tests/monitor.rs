@@ -10,14 +10,14 @@
 //! * ring-buffer wraparound — a series over capacity keeps exactly the
 //!   last `capacity` points, oldest-first, ticks strictly increasing.
 
-use drai::core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
+use drai::core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai::core::pipeline::StageCounters;
-use drai::domains::{climate, monitored, Member};
+use drai::domains::{climate, Member};
 use drai::io::fault::FaultConfig;
 use drai::io::sink::{MemSink, StorageSink};
 use drai::provenance::Ledger;
 use drai::telemetry::clock::ManualClock;
-use drai::telemetry::monitor::{MonitorReport, Sampler, SamplerConfig};
+use drai::telemetry::monitor::{monitored, MonitorReport, Sampler};
 use drai::telemetry::{Counter, Gauge, Histogram, Name, Registry, TraceContext};
 use drai::tensor::LatLonGrid;
 use std::sync::Arc;
@@ -66,10 +66,7 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
         .map(|m| Member(m, climate::member_input(&cfg, m)))
         .collect();
 
-    let spec = executor_health_spec(&exec);
-    let (result, report) = monitored(members as u64, spec, None, || {
-        pipeline.run_batch_streaming(items, &exec)
-    });
+    let (result, report) = monitored(|| pipeline.run_batch_streaming(items, &exec));
     result.unwrap();
     drop(scope);
 
@@ -111,15 +108,7 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
 fn scripted_run() -> String {
     let registry = Registry::new();
     let clock = Arc::new(ManualClock::new());
-    let sampler = Sampler::new(
-        &registry,
-        clock.clone(),
-        SamplerConfig {
-            capacity: 16,
-            progress: None,
-        },
-        drai::telemetry::monitor::HealthSpec::new(),
-    );
+    let sampler = Sampler::new(&registry, clock.clone(), 16);
     const ITEMS: Name<Counter> = Name::declare("executor.items_completed");
     const DEPTH: Name<Gauge> = Name::declare("executor.queue_depth");
     const LATENCY: Name<Histogram> = Name::declare("stage.batch.latency_ns");
@@ -154,15 +143,7 @@ fn sampler_is_deterministic_under_manual_clock() {
 fn ring_buffer_keeps_only_the_last_capacity_points() {
     let registry = Registry::new();
     let clock = Arc::new(ManualClock::new());
-    let sampler = Sampler::new(
-        &registry,
-        clock.clone(),
-        SamplerConfig {
-            capacity: 4,
-            progress: None,
-        },
-        drai::telemetry::monitor::HealthSpec::new(),
-    );
+    let sampler = Sampler::new(&registry, clock.clone(), 4);
     const FEED: Name<Counter> = Name::declare("monitor.samples.test_feed");
     let c = registry.handle(&FEED, []);
     for _ in 0..10 {
