@@ -1,7 +1,7 @@
 //! Dataset manifests: what a run says about the dataset it produced —
 //! name, domain, modality, schema and record count. How the dataset was
 //! prepared is read from the run's provenance ledger (see
-//! [`crate::assess`]), never declared here.
+//! [`crate::assess`](mod@crate::assess)), never declared here.
 
 use crate::CoreError;
 use drai_io::json::Json;
@@ -79,8 +79,9 @@ impl VariableSpec {
 
 /// What a run says about the dataset it produced: names, modality,
 /// schema and record count. What preparation the dataset underwent is
-/// not a claim here: the assessor (see [`crate::assess`]) reads it from
-/// the run's provenance ledger.
+/// not a claim here: the assessor (see
+/// [`crate::assess`](mod@crate::assess)) reads it from the run's
+/// provenance ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetManifest {
     /// Dataset name.

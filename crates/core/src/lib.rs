@@ -9,7 +9,7 @@
 //!   including its N/A cells.
 //! * [`dataset`] — [`dataset::DatasetManifest`]: what a run says about
 //!   the dataset it produced (name, domain, modality, schema, records).
-//! * [`assess`] — [`assess::assess`]: grades each Table 2
+//! * [`assess`](mod@assess) — [`assess::assess`]: grades each Table 2
 //!   cell of a run from its manifest, its provenance ledger and its
 //!   domain's [`templates::DomainTemplate`], citing the ledger record
 //!   that satisfies each cell. Readiness is *assessed from evidence*, not

@@ -74,11 +74,24 @@ impl Default for ClimateConfig {
     }
 }
 
+/// Travelling wave modes in each synthesized field.
+const MODES: usize = 4;
+
 /// Synthesize one variable's field stack `[timesteps, nlat, nlon]`.
 ///
 /// Structure = meridional climatology + travelling planetary-scale waves +
 /// weather noise, so fields are spatially smooth (regridding has something
 /// to preserve) and temporally coherent.
+///
+/// Cell `(t, i, j)` is `climo(i) + Σ_k coef(k) · (wave(t, j, k) ·
+/// damp(i, k)) + noise`, and each factor is computed at the loop level it
+/// depends on: `coef(k) = amp · 0.1 / k` once per mode, `climo(i)` and
+/// `damp(i, k) = cos(k · lat_i)` once per row, and `wave(t, j, k) =
+/// sin(wn · k · lon_j + phase − speed · t · k)` once per timestep and
+/// column. The cell loop only multiplies, adds and draws its noise, in
+/// the same order as when it computed every factor itself, so the values
+/// are bit for bit what they were; the random draws are the 12 phase
+/// parameters, then one per cell in `[t][i][j]` order.
 fn synth_variable(cfg: &ClimateConfig, var_index: usize, rng: &mut SmallRng) -> Vec<f64> {
     let (nlat, nlon) = (cfg.src_grid.nlat(), cfg.src_grid.nlon());
     let base = match var_index {
@@ -94,34 +107,47 @@ fn synth_variable(cfg: &ClimateConfig, var_index: usize, rng: &mut SmallRng) -> 
         _ => 2.5e-5,
     };
     // Random wave phases per timestep-coherent mode.
-    let phases: Vec<(f64, f64, f64)> = (0..4)
-        .map(|_| {
-            (
-                rng.gen_range(0.0..std::f64::consts::TAU),
-                rng.gen_range(0.5..2.5),  // zonal wavenumber scale
-                rng.gen_range(0.02..0.2), // phase speed
-            )
+    let phases: [(f64, f64, f64); MODES] = std::array::from_fn(|_| {
+        (
+            rng.gen_range(0.0..std::f64::consts::TAU),
+            rng.gen_range(0.5..2.5),  // zonal wavenumber scale
+            rng.gen_range(0.02..0.2), // phase speed
+        )
+    });
+    let mode = |k: usize| (k + 1) as f64;
+    let coef: [f64; MODES] = std::array::from_fn(|k| amp * 0.1 / mode(k));
+    // Meridional structure: warm equator / cold poles (or the analogue
+    // for the variable), and each mode's damping towards the poles.
+    let rows: Vec<(f64, [f64; MODES])> = (0..nlat)
+        .map(|i| {
+            let lat = cfg.src_grid.lat_center(i).to_radians();
+            let damp = std::array::from_fn(|k| (mode(k) * lat).cos());
+            (base + amp * 0.5 * lat.cos(), damp)
         })
         .collect();
+    let lons: Vec<f64> = (0..nlon)
+        .map(|j| cfg.src_grid.lon_center(j).to_radians())
+        .collect();
+    let flux = VARIABLES[var_index].2;
+    let mut waves = vec![[0.0; MODES]; nlon];
     let mut out = Vec::with_capacity(cfg.timesteps * nlat * nlon);
     for t in 0..cfg.timesteps {
-        for i in 0..nlat {
-            let lat = cfg.src_grid.lat_center(i).to_radians();
-            // Meridional structure: warm equator / cold poles (or the
-            // analogue for the variable).
-            let climo = base + amp * 0.5 * lat.cos();
-            for j in 0..nlon {
-                let lon = cfg.src_grid.lon_center(j).to_radians();
-                let mut v = climo;
-                for (k, &(phase, wn, speed)) in phases.iter().enumerate() {
-                    let kf = (k + 1) as f64;
-                    v += amp * 0.1 / kf
-                        * ((wn * kf * lon + phase - speed * t as f64 * kf).sin()
-                            * (kf * lat).cos());
+        for (wave, &lon) in waves.iter_mut().zip(&lons) {
+            *wave = std::array::from_fn(|k| {
+                let (phase, wn, speed) = phases[k];
+                let kf = mode(k);
+                (wn * kf * lon + phase - speed * t as f64 * kf).sin()
+            });
+        }
+        for (climo, damp) in &rows {
+            for wave in &waves {
+                let mut v = *climo;
+                for k in 0..MODES {
+                    v += coef[k] * (wave[k] * damp[k]);
                 }
                 v += amp * 0.02 * (rng.gen::<f64>() - 0.5);
                 // Flux-like variables are non-negative.
-                if VARIABLES[var_index].2 {
+                if flux {
                     v = v.max(0.0);
                 }
                 out.push(v);

@@ -1,6 +1,6 @@
 //! `bp` — an ADIOS-BP-inspired process-group log format, from scratch.
 //!
-//! ADIOS (Lofstead et al., the paper's reference [25]) organizes output as
+//! ADIOS (Lofstead et al., the paper's reference \[25\]) organizes output as
 //! an append-only sequence of *process groups* — one writer's variables for
 //! one output step — plus a footer index that locates every group and
 //! variable without scanning the file. That layout is what makes "log-based

@@ -20,6 +20,14 @@
 //! types, one optional unlimited (record) dimension, global and per-variable
 //! attributes. Not implemented (rejected on read): CDF-2/CDF-5 offsets,
 //! fill-value defaulting beyond explicit data.
+//!
+//! Writing and reading mirror each other over the data section: a
+//! variable's values are slabs (one for a fixed variable or an attribute,
+//! one per record for a record variable, the other record variables'
+//! slabs in between). [`NcFile::to_bytes`] sizes the file from the header
+//! and writes each value big-endian once, straight into its slab;
+//! [`NcFile::from_bytes`] converts each value once, from its slab into
+//! its place in the output.
 
 use crate::bytes::{arr, arr4};
 use crate::{malformed, unsupported, FormatError};
@@ -146,30 +154,26 @@ impl NcValues {
         }
     }
 
-    fn write_be(&self, out: &mut Vec<u8>) {
+    /// Encode the values big-endian as slabs of `slab` values each, slab
+    /// `r` starting at `begin + r * stride` in `out` — the mirror of
+    /// [`read_be`](Self::read_be): a fixed variable or an attribute is
+    /// one slab, a record variable one slab per record with the other
+    /// record variables' slabs in between. Each value is converted once,
+    /// straight into its place.
+    fn write_be(&self, out: &mut [u8], begin: usize, stride: usize, slab: usize) {
+        let to = SlabsMut {
+            bytes: out,
+            begin,
+            stride,
+            slab,
+        };
         match self {
-            NcValues::Byte(v) => out.extend(v.iter().map(|&x| x as u8)),
-            NcValues::Char(s) => out.extend_from_slice(s.as_bytes()),
-            NcValues::Short(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Int(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Float(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_be_bytes());
-                }
-            }
-            NcValues::Double(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_be_bytes());
-                }
-            }
+            NcValues::Byte(v) => to.encode(v, i8::to_be_bytes),
+            NcValues::Char(s) => to.encode(s.as_bytes(), u8::to_be_bytes),
+            NcValues::Short(v) => to.encode(v, i16::to_be_bytes),
+            NcValues::Int(v) => to.encode(v, i32::to_be_bytes),
+            NcValues::Float(v) => to.encode(v, f32::to_be_bytes),
+            NcValues::Double(v) => to.encode(v, f64::to_be_bytes),
         }
     }
 
@@ -241,6 +245,29 @@ impl Slabs<'_> {
             out.extend(raw.chunks_exact(N).map(|be| from_be(arr(be))));
         }
         out
+    }
+}
+
+/// Where [`NcValues::write_be`] puts slabs of values in a file being
+/// written: slab `r` at `begin + r * stride`, `slab` values each.
+struct SlabsMut<'a> {
+    bytes: &'a mut [u8],
+    begin: usize,
+    stride: usize,
+    slab: usize,
+}
+
+impl SlabsMut<'_> {
+    /// Write `values` slab after slab, each value's bytes stored once
+    /// into its `N`-byte cell of the output.
+    fn encode<T: Copy, const N: usize>(self, values: &[T], to_be: impl Fn(T) -> [u8; N]) {
+        for (r, slab) in values.chunks(self.slab.max(1)).enumerate() {
+            let at = self.begin + r * self.stride;
+            let cells = self.bytes[at..at + slab.len() * N].chunks_exact_mut(N);
+            for (cell, &x) in cells.zip(slab) {
+                cell.copy_from_slice(&to_be(x));
+            }
+        }
     }
 }
 
@@ -316,9 +343,9 @@ fn write_attrs(out: &mut Vec<u8>, attrs: &[NcAttr]) {
         write_name(out, &a.name);
         out.extend_from_slice(&a.values.nc_type().code().to_be_bytes());
         out.extend_from_slice(&(a.values.len() as u32).to_be_bytes());
-        let mut vals = Vec::new();
-        a.values.write_be(&mut vals);
-        write_padded(out, &vals);
+        let (at, n) = (out.len(), a.values.len());
+        out.resize(at + pad4(n * a.values.nc_type().size()), 0);
+        a.values.write_be(out, at, 0, n);
     }
 }
 
@@ -477,24 +504,18 @@ impl NcFile {
             header[*patch_at..*patch_at + 4].copy_from_slice(&begin.to_be_bytes());
         }
 
-        // --- Emit data. ---
+        // --- Emit data: each value once, into its slab. ---
         let total = record_section + record_stride * numrecs;
         let mut out = header;
         out.resize(total, 0);
         for (vi, v) in self.vars.iter().enumerate() {
-            let mut raw = Vec::new();
-            v.data.write_be(&mut raw);
-            if !self.is_record_var(v) {
-                out[begins[vi]..begins[vi] + raw.len()].copy_from_slice(&raw);
-            } else {
-                // Interleave: record r of this variable at begin + r*stride.
-                let slab = self.record_slab_elems(v) * v.data.nc_type().size();
-                for r in 0..numrecs {
-                    let src = &raw[r * slab..(r + 1) * slab];
-                    let dst = begins[vi] + r * record_stride;
-                    out[dst..dst + slab].copy_from_slice(src);
-                }
-            }
+            // A fixed variable is one slab of all its values.
+            v.data.write_be(
+                &mut out,
+                begins[vi],
+                record_stride,
+                self.record_slab_elems(v),
+            );
         }
         Ok(out)
     }

@@ -10,6 +10,7 @@ Performance itself is measured by the benchmark under `benchmark/`,
 which writes its own report.
 """
 import json
+import os
 import sys
 
 
@@ -61,4 +62,12 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`): the rest of the table has
+        # nowhere to go, which is not an error. Point stdout at /dev/null
+        # so the interpreter's own flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)

@@ -3,7 +3,7 @@
 //! taking the inner guard), backed by `std::sync`.
 //!
 //! In debug builds — every `cargo test` — the locks also check the order
-//! they are taken in, over what actually runs (see [`lockdep`]): a lock
+//! they are taken in, over what actually runs (see the private `lockdep` module): a lock
 //! acquired in an order that closes a cycle with an order seen before,
 //! a lock taken again by the thread that holds it, and a [`blocking`]
 //! call made while any guard is held all panic, naming the sites on both
